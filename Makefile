@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github lint-json build test test-short race race-all race-engine race-svc race-wal race-sched race-wire race-shard race-load sched-verify svc-smoke crash-smoke soak bench bench-smoke fuzz-smoke bench-svc-smoke bench-meta-smoke bench-load-smoke
+.PHONY: ci vet lint lint-github lint-json build test test-short race race-all race-engine race-svc race-wal race-sched race-wire race-shard race-load sched-verify svc-smoke crash-smoke soak bench bench-smoke sim-scale-smoke fuzz-smoke bench-svc-smoke bench-meta-smoke bench-load-smoke
 
 # Full CI gate: static checks, build, the race-enabled test suite
-# (includes the churn-soak test), and the wire-protocol gates.
-ci: vet lint build race-all fuzz-smoke bench-svc-smoke
+# (includes the churn-soak test), the wire-protocol gates, and the
+# simulator's pinned-fingerprint run at benchmark scale.
+ci: vet lint build race-all fuzz-smoke bench-svc-smoke sim-scale-smoke
 
 vet:
 	$(GO) vet ./...
@@ -160,6 +161,13 @@ soak:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Three seconds of the repo benchmark's sim_scale workload (3072
+# trace-derived hosts) on seed 1: exits non-zero unless every cell ran
+# and the results fingerprint equal to benchmark/testdata/fingerprints.json,
+# so a scheduling change that moves one simulated event fails here.
+sim-scale-smoke:
+	bash benchmark/run.sh --workload sim_scale --seed 1 --seconds 3 --trace 0
 
 # Tiny end-to-end run of the benchmark harness: a small host/worker
 # sweep must produce a BENCH_sim.json that -bench-verify accepts

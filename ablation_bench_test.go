@@ -68,9 +68,9 @@ func BenchmarkAblationCollision(b *testing.B) {
 // speculative straggler duplication.
 func BenchmarkAblationSpeculation(b *testing.B) {
 	c := ablationCluster(b)
-	for _, disable := range []bool{false, true} {
+	for _, spec := range []adapt.SpeculationPolicy{adapt.SpeculationReactive, adapt.SpeculationNone} {
 		name := "on"
-		if disable {
+		if spec == adapt.SpeculationNone {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
@@ -79,7 +79,7 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 				b.Fatal(err)
 			}
 			sc := adapt.Scenario{
-				Config:   adapt.SimConfig{Cluster: c, DisableSpeculation: disable},
+				Config:   adapt.SimConfig{Cluster: c, Speculation: spec},
 				Policy:   pol,
 				Blocks:   64 * 20,
 				Replicas: 1,

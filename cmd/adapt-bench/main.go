@@ -58,6 +58,7 @@ import (
 	"time"
 
 	adapt "github.com/adaptsim/adapt"
+	"github.com/adaptsim/adapt/internal/prof"
 	"github.com/adaptsim/adapt/internal/svc"
 )
 
@@ -107,9 +108,11 @@ type options struct {
 	speculation string
 	redundancy  int
 	dynamicRF   string
+
+	cpuProfile string
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("adapt-bench", flag.ContinueOnError)
 	opt := options{}
 	fs.StringVar(&opt.exp, "exp", "all", "experiment id (all, defaults, table1, model, headline, sensitivity, ablation, bench, sched, sched-verify, fig3a..fig3c, fig4a..fig4c, fig5a..fig5c)")
@@ -146,10 +149,22 @@ func run(args []string) error {
 	fs.StringVar(&opt.speculation, "speculation", "", "sched mode: restrict to one policy (reactive | predictive | redundant; empty = all)")
 	fs.IntVar(&opt.redundancy, "redundancy", 0, "sched mode: attempts per task for the redundant policy (0 = default 2)")
 	fs.StringVar(&opt.dynamicRF, "dynamic-rf", "both", "sched mode: replication arms to run (both | on | off)")
+	fs.StringVar(&opt.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	opt.seed = seed
+	if opt.cpuProfile != "" {
+		stop, perr := prof.StartCPU(opt.cpuProfile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if cerr := stop(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
+	}
 
 	if opt.benchVerify != "" {
 		return verifyBench(opt.benchVerify)

@@ -114,3 +114,16 @@ func TestRunBadFlag(t *testing.T) {
 		t.Fatal("bad flag accepted")
 	}
 }
+
+func TestRunCPUProfileFlag(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "cpu.prof")
+	if err := run([]string{"-exp", "defaults", "-cpuprofile", out}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(out); err != nil || st.Size() == 0 {
+		t.Fatalf("profile not written: %v", err)
+	}
+	if err := run([]string{"-exp", "defaults", "-cpuprofile", filepath.Join(out, "no-such-dir", "x")}); err == nil {
+		t.Fatal("unwritable profile path accepted")
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"os"
 
 	adapt "github.com/adaptsim/adapt"
+	"github.com/adaptsim/adapt/internal/prof"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("adapt-sim", flag.ContinueOnError)
 	var (
 		mode          = fs.String("mode", "emulation", "cluster mode: emulation | trace")
@@ -46,14 +47,26 @@ func run(args []string) error {
 		workers       = fs.Int("workers", 0, "concurrent trial runners (0 = GOMAXPROCS); results are identical for any value")
 		seed          = fs.Uint64("seed", 1, "random seed")
 		meanMTBI      = fs.Float64("trace-mtbi", 3000, "trace mode: compressed pooled mean MTBI (s)")
-		noSpec        = fs.Bool("no-speculation", false, "disable speculative execution (deprecated alias for -speculation none)")
+		noSpec        = fs.Bool("no-speculation", false, "disable speculative execution (same as -speculation none; -speculation wins when both are given)")
 		speculation   = fs.String("speculation", "", "speculation policy: reactive | none | predictive | redundant (default reactive)")
 		redundancy    = fs.Int("redundancy", 0, "redundant policy: attempts per task (default 2)")
 		scheduler     = fs.String("scheduler", "locality-first", "scheduler: locality-first | availability-aware")
 		timeline      = fs.Bool("timeline", false, "print a bucketed event timeline of the first trial")
+		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cpuProfile != "" {
+		stop, perr := prof.StartCPU(*cpuProfile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if cerr := stop(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
 	}
 
 	g := adapt.NewRNG(*seed)
@@ -131,17 +144,18 @@ func run(args []string) error {
 			return err
 		}
 		specPolicy = p
+	} else if *noSpec {
+		specPolicy = adapt.SpeculationNone
 	}
 	sc := adapt.Scenario{
 		Config: adapt.SimConfig{
-			Cluster:            c,
-			BlockBytes:         *blockMB * 1024 * 1024,
-			Gamma:              *gamma,
-			Network:            adapt.NetworkFromMegabits(*bandwidth),
-			Speculation:        specPolicy,
-			DisableSpeculation: *noSpec,
-			RedundancyK:        *redundancy,
-			Scheduler:          sched,
+			Cluster:     c,
+			BlockBytes:  *blockMB * 1024 * 1024,
+			Gamma:       *gamma,
+			Network:     adapt.NetworkFromMegabits(*bandwidth),
+			Speculation: specPolicy,
+			RedundancyK: *redundancy,
+			Scheduler:   sched,
 		},
 		Policy:   policy,
 		Blocks:   *nodes * *blocksPerNode,

@@ -90,3 +90,28 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		}
 	}
 }
+
+func TestRunCPUProfileFlag(t *testing.T) {
+	out := t.TempDir() + "/cpu.prof"
+	if err := run([]string{"-nodes", "16", "-blocks-per-node", "5", "-cpuprofile", out}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(out); err != nil || st.Size() == 0 {
+		t.Fatalf("profile not written: %v", err)
+	}
+}
+
+// -no-speculation is -speculation none; an explicit -speculation wins.
+func TestNoSpeculationFlag(t *testing.T) {
+	base := []string{"-nodes", "16", "-blocks-per-node", "5", "-trials", "1"}
+	off := captureRun(t, append([]string{"-no-speculation"}, base...))
+	none := captureRun(t, append([]string{"-speculation", "none"}, base...))
+	if off != none {
+		t.Fatalf("-no-speculation differs from -speculation none:\n%s\n%s", off, none)
+	}
+	both := captureRun(t, append([]string{"-no-speculation", "-speculation", "reactive"}, base...))
+	reactive := captureRun(t, base)
+	if both != reactive {
+		t.Fatalf("-speculation did not win over -no-speculation:\n%s\n%s", both, reactive)
+	}
+}

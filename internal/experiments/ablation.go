@@ -118,7 +118,9 @@ func Ablation(cfg AblationConfig) ([]AblationRow, error) {
 			variant = "off"
 		}
 		if err := run("speculation", variant, p, func(c *hadoopsim.Config) {
-			c.DisableSpeculation = disable
+			if disable {
+				c.Speculation = hadoopsim.SpeculationNone
+			}
 		}, 1); err != nil {
 			return nil, err
 		}

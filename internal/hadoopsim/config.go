@@ -79,17 +79,9 @@ type Config struct {
 	// without traces (default ExponentialService).
 	Service ServiceFactory
 	// Speculation selects the duplicate-execution policy (see
-	// SpeculationPolicy). Zero resolves from the deprecated
-	// DisableSpeculation flag: SpeculationNone when that is set,
-	// SpeculationReactive (stock Hadoop) otherwise, so legacy configs
-	// replay bit-identically.
+	// SpeculationPolicy). Zero means SpeculationReactive (stock
+	// Hadoop).
 	Speculation SpeculationPolicy
-	// DisableSpeculation turns off speculative duplicates of the
-	// slowest running tasks.
-	//
-	// Deprecated: set Speculation to SpeculationNone instead. The
-	// field is honored only while Speculation is zero.
-	DisableSpeculation bool
 	// RedundancyK is the per-task attempt budget under
 	// SpeculationRedundant (default DefaultRedundancyK). Ignored by
 	// the other policies. K=1 is exactly the no-speculation schedule.
@@ -183,11 +175,7 @@ func (c *Config) withDefaults() Config {
 		out.Scheduler = SchedulerLocalityFirst
 	}
 	if out.Speculation == 0 {
-		if out.DisableSpeculation {
-			out.Speculation = SpeculationNone
-		} else {
-			out.Speculation = SpeculationReactive
-		}
+		out.Speculation = SpeculationReactive
 	}
 	if out.RedundancyK == 0 {
 		out.RedundancyK = DefaultRedundancyK

@@ -34,9 +34,9 @@ func TestSimulatorMatchesModelSingleNode(t *testing.T) {
 		var sum stats.Summary
 		for seed := uint64(0); seed < trials; seed++ {
 			res, err := Run(Config{
-				Cluster:            cl,
-				Assignment:         asn,
-				DisableSpeculation: true,
+				Cluster:     cl,
+				Assignment:  asn,
+				Speculation: SpeculationNone,
 			}, stats.NewRNG(seed+1))
 			if err != nil {
 				t.Fatal(err)
@@ -81,11 +81,11 @@ func TestTraceReplayMatchesDownAt(t *testing.T) {
 	asn := evenAssignment(1, 5)
 	j := &Journal{}
 	res, err := Run(Config{
-		Cluster:            c,
-		Assignment:         asn,
-		DisableSpeculation: true,
-		SourcePenalty:      -1,
-		Journal:            j,
+		Cluster:       c,
+		Assignment:    asn,
+		Speculation:   SpeculationNone,
+		SourcePenalty: -1,
+		Journal:       j,
 	}, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)

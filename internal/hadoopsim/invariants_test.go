@@ -188,7 +188,7 @@ func TestComputeRateHeterogeneity(t *testing.T) {
 		a.Replicas = append(a.Replicas, []cluster.NodeID{1})
 	}
 	// A fast network so stealing is cheap relative to execution.
-	res, err := Run(Config{Cluster: c, Assignment: a, DisableSpeculation: true,
+	res, err := Run(Config{Cluster: c, Assignment: a, Speculation: SpeculationNone,
 		Network: netsim.FromMegabits(2048), SourcePenalty: -1}, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)

@@ -73,6 +73,37 @@ type MultiJobResult struct {
 // time; earlier jobs' tasks naturally sit ahead in the node queues
 // (Hadoop's default FIFO scheduler).
 func RunMultiJob(cfg MultiJobConfig, g *stats.RNG) (*MultiJobResult, error) {
+	s, err := newMultiJobSimulator(cfg, g)
+	if err != nil {
+		return nil, err
+	}
+	s.startMulti()
+	res, err := s.drive()
+	if err != nil {
+		return nil, err
+	}
+
+	out := &MultiJobResult{Cluster: res}
+	for ji := range s.jobs {
+		js := &s.jobs[ji]
+		out.Jobs = append(out.Jobs, JobResult{
+			Name:       js.name,
+			Submitted:  js.arrival,
+			Finished:   js.finished,
+			Elapsed:    js.finished - js.arrival,
+			Tasks:      js.numTasks,
+			LocalTasks: js.localDone,
+		})
+		if js.finished > out.Makespan {
+			out.Makespan = js.finished
+		}
+	}
+	return out, nil
+}
+
+// newMultiJobSimulator places every job's blocks and builds one
+// simulator over the union of their tasks, each tagged with its job.
+func newMultiJobSimulator(cfg MultiJobConfig, g *stats.RNG) (*simulator, error) {
 	if g == nil {
 		return nil, ErrNilRNG
 	}
@@ -135,7 +166,8 @@ func RunMultiJob(cfg MultiJobConfig, g *stats.RNG) (*MultiJobResult, error) {
 		return nil, err
 	}
 
-	// Tag tasks with jobs and defer submission.
+	// Tag tasks with jobs; each job's tasks are submitted at its
+	// arrival.
 	s.jobs = make([]jobState, len(jobs))
 	taskIdx := 0
 	for ji, job := range jobs {
@@ -150,29 +182,7 @@ func RunMultiJob(cfg MultiJobConfig, g *stats.RNG) (*MultiJobResult, error) {
 			taskIdx++
 		}
 	}
-	s.deferSubmissions()
-
-	res, err := s.runMulti()
-	if err != nil {
-		return nil, err
-	}
-
-	out := &MultiJobResult{Cluster: res}
-	for ji := range s.jobs {
-		js := &s.jobs[ji]
-		out.Jobs = append(out.Jobs, JobResult{
-			Name:       js.name,
-			Submitted:  js.arrival,
-			Finished:   js.finished,
-			Elapsed:    js.finished - js.arrival,
-			Tasks:      js.numTasks,
-			LocalTasks: js.localDone,
-		})
-		if js.finished > out.Makespan {
-			out.Makespan = js.finished
-		}
-	}
-	return out, nil
+	return s, nil
 }
 
 // jobState is the live per-job bookkeeping inside the simulator.
@@ -186,31 +196,11 @@ type jobState struct {
 	finished  float64
 }
 
-// deferSubmissions undoes the eager task enqueueing of newSimulator so
-// tasks only become schedulable at their job's arrival.
-func (s *simulator) deferSubmissions() {
-	for i := range s.nodes {
-		ns := &s.nodes[i]
-		ns.localQueue = ns.localQueue[:0]
-		ns.localHead = 0
-		ns.incompleteLocal = 0
-	}
-	s.pending = s.pending[:0]
-	s.pendHead = 0
-}
-
 // submitJob enqueues a job's tasks (its data has just been ingested)
 // and wakes idle nodes.
 func (s *simulator) submitJob(ji int) {
 	js := &s.jobs[ji]
-	for b := js.firstTask; b < js.firstTask+js.numTasks; b++ {
-		t := &s.tasks[b]
-		for _, h := range t.holders {
-			s.nodes[h].localQueue = append(s.nodes[h].localQueue, b)
-			s.nodes[h].incompleteLocal++
-		}
-		s.pending = append(s.pending, b)
-	}
+	s.submit(js.firstTask, js.numTasks)
 	s.kickIdle()
 	// Holders that were never parked (e.g. at time zero before any
 	// assignment) still need a nudge.
@@ -221,9 +211,9 @@ func (s *simulator) submitJob(ji int) {
 	}
 }
 
-// runMulti arms the fault processes, schedules job submissions, and
-// drives the simulation to completion.
-func (s *simulator) runMulti() (metrics.RunResult, error) {
+// startMulti arms the fault processes and schedules the job
+// submissions; drive does the rest.
+func (s *simulator) startMulti() {
 	for i := range s.nodes {
 		s.armNextInterruption(i)
 	}
@@ -231,8 +221,4 @@ func (s *simulator) runMulti() (metrics.RunResult, error) {
 		ji := ji
 		s.scheduleAt(s.jobs[ji].arrival, func() { s.submitJob(ji) })
 	}
-	if s.err != nil {
-		return metrics.RunResult{}, s.err
-	}
-	return s.drive()
 }

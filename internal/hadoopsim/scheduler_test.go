@@ -122,6 +122,7 @@ func TestStealWorthwhileHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.submit(0, len(s.tasks))
 	// Task held by the deeply backlogged volatile node 1: worth it.
 	if !s.stealWorthwhile(0, &s.tasks[0], 1) {
 		t.Error("should steal from backlogged volatile holder")

@@ -38,6 +38,12 @@ type task struct {
 	// migration (the paper's migration component), whereas transfers
 	// for voluntary load-balancing steals are scheduling cost (misc).
 	everAborted bool
+	// attempts chains the task's live attempts (attempt.sibling),
+	// activeAttempts of them, in no particular order.
+	attempts *attempt
+	// qhead is the position of the task's most recent entry in the
+	// global pending queue, -1 when it has none (see pending.go).
+	qhead int32
 }
 
 // attempt is one execution try of a task on a node, possibly preceded
@@ -54,18 +60,25 @@ type attempt struct {
 	failureInduced bool
 	execStart      float64
 	plannedEnd     float64
-	// maxExpected bounds the model-expected completion of this
-	// attempt from any instant (E[T] evaluated at the attempt's full
-	// span); precomputed so speculation scans stay cheap.
-	maxExpected float64
-	timer       *sim.Timer
-	runIdx      int // index in simulator.running, -1 when inactive
+	timer          *sim.Timer
+	runIdx         int      // index in simulator.running, -1 when inactive
+	sibling        *attempt // next live attempt of the same task
+	// key and heapIdx place the attempt in the speculation index
+	// (candidates.go); heapIdx is -1 while it is not a member. parked
+	// marks a would-be member held back under a closed source
+	// (sources.go).
+	key     float64
+	heapIdx int
+	parked  bool
 }
 
 type nodeSim struct {
 	id   int
 	up   bool
 	rate float64
+	// avail is the node's availability model, for E[T] of a partial
+	// task on it.
+	avail model.Availability
 
 	// interruption generation
 	lambda    float64
@@ -91,23 +104,72 @@ type nodeSim struct {
 	// recovery accounting
 	incompleteLocal int
 	blockedSince    float64 // -1 when not accruing
+
+	// As a source of fetches (sources.go): closed while the uplink is
+	// booked past the allowance, with parkedLive queue entries parked
+	// under it. heldParkedLive counts the parked pending tasks, and
+	// heldParkedCand lists the parked attempts, under any source,
+	// whose block this node holds. localQueue entries before
+	// settledHead are finished tasks.
+	closed         bool
+	parkedLive     int
+	heldParkedLive int
+	heldParkedCand []*attempt
+	settledHead    int
 }
 
 // simulator carries the full run state.
 type simulator struct {
-	cfg      Config
-	eng      *sim.Engine
-	net      *netsim.Network
-	g        *stats.RNG
-	nodes    []nodeSim
-	tasks    []task
-	pending  []int // global queue of task ids (lazy state checks)
-	pendHead int
-	idle     []int // candidate idle node ids (lazy checks via inIdle)
-	running  []*attempt
+	cfg   Config
+	eng   *sim.Engine
+	net   *netsim.Network
+	g     *stats.RNG
+	nodes []nodeSim
+	tasks []task
+	// The global pending queue and its index (pending.go).
+	pending   []int   // task ids in queue order from pendHead on
+	pendLink  []int32 // per entry: the same task's previous entry, or -1
+	pendHead  int
+	open      posSet // positions whose task is pending and not parked
+	fruitless fruitlessWalk
+	holdsLive []uint64 // per node: fruitlessWalk.stamp of the last walk that saw it hold an open task
+	// Closed sources (sources.go) and the queue entries parked under
+	// them, in total.
+	closedSrc     closedHeap
+	parkedEntries int
+
+	// epoch counts the changes that can turn a fruitless offer into a
+	// fruitful one without the clock moving: a task entering or
+	// leaving the pending queue, an attempt starting or ending, a node
+	// going down or up, a NIC reservation. The fruitless-offer
+	// summaries (fruitless, fruitlessSpec) hold while it stands still.
+	epoch uint64
+
+	idle      []int // candidate idle node ids (lazy checks via inIdle)
+	idleSpare []int // the previous sweep's list, reused by the next
+	// mustOffer and unarmed (a bit per node) mark the parked nodes a
+	// sweep may not skip, and those it may skip only while the queue
+	// is empty; idleMinDupCost bounds from below the dupCost of every
+	// parked node. See kickIdle.
+	mustOffer      []uint64
+	unarmed        []uint64
+	idleMinDupCost float64
+	// running is every live attempt; its order (swap-remove history)
+	// breaks ties between equally attractive speculation victims.
+	running []*attempt
+	cand    candHeap // speculation index over running
+	// fruitlessSpec and holdsCand are to pickSpeculative what
+	// fruitless and holdsLive are to popStealable.
+	fruitlessSpec fruitlessPick
+	holdsCand     []uint64
 
 	remaining int
 	taskGamma float64
+	// transfer is one block's transfer time on an idle path, and
+	// queueAllowance how far past now a fetch may have to queue
+	// (+Inf when unbounded).
+	transfer       float64
+	queueAllowance float64
 	// eta caches each node's model-expected completion time for one
 	// task (availability-aware scheduling and speculation input).
 	eta []float64
@@ -176,9 +238,23 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 		nodes:     make([]nodeSim, n),
 		tasks:     make([]task, m),
 		pending:   make([]int, 0, m),
-		remaining: m,
-		taskGamma: cfg.TaskGamma(),
-		eta:       make([]float64, n),
+		pendLink:  make([]int32, 0, m),
+		holdsLive: make([]uint64, n),
+		holdsCand: make([]uint64, n),
+		mustOffer: make([]uint64, (n+63)/64),
+		unarmed:   make([]uint64, (n+63)/64),
+		epoch:     1,
+
+		idleMinDupCost: math.Inf(1),
+		remaining:      m,
+		taskGamma:      cfg.TaskGamma(),
+		transfer:       net.TransferTime(cfg.BlockBytes),
+		eta:            make([]float64, n),
+	}
+	s.closedSrc.s = s
+	s.queueAllowance = math.Inf(1)
+	if cfg.TransferQueueFactor >= 0 {
+		s.queueAllowance = cfg.TransferQueueFactor * s.transfer
 	}
 
 	for i := 0; i < n; i++ {
@@ -191,6 +267,7 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 			ns.rate = 1
 		}
 		ns.blockedSince = -1
+		ns.avail = node.Availability
 		if node.Trace != nil {
 			ns.traceEv = node.Trace.Events
 		} else if !node.Availability.Dedicated() {
@@ -213,20 +290,38 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 		s.eta[i] = node.Availability.ExpectedTaskTime(s.taskGamma / ns.rate)
 	}
 
+	replicas := 0
+	for _, holders := range cfg.Assignment.Replicas {
+		replicas += len(holders)
+	}
+	allHolders := make([]int, 0, replicas) // one backing array for every task's holders
 	for b := 0; b < m; b++ {
-		holders := cfg.Assignment.Replicas[b]
 		t := &s.tasks[b]
 		t.id = b
 		t.state = taskPending
-		t.holders = make([]int, len(holders))
-		for j, h := range holders {
-			t.holders[j] = int(h)
-			s.nodes[h].localQueue = append(s.nodes[h].localQueue, b)
-			s.nodes[h].incompleteLocal++
+		t.qhead = -1
+		first := len(allHolders)
+		for _, h := range cfg.Assignment.Replicas[b] {
+			allHolders = append(allHolders, int(h))
 		}
-		s.pending = append(s.pending, b)
+		t.holders = allHolders[first:len(allHolders):len(allHolders)]
 	}
 	return s, nil
+}
+
+// submit makes tasks [first, first+n) schedulable: each joins its
+// holders' local queues and the global pending queue.
+func (s *simulator) submit(first, n int) {
+	for b := first; b < first+n; b++ {
+		t := &s.tasks[b]
+		for _, h := range t.holders {
+			s.nodes[h].localQueue = append(s.nodes[h].localQueue, b)
+			s.nodes[h].incompleteLocal++
+			s.offerNext(h)
+		}
+		s.enqueue(t)
+		s.showEntries(t)
+	}
 }
 
 // schedule wraps engine scheduling, latching the first error.
@@ -261,15 +356,20 @@ func (s *simulator) scheduleAt(at float64, fn func()) *sim.Timer {
 }
 
 func (s *simulator) run() (metrics.RunResult, error) {
-	// Arm interruption processes.
+	s.start()
+	return s.drive()
+}
+
+// start submits every task, arms the interruption processes and
+// makes the initial dispatch: every node grabs work.
+func (s *simulator) start() {
+	s.submit(0, len(s.tasks))
 	for i := range s.nodes {
 		s.armNextInterruption(i)
 	}
-	// Initial dispatch: every node grabs work.
 	for i := range s.nodes {
 		s.tryAssign(i)
 	}
-	return s.drive()
 }
 
 // drive executes events until every task completes, then assembles
@@ -375,6 +475,9 @@ func (s *simulator) onInterruption(i int, d float64) {
 		return
 	}
 	ns.up = false
+	s.epoch++
+	s.offerNext(i)
+	s.reopenDown(i)
 	ns.downUntil = now + d
 	if ns.running != nil {
 		s.abortAttempt(ns.running)
@@ -396,6 +499,7 @@ func (s *simulator) onRecovery(i int) {
 		return
 	}
 	ns.up = true
+	s.epoch++
 	ns.recovery = nil
 	if s.cfg.Journal != nil {
 		s.cfg.Journal.record(now, EventRecovery, i, -1)
@@ -434,10 +538,10 @@ func (s *simulator) abortAttempt(a *attempt) {
 	s.removeRunning(a)
 	t := a.task
 	t.everAborted = true
-	t.activeAttempts--
 	if t.activeAttempts == 0 && t.state == taskRunning {
 		t.state = taskPending
-		s.pending = append(s.pending, t.id)
+		s.enqueue(t)
+		s.showEntries(t)
 		s.kickForTask(t)
 	}
 }
@@ -473,21 +577,15 @@ func (s *simulator) onAttemptComplete(a *attempt) {
 	// exact same instant, the lowest node id wins regardless of which
 	// timer the event queue happened to fire first — the winner is a
 	// function of the seed, never of insertion order.
-	for _, a2 := range s.running {
-		//lint:ignore floateq exact tie detection between copied event times, not arithmetic results
-		if a2.task == t && a2 != a && a2.plannedEnd == now && a2.node < a.node {
-			a = a2
-		}
-	}
+	a = tieWinner(a, now)
 	if a.timer != nil {
 		a.timer.Cancel()
 	}
 	ns := &s.nodes[a.node]
 	s.chargeMigration(a, now)
 	ns.running = nil
-	s.removeRunning(a)
-	t.activeAttempts--
 	t.state = taskDone
+	s.removeRunning(a)
 	s.remaining--
 
 	if s.cfg.Journal != nil {
@@ -513,21 +611,11 @@ func (s *simulator) onAttemptComplete(a *attempt) {
 	// Cancel the losing sibling attempts, if any (first finisher
 	// wins). Their spent execution time remains in the misc residual
 	// (duplicated straggler cost, §V-C) and is reported separately as
-	// wasted work. The scan is guarded on a live sibling actually
-	// existing — unconditionally walking the running list made every
-	// completion O(running) and the whole phase quadratic at large
-	// cluster sizes.
+	// wasted work. Siblings go in the order of the running list; each
+	// cancellation frees a node, which may start an attempt and
+	// reorder that list, so the next one is looked up afresh.
 	for t.activeAttempts > 0 {
-		var other *attempt
-		for _, a2 := range s.running {
-			if a2.task == t {
-				other = a2
-				break
-			}
-		}
-		if other == nil {
-			break // defensive: bookkeeping drift
-		}
+		other := firstRunning(t)
 		if other.timer != nil {
 			other.timer.Cancel()
 		}
@@ -544,7 +632,6 @@ func (s *simulator) onAttemptComplete(a *attempt) {
 			on.running = nil
 		}
 		s.removeRunning(other)
-		t.activeAttempts--
 		s.tryAssign(other.node)
 	}
 
@@ -563,15 +650,52 @@ func (s *simulator) onAttemptComplete(a *attempt) {
 	}
 }
 
-func (s *simulator) removeRunning(a *attempt) {
-	if a.runIdx < 0 || a.runIdx >= len(s.running) || s.running[a.runIdx] != a {
-		return
+// tieWinner resolves a first-finisher tie: among a and the siblings
+// planned to end at the same instant, the one on the lowest node.
+func tieWinner(a *attempt, now float64) *attempt {
+	for b := a.task.attempts; b != nil; b = b.sibling {
+		//lint:ignore floateq exact tie detection between copied event times, not arithmetic results
+		if b.plannedEnd == now && b.node < a.node {
+			a = b
+		}
 	}
+	return a
+}
+
+// firstRunning returns t's live attempt earliest in the running list.
+func firstRunning(t *task) *attempt {
+	first := t.attempts
+	for b := first.sibling; b != nil; b = b.sibling {
+		if b.runIdx < first.runIdx {
+			first = b
+		}
+	}
+	return first
+}
+
+// removeRunning takes a finished, aborted or cancelled attempt out of
+// the running list, its task's attempt chain and the speculation
+// index.
+func (s *simulator) removeRunning(a *attempt) {
 	last := len(s.running) - 1
 	s.running[a.runIdx] = s.running[last]
 	s.running[a.runIdx].runIdx = a.runIdx
+	s.running[last] = nil
 	s.running = s.running[:last]
 	a.runIdx = -1
+
+	t := a.task
+	s.unfileAttempts(t)
+	link := &t.attempts
+	for *link != a {
+		link = &(*link).sibling
+	}
+	*link = a.sibling
+	a.sibling = nil
+	t.activeAttempts--
+	if t.state == taskRunning {
+		s.fileAttempts(t)
+	}
 }
 
 // --- scheduling --------------------------------------------------------------
@@ -584,6 +708,7 @@ func (s *simulator) tryAssign(i int) {
 	if !ns.up || ns.running != nil || s.remaining == 0 || s.err != nil {
 		return
 	}
+	s.reopenDue(s.eng.Now())
 	// 1. Local pending task.
 	for ns.localHead < len(ns.localQueue) {
 		tid := ns.localQueue[ns.localHead]
@@ -607,6 +732,7 @@ func (s *simulator) tryAssign(i int) {
 		// earliest NIC frees up.
 		ns.retry = s.scheduleAt(retryAt, func() {
 			s.nodes[i].retry = nil
+			s.offerNext(i)
 			s.tryAssign(i)
 		})
 	}
@@ -648,85 +774,37 @@ func (s *simulator) tryAssign(i int) {
 			// replica); fall through to parking.
 		}
 	}
-	// Nothing to do: park as idle.
+	// Nothing to do: park as idle. The node is up, idle and out of
+	// local work; unless it holds the block of something parked that
+	// is or may become worth its while, the next sweep may be able to
+	// skip it (kickIdle).
 	if !ns.inIdle {
 		ns.inIdle = true
 		s.idle = append(s.idle, i)
 	}
+	dupCost := s.transfer + s.eta[i]
+	if dupCost < s.idleMinDupCost {
+		s.idleMinDupCost = dupCost
+	}
+	word, bit := i>>6, uint64(1)<<uint(i&63)
+	s.mustOffer[word] &^= bit
+	s.unarmed[word] &^= bit
+	if ns.heldParkedLive != 0 {
+		s.mustOffer[word] |= bit
+	}
+	for _, a := range ns.heldParkedCand {
+		if a.key > dupCost { // keys only fall: one at or below dupCost stays there
+			s.mustOffer[word] |= bit
+		}
+	}
+	if ns.retry == nil {
+		s.unarmed[word] |= bit
+	}
 }
 
-// popStealable removes and returns the first pending task the node can
-// execute now. Tasks whose every holder is down are skipped when
-// source fetches are forbidden; tasks whose fetch would queue too far
-// behind other transfers are skipped too, and the earliest time one of
-// those fetch paths frees up is returned so the caller can retry.
-func (s *simulator) popStealable(i int) (tid int, ok bool, retryAt float64) {
-	now := s.eng.Now()
-	retryAt = math.Inf(1)
-	allowSource := s.cfg.SourcePenalty >= 0
-	queueAllowance := math.Inf(1)
-	if s.cfg.TransferQueueFactor >= 0 {
-		queueAllowance = s.cfg.TransferQueueFactor * s.net.TransferTime(s.cfg.BlockBytes)
-	}
-	// Compact the queue head past settled tasks.
-	for s.pendHead < len(s.pending) {
-		t := &s.tasks[s.pending[s.pendHead]]
-		if t.state != taskPending {
-			s.pendHead++
-			continue
-		}
-		break
-	}
-	for idx := s.pendHead; idx < len(s.pending); idx++ {
-		id := s.pending[idx]
-		t := &s.tasks[id]
-		if t.state != taskPending {
-			continue
-		}
-		if !contains(t.holders, i) {
-			src := s.upHolder(t)
-			if src < 0 {
-				if !allowSource {
-					continue // unfetchable for now
-				}
-			} else {
-				est, err := s.net.EarliestStart(now, src, i)
-				if err != nil {
-					s.err = err
-					return 0, false, retryAt
-				}
-				if est > now+queueAllowance {
-					// Fetch path congested; revisit when it frees.
-					if est-queueAllowance < retryAt {
-						retryAt = est - queueAllowance
-					}
-					continue
-				}
-			}
-			if s.cfg.Scheduler == SchedulerAvailabilityAware && !s.stealWorthwhile(i, t, src) {
-				// Leaving the task with its healthier holder beats a
-				// migration; recheck after roughly one task length as
-				// backlogs drain.
-				if rt := now + s.taskGamma; rt < retryAt {
-					retryAt = rt
-				}
-				continue
-			}
-		}
-		// Remove from queue (order-preserving head swap keeps FIFO
-		// fairness close enough while staying O(1)).
-		s.pending[idx] = s.pending[s.pendHead]
-		s.pending[s.pendHead] = id
-		s.pendHead++
-		return id, true, retryAt
-	}
-	// Reset the queue slices when fully drained to bound memory.
-	if s.pendHead >= len(s.pending) {
-		s.pending = s.pending[:0]
-		s.pendHead = 0
-	}
-	return 0, false, retryAt
-}
+// offerNext makes the next sweep offer to node i for real: something
+// an offer depends on, and a skipped offer takes for granted, changed.
+func (s *simulator) offerNext(i int) { s.mustOffer[i>>6] |= 1 << uint(i&63) }
 
 // upHolder returns an up node holding the task's block, or -1.
 func (s *simulator) upHolder(t *task) int {
@@ -736,63 +814,6 @@ func (s *simulator) upHolder(t *task) int {
 		}
 	}
 	return -1
-}
-
-// pickSpeculative returns the running attempt most worth duplicating
-// on node i, per a LATE-style longest-expected-time-to-end rule using
-// the availability model, or nil.
-func (s *simulator) pickSpeculative(i int) *attempt {
-	now := s.eng.Now()
-	ns := &s.nodes[i]
-	// Cost for node i to redo a task from scratch (worst case:
-	// migration plus a full model-expected execution).
-	myAvail := s.cfg.Cluster.Node(cluster.NodeID(i)).Availability
-	dupCost := s.net.TransferTime(s.cfg.BlockBytes) + myAvail.ExpectedTaskTime(s.taskGamma/ns.rate)
-
-	var best *attempt
-	bestRemaining := dupCost // only beat candidates worse than the cost
-	for _, a := range s.running {
-		if a.task.hasDuplicate || a.task.activeAttempts != 1 {
-			continue
-		}
-		// Cheap upper-bound filter: E[T] is increasing in the task
-		// length and remaining <= the attempt's full span, so the
-		// precomputed bound decides most candidates without touching
-		// expm1 on the hot path.
-		if a.maxExpected <= bestRemaining {
-			continue
-		}
-		if !contains(a.task.holders, i) {
-			src := s.upHolder(a.task)
-			if src < 0 {
-				if s.cfg.SourcePenalty < 0 {
-					continue // block unreachable for the would-be duplicate
-				}
-			} else if s.cfg.TransferQueueFactor >= 0 {
-				est, err := s.net.EarliestStart(now, src, i)
-				if err != nil {
-					s.err = err
-					return nil
-				}
-				if est > now+s.cfg.TransferQueueFactor*s.net.TransferTime(s.cfg.BlockBytes) {
-					continue // fetch path too congested to help
-				}
-			}
-		}
-		on := s.cfg.Cluster.Node(cluster.NodeID(a.node)).Availability
-		rem := a.plannedEnd - now
-		if rem < 0 {
-			rem = 0
-		}
-		// Expected wall time for the in-flight attempt to finish,
-		// accounting for the executor's volatility.
-		expected := on.ExpectedTaskTime(rem)
-		if expected > bestRemaining {
-			bestRemaining = expected
-			best = a
-		}
-	}
-	return best
 }
 
 // kickForTask offers a newly-pending task to an idle node, preferring
@@ -810,16 +831,71 @@ func (s *simulator) kickForTask(t *task) {
 	s.kickIdle()
 }
 
-// kickIdle re-offers work to parked idle nodes.
+// kickIdle re-offers work to parked idle nodes, in list order: which
+// offers succeed, which arm a retry timer and in what order the rest
+// re-park are all observable.
+//
+// Most offers of most sweeps are to nodes for which nothing can have
+// changed, and are skipped: while no queue entry is open and no
+// speculation candidate can score above any parked node's dupCost
+// (offersFutile), an offer to a node that is up, idle, out of local
+// work and holds the block of nothing parked (or only of attempts
+// that can no longer score above its dupCost) finds nothing and
+// re-parks the node where it was; and it arms no retry timer if the
+// node's is armed already or the queue has nothing parked either.
+// tryAssign records both properties when it parks a node (mustOffer
+// clear, unarmed), and every change to one of them sets mustOffer
+// (offerNext). The rest get a real offer, which may change the
+// conditions for the nodes after them.
 func (s *simulator) kickIdle() {
 	parked := s.idle
-	// Nodes that stay idle re-park themselves; a fresh slice keeps the
-	// iteration below safe from those appends.
-	s.idle = nil
+	// Nodes that stay idle re-park themselves, in the same relative
+	// order; a second slice keeps the iteration below safe from those
+	// appends.
+	s.idle = s.idleSpare[:0]
+	s.reopenDue(s.eng.Now())
+	oldMin := s.idleMinDupCost
+	s.idleMinDupCost = math.Inf(1) // rebuilt by the offers below
+	skipped, compacted := false, false
 	for _, i := range parked {
+		word, bit := i>>6, uint64(1)<<uint(i&63)
+		if s.mustOffer[word]&bit == 0 && (s.unarmed[word]&bit == 0 || s.parkedEntries == 0) && s.offersFutile(oldMin) {
+			if !compacted {
+				// The first thing the skipped offer would have done;
+				// when the queue head advances is observable.
+				s.compactPending()
+				compacted = true
+			}
+			skipped = true
+			s.idle = append(s.idle, i)
+			continue
+		}
 		s.nodes[i].inIdle = false
 		s.tryAssign(i)
+		compacted = false
 	}
+	if skipped && oldMin < s.idleMinDupCost {
+		s.idleMinDupCost = oldMin // the skipped nodes' dupCosts are not known more precisely
+	}
+	s.idleSpare = parked
+}
+
+// offersFutile reports that an offer to a parked node with nothing
+// particular about it (see kickIdle) cannot succeed right now: there is
+// no open queue entry, and no member of the speculation index can score
+// above minDupCost, a lower bound of such a node's dupCost. Only the
+// policies whose pick arms no timer of its own qualify.
+func (s *simulator) offersFutile(minDupCost float64) bool {
+	if s.open.count != 0 || s.remaining == 0 || s.err != nil {
+		return false
+	}
+	switch s.cfg.Speculation {
+	case SpeculationNone:
+		return true
+	case SpeculationReactive:
+		return len(s.cand.items) == 0 || s.cand.items[0].key <= minDupCost
+	}
+	return false
 }
 
 // startAttempt launches task t on node i. When the execution is not
@@ -829,10 +905,11 @@ func (s *simulator) kickIdle() {
 func (s *simulator) startAttempt(i int, t *task, local, speculative bool) {
 	now := s.eng.Now()
 	ns := &s.nodes[i]
-	a := &attempt{task: t, node: i, transferStart: now, transferEnd: now, runIdx: -1}
+	a := &attempt{task: t, node: i, transferStart: now, transferEnd: now, runIdx: -1, heapIdx: -1}
 
+	src := -1
 	if !local {
-		src := s.upHolder(t)
+		src = s.upHolder(t)
 		if src >= 0 {
 			start, end, err := s.net.Transfer(now, src, i, s.cfg.BlockBytes)
 			if err != nil {
@@ -862,7 +939,7 @@ func (s *simulator) startAttempt(i int, t *task, local, speculative bool) {
 
 	a.execStart = a.transferEnd
 	a.plannedEnd = a.execStart + s.taskGamma/ns.rate
-	a.maxExpected = s.cfg.Cluster.Node(cluster.NodeID(i)).Availability.ExpectedTaskTime(a.plannedEnd - now)
+	a.key = s.candidateKey(a, now)
 	a.timer = s.scheduleAt(a.plannedEnd, func() { s.onAttemptComplete(a) })
 
 	if s.cfg.Journal != nil {
@@ -879,8 +956,11 @@ func (s *simulator) startAttempt(i int, t *task, local, speculative bool) {
 		// policy's stagger clock at the execution start.
 		t.firstExec = a.execStart
 	}
+	s.unfile(t)
 	t.state = taskRunning
 	t.activeAttempts++
+	a.sibling = t.attempts
+	t.attempts = a
 	s.attemptsLaunched++
 	ns.specBackoff = 0
 	if speculative {
@@ -888,8 +968,14 @@ func (s *simulator) startAttempt(i int, t *task, local, speculative bool) {
 		s.speculated++
 	}
 	ns.running = a
+	s.offerNext(i)
 	a.runIdx = len(s.running)
 	s.running = append(s.running, a)
+	s.file(t)
+	s.epoch++ // a candidate more, and NIC cursors may have moved
+	if src >= 0 {
+		s.closeIfBooked(src, now)
+	}
 }
 
 func contains(xs []int, v int) bool {

@@ -370,7 +370,7 @@ func TestTraceDrivenNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &placement.Assignment{Nodes: 2, Replicas: [][]cluster.NodeID{{0}}}
-	cfg := Config{Cluster: c, Assignment: a, SourcePenalty: -1, DisableSpeculation: true}
+	cfg := Config{Cluster: c, Assignment: a, SourcePenalty: -1, Speculation: SpeculationNone}
 	res, err := Run(cfg, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
@@ -425,11 +425,11 @@ func TestMiscIncludesIdleTail(t *testing.T) {
 	// possible, so instead verify misc > 0 with stealing disabled via
 	// huge bandwidth penalty: use tiny bandwidth.
 	cfg := Config{
-		Cluster:            c,
-		Assignment:         a,
-		Network:            netsim.FromMegabits(0.001),
-		DisableSpeculation: true,
-		SourcePenalty:      -1,
+		Cluster:       c,
+		Assignment:    a,
+		Network:       netsim.FromMegabits(0.001),
+		Speculation:   SpeculationNone,
+		SourcePenalty: -1,
 	}
 	res, err := Run(cfg, stats.NewRNG(2))
 	if err != nil {

@@ -1,0 +1,173 @@
+package hadoopsim
+
+import (
+	"container/heap"
+	"math"
+)
+
+// Closed sources.
+//
+// A node whose uplink is booked further ahead than the transfer-queue
+// allowance cannot start serving another fetch until that backlog has
+// drained to within the allowance. While it is up, it is the source
+// every non-holder must fetch from for the tasks it is the first
+// holder of, so until then those tasks are out of every such node's
+// reach: their queue entries are congested for it, and their attempts
+// cannot be duplicated on it. In the tail of a large run this is most
+// of the pending queue and most of the speculation candidates, offer
+// after offer.
+//
+// So such a source is closed: the queue entries of its pending tasks
+// leave s.open and their attempts leave s.cand, to be counted instead
+// (nodeSim.parkedLive, attempt.parked). The uplink cursor cannot move
+// while the source is closed — nothing can start a fetch from it — so
+// the instant it reopens is known: cursor - allowance. Reopening is
+// lazy, at the next decision that looks (reopenDue), or immediate when
+// the node goes down and stops being anyone's source.
+//
+// Two things keep the answers exact. A thief that itself holds the
+// block of a parked task needs no fetch; nodeSim.heldParkedLive
+// counts those and heldParkedCand lists the parked attempts, and the
+// decisions look at them as well. And a fruitless walk still
+// owes the earliest instant a congested entry frees up: per closed
+// source that is one value, whatever the number of entries parked
+// under it.
+
+// closedBy returns the closed source t is parked under, or -1.
+func (s *simulator) closedBy(t *task) int {
+	if h := t.holders[0]; s.nodes[h].closed {
+		return h
+	}
+	return -1
+}
+
+// sourceTasks calls fn for every unfinished task whose first holder
+// is h.
+func (s *simulator) sourceTasks(h int, fn func(*task)) {
+	ns := &s.nodes[h]
+	for ns.settledHead < len(ns.localQueue) && s.tasks[ns.localQueue[ns.settledHead]].state == taskDone {
+		ns.settledHead++
+	}
+	for _, id := range ns.localQueue[ns.settledHead:] {
+		if t := &s.tasks[id]; t.holders[0] == h && t.state != taskDone {
+			fn(t)
+		}
+	}
+}
+
+// setClosed closes or reopens source h, refiling everything sourced
+// from it under the new regime.
+func (s *simulator) setClosed(h int, closed bool) {
+	s.sourceTasks(h, s.unfile)
+	s.nodes[h].closed = closed
+	s.sourceTasks(h, s.file)
+	s.epoch++
+}
+
+// file makes t visible to the decisions: its queue entries if it is
+// pending, its attempts if it is running. unfile is the inverse; both
+// go by the task's current state and its source's current regime, so
+// every change to either is bracketed by the pair.
+func (s *simulator) file(t *task) {
+	switch t.state {
+	case taskPending:
+		s.showEntries(t)
+	case taskRunning:
+		s.fileAttempts(t)
+	}
+}
+
+func (s *simulator) unfile(t *task) {
+	switch t.state {
+	case taskPending:
+		s.hideEntries(t)
+	case taskRunning:
+		s.unfileAttempts(t)
+	}
+}
+
+// closedHeap orders the closed sources by uplink cursor, which stands
+// still while they are closed.
+type closedHeap struct {
+	s     *simulator
+	nodes []int
+}
+
+func (c *closedHeap) Len() int { return len(c.nodes) }
+func (c *closedHeap) Less(i, j int) bool {
+	return c.s.net.UplinkFree(c.nodes[i]) < c.s.net.UplinkFree(c.nodes[j])
+}
+func (c *closedHeap) Swap(i, j int) { c.nodes[i], c.nodes[j] = c.nodes[j], c.nodes[i] }
+func (c *closedHeap) Push(x any) {
+	if h, ok := x.(int); ok {
+		c.nodes = append(c.nodes, h)
+	}
+}
+func (c *closedHeap) Pop() any {
+	last := len(c.nodes) - 1
+	h := c.nodes[last]
+	c.nodes = c.nodes[:last]
+	return h
+}
+
+// closeIfBooked closes source h when its uplink has just been booked
+// past the allowance.
+func (s *simulator) closeIfBooked(h int, now float64) {
+	if s.net.UplinkFree(h) > now+s.queueAllowance && !s.nodes[h].closed {
+		s.setClosed(h, true)
+		heap.Push(&s.closedSrc, h)
+	}
+}
+
+// reopenDue reopens every source whose backlog is within the
+// allowance again.
+func (s *simulator) reopenDue(now float64) {
+	c := &s.closedSrc
+	for len(c.nodes) > 0 && s.net.UplinkFree(c.nodes[0]) <= now+s.queueAllowance {
+		s.setClosed(c.nodes[0], false)
+		heap.Pop(c)
+	}
+}
+
+// reopenDown reopens node h, which just went down, if it was closed.
+func (s *simulator) reopenDown(h int) {
+	if !s.nodes[h].closed {
+		return
+	}
+	for k, c := range s.closedSrc.nodes {
+		if c == h {
+			heap.Remove(&s.closedSrc, k)
+			break
+		}
+	}
+	s.setClosed(h, false)
+}
+
+// minParkedUp returns the smallest uplink cursor over the closed
+// sources that have queue entries parked under them, +Inf when none
+// has: a walk down the heap that stops at the first such source on
+// every path and skips what cannot beat the best so far.
+func (s *simulator) minParkedUp() float64 {
+	c := s.closedSrc.nodes
+	best := math.Inf(1)
+	var stack [64]int // two children per level of a heap of at most 2^32 nodes
+	n := 1            // stack[0] is the root
+	for n > 0 {
+		n--
+		k := stack[n]
+		if k >= len(c) {
+			continue
+		}
+		up := s.net.UplinkFree(c[k])
+		if up >= best {
+			continue
+		}
+		if s.nodes[c[k]].parkedLive > 0 {
+			best = up
+			continue
+		}
+		stack[n], stack[n+1] = 2*k+1, 2*k+2
+		n += 2
+	}
+	return best
+}

@@ -36,37 +36,6 @@ func TestParseSpeculationPolicyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeprecatedDisableSpeculationAlias(t *testing.T) {
-	// The legacy bool and the enum spelling must replay bit-identically.
-	c := emuCluster(t, 16, 0.5)
-	pol := &placement.Random{Cluster: c}
-	run := func(cfg Config) metrics.RunResult {
-		t.Helper()
-		sc := Scenario{Config: cfg, Policy: pol, Blocks: 160, Replicas: 2}
-		res, err := RunScenario(sc, stats.NewRNG(23))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	legacy := run(Config{Cluster: c, DisableSpeculation: true})
-	enum := run(Config{Cluster: c, Speculation: SpeculationNone})
-	if legacy != enum {
-		t.Fatalf("DisableSpeculation diverged from SpeculationNone:\n%+v\n%+v", legacy, enum)
-	}
-	zero := run(Config{Cluster: c})
-	reactive := run(Config{Cluster: c, Speculation: SpeculationReactive})
-	if zero != reactive {
-		t.Fatalf("zero config diverged from SpeculationReactive:\n%+v\n%+v", zero, reactive)
-	}
-	// The enum wins once set: DisableSpeculation alongside an explicit
-	// policy is ignored.
-	both := run(Config{Cluster: c, Speculation: SpeculationReactive, DisableSpeculation: true})
-	if both != reactive {
-		t.Fatalf("explicit policy not honored over the deprecated bool:\n%+v\n%+v", both, reactive)
-	}
-}
-
 func TestPredictiveWithoutInterruptionsAddsNoOverhead(t *testing.T) {
 	// Property (ISSUE satellite): with interruptions disabled the
 	// predictive policy must never lengthen the schedule. On a

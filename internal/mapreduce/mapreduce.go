@@ -113,14 +113,8 @@ type EngineConfig struct {
 	// BandwidthMbps is the symmetric link speed (default 8).
 	BandwidthMbps float64
 	// Speculation selects the map-phase duplicate-execution policy
-	// (reactive, none, predictive, or redundant); zero resolves from
-	// DisableSpeculation for old configs.
+	// (reactive, none, predictive, or redundant); zero means reactive.
 	Speculation hadoopsim.SpeculationPolicy
-	// DisableSpeculation turns off speculative duplicates.
-	//
-	// Deprecated: set Speculation to SpeculationNone. Honored only
-	// while Speculation is zero.
-	DisableSpeculation bool
 	// RedundancyK, RedundancyOverlap, PredictiveHorizon, and
 	// SpeculationBackoff forward to hadoopsim.Config (policy tuning for
 	// the redundant and predictive policies).
@@ -270,7 +264,6 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 		Gamma:              e.cfg.Gamma,
 		Network:            netsim.FromMegabits(e.cfg.BandwidthMbps),
 		Speculation:        e.cfg.Speculation,
-		DisableSpeculation: e.cfg.DisableSpeculation,
 		RedundancyK:        e.cfg.RedundancyK,
 		RedundancyOverlap:  e.cfg.RedundancyOverlap,
 		PredictiveHorizon:  e.cfg.PredictiveHorizon,

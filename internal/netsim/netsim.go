@@ -142,3 +142,10 @@ type Stats struct {
 func (nw *Network) Stats() Stats {
 	return Stats{Bytes: nw.totalBytes, Transfers: nw.totalTransfers, BusyTime: nw.totalBusy}
 }
+
+// UplinkFree returns the instant node i's uplink finishes the
+// transfers reserved on it so far (zero when it never carried one).
+func (nw *Network) UplinkFree(i int) float64 { return nw.upFree[i] }
+
+// DownlinkFree is UplinkFree for the node's downlink.
+func (nw *Network) DownlinkFree(i int) float64 { return nw.downFree[i] }

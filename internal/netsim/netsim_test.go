@@ -118,6 +118,13 @@ func TestEarliestStart(t *testing.T) {
 	if math.Abs(got-2) > 1e-12 {
 		t.Fatalf("earliest start = %g, want 2", got)
 	}
+	// The cursors EarliestStart takes its maximum over.
+	if up, down := nw.UplinkFree(0), nw.DownlinkFree(1); up != got || down != got {
+		t.Fatalf("cursors = %g, %g, want %g", up, down, got)
+	}
+	if up, down := nw.UplinkFree(1), nw.DownlinkFree(0); up != 0 || down != 0 {
+		t.Fatalf("idle NICs report %g, %g", up, down)
+	}
 	if _, err := nw.EarliestStart(0, 9, 0); !errors.Is(err, ErrBadNode) {
 		t.Fatalf("bad node: %v", err)
 	}

@@ -11,83 +11,77 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
 )
 
-// Event is a scheduled callback.
+// event is one scheduled callback. Events live by value in the
+// engine's heap array, so scheduling allocates no event: the array's
+// slots are the free list, reused as the heap shrinks and grows.
 type event struct {
-	time   float64
-	seq    uint64 // FIFO tie-break for equal times
-	fn     func()
-	index  int // heap index; -1 when popped/cancelled
-	cancel bool
+	time  float64
+	seq   uint64 // FIFO tie-break for equal times
+	fn    func()
+	timer *Timer
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before orders events by time, then by scheduling order. The order is
+// total, so the sequence of firings does not depend on the heap's
+// shape.
+func (a *event) before(b *event) bool {
+	if a.time < b.time {
+		return true
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return // unreachable: Push is only called through heap.Push below
+	if a.time > b.time {
+		return false
 	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
+	return a.seq < b.seq
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
+type timerState uint8
 
-// Timer handles allow cancelling a scheduled event.
+const (
+	timerPending timerState = iota
+	timerCancelled
+	timerFired
+)
+
+// Timer handles allow cancelling a scheduled event. A Timer is its own
+// cell: the event points at it, never the other way round, so a handle
+// kept after its event fired or was cancelled cannot reach whichever
+// event later occupies the same heap slot.
 type Timer struct {
-	ev     *event
 	engine *Engine
+	state  timerState
 }
 
 // Cancel prevents the event from firing. It is safe to call multiple
-// times and after the event has fired (no-ops).
+// times and after the event has fired (no-ops). The event itself is
+// dropped lazily, when it reaches the top of the heap.
 func (t *Timer) Cancel() {
-	if t == nil || t.ev == nil {
+	if t == nil || t.state != timerPending {
 		return
 	}
-	t.ev.cancel = true
+	t.state = timerCancelled
+	t.engine.live--
 }
 
 // Active reports whether the event is still pending.
 func (t *Timer) Active() bool {
-	return t != nil && t.ev != nil && !t.ev.cancel && t.ev.index >= 0
+	return t != nil && t.state == timerPending
 }
 
 // Engine is the simulation core. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now    float64
-	seq    uint64
-	events eventHeap
+	now float64
+	seq uint64
+	// events is a binary min-heap ordered by event.before. Cancelled
+	// events stay in it until they surface.
+	events []event
+	// live counts the events in the heap that have not been cancelled.
+	live int
 	// processed counts events executed, for diagnostics and runaway
 	// protection.
 	processed uint64
@@ -115,15 +109,7 @@ func NewEngine() *Engine {
 func (e *Engine) Now() float64 { return e.now }
 
 // Pending returns the number of scheduled (uncancelled) events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.cancel {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) Pending() int { return e.live }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -142,10 +128,11 @@ func (e *Engine) At(t float64, fn func()) (*Timer, error) {
 	if fn == nil {
 		return nil, errors.New("sim: nil event callback")
 	}
-	ev := &event{time: t, seq: e.seq, fn: fn}
+	timer := &Timer{engine: e}
+	e.push(event{time: t, seq: e.seq, fn: fn, timer: timer})
 	e.seq++
-	heap.Push(&e.events, ev)
-	return &Timer{ev: ev, engine: e}, nil
+	e.live++
+	return timer, nil
 }
 
 // After schedules fn d seconds from now.
@@ -156,29 +143,72 @@ func (e *Engine) After(d float64, fn func()) (*Timer, error) {
 	return e.At(e.now+d, fn)
 }
 
+// push appends ev and sifts it up to its place.
+func (e *Engine) push(ev event) {
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest event. The heap must not be
+// empty.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the callback and the timer
+	h = h[:n]
+	e.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
+}
+
 // Step executes the earliest pending event. It returns false when the
 // queue is empty. Callers that need to halt on a domain condition
 // (e.g. "all tasks done" while periodic events remain queued) drive
 // the engine with Step instead of Run.
-func (e *Engine) Step() (bool, error) { return e.step() }
-
-// step executes the earliest pending event. It returns false when the
-// queue is empty.
-func (e *Engine) step() (bool, error) {
+func (e *Engine) Step() (bool, error) {
 	for len(e.events) > 0 {
-		popped, ok := heap.Pop(&e.events).(*event)
-		if !ok {
-			return false, errors.New("sim: corrupt event heap")
-		}
-		if popped.cancel {
+		ev := e.pop()
+		if ev.timer.state == timerCancelled {
 			continue
 		}
-		e.now = popped.time
+		ev.timer.state = timerFired
+		e.live--
+		e.now = ev.time
 		e.processed++
 		if e.Limit > 0 && e.processed > e.Limit {
 			return false, fmt.Errorf("%w: %d", ErrEventLimit, e.Limit)
 		}
-		popped.fn()
+		ev.fn()
 		return true, nil
 	}
 	return false, nil
@@ -187,7 +217,7 @@ func (e *Engine) step() (bool, error) {
 // Run executes events until the queue drains.
 func (e *Engine) Run() error {
 	for {
-		ok, err := e.step()
+		ok, err := e.Step()
 		if err != nil {
 			return err
 		}
@@ -205,25 +235,16 @@ func (e *Engine) RunUntil(deadline float64) error {
 		return fmt.Errorf("%w: deadline=%g now=%g", ErrPastEvent, deadline, e.now)
 	}
 	for {
-		// Peek at the earliest uncancelled event.
-		next := math.Inf(1)
-		for len(e.events) > 0 && e.events[0].cancel {
-			heap.Pop(&e.events)
+		// Drop cancelled events until a live one is on top.
+		for len(e.events) > 0 && e.events[0].timer.state == timerCancelled {
+			e.pop()
 		}
-		if len(e.events) > 0 {
-			next = e.events[0].time
-		}
-		if next > deadline {
+		if len(e.events) == 0 || e.events[0].time > deadline {
 			e.now = deadline
 			return nil
 		}
-		ok, err := e.step()
-		if err != nil {
+		if _, err := e.Step(); err != nil {
 			return err
-		}
-		if !ok {
-			e.now = deadline
-			return nil
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -242,5 +243,151 @@ func TestPublicStep(t *testing.T) {
 	ok, err = e.Step()
 	if err != nil || ok {
 		t.Fatalf("empty step: ok=%v err=%v", ok, err)
+	}
+}
+
+// What reusing heap slots could break: a handle kept after its event
+// was cancelled and dropped must stay dead, and must not reach the
+// event that now occupies the slot.
+func TestStaleTimerCannotTouchSlotReuse(t *testing.T) {
+	e := NewEngine()
+	stale := mustAt(t, e, 1, func() { t.Error("cancelled event ran") })
+	stale.Cancel()
+	// Drop the cancelled event from the heap, emptying its slot.
+	if err := e.RunUntil(2); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.events) != 0 {
+		t.Fatalf("cancelled event still queued: %d", len(e.events))
+	}
+	ran := false
+	fresh := mustAt(t, e, 3, func() { ran = true }) // takes over slot 0
+	if stale.Active() {
+		t.Fatal("stale timer reports active after its slot was reused")
+	}
+	stale.Cancel()
+	if !fresh.Active() || e.Pending() != 1 {
+		t.Fatalf("stale Cancel reached the new event: active=%v pending=%d", fresh.Active(), e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("the event in the reused slot did not run")
+	}
+	// The same after firing: the handle of a fired event is dead too.
+	if fresh.Active() {
+		t.Fatal("fired timer reports active")
+	}
+	again := mustAt(t, e, 4, func() {})
+	fresh.Cancel()
+	if !again.Active() || e.Pending() != 1 {
+		t.Fatal("Cancel on a fired timer reached a later event")
+	}
+}
+
+// Equal-time events keep FIFO order when cancellations and slot reuse
+// are interleaved with scheduling.
+func TestFIFOTieBreakSurvivesCancelAndReuse(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	var doomed []*Timer
+	next := 0
+	for round := 0; round < 4; round++ {
+		for k := 0; k < 5; k++ {
+			id := next
+			next++
+			mustAt(t, e, 7, func() { order = append(order, id) })
+			doomed = append(doomed, mustAt(t, e, 7, func() { t.Error("cancelled event ran") }))
+		}
+		for _, d := range doomed {
+			d.Cancel()
+		}
+		doomed = doomed[:0]
+		// An earlier event fires in between, so the heap shrinks and
+		// regrows around the equal-time block.
+		mustAt(t, e, float64(round), func() {})
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != next {
+		t.Fatalf("ran %d of %d events", len(order), next)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("equal-time events out of scheduling order: %v", order)
+		}
+	}
+}
+
+// Pending is a maintained counter: it follows scheduling, cancelling
+// (once per timer), firing, and the lazy removal of cancelled events.
+func TestPendingIsMaintained(t *testing.T) {
+	e := NewEngine()
+	timers := make([]*Timer, 6)
+	for i := range timers {
+		timers[i] = mustAt(t, e, float64(i+1), func() {})
+	}
+	timers[0].Cancel()
+	timers[0].Cancel()
+	timers[3].Cancel()
+	if e.Pending() != 4 {
+		t.Fatalf("pending = %d, want 4", e.Pending())
+	}
+	if _, err := e.Step(); err != nil { // drops timer 0, fires timer 1
+		t.Fatal(err)
+	}
+	if e.Pending() != 3 {
+		t.Fatalf("pending after one step = %d, want 3", e.Pending())
+	}
+	timers[1].Cancel() // already fired
+	if e.Pending() != 3 {
+		t.Fatalf("cancelling a fired timer changed pending to %d", e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Pending() != 0 || e.Processed() != 4 {
+		t.Fatalf("pending = %d processed = %d, want 0 and 4", e.Pending(), e.Processed())
+	}
+}
+
+// BenchmarkEngineHold is the classic hold model: a fixed number of
+// pending timers, every firing re-arms one, so an iteration is one pop
+// and one push at that depth.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, pending := range []int{256, 4096, 65536} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			e := NewEngine()
+			x := uint64(1)
+			delay := func() float64 {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				return float64(x>>11) / (1 << 53)
+			}
+			var fire func()
+			fire = func() {
+				if _, err := e.After(1+delay(), fire); err != nil {
+					b.Error(err)
+				}
+			}
+			for i := 0; i < pending; i++ {
+				if _, err := e.After(delay(), fire); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
