@@ -20,46 +20,18 @@
 //	adapt-bench -exp bench                           # paper-shaped sweep -> BENCH_sim.json
 //	adapt-bench -exp bench -bench-hosts 64,128 -bench-workers 1,2
 //	adapt-bench -bench-verify BENCH_sim.json         # parse + schema check
-//
-// The wire benchmark compares the JSON and binary block data paths on
-// a loopback cluster:
-//
-//	adapt-bench -exp svc                             # full sweep -> BENCH_svc.json
-//	adapt-bench -exp svc -svc-sizes 65536 -svc-conc 1 -svc-ops 4
-//	adapt-bench -svc-verify BENCH_svc.json           # parse + schema + honesty check
-//
-// The metadata benchmark sweeps the sharded namespace: create/delete
-// throughput at several shard counts under churn, each shard count
-// ending in a kill -9 plus double replay that proves per-shard
-// bit-deterministic recovery with zero acked mutations lost:
-//
-//	adapt-bench -exp meta                            # shard sweep -> BENCH_meta.json
-//	adapt-bench -exp meta -meta-shards 1,4 -meta-ops 400
-//	adapt-bench -meta-verify BENCH_meta.json         # honesty + 2x scaling gate
-//
-// The overload benchmark drives a loopback cluster at a load-factor
-// multiple of its baseline offered load with a fraction of the
-// DataNodes gray (alive heartbeats, crawling service), and gates on
-// the robustness stack holding goodput:
-//
-//	adapt-bench -exp load                            # baseline + overload -> BENCH_load.json
-//	adapt-bench -exp load -load-workers 2 -load-factor 8 -load-duration 1s
-//	adapt-bench -load-verify BENCH_load.json         # goodput/durability/fast-shed gates
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	adapt "github.com/adaptsim/adapt"
 	"github.com/adaptsim/adapt/internal/prof"
-	"github.com/adaptsim/adapt/internal/svc"
 )
 
 func main() {
@@ -86,25 +58,6 @@ type options struct {
 	benchOut     string
 	benchVerify  string
 
-	svcSizes  string
-	svcConc   string
-	svcOps    int
-	svcOut    string
-	svcVerify string
-
-	metaShards  string
-	metaOps     int
-	metaWorkers int
-	metaOut     string
-	metaVerify  string
-
-	loadWorkers  int
-	loadFactor   int
-	loadGray     float64
-	loadDuration time.Duration
-	loadOut      string
-	loadVerify   string
-
 	speculation string
 	redundancy  int
 	dynamicRF   string
@@ -130,22 +83,6 @@ func run(args []string) (err error) {
 	fs.IntVar(&opt.benchTrials, "bench-trials", 0, "bench mode: trials per cell (default 1)")
 	fs.StringVar(&opt.benchOut, "bench-out", "BENCH_sim.json", "bench mode: report output path (empty = stdout table only)")
 	fs.StringVar(&opt.benchVerify, "bench-verify", "", "verify an existing bench report (parse + schema check) and exit")
-	fs.StringVar(&opt.svcSizes, "svc-sizes", "", "svc mode: comma-separated block sizes in bytes (default 65536,1048576,8388608)")
-	fs.StringVar(&opt.svcConc, "svc-conc", "", "svc mode: comma-separated client concurrencies (default 1,4)")
-	fs.IntVar(&opt.svcOps, "svc-ops", 0, "svc mode: blocks moved per measurement cell (default 8)")
-	fs.StringVar(&opt.svcOut, "svc-out", "BENCH_svc.json", "svc mode: report output path (empty = stdout table only)")
-	fs.StringVar(&opt.svcVerify, "svc-verify", "", "verify an existing wire bench report (parse + schema + honesty check) and exit")
-	fs.StringVar(&opt.metaShards, "meta-shards", "", "meta mode: comma-separated namespace shard counts (default 1,2,4,8; first is the baseline)")
-	fs.IntVar(&opt.metaOps, "meta-ops", 0, "meta mode: metadata operations per shard count (default 800)")
-	fs.IntVar(&opt.metaWorkers, "meta-workers", 0, "meta mode: concurrent clients (default 8)")
-	fs.StringVar(&opt.metaOut, "meta-out", "BENCH_meta.json", "meta mode: report output path (empty = stdout table only)")
-	fs.StringVar(&opt.metaVerify, "meta-verify", "", "verify an existing meta bench report (schema + honesty + 2x scaling gate) and exit")
-	fs.IntVar(&opt.loadWorkers, "load-workers", 0, "load mode: baseline closed-loop client count (default 4)")
-	fs.IntVar(&opt.loadFactor, "load-factor", 0, "load mode: offered-load multiplier for the overload cell (default 10)")
-	fs.Float64Var(&opt.loadGray, "load-gray", 0, "load mode: fraction of DataNodes turned gray under overload (default 0.3)")
-	fs.DurationVar(&opt.loadDuration, "load-duration", 0, "load mode: measurement window per cell (default 2s)")
-	fs.StringVar(&opt.loadOut, "load-out", "BENCH_load.json", "load mode: report output path (empty = stdout table only)")
-	fs.StringVar(&opt.loadVerify, "load-verify", "", "verify an existing load report (goodput >= 0.70x, zero lost acked writes, fast sheds) and exit")
 	fs.StringVar(&opt.speculation, "speculation", "", "sched mode: restrict to one policy (reactive | predictive | redundant; empty = all)")
 	fs.IntVar(&opt.redundancy, "redundancy", 0, "sched mode: attempts per task for the redundant policy (0 = default 2)")
 	fs.StringVar(&opt.dynamicRF, "dynamic-rf", "both", "sched mode: replication arms to run (both | on | off)")
@@ -169,15 +106,6 @@ func run(args []string) (err error) {
 	if opt.benchVerify != "" {
 		return verifyBench(opt.benchVerify)
 	}
-	if opt.svcVerify != "" {
-		return verifyBenchSvc(opt.svcVerify)
-	}
-	if opt.metaVerify != "" {
-		return verifyBenchMeta(opt.metaVerify)
-	}
-	if opt.loadVerify != "" {
-		return verifyBenchLoad(opt.loadVerify)
-	}
 
 	ids := []string{opt.exp}
 	if opt.exp == "all" {
@@ -191,24 +119,6 @@ func run(args []string) (err error) {
 		if strings.ToLower(id) == "bench" {
 			if err := runBench(opt); err != nil {
 				return fmt.Errorf("bench: %w", err)
-			}
-			continue
-		}
-		if strings.ToLower(id) == "svc" {
-			if err := runBenchSvc(opt); err != nil {
-				return fmt.Errorf("svc: %w", err)
-			}
-			continue
-		}
-		if strings.ToLower(id) == "meta" {
-			if err := runBenchMeta(opt); err != nil {
-				return fmt.Errorf("meta: %w", err)
-			}
-			continue
-		}
-		if strings.ToLower(id) == "load" {
-			if err := runBenchLoad(opt); err != nil {
-				return fmt.Errorf("load: %w", err)
 			}
 			continue
 		}
@@ -296,190 +206,6 @@ func runBench(opt options) error {
 		return err
 	}
 	fmt.Printf("wrote %s (%d runs)\n", opt.benchOut, len(report.Runs))
-	return nil
-}
-
-// parseInt64s parses a comma-separated list of int64s.
-func parseInt64s(s string) ([]int64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q: %w", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// runBenchSvc executes the wire benchmark (JSON vs binary block data
-// path on a loopback cluster) and writes BENCH_svc.json.
-func runBenchSvc(opt options) error {
-	sizes, err := parseInt64s(opt.svcSizes)
-	if err != nil {
-		return err
-	}
-	conc, err := parseInts(opt.svcConc)
-	if err != nil {
-		return err
-	}
-	report, err := svc.BenchSvc(context.Background(), svc.BenchSvcConfig{
-		BlockSizes:  sizes,
-		Concurrency: conc,
-		Ops:         opt.svcOps,
-		Seed:        opt.seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(svc.BenchSvcText(report))
-	if opt.svcOut == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(opt.svcOut, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d runs)\n", opt.svcOut, len(report.Runs))
-	return nil
-}
-
-// runBenchMeta executes the sharded-namespace metadata benchmark
-// (create/delete throughput vs shard count, with per-shard crash
-// recovery proof) and writes BENCH_meta.json.
-func runBenchMeta(opt options) error {
-	shards, err := parseInts(opt.metaShards)
-	if err != nil {
-		return err
-	}
-	report, err := svc.BenchMeta(svc.BenchMetaConfig{
-		Shards:  shards,
-		Ops:     opt.metaOps,
-		Workers: opt.metaWorkers,
-		Seed:    opt.seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(svc.BenchMetaText(report))
-	if err := report.Validate(); err != nil {
-		return err
-	}
-	if opt.metaOut == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(opt.metaOut, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d runs)\n", opt.metaOut, len(report.Runs))
-	return nil
-}
-
-// runBenchLoad executes the overload benchmark (baseline vs LoadFactor
-// x offered load with gray DataNodes) and writes BENCH_load.json. The
-// report's own gates run before it is written: a build whose goodput
-// collapses, whose sheds crawl, or which loses acknowledged writes
-// fails its own benchmark.
-func runBenchLoad(opt options) error {
-	report, err := svc.BenchLoad(context.Background(), svc.BenchLoadConfig{
-		Workers:    opt.loadWorkers,
-		LoadFactor: opt.loadFactor,
-		GrayFrac:   opt.loadGray,
-		Duration:   opt.loadDuration,
-		Seed:       opt.seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(svc.BenchLoadText(report))
-	if err := report.Validate(); err != nil {
-		return err
-	}
-	if opt.loadOut == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(opt.loadOut, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (goodput ratio %.2fx)\n", opt.loadOut, report.GoodputRatio)
-	return nil
-}
-
-// verifyBenchLoad parses an existing load report and re-runs its
-// robustness gates — the bench-load-smoke CI gate.
-func verifyBenchLoad(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var report svc.BenchLoadReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := report.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("%s: ok (schema %s, goodput ratio %.2fx >= 0.70x, %d acked writes, 0 lost)\n",
-		path, report.Schema, report.GoodputRatio, report.Overload.AckedWrites)
-	return nil
-}
-
-// verifyBenchMeta parses an existing meta bench report, runs its
-// honesty checks, and enforces the scaling gate (4 shards must reach
-// at least 2x the single-shard throughput) — the bench-meta-smoke CI
-// gate.
-func verifyBenchMeta(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var report svc.BenchMetaReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := report.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := report.CheckScaling(4, 2); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("%s: ok (%d runs, schema %s, 4-shard scaling gate passed)\n", path, len(report.Runs), report.Schema)
-	return nil
-}
-
-// verifyBenchSvc parses an existing wire bench report and runs its
-// honesty checks — the bench-svc-smoke CI gate.
-func verifyBenchSvc(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var report svc.BenchSvcReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := report.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("%s: ok (%d runs, schema %s)\n", path, len(report.Runs), report.Schema)
 	return nil
 }
 

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	adapt "github.com/adaptsim/adapt"
@@ -103,9 +105,14 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: the retired svc/meta/load harness ids fail
+// exactly like any other id the binary does not know.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "bogus"}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, id := range []string{"bogus", "svc", "meta", "load"} {
+		err := run([]string{"-exp", id})
+		if want := fmt.Sprintf("unknown experiment %q", id); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-exp %s: err = %v, want %s", id, err, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,7 +135,17 @@ func TestServiceHelpAndUnknown(t *testing.T) {
 	if err := runService("help", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := runService("bogus", nil); err == nil {
-		t.Fatal("unknown subcommand accepted")
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+		want string
+	}{
+		{"bogus", nil, "unknown subcommand"},
+		// The JSON block transport is gone, and its selector with it.
+		{"serve-namenode", []string{"-data-path", "json"}, "flag provided but not defined: -data-path"},
+	} {
+		if err := runService(tc.cmd, tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: err = %v, want %q", tc.cmd, tc.args, err, tc.want)
+		}
 	}
 }

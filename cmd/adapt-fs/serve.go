@@ -31,7 +31,7 @@ import (
 const serviceHelp = `adapt-fs service subcommands:
 
   serve-namenode  -listen ADDR -datanodes A,B,...  [-http ADDR] [-replicas N] [-block-size N] [-seed N]
-                  [-data-path binary|json] [-wal-dir DIR] [-snapshot-every N] [-shards P]
+                  [-wal-dir DIR] [-snapshot-every N] [-shards P]
                   [-suspect-after DUR] [-dead-after DUR] [-repair-interval DUR]
                   [-max-inflight N] [-queue-depth N] [-brownout-pct N]
                   [-breaker-threshold N] [-breaker-cooldown DUR] [-hedge-reads]
@@ -111,7 +111,6 @@ func serveNameNode(args []string) error {
 		replicas  = fs.Int("replicas", 1, "replication degree for new files")
 		blockSize = fs.Int64("block-size", 0, "block size for new files (0 = default)")
 		seed      = fs.Uint64("seed", 1, "placement random seed")
-		dataPath  = fs.String("data-path", svc.DataPathBinary, "block-bytes transport: binary (v2 streaming pipeline) or json (legacy fan-out)")
 
 		walDir       = fs.String("wal-dir", "", "durable namespace directory (empty = volatile); restart with the same directory to recover")
 		snapEvery    = fs.Int("snapshot-every", 0, "checkpoint cadence in WAL records (0 = default)")
@@ -143,7 +142,6 @@ func serveNameNode(args []string) error {
 	nn, err := svc.NewNameNodeServer(c, addrs, stats.NewRNG(*seed), nil, svc.NameNodeConfig{
 		BlockSize:     *blockSize,
 		Replication:   *replicas,
-		DataPath:      *dataPath,
 		WALDir:        *walDir,
 		SnapshotEvery: *snapEvery,
 		Shards:        *shards,

@@ -840,12 +840,11 @@ func (nn *NameNode) writeBlockReplicas(ctx context.Context, id BlockID, chunk []
 			}
 			if len(chain) > 0 {
 				if pp, ok := nn.stores[chain[0]].(PipelinePutter); ok {
-					if res, active := pp.PutChain(ctx, id, chunk, chain[1:]); active {
-						for _, h := range res.Acked {
-							tried[h] = true
-						}
-						placed = append(placed, res.Acked...)
+					res := pp.PutChain(ctx, id, chunk, chain[1:])
+					for _, h := range res.Acked {
+						tried[h] = true
 					}
+					placed = append(placed, res.Acked...)
 				}
 			}
 		}

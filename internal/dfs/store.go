@@ -55,11 +55,10 @@ type PipelineResult struct {
 // PipelinePutter is an optional BlockStore capability: a store that
 // can stream one block onward through a replication chain — HDFS-style
 // client → DN1 → DN2 → DN3 pipelining — implements it. PutChain
-// stores the block on this node and on rest (in order). ok reports
-// whether the capability is active; false means the caller must fall
-// back to per-store fan-out Puts (the result is then meaningless).
+// stores the block on this node and on rest (in order). Stores without
+// it (the in-memory DataNode) get per-store fan-out Puts.
 type PipelinePutter interface {
-	PutChain(ctx context.Context, id BlockID, data []byte, rest []cluster.NodeID) (PipelineResult, bool)
+	PutChain(ctx context.Context, id BlockID, data []byte, rest []cluster.NodeID) PipelineResult
 }
 
 // BlockLister is an optional BlockStore capability: the stored-block

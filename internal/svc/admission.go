@@ -56,9 +56,9 @@ func classOf(method string) rpcClass {
 	switch method {
 	case "nn.heartbeat":
 		return classControl
-	case "nn.copyFromLocal", "nn.cp", "dn.put":
+	case "nn.copyFromLocal", "nn.cp":
 		return classPut
-	case "nn.read", "dn.get":
+	case "nn.read":
 		return classGet
 	}
 	return classBackground

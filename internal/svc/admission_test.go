@@ -14,9 +14,7 @@ func TestClassOf(t *testing.T) {
 		"nn.heartbeat":     classControl,
 		"nn.copyFromLocal": classPut,
 		"nn.cp":            classPut,
-		"dn.put":           classPut,
 		"nn.read":          classGet,
-		"dn.get":           classGet,
 		"nn.stat":          classBackground,
 		"nn.rebalance":     classBackground,
 		"made.up":          classBackground,

@@ -128,31 +128,6 @@ func (d *DataNodeServer) Node() *dfs.DataNode { return d.dn }
 
 func (d *DataNodeServer) handle(ctx context.Context, from, method string, params []byte) (any, error) {
 	switch method {
-	case "dn.put":
-		var p putParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := d.dn.Put(p.Block, p.Data); err != nil {
-			return nil, err
-		}
-		return struct{}{}, nil
-	case "dn.get":
-		var p getParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		data, err := d.dn.Get(p.Block)
-		if err != nil {
-			return nil, err
-		}
-		return getResult{Data: data}, nil
 	case "dn.delete":
 		var p getParams
 		if err := unmarshalParams(params, &p); err != nil {

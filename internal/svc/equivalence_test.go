@@ -8,30 +8,29 @@ import (
 	"testing"
 	"time"
 
-	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/stats"
 )
 
-// Protocol equivalence: the v2 binary data plane must be observably
-// identical to the legacy JSON path — same bytes stored and read back,
-// same WriteReports, same placement under the same seed, and the same
-// error taxonomy for every registered wire code. Only the wire format
-// differs.
+// Protocol equivalence: moving block bytes over the v2 pipeline must be
+// observably identical to the engine's in-memory fan-out path — same
+// bytes stored and read back, same WriteReports, same placement under
+// the same seed — and the error taxonomy must cross both wire formats
+// unchanged. Only the transport differs.
 
-// equivCluster boots a cluster with the given data path, everything
-// else held fixed (seed included, so placement draws are comparable).
-func equivCluster(t *testing.T, dataPath string) *LocalCluster {
+const (
+	equivSeed        = 7
+	equivBlockSize   = 1024
+	equivReplication = 2
+)
+
+// equivCluster boots a loopback cluster on the fixed seed, so
+// placement draws are comparable across clusters.
+func equivCluster(t *testing.T) *LocalCluster {
 	t.Helper()
-	nodes := make([]cluster.Node, 4)
-	c, err := cluster.New(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc, err := StartLocalCluster(c, stats.NewRNG(7), nil, NameNodeConfig{
-		BlockSize:   1024,
-		Replication: 2,
-		DataPath:    dataPath,
+	lc, err := StartLocalCluster(restartCluster(t, 4), stats.NewRNG(equivSeed), nil, NameNodeConfig{
+		BlockSize:   equivBlockSize,
+		Replication: equivReplication,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,16 +43,25 @@ func equivCluster(t *testing.T, dataPath string) *LocalCluster {
 	return lc
 }
 
-// TestProtocolEquivalenceContent writes the same files through both
-// data planes and asserts byte-identical reads, identical
-// WriteReports, and identical placement.
+// TestProtocolEquivalenceContent writes the same files through the
+// loopback cluster and through the same seed's engine client over
+// in-memory DataNodes (the fan-out reference), and asserts
+// byte-identical reads, identical WriteReports, and identical
+// placement.
 func TestProtocolEquivalenceContent(t *testing.T) {
-	jsonLC := equivCluster(t, DataPathJSON)
-	binLC := equivCluster(t, DataPathBinary)
-	jsonCL := jsonLC.Client("shell")
-	defer jsonCL.Close()
-	binCL := binLC.Client("shell")
-	defer binCL.Close()
+	lc := equivCluster(t)
+	cl := lc.Client("shell")
+	defer cl.Close()
+	refNN, err := dfs.NewNameNode(restartCluster(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dfs.NewClient(refNN, stats.NewRNG(equivSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.BlockSize = equivBlockSize
+	ref.Replication = equivReplication
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -70,77 +78,73 @@ func TestProtocolEquivalenceContent(t *testing.T) {
 	}
 	for _, tc := range cases {
 		data := payload(tc.size)
-		jm, jr, err := jsonCL.CopyFromLocal(ctx, tc.name, data, false)
+		rm, rr, err := ref.CopyFromLocalReportContext(ctx, tc.name, data, false)
 		if err != nil {
-			t.Fatalf("%s: json write: %v", tc.name, err)
+			t.Fatalf("%s: reference write: %v", tc.name, err)
 		}
-		bm, br, err := binCL.CopyFromLocal(ctx, tc.name, data, false)
+		wm, wr, err := cl.CopyFromLocal(ctx, tc.name, data, false)
 		if err != nil {
-			t.Fatalf("%s: binary write: %v", tc.name, err)
+			t.Fatalf("%s: wire write: %v", tc.name, err)
 		}
-		if jr != br {
-			t.Errorf("%s: WriteReport diverged: json %+v vs binary %+v", tc.name, jr, br)
+		if rr != wr {
+			t.Errorf("%s: WriteReport diverged: reference %+v vs wire %+v", tc.name, rr, wr)
 		}
-		if len(jm.Blocks) != len(bm.Blocks) {
-			t.Fatalf("%s: block counts diverged: %d vs %d", tc.name, len(jm.Blocks), len(bm.Blocks))
+		if len(rm.Blocks) != len(wm.Blocks) {
+			t.Fatalf("%s: block counts diverged: %d vs %d", tc.name, len(rm.Blocks), len(wm.Blocks))
 		}
 		// Same seed, same draws: every block must land on the same
 		// holders in the same order.
-		for i := range jm.Blocks {
-			jb, bb := jm.Blocks[i], bm.Blocks[i]
-			if jb.ID != bb.ID || len(jb.Replicas) != len(bb.Replicas) {
-				t.Fatalf("%s block %d: meta diverged: %+v vs %+v", tc.name, i, jb, bb)
+		for i := range rm.Blocks {
+			rb, wb := rm.Blocks[i], wm.Blocks[i]
+			if rb.ID != wb.ID || len(rb.Replicas) != len(wb.Replicas) {
+				t.Fatalf("%s block %d: meta diverged: %+v vs %+v", tc.name, i, rb, wb)
 			}
-			for k := range jb.Replicas {
-				if jb.Replicas[k] != bb.Replicas[k] {
-					t.Errorf("%s block %d: placement diverged: %v vs %v", tc.name, i, jb.Replicas, bb.Replicas)
+			for k := range rb.Replicas {
+				if rb.Replicas[k] != wb.Replicas[k] {
+					t.Errorf("%s block %d: placement diverged: %v vs %v", tc.name, i, rb.Replicas, wb.Replicas)
 					break
 				}
 			}
 		}
-		jgot, err := jsonCL.ReadFile(ctx, tc.name)
+		rgot, err := ref.ReadFileContext(ctx, tc.name)
 		if err != nil {
-			t.Fatalf("%s: json read: %v", tc.name, err)
+			t.Fatalf("%s: reference read: %v", tc.name, err)
 		}
-		bgot, err := binCL.ReadFile(ctx, tc.name)
+		wgot, err := cl.ReadFile(ctx, tc.name)
 		if err != nil {
-			t.Fatalf("%s: binary read: %v", tc.name, err)
+			t.Fatalf("%s: wire read: %v", tc.name, err)
 		}
-		if !bytes.Equal(jgot, data) || !bytes.Equal(bgot, data) {
+		if !bytes.Equal(rgot, data) || !bytes.Equal(wgot, data) {
 			t.Errorf("%s: read bytes differ from written", tc.name)
 		}
 	}
 
 	// Cross-check the stored replicas bit for bit, not just through
 	// the read path: fsck-grade equivalence.
-	if err := jsonCL.CheckConsistency(ctx); err != nil {
+	if err := refNN.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if err := binCL.CheckConsistency(ctx); err != nil {
+	if err := cl.CheckConsistency(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestProtocolEquivalenceErrors drives the same failure through both
-// data planes: reading a block that does not exist must surface
-// dfs.ErrBlockNotFound with matching transience from either protocol.
+// TestProtocolEquivalenceErrors: reading a block that does not exist
+// must surface dfs.ErrBlockNotFound, non-transient, across the wire.
 func TestProtocolEquivalenceErrors(t *testing.T) {
-	for _, dp := range []string{DataPathJSON, DataPathBinary} {
-		lc := equivCluster(t, dp)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		st, err := lc.Engine().Store(0)
-		if err != nil {
-			cancel()
-			t.Fatal(err)
-		}
-		_, err = st.Get(ctx, dfs.BlockID(12345))
-		cancel()
-		if !errors.Is(err, dfs.ErrBlockNotFound) {
-			t.Errorf("%s: missing block get = %v, want ErrBlockNotFound", dp, err)
-		}
-		if dfs.IsTransient(err) {
-			t.Errorf("%s: missing block classified transient", dp)
-		}
+	lc := equivCluster(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := lc.Engine().Store(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.Get(ctx, dfs.BlockID(12345))
+	if !errors.Is(err, dfs.ErrBlockNotFound) {
+		t.Errorf("missing block get = %v, want ErrBlockNotFound", err)
+	}
+	if dfs.IsTransient(err) {
+		t.Error("missing block classified transient")
 	}
 }
 
@@ -177,8 +181,8 @@ func TestProtocolEquivalenceTaxonomy(t *testing.T) {
 // same replicas, same bytes — because it draws from the same RNG
 // sequence block by block.
 func TestStreamedWriteEquivalence(t *testing.T) {
-	bufLC := equivCluster(t, DataPathBinary)
-	strLC := equivCluster(t, DataPathBinary)
+	bufLC := equivCluster(t)
+	strLC := equivCluster(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -126,18 +126,6 @@ type NameNodeServer struct {
 	brkStats *BreakerStats
 }
 
-// DataPath values for NameNodeConfig: how block bytes cross the wire.
-// The JSON control plane (metadata, heartbeats, deletes) is identical
-// either way.
-const (
-	// DataPathBinary is the default: v2 streaming frames with
-	// replication pipelining (wire2.go).
-	DataPathBinary = "binary"
-	// DataPathJSON is the legacy path: whole blocks as base64 inside
-	// JSON RPC envelopes, fan-out writes.
-	DataPathJSON = "json"
-)
-
 // NameNodeConfig tunes the service's client engine and its
 // durability. Zero values keep the dfs defaults and, with an empty
 // WALDir, a volatile (PR 4-style) namespace.
@@ -145,9 +133,6 @@ type NameNodeConfig struct {
 	BlockSize   int64
 	Replication int
 	Gamma       float64
-	// DataPath selects the block-bytes transport: DataPathBinary
-	// (default, also for "") or DataPathJSON.
-	DataPath string
 	// WALDir enables the durable namespace: every mutation is
 	// journaled there before it is acknowledged, and construction
 	// recovers whatever namespace the directory already holds.
@@ -206,10 +191,6 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 	if len(dnAddrs) != c.Len() {
 		return nil, fmt.Errorf("svc: %d datanode addrs for %d nodes: %w", len(dnAddrs), c.Len(), dfs.ErrUnknownNode)
 	}
-	if cfg.DataPath != "" && cfg.DataPath != DataPathBinary && cfg.DataPath != DataPathJSON {
-		return nil, fmt.Errorf("svc: unknown data path %q: %w", cfg.DataPath, dfs.ErrBadConfig)
-	}
-	binary := cfg.DataPath != DataPathJSON
 	addrs := append([]string(nil), dnAddrs...)
 	resolve := func(n cluster.NodeID) (string, bool) {
 		if int(n) < 0 || int(n) >= len(addrs) {
@@ -222,7 +203,6 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 	for i := range stores {
 		id := cluster.NodeID(i)
 		stores[i] = newRemoteStore(id, dnAddrs[i], "namenode", endpointName(id), faults)
-		stores[i].binary = binary
 		stores[i].resolve = resolve
 		ifaces[i] = stores[i]
 	}

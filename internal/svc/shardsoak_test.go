@@ -5,12 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/shard"
 	"github.com/adaptsim/adapt/internal/stats"
+	"github.com/adaptsim/adapt/internal/wal"
 )
 
 // TestShardedCrashRecoverySoak is the sharded-namespace headline: a
@@ -179,5 +183,154 @@ func TestShardedCrashRecoverySoak(t *testing.T) {
 	}
 	if !foundBeta {
 		t.Fatal("fsck tenant rollup missing beta")
+	}
+}
+
+// TestShardedJournalChurnReplay is the sharded metadata claim under
+// concurrency: 8 engine clients create/create/create/delete across 4
+// shards, each shard journaling to its own real WAL directory, while
+// nodes flip up and down; every journal is then abandoned the way
+// SIGKILL would and the root is replayed twice. Each shard's two
+// replays must fingerprint equal to each other and to the live
+// pre-crash shard, and every file acked live at crash time must be in
+// the replayed image at its exact size.
+func TestShardedJournalChurnReplay(t *testing.T) {
+	const (
+		shards       = 4
+		workers      = 8
+		opsPerWorker = 20
+		nodes        = 8
+		churnEvery   = 16
+		fileSize     = 512
+	)
+	root := t.TempDir()
+	nn, err := dfs.NewNameNodeSharded(restartCluster(t, nodes), nil, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := wal.ShardDirs(root, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journals := make([]*walJournal, shards)
+	hooks := make([]dfs.Journal, shards)
+	for i, dir := range dirs {
+		j, files, err := openJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = j.log.Close() })
+		if err := nn.RestoreShard(i, files); err != nil {
+			t.Fatal(err)
+		}
+		journals[i], hooks[i] = j, j
+	}
+	if err := nn.SetShardJournals(hooks); err != nil {
+		t.Fatal(err)
+	}
+
+	// Churn is driven by a global op counter, so the flip schedule
+	// depends on progress, not timers: the node that is down revives and
+	// another goes down, so placement never starves.
+	var opCounter atomic.Int64
+	var churnMu sync.Mutex
+	churns, downNode := 0, -1
+	churn := func() {
+		churnMu.Lock()
+		defer churnMu.Unlock()
+		if downNode >= 0 {
+			_ = nn.SetNodeUp(cluster.NodeID(downNode), true)
+		}
+		downNode = (downNode + 1 + churns) % nodes
+		_ = nn.SetNodeUp(cluster.NodeID(downNode), false)
+		churns++
+	}
+
+	g := stats.NewRNG(7)
+	live := make([][]string, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int, g *stats.RNG) {
+			defer wg.Done()
+			cl, err := dfs.NewClient(nn, g)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			cl.BlockSize = fileSize
+			cl.Replication = 2
+			for op := 0; op < opsPerWorker; op++ {
+				if opCounter.Add(1)%churnEvery == 0 {
+					churn()
+				}
+				if op%4 == 3 {
+					if err := nn.Delete(live[w][0]); err != nil {
+						errs[w] = fmt.Errorf("delete %q: %w", live[w][0], err)
+						return
+					}
+					live[w] = live[w][1:]
+					continue
+				}
+				name := fmt.Sprintf("@t%d/w%d-f%06d", w%4, w, op)
+				if _, err := cl.CopyFromLocal(name, durablePayload(w*100000+op, fileSize), op%2 == 0); err != nil {
+					errs[w] = fmt.Errorf("create %q: %w", name, err)
+					return
+				}
+				live[w] = append(live[w], name)
+			}
+		}(w, g.Split())
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if churns == 0 {
+		t.Fatal("workload ran without churn")
+	}
+
+	liveFP := make([]string, shards)
+	for i := range liveFP {
+		liveFP[i] = nn.FingerprintShard(i)
+	}
+	for i, j := range journals {
+		if j.log.Seq() == 0 {
+			t.Fatalf("shard %d journaled nothing; the per-shard claims are vacuous", i)
+		}
+		j.log.Crash()
+	}
+	rec1, err := RecoverShards(root, shards)
+	if err != nil {
+		t.Fatalf("first replay: %v", err)
+	}
+	rec2, err := RecoverShards(root, shards)
+	if err != nil {
+		t.Fatalf("second replay: %v", err)
+	}
+	recovered := make(map[string]int64)
+	for i := 0; i < shards; i++ {
+		fp1, fp2 := dfs.FingerprintFiles(rec1[i]), dfs.FingerprintFiles(rec2[i])
+		if fp1 != fp2 {
+			t.Errorf("shard %d replay nondeterministic:\n 1st %s\n 2nd %s", i, fp1, fp2)
+		}
+		if fp1 != liveFP[i] {
+			t.Errorf("shard %d replay diverged from live:\n replay %s\n   live %s", i, fp1, liveFP[i])
+		}
+		for _, fm := range rec1[i] {
+			recovered[fm.Name] = fm.Size
+		}
+	}
+	for w := range live {
+		if len(live[w]) == 0 {
+			t.Fatalf("worker %d left no acked file", w)
+		}
+		for _, name := range live[w] {
+			if size, ok := recovered[name]; !ok || size != fileSize {
+				t.Errorf("acked file %q after replay: present=%v size=%d, want %d", name, ok, size, fileSize)
+			}
+		}
 	}
 }

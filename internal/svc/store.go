@@ -11,19 +11,11 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// DataNode RPC params/results. Block bytes ride as JSON base64
-// ([]byte marshals to base64 in encoding/json).
-type putParams struct {
-	Block dfs.BlockID `json:"block"`
-	Data  []byte      `json:"data"`
-}
-
+// DataNode control RPC params/results. Put and Get move block bytes
+// over v2 streams (wire2.go); only the dn.stored verification read
+// carries bytes here, as JSON base64.
 type getParams struct {
 	Block dfs.BlockID `json:"block"`
-}
-
-type getResult struct {
-	Data []byte `json:"data"`
 }
 
 type storedResult struct {
@@ -50,17 +42,15 @@ type remoteStore struct {
 	id   cluster.NodeID
 	peer *peerConn
 
-	// The binary data plane (wire2.go). binary selects v2 streams for
-	// block bytes; resolve maps chain node ids to data addresses for
-	// pipeline writes; scrub best-effort deletes a possibly-committed
-	// replica on another chain node after a torn pipeline, so deep
-	// commits whose acks were lost do not linger as orphans. scrub is
-	// invoked from a goroutine with the (live) op context: the hook
-	// waits for the op to settle before acting, so it never races the
-	// engine's same-block retry, and bounds its own deadline so a gray
-	// holder cannot pin the goroutine. The JSON control plane (deletes,
-	// inventory, liveness) is untouched.
-	binary  bool
+	// The binary data plane (wire2.go): resolve maps chain node ids to
+	// data addresses for pipeline writes; scrub best-effort deletes a
+	// possibly-committed replica on another chain node after a torn
+	// pipeline, so deep commits whose acks were lost do not linger as
+	// orphans. scrub is invoked from a goroutine with the (live) op
+	// context: the hook waits for the op to settle before acting, so it
+	// never races the engine's same-block retry, and bounds its own
+	// deadline so a gray holder cannot pin the goroutine. Deletes,
+	// inventory and liveness ride the JSON control plane.
 	resolve func(cluster.NodeID) (string, bool)
 	scrub   func(ctx context.Context, node cluster.NodeID, id dfs.BlockID)
 
@@ -108,58 +98,52 @@ func (s *remoteStore) SetUp(up bool) {
 	s.up = up
 }
 
-// call performs one RPC against the DataNode. Transport-layer
-// failures (dial refused, connection severed, partition) mark the
-// store down and come back wrapping dfs.ErrNodeDown; errors the peer
-// itself returned pass through with their own taxonomy.
-func (s *remoteStore) call(ctx context.Context, method string, params, result any) error {
+// observe runs one exchange with the DataNode under the breaker and
+// classifies how it ended: the peer answered (its own error passes
+// through with its taxonomy — the wire works, whatever it said), the
+// caller cancelled (a lost hedge race or an abandoned operation proves
+// nothing about the node, so neither the breaker nor the liveness
+// belief moves), or the transport failed (the store is marked down and
+// the error wraps dfs.ErrNodeDown). what names the exchange in the
+// abandoned-call error.
+func (s *remoteStore) observe(ctx context.Context, what string, exchange func() error) error {
 	probe, admitted := s.brk.admit()
 	if !admitted {
 		return fmt.Errorf("%w: datanode %d circuit open, fast-failing", dfs.ErrNodeDown, s.id)
 	}
-	err := s.peer.call(ctx, method, params, result)
+	err := exchange()
 	if err == nil {
 		s.brk.record(probe, true)
 		return nil
 	}
 	var re *RemoteError
 	if errors.As(err, &re) {
-		// The peer answered: the wire works, whatever it said.
 		s.brk.record(probe, true)
 		return err
 	}
 	if errors.Is(ctx.Err(), context.Canceled) {
-		// The caller abandoned the call (a hedge race lost, an
-		// operation cancelled): the failure proves nothing about the
-		// node, so neither the breaker nor the liveness belief moves.
 		s.brk.forget(probe)
-		return fmt.Errorf("svc: %s to datanode %d abandoned: %w", method, s.id, err)
+		return fmt.Errorf("svc: %s datanode %d abandoned: %w", what, s.id, err)
 	}
 	s.brk.record(probe, false)
 	s.SetUp(false)
 	return fmt.Errorf("%w: datanode %d unreachable: %v", dfs.ErrNodeDown, s.id, err)
 }
 
+// call performs one control RPC against the DataNode.
+func (s *remoteStore) call(ctx context.Context, method string, params, result any) error {
+	return s.observe(ctx, method+" to", func() error {
+		return s.peer.call(ctx, method, params, result)
+	})
+}
+
 func (s *remoteStore) Put(ctx context.Context, id dfs.BlockID, data []byte) error {
-	if s.binary {
-		res, ok := s.PutChain(ctx, id, data, nil)
-		if ok {
-			if err, failed := res.Failed[s.id]; failed {
-				return err
-			}
-			return nil
-		}
-	}
-	return s.call(ctx, "dn.put", putParams{Block: id, Data: data}, nil)
+	return s.PutChain(ctx, id, data, nil).Failed[s.id]
 }
 
 // PutChain streams the block to this node and onward through rest over
-// one v2 pipeline (dfs.PipelinePutter). ok is false when the binary
-// data plane is disabled — the engine then falls back to fan-out.
-func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte, rest []cluster.NodeID) (dfs.PipelineResult, bool) {
-	if !s.binary {
-		return dfs.PipelineResult{}, false
-	}
+// one v2 pipeline (dfs.PipelinePutter).
+func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte, rest []cluster.NodeID) dfs.PipelineResult {
 	res := dfs.PipelineResult{Failed: make(map[cluster.NodeID]error, 1+len(rest))}
 	chain := make([]chainEntry, 0, 1+len(rest))
 	chain = append(chain, chainEntry{Node: s.id, Addr: s.peer.addr})
@@ -182,7 +166,7 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 		for _, ce := range chain {
 			res.Failed[ce.Node] = cause
 		}
-		return res, true
+		return res
 	}
 	acks, err := pipelinePut(ctx, s.peer.local, s.peer.faults, chain, id, data)
 	s.brk.record(probe, err == nil)
@@ -211,7 +195,7 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 				}
 			}()
 		}
-		return res, true
+		return res
 	}
 	acked := make(map[cluster.NodeID]bool, len(acks))
 	for _, e := range acks {
@@ -235,7 +219,7 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 			res.Failed[ce.Node] = fmt.Errorf("%w: datanode %d missing from pipeline ack", dfs.ErrNodeDown, ce.Node)
 		}
 	}
-	return res, true
+	return res
 }
 
 // peerEvidence forwards one other chain node's hop outcome to the
@@ -247,38 +231,15 @@ func (s *remoteStore) peerEvidence(n cluster.NodeID, ok bool) {
 }
 
 func (s *remoteStore) Get(ctx context.Context, id dfs.BlockID) ([]byte, error) {
-	if s.binary {
-		probe, admitted := s.brk.admit()
-		if !admitted {
-			return nil, fmt.Errorf("%w: datanode %d circuit open, fast-failing", dfs.ErrNodeDown, s.id)
-		}
-		data, err := streamGet(ctx, s.peer.local, s.peer.faults, s.peer.addr, s.peer.peer, id)
-		if err == nil {
-			s.brk.record(probe, true)
-			return data, nil
-		}
-		var re *RemoteError
-		if errors.As(err, &re) {
-			// The peer answered: the wire works, whatever it said.
-			s.brk.record(probe, true)
-			return nil, err
-		}
-		if errors.Is(ctx.Err(), context.Canceled) {
-			// A lost hedge race or abandoned read: the cancellation is
-			// ours, not the node's, so its breaker and liveness belief
-			// stay put.
-			s.brk.forget(probe)
-			return nil, fmt.Errorf("svc: get block %d from datanode %d abandoned: %w", id, s.id, err)
-		}
-		s.brk.record(probe, false)
-		s.SetUp(false)
-		return nil, fmt.Errorf("%w: datanode %d unreachable: %v", dfs.ErrNodeDown, s.id, err)
-	}
-	var res getResult
-	if err := s.call(ctx, "dn.get", getParams{Block: id}, &res); err != nil {
+	var data []byte
+	err := s.observe(ctx, fmt.Sprintf("get block %d from", id), func() (err error) {
+		data, err = streamGet(ctx, s.peer.local, s.peer.faults, s.peer.addr, s.peer.peer, id)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return res.Data, nil
+	return data, nil
 }
 
 func (s *remoteStore) Delete(ctx context.Context, id dfs.BlockID) error {

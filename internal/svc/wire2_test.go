@@ -2,7 +2,6 @@ package svc
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,9 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
-	"github.com/adaptsim/adapt/internal/stats"
 )
 
 // requirePoolBalance asserts that the shared frame-buffer pool returns
@@ -389,28 +386,5 @@ func TestAppendStringTruncates(t *testing.T) {
 	got := r.str()
 	if !r.done() || len(got) != 0xffff {
 		t.Fatalf("len = %d, done = %v", len(got), r.done())
-	}
-}
-
-// TestDataPathConfigValidation: the data-path selector accepts the two
-// protocols and the empty default, and rejects anything else with the
-// config taxonomy.
-func TestDataPathConfigValidation(t *testing.T) {
-	c, err := cluster.New(make([]cluster.Node, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewNameNodeServer(c, []string{"127.0.0.1:1"}, stats.NewRNG(1), nil, NameNodeConfig{DataPath: "carrier-pigeon"})
-	if !errors.Is(err, dfs.ErrBadConfig) {
-		t.Fatalf("err = %v, want ErrBadConfig", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, dp := range []string{"", DataPathBinary, DataPathJSON} {
-		nn, err := NewNameNodeServer(c, []string{"127.0.0.1:1"}, stats.NewRNG(1), nil, NameNodeConfig{DataPath: dp})
-		if err != nil {
-			t.Fatalf("data path %q rejected: %v", dp, err)
-		}
-		_ = nn.Shutdown(ctx)
 	}
 }
