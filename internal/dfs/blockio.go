@@ -1,0 +1,400 @@
+package dfs
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"sync/atomic"
+	"time"
+
+	"github.com/adaptsim/adapt/internal/cluster"
+	"github.com/adaptsim/adapt/internal/metrics"
+	"github.com/adaptsim/adapt/internal/stats"
+)
+
+// BlockIO is the byte-moving half of the file system: given block ids
+// and holders somebody else decided, it writes replicas (pipeline fast
+// path, direct retries, divert to alternates) and reads them back
+// (replica failover or hedging, CRC32 verification). It knows nothing
+// of names, quotas or journals, so whoever holds the bytes owns one:
+// the NameNode for what it moves itself (cp, adapt, rebalance, repair,
+// in-process clients), and every networked client for its own puts and
+// gets — HDFS's split, where the NameNode decides and the client moves
+// bytes.
+type BlockIO struct {
+	stores   []BlockStore
+	counters *metrics.ResilienceCounters
+
+	// hedge, when non-nil, is the hedged-read latency tracker; loaded
+	// lock-free on the block read path. See hedge.go.
+	hedge atomic.Pointer[hedger]
+}
+
+// NewBlockIO builds the block mover over one store per cluster node,
+// in node-id order.
+func NewBlockIO(stores []BlockStore) *BlockIO {
+	return &BlockIO{stores: stores, counters: &metrics.ResilienceCounters{}}
+}
+
+// Resilience returns the retry/failover/hedge counters this mover
+// reports into.
+func (b *BlockIO) Resilience() *metrics.ResilienceCounters { return b.counters }
+
+// AllocatedBlock is one block of an Allocation: the id the NameNode
+// minted and the holders the placement policy drew, in chain order.
+type AllocatedBlock struct {
+	ID      BlockID
+	Holders []cluster.NodeID
+}
+
+// Allocation is the NameNode's decision for one create: every block id
+// and every placement draw, made before a byte moves. The writer
+// streams the blocks where it says and hands the outcome back to
+// NameNode.Complete, which accepts only block ids it leased here.
+type Allocation struct {
+	Name        string
+	Size        int64
+	BlockSize   int64
+	Replication int
+	Blocks      []AllocatedBlock
+	// Seed drives the writer's rotation over alternate nodes when a
+	// placed holder refuses its replica; it comes from the placement
+	// stream, so degraded writes stay a function of the seed. A
+	// fault-free write never draws from it.
+	Seed uint64
+}
+
+// blockCount is how many blocks of blockSize hold size bytes; an empty
+// file still gets one (empty) block. It never adds to size, which may
+// have come off the wire as anything up to MaxInt64.
+func blockCount(size, blockSize int64) int64 {
+	return max(1, size/blockSize+min(1, size%blockSize))
+}
+
+// blockSpan returns the byte range of block i.
+func (a *Allocation) blockSpan(i int) (lo, hi int64) {
+	lo = int64(i) * a.BlockSize
+	hi = lo + a.BlockSize
+	if hi > a.Size {
+		hi = a.Size
+	}
+	return lo, hi
+}
+
+// WriteBlocks streams a.Size bytes from r onto the allocation's
+// holders, one block at a time through one reused buffer, so memory
+// stays at one block regardless of file size. It returns the block map
+// to hand to Complete.
+//
+// Writes are failure-aware: a placed holder that rejects its replica
+// (down node or injected fault) is replaced by an alternate live node;
+// blocks that still end up below target replication are recorded as
+// degraded in report (and left for MaintainReplication to heal) rather
+// than failing the write. Only a block no live node accepts — or a
+// source that ends early — fails it, after bounded backoff-retry; the
+// replicas written for earlier blocks are then deleted so nothing
+// leaks.
+func (b *BlockIO) WriteBlocks(ctx context.Context, a *Allocation, r io.Reader, retry RetryPolicy, report *WriteReport) ([]BlockMeta, error) {
+	if err := b.checkAllocation(a); err != nil {
+		return nil, err
+	}
+	if report != nil {
+		*report = WriteReport{TargetReplication: a.Replication}
+	}
+	g := stats.NewRNG(a.Seed)
+	blocks := make([]BlockMeta, 0, len(a.Blocks))
+	// Every consumer of chunk (local puts, pipeline streaming) copies
+	// or sends before returning, so the next block may reuse buf.
+	buf := make([]byte, min(a.BlockSize, a.Size))
+	for i, ab := range a.Blocks {
+		lo, hi := a.blockSpan(i)
+		var chunk []byte
+		if lo < hi {
+			chunk = buf[:hi-lo]
+			if _, err := io.ReadFull(r, chunk); err != nil {
+				b.DeleteBlocks(ctx, blocks)
+				return nil, fmt.Errorf("dfs: create %q block %d: source ended early: %w", a.Name, i, err)
+			}
+		}
+		placed, err := b.writeBlockReplicas(ctx, ab.ID, chunk, ab.Holders, a.Replication, g, retry, report)
+		if err != nil {
+			b.DeleteBlocks(ctx, blocks)
+			return nil, fmt.Errorf("dfs: create %q block %d: %w", a.Name, i, err)
+		}
+		if len(placed) < a.Replication {
+			b.counters.DegradedWrites.Add(1)
+		}
+		if report != nil {
+			report.Blocks++
+			if report.Blocks == 1 || len(placed) < report.MinReplication {
+				report.MinReplication = len(placed)
+			}
+			if len(placed) < a.Replication {
+				report.DegradedBlocks++
+			}
+		}
+		blocks = append(blocks, BlockMeta{
+			ID: ab.ID, File: a.Name, Index: i, Size: hi - lo,
+			Replicas: placed, Checksum: crc32.ChecksumIEEE(chunk),
+		})
+	}
+	return blocks, nil
+}
+
+// checkAllocation rejects an allocation this mover cannot carry out. A
+// networked writer's allocation arrived over the wire, so its shape is
+// checked before anything is indexed by it.
+func (b *BlockIO) checkAllocation(a *Allocation) error {
+	if a.BlockSize <= 0 || a.Size < 0 {
+		return fmt.Errorf("%w: allocation of %d bytes in blocks of %d", ErrBadBlockSize, a.Size, a.BlockSize)
+	}
+	if a.Replication < 1 {
+		return fmt.Errorf("%w: %d", ErrBadReplication, a.Replication)
+	}
+	if want := blockCount(a.Size, a.BlockSize); int64(len(a.Blocks)) != want {
+		return fmt.Errorf("%w: allocation of %d blocks for a %d-block file", ErrInconsistent, len(a.Blocks), want)
+	}
+	for _, ab := range a.Blocks {
+		for _, h := range ab.Holders {
+			if int(h) < 0 || int(h) >= len(b.stores) {
+				return fmt.Errorf("%w: block %d placed on node %d", ErrUnknownNode, ab.ID, h)
+			}
+		}
+	}
+	return nil
+}
+
+// refusals tallies why the stores that were asked turned one block
+// down, so a block nobody served can say whether the cluster is broken
+// or only busy. A down node says nothing about the live ones and is not
+// counted.
+type refusals struct{ shed, other int }
+
+func (r *refusals) note(err error) {
+	switch {
+	case errors.Is(err, ErrOverload):
+		r.shed++
+	case !errors.Is(err, ErrNodeDown):
+		r.other++
+	}
+}
+
+// overloaded reports that every node that answered shed the request:
+// the caller gets ErrOverload, the same typed, fail-fast refusal the
+// metadata service gives, and owns the backoff — BlockIO does not retry
+// into a saturated cluster.
+func (r refusals) overloaded() bool { return r.shed > 0 && r.other == 0 }
+
+// unwindBudget bounds the deletes of one failed write. They run
+// detached from the write's own context — which has usually just
+// expired or been cancelled — so they need a bound of their own, or a
+// holder that stopped answering would pin the writer.
+const unwindBudget = 2 * time.Second
+
+// DeleteBlocks best-effort deletes every listed replica — the unwind
+// of a write that cannot complete, detached from ctx's cancellation
+// and bounded by unwindBudget. A holder that cannot be reached in time
+// keeps an unreferenced copy for ScrubOrphans, never live metadata.
+func (b *BlockIO) DeleteBlocks(ctx context.Context, blocks []BlockMeta) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), unwindBudget)
+	defer cancel()
+	for _, bm := range blocks {
+		for _, r := range bm.Replicas {
+			_ = b.stores[r].Delete(ctx, bm.ID)
+		}
+	}
+}
+
+// writeBlockReplicas stores one block on up to k nodes: first the
+// placed holders, then alternate live nodes for any that refuse. It
+// returns the holders that acknowledged. With zero acknowledgements it
+// waits out the retry policy's backoff (nodes may rejoin) before
+// giving up with ErrNoLiveNodes — unless the nodes are there and shed
+// the write, which is ErrOverload at once.
+func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []byte, want []cluster.NodeID, k int, g *stats.RNG, retry RetryPolicy, report *WriteReport) ([]cluster.NodeID, error) {
+	var placed []cluster.NodeID
+	for attempt := 1; ; attempt++ {
+		tried := make(map[cluster.NodeID]bool, k)
+		var refused refusals
+		try := func(h cluster.NodeID, failover bool) {
+			if tried[h] || len(placed) >= k {
+				return
+			}
+			tried[h] = true
+			if err := b.stores[h].Put(ctx, id, chunk); err != nil {
+				if errors.Is(err, ErrNodeDown) {
+					b.counters.NodeDownErrors.Add(1)
+				}
+				refused.note(err)
+				return
+			}
+			placed = append(placed, h)
+			if failover {
+				b.counters.WriteFailovers.Add(1)
+				if report != nil {
+					report.Failovers++
+				}
+			}
+		}
+		// Pipeline fast path: when the first placed holder can stream a
+		// replication chain, one connection covers every placed holder.
+		// Only acked nodes count as tried — a severed chain fails every
+		// deeper hop collaterally, and those nodes deserve the direct
+		// attempt the loop below gives them, so a mid-chain partition
+		// degrades the write no further than fan-out would. The chain
+		// carries only nodes currently believed up: a down-believed (or
+		// breaker-opened) holder would stall or sever the stream for
+		// every healthy node behind it, and the direct attempts below
+		// still give it its fast-failing probe.
+		if len(want) > 0 {
+			chain := want[:0:0]
+			for _, h := range want {
+				if b.stores[h].Up() {
+					chain = append(chain, h)
+				}
+			}
+			if len(chain) > 0 {
+				if pp, ok := b.stores[chain[0]].(PipelinePutter); ok {
+					res := pp.PutChain(ctx, id, chunk, chain[1:])
+					for _, h := range res.Acked {
+						tried[h] = true
+					}
+					placed = append(placed, res.Acked...)
+				}
+			}
+		}
+		for _, h := range want {
+			try(h, false)
+		}
+		// Divert missing replicas to alternate live nodes, visited in
+		// a random rotation so degraded writes spread load.
+		if len(placed) < k {
+			n := len(b.stores)
+			start := g.IntN(n)
+			for off := 0; off < n && len(placed) < k; off++ {
+				h := cluster.NodeID((start + off) % n)
+				if b.stores[h].Up() {
+					try(h, true)
+				}
+			}
+		}
+		if len(placed) > 0 {
+			return placed, nil
+		}
+		if refused.overloaded() {
+			return nil, fmt.Errorf("%w: block %d shed by every datanode that answered", ErrOverload, id)
+		}
+		if attempt >= retry.attempts() {
+			return nil, fmt.Errorf("%w: block %d (%d attempts)", ErrNoLiveNodes, id, attempt)
+		}
+		if err := retry.wait(ctx, attempt); err != nil {
+			return nil, fmt.Errorf("dfs: write of block %d interrupted: %w", id, err)
+		}
+		b.counters.WriteRetries.Add(1)
+		if report != nil {
+			report.Retries++
+		}
+	}
+}
+
+// ReadBlock fetches one block's bytes from any live replica, verifying
+// the CRC32 checksum and failing over to the next replica on node
+// failure, missing bytes, or corruption. With hedging enabled the
+// ladder is readBlockHedged instead of the sequential loop.
+func (b *BlockIO) ReadBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
+	for _, r := range bm.Replicas {
+		if int(r) < 0 || int(r) >= len(b.stores) {
+			return nil, fmt.Errorf("%w: block %d names node %d", ErrUnknownNode, bm.ID, r)
+		}
+	}
+	if h := b.hedge.Load(); h != nil {
+		return b.readBlockHedged(ctx, h, bm)
+	}
+	var lastErr error
+	var refused refusals
+	attempted := 0
+	for _, r := range bm.Replicas {
+		dn := b.stores[r]
+		if !dn.Up() {
+			continue
+		}
+		if attempted > 0 {
+			b.counters.ReadFailovers.Add(1)
+		}
+		attempted++
+		data, err := dn.Get(ctx, bm.ID)
+		if err != nil {
+			if errors.Is(err, ErrNodeDown) {
+				b.counters.NodeDownErrors.Add(1)
+			}
+			refused.note(err)
+			lastErr = err
+			continue
+		}
+		if crc32.ChecksumIEEE(data) != bm.Checksum {
+			b.counters.ChecksumFailures.Add(1)
+			lastErr = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r)
+			refused.note(lastErr)
+			continue
+		}
+		return data, nil
+	}
+	return nil, noReplica(bm, refused, lastErr)
+}
+
+// noReplica is the error of a block no replica served: ErrOverload when
+// the replicas are there and shed the read, ErrNoReplica otherwise.
+func noReplica(bm BlockMeta, refused refusals, lastErr error) error {
+	switch {
+	case refused.overloaded():
+		return fmt.Errorf("%w: block %d of %q shed by every replica that answered", ErrOverload, bm.ID, bm.File)
+	case lastErr != nil:
+		return fmt.Errorf("%w: block %d of %q (last error: %v)", ErrNoReplica, bm.ID, bm.File, lastErr)
+	}
+	return fmt.Errorf("%w: block %d of %q", ErrNoReplica, bm.ID, bm.File)
+}
+
+// ReadFile reassembles a whole file: locate supplies the block map,
+// each block goes through ReadBlock, and a transient block failure
+// retries the whole file with backoff — calling locate again, so
+// repairs and redistributions done meanwhile are picked up. A locate
+// error is returned as is: it is the metadata service's answer, not a
+// replica that may come back; so is a block the DataNodes shed
+// (ErrOverload), whose backoff is the caller's. When ctx ends a backoff early its error
+// is returned wrapped, so callers distinguish "retries exhausted" from
+// "deadline exceeded".
+func (b *BlockIO) ReadFile(ctx context.Context, name string, locate func(context.Context) (*FileMeta, error), retry RetryPolicy) ([]byte, error) {
+	for attempt := 1; ; attempt++ {
+		fm, err := locate(ctx)
+		if err != nil {
+			return nil, err
+		}
+		data, err := b.readBlocks(ctx, fm)
+		if err == nil {
+			return data, nil
+		}
+		if !IsTransient(err) || errors.Is(err, ErrOverload) || attempt >= retry.attempts() {
+			return nil, err
+		}
+		if werr := retry.wait(ctx, attempt); werr != nil {
+			return nil, fmt.Errorf("dfs: read %q interrupted: %w (last error: %v)", name, werr, err)
+		}
+		b.counters.ReadRetries.Add(1)
+	}
+}
+
+func (b *BlockIO) readBlocks(ctx context.Context, fm *FileMeta) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(fm.Size))
+	for _, bm := range fm.Blocks {
+		data, err := b.ReadBlock(ctx, bm)
+		if err != nil {
+			return nil, err
+		}
+		buf.Write(data)
+	}
+	return buf.Bytes(), nil
+}

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -103,8 +104,22 @@ func (c *Client) CopyFromLocalReportContext(ctx context.Context, name string, da
 	if err != nil {
 		return nil, report, err
 	}
-	fm, err := c.nn.createFile(ctx, name, data, c.BlockSize, c.Replication, pol, c.g.Split(), c.Retry, &report)
+	fm, err := c.nn.createFile(ctx, name, bytes.NewReader(data), int64(len(data)), c.BlockSize, c.Replication, pol, c.g.Split(), c.Retry, &report)
 	return fm, report, err
+}
+
+// Allocate is step one of a create on behalf of a writer that moves
+// the bytes itself (a networked client): the NameNode's decision —
+// block ids and placement draws with this client's block size,
+// replication and RNG — leased to name until ctx's deadline. The
+// writer streams the blocks through its own BlockIO and reports them
+// to NameNode.Complete.
+func (c *Client) Allocate(ctx context.Context, name string, size int64, useAdapt bool) (*Allocation, error) {
+	pol, err := c.policy(useAdapt)
+	if err != nil {
+		return nil, err
+	}
+	return c.nn.allocate(ctx, name, size, c.BlockSize, c.Replication, pol, c.g.Split())
 }
 
 // Cp copies an existing file to a new name, placing the copy's blocks
@@ -127,7 +142,7 @@ func (c *Client) CpContext(ctx context.Context, src, dst string, useAdapt bool) 
 	if err != nil {
 		return nil, err
 	}
-	return c.nn.createFile(ctx, dst, data, srcMeta.BlockSize, srcMeta.Replication, pol, c.g.Split(), c.Retry, nil)
+	return c.nn.createFile(ctx, dst, bytes.NewReader(data), int64(len(data)), srcMeta.BlockSize, srcMeta.Replication, pol, c.g.Split(), c.Retry, nil)
 }
 
 // ReadFile reads a whole file back, failing over across replicas
@@ -142,24 +157,7 @@ func (c *Client) ReadFile(name string) ([]byte, error) {
 // short at the deadline and the context error is returned wrapped, so
 // callers distinguish "retries exhausted" from "deadline exceeded".
 func (c *Client) ReadFileContext(ctx context.Context, name string) ([]byte, error) {
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		data, err := c.nn.ReadFileContext(ctx, name)
-		if err == nil {
-			return data, nil
-		}
-		if !IsTransient(err) {
-			return nil, err
-		}
-		lastErr = err
-		if attempt >= c.Retry.attempts() {
-			return nil, lastErr
-		}
-		if werr := c.Retry.wait(ctx, attempt); werr != nil {
-			return nil, fmt.Errorf("dfs: read %q interrupted: %w (last error: %v)", name, werr, lastErr)
-		}
-		c.nn.counters.ReadRetries.Add(1)
-	}
+	return c.nn.readFile(ctx, name, c.Retry)
 }
 
 // ReadBlock reads one block with replica failover plus bounded retry
@@ -187,7 +185,7 @@ func (c *Client) ReadBlockContext(ctx context.Context, bm BlockMeta) ([]byte, er
 		if werr := c.Retry.wait(ctx, attempt); werr != nil {
 			return nil, fmt.Errorf("dfs: read of block %d interrupted: %w (last error: %v)", bm.ID, werr, lastErr)
 		}
-		c.nn.counters.ReadRetries.Add(1)
+		c.nn.io.counters.ReadRetries.Add(1)
 	}
 }
 
@@ -296,7 +294,7 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 			}
 			if err := s.Put(ctx, bm.ID, data); err != nil {
 				if errors.Is(err, ErrNodeDown) {
-					c.nn.counters.NodeDownErrors.Add(1)
+					c.nn.io.counters.NodeDownErrors.Add(1)
 				}
 				return abort(fmt.Errorf("dfs: adapt %q block %d: %w", name, i, err))
 			}
@@ -341,6 +339,6 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 			_ = s.Delete(context.WithoutCancel(ctx), newBlocks[i].ID)
 		}
 	}
-	c.nn.counters.RedistributedReplicas.Add(int64(moved))
+	c.nn.io.counters.RedistributedReplicas.Add(int64(moved))
 	return moved, nil
 }

@@ -13,7 +13,6 @@
 package dfs
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -32,6 +31,12 @@ import (
 
 // DefaultBlockSize is the HDFS default of 64 MB.
 const DefaultBlockSize = 64 * 1024 * 1024
+
+// MaxFileBlocks bounds the blocks of one file — 4 TiB at the default
+// block size. A file's block map travels whole, as one journal record
+// and one control frame, and an allocation draws every placement before
+// a byte moves, so the count a caller may ask for has to be finite.
+const MaxFileBlocks = 1 << 16
 
 // BlockID identifies a block globally.
 type BlockID int64
@@ -96,6 +101,15 @@ var (
 	// ErrBadConfig marks an invalid dynamic-replication configuration;
 	// always a caller bug.
 	ErrBadConfig = errors.New("dfs: bad dynamic replication config")
+	// ErrLeaseExpired marks a Complete naming block ids the NameNode has
+	// no live allocation for: the lease ran out, or the NameNode
+	// restarted and forgot it. Transient — the writer starts the create
+	// over with a fresh allocation; the replicas it wrote under the old
+	// one are unreferenced and ScrubOrphans removes them.
+	ErrLeaseExpired = errors.New("dfs: allocation lease unknown or expired")
+	// ErrFileTooLarge marks a create cut into more than MaxFileBlocks
+	// blocks; permanent until the block size grows.
+	ErrFileTooLarge = errors.New("dfs: file has too many blocks")
 	// ErrOverload marks a request shed by server-side admission
 	// control: a concurrency limit was saturated and the bounded wait
 	// queue could not hold (or outwait) the request. Transient — the
@@ -234,19 +248,18 @@ func (d *DataNode) Get(id BlockID) ([]byte, error) {
 	return out, nil
 }
 
-// StoredData returns a copy of the bytes the node holds for a block
-// regardless of its up state and without fault injection — the "bits
-// on disk" view used by consistency verification and maintenance.
-func (d *DataNode) StoredData(id BlockID) ([]byte, bool) {
+// StoredSum returns the size and CRC32 (IEEE) of the bytes the node
+// holds for a block regardless of its up state and without fault
+// injection — the "bits on disk" view used by consistency
+// verification, summed where the bytes are so none of them travel.
+func (d *DataNode) StoredSum(id BlockID) (size int64, sum uint32, ok bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	data, ok := d.blocks[id]
 	if !ok {
-		return nil, false
+		return 0, 0, false
 	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, true
+	return int64(len(data)), crc32.ChecksumIEEE(data), true
 }
 
 // Delete removes a block replica (no-op if absent). Deletes are
@@ -323,19 +336,18 @@ type NameNode struct {
 	smap      shard.Map
 	shards    []*nsShard
 	cluster   *cluster.Cluster
-	nextBlock atomic.Int64 // global block-id allocator, lock-free
-	stores    []BlockStore
+	nextBlock atomic.Int64 // global block-id allocator; minted under leases.mu
+	// io moves the bytes of everything the NameNode copies itself:
+	// in-process clients, cp, adapt, rebalance, repair. Networked
+	// clients own their own instance (see BlockIO).
+	io        *BlockIO
 	heartbeat *cluster.HeartbeatEstimator
-	counters  *metrics.ResilienceCounters
 	quotas    *shard.Quotas
+	leases    leaseTable
 
 	// dynamic, when non-nil, is the availability/popularity replication
 	// controller; loaded lock-free on the block read path.
 	dynamic atomic.Pointer[dynRF]
-
-	// hedge, when non-nil, is the hedged-read latency tracker; loaded
-	// lock-free on the block read path. See hedge.go.
-	hedge atomic.Pointer[hedger]
 }
 
 // NewNameNode builds a single-shard NameNode and one in-process
@@ -377,10 +389,10 @@ func NewNameNodeSharded(c *cluster.Cluster, stores []BlockStore, shards int) (*N
 		smap:      smap,
 		shards:    make([]*nsShard, shards),
 		cluster:   c,
-		stores:    stores,
+		io:        NewBlockIO(stores),
 		heartbeat: cluster.NewHeartbeatEstimator(),
-		counters:  &metrics.ResilienceCounters{},
 		quotas:    shard.NewQuotas(),
+		leases:    newLeaseTable(),
 	}
 	for i := range nn.shards {
 		nn.shards[i] = &nsShard{
@@ -409,7 +421,7 @@ func (nn *NameNode) Quotas() *shard.Quotas { return nn.quotas }
 
 // Resilience returns the shared retry/failover/repair counters every
 // client and DataNode of this NameNode reports into.
-func (nn *NameNode) Resilience() *metrics.ResilienceCounters { return nn.counters }
+func (nn *NameNode) Resilience() *metrics.ResilienceCounters { return nn.io.Resilience() }
 
 // SetNodeUp flips one DataNode's liveness — the hook a chaos engine
 // drives. It returns an error for unknown ids.
@@ -426,7 +438,7 @@ func (nn *NameNode) SetNodeUp(id cluster.NodeID, up bool) error {
 // DataNode (nil detaches). Remote stores are unaffected: their chaos
 // surface is the transport fault hook, not the storage hook.
 func (nn *NameNode) SetFaultInjector(f FaultInjector) {
-	for _, s := range nn.stores {
+	for _, s := range nn.io.stores {
 		if ls, ok := s.(localStore); ok {
 			ls.dn.SetFaults(f)
 		}
@@ -471,10 +483,10 @@ func (nn *NameNode) DataNode(id cluster.NodeID) (*DataNode, error) {
 
 // Store returns the BlockStore for a cluster node.
 func (nn *NameNode) Store(id cluster.NodeID) (BlockStore, error) {
-	if int(id) < 0 || int(id) >= len(nn.stores) {
+	if int(id) < 0 || int(id) >= len(nn.io.stores) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
-	return nn.stores[id], nil
+	return nn.io.stores[id], nil
 }
 
 // Heartbeat returns the heartbeat estimator (the ADAPT performance
@@ -575,7 +587,7 @@ func (nn *NameNode) DeleteContext(ctx context.Context, name string) error {
 	}
 	for _, bm := range fm.Blocks {
 		for _, r := range bm.Replicas {
-			_ = nn.stores[r].Delete(ctx, bm.ID)
+			_ = nn.io.stores[r].Delete(ctx, bm.ID)
 		}
 	}
 	return nil
@@ -624,29 +636,38 @@ func copyFileMeta(fm *FileMeta) *FileMeta {
 	return &out
 }
 
-// createFile registers metadata and writes replicas through the given
-// placer. Callers hold no lock.
-//
-// Writes are failure-aware: a placed holder that rejects its replica
-// (down node or injected fault) is replaced by an alternate live node;
-// blocks that still end up below target replication are recorded as
-// degraded in report (and left for MaintainReplication to heal) rather
-// than failing the write. Only a block no live node accepts fails the
-// create, after bounded backoff-retry; replicas written for earlier
-// blocks are then cleaned up so nothing leaks.
-func (nn *NameNode) createFile(ctx context.Context, name string, data []byte, blockSize int64, replication int, pol placement.Policy, g *stats.RNG, retry RetryPolicy, report *WriteReport) (*FileMeta, error) {
-	return nn.createFileStream(ctx, name, bytes.NewReader(data), int64(len(data)), blockSize, replication, pol, g, retry, report)
+// createFile is the whole create, the three steps HDFS has run back to
+// back: allocate (the NameNode decides), WriteBlocks (the caller's
+// BlockIO moves the bytes), Complete (the NameNode publishes). A
+// networked client runs the same three with an RPC either side of the
+// middle one. size must be the exact byte count r will deliver.
+// Callers hold no lock.
+func (nn *NameNode) createFile(ctx context.Context, name string, r io.Reader, size int64, blockSize int64, replication int, pol placement.Policy, g *stats.RNG, retry RetryPolicy, report *WriteReport) (*FileMeta, error) {
+	a, err := nn.allocate(ctx, name, size, blockSize, replication, pol, g)
+	if err != nil {
+		return nil, err
+	}
+	blocks, err := nn.io.WriteBlocks(ctx, a, r, retry, report)
+	if err != nil {
+		nn.leases.drop(a)
+		return nil, err
+	}
+	fm, err := nn.Complete(name, blocks)
+	if err != nil {
+		nn.io.DeleteBlocks(ctx, blocks)
+		return nil, err
+	}
+	return fm, nil
 }
 
-// createFileStream is createFile reading the content from r — the
-// streaming write path: each block's bytes are read, placed, and
-// written before the next block's are touched, so memory stays at one
-// block regardless of file size. size must be the exact byte count r
-// will deliver; a short or failing read unwinds like any block write
-// failure. The placement draws are identical to the buffered path
-// (same placer construction, same RNG usage), so streaming vs buffered
-// writes of the same bytes under the same seed place identically.
-func (nn *NameNode) createFileStream(ctx context.Context, name string, r io.Reader, size int64, blockSize int64, replication int, pol placement.Policy, g *stats.RNG, retry RetryPolicy, report *WriteReport) (*FileMeta, error) {
+// allocate is step one of a create: it fails fast on an existing name
+// or an exhausted quota, mints every block id and draws every
+// placement (same placer construction and RNG usage whoever writes the
+// bytes, so placement per seed does not depend on the transport), and
+// leases the ids to name until ctx's deadline. It touches no store and
+// holds no lock beyond the lease table's, so a caller that orders it
+// against availability folds holds that lock for microseconds.
+func (nn *NameNode) allocate(ctx context.Context, name string, size, blockSize int64, replication int, pol placement.Policy, g *stats.RNG) (*Allocation, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadBlockSize, blockSize)
 	}
@@ -656,120 +677,113 @@ func (nn *NameNode) createFileStream(ctx context.Context, name string, r io.Read
 	if size < 0 {
 		return nil, fmt.Errorf("%w: negative size %d", ErrBadBlockSize, size)
 	}
-	sh := nn.shardOf(name)
-	sh.mu.Lock()
-	if _, ok := sh.files[name]; ok {
-		sh.mu.Unlock()
+	blocks := blockCount(size, blockSize)
+	if blocks > MaxFileBlocks {
+		return nil, fmt.Errorf("%w: %q would be %d blocks of %d bytes, the limit is %d", ErrFileTooLarge, name, blocks, blockSize, MaxFileBlocks)
+	}
+	if nn.Exists(name) {
 		return nil, fmt.Errorf("%w: %q", ErrFileExists, name)
 	}
-	sh.mu.Unlock()
 	// Fail fast on quota before any replica bytes move; the
-	// authoritative admission is the Reserve at publish time.
-	tenant := shard.TenantOf(name)
-	if err := nn.quotas.Check(tenant, 1, size, replication); err != nil {
+	// authoritative admission is the Reserve in Complete.
+	if err := nn.quotas.Check(shard.TenantOf(name), 1, size, replication); err != nil {
 		return nil, fmt.Errorf("dfs: create %q: %w", name, err)
 	}
 
-	nBlocks := int((size + blockSize - 1) / blockSize)
-	if nBlocks == 0 {
-		nBlocks = 1 // empty files still get one (empty) block
-	}
+	nBlocks := int(blocks)
 	placer, err := pol.NewPlacer(nBlocks, replication, g)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: create %q: %w", name, err)
 	}
-
-	if report != nil {
-		*report = WriteReport{TargetReplication: replication}
+	a := &Allocation{
+		Name: name, Size: size, BlockSize: blockSize, Replication: replication,
+		Blocks: make([]AllocatedBlock, nBlocks),
 	}
+	for i := range a.Blocks {
+		if a.Blocks[i].Holders, err = placer.PlaceBlock(); err != nil {
+			return nil, fmt.Errorf("dfs: create %q block %d: %w", name, i, err)
+		}
+	}
+	a.Seed = g.Uint64()
+	if err := nn.leases.grant(ctx, a, &nn.nextBlock); err != nil {
+		return nil, fmt.Errorf("dfs: create %q: %w", name, err)
+	}
+	return a, nil
+}
+
+// Complete is step three of a create: it publishes the file whose
+// blocks the writer reports, at the same journal point a create has
+// always had. Only block ids leased to name by a live allocation are
+// accepted, and the name, sizes and replication come from that
+// allocation, not from the caller; an unknown or expired lease is
+// ErrLeaseExpired (transient: the writer starts over with a fresh
+// allocation). On any error nothing was published and the caller still
+// owns the replicas it wrote.
+func (nn *NameNode) Complete(name string, blocks []BlockMeta) (*FileMeta, error) {
+	a, err := nn.leases.pin(name, blocks)
+	if err != nil {
+		return nil, err
+	}
+	// The lease goes only after the publish (or its refusal): dropping
+	// it first would open a window in which ScrubOrphans sees the
+	// replicas as neither leased nor referenced.
+	defer nn.leases.drop(a)
 	fm := &FileMeta{
-		Name:        name,
-		Size:        size,
-		BlockSize:   blockSize,
-		Replication: replication,
-		Blocks:      make([]BlockMeta, 0, nBlocks),
+		Name: a.Name, Size: a.Size, BlockSize: a.BlockSize, Replication: a.Replication,
+		Blocks: make([]BlockMeta, len(blocks)),
 	}
-	// cleanup deletes every replica written so far; used when the
-	// create cannot complete so no orphaned blocks leak.
-	cleanup := func() {
-		for _, bm := range fm.Blocks {
-			for _, r := range bm.Replicas {
-				_ = nn.stores[r].Delete(context.WithoutCancel(ctx), bm.ID)
-			}
+	for i, bm := range blocks {
+		lo, hi := a.blockSpan(i)
+		if err := nn.checkHolders(bm.Replicas); err != nil {
+			return nil, fmt.Errorf("dfs: complete %q block %d: %w", name, i, err)
 		}
-	}
-	// One block buffer for the whole file: every consumer of chunk
-	// (local puts, JSON marshalling, pipeline streaming) copies before
-	// returning, so the next block may safely reuse it.
-	buf := make([]byte, blockSize)
-	for i := 0; i < nBlocks; i++ {
-		lo := int64(i) * blockSize
-		hi := lo + blockSize
-		if hi > size {
-			hi = size
+		fm.Blocks[i] = BlockMeta{
+			ID: bm.ID, File: a.Name, Index: i, Size: hi - lo,
+			Replicas: append([]cluster.NodeID(nil), bm.Replicas...), Checksum: bm.Checksum,
 		}
-		var chunk []byte
-		if lo < hi {
-			chunk = buf[:hi-lo]
-			if _, err := io.ReadFull(r, chunk); err != nil {
-				cleanup()
-				return nil, fmt.Errorf("dfs: create %q block %d: source ended early: %w", name, i, err)
-			}
-		}
-		holders, err := placer.PlaceBlock()
-		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("dfs: create %q block %d: %w", name, i, err)
-		}
-		id := BlockID(nn.nextBlock.Add(1) - 1)
-		placed, err := nn.writeBlockReplicas(ctx, id, chunk, holders, replication, g, retry, report)
-		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("dfs: create %q block %d: %w", name, i, err)
-		}
-		if report != nil {
-			report.Blocks++
-			if report.Blocks == 1 || len(placed) < report.MinReplication {
-				report.MinReplication = len(placed)
-			}
-			if len(placed) < replication {
-				report.DegradedBlocks++
-				nn.counters.DegradedWrites.Add(1)
-			}
-		}
-		fm.Blocks = append(fm.Blocks, BlockMeta{
-			ID: id, File: name, Index: i, Size: hi - lo,
-			Replicas: placed, Checksum: crc32.ChecksumIEEE(chunk),
-		})
 	}
 
+	tenant := shard.TenantOf(name)
+	sh := nn.shardOf(name)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if _, ok := sh.files[name]; ok {
-		sh.mu.Unlock()
-		cleanup()
 		return nil, fmt.Errorf("%w: %q (raced)", ErrFileExists, name)
 	}
 	// Admission: the quota reservation is authoritative here, under the
 	// shard lock, so two racing creates cannot both squeeze under the
 	// cap. The quota registry is a leaf lock (see shard.Quotas).
-	if err := nn.quotas.Reserve(tenant, 1, size, replication); err != nil {
-		sh.mu.Unlock()
-		cleanup()
+	if err := nn.quotas.Reserve(tenant, 1, a.Size, a.Replication); err != nil {
 		return nil, fmt.Errorf("dfs: create %q: %w", name, err)
 	}
 	// Write-ahead: the create is journaled before it is published or
-	// acknowledged; a journal failure unwinds the replicas already
-	// written and the reservation, leaving no trace of the file.
+	// acknowledged; a journal failure releases the reservation and
+	// leaves no trace of the file.
 	if err := sh.logCreate(fm); err != nil {
-		sh.mu.Unlock()
-		nn.quotas.Release(tenant, 1, size)
-		cleanup()
+		nn.quotas.Release(tenant, 1, a.Size)
 		return nil, err
 	}
 	sh.files[name] = fm
-	out := copyFileMeta(fm)
-	sh.mu.Unlock()
-	return out, nil
+	return copyFileMeta(fm), nil
+}
+
+// checkHolders validates one reported replica list: at least one
+// holder, every id in the cluster, none twice.
+func (nn *NameNode) checkHolders(rs []cluster.NodeID) error {
+	if len(rs) == 0 {
+		return fmt.Errorf("%w: no replica reported", ErrNoLiveNodes)
+	}
+	for i, r := range rs {
+		if int(r) < 0 || int(r) >= len(nn.io.stores) {
+			return fmt.Errorf("%w: %d", ErrUnknownNode, r)
+		}
+		for _, prev := range rs[:i] {
+			if prev == r {
+				return fmt.Errorf("%w: holder %d reported twice", ErrInconsistent, r)
+			}
+		}
+	}
+	return nil
 }
 
 // publishBlocks swaps a file's block map for newBlocks under the
@@ -793,90 +807,30 @@ func (nn *NameNode) publishBlocks(name string, newBlocks []BlockMeta) error {
 	return nil
 }
 
-// writeBlockReplicas stores one block on up to k nodes: first the
-// placed holders, then alternate live nodes for any that refuse. It
-// returns the holders that acknowledged. With zero acknowledgements it
-// waits out the retry policy's backoff (nodes may rejoin) before
-// giving up with ErrNoLiveNodes.
-func (nn *NameNode) writeBlockReplicas(ctx context.Context, id BlockID, chunk []byte, want []cluster.NodeID, k int, g *stats.RNG, retry RetryPolicy, report *WriteReport) ([]cluster.NodeID, error) {
-	var placed []cluster.NodeID
-	for attempt := 1; ; attempt++ {
-		tried := make(map[cluster.NodeID]bool, k)
-		try := func(h cluster.NodeID, failover bool) {
-			if tried[h] || len(placed) >= k {
-				return
+// Locate is Stat for a reader about to fetch the blocks itself: it
+// feeds the read-heat tracker (once per block, as the block reads it
+// announces always did) and orders each block's replicas with the ones
+// this NameNode believes up first.
+func (nn *NameNode) Locate(name string) (*FileMeta, error) {
+	fm, err := nn.Stat(name)
+	if err != nil {
+		return nil, err
+	}
+	if d := nn.dynamic.Load(); d != nil {
+		d.observeRead(name, len(fm.Blocks))
+	}
+	for _, bm := range fm.Blocks {
+		// Stable partition in place; replica lists are a few entries.
+		up := 0
+		for i, r := range bm.Replicas {
+			if nn.io.stores[r].Up() {
+				copy(bm.Replicas[up+1:i+1], bm.Replicas[up:i])
+				bm.Replicas[up] = r
+				up++
 			}
-			tried[h] = true
-			if err := nn.stores[h].Put(ctx, id, chunk); err != nil {
-				if errors.Is(err, ErrNodeDown) {
-					nn.counters.NodeDownErrors.Add(1)
-				}
-				return
-			}
-			placed = append(placed, h)
-			if failover {
-				nn.counters.WriteFailovers.Add(1)
-				if report != nil {
-					report.Failovers++
-				}
-			}
-		}
-		// Pipeline fast path: when the first placed holder can stream a
-		// replication chain, one connection covers every placed holder.
-		// Only acked nodes count as tried — a severed chain fails every
-		// deeper hop collaterally, and those nodes deserve the direct
-		// attempt the loop below gives them, so a mid-chain partition
-		// degrades the write no further than fan-out would. The chain
-		// carries only nodes currently believed up: a down-believed (or
-		// breaker-opened) holder would stall or sever the stream for
-		// every healthy node behind it, and the direct attempts below
-		// still give it its fast-failing probe.
-		if len(want) > 0 {
-			chain := want[:0:0]
-			for _, h := range want {
-				if nn.stores[h].Up() {
-					chain = append(chain, h)
-				}
-			}
-			if len(chain) > 0 {
-				if pp, ok := nn.stores[chain[0]].(PipelinePutter); ok {
-					res := pp.PutChain(ctx, id, chunk, chain[1:])
-					for _, h := range res.Acked {
-						tried[h] = true
-					}
-					placed = append(placed, res.Acked...)
-				}
-			}
-		}
-		for _, h := range want {
-			try(h, false)
-		}
-		// Divert missing replicas to alternate live nodes, visited in
-		// a random rotation so degraded writes spread load.
-		if len(placed) < k {
-			n := len(nn.stores)
-			start := g.IntN(n)
-			for off := 0; off < n && len(placed) < k; off++ {
-				h := cluster.NodeID((start + off) % n)
-				if nn.stores[h].Up() {
-					try(h, true)
-				}
-			}
-		}
-		if len(placed) > 0 {
-			return placed, nil
-		}
-		if attempt >= retry.attempts() {
-			return nil, fmt.Errorf("%w: block %d (%d attempts)", ErrNoLiveNodes, id, attempt)
-		}
-		if err := retry.wait(ctx, attempt); err != nil {
-			return nil, fmt.Errorf("dfs: write of block %d interrupted: %w", id, err)
-		}
-		nn.counters.WriteRetries.Add(1)
-		if report != nil {
-			report.Retries++
 		}
 	}
+	return fm, nil
 }
 
 // ReadBlock fetches one block's bytes from any live replica, verifying
@@ -890,41 +844,9 @@ func (nn *NameNode) ReadBlock(bm BlockMeta) ([]byte, error) {
 // fetches.
 func (nn *NameNode) ReadBlockContext(ctx context.Context, bm BlockMeta) ([]byte, error) {
 	if d := nn.dynamic.Load(); d != nil {
-		d.observeRead(bm.File)
+		d.observeRead(bm.File, 1)
 	}
-	if h := nn.hedge.Load(); h != nil {
-		return nn.readBlockHedged(ctx, h, bm)
-	}
-	var lastErr error
-	attempted := 0
-	for _, r := range bm.Replicas {
-		dn := nn.stores[r]
-		if !dn.Up() {
-			continue
-		}
-		if attempted > 0 {
-			nn.counters.ReadFailovers.Add(1)
-		}
-		attempted++
-		data, err := dn.Get(ctx, bm.ID)
-		if err != nil {
-			if errors.Is(err, ErrNodeDown) {
-				nn.counters.NodeDownErrors.Add(1)
-			}
-			lastErr = err
-			continue
-		}
-		if crc32.ChecksumIEEE(data) != bm.Checksum {
-			nn.counters.ChecksumFailures.Add(1)
-			lastErr = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r)
-			continue
-		}
-		return data, nil
-	}
-	if lastErr != nil {
-		return nil, fmt.Errorf("%w: block %d of %q (last error: %v)", ErrNoReplica, bm.ID, bm.File, lastErr)
-	}
-	return nil, fmt.Errorf("%w: block %d of %q", ErrNoReplica, bm.ID, bm.File)
+	return nn.io.ReadBlock(ctx, bm)
 }
 
 // ReadFile reassembles a whole file from live replicas.
@@ -932,24 +854,14 @@ func (nn *NameNode) ReadFile(name string) ([]byte, error) {
 	return nn.ReadFileContext(context.Background(), name)
 }
 
-// ReadFileContext is ReadFile with a deadline for the block fetches.
+// ReadFileContext is ReadFile with a deadline for the block fetches: a
+// single attempt, no retry.
 func (nn *NameNode) ReadFileContext(ctx context.Context, name string) ([]byte, error) {
-	fm, err := nn.Stat(name)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	buf.Grow(int(fm.Size))
-	for _, bm := range fm.Blocks {
-		data, err := nn.ReadBlockContext(ctx, bm)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := buf.Write(data); err != nil {
-			return nil, fmt.Errorf("dfs: read %q: %w", name, err)
-		}
-	}
-	return buf.Bytes(), nil
+	return nn.readFile(ctx, name, RetryPolicy{})
+}
+
+func (nn *NameNode) readFile(ctx context.Context, name string, retry RetryPolicy) ([]byte, error) {
+	return nn.io.ReadFile(ctx, name, func(context.Context) (*FileMeta, error) { return nn.Locate(name) }, retry)
 }
 
 // CheckConsistency verifies the NameNode's metadata invariants, the
@@ -997,21 +909,21 @@ func (nn *NameNode) checkFile(ctx context.Context, name string) error {
 		}
 		seen := make(map[cluster.NodeID]bool, len(bm.Replicas))
 		for _, r := range bm.Replicas {
-			if int(r) < 0 || int(r) >= len(nn.stores) {
+			if int(r) < 0 || int(r) >= len(nn.io.stores) {
 				return fmt.Errorf("%w: %q block %d: bad node id %d", ErrInconsistent, name, bm.Index, r)
 			}
 			if seen[r] {
 				return fmt.Errorf("%w: %q block %d: duplicate holder %d", ErrInconsistent, name, bm.Index, r)
 			}
 			seen[r] = true
-			data, ok := nn.stores[r].StoredData(ctx, bm.ID)
+			size, sum, ok := nn.io.stores[r].StoredSum(ctx, bm.ID)
 			if !ok {
 				return fmt.Errorf("%w: %q block %d: holder %d lost block %d", ErrInconsistent, name, bm.Index, r, bm.ID)
 			}
-			if int64(len(data)) != bm.Size {
-				return fmt.Errorf("%w: %q block %d: holder %d has %d bytes, want %d", ErrInconsistent, name, bm.Index, r, len(data), bm.Size)
+			if size != bm.Size {
+				return fmt.Errorf("%w: %q block %d: holder %d has %d bytes, want %d", ErrInconsistent, name, bm.Index, r, size, bm.Size)
 			}
-			if crc32.ChecksumIEEE(data) != bm.Checksum {
+			if sum != bm.Checksum {
 				return fmt.Errorf("%w: %q block %d: holder %d stores corrupt bytes", ErrInconsistent, name, bm.Index, r)
 			}
 		}

@@ -118,14 +118,14 @@ func newDynRF(cfg DynamicRFConfig, counters *metrics.ResilienceCounters) *dynRF 
 	return &dynRF{cfg: cfg, counters: counters, files: make(map[string]*fileRF)}
 }
 
-// observeRead bumps a file's read heat; called from the block read
-// path.
-func (d *dynRF) observeRead(name string) {
+// observeRead bumps a file's read heat by blocks block reads; called
+// from the block read path.
+func (d *dynRF) observeRead(name string, blocks int) {
 	if name == "" {
 		return
 	}
 	d.mu.Lock()
-	d.state(name, 0).heat++
+	d.state(name, 0).heat += float64(blocks)
 	d.mu.Unlock()
 }
 
@@ -244,7 +244,7 @@ func (nn *NameNode) EnableDynamicRF(cfg DynamicRFConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	nn.dynamic.Store(newDynRF(cfg, nn.counters))
+	nn.dynamic.Store(newDynRF(cfg, nn.io.counters))
 	return nil
 }
 

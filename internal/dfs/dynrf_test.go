@@ -72,7 +72,7 @@ func TestDynRFNeverBelowFloorOrAboveCeiling(t *testing.T) {
 	for pass := 0; pass < 1000; pass++ {
 		if g.Float64() < 0.3 {
 			for r := 0; r < g.IntN(20); r++ {
-				d.observeRead("f")
+				d.observeRead("f", 1)
 			}
 		}
 		vol := 3 * g.Float64() // sweeps both sides of the 1.5 threshold
@@ -114,7 +114,7 @@ func TestDynRFConvergesOneStepPerAgreement(t *testing.T) {
 		// Re-heat every pass so decay never cools the file below the
 		// very-hot threshold.
 		for r := 0; r < 30; r++ {
-			d.observeRead("f")
+			d.observeRead("f", 1)
 		}
 	}
 	// Volatile + very hot: proposal = 2+1+1+1 clamped to 5.

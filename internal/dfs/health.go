@@ -52,7 +52,7 @@ func (nn *NameNode) Health() HealthReport {
 			for _, bm := range fm.Blocks {
 				live := 0
 				for _, r := range bm.Replicas {
-					if int(r) >= 0 && int(r) < len(nn.stores) && nn.stores[r].Up() {
+					if int(r) >= 0 && int(r) < len(nn.io.stores) && nn.io.stores[r].Up() {
 						live++
 					}
 				}

@@ -113,10 +113,10 @@ func (h *hedger) threshold() (time.Duration, bool) {
 	return thr, true
 }
 
-// SetHedge enables hedged reads on the NameNode's block read path.
+// SetHedge enables hedged reads on this mover's block read path.
 // Safe to call concurrently with reads (the pointer is swapped
 // atomically); a second call replaces the tracker and its window.
-func (nn *NameNode) SetHedge(cfg HedgeConfig) error {
+func (b *BlockIO) SetHedge(cfg HedgeConfig) error {
 	cfg = cfg.withDefaults()
 	if cfg.Quantile <= 0 || cfg.Quantile >= 1 {
 		return fmt.Errorf("%w: hedge quantile %v outside (0, 1)", ErrBadConfig, cfg.Quantile)
@@ -127,13 +127,19 @@ func (nn *NameNode) SetHedge(cfg HedgeConfig) error {
 	if cfg.Window < 1 || cfg.MinSamples < 1 {
 		return fmt.Errorf("%w: hedge window %d / min samples %d must be positive", ErrBadConfig, cfg.Window, cfg.MinSamples)
 	}
-	nn.hedge.Store(newHedger(cfg))
+	b.hedge.Store(newHedger(cfg))
 	return nil
 }
 
 // DisableHedge turns hedged reads off (reads fall back to the
 // sequential failover loop).
-func (nn *NameNode) DisableHedge() { nn.hedge.Store(nil) }
+func (b *BlockIO) DisableHedge() { b.hedge.Store(nil) }
+
+// SetHedge enables hedged reads on the NameNode's own block mover.
+func (nn *NameNode) SetHedge(cfg HedgeConfig) error { return nn.io.SetHedge(cfg) }
+
+// DisableHedge turns the NameNode's hedged reads off.
+func (nn *NameNode) DisableHedge() { nn.io.DisableHedge() }
 
 // hedgeResult is one replica fetch's outcome.
 type hedgeResult struct {
@@ -145,15 +151,15 @@ type hedgeResult struct {
 }
 
 // readBlockHedged is the hedged counterpart of the sequential replica
-// loop in ReadBlockContext: the primary fetch starts immediately, a
+// loop in ReadBlock: the primary fetch starts immediately, a
 // backup starts on the next live replica once the threshold passes,
 // and whichever verified copy lands first wins. Fetch errors trigger
 // immediate failover to the next candidate (no threshold wait), so
 // hedging strictly dominates the sequential loop on latency.
-func (nn *NameNode) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta) ([]byte, error) {
+func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta) ([]byte, error) {
 	live := make([]cluster.NodeID, 0, len(bm.Replicas))
 	for _, r := range bm.Replicas {
-		if nn.stores[r].Up() {
+		if b.stores[r].Up() {
 			live = append(live, r)
 		}
 	}
@@ -179,12 +185,12 @@ func (nn *NameNode) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta
 		outstanding++
 		if hedged {
 			hedges++
-			nn.counters.HedgedReads.Add(1)
+			b.counters.HedgedReads.Add(1)
 		}
 		go func() {
 			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
 			begin := time.Now()
-			data, err := nn.stores[node].Get(fctx, bm.ID)
+			data, err := b.stores[node].Get(fctx, bm.ID)
 			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
 			results <- hedgeResult{data: data, err: err, node: node, hedged: hedged, took: time.Since(begin)}
 		}()
@@ -202,6 +208,7 @@ func (nn *NameNode) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta
 	}
 
 	var lastErr error
+	var refused refusals
 	for {
 		select {
 		case r := <-results:
@@ -210,24 +217,25 @@ func (nn *NameNode) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta
 				if crc32.ChecksumIEEE(r.data) == bm.Checksum {
 					h.observe(r.took)
 					if r.hedged {
-						nn.counters.HedgeWins.Add(1)
+						b.counters.HedgeWins.Add(1)
 					} else if hedges > 0 {
-						nn.counters.HedgeLosses.Add(1)
+						b.counters.HedgeLosses.Add(1)
 					}
 					return r.data, nil
 				}
-				nn.counters.ChecksumFailures.Add(1)
+				b.counters.ChecksumFailures.Add(1)
 				r.err = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r.node)
 			} else if errors.Is(r.err, ErrNodeDown) {
-				nn.counters.NodeDownErrors.Add(1)
+				b.counters.NodeDownErrors.Add(1)
 			}
 			lastErr = r.err
+			refused.note(r.err)
 			// Failover: a failed fetch immediately tries the next
 			// candidate, independent of the hedge threshold.
 			if start(false) {
-				nn.counters.ReadFailovers.Add(1)
+				b.counters.ReadFailovers.Add(1)
 			} else if outstanding == 0 {
-				return nil, fmt.Errorf("%w: block %d of %q (last error: %v)", ErrNoReplica, bm.ID, bm.File, lastErr)
+				return nil, noReplica(bm, refused, lastErr)
 			}
 		case <-hedgeC:
 			hedgeC = nil

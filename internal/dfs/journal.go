@@ -176,7 +176,7 @@ func (nn *NameNode) RestoreShard(i int, files []*FileMeta) error {
 // restoreShard validates and installs one shard's table and advances
 // the block allocator. It does not touch the usage ledger.
 func (nn *NameNode) restoreShard(i int, files []*FileMeta) error {
-	n := len(nn.stores)
+	n := len(nn.io.stores)
 	table := make(map[string]*FileMeta, len(files))
 	var maxID BlockID = -1
 	for _, fm := range files {

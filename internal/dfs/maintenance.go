@@ -112,13 +112,13 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 		}
 		if live == 0 {
 			report.Unrepairable++
-			c.nn.counters.UnrepairableBlocks.Add(1)
+			c.nn.io.counters.UnrepairableBlocks.Add(1)
 			continue
 		}
 		data, err := c.ReadBlockContext(ctx, bm)
 		if err != nil {
 			report.Unrepairable++
-			c.nn.counters.UnrepairableBlocks.Add(1)
+			c.nn.io.counters.UnrepairableBlocks.Add(1)
 			continue
 		}
 		holders := append([]cluster.NodeID(nil), bm.Replicas...)
@@ -138,7 +138,7 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 				// Node raced down (or a chaos fault fired); exclude
 				// the target and keep repairing on others.
 				if errors.Is(err, ErrNodeDown) {
-					c.nn.counters.NodeDownErrors.Add(1)
+					c.nn.io.counters.NodeDownErrors.Add(1)
 				}
 				holderSet[target] = true
 				continue
@@ -147,7 +147,7 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 			holders = append(holders, target)
 			live++
 			report.Repaired++
-			c.nn.counters.RepairedReplicas.Add(1)
+			c.nn.io.counters.RepairedReplicas.Add(1)
 		}
 		nb := bm
 		nb.Replicas = holders
@@ -171,8 +171,8 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 	// still held, so no concurrent consistency check can observe the
 	// window between publish and delete anyway.
 	for _, ct := range cuts {
-		_ = c.nn.stores[ct.node].Delete(ctx, ct.block)
-		c.nn.counters.PrunedReplicas.Add(1)
+		_ = c.nn.io.stores[ct.node].Delete(ctx, ct.block)
+		c.nn.io.counters.PrunedReplicas.Add(1)
 	}
 	return report, nil
 }

@@ -287,7 +287,7 @@ func TestDegradedWriteFallsBackAndReports(t *testing.T) {
 	data := bytes.Repeat([]byte("degraded!!"), 10) // 1 block
 	pol := &fixedPolicy{Plan: [][]cluster.NodeID{{2, 3, 0}}}
 	var report WriteReport
-	fm, err := nn.createFile(context.Background(), "f", data, cl.BlockSize, cl.Replication, pol, stats.NewRNG(1), cl.Retry, &report)
+	fm, err := nn.createFile(context.Background(), "f", bytes.NewReader(data), int64(len(data)), cl.BlockSize, cl.Replication, pol, stats.NewRNG(1), cl.Retry, &report)
 	if err != nil {
 		t.Fatalf("degraded write should succeed on surviving nodes: %v", err)
 	}

@@ -99,6 +99,7 @@ func IsTransient(err error) bool {
 		errors.Is(err, ErrChecksum) ||
 		errors.Is(err, ErrNoReplica) ||
 		errors.Is(err, ErrNoLiveNodes) ||
+		errors.Is(err, ErrLeaseExpired) ||
 		errors.Is(err, ErrOverload)
 }
 

@@ -9,8 +9,8 @@ import (
 // BlockStore is the NameNode's view of one node's block storage. The
 // in-process *DataNode satisfies it through localStore; the networked
 // layer (internal/svc) substitutes an RPC proxy so the same engine —
-// createFile, ReadBlock, redistribute, repair — drives remote
-// DataNodes over TCP without knowing the difference.
+// BlockIO's write loop and read ladder, redistribute, repair — drives
+// remote DataNodes over TCP without knowing the difference.
 //
 // Error contract: implementations must surface "the node is not
 // serving" conditions (down, unreachable, partitioned) as errors
@@ -35,11 +35,12 @@ type BlockStore interface {
 	// best-effort (HDFS's lazy invalidation); an error means the
 	// replica may survive as surplus, never that data was lost.
 	Delete(ctx context.Context, id BlockID) error
-	// StoredData returns the bytes the store holds for a block
-	// regardless of up state and without fault injection — the "bits
-	// on disk" view used by consistency verification. ok is false when
-	// the block is absent or the store is unreachable.
-	StoredData(ctx context.Context, id BlockID) ([]byte, bool)
+	// StoredSum returns the size and CRC32 (IEEE) of the bytes the
+	// store holds for a block regardless of up state and without fault
+	// injection — the "bits on disk" view used by consistency
+	// verification, computed where the bytes are. ok is false when the
+	// block is absent or the store is unreachable.
+	StoredSum(ctx context.Context, id BlockID) (size int64, sum uint32, ok bool)
 }
 
 // PipelineResult reports the per-node outcome of one pipeline write:
@@ -100,11 +101,11 @@ func (s localStore) Delete(ctx context.Context, id BlockID) error {
 	return nil
 }
 
-func (s localStore) StoredData(ctx context.Context, id BlockID) ([]byte, bool) {
+func (s localStore) StoredSum(ctx context.Context, id BlockID) (int64, uint32, bool) {
 	if ctx.Err() != nil {
-		return nil, false
+		return 0, 0, false
 	}
-	return s.dn.StoredData(id)
+	return s.dn.StoredSum(id)
 }
 
 func (s localStore) StoredBlocks(ctx context.Context) ([]BlockID, bool) {

@@ -30,7 +30,7 @@ func (c *Client) CopyFromLocalStreamContext(ctx context.Context, name string, r 
 	if err != nil {
 		return nil, report, err
 	}
-	fm, err := c.nn.createFileStream(ctx, name, r, size, c.BlockSize, c.Replication, pol, c.g.Split(), c.Retry, &report)
+	fm, err := c.nn.createFile(ctx, name, r, size, c.BlockSize, c.Replication, pol, c.g.Split(), c.Retry, &report)
 	return fm, report, err
 }
 
@@ -69,12 +69,13 @@ func (c *Client) ReadFileToContext(ctx context.Context, name string, w io.Writer
 // partitioned holder. Only stores exposing a BlockLister inventory
 // are scrubbed; unreachable nodes are skipped, never assumed empty.
 //
-// Run it quiescent: a create already in flight when the scan starts
-// holds replicas whose metadata is not yet published, and the scrubber
-// would mistake them for orphans. Blocks minted after the scan starts
-// are exempt (the block-id high-water mark), so creates that begin
-// during the scrub are safe; ones that began before it are not.
-// Returns how many replicas were removed.
+// It is safe beside creates: a create in flight holds replicas whose
+// metadata is not yet published, and those are exempt — blocks minted
+// after the scan starts by the block-id high-water mark, older ones by
+// their allocation's lease until Complete publishes them or the lease
+// runs out. (Redistribute and repair copy blocks that are already
+// published, which the metadata re-check covers.) Returns how many
+// replicas were removed.
 func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 	// The high-water mark is read before any shard snapshot so a block
 	// minted during the scan is always exempt.
@@ -91,7 +92,7 @@ func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 	}
 
 	removed := 0
-	for _, s := range nn.stores {
+	for _, s := range nn.io.stores {
 		bl, ok := s.(BlockLister)
 		if !ok {
 			continue
@@ -101,13 +102,17 @@ func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 			continue
 		}
 		for _, id := range ids {
-			if live[id] || id >= highWater {
+			// The lease is read before the metadata re-check below, never
+			// after: Complete publishes and then drops its lease, so an
+			// id found unleased here is either published by the time the
+			// re-check looks or was never going to be.
+			if live[id] || id >= highWater || nn.leases.leased(id) {
 				continue
 			}
 			// Re-check against current metadata right before deleting:
-			// a concurrent redistribute may have published this block
-			// onto this holder after the snapshot above. Shards are
-			// scanned one at a time, ascending.
+			// a concurrent create or redistribute may have published
+			// this block onto this holder after the snapshot above.
+			// Shards are scanned one at a time, ascending.
 			stillOrphan := true
 			for _, sh := range nn.shards {
 				sh.mu.Lock()

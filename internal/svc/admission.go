@@ -54,11 +54,15 @@ func (c rpcClass) String() string {
 // safe default for traffic the server did not plan capacity for.
 func classOf(method string) rpcClass {
 	switch method {
-	case "nn.heartbeat":
+	case "nn.heartbeat", "nn.cluster", "nn.complete":
+		// A complete is control, not a put: shedding it would throw away
+		// replication-factor times the file's bytes already on disk.
+		// Overload is refused one step earlier, at nn.allocate, before
+		// bytes move.
 		return classControl
-	case "nn.copyFromLocal", "nn.cp":
+	case "nn.allocate", "nn.cp":
 		return classPut
-	case "nn.read":
+	case "nn.locate":
 		return classGet
 	}
 	return classBackground
@@ -167,10 +171,10 @@ func (a *admission) acquire(ctx context.Context, class rpcClass) (func(), error)
 		return func() {}, nil
 	}
 	a.mu.Lock()
-	if class == classBackground && a.inflight >= a.brownoutAt {
+	if inflight := a.inflight; class == classBackground && inflight >= a.brownoutAt {
 		a.mu.Unlock()
 		a.stats.ShedBrownout.Add(1)
-		return nil, fmt.Errorf("%w: brownout at %d/%d inflight sheds %s traffic", dfs.ErrOverload, a.inflight, a.max, class)
+		return nil, fmt.Errorf("%w: brownout at %d/%d inflight sheds %s traffic", dfs.ErrOverload, inflight, a.max, class)
 	}
 	if a.inflight < a.max {
 		a.inflight++

@@ -11,13 +11,15 @@ import (
 
 func TestClassOf(t *testing.T) {
 	cases := map[string]rpcClass{
-		"nn.heartbeat":     classControl,
-		"nn.copyFromLocal": classPut,
-		"nn.cp":            classPut,
-		"nn.read":          classGet,
-		"nn.stat":          classBackground,
-		"nn.rebalance":     classBackground,
-		"made.up":          classBackground,
+		"nn.heartbeat": classControl,
+		"nn.cluster":   classControl,
+		"nn.allocate":  classPut,
+		"nn.complete":  classControl,
+		"nn.cp":        classPut,
+		"nn.locate":    classGet,
+		"nn.stat":      classBackground,
+		"nn.rebalance": classBackground,
+		"made.up":      classBackground,
 	}
 	for method, want := range cases {
 		if got := classOf(method); got != want {

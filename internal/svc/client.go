@@ -1,42 +1,210 @@
 package svc
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
+	"github.com/adaptsim/adapt/internal/metrics"
 	"github.com/adaptsim/adapt/internal/model"
+	"github.com/adaptsim/adapt/internal/stats"
 )
 
-// Client is the shell-style client for a networked NameNode: typed
-// wrappers over the nn.* RPCs, one multiplexed redialing connection
-// underneath. Errors arrive rehydrated, so errors.Is against the dfs
-// sentinels and dfs.IsTransient behave exactly as in-process.
+// Client is the shell-style client for a networked cluster. Metadata
+// operations are typed wrappers over the nn.* RPCs on one multiplexed
+// redialing connection; file bytes never take that road. A put asks
+// the NameNode where (nn.allocate), streams each block down a v2
+// pipeline to the DataNodes itself, and reports the outcome
+// (nn.complete); a get asks where (nn.locate) and reads each block
+// from a DataNode itself — the NameNode decides, the client moves
+// bytes, as HDFS and the paper's prototype (§IV) do. The write loop and
+// the read ladder are dfs.BlockIO's, the same code the NameNode runs
+// for cp and repair, over the client's own DataNode proxies, so
+// breakers and hedges act where the latency is observed. Errors arrive
+// rehydrated, so errors.Is against the dfs sentinels and
+// dfs.IsTransient behave exactly as in-process.
 type Client struct {
-	peer *peerConn
+	peer   *peerConn
+	name   string
+	faults TransportFaults
+
+	mu   sync.Mutex // guards data
+	data *dataPath  // built on the first put or get
+}
+
+// dataPath is a client's own way to the DataNodes: one proxy per node
+// and the block mover over them.
+type dataPath struct {
+	stores   []*remoteStore
+	io       *dfs.BlockIO
+	brkStats *BreakerStats
 }
 
 // Dial creates a client for the NameNode at addr. name is this
 // client's endpoint name for the fault hook ("shell" is conventional);
-// faults may be nil. The connection is established lazily on first
-// call.
+// faults may be nil. Connections — to the NameNode and, for puts and
+// gets, to the DataNodes it names — are established lazily.
 func Dial(addr, name string, faults TransportFaults) *Client {
-	return &Client{peer: newPeerConn(addr, name, "namenode", faults)}
+	return &Client{peer: newPeerConn(addr, name, "namenode", faults), name: name, faults: faults}
 }
 
-// Close tears down the connection; the client may be reused (calls
+// Close tears down the connections; the client may be reused (calls
 // redial).
-func (c *Client) Close() { c.peer.close() }
+func (c *Client) Close() {
+	c.peer.close()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.data != nil {
+		for _, st := range c.data.stores {
+			st.close()
+		}
+	}
+}
+
+// dataPathFor returns the client's DataNode proxies, building them on
+// first use from one nn.cluster reply: the DataNode addresses and the
+// breaker and hedge settings the NameNode runs with. Breaker probe
+// jitter is seeded from the endpoint name, so a client's probe
+// schedule replays under the same name.
+func (c *Client) dataPathFor(ctx context.Context) (*dataPath, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.data != nil {
+		return c.data, nil
+	}
+	var info clusterResult
+	if err := c.peer.call(ctx, "nn.cluster", nil, &info); err != nil {
+		return nil, err
+	}
+	stores, ifaces, brkStats := newStoreFleet(info.DataNodes, c.name, c.faults, info.Breaker, stats.NewRNG(stats.HashLabel(c.name)))
+	dp := &dataPath{stores: stores, io: dfs.NewBlockIO(ifaces), brkStats: brkStats}
+	if info.HedgeReads {
+		if err := dp.io.SetHedge(info.Hedge); err != nil {
+			return nil, err
+		}
+	}
+	c.data = dp
+	return dp, nil
+}
+
+// adopt replaces the proxies' liveness belief with the NameNode's,
+// fresh from an allocate or locate reply. A proxy marked down by a
+// transport error has no heartbeat to revive it; the NameNode's next
+// answer is its heartbeat. Breaker state is not touched: an open
+// breaker keeps fast-failing and recovers through its own probe.
+func (dp *dataPath) adopt(down []cluster.NodeID) {
+	for _, st := range dp.stores {
+		st.SetUp(!slices.Contains(down, st.id))
+	}
+}
+
+// resilience snapshots the counters of this client's own block I/O:
+// the failovers, retries, hedges and checksum catches of its puts and
+// gets (all zero before the first one). The NameNode's counters see
+// the write-side ones again through nn.complete; the read-side ones
+// are only here.
+func (c *Client) resilience() metrics.ResilienceSnapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.data == nil {
+		return metrics.ResilienceSnapshot{}
+	}
+	return c.data.io.Resilience().Snapshot()
+}
+
+// breakerStats returns the transition stats shared by this client's
+// per-DataNode breakers: nil before the first put or get, and when the
+// cluster runs without breakers.
+func (c *Client) breakerStats() *BreakerStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.data == nil {
+		return nil
+	}
+	return c.data.brkStats
+}
 
 // CopyFromLocal stores data as a new file, with the ADAPT distributor
 // when useAdapt is set, returning the metadata and the write report.
+// A put whose lease the NameNode no longer knows (it expired, or the
+// NameNode restarted between allocate and complete) starts over with a
+// fresh allocation.
 func (c *Client) CopyFromLocal(ctx context.Context, name string, data []byte, useAdapt bool) (*dfs.FileMeta, dfs.WriteReport, error) {
-	var res copyResult
-	err := c.peer.call(ctx, "nn.copyFromLocal", copyParams{Name: name, Data: data, Adapt: useAdapt}, &res)
+	dp, err := c.dataPathFor(ctx)
 	if err != nil {
 		return nil, dfs.WriteReport{}, err
 	}
-	return res.Meta, res.Report, nil
+	for attempt := 1; ; attempt++ {
+		alloc, err := c.allocate(ctx, dp, name, int64(len(data)), useAdapt)
+		if err != nil {
+			return nil, dfs.WriteReport{}, err
+		}
+		fm, report, err := c.store(ctx, dp, alloc, data)
+		if !errors.Is(err, dfs.ErrLeaseExpired) || attempt >= clientRetry.MaxAttempts || ctx.Err() != nil {
+			return fm, report, err
+		}
+	}
+}
+
+// clientRetry bounds the client's block I/O exactly as the NameNode's
+// engine client bounds its own.
+var clientRetry = dfs.DefaultRetryPolicy()
+
+// store streams data where alloc says and completes the file. A store
+// that fails after bytes moved deletes what it wrote, best effort;
+// whatever it cannot reach or may no longer claim is unreferenced, and
+// nn.scrub removes it once the lease is out.
+func (c *Client) store(ctx context.Context, dp *dataPath, alloc *dfs.Allocation, data []byte) (*dfs.FileMeta, dfs.WriteReport, error) {
+	var report dfs.WriteReport
+	blocks, err := dp.io.WriteBlocks(ctx, alloc, bytes.NewReader(data), clientRetry, &report)
+	if err != nil {
+		return nil, report, err
+	}
+	fm, err := c.complete(ctx, alloc.Name, blocks, report)
+	if err != nil {
+		// Only a refusal the NameNode itself sent proves the file was
+		// not published. A complete lost on the wire may have been
+		// journaled: its replicas stay, and the scrubber decides. So it
+		// does for a lease the NameNode no longer knows: the client has
+		// lost the only proof that those ids are its own, and a delete by
+		// bare id is not something to send on a guess.
+		var refused *RemoteError
+		if errors.As(err, &refused) && !errors.Is(err, dfs.ErrLeaseExpired) {
+			dp.io.DeleteBlocks(ctx, blocks)
+		}
+		return nil, report, err
+	}
+	return fm, report, nil
+}
+
+// allocate is nn.allocate: block ids and the availability-weighted
+// chains for a file of size bytes, leased to name for what is left of
+// ctx's deadline.
+func (c *Client) allocate(ctx context.Context, dp *dataPath, name string, size int64, useAdapt bool) (*dfs.Allocation, error) {
+	var res allocateResult
+	if err := c.peer.call(ctx, "nn.allocate", allocateParams{Name: name, Size: size, Adapt: useAdapt}, &res); err != nil {
+		return nil, err
+	}
+	if res.Alloc == nil {
+		return nil, fmt.Errorf("%w: nn.allocate returned no allocation", ErrBadFrame)
+	}
+	dp.adopt(res.Down)
+	return res.Alloc, nil
+}
+
+// complete is nn.complete: publish the file whose blocks landed on the
+// reported holders.
+func (c *Client) complete(ctx context.Context, name string, blocks []dfs.BlockMeta, report dfs.WriteReport) (*dfs.FileMeta, error) {
+	var fm dfs.FileMeta
+	if err := c.peer.call(ctx, "nn.complete", completeParams{Name: name, Blocks: blocks, Report: report}, &fm); err != nil {
+		return nil, err
+	}
+	return &fm, nil
 }
 
 // Cp copies src to dst, placing the copy with the selected
@@ -49,14 +217,25 @@ func (c *Client) Cp(ctx context.Context, src, dst string, useAdapt bool) (*dfs.F
 	return &fm, nil
 }
 
-// ReadFile reads a whole file back through the NameNode's failover
-// read path.
+// ReadFile reads a whole file back: nn.locate for the block map, then
+// every block from the DataNodes directly with replica failover (or
+// hedging), checksum verification and bounded retry.
 func (c *Client) ReadFile(ctx context.Context, name string) ([]byte, error) {
-	var res readResult
-	if err := c.peer.call(ctx, "nn.read", nameParams{Name: name}, &res); err != nil {
+	dp, err := c.dataPathFor(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return res.Data, nil
+	return dp.io.ReadFile(ctx, name, func(ctx context.Context) (*dfs.FileMeta, error) {
+		var res locateResult
+		if err := c.peer.call(ctx, "nn.locate", nameParams{Name: name}, &res); err != nil {
+			return nil, err
+		}
+		if res.Meta == nil {
+			return nil, fmt.Errorf("%w: nn.locate returned no metadata", ErrBadFrame)
+		}
+		dp.adopt(res.Down)
+		return res.Meta, nil
+	}, clientRetry)
 }
 
 // Stat returns a file's metadata.

@@ -1,0 +1,108 @@
+package svc
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"sort"
+	"testing"
+	"time"
+
+	"github.com/adaptsim/adapt/internal/cluster"
+	"github.com/adaptsim/adapt/internal/stats"
+)
+
+// benchPutGet times one svc.Client putting a file and getting it back,
+// b.N times over a fresh loopback cluster of six DataNodes with 1 MiB
+// blocks and the ADAPT distributor — the path an adapt-fs user takes.
+// Each direction is timed on its own: the reported MiB/s and p50 are
+// per direction, ns/op and B/s are the put+get pair. Files are deleted
+// engine-direct outside the timer, so memory stays at one file.
+func benchPutGet(b *testing.B, fileBytes, replication int) {
+	c, err := cluster.NewEmulation(cluster.EmulationConfig{Nodes: 6, InterruptedRatio: 0.5, Shuffle: true}, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	lc, err := StartLocalCluster(c, stats.NewRNG(2), nil, NameNodeConfig{BlockSize: 1 << 20, Replication: replication})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	defer func() { _ = lc.Close(ctx) }()
+	cl := lc.Client("shell")
+	defer cl.Close()
+
+	data := make([]byte, fileBytes)
+	g := stats.NewRNG(3)
+	for i := range data {
+		data[i] = byte(g.Uint64())
+	}
+	// One untimed pair dials every connection the client keeps.
+	if _, _, err := cl.CopyFromLocal(ctx, "warm", data, true); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := cl.ReadFile(ctx, "warm"); err != nil {
+		b.Fatal(err)
+	}
+
+	puts, gets := make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N)
+	b.SetBytes(2 * int64(fileBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		name := fmt.Sprintf("f%d", i)
+		t0 := time.Now()
+		if _, _, err := cl.CopyFromLocal(ctx, name, data, true); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		got, err := cl.ReadFile(ctx, name)
+		t2 := time.Now()
+		if err != nil {
+			b.Fatal(err)
+		}
+		puts, gets = append(puts, t1.Sub(t0)), append(gets, t2.Sub(t1))
+		b.StopTimer()
+		if !bytes.Equal(got, data) {
+			b.Fatal("read bytes differ from written")
+		}
+		if err := lc.Engine().DeleteContext(ctx, name); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	report := func(dir string, lat []time.Duration) {
+		var sum time.Duration
+		for _, d := range lat {
+			sum += d
+		}
+		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		b.ReportMetric(float64(fileBytes)*float64(len(lat))/(1<<20)/sum.Seconds(), dir+"_MiB/s")
+		b.ReportMetric(float64(lat[len(lat)/2])/1e6, dir+"_p50_ms")
+	}
+	report("put", puts)
+	report("get", gets)
+}
+
+// BenchmarkClientPutGet has the shape of the repo benchmark's bulk_io
+// workload (6 DataNodes, RF 3, 4 MiB files in 1 MiB blocks) on one
+// client, so `go test -bench 'ClientPutGet$' -cpuprofile` shows where
+// a put and a get spend their CPU. EXPERIMENTS.md keeps its top-10
+// before and after the client-direct data path.
+func BenchmarkClientPutGet(b *testing.B) { benchPutGet(b, 4<<20, 3) }
+
+// BenchmarkClientPutGetBySize is the same pair per file size and
+// replication factor: a change to the replica path routinely helps one
+// direction and costs the other, and helps large files differently
+// from small ones, so each cell reports put and get separately.
+func BenchmarkClientPutGetBySize(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"4KiB", 4 << 10}, {"1MiB", 1 << 20}, {"4MiB", 4 << 20}} {
+		for _, rf := range []int{1, 3} {
+			b.Run(fmt.Sprintf("%s/rf%d", size.name, rf), func(b *testing.B) { benchPutGet(b, size.bytes, rf) })
+		}
+	}
+}

@@ -140,8 +140,8 @@ func (d *DataNodeServer) handle(ctx context.Context, from, method string, params
 		if err := unmarshalParams(params, &p); err != nil {
 			return nil, err
 		}
-		data, ok := d.dn.StoredData(p.Block)
-		return storedResult{Data: data, OK: ok}, nil
+		size, sum, ok := d.dn.StoredSum(p.Block)
+		return storedResult{Size: size, CRC32: sum, OK: ok}, nil
 	case "dn.blocks":
 		return blocksResult{Blocks: d.dn.StoredBlocks()}, nil
 	default:

@@ -188,11 +188,48 @@ func sortedKeys(m map[string]*dfs.FileMeta) []string {
 
 // durableState is the NameNodeServer's durability bookkeeping: one
 // journal and one checkpoint lock per namespace shard (empty when the
-// NameNode runs without a WAL).
+// NameNode runs without a WAL), and the block-id reservation.
 type durableState struct {
 	journals      []*walJournal
 	snapshotEvery uint64
 	snapMus       []sync.Mutex // one checkpoint at a time, per shard
+	ids           idReservation
+}
+
+// blockIDMark names the mark in the WAL root that records how far block
+// ids may have been handed out. Ids are leased before the file that
+// will own them is journaled, so the highest journaled id says nothing
+// about the writers in flight at a crash; without the mark a restarted
+// NameNode would hand their ids to somebody else, and two writers would
+// then put, complete and delete the same replicas.
+const blockIDMark = "BLOCKIDS"
+
+// idReservation persists the block-id ceiling (dfs.ReserveBlockIDs) as
+// a mark in the WAL root — not a log record, since block ids are global
+// and the logs are per shard.
+type idReservation struct {
+	mu     sync.Mutex
+	root   string
+	closed bool // crashed or shut down: a stray handler reserves nothing
+}
+
+// reserve is the engine's write-ahead hook.
+func (r *idReservation) reserve(ceiling dfs.BlockID) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return wal.ErrClosed
+	}
+	return wal.SaveMark(r.root, blockIDMark, uint64(ceiling))
+}
+
+// close stops reservations for good, so a handler still running in a
+// crashed incarnation can never lower the mark behind its successor's
+// back.
+func (r *idReservation) close() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
 }
 
 // maybeSnapshot checkpoints every shard whose replay suffix has grown

@@ -156,8 +156,8 @@ func TestClusterSurvivesPartitionAndAdapts(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("read bytes differ during partition")
 	}
-	if lc.Engine().Resilience().Snapshot().NodeDownErrors == 0 {
-		t.Fatal("partition read succeeded without touching the failover path")
+	if cl.resilience().NodeDownErrors == 0 {
+		t.Fatal("partition read succeeded without touching the client's failover path")
 	}
 
 	// Heal, then teach the predictor: nodes 0 and 1 report heavy

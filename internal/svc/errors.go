@@ -1,18 +1,22 @@
 // Package svc is the networked ADAPT cluster (paper §IV/§V brought to
 // real sockets): a NameNode service holding metadata, the heartbeat
 // collector, and the performance predictor; DataNode services storing
-// block replicas; and a shell-style client — all speaking
-// length-prefixed JSON frames over TCP, stdlib only.
+// block replicas; and a shell-style client — control messages as
+// length-prefixed JSON frames, block bytes as v2 binary streams, over
+// TCP, stdlib only.
 //
 // The services are thin transports over the existing internal/dfs
-// engine: the NameNode runs dfs.NameNode/dfs.Client over remote
-// BlockStore proxies, so copyFromLocal, cp, the live adapt rebalance,
-// replica failover, and crash-consistent redistribution are exactly
-// the code paths the in-process tests already certify. DataNodes send
-// periodic heartbeats carrying cumulative interruption observations;
-// the NameNode folds the deltas into per-node (λ, μ) estimates and
-// refreshes the 1/E[T] placement weights, closing the paper's
-// predictor loop over the wire.
+// engine, split the way HDFS and the paper's prototype split it: the
+// NameNode decides (dfs.NameNode: placement draws, block ids, leases,
+// the journaled publish), and whoever holds the bytes moves them
+// (dfs.BlockIO over remote BlockStore proxies: the client for its own
+// puts and gets, the NameNode for cp, the live adapt rebalance and
+// repair). Replica failover, checksum verification and
+// crash-consistent redistribution are exactly the code paths the
+// in-process tests already certify. DataNodes send periodic heartbeats
+// carrying cumulative interruption observations; the NameNode folds
+// the deltas into per-node (λ, μ) estimates and refreshes the 1/E[T]
+// placement weights, closing the paper's predictor loop over the wire.
 //
 // Every RPC takes a context deadline, and both ends of the transport
 // consult a pluggable TransportFaults hook so a chaos engine
@@ -43,8 +47,9 @@ var (
 	// ErrBadObservation marks an availability observation that cannot
 	// be folded (negative durations, downtime without interruptions).
 	ErrBadObservation = errors.New("svc: bad availability observation")
-	// ErrFrameTooLarge marks a frame exceeding MaxFrameSize in either
-	// direction; the connection is torn down (framing is lost).
+	// ErrFrameTooLarge marks a frame exceeding its bound — MaxControlFrame
+	// for JSON, MaxChunkPayload for v2 — in either direction; the
+	// connection is torn down (framing is lost).
 	ErrFrameTooLarge = errors.New("svc: frame too large")
 	// ErrBadFrame marks an undecodable frame; the connection is torn
 	// down.

@@ -77,7 +77,7 @@ func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 	}
 	primary := fm.Blocks[0].Replicas[0]
 	faults.SetGray(endpointName(primary), 2*time.Second)
-	base := lc.Engine().Resilience().Snapshot()
+	base := cl.resilience()
 
 	for i := 0; i < 3; i++ {
 		rctx, cancel := context.WithTimeout(ctx, 3*time.Second)
@@ -96,7 +96,7 @@ func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 		}
 	}
 
-	snap := lc.Engine().Resilience().Snapshot()
+	snap := cl.resilience()
 	if hedged := snap.HedgedReads - base.HedgedReads; hedged < 3 {
 		t.Fatalf("hedged reads = %d, want >= 3 (one per gray read)", hedged)
 	}
@@ -126,7 +126,7 @@ func TestHedgeQuietOnFastCluster(t *testing.T) {
 	if _, _, err := cl.CopyFromLocal(ctx, "q", data, true); err != nil {
 		t.Fatal(err)
 	}
-	base := lc.Engine().Resilience().Snapshot()
+	base := cl.resilience()
 	for i := 0; i < 20; i++ {
 		got, err := cl.ReadFile(ctx, "q")
 		if err != nil {
@@ -136,7 +136,7 @@ func TestHedgeQuietOnFastCluster(t *testing.T) {
 			t.Fatalf("read %d: bytes differ", i)
 		}
 	}
-	snap := lc.Engine().Resilience().Snapshot()
+	snap := cl.resilience()
 	if hedged := snap.HedgedReads - base.HedgedReads; hedged != 0 {
 		t.Fatalf("fast cluster hedged %d reads, want 0", hedged)
 	}

@@ -16,15 +16,47 @@ import (
 )
 
 // Op RPC params/results (the shell surface of §IV-A over the wire).
-type copyParams struct {
+// None of them carries file or block bytes: a put is nn.allocate, the
+// client's own v2 pipelines, nn.complete; a get is nn.locate and the
+// client's own v2 reads.
+type allocateParams struct {
 	Name  string `json:"name"`
-	Data  []byte `json:"data"`
+	Size  int64  `json:"size"`
 	Adapt bool   `json:"adapt"`
 }
 
-type copyResult struct {
-	Meta   *dfs.FileMeta   `json:"meta"`
+// allocateResult is the NameNode's decision for one put plus its
+// current liveness belief, which the client's proxies adopt before
+// they move a byte.
+type allocateResult struct {
+	Alloc *dfs.Allocation  `json:"alloc"`
+	Down  []cluster.NodeID `json:"down,omitempty"`
+}
+
+// completeParams reports what the client's pipelines achieved. Report
+// rides along so the NameNode's resilience counters (and /metrics)
+// keep counting the failovers, retries and degraded blocks of writes
+// it no longer performs itself.
+type completeParams struct {
+	Name   string          `json:"name"`
+	Blocks []dfs.BlockMeta `json:"blocks"`
 	Report dfs.WriteReport `json:"report"`
+}
+
+type locateResult struct {
+	Meta *dfs.FileMeta    `json:"meta"`
+	Down []cluster.NodeID `json:"down,omitempty"`
+}
+
+// clusterResult is what a client needs to build its own DataNode
+// proxies: where the DataNodes serve, and the breaker and hedge tuning
+// this NameNode was configured with, so the data path behaves the
+// same whichever side of the wire runs it.
+type clusterResult struct {
+	DataNodes  []string      `json:"datanodes"`
+	Breaker    BreakerConfig `json:"breaker"`
+	Hedge      HedgeConfig   `json:"hedge"`
+	HedgeReads bool          `json:"hedge_reads"`
 }
 
 type cpParams struct {
@@ -35,10 +67,6 @@ type cpParams struct {
 
 type nameParams struct {
 	Name string `json:"name"`
-}
-
-type readResult struct {
-	Data []byte `json:"data"`
 }
 
 type listResult struct {
@@ -84,10 +112,13 @@ type hbState struct {
 
 // NameNodeServer is the networked ADAPT master: file metadata, the
 // block distributor, and the performance predictor behind a frame
-// server. It is a transport shell over dfs.NameNode + dfs.Client
-// running on remoteStore proxies, so every operation — placement,
-// replica failover, crash-consistent redistribution — is the engine
-// code the in-process tests certify, now spanning TCP.
+// server. It is a transport shell over dfs.NameNode + dfs.Client, so
+// every decision — placement, leases, the journaled publish — is the
+// engine code the in-process tests certify. It carries no client
+// bytes: a client's put is nn.allocate, the client's own pipelines,
+// nn.complete, and its get is nn.locate and the client's own reads.
+// The remoteStore proxies it owns move only what it copies itself —
+// nn.cp, the adapt and rebalance redistributions, repair.
 //
 // Heartbeats close the predictor loop: each beat's cumulative totals
 // are diffed against the last folded state, the delta feeds
@@ -101,6 +132,7 @@ type NameNodeServer struct {
 	cl     *dfs.Client
 	srv    *Server
 	stores []*remoteStore
+	fleet  clusterResult // the nn.cluster reply, fixed at construction
 	start  time.Time
 
 	availMu sync.RWMutex
@@ -191,21 +223,7 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 	if len(dnAddrs) != c.Len() {
 		return nil, fmt.Errorf("svc: %d datanode addrs for %d nodes: %w", len(dnAddrs), c.Len(), dfs.ErrUnknownNode)
 	}
-	addrs := append([]string(nil), dnAddrs...)
-	resolve := func(n cluster.NodeID) (string, bool) {
-		if int(n) < 0 || int(n) >= len(addrs) {
-			return "", false
-		}
-		return addrs[n], true
-	}
-	stores := make([]*remoteStore, c.Len())
-	ifaces := make([]dfs.BlockStore, c.Len())
-	for i := range stores {
-		id := cluster.NodeID(i)
-		stores[i] = newRemoteStore(id, dnAddrs[i], "namenode", endpointName(id), faults)
-		stores[i].resolve = resolve
-		ifaces[i] = stores[i]
-	}
+	stores, ifaces, brkStats := newStoreFleet(dnAddrs, "namenode", faults, cfg.Breaker, g)
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = 1
@@ -217,6 +235,8 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 	for _, tenant := range sortedQuotaKeys(cfg.TenantQuotas) {
 		nn.Quotas().Set(tenant, cfg.TenantQuotas[tenant])
 	}
+	// Leases expire by the wall-clock deadlines that cross the wire.
+	nn.SetLeaseClock(time.Now)
 	cl, err := dfs.NewClient(nn, g)
 	if err != nil {
 		return nil, err
@@ -234,32 +254,12 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 		nn:         nn,
 		cl:         cl,
 		stores:     stores,
+		fleet:      clusterResult{DataNodes: append([]string(nil), dnAddrs...), Breaker: cfg.Breaker, Hedge: cfg.Hedge, HedgeReads: cfg.HedgeReads},
+		brkStats:   brkStats,
 		start:      time.Now(),
 		hb:         make(map[cluster.NodeID]*hbState),
 		stopCh:     make(chan struct{}),
 		repairKick: make(chan struct{}, 1),
-	}
-	if cfg.Breaker.Threshold > 0 {
-		// Breakers draw probe jitter from split streams of the
-		// placement RNG; splitting only when enabled keeps the default
-		// configuration's placement sequence bit-identical to PR 9.
-		s.brkStats = &BreakerStats{}
-		for i := range stores {
-			stores[i].brk = newBreaker(cfg.Breaker, g.Split(), s.brkStats)
-		}
-		// Deep-pipeline evidence: when a commit or setup ack names
-		// another chain node's hop as down (or working), that node's own
-		// breaker accumulates the outcome exactly like a direct call —
-		// without this, a gray node that never heads a chain would stall
-		// every pipeline that includes it and never get walled off.
-		notePeer := func(n cluster.NodeID, ok bool) {
-			if int(n) >= 0 && int(n) < len(stores) {
-				stores[n].brk.record(false, ok)
-			}
-		}
-		for i := range stores {
-			stores[i].notePeer = notePeer
-		}
 	}
 	if cfg.HedgeReads {
 		if err := nn.SetHedge(cfg.Hedge); err != nil {
@@ -333,6 +333,15 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 			closeAll()
 			return nil, err
 		}
+		// Block ids a previous incarnation leased are never handed out
+		// again, published or not.
+		ceiling, err := wal.LoadMark(cfg.WALDir, blockIDMark)
+		if err != nil {
+			closeAll()
+			return nil, fmt.Errorf("svc: recover block-id reservation: %w", err)
+		}
+		s.durable.ids.root = cfg.WALDir
+		nn.ReserveBlockIDs(dfs.BlockID(ceiling), s.durable.ids.reserve)
 		s.durable.journals = journals
 		s.durable.snapMus = make([]sync.Mutex, len(journals))
 		s.durable.snapshotEvery = 256
@@ -402,6 +411,7 @@ func (s *NameNodeServer) Shutdown(ctx context.Context) error {
 	for _, st := range s.stores {
 		st.close()
 	}
+	s.durable.ids.close()
 	for _, j := range s.durable.journals {
 		if jerr := j.log.Close(); jerr != nil && err == nil {
 			err = jerr
@@ -418,6 +428,7 @@ func (s *NameNodeServer) Shutdown(ctx context.Context) error {
 // deliberately lost — that is the failure the recovery tests inject.
 func (s *NameNodeServer) Crash() {
 	s.stopLoops()
+	s.durable.ids.close()
 	for _, j := range s.durable.journals {
 		j.log.Crash()
 	}
@@ -433,7 +444,7 @@ func (s *NameNodeServer) handle(ctx context.Context, from, method string, params
 	res, err := s.dispatch(ctx, from, method, params)
 	if err == nil {
 		switch method {
-		case "nn.copyFromLocal", "nn.cp", "nn.delete", "nn.adapt", "nn.rebalance", "nn.maintain":
+		case "nn.complete", "nn.cp", "nn.delete", "nn.adapt", "nn.rebalance", "nn.maintain":
 			s.maybeSnapshot()
 		}
 	}
@@ -451,18 +462,47 @@ func (s *NameNodeServer) dispatch(ctx context.Context, from, method string, para
 			return nil, err
 		}
 		return struct{}{}, nil
-	case "nn.copyFromLocal":
-		var p copyParams
+	case "nn.cluster":
+		return s.fleet, nil
+	case "nn.allocate":
+		var p allocateParams
 		if err := unmarshalParams(params, &p); err != nil {
 			return nil, err
 		}
+		// The read lock covers the placement draws and nothing else: no
+		// byte moves under it, so heartbeat folds never queue behind a
+		// put.
 		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		fm, report, err := s.cl.CopyFromLocalReportContext(ctx, p.Name, p.Data, p.Adapt)
+		alloc, err := s.cl.Allocate(ctx, p.Name, p.Size, p.Adapt)
+		s.availMu.RUnlock()
 		if err != nil {
 			return nil, err
 		}
-		return copyResult{Meta: fm, Report: report}, nil
+		return allocateResult{Alloc: alloc, Down: s.downNodes()}, nil
+	case "nn.complete":
+		var p completeParams
+		if err := unmarshalParams(params, &p); err != nil {
+			return nil, err
+		}
+		fm, err := s.nn.Complete(p.Name, p.Blocks)
+		if err != nil {
+			return nil, err
+		}
+		rc := s.nn.Resilience()
+		rc.WriteFailovers.Add(int64(p.Report.Failovers))
+		rc.WriteRetries.Add(int64(p.Report.Retries))
+		rc.DegradedWrites.Add(int64(p.Report.DegradedBlocks))
+		return fm, nil
+	case "nn.locate":
+		var p nameParams
+		if err := unmarshalParams(params, &p); err != nil {
+			return nil, err
+		}
+		fm, err := s.nn.Locate(p.Name)
+		if err != nil {
+			return nil, err
+		}
+		return locateResult{Meta: fm, Down: s.downNodes()}, nil
 	case "nn.cp":
 		var p cpParams
 		if err := unmarshalParams(params, &p); err != nil {
@@ -471,18 +511,6 @@ func (s *NameNodeServer) dispatch(ctx context.Context, from, method string, para
 		s.availMu.RLock()
 		defer s.availMu.RUnlock()
 		return s.cl.CpContext(ctx, p.Src, p.Dst, p.Adapt)
-	case "nn.read":
-		var p nameParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		data, err := s.cl.ReadFileContext(ctx, p.Name)
-		if err != nil {
-			return nil, err
-		}
-		return readResult{Data: data}, nil
 	case "nn.stat":
 		var p nameParams
 		if err := unmarshalParams(params, &p); err != nil {
@@ -566,6 +594,19 @@ func (s *NameNodeServer) dispatch(ctx context.Context, from, method string, para
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownMethod, method)
 	}
+}
+
+// downNodes lists the DataNodes this NameNode currently believes are
+// not serving (stale heartbeats, failed RPCs, an open breaker) — the
+// belief a client adopts from every allocate and locate reply.
+func (s *NameNodeServer) downNodes() []cluster.NodeID {
+	var down []cluster.NodeID
+	for _, st := range s.stores {
+		if !st.Up() {
+			down = append(down, st.id)
+		}
+	}
+	return down
 }
 
 // foldHeartbeat diffs one beat's cumulative totals against the last

@@ -28,7 +28,10 @@ type loadConfig struct {
 	// waits while the overload cell's surplus (far above
 	// maxInflight+queue) is shed instead of buffered into collapse.
 	maxInflight, queue int
-	seed               uint64
+	// dnInflight and dnQueue bound every DataNode the same way: its v2
+	// streams are where the bytes queue now.
+	dnInflight, dnQueue int
+	seed                uint64
 }
 
 // loadCell is what one measured window produced. Latencies are in
@@ -107,9 +110,7 @@ func loadCluster(cfg loadConfig) (*LocalCluster, *chaos.NetFaults, error) {
 		return nil, nil, err
 	}
 	for _, dn := range lc.DNs {
-		// Twice the NameNode limit: one admitted client op can fan out
-		// to several pipeline/read streams across the DataNodes.
-		dn.SetAdmission(AdmissionConfig{MaxInflight: 2 * cfg.maxInflight, Queue: 2 * cfg.queue})
+		dn.SetAdmission(AdmissionConfig{MaxInflight: cfg.dnInflight, Queue: cfg.dnQueue})
 	}
 	return lc, faults, nil
 }
@@ -129,9 +130,11 @@ func serverSheds(lc *LocalCluster) int64 {
 	return total
 }
 
-// breakerOpens reads the fleet-wide breaker open count.
-func breakerOpens(lc *LocalCluster) int64 {
-	if _, st := lc.NN.BreakerStates(); st != nil {
+// breakerOpens reads how often a client's own per-DataNode breakers
+// opened: the client moves the bytes, so its breakers are the ones
+// that meet the gray nodes.
+func breakerOpens(cl *Client) int64 {
+	if st := cl.breakerStats(); st != nil {
 		return st.Opens.Load()
 	}
 	return 0
@@ -181,12 +184,12 @@ func runLoadCell(ctx context.Context, cfg loadConfig, name string, workers, gray
 		faults.SetGray(endpointName(cluster.NodeID(id)), cfg.grayDelay)
 	}
 	shedBase := serverSheds(lc)
-	opensBase := breakerOpens(lc)
 
 	type workerResult struct {
 		okLat, shedLat    []float64
 		attempted, failed int
 		acked             []ackedWrite
+		breakerOpens      int64
 	}
 	results := make([]workerResult, workers)
 	t0 := time.Now()
@@ -199,6 +202,7 @@ func runLoadCell(ctx context.Context, cfg loadConfig, name string, workers, gray
 			res := &results[w]
 			cl := lc.Client(fmt.Sprintf("load-%s-%d", name, w))
 			defer cl.Close()
+			defer func() { res.breakerOpens = breakerOpens(cl) }()
 			g := stats.NewRNG(cfg.seed + uint64(w)*131 + 17)
 			backoff := time.Duration(0)
 			for op := 0; time.Now().Before(deadline); op++ {
@@ -268,9 +272,9 @@ func runLoadCell(ctx context.Context, cfg loadConfig, name string, workers, gray
 		cell.okLat = append(cell.okLat, res.okLat...)
 		cell.shedLat = append(cell.shedLat, res.shedLat...)
 		acked = append(acked, res.acked...)
+		cell.breakerOpens += res.breakerOpens
 	}
 	cell.shedsServer = serverSheds(lc) - shedBase
-	cell.breakerOpens = breakerOpens(lc) - opensBase
 
 	// Durability audit: with the gray injection cleared, every write
 	// acknowledged during the window must read back byte-identical.
@@ -316,10 +320,25 @@ func TestOverloadSoak(t *testing.T) {
 		files:       12,
 		grayDelay:   1500 * time.Millisecond,
 		opTimeout:   300 * time.Millisecond,
-		duration:    2 * time.Second,
-		maxInflight: 2 * workers,
-		queue:       3 * workers, // maxInflight + workers
-		seed:        7,
+		// Every client learns the gray nodes for itself — its own
+		// breakers, two 75 ms setup-budget failures per gray node — so the
+		// window is long enough for that one-off cost to weigh what it
+		// would in any run longer than a blink.
+		duration: 3 * time.Second,
+		// The NameNode's gate now meters placement decisions and block-map
+		// lookups — tens of microseconds each, no bytes — so it is sized
+		// for that: one in flight and room for the baseline's other two
+		// clients to wait. The unloaded cell never overruns it; eight
+		// times the clients do, in bursts, and are refused at allocate or
+		// locate, before a byte moves.
+		maxInflight: 1,
+		queue:       workers - 1,
+		// The DataNodes keep the limits they had when the NameNode's gate
+		// was six wide: twice that, since one client op fans out to
+		// several pipeline and read streams.
+		dnInflight: 4 * workers,
+		dnQueue:    6 * workers,
+		seed:       7,
 	}
 	base, err := runLoadCell(ctx, cfg, "baseline", workers, 0)
 	if err != nil {
@@ -356,6 +375,15 @@ func TestOverloadSoak(t *testing.T) {
 	}
 	if p99 := quantile(over.shedLat, 0.99); p99 > cfg.opTimeout*3/2 {
 		t.Errorf("p99 shed took %v against a %v budget", p99, cfg.opTimeout)
+	}
+	// Served or shed, nothing else: a refusal is typed wherever it is
+	// made — the NameNode's gate at allocate and locate, or a DataNode's
+	// at the stream — so an overloaded op that surfaces as anything but
+	// dfs.ErrOverload (ErrNoLiveNodes, ErrNoReplica, a spent deadline)
+	// lands here. The 1 % is room for an op that meets a gray node before
+	// its client's breaker has.
+	if over.failed*100 > over.attempted {
+		t.Errorf("%d of %d overloaded ops failed without the overload taxonomy, gate is 1%%", over.failed, over.attempted)
 	}
 	if over.ackedWrites == 0 {
 		t.Error("overload cell acknowledged no writes")

@@ -72,7 +72,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	sid := f.Stream
 	ow, err := decodeOpenWrite(f.Payload)
 	f.release()
-	if err != nil || ow.Size > MaxFrameSize {
+	if err != nil || ow.Size > MaxBlockBytes {
 		return
 	}
 	name := endpointName(d.id)

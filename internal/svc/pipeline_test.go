@@ -138,7 +138,7 @@ func TestPipelineFailsOverDeadChainNode(t *testing.T) {
 	if total != 12 { // 4 blocks x replication 3 on the 3 live nodes
 		t.Fatalf("distribution %v sums to %d, want 12", counts, total)
 	}
-	if lc.Engine().Resilience().Snapshot().NodeDownErrors == 0 {
+	if cl.resilience().NodeDownErrors == 0 {
 		t.Fatal("dead chain node produced no NodeDownErrors")
 	}
 

@@ -107,10 +107,12 @@ func TestPipelineChaosSoak(t *testing.T) {
 	// with a later attempt.
 	const writes = 30
 	acked := make(map[string][]byte, writes)
+	var lastLease time.Time // when the last put's allocation lease runs out
 	for i := 0; i < writes; i++ {
 		name := fmt.Sprintf("soak-%d", i)
 		data := payload(3*1024 + i)
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		lastLease, _ = ctx.Deadline()
 		_, _, err := cl.CopyFromLocal(ctx, name, data, false)
 		cancel()
 		if err == nil {
@@ -155,12 +157,38 @@ func TestPipelineChaosSoak(t *testing.T) {
 
 	// No orphans: one scrub removes torn-write residue, then every
 	// replica still stored is referenced by a file and a second pass
-	// finds nothing.
+	// finds nothing. A put whose complete was lost on the wire keeps
+	// its replicas leased — shielded from the scrubber — for what was
+	// left of its 2 s budget, so the scrub waits the last lease out.
+	time.Sleep(time.Until(lastLease))
 	removed, err := cl.ScrubOrphans(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("soak: scrub removed %d orphan replicas", removed)
+	requireNoOrphanBlocks(t, ctx, cl, lc)
+	if again, err := cl.ScrubOrphans(ctx); err != nil || again != 0 {
+		t.Fatalf("second scrub: removed %d, err %v", again, err)
+	}
+
+	// The namespace itself must be healthy: every live replica's bits
+	// verify, and fsck sees no block without a live replica.
+	if err := cl.CheckConsistency(ctx); err != nil {
+		t.Fatal(err)
+	}
+	health, err := cl.Fsck(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if health.Unavailable != 0 {
+		t.Fatalf("fsck: %d blocks without a live replica: %+v", health.Unavailable, health)
+	}
+}
+
+// requireNoOrphanBlocks asserts that every block any DataNode stores
+// is referenced by some file.
+func requireNoOrphanBlocks(t *testing.T, ctx context.Context, cl *Client, lc *LocalCluster) {
+	t.Helper()
 	referenced := make(map[dfs.BlockID]bool)
 	files, err := cl.List(ctx)
 	if err != nil {
@@ -181,21 +209,5 @@ func TestPipelineChaosSoak(t *testing.T) {
 				t.Errorf("node %d stores orphan block %d after scrub", i, id)
 			}
 		}
-	}
-	if again, err := cl.ScrubOrphans(ctx); err != nil || again != 0 {
-		t.Fatalf("second scrub: removed %d, err %v", again, err)
-	}
-
-	// The namespace itself must be healthy: every live replica's bits
-	// verify, and fsck sees no block without a live replica.
-	if err := cl.CheckConsistency(ctx); err != nil {
-		t.Fatal(err)
-	}
-	health, err := cl.Fsck(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if health.Unavailable != 0 {
-		t.Fatalf("fsck: %d blocks without a live replica: %+v", health.Unavailable, health)
 	}
 }

@@ -135,7 +135,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}()
 	// Both protocols share the listener: v2 data streams announce
 	// themselves with a 4-byte preamble that can never be a valid JSON
-	// frame header (it decodes as a length beyond MaxFrameSize), so
+	// frame header (it decodes as a length beyond MaxControlFrame), so
 	// peeking the first bytes routes the connection unambiguously.
 	br := bufio.NewReaderSize(nc, 64<<10)
 	first, err := br.Peek(len(dataPreamble))

@@ -9,32 +9,38 @@ import (
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
+	"github.com/adaptsim/adapt/internal/stats"
 )
 
-// DataNode control RPC params/results. Put and Get move block bytes
-// over v2 streams (wire2.go); only the dn.stored verification read
-// carries bytes here, as JSON base64.
+// DataNode control RPC params/results. Block bytes move only over v2
+// streams (wire2.go); dn.stored answers the verification read with the
+// size and checksum the DataNode computed over its own copy.
 type getParams struct {
 	Block dfs.BlockID `json:"block"`
 }
 
 type storedResult struct {
-	Data []byte `json:"data"`
-	OK   bool   `json:"ok"`
+	Size  int64  `json:"size"`
+	CRC32 uint32 `json:"crc32"`
+	OK    bool   `json:"ok"`
 }
 
 type blocksResult struct {
 	Blocks []dfs.BlockID `json:"blocks"`
 }
 
-// remoteStore is the NameNode's RPC proxy for one DataNode's block
-// storage: it implements dfs.BlockStore, so the exact engine code
-// paths — createFile, ReadBlock, redistribute, repair — drive remote
-// DataNodes over TCP.
+// remoteStore is the RPC proxy for one DataNode's block storage: it
+// implements dfs.BlockStore, so the exact engine code paths —
+// BlockIO's write loop and read ladder, redistribute, repair — drive
+// remote DataNodes over TCP. The NameNode owns one fleet of them for
+// what it copies itself; every Client owns another for its puts and
+// gets.
 //
-// Up is the NameNode's liveness belief, not ground truth: it flips
-// down when an RPC fails at the transport layer and back up when a
-// heartbeat arrives. Transport failures are wrapped in
+// Up is the owner's liveness belief, not ground truth: it flips down
+// when an RPC fails at the transport layer and back up when fresh
+// evidence arrives — a heartbeat at the NameNode, the NameNode's
+// belief in an allocate or locate reply at a client. Transport
+// failures are wrapped in
 // dfs.ErrNodeDown per the BlockStore error contract, so the failover
 // and retry machinery classifies a partitioned node exactly like a
 // crashed one.
@@ -79,6 +85,50 @@ func newRemoteStore(id cluster.NodeID, addr, local, peerName string, faults Tran
 		peer: newPeerConn(addr, local, peerName, faults),
 		up:   true,
 	}
+}
+
+// newStoreFleet builds the proxies for the DataNodes at addrs (indexed
+// by NodeID), dialing as endpoint local, and the same fleet as the
+// dfs.BlockStore slice a dfs.BlockIO or dfs.NameNode takes. With brk
+// enabled every proxy gets a circuit breaker reporting into the
+// returned stats (nil otherwise) and drawing probe jitter from its own
+// split of g — split only then, so a breaker-free owner's RNG sequence
+// is untouched.
+func newStoreFleet(addrs []string, local string, faults TransportFaults, brk BreakerConfig, g *stats.RNG) ([]*remoteStore, []dfs.BlockStore, *BreakerStats) {
+	addrs = append([]string(nil), addrs...)
+	resolve := func(n cluster.NodeID) (string, bool) {
+		if int(n) < 0 || int(n) >= len(addrs) {
+			return "", false
+		}
+		return addrs[n], true
+	}
+	stores := make([]*remoteStore, len(addrs))
+	ifaces := make([]dfs.BlockStore, len(addrs))
+	for i := range stores {
+		id := cluster.NodeID(i)
+		stores[i] = newRemoteStore(id, addrs[i], local, endpointName(id), faults)
+		stores[i].resolve = resolve
+		ifaces[i] = stores[i]
+	}
+	if brk.Threshold <= 0 {
+		return stores, ifaces, nil
+	}
+	brkStats := &BreakerStats{}
+	// Deep-pipeline evidence: when a commit or setup ack names another
+	// chain node's hop as down (or working), that node's own breaker
+	// accumulates the outcome exactly like a direct call — without
+	// this, a gray node that never heads a chain would stall every
+	// pipeline that includes it and never get walled off.
+	notePeer := func(n cluster.NodeID, ok bool) {
+		if int(n) >= 0 && int(n) < len(stores) {
+			stores[n].brk.record(false, ok)
+		}
+	}
+	for _, st := range stores {
+		st.brk = newBreaker(brk, g.Split(), brkStats)
+		st.notePeer = notePeer
+	}
+	return stores, ifaces, brkStats
 }
 
 func (s *remoteStore) ID() cluster.NodeID { return s.id }
@@ -246,12 +296,12 @@ func (s *remoteStore) Delete(ctx context.Context, id dfs.BlockID) error {
 	return s.call(ctx, "dn.delete", getParams{Block: id}, nil)
 }
 
-func (s *remoteStore) StoredData(ctx context.Context, id dfs.BlockID) ([]byte, bool) {
+func (s *remoteStore) StoredSum(ctx context.Context, id dfs.BlockID) (int64, uint32, bool) {
 	var res storedResult
 	if err := s.call(ctx, "dn.stored", getParams{Block: id}, &res); err != nil {
-		return nil, false
+		return 0, 0, false
 	}
-	return res.Data, res.OK
+	return res.Size, res.CRC32, res.OK
 }
 
 // StoredBlocks fetches the node's block inventory (dfs.BlockLister);

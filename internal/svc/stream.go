@@ -276,7 +276,7 @@ func streamGet(ctx context.Context, local string, faults TransportFaults, addr, 
 	if err != nil {
 		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
 	}
-	if size > MaxFrameSize {
+	if size > MaxBlockBytes {
 		return nil, fmt.Errorf("%w: stream get block %d announces %d bytes", ErrFrameTooLarge, id, size)
 	}
 

@@ -12,10 +12,22 @@ import (
 	"github.com/adaptsim/adapt/internal/shard"
 )
 
-// MaxFrameSize bounds one wire frame. Blocks ride inside JSON
-// base64, so the bound must clear the 64 MB HDFS default block plus
-// encoding overhead.
-const MaxFrameSize = 128 << 20
+// MaxBlockBytes bounds one block on the v2 data plane (pipeline.go,
+// stream.go): twice the 64 MB HDFS default block.
+const MaxBlockBytes = 128 << 20
+
+// MaxControlFrame bounds one JSON frame. No JSON message carries file
+// or block bytes, so the bound is sized for metadata. The largest
+// legitimate frames are a many-block FileMeta (nn.stat, nn.locate and
+// nn.cp replies, the nn.complete request), nn.list and dn.blocks. One
+// BlockMeta encodes to about 110 bytes plus the file name it repeats,
+// so 16 MiB holds a 65,536-block file (dfs.MaxFileBlocks, which
+// nn.allocate enforces) with 140-byte names — 4 TiB at the default
+// 64 MB block — and, at about 60 bytes a name and 12 a
+// block id, a listing of 250,000 files or an inventory of a million
+// blocks. A frame announcing more is refused before any buffer is
+// taken for it.
+const MaxControlFrame = 16 << 20
 
 // TransportFaults is the hook through which a chaos engine perturbs
 // the wire layer. Both the dialing side (per call) and the serving
@@ -59,7 +71,7 @@ func writeFrame(w io.Writer, v any) error {
 	if err != nil {
 		return fmt.Errorf("svc: encode frame: %w", err)
 	}
-	if len(body) > MaxFrameSize {
+	if len(body) > MaxControlFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
 	}
 	var hdr [4]byte
@@ -80,7 +92,7 @@ func readFrame(r io.Reader, v any) error {
 		return fmt.Errorf("svc: read frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
+	if n > MaxControlFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	// Pooled body, released on every path: json.Unmarshal never keeps
@@ -165,6 +177,8 @@ func init() {
 	registerCode("not_local", dfs.ErrNotLocal)
 	registerCode("journal", dfs.ErrJournal)
 	registerCode("overload", dfs.ErrOverload)
+	registerCode("lease_expired", dfs.ErrLeaseExpired)
+	registerCode("file_too_large", dfs.ErrFileTooLarge)
 	registerCode("quota", shard.ErrQuota)
 	registerCode("deadline", context.DeadlineExceeded)
 	registerCode("canceled", context.Canceled)

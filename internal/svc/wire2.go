@@ -49,7 +49,7 @@ const (
 
 // dataPreamble is written immediately after dialing a v2 data stream;
 // the serving side sniffs it to route the connection to the stream
-// handler. Interpreted as a JSON frame length it exceeds MaxFrameSize,
+// handler. Interpreted as a JSON frame length it exceeds MaxControlFrame,
 // so a v2 stream hitting a v1-only endpoint fails loudly instead of
 // being misparsed.
 var dataPreamble = [4]byte{'A', 'B', '2', '\n'}

@@ -154,7 +154,7 @@ func TestWireBufferPoolBalances(t *testing.T) {
 		t.Fatalf("garbage: %v", err)
 	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
+	binary.BigEndian.PutUint32(hdr[:], MaxControlFrame+1)
 	if err := readFrame(bytes.NewReader(hdr[:]), &req); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize: %v", err)
 	}

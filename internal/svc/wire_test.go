@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -18,7 +20,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	in := request{
 		ID:         7,
 		From:       "shell",
-		Method:     "nn.read",
+		Method:     "nn.locate",
 		DeadlineMS: 1500,
 		Params:     json.RawMessage(`{"name":"f"}`),
 	}
@@ -37,15 +39,38 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameRejectsOversize: a header announcing more than the
+// control bound — one byte over, or the 100 MiB a base64 block used to
+// need — is refused before any pooled buffer is taken for it, on the
+// decoder and on a live JSON port.
 func TestReadFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
+	for _, n := range []uint32{MaxControlFrame + 1, 100 << 20} {
+		var hdr [4]byte
+		binary.BigEndian.PutUint32(hdr[:], n)
+		taken, start := frameBufs.gets.Load(), frameBufs.balance()
+		var out request
+		if err := readFrame(bytes.NewReader(hdr[:]), &out); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("%d-byte frame: err = %v, want ErrFrameTooLarge", n, err)
+		}
+		if got := frameBufs.gets.Load(); got != taken || frameBufs.balance() != start {
+			t.Fatalf("%d-byte frame: pool gets %d -> %d, balance %d -> %d; want untouched", n, taken, got, start, frameBufs.balance())
+		}
+	}
+
+	lc := testCluster(t, 1, nil)
+	nc, err := net.Dial("tcp", lc.NN.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	buf.Write(hdr[:])
-	var out request
-	err := readFrame(&buf, &out)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	binary.BigEndian.PutUint32(hdr[:], 100<<20)
+	if _, err := nc.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Read(hdr[:]); !errors.Is(err, io.EOF) {
+		t.Fatalf("namenode kept a connection announcing a 100 MiB frame: read err = %v, want EOF", err)
 	}
 }
 

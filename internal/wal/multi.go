@@ -106,30 +106,65 @@ func readManifest(root string) (count int, ok bool, err error) {
 	return count, true, nil
 }
 
-// writeManifest durably records the shard count: temp file, fsync,
-// rename, fsync directory — the same discipline snapshots use, so a
-// crash leaves either no manifest or a complete one.
+// writeManifest durably records the shard count.
 func writeManifest(root string, shards int) error {
-	tmp := filepath.Join(root, manifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := writeFileDurably(root, manifestName, strconv.Itoa(shards)+"\n"); err != nil {
 		return fmt.Errorf("wal: write shard manifest: %w", err)
 	}
-	if _, err := f.WriteString(strconv.Itoa(shards) + "\n"); err == nil {
+	return nil
+}
+
+// writeFileDurably replaces root/name with content: temp file, fsync,
+// rename, fsync directory — the same discipline snapshots use, so a
+// crash leaves either the old file or the complete new one.
+func writeFileDurably(root, name, content string) error {
+	tmp := filepath.Join(root, name+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.WriteString(content); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(root, name))
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("wal: write shard manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(root, manifestName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: write shard manifest: %w", err)
+		return err
 	}
 	return syncDir(root)
+}
+
+// SaveMark durably records one number under root/name — a high-water
+// mark that must survive a crash but is not part of any shard's record
+// stream (the NameNode's block-id ceiling). It is on disk when SaveMark
+// returns.
+func SaveMark(root, name string, v uint64) error {
+	if err := writeFileDurably(root, name, strconv.FormatUint(v, 10)+"\n"); err != nil {
+		return fmt.Errorf("wal: save mark %s: %w", name, err)
+	}
+	return nil
+}
+
+// LoadMark reads the number SaveMark last recorded under root/name; a
+// root that never saved one reads as 0.
+func LoadMark(root, name string) (uint64, error) {
+	data, err := os.ReadFile(filepath.Join(root, name))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("wal: load mark %s: %w", name, err)
+	}
+	v, err := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w: mark %s holds %q", ErrCorrupt, name, strings.TrimSpace(string(data)))
+	}
+	return v, nil
 }
 
 // hasFlatLog reports whether root already contains flat single-shard

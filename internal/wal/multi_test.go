@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -89,5 +90,44 @@ func TestShardDirsRefusesShardingFlatLog(t *testing.T) {
 func TestShardDirsRejectsBadCount(t *testing.T) {
 	if _, err := ShardDirs(t.TempDir(), 0); err == nil {
 		t.Fatal("shards=0 accepted")
+	}
+}
+
+// TestMarkSurvivesReopenBesideTheLog: a mark is durable on return,
+// reads back as the last value saved, is 0 where none was, refuses
+// garbage as corruption, and does not disturb the log it sits beside.
+func TestMarkSurvivesReopenBesideTheLog(t *testing.T) {
+	root := t.TempDir()
+	if v, err := LoadMark(root, "MARK"); err != nil || v != 0 {
+		t.Fatalf("mark never saved: %d, %v; want 0", v, err)
+	}
+	log, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append([]byte("rec")); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{4096, 1 << 40} {
+		if err := SaveMark(root, "MARK", v); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := LoadMark(root, "MARK"); err != nil || got != v {
+			t.Fatalf("mark = %d, %v; want %d", got, err, v)
+		}
+	}
+	log.Crash()
+	if log, err = Open(root); err != nil || log.Seq() != 1 {
+		t.Fatalf("log beside a mark reopened at seq %d: %v", log.Seq(), err)
+	}
+	_ = log.Close()
+	if dirs, err := ShardDirs(root, 1); err != nil || len(dirs) != 1 {
+		t.Fatalf("flat root with a mark: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "MARK"), []byte("not a number\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadMark(root, "MARK"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("garbled mark: err = %v, want ErrCorrupt", err)
 	}
 }
