@@ -45,10 +45,11 @@ race-all:
 
 race: race-all
 
-# Coverage-guided fuzz smoke for the v2 frame codec: the decoder fuzz
-# target (arbitrary bytes must never crash, leak pooled buffers, or
-# yield an invalid frame) and the chunk-reassembly round-trip target,
-# each for 15s on top of the committed seed corpus.
+# Coverage-guided fuzz smoke for the frame codec, which is the whole
+# wire (calls, replies and errors ride the frames block streams do):
+# the decoder fuzz target (arbitrary bytes must never crash, leak
+# pooled buffers, or yield an invalid frame) and the chunk-reassembly
+# round-trip target, each for 15s on top of the committed seed corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/svc/
 	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 15s ./internal/svc/

@@ -54,7 +54,7 @@ func Scan() error {
 	return FetchContext(ctx)
 }
 
-// call is the fixture's JSON RPC chokepoint — wire-crossing by name.
+// call is the fixture's RPC chokepoint — wire-crossing by name.
 func call(ctx context.Context, method string) error {
 	_ = ctx
 	_ = method
@@ -117,4 +117,20 @@ type server struct {
 // lifecycle idiom and may be bounded elsewhere.
 func (s *server) scrubLoop() error {
 	return call(s.lifeCtx, "dn.delete")
+}
+
+// dial is the fixture's one way onto the network, for call and stream
+// connections alike — wire-crossing by name.
+func dial(ctx context.Context, addr string) error {
+	_ = ctx
+	_ = addr
+	return nil
+}
+
+// Connect dials under its lifecycle root — flagged: a gray peer that
+// never completes the handshake holds the dial forever.
+func Connect() error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	return dial(ctx, "127.0.0.1:9000")
 }

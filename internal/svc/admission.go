@@ -49,25 +49,6 @@ func (c rpcClass) String() string {
 	return "background"
 }
 
-// classOf maps an RPC method name to its admission class. Unknown
-// methods classify as background: they are shed earliest, which is the
-// safe default for traffic the server did not plan capacity for.
-func classOf(method string) rpcClass {
-	switch method {
-	case "nn.heartbeat", "nn.cluster", "nn.complete":
-		// A complete is control, not a put: shedding it would throw away
-		// replication-factor times the file's bytes already on disk.
-		// Overload is refused one step earlier, at nn.allocate, before
-		// bytes move.
-		return classControl
-	case "nn.allocate", "nn.cp":
-		return classPut
-	case "nn.locate":
-		return classGet
-	}
-	return classBackground
-}
-
 // AdmissionConfig bounds a server's concurrent request processing.
 // The zero value disables admission control entirely (every request
 // admitted), preserving the historical behavior.

@@ -21,8 +21,9 @@ func TestClassOf(t *testing.T) {
 		"nn.rebalance": classBackground,
 		"made.up":      classBackground,
 	}
+	table := (&NameNodeServer{}).methods()
 	for method, want := range cases {
-		if got := classOf(method); got != want {
+		if got := table.classOf(method); got != want {
 			t.Errorf("classOf(%q) = %v, want %v", method, got, want)
 		}
 	}

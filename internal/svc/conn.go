@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,69 +10,128 @@ import (
 	"time"
 )
 
-// Conn is one multiplexed client connection: concurrent Calls are
-// correlated by request id, so a slow block fetch does not serialize
-// behind a heartbeat. A Conn that observes a transport error dies and
-// fails all pending calls with ErrConnClosed; the owning peer redials
-// on the next call.
-type Conn struct {
-	local  string // our endpoint name, sent as request.From
-	peer   string // the peer's endpoint name, for the fault hook
-	faults TransportFaults
-	nc     net.Conn
-
-	wmu sync.Mutex // serializes frame writes
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan *response
-	dead    bool
-	cause   error
+// faultGate consults the sender's side of the fault hook before a
+// message leaves: a partition fails it, injected latency is slept
+// (bounded by ctx). A nil hook passes everything.
+func faultGate(ctx context.Context, faults TransportFaults, local, peer string) error {
+	if faults == nil {
+		return nil
+	}
+	if err := faults.FailMessage(local, peer); err != nil {
+		return err
+	}
+	if d := faults.MessageDelay(local, peer); d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
-// dialConn opens a TCP connection and starts its reader. The fault
-// hook is consulted first, so a partitioned endpoint cannot even
-// dial.
-func dialConn(ctx context.Context, addr, local, peer string, faults TransportFaults) (*Conn, error) {
-	if faults != nil {
-		if err := faults.FailMessage(local, peer); err != nil {
-			return nil, fmt.Errorf("svc: dial %s: %w", addr, err)
-		}
+// dial opens a TCP connection to addr, for calls and streams alike.
+// The fault hook is consulted first, so a partitioned endpoint cannot
+// even dial, and injected latency is paid once per connection.
+func dial(ctx context.Context, addr, local, peer string, faults TransportFaults) (net.Conn, error) {
+	if err := faultGate(ctx, faults, local, peer); err != nil {
+		return nil, fmt.Errorf("svc: dial %s: %w", addr, err)
 	}
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("svc: dial %s: %w", addr, err)
 	}
+	return nc, nil
+}
+
+// frameWriter serializes whole frames onto one call connection, from
+// either end: calls one way, replies the other.
+type frameWriter struct {
+	mu sync.Mutex
+	nc net.Conn
+	bw *bufio.Writer
+}
+
+func newFrameWriter(nc net.Conn) *frameWriter {
+	return &frameWriter{nc: nc, bw: bufio.NewWriterSize(nc, 32<<10)}
+}
+
+// send writes one frame and flushes it, under deadline (zero for none).
+func (w *frameWriter) send(deadline time.Time, typ uint8, id uint64, payload []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_ = w.nc.SetWriteDeadline(deadline)
+	if err := writeFrame2(w.bw, typ, 0, id, payload); err != nil {
+		return err
+	}
+	return w.bw.Flush()
+}
+
+// Conn is one multiplexed call connection: concurrent Calls are
+// correlated by call id (the frame's stream id), so a slow call does
+// not serialize a heartbeat behind it. A Conn that observes a
+// transport error dies and fails all pending calls with ErrConnClosed;
+// the owning peer redials on the next call.
+type Conn struct {
+	local  string // our endpoint name, sent in every call header
+	peer   string // the peer's endpoint name, for the fault hook
+	faults TransportFaults
+	nc     net.Conn
+	w      *frameWriter
+
+	mu      sync.Mutex
+	nextID  uint64
+	pending map[uint64]chan frame2 // each buffered for its one reply
+	dead    bool
+	cause   error
+}
+
+// dialConn opens a call connection and starts its reader.
+func dialConn(ctx context.Context, addr, local, peer string, faults TransportFaults) (*Conn, error) {
+	nc, err := dial(ctx, addr, local, peer, faults)
+	if err != nil {
+		return nil, err
+	}
 	c := &Conn{
 		local:   local,
 		peer:    peer,
 		faults:  faults,
 		nc:      nc,
-		pending: make(map[uint64]chan *response),
+		w:       newFrameWriter(nc),
+		pending: make(map[uint64]chan frame2),
 	}
 	go c.readLoop()
 	return c, nil
 }
 
-// readLoop routes response frames to their pending calls until the
-// connection dies.
+// readLoop routes reply and error frames to their pending calls until
+// the connection dies. A reply nobody waits for — its call was
+// cancelled, or never made — is dropped; any other kind of frame has
+// no business on a call connection and ends it.
 func (c *Conn) readLoop() {
+	br := bufio.NewReaderSize(c.nc, 32<<10)
 	for {
-		var resp response
-		if err := readFrame(c.nc, &resp); err != nil {
+		f, err := readFrame2(br)
+		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
 			return
 		}
-		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
-		if ok {
-			delete(c.pending, resp.ID)
+		if f.Type != frameReply && f.Type != frameError {
+			f.release()
+			c.fail(fmt.Errorf("%w: %v: frame type %d on a call connection", ErrConnClosed, ErrBadFrame, f.Type))
+			return
 		}
+		c.mu.Lock()
+		ch, ok := c.pending[f.Stream]
+		delete(c.pending, f.Stream)
 		c.mu.Unlock()
 		if ok {
-			r := resp
-			ch <- &r
+			ch <- f
+		} else {
+			f.release()
 		}
 	}
 }
@@ -86,7 +146,7 @@ func (c *Conn) fail(cause error) {
 	c.dead = true
 	c.cause = cause
 	stranded := c.pending
-	c.pending = make(map[uint64]chan *response)
+	c.pending = make(map[uint64]chan frame2)
 	c.mu.Unlock()
 	_ = c.nc.Close()
 	for _, ch := range stranded {
@@ -108,27 +168,18 @@ func (c *Conn) Dead() bool {
 }
 
 // Call performs one RPC: params are marshalled, the deadline budget
-// from ctx rides in the envelope, and the response is unmarshalled
+// from ctx rides in the call header, and the reply is unmarshalled
 // into result (ignored when result is nil). Errors from the peer are
 // rehydrated as RemoteError.
 func (c *Conn) Call(ctx context.Context, method string, params, result any) error {
-	if c.faults != nil {
-		if err := c.faults.FailMessage(c.local, c.peer); err != nil {
+	if err := faultGate(ctx, c.faults, c.local, c.peer); err != nil {
+		if ctx.Err() == nil {
 			c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
-			return fmt.Errorf("svc: call %s: %w", method, err)
 		}
-		if d := c.faults.MessageDelay(c.local, c.peer); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return fmt.Errorf("svc: call %s: %w", method, ctx.Err())
-			}
-		}
+		return fmt.Errorf("svc: call %s: %w", method, err)
 	}
 
-	var raw json.RawMessage
+	var raw []byte
 	if params != nil {
 		b, err := json.Marshal(params)
 		if err != nil {
@@ -137,7 +188,7 @@ func (c *Conn) Call(ctx context.Context, method string, params, result any) erro
 		raw = b
 	}
 
-	ch := make(chan *response, 1)
+	ch := make(chan frame2, 1)
 	c.mu.Lock()
 	if c.dead {
 		cause := c.cause
@@ -149,51 +200,40 @@ func (c *Conn) Call(ctx context.Context, method string, params, result any) erro
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	req := request{
-		ID:     id,
-		From:   c.local,
-		Method: method,
-		//lint:ignore determinism encoding the ctx deadline as a wire budget needs the wall clock; simulations drive the transport with deadline-free contexts
-		DeadlineMS: deadlineBudget(ctx, time.Now()),
-		Params:     raw,
-	}
-	c.wmu.Lock()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.nc.SetWriteDeadline(dl)
-	} else {
-		_ = c.nc.SetWriteDeadline(time.Time{})
-	}
-	err := writeFrame(c.nc, req)
-	c.wmu.Unlock()
-	if err != nil {
+	payload := encodeCall(callHeader{DeadlineMS: budgetOf(ctx), From: c.local, Method: method}, raw)
+	dl, _ := ctx.Deadline() // the zero time when there is none
+	if err := c.w.send(dl, frameCall, id, payload); err != nil {
 		c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
 		return fmt.Errorf("svc: call %s: %w", method, err)
 	}
 
 	select {
-	case resp, ok := <-ch:
+	case f, ok := <-ch:
 		if !ok {
 			return fmt.Errorf("svc: call %s: %w", method, ErrConnClosed)
 		}
-		if err := decodeError(resp); err != nil {
-			return fmt.Errorf("svc: call %s: %w", method, err)
+		defer f.release()
+		if f.Type == frameError {
+			return fmt.Errorf("svc: call %s: %w", method, decodeErrorFrame(f.Payload))
 		}
 		if result != nil {
-			if len(resp.Result) == 0 {
-				return fmt.Errorf("%w: call %s returned no result", ErrBadFrame, method)
-			}
-			if err := json.Unmarshal(resp.Result, result); err != nil {
+			if err := json.Unmarshal(f.Payload, result); err != nil {
 				return fmt.Errorf("%w: call %s result: %v", ErrBadFrame, method, err)
 			}
 		}
 		return nil
 	case <-ctx.Done():
 		c.mu.Lock()
+		_, waiting := c.pending[id]
 		delete(c.pending, id)
 		c.mu.Unlock()
+		if !waiting {
+			// The reader already took the call off the table: its frame
+			// (or the close of a dying connection) is on its way here.
+			if f, ok := <-ch; ok {
+				f.release()
+			}
+		}
 		return fmt.Errorf("svc: call %s: %w", method, ctx.Err())
 	}
 }
@@ -215,26 +255,20 @@ func newPeerConn(addr, local, peer string, faults TransportFaults) *peerConn {
 	return &peerConn{addr: addr, local: local, peer: peer, faults: faults}
 }
 
-func (p *peerConn) get(ctx context.Context) (*Conn, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn != nil && !p.conn.Dead() {
-		return p.conn, nil
-	}
-	c, err := dialConn(ctx, p.addr, p.local, p.peer, p.faults)
-	if err != nil {
-		return nil, err
-	}
-	p.conn = c
-	return c, nil
-}
-
-// call dials (or reuses) the connection and performs one RPC.
+// call performs one RPC on the cached connection, dialing first when
+// there is none or it has died.
 func (p *peerConn) call(ctx context.Context, method string, params, result any) error {
-	c, err := p.get(ctx)
-	if err != nil {
-		return err
+	p.mu.Lock()
+	c := p.conn
+	if c == nil || c.Dead() {
+		var err error
+		if c, err = dialConn(ctx, p.addr, p.local, p.peer, p.faults); err != nil {
+			p.mu.Unlock()
+			return err
+		}
+		p.conn = c
 	}
+	p.mu.Unlock()
 	return c.Call(ctx, method, params, result)
 }
 

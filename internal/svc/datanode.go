@@ -78,7 +78,7 @@ func NewDataNodeServer(id cluster.NodeID, faults TransportFaults) *DataNodeServe
 		faults: faults,
 		epoch:  newEpoch(),
 	}
-	d.srv = NewServer(endpointName(id), faults, d.handle)
+	d.srv = NewServer(endpointName(id), faults, d.methods())
 	d.srv.SetDataHandler(d.serveData)
 	return d
 }
@@ -107,8 +107,8 @@ func (d *DataNodeServer) peer() *peerConn {
 	return d.nn
 }
 
-// SetAdmission installs admission control on the block service: JSON
-// RPCs and v2 streams compete for the same budget. Call before Listen.
+// SetAdmission installs admission control on the block service: calls
+// and streams compete for the same budget. Call before Listen.
 func (d *DataNodeServer) SetAdmission(cfg AdmissionConfig) { d.srv.SetAdmission(cfg) }
 
 // Admission exposes the controller (nil when disabled).
@@ -126,26 +126,21 @@ func (d *DataNodeServer) Addr() string { return d.srv.Addr() }
 // inspection in tests).
 func (d *DataNodeServer) Node() *dfs.DataNode { return d.dn }
 
-func (d *DataNodeServer) handle(ctx context.Context, from, method string, params []byte) (any, error) {
-	switch method {
-	case "dn.delete":
-		var p getParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		d.dn.Delete(p.Block)
-		return struct{}{}, nil
-	case "dn.stored":
-		var p getParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		size, sum, ok := d.dn.StoredSum(p.Block)
-		return storedResult{Size: size, CRC32: sum, OK: ok}, nil
-	case "dn.blocks":
-		return blocksResult{Blocks: d.dn.StoredBlocks()}, nil
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownMethod, method)
+// methods declares the DataNode's control RPCs. Block bytes do not come
+// this way: they move on streams (pipeline.go).
+func (d *DataNodeServer) methods() methodTable {
+	return methodTable{
+		"dn.delete": {classBackground, typed(func(_ context.Context, p getParams) (any, error) {
+			d.dn.Delete(p.Block)
+			return struct{}{}, nil
+		})},
+		"dn.stored": {classBackground, typed(func(_ context.Context, p getParams) (any, error) {
+			size, sum, ok := d.dn.StoredSum(p.Block)
+			return storedResult{Size: size, CRC32: sum, OK: ok}, nil
+		})},
+		"dn.blocks": {classBackground, bare(func(context.Context) (any, error) {
+			return blocksResult{Blocks: d.dn.StoredBlocks()}, nil
+		})},
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -145,34 +144,6 @@ func TestProtocolEquivalenceErrors(t *testing.T) {
 	}
 	if dfs.IsTransient(err) {
 		t.Error("missing block classified transient")
-	}
-}
-
-// TestProtocolEquivalenceTaxonomy encodes an error wrapping every
-// registered wire code through the v1 JSON envelope and the v2 binary
-// error frame and asserts the rehydrated errors are indistinguishable:
-// same errors.Is matches, same transience, same message.
-func TestProtocolEquivalenceTaxonomy(t *testing.T) {
-	for _, ec := range wireCodes {
-		src := fmt.Errorf("equivalence probe: %w", ec.sentinel)
-
-		var resp response
-		encodeError(&resp, src)
-		v1 := decodeError(&resp)
-		v2 := decodeErrorFrame(encodeErrorFrame(src))
-
-		if errors.Is(v1, ec.sentinel) != errors.Is(v2, ec.sentinel) {
-			t.Errorf("%s: sentinel match diverged (v1 %v, v2 %v)", ec.code, errors.Is(v1, ec.sentinel), errors.Is(v2, ec.sentinel))
-		}
-		if !errors.Is(v2, ec.sentinel) {
-			t.Errorf("%s: v2 lost the sentinel", ec.code)
-		}
-		if dfs.IsTransient(v1) != dfs.IsTransient(v2) {
-			t.Errorf("%s: transience diverged (v1 %v, v2 %v)", ec.code, dfs.IsTransient(v1), dfs.IsTransient(v2))
-		}
-		if v1.Error() != v2.Error() {
-			t.Errorf("%s: message diverged: %q vs %q", ec.code, v1.Error(), v2.Error())
-		}
 	}
 }
 

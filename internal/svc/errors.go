@@ -1,9 +1,9 @@
 // Package svc is the networked ADAPT cluster (paper §IV/§V brought to
 // real sockets): a NameNode service holding metadata, the heartbeat
 // collector, and the performance predictor; DataNode services storing
-// block replicas; and a shell-style client — control messages as
-// length-prefixed JSON frames, block bytes as v2 binary streams, over
-// TCP, stdlib only.
+// block replicas; and a shell-style client — all of it over one frame
+// format on TCP (wire.go): small decisions as multiplexed calls, block
+// bytes as streams of chunks, stdlib only.
 //
 // The services are thin transports over the existing internal/dfs
 // engine, split the way HDFS and the paper's prototype split it: the
@@ -23,7 +23,13 @@
 // (chaos.NetFaults) can drop, delay, and partition connections.
 package svc
 
-import "errors"
+import (
+	"context"
+	"errors"
+
+	"github.com/adaptsim/adapt/internal/dfs"
+	"github.com/adaptsim/adapt/internal/shard"
+)
 
 // Service-layer sentinels. Wire errors arriving from a peer are
 // rehydrated so errors.Is matches these and the dfs sentinels across
@@ -47,9 +53,10 @@ var (
 	// ErrBadObservation marks an availability observation that cannot
 	// be folded (negative durations, downtime without interruptions).
 	ErrBadObservation = errors.New("svc: bad availability observation")
-	// ErrFrameTooLarge marks a frame exceeding its bound — MaxControlFrame
-	// for JSON, MaxChunkPayload for v2 — in either direction; the
-	// connection is torn down (framing is lost).
+	// ErrFrameTooLarge marks a frame exceeding its type's bound —
+	// MaxControlFrame for a call or a reply, MaxChunkPayload for the
+	// rest — in either direction; a receiver that meets one tears the
+	// connection down (framing is lost).
 	ErrFrameTooLarge = errors.New("svc: frame too large")
 	// ErrBadFrame marks an undecodable frame; the connection is torn
 	// down.
@@ -67,21 +74,37 @@ type errorCode struct {
 
 // wireCodes is consulted in order at encode time (first errors.Is
 // match wins) and by exact code at decode time.
-var wireCodes = []errorCode{}
+var wireCodes = []errorCode{
+	{"stale_heartbeat", ErrStaleHeartbeat},
+	{"unknown_method", ErrUnknownMethod},
+	{"shutting_down", ErrShuttingDown},
+	{"unknown_datanode", ErrUnknownDataNode},
+	{"conn_closed", ErrConnClosed},
+	{"bad_observation", ErrBadObservation},
 
-// registerCode is called from init functions below and from
-// wire_dfs.go to keep the table in one place.
-func registerCode(code string, sentinel error) {
-	wireCodes = append(wireCodes, errorCode{code: code, sentinel: sentinel})
-}
-
-func init() {
-	registerCode("stale_heartbeat", ErrStaleHeartbeat)
-	registerCode("unknown_method", ErrUnknownMethod)
-	registerCode("shutting_down", ErrShuttingDown)
-	registerCode("unknown_datanode", ErrUnknownDataNode)
-	registerCode("conn_closed", ErrConnClosed)
-	registerCode("bad_observation", ErrBadObservation)
+	// The dfs taxonomy crosses the wire so shell clients and the
+	// NameNode's remote stores classify failures exactly like
+	// in-process callers. Transient-vs-permanent travels separately
+	// in the error's flags byte.
+	{"file_exists", dfs.ErrFileExists},
+	{"file_not_found", dfs.ErrFileNotFound},
+	{"block_not_found", dfs.ErrBlockNotFound},
+	{"no_replica", dfs.ErrNoReplica},
+	{"bad_block_size", dfs.ErrBadBlockSize},
+	{"bad_replication", dfs.ErrBadReplication},
+	{"node_down", dfs.ErrNodeDown},
+	{"checksum", dfs.ErrChecksum},
+	{"no_live_nodes", dfs.ErrNoLiveNodes},
+	{"unknown_node", dfs.ErrUnknownNode},
+	{"inconsistent", dfs.ErrInconsistent},
+	{"not_local", dfs.ErrNotLocal},
+	{"journal", dfs.ErrJournal},
+	{"overload", dfs.ErrOverload},
+	{"lease_expired", dfs.ErrLeaseExpired},
+	{"file_too_large", dfs.ErrFileTooLarge},
+	{"quota", shard.ErrQuota},
+	{"deadline", context.DeadlineExceeded},
+	{"canceled", context.Canceled},
 }
 
 // codeFor returns the wire code for an error chain ("" when no

@@ -3,10 +3,14 @@ package svc
 import (
 	"bytes"
 	"testing"
+
+	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// Fuzz targets for the v2 wire codec (wire2.go). The decoders face
-// bytes straight off a socket, so the contract under arbitrary input
+// Fuzz targets for the wire codec (wire.go), the whole of it: calls,
+// replies and errors ride the same frames block streams do. The
+// decoders face bytes straight off a socket, so the contract under
+// arbitrary input
 // is: never panic, never allocate unboundedly, and never leak a pooled
 // buffer — readFrame2 owns its payload until it hands it to the
 // caller, and every rejection path must have returned it already.
@@ -16,7 +20,7 @@ import (
 // budget in CI.
 
 // FuzzDecodeFrame feeds arbitrary bytes to the frame reader and every
-// control-payload decoder.
+// payload decoder.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameVersion})
@@ -28,16 +32,31 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add(encodeOpenWrite(openWrite{Block: 3, Size: 1024, From: "nn", Chain: []chainEntry{{Node: 1, Addr: "127.0.0.1:9"}}}))
 	f.Add(encodeAcks([]ackEntry{{Node: 2, OK: true}, {Node: 3, Code: "node_down", Msg: "down", Transient: true}}))
+	// A call, its reply and its error, framed and as bare payloads.
+	call := encodeCall(callHeader{DeadlineMS: 1500, From: "shell", Method: "nn.locate"}, []byte(`{"name":"f"}`))
+	failure := encodeErrorFrame(dfs.ErrFileNotFound)
+	f.Add(call)
+	f.Add(failure)
+	for _, fr := range []frame2{{Type: frameCall, Payload: call}, {Type: frameReply, Payload: []byte(`{"files":["f"]}`)}, {Type: frameError, Payload: failure}} {
+		var framed bytes.Buffer
+		if err := writeFrame2(&framed, fr.Type, 0, 9, fr.Payload); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(framed.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		start := frameBufs.balance()
 		if fr, err := readFrame2(bytes.NewReader(data)); err == nil {
-			if fr.Type == 0 || fr.Type > frameReadHdr {
+			if fr.Type == 0 || fr.Type > frameReply {
 				t.Fatalf("accepted frame with invalid type %d", fr.Type)
 			}
 			fr.release()
 		}
-		// The control decoders must be total functions over []byte.
+		// The payload decoders must be total functions over []byte.
+		if h, params, err := decodeCall(data); err == nil && 12+len(h.From)+len(h.Method)+len(params) != len(data) {
+			t.Fatalf("call header %+v and %d params bytes do not add up to the %d-byte payload", h, len(params), len(data))
+		}
 		_, _ = decodeOpenWrite(data)
 		_, _ = decodeOpenRead(data)
 		if acks, err := decodeAcks(data); err == nil {

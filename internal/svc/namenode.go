@@ -349,7 +349,7 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 			s.durable.snapshotEvery = uint64(cfg.SnapshotEvery)
 		}
 	}
-	s.srv = NewServer("namenode", faults, s.handle)
+	s.srv = NewServer("namenode", faults, s.methods())
 	if cfg.Admission.MaxInflight > 0 {
 		s.srv.SetAdmission(cfg.Admission)
 	}
@@ -438,162 +438,146 @@ func (s *NameNodeServer) Crash() {
 	}
 }
 
-// handle dispatches one RPC, then lets the snapshot cadence piggyback
-// on successful namespace mutations.
-func (s *NameNodeServer) handle(ctx context.Context, from, method string, params []byte) (any, error) {
-	res, err := s.dispatch(ctx, from, method, params)
-	if err == nil {
-		switch method {
-		case "nn.complete", "nn.cp", "nn.delete", "nn.adapt", "nn.rebalance", "nn.maintain":
-			s.maybeSnapshot()
-		}
+// methods declares the NameNode's RPCs, each once: its admission class
+// and its handler, wrapped in mutation when a success changes the
+// namespace. nn.complete is control, not a put: shedding it would throw
+// away replication-factor times the file's bytes already on disk, so
+// overload is refused one step earlier, at nn.allocate, before bytes
+// move.
+func (s *NameNodeServer) methods() methodTable {
+	return methodTable{
+		"nn.heartbeat":   {classControl, typed(s.heartbeat)},
+		"nn.cluster":     {classControl, bare(s.cluster)},
+		"nn.allocate":    {classPut, typed(s.allocate)},
+		"nn.complete":    {classControl, s.mutation(typed(s.complete))},
+		"nn.locate":      {classGet, typed(s.locate)},
+		"nn.cp":          {classPut, s.mutation(typed(s.cp))},
+		"nn.stat":        {classBackground, typed(s.stat)},
+		"nn.list":        {classBackground, bare(s.list)},
+		"nn.delete":      {classBackground, s.mutation(typed(s.delete))},
+		"nn.adapt":       {classBackground, s.mutation(typed(s.adapt))},
+		"nn.rebalance":   {classBackground, s.mutation(typed(s.rebalance))},
+		"nn.dist":        {classBackground, typed(s.dist)},
+		"nn.maintain":    {classBackground, s.mutation(typed(s.maintain))},
+		"nn.estimates":   {classBackground, bare(s.estimates)},
+		"nn.consistency": {classBackground, bare(s.consistency)},
+		"nn.fsck":        {classBackground, bare(s.fsck)},
+		"nn.scrub":       {classBackground, bare(s.scrub)},
 	}
-	return res, err
 }
 
-func (s *NameNodeServer) dispatch(ctx context.Context, from, method string, params []byte) (any, error) {
-	switch method {
-	case "nn.heartbeat":
-		var p heartbeatParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
+// mutation marks a handler whose success mutates the namespace: the
+// snapshot cadence piggybacks on those.
+func (s *NameNodeServer) mutation(serve rpcHandler) rpcHandler {
+	return func(ctx context.Context, params []byte) (any, error) {
+		res, err := serve(ctx, params)
+		if err == nil {
+			s.maybeSnapshot()
 		}
-		if err := s.foldHeartbeat(p); err != nil {
-			return nil, err
-		}
-		return struct{}{}, nil
-	case "nn.cluster":
-		return s.fleet, nil
-	case "nn.allocate":
-		var p allocateParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		// The read lock covers the placement draws and nothing else: no
-		// byte moves under it, so heartbeat folds never queue behind a
-		// put.
-		s.availMu.RLock()
-		alloc, err := s.cl.Allocate(ctx, p.Name, p.Size, p.Adapt)
-		s.availMu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		return allocateResult{Alloc: alloc, Down: s.downNodes()}, nil
-	case "nn.complete":
-		var p completeParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		fm, err := s.nn.Complete(p.Name, p.Blocks)
-		if err != nil {
-			return nil, err
-		}
-		rc := s.nn.Resilience()
-		rc.WriteFailovers.Add(int64(p.Report.Failovers))
-		rc.WriteRetries.Add(int64(p.Report.Retries))
-		rc.DegradedWrites.Add(int64(p.Report.DegradedBlocks))
-		return fm, nil
-	case "nn.locate":
-		var p nameParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		fm, err := s.nn.Locate(p.Name)
-		if err != nil {
-			return nil, err
-		}
-		return locateResult{Meta: fm, Down: s.downNodes()}, nil
-	case "nn.cp":
-		var p cpParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		return s.cl.CpContext(ctx, p.Src, p.Dst, p.Adapt)
-	case "nn.stat":
-		var p nameParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		return s.nn.Stat(p.Name)
-	case "nn.list":
-		return listResult{Files: s.nn.List()}, nil
-	case "nn.delete":
-		var p nameParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		if err := s.nn.DeleteContext(ctx, p.Name); err != nil {
-			return nil, err
-		}
-		return struct{}{}, nil
-	case "nn.adapt":
-		var p nameParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		moved, err := s.cl.AdaptContext(ctx, p.Name)
-		if err != nil {
-			return nil, err
-		}
-		return movedResult{Moved: moved}, nil
-	case "nn.rebalance":
-		var p nameParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		moved, err := s.cl.RebalanceContext(ctx, p.Name)
-		if err != nil {
-			return nil, err
-		}
-		return movedResult{Moved: moved}, nil
-	case "nn.dist":
-		var p nameParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		counts, err := s.nn.BlockDistribution(p.Name)
-		if err != nil {
-			return nil, err
-		}
-		return distResult{Counts: counts}, nil
-	case "nn.maintain":
-		var p maintainParams
-		if err := unmarshalParams(params, &p); err != nil {
-			return nil, err
-		}
-		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		return s.cl.MaintainReplicationContext(ctx, p.Name, p.Adapt)
-	case "nn.estimates":
-		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		return estimatesResult{Estimates: s.nn.Heartbeat().Snapshot()}, nil
-	case "nn.consistency":
-		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		if err := s.nn.CheckConsistencyContext(ctx); err != nil {
-			return nil, err
-		}
-		return struct{}{}, nil
-	case "nn.fsck":
-		s.availMu.RLock()
-		defer s.availMu.RUnlock()
-		return s.nn.Health(), nil
-	case "nn.scrub":
-		removed, err := s.nn.ScrubOrphans(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return scrubResult{Removed: removed}, nil
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownMethod, method)
+		return res, err
 	}
+}
+
+func (s *NameNodeServer) heartbeat(_ context.Context, p heartbeatParams) (any, error) {
+	return struct{}{}, s.foldHeartbeat(p)
+}
+
+func (s *NameNodeServer) cluster(context.Context) (any, error) { return s.fleet, nil }
+
+func (s *NameNodeServer) allocate(ctx context.Context, p allocateParams) (any, error) {
+	// The read lock covers the placement draws and nothing else: no
+	// byte moves under it, so heartbeat folds never queue behind a put.
+	s.availMu.RLock()
+	alloc, err := s.cl.Allocate(ctx, p.Name, p.Size, p.Adapt)
+	s.availMu.RUnlock()
+	if err != nil {
+		return nil, err
+	}
+	return allocateResult{Alloc: alloc, Down: s.downNodes()}, nil
+}
+
+func (s *NameNodeServer) complete(_ context.Context, p completeParams) (any, error) {
+	fm, err := s.nn.Complete(p.Name, p.Blocks)
+	if err != nil {
+		return nil, err
+	}
+	rc := s.nn.Resilience()
+	rc.WriteFailovers.Add(int64(p.Report.Failovers))
+	rc.WriteRetries.Add(int64(p.Report.Retries))
+	rc.DegradedWrites.Add(int64(p.Report.DegradedBlocks))
+	return fm, nil
+}
+
+func (s *NameNodeServer) locate(_ context.Context, p nameParams) (any, error) {
+	fm, err := s.nn.Locate(p.Name)
+	if err != nil {
+		return nil, err
+	}
+	return locateResult{Meta: fm, Down: s.downNodes()}, nil
+}
+
+func (s *NameNodeServer) cp(ctx context.Context, p cpParams) (any, error) {
+	s.availMu.RLock()
+	defer s.availMu.RUnlock()
+	return s.cl.CpContext(ctx, p.Src, p.Dst, p.Adapt)
+}
+
+func (s *NameNodeServer) stat(_ context.Context, p nameParams) (any, error) {
+	return s.nn.Stat(p.Name)
+}
+
+func (s *NameNodeServer) list(context.Context) (any, error) {
+	return listResult{Files: s.nn.List()}, nil
+}
+
+func (s *NameNodeServer) delete(ctx context.Context, p nameParams) (any, error) {
+	return struct{}{}, s.nn.DeleteContext(ctx, p.Name)
+}
+
+func (s *NameNodeServer) adapt(ctx context.Context, p nameParams) (any, error) {
+	s.availMu.RLock()
+	defer s.availMu.RUnlock()
+	moved, err := s.cl.AdaptContext(ctx, p.Name)
+	return movedResult{Moved: moved}, err
+}
+
+func (s *NameNodeServer) rebalance(ctx context.Context, p nameParams) (any, error) {
+	s.availMu.RLock()
+	defer s.availMu.RUnlock()
+	moved, err := s.cl.RebalanceContext(ctx, p.Name)
+	return movedResult{Moved: moved}, err
+}
+
+func (s *NameNodeServer) dist(_ context.Context, p nameParams) (any, error) {
+	counts, err := s.nn.BlockDistribution(p.Name)
+	return distResult{Counts: counts}, err
+}
+
+func (s *NameNodeServer) maintain(ctx context.Context, p maintainParams) (any, error) {
+	s.availMu.RLock()
+	defer s.availMu.RUnlock()
+	return s.cl.MaintainReplicationContext(ctx, p.Name, p.Adapt)
+}
+
+func (s *NameNodeServer) estimates(context.Context) (any, error) {
+	return estimatesResult{Estimates: s.Estimates()}, nil
+}
+
+func (s *NameNodeServer) consistency(ctx context.Context) (any, error) {
+	s.availMu.RLock()
+	defer s.availMu.RUnlock()
+	return struct{}{}, s.nn.CheckConsistencyContext(ctx)
+}
+
+func (s *NameNodeServer) fsck(context.Context) (any, error) {
+	s.availMu.RLock()
+	defer s.availMu.RUnlock()
+	return s.nn.Health(), nil
+}
+
+func (s *NameNodeServer) scrub(ctx context.Context) (any, error) {
+	removed, err := s.nn.ScrubOrphans(ctx)
+	return scrubResult{Removed: removed}, err
 }
 
 // downNodes lists the DataNodes this NameNode currently believes are

@@ -5,13 +5,12 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"time"
 
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// DataNode side of the v2 data plane: the stream handler the server's
-// preamble sniffing routes binary connections to. A write stream is
+// DataNode side of the block streams: the handler the server hands a
+// connection to when its first frame opens one. A write stream is
 // relayed down the replication chain HDFS-style — this node dials the
 // next hop, forwards each chunk as it arrives, and commits
 // deepest-first: downstream commit acks are collected before the
@@ -19,19 +18,12 @@ import (
 // torn stream can never leave a committed prefix the writer did not
 // hear about from every deeper node first.
 
-// serveData dispatches one v2 connection by its opening frame.
-func (d *DataNodeServer) serveData(ctx context.Context, nc net.Conn, br *bufio.Reader) {
-	f, err := readFrame2(br)
-	if err != nil {
-		return
-	}
-	switch f.Type {
-	case frameOpenWrite:
-		d.serveWrite(ctx, nc, br, f)
-	case frameOpenRead:
-		d.serveRead(ctx, nc, br, f)
-	default:
-		f.release()
+// serveData serves the stream that open begins.
+func (d *DataNodeServer) serveData(ctx context.Context, nc net.Conn, br *bufio.Reader, open frame2) {
+	if open.Type == frameOpenWrite {
+		d.serveWrite(ctx, nc, br, open)
+	} else {
+		d.serveRead(ctx, nc, br, open)
 	}
 }
 
@@ -39,10 +31,7 @@ func (d *DataNodeServer) serveData(ctx context.Context, nc net.Conn, br *bufio.R
 // deadline budget and mirrors it onto the connection, so a cancelled
 // or expired stream aborts blocked I/O instead of hanging.
 func streamCtx(ctx context.Context, nc net.Conn, deadlineMS int64) (context.Context, func()) {
-	var cancel context.CancelFunc = func() {}
-	if deadlineMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
-	}
+	ctx, cancel := budgetCtx(ctx, deadlineMS)
 	if dl, ok := ctx.Deadline(); ok {
 		_ = nc.SetDeadline(dl)
 	}
@@ -76,8 +65,8 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		return
 	}
 	name := endpointName(d.id)
-	// Serving-side fault check, as for incoming JSON requests: a
-	// partition severs streams already dialed, not just new dials.
+	// Serving-side fault check, as for incoming calls: a partition
+	// severs streams already dialed, not just new dials.
 	if d.faults != nil {
 		if d.faults.FailMessage(ow.From, name) != nil {
 			return
@@ -87,8 +76,8 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	defer done()
 	bw := bufio.NewWriterSize(nc, 32<<10)
 
-	// A write stream is a put: it competes for the same admission
-	// budget as JSON dn.put, and a shed stream answers with a setup ack
+	// A write stream is a put: it competes for the admission budget
+	// under that class, and a shed stream answers with a setup ack
 	// marking every chain node overloaded (wire taxonomy intact), which
 	// the writer's pipelinePut early-aborts on — fail fast, no bytes.
 	release, aerr := d.srv.admit.Load().acquire(ctx, classPut)
@@ -117,8 +106,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 			// context, not copied from the open frame: whatever this node
 			// already spent is gone, so an N-deep chain shares one budget
 			// instead of re-arming it per hop.
-			//lint:ignore determinism encoding the ctx deadline as a wire budget needs the wall clock; simulations drive the transport with deadline-free contexts
-			fw := openWrite{Block: ow.Block, Size: ow.Size, DeadlineMS: deadlineBudget(ctx, time.Now()), From: name, Chain: ow.Chain[1:]}
+			fw := openWrite{Block: ow.Block, Size: ow.Size, DeadlineMS: budgetOf(ctx), From: name, Chain: ow.Chain[1:]}
 			derr = writeFrame2(dc.bw, frameOpenWrite, 0, sid, encodeOpenWrite(fw))
 			if derr == nil {
 				derr = dc.bw.Flush()

@@ -3,6 +3,7 @@ package svc
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -10,27 +11,24 @@ import (
 	"time"
 )
 
-// Handler serves one RPC. from is the caller's endpoint name from the
-// request envelope; ctx carries the caller's propagated deadline.
-type Handler func(ctx context.Context, from, method string, params []byte) (any, error)
+// DataHandler serves one block stream on its own connection (see
+// wire.go). It owns the connection until it returns; ctx is the
+// server's lifecycle context, r the connection's buffered reader, and
+// open the frameOpenWrite or frameOpenRead that began the stream, which
+// the handler releases.
+type DataHandler func(ctx context.Context, nc net.Conn, r *bufio.Reader, open frame2)
 
-// DataHandler serves one v2 binary data stream on a dedicated
-// connection (see wire2.go). It owns the connection until it returns;
-// ctx is the server's lifecycle context. r is the connection's
-// buffered reader with the preamble already consumed.
-type DataHandler func(ctx context.Context, nc net.Conn, r *bufio.Reader)
-
-// Server accepts frame connections and dispatches each request to its
-// Handler on a fresh goroutine, so one slow block transfer never
-// blocks a heartbeat on the same connection. Shutdown drains in-flight
-// requests before returning: new requests are rejected with
-// ErrShuttingDown, running handlers complete and flush their
-// responses.
+// Server accepts connections and lets each one's first frame say what
+// it is: a call connection, whose every call runs on a fresh goroutine
+// so one slow handler never blocks a heartbeat on the same connection,
+// or one block stream. Shutdown drains in-flight calls and streams
+// before returning: new calls are rejected with ErrShuttingDown,
+// running handlers complete and flush their replies.
 type Server struct {
 	name    string // endpoint name, for the fault hook
 	faults  TransportFaults
-	handler Handler
-	data    DataHandler // v2 stream handler; nil endpoints drop v2 dials
+	methods methodTable
+	data    DataHandler // stream handler; endpoints without one drop streams
 
 	// admit is the admission controller; a nil load admits everything.
 	// Atomic so SetAdmission works on a serving endpoint (tests and
@@ -54,19 +52,19 @@ type Server struct {
 
 // NewServer creates a server for the named endpoint. faults may be
 // nil.
-func NewServer(name string, faults TransportFaults, handler Handler) *Server {
+func NewServer(name string, faults TransportFaults, methods methodTable) *Server {
 	s := &Server{
 		name:    name,
 		faults:  faults,
-		handler: handler,
+		methods: methods,
 		conns:   make(map[net.Conn]bool),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	return s
 }
 
-// SetDataHandler installs the v2 binary stream handler. Call before
-// Listen; endpoints without one close v2 connections on arrival.
+// SetDataHandler installs the block stream handler. Call before
+// Listen; endpoints without one close stream connections on arrival.
 func (s *Server) SetDataHandler(h DataHandler) { s.data = h }
 
 // SetAdmission installs admission control (see AdmissionConfig); a
@@ -126,101 +124,141 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 func (s *Server) serveConn(nc net.Conn) {
-	var wmu sync.Mutex // serializes response frames on this conn
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
 		_ = nc.Close()
 	}()
-	// Both protocols share the listener: v2 data streams announce
-	// themselves with a 4-byte preamble that can never be a valid JSON
-	// frame header (it decodes as a length beyond MaxControlFrame), so
-	// peeking the first bytes routes the connection unambiguously.
+	_ = s.serve(nc) // why a connection ended is the peer's to find out
+}
+
+// serve runs one connection to its end and reports why it ended. The
+// first frame routes it: a call opens the call loop, a stream open goes
+// to the stream handler if the endpoint has one, anything else is not a
+// way to start.
+func (s *Server) serve(nc net.Conn) error {
 	br := bufio.NewReaderSize(nc, 64<<10)
-	first, err := br.Peek(len(dataPreamble))
+	f, err := readFrame2(br)
 	if err != nil {
-		return
+		return err
 	}
-	if [4]byte(first) == dataPreamble {
-		_, _ = br.Discard(len(dataPreamble))
-		// A data stream counts as one in-flight unit: Shutdown drains
-		// it like a pending RPC instead of cutting a half-written block.
+	switch {
+	case f.Type == frameCall:
+		return s.serveCalls(nc, br, f)
+	case (f.Type == frameOpenWrite || f.Type == frameOpenRead) && s.data != nil:
+		// A stream counts as one in-flight unit: Shutdown drains it like
+		// a pending call instead of cutting a half-written block.
 		s.mu.Lock()
-		if s.down || s.data == nil {
+		if s.down {
 			s.mu.Unlock()
-			return
+			f.release()
+			return fmt.Errorf("svc: %s refusing a stream: %w", s.name, ErrShuttingDown)
 		}
 		s.inflight.Add(1)
 		s.mu.Unlock()
 		defer s.inflight.Done()
-		s.data(s.baseCtx, nc, br)
-		return
-	}
-	for {
-		var req request
-		if err := readFrame(br, &req); err != nil {
-			return
-		}
-		// The serving side consults the fault hook too: a partition
-		// severs requests already in flight from the far side, not
-		// just new dials.
-		if s.faults != nil {
-			if err := s.faults.FailMessage(req.From, s.name); err != nil {
-				return
-			}
-		}
-		// Admission and wg.Add happen under the same lock Shutdown
-		// takes before waiting, so a request is either rejected or
-		// fully drained — never lost in between.
-		s.mu.Lock()
-		if s.down {
-			s.mu.Unlock()
-			s.reply(nc, &wmu, req.ID, nil, fmt.Errorf("svc: %s rejecting %s: %w", s.name, req.Method, ErrShuttingDown))
-			continue
-		}
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		go func(req request) {
-			defer s.inflight.Done()
-			ctx := s.baseCtx
-			if req.DeadlineMS > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-				defer cancel()
-			}
-			// Admission happens inside the request goroutine so a queued
-			// wait never blocks the connection's read loop, and the wait
-			// is bounded by the request's own deadline budget.
-			release, aerr := s.admit.Load().acquire(ctx, classOf(req.Method))
-			if aerr != nil {
-				s.reply(nc, &wmu, req.ID, nil, fmt.Errorf("svc: %s shedding %s: %w", s.name, req.Method, aerr))
-				return
-			}
-			defer release()
-			result, err := s.handler(ctx, req.From, req.Method, req.Params)
-			s.reply(nc, &wmu, req.ID, result, err)
-		}(req)
+		s.data(s.baseCtx, nc, br, f)
+		return nil
+	default:
+		f.release()
+		return fmt.Errorf("%w: frame type %d cannot open a connection to %s", ErrBadFrame, f.Type, s.name)
 	}
 }
 
-// reply writes one response frame (result xor err).
-func (s *Server) reply(nc net.Conn, wmu *sync.Mutex, id uint64, result any, err error) {
-	resp := response{ID: id}
-	if err != nil {
-		encodeError(&resp, err)
-	} else {
-		raw, merr := marshalResult(result)
-		if merr != nil {
-			encodeError(&resp, merr)
-		} else {
-			resp.Result = raw
+// serveCalls is the call loop: f is the connection's first call, and
+// every further frame must be one too.
+func (s *Server) serveCalls(nc net.Conn, br *bufio.Reader, f frame2) error {
+	w := newFrameWriter(nc)
+	for {
+		if err := s.dispatch(w, f); err != nil {
+			f.release()
+			return err
+		}
+		var err error
+		if f, err = readFrame2(br); err != nil {
+			return err
 		}
 	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	if werr := writeFrame(nc, resp); werr != nil {
-		_ = nc.Close() // framing is gone; reader sees EOF and cleans up
+}
+
+// dispatch starts one call's handler, which takes f over; an error
+// leaves f with the caller and ends the connection.
+func (s *Server) dispatch(w *frameWriter, f frame2) error {
+	if f.Type != frameCall {
+		return fmt.Errorf("%w: frame type %d on a call connection", ErrBadFrame, f.Type)
+	}
+	h, params, err := decodeCall(f.Payload)
+	if err != nil {
+		return err
+	}
+	// The serving side consults the fault hook too: a partition severs
+	// calls already in flight from the far side, not just new dials.
+	if s.faults != nil {
+		if err := s.faults.FailMessage(h.From, s.name); err != nil {
+			return err
+		}
+	}
+	// Admission and wg.Add happen under the same lock Shutdown takes
+	// before waiting, so a call is either rejected or fully drained —
+	// never lost in between.
+	s.mu.Lock()
+	down := s.down
+	if !down {
+		s.inflight.Add(1)
+	}
+	s.mu.Unlock()
+	if down {
+		s.reply(w, f.Stream, nil, fmt.Errorf("svc: %s rejecting %s: %w", s.name, h.Method, ErrShuttingDown))
+		f.release()
+		return nil
+	}
+	go s.handle(w, f, h, params)
+	return nil
+}
+
+// handle runs one call to its reply. params alias f's pooled payload,
+// which is released once the handler — whose decoders copy — is done.
+func (s *Server) handle(w *frameWriter, f frame2, h callHeader, params []byte) {
+	defer s.inflight.Done()
+	defer f.release()
+	ctx, cancel := budgetCtx(s.baseCtx, h.DeadlineMS)
+	defer cancel()
+	// Admission happens inside the call's goroutine so a queued wait
+	// never blocks the connection's read loop, and the wait is bounded
+	// by the call's own deadline budget.
+	release, aerr := s.admit.Load().acquire(ctx, s.methods.classOf(h.Method))
+	if aerr != nil {
+		s.reply(w, f.Stream, nil, fmt.Errorf("svc: %s shedding %s: %w", s.name, h.Method, aerr))
+		return
+	}
+	defer release()
+	m, ok := s.methods[h.Method]
+	if !ok {
+		s.reply(w, f.Stream, nil, fmt.Errorf("%w: %q", ErrUnknownMethod, h.Method))
+		return
+	}
+	result, err := m.serve(ctx, params)
+	s.reply(w, f.Stream, result, err)
+}
+
+// reply answers call id with one frame: the result as a reply, or err
+// — the handler's, or that of a result that will not encode or fit —
+// as an error frame.
+func (s *Server) reply(w *frameWriter, id uint64, result any, err error) {
+	typ, payload := frameReply, []byte(nil)
+	if err == nil {
+		if payload, err = json.Marshal(result); err != nil {
+			err = fmt.Errorf("svc: encode result: %w", err)
+		} else if len(payload) > MaxControlFrame {
+			err = fmt.Errorf("%w: %d-byte result", ErrFrameTooLarge, len(payload))
+		}
+	}
+	if err != nil {
+		typ, payload = frameError, encodeErrorFrame(err)
+	}
+	if w.send(time.Time{}, typ, id, payload) != nil {
+		_ = w.nc.Close() // framing is gone; the read loop sees the error and cleans up
 	}
 }
 

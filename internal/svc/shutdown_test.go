@@ -19,12 +19,13 @@ import (
 func TestShutdownDrainsInflightAndRejectsNew(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	srv := NewServer("test", nil, func(ctx context.Context, from, method string, params []byte) (any, error) {
-		if method == "slow" {
+	srv := NewServer("test", nil, methodTable{
+		"slow": {serve: bare(func(context.Context) (any, error) {
 			close(entered)
 			<-release
-		}
-		return struct{}{}, nil
+			return struct{}{}, nil
+		})},
+		"fast": {serve: bare(func(context.Context) (any, error) { return struct{}{}, nil })},
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -89,10 +90,10 @@ func TestShutdownDrainsInflightAndRejectsNew(t *testing.T) {
 func TestShutdownDeadlineExpires(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	srv := NewServer("test", nil, func(ctx context.Context, from, method string, params []byte) (any, error) {
+	srv := NewServer("test", nil, methodTable{"wedge": {serve: bare(func(context.Context) (any, error) {
 		<-block
 		return struct{}{}, nil
-	})
+	})}})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

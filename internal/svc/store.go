@@ -2,7 +2,6 @@ package svc
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -13,7 +12,7 @@ import (
 )
 
 // DataNode control RPC params/results. Block bytes move only over v2
-// streams (wire2.go); dn.stored answers the verification read with the
+// streams (wire.go); dn.stored answers the verification read with the
 // size and checksum the DataNode computed over its own copy.
 type getParams struct {
 	Block dfs.BlockID `json:"block"`
@@ -48,7 +47,7 @@ type remoteStore struct {
 	id   cluster.NodeID
 	peer *peerConn
 
-	// The binary data plane (wire2.go): resolve maps chain node ids to
+	// The binary data plane (wire.go): resolve maps chain node ids to
 	// data addresses for pipeline writes; scrub best-effort deletes a
 	// possibly-committed replica on another chain node after a torn
 	// pipeline, so deep commits whose acks were lost do not linger as
@@ -56,7 +55,7 @@ type remoteStore struct {
 	// context: the hook waits for the op to settle before acting, so it
 	// never races the engine's same-block retry, and bounds its own
 	// deadline so a gray holder cannot pin the goroutine. Deletes,
-	// inventory and liveness ride the JSON control plane.
+	// inventory and liveness are calls on the proxy's call connection.
 	resolve func(cluster.NodeID) (string, bool)
 	scrub   func(ctx context.Context, node cluster.NodeID, id dfs.BlockID)
 
@@ -316,10 +315,3 @@ func (s *remoteStore) StoredBlocks(ctx context.Context) ([]dfs.BlockID, bool) {
 
 // close tears down the proxy's cached connection.
 func (s *remoteStore) close() { s.peer.close() }
-
-func unmarshalParams(params []byte, v any) error {
-	if err := json.Unmarshal(params, v); err != nil {
-		return fmt.Errorf("%w: params: %v", ErrBadFrame, err)
-	}
-	return nil
-}

@@ -11,10 +11,10 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// Client side of the v2 data plane (see wire2.go): dedicated stream
+// Client side of the block streams (see wire.go): dedicated
 // connections carrying pipeline writes and chunked reads. One
-// connection carries one stream; multiplexing stays on the JSON
-// control plane, where frames are small.
+// connection carries one stream; multiplexing is for call connections
+// (conn.go), where frames are small.
 
 // streamIDs mints stream ids. With one stream per connection the id
 // is diagnostic — it ties the frames of a stream together in traces
@@ -34,46 +34,24 @@ type dataConn struct {
 // its context is cancelled: any instant in the past works.
 var connPast = time.Unix(1, 0)
 
-// dialData opens a v2 stream to addr: fault hook first (a partitioned
-// endpoint cannot even dial, and injected latency is paid once per
-// stream), then the preamble. The stream inherits ctx end to end —
-// its deadline becomes the connection deadline, and cancellation
-// aborts blocked reads and writes mid-stream.
+// dialData opens a stream connection to addr (see dial for the fault
+// hook). The stream inherits ctx end to end — its deadline becomes the
+// connection deadline, and cancellation aborts blocked reads and
+// writes mid-stream. The caller's open frame says which stream it is.
 func dialData(ctx context.Context, addr, local, peer string, faults TransportFaults) (*dataConn, error) {
-	if faults != nil {
-		if err := faults.FailMessage(local, peer); err != nil {
-			return nil, fmt.Errorf("svc: data dial %s: %w", addr, err)
-		}
-		if d := faults.MessageDelay(local, peer); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("svc: data dial %s: %w", addr, ctx.Err())
-			}
-		}
-	}
-	var d net.Dialer
-	nc, err := d.DialContext(ctx, "tcp", addr)
+	nc, err := dial(ctx, addr, local, peer, faults)
 	if err != nil {
-		return nil, fmt.Errorf("svc: data dial %s: %w", addr, err)
+		return nil, err
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		_ = nc.SetDeadline(dl)
 	}
-	stop := context.AfterFunc(ctx, func() { _ = nc.SetDeadline(connPast) })
-	dc := &dataConn{
+	return &dataConn{
 		nc:   nc,
 		br:   bufio.NewReaderSize(nc, 64<<10),
 		bw:   bufio.NewWriterSize(nc, 32<<10),
-		stop: stop,
-	}
-	if _, err := dc.bw.Write(dataPreamble[:]); err != nil {
-		dc.close()
-		return nil, fmt.Errorf("svc: data dial %s: %w", addr, err)
-	}
-	return dc, nil
+		stop: context.AfterFunc(ctx, func() { _ = nc.SetDeadline(connPast) }),
+	}, nil
 }
 
 func (c *dataConn) close() {
@@ -118,7 +96,7 @@ func dialDataSetup(ctx context.Context, addr, local, peer string, faults Transpo
 	//lint:ignore determinism carving a setup slice out of a wall-clock deadline needs the wall clock; deadline-free contexts take the branch above
 	rem := time.Until(dl)
 	if rem <= 0 {
-		return nil, fmt.Errorf("svc: data dial %s: %w", addr, context.DeadlineExceeded)
+		return nil, fmt.Errorf("svc: dial %s: %w", addr, context.DeadlineExceeded)
 	}
 	setupCtx, cancel := context.WithTimeout(ctx, rem/4)
 	defer cancel()
@@ -128,7 +106,7 @@ func dialDataSetup(ctx context.Context, addr, local, peer string, faults Transpo
 	}
 	if !dc.rearm(ctx) {
 		dc.close()
-		return nil, fmt.Errorf("svc: data dial %s: setup budget: %w", addr, context.DeadlineExceeded)
+		return nil, fmt.Errorf("svc: dial %s: setup budget: %w", addr, context.DeadlineExceeded)
 	}
 	return dc, nil
 }
@@ -148,14 +126,7 @@ func pipelinePut(ctx context.Context, local string, faults TransportFaults, chai
 	}
 	defer dc.close()
 	sid := streamIDs.Add(1)
-	ow := openWrite{
-		Block: id,
-		Size:  int64(len(data)),
-		//lint:ignore determinism encoding the ctx deadline as a wire budget needs the wall clock; simulations drive the transport with deadline-free contexts
-		DeadlineMS: deadlineBudget(ctx, time.Now()),
-		From:       local,
-		Chain:      chain[1:],
-	}
+	ow := openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: local, Chain: chain[1:]}
 	if err := writeFrame2(dc.bw, frameOpenWrite, 0, sid, encodeOpenWrite(ow)); err != nil {
 		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
@@ -200,7 +171,7 @@ func pipelinePut(ctx context.Context, local string, faults TransportFaults, chai
 			flags = flagLast
 		}
 		// A partition formed mid-stream severs the remaining chunks,
-		// exactly as it severs queued JSON calls.
+		// exactly as it severs queued calls.
 		if faults != nil {
 			if ferr := faults.FailMessage(local, peer); ferr != nil {
 				return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, ferr)
@@ -245,12 +216,7 @@ func streamGet(ctx context.Context, local string, faults TransportFaults, addr, 
 	}
 	defer dc.close()
 	sid := streamIDs.Add(1)
-	or := openRead{
-		Block: id,
-		//lint:ignore determinism encoding the ctx deadline as a wire budget needs the wall clock; simulations drive the transport with deadline-free contexts
-		DeadlineMS: deadlineBudget(ctx, time.Now()),
-		From:       local,
-	}
+	or := openRead{Block: id, DeadlineMS: budgetOf(ctx), From: local}
 	if err := writeFrame2(dc.bw, frameOpenRead, 0, sid, encodeOpenRead(or)); err != nil {
 		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
 	}

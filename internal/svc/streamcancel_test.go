@@ -3,7 +3,6 @@ package svc
 import (
 	"bufio"
 	"context"
-	"io"
 	"net"
 	"testing"
 	"time"
@@ -33,10 +32,6 @@ func TestStreamGetAbandonedMidChunkReleasesBuffers(t *testing.T) {
 		}
 		defer nc.Close()
 		br := bufio.NewReader(nc)
-		var pre [4]byte
-		if _, err := io.ReadFull(br, pre[:]); err != nil {
-			return
-		}
 		f, err := readFrame2(br)
 		if err != nil {
 			return
@@ -85,9 +80,6 @@ func TestServeWriteTornMidChunkReleasesBuffers(t *testing.T) {
 	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
 	bw := bufio.NewWriterSize(nc, 32<<10)
 	br := bufio.NewReader(nc)
-	if _, err := bw.Write(dataPreamble[:]); err != nil {
-		t.Fatal(err)
-	}
 	ow := openWrite{Block: 99, Size: 2048, DeadlineMS: 5000, From: "torn-writer"}
 	if err := writeFrame2(bw, frameOpenWrite, 0, 1, encodeOpenWrite(ow)); err != nil {
 		t.Fatal(err)

@@ -3,36 +3,117 @@ package svc
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
-	"github.com/adaptsim/adapt/internal/shard"
 )
 
-// MaxBlockBytes bounds one block on the v2 data plane (pipeline.go,
-// stream.go): twice the 64 MB HDFS default block.
-const MaxBlockBytes = 128 << 20
+// The wire protocol. Every connection between two endpoints of this
+// module carries one kind of frame, and a connection's first frame says
+// what the connection is: a frameCall starts a multiplexed call
+// connection (conn.go, Server.serveCalls) that lives as long as the
+// peer pair does; a frameOpenWrite or frameOpenRead starts one block
+// stream (stream.go, pipeline.go) and the connection ends with it.
+//
+// Frame layout (big-endian), 20-byte header:
+//
+//	offset 0      version byte (0x02)
+//	offset 1      frame type
+//	offset 2-3    flags (bit 0: last chunk of the stream)
+//	offset 4-11   stream id (a call's id on a call connection)
+//	offset 12-15  payload length
+//	offset 16-19  CRC32C over header[0:16] + payload
+//
+// The CRC covers the header prefix too, so a flipped type, flag, or
+// length is caught, not just payload corruption.
+//
+//	type           sent by          payload                                bound
+//	openWrite   1  writer -> DN     block, size, budget, from, chain       MaxChunkPayload
+//	openRead    2  reader -> DN     block, budget, from                    MaxChunkPayload
+//	chunk       3  either           raw block bytes                        MaxChunkPayload
+//	setupAck    4  DN -> upstream   per-node admission (ack list)          MaxChunkPayload
+//	commitAck   5  DN -> upstream   per-node commit status (ack list)      MaxChunkPayload
+//	error       6  server -> client transient flag, wire code, message     MaxChunkPayload
+//	readHdr     7  DN -> reader     total size of the coming stream        MaxChunkPayload
+//	call        8  client -> server budget, from, method, then the params  MaxControlFrame
+//	reply       9  server -> client the result                             MaxControlFrame
+//
+// A failed call is answered with the same error frame a failed read is.
+// Everything the transport itself reads — ids, budgets, endpoint names,
+// methods, chains, acks, errors — is the length-prefixed binary below,
+// bounds-checked and fuzzed. A call's params and a reply's result are
+// the JSON encoding of the method's own struct, opaque to the
+// transport: the twenty methods' values (FileMeta, HealthReport,
+// ReplicationReport, the estimate map) are nested and change with the
+// engine, a control round trip is a tenth of a put's cycle, and a
+// binary layout for each would be twenty more decoders to keep fuzzed
+// with no measurement asking for it.
+const (
+	frameVersion = 0x02
+	headerSize   = 20
 
-// MaxControlFrame bounds one JSON frame. No JSON message carries file
-// or block bytes, so the bound is sized for metadata. The largest
-// legitimate frames are a many-block FileMeta (nn.stat, nn.locate and
-// nn.cp replies, the nn.complete request), nn.list and dn.blocks. One
-// BlockMeta encodes to about 110 bytes plus the file name it repeats,
-// so 16 MiB holds a 65,536-block file (dfs.MaxFileBlocks, which
-// nn.allocate enforces) with 140-byte names — 4 TiB at the default
-// 64 MB block — and, at about 60 bytes a name and 12 a
-// block id, a listing of 250,000 files or an inventory of a million
-// blocks. A frame announcing more is refused before any buffer is
-// taken for it.
-const MaxControlFrame = 16 << 20
+	// MaxChunkPayload bounds the payload of every frame but a call and
+	// its reply. Blocks larger than this cross the wire as multiple
+	// chunks.
+	MaxChunkPayload = 4 << 20
+
+	// MaxControlFrame bounds a call's or a reply's payload. Neither
+	// carries file or block bytes, so the bound is sized for metadata.
+	// The largest legitimate ones are a many-block FileMeta (nn.stat,
+	// nn.locate and nn.cp replies, the nn.complete call), nn.list and
+	// dn.blocks. One BlockMeta encodes to about 110 bytes plus the file
+	// name it repeats, so 16 MiB holds a 65,536-block file
+	// (dfs.MaxFileBlocks, which nn.allocate enforces) with 140-byte
+	// names — 4 TiB at the default 64 MB block — and, at about 60 bytes
+	// a name and 12 a block id, a listing of 250,000 files or an
+	// inventory of a million blocks.
+	MaxControlFrame = 16 << 20
+
+	// DefaultChunkSize is the streaming granularity for block data:
+	// large enough to amortize syscalls, small enough that pooled
+	// buffers stay cache-friendly and partitions abort streams fast.
+	DefaultChunkSize = 256 << 10
+
+	// MaxBlockBytes bounds one block on a stream: twice the 64 MB HDFS
+	// default block.
+	MaxBlockBytes = 128 << 20
+)
+
+// Frame types.
+const (
+	frameOpenWrite uint8 = iota + 1
+	frameOpenRead
+	frameChunk
+	frameSetupAck
+	frameCommitAck
+	frameError
+	frameReadHdr
+	frameCall
+	frameReply
+)
+
+// flagLast marks the final chunk of a stream.
+const flagLast uint16 = 1 << 0
+
+// maxPayload is the payload bound of a frame type.
+func maxPayload(typ uint8) int {
+	if typ == frameCall || typ == frameReply {
+		return MaxControlFrame
+	}
+	return MaxChunkPayload
+}
 
 // TransportFaults is the hook through which a chaos engine perturbs
-// the wire layer. Both the dialing side (per call) and the serving
-// side (per received request) consult it; chaos.NetFaults implements
-// it. Implementations must be safe for concurrent use.
+// the wire layer. The sending side (per call, per dial, per chunk) and
+// the serving side (per received call, per stream open) consult it;
+// chaos.NetFaults implements it. Implementations must be safe for
+// concurrent use.
 type TransportFaults interface {
 	// FailMessage may return a non-nil error to sever the message
 	// between the named endpoints; the transport fails the call and
@@ -43,105 +124,456 @@ type TransportFaults interface {
 	MessageDelay(from, to string) time.Duration
 }
 
-// request is the wire envelope for one RPC.
-type request struct {
-	ID     uint64 `json:"id"`
-	From   string `json:"from,omitempty"`
-	Method string `json:"method"`
-	// DeadlineMS carries the caller's remaining deadline budget in
-	// milliseconds; 0 means no deadline. The server derives the
-	// handler context from it, so deadlines propagate end to end.
-	DeadlineMS int64           `json:"deadline_ms,omitempty"`
-	Params     json.RawMessage `json:"params,omitempty"`
+// crcTable is the Castagnoli polynomial (CRC32C), hardware-accelerated
+// on amd64/arm64 — the HDFS data-transfer checksum choice.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// bufPool recycles wire buffers so the hot path makes no per-frame
+// allocations. Gets and puts are counted so tests can prove every
+// acquired buffer is released on every code path, including errors —
+// the discipline that keeps a streaming server from bloating under
+// churn. put always counts the release even when the buffer is too
+// large to retain.
+type bufPool struct {
+	pool sync.Pool
+	gets atomic.Int64
+	puts atomic.Int64
 }
 
-// response is the wire envelope for one RPC result.
-type response struct {
-	ID        uint64          `json:"id"`
-	Code      string          `json:"code,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Transient bool            `json:"transient,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
+// maxPooledBuf caps the buffers the pool retains; anything larger is
+// released to the GC after being counted.
+const maxPooledBuf = 8 << 20
+
+// get returns a length-n buffer, recycled when one with enough
+// capacity is pooled.
+func (p *bufPool) get(n int) []byte {
+	p.gets.Add(1)
+	if v := p.pool.Get(); v != nil {
+		b := *(v.(*[]byte))
+		if cap(b) >= n {
+			return b[:n]
+		}
+		// Too small for this caller: retire it silently (it was
+		// counted at its own get) and allocate fresh.
+		p.pool.Put(v)
+	}
+	return make([]byte, n)
 }
 
-// writeFrame marshals v and writes it as one length-prefixed frame.
-// Callers serialize access to w.
-func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("svc: encode frame: %w", err)
+// put releases a buffer back to the pool.
+func (p *bufPool) put(b []byte) {
+	p.puts.Add(1)
+	if cap(b) == 0 || cap(b) > maxPooledBuf {
+		return
 	}
-	if len(body) > MaxControlFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(body))
+	b = b[:0]
+	p.pool.Put(&b)
+}
+
+// balance returns outstanding gets (gets - puts); zero means every
+// acquired buffer was released.
+func (p *bufPool) balance() int64 { return p.gets.Load() - p.puts.Load() }
+
+// frameBufs is the shared wire-buffer pool: frame payloads and block
+// assembly buffers draw from it.
+var frameBufs bufPool
+
+// frame2 is one decoded frame. Payload is pooled: the receiver owns it
+// and must release it via frameBufs.put exactly once.
+type frame2 struct {
+	Type    uint8
+	Flags   uint16
+	Stream  uint64
+	Payload []byte
+}
+
+// last reports whether the frame closes its stream.
+func (f *frame2) last() bool { return f.Flags&flagLast != 0 }
+
+// release returns the frame's pooled payload; safe on a zero frame.
+func (f *frame2) release() {
+	if f.Payload != nil {
+		frameBufs.put(f.Payload)
+		f.Payload = nil
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+}
+
+// putHeader fills hdr for a frame with the given payload, computing
+// the CRC over the header prefix and payload.
+func putHeader(hdr *[headerSize]byte, typ uint8, flags uint16, stream uint64, payload []byte) {
+	hdr[0] = frameVersion
+	hdr[1] = typ
+	binary.BigEndian.PutUint16(hdr[2:4], flags)
+	binary.BigEndian.PutUint64(hdr[4:12], stream)
+	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(payload)))
+	crc := crc32.Update(0, crcTable, hdr[:16])
+	crc = crc32.Update(crc, crcTable, payload)
+	binary.BigEndian.PutUint32(hdr[16:20], crc)
+}
+
+// writeFrame2 writes one frame. The payload is written as-is
+// (zero-copy); callers keep ownership and serialize access to w.
+func writeFrame2(w io.Writer, typ uint8, flags uint16, stream uint64, payload []byte) error {
+	if len(payload) > maxPayload(typ) {
+		return fmt.Errorf("%w: type %d payload %d bytes", ErrFrameTooLarge, typ, len(payload))
+	}
+	var hdr [headerSize]byte
+	putHeader(&hdr, typ, flags, stream, payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("svc: write frame header: %w", err)
 	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("svc: write frame body: %w", err)
+	if len(payload) > 0 {
+		if _, err := w.Write(payload); err != nil {
+			return fmt.Errorf("svc: write frame payload: %w", err)
+		}
 	}
 	return nil
 }
 
-// readFrame reads one length-prefixed frame into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
+// readFrame2 reads one frame, the only function that takes a header
+// off a socket. A payload length beyond the type's bound is refused
+// before any buffer is taken for it. On success the returned frame's
+// payload is pooled and owned by the caller (release it once); on any
+// error every acquired buffer has already been returned.
+func readFrame2(r io.Reader) (frame2, error) {
+	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("svc: read frame header: %w", err)
+		return frame2{}, fmt.Errorf("svc: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxControlFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	if hdr[0] != frameVersion {
+		return frame2{}, fmt.Errorf("%w: version byte %#x", ErrBadFrame, hdr[0])
 	}
-	// Pooled body, released on every path: json.Unmarshal never keeps
-	// a reference to its input (json.RawMessage fields copy), so the
-	// buffer is dead once this returns.
-	body := frameBufs.get(int(n))
-	defer frameBufs.put(body)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return fmt.Errorf("svc: read frame body: %w", err)
+	typ := hdr[1]
+	if typ == 0 || typ > frameReply {
+		return frame2{}, fmt.Errorf("%w: frame type %d", ErrBadFrame, typ)
 	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadFrame, err)
+	n := binary.BigEndian.Uint32(hdr[12:16])
+	if n > uint32(maxPayload(typ)) {
+		return frame2{}, fmt.Errorf("%w: type %d payload %d bytes", ErrFrameTooLarge, typ, n)
 	}
-	return nil
+	payload := frameBufs.get(int(n))
+	if _, err := io.ReadFull(r, payload); err != nil {
+		frameBufs.put(payload)
+		return frame2{}, fmt.Errorf("svc: read frame payload: %w", err)
+	}
+	crc := crc32.Update(0, crcTable, hdr[:16])
+	crc = crc32.Update(crc, crcTable, payload)
+	if crc != binary.BigEndian.Uint32(hdr[16:20]) {
+		frameBufs.put(payload)
+		return frame2{}, fmt.Errorf("%w: frame CRC mismatch", ErrBadFrame)
+	}
+	return frame2{
+		Type:    typ,
+		Flags:   binary.BigEndian.Uint16(hdr[2:4]),
+		Stream:  binary.BigEndian.Uint64(hdr[4:12]),
+		Payload: payload,
+	}, nil
 }
 
-// marshalResult encodes a handler's result for the response envelope.
-// A nil result becomes JSON null, which still decodes cleanly into
-// any caller-side result type.
-func marshalResult(result any) (json.RawMessage, error) {
-	b, err := json.Marshal(result)
-	if err != nil {
-		return nil, fmt.Errorf("svc: encode result: %w", err)
+// ---- payload encoding ----
+//
+// Transport payloads use a hand-rolled big-endian binary layout:
+// fixed-width integers, uint16-length-prefixed strings. Decoders are
+// defensive (every read bounds-checked) because the fuzz targets feed
+// them arbitrary bytes.
+
+func appendUint16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
+func appendUint32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
+func appendUint64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+
+func appendString(b []byte, s string) []byte {
+	if len(s) > 0xffff {
+		s = s[:0xffff]
 	}
-	return b, nil
+	b = appendUint16(b, uint16(len(s)))
+	return append(b, s...)
 }
 
-// encodeError fills a response's error fields from an error chain:
-// the first matching wire code, the printable message, and the
-// transient classification.
-func encodeError(resp *response, err error) {
-	resp.Code = codeFor(err)
-	resp.Error = err.Error()
-	resp.Transient = dfs.IsTransient(err)
+// binReader walks a payload with sticky bounds checking.
+type binReader struct {
+	b   []byte
+	off int
+	bad bool
 }
 
-// decodeError rehydrates a response's error fields. nil when the
-// response carries no error.
-func decodeError(resp *response) error {
-	if resp.Error == "" && resp.Code == "" {
+// zeros is what a read past the payload's end decodes.
+var zeros [8]byte
+
+// take returns the next n bytes; a reader that has run out returns
+// zeros and stays bad.
+func (r *binReader) take(n int) []byte {
+	if r.bad || n > len(r.b)-r.off {
+		r.bad = true
+		return zeros[:]
+	}
+	r.off += n
+	return r.b[r.off-n : r.off]
+}
+
+func (r *binReader) byte() byte  { return r.take(1)[0] }
+func (r *binReader) u16() uint16 { return binary.BigEndian.Uint16(r.take(2)) }
+func (r *binReader) u32() uint32 { return binary.BigEndian.Uint32(r.take(4)) }
+func (r *binReader) u64() uint64 { return binary.BigEndian.Uint64(r.take(8)) }
+
+func (r *binReader) str() string {
+	if b := r.take(int(r.u16())); !r.bad {
+		return string(b)
+	}
+	return ""
+}
+
+// done reports a clean parse: no bounds violation and no trailing
+// bytes.
+func (r *binReader) done() bool { return !r.bad && r.off == len(r.b) }
+
+// callHeader is what a call frame says before the method's params: the
+// caller's deadline budget, its endpoint name for the fault hook, and
+// the method.
+type callHeader struct {
+	DeadlineMS int64
+	From       string
+	Method     string
+}
+
+// encodeCall builds a call frame's payload: the header, then params
+// verbatim.
+func encodeCall(h callHeader, params []byte) []byte {
+	b := make([]byte, 0, 12+len(h.From)+len(h.Method)+len(params))
+	b = appendUint64(b, uint64(h.DeadlineMS))
+	b = appendString(b, h.From)
+	b = appendString(b, h.Method)
+	return append(b, params...)
+}
+
+// decodeCall splits a call frame's payload into its header and the
+// params, which alias p.
+func decodeCall(p []byte) (callHeader, []byte, error) {
+	r := binReader{b: p}
+	var h callHeader
+	h.DeadlineMS = int64(r.u64())
+	h.From = r.str()
+	h.Method = r.str()
+	if r.bad {
+		return callHeader{}, nil, fmt.Errorf("%w: malformed call header", ErrBadFrame)
+	}
+	return h, p[r.off:], nil
+}
+
+// chainEntry names one downstream pipeline hop.
+type chainEntry struct {
+	Node cluster.NodeID
+	Addr string
+}
+
+// openWrite is the pipeline write setup: the block, its total size
+// (so receivers can size their assembly buffer once), the caller's
+// deadline budget, the sender's endpoint name for the fault hook, and
+// the remaining downstream chain.
+type openWrite struct {
+	Block      dfs.BlockID
+	Size       int64
+	DeadlineMS int64
+	From       string
+	Chain      []chainEntry
+}
+
+// maxChainLen bounds a decoded pipeline chain; real chains are the
+// replication degree (single digits), the bound just keeps hostile
+// frames from forcing huge allocations.
+const maxChainLen = 256
+
+func encodeOpenWrite(ow openWrite) []byte {
+	b := make([]byte, 0, 32+len(ow.From)+len(ow.Chain)*24)
+	b = appendUint64(b, uint64(ow.Block))
+	b = appendUint64(b, uint64(ow.Size))
+	b = appendUint64(b, uint64(ow.DeadlineMS))
+	b = appendString(b, ow.From)
+	b = appendUint16(b, uint16(len(ow.Chain)))
+	for _, ce := range ow.Chain {
+		b = appendUint32(b, uint32(ce.Node))
+		b = appendString(b, ce.Addr)
+	}
+	return b
+}
+
+func decodeOpenWrite(p []byte) (openWrite, error) {
+	r := binReader{b: p}
+	var ow openWrite
+	ow.Block = dfs.BlockID(r.u64())
+	ow.Size = int64(r.u64())
+	ow.DeadlineMS = int64(r.u64())
+	ow.From = r.str()
+	n := int(r.u16())
+	if n > maxChainLen {
+		return openWrite{}, fmt.Errorf("%w: pipeline chain of %d", ErrBadFrame, n)
+	}
+	for i := 0; i < n && !r.bad; i++ {
+		ce := chainEntry{Node: cluster.NodeID(r.u32())}
+		ce.Addr = r.str()
+		ow.Chain = append(ow.Chain, ce)
+	}
+	if !r.done() {
+		return openWrite{}, fmt.Errorf("%w: malformed open-write payload", ErrBadFrame)
+	}
+	if ow.Size < 0 {
+		return openWrite{}, fmt.Errorf("%w: negative block size in open-write", ErrBadFrame)
+	}
+	return ow, nil
+}
+
+// openRead is the streaming read setup.
+type openRead struct {
+	Block      dfs.BlockID
+	DeadlineMS int64
+	From       string
+}
+
+func encodeOpenRead(or openRead) []byte {
+	b := make([]byte, 0, 20+len(or.From))
+	b = appendUint64(b, uint64(or.Block))
+	b = appendUint64(b, uint64(or.DeadlineMS))
+	b = appendString(b, or.From)
+	return b
+}
+
+func decodeOpenRead(p []byte) (openRead, error) {
+	r := binReader{b: p}
+	var or openRead
+	or.Block = dfs.BlockID(r.u64())
+	or.DeadlineMS = int64(r.u64())
+	or.From = r.str()
+	if !r.done() {
+		return openRead{}, fmt.Errorf("%w: malformed open-read payload", ErrBadFrame)
+	}
+	return or, nil
+}
+
+// ackEntry is one node's status inside a setup or commit ack, and —
+// without the node — the whole of an error frame. OK means the node
+// accepted (setup) or committed (commit); otherwise Code and Msg carry
+// the error taxonomy across the wire, and Transient the peer-side
+// dfs.IsTransient classification.
+type ackEntry struct {
+	Node      cluster.NodeID
+	OK        bool
+	Transient bool
+	Code      string
+	Msg       string
+}
+
+// failedAck builds the entry for a node that failed with err: the first
+// matching wire code, the printable message, and the transient
+// classification. It is the one place an error is given its wire form.
+func failedAck(node cluster.NodeID, err error) ackEntry {
+	return ackEntry{
+		Node:      node,
+		Code:      codeFor(err),
+		Msg:       err.Error(),
+		Transient: dfs.IsTransient(err),
+	}
+}
+
+// err rehydrates a non-OK entry as a RemoteError, so errors.Is against
+// the dfs/svc sentinels and dfs.IsTransient behave as they do in
+// process. nil for OK entries.
+func (a ackEntry) err() error {
+	if a.OK {
 		return nil
 	}
 	return &RemoteError{
-		Code:     resp.Code,
-		Msg:      resp.Error,
-		IsRetry:  resp.Transient,
-		sentinel: sentinelFor(resp.Code),
+		Code:     a.Code,
+		Msg:      a.Msg,
+		IsRetry:  a.Transient,
+		sentinel: sentinelFor(a.Code),
 	}
 }
+
+// appendStatus encodes everything of the entry but the node: a flags
+// byte (bit 0 OK, bit 1 transient), the code, the message.
+func (a ackEntry) appendStatus(b []byte) []byte {
+	var flags byte
+	if a.OK {
+		flags |= 1
+	}
+	if a.Transient {
+		flags |= 2
+	}
+	b = append(b, flags)
+	b = appendString(b, a.Code)
+	return appendString(b, a.Msg)
+}
+
+// status decodes what appendStatus wrote.
+func (r *binReader) status() ackEntry {
+	flags := r.byte()
+	return ackEntry{OK: flags&1 != 0, Transient: flags&2 != 0, Code: r.str(), Msg: r.str()}
+}
+
+func encodeAcks(entries []ackEntry) []byte {
+	n := 2
+	for _, e := range entries {
+		n += 9 + len(e.Code) + len(e.Msg)
+	}
+	b := make([]byte, 0, n)
+	b = appendUint16(b, uint16(len(entries)))
+	for _, e := range entries {
+		b = appendUint32(b, uint32(e.Node))
+		b = e.appendStatus(b)
+	}
+	return b
+}
+
+func decodeAcks(p []byte) ([]ackEntry, error) {
+	r := binReader{b: p}
+	n := int(r.u16())
+	if n > maxChainLen {
+		return nil, fmt.Errorf("%w: ack list of %d", ErrBadFrame, n)
+	}
+	entries := make([]ackEntry, 0, n)
+	for i := 0; i < n && !r.bad; i++ {
+		node := cluster.NodeID(r.u32())
+		e := r.status()
+		e.Node = node
+		entries = append(entries, e)
+	}
+	if !r.done() {
+		return nil, fmt.Errorf("%w: malformed ack payload", ErrBadFrame)
+	}
+	return entries, nil
+}
+
+// encodeErrorFrame carries a failed read's or a failed call's taxonomy
+// to the caller.
+func encodeErrorFrame(err error) []byte {
+	return failedAck(0, err).appendStatus(make([]byte, 0, 8+len(err.Error())))
+}
+
+// decodeErrorFrame rehydrates an error frame's payload.
+func decodeErrorFrame(p []byte) error {
+	r := binReader{b: p}
+	e := r.status()
+	if !r.done() {
+		return fmt.Errorf("%w: malformed error payload", ErrBadFrame)
+	}
+	e.OK = false
+	return e.err()
+}
+
+// encodeReadHdr announces a read stream's total byte count.
+func encodeReadHdr(size int64) []byte {
+	return appendUint64(nil, uint64(size))
+}
+
+func decodeReadHdr(p []byte) (int64, error) {
+	r := binReader{b: p}
+	size := int64(r.u64())
+	if !r.done() || size < 0 {
+		return 0, fmt.Errorf("%w: malformed read header", ErrBadFrame)
+	}
+	return size, nil
+}
+
+// ---- deadline budgets ----
 
 // deadlineBudget converts a context deadline into the wire's
 // remaining-milliseconds form (0 = none). now is time.Now at call
@@ -158,28 +590,29 @@ func deadlineBudget(ctx context.Context, now time.Time) int64 {
 	return ms
 }
 
-func init() {
-	// The dfs taxonomy crosses the wire so shell clients and the
-	// NameNode's remote stores classify failures exactly like
-	// in-process callers. Transient-vs-permanent travels separately
-	// in the response envelope.
-	registerCode("file_exists", dfs.ErrFileExists)
-	registerCode("file_not_found", dfs.ErrFileNotFound)
-	registerCode("block_not_found", dfs.ErrBlockNotFound)
-	registerCode("no_replica", dfs.ErrNoReplica)
-	registerCode("bad_block_size", dfs.ErrBadBlockSize)
-	registerCode("bad_replication", dfs.ErrBadReplication)
-	registerCode("node_down", dfs.ErrNodeDown)
-	registerCode("checksum", dfs.ErrChecksum)
-	registerCode("no_live_nodes", dfs.ErrNoLiveNodes)
-	registerCode("unknown_node", dfs.ErrUnknownNode)
-	registerCode("inconsistent", dfs.ErrInconsistent)
-	registerCode("not_local", dfs.ErrNotLocal)
-	registerCode("journal", dfs.ErrJournal)
-	registerCode("overload", dfs.ErrOverload)
-	registerCode("lease_expired", dfs.ErrLeaseExpired)
-	registerCode("file_too_large", dfs.ErrFileTooLarge)
-	registerCode("quota", shard.ErrQuota)
-	registerCode("deadline", context.DeadlineExceeded)
-	registerCode("canceled", context.Canceled)
+// budgetOf is what is left of ctx's deadline now, in the wire's form:
+// the value every call and stream-open frame carries.
+func budgetOf(ctx context.Context) int64 {
+	//lint:ignore determinism encoding the ctx deadline as a wire budget needs the wall clock; simulations drive the transport with deadline-free contexts
+	return deadlineBudget(ctx, time.Now())
+}
+
+// maxBudget clamps a peer-supplied deadline budget. Nothing legitimate
+// runs for a day, and milliseconds beyond about 9.2e12 overflow a
+// time.Duration into a deadline that has already passed.
+const maxBudget = 24 * time.Hour
+
+// budgetCtx derives a handler's context from the budget a call or
+// stream-open frame carried (0 = no deadline), so deadlines propagate
+// end to end. A budget that is out of range, or negative once read as
+// signed, is clamped to maxBudget.
+func budgetCtx(parent context.Context, ms int64) (context.Context, context.CancelFunc) {
+	if ms == 0 {
+		return parent, func() {}
+	}
+	d := maxBudget
+	if ms > 0 && ms < maxBudget.Milliseconds() {
+		d = time.Duration(ms) * time.Millisecond
+	}
+	return context.WithTimeout(parent, d)
 }

@@ -8,53 +8,471 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := request{
-		ID:         7,
-		From:       "shell",
-		Method:     "nn.locate",
-		DeadlineMS: 1500,
-		Params:     json.RawMessage(`{"name":"f"}`),
-	}
-	if err := writeFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	var out request
-	if err := readFrame(&buf, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != in.ID || out.From != in.From || out.Method != in.Method || out.DeadlineMS != in.DeadlineMS {
-		t.Fatalf("roundtrip mismatch: %+v != %+v", out, in)
-	}
-	if string(out.Params) != string(in.Params) {
-		t.Fatalf("params %q != %q", out.Params, in.Params)
+// requirePoolBalance asserts that the shared frame-buffer pool returns
+// to the balance recorded before the test body ran. Background
+// goroutines from neighbouring tests may still be draining frames, so
+// the check polls briefly instead of failing on the first read.
+func requirePoolBalance(t *testing.T, start int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if frameBufs.balance() == start {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool balance = %d, want %d: a wire buffer leaked", frameBufs.balance(), start)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestReadFrameRejectsOversize: a header announcing more than the
-// control bound — one byte over, or the 100 MiB a base64 block used to
-// need — is refused before any pooled buffer is taken for it, on the
-// decoder and on a live JSON port.
+func TestFrame2RoundTrip(t *testing.T) {
+	start := frameBufs.balance()
+	payloads := [][]byte{nil, {0x42}, bytes.Repeat([]byte{0xAB}, 1000), payload(DefaultChunkSize)}
+	for typ := frameOpenWrite; typ <= frameReply; typ++ {
+		for _, flags := range []uint16{0, flagLast} {
+			for pi, p := range payloads {
+				var buf bytes.Buffer
+				sid := uint64(typ)<<32 | uint64(pi)
+				if err := writeFrame2(&buf, typ, flags, sid, p); err != nil {
+					t.Fatal(err)
+				}
+				f, err := readFrame2(&buf)
+				if err != nil {
+					t.Fatalf("type %d flags %d payload %d: %v", typ, flags, pi, err)
+				}
+				if f.Type != typ || f.Flags != flags || f.Stream != sid {
+					t.Fatalf("header roundtrip: %+v", f)
+				}
+				if !bytes.Equal(f.Payload, p) {
+					t.Fatalf("type %d: payload mismatch (%d vs %d bytes)", typ, len(f.Payload), len(p))
+				}
+				if f.last() != (flags&flagLast != 0) {
+					t.Fatalf("last() = %v for flags %d", f.last(), flags)
+				}
+				f.release()
+				f.release() // double release must be a no-op
+			}
+		}
+	}
+	requirePoolBalance(t, start)
+}
+
+func TestWriteFrame2RejectsOversizePayload(t *testing.T) {
+	var buf bytes.Buffer
+	err := writeFrame2(&buf, frameChunk, 0, 1, make([]byte, MaxChunkPayload+1))
+	if !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// encodeFrame2 renders one valid frame to bytes for corruption tests.
+func encodeFrame2(t *testing.T, typ uint8, flags uint16, stream uint64, p []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeFrame2(&buf, typ, flags, stream, p); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadFrame2Rejects is the corruption contract: every malformed
+// frame is refused with the right sentinel, and no pooled buffer leaks
+// on any rejection path.
+func TestReadFrame2Rejects(t *testing.T) {
+	start := frameBufs.balance()
+	valid := encodeFrame2(t, frameChunk, flagLast, 7, []byte("block bytes"))
+
+	corrupt := func(off int, b byte) []byte {
+		c := bytes.Clone(valid)
+		c[off] = b
+		return c
+	}
+	cases := []struct {
+		name string
+		raw  []byte
+		want error
+	}{
+		{"bad version", corrupt(0, 0x01), ErrBadFrame},
+		{"zero type", corrupt(1, 0), ErrBadFrame},
+		{"unknown type", corrupt(1, frameReply+1), ErrBadFrame},
+		// A flipped-but-valid type must be caught by the CRC, which
+		// covers the header prefix, not just the payload.
+		{"flipped valid type", corrupt(1, frameOpenRead), ErrBadFrame},
+		{"flipped flag", corrupt(2, 0xFF), ErrBadFrame},
+		{"flipped stream id", corrupt(4, 0xFF), ErrBadFrame},
+		{"payload corruption", corrupt(headerSize+3, 'X'), ErrBadFrame},
+		{"crc corruption", corrupt(16, valid[16]^0x80), ErrBadFrame},
+		{"oversize payload length", func() []byte {
+			c := bytes.Clone(valid)
+			binary.BigEndian.PutUint32(c[12:16], MaxChunkPayload+1)
+			return c
+		}(), ErrFrameTooLarge},
+		{"truncated header", valid[:headerSize-3], nil},
+		{"truncated payload", valid[:headerSize+4], nil},
+		{"empty input", nil, nil},
+	}
+	for _, tc := range cases {
+		f, err := readFrame2(bytes.NewReader(tc.raw))
+		if err == nil {
+			f.release()
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	requirePoolBalance(t, start)
+}
+
+// TestWireBufferPoolBalances is the leak contract for the shared pool:
+// frame payloads must be returned on success and on every error path,
+// and oversized buffers must still be counted when the pool declines to
+// retain them.
+func TestWireBufferPoolBalances(t *testing.T) {
+	start := frameBufs.balance()
+
+	raw := encodeFrame2(t, frameChunk, flagLast, 9, []byte("abc"))
+	f, err := readFrame2(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.release()
+	bad := bytes.Clone(raw)
+	bad[headerSize] ^= 0xFF
+	if _, err := readFrame2(bytes.NewReader(bad)); err == nil {
+		t.Fatal("corrupt v2 frame accepted")
+	}
+	if _, err := readFrame2(bytes.NewReader(raw[:headerSize+1])); err == nil {
+		t.Fatal("truncated v2 payload accepted")
+	}
+
+	// A buffer above the retention cap must still balance get/put.
+	big := frameBufs.get(maxPooledBuf + 1)
+	frameBufs.put(big)
+
+	requirePoolBalance(t, start)
+}
+
+func TestOpenWriteCodec(t *testing.T) {
+	in := openWrite{
+		Block:      42,
+		Size:       1 << 20,
+		DeadlineMS: 1500,
+		From:       "namenode",
+		Chain: []chainEntry{
+			{Node: 3, Addr: "127.0.0.1:9001"},
+			{Node: 7, Addr: "127.0.0.1:9002"},
+		},
+	}
+	p := encodeOpenWrite(in)
+	out, err := decodeOpenWrite(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Block != in.Block || out.Size != in.Size || out.DeadlineMS != in.DeadlineMS || out.From != in.From {
+		t.Fatalf("roundtrip mismatch: %+v != %+v", out, in)
+	}
+	if len(out.Chain) != 2 || out.Chain[0] != in.Chain[0] || out.Chain[1] != in.Chain[1] {
+		t.Fatalf("chain mismatch: %+v", out.Chain)
+	}
+
+	// Empty chain round-trips too (the tail hop of a pipeline).
+	tail, err := decodeOpenWrite(encodeOpenWrite(openWrite{Block: 1, From: "dn2"}))
+	if err != nil || len(tail.Chain) != 0 {
+		t.Fatalf("tail hop: %+v, %v", tail, err)
+	}
+
+	for i := 1; i < len(p); i++ {
+		if _, err := decodeOpenWrite(p[:i]); err == nil {
+			t.Fatalf("truncation at %d accepted", i)
+		}
+	}
+	if _, err := decodeOpenWrite(append(bytes.Clone(p), 0)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("trailing byte: %v", err)
+	}
+
+	neg := encodeOpenWrite(openWrite{Block: 1, Size: -1})
+	if _, err := decodeOpenWrite(neg); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("negative size: %v", err)
+	}
+
+	huge := appendUint64(nil, 1)
+	huge = appendUint64(huge, 0)
+	huge = appendUint64(huge, 0)
+	huge = appendString(huge, "x")
+	huge = appendUint16(huge, maxChainLen+1)
+	if _, err := decodeOpenWrite(huge); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("oversized chain: %v", err)
+	}
+}
+
+func TestOpenReadCodec(t *testing.T) {
+	in := openRead{Block: 99, DeadlineMS: 250, From: "shell"}
+	out, err := decodeOpenRead(encodeOpenRead(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != in {
+		t.Fatalf("roundtrip mismatch: %+v != %+v", out, in)
+	}
+	p := encodeOpenRead(in)
+	for i := 1; i < len(p); i++ {
+		if _, err := decodeOpenRead(p[:i]); err == nil {
+			t.Fatalf("truncation at %d accepted", i)
+		}
+	}
+}
+
+func TestReadHdrCodec(t *testing.T) {
+	for _, size := range []int64{0, 1, 1 << 30} {
+		got, err := decodeReadHdr(encodeReadHdr(size))
+		if err != nil || got != size {
+			t.Fatalf("size %d: got %d, %v", size, got, err)
+		}
+	}
+	if _, err := decodeReadHdr(encodeReadHdr(-1)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("negative size: %v", err)
+	}
+	if _, err := decodeReadHdr([]byte{1, 2, 3}); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("short payload: %v", err)
+	}
+}
+
+func TestAckCodec(t *testing.T) {
+	in := []ackEntry{
+		{Node: 0, OK: true},
+		{Node: 5, Transient: true, Code: "node_down", Msg: "dfs: node 5 down"},
+		{Node: 9, Code: "checksum", Msg: "dfs: block 3 corrupt"},
+	}
+	out, err := decodeAcks(encodeAcks(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("len = %d, want %d", len(out), len(in))
+	}
+	for i := range in {
+		if out[i] != in[i] {
+			t.Fatalf("entry %d: %+v != %+v", i, out[i], in[i])
+		}
+	}
+	empty, err := decodeAcks(encodeAcks(nil))
+	if err != nil || len(empty) != 0 {
+		t.Fatalf("empty acks: %v, %v", empty, err)
+	}
+
+	p := encodeAcks(in)
+	for i := 1; i < len(p); i++ {
+		if _, err := decodeAcks(p[:i]); err == nil {
+			t.Fatalf("truncation at %d accepted", i)
+		}
+	}
+	if _, err := decodeAcks(appendUint16(nil, maxChainLen+1)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("oversized ack list: %v", err)
+	}
+}
+
+// TestV2ErrorTaxonomy is the ack-entry counterpart of
+// TestErrorsCrossTheWire: for EVERY wire code registered in errors.go /
+// wire.go, an error wrapping that sentinel must survive both encodings — the ack entry
+// of a pipeline commit and the error frame of a failed read — still
+// matching errors.Is, keeping its dfs.IsTransient classification, and
+// printing the same message.
+func TestV2ErrorTaxonomy(t *testing.T) {
+	if len(wireCodes) == 0 {
+		t.Fatal("no wire codes registered")
+	}
+	for _, ec := range wireCodes {
+		src := fmt.Errorf("v2 taxonomy probe: %w", ec.sentinel)
+
+		// Path 1: pipeline ack entry.
+		acks, err := decodeAcks(encodeAcks([]ackEntry{failedAck(3, src)}))
+		if err != nil {
+			t.Fatalf("%s: %v", ec.code, err)
+		}
+		got := acks[0].err()
+		if got == nil {
+			t.Fatalf("%s: ack err() = nil", ec.code)
+		}
+		if !errors.Is(got, ec.sentinel) {
+			t.Errorf("%s: ack error does not match sentinel", ec.code)
+		}
+		if dfs.IsTransient(got) != dfs.IsTransient(src) {
+			t.Errorf("%s: ack transient = %v, want %v", ec.code, dfs.IsTransient(got), dfs.IsTransient(src))
+		}
+		if got.Error() != src.Error() {
+			t.Errorf("%s: ack message %q != %q", ec.code, got.Error(), src.Error())
+		}
+		if acks[0].Node != 3 {
+			t.Errorf("%s: ack node = %d", ec.code, acks[0].Node)
+		}
+
+		// Path 2: read error frame.
+		got = decodeErrorFrame(encodeErrorFrame(src))
+		if !errors.Is(got, ec.sentinel) {
+			t.Errorf("%s: error frame does not match sentinel", ec.code)
+		}
+		if dfs.IsTransient(got) != dfs.IsTransient(src) {
+			t.Errorf("%s: error frame transient = %v, want %v", ec.code, dfs.IsTransient(got), dfs.IsTransient(src))
+		}
+		if got.Error() != src.Error() {
+			t.Errorf("%s: error frame message %q != %q", ec.code, got.Error(), src.Error())
+		}
+	}
+}
+
+func TestV2UnknownCodeStillCarriesMessage(t *testing.T) {
+	e := ackEntry{Node: 1, Code: "martian", Msg: "boom", Transient: true}
+	got := e.err()
+	if got == nil || got.Error() != "boom" {
+		t.Fatalf("err() = %v, want message boom", got)
+	}
+	if !dfs.IsTransient(got) {
+		t.Fatal("transient flag lost")
+	}
+	var re *RemoteError
+	if !errors.As(got, &re) {
+		t.Fatalf("got %T, want *RemoteError", got)
+	}
+	if errors.Unwrap(re) != nil {
+		t.Fatal("unknown code must not unwrap to a sentinel")
+	}
+
+	if err := decodeErrorFrame([]byte{0}); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("short error frame: %v", err)
+	}
+}
+
+// TestAppendStringTruncates: endpoint names and error messages longer
+// than the uint16 length prefix are clipped, never wrapped around.
+func TestAppendStringTruncates(t *testing.T) {
+	long := strings.Repeat("m", 0x10001)
+	b := appendString(nil, long)
+	r := binReader{b: b}
+	got := r.str()
+	if !r.done() || len(got) != 0xffff {
+		t.Fatalf("len = %d, done = %v", len(got), r.done())
+	}
+}
+
+// TestFrameRoundTrip: a call — header, then params verbatim — its
+// reply and its error each survive a frame.
+func TestFrameRoundTrip(t *testing.T) {
+	start := frameBufs.balance()
+	var buf bytes.Buffer
+	in := callHeader{DeadlineMS: 1500, From: "shell", Method: "nn.locate"}
+	params := []byte(`{"name":"f"}`)
+	if err := writeFrame2(&buf, frameCall, 0, 7, encodeCall(in, params)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame2(&buf, frameReply, 0, 7, []byte(`{"meta":null}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame2(&buf, frameError, 0, 7, encodeErrorFrame(dfs.ErrFileNotFound)); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := readFrame2(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, gotParams, err := decodeCall(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != frameCall || f.Stream != 7 || out != in {
+		t.Fatalf("roundtrip mismatch: type %d id %d %+v != %+v", f.Type, f.Stream, out, in)
+	}
+	if string(gotParams) != string(params) {
+		t.Fatalf("params %q != %q", gotParams, params)
+	}
+	f.release()
+
+	if f, err = readFrame2(&buf); err != nil || f.Type != frameReply || string(f.Payload) != `{"meta":null}` {
+		t.Fatalf("reply: %+v, %v", f, err)
+	}
+	f.release()
+	if f, err = readFrame2(&buf); err != nil || f.Type != frameError {
+		t.Fatalf("error frame: %+v, %v", f, err)
+	}
+	if err := decodeErrorFrame(f.Payload); !errors.Is(err, dfs.ErrFileNotFound) {
+		t.Fatalf("decoded error = %v, want ErrFileNotFound", err)
+	}
+	f.release()
+
+	// No params is a valid call (nn.list): the header is the payload.
+	if _, rest, err := decodeCall(encodeCall(in, nil)); err != nil || len(rest) != 0 {
+		t.Fatalf("param-less call: rest %q, %v", rest, err)
+	}
+	requirePoolBalance(t, start)
+}
+
+// frameHeader renders a header announcing n payload bytes that never
+// follow.
+func frameHeader(typ uint8, n uint32) []byte {
+	var hdr [headerSize]byte
+	putHeader(&hdr, typ, 0, 1, nil)
+	binary.BigEndian.PutUint32(hdr[12:16], n)
+	return hdr[:]
+}
+
+// TestReadFrameRejectsOversize: a header announcing more than its
+// type's bound — one byte over, or the 100 MiB a base64 block once
+// needed — is refused before any pooled buffer is taken for it, on the
+// decoder and on a live NameNode port; the largest file the NameNode
+// will allocate still fits a reply.
 func TestReadFrameRejectsOversize(t *testing.T) {
-	for _, n := range []uint32{MaxControlFrame + 1, 100 << 20} {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], n)
+	for _, tc := range []struct {
+		typ uint8
+		n   uint32
+	}{
+		{frameCall, MaxControlFrame + 1}, {frameReply, MaxControlFrame + 1},
+		{frameCall, 100 << 20}, {frameReply, 100 << 20},
+		{frameChunk, MaxChunkPayload + 1}, {frameError, MaxChunkPayload + 1},
+	} {
 		taken, start := frameBufs.gets.Load(), frameBufs.balance()
-		var out request
-		if err := readFrame(bytes.NewReader(hdr[:]), &out); !errors.Is(err, ErrFrameTooLarge) {
-			t.Fatalf("%d-byte frame: err = %v, want ErrFrameTooLarge", n, err)
+		if _, err := readFrame2(bytes.NewReader(frameHeader(tc.typ, tc.n))); !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("type %d, %d bytes: err = %v, want ErrFrameTooLarge", tc.typ, tc.n, err)
 		}
 		if got := frameBufs.gets.Load(); got != taken || frameBufs.balance() != start {
-			t.Fatalf("%d-byte frame: pool gets %d -> %d, balance %d -> %d; want untouched", n, taken, got, start, frameBufs.balance())
+			t.Fatalf("type %d, %d bytes: pool gets %d -> %d, balance %d -> %d; want untouched", tc.typ, tc.n, taken, got, start, frameBufs.balance())
 		}
+	}
+
+	fm := dfs.FileMeta{Name: strings.Repeat("n", 140), Size: 4 << 40, BlockSize: 64 << 20, Replication: 3}
+	for i := 0; i < dfs.MaxFileBlocks; i++ {
+		fm.Blocks = append(fm.Blocks, dfs.BlockMeta{
+			ID: dfs.BlockID(1<<32 + i), File: fm.Name, Index: i, Size: fm.BlockSize,
+			Replicas: []cluster.NodeID{100, 200, 300}, Checksum: math.MaxUint32,
+		})
+	}
+	reply, err := json.Marshal(fm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := writeFrame2(&wire, frameReply, 0, 1, reply); err != nil {
+		t.Fatalf("a %d-block FileMeta (%d bytes) does not fit a reply: %v", len(fm.Blocks), len(reply), err)
+	}
+	f, err := readFrame2(&wire)
+	if err != nil || !bytes.Equal(f.Payload, reply) {
+		t.Fatalf("%d-byte reply did not survive the wire: %v", len(reply), err)
+	}
+	f.release()
+	if err := writeFrame2(io.Discard, frameReply, 0, 1, make([]byte, MaxControlFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("one byte over the bound: err = %v, want ErrFrameTooLarge", err)
 	}
 
 	lc := testCluster(t, 1, nil)
@@ -63,32 +481,56 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 100<<20)
-	if _, err := nc.Write(hdr[:]); err != nil {
+	taken := frameBufs.gets.Load()
+	if _, err := nc.Write(frameHeader(frameCall, 100<<20)); err != nil {
 		t.Fatal(err)
 	}
 	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := nc.Read(hdr[:]); !errors.Is(err, io.EOF) {
-		t.Fatalf("namenode kept a connection announcing a 100 MiB frame: read err = %v, want EOF", err)
+	var one [1]byte
+	if _, err := nc.Read(one[:]); !errors.Is(err, io.EOF) {
+		t.Fatalf("namenode kept a connection announcing a 100 MiB call: read err = %v, want EOF", err)
+	}
+	if got := frameBufs.gets.Load(); got != taken {
+		t.Fatalf("pool gets %d -> %d: a buffer was taken for the refused call", taken, got)
 	}
 }
 
+// TestReadFrameRejectsGarbage: bytes that are no frame and a call frame
+// whose payload is no call header are ErrBadFrame; a well-framed call
+// whose params are not the method's is refused as one by a live server,
+// which keeps serving.
 func TestReadFrameRejectsGarbage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, "not an envelope"); err != nil {
+	if _, err := readFrame2(strings.NewReader("not a frame, not a frame at all")); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("garbage bytes: err = %v, want ErrBadFrame", err)
+	}
+	for _, p := range [][]byte{nil, {0, 0, 0}, appendString(appendUint64(nil, 5), "shell")} {
+		if _, _, err := decodeCall(p); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("call payload %x: err = %v, want ErrBadFrame", p, err)
+		}
+	}
+
+	lc := testCluster(t, 1, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	conn, err := dialConn(ctx, lc.NN.Addr(), "tester", "namenode", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out request
-	if err := readFrame(&buf, &out); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("err = %v, want ErrBadFrame", err)
+	defer conn.Close()
+	var refused *RemoteError
+	if err := conn.Call(ctx, "nn.stat", "not an object", nil); !errors.As(err, &refused) || !strings.Contains(refused.Msg, ErrBadFrame.Error()) {
+		t.Fatalf("garbage params: err = %v, want the server's ErrBadFrame", err)
+	}
+	if err := conn.Call(ctx, "nn.list", nil, &listResult{}); err != nil {
+		t.Fatalf("call after garbage params: %v", err)
 	}
 }
 
-// TestErrorsCrossTheWire is the error-taxonomy contract: a dfs
-// sentinel encoded on one side must, after decode, still satisfy
-// errors.Is against the same sentinel and keep its transient
-// classification.
+// TestErrorsCrossTheWire is the error-taxonomy contract: an error
+// encoded on one side must, after decode, still satisfy errors.Is
+// against the same sentinel, keep its transient classification and
+// print the same message — for chains of any depth and for every
+// registered wire code.
 func TestErrorsCrossTheWire(t *testing.T) {
 	cases := []struct {
 		err       error
@@ -102,13 +544,18 @@ func TestErrorsCrossTheWire(t *testing.T) {
 		{fmt.Errorf("drain: %w", ErrShuttingDown), false},
 		{context.DeadlineExceeded, false},
 	}
+	if len(wireCodes) == 0 {
+		t.Fatal("no wire codes registered")
+	}
+	for _, ec := range wireCodes {
+		src := fmt.Errorf("taxonomy probe: %w", ec.sentinel)
+		cases = append(cases, struct {
+			err       error
+			transient bool
+		}{src, dfs.IsTransient(src)})
+	}
 	for _, tc := range cases {
-		var resp response
-		encodeError(&resp, tc.err)
-		got := decodeError(&resp)
-		if got == nil {
-			t.Fatalf("decodeError(%v) = nil", tc.err)
-		}
+		got := decodeErrorFrame(encodeErrorFrame(tc.err))
 		// The decoded error must match the deepest registered sentinel.
 		target := tc.err
 		for errors.Unwrap(target) != nil {
@@ -127,9 +574,9 @@ func TestErrorsCrossTheWire(t *testing.T) {
 }
 
 func TestUnknownWireCodeStillCarriesMessage(t *testing.T) {
-	got := decodeError(&response{Code: "martian", Error: "boom", Transient: true})
+	got := decodeErrorFrame(ackEntry{Code: "martian", Msg: "boom", Transient: true}.appendStatus(nil))
 	if got == nil || got.Error() != "boom" {
-		t.Fatalf("decodeError = %v, want message boom", got)
+		t.Fatalf("decodeErrorFrame = %v, want message boom", got)
 	}
 	if !dfs.IsTransient(got) {
 		t.Fatal("transient flag lost")
@@ -140,6 +587,10 @@ func TestUnknownWireCodeStillCarriesMessage(t *testing.T) {
 	}
 	if errors.Unwrap(re) != nil {
 		t.Fatal("unknown code must not unwrap to a sentinel")
+	}
+	// An error frame is an error whatever its OK bit claims.
+	if err := decodeErrorFrame(ackEntry{OK: true, Msg: "boom"}.appendStatus(nil)); err == nil {
+		t.Fatal("an error frame with the OK bit set decoded to nil")
 	}
 }
 
@@ -157,5 +608,32 @@ func TestDeadlineBudget(t *testing.T) {
 	defer cancel2()
 	if got := deadlineBudget(expired, now); got != 1 {
 		t.Fatalf("expired budget = %d, want 1", got)
+	}
+
+	// The receiving side: 0 is no deadline, a sane budget is itself, and
+	// one that would overflow a Duration (or reads as negative) is
+	// clamped, never a deadline already in the past.
+	if ctx, cancel := budgetCtx(context.Background(), 0); ctx.Err() != nil {
+		t.Fatal("no budget: context born dead")
+	} else if _, ok := ctx.Deadline(); ok {
+		t.Fatal("no budget: context has a deadline")
+	} else {
+		cancel()
+	}
+	for _, tc := range []struct {
+		ms       int64
+		min, max time.Duration
+	}{
+		{2000, time.Second, 2 * time.Second},
+		{1 << 62, maxBudget - time.Minute, maxBudget},
+		{math.MaxInt64, maxBudget - time.Minute, maxBudget},
+		{math.MinInt64, maxBudget - time.Minute, maxBudget},
+	} {
+		ctx, cancel := budgetCtx(context.Background(), tc.ms)
+		dl, ok := ctx.Deadline()
+		if rem := time.Until(dl); !ok || ctx.Err() != nil || rem < tc.min || rem > tc.max {
+			t.Errorf("budget %d ms: deadline in %v (set %v, err %v), want within [%v, %v]", tc.ms, rem, ok, ctx.Err(), tc.min, tc.max)
+		}
+		cancel()
 	}
 }
