@@ -134,3 +134,23 @@ func Connect() error {
 	defer cancel()
 	return dial(ctx, "127.0.0.1:9000")
 }
+
+// streamPool stands in for an owner's parked stream connections.
+type streamPool struct{}
+
+// acquireConn hands out a parked connection or dials one —
+// wire-crossing by name, whichever it does.
+func (p *streamPool) acquireConn(ctx context.Context, addr string) error {
+	_ = ctx
+	_ = addr
+	return nil
+}
+
+// Stream takes a stream connection under its lifecycle root — flagged:
+// a parked connection is armed with the stream's deadline, and there is
+// none to arm it with.
+func Stream(p *streamPool) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	return p.acquireConn(ctx, "127.0.0.1:9001")
+}

@@ -53,8 +53,9 @@ func Dial(addr, name string, faults TransportFaults) *Client {
 	return &Client{peer: newPeerConn(addr, name, "namenode", faults), name: name, faults: faults}
 }
 
-// Close tears down the connections; the client may be reused (calls
-// redial).
+// Close tears down the connections — to the NameNode, and the call and
+// parked stream connections to the DataNodes; the client may be reused
+// (calls and streams redial).
 func (c *Client) Close() {
 	c.peer.close()
 	c.mu.Lock()

@@ -47,6 +47,7 @@ func benchPutGet(b *testing.B, fileBytes, replication int) {
 	}
 
 	puts, gets := make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N)
+	b.ReportAllocs()
 	b.SetBytes(2 * int64(fileBytes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -34,7 +34,9 @@ func faultGate(ctx context.Context, faults TransportFaults, local, peer string) 
 
 // dial opens a TCP connection to addr, for calls and streams alike.
 // The fault hook is consulted first, so a partitioned endpoint cannot
-// even dial, and injected latency is paid once per connection.
+// even dial, and injected latency is paid once per connection. A stream
+// consults it itself, once per stream, since most streams ride a parked
+// connection; it dials with a nil hook (streamPool.acquireConn).
 func dial(ctx context.Context, addr, local, peer string, faults TransportFaults) (net.Conn, error) {
 	if err := faultGate(ctx, faults, local, peer); err != nil {
 		return nil, fmt.Errorf("svc: dial %s: %w", addr, err)

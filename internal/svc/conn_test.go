@@ -204,39 +204,63 @@ func TestStrayReplyIsDropped(t *testing.T) {
 // the connection's mode ends the connection with ErrBadFrame and every
 // pooled buffer returned — a frame that cannot open a connection, one of
 // no known type, a stream open in the middle of a call loop, a call in
-// the middle of a stream — and the servers keep serving.
+// the middle of a stream, a call or an unknown type where a finished
+// stream's successor must open — and the servers keep serving.
 func TestWrongFrameKindClosesConnection(t *testing.T) {
 	lc := testCluster(t, 2, nil)
 	start := frameBufs.balance()
 	ping := encodeCall(callHeader{From: "tester", Method: "nn.list"}, nil)
 	open := encodeOpenWrite(openWrite{Block: 77, Size: 2048, From: "tester"})
+	unknown := func(p *rawPeer) {
+		var hdr [headerSize]byte
+		putHeader(&hdr, frameReply+1, 0, 1, nil)
+		if _, err := p.nc.Write(hdr[:]); err != nil {
+			p.t.Fatal(err)
+		}
+	}
 
 	// serve reports why it hung up; drive it over a pipe to hear it.
 	srv := NewServer("test", nil, methodTable{"ping": {serve: bare(func(context.Context) (any, error) { return struct{}{}, nil })}})
-	for name, script := range map[string]func(p *rawPeer){
-		"chunk opens nothing":                    func(p *rawPeer) { p.send(frameChunk, flagLast, 1, []byte("bytes")) },
-		"reply opens nothing":                    func(p *rawPeer) { p.send(frameReply, 0, 1, []byte(`{}`)) },
-		"stream to an endpoint that serves none": func(p *rawPeer) { p.send(frameOpenWrite, 0, 1, open) },
-		"unknown type": func(p *rawPeer) {
-			var hdr [headerSize]byte
-			putHeader(&hdr, frameReply+1, 0, 1, nil)
-			if _, err := p.nc.Write(hdr[:]); err != nil {
-				p.t.Fatal(err)
-			}
-		},
-		"stream open in a call loop": func(p *rawPeer) {
+	// streams answers every read stream with an empty block, cleanly.
+	streams := NewServer("streams", nil, nil)
+	streams.SetDataHandler(func(_ context.Context, _ net.Conn, _ *bufio.Reader, w *bufio.Writer, open frame2) bool {
+		defer open.release()
+		return writeFrame2(w, frameReadHdr, 0, open.Stream, encodeReadHdr(0)) == nil && w.Flush() == nil
+	})
+	readEmpty := func(p *rawPeer, id uint64) {
+		p.send(frameOpenRead, 0, id, encodeOpenRead(openRead{Block: 1, From: "tester"}))
+		p.recv(frameReadHdr)
+	}
+	for name, tc := range map[string]struct {
+		srv    *Server
+		script func(p *rawPeer)
+	}{
+		"chunk opens nothing":                    {srv, func(p *rawPeer) { p.send(frameChunk, flagLast, 1, []byte("bytes")) }},
+		"reply opens nothing":                    {srv, func(p *rawPeer) { p.send(frameReply, 0, 1, []byte(`{}`)) }},
+		"stream to an endpoint that serves none": {srv, func(p *rawPeer) { p.send(frameOpenWrite, 0, 1, open) }},
+		"unknown type":                           {srv, unknown},
+		"stream open in a call loop": {srv, func(p *rawPeer) {
 			p.send(frameCall, 0, 1, encodeCall(callHeader{From: "tester", Method: "ping"}, nil))
 			p.recv(frameReply)
 			p.send(frameOpenWrite, 0, 2, open)
-		},
+		}},
+		"call after finished streams": {streams, func(p *rawPeer) {
+			readEmpty(p, 1)
+			readEmpty(p, 2)
+			p.send(frameCall, 0, 3, ping)
+		}},
+		"unknown type after a finished stream": {streams, func(p *rawPeer) {
+			readEmpty(p, 1)
+			unknown(p)
+		}},
 	} {
 		near, far := net.Pipe()
 		why := make(chan error, 1)
 		go func() {
-			why <- srv.serve(far)
+			why <- tc.srv.serve(far)
 			_ = far.Close()
 		}()
-		script(&rawPeer{t: t, nc: near, br: bufio.NewReader(near)})
+		tc.script(&rawPeer{t: t, nc: near, br: bufio.NewReader(near)})
 		if err := <-why; !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: connection ended with %v, want ErrBadFrame", name, err)
 		}
@@ -263,6 +287,18 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	if _, _, ok := dn.Node().StoredSum(77); ok {
 		t.Fatal("a stream cut short by a call frame committed its block")
 	}
+
+	// A write stream that finished cleanly leaves the connection open
+	// for another stream, and for nothing else.
+	block := payload(100)
+	done := dialRaw(t, dn.Addr())
+	done.send(frameOpenWrite, 0, 1, encodeOpenWrite(openWrite{Block: 78, Size: int64(len(block)), From: "tester"}))
+	done.recv(frameSetupAck)
+	done.send(frameChunk, flagLast, 1, block)
+	done.recv(frameCommitAck)
+	done.send(frameCall, 0, 2, ping)
+	done.closed()
+	dn.Node().Delete(78)
 
 	requirePoolBalance(t, start)
 	cl := lc.Client("shell")

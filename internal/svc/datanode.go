@@ -56,6 +56,10 @@ type DataNodeServer struct {
 	faults TransportFaults
 	nn     *peerConn
 
+	// relays are the stream connections this node parks toward the
+	// next hops of the pipelines it relays.
+	relays streamPool
+
 	epoch uint64 // this incarnation's marker, fixed at construction
 
 	mu            sync.Mutex
@@ -234,7 +238,8 @@ func (d *DataNodeServer) StartHeartbeats(interval time.Duration, accrueWallUptim
 
 // Stop gracefully shuts the DataNode down: the heartbeat loop halts,
 // a final heartbeat flushes the last observations (best-effort,
-// bounded by ctx), in-flight block RPCs drain, and connections close.
+// bounded by ctx), in-flight block RPCs and streams drain, and
+// connections close — the served ones and the relays' parked ones.
 func (d *DataNodeServer) Stop(ctx context.Context) error {
 	if d.loopStop != nil {
 		close(d.loopStop)
@@ -246,6 +251,7 @@ func (d *DataNodeServer) Stop(ctx context.Context) error {
 		flushErr = d.FlushHeartbeat(ctx)
 	}
 	err := d.srv.Shutdown(ctx)
+	d.relays.close()
 	if nn := d.peer(); nn != nil {
 		nn.close()
 	}

@@ -81,6 +81,8 @@ var wireCodes = []errorCode{
 	{"unknown_datanode", ErrUnknownDataNode},
 	{"conn_closed", ErrConnClosed},
 	{"bad_observation", ErrBadObservation},
+	{"bad_frame", ErrBadFrame},
+	{"frame_too_large", ErrFrameTooLarge},
 
 	// The dfs taxonomy crosses the wire so shell clients and the
 	// NameNode's remote stores classify failures exactly like

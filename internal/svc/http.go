@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -243,7 +244,9 @@ func RenderMetrics(m MetricsSnapshot) string {
 }
 
 // ServeHTTP exposes /metrics (Prometheus text) and /healthz on the
-// NameNode, so the service plugs into standard scrapers and probes.
+// NameNode, so the service plugs into standard scrapers and probes, and
+// the runtime profiles under /debug/pprof/, so what a running cluster
+// spends its CPU and memory on can be read without a rebuild.
 func (s *NameNodeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/metrics":
@@ -254,7 +257,30 @@ func (s *NameNodeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		heartbeating := len(s.HeartbeatAges(time.Now()))
 		_, _ = fmt.Fprintf(w, `{"status":"ok","datanodes":%d,"heartbeating":%d}`+"\n", len(s.stores), heartbeating)
 	default:
+		if name, ok := strings.CutPrefix(r.URL.Path, "/debug/pprof/"); ok {
+			servePprof(w, r, name)
+			return
+		}
 		http.NotFound(w, r)
+	}
+}
+
+// servePprof dispatches to net/http/pprof's handlers from this handler
+// rather than through http.DefaultServeMux, where importing the package
+// also registers them and which nothing here serves. Index answers the
+// listing and every named runtime profile (heap, goroutine, allocs, …).
+func servePprof(w http.ResponseWriter, r *http.Request, name string) {
+	switch name {
+	case "cmdline":
+		pprof.Cmdline(w, r)
+	case "profile":
+		pprof.Profile(w, r)
+	case "symbol":
+		pprof.Symbol(w, r)
+	case "trace":
+		pprof.Trace(w, r)
+	default:
+		pprof.Index(w, r)
 	}
 }
 

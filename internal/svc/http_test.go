@@ -142,4 +142,22 @@ func TestMetricsAndHealthzOverHTTP(t *testing.T) {
 	if health.Status != "ok" || health.DataNodes != 3 || health.Heartbeating != 3 {
 		t.Fatalf("healthz = %+v", health)
 	}
+
+	for path, want := range map[string]int{
+		"/debug/pprof/":                  http.StatusOK,
+		"/debug/pprof/goroutine?debug=1": http.StatusOK,
+		"/debug/pprof/cmdline":           http.StatusOK,
+		"/debug/pprof/no-such-profile":   http.StatusNotFound,
+		"/debug/nothing":                 http.StatusNotFound,
+	} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: %d, want %d", path, resp.StatusCode, want)
+		}
+	}
 }

@@ -9,36 +9,39 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// DataNode side of the block streams: the handler the server hands a
-// connection to when its first frame opens one. A write stream is
-// relayed down the replication chain HDFS-style — this node dials the
-// next hop, forwards each chunk as it arrives, and commits
-// deepest-first: downstream commit acks are collected before the
-// local put, and only then is the combined ack sent upstream, so a
-// torn stream can never leave a committed prefix the writer did not
-// hear about from every deeper node first.
+// DataNode side of the block streams: the handler a stream connection's
+// streams go to, one after another, each reporting whether it ended
+// cleanly enough for the connection to carry the next. A write stream is
+// relayed down the replication chain HDFS-style — this node takes a
+// connection to the next hop from its own relay pool (dialing only when
+// none is parked), forwards each chunk as it arrives, and commits
+// deepest-first: downstream commit acks are collected before the local
+// put, and only then is the combined ack sent upstream, so a torn stream
+// can never leave a committed prefix the writer did not hear about from
+// every deeper node first.
 
 // serveData serves the stream that open begins.
-func (d *DataNodeServer) serveData(ctx context.Context, nc net.Conn, br *bufio.Reader, open frame2) {
+func (d *DataNodeServer) serveData(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, open frame2) bool {
 	if open.Type == frameOpenWrite {
-		d.serveWrite(ctx, nc, br, open)
-	} else {
-		d.serveRead(ctx, nc, br, open)
+		return d.serveWrite(ctx, nc, br, bw, open)
 	}
+	return d.serveRead(ctx, nc, br, bw, open)
 }
 
 // streamCtx derives the stream's context from the open frame's
 // deadline budget and mirrors it onto the connection, so a cancelled
-// or expired stream aborts blocked I/O instead of hanging.
-func streamCtx(ctx context.Context, nc net.Conn, deadlineMS int64) (context.Context, func()) {
+// or expired stream aborts blocked I/O instead of hanging. end releases
+// the context and reports whether its watcher was stopped before it
+// fired — false means the connection's deadline was poisoned.
+func streamCtx(ctx context.Context, nc net.Conn, deadlineMS int64) (_ context.Context, end func() bool) {
 	ctx, cancel := budgetCtx(ctx, deadlineMS)
 	if dl, ok := ctx.Deadline(); ok {
 		_ = nc.SetDeadline(dl)
 	}
 	stop := context.AfterFunc(ctx, func() { _ = nc.SetDeadline(connPast) })
-	return ctx, func() {
-		stop()
-		cancel()
+	return ctx, func() bool {
+		defer cancel()
+		return stop()
 	}
 }
 
@@ -57,24 +60,33 @@ func nodeDownAcks(chain []chainEntry, cause error) []ackEntry {
 		fmt.Errorf("%w: datanode %d unreachable in pipeline: %v", dfs.ErrNodeDown, chain[0].Node, cause))}
 }
 
-func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.Reader, f frame2) {
+// anyOK reports whether some entry accepted.
+func anyOK(acks []ackEntry) bool {
+	for _, e := range acks {
+		if e.OK {
+			return true
+		}
+	}
+	return false
+}
+
+func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool) {
 	sid := f.Stream
 	ow, err := decodeOpenWrite(f.Payload)
 	f.release()
 	if err != nil || ow.Size > MaxBlockBytes {
-		return
+		return false
 	}
 	name := endpointName(d.id)
 	// Serving-side fault check, as for incoming calls: a partition
-	// severs streams already dialed, not just new dials.
+	// severs streams already under way, not just new ones.
 	if d.faults != nil {
 		if d.faults.FailMessage(ow.From, name) != nil {
-			return
+			return false
 		}
 	}
-	ctx, done := streamCtx(ctx, nc, ow.DeadlineMS)
-	defer done()
-	bw := bufio.NewWriterSize(nc, 32<<10)
+	ctx, end := streamCtx(ctx, nc, ow.DeadlineMS)
+	defer func() { clean = end() && clean }()
 
 	// A write stream is a put: it competes for the admission budget
 	// under that class, and a shed stream answers with a setup ack
@@ -90,7 +102,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(shed)) == nil {
 			_ = bw.Flush()
 		}
-		return
+		return false
 	}
 	defer release()
 
@@ -98,48 +110,43 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	// writer's setup ack already reflects which chain nodes are in.
 	var down *dataConn
 	var downAcks []ackEntry
+	downClean := false
 	if len(ow.Chain) > 0 {
 		next := ow.Chain[0]
-		dc, derr := dialDataSetup(ctx, next.Addr, name, endpointName(next.Node), d.faults)
-		if derr == nil {
+		dc, sf, derr := d.relays.openStream(ctx, next.Addr, name, endpointName(next.Node), d.faults, frameOpenWrite, sid, func() []byte {
 			// The forwarded budget is recomputed from this hop's derived
 			// context, not copied from the open frame: whatever this node
 			// already spent is gone, so an N-deep chain shares one budget
 			// instead of re-arming it per hop.
-			fw := openWrite{Block: ow.Block, Size: ow.Size, DeadlineMS: budgetOf(ctx), From: name, Chain: ow.Chain[1:]}
-			derr = writeFrame2(dc.bw, frameOpenWrite, 0, sid, encodeOpenWrite(fw))
-			if derr == nil {
-				derr = dc.bw.Flush()
+			return encodeOpenWrite(openWrite{Block: ow.Block, Size: ow.Size, DeadlineMS: budgetOf(ctx), From: name, Chain: ow.Chain[1:]})
+		})
+		if derr == nil {
+			if sf.Type == frameSetupAck {
+				downAcks, derr = decodeAcks(sf.Payload)
+			} else {
+				derr = fmt.Errorf("%w: setup reply type %d", ErrBadFrame, sf.Type)
 			}
-			if derr == nil {
-				sf, rerr := readFrame2(dc.br)
-				switch {
-				case rerr != nil:
-					derr = rerr
-				case sf.Type != frameSetupAck:
-					sf.release()
-					derr = fmt.Errorf("%w: setup reply type %d", ErrBadFrame, sf.Type)
-				default:
-					downAcks, derr = decodeAcks(sf.Payload)
-					sf.release()
-				}
-			}
-			if derr != nil {
+			sf.release()
+			// A deeper chain that shed the stream has said its final word
+			// in its setup entries, and that stream is over.
+			if derr != nil || !anyOK(downAcks) {
 				dc.close()
-				dc = nil
+			} else {
+				down = dc
 			}
 		}
 		if derr != nil {
 			downAcks = nodeDownAcks(ow.Chain, derr)
 		}
-		down = dc
-	}
-	if down != nil {
-		defer down.close()
+		defer func() {
+			if down != nil {
+				d.relays.park(next.Addr, down, downClean)
+			}
+		}()
 	}
 	setup := append([]ackEntry{{Node: d.id, OK: true}}, downAcks...)
 	if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(setup)) != nil || bw.Flush() != nil {
-		return
+		return false
 	}
 
 	// Assemble the block from chunks, relaying each downstream as it
@@ -150,11 +157,11 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	for {
 		cf, rerr := readFrame2(br)
 		if rerr != nil {
-			return // torn stream: no commit, writer cleans up
+			return false // torn stream: no commit, writer cleans up
 		}
 		if cf.Type != frameChunk || cf.Stream != sid || received+int64(len(cf.Payload)) > ow.Size {
 			cf.release()
-			return
+			return false
 		}
 		if down != nil {
 			relayErr := error(nil)
@@ -184,7 +191,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		}
 	}
 	if received != ow.Size {
-		return // short stream: never commit a partial block
+		return false // short stream: never commit a partial block
 	}
 
 	// Commit deepest-first: downstream acks before the local put.
@@ -203,6 +210,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 			if derr != nil {
 				downAcks = nodeDownAcks(ow.Chain, derr)
 			}
+			downClean = derr == nil
 		}
 	}
 	var self ackEntry
@@ -214,36 +222,34 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		self = ackEntry{Node: d.id, OK: true}
 	}
 	commit := append([]ackEntry{self}, downAcks...)
-	if writeFrame2(bw, frameCommitAck, 0, sid, encodeAcks(commit)) == nil {
-		_ = bw.Flush()
-	}
+	return writeFrame2(bw, frameCommitAck, 0, sid, encodeAcks(commit)) == nil && bw.Flush() == nil
 }
 
-func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.Reader, f frame2) {
+func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool) {
 	sid := f.Stream
 	or, err := decodeOpenRead(f.Payload)
 	f.release()
 	if err != nil {
-		return
+		return false
 	}
 	name := endpointName(d.id)
 	if d.faults != nil {
 		if d.faults.FailMessage(or.From, name) != nil {
-			return
+			return false
 		}
 	}
-	ctx, done := streamCtx(ctx, nc, or.DeadlineMS)
-	defer done()
-	bw := bufio.NewWriterSize(nc, 32<<10)
+	ctx, end := streamCtx(ctx, nc, or.DeadlineMS)
+	defer func() { clean = end() && clean }()
 
 	// A read stream is a get: shed requests answer with an overload
-	// error frame whose taxonomy survives rehydration on the reader.
+	// error frame whose taxonomy survives rehydration on the reader. An
+	// error frame ends the stream and its connection.
 	release, aerr := d.srv.admit.Load().acquire(ctx, classGet)
 	if aerr != nil {
 		if writeFrame2(bw, frameError, flagLast, sid, encodeErrorFrame(aerr)) == nil {
 			_ = bw.Flush()
 		}
-		return
+		return false
 	}
 	defer release()
 
@@ -252,10 +258,10 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 		if writeFrame2(bw, frameError, flagLast, sid, encodeErrorFrame(gerr)) == nil {
 			_ = bw.Flush()
 		}
-		return
+		return false
 	}
 	if writeFrame2(bw, frameReadHdr, 0, sid, encodeReadHdr(int64(len(data)))) != nil {
-		return
+		return false
 	}
 	for off := 0; ; {
 		n := len(data) - off
@@ -270,16 +276,16 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 		// A mid-stream partition severs the remaining chunks.
 		if d.faults != nil {
 			if d.faults.FailMessage(or.From, name) != nil {
-				return
+				return false
 			}
 		}
 		if writeFrame2(bw, frameChunk, flags, sid, data[off:off+n]) != nil {
-			return
+			return false
 		}
 		off += n
 		if last {
 			break
 		}
 	}
-	_ = bw.Flush()
+	return bw.Flush() == nil
 }

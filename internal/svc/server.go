@@ -11,19 +11,23 @@ import (
 	"time"
 )
 
-// DataHandler serves one block stream on its own connection (see
-// wire.go). It owns the connection until it returns; ctx is the
-// server's lifecycle context, r the connection's buffered reader, and
-// open the frameOpenWrite or frameOpenRead that began the stream, which
-// the handler releases.
-type DataHandler func(ctx context.Context, nc net.Conn, r *bufio.Reader, open frame2)
+// DataHandler serves one block stream (see wire.go). It owns the
+// connection until it returns; ctx is the server's lifecycle context, r
+// and w the connection's buffered reader and writer, and open the
+// frameOpenWrite or frameOpenRead that began the stream, which the
+// handler releases. It reports whether the stream ended cleanly — its
+// last frame sent and flushed, its deadline watcher stopped before it
+// fired — so that the connection may carry the next one.
+type DataHandler func(ctx context.Context, nc net.Conn, r *bufio.Reader, w *bufio.Writer, open frame2) (clean bool)
 
 // Server accepts connections and lets each one's first frame say what
 // it is: a call connection, whose every call runs on a fresh goroutine
 // so one slow handler never blocks a heartbeat on the same connection,
-// or one block stream. Shutdown drains in-flight calls and streams
-// before returning: new calls are rejected with ErrShuttingDown,
-// running handlers complete and flush their replies.
+// or a stream connection, which carries block streams one after
+// another. Shutdown drains in-flight calls and streams before
+// returning: new calls are rejected with ErrShuttingDown, running
+// handlers complete and flush their replies; a stream connection idle
+// between streams is not in flight and is simply closed.
 type Server struct {
 	name    string // endpoint name, for the fault hook
 	faults  TransportFaults
@@ -36,6 +40,10 @@ type Server struct {
 	admit atomic.Pointer[admission]
 
 	ln net.Listener
+
+	// streamConns counts the connections whose first frame opened a
+	// stream, so tests can see connections being reused.
+	streamConns atomic.Int64
 
 	// baseCtx parents every handler invocation; baseCancel fires on
 	// Crash (immediately) and Shutdown (after the drain window), so a
@@ -134,9 +142,9 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // serve runs one connection to its end and reports why it ended. The
-// first frame routes it: a call opens the call loop, a stream open goes
-// to the stream handler if the endpoint has one, anything else is not a
-// way to start.
+// first frame routes it: a call opens the call loop, a stream open the
+// stream loop if the endpoint has a stream handler, anything else is
+// not a way to start.
 func (s *Server) serve(nc net.Conn) error {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	f, err := readFrame2(br)
@@ -146,9 +154,30 @@ func (s *Server) serve(nc net.Conn) error {
 	switch {
 	case f.Type == frameCall:
 		return s.serveCalls(nc, br, f)
-	case (f.Type == frameOpenWrite || f.Type == frameOpenRead) && s.data != nil:
-		// A stream counts as one in-flight unit: Shutdown drains it like
-		// a pending call instead of cutting a half-written block.
+	case isStreamOpen(f) && s.data != nil:
+		s.streamConns.Add(1)
+		return s.serveStreams(nc, br, f)
+	default:
+		f.release()
+		return fmt.Errorf("%w: frame type %d cannot open a connection to %s", ErrBadFrame, f.Type, s.name)
+	}
+}
+
+func isStreamOpen(f frame2) bool { return f.Type == frameOpenWrite || f.Type == frameOpenRead }
+
+// serveStreams is the stream loop: f opens the connection's first
+// stream, and after each stream that ends cleanly the connection waits,
+// with no deadline, for the next frame, which must open another. Any
+// other ending closes the connection.
+func (s *Server) serveStreams(nc net.Conn, br *bufio.Reader, f frame2) error {
+	bw := bufio.NewWriterSize(nc, 32<<10)
+	for {
+		if !isStreamOpen(f) {
+			f.release()
+			return fmt.Errorf("%w: frame type %d after a finished stream", ErrBadFrame, f.Type)
+		}
+		// Each stream counts as one in-flight unit: Shutdown drains it
+		// like a pending call instead of cutting a half-written block.
 		s.mu.Lock()
 		if s.down {
 			s.mu.Unlock()
@@ -157,12 +186,18 @@ func (s *Server) serve(nc net.Conn) error {
 		}
 		s.inflight.Add(1)
 		s.mu.Unlock()
-		defer s.inflight.Done()
-		s.data(s.baseCtx, nc, br, f)
-		return nil
-	default:
-		f.release()
-		return fmt.Errorf("%w: frame type %d cannot open a connection to %s", ErrBadFrame, f.Type, s.name)
+		clean := s.data(s.baseCtx, nc, br, bw, f)
+		s.inflight.Done()
+		if !clean {
+			return nil
+		}
+		if err := nc.SetDeadline(time.Time{}); err != nil {
+			return err
+		}
+		var err error
+		if f, err = readFrame2(br); err != nil {
+			return err
+		}
 	}
 }
 

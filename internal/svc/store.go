@@ -47,6 +47,11 @@ type remoteStore struct {
 	id   cluster.NodeID
 	peer *peerConn
 
+	// streams are the proxy's parked stream connections to its node:
+	// every stream of this proxy goes to the one address, so the
+	// fleet's pool is its proxies' pools together.
+	streams streamPool
+
 	// The binary data plane (wire.go): resolve maps chain node ids to
 	// data addresses for pipeline writes; scrub best-effort deletes a
 	// possibly-committed replica on another chain node after a torn
@@ -217,7 +222,7 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 		}
 		return res
 	}
-	acks, err := pipelinePut(ctx, s.peer.local, s.peer.faults, chain, id, data)
+	acks, err := s.streams.pipelinePut(ctx, s.peer.local, s.peer.faults, chain, id, data)
 	s.brk.record(probe, err == nil)
 	if err != nil {
 		// The stream broke: no commit acks, so whether any chain node
@@ -282,7 +287,7 @@ func (s *remoteStore) peerEvidence(n cluster.NodeID, ok bool) {
 func (s *remoteStore) Get(ctx context.Context, id dfs.BlockID) ([]byte, error) {
 	var data []byte
 	err := s.observe(ctx, fmt.Sprintf("get block %d from", id), func() (err error) {
-		data, err = streamGet(ctx, s.peer.local, s.peer.faults, s.peer.addr, s.peer.peer, id)
+		data, err = s.streams.streamGet(ctx, s.peer.local, s.peer.faults, s.peer.addr, s.peer.peer, id)
 		return err
 	})
 	if err != nil {
@@ -313,5 +318,9 @@ func (s *remoteStore) StoredBlocks(ctx context.Context) ([]dfs.BlockID, bool) {
 	return res.Blocks, true
 }
 
-// close tears down the proxy's cached connection.
-func (s *remoteStore) close() { s.peer.close() }
+// close tears down the proxy's call connection and its parked stream
+// connections.
+func (s *remoteStore) close() {
+	s.peer.close()
+	s.streams.close()
+}

@@ -3,55 +3,66 @@ package svc
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// Client side of the block streams (see wire.go): dedicated
-// connections carrying pipeline writes and chunked reads. One
-// connection carries one stream; multiplexing is for call connections
-// (conn.go), where frames are small.
+// Client side of the block streams (see wire.go): pipeline writes and
+// chunked reads on stream connections. A stream connection carries
+// successive streams, one at a time. Its owner — a client's or the
+// NameNode's DataNode fleet, a DataNode's relays — parks it after a
+// stream that ended cleanly and takes it again for its next stream to
+// the same address, so a small put does not pay a TCP dial and fresh
+// buffers per hop. Every other ending closes it. Multiplexing is for
+// call connections (conn.go), where frames are small.
 
-// streamIDs mints stream ids. With one stream per connection the id
-// is diagnostic — it ties the frames of a stream together in traces
-// and guards against crossed frames.
+// streamIDs mints stream ids. Streams on a connection never overlap, so
+// the id is diagnostic: it ties the frames of a stream together in
+// traces and guards against crossed frames.
 var streamIDs atomic.Uint64
 
-// dataConn is one dialed v2 stream connection: buffered both ways so
-// a 20-byte header and its payload leave in one syscall.
+// maxIdleStreams caps the connections an owner parks per DataNode
+// address. An owner's streams to one address overlap only as far as the
+// owner's own concurrency does: a client moves one block at a time (a
+// hedged read goes to another replica), a relay as many as there are
+// writers whose chains cross that hop at once. A few connections keep
+// that dial-free; a burst wider than the cap closes its surplus as it
+// ends rather than pinning it. The cap is also what bounds idleness,
+// since nothing else retires a parked connection (no timer, no knob):
+// each holds a 64 KiB reader and a 32 KiB writer at both ends plus the
+// DataNode's serving goroutine, so at most 4 × 192 KiB per owner and
+// address.
+const maxIdleStreams = 4
+
+// dataConn is one v2 stream connection: buffered both ways so a 20-byte
+// header and its payload leave in one syscall, the buffers living as
+// long as the connection.
 type dataConn struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	stop func() bool // cancels the context watcher
+	stop func() bool // detaches the current stream's context watcher
 }
 
 // connPast is the deadline used to abort a stream's blocked I/O when
 // its context is cancelled: any instant in the past works.
 var connPast = time.Unix(1, 0)
 
-// dialData opens a stream connection to addr (see dial for the fault
-// hook). The stream inherits ctx end to end — its deadline becomes the
-// connection deadline, and cancellation aborts blocked reads and
-// writes mid-stream. The caller's open frame says which stream it is.
-func dialData(ctx context.Context, addr, local, peer string, faults TransportFaults) (*dataConn, error) {
-	nc, err := dial(ctx, addr, local, peer, faults)
-	if err != nil {
-		return nil, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = nc.SetDeadline(dl)
-	}
-	return &dataConn{
-		nc:   nc,
-		br:   bufio.NewReaderSize(nc, 64<<10),
-		bw:   bufio.NewWriterSize(nc, 32<<10),
-		stop: context.AfterFunc(ctx, func() { _ = nc.SetDeadline(connPast) }),
-	}, nil
+// arm binds the connection to one stream: the stream's deadline becomes
+// the connection deadline (none clears it), and cancellation aborts
+// blocked reads and writes mid-stream.
+func (c *dataConn) arm(ctx context.Context) {
+	dl, _ := ctx.Deadline() // the zero time when ctx has none
+	_ = c.nc.SetDeadline(dl)
+	c.stop = context.AfterFunc(ctx, func() { _ = c.nc.SetDeadline(connPast) })
 }
 
 func (c *dataConn) close() {
@@ -59,85 +70,185 @@ func (c *dataConn) close() {
 	_ = c.nc.Close()
 }
 
-// rearm detaches the conn's current context watchdog and re-arms it on
-// parent: deadline from parent, cancellation poisons as before. Used
-// when a sub-budget phase (stream setup) completes and the connection
-// graduates to the stream's full budget. Reports false when the old
-// watchdog already fired — the sub-budget expired and the conn is
-// poisoned, so the caller must treat the setup as failed.
-func (c *dataConn) rearm(parent context.Context) bool {
-	if !c.stop() {
-		return false
+// exchange sends one frame and reads the reply to it.
+func (c *dataConn) exchange(typ uint8, sid uint64, payload []byte) (frame2, error) {
+	if err := writeFrame2(c.bw, typ, 0, sid, payload); err != nil {
+		return frame2{}, err
 	}
-	if dl, ok := parent.Deadline(); ok {
-		_ = c.nc.SetDeadline(dl)
-	} else {
-		_ = c.nc.SetDeadline(time.Time{})
+	if err := c.bw.Flush(); err != nil {
+		return frame2{}, fmt.Errorf("svc: send frame: %w", err)
 	}
-	c.stop = context.AfterFunc(parent, func() { _ = c.nc.SetDeadline(connPast) })
-	return true
+	return readFrame2(c.br)
 }
 
-// dialDataSetup dials a v2 stream under a setup budget — a quarter of
-// ctx's remaining deadline — then re-arms the connection on the full
-// budget. Dialing is where a gray peer (alive heartbeats, crawling
-// service) stalls, and without the sub-budget one gray hop silently
-// eats the caller's whole deadline: the op times out, the failure gets
-// blamed on whatever node the caller dialed, and no budget is left to
-// fail over. Bounding setup keeps a gray hop's cost to a slice of the
-// budget, leaves the rest for alternates, and — for pipeline relays —
-// lets the setup ack naming the actual stalled node reach the writer
-// in time. Deadline-free contexts dial without a sub-budget.
-func dialDataSetup(ctx context.Context, addr, local, peer string, faults TransportFaults) (*dataConn, error) {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return dialData(ctx, addr, local, peer, faults)
+// streamPool is one owner's parked stream connections, by address. The
+// zero value is an owner with nothing parked.
+type streamPool struct {
+	mu   sync.Mutex
+	idle map[string][]*dataConn
+}
+
+// take pops the most recently parked connection to addr, nil if none.
+func (p *streamPool) take(addr string) *dataConn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	conns := p.idle[addr]
+	if len(conns) == 0 {
+		return nil
 	}
-	//lint:ignore determinism carving a setup slice out of a wall-clock deadline needs the wall clock; deadline-free contexts take the branch above
-	rem := time.Until(dl)
-	if rem <= 0 {
-		return nil, fmt.Errorf("svc: dial %s: %w", addr, context.DeadlineExceeded)
+	dc := conns[len(conns)-1]
+	conns[len(conns)-1] = nil
+	p.idle[addr] = conns[:len(conns)-1]
+	return dc
+}
+
+// park ends a stream on dc. A clean end — the stream's last frame read,
+// its context watcher stopped before it fired, nothing unread, the
+// deadline cleared — parks the connection for the owner's next stream
+// to addr, up to maxIdleStreams; anything else closes it.
+func (p *streamPool) park(addr string, dc *dataConn, clean bool) {
+	if !dc.stop() || !clean || dc.br.Buffered() > 0 || dc.nc.SetDeadline(time.Time{}) != nil {
+		_ = dc.nc.Close()
+		return
 	}
-	setupCtx, cancel := context.WithTimeout(ctx, rem/4)
-	defer cancel()
-	dc, err := dialData(setupCtx, addr, local, peer, faults)
-	if err != nil {
-		return nil, err
+	p.mu.Lock()
+	if len(p.idle[addr]) < maxIdleStreams {
+		if p.idle == nil {
+			p.idle = make(map[string][]*dataConn)
+		}
+		p.idle[addr] = append(p.idle[addr], dc)
+		p.mu.Unlock()
+		return
 	}
-	if !dc.rearm(ctx) {
+	p.mu.Unlock()
+	_ = dc.nc.Close()
+}
+
+// drop closes the connections parked to addr.
+func (p *streamPool) drop(addr string) {
+	p.mu.Lock()
+	conns := p.idle[addr]
+	delete(p.idle, addr)
+	p.mu.Unlock()
+	for _, dc := range conns {
+		_ = dc.nc.Close()
+	}
+}
+
+// close closes every parked connection. The owner calls it once its
+// own streams are over; the pool stays usable.
+func (p *streamPool) close() {
+	p.mu.Lock()
+	idle := p.idle
+	p.idle = nil
+	p.mu.Unlock()
+	for _, conns := range idle {
+		for _, dc := range conns {
+			_ = dc.nc.Close()
+		}
+	}
+}
+
+// acquireConn takes a connection to addr for one stream — a parked one
+// when the owner has any, a fresh dial otherwise — and arms it on ctx.
+// reused reports a parked connection. The sender side of the fault hook
+// runs first, once per stream, wherever the connection comes from (see
+// dial), and it and any dial run under a setup budget: a quarter of
+// ctx's remaining deadline. Setup is where a gray peer (alive
+// heartbeats, crawling service) stalls, and without the sub-budget one
+// gray hop silently eats the caller's whole deadline: the op times out,
+// the failure gets blamed on whatever node the caller reached for, and
+// no budget is left to fail over. Bounding setup keeps a gray hop's cost
+// to a slice of the budget, leaves the rest for alternates, and — for
+// pipeline relays — lets the setup ack naming the actual stalled node
+// reach the writer in time. Deadline-free contexts set up without a
+// sub-budget.
+func (p *streamPool) acquireConn(ctx context.Context, addr, local, peer string, faults TransportFaults) (dc *dataConn, reused bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, fmt.Errorf("svc: dial %s: %w", addr, err)
+	}
+	setup := ctx
+	if dl, ok := ctx.Deadline(); ok {
+		//lint:ignore determinism carving a setup slice out of a wall-clock deadline needs the wall clock; deadline-free contexts skip it
+		rem := time.Until(dl)
+		if rem <= 0 {
+			return nil, false, fmt.Errorf("svc: dial %s: %w", addr, context.DeadlineExceeded)
+		}
+		var cancel context.CancelFunc
+		setup, cancel = context.WithTimeout(ctx, rem/4)
+		defer cancel()
+	}
+	if err := faultGate(setup, faults, local, peer); err != nil {
+		return nil, false, fmt.Errorf("svc: dial %s: %w", addr, err)
+	}
+	dc = p.take(addr)
+	reused = dc != nil
+	if !reused {
+		nc, err := dial(setup, addr, local, peer, nil) // the gate has run
+		if err != nil {
+			return nil, false, err
+		}
+		dc = &dataConn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 32<<10)}
+	}
+	dc.arm(ctx)
+	return dc, reused, nil
+}
+
+// openStream starts one stream: a connection from acquireConn, the open
+// frame typ — its payload built by open at send time, so the budget it
+// carries is current — and the first reply. A parked connection whose
+// peer closed it while it sat idle (a DataNode that restarted or dropped
+// its connections) fails with EOF or a reset before any reply: nothing
+// was served on it, so the stream closes the owner's other connections
+// parked to addr alongside it and redials once, the fault gate already
+// passed. That failure says nothing about the peer and never reaches the
+// caller, its breaker or its liveness belief. A timeout is not retried:
+// a stalled peer is evidence.
+func (p *streamPool) openStream(ctx context.Context, addr, local, peer string, faults TransportFaults, typ uint8, sid uint64, open func() []byte) (*dataConn, frame2, error) {
+	for redialed := false; ; redialed = true {
+		dc, reused, err := p.acquireConn(ctx, addr, local, peer, faults)
+		if err != nil {
+			return nil, frame2{}, err
+		}
+		f, err := dc.exchange(typ, sid, open())
+		if err == nil {
+			return dc, f, nil
+		}
 		dc.close()
-		return nil, fmt.Errorf("svc: dial %s: setup budget: %w", addr, context.DeadlineExceeded)
+		if redialed || !reused || !peerClosed(err) {
+			return nil, frame2{}, err
+		}
+		p.drop(addr)
+		faults = nil
 	}
-	return dc, nil
+}
+
+// peerClosed reports whether err is the peer having closed the
+// connection before sending anything: EOF at a frame boundary, a reset,
+// a broken pipe.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // pipelinePut streams one block through the replication chain
-// (chain[0] is dialed; the rest ride in the open frame for the relays)
-// and returns the commit-phase ack entries, one per chain node, in
-// chain order. A nil error means the commit acks arrived — individual
-// nodes may still report failure in their entries. A non-nil error
-// means the stream broke and the commit outcome of every chain node
-// is unknown: the caller must treat all of them as unacked and clean
-// up best-effort.
-func pipelinePut(ctx context.Context, local string, faults TransportFaults, chain []chainEntry, id dfs.BlockID, data []byte) ([]ackEntry, error) {
-	dc, err := dialDataSetup(ctx, chain[0].Addr, local, endpointName(chain[0].Node), faults)
-	if err != nil {
-		return nil, err
-	}
-	defer dc.close()
+// (chain[0] is this owner's peer; the rest ride in the open frame for
+// the relays) and returns the commit-phase ack entries, one per chain
+// node, in chain order. A nil error means the commit acks arrived —
+// individual nodes may still report failure in their entries. A non-nil
+// error means the stream broke and the commit outcome of every chain
+// node is unknown: the caller must treat all of them as unacked and
+// clean up best-effort.
+func (p *streamPool) pipelinePut(ctx context.Context, local string, faults TransportFaults, chain []chainEntry, id dfs.BlockID, data []byte) ([]ackEntry, error) {
+	addr, peer := chain[0].Addr, endpointName(chain[0].Node)
 	sid := streamIDs.Add(1)
-	ow := openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: local, Chain: chain[1:]}
-	if err := writeFrame2(dc.bw, frameOpenWrite, 0, sid, encodeOpenWrite(ow)); err != nil {
-		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
-	}
-	if err := dc.bw.Flush(); err != nil {
-		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
-	}
-
-	sf, err := readFrame2(dc.br)
+	dc, sf, err := p.openStream(ctx, addr, local, peer, faults, frameOpenWrite, sid, func() []byte {
+		return encodeOpenWrite(openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: local, Chain: chain[1:]})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("svc: pipeline put block %d: setup: %w", id, err)
 	}
+	clean := false
+	defer func() { p.park(addr, dc, clean) }()
 	if sf.Type != frameSetupAck || sf.Stream != sid {
 		sf.release()
 		return nil, fmt.Errorf("%w: pipeline put block %d: unexpected setup frame type %d", ErrBadFrame, id, sf.Type)
@@ -147,19 +258,13 @@ func pipelinePut(ctx context.Context, local string, faults TransportFaults, chai
 	if err != nil {
 		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
-	accepting := 0
-	for _, e := range setup {
-		if e.OK {
-			accepting++
-		}
-	}
-	if accepting == 0 {
+	if !anyOK(setup) {
 		// Early abort: nobody admitted the stream, so there is nothing
-		// to send — the setup entries are the final outcome.
+		// to send — the setup entries are the final outcome, and the
+		// stream ends here, uncleanly.
 		return setup, nil
 	}
 
-	peer := endpointName(chain[0].Node)
 	for off := 0; ; {
 		n := len(data) - off
 		if n > DefaultChunkSize {
@@ -202,6 +307,7 @@ func pipelinePut(ctx context.Context, local string, faults TransportFaults, chai
 	if err != nil {
 		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
+	clean = true
 	return acks, nil
 }
 
@@ -209,25 +315,16 @@ func pipelinePut(ctx context.Context, local string, faults TransportFaults, chai
 // the total size, then chunks assembled into a single buffer owned by
 // the caller. A server-side failure arrives as an error frame whose
 // taxonomy survives rehydration (errors.Is, IsTransient).
-func streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID) ([]byte, error) {
-	dc, err := dialDataSetup(ctx, addr, local, peer, faults)
-	if err != nil {
-		return nil, err
-	}
-	defer dc.close()
+func (p *streamPool) streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID) ([]byte, error) {
 	sid := streamIDs.Add(1)
-	or := openRead{Block: id, DeadlineMS: budgetOf(ctx), From: local}
-	if err := writeFrame2(dc.bw, frameOpenRead, 0, sid, encodeOpenRead(or)); err != nil {
-		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
-	}
-	if err := dc.bw.Flush(); err != nil {
-		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
-	}
-
-	hf, err := readFrame2(dc.br)
+	dc, hf, err := p.openStream(ctx, addr, local, peer, faults, frameOpenRead, sid, func() []byte {
+		return encodeOpenRead(openRead{Block: id, DeadlineMS: budgetOf(ctx), From: local})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
 	}
+	clean := false
+	defer func() { p.park(addr, dc, clean) }()
 	if hf.Type == frameError {
 		rerr := decodeErrorFrame(hf.Payload)
 		hf.release()
@@ -260,7 +357,7 @@ func streamGet(ctx context.Context, local string, faults TransportFaults, addr, 
 			cf.release()
 			return nil, fmt.Errorf("svc: stream get block %d: %w", id, rerr)
 		}
-		if cf.Type != frameChunk {
+		if cf.Type != frameChunk || cf.Stream != sid {
 			cf.release()
 			return nil, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, cf.Type)
 		}
@@ -278,5 +375,6 @@ func streamGet(ctx context.Context, local string, faults TransportFaults, addr, 
 	if int64(len(buf)) != size {
 		return nil, fmt.Errorf("%w: stream get block %d: got %d of %d bytes", ErrBadFrame, id, len(buf), size)
 	}
+	clean = true
 	return buf, nil
 }

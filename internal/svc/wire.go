@@ -18,8 +18,11 @@ import (
 // module carries one kind of frame, and a connection's first frame says
 // what the connection is: a frameCall starts a multiplexed call
 // connection (conn.go, Server.serveCalls) that lives as long as the
-// peer pair does; a frameOpenWrite or frameOpenRead starts one block
-// stream (stream.go, pipeline.go) and the connection ends with it.
+// peer pair does; a frameOpenWrite or frameOpenRead starts a stream
+// connection (stream.go, pipeline.go, Server.serveStreams), which
+// carries block streams one at a time: after a stream's last frame the
+// next frame must open another, and a stream that ends any other way
+// ends the connection.
 //
 // Frame layout (big-endian), 20-byte header:
 //

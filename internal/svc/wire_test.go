@@ -526,6 +526,24 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestBadParamsCrossTheWireAsErrBadFrame: a live server's refusal of
+// params it cannot decode reaches the caller still matching ErrBadFrame,
+// and as permanent — retrying the same bytes cannot help.
+func TestBadParamsCrossTheWireAsErrBadFrame(t *testing.T) {
+	lc := testCluster(t, 1, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	conn, err := dialConn(ctx, lc.NN.Addr(), "tester", "namenode", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	err = conn.Call(ctx, "nn.locate", []int{1, 2, 3}, nil)
+	if !errors.Is(err, ErrBadFrame) || dfs.IsTransient(err) {
+		t.Fatalf("malformed params: err = %v (transient %v), want a permanent ErrBadFrame", err, dfs.IsTransient(err))
+	}
+}
+
 // TestErrorsCrossTheWire is the error-taxonomy contract: an error
 // encoded on one side must, after decode, still satisfy errors.Is
 // against the same sentinel, keep its transient classification and
