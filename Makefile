@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github lint-json build test test-short race race-all sched-verify svc-smoke crash-smoke soak bench bench-smoke sim-scale-smoke fuzz-smoke
+.PHONY: ci vet lint lint-github lint-json build test test-short race race-all sched-verify svc-smoke crash-smoke dfs-smoke soak bench bench-smoke sim-scale-smoke fuzz-smoke
 
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the frame-codec fuzz smoke, and the
@@ -72,6 +72,16 @@ svc-smoke:
 # acknowledged file byte-for-byte and fsck health.
 crash-smoke:
 	bash scripts/crash-smoke.sh
+
+# Two seconds of each of the repo benchmark's DFS workloads on seed 1,
+# through real loopback DataNodes: every get is checked byte for byte
+# against what was put and every put for full replication, and
+# small_files ends with a crash, a restart and a re-read. Any failed
+# operation exits non-zero.
+dfs-smoke:
+	for w in bulk_io small_files mixed_rw; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 || exit 1; \
+	done
 
 # Just the churn-soak invariants (10k chaos events, 32-node DFS).
 soak:

@@ -1,7 +1,6 @@
 package dfs
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -302,16 +301,24 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 
 // ReadBlock fetches one block's bytes from any live replica, verifying
 // the CRC32 checksum and failing over to the next replica on node
-// failure, missing bytes, or corruption. With hedging enabled the
-// ladder is readBlockHedged instead of the sequential loop.
+// failure, missing bytes, or corruption.
 func (b *BlockIO) ReadBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
+	return b.appendBlock(ctx, bm, nil)
+}
+
+// appendBlock is ReadBlock appending the block to dst. The sequential
+// ladder reads each replica into dst's spare capacity and truncates
+// back on a failover or a checksum mismatch, so a verified block lands
+// where it belongs with no further copy. With hedging enabled the
+// ladder is readBlockHedged instead.
+func (b *BlockIO) appendBlock(ctx context.Context, bm BlockMeta, dst []byte) ([]byte, error) {
 	for _, r := range bm.Replicas {
 		if int(r) < 0 || int(r) >= len(b.stores) {
 			return nil, fmt.Errorf("%w: block %d names node %d", ErrUnknownNode, bm.ID, r)
 		}
 	}
 	if h := b.hedge.Load(); h != nil {
-		return b.readBlockHedged(ctx, h, bm)
+		return b.readBlockHedged(ctx, h, bm, dst)
 	}
 	var lastErr error
 	var refused refusals
@@ -325,7 +332,7 @@ func (b *BlockIO) ReadBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
 			b.counters.ReadFailovers.Add(1)
 		}
 		attempted++
-		data, err := dn.Get(ctx, bm.ID)
+		out, err := dn.Get(ctx, bm.ID, dst)
 		if err != nil {
 			if errors.Is(err, ErrNodeDown) {
 				b.counters.NodeDownErrors.Add(1)
@@ -334,13 +341,13 @@ func (b *BlockIO) ReadBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		if crc32.ChecksumIEEE(data) != bm.Checksum {
+		if crc32.ChecksumIEEE(out[len(dst):]) != bm.Checksum {
 			b.counters.ChecksumFailures.Add(1)
 			lastErr = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r)
 			refused.note(lastErr)
 			continue
 		}
-		return data, nil
+		return out, nil
 	}
 	return nil, noReplica(bm, refused, lastErr)
 }
@@ -386,15 +393,38 @@ func (b *BlockIO) ReadFile(ctx context.Context, name string, locate func(context
 	}
 }
 
+// readBlocks allocates the file once, at the size the block map
+// states, and reads every block into its place.
 func (b *BlockIO) readBlocks(ctx context.Context, fm *FileMeta) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(int(fm.Size))
+	if err := checkFileMeta(fm); err != nil {
+		return nil, err
+	}
+	file := make([]byte, 0, fm.Size)
 	for _, bm := range fm.Blocks {
-		data, err := b.ReadBlock(ctx, bm)
-		if err != nil {
+		var err error
+		if file, err = b.appendBlock(ctx, bm, file); err != nil {
 			return nil, err
 		}
-		buf.Write(data)
 	}
-	return buf.Bytes(), nil
+	return file, nil
+}
+
+// checkFileMeta refuses a block map whose sizes do not add up, before
+// anything is allocated from them: a networked reader's FileMeta came
+// off the wire.
+func checkFileMeta(fm *FileMeta) error {
+	if fm.Size < 0 || len(fm.Blocks) > MaxFileBlocks {
+		return fmt.Errorf("%w: %q claims %d bytes in %d blocks", ErrInconsistent, fm.Name, fm.Size, len(fm.Blocks))
+	}
+	left := fm.Size
+	for i, bm := range fm.Blocks {
+		if bm.Size < 0 || bm.Size > left {
+			return fmt.Errorf("%w: %q block %d claims %d bytes of a %d-byte file", ErrInconsistent, fm.Name, i, bm.Size, fm.Size)
+		}
+		left -= bm.Size
+	}
+	if left != 0 {
+		return fmt.Errorf("%w: %q claims %d bytes, its blocks hold %d", ErrInconsistent, fm.Name, fm.Size, fm.Size-left)
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/cluster"
@@ -27,11 +28,11 @@ func (s *refusingStore) Put(ctx context.Context, id BlockID, data []byte) error 
 	return s.localStore.Put(ctx, id, data)
 }
 
-func (s *refusingStore) Get(ctx context.Context, id BlockID) ([]byte, error) {
+func (s *refusingStore) Get(ctx context.Context, id BlockID, dst []byte) ([]byte, error) {
 	if s.refuse != nil {
 		return nil, fmt.Errorf("store %d: %w", s.ID(), s.refuse)
 	}
-	return s.localStore.Get(ctx, id)
+	return s.localStore.Get(ctx, id, dst)
 }
 
 // TestShedBlocksAreOverloadNotOutage: a block every answering DataNode
@@ -55,7 +56,7 @@ func TestShedBlocksAreOverloadNotOutage(t *testing.T) {
 	if _, err := io.WriteBlocks(ctx, alloc(1), bytes.NewReader(data), RetryPolicy{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	stored := BlockMeta{ID: 1, File: "f", Replicas: []cluster.NodeID{0, 1}, Checksum: crc32.ChecksumIEEE(data)}
+	stored := BlockMeta{ID: 1, File: "f", Size: int64(len(data)), Replicas: []cluster.NodeID{0, 1}, Checksum: crc32.ChecksumIEEE(data)}
 	retry := DefaultRetryPolicy()
 
 	cases := []struct {
@@ -102,5 +103,50 @@ func TestShedBlocksAreOverloadNotOutage(t *testing.T) {
 		if retried == tc.noRetries {
 			t.Errorf("%s: retried = %v, want %v: a shed is the caller's to back off from, an outage is waited out", tc.name, retried, !tc.noRetries)
 		}
+	}
+}
+
+// TestReadFileRefusesInconsistentSizes: a reader allocates the whole
+// file at the size its block map states, and a networked reader's block
+// map came off the wire. A map whose sizes cannot be true is refused
+// with ErrInconsistent before anything is allocated or read: no panic,
+// no petabyte allocation, no retry.
+func TestReadFileRefusesInconsistentSizes(t *testing.T) {
+	dn := NewDataNode(0)
+	io := NewBlockIO([]BlockStore{localStore{dn}})
+	data := []byte("one block")
+	if err := dn.Put(1, data); err != nil {
+		t.Fatal(err)
+	}
+	block := BlockMeta{ID: 1, File: "f", Size: int64(len(data)), Replicas: []cluster.NodeID{0}, Checksum: crc32.ChecksumIEEE(data)}
+	withSize := func(size int64) BlockMeta { b := block; b.Size = size; return b }
+	for _, tc := range []struct {
+		name string
+		fm   FileMeta
+	}{
+		{"negative file size", FileMeta{Size: -1, Blocks: []BlockMeta{block}}},
+		{"petabyte file size", FileMeta{Size: 1 << 50, Blocks: []BlockMeta{block}}},
+		{"negative block size", FileMeta{Size: int64(len(data)), Blocks: []BlockMeta{block, withSize(-1), withSize(1)}}},
+		{"blocks hold more than the file", FileMeta{Size: int64(len(data)), Blocks: []BlockMeta{block, block}}},
+		{"blocks hold less than the file", FileMeta{Size: 2 * int64(len(data)), Blocks: []BlockMeta{block}}},
+		{"block sizes overflow", FileMeta{Size: int64(len(data)), Blocks: []BlockMeta{block, withSize(math.MaxInt64)}}},
+		{"too many blocks", FileMeta{Size: 0, Blocks: make([]BlockMeta, MaxFileBlocks+1)}},
+	} {
+		fm := tc.fm
+		fm.Name = "f"
+		got, err := io.ReadFile(context.Background(), "f", func(context.Context) (*FileMeta, error) { return &fm, nil }, DefaultRetryPolicy())
+		if !errors.Is(err, ErrInconsistent) || got != nil {
+			t.Errorf("%s: got %d bytes, err = %v; want ErrInconsistent", tc.name, len(got), err)
+		}
+	}
+	if snap := io.Resilience().Snapshot(); snap.ReadRetries != 0 {
+		t.Errorf("%d read retries: an impossible block map is not transient", snap.ReadRetries)
+	}
+	// The consistent map reads back.
+	got, err := io.ReadFile(context.Background(), "f", func(context.Context) (*FileMeta, error) {
+		return &FileMeta{Name: "f", Size: int64(len(data)), Blocks: []BlockMeta{block}}, nil
+	}, RetryPolicy{})
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("consistent map: %q, %v", got, err)
 	}
 }

@@ -13,6 +13,7 @@
 package dfs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -203,8 +204,16 @@ func (d *DataNode) injector() FaultInjector {
 	return d.faults
 }
 
-// Put stores a block replica. Writes require a live node.
-func (d *DataNode) Put(id BlockID, data []byte) error {
+// Stored replicas are immutable: Adopt installs a buffer nobody writes
+// again, and a replica is only ever replaced by another buffer or
+// deleted, never written in place or recycled. So View can hand out the
+// stored slice itself, and a slice once served stays intact whatever
+// later happens to its block.
+
+// Adopt stores data as a block replica without copying it: the store
+// owns data from here on, and the caller must not write it again.
+// Writes require a live node.
+func (d *DataNode) Adopt(id BlockID, data []byte) error {
 	if f := d.injector(); f != nil {
 		if err := f.FailOp(d.id, OpPut, id); err != nil {
 			return err
@@ -215,37 +224,57 @@ func (d *DataNode) Put(id BlockID, data []byte) error {
 	if !d.up {
 		return fmt.Errorf("%w: datanode %d rejected put of block %d", ErrNodeDown, d.id, id)
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.blocks[id] = buf
+	d.blocks[id] = data
 	return nil
 }
 
-// Get reads a block replica.
-func (d *DataNode) Get(id BlockID) ([]byte, error) {
+// View reads a block replica without copying it: the returned slice is
+// the stored replica, which the caller must not write. With a fault
+// injector attached it is a private copy that CorruptRead has seen, so
+// an injected corruption never reaches the stored bytes.
+func (d *DataNode) View(id BlockID) ([]byte, error) {
+	data, _, err := d.read(id)
+	return data, err
+}
+
+// read is the one lookup behind View and Get; private reports that data
+// is a copy made for the fault injector.
+func (d *DataNode) read(id BlockID) (data []byte, private bool, err error) {
 	f := d.injector()
 	if f != nil {
 		if err := f.FailOp(d.id, OpGet, id); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
 	d.mu.RLock()
 	if !d.up {
 		d.mu.RUnlock()
-		return nil, fmt.Errorf("%w: datanode %d rejected get of block %d", ErrNodeDown, d.id, id)
+		return nil, false, fmt.Errorf("%w: datanode %d rejected get of block %d", ErrNodeDown, d.id, id)
 	}
 	data, ok := d.blocks[id]
-	if !ok {
-		d.mu.RUnlock()
-		return nil, fmt.Errorf("%w: block %d on datanode %d", ErrBlockNotFound, id, d.id)
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
 	d.mu.RUnlock()
-	if f != nil {
-		out = f.CorruptRead(d.id, id, out)
+	if !ok {
+		return nil, false, fmt.Errorf("%w: block %d on datanode %d", ErrBlockNotFound, id, d.id)
 	}
-	return out, nil
+	if f == nil {
+		return data, false, nil
+	}
+	return f.CorruptRead(d.id, id, bytes.Clone(data)), true, nil
+}
+
+// Put stores a copy of data as a block replica; the caller keeps data.
+// Writes require a live node.
+func (d *DataNode) Put(id BlockID, data []byte) error {
+	return d.Adopt(id, bytes.Clone(data))
+}
+
+// Get reads a block replica into a copy the caller owns.
+func (d *DataNode) Get(id BlockID) ([]byte, error) {
+	data, private, err := d.read(id)
+	if err != nil || private {
+		return data, err
+	}
+	return bytes.Clone(data), nil
 }
 
 // StoredSum returns the size and CRC32 (IEEE) of the bytes the node

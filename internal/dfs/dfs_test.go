@@ -404,6 +404,41 @@ func TestDataNodePutCopies(t *testing.T) {
 	if again[1] != 2 {
 		t.Fatal("Get leaked internal buffer")
 	}
+
+	// The read path serves the stored replica itself, and stored
+	// replicas are immutable: a slice once served stays intact after its
+	// block is deleted and re-put with other bytes.
+	served, err := dn.View(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn.Delete(1)
+	if err := dn.Put(1, []byte{7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, []byte{1, 2, 3}) {
+		t.Fatalf("served slice changed to %v after delete and re-put", served)
+	}
+	if now, err := dn.View(1); err != nil || !bytes.Equal(now, []byte{7, 8, 9}) {
+		t.Fatalf("re-put block reads %v, %v", now, err)
+	}
+
+	// With an injector attached, CorruptRead mutates a copy on both read
+	// paths, never the stored bytes.
+	size, sum, _ := dn.StoredSum(1)
+	dn.SetFaults(&stubFaults{corruptOn: map[cluster.NodeID]bool{0: true}})
+	for name, read := range map[string]func(BlockID) ([]byte, error){"View": dn.View, "Get": dn.Get} {
+		got, err := read(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, []byte{7, 8, 9}) {
+			t.Fatalf("%s: the injector corrupted nothing", name)
+		}
+		if s2, c2, ok := dn.StoredSum(1); !ok || s2 != size || c2 != sum {
+			t.Fatalf("%s: CorruptRead reached the stored replica: %d bytes, crc %#x; want %d, %#x", name, s2, c2, size, sum)
+		}
+	}
 }
 
 func TestClientValidation(t *testing.T) {

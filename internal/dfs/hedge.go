@@ -151,12 +151,14 @@ type hedgeResult struct {
 }
 
 // readBlockHedged is the hedged counterpart of the sequential replica
-// loop in ReadBlock: the primary fetch starts immediately, a
+// loop in appendBlock: the primary fetch starts immediately, a
 // backup starts on the next live replica once the threshold passes,
-// and whichever verified copy lands first wins. Fetch errors trigger
-// immediate failover to the next candidate (no threshold wait), so
-// hedging strictly dominates the sequential loop on latency.
-func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta) ([]byte, error) {
+// and whichever verified copy lands first wins and is appended to dst.
+// Fetch errors trigger immediate failover to the next candidate (no
+// threshold wait), so hedging strictly dominates the sequential loop on
+// latency. Each fetch reads into a buffer of its own, never into dst: a
+// cancelled loser may still be writing when the winner returns.
+func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, dst []byte) ([]byte, error) {
 	live := make([]cluster.NodeID, 0, len(bm.Replicas))
 	for _, r := range bm.Replicas {
 		if b.stores[r].Up() {
@@ -190,7 +192,7 @@ func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta) 
 		go func() {
 			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
 			begin := time.Now()
-			data, err := b.stores[node].Get(fctx, bm.ID)
+			data, err := b.stores[node].Get(fctx, bm.ID, nil)
 			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
 			results <- hedgeResult{data: data, err: err, node: node, hedged: hedged, took: time.Since(begin)}
 		}()
@@ -221,7 +223,7 @@ func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta) 
 					} else if hedges > 0 {
 						b.counters.HedgeLosses.Add(1)
 					}
-					return r.data, nil
+					return append(dst, r.data...), nil
 				}
 				b.counters.ChecksumFailures.Add(1)
 				r.err = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r.node)

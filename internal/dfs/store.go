@@ -29,8 +29,11 @@ type BlockStore interface {
 	SetUp(up bool)
 	// Put stores one block replica.
 	Put(ctx context.Context, id BlockID, data []byte) error
-	// Get reads one block replica.
-	Get(ctx context.Context, id BlockID) ([]byte, error)
+	// Get reads one block replica and appends it to dst, returning the
+	// extended slice. A block that fits dst's spare capacity is read
+	// into it in place, so bytes past len(dst) may have been written
+	// even when Get fails; dst[:len(dst)] never is.
+	Get(ctx context.Context, id BlockID, dst []byte) ([]byte, error)
 	// Delete removes a block replica. Deletes are metadata-driven and
 	// best-effort (HDFS's lazy invalidation); an error means the
 	// replica may survive as surplus, never that data was lost.
@@ -86,11 +89,15 @@ func (s localStore) Put(ctx context.Context, id BlockID, data []byte) error {
 	return s.dn.Put(id, data)
 }
 
-func (s localStore) Get(ctx context.Context, id BlockID) ([]byte, error) {
+func (s localStore) Get(ctx context.Context, id BlockID, dst []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return s.dn.Get(id)
+	data, err := s.dn.View(id)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, data...), nil
 }
 
 func (s localStore) Delete(ctx context.Context, id BlockID) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -105,5 +106,60 @@ func BenchmarkClientPutGetBySize(b *testing.B) {
 		for _, rf := range []int{1, 3} {
 			b.Run(fmt.Sprintf("%s/rf%d", size.name, rf), func(b *testing.B) { benchPutGet(b, size.bytes, rf) })
 		}
+	}
+}
+
+// TestPutGetCopyBudget pins what a put and a get cost in copies: a
+// 4 MiB put+get pair through svc.Client (RF 3, 1 MiB blocks, hedging
+// off) allocates at most 4.5× the file size. The floor is 4.25×: three
+// stored replicas, the writer's one block buffer, and the file the get
+// returns — each DataNode keeps the buffer it received the replica in,
+// and the get assembles the file in place. Chunk frames read into a
+// pooled buffer and copied out again, or a replica copied on its way
+// into or out of the store, would break the budget.
+func TestPutGetCopyBudget(t *testing.T) {
+	c, err := cluster.New(make([]cluster.Node, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := StartLocalCluster(c, stats.NewRNG(2), nil, NameNodeConfig{BlockSize: 1 << 20, Replication: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	defer func() { _ = lc.Close(ctx) }()
+	cl := lc.Client("shell")
+	defer cl.Close()
+
+	data := payload(4 << 20)
+	pair := func(name string) {
+		if _, _, err := cl.CopyFromLocal(ctx, name, data, true); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.ReadFile(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("read bytes differ from written")
+		}
+		if err := lc.Engine().DeleteContext(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair("warm") // dials every connection the client and the relays keep
+
+	const pairs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		pair(fmt.Sprintf("f%d", i))
+	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / pairs / float64(len(data))
+	t.Logf("a put+get pair allocates %.2f× the file size", ratio)
+	if ratio > 4.5 {
+		t.Fatalf("a put+get pair allocates %.2f× the file size, budget 4.5×", ratio)
 	}
 }

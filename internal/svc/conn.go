@@ -116,7 +116,7 @@ func dialConn(ctx context.Context, addr, local, peer string, faults TransportFau
 func (c *Conn) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 32<<10)
 	for {
-		f, err := readFrame2(br)
+		f, err := readFrame2(br, nil)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
 			return

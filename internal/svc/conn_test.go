@@ -51,7 +51,7 @@ func (p *rawPeer) send(typ uint8, flags uint16, id uint64, payload []byte) {
 // copied out of the pool.
 func (p *rawPeer) recv(want uint8) []byte {
 	p.t.Helper()
-	f, err := readFrame2(p.br)
+	f, err := readFrame2(p.br, nil)
 	if err != nil {
 		p.t.Fatalf("waiting for frame type %d: %v", want, err)
 	}
@@ -65,7 +65,7 @@ func (p *rawPeer) recv(want uint8) []byte {
 // closed asserts the peer hung up without another frame.
 func (p *rawPeer) closed() {
 	p.t.Helper()
-	if f, err := readFrame2(p.br); !errors.Is(err, io.EOF) {
+	if f, err := readFrame2(p.br, nil); !errors.Is(err, io.EOF) {
 		f.release()
 		p.t.Fatalf("connection still open: read %+v, err %v; want EOF", f, err)
 	}
@@ -159,7 +159,7 @@ func TestStrayReplyIsDropped(t *testing.T) {
 		}()
 		br := bufio.NewReader(nc)
 		for {
-			f, err := readFrame2(br)
+			f, err := readFrame2(br, nil)
 			if err != nil {
 				return
 			}
@@ -212,8 +212,7 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	ping := encodeCall(callHeader{From: "tester", Method: "nn.list"}, nil)
 	open := encodeOpenWrite(openWrite{Block: 77, Size: 2048, From: "tester"})
 	unknown := func(p *rawPeer) {
-		var hdr [headerSize]byte
-		putHeader(&hdr, frameReply+1, 0, 1, nil)
+		hdr := (&frame2{Type: frameReply + 1, Stream: 1}).header()
 		if _, err := p.nc.Write(hdr[:]); err != nil {
 			p.t.Fatal(err)
 		}

@@ -138,7 +138,7 @@ func TestProtocolEquivalenceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = st.Get(ctx, dfs.BlockID(12345))
+	_, err = st.Get(ctx, dfs.BlockID(12345), nil)
 	if !errors.Is(err, dfs.ErrBlockNotFound) {
 		t.Errorf("missing block get = %v, want ErrBlockNotFound", err)
 	}

@@ -20,38 +20,70 @@ import (
 // budget in CI.
 
 // FuzzDecodeFrame feeds arbitrary bytes to the frame reader and every
-// payload decoder.
+// payload decoder. The reader runs twice: pooling every payload, and
+// with a destination of dstLen bytes, which a chunk that fits must land
+// in — never past len(dst) — and one that does not must not be cut to
+// fit: it is pooled whole, exactly as the first read returned it.
 func FuzzDecodeFrame(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{frameVersion})
-	// A well-formed chunk frame, so mutations explore near-valid space.
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{frameVersion}, uint16(1))
+	// A well-formed chunk frame, so mutations explore near-valid space,
+	// with a destination it fits, one it fits exactly, one too small.
 	var valid bytes.Buffer
 	if err := writeFrame2(&valid, frameChunk, flagLast, 7, []byte("block bytes")); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
-	f.Add(encodeOpenWrite(openWrite{Block: 3, Size: 1024, From: "nn", Chain: []chainEntry{{Node: 1, Addr: "127.0.0.1:9"}}}))
-	f.Add(encodeAcks([]ackEntry{{Node: 2, OK: true}, {Node: 3, Code: "node_down", Msg: "down", Transient: true}}))
+	for _, dstLen := range []uint16{64, 11, 10} {
+		f.Add(valid.Bytes(), dstLen)
+	}
+	f.Add(encodeOpenWrite(openWrite{Block: 3, Size: 1024, From: "nn", Chain: []chainEntry{{Node: 1, Addr: "127.0.0.1:9"}}}), uint16(0))
+	f.Add(encodeAcks([]ackEntry{{Node: 2, OK: true}, {Node: 3, Code: "node_down", Msg: "down", Transient: true}}), uint16(0))
 	// A call, its reply and its error, framed and as bare payloads.
 	call := encodeCall(callHeader{DeadlineMS: 1500, From: "shell", Method: "nn.locate"}, []byte(`{"name":"f"}`))
 	failure := encodeErrorFrame(dfs.ErrFileNotFound)
-	f.Add(call)
-	f.Add(failure)
+	f.Add(call, uint16(0))
+	f.Add(failure, uint16(0))
 	for _, fr := range []frame2{{Type: frameCall, Payload: call}, {Type: frameReply, Payload: []byte(`{"files":["f"]}`)}, {Type: frameError, Payload: failure}} {
 		var framed bytes.Buffer
 		if err := writeFrame2(&framed, fr.Type, 0, 9, fr.Payload); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(framed.Bytes())
+		f.Add(framed.Bytes(), uint16(4096))
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, dstLen uint16) {
 		start := frameBufs.balance()
-		if fr, err := readFrame2(bytes.NewReader(data)); err == nil {
-			if fr.Type == 0 || fr.Type > frameReply {
-				t.Fatalf("accepted frame with invalid type %d", fr.Type)
+		pooled, perr := readFrame2(bytes.NewReader(data), nil)
+		if perr == nil && (pooled.Type == 0 || pooled.Type > frameReply) {
+			t.Fatalf("accepted frame with invalid type %d", pooled.Type)
+		}
+
+		// The destination sits in a larger backing array whose tail is a
+		// guard pattern: capacity past len(dst) is not the reader's.
+		const guard = 0xA5
+		backing := bytes.Repeat([]byte{guard}, int(dstLen)+64)
+		dst := backing[:dstLen]
+		fr, err := readFrame2(bytes.NewReader(data), dst)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("destination changed the verdict: %v without, %v with", perr, err)
+		}
+		if err == nil {
+			fits := fr.Type == frameChunk && len(fr.Payload) <= len(dst)
+			switch {
+			case fr.Type != pooled.Type || fr.Flags != pooled.Flags || fr.Stream != pooled.Stream || !bytes.Equal(fr.Payload, pooled.Payload):
+				t.Fatalf("destination changed the frame: %+v, want %+v", fr, pooled)
+			case fits && (fr.pooled || len(fr.Payload) > 0 && &fr.Payload[0] != &dst[0]):
+				t.Fatalf("a %d-byte chunk that fits a %d-byte destination was not read into it", len(fr.Payload), len(dst))
+			case !fits && !fr.pooled:
+				t.Fatalf("a type %d frame of %d bytes was not pooled beside a %d-byte destination", fr.Type, len(fr.Payload), len(dst))
 			}
 			fr.release()
+			pooled.release()
+		}
+		for i, b := range backing[dstLen:] {
+			if b != guard {
+				t.Fatalf("the reader wrote %d bytes past a %d-byte destination", i+1, dstLen)
+			}
 		}
 		// The payload decoders must be total functions over []byte.
 		if h, params, err := decodeCall(data); err == nil && 12+len(h.From)+len(h.Method)+len(params) != len(data) {
@@ -108,24 +140,27 @@ func FuzzChunkReassembly(f *testing.F) {
 			}
 		}
 
-		got := make([]byte, 0, len(data))
+		// Reassemble as the relay and the streaming read do: every chunk
+		// read straight into its place in one buffer of the block's size.
+		got := make([]byte, len(data))
+		n := 0
 		for {
-			fr, err := readFrame2(&wire)
+			fr, err := readFrame2(&wire, got[n:])
 			if err != nil {
-				t.Fatalf("decode after %d bytes: %v", len(got), err)
+				t.Fatalf("decode after %d bytes: %v", n, err)
 			}
-			if fr.Type != frameChunk || fr.Stream != sid {
-				t.Fatalf("frame %d/%d mismatch: %+v", fr.Type, fr.Stream, fr)
+			if fr.Type != frameChunk || fr.Stream != sid || fr.pooled {
+				t.Fatalf("frame %d/%d mismatch or pooled: %+v", fr.Type, fr.Stream, fr)
 			}
-			got = append(got, fr.Payload...)
+			n += len(fr.Payload)
 			last := fr.last()
 			fr.release()
 			if last {
 				break
 			}
 		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("reassembly differs: %d vs %d bytes", len(got), len(data))
+		if n != len(data) || !bytes.Equal(got, data) {
+			t.Fatalf("reassembly differs: %d vs %d bytes", n, len(data))
 		}
 		if wire.Len() != 0 {
 			t.Fatalf("%d trailing bytes after last chunk", wire.Len())

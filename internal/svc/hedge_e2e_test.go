@@ -3,11 +3,13 @@ package svc
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/adaptsim/adapt/internal/chaos"
 	"github.com/adaptsim/adapt/internal/cluster"
+	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/stats"
 )
 
@@ -76,6 +78,14 @@ func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary := fm.Blocks[0].Replicas[0]
+	// Multi-block files for the end, written while every node is fast.
+	multi := [][]byte{payload(3 * 4096), payload(5*4096 + 123)}
+	metas := make([]*dfs.FileMeta, len(multi))
+	for i, want := range multi {
+		if metas[i], _, err = cl.CopyFromLocal(ctx, fmt.Sprintf("multi%d", i), want, true); err != nil {
+			t.Fatal(err)
+		}
+	}
 	faults.SetGray(endpointName(primary), 2*time.Second)
 	base := cl.resilience()
 
@@ -102,6 +112,72 @@ func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 	}
 	if wins := snap.HedgeWins - base.HedgeWins; wins < 1 {
 		t.Fatalf("hedge wins = %d, want >= 1", wins)
+	}
+
+	// Multi-block files, read with the gray node first in every block's
+	// replica list, so a hedge fires on every block read: each racer
+	// reads into a buffer of its own and only the winner is appended to
+	// the file, so the bytes come back exact however the losers' cancels
+	// interleave (run under -race).
+	dp, err := cl.dataPathFor(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range multi {
+		name, fm := fmt.Sprintf("multi%d", i), metas[i]
+		grayFirst := func(context.Context) (*dfs.FileMeta, error) {
+			out := *fm
+			out.Blocks = make([]dfs.BlockMeta, len(fm.Blocks))
+			for j, bm := range fm.Blocks {
+				rs := []cluster.NodeID{primary}
+				for _, r := range bm.Replicas {
+					if r != primary {
+						rs = append(rs, r)
+					}
+				}
+				bm.Replicas = rs
+				out.Blocks[j] = bm
+			}
+			return &out, nil
+		}
+		before := cl.resilience()
+		rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		got, err := dp.io.ReadFile(rctx, name, grayFirst, clientRetry)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: hedged multi-block read differs from written", name)
+		}
+		after := cl.resilience()
+		if hedged, wins := after.HedgedReads-before.HedgedReads, after.HedgeWins-before.HedgeWins; hedged != int64(len(fm.Blocks)) || wins != hedged {
+			t.Fatalf("%s: %d blocks, %d hedged reads, %d hedge wins; want a winning hedge per block", name, len(fm.Blocks), hedged, wins)
+		}
+	}
+
+	// Hedges whose racers both stream: the gray node healed and the
+	// threshold at the last winner's latency, so a backup often starts
+	// while the primary is still moving bytes, and both racers write
+	// theirs. Had they shared the file's buffer, -race would see it.
+	faults.ClearGray(endpointName(primary))
+	if err := dp.io.SetHedge(HedgeConfig{Quantile: 0.01, Multiplier: 1, MinDelay: time.Nanosecond, Window: 1, MinSamples: 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := cl.resilience()
+	for round := 0; round < 10; round++ {
+		for i, want := range multi {
+			got, err := cl.ReadFile(ctx, fmt.Sprintf("multi%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d: racing hedged read of multi%d differs from written", round, i)
+			}
+		}
+	}
+	if hedged := cl.resilience().HedgedReads - before.HedgedReads; hedged == 0 {
+		t.Fatal("no read hedged at a threshold of the last winner's latency")
 	}
 	// The losers' pooled stream buffers must all come back.
 	requirePoolBalance(t, start)

@@ -19,6 +19,14 @@ import (
 // put, and only then is the combined ack sent upstream, so a torn stream
 // can never leave a committed prefix the writer did not hear about from
 // every deeper node first.
+//
+// A block byte crosses this node's user space once each way. A write
+// allocates the replica at the announced size, reads every chunk into
+// its place there, forwards it downstream from there with the header
+// and CRC it arrived with, and on commit hands that very buffer to the
+// store (dfs.DataNode.Adopt). A read streams the stored replica itself
+// (dfs.DataNode.View): replicas are immutable, replaced or deleted but
+// never written, so no copy is needed to serve one.
 
 // serveData serves the stream that open begins.
 func (d *DataNodeServer) serveData(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, open frame2) bool {
@@ -149,17 +157,20 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		return false
 	}
 
-	// Assemble the block from chunks, relaying each downstream as it
-	// arrives. The assembly buffer is pooled: dn.Put copies on commit.
-	buf := frameBufs.get(int(ow.Size))
-	defer frameBufs.put(buf)
-	received := int64(0)
+	// Receive the block straight into the replica: each chunk is read
+	// into its place in buf (CRC-checked there), relayed downstream from
+	// there with the header it arrived with, and buf itself becomes the
+	// stored replica on commit. Nothing else writes buf, before or after.
+	buf := make([]byte, ow.Size)
+	received := 0
 	for {
-		cf, rerr := readFrame2(br)
+		cf, rerr := readFrame2(br, buf[received:])
 		if rerr != nil {
 			return false // torn stream: no commit, writer cleans up
 		}
-		if cf.Type != frameChunk || cf.Stream != sid || received+int64(len(cf.Payload)) > ow.Size {
+		// A chunk that does not fit what is left of buf was pooled
+		// instead: it overflows the announced size.
+		if cf.Type != frameChunk || cf.Stream != sid || cf.pooled {
 			cf.release()
 			return false
 		}
@@ -169,7 +180,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 				relayErr = d.faults.FailMessage(name, endpointName(ow.Chain[0].Node))
 			}
 			if relayErr == nil {
-				relayErr = writeFrame2(down.bw, frameChunk, cf.Flags, sid, cf.Payload)
+				relayErr = forwardFrame(down.bw, &cf)
 			}
 			if relayErr == nil && cf.last() {
 				relayErr = down.bw.Flush()
@@ -182,21 +193,18 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 				downAcks = nodeDownAcks(ow.Chain, relayErr)
 			}
 		}
-		copy(buf[received:], cf.Payload)
-		received += int64(len(cf.Payload))
-		last := cf.last()
-		cf.release()
-		if last {
+		received += len(cf.Payload)
+		if cf.last() {
 			break
 		}
 	}
-	if received != ow.Size {
+	if received != len(buf) {
 		return false // short stream: never commit a partial block
 	}
 
 	// Commit deepest-first: downstream acks before the local put.
 	if down != nil {
-		cf, rerr := readFrame2(down.br)
+		cf, rerr := readFrame2(down.br, nil)
 		switch {
 		case rerr != nil:
 			downAcks = nodeDownAcks(ow.Chain, rerr)
@@ -216,7 +224,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	var self ackEntry
 	if cerr := ctx.Err(); cerr != nil {
 		self = failedAck(d.id, cerr)
-	} else if perr := d.dn.Put(ow.Block, buf); perr != nil {
+	} else if perr := d.dn.Adopt(ow.Block, buf); perr != nil {
 		self = failedAck(d.id, perr)
 	} else {
 		self = ackEntry{Node: d.id, OK: true}
@@ -253,7 +261,10 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 	}
 	defer release()
 
-	data, gerr := d.dn.Get(or.Block)
+	// The stored replica itself is streamed: replicas are immutable, so
+	// a delete or re-put of the block while this stream runs replaces
+	// the map entry and leaves these bytes as they are.
+	data, gerr := d.dn.View(or.Block)
 	if gerr != nil {
 		if writeFrame2(bw, frameError, flagLast, sid, encodeErrorFrame(gerr)) == nil {
 			_ = bw.Flush()

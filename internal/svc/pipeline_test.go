@@ -1,9 +1,13 @@
 package svc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -98,6 +102,133 @@ func TestPipelineMultiChunkBlocks(t *testing.T) {
 	if err := cl.CheckConsistency(ctx); err != nil {
 		t.Fatal(err)
 	}
+
+	// The relay: a multi-chunk block written through DataNode 0 to a
+	// recording next hop arrives there byte for byte as it was sent —
+	// every header, CRC included, forwarded as received — and is stored
+	// on the relay too. A chunk corrupted on its way to DataNode 0 is
+	// refused there: nothing is relayed, stored or acknowledged.
+	relay := lc.DNs[0]
+	block := data[:DefaultChunkSize+777]
+	frames := chunkFrames(t, 51, block, 0)
+	hop := recordingHop(t, 9)
+	p := dialRaw(t, relay.Addr())
+	p.send(frameOpenWrite, 0, 51, encodeOpenWrite(openWrite{Block: 1 << 40, Size: int64(len(block)), From: "tester", Chain: []chainEntry{{Node: 9, Addr: hop.addr}}}))
+	if acks, err := decodeAcks(p.recv(frameSetupAck)); err != nil || len(acks) != 2 || !acks[0].OK || !acks[1].OK {
+		t.Fatalf("setup acks %+v, %v", acks, err)
+	}
+	if _, err := p.nc.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	if acks, err := decodeAcks(p.recv(frameCommitAck)); err != nil || len(acks) != 2 || !acks[0].OK || !acks[1].OK {
+		t.Fatalf("commit acks %+v, %v", acks, err)
+	}
+	if relayed := <-hop.got; !bytes.Equal(relayed, frames) {
+		t.Fatalf("the relay forwarded %d bytes that differ from the %d it received", len(relayed), len(frames))
+	}
+	if stored, err := relay.Node().View(1 << 40); err != nil || !bytes.Equal(stored, block) {
+		t.Fatalf("relay stored %d bytes, %v", len(stored), err)
+	}
+
+	torn := chunkFrames(t, 52, block, headerSize+100)
+	var replica [DefaultChunkSize]byte
+	if _, err := readFrame2(bytes.NewReader(torn), replica[:]); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("corrupted chunk reads as %v, want ErrBadFrame", err)
+	}
+	hop = recordingHop(t, 9)
+	p = dialRaw(t, relay.Addr())
+	p.send(frameOpenWrite, 0, 52, encodeOpenWrite(openWrite{Block: 1<<40 + 1, Size: int64(len(block)), From: "tester", Chain: []chainEntry{{Node: 9, Addr: hop.addr}}}))
+	p.recv(frameSetupAck)
+	if _, err := p.nc.Write(torn); err != nil {
+		t.Fatal(err)
+	}
+	// The relay hangs up; unread chunk bytes may turn its close into a
+	// reset.
+	if f, err := readFrame2(p.br, nil); !peerClosed(err) {
+		f.release()
+		t.Fatalf("after a corrupted chunk the relay answered %+v, %v; want it to hang up", f, err)
+	}
+	if relayed := <-hop.got; len(relayed) != 0 {
+		t.Fatalf("the relay forwarded %d bytes of a stream whose first chunk it refused", len(relayed))
+	}
+	if relay.Node().Has(1<<40 + 1) {
+		t.Fatal("the relay stored a block whose chunk failed its CRC")
+	}
+}
+
+// chunkFrames renders block as the chunk frames of stream sid, with the
+// byte at offset corrupt (0: none) flipped after framing.
+func chunkFrames(t *testing.T, sid uint64, block []byte, corrupt int) []byte {
+	t.Helper()
+	var wire bytes.Buffer
+	for off := 0; off < len(block); off += DefaultChunkSize {
+		end := min(off+DefaultChunkSize, len(block))
+		flags := uint16(0)
+		if end == len(block) {
+			flags = flagLast
+		}
+		if err := writeFrame2(&wire, frameChunk, flags, sid, block[off:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := wire.Bytes()
+	if corrupt > 0 {
+		raw[corrupt] ^= 0xFF
+	}
+	return raw
+}
+
+// hopRecorder is a fake last pipeline hop: it admits one write stream
+// as node, records the raw bytes of the chunk frames it receives, and
+// commits once the last one is in. got delivers the recording when the
+// stream ends, cleanly or not.
+type hopRecorder struct {
+	addr string
+	got  chan []byte
+}
+
+func recordingHop(t *testing.T, node cluster.NodeID) hopRecorder {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	h := hopRecorder{addr: ln.Addr().String(), got: make(chan []byte, 1)}
+	go func() {
+		var raw bytes.Buffer
+		defer func() { h.got <- raw.Bytes() }()
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(nc)
+		open, err := readFrame2(br, nil)
+		if err != nil {
+			return
+		}
+		open.release()
+		if writeFrame2(nc, frameSetupAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: node, OK: true}})) != nil {
+			return
+		}
+		for {
+			var hdr [headerSize]byte
+			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+				return
+			}
+			raw.Write(hdr[:])
+			if _, err := io.CopyN(&raw, br, int64(binary.BigEndian.Uint32(hdr[12:16]))); err != nil {
+				return
+			}
+			if binary.BigEndian.Uint16(hdr[2:4])&flagLast != 0 {
+				break
+			}
+		}
+		_ = writeFrame2(nc, frameCommitAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: node, OK: true}}))
+	}()
+	return h
 }
 
 // TestPipelineFailsOverDeadChainNode: a chain node whose storage is

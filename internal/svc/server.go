@@ -146,8 +146,11 @@ func (s *Server) serveConn(nc net.Conn) {
 // stream loop if the endpoint has a stream handler, anything else is
 // not a way to start.
 func (s *Server) serve(nc net.Conn) error {
-	br := bufio.NewReaderSize(nc, 64<<10)
-	f, err := readFrame2(br)
+	// Sized for a stream connection (streamReadBuf), since the first
+	// frame is read before the kind is known; a call connection's frames
+	// are metadata and fit it as well.
+	br := bufio.NewReaderSize(nc, streamReadBuf)
+	f, err := readFrame2(br, nil)
 	if err != nil {
 		return err
 	}
@@ -195,7 +198,7 @@ func (s *Server) serveStreams(nc net.Conn, br *bufio.Reader, f frame2) error {
 			return err
 		}
 		var err error
-		if f, err = readFrame2(br); err != nil {
+		if f, err = readFrame2(br, nil); err != nil {
 			return err
 		}
 	}
@@ -211,7 +214,7 @@ func (s *Server) serveCalls(nc net.Conn, br *bufio.Reader, f frame2) error {
 			return err
 		}
 		var err error
-		if f, err = readFrame2(br); err != nil {
+		if f, err = readFrame2(br, nil); err != nil {
 			return err
 		}
 	}

@@ -284,10 +284,12 @@ func (s *remoteStore) peerEvidence(n cluster.NodeID, ok bool) {
 	}
 }
 
-func (s *remoteStore) Get(ctx context.Context, id dfs.BlockID) ([]byte, error) {
+// Get streams the block from the node into dst's spare capacity
+// (dfs.BlockStore).
+func (s *remoteStore) Get(ctx context.Context, id dfs.BlockID, dst []byte) ([]byte, error) {
 	var data []byte
 	err := s.observe(ctx, fmt.Sprintf("get block %d from", id), func() (err error) {
-		data, err = s.streams.streamGet(ctx, s.peer.local, s.peer.faults, s.peer.addr, s.peer.peer, id)
+		data, err = s.streams.streamGet(ctx, s.peer.local, s.peer.faults, s.peer.addr, s.peer.peer, id, dst)
 		return err
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -23,6 +24,12 @@ import (
 // the same address, so a small put does not pay a TCP dial and fresh
 // buffers per hop. Every other ending closes it. Multiplexing is for
 // call connections (conn.go), where frames are small.
+//
+// A read lands where its bytes are going: streamGet reads each chunk
+// straight into the caller's destination (the file being assembled, for
+// dfs.BlockIO's read ladder), so a block crosses the reader's user space
+// once; the connection's small read buffer holds only headers and the
+// frames that have nowhere else to go.
 
 // streamIDs mints stream ids. Streams on a connection never overlap, so
 // the id is diagnostic: it ties the frames of a stream together in
@@ -37,10 +44,17 @@ var streamIDs atomic.Uint64
 // that dial-free; a burst wider than the cap closes its surplus as it
 // ends rather than pinning it. The cap is also what bounds idleness,
 // since nothing else retires a parked connection (no timer, no knob):
-// each holds a 64 KiB reader and a 32 KiB writer at both ends plus the
-// DataNode's serving goroutine, so at most 4 × 192 KiB per owner and
+// each holds an 8 KiB reader and a 32 KiB writer at both ends plus the
+// DataNode's serving goroutine, so at most 4 × 80 KiB per owner and
 // address.
 const maxIdleStreams = 4
+
+// streamReadBuf sizes the read buffer of a stream connection, at both
+// ends. Chunk payloads are read straight into the buffer they belong in
+// (readFrame2's destination), so this one only holds headers and small
+// frames: a larger one would drag up to its size of payload through an
+// extra user-space copy behind every header it reads.
+const streamReadBuf = 8 << 10
 
 // dataConn is one v2 stream connection: buffered both ways so a 20-byte
 // header and its payload leave in one syscall, the buffers living as
@@ -78,7 +92,7 @@ func (c *dataConn) exchange(typ uint8, sid uint64, payload []byte) (frame2, erro
 	if err := c.bw.Flush(); err != nil {
 		return frame2{}, fmt.Errorf("svc: send frame: %w", err)
 	}
-	return readFrame2(c.br)
+	return readFrame2(c.br, nil)
 }
 
 // streamPool is one owner's parked stream connections, by address. The
@@ -188,7 +202,7 @@ func (p *streamPool) acquireConn(ctx context.Context, addr, local, peer string, 
 		if err != nil {
 			return nil, false, err
 		}
-		dc = &dataConn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 32<<10)}
+		dc = &dataConn{nc: nc, br: bufio.NewReaderSize(nc, streamReadBuf), bw: bufio.NewWriterSize(nc, 32<<10)}
 	}
 	dc.arm(ctx)
 	return dc, reused, nil
@@ -294,7 +308,7 @@ func (p *streamPool) pipelinePut(ctx context.Context, local string, faults Trans
 		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
 
-	cf, err := readFrame2(dc.br)
+	cf, err := readFrame2(dc.br, nil)
 	if err != nil {
 		return nil, fmt.Errorf("svc: pipeline put block %d: commit: %w", id, err)
 	}
@@ -311,11 +325,14 @@ func (p *streamPool) pipelinePut(ctx context.Context, local string, faults Trans
 	return acks, nil
 }
 
-// streamGet reads one block over a v2 stream: open, header announcing
-// the total size, then chunks assembled into a single buffer owned by
-// the caller. A server-side failure arrives as an error frame whose
-// taxonomy survives rehydration (errors.Is, IsTransient).
-func (p *streamPool) streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID) ([]byte, error) {
+// streamGet reads one block over a v2 stream and appends it to dst,
+// returning the extended slice: open, a header
+// announcing the total size, then chunks, each read straight into its
+// place in dst's spare capacity — grown once when it is short — so the
+// block crosses user space once. A server-side failure arrives as an
+// error frame whose taxonomy survives rehydration (errors.Is,
+// IsTransient).
+func (p *streamPool) streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID, dst []byte) ([]byte, error) {
 	sid := streamIDs.Add(1)
 	dc, hf, err := p.openStream(ctx, addr, local, peer, faults, frameOpenRead, sid, func() []byte {
 		return encodeOpenRead(openRead{Block: id, DeadlineMS: budgetOf(ctx), From: local})
@@ -343,12 +360,11 @@ func (p *streamPool) streamGet(ctx context.Context, local string, faults Transpo
 		return nil, fmt.Errorf("%w: stream get block %d announces %d bytes", ErrFrameTooLarge, id, size)
 	}
 
-	// The result buffer is returned to the caller (who keeps it), so
-	// it is allocated, not pooled; the chunk buffers it is assembled
-	// from are pooled and released per frame.
-	buf := make([]byte, 0, size)
+	out := slices.Grow(dst, int(size))
+	block := out[len(dst) : len(dst)+int(size)]
+	got := 0
 	for {
-		cf, err := readFrame2(dc.br)
+		cf, err := readFrame2(dc.br, block[got:])
 		if err != nil {
 			return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
 		}
@@ -361,20 +377,21 @@ func (p *streamPool) streamGet(ctx context.Context, local string, faults Transpo
 			cf.release()
 			return nil, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, cf.Type)
 		}
-		if int64(len(buf))+int64(len(cf.Payload)) > size {
-			cf.release()
+		// A chunk that fits was read into block; one that does not was
+		// pooled instead, and overflows the announced size.
+		n, last := len(cf.Payload), cf.last()
+		cf.release()
+		if n > len(block)-got {
 			return nil, fmt.Errorf("%w: stream get block %d overflows announced size %d", ErrBadFrame, id, size)
 		}
-		buf = append(buf, cf.Payload...)
-		last := cf.last()
-		cf.release()
+		got += n
 		if last {
 			break
 		}
 	}
-	if int64(len(buf)) != size {
-		return nil, fmt.Errorf("%w: stream get block %d: got %d of %d bytes", ErrBadFrame, id, len(buf), size)
+	if got != len(block) {
+		return nil, fmt.Errorf("%w: stream get block %d: got %d of %d bytes", ErrBadFrame, id, got, size)
 	}
 	clean = true
-	return buf, nil
+	return out[:len(dst)+got], nil
 }

@@ -32,7 +32,7 @@ func TestStreamGetAbandonedMidChunkReleasesBuffers(t *testing.T) {
 		}
 		defer nc.Close()
 		br := bufio.NewReader(nc)
-		f, err := readFrame2(br)
+		f, err := readFrame2(br, nil)
 		if err != nil {
 			return
 		}
@@ -61,9 +61,8 @@ func TestStreamGetAbandonedMidChunkReleasesBuffers(t *testing.T) {
 
 // TestServeWriteTornMidChunkReleasesBuffers pins the server-side pool
 // contract: a writer that opens a pipeline stream, sends part of the
-// block, and vanishes must not leak the datanode's pooled assembly
-// buffer (or the in-flight chunk frame), and must leave nothing
-// committed.
+// block, and vanishes must not leak a pooled buffer on the datanode,
+// and must leave nothing committed.
 func TestServeWriteTornMidChunkReleasesBuffers(t *testing.T) {
 	lc := testCluster(t, 2, nil)
 	start := frameBufs.balance()
@@ -87,7 +86,7 @@ func TestServeWriteTornMidChunkReleasesBuffers(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sf, err := readFrame2(br)
+	sf, err := readFrame2(br, nil)
 	if err != nil {
 		t.Fatalf("setup ack: %v", err)
 	}
@@ -107,7 +106,7 @@ func TestServeWriteTornMidChunkReleasesBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The datanode's assembly buffer and the received chunk frame must
-	// drain back to the pool once the stream tears.
+	// Every frame the datanode pooled must drain back to the pool once
+	// the stream tears.
 	requirePoolBalance(t, start)
 }

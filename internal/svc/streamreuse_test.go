@@ -24,7 +24,7 @@ import (
 func streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID) ([]byte, error) {
 	var p streamPool
 	defer p.close()
-	return p.streamGet(ctx, local, faults, addr, peer, id)
+	return p.streamGet(ctx, local, faults, addr, peer, id, nil)
 }
 
 // reuseCluster boots an n-node loopback cluster with 4 KiB blocks and
@@ -144,7 +144,7 @@ func TestStaleParkedConnectionsRedialUnseen(t *testing.T) {
 	}
 	block := fm.Blocks[0].ID
 	// Park a client connection to node 0 and a relay from node 1 to it.
-	if _, err := dp.stores[0].Get(ctx, block); err != nil {
+	if _, err := dp.stores[0].Get(ctx, block, nil); err != nil {
 		t.Fatal(err)
 	}
 	const scratch = dfs.BlockID(1 << 40)
@@ -160,7 +160,7 @@ func TestStaleParkedConnectionsRedialUnseen(t *testing.T) {
 	dn0.closeServed()
 	waitServed(t, dn0, 0)
 
-	if got, err := dp.stores[0].Get(ctx, block); err != nil || !bytes.Equal(got, data) {
+	if got, err := dp.stores[0].Get(ctx, block, nil); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read on a stale parked connection: %v", err)
 	}
 	if res := dp.stores[1].PutChain(ctx, scratch+1, data, []cluster.NodeID{0}); len(res.Failed) != 0 || len(res.Acked) != 2 {
@@ -248,7 +248,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 			return
 		}
 		br := bufio.NewReader(nc)
-		f, err := readFrame2(br)
+		f, err := readFrame2(br, nil)
 		if err != nil {
 			return
 		}
@@ -264,7 +264,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 		_, _ = nc.Read(make([]byte, 1)) // held open until the loser hangs up
 		_ = nc.Close()
 	}()
-	if _, err := p.streamGet(loser, "reader", nil, ln.Addr().String(), "stall-dn", 7); err == nil {
+	if _, err := p.streamGet(loser, "reader", nil, ln.Addr().String(), "stall-dn", 7, nil); err == nil {
 		t.Fatal("a cancelled read succeeded")
 	}
 	if n := p.idleTo(ln.Addr().String()); n != 0 {
@@ -318,7 +318,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 	check("shed setup ack")
 
 	// An error frame: the block is not there.
-	if _, err := p.streamGet(ctx, "reader", nil, addr, peer, 92); !errors.Is(err, dfs.ErrBlockNotFound) {
+	if _, err := p.streamGet(ctx, "reader", nil, addr, peer, 92, nil); !errors.Is(err, dfs.ErrBlockNotFound) {
 		t.Fatalf("read of a missing block: %v, want ErrBlockNotFound", err)
 	}
 	check("block_not_found error frame")

@@ -34,7 +34,15 @@ import (
 //	offset 16-19  CRC32C over header[0:16] + payload
 //
 // The CRC covers the header prefix too, so a flipped type, flag, or
-// length is caught, not just payload corruption.
+// length is caught, not just payload corruption. It is computed once,
+// by the frame's writer: a relay forwards a chunk with the header —
+// CRC included — it arrived with, after checking it, so every hop
+// verifies every frame and the check runs end to end from the writer.
+//
+// Block bytes cross user space once per hop. readFrame2 reads a chunk
+// straight into the destination its caller hands it — the replica
+// buffer on a DataNode, the file being assembled at a reader — and
+// pools only the frames that have nowhere else to go.
 //
 //	type           sent by          payload                                bound
 //	openWrite   1  writer -> DN     block, size, budget, from, chain       MaxChunkPayload
@@ -177,41 +185,49 @@ func (p *bufPool) put(b []byte) {
 // acquired buffer was released.
 func (p *bufPool) balance() int64 { return p.gets.Load() - p.puts.Load() }
 
-// frameBufs is the shared wire-buffer pool: frame payloads and block
-// assembly buffers draw from it.
+// frameBufs is the shared wire-buffer pool: the payloads of frames
+// that were not read into a caller's destination draw from it.
 var frameBufs bufPool
 
-// frame2 is one decoded frame. Payload is pooled: the receiver owns it
-// and must release it via frameBufs.put exactly once.
+// frame2 is one decoded frame. A pooled payload is owned by the
+// receiver, who must release it exactly once; a payload read into the
+// caller's destination aliases it, and release leaves it alone.
 type frame2 struct {
 	Type    uint8
 	Flags   uint16
 	Stream  uint64
 	Payload []byte
+
+	crc    uint32 // the checksum the frame carries, computed by its writer
+	pooled bool   // Payload came from frameBufs
 }
 
 // last reports whether the frame closes its stream.
 func (f *frame2) last() bool { return f.Flags&flagLast != 0 }
 
-// release returns the frame's pooled payload; safe on a zero frame.
+// release returns the frame's pooled payload; safe on a zero frame and
+// a no-op on a payload that lives in the caller's destination.
 func (f *frame2) release() {
-	if f.Payload != nil {
+	if f.pooled {
 		frameBufs.put(f.Payload)
-		f.Payload = nil
 	}
+	f.Payload, f.pooled = nil, false
 }
 
-// putHeader fills hdr for a frame with the given payload, computing
-// the CRC over the header prefix and payload.
-func putHeader(hdr *[headerSize]byte, typ uint8, flags uint16, stream uint64, payload []byte) {
+// header encodes the frame's header with the checksum it carries.
+func (f *frame2) header() (hdr [headerSize]byte) {
 	hdr[0] = frameVersion
-	hdr[1] = typ
-	binary.BigEndian.PutUint16(hdr[2:4], flags)
-	binary.BigEndian.PutUint64(hdr[4:12], stream)
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-	crc := crc32.Update(0, crcTable, hdr[:16])
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.BigEndian.PutUint32(hdr[16:20], crc)
+	hdr[1] = f.Type
+	binary.BigEndian.PutUint16(hdr[2:4], f.Flags)
+	binary.BigEndian.PutUint64(hdr[4:12], f.Stream)
+	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(f.Payload)))
+	binary.BigEndian.PutUint32(hdr[16:20], f.crc)
+	return hdr
+}
+
+// checksum is the CRC32C over a header prefix and a payload.
+func checksum(prefix, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, crcTable, prefix), crcTable, payload)
 }
 
 // writeFrame2 writes one frame. The payload is written as-is
@@ -220,13 +236,23 @@ func writeFrame2(w io.Writer, typ uint8, flags uint16, stream uint64, payload []
 	if len(payload) > maxPayload(typ) {
 		return fmt.Errorf("%w: type %d payload %d bytes", ErrFrameTooLarge, typ, len(payload))
 	}
-	var hdr [headerSize]byte
-	putHeader(&hdr, typ, flags, stream, payload)
+	f := frame2{Type: typ, Flags: flags, Stream: stream, Payload: payload}
+	hdr := f.header()
+	f.crc = checksum(hdr[:16], payload)
+	return forwardFrame(w, &f)
+}
+
+// forwardFrame writes f as it is: the header rebuilt from its fields
+// and the checksum it carries. For a frame readFrame2 returned, that is
+// byte for byte the frame that arrived, so a relay passes a verified
+// chunk on without checksumming it again.
+func forwardFrame(w io.Writer, f *frame2) error {
+	hdr := f.header()
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("svc: write frame header: %w", err)
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
+	if len(f.Payload) > 0 {
+		if _, err := w.Write(f.Payload); err != nil {
 			return fmt.Errorf("svc: write frame payload: %w", err)
 		}
 	}
@@ -235,10 +261,13 @@ func writeFrame2(w io.Writer, typ uint8, flags uint16, stream uint64, payload []
 
 // readFrame2 reads one frame, the only function that takes a header
 // off a socket. A payload length beyond the type's bound is refused
-// before any buffer is taken for it. On success the returned frame's
-// payload is pooled and owned by the caller (release it once); on any
-// error every acquired buffer has already been returned.
-func readFrame2(r io.Reader) (frame2, error) {
+// before any buffer is taken for it. A chunk whose payload fits dst is
+// read straight into dst's first bytes — never past len(dst) — and its
+// Payload aliases them; every other frame's payload is pooled and owned
+// by the caller (release it once). Either way the CRC is checked where
+// the bytes landed. On any error every acquired buffer has already
+// been returned, and dst may hold a torn prefix of the refused chunk.
+func readFrame2(r io.Reader, dst []byte) (frame2, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame2{}, fmt.Errorf("svc: read frame header: %w", err)
@@ -254,23 +283,26 @@ func readFrame2(r io.Reader) (frame2, error) {
 	if n > uint32(maxPayload(typ)) {
 		return frame2{}, fmt.Errorf("%w: type %d payload %d bytes", ErrFrameTooLarge, typ, n)
 	}
-	payload := frameBufs.get(int(n))
-	if _, err := io.ReadFull(r, payload); err != nil {
-		frameBufs.put(payload)
+	f := frame2{
+		Type:   typ,
+		Flags:  binary.BigEndian.Uint16(hdr[2:4]),
+		Stream: binary.BigEndian.Uint64(hdr[4:12]),
+		crc:    binary.BigEndian.Uint32(hdr[16:20]),
+	}
+	if typ == frameChunk && int(n) <= len(dst) {
+		f.Payload = dst[:n:n]
+	} else {
+		f.Payload, f.pooled = frameBufs.get(int(n)), true
+	}
+	if _, err := io.ReadFull(r, f.Payload); err != nil {
+		f.release()
 		return frame2{}, fmt.Errorf("svc: read frame payload: %w", err)
 	}
-	crc := crc32.Update(0, crcTable, hdr[:16])
-	crc = crc32.Update(crc, crcTable, payload)
-	if crc != binary.BigEndian.Uint32(hdr[16:20]) {
-		frameBufs.put(payload)
+	if checksum(hdr[:16], f.Payload) != f.crc {
+		f.release()
 		return frame2{}, fmt.Errorf("%w: frame CRC mismatch", ErrBadFrame)
 	}
-	return frame2{
-		Type:    typ,
-		Flags:   binary.BigEndian.Uint16(hdr[2:4]),
-		Stream:  binary.BigEndian.Uint64(hdr[4:12]),
-		Payload: payload,
-	}, nil
+	return f, nil
 }
 
 // ---- payload encoding ----
@@ -369,7 +401,7 @@ type chainEntry struct {
 }
 
 // openWrite is the pipeline write setup: the block, its total size
-// (so receivers can size their assembly buffer once), the caller's
+// (so receivers allocate the replica once, at its size), the caller's
 // deadline budget, the sender's endpoint name for the fault hook, and
 // the remaining downstream chain.
 type openWrite struct {

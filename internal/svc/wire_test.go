@@ -47,7 +47,7 @@ func TestFrame2RoundTrip(t *testing.T) {
 				if err := writeFrame2(&buf, typ, flags, sid, p); err != nil {
 					t.Fatal(err)
 				}
-				f, err := readFrame2(&buf)
+				f, err := readFrame2(&buf, nil)
 				if err != nil {
 					t.Fatalf("type %d flags %d payload %d: %v", typ, flags, pi, err)
 				}
@@ -123,7 +123,7 @@ func TestReadFrame2Rejects(t *testing.T) {
 		{"empty input", nil, nil},
 	}
 	for _, tc := range cases {
-		f, err := readFrame2(bytes.NewReader(tc.raw))
+		f, err := readFrame2(bytes.NewReader(tc.raw), nil)
 		if err == nil {
 			f.release()
 			t.Errorf("%s: accepted", tc.name)
@@ -144,17 +144,17 @@ func TestWireBufferPoolBalances(t *testing.T) {
 	start := frameBufs.balance()
 
 	raw := encodeFrame2(t, frameChunk, flagLast, 9, []byte("abc"))
-	f, err := readFrame2(bytes.NewReader(raw))
+	f, err := readFrame2(bytes.NewReader(raw), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.release()
 	bad := bytes.Clone(raw)
 	bad[headerSize] ^= 0xFF
-	if _, err := readFrame2(bytes.NewReader(bad)); err == nil {
+	if _, err := readFrame2(bytes.NewReader(bad), nil); err == nil {
 		t.Fatal("corrupt v2 frame accepted")
 	}
-	if _, err := readFrame2(bytes.NewReader(raw[:headerSize+1])); err == nil {
+	if _, err := readFrame2(bytes.NewReader(raw[:headerSize+1]), nil); err == nil {
 		t.Fatal("truncated v2 payload accepted")
 	}
 
@@ -384,7 +384,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := readFrame2(&buf)
+	f, err := readFrame2(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,11 +400,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	f.release()
 
-	if f, err = readFrame2(&buf); err != nil || f.Type != frameReply || string(f.Payload) != `{"meta":null}` {
+	if f, err = readFrame2(&buf, nil); err != nil || f.Type != frameReply || string(f.Payload) != `{"meta":null}` {
 		t.Fatalf("reply: %+v, %v", f, err)
 	}
 	f.release()
-	if f, err = readFrame2(&buf); err != nil || f.Type != frameError {
+	if f, err = readFrame2(&buf, nil); err != nil || f.Type != frameError {
 		t.Fatalf("error frame: %+v, %v", f, err)
 	}
 	if err := decodeErrorFrame(f.Payload); !errors.Is(err, dfs.ErrFileNotFound) {
@@ -422,8 +422,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // frameHeader renders a header announcing n payload bytes that never
 // follow.
 func frameHeader(typ uint8, n uint32) []byte {
-	var hdr [headerSize]byte
-	putHeader(&hdr, typ, 0, 1, nil)
+	hdr := (&frame2{Type: typ, Stream: 1}).header()
 	binary.BigEndian.PutUint32(hdr[12:16], n)
 	return hdr[:]
 }
@@ -443,7 +442,7 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 		{frameChunk, MaxChunkPayload + 1}, {frameError, MaxChunkPayload + 1},
 	} {
 		taken, start := frameBufs.gets.Load(), frameBufs.balance()
-		if _, err := readFrame2(bytes.NewReader(frameHeader(tc.typ, tc.n))); !errors.Is(err, ErrFrameTooLarge) {
+		if _, err := readFrame2(bytes.NewReader(frameHeader(tc.typ, tc.n)), nil); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("type %d, %d bytes: err = %v, want ErrFrameTooLarge", tc.typ, tc.n, err)
 		}
 		if got := frameBufs.gets.Load(); got != taken || frameBufs.balance() != start {
@@ -466,7 +465,7 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	if err := writeFrame2(&wire, frameReply, 0, 1, reply); err != nil {
 		t.Fatalf("a %d-block FileMeta (%d bytes) does not fit a reply: %v", len(fm.Blocks), len(reply), err)
 	}
-	f, err := readFrame2(&wire)
+	f, err := readFrame2(&wire, nil)
 	if err != nil || !bytes.Equal(f.Payload, reply) {
 		t.Fatalf("%d-byte reply did not survive the wire: %v", len(reply), err)
 	}
@@ -500,7 +499,7 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 // whose params are not the method's is refused as one by a live server,
 // which keeps serving.
 func TestReadFrameRejectsGarbage(t *testing.T) {
-	if _, err := readFrame2(strings.NewReader("not a frame, not a frame at all")); !errors.Is(err, ErrBadFrame) {
+	if _, err := readFrame2(strings.NewReader("not a frame, not a frame at all"), nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("garbage bytes: err = %v, want ErrBadFrame", err)
 	}
 	for _, p := range [][]byte{nil, {0, 0, 0}, appendString(appendUint64(nil, 5), "shell")} {
