@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github lint-json build test test-short race race-all sched-verify svc-smoke crash-smoke dfs-smoke soak bench bench-smoke sim-scale-smoke fuzz-smoke
+.PHONY: ci vet lint lint-github lint-json build test test-short race race-all sched-verify svc-smoke crash-smoke dfs-smoke soak bench sim-scale-smoke fuzz-smoke
 
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the frame-codec fuzz smoke, and the
@@ -96,12 +96,3 @@ bench:
 # so a scheduling change that moves one simulated event fails here.
 sim-scale-smoke:
 	bash benchmark/run.sh --workload sim_scale --seed 1 --seconds 3 --trace 0
-
-# Tiny end-to-end run of the benchmark harness: a small host/worker
-# sweep must produce a BENCH_sim.json that -bench-verify accepts
-# (parses, schema-stable, bit-identical across worker counts).
-bench-smoke:
-	$(GO) run ./cmd/adapt-bench -exp bench \
-		-bench-hosts 48,96 -bench-workers 1,2 -bench-tasks 5 \
-		-bench-out /tmp/BENCH_sim_smoke.json
-	$(GO) run ./cmd/adapt-bench -bench-verify /tmp/BENCH_sim_smoke.json

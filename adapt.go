@@ -535,17 +535,11 @@ type (
 	SensitivityRow        = experiments.SensitivityRow
 	AblationConfig        = experiments.AblationConfig
 	AblationRow           = experiments.AblationRow
-	BenchConfig           = experiments.BenchConfig
-	BenchReport           = experiments.BenchReport
-	BenchRun              = experiments.BenchRun
 	SchedulingConfig      = experiments.SchedulingConfig
 	SchedulingResult      = experiments.SchedulingResult
 	SchedulingCell        = experiments.SchedulingCell
 	SchedMode             = experiments.SchedMode
 )
-
-// BenchSchema identifies the BENCH_sim.json document layout.
-const BenchSchema = experiments.BenchSchema
 
 // Strategy identifiers.
 const (
@@ -586,8 +580,6 @@ var (
 	SensitivityTable        = experiments.SensitivityTable
 	Ablation                = experiments.Ablation
 	AblationTable           = experiments.AblationTable
-	BenchSim                = experiments.BenchSim
-	BenchTable              = experiments.BenchTable
 	SchedulingHeadline      = experiments.SchedulingHeadline
 	SchedulingTable         = experiments.SchedulingTable
 	SchedulingModes         = experiments.SchedulingModes

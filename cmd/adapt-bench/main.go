@@ -14,20 +14,15 @@
 // are the locality views of the fig3x runs.)
 //
 // The parallel engine is controlled by -workers (0 = GOMAXPROCS);
-// results are bit-identical for every worker count. The benchmark
-// harness mode records the engine's performance trajectory:
-//
-//	adapt-bench -exp bench                           # paper-shaped sweep -> BENCH_sim.json
-//	adapt-bench -exp bench -bench-hosts 64,128 -bench-workers 1,2
-//	adapt-bench -bench-verify BENCH_sim.json         # parse + schema check
+// results are bit-identical for every worker count. Timing the engine
+// is the repository benchmark's job (benchmark/, workloads sim_scale
+// and sim_emulation), not this command's.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	adapt "github.com/adaptsim/adapt"
@@ -51,13 +46,6 @@ type options struct {
 	charts   bool
 	workers  int
 
-	benchHosts   string
-	benchWorkers string
-	benchTasks   int
-	benchTrials  int
-	benchOut     string
-	benchVerify  string
-
 	speculation string
 	redundancy  int
 	dynamicRF   string
@@ -68,7 +56,7 @@ type options struct {
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet("adapt-bench", flag.ContinueOnError)
 	opt := options{}
-	fs.StringVar(&opt.exp, "exp", "all", "experiment id (all, defaults, table1, model, headline, sensitivity, ablation, bench, sched, sched-verify, fig3a..fig3c, fig4a..fig4c, fig5a..fig5c)")
+	fs.StringVar(&opt.exp, "exp", "all", "experiment id (all, defaults, table1, model, headline, sensitivity, ablation, sched, sched-verify, fig3a..fig3c, fig4a..fig4c, fig5a..fig5c)")
 	fs.BoolVar(&opt.paper, "paper", false, "run at full paper scale (slow)")
 	fs.Float64Var(&opt.scale, "scale", 1, "scale factor in (0,1] applied to cluster sizes and trials")
 	fs.IntVar(&opt.trials, "trials", 0, "override trials per scenario (0 = config default)")
@@ -77,12 +65,6 @@ func run(args []string) (err error) {
 	fs.BoolVar(&opt.markdown, "markdown", false, "emit markdown tables")
 	fs.BoolVar(&opt.charts, "charts", false, "also render ASCII charts at the default sweep point")
 	fs.IntVar(&opt.workers, "workers", 0, "experiment engine worker count (0 = GOMAXPROCS); results are identical for any value")
-	fs.StringVar(&opt.benchHosts, "bench-hosts", "", "bench mode: comma-separated host counts (default 1024,4096,8192)")
-	fs.StringVar(&opt.benchWorkers, "bench-workers", "", "bench mode: comma-separated worker counts (default 1,2,4,8; first is the baseline)")
-	fs.IntVar(&opt.benchTasks, "bench-tasks", 0, "bench mode: tasks per node (default 10)")
-	fs.IntVar(&opt.benchTrials, "bench-trials", 0, "bench mode: trials per cell (default 1)")
-	fs.StringVar(&opt.benchOut, "bench-out", "BENCH_sim.json", "bench mode: report output path (empty = stdout table only)")
-	fs.StringVar(&opt.benchVerify, "bench-verify", "", "verify an existing bench report (parse + schema check) and exit")
 	fs.StringVar(&opt.speculation, "speculation", "", "sched mode: restrict to one policy (reactive | predictive | redundant; empty = all)")
 	fs.IntVar(&opt.redundancy, "redundancy", 0, "sched mode: attempts per task for the redundant policy (0 = default 2)")
 	fs.StringVar(&opt.dynamicRF, "dynamic-rf", "both", "sched mode: replication arms to run (both | on | off)")
@@ -103,10 +85,6 @@ func run(args []string) (err error) {
 		}()
 	}
 
-	if opt.benchVerify != "" {
-		return verifyBench(opt.benchVerify)
-	}
-
 	ids := []string{opt.exp}
 	if opt.exp == "all" {
 		ids = []string{
@@ -116,12 +94,6 @@ func run(args []string) (err error) {
 		}
 	}
 	for _, id := range ids {
-		if strings.ToLower(id) == "bench" {
-			if err := runBench(opt); err != nil {
-				return fmt.Errorf("bench: %w", err)
-			}
-			continue
-		}
 		tables, err := runExperiment(id, opt)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
@@ -149,82 +121,6 @@ func (o options) emulation() adapt.EmulationConfig {
 		cfg.Trials = o.trials
 	}
 	return cfg
-}
-
-// parseInts parses a comma-separated list of positive integers.
-func parseInts(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer list %q: %w", s, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// runBench executes the benchmark harness and writes the report.
-func runBench(opt options) error {
-	hosts, err := parseInts(opt.benchHosts)
-	if err != nil {
-		return err
-	}
-	workers, err := parseInts(opt.benchWorkers)
-	if err != nil {
-		return err
-	}
-	report, err := adapt.BenchSim(adapt.BenchConfig{
-		Hosts:        hosts,
-		Workers:      workers,
-		TasksPerNode: opt.benchTasks,
-		Trials:       opt.benchTrials,
-		Seed:         opt.seed,
-	})
-	if err != nil {
-		return err
-	}
-	tbl := adapt.BenchTable(report)
-	if opt.markdown {
-		fmt.Println(tbl.Markdown())
-	} else {
-		fmt.Println(tbl.String())
-	}
-	if opt.benchOut == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(opt.benchOut, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d runs)\n", opt.benchOut, len(report.Runs))
-	return nil
-}
-
-// verifyBench parses an existing report and checks its schema — the
-// bench-smoke CI gate.
-func verifyBench(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var report adapt.BenchReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := report.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	fmt.Printf("%s: ok (%d runs, schema %s)\n", path, len(report.Runs), report.Schema)
-	return nil
 }
 
 // scheduling builds the sched-grid configuration from the CLI flags.

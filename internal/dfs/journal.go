@@ -39,21 +39,10 @@ type Journal interface {
 	LogBlocks(name string, blocks []BlockMeta) error
 }
 
-// SetJournal attaches the same write-ahead journal to every shard
-// (nil detaches) — the single-WAL configuration, exact on a one-shard
-// NameNode. Attach it after Restore: recovery replays must not be
-// re-journaled.
-func (nn *NameNode) SetJournal(j Journal) {
-	for _, sh := range nn.shards {
-		sh.mu.Lock()
-		sh.journal = j
-		sh.mu.Unlock()
-	}
-}
-
 // SetShardJournals attaches one journal per shard (js[i] may be nil to
 // leave shard i volatile). The slice length must equal the shard
-// count. Attach after recovery, as with SetJournal.
+// count. Attach after RestoreShard: recovery replays must not be
+// re-journaled.
 func (nn *NameNode) SetShardJournals(js []Journal) error {
 	if len(js) != len(nn.shards) {
 		return fmt.Errorf("%w: %d journals for %d shards", shard.ErrBadShardCount, len(js), len(nn.shards))
@@ -132,31 +121,13 @@ func (nn *NameNode) FilesImageShard(i int) []*FileMeta {
 	return out
 }
 
-// Restore installs a recovered namespace image wholesale, replacing
-// every shard's file table (files hash onto shards by path) and
-// advancing the block-id allocator past every restored block. Call it
-// on a freshly built NameNode, before attaching journals and before
-// serving traffic.
-func (nn *NameNode) Restore(files []*FileMeta) error {
-	perShard := make([][]*FileMeta, len(nn.shards))
-	for _, fm := range files {
-		i := nn.smap.Of(fm.Name)
-		perShard[i] = append(perShard[i], fm)
-	}
-	for i := range nn.shards {
-		if err := nn.restoreShard(i, perShard[i]); err != nil {
-			return err
-		}
-	}
-	nn.recomputeUsage()
-	return nil
-}
-
-// RestoreShard installs one shard's recovered image, leaving the other
-// shards untouched — the per-shard recovery path, where each shard's
-// WAL replays independently. Every file must hash to shard i. The
-// tenant usage ledger is recomputed from the full namespace, so call
-// order across shards does not matter.
+// RestoreShard installs one shard's recovered image, replacing its file
+// table and advancing the block-id allocator past every restored block,
+// leaving the other shards untouched — each shard's WAL replays
+// independently. Every file must hash to shard i. The tenant usage
+// ledger is recomputed from the full namespace, so call order across
+// shards does not matter. Call it on a freshly built NameNode, before
+// attaching journals and before serving traffic.
 func (nn *NameNode) RestoreShard(i int, files []*FileMeta) error {
 	if i < 0 || i >= len(nn.shards) {
 		return fmt.Errorf("%w: restore of shard %d of %d", shard.ErrBadShardCount, i, len(nn.shards))
@@ -166,16 +137,6 @@ func (nn *NameNode) RestoreShard(i int, files []*FileMeta) error {
 			return fmt.Errorf("%w: restored file %q hashes to shard %d, not %d", ErrInconsistent, fm.Name, want, i)
 		}
 	}
-	if err := nn.restoreShard(i, files); err != nil {
-		return err
-	}
-	nn.recomputeUsage()
-	return nil
-}
-
-// restoreShard validates and installs one shard's table and advances
-// the block allocator. It does not touch the usage ledger.
-func (nn *NameNode) restoreShard(i int, files []*FileMeta) error {
 	n := len(nn.io.stores)
 	table := make(map[string]*FileMeta, len(files))
 	var maxID BlockID = -1
@@ -201,9 +162,11 @@ func (nn *NameNode) restoreShard(i int, files []*FileMeta) error {
 	for {
 		cur := nn.nextBlock.Load()
 		if int64(maxID)+1 <= cur || nn.nextBlock.CompareAndSwap(cur, int64(maxID)+1) {
-			return nil
+			break
 		}
 	}
+	nn.recomputeUsage()
+	return nil
 }
 
 // recomputeUsage rebuilds the tenant usage ledger from the live

@@ -78,7 +78,7 @@ func (nn *NameNode) SetLeaseClock(now func() time.Time) {
 // handed out, and must make its argument durable before returning; the
 // durable layer hands the newest value back here after a restart. A
 // failed reserve refuses the allocation with ErrJournal. Call it after
-// Restore and before serving, beside SetShardJournals.
+// RestoreShard and before serving, beside SetShardJournals.
 func (nn *NameNode) ReserveBlockIDs(ceiling BlockID, reserve func(ceiling BlockID) error) {
 	t := &nn.leases
 	t.mu.Lock()
