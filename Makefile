@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github lint-json build test test-short race race-all sched-verify svc-smoke crash-smoke dfs-smoke soak bench sim-scale-smoke fuzz-smoke
+.PHONY: ci vet lint lint-github build test test-short race-all sched-verify svc-smoke crash-smoke dfs-smoke soak bench sim-scale-smoke fuzz-smoke
 
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the frame-codec fuzz smoke, and the
@@ -11,22 +11,19 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific whole-program static analysis: interprocedural
-# determinism taint, error taxonomy, lock discipline and lock-order
-# cycles, context propagation, sync/atomic consistency, float
-# equality, map-iteration order, Close handling, and the
-# stale-suppression ratchet. Exits non-zero on any finding; suppress
+# determinism taint, error taxonomy, lock discipline (unlocks, hooks
+# under locks, lock-order cycles, leaf shard locks), context
+# propagation, sync/atomic consistency, float equality, map-iteration
+# order, Close handling, and the stale-suppression ratchet. Exits non-zero on any finding; suppress
 # intentional ones with //lint:ignore <analyzer> <reason> (unused
 # directives are themselves findings).
 lint:
 	$(GO) run ./cmd/adaptlint
 
 # Same suite rendered as GitHub Actions annotations (inline PR
-# comments) and as machine-readable JSON.
+# comments).
 lint-github:
 	$(GO) run ./cmd/adaptlint -format=github
-
-lint-json:
-	$(GO) run ./cmd/adaptlint -format=json
 
 build:
 	$(GO) build ./...
@@ -42,8 +39,6 @@ test-short:
 # The whole test suite under the race detector.
 race-all:
 	$(GO) test -race ./...
-
-race: race-all
 
 # Coverage-guided fuzz smoke for the frame codec, which is the whole
 # wire (calls, replies and errors ride the frames block streams do):

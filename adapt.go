@@ -71,17 +71,6 @@ var HashLabel = stats.HashLabel
 // Distribution is a probability distribution over non-negative values.
 type Distribution = stats.Distribution
 
-// Re-exported distribution constructors.
-var (
-	NewExponentialDist   = stats.NewExponential
-	ExponentialFromMean  = stats.ExponentialFromMean
-	NewLogNormalDist     = stats.NewLogNormal
-	LogNormalFromMeanCoV = stats.LogNormalFromMeanCoV
-	NewWeibullDist       = stats.NewWeibull
-	NewParetoDist        = stats.NewPareto
-	NewDeterministicDist = stats.NewDeterministic
-)
-
 // ---- the availability model (paper §III) -------------------------------------
 
 // Availability carries a host's interruption rate λ and mean recovery
@@ -110,9 +99,6 @@ func SimulateTaskTime(cfg TaskSimConfig, g *RNG) (float64, error) {
 // against.
 type Cluster = cluster.Cluster
 
-// Node is one participating host.
-type Node = cluster.Node
-
 // NodeID indexes a node within its cluster.
 type NodeID = cluster.NodeID
 
@@ -123,9 +109,6 @@ type AvailabilityGroup = cluster.Group
 // EmulationClusterConfig configures the paper's emulated environment.
 type EmulationClusterConfig = cluster.EmulationConfig
 
-// NewCluster builds a cluster from explicit nodes.
-func NewCluster(nodes []Node) (*Cluster, error) { return cluster.New(nodes) }
-
 // NewEmulationCluster builds the §V-A emulated cluster (Table 2
 // groups, configurable interrupted ratio).
 func NewEmulationCluster(cfg EmulationClusterConfig, g *RNG) (*Cluster, error) {
@@ -134,12 +117,6 @@ func NewEmulationCluster(cfg EmulationClusterConfig, g *RNG) (*Cluster, error) {
 
 // Table2Groups returns the four availability groups of paper Table 2.
 func Table2Groups() []AvailabilityGroup { return cluster.Table2Groups() }
-
-// HeartbeatEstimator is the NameNode-style online (λ, μ) estimator.
-type HeartbeatEstimator = cluster.HeartbeatEstimator
-
-// NewHeartbeatEstimator returns an empty estimator.
-func NewHeartbeatEstimator() *HeartbeatEstimator { return cluster.NewHeartbeatEstimator() }
 
 // Trace types: per-host interruption histories in the style of the
 // Failure Trace Archive.
@@ -294,12 +271,6 @@ func RunTrials(sc Scenario, trials int, g *RNG) (RunAggregate, error) {
 // SimConfig.Journal.
 type SimJournal = hadoopsim.Journal
 
-// SimEvent and SimEventKind are journal entries and their tags.
-type (
-	SimEvent     = hadoopsim.Event
-	SimEventKind = hadoopsim.EventKind
-)
-
 // LatencyPercentiles summarizes task latencies at p50/p95/p99.
 var LatencyPercentiles = hadoopsim.LatencyPercentiles
 
@@ -326,7 +297,6 @@ const (
 	SpeculationReactive   = hadoopsim.SpeculationReactive
 	SpeculationNone       = hadoopsim.SpeculationNone
 	SpeculationPredictive = hadoopsim.SpeculationPredictive
-	SpeculationRedundant  = hadoopsim.SpeculationRedundant
 )
 
 // ParseSpeculationPolicy parses a policy name (reactive | none |
@@ -334,10 +304,6 @@ const (
 func ParseSpeculationPolicy(s string) (SpeculationPolicy, error) {
 	return hadoopsim.ParseSpeculationPolicy(s)
 }
-
-// AttemptAccounting summarizes per-attempt scheduling effort derived
-// from a SimJournal (SimJournal.Attempts).
-type AttemptAccounting = hadoopsim.AttemptAccounting
 
 // Multi-job workloads: a FIFO job queue sharing one non-dedicated
 // cluster, each job placing its blocks at submission.
@@ -362,15 +328,11 @@ func NetworkFromMegabits(mbps float64) NetworkConfig { return netsim.FromMegabit
 
 // ---- distributed file system ---------------------------------------------------
 
-// NameNode, DataNode, and DFSClient model the HDFS subsystem the
-// prototype modifies.
+// NameNode and DFSClient model the HDFS subsystem the prototype
+// modifies.
 type (
 	NameNode  = dfs.NameNode
-	DataNode  = dfs.DataNode
 	DFSClient = dfs.Client
-	FileMeta  = dfs.FileMeta
-	BlockMeta = dfs.BlockMeta
-	BlockID   = dfs.BlockID
 )
 
 // NewNameNode builds a NameNode (plus one DataNode per cluster node).
@@ -380,20 +342,7 @@ func NewNameNode(c *Cluster) (*NameNode, error) { return dfs.NewNameNode(c) }
 // CopyFromLocal/Cp with an ADAPT flag, Adapt, Rebalance.
 func NewDFSClient(nn *NameNode, g *RNG) (*DFSClient, error) { return dfs.NewClient(nn, g) }
 
-// ---- resilience: errors, retry, fault injection ---------------------------------
-
-// DFS error sentinels, matchable with errors.Is through any wrapping.
-var (
-	// ErrNodeDown: the addressed DataNode is interrupted (transient).
-	ErrNodeDown = dfs.ErrNodeDown
-	// ErrChecksum: a replica's bytes failed CRC32 verification
-	// (transient — another replica may be intact).
-	ErrChecksum = dfs.ErrChecksum
-	// ErrNoLiveNodes: a write found no node accepting data (transient).
-	ErrNoLiveNodes = dfs.ErrNoLiveNodes
-	// ErrNoReplica: a read exhausted every replica (transient).
-	ErrNoReplica = dfs.ErrNoReplica
-)
+// ---- resilience: retry and counters ---------------------------------------------
 
 // IsTransient reports whether an error is retryable: injected faults
 // and outage-shaped failures are, metadata errors are not.
@@ -402,33 +351,10 @@ func IsTransient(err error) bool { return dfs.IsTransient(err) }
 // RetryPolicy bounds the client's exponential-backoff retries.
 type RetryPolicy = dfs.RetryPolicy
 
-// DefaultRetryPolicy returns the client's stock retry budget.
-func DefaultRetryPolicy() RetryPolicy { return dfs.DefaultRetryPolicy() }
-
-// WriteReport describes how a write really landed (degraded
-// replication, failovers, retries); see DFSClient.CopyFromLocalReport.
-type WriteReport = dfs.WriteReport
-
-// DFSOp tags a DataNode operation for fault injection.
-type DFSOp = dfs.Op
-
-// DataNode operations.
-const (
-	DFSOpPut    = dfs.OpPut
-	DFSOpGet    = dfs.OpGet
-	DFSOpDelete = dfs.OpDelete
-)
-
-// FaultInjector is the dfs-side hook chaos injectors implement.
-type FaultInjector = dfs.FaultInjector
-
 // ResilienceCounters tallies retries, failovers, repairs, checksum
 // catches, and injected faults across a NameNode's lifetime
 // (NameNode.Resilience returns the shared instance).
 type ResilienceCounters = metrics.ResilienceCounters
-
-// ResilienceSnapshot is a point-in-time copy of the counters.
-type ResilienceSnapshot = metrics.ResilienceSnapshot
 
 // ---- chaos engine ----------------------------------------------------------------
 
@@ -436,21 +362,11 @@ type ResilienceSnapshot = metrics.ResilienceSnapshot
 // cluster's (λ, μ) parameters or replayed traces, plus operation-level
 // faults, to exercise the resilience machinery end to end.
 type (
-	ChaosConfig    = chaos.Config
-	ChaosEngine    = chaos.Engine
-	ChaosEvent     = chaos.Event
-	ChaosEventKind = chaos.EventKind
-	ChaosTarget    = chaos.Target
-	ChaosObserver  = chaos.Observer
-	OpFaults       = chaos.OpFaults
-	InjectedError  = chaos.InjectedError
-)
-
-// Chaos event kinds.
-const (
-	ChaosEventDown   = chaos.EventDown
-	ChaosEventExtend = chaos.EventExtend
-	ChaosEventUp     = chaos.EventUp
+	ChaosConfig   = chaos.Config
+	ChaosEngine   = chaos.Engine
+	ChaosTarget   = chaos.Target
+	ChaosObserver = chaos.Observer
+	OpFaults      = chaos.OpFaults
 )
 
 // NewChaosEngine builds a seeded churn engine over a cluster; equal
@@ -467,13 +383,10 @@ func NewOpFaults(g *RNG) (*OpFaults, error) { return chaos.NewOpFaults(g) }
 // dfs data under simulated non-dedicated timing.
 type (
 	MRJob          = mapreduce.Job
-	MRResult       = mapreduce.Result
 	MREngine       = mapreduce.Engine
 	MREngineConfig = mapreduce.EngineConfig
 	Mapper         = mapreduce.Mapper
 	Reducer        = mapreduce.Reducer
-	MapperFunc     = mapreduce.MapperFunc
-	ReducerFunc    = mapreduce.ReducerFunc
 	Partitioner    = mapreduce.Partitioner
 )
 
@@ -486,16 +399,6 @@ const (
 	ReducersRandom            = mapreduce.ReducersRandom
 	ReducersAvailabilityAware = mapreduce.ReducersAvailabilityAware
 )
-
-// ReplicationReport summarizes a DFSClient.MaintainReplication pass
-// (HDFS-style under-replication repair).
-type ReplicationReport = dfs.ReplicationReport
-
-// DynamicRFConfig tunes the NameNode's availability- and
-// popularity-driven dynamic replication controller
-// (NameNode.EnableDynamicRF): per-file targets derived from read heat
-// and host E[T], applied through MaintainReplication with hysteresis.
-type DynamicRFConfig = dfs.DynamicRFConfig
 
 // NewMREngine builds a MapReduce engine over a NameNode.
 func NewMREngine(nn *NameNode, cfg MREngineConfig) (*MREngine, error) {
@@ -511,7 +414,6 @@ var (
 	SampleBoundaries = workload.SampleBoundaries
 	CheckSorted      = workload.CheckSorted
 	WordCountJob     = workload.WordCountJob
-	GrepJob          = workload.GrepJob
 	ParseCounts      = workload.ParseCounts
 )
 
@@ -552,12 +454,6 @@ const (
 // parametric regeneration from estimated (λ, μ) — the default, the
 // paper's "inject failures based on the data" — or verbatim replay.
 type SimMode = experiments.SimMode
-
-// Simulation modes.
-const (
-	SimModeParametric = experiments.SimModeParametric
-	SimModeReplay     = experiments.SimModeReplay
-)
 
 // Experiment runners (one per paper table/figure).
 var (

@@ -35,8 +35,6 @@ func analyzers() []*Analyzer {
 		determinismAnalyzer(),
 		errtaxonomyAnalyzer(),
 		lockcheckAnalyzer(),
-		lockorderAnalyzer(),
-		shardlockAnalyzer(),
 		ctxcheckAnalyzer(),
 		atomiccheckAnalyzer(),
 		floateqAnalyzer(),

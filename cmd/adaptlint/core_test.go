@@ -162,9 +162,9 @@ func TestSummaryCacheInvalidation(t *testing.T) {
 }
 
 // TestAcquireClosure verifies the transitive lock-summary closure that
-// lockorder consumes: AB's closure contains both locks (bmu arriving
-// through lockB), Nest's contains its pair, and Pure-style functions
-// have none.
+// lockcheck's acquisition graph consumes: AB's closure contains both
+// locks (bmu arriving through lockB), Nest's contains its pair, and
+// Pure-style functions have none.
 func TestAcquireClosure(t *testing.T) {
 	prog := loadProgram(t)
 	ab := findFunc(t, prog, "internal/deadlock.(*D).AB")

@@ -1,32 +1,14 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// jsonDiagnostic is the stable machine-readable shape of one finding.
-// Field names are part of the CI contract; see the schema test.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// jsonReport is the top-level -format=json document.
-type jsonReport struct {
-	Findings []jsonDiagnostic `json:"findings"`
-	Count    int              `json:"count"`
-}
-
 // writeDiagnostics renders diags to w in the named format:
 //
 //	text    file:line: [analyzer] message   (the historical default)
-//	json    one jsonReport document
 //	github  GitHub Actions workflow commands, which the Actions runner
 //	        turns into inline PR annotations
 func writeDiagnostics(w io.Writer, format string, diags []Diagnostic) error {
@@ -36,20 +18,6 @@ func writeDiagnostics(w io.Writer, format string, diags []Diagnostic) error {
 			fmt.Fprintln(w, d.format())
 		}
 		return nil
-	case "json":
-		rep := jsonReport{Findings: make([]jsonDiagnostic, 0, len(diags)), Count: len(diags)}
-		for _, d := range diags {
-			rep.Findings = append(rep.Findings, jsonDiagnostic{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
 	case "github":
 		for _, d := range diags {
 			fmt.Fprintf(w, "::error file=%s,line=%d,col=%d,title=adaptlint %s::%s\n",
@@ -57,7 +25,7 @@ func writeDiagnostics(w io.Writer, format string, diags []Diagnostic) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown format %q (want text, json, or github)", format)
+	return fmt.Errorf("unknown format %q (want text or github)", format)
 }
 
 // githubEscape encodes the characters the workflow-command grammar

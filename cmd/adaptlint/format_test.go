@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/token"
 	"regexp"
 	"strings"
@@ -21,72 +20,6 @@ func sampleDiags() []Diagnostic {
 			Analyzer: "ctxcheck",
 			Message:  "context.Background() below the CLI layer\nwith 100% certainty",
 		},
-	}
-}
-
-// TestJSONSchema round-trips -format=json output through a strict
-// schema check: exact top-level keys, exact per-finding keys, correct
-// types, and count consistency. The field names are a CI contract —
-// this test is what breaks if they drift.
-func TestJSONSchema(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeDiagnostics(&buf, "json", sampleDiags()); err != nil {
-		t.Fatalf("writeDiagnostics(json): %v", err)
-	}
-
-	// Strict decode: unknown or missing fields fail.
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	var rep jsonReport
-	if err := dec.Decode(&rep); err != nil {
-		t.Fatalf("decoding into jsonReport: %v", err)
-	}
-	if rep.Count != len(rep.Findings) || rep.Count != 2 {
-		t.Errorf("count = %d, findings = %d, want both 2", rep.Count, len(rep.Findings))
-	}
-
-	// Generic schema walk: every finding has exactly the five keys
-	// with the right JSON types.
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("unmarshal generic: %v", err)
-	}
-	if len(doc) != 2 {
-		t.Errorf("top-level keys = %d, want exactly {findings, count}", len(doc))
-	}
-	findings, ok := doc["findings"].([]any)
-	if !ok {
-		t.Fatalf("findings is %T, want array", doc["findings"])
-	}
-	for i, raw := range findings {
-		f, ok := raw.(map[string]any)
-		if !ok {
-			t.Fatalf("finding %d is %T, want object", i, raw)
-		}
-		if len(f) != 5 {
-			t.Errorf("finding %d has %d keys, want exactly {file, line, column, analyzer, message}", i, len(f))
-		}
-		for _, key := range []string{"file", "analyzer", "message"} {
-			if _, ok := f[key].(string); !ok {
-				t.Errorf("finding %d: %q is %T, want string", i, key, f[key])
-			}
-		}
-		for _, key := range []string{"line", "column"} {
-			if _, ok := f[key].(float64); !ok {
-				t.Errorf("finding %d: %q is %T, want number", i, key, f[key])
-			}
-		}
-	}
-
-	// Round trip: re-encoding the decoded report reproduces the bytes.
-	var buf2 bytes.Buffer
-	enc := json.NewEncoder(&buf2)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if buf.String() != buf2.String() {
-		t.Errorf("JSON does not round-trip:\n--- first ---\n%s\n--- second ---\n%s", buf.String(), buf2.String())
 	}
 }
 

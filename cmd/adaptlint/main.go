@@ -11,7 +11,7 @@ import (
 func main() {
 	root := flag.String("root", ".", "module root to analyze (directory containing go.mod)")
 	list := flag.Bool("list", false, "list the analyzers and the invariants they protect, then exit")
-	format := flag.String("format", "text", "output format: text, json, or github (Actions annotations)")
+	format := flag.String("format", "text", "output format: text or github (Actions annotations)")
 	flag.Parse()
 
 	if *list {

@@ -212,7 +212,7 @@ func mapOrderAccumulation(info *types.Info, rng *ast.RangeStmt) (token.Pos, bool
 // cannot be resolved to a field or package variable (locals, map
 // entries) return "" and stay out of the lock-order graph — per-file
 // lock instances of one field all share an identity anyway, which is
-// why same-identity self-edges are not reported.
+// why same-identity self-edges are not reported (shard locks aside).
 func lockIdentity(p *Pkg, expr ast.Expr) string {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.SelectorExpr:
@@ -237,7 +237,7 @@ func lockIdentity(p *Pkg, expr ast.Expr) string {
 			return ""
 		}
 		// Package-level mutexes unify; function locals do not escape
-		// the function and are rule-1 lockcheck territory.
+		// the function and are left to lockcheck's rules 1 and 2.
 		if v.Parent() == v.Pkg().Scope() {
 			return shortPkg(v.Pkg().Path()) + "." + v.Name()
 		}

@@ -1,4 +1,4 @@
-// Package deadlock is the lockorder fixture: two locks taken in
+// Package deadlock is the lock-order fixture: two locks taken in
 // opposite orders across functions — one order via a callee, the
 // reverse inline — plus a strictly ordered pair that must stay quiet.
 package deadlock

@@ -1,6 +1,6 @@
-// Package locks is the lockcheck fixture: leaked locks, a hook call
-// under a held lock, and the three approved disciplines (defer,
-// all-paths unlock, escaping unlock).
+// Package locks is the lockcheck fixture: leaked locks, hook calls
+// under a held field or local lock, and the approved disciplines (defer,
+// all-paths unlock, escaping unlock, nested instances of one field).
 package locks
 
 import "sync"
@@ -73,4 +73,23 @@ func (s *Store) HookAfterUnlock(n int) []byte {
 func (s *Store) Handle() func() {
 	s.mu.Lock()
 	return s.mu.Unlock
+}
+
+// Pair nests two instances of one non-shard mutex field, the per-file
+// lock pattern: a self-edge the lock graph drops — clean.
+func Pair(a, b *Store) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(a.data) + len(b.data)
+}
+
+// HookUnderLocalLock consults the injector while holding a local
+// mutex, which has no declaration identity — flagged.
+func HookUnderLocalLock(hooks FaultInjector, n int) error {
+	var mu sync.Mutex
+	mu.Lock()
+	defer mu.Unlock()
+	return hooks.FailOp(n)
 }

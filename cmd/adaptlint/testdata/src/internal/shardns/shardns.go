@@ -1,4 +1,4 @@
-// Package shardns is the shardlock fixture: a sharded table whose
+// Package shardns is the leaf-lock fixture: a sharded table whose
 // per-shard mutexes must be leaves. Two functions hold one shard
 // while taking another — directly and through a callee — and one
 // walks the shards the approved way, one at a time in ascending
@@ -15,7 +15,7 @@ type tblShard struct {
 }
 
 // MoveBad drains one shard into another while holding both — two
-// instances of the same lock, invisible to lockorder's
+// instances of the same lock, a self-edge of lockcheck's
 // declaration-level graph, but exactly the opposite-order deadlock
 // the ascending-walk rule exists to prevent.
 func MoveBad(a, b *tblShard) {

@@ -348,9 +348,10 @@ func (d *DataNode) UsedBytes() int64 {
 //
 // Lock discipline: code never holds two shard locks at once.
 // Whole-namespace operations visit shards one at a time in ascending
-// shard-index order (the adaptlint shardlock analyzer enforces the
-// no-nesting rule). The quota registry is a leaf lock and may be taken
-// under a shard lock.
+// shard-index order (adaptlint's lockcheck enforces the no-nesting
+// rule as its leaf-lock rule: the type's "Shard" suffix opts mu in).
+// The quota registry is a leaf lock and may be taken under a shard
+// lock.
 type nsShard struct {
 	mu        sync.Mutex
 	files     map[string]*FileMeta

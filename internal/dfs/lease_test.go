@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -178,6 +179,50 @@ func TestLeaseShieldsReplicasUntilItExpires(t *testing.T) {
 		if _, err := cl.ReadFile(name); err != nil {
 			t.Fatalf("read %q after scrubs: %v", name, err)
 		}
+	}
+}
+
+// TestScrubCollectsSurplusCopyOfLiveBlock: a torn pipeline can leave a
+// copy of a published block on a node the file does not list. The
+// scrubber judges each replica by (block, holder), so it removes that
+// copy and nothing the file lists.
+func TestScrubCollectsSurplusCopyOfLiveBlock(t *testing.T) {
+	nn, cl, _ := leaseFixture(t)
+	ctx := context.Background()
+	data := bytes.Repeat([]byte("s"), 250) // 3 blocks, 2 replicas each
+	fm, err := cl.CopyFromLocal("f", data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm := fm.Blocks[0]
+	stray := cluster.NodeID(-1)
+	for id := 0; id < nn.Cluster().Len() && stray < 0; id++ {
+		if !slices.Contains(bm.Replicas, cluster.NodeID(id)) {
+			stray = cluster.NodeID(id)
+		}
+	}
+	s, err := nn.Store(stray)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(ctx, bm.ID, data[:bm.Size]); err != nil {
+		t.Fatal(err)
+	}
+
+	if n, err := nn.ScrubOrphans(ctx); err != nil || n != 1 {
+		t.Fatalf("scrub = %d, %v; want the one surplus copy removed", n, err)
+	}
+	if mustDataNode(t, nn, stray).Has(bm.ID) {
+		t.Fatalf("surplus copy of block %d survived on unlisted node %d", bm.ID, stray)
+	}
+	if n := storedReplicas(nn, fm.Blocks); n != 6 {
+		t.Fatalf("%d replicas stored after the scrub, want the 6 listed", n)
+	}
+	if got, err := cl.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back after scrub: %v", err)
+	}
+	if err := nn.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 

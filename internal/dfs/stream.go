@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 )
@@ -64,35 +65,47 @@ func (c *Client) ReadFileToContext(ctx context.Context, name string, w io.Writer
 	return written, nil
 }
 
-// ScrubOrphans deletes stored replicas that no file references —
-// residue of torn pipeline writes whose cleanup could not reach a
-// partitioned holder. Only stores exposing a BlockLister inventory
-// are scrubbed; unreachable nodes are skipped, never assumed empty.
+// ScrubOrphans deletes stored replicas the metadata does not list on
+// their node — residue of torn pipeline writes whose cleanup could not
+// reach a partitioned holder, including a surplus copy of a live block
+// on a node its file does not list. Only stores exposing a BlockLister
+// inventory are scrubbed; unreachable nodes are skipped, never assumed
+// empty.
 //
 // It is safe beside creates: a create in flight holds replicas whose
 // metadata is not yet published, and those are exempt — blocks minted
 // after the scan starts by the block-id high-water mark, older ones by
 // their allocation's lease until Complete publishes them or the lease
-// runs out. (Redistribute and repair copy blocks that are already
-// published, which the metadata re-check covers.) Returns how many
-// replicas were removed.
+// runs out. A copy of a published block is judged under its file's
+// structural lock, which redistribute and repair hold while they copy
+// onto new holders and publish them, so their copies in flight are
+// never taken. Returns how many replicas were removed.
 func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 	// The high-water mark is read before any shard snapshot so a block
 	// minted during the scan is always exempt.
 	highWater := BlockID(nn.nextBlock.Load())
-	live := make(map[BlockID]bool)
+	type replica struct {
+		id   BlockID
+		node cluster.NodeID
+	}
+	owner := make(map[BlockID]string) // published block -> its file
+	listed := make(map[replica]bool)
 	for _, sh := range nn.shards {
 		sh.mu.Lock()
-		for _, fm := range sh.files {
+		for name, fm := range sh.files {
 			for _, bm := range fm.Blocks {
-				live[bm.ID] = true
+				owner[bm.ID] = name
+				for _, r := range bm.Replicas {
+					listed[replica{bm.ID, r}] = true
+				}
 			}
 		}
 		sh.mu.Unlock()
 	}
 
 	removed := 0
-	for _, s := range nn.io.stores {
+	for i, s := range nn.io.stores {
+		node := cluster.NodeID(i)
 		bl, ok := s.(BlockLister)
 		if !ok {
 			continue
@@ -106,38 +119,26 @@ func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 			// after: Complete publishes and then drops its lease, so an
 			// id found unleased here is either published by the time the
 			// re-check looks or was never going to be.
-			if live[id] || id >= highWater || nn.leases.leased(id) {
+			if listed[replica{id, node}] || id >= highWater || nn.leases.leased(id) {
 				continue
 			}
-			// Re-check against current metadata right before deleting:
-			// a concurrent create or redistribute may have published
-			// this block onto this holder after the snapshot above.
-			// Shards are scanned one at a time, ascending.
-			stillOrphan := true
-			for _, sh := range nn.shards {
-				sh.mu.Lock()
-				for _, fm := range sh.files {
-					for _, bm := range fm.Blocks {
-						if bm.ID == id {
-							stillOrphan = false
-							break
-						}
-					}
-					if !stillOrphan {
-						break
-					}
-				}
-				sh.mu.Unlock()
-				if !stillOrphan {
-					break
-				}
+			name, live := owner[id]
+			if !live {
+				// Published since the snapshot? Then it is judged like
+				// any live block.
+				name, _, live = nn.lookupBlock(id, node)
 			}
-			if !stillOrphan {
+			if !live {
+				if s.Delete(ctx, id) == nil {
+					removed++
+				}
 				continue
 			}
-			if err := s.Delete(ctx, id); err == nil {
+			unlock := nn.lockFile(name)
+			if !nn.BlockReferenced(id, node) && s.Delete(ctx, id) == nil {
 				removed++
 			}
+			unlock()
 		}
 		if err := ctx.Err(); err != nil {
 			return removed, err
@@ -153,22 +154,25 @@ func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 // published that node as a holder, and deleting its replica then would
 // turn a recovered write into data loss.
 func (nn *NameNode) BlockReferenced(id BlockID, n cluster.NodeID) bool {
+	_, held, _ := nn.lookupBlock(id, n)
+	return held
+}
+
+// lookupBlock finds block id in current metadata: the file that lists
+// it, whether node n is among its holders, and whether any file lists
+// it at all. Shards are scanned one at a time, ascending.
+func (nn *NameNode) lookupBlock(id BlockID, n cluster.NodeID) (file string, held, ok bool) {
 	for _, sh := range nn.shards {
 		sh.mu.Lock()
-		for _, fm := range sh.files {
+		for name, fm := range sh.files {
 			for _, bm := range fm.Blocks {
-				if bm.ID != id {
-					continue
-				}
-				for _, r := range bm.Replicas {
-					if r == n {
-						sh.mu.Unlock()
-						return true
-					}
+				if bm.ID == id {
+					sh.mu.Unlock()
+					return name, slices.Contains(bm.Replicas, n), true
 				}
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return false
+	return "", false, false
 }

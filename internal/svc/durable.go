@@ -132,7 +132,10 @@ func RecoverShards(root string, shards int) ([][]*dfs.FileMeta, error) {
 // replayNamespace folds snapshot + records into a sorted file list.
 func replayNamespace(log *wal.Log) ([]*dfs.FileMeta, error) {
 	table := make(map[string]*dfs.FileMeta)
-	if snap, seq := log.Snapshot(); snap != nil {
+	if snap, seq := log.Snapshot(); seq > 0 {
+		if snap == nil {
+			return nil, fmt.Errorf("svc: wal snapshot at seq %d is unreadable: %w", seq, wal.ErrCorrupt)
+		}
 		var s walSnapshot
 		if err := json.Unmarshal(snap, &s); err != nil {
 			return nil, fmt.Errorf("svc: decode wal snapshot at seq %d: %w", seq, err)

@@ -70,24 +70,18 @@ type AppendFaults interface {
 	BeforeAppend(frame []byte) (int, error)
 }
 
-type entry struct {
-	seq uint64
-	rec []byte
-}
-
 // Log is a single-writer write-ahead log rooted at a directory. All
-// methods are safe for concurrent use.
+// methods are safe for concurrent use. It keeps no record or snapshot
+// bytes in memory: Replay and Snapshot read them back from the files.
 type Log struct {
-	mu       sync.Mutex
-	dir      string
-	f        *os.File // active segment, positioned at its end
-	seq      uint64   // sequence of the last appended record
-	snapSeq  uint64   // sequence covered by the newest snapshot (0 = none)
-	snapshot []byte   // payload of the newest snapshot (nil = none)
-	entries  []entry  // records with seq > snapSeq, oldest first
-	faults   AppendFaults
-	broken   bool // a durability write failed or Crash was called
-	closed   bool
+	mu      sync.Mutex
+	dir     string
+	f       *os.File // active segment, positioned at its end
+	seq     uint64   // sequence of the last appended record
+	snapSeq uint64   // sequence covered by the newest snapshot (0 = none)
+	faults  AppendFaults
+	broken  bool // a durability write failed or Crash was called
+	closed  bool
 }
 
 // Open opens (creating if needed) the log directory, validates its
@@ -101,20 +95,20 @@ func Open(dir string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir}
-	if err := l.loadSnapshot(snaps); err != nil {
+	l := &Log{dir: dir, snapSeq: newestSnapshot(dir, snaps)}
+	seq, validLen, err := walkChain(dir, segs, l.snapSeq, nil)
+	if err != nil {
 		return nil, err
 	}
-	if err := l.loadSegments(segs); err != nil {
-		return nil, err
+	l.seq = seq
+	if len(segs) == 0 {
+		// No segment: start a fresh one at the current seq.
+		l.f, err = createSegment(dir, l.seq)
+	} else {
+		l.f, err = openTail(dir, segs[len(segs)-1].name, validLen)
 	}
-	if l.f == nil {
-		// No usable segment: start a fresh one at the current seq.
-		f, err := createSegment(dir, l.seq)
-		if err != nil {
-			return nil, err
-		}
-		l.f = f
+	if err != nil {
+		return nil, err
 	}
 	return l, nil
 }
@@ -157,89 +151,108 @@ func parseSeqName(name, prefix, suffix string) (uint64, bool) {
 func segName(seq uint64) string  { return fmt.Sprintf("seg-%020d.log", seq) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%020d.snap", seq) }
 
-// loadSnapshot installs the newest decodable snapshot. A snapshot
-// torn by a crash mid-write never got renamed into place, so a .snap
-// file failing to decode is unexpected — but we fall back to an older
-// one rather than refuse to start.
-func (l *Log) loadSnapshot(snaps []seqFile) error {
+// newestSnapshot returns the sequence of the newest decodable
+// snapshot, 0 when there is none. A snapshot torn by a crash mid-write
+// never got renamed into place, so a .snap file failing to decode is
+// unexpected — but we fall back to an older one rather than refuse to
+// start.
+func newestSnapshot(dir string, snaps []seqFile) uint64 {
 	for i := len(snaps) - 1; i >= 0; i-- {
-		data, err := os.ReadFile(filepath.Join(l.dir, snaps[i].name))
-		if err != nil {
-			continue
+		if _, ok := readSnapshot(dir, snaps[i].seq); ok {
+			return snaps[i].seq
 		}
-		payload, n, ok := decodeFrame(data)
-		if !ok || n != len(data) {
-			continue
-		}
-		l.snapSeq = snaps[i].seq
-		l.seq = snaps[i].seq
-		l.snapshot = payload
-		return nil
 	}
-	return nil
+	return 0
 }
 
-// loadSegments replays every record newer than the snapshot into
-// memory, validates segment-chain contiguity, and opens the final
-// segment for appending (truncating a torn tail first).
-func (l *Log) loadSegments(segs []seqFile) error {
+// readSnapshot reads and decodes the snapshot covering records 1..seq.
+func readSnapshot(dir string, seq uint64) ([]byte, bool) {
+	data, err := os.ReadFile(filepath.Join(dir, snapName(seq)))
+	if err != nil {
+		return nil, false
+	}
+	payload, n, ok := decodeFrame(data)
+	return payload, ok && n == len(data)
+}
+
+// walkChain is the one segment-chain walk behind Open and Replay. It
+// skips segments the snapshot at snapSeq fully covers (prune leftovers
+// from a crash between snapshot rename and file removal), requires
+// every later segment to continue where the previous one ended, and
+// hands fn (when non-nil) each record newer than snapSeq. An invalid
+// frame ends a final segment (a torn tail) and is ErrCorrupt in any
+// other. It returns the sequence of the last record walked and the
+// length of the final segment's valid prefix.
+func walkChain(dir string, segs []seqFile, snapSeq uint64, fn func(seq uint64, rec []byte) error) (seq uint64, validLen int, err error) {
+	seq = snapSeq
 	scanning := false
 	for i, sg := range segs {
 		last := i == len(segs)-1
 		if !scanning {
-			// Skip segments the snapshot fully covers (prune leftovers
-			// from a crash between snapshot rename and file removal).
-			if !last && segs[i+1].seq <= l.snapSeq {
+			if !last && segs[i+1].seq <= snapSeq {
 				continue
 			}
-			if sg.seq > l.snapSeq {
-				return fmt.Errorf("%w: segment %s starts after snapshot seq %d", ErrCorrupt, sg.name, l.snapSeq)
+			if sg.seq > snapSeq {
+				return 0, 0, fmt.Errorf("%w: segment %s starts after snapshot seq %d", ErrCorrupt, sg.name, snapSeq)
 			}
 			scanning = true
-			l.seq = sg.seq
-		} else if sg.seq != l.seq {
-			return fmt.Errorf("%w: segment %s does not continue from seq %d", ErrCorrupt, sg.name, l.seq)
+			seq = sg.seq
+		} else if sg.seq != seq {
+			return 0, 0, fmt.Errorf("%w: segment %s does not continue from seq %d", ErrCorrupt, sg.name, seq)
 		}
-		path := filepath.Join(l.dir, sg.name)
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(filepath.Join(dir, sg.name))
 		if err != nil {
-			return fmt.Errorf("wal: read %s: %w", sg.name, err)
+			return 0, 0, fmt.Errorf("wal: read %s: %w", sg.name, err)
 		}
-		recs, validLen := scanRecords(data)
-		if validLen < len(data) && !last {
-			return fmt.Errorf("%w: invalid frame at %s offset %d", ErrCorrupt, sg.name, validLen)
-		}
-		for _, rec := range recs {
-			l.seq++
-			if l.seq > l.snapSeq {
-				l.entries = append(l.entries, entry{seq: l.seq, rec: rec})
+		off := 0
+		for off < len(data) {
+			rec, n, ok := decodeFrame(data[off:])
+			if !ok {
+				break
 			}
-		}
-		if last {
-			f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-			if err != nil {
-				return fmt.Errorf("wal: open %s: %w", sg.name, err)
-			}
-			if validLen < len(data) {
-				// Torn tail: drop the partial frame so the next append
-				// starts a clean record boundary.
-				if err := f.Truncate(int64(validLen)); err != nil {
-					_ = f.Close()
-					return fmt.Errorf("wal: truncate torn tail of %s: %w", sg.name, err)
-				}
-				if err := f.Sync(); err != nil {
-					_ = f.Close()
-					return fmt.Errorf("wal: sync %s: %w", sg.name, err)
+			off += n
+			seq++
+			if fn != nil && seq > snapSeq {
+				if err := fn(seq, rec); err != nil {
+					return seq, off, err
 				}
 			}
-			if _, err := f.Seek(int64(validLen), 0); err != nil {
-				_ = f.Close()
-				return fmt.Errorf("wal: seek %s: %w", sg.name, err)
-			}
-			l.f = f
+		}
+		if off < len(data) && !last {
+			return 0, 0, fmt.Errorf("%w: invalid frame at %s offset %d", ErrCorrupt, sg.name, off)
+		}
+		validLen = off
+	}
+	return seq, validLen, nil
+}
+
+// openTail opens the final segment for appending, truncating a torn
+// tail first so the next append starts a clean record boundary.
+func openTail(dir, name string, validLen int) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", name, err)
+	}
+	fail := func(what string, err error) (*os.File, error) {
+		_ = f.Close()
+		return nil, fmt.Errorf("wal: %s %s: %w", what, name, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return fail("stat", err)
+	}
+	if fi.Size() > int64(validLen) {
+		if err := f.Truncate(int64(validLen)); err != nil {
+			return fail("truncate torn tail of", err)
+		}
+		if err := f.Sync(); err != nil {
+			return fail("sync", err)
 		}
 	}
-	return nil
+	if _, err := f.Seek(int64(validLen), 0); err != nil {
+		return fail("seek", err)
+	}
+	return f, nil
 }
 
 // appendFrame encodes one record frame onto dst.
@@ -265,23 +278,7 @@ func decodeFrame(data []byte) (payload []byte, n int, ok bool) {
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[4:8]) {
 		return nil, 0, false
 	}
-	return append([]byte(nil), payload...), frameHeader + int(size), true
-}
-
-// scanRecords decodes consecutive frames from data, stopping at the
-// first invalid one. validLen is the offset of the first byte not
-// part of a valid frame (== len(data) when the whole file is clean).
-func scanRecords(data []byte) (recs [][]byte, validLen int) {
-	off := 0
-	for off < len(data) {
-		payload, n, ok := decodeFrame(data[off:])
-		if !ok {
-			break
-		}
-		recs = append(recs, payload)
-		off += n
-	}
-	return recs, off
+	return payload, frameHeader + int(size), true
 }
 
 // SetFaults installs an append-fault injector (nil disables).
@@ -327,7 +324,6 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: append sync: %w", err)
 	}
 	l.seq++
-	l.entries = append(l.entries, entry{seq: l.seq, rec: append([]byte(nil), rec...)})
 	return l.seq, nil
 }
 
@@ -369,10 +365,6 @@ func (l *Log) SaveSnapshot(state []byte, upTo uint64) error {
 	}
 	l.f = f
 	l.snapSeq = upTo
-	l.snapshot = append([]byte(nil), state...)
-	for len(l.entries) > 0 && l.entries[0].seq <= upTo {
-		l.entries = l.entries[1:]
-	}
 	l.prune()
 	return nil
 }
@@ -451,26 +443,43 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Snapshot returns a copy of the newest snapshot payload and the
-// sequence it covers (nil, 0 when none exists).
+// Snapshot reads back the newest snapshot payload and returns it with
+// the sequence it covers: (nil, 0) when none exists, and a nil payload
+// beside a non-zero sequence when the file can no longer be read.
 func (l *Log) Snapshot() ([]byte, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.snapshot == nil {
-		return nil, l.snapSeq
+	if l.snapSeq == 0 {
+		return nil, 0
 	}
-	return append([]byte(nil), l.snapshot...), l.snapSeq
+	payload, _ := readSnapshot(l.dir, l.snapSeq)
+	return payload, l.snapSeq
 }
 
-// Replay invokes fn for every record newer than the snapshot, oldest
-// first. fn runs without the log lock held; records appended
-// concurrently with Replay may or may not be included.
+// Replay reads back every record newer than the snapshot and invokes
+// fn for each, oldest first. fn runs without the log lock held
+// and may keep rec; records appended concurrently with Replay may or
+// may not be included.
 func (l *Log) Replay(fn func(seq uint64, rec []byte) error) error {
+	type record struct {
+		seq uint64
+		rec []byte
+	}
+	var recs []record
 	l.mu.Lock()
-	entries := l.entries
+	_, segs, err := listDir(l.dir)
+	if err == nil {
+		_, _, err = walkChain(l.dir, segs, l.snapSeq, func(seq uint64, rec []byte) error {
+			recs = append(recs, record{seq, rec})
+			return nil
+		})
+	}
 	l.mu.Unlock()
-	for _, e := range entries {
-		if err := fn(e.seq, append([]byte(nil), e.rec...)); err != nil {
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		if err := fn(r.seq, r.rec); err != nil {
 			return err
 		}
 	}
