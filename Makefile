@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github build test test-short race-all sched-verify svc-smoke crash-smoke dfs-smoke soak bench sim-scale-smoke fuzz-smoke
+.PHONY: ci vet lint lint-github build test test-short race-all sched-verify svc-smoke crash-smoke dfs-smoke soak bench sim-smoke fuzz-smoke
 
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the frame-codec fuzz smoke, and the
-# simulator's pinned-fingerprint run at benchmark scale.
-ci: vet lint build race-all fuzz-smoke sim-scale-smoke
+# simulator workloads' pinned-fingerprint runs at benchmark scale.
+ci: vet lint build race-all fuzz-smoke sim-smoke
 
 vet:
 	$(GO) vet ./...
@@ -85,9 +85,14 @@ soak:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Three seconds of the repo benchmark's sim_scale workload (3072
-# trace-derived hosts) on seed 1: exits non-zero unless every cell ran
-# and the results fingerprint equal to benchmark/testdata/fingerprints.json,
-# so a scheduling change that moves one simulated event fails here.
-sim-scale-smoke:
-	bash benchmark/run.sh --workload sim_scale --seed 1 --seconds 3 --trace 0
+# Three seconds of each of the repo benchmark's simulator workloads on
+# seed 1: sim_scale (3072 trace-derived hosts) and sim_emulation (256
+# Table-2 nodes, whose adapt/3rep series is the only pinned k = 3 ADAPT
+# placement at benchmark scale). Each exits non-zero unless every cell
+# ran and the results fingerprint equal to
+# benchmark/testdata/fingerprints.json, so a placement or scheduling
+# change that moves one simulated event fails here.
+sim-smoke:
+	for w in sim_scale sim_emulation; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
+	done

@@ -9,7 +9,10 @@
 //   - ADAPT — Algorithm 1: nodes are weighted by their efficiency
 //     1/E[T_i] from the availability model, a block→node hash table is
 //     built (buildHashTable) and each block is placed by randomized
-//     lookup with chained collision resolution (dataPlacement).
+//     lookup with chained collision resolution (dataPlacement). The
+//     table is stored as one span per node — its interval on the
+//     block-key line [0, m) — and a key's chain is the run of spans
+//     that overlap it, so it costs O(n) to build, not O(m).
 //   - Naive — the strawman evaluated in §V-C: nodes weighted by their
 //     steady-state availability (MTBI − μ)/MTBI.
 //

@@ -416,36 +416,6 @@ func TestPlacementProperty(t *testing.T) {
 	}
 }
 
-func TestBuildHashTableCoversAllKeys(t *testing.T) {
-	err := quick.Check(func(mRaw uint8, wRaw [5]uint8) bool {
-		m := int(mRaw)%100 + 1
-		ws := make([]float64, 5)
-		var any bool
-		for i, w := range wRaw {
-			ws[i] = float64(w)
-			if w > 0 {
-				any = true
-			}
-		}
-		if !any {
-			ws[0] = 1
-		}
-		ht, err := buildHashTable(m, ws, CollisionByRate)
-		if err != nil {
-			return false
-		}
-		for _, chain := range ht.chains {
-			if len(chain) == 0 {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPrimaryCountPerNode(t *testing.T) {
 	a := &Assignment{Nodes: 4, Replicas: [][]cluster.NodeID{
 		{0, 1}, {0, 2}, {3, 0},

@@ -1,9 +1,10 @@
 package placement
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/stats"
@@ -35,107 +36,111 @@ func (m CollisionMode) String() string {
 	}
 }
 
-// chainEntry is one node chained on a hash-table key.
-type chainEntry struct {
-	node    int
-	rate    float64 // global normalized rate of the node
-	overlap float64 // length of the node interval ∩ [key, key+1)
+// span is one node's interval [lo, hi) on Algorithm 1's key line
+// [0, m): the node is chained on every key j whose unit interval
+// [j, j+1) the span overlaps.
+type span struct {
+	node   int
+	rate   float64 // global normalized rate of the node
+	lo, hi float64
 }
 
-// hashTable is the block→node table of Algorithm 1. Keys are block
-// slots [0, m); values are chains of candidate nodes.
-type hashTable struct {
-	chains [][]chainEntry
-	mode   CollisionMode
+// overlap is the length of the span ∩ [x, x+1).
+func (s span) overlap(x float64) float64 { return min(s.hi, x+1) - max(s.lo, x) }
+
+// spanTable is the block→node hash table of Algorithm 1. Keys are block
+// slots [0, m). Instead of one chain per key it keeps the node spans
+// the chains are cut from, in node order; a key's chain is the run of
+// spans that overlap it.
+type spanTable struct {
+	spans []span
+	m     int // number of keys
+	end   int // first key no span covers
+	mode  CollisionMode
 }
 
-// buildHashTable implements subroutine buildHashTable of Algorithm 1.
-// weights[i] is the raw weight of node i (1/E[T_i] for ADAPT); nodes
-// with non-positive weight are skipped. m is the number of blocks
-// (table size).
-func buildHashTable(m int, weights []float64, mode CollisionMode) (*hashTable, error) {
+// build implements subroutine buildHashTable of Algorithm 1 over the
+// nodes with positive weight that skip does not exclude. weights[i] is
+// the raw weight of node i (1/E[T_i] for ADAPT). It reuses the spans'
+// backing array, which it writes only when it succeeds.
+func (t *spanTable) build(weights []float64, skip func(node int) bool) error {
 	var phi float64 // Φ = Σ 1/E(T_i)
-	for _, w := range weights {
-		if w > 0 && !math.IsInf(w, 1) {
+	for i, w := range weights {
+		if w > 0 && !math.IsInf(w, 1) && !skip(i) {
 			phi += w
 		}
 	}
-	if phi <= 0 {
-		return nil, ErrNoWeight
-	}
-	ht := &hashTable{chains: make([][]chainEntry, m), mode: mode}
+	spans := t.spans[:0]
 	a := 0.0 // begin index of hash table keys for the current node
 	for i, w := range weights {
-		if w <= 0 || math.IsInf(w, 1) {
+		if w <= 0 || math.IsInf(w, 1) || skip(i) {
 			continue
 		}
 		rate := w / phi
-		wi := float64(m) * rate // number of blocks for node i
-		b := a + wi             // end index of hash table keys for node i
-		if b > float64(m) {
-			b = float64(m)
-		}
-		// Insert node i into every integer key whose unit interval
-		// [j, j+1) overlaps [a, b).
-		for j := int(a); float64(j) < b && j < m; j++ {
-			lo := math.Max(a, float64(j))
-			hi := math.Min(b, float64(j+1))
-			if hi <= lo {
-				continue
-			}
-			ht.chains[j] = append(ht.chains[j], chainEntry{node: i, rate: rate, overlap: hi - lo})
+		wi := float64(t.m) * rate // number of blocks for node i
+		b := min(a+wi, float64(t.m))
+		if b > a {
+			spans = append(spans, span{node: i, rate: rate, lo: a, hi: b})
 		}
 		a = b
 	}
-	// Floating-point slack can leave the trailing keys uncovered;
-	// extend the last node's interval to m.
-	for j := m - 1; j >= 0 && len(ht.chains[j]) == 0; j-- {
-		// Find the previous non-empty chain and reuse its last node.
-		for p := j - 1; p >= 0; p-- {
-			if n := len(ht.chains[p]); n > 0 {
-				last := ht.chains[p][n-1]
-				last.overlap = 1
-				ht.chains[j] = append(ht.chains[j], last)
-				break
-			}
-		}
-		if len(ht.chains[j]) == 0 {
-			return nil, ErrNoWeight
-		}
+	// No span: Φ is zero, or so large that every rate rounds to zero,
+	// or a NaN weight precedes every other; a NaN weight empties its
+	// interval and all later ones, which leaves trailing keys.
+	if len(spans) == 0 {
+		return ErrNoWeight
 	}
-	return ht, nil
+	t.spans, t.end = spans, int(math.Ceil(spans[len(spans)-1].hi))
+	return nil
+}
+
+// chain returns the spans chained on key r, in node order.
+func (t *spanTable) chain(r int) []span {
+	if r >= t.end {
+		// Keys past the last span (left by a NaN weight, or by rounding
+		// on a long enough key line) reuse the last node's interval.
+		return t.spans[len(t.spans)-1:]
+	}
+	x := float64(r)
+	i := sort.Search(len(t.spans), func(i int) bool { return t.spans[i].hi > x })
+	j := i + 1
+	for j < len(t.spans) && int(t.spans[j].lo) <= r {
+		j++
+	}
+	return t.spans[i:j]
 }
 
 // lookup implements subroutine dataPlacement of Algorithm 1: draw a
 // random key r in [0, m) and resolve the chain.
-func (ht *hashTable) lookup(g *stats.RNG) int {
-	r := g.IntN(len(ht.chains))
-	chain := ht.chains[r]
+func (t *spanTable) lookup(g *stats.RNG) int {
+	r := g.IntN(t.m)
+	chain := t.chain(r)
 	if len(chain) == 1 {
 		return chain[0].node
 	}
 	// Handle the collisions: weighted draw within the chain.
+	x := float64(r)
 	var omega float64
-	for _, e := range chain {
-		omega += ht.weightOf(e)
+	for _, s := range chain {
+		omega += t.weightOf(s, x)
 	}
 	r1 := g.Float64()
 	lowBound := 0.0
-	for _, e := range chain {
-		upBound := lowBound + ht.weightOf(e)/omega
+	for _, s := range chain {
+		upBound := lowBound + t.weightOf(s, x)/omega
 		if r1 < upBound {
-			return e.node
+			return s.node
 		}
 		lowBound = upBound
 	}
 	return chain[len(chain)-1].node
 }
 
-func (ht *hashTable) weightOf(e chainEntry) float64 {
-	if ht.mode == CollisionByOverlap {
-		return e.overlap
+func (t *spanTable) weightOf(s span, x float64) float64 {
+	if t.mode == CollisionByOverlap {
+		return s.overlap(x)
 	}
-	return e.rate
+	return s.rate
 }
 
 // Weighted is the machinery shared by ADAPT and the naive strategy: a
@@ -225,35 +230,31 @@ func (w *Weighted) NewPlacer(m, k int, g *stats.RNG) (Placer, error) {
 	if mode == 0 {
 		mode = CollisionByRate
 	}
-	ht, err := buildHashTable(m, ws, mode)
-	if err != nil {
-		return nil, err
-	}
 	limit := 0
 	if !w.DisableThreshold {
 		limit = Threshold(m, k, n)
 	}
 	wp := &weightedPlacer{
 		weights:         ws,
-		mode:            mode,
-		m:               m,
 		k:               k,
 		limit:           limit,
 		counts:          make([]int, n),
-		table:           ht,
+		table:           spanTable{spans: make([]span, 0, n), m: m, mode: mode},
 		g:               g,
 		uniformReplicas: w.UniformReplicas,
+	}
+	if err := wp.table.build(ws, wp.isSaturated); err != nil {
+		return nil, err
 	}
 	return wp, nil
 }
 
 type weightedPlacer struct {
 	weights         []float64
-	mode            CollisionMode
-	m, k            int
+	k               int
 	limit           int // 0 = unbounded
 	counts          []int
-	table           *hashTable
+	table           spanTable
 	g               *stats.RNG
 	uniformReplicas bool
 }
@@ -262,52 +263,42 @@ func (p *weightedPlacer) isSaturated(node int) bool {
 	return p.limit > 0 && p.counts[node] >= p.limit
 }
 
-// rebuildWithoutSaturated rebuilds the hash table over the remaining
-// nodes ("the node that reaches the threshold will not be considered
-// for future data block placement", §IV-C).
-func (p *weightedPlacer) rebuildWithoutSaturated() error {
-	ws := make([]float64, len(p.weights))
-	copy(ws, p.weights)
-	for i := range ws {
-		if p.isSaturated(i) {
-			ws[i] = 0
-		}
-	}
-	ht, err := buildHashTable(p.m, ws, p.mode)
-	if err != nil {
-		return err
-	}
-	p.table = ht
-	return nil
+// eligible reports whether node may take the next replica of a block
+// already held by used.
+func (p *weightedPlacer) eligible(node int, used []cluster.NodeID) bool {
+	return !p.isSaturated(node) && !slices.Contains(used, cluster.NodeID(node))
 }
 
 // placeOne draws one holder, excluding nodes in used, honoring caps.
-func (p *weightedPlacer) placeOne(used map[int]bool) (int, error) {
+func (p *weightedPlacer) placeOne(used []cluster.NodeID) (int, error) {
 	// Fast path: Algorithm 1 lookup; redraw on saturated/used hits.
 	const tries = 32
 	for t := 0; t < tries; t++ {
 		node := p.table.lookup(p.g)
-		if used[node] {
+		if slices.Contains(used, cluster.NodeID(node)) {
 			continue
 		}
 		if p.isSaturated(node) {
-			if err := p.rebuildWithoutSaturated(); err != nil {
-				if errors.Is(err, ErrNoWeight) {
-					// Every weighted node is saturated; only the slow
-					// path's uniform fallback over zero-weight capacity
-					// can still place this block.
-					break
-				}
-				return -1, err
+			// "The node that reaches the threshold will not be
+			// considered for future data block placement" (§IV-C).
+			if p.table.build(p.weights, p.isSaturated) != nil {
+				// Every weighted node is saturated; only the slow
+				// path's uniform fallback over zero-weight capacity
+				// can still place this block.
+				break
 			}
 			continue
 		}
 		return node, nil
 	}
-	// Slow path: explicit weighted draw over eligible nodes.
+	return p.placeSlow(used)
+}
+
+// placeSlow is an explicit weighted draw over eligible nodes.
+func (p *weightedPlacer) placeSlow(used []cluster.NodeID) (int, error) {
 	var total float64
 	for i, w := range p.weights {
-		if w > 0 && !used[i] && !p.isSaturated(i) {
+		if w > 0 && p.eligible(i, used) {
 			total += w
 		}
 	}
@@ -315,25 +306,11 @@ func (p *weightedPlacer) placeOne(used map[int]bool) (int, error) {
 		// Weighted mass exhausted; fall back to any node with
 		// capacity so the file can still be stored (matches HDFS,
 		// which never fails placement while space remains).
-		eligible := 0
-		pick := -1
-		for i := range p.weights {
-			if used[i] || p.isSaturated(i) {
-				continue
-			}
-			eligible++
-			if p.g.IntN(eligible) == 0 {
-				pick = i
-			}
-		}
-		if pick < 0 {
-			return -1, ErrNoCapacity
-		}
-		return pick, nil
+		return p.placeUniform(used)
 	}
 	r := p.g.Float64() * total
 	for i, w := range p.weights {
-		if w <= 0 || used[i] || p.isSaturated(i) {
+		if w <= 0 || !p.eligible(i, used) {
 			continue
 		}
 		r -= w
@@ -343,7 +320,7 @@ func (p *weightedPlacer) placeOne(used map[int]bool) (int, error) {
 	}
 	// Floating point slack: return the last eligible node.
 	for i := len(p.weights) - 1; i >= 0; i-- {
-		if p.weights[i] > 0 && !used[i] && !p.isSaturated(i) {
+		if p.weights[i] > 0 && p.eligible(i, used) {
 			return i, nil
 		}
 	}
@@ -351,15 +328,15 @@ func (p *weightedPlacer) placeOne(used map[int]bool) (int, error) {
 }
 
 // placeUniform draws one holder uniformly among eligible nodes.
-func (p *weightedPlacer) placeUniform(used map[int]bool) (int, error) {
-	eligible := 0
+func (p *weightedPlacer) placeUniform(used []cluster.NodeID) (int, error) {
+	seen := 0
 	pick := -1
 	for i := range p.weights {
-		if used[i] || p.isSaturated(i) {
+		if !p.eligible(i, used) {
 			continue
 		}
-		eligible++
-		if p.g.IntN(eligible) == 0 {
+		seen++
+		if p.g.IntN(seen) == 0 {
 			pick = i
 		}
 	}
@@ -372,19 +349,17 @@ func (p *weightedPlacer) placeUniform(used map[int]bool) (int, error) {
 // PlaceBlock implements Placer.
 func (p *weightedPlacer) PlaceBlock() ([]cluster.NodeID, error) {
 	holders := make([]cluster.NodeID, 0, p.k)
-	used := make(map[int]bool, p.k)
 	for r := 0; r < p.k; r++ {
 		var node int
 		var err error
 		if r > 0 && p.uniformReplicas {
-			node, err = p.placeUniform(used)
+			node, err = p.placeUniform(holders)
 		} else {
-			node, err = p.placeOne(used)
+			node, err = p.placeOne(holders)
 		}
 		if err != nil {
 			return nil, err
 		}
-		used[node] = true
 		p.counts[node]++
 		holders = append(holders, cluster.NodeID(node))
 	}
