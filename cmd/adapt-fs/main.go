@@ -227,8 +227,9 @@ func runChaos(c *adapt.Cluster, nn *adapt.NameNode, client *adapt.DFSClient, g *
 		applied, engine.Now())
 	fmt.Printf("resilience: %s\n", nn.Resilience().Snapshot())
 
-	// Compare injected vs estimated per group. The injected values must
-	// be read before RefreshAvailability overwrites them below.
+	// Compare injected vs estimated per group. c keeps the injected
+	// values: RefreshAvailability below publishes the estimates as a
+	// new snapshot and never writes into c.
 	type agg struct {
 		n             int
 		lambda, mu    float64

@@ -478,6 +478,15 @@ func localDemo(args []string) error {
 	if err := lc.FlushHeartbeats(ctx); err != nil {
 		return err
 	}
+	est, err := cl.Estimates(ctx)
+	if err != nil {
+		return err
+	}
+	for id := cluster.NodeID(0); int(id) < *nodes; id++ {
+		if learned := est[id].Lambda > 0; learned != (id < 2) {
+			return fmt.Errorf("local-demo: heartbeats left node %d at λ=%g; want λ > 0 for exactly nodes 0 and 1", id, est[id].Lambda)
+		}
+	}
 	moved, err := cl.Adapt(ctx, "/data")
 	if err != nil {
 		return err
@@ -487,6 +496,15 @@ func localDemo(args []string) error {
 		return err
 	}
 	fmt.Printf("adapt /data after heartbeats: moved %d replicas, distribution %v\n", moved, after)
+	// The flaky pair must end up with fewer replicas per node than the
+	// reliable rest (with 4 nodes: than the reliable pair).
+	flaky, reliable := after[0]+after[1], 0
+	for _, n := range after[2:] {
+		reliable += n
+	}
+	if flaky*(*nodes-2) >= reliable*2 {
+		return fmt.Errorf("local-demo: after adapt the flaky nodes 0-1 hold %d replicas against %d on the %d reliable ones", flaky, reliable, *nodes-2)
+	}
 	if err := cl.CheckConsistency(ctx); err != nil {
 		return err
 	}

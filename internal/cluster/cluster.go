@@ -56,7 +56,9 @@ func (n *Node) Interrupted() bool {
 	return !n.Availability.Dedicated()
 }
 
-// Cluster is an immutable collection of nodes.
+// Cluster is an immutable collection of nodes. New availability is a
+// new Cluster (HeartbeatEstimator.Apply), never a write into one, so a
+// *Cluster can be shared across goroutines without a lock.
 type Cluster struct {
 	nodes []Node
 }
@@ -91,8 +93,10 @@ func New(nodes []Node) (*Cluster, error) {
 // Len returns the number of nodes.
 func (c *Cluster) Len() int { return len(c.nodes) }
 
-// Node returns the node with the given id. It panics on out-of-range
-// ids, which indicate a programming error (ids are dense).
+// Node returns the node with the given id. The pointer is read-only:
+// it points into a snapshot other goroutines share, so the caller must
+// not write through it. It panics on out-of-range ids, which indicate
+// a programming error (ids are dense).
 func (c *Cluster) Node(id NodeID) *Node { return &c.nodes[id] }
 
 // Nodes returns a copy of the node slice.

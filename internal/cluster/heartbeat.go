@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/adaptsim/adapt/internal/model"
@@ -19,10 +18,6 @@ import (
 type HeartbeatEstimator struct {
 	mu    sync.Mutex
 	nodes map[NodeID]*nodeStats
-	// dirty tracks nodes whose stats changed since the last ApplyDirty
-	// drain, so a refresh under churn recomputes O(changed) estimates
-	// instead of O(cluster).
-	dirty map[NodeID]bool
 }
 
 type nodeStats struct {
@@ -33,7 +28,7 @@ type nodeStats struct {
 
 // NewHeartbeatEstimator returns an empty estimator.
 func NewHeartbeatEstimator() *HeartbeatEstimator {
-	return &HeartbeatEstimator{nodes: make(map[NodeID]*nodeStats), dirty: make(map[NodeID]bool)}
+	return &HeartbeatEstimator{nodes: make(map[NodeID]*nodeStats)}
 }
 
 // ObserveUptime records that a node was observed (heartbeating) for d
@@ -91,15 +86,13 @@ func (h *HeartbeatEstimator) ObserveBatch(id NodeID, uptime float64, interruptio
 	return nil
 }
 
-// stats returns (creating if needed) a node's bookkeeping and marks
-// the node dirty: every caller is an Observe path about to mutate it.
+// stats returns (creating if needed) a node's bookkeeping.
 func (h *HeartbeatEstimator) stats(id NodeID) *nodeStats {
 	s, ok := h.nodes[id]
 	if !ok {
 		s = &nodeStats{}
 		h.nodes[id] = s
 	}
-	h.dirty[id] = true
 	return s
 }
 
@@ -124,7 +117,14 @@ func (h *HeartbeatEstimator) Estimate(id NodeID) model.Availability {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s, ok := h.nodes[id]
-	if !ok || s.interruptions == 0 || s.observedFor <= 0 {
+	if !ok {
+		return model.Availability{}
+	}
+	return s.estimate()
+}
+
+func (s *nodeStats) estimate() model.Availability {
+	if s.interruptions == 0 || s.observedFor <= 0 {
 		return model.Availability{}
 	}
 	return model.Availability{
@@ -136,67 +136,29 @@ func (h *HeartbeatEstimator) Estimate(id NodeID) model.Availability {
 // Snapshot returns estimates for all observed nodes.
 func (h *HeartbeatEstimator) Snapshot() map[NodeID]model.Availability {
 	h.mu.Lock()
-	ids := make([]NodeID, 0, len(h.nodes))
-	for id := range h.nodes {
-		ids = append(ids, id)
-	}
-	h.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make(map[NodeID]model.Availability, len(ids))
-	for _, id := range ids {
-		out[id] = h.Estimate(id)
+	defer h.mu.Unlock()
+	out := make(map[NodeID]model.Availability, len(h.nodes))
+	for id, s := range h.nodes {
+		out[id] = s.estimate()
 	}
 	return out
 }
 
-// ApplyTo overwrites the availability of every cluster node for which
-// the estimator has data, returning the number updated — the full
-// recompute. It does not drain the dirty set, so an ApplyDirty after
-// an ApplyTo still applies every pending change (applying an unchanged
-// estimate twice is idempotent).
-func (h *HeartbeatEstimator) ApplyTo(c *Cluster) int {
-	n := 0
-	for i := 0; i < c.Len(); i++ {
-		id := NodeID(i)
-		h.mu.Lock()
-		_, ok := h.nodes[id]
-		h.mu.Unlock()
-		if !ok {
-			continue
-		}
-		c.Node(id).Availability = h.Estimate(id)
-		n++
-	}
-	return n
-}
-
-// ApplyDirty overwrites the availability of only the nodes whose
-// stats changed since the last drain, returning their ids in
-// ascending order (empty when nothing changed). Because estimates are
-// pure functions of per-node sums, applying just the dirty set leaves
-// the cluster in exactly the state a full ApplyTo would — the
-// equivalence the incremental-refresh test pins down — at O(changed)
-// cost per heartbeat tick instead of O(cluster). The returned ids
-// also tell ring-based placement which nodes need token updates.
-//
-// Out-of-range ids (heartbeats from nodes the cluster does not know)
-// are dropped from the dirty set without effect.
-func (h *HeartbeatEstimator) ApplyDirty(c *Cluster) []NodeID {
+// Apply returns a copy of c in which every node the estimator has
+// observed carries its current estimate; the other nodes keep c's
+// values, as do ids the cluster does not know. c itself is never
+// written, so a Cluster stays immutable and a reader holding c keeps
+// the availability it loaded. The estimates are read under one
+// acquisition of the estimator's lock, so the copy is one consistent
+// cut of the per-node sums.
+func (h *HeartbeatEstimator) Apply(c *Cluster) *Cluster {
+	nodes := c.Nodes()
 	h.mu.Lock()
-	ids := make([]NodeID, 0, len(h.dirty))
-	for id := range h.dirty {
-		ids = append(ids, id)
-	}
-	clear(h.dirty)
-	h.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	applied := ids[:0]
-	for _, id := range ids {
-		if int(id) < 0 || int(id) >= c.Len() {
-			continue
+	defer h.mu.Unlock()
+	for id, s := range h.nodes {
+		if int(id) >= 0 && int(id) < len(nodes) {
+			nodes[id].Availability = s.estimate()
 		}
-		c.Node(id).Availability = h.Estimate(id)
-		applied = append(applied, id)
 	}
-	return applied
+	return &Cluster{nodes: nodes}
 }

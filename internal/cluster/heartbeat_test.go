@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"github.com/adaptsim/adapt/internal/model"
 )
 
 func TestHeartbeatEstimatorBasic(t *testing.T) {
@@ -69,18 +71,28 @@ func TestHeartbeatEstimatorSnapshotAndApply(t *testing.T) {
 		t.Fatalf("snapshot lambda = %g", a.Lambda)
 	}
 
-	c, err := New([]Node{{}, {}})
+	// A node the cluster does not know is skipped without effect.
+	if err := h.ObserveBatch(99, 10, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	orig := model.FromMTBI(600, 30)
+	c, err := New([]Node{{}, {Availability: orig}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := h.ApplyTo(c); n != 1 {
-		t.Fatalf("applied to %d nodes, want 1", n)
+	got := h.Apply(c)
+	if got == c || got.Len() != c.Len() {
+		t.Fatalf("Apply returned %p with %d nodes, want a fresh copy of %d", got, got.Len(), c.Len())
 	}
-	if c.Node(0).Availability.Dedicated() {
-		t.Fatal("node 0 not updated")
+	if got.Node(0).Availability != snap[0] {
+		t.Fatalf("node 0 = %+v, want the estimate %+v", got.Node(0).Availability, snap[0])
 	}
-	if !c.Node(1).Availability.Dedicated() {
-		t.Fatal("node 1 unexpectedly updated")
+	if got.Node(1).Availability != orig {
+		t.Fatal("node 1 has no estimate but was overwritten")
+	}
+	if !c.Node(0).Availability.Dedicated() {
+		t.Fatal("Apply wrote into its input")
 	}
 }
 
@@ -174,11 +186,11 @@ func TestHeartbeatObservedAndConcurrentSnapshots(t *testing.T) {
 			t.Fatalf("node %d observed (%g, %d), want (600, 200)", id, sec, n)
 		}
 	}
-	if updated := h.ApplyTo(c); updated != 4 {
-		t.Fatalf("ApplyTo updated %d nodes, want 4", updated)
-	}
-	if mu := c.Node(0).Availability.Mu; math.Abs(mu-1) > 1e-9 {
-		t.Fatalf("applied mu = %g, want 1", mu)
+	applied := h.Apply(c)
+	for id := NodeID(0); id < 4; id++ {
+		if mu := applied.Node(id).Availability.Mu; math.Abs(mu-1) > 1e-9 {
+			t.Fatalf("node %d applied mu = %g, want 1", id, mu)
+		}
 	}
 }
 

@@ -58,22 +58,32 @@ func NewClient(nn *NameNode, g *stats.RNG) (*Client, error) {
 		g:           g,
 		BlockSize:   DefaultBlockSize,
 		Replication: 1,
-		Gamma:       12,
+		Gamma:       defaultGamma,
 		Retry:       DefaultRetryPolicy(),
 	}, nil
 }
 
+// defaultGamma is the paper's failure-free task time per 64 MB block.
+const defaultGamma = 12
+
+// gamma is the task length the 1/E[T] weights are evaluated at: Gamma,
+// or defaultGamma when it is unset.
+func (c *Client) gamma() float64 {
+	if c.Gamma <= 0 {
+		return defaultGamma
+	}
+	return c.Gamma
+}
+
 // policy returns the block distributor for the requested mode: stock
 // random placement, or ADAPT weights from the performance predictor.
+// Either reads the one availability snapshot loaded here.
 func (c *Client) policy(useAdapt bool) (placement.Policy, error) {
+	cl := c.nn.Cluster()
 	if !useAdapt {
-		return &placement.Random{Cluster: c.nn.Cluster()}, nil
+		return &placement.Random{Cluster: cl}, nil
 	}
-	gamma := c.Gamma
-	if gamma <= 0 {
-		gamma = 12
-	}
-	return placement.NewAdapt(c.nn.Cluster(), gamma)
+	return placement.NewAdapt(cl, c.gamma())
 }
 
 // CopyFromLocal stores data as a new file. useAdapt selects the

@@ -363,9 +363,12 @@ type nsShard struct {
 // locations, the heartbeat-fed availability estimates, and the
 // performance predictor that turns them into placement weights.
 type NameNode struct {
-	smap      shard.Map
-	shards    []*nsShard
-	cluster   *cluster.Cluster
+	smap   shard.Map
+	shards []*nsShard
+	// cluster is the availability snapshot placement reads: an
+	// immutable *cluster.Cluster that RefreshAvailability replaces
+	// whole, so a reader loads it once and holds no lock.
+	cluster   atomic.Pointer[cluster.Cluster]
 	nextBlock atomic.Int64 // global block-id allocator; minted under leases.mu
 	// io moves the bytes of everything the NameNode copies itself:
 	// in-process clients, cp, adapt, rebalance, repair. Networked
@@ -384,14 +387,6 @@ type NameNode struct {
 // DataNode per cluster node.
 func NewNameNode(c *cluster.Cluster) (*NameNode, error) {
 	return NewNameNodeSharded(c, nil, 1)
-}
-
-// NewNameNodeWithStores builds a single-shard NameNode over
-// caller-supplied block stores — the networked layer's entry point,
-// where each store is an RPC proxy for one remote DataNode. The stores
-// must be one per cluster node, in node-id order.
-func NewNameNodeWithStores(c *cluster.Cluster, stores []BlockStore) (*NameNode, error) {
-	return NewNameNodeSharded(c, stores, 1)
 }
 
 // NewNameNodeSharded builds a NameNode whose namespace is split into
@@ -418,12 +413,12 @@ func NewNameNodeSharded(c *cluster.Cluster, stores []BlockStore, shards int) (*N
 	nn := &NameNode{
 		smap:      smap,
 		shards:    make([]*nsShard, shards),
-		cluster:   c,
 		io:        NewBlockIO(stores),
 		heartbeat: cluster.NewHeartbeatEstimator(),
 		quotas:    shard.NewQuotas(),
 		leases:    newLeaseTable(),
 	}
+	nn.cluster.Store(c)
 	for i := range nn.shards {
 		nn.shards[i] = &nsShard{
 			files:     make(map[string]*FileMeta),
@@ -440,10 +435,6 @@ func (nn *NameNode) shardOf(name string) *nsShard {
 
 // ShardCount returns the namespace shard count P.
 func (nn *NameNode) ShardCount() int { return len(nn.shards) }
-
-// ShardOfPath returns the shard index a path hashes to — exported for
-// tooling (fsck, benchmarks) that groups work by shard.
-func (nn *NameNode) ShardOfPath(name string) int { return nn.smap.Of(name) }
 
 // Quotas returns the tenant quota registry enforced on every create
 // and released on every delete.
@@ -493,8 +484,10 @@ func (nn *NameNode) lockFile(name string) func() {
 	return l.Unlock
 }
 
-// Cluster returns the underlying cluster.
-func (nn *NameNode) Cluster() *cluster.Cluster { return nn.cluster }
+// Cluster returns the current availability snapshot. It is immutable:
+// a refresh publishes a new one and leaves this one as it was, so an
+// operation that loads it once reads one consistent set of weights.
+func (nn *NameNode) Cluster() *cluster.Cluster { return nn.cluster.Load() }
 
 // DataNode returns the in-process DataNode for a cluster node. On a
 // NameNode built over remote stores it fails with ErrNotLocal; use
@@ -523,28 +516,29 @@ func (nn *NameNode) Store(id cluster.NodeID) (BlockStore, error) {
 // predictor's input, §IV-B1).
 func (nn *NameNode) Heartbeat() *cluster.HeartbeatEstimator { return nn.heartbeat }
 
-// RefreshAvailability folds the heartbeat estimates into the cluster's
-// availability parameters, as the prototype does when its two-double
-// per-node structure changes. It is incremental: only nodes whose
-// estimator stats changed since the last refresh are recomputed, so a
-// heartbeat tick costs O(changed) rather than O(cluster). It returns
-// the number of nodes updated.
+// RefreshAvailability folds the heartbeat estimates into a new
+// cluster snapshot and publishes it, as the prototype does when its
+// two-double per-node structure changes. It never writes the snapshot
+// readers hold. The publish is a compare-and-swap from the snapshot the
+// copy was made from: a copy whose base was replaced meanwhile is
+// redone, so a published copy always read the estimator after its
+// predecessor did, and an older estimate never replaces a newer one.
+// It returns the number of nodes whose (λ, μ) changed.
 func (nn *NameNode) RefreshAvailability() int {
-	return len(nn.heartbeat.ApplyDirty(nn.cluster))
-}
-
-// RefreshAvailabilityDirty is RefreshAvailability returning the ids of
-// the updated nodes (ascending) — consistent-hash placements feed them
-// to Ring.WithWeight so ring rebuilds under churn stay O(changed).
-func (nn *NameNode) RefreshAvailabilityDirty() []cluster.NodeID {
-	return nn.heartbeat.ApplyDirty(nn.cluster)
-}
-
-// RefreshAvailabilityFull forces the full recompute over every node
-// with estimator data — the reference the incremental path's
-// equivalence test compares against.
-func (nn *NameNode) RefreshAvailabilityFull() int {
-	return nn.heartbeat.ApplyTo(nn.cluster)
+	for {
+		old := nn.cluster.Load()
+		next := nn.heartbeat.Apply(old)
+		if nn.cluster.CompareAndSwap(old, next) {
+			changed := 0
+			for i := 0; i < old.Len(); i++ {
+				id := cluster.NodeID(i)
+				if old.Node(id).Availability != next.Node(id).Availability {
+					changed++
+				}
+			}
+			return changed
+		}
+	}
 }
 
 // Stat returns a file's metadata (deep copy).
@@ -632,7 +626,7 @@ func (nn *NameNode) BlockDistribution(name string) ([]int, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrFileNotFound, name)
 	}
-	counts := make([]int, nn.cluster.Len())
+	counts := make([]int, len(nn.io.stores))
 	for _, bm := range fm.Blocks {
 		for _, r := range bm.Replicas {
 			counts[r]++
@@ -695,8 +689,8 @@ func (nn *NameNode) createFile(ctx context.Context, name string, r io.Reader, si
 // placement (same placer construction and RNG usage whoever writes the
 // bytes, so placement per seed does not depend on the transport), and
 // leases the ids to name until ctx's deadline. It touches no store and
-// holds no lock beyond the lease table's, so a caller that orders it
-// against availability folds holds that lock for microseconds.
+// holds no lock beyond the lease table's; the draws read whichever
+// availability snapshot pol was built from.
 func (nn *NameNode) allocate(ctx context.Context, name string, size, blockSize int64, replication int, pol placement.Policy, g *stats.RNG) (*Allocation, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadBlockSize, blockSize)

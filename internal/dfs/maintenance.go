@@ -60,17 +60,18 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 		return report, err
 	}
 
+	// One availability snapshot serves the whole pass: the dynamic
+	// target, the repair weights and the surplus split.
+	cl := c.nn.Cluster()
+	effs := cl.Efficiencies(c.gamma())
 	target := fm.Replication
 	if d := c.nn.dynamic.Load(); d != nil {
-		target = d.step(name, fm.Replication, d.volatility(c.nn.Cluster()))
+		target = d.step(name, fm.Replication, d.volatility(cl))
 	}
 	report.Target = target
 
 	// Candidate target nodes: live DataNodes, weighted by the policy.
-	weights, err := c.repairWeights(useAdapt)
-	if err != nil {
-		return report, err
-	}
+	weights := repairWeights(effs, useAdapt)
 
 	g := c.g.Split()
 	newBlocks := make([]BlockMeta, len(fm.Blocks))
@@ -96,7 +97,7 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 			}
 		}
 		if live > target {
-			keep, dropped := c.splitSurplus(bm.Replicas, live-target)
+			keep, dropped := c.splitSurplus(effs, bm.Replicas, live-target)
 			nb := bm
 			nb.Replicas = keep
 			newBlocks[i] = nb
@@ -182,12 +183,7 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 // lowest node id), keep everything else — including down holders,
 // whose bytes may be the only surviving copies. The keep slice
 // preserves the original replica order.
-func (c *Client) splitSurplus(replicas []cluster.NodeID, n int) (keep, dropped []cluster.NodeID) {
-	gamma := c.Gamma
-	if gamma <= 0 {
-		gamma = 12
-	}
-	effs := c.nn.Cluster().Efficiencies(gamma)
+func (c *Client) splitSurplus(effs []float64, replicas []cluster.NodeID, n int) (keep, dropped []cluster.NodeID) {
 	type cand struct {
 		id  cluster.NodeID
 		eff float64
@@ -222,30 +218,25 @@ func (c *Client) splitSurplus(replicas []cluster.NodeID, n int) (keep, dropped [
 	return keep, dropped
 }
 
-// repairWeights returns per-node placement weights for repair targets.
-func (c *Client) repairWeights(useAdapt bool) ([]float64, error) {
-	cl := c.nn.Cluster()
-	ws := make([]float64, cl.Len())
+// repairWeights returns per-node placement weights for repair targets:
+// the efficiencies effs under ADAPT, else uniform.
+func repairWeights(effs []float64, useAdapt bool) []float64 {
 	if useAdapt {
-		gamma := c.Gamma
-		if gamma <= 0 {
-			gamma = 12
-		}
-		copy(ws, cl.Efficiencies(gamma))
 		// Guard against an all-zero weight vector (every node
 		// unstable): fall back to uniform.
 		var total float64
-		for _, w := range ws {
+		for _, w := range effs {
 			total += w
 		}
 		if total > 0 {
-			return ws, nil
+			return effs
 		}
 	}
+	ws := make([]float64, len(effs))
 	for i := range ws {
 		ws[i] = 1
 	}
-	return ws, nil
+	return ws
 }
 
 // pickWeighted draws a live node not in exclude, proportionally to

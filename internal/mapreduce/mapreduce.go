@@ -217,10 +217,14 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 		return nil, fmt.Errorf("mapreduce: %s: %w", job.Name, err)
 	}
 
+	// One availability snapshot serves the whole job: the simulated map
+	// phase, reducer placement and reducer slowdowns.
+	cl := e.nn.Cluster()
+
 	// The simulator replays the placement the NameNode chose when the
 	// input was written — this is exactly where ADAPT placement pays
 	// off or stock placement suffers.
-	asn := &placement.Assignment{Nodes: e.nn.Cluster().Len()}
+	asn := &placement.Assignment{Nodes: cl.Len()}
 	asn.Replicas = make([][]cluster.NodeID, len(fm.Blocks))
 	for i, bm := range fm.Blocks {
 		asn.Replicas[i] = bm.Replicas
@@ -258,7 +262,7 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 		simBlockBytes = e.cfg.SimulatedBlockBytes
 	}
 	simCfg := hadoopsim.Config{
-		Cluster:            e.nn.Cluster(),
+		Cluster:            cl,
 		Assignment:         asn,
 		BlockBytes:         simBlockBytes,
 		Gamma:              e.cfg.Gamma,
@@ -310,7 +314,7 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 	outCl.Replication = e.cfg.OutputReplication
 	outCl.BlockSize = fm.BlockSize
 
-	hosts := e.placeReducers(reducers, e.cfg.ReducerMode, g)
+	hosts := placeReducers(cl, reducers, e.cfg.ReducerMode, g)
 	res.ReducerHosts = hosts
 
 	var worst float64
@@ -340,7 +344,7 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 		// The reducer's host pays its availability slowdown on the
 		// processing part (capped: an effectively-dead host would
 		// never finish; real Hadoop would re-execute elsewhere).
-		slow := e.nn.Cluster().Node(hosts[p]).Availability.SlowdownFactor(process)
+		slow := cl.Node(hosts[p]).Availability.SlowdownFactor(process)
 		if slow < 1 {
 			slow = 1
 		}

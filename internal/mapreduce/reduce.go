@@ -34,9 +34,9 @@ func (p ReducerPlacement) String() string {
 	}
 }
 
-// placeReducers chooses one host per reduce partition.
-func (e *Engine) placeReducers(reducers int, placementMode ReducerPlacement, g interface{ IntN(int) int }) []cluster.NodeID {
-	cl := e.nn.Cluster()
+// placeReducers chooses one host per reduce partition of a job run on
+// cluster snapshot cl.
+func placeReducers(cl *cluster.Cluster, reducers int, placementMode ReducerPlacement, g interface{ IntN(int) int }) []cluster.NodeID {
 	n := cl.Len()
 	out := make([]cluster.NodeID, reducers)
 	switch placementMode {

@@ -31,22 +31,14 @@ func TestPlaceReducersAvailabilityAware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nn, err := dfs.NewNameNode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(nn, EngineConfig{ReducerMode: ReducersAvailabilityAware})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := eng.placeReducers(2, ReducersAvailabilityAware, stats.NewRNG(1))
+	hosts := placeReducers(c, 2, ReducersAvailabilityAware, stats.NewRNG(1))
 	for _, h := range hosts {
 		if int(h) < 4 {
 			t.Fatalf("reducer placed on volatile node %d: %v", h, hosts)
 		}
 	}
 	// More reducers than good nodes: round-robin over the ranking.
-	many := eng.placeReducers(8, ReducersAvailabilityAware, stats.NewRNG(1))
+	many := placeReducers(c, 8, ReducersAvailabilityAware, stats.NewRNG(1))
 	if len(many) != 8 {
 		t.Fatalf("hosts = %v", many)
 	}

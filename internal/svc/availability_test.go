@@ -1,0 +1,100 @@
+package svc
+
+import (
+	"context"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// slowToDataNodes delays every message the NameNode sends a DataNode,
+// once armed, and nothing else: the NameNode's own byte movement is
+// slow, while heartbeats and client traffic run at loopback speed.
+// started is closed when the first delayed message leaves.
+type slowToDataNodes struct {
+	delay   time.Duration
+	armed   atomic.Bool
+	once    sync.Once
+	started chan struct{}
+}
+
+func (f *slowToDataNodes) FailMessage(from, to string) error { return nil }
+
+func (f *slowToDataNodes) MessageDelay(from, to string) time.Duration {
+	if !f.armed.Load() || from != "namenode" || !strings.HasPrefix(to, "datanode-") {
+		return 0
+	}
+	f.once.Do(func() { close(f.started) })
+	return f.delay
+}
+
+// TestFoldNeverQueuesBehindByteMovement: an nn.cp whose block copies
+// are slow holds nothing a heartbeat fold waits on, so a DataNode's
+// beat folds, and a second client's put is placed and published,
+// while the cp is still moving bytes. A lock that a fold takes
+// exclusively and a cp holds shared would park the fold behind the cp
+// and every later allocate behind the fold.
+func TestFoldNeverQueuesBehindByteMovement(t *testing.T) {
+	faults := &slowToDataNodes{delay: 150 * time.Millisecond, started: make(chan struct{})}
+	lc := pipelineCluster(t, 4, 1024, 2, faults)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	copier, writer := lc.Client("shell-cp"), lc.Client("shell-put")
+	defer copier.Close()
+	defer writer.Close()
+	if _, _, err := copier.CopyFromLocal(ctx, "src", payload(2*1024), false); err != nil {
+		t.Fatal(err)
+	}
+	// Give node 0 something to report, so its beat publishes a new
+	// availability snapshot.
+	if err := lc.ObserveUptime(0, 60); err != nil {
+		t.Fatal(err)
+	}
+
+	faults.armed.Store(true)
+	cpDone := make(chan error, 1)
+	go func() {
+		_, err := copier.Cp(ctx, "src", "dst", true)
+		cpDone <- err
+	}()
+	select {
+	case <-faults.started:
+	case err := <-cpDone:
+		t.Fatalf("cp finished without moving a byte: %v", err)
+	}
+
+	beatDone := make(chan error, 1)
+	go func() { beatDone <- lc.DNs[0].FlushHeartbeat(ctx) }()
+	// Let the beat reach the fold; a fold that waits on the cp is then
+	// queued ahead of the put.
+	select {
+	case err := <-beatDone:
+		beatDone <- err
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	if _, _, err := writer.CopyFromLocal(ctx, "one-byte", []byte{7}, true); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-cpDone:
+		t.Fatalf("the put returned after the cp (cp err %v): placement queued behind byte movement", err)
+	default:
+	}
+	if err := <-beatDone; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-cpDone:
+		t.Fatalf("the heartbeat returned after the cp (cp err %v): the fold queued behind byte movement", err)
+	default:
+	}
+	if err := <-cpDone; err != nil {
+		t.Fatal(err)
+	}
+	if sec, _ := lc.Engine().Heartbeat().Observed(0); sec < 60 {
+		t.Fatalf("node 0's beat was not folded: %g s observed, want >= 60", sec)
+	}
+}

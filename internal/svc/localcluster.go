@@ -145,7 +145,10 @@ func (lc *LocalCluster) CrashNameNode() {
 // repoints every DataNode's heartbeat channel at it. The caller
 // supplies the same cluster shape and an RNG; heartbeat state needs
 // no persistence because DataNodes resend cumulative totals, which
-// the fresh estimator folds in full on their first beat.
+// the fresh estimator folds in full on their first beat. Nothing else
+// carries over: the dead incarnation published its learned (λ, μ) as
+// snapshots of its own and never wrote into c, so the new one starts
+// from c and relearns from those first beats.
 func (lc *LocalCluster) RestartNameNode(c *cluster.Cluster, g *stats.RNG, cfg NameNodeConfig) error {
 	dnAddrs := make([]string, len(lc.DNs))
 	for i, dn := range lc.DNs {

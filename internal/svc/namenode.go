@@ -122,11 +122,11 @@ type hbState struct {
 //
 // Heartbeats close the predictor loop: each beat's cumulative totals
 // are diffed against the last folded state, the delta feeds
-// cluster.HeartbeatEstimator, and RefreshAvailability rewrites the
-// per-node (λ, μ) that the 1/E[T] placement weights read. availMu
-// orders those rewrites against concurrent placements: folds take the
-// write side, operations that build policies or walk cluster state
-// take the read side.
+// cluster.HeartbeatEstimator, and RefreshAvailability publishes a new
+// immutable cluster snapshot carrying the per-node (λ, μ) that the
+// 1/E[T] placement weights read. Each operation loads one snapshot and
+// holds no lock for it, so a fold never waits on an operation and an
+// operation never waits on a fold.
 type NameNodeServer struct {
 	nn     *dfs.NameNode
 	cl     *dfs.Client
@@ -134,8 +134,6 @@ type NameNodeServer struct {
 	stores []*remoteStore
 	fleet  clusterResult // the nn.cluster reply, fixed at construction
 	start  time.Time
-
-	availMu sync.RWMutex
 
 	hbMu sync.Mutex
 	hb   map[cluster.NodeID]*hbState
@@ -485,11 +483,7 @@ func (s *NameNodeServer) heartbeat(_ context.Context, p heartbeatParams) (any, e
 func (s *NameNodeServer) cluster(context.Context) (any, error) { return s.fleet, nil }
 
 func (s *NameNodeServer) allocate(ctx context.Context, p allocateParams) (any, error) {
-	// The read lock covers the placement draws and nothing else: no
-	// byte moves under it, so heartbeat folds never queue behind a put.
-	s.availMu.RLock()
 	alloc, err := s.cl.Allocate(ctx, p.Name, p.Size, p.Adapt)
-	s.availMu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
@@ -517,8 +511,6 @@ func (s *NameNodeServer) locate(_ context.Context, p nameParams) (any, error) {
 }
 
 func (s *NameNodeServer) cp(ctx context.Context, p cpParams) (any, error) {
-	s.availMu.RLock()
-	defer s.availMu.RUnlock()
 	return s.cl.CpContext(ctx, p.Src, p.Dst, p.Adapt)
 }
 
@@ -535,15 +527,11 @@ func (s *NameNodeServer) delete(ctx context.Context, p nameParams) (any, error) 
 }
 
 func (s *NameNodeServer) adapt(ctx context.Context, p nameParams) (any, error) {
-	s.availMu.RLock()
-	defer s.availMu.RUnlock()
 	moved, err := s.cl.AdaptContext(ctx, p.Name)
 	return movedResult{Moved: moved}, err
 }
 
 func (s *NameNodeServer) rebalance(ctx context.Context, p nameParams) (any, error) {
-	s.availMu.RLock()
-	defer s.availMu.RUnlock()
 	moved, err := s.cl.RebalanceContext(ctx, p.Name)
 	return movedResult{Moved: moved}, err
 }
@@ -554,8 +542,6 @@ func (s *NameNodeServer) dist(_ context.Context, p nameParams) (any, error) {
 }
 
 func (s *NameNodeServer) maintain(ctx context.Context, p maintainParams) (any, error) {
-	s.availMu.RLock()
-	defer s.availMu.RUnlock()
 	return s.cl.MaintainReplicationContext(ctx, p.Name, p.Adapt)
 }
 
@@ -564,14 +550,10 @@ func (s *NameNodeServer) estimates(context.Context) (any, error) {
 }
 
 func (s *NameNodeServer) consistency(ctx context.Context) (any, error) {
-	s.availMu.RLock()
-	defer s.availMu.RUnlock()
 	return struct{}{}, s.nn.CheckConsistencyContext(ctx)
 }
 
 func (s *NameNodeServer) fsck(context.Context) (any, error) {
-	s.availMu.RLock()
-	defer s.availMu.RUnlock()
 	return s.nn.Health(), nil
 }
 
@@ -594,8 +576,10 @@ func (s *NameNodeServer) downNodes() []cluster.NodeID {
 }
 
 // foldHeartbeat diffs one beat's cumulative totals against the last
-// folded state and feeds the delta to the estimator, then refreshes
-// the cluster's (λ, μ) so subsequent placements read the new weights.
+// folded state and feeds the delta to the estimator, then publishes a
+// cluster snapshot with the new (λ, μ), which every operation that
+// starts afterwards reads; operations in flight keep the one they
+// loaded.
 // A beat whose sequence is not newer than the last folded one is
 // rejected as stale (delayed duplicate); a beat also flips the
 // sender's liveness belief up — it is, evidently, talking.
@@ -645,8 +629,6 @@ func (s *NameNodeServer) foldHeartbeat(p heartbeatParams) error {
 		s.kickRepair()
 	}
 
-	s.availMu.Lock()
-	defer s.availMu.Unlock()
 	if dUp > 0 || dInt > 0 {
 		if err := s.nn.Heartbeat().ObserveBatch(p.Node, dUp, dInt, dDown); err != nil {
 			return fmt.Errorf("svc: fold heartbeat from node %d: %w", p.Node, err)
@@ -657,19 +639,8 @@ func (s *NameNodeServer) foldHeartbeat(p heartbeatParams) error {
 	return nil
 }
 
-// RefreshAvailability re-applies the estimator to the cluster under
-// the write lock — the same fold the heartbeat path performs, exposed
-// for tests and operational tooling.
-func (s *NameNodeServer) RefreshAvailability() int {
-	s.availMu.Lock()
-	defer s.availMu.Unlock()
-	return s.nn.RefreshAvailability()
-}
-
 // Estimates returns the current (λ, μ) snapshot.
 func (s *NameNodeServer) Estimates() map[cluster.NodeID]model.Availability {
-	s.availMu.RLock()
-	defer s.availMu.RUnlock()
 	return s.nn.Heartbeat().Snapshot()
 }
 

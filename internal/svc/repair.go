@@ -131,9 +131,7 @@ func (s *NameNodeServer) repairFile(ctx context.Context, name string, cfg Repair
 	repaired := 0
 	backoff := cfg.Backoff
 	for attempt := 1; ; attempt++ {
-		s.availMu.RLock()
 		report, err := s.cl.MaintainReplicationContext(ctx, name, true)
-		s.availMu.RUnlock()
 		repaired += report.Repaired
 		switch {
 		case err == nil && report.Unrepairable == 0:
