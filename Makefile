@@ -58,10 +58,12 @@ sched-verify:
 
 # End-to-end smoke of the networked cluster binary: boot a loopback
 # NameNode + DataNodes, write a file, partition a replica holder, read
-# through failover, heal, and adapt-rebalance from heartbeats. Exits
-# non-zero unless the heartbeats taught the NameNode λ > 0 for exactly
-# the two flaky nodes and adapt left them fewer replicas per node than
-# the reliable ones.
+# through failover, heal, adapt-rebalance from heartbeats, then delete a
+# file with a holder partitioned and run one repair scan. Exits non-zero
+# unless the heartbeats taught the NameNode λ > 0 for exactly the two
+# flaky nodes, adapt left them fewer replicas per node than the
+# reliable ones, and the scan left no block of the deleted file on any
+# DataNode.
 svc-smoke:
 	$(GO) run ./cmd/adapt-fs local-demo -nodes 4 -blocks 8
 

@@ -3,8 +3,9 @@
 // daemons with graceful SIGINT/SIGTERM shutdown; the client
 // subcommands speak the frame protocol to a running NameNode; and
 // local-demo boots a whole loopback cluster in-process — write,
-// partition, failover read, heal, heartbeat-taught adapt — as a CI
-// smoke of the end-to-end path.
+// partition, failover read, heal, heartbeat-taught adapt, a repair scan
+// collecting a partitioned delete's residue — as a CI smoke of the
+// end-to-end path.
 package main
 
 import (
@@ -392,7 +393,8 @@ func runFsck(args []string, out io.Writer) (int, error) {
 }
 
 // localDemo is the CI smoke: a real TCP cluster on loopback survives
-// a partition and adapts from heartbeats, all inside one process.
+// a partition, adapts from heartbeats, and collects what a delete
+// could not reach, all inside one process.
 func localDemo(args []string) error {
 	fs := flag.NewFlagSet("local-demo", flag.ContinueOnError)
 	var (
@@ -505,6 +507,31 @@ func localDemo(args []string) error {
 	if flaky*(*nodes-2) >= reliable*2 {
 		return fmt.Errorf("local-demo: after adapt the flaky nodes 0-1 hold %d replicas against %d on the %d reliable ones", flaky, reliable, *nodes-2)
 	}
+
+	// A delete cannot reach a partitioned holder; the repair scan must
+	// collect what it left once the holder is back.
+	tmp, _, err := cl.CopyFromLocal(ctx, "/tmp", payload[:2*1024], false)
+	if err != nil {
+		return err
+	}
+	holder := fmt.Sprintf("datanode-%d", tmp.Blocks[0].Replicas[0])
+	nf.Partition(holder)
+	if err := cl.Delete(ctx, "/tmp"); err != nil {
+		return err
+	}
+	nf.Heal(holder)
+	if err := lc.FlushHeartbeats(ctx); err != nil {
+		return err
+	}
+	lc.NN.RepairScan(svc.RepairConfig{})
+	for _, bm := range tmp.Blocks {
+		for i, dn := range lc.DNs {
+			if dn.Node().Has(bm.ID) {
+				return fmt.Errorf("local-demo: datanode-%d still stores block %d of deleted /tmp after a repair scan", i, bm.ID)
+			}
+		}
+	}
+	fmt.Printf("rm /tmp with %s partitioned; repair scan collected its residue\n", holder)
 	if err := cl.CheckConsistency(ctx); err != nil {
 		return err
 	}

@@ -196,7 +196,8 @@ const unwindBudget = 2 * time.Second
 // DeleteBlocks best-effort deletes every listed replica — the unwind
 // of a write that cannot complete, detached from ctx's cancellation
 // and bounded by unwindBudget. A holder that cannot be reached in time
-// keeps an unreferenced copy for ScrubOrphans, never live metadata.
+// keeps an unreferenced copy, never live metadata; once no lease
+// covers it, ScrubOrphans collects it.
 func (b *BlockIO) DeleteBlocks(ctx context.Context, blocks []BlockMeta) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), unwindBudget)
 	defer cancel()

@@ -106,7 +106,8 @@ var (
 	// no live allocation for: the lease ran out, or the NameNode
 	// restarted and forgot it. Transient — the writer starts the create
 	// over with a fresh allocation; the replicas it wrote under the old
-	// one are unreferenced and ScrubOrphans removes them.
+	// one are unreferenced, and the next ScrubOrphans (every service
+	// repair scan runs one) removes them.
 	ErrLeaseExpired = errors.New("dfs: allocation lease unknown or expired")
 	// ErrFileTooLarge marks a create cut into more than MaxFileBlocks
 	// blocks; permanent until the block size grows.
@@ -311,7 +312,7 @@ func (d *DataNode) Has(id BlockID) bool {
 
 // StoredBlocks returns the ids of every block the node stores, in
 // ascending order (regardless of up state — the bits are on disk).
-// The orphan scrubber diffs this inventory against live metadata.
+// ScrubOrphans diffs this inventory against live metadata.
 func (d *DataNode) StoredBlocks() []BlockID {
 	d.mu.RLock()
 	ids := make([]BlockID, 0, len(d.blocks))
@@ -588,7 +589,7 @@ func (nn *NameNode) Delete(name string) error {
 // DeleteContext is Delete with a deadline for the replica
 // invalidations. Replica deletes are best-effort (HDFS's lazy block
 // invalidation): an unreachable holder keeps a surplus copy, never
-// live metadata.
+// live metadata, and ScrubOrphans collects it.
 func (nn *NameNode) DeleteContext(ctx context.Context, name string) error {
 	unlock := nn.lockFile(name)
 	defer unlock()

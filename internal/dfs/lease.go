@@ -10,8 +10,9 @@ import (
 
 // leaseTTL bounds an allocation whose context carried no deadline: a
 // writer that vanished without one stops shielding its replicas from
-// ScrubOrphans after this long. It must outlast the slowest honest
-// deadline-free put; a put that needs longer sets a deadline.
+// ScrubOrphans (which every service repair scan runs) after this long.
+// It must outlast the slowest honest deadline-free put; a put that
+// needs longer sets a deadline.
 const leaseTTL = time.Hour
 
 // idStride is how many block ids one durable reservation covers (see
@@ -25,7 +26,7 @@ type lease struct {
 	alloc  *Allocation
 	expiry time.Time
 	// pinned marks a lease Complete is publishing under: it no longer
-	// expires, so the scrubber cannot slip between the expiry check and
+	// expires, so ScrubOrphans cannot slip between the expiry check and
 	// the publish.
 	pinned bool
 }
@@ -36,9 +37,9 @@ type lease struct {
 // only ids leased here, and ScrubOrphans leaves leased replicas alone.
 // Leases are not journaled — a restarted NameNode has forgotten every
 // one, refuses the Completes of writes that straddled the crash (they
-// start over), and scrubs what they left. What is journaled is how far
-// the ids may have got, so the restarted NameNode never hands a
-// forgotten writer's ids to somebody else.
+// start over), and its next ScrubOrphans collects what they left. What
+// is journaled is how far the ids may have got, so the restarted
+// NameNode never hands a forgotten writer's ids to somebody else.
 type leaseTable struct {
 	mu      sync.Mutex
 	now     func() time.Time // the clock expiries are judged by
@@ -96,7 +97,7 @@ func (t *leaseTable) live(l *lease) bool {
 
 // grant mints a's block ids from next and leases them until ctx's
 // deadline, or for leaseTTL when it has none. Minting and leasing are
-// one step under the table lock, so no id below the scrubber's
+// one step under the table lock, so no id below ScrubOrphans'
 // high-water mark is ever unleased before its file is published.
 func (t *leaseTable) grant(ctx context.Context, a *Allocation, next *atomic.Int64) error {
 	t.mu.Lock()

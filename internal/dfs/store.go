@@ -44,6 +44,11 @@ type BlockStore interface {
 	// verification, computed where the bytes are. ok is false when the
 	// block is absent or the store is unreachable.
 	StoredSum(ctx context.Context, id BlockID) (size int64, sum uint32, ok bool)
+	// StoredBlocks returns the ids of every block the store holds — the
+	// inventory ScrubOrphans diffs against metadata. ok is false when
+	// the inventory is unavailable (node unreachable); the caller must
+	// then skip the node rather than assume it is empty.
+	StoredBlocks(ctx context.Context) (ids []BlockID, ok bool)
 }
 
 // PipelineResult reports the per-node outcome of one pipeline write:
@@ -63,14 +68,6 @@ type PipelineResult struct {
 // it (the in-memory DataNode) get per-store fan-out Puts.
 type PipelinePutter interface {
 	PutChain(ctx context.Context, id BlockID, data []byte, rest []cluster.NodeID) PipelineResult
-}
-
-// BlockLister is an optional BlockStore capability: the stored-block
-// inventory, for diffing against metadata when scrubbing orphans. ok
-// is false when the inventory is unavailable (node unreachable) — the
-// scrubber must then skip the node rather than assume it is empty.
-type BlockLister interface {
-	StoredBlocks(ctx context.Context) ([]BlockID, bool)
 }
 
 // localStore adapts the in-process *DataNode to BlockStore. The

@@ -66,11 +66,11 @@ func (c *Client) ReadFileToContext(ctx context.Context, name string, w io.Writer
 }
 
 // ScrubOrphans deletes stored replicas the metadata does not list on
-// their node — residue of torn pipeline writes whose cleanup could not
-// reach a partitioned holder, including a surplus copy of a live block
-// on a node its file does not list. Only stores exposing a BlockLister
-// inventory are scrubbed; unreachable nodes are skipped, never assumed
-// empty.
+// their node: residue of torn pipelines, of writers that gave up or
+// vanished, and of deletes whose holder was unreachable — including a
+// surplus copy of a live block on a node its file does not list. Each
+// store's inventory is diffed against the metadata; a store that
+// cannot list (unreachable) is skipped, never assumed empty.
 //
 // It is safe beside creates: a create in flight holds replicas whose
 // metadata is not yet published, and those are exempt — blocks minted
@@ -106,11 +106,7 @@ func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 	removed := 0
 	for i, s := range nn.io.stores {
 		node := cluster.NodeID(i)
-		bl, ok := s.(BlockLister)
-		if !ok {
-			continue
-		}
-		ids, ok := bl.StoredBlocks(ctx)
+		ids, ok := s.StoredBlocks(ctx)
 		if !ok {
 			continue
 		}
@@ -135,7 +131,7 @@ func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 				continue
 			}
 			unlock := nn.lockFile(name)
-			if !nn.BlockReferenced(id, node) && s.Delete(ctx, id) == nil {
+			if _, held, _ := nn.lookupBlock(id, node); !held && s.Delete(ctx, id) == nil {
 				removed++
 			}
 			unlock()
@@ -145,17 +141,6 @@ func (nn *NameNode) ScrubOrphans(ctx context.Context) (int, error) {
 		}
 	}
 	return removed, nil
-}
-
-// BlockReferenced reports whether current metadata lists node n as a
-// holder of block id. The torn-pipeline scrubber consults it right
-// before deleting a possibly-committed deep replica: a write that
-// recovered by retrying the same block directly onto a chain node has
-// published that node as a holder, and deleting its replica then would
-// turn a recovered write into data loss.
-func (nn *NameNode) BlockReferenced(id BlockID, n cluster.NodeID) bool {
-	_, held, _ := nn.lookupBlock(id, n)
-	return held
 }
 
 // lookupBlock finds block id in current metadata: the file that lists

@@ -159,7 +159,7 @@ var clientRetry = dfs.DefaultRetryPolicy()
 // store streams data where alloc says and completes the file. A store
 // that fails after bytes moved deletes what it wrote, best effort;
 // whatever it cannot reach or may no longer claim is unreferenced, and
-// nn.scrub removes it once the lease is out.
+// the NameNode's repair scan collects it once the lease is out.
 func (c *Client) store(ctx context.Context, dp *dataPath, alloc *dfs.Allocation, data []byte) (*dfs.FileMeta, dfs.WriteReport, error) {
 	var report dfs.WriteReport
 	blocks, err := dp.io.WriteBlocks(ctx, alloc, bytes.NewReader(data), clientRetry, &report)
@@ -170,7 +170,7 @@ func (c *Client) store(ctx context.Context, dp *dataPath, alloc *dfs.Allocation,
 	if err != nil {
 		// Only a refusal the NameNode itself sent proves the file was
 		// not published. A complete lost on the wire may have been
-		// journaled: its replicas stay, and the scrubber decides. So it
+		// journaled: its replicas stay, and the repair scan decides. So it
 		// does for a lease the NameNode no longer knows: the client has
 		// lost the only proof that those ids are its own, and a delete by
 		// bare id is not something to send on a guess.
@@ -322,15 +322,4 @@ func (c *Client) Fsck(ctx context.Context) (dfs.HealthReport, error) {
 	var rep dfs.HealthReport
 	err := c.peer.call(ctx, "nn.fsck", nil, &rep)
 	return rep, err
-}
-
-// ScrubOrphans asks the NameNode to delete stored replicas no file
-// references — residue of torn pipeline writes whose cleanup could
-// not reach a partitioned holder. Returns how many were removed.
-func (c *Client) ScrubOrphans(ctx context.Context) (int, error) {
-	var res scrubResult
-	if err := c.peer.call(ctx, "nn.scrub", nil, &res); err != nil {
-		return 0, err
-	}
-	return res.Removed, nil
 }

@@ -22,7 +22,7 @@ import (
 // steps with the client in the middle, so a client or a NameNode can
 // die between any two of them; each test below opens one window and
 // checks what cleans it: the client's own unwind, the allocation
-// lease, or the scrubber once the lease is out.
+// lease, or the NameNode's repair scan once the lease is out.
 
 // replicasOf counts, per DataNode ground truth, the stored replicas of
 // the allocation's block ids.
@@ -34,6 +34,15 @@ func replicasOf(lc *LocalCluster, a *dfs.Allocation) int {
 				n++
 			}
 		}
+	}
+	return n
+}
+
+// storedReplicas counts every replica any DataNode stores.
+func storedReplicas(lc *LocalCluster) int {
+	n := 0
+	for _, dn := range lc.DNs {
+		n += dn.Node().BlockCount()
 	}
 	return n
 }
@@ -53,9 +62,9 @@ func mustAllocate(t *testing.T, ctx context.Context, cl *Client, name string, si
 }
 
 // TestVanishedClientIsScrubbedAfterItsLease: a client streams its
-// blocks and is then cut off for good. While its lease lives the
-// scrubber leaves the replicas alone (the complete could still come);
-// once it is out, one scrub removes exactly them and nothing a file
+// blocks and is then cut off for good. While its lease lives a repair
+// scan leaves the replicas alone (the complete could still come); once
+// it is out, one scan removes exactly them and nothing a file
 // references.
 func TestVanishedClientIsScrubbedAfterItsLease(t *testing.T) {
 	nf, err := chaos.NewNetFaults(stats.NewRNG(21))
@@ -91,15 +100,17 @@ func TestVanishedClientIsScrubbedAfterItsLease(t *testing.T) {
 		t.Fatalf("streamed %d replicas, want 8", written)
 	}
 
-	if n, err := keeper.ScrubOrphans(ctx); err != nil || n != 0 {
-		t.Fatalf("scrub under a live lease removed %d (err %v), want 0", n, err)
+	lc.NN.RepairScan(RepairConfig{})
+	if left := replicasOf(lc, a); left != written {
+		t.Fatalf("a repair scan under a live lease left %d of the %d streamed replicas", left, written)
 	}
 	<-lease.Done() // the lease was the allocate call's budget
-	if n, err := keeper.ScrubOrphans(ctx); err != nil || n != written {
-		t.Fatalf("scrub after the lease removed %d (err %v), want exactly the %d abandoned replicas", n, err, written)
-	}
+	lc.NN.RepairScan(RepairConfig{})
 	if left := replicasOf(lc, a); left != 0 {
-		t.Fatalf("%d abandoned replicas survived the scrub", left)
+		t.Fatalf("%d abandoned replicas survived the repair scan", left)
+	}
+	if n := storedReplicas(lc); n != 3*2 {
+		t.Fatalf("%d replicas stored after the repair scan, want the 6 of the referenced file", n)
 	}
 	if got, err := keeper.ReadFile(ctx, "kept"); err != nil || !bytes.Equal(got, kept) {
 		t.Fatalf("referenced file after scrub: %v", err)
@@ -160,7 +171,7 @@ func TestNameNodeCrashBetweenAllocateAndComplete(t *testing.T) {
 			t.Fatalf("%q after restart: %v", name, err)
 		}
 	}
-	if _, err := cl2.ScrubOrphans(ctx); err != nil {
+	if _, err := lc.Engine().ScrubOrphans(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl2.CheckConsistency(ctx); err != nil {
@@ -244,7 +255,7 @@ func TestTwoWritersStraddleNameNodeCrash(t *testing.T) {
 	if _, _, err := late2.CopyFromLocal(ctx, "late", lateData, false); err != nil {
 		t.Fatalf("second writer's retry: %v", err)
 	}
-	if n, err := late2.ScrubOrphans(ctx); err != nil || n != len(forgotten)*3 {
+	if n, err := lc.Engine().ScrubOrphans(ctx); err != nil || n != len(forgotten)*3 {
 		t.Fatalf("scrub removed %d (err %v), want the %d replicas of the two first attempts", n, err, len(forgotten)*3)
 	}
 	for name, want := range map[string][]byte{"before": durablePayload(0, 700), "early": earlyData, "late": lateData} {
@@ -308,7 +319,7 @@ func TestPutStartsOverWhenItsLeaseRunsOut(t *testing.T) {
 	if fm.Blocks[0].ID != 3 || report.MinReplication != 2 {
 		t.Fatalf("first block id %d (want 3: ids 0..2 went to the expired allocation), report %+v", fm.Blocks[0].ID, report)
 	}
-	if n, err := cl.ScrubOrphans(ctx); err != nil || n != 3*2 {
+	if n, err := lc.Engine().ScrubOrphans(ctx); err != nil || n != 3*2 {
 		t.Fatalf("scrub removed %d (err %v), want the 6 replicas of the expired allocation", n, err)
 	}
 	for id := dfs.BlockID(0); id < 3; id++ {
@@ -353,7 +364,7 @@ func TestRacedNameHasOneWinner(t *testing.T) {
 	if got, err := second.ReadFile(ctx, "contested"); err != nil || !bytes.Equal(got, winner) {
 		t.Fatalf("contested file is not the winner's: %v", err)
 	}
-	if n, err := first.ScrubOrphans(ctx); err != nil || n != 0 {
+	if n, err := lc.Engine().ScrubOrphans(ctx); err != nil || n != 0 {
 		t.Fatalf("scrub found %d orphans after the race (err %v)", n, err)
 	}
 	if err := first.CheckConsistency(ctx); err != nil {
@@ -572,7 +583,7 @@ func TestDataNodeShedReachesTheClientAsOverload(t *testing.T) {
 			t.Fatalf("%q after the load drained: %v", name, err)
 		}
 	}
-	if n, err := cl.ScrubOrphans(ctx); err != nil || n != 0 {
+	if n, err := lc.Engine().ScrubOrphans(ctx); err != nil || n != 0 {
 		t.Fatalf("the shed put left %d replicas behind (err %v)", n, err)
 	}
 }

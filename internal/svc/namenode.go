@@ -90,10 +90,6 @@ type estimatesResult struct {
 	Estimates map[cluster.NodeID]model.Availability `json:"estimates"`
 }
 
-type scrubResult struct {
-	Removed int `json:"removed"`
-}
-
 // hbState is the NameNode's per-DataNode heartbeat bookkeeping: the
 // last sequence folded and the cumulative totals it carried, so the
 // next beat folds only the delta. epoch identifies the DataNode
@@ -204,16 +200,6 @@ type NameNodeConfig struct {
 // construction is configured in one place.
 type HedgeConfig = dfs.HedgeConfig
 
-// Torn-pipeline scrub tuning: scrubGrace bounds how long a deferred
-// scrub waits for its originating op to settle before giving up (the
-// residue then belongs to ScrubOrphans); scrubBudget bounds the
-// best-effort delete itself, so a scrub toward a gray holder costs a
-// background goroutine a bounded wait instead of pinning it.
-const (
-	scrubGrace  = 5 * time.Second
-	scrubBudget = 2 * time.Second
-)
-
 // NewNameNodeServer creates the master for cluster c whose DataNodes
 // serve blocks at dnAddrs (indexed by NodeID; length must equal
 // c.Len()). The RNG drives placement randomness. faults may be nil.
@@ -265,39 +251,6 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 		}
 	}
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
-	// After a torn pipeline a deep chain node may hold a committed
-	// replica whose ack was lost; the writer scrubs it through the
-	// node's own control-plane proxy. PutChain spawns the scrub with the
-	// live op context, and the hook defers the delete until the op has
-	// settled — until then the engine may still recover by retrying the
-	// same block directly onto a chain node, and deleting that replica
-	// afterward would turn a recovered write into data loss. Once
-	// settled, only replicas the final metadata does not reference are
-	// deleted, under a bounded deadline so a gray holder cannot pin the
-	// goroutine. An op that has not settled within the grace window
-	// (deadline-free contexts) leaves its residue to ScrubOrphans.
-	for i := range stores {
-		stores[i].scrub = func(opCtx context.Context, n cluster.NodeID, id dfs.BlockID) {
-			if int(n) < 0 || int(n) >= len(stores) {
-				return
-			}
-			grace := time.NewTimer(scrubGrace)
-			defer grace.Stop()
-			select {
-			case <-opCtx.Done():
-			case <-s.lifeCtx.Done():
-				return
-			case <-grace.C:
-				return
-			}
-			if nn.BlockReferenced(id, n) {
-				return
-			}
-			dctx, cancel := context.WithTimeout(s.lifeCtx, scrubBudget)
-			defer cancel()
-			_ = stores[n].Delete(dctx, id)
-		}
-	}
 	if cfg.WALDir != "" {
 		dirs, err := wal.ShardDirs(cfg.WALDir, shards)
 		if err != nil {
@@ -460,7 +413,6 @@ func (s *NameNodeServer) methods() methodTable {
 		"nn.estimates":   {classBackground, bare(s.estimates)},
 		"nn.consistency": {classBackground, bare(s.consistency)},
 		"nn.fsck":        {classBackground, bare(s.fsck)},
-		"nn.scrub":       {classBackground, bare(s.scrub)},
 	}
 }
 
@@ -555,11 +507,6 @@ func (s *NameNodeServer) consistency(ctx context.Context) (any, error) {
 
 func (s *NameNodeServer) fsck(context.Context) (any, error) {
 	return s.nn.Health(), nil
-}
-
-func (s *NameNodeServer) scrub(ctx context.Context) (any, error) {
-	removed, err := s.nn.ScrubOrphans(ctx)
-	return scrubResult{Removed: removed}, err
 }
 
 // downNodes lists the DataNodes this NameNode currently believes are

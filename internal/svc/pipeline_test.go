@@ -326,8 +326,9 @@ func TestPipelineUnreachableChainNode(t *testing.T) {
 
 // TestScrubOrphansRemovesUnreferencedReplicas plants a replica no file
 // references — the residue a torn pipeline leaves when its cleanup
-// cannot reach a holder — and asserts the scrubber removes exactly it:
-// live blocks and blocks minted after the scan's high-water mark stay.
+// cannot reach a holder — and asserts one repair scan removes exactly
+// it: live blocks and blocks minted after the scan's high-water mark
+// stay.
 func TestScrubOrphansRemovesUnreferencedReplicas(t *testing.T) {
 	lc := pipelineCluster(t, 3, 1024, 2, nil)
 	cl := lc.Client("shell")
@@ -359,27 +360,16 @@ func TestScrubOrphansRemovesUnreferencedReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	removed, err := cl.ScrubOrphans(ctx)
-	if err != nil {
-		t.Fatal(err)
+	before := storedReplicas(lc)
+	lc.NN.RepairScan(RepairConfig{})
+	if after := storedReplicas(lc); after != before-1 {
+		t.Fatalf("repair scan removed %d replicas, want exactly the planted orphan", before-after)
 	}
-	if removed != 1 {
-		t.Fatalf("scrub removed %d replicas, want exactly the planted orphan", removed)
+	if dn0.Has(dfs.BlockID(2)) {
+		t.Fatal("orphan survived the repair scan")
 	}
-	left := dn0.StoredBlocks()
-	for _, id := range left {
-		if id == dfs.BlockID(2) {
-			t.Fatal("orphan survived the scrub")
-		}
-	}
-	found := false
-	for _, id := range left {
-		if id == futureID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("scrub deleted a block above the high-water mark")
+	if !dn0.Has(futureID) {
+		t.Fatal("repair scan deleted a block above the high-water mark")
 	}
 	dn0.Delete(futureID)
 
@@ -391,8 +381,63 @@ func TestScrubOrphansRemovesUnreferencedReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second pass finds nothing.
-	if removed, err := cl.ScrubOrphans(ctx); err != nil || removed != 0 {
+	if removed, err := lc.Engine().ScrubOrphans(ctx); err != nil || removed != 0 {
 		t.Fatalf("second scrub: removed %d, err %v", removed, err)
+	}
+}
+
+// TestRepairScanCollectsDeleteResidue: a delete made while one holder
+// is partitioned cannot invalidate that holder's replicas. Once the
+// holder is back, one repair scan removes exactly that residue and
+// leaves the surviving file whole.
+func TestRepairScanCollectsDeleteResidue(t *testing.T) {
+	nf, err := chaos.NewNetFaults(stats.NewRNG(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := pipelineCluster(t, 4, 1024, 2, nf)
+	cl := lc.Client("shell")
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+
+	gone, _, err := cl.CopyFromLocal(ctx, "gone", payload(2*1024), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := payload(3 * 1024)
+	if _, _, err := cl.CopyFromLocal(ctx, "kept", kept, false); err != nil {
+		t.Fatal(err)
+	}
+
+	holder := endpointName(gone.Blocks[0].Replicas[0])
+	nf.Partition(holder)
+	if err := cl.Delete(ctx, "gone"); err != nil {
+		t.Fatal(err)
+	}
+	nf.Heal(holder)
+	// Without fresh heartbeats the NameNode still believes the healed
+	// node down and would repair "kept" onto a third holder.
+	if err := lc.FlushHeartbeats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := storedReplicas(lc); n <= 3*2 {
+		t.Fatalf("%d replicas stored before the scan: the partition left no residue to collect", n)
+	}
+
+	lc.NN.RepairScan(RepairConfig{})
+	if n := storedReplicas(lc); n != 3*2 {
+		t.Fatalf("%d replicas stored after the repair scan, want the 6 of %q", n, "kept")
+	}
+	for _, bm := range gone.Blocks {
+		for i, dn := range lc.DNs {
+			if dn.Node().Has(bm.ID) {
+				t.Errorf("node %d still stores block %d of the deleted file", i, bm.ID)
+			}
+		}
+	}
+	if got, err := cl.ReadFile(ctx, "kept"); err != nil || !bytes.Equal(got, kept) {
+		t.Fatalf("read back %q after the repair scan: %v", "kept", err)
 	}
 }
 

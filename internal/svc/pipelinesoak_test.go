@@ -161,13 +161,13 @@ func TestPipelineChaosSoak(t *testing.T) {
 	// its replicas leased — shielded from the scrubber — for what was
 	// left of its 2 s budget, so the scrub waits the last lease out.
 	time.Sleep(time.Until(lastLease))
-	removed, err := cl.ScrubOrphans(ctx)
+	removed, err := lc.Engine().ScrubOrphans(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("soak: scrub removed %d orphan replicas", removed)
 	requireNoOrphanBlocks(t, ctx, cl, lc)
-	if again, err := cl.ScrubOrphans(ctx); err != nil || again != 0 {
+	if again, err := lc.Engine().ScrubOrphans(ctx); err != nil || again != 0 {
 		t.Fatalf("second scrub: removed %d, err %v", again, err)
 	}
 

@@ -16,7 +16,8 @@ type RepairConfig struct {
 	// Interval is the periodic full-scan cadence (default 2s). The
 	// failure detector also kicks an immediate scan when it declares
 	// a node dead, so the interval only bounds how long a quietly
-	// degraded file (e.g. a degraded write) waits for repair.
+	// degraded file (e.g. a degraded write) waits for repair and an
+	// orphan replica waits to be collected.
 	Interval time.Duration
 	// Concurrency bounds how many files repair in parallel (default 2).
 	Concurrency int
@@ -53,8 +54,9 @@ func (cfg *RepairConfig) defaults() {
 // under-replicated block through the engine's availability-aware
 // repair path (dfs.Client.MaintainReplicationContext with ADAPT
 // weights, the same 1/E[T] scoring initial placement uses), with
-// bounded concurrency and per-file retry/backoff. Call at most once;
-// Shutdown/Crash stops the loop.
+// bounded concurrency and per-file retry/backoff, and collects orphan
+// replicas (see RepairScan). Call at most once; Shutdown/Crash stops
+// the loop.
 func (s *NameNodeServer) StartAutoRepair(cfg RepairConfig) {
 	cfg.defaults()
 	s.loops.Add(1)
@@ -84,10 +86,15 @@ func (s *NameNodeServer) kickRepair() {
 	}
 }
 
-// RepairScan sweeps every file once, repairing under-replicated
-// blocks — exported so tests (and the headline soak) can force a scan
-// instead of waiting on the ticker. It returns the number of replicas
-// re-created.
+// RepairScan is the NameNode's one reconciliation pass: it sweeps every
+// file once, repairing under-replicated blocks, then diffs every
+// DataNode's inventory against the metadata and deletes the replicas no
+// file lists (dfs.NameNode.ScrubOrphans) — what torn pipelines, writers
+// that gave up or vanished, and deletes with an unreachable holder left
+// behind. Replicas still leased, minted after the pass began, or copied
+// by a redistribute or repair in flight are left alone. Exported so
+// tests (and the headline soak) can force a scan instead of waiting on
+// the ticker. It returns the number of replicas re-created.
 func (s *NameNodeServer) RepairScan(cfg RepairConfig) int {
 	cfg.defaults()
 	s.nn.Resilience().RepairScans.Add(1)
@@ -118,6 +125,10 @@ func (s *NameNodeServer) RepairScan(cfg RepairConfig) int {
 		}(name)
 	}
 	wg.Wait()
+	// Its only error is the scan's context ending; whatever it did not
+	// reach, like an unreachable DataNode it skipped, waits for the next
+	// scan.
+	_, _ = s.nn.ScrubOrphans(ctx)
 	s.maybeSnapshot()
 	return repaired
 }

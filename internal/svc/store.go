@@ -53,16 +53,9 @@ type remoteStore struct {
 	streams streamPool
 
 	// The binary data plane (wire.go): resolve maps chain node ids to
-	// data addresses for pipeline writes; scrub best-effort deletes a
-	// possibly-committed replica on another chain node after a torn
-	// pipeline, so deep commits whose acks were lost do not linger as
-	// orphans. scrub is invoked from a goroutine with the (live) op
-	// context: the hook waits for the op to settle before acting, so it
-	// never races the engine's same-block retry, and bounds its own
-	// deadline so a gray holder cannot pin the goroutine. Deletes,
-	// inventory and liveness are calls on the proxy's call connection.
+	// data addresses for pipeline writes. Deletes, inventory and
+	// liveness are calls on the proxy's call connection.
 	resolve func(cluster.NodeID) (string, bool)
-	scrub   func(ctx context.Context, node cluster.NodeID, id dfs.BlockID)
 
 	// brk, when non-nil, is this node's client-side circuit breaker:
 	// a run of transport failures opens it, fast-failing further calls
@@ -226,28 +219,16 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 	s.brk.record(probe, err == nil)
 	if err != nil {
 		// The stream broke: no commit acks, so whether any chain node
-		// committed is unknown. Mark everything down-failed; cleanup of
-		// possibly-committed deep replicas happens off the request path —
-		// a scrub toward the very node that stalled the pipeline stalls
-		// just as long, and running it inline would hold the caller's
-		// admission slot (and the writer's remaining budget) hostage.
-		// The scrub hook owns the deferral: it waits for the op to
-		// settle, re-checks metadata, and bounds its own deadline.
+		// committed is unknown. Mark everything down-failed. A deep
+		// replica that committed with its ack lost is either published
+		// by the engine's same-block retry or left unlisted, and the
+		// NameNode's repair scan collects it — never the request path,
+		// where a delete toward the node that stalled the pipeline would
+		// stall just as long.
 		s.SetUp(false)
 		cause := fmt.Errorf("%w: datanode %d pipeline unreachable: %v", dfs.ErrNodeDown, s.id, err)
 		for _, ce := range chain {
 			res.Failed[ce.Node] = cause
-		}
-		if s.scrub != nil {
-			nodes := make([]cluster.NodeID, len(chain))
-			for i, ce := range chain {
-				nodes[i] = ce.Node
-			}
-			go func() {
-				for _, n := range nodes {
-					s.scrub(ctx, n, id)
-				}
-			}()
 		}
 		return res
 	}
@@ -310,8 +291,8 @@ func (s *remoteStore) StoredSum(ctx context.Context, id dfs.BlockID) (int64, uin
 	return res.Size, res.CRC32, res.OK
 }
 
-// StoredBlocks fetches the node's block inventory (dfs.BlockLister);
-// ok is false when the node is unreachable.
+// StoredBlocks fetches the node's block inventory; ok is false when
+// the node is unreachable.
 func (s *remoteStore) StoredBlocks(ctx context.Context) ([]dfs.BlockID, bool) {
 	var res blocksResult
 	if err := s.call(ctx, "dn.blocks", struct{}{}, &res); err != nil {
