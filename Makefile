@@ -14,7 +14,8 @@ vet:
 # determinism taint, error taxonomy, lock discipline (unlocks, hooks
 # under locks, lock-order cycles, leaf shard locks), context
 # propagation, sync/atomic consistency, float equality, map-iteration
-# order, Close handling, and the stale-suppression ratchet. Exits non-zero on any finding; suppress
+# order, Close handling, code no program reaches, and the
+# stale-suppression ratchet. Exits non-zero on any finding; suppress
 # intentional ones with //lint:ignore <analyzer> <reason> (unused
 # directives are themselves findings).
 lint:

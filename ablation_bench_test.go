@@ -10,7 +10,9 @@ import (
 
 	adapt "github.com/adaptsim/adapt"
 	"github.com/adaptsim/adapt/internal/hadoopsim"
+	"github.com/adaptsim/adapt/internal/model"
 	"github.com/adaptsim/adapt/internal/placement"
+	"github.com/adaptsim/adapt/internal/stats"
 )
 
 func ablationCluster(b *testing.B) *adapt.Cluster {
@@ -170,7 +172,7 @@ func BenchmarkAblationServiceDistribution(b *testing.B) {
 	c := ablationCluster(b)
 	factories := map[string]hadoopsim.ServiceFactory{
 		"exponential":   hadoopsim.ExponentialService,
-		"deterministic": hadoopsim.DeterministicService,
+		"deterministic": func(a model.Availability) (stats.Distribution, error) { return stats.NewDeterministic(a.Mu), nil },
 	}
 	for _, name := range []string{"exponential", "deterministic"} {
 		b.Run(name, func(b *testing.B) {

@@ -97,7 +97,7 @@ func TestFsckVerb(t *testing.T) {
 	}
 
 	rep := check(0)
-	if rep.Files != 1 || !rep.Healthy() {
+	if rep.Files != 1 || rep.UnderReplicated != 0 || rep.Unavailable != 0 {
 		t.Fatalf("healthy report wrong: %+v", rep)
 	}
 

@@ -7,19 +7,26 @@ import (
 	"testing"
 )
 
-// fixtureDiags loads the fixture module once per test binary.
-var fixtureDiags []Diagnostic
+// fixtureDiags and deadcodeDiags cache the two fixture modules'
+// findings once per test binary: testdata/src is a library, and
+// testdata/deadcode has the main that deadcode needs.
+var fixtureDiags, deadcodeDiags []Diagnostic
 
 func loadFixtures(t *testing.T) []Diagnostic {
 	t.Helper()
-	if fixtureDiags != nil {
-		return fixtureDiags
+	return lintFixture(t, &fixtureDiags, "src")
+}
+
+func lintFixture(t *testing.T, cache *[]Diagnostic, module string) []Diagnostic {
+	t.Helper()
+	if *cache != nil {
+		return *cache
 	}
-	diags, err := runLint(filepath.Join("testdata", "src"))
+	diags, err := runLint(filepath.Join("testdata", module))
 	if err != nil {
-		t.Fatalf("runLint(testdata/src): %v", err)
+		t.Fatalf("runLint(testdata/%s): %v", module, err)
 	}
-	fixtureDiags = diags
+	*cache = diags
 	return diags
 }
 
@@ -29,11 +36,18 @@ func loadFixtures(t *testing.T) []Diagnostic {
 // extra finding is as much a failure as a missing one. lockcheck's
 // acquisition-graph rules keep golden files of their own (see
 // lockcheckRules); the lockcheck file holds the rest of its findings.
+// Every finding in the deadcode module, its stale directive's
+// included, is pinned in deadcode.txt; the library module has no main
+// and so no deadcode findings.
 func TestAnalyzersGolden(t *testing.T) {
 	diags := loadFixtures(t)
 	byGolden := make(map[string][]string)
 	for _, d := range diags {
 		byGolden[goldenName(d)] = append(byGolden[goldenName(d)], d.format())
+	}
+	dead := lintFixture(t, &deadcodeDiags, "deadcode")
+	for _, d := range dead {
+		byGolden["deadcode"] = append(byGolden["deadcode"], d.format())
 	}
 	var names []string
 	for _, a := range analyzers() {
@@ -62,8 +76,8 @@ func TestAnalyzersGolden(t *testing.T) {
 		})
 		seen += len(byGolden[name])
 	}
-	if seen != len(diags) {
-		t.Errorf("%d diagnostics from unknown analyzers", len(diags)-seen)
+	if seen != len(diags)+len(dead) {
+		t.Errorf("%d diagnostics from unknown analyzers", len(diags)+len(dead)-seen)
 	}
 }
 
@@ -139,12 +153,12 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestListFlagNamesAllAnalyzers keeps the suite definition honest:
-// exactly the nine documented analyzers, each with doc text.
+// exactly the ten documented analyzers, each with doc text.
 func TestListFlagNamesAllAnalyzers(t *testing.T) {
 	want := []string{
 		"determinism", "errtaxonomy", "lockcheck",
 		"ctxcheck", "atomiccheck", "floateq", "mapiter", "closecheck",
-		"unusedignore",
+		"deadcode", "unusedignore",
 	}
 	got := analyzers()
 	if len(got) != len(want) {

@@ -40,6 +40,7 @@ func analyzers() []*Analyzer {
 		floateqAnalyzer(),
 		mapiterAnalyzer(),
 		closecheckAnalyzer(),
+		deadcodeAnalyzer(),
 		unusedignoreAnalyzer(),
 	}
 }
@@ -112,6 +113,8 @@ func newProgram(root string, modPath string, fset *token.FileSet, pkgs []*Pkg) *
 // import path) and every whole-program result derived from them. The
 // next analyzer demand recomputes. Exposed for cache-invalidation
 // tests; a fresh runLint never needs it.
+//
+//lint:ignore deadcode cache-invalidation seam: the core tests drop and recompute one package's summaries
 func (prog *Program) InvalidatePackage(importPath string) {
 	prog.Sums.invalidate(importPath)
 }

@@ -42,7 +42,8 @@ func (k EdgeKind) String() string {
 }
 
 // CallSite is one edge of the call graph, anchored at the position in
-// the caller where the callee is named.
+// the caller where the callee is named. Caller is nil for an edge out
+// of a package-level var initializer.
 type CallSite struct {
 	Caller *types.Func
 	Callee *types.Func
@@ -67,6 +68,10 @@ type CallGraph struct {
 	Decl map[*types.Func]*ast.FuncDecl
 	// PkgOf maps a module function to its defining package.
 	PkgOf map[*types.Func]*Pkg
+	// VarInit lists the edges out of package-level var initializers,
+	// which run when the package is initialized. They have no caller,
+	// so they are kept here and not in ByCaller or ByCallee.
+	VarInit []*CallSite
 }
 
 // buildCallGraph constructs the call graph for all loaded packages.
@@ -96,29 +101,32 @@ func buildCallGraph(pkgs []*Pkg) *CallGraph {
 		}
 	}
 	impls := newImplFinder(pkgs)
-	// Pass 2: walk every body and record edges.
+	// Pass 2: walk every body and var initializer and record edges.
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					caller, ok := p.Info.Defs[decl.Name].(*types.Func)
+					if ok && decl.Body != nil {
+						g.walkBody(p, caller, decl.Body, impls)
+					}
+				case *ast.GenDecl:
+					if decl.Tok == token.VAR {
+						g.walkBody(p, nil, decl, impls)
+					}
 				}
-				caller, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				g.walkBody(p, caller, fd.Body, impls)
 			}
 		}
 	}
 	return g
 }
 
-// walkBody records edges for one function body. Call operands produce
-// EdgeStatic (or EdgeDynamic for interface methods); any other
-// reference to a function object produces EdgeRef.
-func (g *CallGraph) walkBody(p *Pkg, caller *types.Func, body *ast.BlockStmt, impls *implFinder) {
+// walkBody records edges for one function body, or for a package-level
+// var declaration when caller is nil. Call operands produce EdgeStatic
+// (or EdgeDynamic for interface methods); any other reference to a
+// function object produces EdgeRef.
+func (g *CallGraph) walkBody(p *Pkg, caller *types.Func, body ast.Node, impls *implFinder) {
 	info := p.Info
 	// callOperands marks identifiers that appear as the function
 	// operand of a call, so the same identifier is not double-counted
@@ -178,6 +186,10 @@ func (g *CallGraph) addCallEdges(p *Pkg, caller, fn *types.Func, pos token.Pos, 
 }
 
 func (g *CallGraph) addEdge(e *CallSite) {
+	if e.Caller == nil {
+		g.VarInit = append(g.VarInit, e)
+		return
+	}
 	g.ByCaller[e.Caller] = append(g.ByCaller[e.Caller], e)
 	g.ByCallee[e.Callee] = append(g.ByCallee[e.Callee], e)
 }

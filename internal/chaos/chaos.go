@@ -117,15 +117,14 @@ type nodeState struct {
 // Engine generates and applies churn. Step/Run are safe for use from
 // one goroutine while the target serves concurrent traffic; the
 // engine's own state is additionally mutex-guarded so inspection
-// (Now, Events) can happen from other goroutines.
+// (Now) can happen from other goroutines.
 type Engine struct {
 	cfg Config
 	g   *stats.RNG
 
-	mu     sync.Mutex
-	now    float64
-	events int
-	nodes  []*nodeState
+	mu    sync.Mutex
+	now   float64
+	nodes []*nodeState
 }
 
 // New builds an engine over the cluster's availability patterns. The
@@ -244,7 +243,6 @@ func (e *Engine) step() (Event, bool, error) {
 		st.upSince = at
 		ev = Event{Time: at, Node: st.id, Kind: EventUp}
 	}
-	e.events++
 	return ev, true, nil
 }
 
@@ -312,11 +310,4 @@ func (e *Engine) Now() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.now
-}
-
-// Events returns the number of events applied so far.
-func (e *Engine) Events() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.events
 }

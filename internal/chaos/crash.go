@@ -30,6 +30,8 @@ type CrashFaults struct {
 // CrashAfter builds an injector that lets `appends` appends commit,
 // then crashes the next one leaving `tornBytes` of its frame on disk
 // (clamped to the frame length).
+//
+//lint:ignore deadcode fault injection: the WAL and journal tests crash an append mid-frame
 func CrashAfter(appends, tornBytes int) *CrashFaults {
 	return &CrashFaults{remaining: appends, torn: tornBytes}
 }
@@ -54,6 +56,8 @@ func (c *CrashFaults) BeforeAppend(frame []byte) (int, error) {
 }
 
 // Crashed reports whether the simulated crash has fired.
+//
+//lint:ignore deadcode fault injection: the crash tests confirm the injected crash fired
 func (c *CrashFaults) Crashed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

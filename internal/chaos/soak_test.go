@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -147,7 +148,7 @@ func TestChurnSoak(t *testing.T) {
 			if g.Float64() < 0.5 {
 				_, err = cl.Adapt(fn)
 			} else {
-				_, err = cl.Rebalance(fn)
+				_, err = cl.RebalanceContext(context.Background(), fn)
 			}
 			if err != nil && !okRead(err) {
 				t.Errorf("redistribute %s: %v", fn, err)

@@ -100,6 +100,8 @@ func (h *HeartbeatEstimator) stats(id NodeID) *nodeStats {
 // window (up + down seconds) and the number of interruptions recorded.
 // Chaos soak tests use it to confirm injected churn was fully
 // observed.
+//
+//lint:ignore deadcode accessor for unexported state: soaks confirm every beat and interruption was folded
 func (h *HeartbeatEstimator) Observed(id NodeID) (seconds float64, interruptions int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

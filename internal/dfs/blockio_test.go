@@ -23,14 +23,14 @@ type refusingStore struct {
 
 func (s *refusingStore) Put(ctx context.Context, id BlockID, data []byte) error {
 	if s.refuse != nil {
-		return fmt.Errorf("store %d: %w", s.ID(), s.refuse)
+		return fmt.Errorf("store %d: %w", s.dn.id, s.refuse)
 	}
 	return s.localStore.Put(ctx, id, data)
 }
 
 func (s *refusingStore) Get(ctx context.Context, id BlockID, dst []byte) ([]byte, error) {
 	if s.refuse != nil {
-		return nil, fmt.Errorf("store %d: %w", s.ID(), s.refuse)
+		return nil, fmt.Errorf("store %d: %w", s.dn.id, s.refuse)
 	}
 	return s.localStore.Get(ctx, id, dst)
 }
@@ -76,7 +76,7 @@ func TestShedBlocksAreOverloadNotOutage(t *testing.T) {
 			s.refuse = tc.refusals[i]
 		}
 		for _, hedged := range []bool{false, true} {
-			io.DisableHedge()
+			io.hedge.Store(nil)
 			if hedged {
 				if err := io.SetHedge(HedgeConfig{}); err != nil {
 					t.Fatal(err)
@@ -86,7 +86,7 @@ func TestShedBlocksAreOverloadNotOutage(t *testing.T) {
 				t.Errorf("%s: read (hedged=%v): err = %v, want %v", tc.name, hedged, err, tc.read)
 			}
 		}
-		io.DisableHedge()
+		io.hedge.Store(nil)
 		before := io.Resilience().Snapshot()
 		_, err := io.WriteBlocks(ctx, alloc(2), bytes.NewReader(data), retry, nil)
 		if !errors.Is(err, tc.write) || !IsTransient(err) {

@@ -22,11 +22,12 @@ import (
 // backoff per Retry, and writes degrade gracefully to alternate live
 // nodes, reporting the replication actually achieved.
 //
-// Every operation has a Context variant that bounds its total latency:
-// backoff waits end early when the deadline passes and replica RPCs
-// inherit the deadline, so a networked caller can cap tail latency.
-// The plain variants use context.Background() and keep the historical
-// count-based retry semantics.
+// Every operation takes a context, or has a Context variant that does
+// (CopyFromLocal's is CopyFromLocalReportContext), bounding its total
+// latency: backoff waits end early when the deadline passes and replica
+// RPCs inherit the deadline, so a networked caller can cap tail
+// latency. The plain forms use context.Background() and keep the
+// historical count-based retry semantics.
 type Client struct {
 	nn *NameNode
 	g  *stats.RNG
@@ -90,12 +91,6 @@ func (c *Client) policy(useAdapt bool) (placement.Policy, error) {
 // availability-aware distributor (the prototype's extra shell flag).
 func (c *Client) CopyFromLocal(name string, data []byte, useAdapt bool) (*FileMeta, error) {
 	fm, _, err := c.CopyFromLocalReport(name, data, useAdapt)
-	return fm, err
-}
-
-// CopyFromLocalContext is CopyFromLocal bounded by ctx.
-func (c *Client) CopyFromLocalContext(ctx context.Context, name string, data []byte, useAdapt bool) (*FileMeta, error) {
-	fm, _, err := c.CopyFromLocalReportContext(ctx, name, data, useAdapt)
 	return fm, err
 }
 
@@ -170,14 +165,10 @@ func (c *Client) ReadFileContext(ctx context.Context, name string) ([]byte, erro
 	return c.nn.readFile(ctx, name, c.Retry)
 }
 
-// ReadBlock reads one block with replica failover plus bounded retry
-// on transient failure. Unlike ReadFile it works from the caller's
-// BlockMeta snapshot, so it cannot see holders added after the stat.
-func (c *Client) ReadBlock(bm BlockMeta) ([]byte, error) {
-	return c.ReadBlockContext(context.Background(), bm)
-}
-
-// ReadBlockContext is ReadBlock bounded by ctx.
+// ReadBlockContext reads one block with replica failover plus bounded
+// retry on transient failure, bounded by ctx. Unlike ReadFile it works
+// from the caller's BlockMeta snapshot, so it cannot see holders added
+// after the stat.
 func (c *Client) ReadBlockContext(ctx context.Context, bm BlockMeta) ([]byte, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
@@ -216,13 +207,9 @@ func (c *Client) AdaptContext(ctx context.Context, name string) (int, error) {
 	return c.redistribute(ctx, name, pol)
 }
 
-// Rebalance redistributes an existing file's blocks with the stock
-// uniform policy — the baseline the adapt command is analogous to.
-func (c *Client) Rebalance(name string) (int, error) {
-	return c.RebalanceContext(context.Background(), name)
-}
-
-// RebalanceContext is Rebalance bounded by ctx.
+// RebalanceContext redistributes an existing file's blocks with the
+// stock uniform policy — the baseline the adapt command is analogous
+// to — bounded by ctx.
 func (c *Client) RebalanceContext(ctx context.Context, name string) (int, error) {
 	pol, err := c.policy(false)
 	if err != nil {

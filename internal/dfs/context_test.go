@@ -80,7 +80,7 @@ func TestCancelStopsWriteBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := cl.CopyFromLocalContext(ctx, "f", []byte("data"), false)
+	_, _, err := cl.CopyFromLocalReportContext(ctx, "f", []byte("data"), false)
 	if err == nil {
 		t.Fatal("write with every node down succeeded")
 	}

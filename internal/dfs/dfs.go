@@ -174,9 +174,6 @@ func NewDataNode(id cluster.NodeID) *DataNode {
 	return &DataNode{id: id, up: true, blocks: make(map[BlockID][]byte)}
 }
 
-// ID returns the node id.
-func (d *DataNode) ID() cluster.NodeID { return d.id }
-
 // Up reports whether the node is serving requests.
 func (d *DataNode) Up() bool {
 	d.mu.RLock()
@@ -322,13 +319,6 @@ func (d *DataNode) StoredBlocks() []BlockID {
 	d.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// BlockCount returns how many replicas the node stores.
-func (d *DataNode) BlockCount() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.blocks)
 }
 
 // UsedBytes returns the bytes stored.
@@ -579,16 +569,11 @@ func (nn *NameNode) Exists(name string) bool {
 	return ok
 }
 
-// Delete removes a file and its block replicas. It serializes with
-// redistribute and repair on the same file so a concurrent structural
-// operation can never strand replicas.
-func (nn *NameNode) Delete(name string) error {
-	return nn.DeleteContext(context.Background(), name)
-}
-
-// DeleteContext is Delete with a deadline for the replica
-// invalidations. Replica deletes are best-effort (HDFS's lazy block
-// invalidation): an unreachable holder keeps a surplus copy, never
+// DeleteContext removes a file and its block replicas, with a deadline
+// for the replica invalidations. It serializes with redistribute and
+// repair on the same file so a concurrent structural operation can
+// never strand replicas. Replica deletes are best-effort (HDFS's lazy
+// block invalidation): an unreachable holder keeps a surplus copy, never
 // live metadata, and ScrubOrphans collects it.
 func (nn *NameNode) DeleteContext(ctx context.Context, name string) error {
 	unlock := nn.lockFile(name)
@@ -858,15 +843,10 @@ func (nn *NameNode) Locate(name string) (*FileMeta, error) {
 	return fm, nil
 }
 
-// ReadBlock fetches one block's bytes from any live replica, verifying
-// the CRC32 checksum and failing over to the next replica on node
-// failure, missing bytes, or corruption.
-func (nn *NameNode) ReadBlock(bm BlockMeta) ([]byte, error) {
-	return nn.ReadBlockContext(context.Background(), bm)
-}
-
-// ReadBlockContext is ReadBlock with a deadline for the replica
-// fetches.
+// ReadBlockContext fetches one block's bytes from any live replica,
+// verifying the CRC32 checksum and failing over to the next replica on
+// node failure, missing bytes, or corruption, with a deadline for the
+// replica fetches.
 func (nn *NameNode) ReadBlockContext(ctx context.Context, bm BlockMeta) ([]byte, error) {
 	if d := nn.dynamic.Load(); d != nil {
 		d.observeRead(bm.File, 1)

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -275,7 +276,7 @@ func TestRebalance(t *testing.T) {
 	if _, err := cl.CopyFromLocal("f", data, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Rebalance("f"); err != nil {
+	if _, err := cl.RebalanceContext(context.Background(), "f"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := nn.ReadFile("f")
@@ -293,7 +294,7 @@ func TestDeleteRemovesReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.Delete("f"); err != nil {
+	if err := nn.DeleteContext(context.Background(), "f"); err != nil {
 		t.Fatal(err)
 	}
 	if nn.Exists("f") {
@@ -310,7 +311,7 @@ func TestDeleteRemovesReplicas(t *testing.T) {
 			}
 		}
 	}
-	if err := nn.Delete("f"); !errors.Is(err, ErrFileNotFound) {
+	if err := nn.DeleteContext(context.Background(), "f"); !errors.Is(err, ErrFileNotFound) {
 		t.Fatalf("double delete err = %v", err)
 	}
 }
@@ -373,12 +374,12 @@ func TestDataNodeAccounting(t *testing.T) {
 	if err := dn.Put(2, payload(50)); err != nil {
 		t.Fatal(err)
 	}
-	if dn.BlockCount() != 2 || dn.UsedBytes() != 150 {
-		t.Fatalf("count=%d used=%d", dn.BlockCount(), dn.UsedBytes())
+	if len(dn.StoredBlocks()) != 2 || dn.UsedBytes() != 150 {
+		t.Fatalf("count=%d used=%d", len(dn.StoredBlocks()), dn.UsedBytes())
 	}
 	dn.Delete(1)
-	if dn.BlockCount() != 1 || dn.UsedBytes() != 50 {
-		t.Fatalf("after delete: count=%d used=%d", dn.BlockCount(), dn.UsedBytes())
+	if len(dn.StoredBlocks()) != 1 || dn.UsedBytes() != 50 {
+		t.Fatalf("after delete: count=%d used=%d", len(dn.StoredBlocks()), dn.UsedBytes())
 	}
 }
 

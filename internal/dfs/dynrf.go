@@ -187,14 +187,6 @@ func (d *dynRF) step(name string, declared int, vol float64) int {
 	return st.applied
 }
 
-// target returns the file's current applied target without advancing
-// the controller (reporting and tests).
-func (d *dynRF) target(name string, declared int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.state(name, declared).applied
-}
-
 // forget drops a deleted file's state.
 func (d *dynRF) forget(name string) {
 	d.mu.Lock()
@@ -246,25 +238,4 @@ func (nn *NameNode) EnableDynamicRF(cfg DynamicRFConfig) error {
 	}
 	nn.dynamic.Store(newDynRF(cfg, nn.io.counters))
 	return nil
-}
-
-// DisableDynamicRF detaches the controller; maintenance reverts to
-// each file's static replication target.
-func (nn *NameNode) DisableDynamicRF() {
-	nn.dynamic.Store(nil)
-}
-
-// DynamicRFTarget reports the controller's current target for a file
-// and whether the controller is enabled. The declared target is
-// returned when the controller is off.
-func (nn *NameNode) DynamicRFTarget(name string) (int, bool) {
-	fm, err := nn.Stat(name)
-	if err != nil {
-		return 0, false
-	}
-	d := nn.dynamic.Load()
-	if d == nil {
-		return fm.Replication, false
-	}
-	return d.target(name, fm.Replication), true
 }

@@ -61,10 +61,10 @@ func TestDynRFNeverBelowFloorOrAboveCeiling(t *testing.T) {
 	cfg := DynamicRFConfig{MinRF: 2, MaxRF: 4, Hysteresis: 1}.withDefaults()
 	d := newDynRF(cfg, &metrics.ResilienceCounters{})
 	// Declared degrees outside the band are clamped on first sight.
-	if got := d.target("low", 1); got != 2 {
+	if got := appliedRF(d, "low", 1); got != 2 {
 		t.Fatalf("declared 1 clamped to %d, want floor 2", got)
 	}
-	if got := d.target("high", 9); got != 4 {
+	if got := appliedRF(d, "high", 9); got != 4 {
 		t.Fatalf("declared 9 clamped to %d, want ceiling 4", got)
 	}
 	// Drive the signals through extremes for many passes.
@@ -362,7 +362,7 @@ func TestDynamicRFChurnSoak(t *testing.T) {
 	})
 	// Target observers race the controller.
 	worker(func(*stats.RNG) {
-		if tgt, on := nn.DynamicRFTarget("f"); on && (tgt < 2 || tgt > 4) {
+		if tgt := appliedRF(nn.dynamic.Load(), "f", cl.Replication); tgt < 2 || tgt > 4 {
 			t.Errorf("target %d escaped [2, 4]", tgt)
 			stop.Store(true)
 		}
@@ -411,32 +411,10 @@ func TestDynamicRFChurnSoak(t *testing.T) {
 	}
 }
 
-func TestDisableDynamicRFRestoresStaticTarget(t *testing.T) {
-	nn, cl := dedicatedNameNode(t, 8)
-	cl.Replication = 3
-	if _, err := cl.CopyFromLocal("f", payload(100), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := nn.EnableDynamicRF(DynamicRFConfig{MinRF: 2, MaxRF: 5, Hysteresis: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 3; pass++ {
-		if _, err := cl.MaintainReplication("f", false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tgt, on := nn.DynamicRFTarget("f"); !on || tgt != 2 {
-		t.Fatalf("dynamic target = %d (on=%v), want 2", tgt, on)
-	}
-	nn.DisableDynamicRF()
-	if tgt, on := nn.DynamicRFTarget("f"); on || tgt != 3 {
-		t.Fatalf("static target = %d (on=%v), want 3 with controller off", tgt, on)
-	}
-	rep, err := cl.MaintainReplication("f", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Target != 3 || rep.Repaired == 0 {
-		t.Fatalf("maintenance did not repair back to static degree: %+v", rep)
-	}
+// appliedRF is the controller's current target for name, read without
+// advancing the controller.
+func appliedRF(d *dynRF, name string, declared int) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.state(name, declared).applied
 }

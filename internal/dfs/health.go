@@ -34,11 +34,6 @@ type HealthReport struct {
 	Tenants []shard.TenantUsage `json:"tenants,omitempty"`
 }
 
-// Healthy reports full replication across the namespace.
-func (r HealthReport) Healthy() bool {
-	return r.UnderReplicated == 0 && r.Unavailable == 0
-}
-
 // Health surveys every file's block map against current node
 // liveness. Shards are surveyed one at a time in ascending index
 // order and the details merged by file name, so the output is

@@ -131,15 +131,8 @@ func (b *BlockIO) SetHedge(cfg HedgeConfig) error {
 	return nil
 }
 
-// DisableHedge turns hedged reads off (reads fall back to the
-// sequential failover loop).
-func (b *BlockIO) DisableHedge() { b.hedge.Store(nil) }
-
 // SetHedge enables hedged reads on the NameNode's own block mover.
 func (nn *NameNode) SetHedge(cfg HedgeConfig) error { return nn.io.SetHedge(cfg) }
-
-// DisableHedge turns the NameNode's hedged reads off.
-func (nn *NameNode) DisableHedge() { nn.io.DisableHedge() }
 
 // hedgeResult is one replica fetch's outcome.
 type hedgeResult struct {

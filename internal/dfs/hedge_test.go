@@ -115,5 +115,4 @@ func TestSetHedgeValidation(t *testing.T) {
 	if err := nn.SetHedge(HedgeConfig{}); err != nil {
 		t.Fatalf("SetHedge with defaults: %v", err)
 	}
-	nn.DisableHedge()
 }

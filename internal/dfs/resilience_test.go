@@ -271,7 +271,7 @@ func TestChecksumFailoverOnCorruptRead(t *testing.T) {
 		faults.corruptOn[r] = true
 		faults.mu.Unlock()
 	}
-	if _, err := cl.ReadBlock(fm.Blocks[0]); err == nil {
+	if _, err := cl.ReadBlockContext(context.Background(), fm.Blocks[0]); err == nil {
 		t.Fatal("read with all replicas corrupt should fail")
 	} else if !errors.Is(err, ErrNoReplica) || !IsTransient(err) {
 		t.Fatalf("want transient ErrNoReplica, got %v", err)
@@ -373,7 +373,7 @@ func TestWriteFailsWhenNoNodeEverAccepts(t *testing.T) {
 	}
 	// No replica may leak either.
 	for i := 0; i < 4; i++ {
-		if mustDataNode(t, nn, cluster.NodeID(i)).BlockCount() != 0 {
+		if len(mustDataNode(t, nn, cluster.NodeID(i)).StoredBlocks()) != 0 {
 			t.Fatalf("failed create leaked replicas on node %d", i)
 		}
 	}

@@ -17,8 +17,6 @@ import (
 // wrapping ErrNodeDown so the failover and retry machinery classifies
 // them; permanent conditions use the other dfs sentinels.
 type BlockStore interface {
-	// ID returns the cluster node this store belongs to.
-	ID() cluster.NodeID
 	// Up reports whether the store is believed to be serving. For a
 	// remote store this is the NameNode's liveness belief (heartbeat
 	// freshness), not ground truth: operations may still fail with
@@ -75,9 +73,8 @@ type PipelinePutter interface {
 // instantaneous); remote stores honor it as an RPC deadline.
 type localStore struct{ dn *DataNode }
 
-func (s localStore) ID() cluster.NodeID { return s.dn.ID() }
-func (s localStore) Up() bool           { return s.dn.Up() }
-func (s localStore) SetUp(up bool)      { s.dn.SetUp(up) }
+func (s localStore) Up() bool      { return s.dn.Up() }
+func (s localStore) SetUp(up bool) { s.dn.SetUp(up) }
 
 func (s localStore) Put(ctx context.Context, id BlockID, data []byte) error {
 	if err := ctx.Err(); err != nil {

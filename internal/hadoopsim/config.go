@@ -52,12 +52,6 @@ func ExponentialService(a model.Availability) (stats.Distribution, error) {
 	return stats.ExponentialFromMean(a.Mu)
 }
 
-// DeterministicService returns point-mass recoveries at μ, an
-// ablation of the service-time distribution assumption.
-func DeterministicService(a model.Availability) (stats.Distribution, error) {
-	return stats.NewDeterministic(a.Mu), nil
-}
-
 // Config parameterizes one simulated map phase.
 type Config struct {
 	// Cluster supplies node availability (parametric or trace-driven)

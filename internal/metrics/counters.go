@@ -140,34 +140,6 @@ func (c *ResilienceCounters) Snapshot() ResilienceSnapshot {
 	}
 }
 
-// Reset zeroes every counter.
-func (c *ResilienceCounters) Reset() {
-	c.ReadRetries.Store(0)
-	c.ReadFailovers.Store(0)
-	c.WriteFailovers.Store(0)
-	c.WriteRetries.Store(0)
-	c.DegradedWrites.Store(0)
-	c.ChecksumFailures.Store(0)
-	c.NodeDownErrors.Store(0)
-	c.RepairedReplicas.Store(0)
-	c.UnrepairableBlocks.Store(0)
-	c.RedistributedReplicas.Store(0)
-	c.InjectedFaults.Store(0)
-	c.InjectedCorruptions.Store(0)
-	c.InjectedLatencyNanos.Store(0)
-	c.RepairScans.Store(0)
-	c.NodesDeclaredDead.Store(0)
-	c.SpeculativeAttempts.Store(0)
-	c.CancelledAttempts.Store(0)
-	c.WastedComputeNanos.Store(0)
-	c.RFRaises.Store(0)
-	c.RFLowers.Store(0)
-	c.PrunedReplicas.Store(0)
-	c.HedgedReads.Store(0)
-	c.HedgeWins.Store(0)
-	c.HedgeLosses.Store(0)
-}
-
 func (s ResilienceSnapshot) String() string {
 	return fmt.Sprintf(
 		"reads: retries=%d failovers=%d checksum=%d | writes: failovers=%d retries=%d degraded=%d | "+

@@ -32,11 +32,6 @@ type Breakdown struct {
 	Misc float64
 }
 
-// Total returns the summed overhead (node-seconds).
-func (b Breakdown) Total() float64 {
-	return b.Rework + b.Recovery + b.Migration + b.Misc
-}
-
 // Ratio is an overhead breakdown normalized by Base, the form Figure 5
 // plots ("overhead ratio" per component).
 type Ratio struct {
@@ -70,6 +65,8 @@ func (r Ratio) String() string {
 }
 
 // Add accumulates another breakdown (e.g. merging runs).
+//
+//lint:ignore deadcode unused library code kept with its test (TestBreakdownAdd)
 func (b *Breakdown) Add(other Breakdown) {
 	b.Base += other.Base
 	b.Rework += other.Rework

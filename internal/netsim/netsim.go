@@ -38,9 +38,6 @@ func FromMegabits(mbps float64) Config {
 	return Config{UplinkBps: bps, DownlinkBps: bps}
 }
 
-// Megabits reports the downlink capacity in Mb/s.
-func (c Config) Megabits() float64 { return c.DownlinkBps / BytesPerMegabit }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.UplinkBps <= 0 || c.DownlinkBps <= 0 ||
@@ -87,9 +84,6 @@ func New(cfg Config, n int) (*Network, error) {
 
 // Len returns the node count.
 func (nw *Network) Len() int { return len(nw.upFree) }
-
-// Config returns the link configuration.
-func (nw *Network) Config() Config { return nw.cfg }
 
 // TransferTime returns how long a transfer of size bytes takes once
 // started (bottleneck of the two NICs), ignoring queueing.
@@ -139,6 +133,8 @@ type Stats struct {
 }
 
 // Stats returns the accumulated traffic statistics.
+//
+//lint:ignore deadcode unused library code kept with its test (TestStatsAccumulate)
 func (nw *Network) Stats() Stats {
 	return Stats{Bytes: nw.totalBytes, Transfers: nw.totalTransfers, BusyTime: nw.totalBusy}
 }

@@ -12,9 +12,6 @@ func TestFromMegabits(t *testing.T) {
 	if cfg.UplinkBps != 1e6 || cfg.DownlinkBps != 1e6 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if got := cfg.Megabits(); math.Abs(got-8) > 1e-12 {
-		t.Fatalf("Megabits = %g", got)
-	}
 }
 
 func TestTransferTime64MBBlock(t *testing.T) {

@@ -29,16 +29,6 @@ const (
 	ModeHashring Mode = "hashring"
 )
 
-// ParseMode validates a mode string.
-func ParseMode(s string) (Mode, error) {
-	switch m := Mode(s); m {
-	case ModeRandom, ModeAdapt, ModeNaive, ModeHashring:
-		return m, nil
-	default:
-		return "", fmt.Errorf("placement: unknown mode %q (want random|adapt|naive|hashring)", s)
-	}
-}
-
 // BuildAvailabilityRing builds the consistent-hash ring for a cluster:
 // per-node token counts proportional to the ADAPT efficiency 1/E[T_i]
 // at task length gamma, so more-available nodes own proportionally

@@ -10,18 +10,6 @@ import (
 	"github.com/adaptsim/adapt/internal/stats"
 )
 
-func TestParseMode(t *testing.T) {
-	for _, s := range []string{"random", "adapt", "naive", "hashring"} {
-		m, err := ParseMode(s)
-		if err != nil || string(m) != s {
-			t.Fatalf("ParseMode(%q) = %q, %v", s, m, err)
-		}
-	}
-	if _, err := ParseMode("roundrobin"); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-}
-
 func testRing(t *testing.T, n int) *shard.Ring {
 	t.Helper()
 	w := make([]float64, n)

@@ -90,6 +90,8 @@ func (a *Assignment) BlockCount() int { return len(a.Replicas) }
 
 // CountPerNode returns how many block replicas each node holds. The
 // slice length is the max node id + 1 unless Nodes is set.
+//
+//lint:ignore deadcode invariant oracle: placement properties check per-node counts against the m(k+1)/n cap
 func (a *Assignment) CountPerNode() []int {
 	n := a.Nodes
 	for _, hs := range a.Replicas {
@@ -109,6 +111,8 @@ func (a *Assignment) CountPerNode() []int {
 }
 
 // PrimaryCountPerNode counts only first replicas per node.
+//
+//lint:ignore deadcode unused library code kept with its test (TestPrimaryCountPerNode)
 func (a *Assignment) PrimaryCountPerNode() []int {
 	n := a.Nodes
 	for _, hs := range a.Replicas {
@@ -128,6 +132,8 @@ func (a *Assignment) PrimaryCountPerNode() []int {
 // Validate checks structural invariants: every block has exactly k
 // distinct holders with valid ids, and no node exceeds limit (if
 // limit > 0).
+//
+//lint:ignore deadcode invariant oracle: every placement property test validates what a policy placed
 func (a *Assignment) Validate(k, limit int) error {
 	counts := make(map[cluster.NodeID]int)
 	for b, hs := range a.Replicas {

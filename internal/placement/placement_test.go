@@ -66,7 +66,7 @@ func TestRandomUniformity(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := a.CountPerNode()
-	s := stats.Summarize(floatCounts(counts))
+	s := summarizeCounts(counts)
 	// Expected 200/node; 5-sigma band for binomial(12800, 1/64) is
 	// roughly 200 ± 70.
 	if s.Min() < 130 || s.Max() > 270 {
@@ -140,7 +140,7 @@ func TestAdaptHomogeneousIsUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := a.CountPerNode()
-	s := stats.Summarize(floatCounts(counts))
+	s := summarizeCounts(counts)
 	if math.Abs(s.Mean()-300) > 1e-9 {
 		t.Fatalf("mean = %g", s.Mean())
 	}
@@ -205,7 +205,7 @@ func TestAdaptThresholdEnforced(t *testing.T) {
 	for i := 1; i < 10; i++ {
 		ws[i] = 1
 	}
-	p := NewWeighted("skewed", ws)
+	p := newWeighted("skewed", ws)
 	m, k := 100, 1
 	a, err := PlaceAll(p, m, k, stats.NewRNG(6))
 	if err != nil {
@@ -316,7 +316,7 @@ func TestCollisionModes(t *testing.T) {
 	ws := []float64{3, 1, 1, 1, 2, 5, 1, 1}
 	for _, mode := range []CollisionMode{CollisionByRate, CollisionByOverlap} {
 		t.Run(mode.String(), func(t *testing.T) {
-			p := NewWeighted("w", ws)
+			p := newWeighted("w", ws)
 			p.Mode = mode
 			p.DisableThreshold = true
 			m := 15000
@@ -347,7 +347,7 @@ func TestUniformReplicasOption(t *testing.T) {
 	for i := 1; i < 20; i++ {
 		ws[i] = 1
 	}
-	p := NewWeighted("w", ws)
+	p := newWeighted("w", ws)
 	p.UniformReplicas = true
 	a, err := PlaceAll(p, 100, 2, stats.NewRNG(14))
 	if err != nil {
@@ -369,7 +369,7 @@ func TestUniformReplicasOption(t *testing.T) {
 }
 
 func TestWeightedAllZeroWeights(t *testing.T) {
-	p := NewWeighted("zero", []float64{0, 0, 0})
+	p := newWeighted("zero", []float64{0, 0, 0})
 	if _, err := p.NewPlacer(10, 1, stats.NewRNG(1)); !errors.Is(err, ErrNoWeight) {
 		t.Fatalf("err = %v, want ErrNoWeight", err)
 	}
@@ -449,12 +449,12 @@ func TestAssignmentValidateRejects(t *testing.T) {
 	}
 }
 
-func floatCounts(counts []int) []float64 {
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c)
+func summarizeCounts(counts []int) stats.Summary {
+	var s stats.Summary
+	for _, c := range counts {
+		s.Add(float64(c))
 	}
-	return out
+	return s
 }
 
 func TestPolicyNames(t *testing.T) {

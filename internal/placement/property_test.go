@@ -41,7 +41,7 @@ func TestRandomWeightsRespectThreshold(t *testing.T) {
 		if positive == 0 {
 			ws[0] = 1
 		}
-		a, err := PlaceAll(NewWeighted("fuzz", ws), m, k, g)
+		a, err := PlaceAll(newWeighted("fuzz", ws), m, k, g)
 		if err != nil {
 			t.Fatalf("draw %d (m=%d k=%d n=%d): %v", draw, m, k, n, err)
 		}

@@ -339,7 +339,7 @@ func TestPlaceAllMatchesReferencePlacer(t *testing.T) {
 		}
 	}
 	if err := quick.Check(func(c weightCase, kRaw uint8, off, uniform bool) bool {
-		w := NewWeighted("fuzz", c.ws)
+		w := newWeighted("fuzz", c.ws)
 		w.Mode, w.DisableThreshold, w.UniformReplicas = c.mode, off, uniform
 		err := same(w, 4*c.m, int(kRaw%3)+1, c.seed)
 		if err != nil {

@@ -200,17 +200,6 @@ func NewNaive(c *cluster.Cluster) (*Weighted, error) {
 	}, nil
 }
 
-// NewWeighted returns a policy with caller-supplied static weights
-// (used by tests and extensions).
-func NewWeighted(name string, weights []float64) *Weighted {
-	ws := make([]float64, len(weights))
-	copy(ws, weights)
-	return &Weighted{
-		name:    name,
-		weights: func() ([]float64, error) { return ws, nil },
-	}
-}
-
 // Name implements Policy.
 func (w *Weighted) Name() string { return w.name }
 

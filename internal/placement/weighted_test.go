@@ -14,6 +14,16 @@ import (
 	"github.com/adaptsim/adapt/internal/trace"
 )
 
+// newWeighted returns a policy with caller-supplied static weights.
+func newWeighted(name string, weights []float64) *Weighted {
+	ws := make([]float64, len(weights))
+	copy(ws, weights)
+	return &Weighted{
+		name:    name,
+		weights: func() ([]float64, error) { return ws, nil },
+	}
+}
+
 // assignmentDigest is the sha256 of every holder id, block by block.
 func assignmentDigest(a *Assignment) string {
 	h := sha256.New()
@@ -46,7 +56,7 @@ func TestSaturatedWeightsSpillOntoZeroWeightNodes(t *testing.T) {
 		{2, "01a140606dbea03ff7ef7e0d803e3f8684cdf9c54605a5fb83e8c7422ce6563c"},
 	} {
 		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
-			a, err := PlaceAll(NewWeighted("spill", ws), m, tc.k, stats.NewRNG(11))
+			a, err := PlaceAll(newWeighted("spill", ws), m, tc.k, stats.NewRNG(11))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +92,7 @@ func TestSaturatedWeightsSpillOntoZeroWeightNodes(t *testing.T) {
 // a zero-weight node. A rebuild that succeeds allocates nothing.
 func TestFailedRebuildKeepsTable(t *testing.T) {
 	ws := []float64{0, 5, 0, 0, 1, 0, 0, 3, 0, 0, 2, 0}
-	pl, err := NewWeighted("spill", ws).NewPlacer(1200, 1, stats.NewRNG(11))
+	pl, err := newWeighted("spill", ws).NewPlacer(1200, 1, stats.NewRNG(11))
 	if err != nil {
 		t.Fatal(err)
 	}

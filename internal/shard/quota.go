@@ -58,21 +58,6 @@ func (q *Quotas) Set(tenant string, quota Quota) {
 	q.quotas[tenant] = quota
 }
 
-// Get returns a tenant's quota and whether one was set.
-func (q *Quotas) Get(tenant string) (Quota, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	quota, ok := q.quotas[tenant]
-	return quota, ok
-}
-
-// UsageOf returns a tenant's live usage.
-func (q *Quotas) UsageOf(tenant string) Usage {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.usage[tenant]
-}
-
 // Check reports whether a reservation of files/bytes at replication
 // rf would fit the tenant's quota, without reserving. The authoritative
 // admission decision is Reserve; Check lets the write path fail fast

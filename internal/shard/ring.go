@@ -36,23 +36,20 @@ type ringToken struct {
 // Ring is a deterministic consistent-hash ring: each node holds a
 // token count proportional to its weight (1/E[T] under ADAPT), token
 // positions are pure hashes of (node, index), and a key is owned by
-// the first tokens clockwise from its hash. Rings are immutable —
-// WithWeight returns an updated copy — so lookups never race with
-// weight refreshes and a snapshot can be published through an atomic
-// pointer.
+// the first tokens clockwise from its hash. Rings are immutable, so
+// lookups never race with a rebuild and a snapshot can be published
+// through an atomic pointer.
 type Ring struct {
 	tokens        []ringToken
 	counts        []int
-	weights       []float64
-	unit          float64 // weight that earns tokensPerNode tokens, frozen at build
+	unit          float64 // weight that earns tokensPerNode tokens
 	tokensPerNode int
 }
 
 // BuildRing constructs a ring over len(weights) nodes. weights[i] <= 0
 // (or non-finite) excludes node i from the ring. tokensPerNode <= 0
 // selects DefaultTokensPerNode. The token scale is normalized against
-// the mean positive weight at build time and frozen, so later
-// WithWeight updates touch only the changed node's tokens.
+// the mean positive weight.
 func BuildRing(weights []float64, tokensPerNode int) (*Ring, error) {
 	if tokensPerNode <= 0 {
 		tokensPerNode = DefaultTokensPerNode
@@ -69,7 +66,6 @@ func BuildRing(weights []float64, tokensPerNode int) (*Ring, error) {
 		return nil, fmt.Errorf("%w: %d nodes", ErrNoTokens, len(weights))
 	}
 	r := &Ring{
-		weights:       append([]float64(nil), weights...),
 		counts:        make([]int, len(weights)),
 		unit:          sum / float64(pos),
 		tokensPerNode: tokensPerNode,
@@ -91,7 +87,7 @@ func usableWeight(w float64) bool {
 	return w > 0 && !math.IsInf(w, 1) && !math.IsNaN(w)
 }
 
-// tokenCount maps a weight to a token count against the frozen unit:
+// tokenCount maps a weight to a token count against the ring's unit:
 // proportional, at least 1 for any positive weight (so a barely-alive
 // node still owns keys), capped to bound memory.
 func (r *Ring) tokenCount(w float64) int {
@@ -134,67 +130,13 @@ func sortTokens(ts []ringToken) {
 func (r *Ring) Nodes() int { return len(r.counts) }
 
 // TokenCount returns node i's token count (0 when excluded).
+//
+//lint:ignore deadcode accessor for unexported state: ring tests check token counts follow the weights
 func (r *Ring) TokenCount(i int) int {
 	if i < 0 || i >= len(r.counts) {
 		return 0
 	}
 	return r.counts[i]
-}
-
-// Weight returns the weight node i currently carries on the ring.
-func (r *Ring) Weight(i int) float64 {
-	if i < 0 || i >= len(r.weights) {
-		return 0
-	}
-	return r.weights[i]
-}
-
-// WithWeight returns a ring with node i's weight replaced. Only that
-// node's tokens are rehashed — O(changed tokens), not O(ring) hashing
-// — which is what keeps availability refreshes under churn cheap. The
-// receiver is unchanged (rings are immutable snapshots).
-func (r *Ring) WithWeight(i int, w float64) *Ring {
-	if i < 0 || i >= len(r.counts) {
-		return r
-	}
-	nr := &Ring{
-		counts:        append([]int(nil), r.counts...),
-		weights:       append([]float64(nil), r.weights...),
-		unit:          r.unit,
-		tokensPerNode: r.tokensPerNode,
-	}
-	nr.weights[i] = w
-	nr.counts[i] = nr.tokenCount(w)
-	if nr.counts[i] == r.counts[i] {
-		// Token positions depend only on (node, index): same count,
-		// same tokens. Share the slice.
-		nr.tokens = r.tokens
-		return nr
-	}
-	fresh := nodeTokens(i, nr.counts[i])
-	// Merge the other nodes' tokens (already sorted) with the new ones.
-	merged := make([]ringToken, 0, len(r.tokens)-r.counts[i]+nr.counts[i])
-	fi := 0
-	for _, t := range r.tokens {
-		if int(t.node) == i {
-			continue
-		}
-		for fi < len(fresh) && lessToken(fresh[fi], t) {
-			merged = append(merged, fresh[fi])
-			fi++
-		}
-		merged = append(merged, t)
-	}
-	merged = append(merged, fresh[fi:]...)
-	nr.tokens = merged
-	return nr
-}
-
-func lessToken(a, b ringToken) bool {
-	if a.pos != b.pos {
-		return a.pos < b.pos
-	}
-	return a.node < b.node
 }
 
 // Lookup walks clockwise from key and returns the first n distinct
@@ -224,16 +166,6 @@ func (r *Ring) Lookup(key uint64, n int, eligible func(int) bool) []int {
 		}
 	}
 	return out
-}
-
-// Owner returns the single owner of a key (eligible as in Lookup), or
-// -1 on an empty ring.
-func (r *Ring) Owner(key uint64, eligible func(int) bool) int {
-	got := r.Lookup(key, 1, eligible)
-	if len(got) == 0 {
-		return -1
-	}
-	return got[0]
 }
 
 // TenantSet returns tenant's shard set: the first s distinct eligible

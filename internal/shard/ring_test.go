@@ -57,7 +57,7 @@ func TestRingChiSquaredUniform(t *testing.T) {
 	}
 	counts := make([]int, n)
 	for _, key := range sampleKeys(K) {
-		counts[r.Owner(key, nil)]++
+		counts[r.Lookup(key, 1, nil)[0]]++
 	}
 	expect := float64(K) / n
 	var chi2 float64
@@ -104,11 +104,16 @@ func TestRingBoundedMovementOnLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = 5
-	r2 := r.WithWeight(victim, 0)
+	w := homogeneous(n)
+	w[victim] = 0
+	r2, err := BuildRing(w, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := sampleKeys(K)
 	moved := 0
 	for _, key := range keys {
-		before, after := r.Owner(key, nil), r2.Owner(key, nil)
+		before, after := r.Lookup(key, 1, nil)[0], r2.Lookup(key, 1, nil)[0]
 		if before != after {
 			moved++
 			if before != victim {
@@ -129,21 +134,32 @@ func TestRingBoundedMovementOnLeave(t *testing.T) {
 	}
 }
 
-// TestRingJoinReproducesRing checks the inverse: adding a node back at
-// the same weight restores the exact original ownership, because token
-// positions are pure functions of (node, index).
+// TestRingJoinReproducesRing checks the inverse: the ring with node 7
+// back at its weight is the ring without it plus the keys node 7 takes,
+// because token positions are pure functions of (node, index).
 func TestRingJoinReproducesRing(t *testing.T) {
 	const n = 16
 	full, err := BuildRing(homogeneous(n), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without := full.WithWeight(7, 0)
-	rejoined := without.WithWeight(7, 1)
+	w := homogeneous(n)
+	w[7] = 0
+	without, err := BuildRing(w, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := 0
 	for _, key := range sampleKeys(4096) {
-		if a, b := full.Owner(key, nil), rejoined.Owner(key, nil); a != b {
-			t.Fatalf("key %x: full ring owner %d, rejoined ring owner %d", key, a, b)
+		a, b := full.Lookup(key, 1, nil)[0], without.Lookup(key, 1, nil)[0]
+		if a == 7 {
+			took++
+		} else if a != b {
+			t.Fatalf("key %x: full ring owner %d, ring without node 7 owner %d", key, a, b)
 		}
+	}
+	if took == 0 {
+		t.Fatal("node 7 took no keys on rejoining")
 	}
 }
 
@@ -172,8 +188,8 @@ func TestRingLookupDistinctAndEligible(t *testing.T) {
 	if got := r.Lookup(42, 99, nil); len(got) != 8 {
 		t.Fatalf("oversized lookup returned %d nodes", len(got))
 	}
-	if got := r.Owner(42, func(int) bool { return false }); got != -1 {
-		t.Fatalf("owner with nothing eligible = %d, want -1", got)
+	if got := r.Lookup(42, 1, func(int) bool { return false }); len(got) != 0 {
+		t.Fatalf("lookup with nothing eligible = %v, want none", got)
 	}
 }
 
@@ -291,15 +307,5 @@ func TestBlockPlacementStaysInTenantSet(t *testing.T) {
 				t.Fatalf("block %d placed on %d outside tenant set %v", b, h, set)
 			}
 		}
-	}
-}
-
-func TestWithWeightOutOfRangeIsNoop(t *testing.T) {
-	r, _ := BuildRing(homogeneous(4), 64)
-	if r.WithWeight(-1, 2) != r || r.WithWeight(4, 2) != r {
-		t.Fatal("out-of-range WithWeight should return the receiver")
-	}
-	if r.Nodes() != 4 || r.Weight(2) != 1 || r.Weight(9) != 0 {
-		t.Fatalf("accessors: nodes=%d w2=%v w9=%v", r.Nodes(), r.Weight(2), r.Weight(9))
 	}
 }

@@ -54,9 +54,6 @@ func NewMap(p int) (Map, error) {
 	return Map{p: p}, nil
 }
 
-// Shards returns the shard count P.
-func (m Map) Shards() int { return m.p }
-
 // Of returns the shard index of a path: FNV-1a(name) mod P, so the
 // assignment is stable across runs, platforms, and restarts — a WAL
 // directory written by one process replays into the same shard in the

@@ -17,8 +17,8 @@ func TestNewMapValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewMap(%d): %v", p, err)
 		}
-		if m.Shards() != p {
-			t.Fatalf("Shards()=%d, want %d", m.Shards(), p)
+		if m.p != p {
+			t.Fatalf("shard count %d, want %d", m.p, p)
 		}
 	}
 }
@@ -96,7 +96,7 @@ func TestQuotaReserveRelease(t *testing.T) {
 		t.Fatalf("byte-exceeding reserve: err=%v, want ErrQuota", err)
 	}
 	// Failed reservation must not have consumed anything.
-	if u := q.UsageOf("acme"); u.Files != 1 || u.Bytes != 60 {
+	if u := q.usage["acme"]; u.Files != 1 || u.Bytes != 60 {
 		t.Fatalf("usage after failed reserve: %+v", u)
 	}
 	if err := q.Reserve("acme", 1, 40, 2); err != nil {
@@ -109,12 +109,12 @@ func TestQuotaReserveRelease(t *testing.T) {
 		t.Fatalf("rf above ceiling: err=%v, want ErrQuota", err)
 	}
 	q.Release("acme", 1, 60)
-	if u := q.UsageOf("acme"); u.Files != 1 || u.Bytes != 40 {
+	if u := q.usage["acme"]; u.Files != 1 || u.Bytes != 40 {
 		t.Fatalf("usage after release: %+v", u)
 	}
 	// Release never drives usage negative.
 	q.Release("acme", 10, 1000)
-	if u := q.UsageOf("acme"); u.Files != 0 || u.Bytes != 0 {
+	if u := q.usage["acme"]; u.Files != 0 || u.Bytes != 0 {
 		t.Fatalf("usage after over-release: %+v", u)
 	}
 }
@@ -124,7 +124,7 @@ func TestQuotaUnlimitedByDefault(t *testing.T) {
 	if err := q.Reserve("anyone", 1_000_000, 1<<40, 99); err != nil {
 		t.Fatalf("unquota'd tenant refused: %v", err)
 	}
-	if u := q.UsageOf("anyone"); u.Files != 1_000_000 {
+	if u := q.usage["anyone"]; u.Files != 1_000_000 {
 		t.Fatalf("usage still tracked: %+v", u)
 	}
 }

@@ -130,6 +130,8 @@ func FitLogNormal(sample []float64) (LogNormal, error) {
 
 // FitExponential estimates the exponential rate from a positive
 // sample (MLE: 1/mean).
+//
+//lint:ignore deadcode unused library code kept with its tests (TestFitExponentialRecovers, TestFitExponentialValidation)
 func FitExponential(sample []float64) (Exponential, error) {
 	if len(sample) == 0 {
 		return Exponential{}, errors.New("stats: exponential fit needs observations")

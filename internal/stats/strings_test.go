@@ -35,7 +35,7 @@ func TestDistributionStrings(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
+	s := summarize([]float64{1, 2, 3})
 	out := s.String()
 	for _, want := range []string{"n=3", "mean=2", "min=1", "max=3"} {
 		if !strings.Contains(out, want) {

@@ -38,6 +38,8 @@ func (s *Summary) Add(v float64) {
 }
 
 // AddN records the same observation n times.
+//
+//lint:ignore deadcode unused library code kept with its tests (TestSummaryAddN)
 func (s *Summary) AddN(v float64, n int64) {
 	for i := int64(0); i < n; i++ {
 		s.Add(v)
@@ -46,6 +48,8 @@ func (s *Summary) AddN(v float64, n int64) {
 
 // Merge folds other into s, as if every observation recorded in other
 // had been recorded in s.
+//
+//lint:ignore deadcode unused library code kept with its tests (TestSummaryMergeEquivalence, TestSummaryMergeEmpty)
 func (s *Summary) Merge(other Summary) {
 	if other.n == 0 {
 		return
@@ -179,13 +183,4 @@ func Mean(values []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(values))
-}
-
-// Summarize builds a Summary from a slice in one call.
-func Summarize(values []float64) Summary {
-	var s Summary
-	for _, v := range values {
-		s.Add(v)
-	}
-	return s
 }

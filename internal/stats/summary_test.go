@@ -107,7 +107,7 @@ func TestSummaryMergeEmpty(t *testing.T) {
 }
 
 func TestSummaryCoV(t *testing.T) {
-	s := Summarize([]float64{10, 10, 10})
+	s := summarize([]float64{10, 10, 10})
 	if got := s.CoV(); got != 0 {
 		t.Fatalf("CoV of constant = %g, want 0", got)
 	}
@@ -152,9 +152,18 @@ func TestMeanHelper(t *testing.T) {
 }
 
 func TestSummaryStdErr(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
+	s := summarize([]float64{1, 2, 3, 4})
 	want := s.StdDev() / 2
 	if math.Abs(s.StdErr()-want) > 1e-12 {
 		t.Fatalf("stderr = %g, want %g", s.StdErr(), want)
 	}
+}
+
+// summarize builds a Summary from a slice in one call.
+func summarize(values []float64) Summary {
+	var s Summary
+	for _, v := range values {
+		s.Add(v)
+	}
+	return s
 }

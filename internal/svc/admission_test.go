@@ -15,7 +15,6 @@ func TestClassOf(t *testing.T) {
 		"nn.cluster":   classControl,
 		"nn.allocate":  classPut,
 		"nn.complete":  classControl,
-		"nn.cp":        classPut,
 		"nn.locate":    classGet,
 		"nn.stat":      classBackground,
 		"nn.rebalance": classBackground,

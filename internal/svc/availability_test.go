@@ -30,21 +30,21 @@ func (f *slowToDataNodes) MessageDelay(from, to string) time.Duration {
 	return f.delay
 }
 
-// TestFoldNeverQueuesBehindByteMovement: an nn.cp whose block copies
-// are slow holds nothing a heartbeat fold waits on, so a DataNode's
-// beat folds, and a second client's put is placed and published,
-// while the cp is still moving bytes. A lock that a fold takes
-// exclusively and a cp holds shared would park the fold behind the cp
-// and every later allocate behind the fold.
+// TestFoldNeverQueuesBehindByteMovement: an nn.consistency whose
+// replica reads are slow holds nothing a heartbeat fold waits on, so a
+// DataNode's beat folds, and a second client's put is placed and
+// published, while the check is still moving bytes. A lock that a fold
+// takes exclusively and a check holds shared would park the fold behind
+// the check and every later allocate behind the fold.
 func TestFoldNeverQueuesBehindByteMovement(t *testing.T) {
 	faults := &slowToDataNodes{delay: 150 * time.Millisecond, started: make(chan struct{})}
 	lc := pipelineCluster(t, 4, 1024, 2, faults)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	copier, writer := lc.Client("shell-cp"), lc.Client("shell-put")
-	defer copier.Close()
+	checker, writer := lc.Client("shell-check"), lc.Client("shell-put")
+	defer checker.Close()
 	defer writer.Close()
-	if _, _, err := copier.CopyFromLocal(ctx, "src", payload(2*1024), false); err != nil {
+	if _, _, err := checker.CopyFromLocal(ctx, "src", payload(2*1024), false); err != nil {
 		t.Fatal(err)
 	}
 	// Give node 0 something to report, so its beat publishes a new
@@ -54,20 +54,17 @@ func TestFoldNeverQueuesBehindByteMovement(t *testing.T) {
 	}
 
 	faults.armed.Store(true)
-	cpDone := make(chan error, 1)
-	go func() {
-		_, err := copier.Cp(ctx, "src", "dst", true)
-		cpDone <- err
-	}()
+	checkDone := make(chan error, 1)
+	go func() { checkDone <- checker.CheckConsistency(ctx) }()
 	select {
 	case <-faults.started:
-	case err := <-cpDone:
-		t.Fatalf("cp finished without moving a byte: %v", err)
+	case err := <-checkDone:
+		t.Fatalf("the check finished without reading a replica: %v", err)
 	}
 
 	beatDone := make(chan error, 1)
 	go func() { beatDone <- lc.DNs[0].FlushHeartbeat(ctx) }()
-	// Let the beat reach the fold; a fold that waits on the cp is then
+	// Let the beat reach the fold; a fold that waits on the check is then
 	// queued ahead of the put.
 	select {
 	case err := <-beatDone:
@@ -79,19 +76,19 @@ func TestFoldNeverQueuesBehindByteMovement(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-cpDone:
-		t.Fatalf("the put returned after the cp (cp err %v): placement queued behind byte movement", err)
+	case err := <-checkDone:
+		t.Fatalf("the put returned after the check (check err %v): placement queued behind byte movement", err)
 	default:
 	}
 	if err := <-beatDone; err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-cpDone:
-		t.Fatalf("the heartbeat returned after the cp (cp err %v): the fold queued behind byte movement", err)
+	case err := <-checkDone:
+		t.Fatalf("the heartbeat returned after the check (check err %v): the fold queued behind byte movement", err)
 	default:
 	}
-	if err := <-cpDone; err != nil {
+	if err := <-checkDone; err != nil {
 		t.Fatal(err)
 	}
 	if sec, _ := lc.Engine().Heartbeat().Observed(0); sec < 60 {

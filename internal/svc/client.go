@@ -24,7 +24,7 @@ import (
 // from a DataNode itself — the NameNode decides, the client moves
 // bytes, as HDFS and the paper's prototype (§IV) do. The write loop and
 // the read ladder are dfs.BlockIO's, the same code the NameNode runs
-// for cp and repair, over the client's own DataNode proxies, so
+// for repair and redistribution, over the client's own DataNode proxies, so
 // breakers and hedges act where the latency is observed. Errors arrive
 // rehydrated, so errors.Is against the dfs sentinels and
 // dfs.IsTransient behave exactly as in-process.
@@ -109,6 +109,8 @@ func (dp *dataPath) adopt(down []cluster.NodeID) {
 // gets (all zero before the first one). The NameNode's counters see
 // the write-side ones again through nn.complete; the read-side ones
 // are only here.
+//
+//lint:ignore deadcode accessor for unexported state: data-path tests read the client's own failovers and hedges
 func (c *Client) resilience() metrics.ResilienceSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -121,6 +123,8 @@ func (c *Client) resilience() metrics.ResilienceSnapshot {
 // breakerStats returns the transition stats shared by this client's
 // per-DataNode breakers: nil before the first put or get, and when the
 // cluster runs without breakers.
+//
+//lint:ignore deadcode accessor for unexported state: breaker tests read the client's own transitions
 func (c *Client) breakerStats() *BreakerStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,16 +212,6 @@ func (c *Client) complete(ctx context.Context, name string, blocks []dfs.BlockMe
 	return &fm, nil
 }
 
-// Cp copies src to dst, placing the copy with the selected
-// distributor.
-func (c *Client) Cp(ctx context.Context, src, dst string, useAdapt bool) (*dfs.FileMeta, error) {
-	var fm dfs.FileMeta
-	if err := c.peer.call(ctx, "nn.cp", cpParams{Src: src, Dst: dst, Adapt: useAdapt}, &fm); err != nil {
-		return nil, err
-	}
-	return &fm, nil
-}
-
 // ReadFile reads a whole file back: nn.locate for the block map, then
 // every block from the DataNodes directly with replica failover (or
 // hedging), checksum verification and bounded retry.
@@ -290,13 +284,6 @@ func (c *Client) BlockDistribution(ctx context.Context, name string) ([]int, err
 		return nil, err
 	}
 	return res.Counts, nil
-}
-
-// MaintainReplication re-replicates a file's under-replicated blocks.
-func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt bool) (dfs.ReplicationReport, error) {
-	var rep dfs.ReplicationReport
-	err := c.peer.call(ctx, "nn.maintain", maintainParams{Name: name, Adapt: useAdapt}, &rep)
-	return rep, err
 }
 
 // Estimates returns the NameNode's current per-node (λ, μ) estimates,

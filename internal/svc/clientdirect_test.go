@@ -42,7 +42,7 @@ func replicasOf(lc *LocalCluster, a *dfs.Allocation) int {
 func storedReplicas(lc *LocalCluster) int {
 	n := 0
 	for _, dn := range lc.DNs {
-		n += dn.Node().BlockCount()
+		n += len(dn.Node().StoredBlocks())
 	}
 	return n
 }
@@ -411,7 +411,13 @@ func TestQuotaRefusedAtComplete(t *testing.T) {
 	if left := replicasOf(lc, b); left != 0 {
 		t.Fatalf("the refused create left %d replicas behind", left)
 	}
-	if u := lc.Engine().Quotas().UsageOf("solo"); u.Files != 1 || u.Bytes != 2*1024 {
+	var u shard.Usage
+	for _, tu := range lc.Engine().Quotas().Snapshot() {
+		if tu.Tenant == "solo" {
+			u = tu.Usage
+		}
+	}
+	if u.Files != 1 || u.Bytes != 2*1024 {
 		t.Fatalf("usage after the refusal = %+v, want the one published file", u)
 	}
 	if err := cl.Delete(ctx, one); err != nil {

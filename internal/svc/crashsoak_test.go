@@ -155,7 +155,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 	// Degraded writes from the churn window heal first, so the later
 	// health assertion isolates the dead-node repair.
 	lc.NN.RepairScan(RepairConfig{})
-	if h := lc.NN.Engine().Health(); !h.Healthy() {
+	if h := lc.NN.Engine().Health(); h.UnderReplicated != 0 || h.Unavailable != 0 {
 		t.Fatalf("pre-kill repair left %d under-replicated, %d unavailable", h.UnderReplicated, h.Unavailable)
 	}
 
@@ -180,7 +180,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 		t.Fatalf("victim %d not declared dead", victim)
 	}
 	lc.NN.RepairScan(RepairConfig{})
-	if h := lc.NN.Engine().Health(); !h.Healthy() {
+	if h := lc.NN.Engine().Health(); h.UnderReplicated != 0 || h.Unavailable != 0 {
 		t.Fatalf("autonomous repair left %d under-replicated, %d unavailable", h.UnderReplicated, h.Unavailable)
 	}
 
@@ -188,15 +188,15 @@ func TestCrashRecoverySoak(t *testing.T) {
 	// fingerprint twice, and matches the live namespace (every repair
 	// relocation was journaled before it was applied).
 	liveFP := lc.NN.NamespaceFingerprint()
-	files1, err := RecoverNamespace(dir)
+	rec1, err := RecoverShards(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files2, err := RecoverNamespace(dir)
+	rec2, err := RecoverShards(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp1, fp2 := dfs.FingerprintFiles(files1), dfs.FingerprintFiles(files2)
+	fp1, fp2 := dfs.FingerprintFiles(rec1[0]), dfs.FingerprintFiles(rec2[0])
 	if fp1 != fp2 {
 		t.Fatalf("WAL replay not deterministic:\n%s\n%s", fp1, fp2)
 	}

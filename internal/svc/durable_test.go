@@ -59,7 +59,7 @@ func restartCluster(t *testing.T, n int) *cluster.Cluster {
 // TestDurableRestartRecoversNamespace: a graceful stop and a fresh
 // NameNode over the same WAL directory must reproduce the namespace
 // exactly — same fingerprint, same bytes on read, deletes stay
-// deleted — and RecoverNamespace must be bit-deterministic.
+// deleted — and recovering the WAL must be bit-deterministic.
 func TestDurableRestartRecoversNamespace(t *testing.T) {
 	dir := t.TempDir()
 	cfg := NameNodeConfig{BlockSize: 256, Replication: 2, WALDir: dir}
@@ -78,7 +78,7 @@ func TestDurableRestartRecoversNamespace(t *testing.T) {
 		}
 		want[name] = data
 	}
-	if _, err := cl.Cp(ctx, "f0", "f0-copy", true); err != nil {
+	if _, _, err := cl.CopyFromLocal(ctx, "f0-copy", want["f0"], true); err != nil {
 		t.Fatal(err)
 	}
 	want["f0-copy"] = want["f0"]
@@ -118,15 +118,15 @@ func TestDurableRestartRecoversNamespace(t *testing.T) {
 
 	// Bit-determinism: two independent replays of the same directory
 	// produce byte-identical namespace fingerprints.
-	files1, err := RecoverNamespace(dir)
+	rec1, err := RecoverShards(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files2, err := RecoverNamespace(dir)
+	rec2, err := RecoverShards(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp1, fp2 := dfs.FingerprintFiles(files1), dfs.FingerprintFiles(files2)
+	fp1, fp2 := dfs.FingerprintFiles(rec1[0]), dfs.FingerprintFiles(rec2[0])
 	if fp1 != fp2 {
 		t.Fatalf("replay not deterministic:\n%s\n%s", fp1, fp2)
 	}

@@ -78,7 +78,7 @@ func TestEndToEndShellOverTCP(t *testing.T) {
 		t.Fatalf("stat ghost = %v, want ErrFileNotFound across the wire", err)
 	}
 
-	if _, err := cl.Cp(ctx, "f", "g", true); err != nil {
+	if _, _, err := cl.CopyFromLocal(ctx, "g", data, true); err != nil {
 		t.Fatal(err)
 	}
 	files, err := cl.List(ctx)

@@ -146,64 +146,3 @@ func TestProtocolEquivalenceErrors(t *testing.T) {
 		t.Error("missing block classified transient")
 	}
 }
-
-// TestStreamedWriteEquivalence: the streaming entry point must place
-// and store exactly what the buffered one does under the same seed —
-// same replicas, same bytes — because it draws from the same RNG
-// sequence block by block.
-func TestStreamedWriteEquivalence(t *testing.T) {
-	bufLC := equivCluster(t)
-	strLC := equivCluster(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// Identical fresh clients over each cluster's engine, so the
-	// placement RNG sequences are comparable draw for draw.
-	mkClient := func(lc *LocalCluster) *dfs.Client {
-		cl, err := dfs.NewClient(lc.Engine(), stats.NewRNG(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.BlockSize = 1024
-		cl.Replication = 2
-		return cl
-	}
-	bufCL := mkClient(bufLC)
-	strCL := mkClient(strLC)
-
-	data := payload(5*1024 + 333)
-	bm, brep, err := bufCL.CopyFromLocalReportContext(ctx, "f", data, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, srep, err := strCL.CopyFromLocalStreamContext(ctx, "f", bytes.NewReader(data), int64(len(data)), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if brep != srep {
-		t.Errorf("WriteReport diverged: buffered %+v vs streamed %+v", brep, srep)
-	}
-	if len(bm.Blocks) != len(sm.Blocks) {
-		t.Fatalf("block counts diverged: %d vs %d", len(bm.Blocks), len(sm.Blocks))
-	}
-	for i := range bm.Blocks {
-		if bm.Blocks[i].ID != sm.Blocks[i].ID {
-			t.Errorf("block %d: id %d vs %d", i, bm.Blocks[i].ID, sm.Blocks[i].ID)
-		}
-		for k := range bm.Blocks[i].Replicas {
-			if bm.Blocks[i].Replicas[k] != sm.Blocks[i].Replicas[k] {
-				t.Errorf("block %d: placement diverged: %v vs %v", i, bm.Blocks[i].Replicas, sm.Blocks[i].Replicas)
-				break
-			}
-		}
-	}
-
-	var sink bytes.Buffer
-	n, err := strCL.ReadFileToContext(ctx, "f", &sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(data)) || !bytes.Equal(sink.Bytes(), data) {
-		t.Errorf("streamed read returned %d bytes, differs from written", n)
-	}
-}

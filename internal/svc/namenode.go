@@ -59,12 +59,6 @@ type clusterResult struct {
 	HedgeReads bool          `json:"hedge_reads"`
 }
 
-type cpParams struct {
-	Src   string `json:"src"`
-	Dst   string `json:"dst"`
-	Adapt bool   `json:"adapt"`
-}
-
 type nameParams struct {
 	Name string `json:"name"`
 }
@@ -79,11 +73,6 @@ type movedResult struct {
 
 type distResult struct {
 	Counts []int `json:"counts"`
-}
-
-type maintainParams struct {
-	Name  string `json:"name"`
-	Adapt bool   `json:"adapt"`
 }
 
 type estimatesResult struct {
@@ -114,7 +103,7 @@ type hbState struct {
 // bytes: a client's put is nn.allocate, the client's own pipelines,
 // nn.complete, and its get is nn.locate and the client's own reads.
 // The remoteStore proxies it owns move only what it copies itself —
-// nn.cp, the adapt and rebalance redistributions, repair.
+// the adapt and rebalance redistributions, repair.
 //
 // Heartbeats close the predictor loop: each beat's cumulative totals
 // are diffed against the last folded state, the delta feeds
@@ -141,7 +130,7 @@ type NameNodeServer struct {
 	repairKick chan struct{}  // coalesced "scan now" signal
 
 	// lifeCtx is the server's lifecycle context: it parents every
-	// background operation (repair scans, maintenance RPCs) and is
+	// background operation (the repair scans) and is
 	// cancelled by stopLoops, so Shutdown/Crash interrupts in-flight
 	// work instead of waiting out its timeouts.
 	lifeCtx    context.Context
@@ -402,14 +391,12 @@ func (s *NameNodeServer) methods() methodTable {
 		"nn.allocate":    {classPut, typed(s.allocate)},
 		"nn.complete":    {classControl, s.mutation(typed(s.complete))},
 		"nn.locate":      {classGet, typed(s.locate)},
-		"nn.cp":          {classPut, s.mutation(typed(s.cp))},
 		"nn.stat":        {classBackground, typed(s.stat)},
 		"nn.list":        {classBackground, bare(s.list)},
 		"nn.delete":      {classBackground, s.mutation(typed(s.delete))},
 		"nn.adapt":       {classBackground, s.mutation(typed(s.adapt))},
 		"nn.rebalance":   {classBackground, s.mutation(typed(s.rebalance))},
 		"nn.dist":        {classBackground, typed(s.dist)},
-		"nn.maintain":    {classBackground, s.mutation(typed(s.maintain))},
 		"nn.estimates":   {classBackground, bare(s.estimates)},
 		"nn.consistency": {classBackground, bare(s.consistency)},
 		"nn.fsck":        {classBackground, bare(s.fsck)},
@@ -462,10 +449,6 @@ func (s *NameNodeServer) locate(_ context.Context, p nameParams) (any, error) {
 	return locateResult{Meta: fm, Down: s.downNodes()}, nil
 }
 
-func (s *NameNodeServer) cp(ctx context.Context, p cpParams) (any, error) {
-	return s.cl.CpContext(ctx, p.Src, p.Dst, p.Adapt)
-}
-
 func (s *NameNodeServer) stat(_ context.Context, p nameParams) (any, error) {
 	return s.nn.Stat(p.Name)
 }
@@ -491,10 +474,6 @@ func (s *NameNodeServer) rebalance(ctx context.Context, p nameParams) (any, erro
 func (s *NameNodeServer) dist(_ context.Context, p nameParams) (any, error) {
 	counts, err := s.nn.BlockDistribution(p.Name)
 	return distResult{Counts: counts}, err
-}
-
-func (s *NameNodeServer) maintain(ctx context.Context, p maintainParams) (any, error) {
-	return s.cl.MaintainReplicationContext(ctx, p.Name, p.Adapt)
 }
 
 func (s *NameNodeServer) estimates(context.Context) (any, error) {

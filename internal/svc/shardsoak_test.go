@@ -266,7 +266,7 @@ func TestShardedJournalChurnReplay(t *testing.T) {
 					churn()
 				}
 				if op%4 == 3 {
-					if err := nn.Delete(live[w][0]); err != nil {
+					if err := nn.DeleteContext(context.Background(), live[w][0]); err != nil {
 						errs[w] = fmt.Errorf("delete %q: %w", live[w][0], err)
 						return
 					}

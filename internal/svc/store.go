@@ -128,8 +128,6 @@ func newStoreFleet(addrs []string, local string, faults TransportFaults, brk Bre
 	return stores, ifaces, brkStats
 }
 
-func (s *remoteStore) ID() cluster.NodeID { return s.id }
-
 func (s *remoteStore) Up() bool {
 	if s.brk.blocked() {
 		return false

@@ -76,8 +76,8 @@ const (
 
 	// MaxControlFrame bounds a call's or a reply's payload. Neither
 	// carries file or block bytes, so the bound is sized for metadata.
-	// The largest legitimate ones are a many-block FileMeta (nn.stat,
-	// nn.locate and nn.cp replies, the nn.complete call), nn.list and
+	// The largest legitimate ones are a many-block FileMeta (nn.stat
+	// and nn.locate replies, the nn.complete call), nn.list and
 	// dn.blocks. One BlockMeta encodes to about 110 bytes plus the file
 	// name it repeats, so 16 MiB holds a 65,536-block file
 	// (dfs.MaxFileBlocks, which nn.allocate enforces) with 140-byte
@@ -183,6 +183,8 @@ func (p *bufPool) put(b []byte) {
 
 // balance returns outstanding gets (gets - puts); zero means every
 // acquired buffer was released.
+//
+//lint:ignore deadcode pool-balance check: wire and stream tests require every pooled buffer back
 func (p *bufPool) balance() int64 { return p.gets.Load() - p.puts.Load() }
 
 // frameBufs is the shared wire-buffer pool: the payloads of frames

@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -116,9 +115,7 @@ func ReadCSV(r io.Reader) (*Set, error) {
 	set := &Set{Horizon: horizon, Traces: make([]Trace, 0, len(order))}
 	for _, h := range order {
 		tr := byHost[h]
-		sort.SliceStable(tr.Events, func(i, j int) bool {
-			return tr.Events[i].Start < tr.Events[j].Start
-		})
+		tr.Sort()
 		set.Traces = append(set.Traces, *tr)
 	}
 	if err := set.Validate(); err != nil {

@@ -179,45 +179,3 @@ func Generate(cfg GeneratorConfig, g *stats.RNG) (*Set, error) {
 	}
 	return set, nil
 }
-
-// GenerateFromAvailability produces traces by sampling the analytic
-// model directly: exponential inter-arrivals with each host's λ and
-// recovery times from the supplied service distribution family. This
-// is the workload used to validate the simulator against the model.
-type HostSpec struct {
-	Host    string
-	MTBI    float64            // mean time between interruptions (s); <=0 means dedicated
-	Service stats.Distribution // recovery time distribution; nil means instantaneous
-}
-
-// GenerateFromSpecs builds a trace set with exponential inter-arrivals
-// per host over the horizon.
-func GenerateFromSpecs(specs []HostSpec, horizon float64, g *stats.RNG) (*Set, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("%w: %g", ErrBadHorizon, horizon)
-	}
-	set := &Set{Horizon: horizon}
-	set.Traces = make([]Trace, 0, len(specs))
-	for i, spec := range specs {
-		hg := g.Split()
-		name := spec.Host
-		if name == "" {
-			name = "host-" + strconv.Itoa(i)
-		}
-		tr := Trace{Host: name, Horizon: horizon}
-		if spec.MTBI > 0 {
-			lambda := 1 / spec.MTBI
-			t := hg.ExpFloat64() / lambda
-			for t < horizon {
-				var d float64
-				if spec.Service != nil {
-					d = spec.Service.Sample(hg)
-				}
-				tr.Events = append(tr.Events, Event{Start: t, Duration: d})
-				t += hg.ExpFloat64() / lambda
-			}
-		}
-		set.Traces = append(set.Traces, tr)
-	}
-	return set, nil
-}

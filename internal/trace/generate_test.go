@@ -135,46 +135,6 @@ func TestGenerateConfigValidation(t *testing.T) {
 	}
 }
 
-func TestGenerateFromSpecs(t *testing.T) {
-	svc, err := stats.ExponentialFromMean(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []HostSpec{
-		{Host: "reliable", MTBI: 0},
-		{Host: "flaky", MTBI: 10, Service: svc},
-		{MTBI: 20, Service: svc}, // unnamed
-	}
-	set, err := GenerateFromSpecs(specs, 10000, stats.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := set.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Traces[0].Events) != 0 {
-		t.Fatal("dedicated host has events")
-	}
-	// flaky host: ~1000 interruptions expected over 10000 s.
-	n := len(set.Traces[1].Events)
-	if n < 800 || n > 1200 {
-		t.Fatalf("flaky host interruption count = %d, want ~1000", n)
-	}
-	est := set.Traces[1].EstimateAvailability()
-	if math.Abs(est.Mu-4)/4 > 0.15 {
-		t.Fatalf("estimated mu = %g, want ~4", est.Mu)
-	}
-	if set.Traces[2].Host != "host-2" {
-		t.Fatalf("default host name = %q", set.Traces[2].Host)
-	}
-}
-
-func TestGenerateFromSpecsBadHorizon(t *testing.T) {
-	if _, err := GenerateFromSpecs(nil, 0, stats.NewRNG(1)); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
-}
-
 func TestSplitCoV(t *testing.T) {
 	h, w := splitCoV(4.376, 0.8)
 	// Recombining: (1+h^2)(1+w^2)-1 = cov^2

@@ -122,6 +122,8 @@ func (t *Trace) EstimateAvailability() model.Availability {
 // DowntimeFraction returns the fraction of the horizon the host was
 // unavailable, merging overlapping events (an event arriving during
 // another's recovery extends the outage FCFS).
+//
+//lint:ignore deadcode unused library code kept with its tests (TestDowntimeFraction, TestDowntimeFractionFCFSOverlap)
 func (t *Trace) DowntimeFraction() float64 {
 	if t.Horizon <= 0 {
 		return 0
@@ -154,6 +156,8 @@ func (t *Trace) DowntimeFraction() float64 {
 // the window but whose downtime extends into it are clipped to start
 // at zero. This implements the paper's trace-replay setup where a
 // job-sized window is sampled from a long failure trace.
+//
+//lint:ignore deadcode unused library code kept with its tests (TestWindow, TestWindowProperty)
 func (t *Trace) Window(from, length float64) Trace {
 	out := Trace{Host: t.Host, Horizon: length}
 	to := from + length
@@ -174,6 +178,8 @@ func (t *Trace) Window(from, length float64) Trace {
 
 // DownAt reports whether the host is inside an outage at time x,
 // applying FCFS extension of overlapping events.
+//
+//lint:ignore deadcode invariant oracle: the simulator's trace replay is checked against it
 func (t *Trace) DownAt(x float64) bool {
 	var until float64
 	for _, e := range t.Events {

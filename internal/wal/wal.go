@@ -282,6 +282,8 @@ func decodeFrame(data []byte) (payload []byte, n int, ok bool) {
 }
 
 // SetFaults installs an append-fault injector (nil disables).
+//
+//lint:ignore deadcode fault injection: crash tests tear an append mid-frame
 func (l *Log) SetFaults(f AppendFaults) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -507,9 +509,6 @@ func (l *Log) RecordsSinceSnapshot() uint64 {
 	defer l.mu.Unlock()
 	return l.seq - l.snapSeq
 }
-
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Close cleanly shuts the log: final fsync, file closed, further
 // appends rejected.

@@ -212,25 +212,6 @@ func WordCountJob(input, output string, reducers int) mapreduce.Job {
 	}
 }
 
-// GrepJob emits every newline-terminated line containing the pattern
-// (map-only).
-func GrepJob(input, output, pattern string) mapreduce.Job {
-	return mapreduce.Job{
-		Name:   "grep",
-		Input:  input,
-		Output: output,
-		Mapper: mapreduce.MapperFunc(func(block []byte, emit func(string, []byte)) error {
-			for _, line := range bytes.Split(block, []byte{'\n'}) {
-				if len(line) > 0 && bytes.Contains(line, []byte(pattern)) {
-					emit(string(line), nil)
-				}
-			}
-			return nil
-		}),
-		Reducers: 1,
-	}
-}
-
 // ParseCounts parses wordcount output ("word\tcount" lines) into a
 // map.
 func ParseCounts(part []byte) (map[string]int, error) {

@@ -219,50 +219,6 @@ func TestWordCountEndToEnd(t *testing.T) {
 	}
 }
 
-func TestGrepEndToEnd(t *testing.T) {
-	c, err := cluster.NewEmulation(cluster.EmulationConfig{Nodes: 4, InterruptedRatio: 0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nn, err := dfs.NewNameNode(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := dfs.NewClient(nn, stats.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 16-byte lines; block size 64.
-	var in bytes.Buffer
-	for i := 0; i < 32; i++ {
-		if i%4 == 0 {
-			in.WriteString("needle-here-row\n")
-		} else {
-			in.WriteString("haystack-rowxxx\n")
-		}
-	}
-	cl.BlockSize = 64
-	if _, err := cl.CopyFromLocal("g/in", in.Bytes(), false); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := mapreduce.NewEngine(nn, mapreduce.EngineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(GrepJob("g/in", "g/out", "needle"), stats.NewRNG(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := nn.ReadFile(res.OutputFiles[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := bytes.Count(out, []byte{'\n'})
-	if got != 8 {
-		t.Fatalf("grep matched %d lines, want 8", got)
-	}
-}
-
 func TestParseCountsMalformed(t *testing.T) {
 	if _, err := ParseCounts([]byte("bad-line\n")); err == nil {
 		t.Fatal("malformed accepted")
