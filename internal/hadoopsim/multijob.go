@@ -8,6 +8,7 @@ import (
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/metrics"
 	"github.com/adaptsim/adapt/internal/placement"
+	"github.com/adaptsim/adapt/internal/sim"
 	"github.com/adaptsim/adapt/internal/stats"
 )
 
@@ -172,6 +173,7 @@ func newMultiJobSimulator(cfg MultiJobConfig, g *stats.RNG) (*simulator, error) 
 	taskIdx := 0
 	for ji, job := range jobs {
 		js := &s.jobs[ji]
+		js.s = s
 		js.name = job.Name
 		js.arrival = job.Arrival
 		js.firstTask = taskIdx
@@ -187,6 +189,7 @@ func newMultiJobSimulator(cfg MultiJobConfig, g *stats.RNG) (*simulator, error) 
 
 // jobState is the live per-job bookkeeping inside the simulator.
 type jobState struct {
+	s         *simulator
 	name      string
 	arrival   float64
 	firstTask int
@@ -194,12 +197,14 @@ type jobState struct {
 	remaining int
 	localDone int
 	finished  float64
+	// submission fires at arrival; the job is its handler.
+	submission sim.Timer
 }
 
-// submitJob enqueues a job's tasks (its data has just been ingested)
-// and wakes idle nodes.
-func (s *simulator) submitJob(ji int) {
-	js := &s.jobs[ji]
+// Fire submits the job: it enqueues the job's tasks (its data has just
+// been ingested) and wakes idle nodes.
+func (js *jobState) Fire() {
+	s := js.s
 	s.submit(js.firstTask, js.numTasks)
 	s.kickIdle()
 	// Holders that were never parked (e.g. at time zero before any
@@ -218,7 +223,7 @@ func (s *simulator) startMulti() {
 		s.armNextInterruption(i)
 	}
 	for ji := range s.jobs {
-		ji := ji
-		s.scheduleAt(s.jobs[ji].arrival, func() { s.submitJob(ji) })
+		js := &s.jobs[ji]
+		s.arm(&js.submission, js.arrival, js)
 	}
 }

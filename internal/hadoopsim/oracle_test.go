@@ -472,7 +472,7 @@ func compareDecisions(t *testing.T, s *simulator, st *oracleStats, where string)
 		}
 		unarmed := s.unarmed[i>>6]&(1<<uint(i&63)) != 0
 		if !ns.inIdle || !ns.up || ns.running != nil || ns.localHead != len(ns.localQueue) ||
-			(ns.retry == nil) != unarmed || ns.heldParkedLive != 0 {
+			ns.retry.Active() == unarmed || ns.heldParkedLive != 0 {
 			t.Fatalf("%s: node %d is skippable (unarmed %v) but not plain: %+v", where, i, unarmed, *ns)
 		}
 		if dupCost := s.transfer + s.eta[i]; dupCost < s.idleMinDupCost {

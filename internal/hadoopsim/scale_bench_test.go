@@ -2,6 +2,7 @@ package hadoopsim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/cluster"
@@ -54,14 +55,17 @@ func scaleScenario(tb testing.TB, hosts int) Scenario {
 }
 
 // BenchmarkRunScale is the scale curve: the map phase of one adapt/1rep
-// cell at the paper's host counts, reporting the wall cost of one
-// journal-visible simulator event. Near-linear means us/event stays within a small
-// factor from 1024 to 16384 hosts.
+// cell at the paper's host counts, reporting the wall cost and the
+// allocations of one journal-visible simulator event. Near-linear means
+// us/event stays within a small factor from 1024 to 16384 hosts.
 func BenchmarkRunScale(b *testing.B) {
 	for _, hosts := range []int{1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
 			sc := scaleScenario(b, hosts)
 			events := 0
+			var mallocs uint64
+			var ms runtime.MemStats
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Placement is not the simulator's: time Run alone, as
@@ -75,13 +79,20 @@ func BenchmarkRunScale(b *testing.B) {
 				j := &Journal{}
 				cfg := sc.Config
 				cfg.Assignment, cfg.Journal = asn, j
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
 				b.StartTimer()
 				if _, err := Run(cfg, g.Split()); err != nil {
 					b.Fatal(err)
 				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs - before
+				b.StartTimer()
 				events += len(j.Events)
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(events), "us/event")
+			b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
 		})
 	}
 }

@@ -47,8 +47,11 @@ type task struct {
 }
 
 // attempt is one execution try of a task on a node, possibly preceded
-// by a block migration.
+// by a block migration. It is the handler of its own completion timer.
+// Finished, aborted and cancelled attempts are recycled through
+// simulator.freeAttempts.
 type attempt struct {
+	s             *simulator
 	task          *task
 	node          int
 	transferStart float64
@@ -60,9 +63,11 @@ type attempt struct {
 	failureInduced bool
 	execStart      float64
 	plannedEnd     float64
-	timer          *sim.Timer
-	runIdx         int      // index in simulator.running, -1 when inactive
-	sibling        *attempt // next live attempt of the same task
+	// timer survives recycling, generation included, so an event its
+	// earlier self left in the engine's heap cannot fire into it.
+	timer   sim.Timer
+	runIdx  int      // index in simulator.running, -1 when inactive
+	sibling *attempt // next live attempt of the same task, or next free one
 	// key and heapIdx place the attempt in the speculation index
 	// (candidates.go); heapIdx is -1 while it is not a member. parked
 	// marks a would-be member held back under a closed source
@@ -73,6 +78,7 @@ type attempt struct {
 }
 
 type nodeSim struct {
+	s    *simulator
 	id   int
 	up   bool
 	rate float64
@@ -80,25 +86,29 @@ type nodeSim struct {
 	// task on it.
 	avail model.Availability
 
-	// interruption generation
-	lambda    float64
-	service   stats.Distribution
-	traceEv   []trace.Event
-	traceIdx  int
-	downUntil float64
-	recovery  *sim.Timer
+	// interruption generation: arrival fires the next interruption,
+	// lasting arrivalDur when it comes from the trace; recovery ends
+	// the outage.
+	lambda     float64
+	service    stats.Distribution
+	traceEv    []trace.Event
+	traceIdx   int
+	arrival    sim.Timer
+	arrivalDur float64
+	downUntil  float64
+	recovery   sim.Timer
 
 	// work state
 	localQueue []int // task ids; dispatched with lazy state checks
 	localHead  int
 	running    *attempt
 	inIdle     bool
-	retry      *sim.Timer // pending congestion-retry wakeup
+	retry      sim.Timer // congestion-retry wakeup
 	// specRetry re-offers speculation to this node after a predictive
 	// or redundant policy could not place a duplicate; specBackoff is
 	// the current retry delay (exponential, reset on any successful
 	// attempt start).
-	specRetry   *sim.Timer
+	specRetry   sim.Timer
 	specBackoff float64
 
 	// recovery accounting
@@ -157,7 +167,10 @@ type simulator struct {
 	// running is every live attempt; its order (swap-remove history)
 	// breaks ties between equally attractive speculation victims.
 	running []*attempt
-	cand    candHeap // speculation index over running
+	// freeAttempts chains (through attempt.sibling) the attempts done
+	// with, for startAttempt to reuse.
+	freeAttempts *attempt
+	cand         candHeap // speculation index over running
 	// fruitlessSpec and holdsCand are to pickSpeculative what
 	// fruitless and holdsLive are to popStealable.
 	fruitlessSpec fruitlessPick
@@ -260,6 +273,7 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 	for i := 0; i < n; i++ {
 		node := cfg.Cluster.Node(cluster.NodeID(i))
 		ns := &s.nodes[i]
+		ns.s = s
 		ns.id = i
 		ns.up = true
 		ns.rate = node.ComputeRate
@@ -291,10 +305,31 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 	}
 
 	replicas := 0
+	held := make([]int, n) // per node: the tasks it holds a block of
 	for _, holders := range cfg.Assignment.Replicas {
 		replicas += len(holders)
+		for _, h := range holders {
+			held[h]++
+		}
 	}
-	allHolders := make([]int, 0, replicas) // one backing array for every task's holders
+	// One backing array for every node's local queue, and one for every
+	// task's holders: submit never grows a slice. Under the reactive
+	// policy, the only one that parks candidates, a node's parked
+	// candidates start with room for one per block it holds.
+	queues := make([]int, replicas)
+	var cands []*attempt
+	if cfg.Speculation == SpeculationReactive {
+		cands = make([]*attempt, replicas)
+	}
+	for i := range s.nodes {
+		s.nodes[i].localQueue = queues[:0:held[i]]
+		queues = queues[held[i]:]
+		if cands != nil {
+			s.nodes[i].heldParkedCand = cands[:0:held[i]]
+			cands = cands[held[i]:]
+		}
+	}
+	allHolders := make([]int, 0, replicas)
 	for b := 0; b < m; b++ {
 		t := &s.tasks[b]
 		t.id = b
@@ -324,36 +359,55 @@ func (s *simulator) submit(first, n int) {
 	}
 }
 
-// schedule wraps engine scheduling, latching the first error.
-func (s *simulator) schedule(delay float64, fn func()) *sim.Timer {
+// arm (re-)arms tm to fire h at instant at, or now if that has
+// passed, latching the first error.
+func (s *simulator) arm(tm *sim.Timer, at float64, h sim.Handler) {
 	if s.err != nil {
-		return nil
-	}
-	if delay < 0 {
-		delay = 0
-	}
-	timer, err := s.eng.After(delay, fn)
-	if err != nil {
-		s.err = err
-		return nil
-	}
-	return timer
-}
-
-func (s *simulator) scheduleAt(at float64, fn func()) *sim.Timer {
-	if s.err != nil {
-		return nil
+		return
 	}
 	if at < s.eng.Now() {
 		at = s.eng.Now()
 	}
-	timer, err := s.eng.At(at, fn)
-	if err != nil {
+	if err := s.eng.Arm(tm, at, h); err != nil {
 		s.err = err
-		return nil
 	}
-	return timer
 }
+
+// The node timers' handlers, one type per timer over the same node.
+type (
+	arrivalFire   nodeSim
+	recoveryFire  nodeSim
+	retryFire     nodeSim
+	specRetryFire nodeSim
+)
+
+func (f *arrivalFire) Fire() {
+	ns := (*nodeSim)(f)
+	s := ns.s
+	if ns.traceEv != nil {
+		s.onInterruption(ns.id, ns.arrivalDur)
+		return
+	}
+	var d float64
+	if ns.service != nil {
+		d = ns.service.Sample(s.g)
+	}
+	s.onInterruption(ns.id, d)
+	s.armNextInterruption(ns.id)
+}
+
+func (f *recoveryFire) Fire() { f.s.onRecovery(f.id) }
+
+// Every fetch path was congested; try again now that a NIC is free.
+func (f *retryFire) Fire() {
+	f.s.offerNext(f.id)
+	f.s.tryAssign(f.id)
+}
+
+func (f *specRetryFire) Fire() { f.s.tryAssign(f.id) }
+
+// Fire completes the attempt.
+func (a *attempt) Fire() { a.s.onAttemptComplete(a) }
 
 func (s *simulator) run() (metrics.RunResult, error) {
 	s.start()
@@ -438,17 +492,11 @@ func (s *simulator) armNextInterruption(i int) {
 		}
 		ev := ns.traceEv[ns.traceIdx]
 		ns.traceIdx++
-		s.scheduleAt(ev.Start, func() { s.onInterruption(i, ev.Duration) })
+		ns.arrivalDur = ev.Duration
+		s.arm(&ns.arrival, ev.Start, (*arrivalFire)(ns))
 	case ns.lambda > 0:
 		delay := s.g.ExpFloat64() / ns.lambda
-		s.schedule(delay, func() {
-			var d float64
-			if ns.service != nil {
-				d = ns.service.Sample(s.g)
-			}
-			s.onInterruption(i, d)
-			s.armNextInterruption(i)
-		})
+		s.arm(&ns.arrival, s.eng.Now()+delay, (*arrivalFire)(ns))
 	}
 }
 
@@ -468,10 +516,7 @@ func (s *simulator) onInterruption(i int, d float64) {
 	}
 	if !ns.up {
 		ns.downUntil += d
-		if ns.recovery != nil {
-			ns.recovery.Cancel()
-		}
-		ns.recovery = s.scheduleAt(ns.downUntil, func() { s.onRecovery(i) })
+		s.arm(&ns.recovery, ns.downUntil, (*recoveryFire)(ns))
 		return
 	}
 	ns.up = false
@@ -485,10 +530,7 @@ func (s *simulator) onInterruption(i int, d float64) {
 	if ns.incompleteLocal > 0 {
 		ns.blockedSince = now
 	}
-	if ns.recovery != nil {
-		ns.recovery.Cancel()
-	}
-	ns.recovery = s.scheduleAt(ns.downUntil, func() { s.onRecovery(i) })
+	s.arm(&ns.recovery, ns.downUntil, (*recoveryFire)(ns))
 }
 
 func (s *simulator) onRecovery(i int) {
@@ -500,7 +542,6 @@ func (s *simulator) onRecovery(i int) {
 	}
 	ns.up = true
 	s.epoch++
-	ns.recovery = nil
 	if s.cfg.Journal != nil {
 		s.cfg.Journal.record(now, EventRecovery, i, -1)
 	}
@@ -521,9 +562,7 @@ func (s *simulator) onRecovery(i int) {
 // actually spent transferring.
 func (s *simulator) abortAttempt(a *attempt) {
 	now := s.eng.Now()
-	if a.timer != nil {
-		a.timer.Cancel()
-	}
+	a.timer.Cancel()
 	s.chargeMigration(a, now)
 	if now > a.execStart {
 		s.rework += now - a.execStart
@@ -537,6 +576,7 @@ func (s *simulator) abortAttempt(a *attempt) {
 	}
 	s.removeRunning(a)
 	t := a.task
+	s.freeAttempt(a)
 	t.everAborted = true
 	if t.activeAttempts == 0 && t.state == taskRunning {
 		t.state = taskPending
@@ -570,17 +610,12 @@ func (s *simulator) chargeMigration(a *attempt, end float64) {
 func (s *simulator) onAttemptComplete(a *attempt) {
 	now := s.eng.Now()
 	t := a.task
-	if t.state == taskDone {
-		return // stale timer; defensive, should be cancelled
-	}
 	// Deterministic first-finisher: when sibling attempts land at the
 	// exact same instant, the lowest node id wins regardless of which
 	// timer the event queue happened to fire first — the winner is a
 	// function of the seed, never of insertion order.
 	a = tieWinner(a, now)
-	if a.timer != nil {
-		a.timer.Cancel()
-	}
+	a.timer.Cancel()
 	ns := &s.nodes[a.node]
 	s.chargeMigration(a, now)
 	ns.running = nil
@@ -616,9 +651,7 @@ func (s *simulator) onAttemptComplete(a *attempt) {
 	// reorder that list, so the next one is looked up afresh.
 	for t.activeAttempts > 0 {
 		other := firstRunning(t)
-		if other.timer != nil {
-			other.timer.Cancel()
-		}
+		other.timer.Cancel()
 		s.chargeMigration(other, now)
 		s.attemptsCancelled++
 		if now > other.execStart {
@@ -632,7 +665,9 @@ func (s *simulator) onAttemptComplete(a *attempt) {
 			on.running = nil
 		}
 		s.removeRunning(other)
-		s.tryAssign(other.node)
+		node := other.node
+		s.freeAttempt(other)
+		s.tryAssign(node)
 	}
 
 	// Free the holders' recovery clocks.
@@ -645,8 +680,10 @@ func (s *simulator) onAttemptComplete(a *attempt) {
 		}
 	}
 
+	node := a.node
+	s.freeAttempt(a)
 	if s.remaining > 0 {
-		s.tryAssign(a.node)
+		s.tryAssign(node)
 	}
 }
 
@@ -727,14 +764,10 @@ func (s *simulator) tryAssign(i int) {
 		s.startAttempt(i, t, local, false)
 		return
 	}
-	if !math.IsInf(retryAt, 1) && ns.retry == nil {
+	if !math.IsInf(retryAt, 1) && !ns.retry.Active() {
 		// Every fetch path is congested right now; try again when the
 		// earliest NIC frees up.
-		ns.retry = s.scheduleAt(retryAt, func() {
-			s.nodes[i].retry = nil
-			s.offerNext(i)
-			s.tryAssign(i)
-		})
+		s.arm(&ns.retry, retryAt, (*retryFire)(ns))
 	}
 	// 3. Duplicate execution per the speculation policy.
 	switch s.cfg.Speculation {
@@ -797,7 +830,7 @@ func (s *simulator) tryAssign(i int) {
 			s.mustOffer[word] |= bit
 		}
 	}
-	if ns.retry == nil {
+	if !ns.retry.Active() {
 		s.unarmed[word] |= bit
 	}
 }
@@ -905,42 +938,51 @@ func (s *simulator) offersFutile(minDupCost float64) bool {
 func (s *simulator) startAttempt(i int, t *task, local, speculative bool) {
 	now := s.eng.Now()
 	ns := &s.nodes[i]
-	a := &attempt{task: t, node: i, transferStart: now, transferEnd: now, runIdx: -1, heapIdx: -1}
+	start, end := now, now
 
 	src := -1
 	if !local {
 		src = s.upHolder(t)
 		if src >= 0 {
-			start, end, err := s.net.Transfer(now, src, i, s.cfg.BlockBytes)
+			var err error
+			start, end, err = s.net.Transfer(now, src, i, s.cfg.BlockBytes)
 			if err != nil {
 				s.err = err
 				return
 			}
-			a.transferStart = start
-			a.transferEnd = end
 		} else {
 			// Source re-ingest (no live replica).
 			penalty := s.cfg.SourcePenalty
 			if penalty < 0 {
 				return // caller should not have picked this task
 			}
-			dur := s.net.TransferTime(s.cfg.BlockBytes) * penalty
-			a.transferStart = now
-			a.transferEnd = now + dur
+			end = now + s.net.TransferTime(s.cfg.BlockBytes)*penalty
 		}
-		a.migrated = true
+		s.migrations++
+	}
+
+	a := s.freeAttempts
+	if a != nil {
+		s.freeAttempts = a.sibling
+	} else {
+		a = new(attempt)
+	}
+	*a = attempt{
+		s: s, task: t, node: i, transferStart: start, transferEnd: end,
+		migrated: !local,
 		// Fetches forced by volatility — a task that already lost an
 		// attempt, or a block whose holders are all down — charge the
 		// paper's migration component; voluntary load-balancing steals
 		// are scheduling cost and stay in the misc residual.
-		a.failureInduced = t.everAborted || src < 0
-		s.migrations++
+		failureInduced: !local && (t.everAborted || src < 0),
+		execStart:      end,
+		plannedEnd:     end + s.taskGamma/ns.rate,
+		timer:          a.timer, // keeps its generation
+		runIdx:         -1,
+		heapIdx:        -1,
 	}
-
-	a.execStart = a.transferEnd
-	a.plannedEnd = a.execStart + s.taskGamma/ns.rate
 	a.key = s.candidateKey(a, now)
-	a.timer = s.scheduleAt(a.plannedEnd, func() { s.onAttemptComplete(a) })
+	s.arm(&a.timer, a.plannedEnd, a)
 
 	if s.cfg.Journal != nil {
 		s.cfg.Journal.record(now, EventTaskStart, i, t.id)
@@ -976,6 +1018,12 @@ func (s *simulator) startAttempt(i int, t *task, local, speculative bool) {
 	if src >= 0 {
 		s.closeIfBooked(src, now)
 	}
+}
+
+// freeAttempt recycles a, which nothing references any more.
+func (s *simulator) freeAttempt(a *attempt) {
+	a.sibling = s.freeAttempts
+	s.freeAttempts = a
 }
 
 func contains(xs []int, v int) bool {

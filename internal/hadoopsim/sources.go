@@ -1,9 +1,6 @@
 package hadoopsim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Closed sources.
 //
@@ -87,27 +84,67 @@ func (s *simulator) unfile(t *task) {
 }
 
 // closedHeap orders the closed sources by uplink cursor, which stands
-// still while they are closed.
+// still while they are closed: a binary min-heap whose pushes, pops and
+// removals move entries exactly as container/heap's would, so sources
+// with equal cursors reopen in the same order.
 type closedHeap struct {
 	s     *simulator
 	nodes []int
 }
 
-func (c *closedHeap) Len() int { return len(c.nodes) }
-func (c *closedHeap) Less(i, j int) bool {
+func (c *closedHeap) less(i, j int) bool {
 	return c.s.net.UplinkFree(c.nodes[i]) < c.s.net.UplinkFree(c.nodes[j])
 }
-func (c *closedHeap) Swap(i, j int) { c.nodes[i], c.nodes[j] = c.nodes[j], c.nodes[i] }
-func (c *closedHeap) Push(x any) {
-	if h, ok := x.(int); ok {
-		c.nodes = append(c.nodes, h)
+
+func (c *closedHeap) swap(i, j int) { c.nodes[i], c.nodes[j] = c.nodes[j], c.nodes[i] }
+
+func (c *closedHeap) push(h int) {
+	c.nodes = append(c.nodes, h)
+	c.up(len(c.nodes) - 1)
+}
+
+// remove deletes the entry at position k.
+func (c *closedHeap) remove(k int) {
+	n := len(c.nodes) - 1
+	if n != k {
+		c.swap(k, n)
+		if !c.down(k, n) {
+			c.up(k)
+		}
+	}
+	c.nodes = c.nodes[:n]
+}
+
+func (c *closedHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !c.less(j, i) {
+			break
+		}
+		c.swap(i, j)
+		j = i
 	}
 }
-func (c *closedHeap) Pop() any {
-	last := len(c.nodes) - 1
-	h := c.nodes[last]
-	c.nodes = c.nodes[:last]
-	return h
+
+// down sifts position i0 down within the first n entries and reports
+// whether it moved.
+func (c *closedHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && c.less(r, j) {
+			j = r
+		}
+		if !c.less(j, i) {
+			break
+		}
+		c.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // closeIfBooked closes source h when its uplink has just been booked
@@ -115,7 +152,7 @@ func (c *closedHeap) Pop() any {
 func (s *simulator) closeIfBooked(h int, now float64) {
 	if s.net.UplinkFree(h) > now+s.queueAllowance && !s.nodes[h].closed {
 		s.setClosed(h, true)
-		heap.Push(&s.closedSrc, h)
+		s.closedSrc.push(h)
 	}
 }
 
@@ -125,7 +162,7 @@ func (s *simulator) reopenDue(now float64) {
 	c := &s.closedSrc
 	for len(c.nodes) > 0 && s.net.UplinkFree(c.nodes[0]) <= now+s.queueAllowance {
 		s.setClosed(c.nodes[0], false)
-		heap.Pop(c)
+		c.remove(0)
 	}
 }
 
@@ -136,7 +173,7 @@ func (s *simulator) reopenDown(h int) {
 	}
 	for k, c := range s.closedSrc.nodes {
 		if c == h {
-			heap.Remove(&s.closedSrc, k)
+			s.closedSrc.remove(k)
 			break
 		}
 	}

@@ -366,13 +366,10 @@ func (s *simulator) armSpecRetry(i int, wake float64) {
 		return
 	}
 	ns := &s.nodes[i]
-	if ns.specRetry != nil && ns.specRetry.Active() {
+	if ns.specRetry.Active() {
 		return
 	}
-	ns.specRetry = s.scheduleAt(wake, func() {
-		s.nodes[i].specRetry = nil
-		s.tryAssign(i)
-	})
+	s.arm(&ns.specRetry, wake, (*specRetryFire)(ns))
 }
 
 // specBackoffDelay returns node i's current speculation retry delay

@@ -1,8 +1,8 @@
 // Package sim is a deterministic discrete-event simulation kernel: a
 // virtual clock, a binary-heap event queue with stable FIFO
-// tie-breaking, and cancellable timers. All higher-level simulators in
-// this repository (the Hadoop-analog simulator, the mini MapReduce
-// engine) are built on it.
+// tie-breaking, and re-armable, cancellable timers. All higher-level
+// simulators in this repository (the Hadoop-analog simulator, the mini
+// MapReduce engine) are built on it.
 //
 // The kernel is intentionally single-threaded: determinism — same
 // inputs, same seed, same schedule — is a design requirement for
@@ -16,14 +16,14 @@ import (
 	"math"
 )
 
-// event is one scheduled callback. Events live by value in the
+// event is one arming of a timer. Events live by value in the
 // engine's heap array, so scheduling allocates no event: the array's
 // slots are the free list, reused as the heap shrinks and grows.
 type event struct {
 	time  float64
 	seq   uint64 // FIFO tie-break for equal times
-	fn    func()
 	timer *Timer
+	gen   uint64 // the timer's generation when this event was armed
 }
 
 // before orders events by time, then by scheduling order. The order is
@@ -39,48 +39,59 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-type timerState uint8
-
-const (
-	timerPending timerState = iota
-	timerCancelled
-	timerFired
-)
-
-// Timer handles allow cancelling a scheduled event. A Timer is its own
-// cell: the event points at it, never the other way round, so a handle
-// kept after its event fired or was cancelled cannot reach whichever
-// event later occupies the same heap slot.
-type Timer struct {
-	engine *Engine
-	state  timerState
+// stale reports that the event no longer stands for its timer's
+// current arming: the timer was cancelled, fired, or armed again since.
+func (a *event) stale() bool {
+	return !a.timer.pending || a.timer.gen != a.gen
 }
 
-// Cancel prevents the event from firing. It is safe to call multiple
-// times and after the event has fired (no-ops). The event itself is
-// dropped lazily, when it reaches the top of the heap.
+// Handler is what a timer runs when it fires.
+type Handler interface{ Fire() }
+
+// Timer is a re-armable cell owned by whoever schedules through it,
+// usually embedded in the struct it belongs to; its zero value is idle.
+// Each arming bumps gen, and an event fires only if it carries the
+// timer's current generation while the timer is pending, so an event
+// left in the heap by an earlier arming (cancelled, or superseded by a
+// re-arm) can never fire into the cell.
+type Timer struct {
+	engine  *Engine
+	h       Handler
+	gen     uint64
+	pending bool
+}
+
+// Cancel prevents the pending firing. It is safe to call multiple
+// times, on an idle timer and after the event has fired (no-ops). The
+// event itself is dropped lazily, when it reaches the top of the heap.
 func (t *Timer) Cancel() {
-	if t == nil || t.state != timerPending {
+	if t == nil || !t.pending {
 		return
 	}
-	t.state = timerCancelled
+	t.pending = false
 	t.engine.live--
 }
 
-// Active reports whether the event is still pending.
+// Active reports whether the timer has a firing pending.
 func (t *Timer) Active() bool {
-	return t != nil && t.state == timerPending
+	return t != nil && t.pending
 }
+
+// funcHandler adapts a callback to Handler for At and After.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // Engine is the simulation core. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
 	now float64
 	seq uint64
-	// events is a binary min-heap ordered by event.before. Cancelled
+	// events is a binary min-heap ordered by event.before. Stale
 	// events stay in it until they surface.
 	events []event
-	// live counts the events in the heap that have not been cancelled.
+	// live counts the pending timers: the events in the heap that are
+	// not stale.
 	live int
 	// processed counts events executed, for diagnostics and runaway
 	// protection.
@@ -118,24 +129,41 @@ func (e *Engine) Pending() int { return e.live }
 //lint:ignore deadcode invariant oracle: engine tests check every scheduled event fired exactly once
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// At schedules fn at absolute virtual time t. Scheduling at the
-// current time is allowed (the event runs after the current callback
-// returns). It returns an error if t precedes the current time or is
-// not finite.
-func (e *Engine) At(t float64, fn func()) (*Timer, error) {
+// Arm schedules tm to fire h at absolute virtual time t. Arming a
+// pending timer cancels its earlier firing first, so a timer has at
+// most one firing pending; a handler may re-arm its own timer.
+// Scheduling at the current time is allowed (the event runs after the
+// current handler returns). It returns an error, and leaves tm as it
+// was, if t precedes the current time or is not finite.
+func (e *Engine) Arm(tm *Timer, t float64, h Handler) error {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return nil, fmt.Errorf("sim: non-finite event time %g", t)
+		return fmt.Errorf("sim: non-finite event time %g", t)
 	}
 	if t < e.now {
-		return nil, fmt.Errorf("%w: t=%g now=%g", ErrPastEvent, t, e.now)
+		return fmt.Errorf("%w: t=%g now=%g", ErrPastEvent, t, e.now)
 	}
+	if h == nil {
+		return errors.New("sim: nil event handler")
+	}
+	tm.Cancel()
+	tm.engine, tm.h, tm.pending = e, h, true
+	tm.gen++
+	e.push(event{time: t, seq: e.seq, timer: tm, gen: tm.gen})
+	e.seq++
+	e.live++
+	return nil
+}
+
+// At schedules fn at absolute virtual time t on a timer of its own; it
+// fails as Arm does, or on a nil fn.
+func (e *Engine) At(t float64, fn func()) (*Timer, error) {
 	if fn == nil {
 		return nil, errors.New("sim: nil event callback")
 	}
-	timer := &Timer{engine: e}
-	e.push(event{time: t, seq: e.seq, fn: fn, timer: timer})
-	e.seq++
-	e.live++
+	timer := new(Timer)
+	if err := e.Arm(timer, t, funcHandler(fn)); err != nil {
+		return nil, err
+	}
 	return timer, nil
 }
 
@@ -170,7 +198,7 @@ func (e *Engine) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the callback and the timer
+	h[n] = event{} // release the timer
 	h = h[:n]
 	e.events = h
 	if n == 0 {
@@ -202,17 +230,18 @@ func (e *Engine) pop() event {
 func (e *Engine) Step() (bool, error) {
 	for len(e.events) > 0 {
 		ev := e.pop()
-		if ev.timer.state == timerCancelled {
+		if ev.stale() {
 			continue
 		}
-		ev.timer.state = timerFired
+		tm := ev.timer
+		tm.pending = false
 		e.live--
 		e.now = ev.time
 		e.processed++
 		if e.Limit > 0 && e.processed > e.Limit {
 			return false, fmt.Errorf("%w: %d", ErrEventLimit, e.Limit)
 		}
-		ev.fn()
+		tm.h.Fire()
 		return true, nil
 	}
 	return false, nil
@@ -241,8 +270,8 @@ func (e *Engine) RunUntil(deadline float64) error {
 		return fmt.Errorf("%w: deadline=%g now=%g", ErrPastEvent, deadline, e.now)
 	}
 	for {
-		// Drop cancelled events until a live one is on top.
-		for len(e.events) > 0 && e.events[0].timer.state == timerCancelled {
+		// Drop stale events until a live one is on top.
+		for len(e.events) > 0 && e.events[0].stale() {
 			e.pop()
 		}
 		if len(e.events) == 0 || e.events[0].time > deadline {

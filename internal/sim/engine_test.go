@@ -356,6 +356,203 @@ func TestPendingIsMaintained(t *testing.T) {
 	}
 }
 
+// recorder is a caller-owned handler: it notes the instants it fires at.
+type recorder struct {
+	e    *Engine
+	hits []float64
+}
+
+func (r *recorder) Fire() { r.hits = append(r.hits, r.e.Now()) }
+
+func mustArm(t *testing.T, e *Engine, tm *Timer, at float64, h Handler) {
+	t.Helper()
+	if err := e.Arm(tm, at, h); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func sameHits(got []float64, want ...float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// A timer re-armed while pending fires once, at the time of its last
+// arming, whether that is later or earlier than the ones it replaced.
+func TestRearmedTimerFiresOnceAtLastTime(t *testing.T) {
+	e := NewEngine()
+	r := &recorder{e: e}
+	var tm Timer
+	if tm.Active() {
+		t.Fatal("the zero Timer reports pending")
+	}
+	mustArm(t, e, &tm, 5, r)
+	mustArm(t, e, &tm, 2, r)
+	mustArm(t, e, &tm, 7, r)
+	if !tm.Active() || e.Pending() != 1 {
+		t.Fatalf("active=%v pending=%d, want true and 1", tm.Active(), e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameHits(r.hits, 7) || e.Processed() != 1 || e.Pending() != 0 || tm.Active() {
+		t.Fatalf("hits=%v processed=%d pending=%d active=%v", r.hits, e.Processed(), e.Pending(), tm.Active())
+	}
+}
+
+// Pending follows cancel-then-arm and arm-while-pending: each timer
+// counts once however often it is armed.
+func TestArmKeepsPendingRight(t *testing.T) {
+	e := NewEngine()
+	r := &recorder{e: e}
+	var a, b Timer
+	mustArm(t, e, &a, 1, r)
+	mustArm(t, e, &b, 2, r)
+	a.Cancel()
+	if e.Pending() != 1 {
+		t.Fatalf("pending after cancel = %d, want 1", e.Pending())
+	}
+	mustArm(t, e, &a, 3, r) // cancel, then arm
+	if !a.Active() || e.Pending() != 2 {
+		t.Fatalf("cancel-then-arm: active=%v pending=%d", a.Active(), e.Pending())
+	}
+	mustArm(t, e, &b, 4, r) // arm while pending
+	if !b.Active() || e.Pending() != 2 {
+		t.Fatalf("arm while pending: active=%v pending=%d", b.Active(), e.Pending())
+	}
+	a.Cancel()
+	a.Cancel()
+	mustArm(t, e, &a, 5, r)
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d, want 2", e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameHits(r.hits, 4, 5) || e.Pending() != 0 || e.Processed() != 2 {
+		t.Fatalf("hits=%v pending=%d processed=%d", r.hits, e.Pending(), e.Processed())
+	}
+}
+
+// A rejected arming leaves the timer as it was.
+func TestArmRejectsBadArgs(t *testing.T) {
+	e := NewEngine()
+	r := &recorder{e: e}
+	var tm Timer
+	mustArm(t, e, &tm, 4, r)
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	inf := 1.0
+	for _, bad := range []float64{inf / 0, 0 * (inf / 0), 3} {
+		if err := e.Arm(&tm, bad, r); err == nil {
+			t.Fatalf("Arm at %g accepted at now=%g", bad, e.Now())
+		}
+	}
+	if err := e.Arm(&tm, 5, nil); err == nil {
+		t.Fatal("nil handler accepted")
+	}
+	if tm.Active() || e.Pending() != 0 {
+		t.Fatalf("a rejected arming changed the timer: active=%v pending=%d", tm.Active(), e.Pending())
+	}
+}
+
+// ticker re-arms its own timer from inside Fire until left runs out.
+type ticker struct {
+	recorder
+	tm   Timer
+	left int
+}
+
+func (k *ticker) Fire() {
+	k.recorder.Fire()
+	if k.left > 0 {
+		k.left--
+		if err := k.e.Arm(&k.tm, k.e.Now()+1, k); err != nil {
+			panic(err)
+		}
+	}
+}
+
+func TestRearmFromInsideFire(t *testing.T) {
+	e := NewEngine()
+	k := &ticker{recorder: recorder{e: e}, left: 3}
+	mustArm(t, e, &k.tm, 1, k)
+	for step := 1; ; step++ {
+		ok, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		// The first three firings re-arm; the fourth leaves it idle.
+		rearmed := step < 4
+		if k.tm.Active() != rearmed || (e.Pending() == 1) != rearmed {
+			t.Fatalf("after step %d: active=%v pending=%d", step, k.tm.Active(), e.Pending())
+		}
+	}
+	if !sameHits(k.hits, 1, 2, 3, 4) {
+		t.Fatalf("hits = %v, want [1 2 3 4]", k.hits)
+	}
+}
+
+// An event left in the heap by an earlier arming never fires into the
+// cell, whether the cell was re-armed to an earlier instant, fired and
+// was armed again, or took over the stale event's emptied heap slot.
+func TestStaleEventNeverFiresIntoRearmedCell(t *testing.T) {
+	e := NewEngine()
+	r := &recorder{e: e}
+	var tm Timer
+	mustArm(t, e, &tm, 1, r)
+	tm.Cancel()
+	// Drop the stale event, emptying its slot, then reuse it.
+	if err := e.RunUntil(2); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.events) != 0 {
+		t.Fatalf("stale event still queued: %d", len(e.events))
+	}
+	mustArm(t, e, &tm, 10, r) // takes over slot 0
+	mustArm(t, e, &tm, 5, r)  // the event at 10 goes stale
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	mustArm(t, e, &tm, 12, r) // fired, re-armed past the stale event
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameHits(r.hits, 5, 12) || e.Processed() != 2 || e.Pending() != 0 {
+		t.Fatalf("hits=%v processed=%d pending=%d, want [5 12], 2, 0", r.hits, e.Processed(), e.Pending())
+	}
+}
+
+// Scheduling through a caller-owned timer allocates nothing.
+func TestArmStepAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	r := &recorder{e: e}
+	var tm Timer
+	step := func() {
+		if err := e.Arm(&tm, e.Now()+1, r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		r.hits = r.hits[:0]
+	}
+	step() // grow the heap array and the recorder once
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("Arm+Step allocates %g times per event, want 0", allocs)
+	}
+}
+
 // BenchmarkEngineHold is the classic hold model: a fixed number of
 // pending timers, every firing re-arms one, so an iteration is one pop
 // and one push at that depth.
