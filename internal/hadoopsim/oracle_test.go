@@ -3,6 +3,7 @@ package hadoopsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/cluster"
@@ -233,6 +234,20 @@ func refFirstRunning(s *simulator, t *task) *attempt {
 	return nil
 }
 
+// refSourceTasks is the seed's sourceTasks walk, less the callback:
+// the unfinished tasks whose first holder is h, in h's local queue
+// order. (The seed started past a prefix of finished entries; skipping
+// them in the loop is the same walk.)
+func refSourceTasks(s *simulator, h int) []int32 {
+	var ids []int32
+	for _, id := range s.nodes[h].localQueue {
+		if t := &s.tasks[id]; t.holders[0] == h && t.state != taskDone {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
+}
+
 // oracleStats counts how often the comparisons saw anything worth
 // comparing, so a matrix that stopped exercising a decision shows.
 type oracleStats struct {
@@ -241,7 +256,7 @@ type oracleStats struct {
 	equalExpected, multiEntryTasks int
 	fastWalks, fastPicks           int
 	closedSources, idleHolders     int
-	skippable                      int
+	skippable, finishedSourced     int
 }
 
 // checkIndexes verifies the bookkeeping the indexed decisions rely on.
@@ -394,6 +409,22 @@ func compareDecisions(t *testing.T, s *simulator, st *oracleStats, where string)
 	now := s.eng.Now()
 	s.reopenDue(now) // as tryAssign does before it decides anything
 	checkIndexes(t, s, where)
+	// Source queues: less the finished tasks they still list, exactly
+	// the walk they replace.
+	for h := range s.nodes {
+		var live []int32
+		for _, id := range s.nodes[h].srcQueue {
+			if s.tasks[id].state != taskDone {
+				live = append(live, id)
+			}
+		}
+		if len(live) < len(s.nodes[h].srcQueue) {
+			st.finishedSourced++
+		}
+		if want := refSourceTasks(s, h); !slices.Equal(live, want) {
+			t.Fatalf("%s: node %d source queue %v (unfinished), scan %v", where, h, live, want)
+		}
+	}
 	st.closedSources += len(s.closedSrc.nodes)
 	for i := range s.nodes {
 		if ns := &s.nodes[i]; ns.heldParkedLive+len(ns.heldParkedCand) > 0 && ns.up && ns.running == nil {
@@ -572,6 +603,7 @@ func TestIndexedDecisionsMatchScans(t *testing.T) {
 		total.closedSources += st.closedSources
 		total.idleHolders += st.idleHolders
 		total.skippable += st.skippable
+		total.finishedSourced += st.finishedSourced
 	}
 	t.Logf("%+v", total)
 	for name, n := range map[string]int{
@@ -582,7 +614,8 @@ func TestIndexedDecisionsMatchScans(t *testing.T) {
 		"walks answered from the fruitless summary": total.fastWalks,
 		"picks answered from the fruitless summary": total.fastPicks,
 		"closed sources": total.closedSources, "idle holders of a parked block": total.idleHolders,
-		"parked nodes a sweep would skip": total.skippable,
+		"parked nodes a sweep would skip":       total.skippable,
+		"source queues listing a finished task": total.finishedSourced,
 	} {
 		if n == 0 {
 			t.Errorf("the matrix never produced any %s", name)

@@ -327,6 +327,9 @@ func (s *simulator) fetchStart(i int, now, upFree float64) float64 {
 func (s *simulator) firstHeldParked(i int) int {
 	first := int32(-1)
 	ns := &s.nodes[i]
+	for ns.settledHead < len(ns.localQueue) && s.tasks[ns.localQueue[ns.settledHead]].state == taskDone {
+		ns.settledHead++
+	}
 	for _, id := range ns.localQueue[ns.settledHead:] {
 		t := &s.tasks[id]
 		if t.state != taskPending || s.closedBy(t) < 0 {

@@ -61,38 +61,78 @@ func scaleScenario(tb testing.TB, hosts int) Scenario {
 func BenchmarkRunScale(b *testing.B) {
 	for _, hosts := range []int{1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
-			sc := scaleScenario(b, hosts)
-			events := 0
-			var mallocs uint64
-			var ms runtime.MemStats
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Placement is not the simulator's: time Run alone, as
-				// the benchmark's hadoopsim.us_per_event does.
-				b.StopTimer()
-				g := stats.NewRNG(uint64(i) + 1)
-				asn, err := placement.PlaceAll(sc.Policy, sc.Blocks, sc.Replicas, g.Split())
-				if err != nil {
-					b.Fatal(err)
-				}
-				j := &Journal{}
-				cfg := sc.Config
-				cfg.Assignment, cfg.Journal = asn, j
-				runtime.ReadMemStats(&ms)
-				before := ms.Mallocs
-				b.StartTimer()
-				if _, err := Run(cfg, g.Split()); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&ms)
-				mallocs += ms.Mallocs - before
-				b.StartTimer()
-				events += len(j.Events)
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(events), "us/event")
-			b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
+			benchRun(b, scaleScenario(b, hosts))
 		})
 	}
+}
+
+// BenchmarkRunEmulation is one trial of each sim_emulation series on
+// one thread: the Table 2 emulation at 256 nodes, half of them
+// interrupted, 100 tasks per node. Its queues are short, so the cost
+// per event (event heap, source closing, netsim) dominates, and the
+// three-replica series close and reopen the most sources.
+func BenchmarkRunEmulation(b *testing.B) {
+	const hosts = 256
+	c, err := cluster.NewEmulation(cluster.EmulationConfig{Nodes: hosts, InterruptedRatio: 0.5, Shuffle: true}, stats.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	adapt, err := placement.NewAdapt(c, DefaultGamma)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, series := range []struct {
+		name     string
+		pol      placement.Policy
+		replicas int
+	}{
+		{"random/3rep", &placement.Random{Cluster: c}, 3},
+		{"adapt/1rep", adapt, 1},
+		{"adapt/3rep", adapt, 3},
+	} {
+		b.Run(series.name, func(b *testing.B) {
+			benchRun(b, Scenario{
+				Config:   Config{Cluster: c},
+				Policy:   series.pol,
+				Blocks:   hosts * 100,
+				Replicas: series.replicas,
+			})
+		})
+	}
+}
+
+// benchRun times Run on sc, reporting the wall cost and the
+// allocations of one journal-visible simulator event.
+func benchRun(b *testing.B, sc Scenario) {
+	events := 0
+	var mallocs uint64
+	var ms runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Placement is not the simulator's: time Run alone, as the
+		// benchmark's hadoopsim.us_per_event does.
+		b.StopTimer()
+		g := stats.NewRNG(uint64(i) + 1)
+		asn, err := placement.PlaceAll(sc.Policy, sc.Blocks, sc.Replicas, g.Split())
+		if err != nil {
+			b.Fatal(err)
+		}
+		j := &Journal{}
+		cfg := sc.Config
+		cfg.Assignment, cfg.Journal = asn, j
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		b.StartTimer()
+		if _, err := Run(cfg, g.Split()); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+		b.StartTimer()
+		events += len(j.Events)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(events), "us/event")
+	b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
 }

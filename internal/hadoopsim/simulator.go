@@ -63,8 +63,8 @@ type attempt struct {
 	failureInduced bool
 	execStart      float64
 	plannedEnd     float64
-	// timer survives recycling, generation included, so an event its
-	// earlier self left in the engine's heap cannot fire into it.
+	// timer is idle whenever the attempt is free: it has fired or been
+	// cancelled, so recycling may reset it.
 	timer   sim.Timer
 	runIdx  int      // index in simulator.running, -1 when inactive
 	sibling *attempt // next live attempt of the same task, or next free one
@@ -117,12 +117,15 @@ type nodeSim struct {
 
 	// As a source of fetches (sources.go): closed while the uplink is
 	// booked past the allowance, with parkedLive queue entries parked
-	// under it. heldParkedLive counts the parked pending tasks, and
+	// under it. srcQueue lists, in submission order, the tasks this
+	// node is the first holder of, less some finished ones.
+	// heldParkedLive counts the parked pending tasks, and
 	// heldParkedCand lists the parked attempts, under any source,
 	// whose block this node holds. localQueue entries before
 	// settledHead are finished tasks.
 	closed         bool
 	parkedLive     int
+	srcQueue       []int32
 	heldParkedLive int
 	heldParkedCand []*attempt
 	settledHead    int
@@ -305,18 +308,22 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 	}
 
 	replicas := 0
-	held := make([]int, n) // per node: the tasks it holds a block of
+	held := make([]int, n)    // per node: the tasks it holds a block of
+	sourced := make([]int, n) // per node: the tasks it is the first holder of
 	for _, holders := range cfg.Assignment.Replicas {
 		replicas += len(holders)
 		for _, h := range holders {
 			held[h]++
 		}
+		sourced[holders[0]]++
 	}
-	// One backing array for every node's local queue, and one for every
-	// task's holders: submit never grows a slice. Under the reactive
-	// policy, the only one that parks candidates, a node's parked
-	// candidates start with room for one per block it holds.
+	// One backing array for every node's local queue, one for every
+	// node's source queue, and one for every task's holders: submit
+	// never grows a slice. Under the reactive policy, the only one that
+	// parks candidates, a node's parked candidates start with room for
+	// one per block it holds.
 	queues := make([]int, replicas)
+	srcQueues := make([]int32, m)
 	var cands []*attempt
 	if cfg.Speculation == SpeculationReactive {
 		cands = make([]*attempt, replicas)
@@ -324,6 +331,8 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 	for i := range s.nodes {
 		s.nodes[i].localQueue = queues[:0:held[i]]
 		queues = queues[held[i]:]
+		s.nodes[i].srcQueue = srcQueues[:0:sourced[i]]
+		srcQueues = srcQueues[sourced[i]:]
 		if cands != nil {
 			s.nodes[i].heldParkedCand = cands[:0:held[i]]
 			cands = cands[held[i]:]
@@ -354,6 +363,8 @@ func (s *simulator) submit(first, n int) {
 			s.nodes[h].incompleteLocal++
 			s.offerNext(h)
 		}
+		src := &s.nodes[t.holders[0]]
+		src.srcQueue = append(src.srcQueue, int32(b))
 		s.enqueue(t)
 		s.showEntries(t)
 	}
@@ -977,7 +988,6 @@ func (s *simulator) startAttempt(i int, t *task, local, speculative bool) {
 		failureInduced: !local && (t.everAborted || src < 0),
 		execStart:      end,
 		plannedEnd:     end + s.taskGamma/ns.rate,
-		timer:          a.timer, // keeps its generation
 		runIdx:         -1,
 		heapIdx:        -1,
 	}

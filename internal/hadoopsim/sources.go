@@ -38,18 +38,19 @@ func (s *simulator) closedBy(t *task) int {
 	return -1
 }
 
-// sourceTasks calls fn for every unfinished task whose first holder
-// is h.
+// sourceTasks calls fn, in submission order, for every unfinished task
+// whose first holder is h, dropping the finished ones from h's source
+// queue as it passes them. fn must not finish a task.
 func (s *simulator) sourceTasks(h int, fn func(*task)) {
 	ns := &s.nodes[h]
-	for ns.settledHead < len(ns.localQueue) && s.tasks[ns.localQueue[ns.settledHead]].state == taskDone {
-		ns.settledHead++
-	}
-	for _, id := range ns.localQueue[ns.settledHead:] {
-		if t := &s.tasks[id]; t.holders[0] == h && t.state != taskDone {
+	kept := ns.srcQueue[:0]
+	for _, id := range ns.srcQueue {
+		if t := &s.tasks[id]; t.state != taskDone {
+			kept = append(kept, id)
 			fn(t)
 		}
 	}
+	ns.srcQueue = kept
 }
 
 // setClosed closes or reopens source h, refiling everything sourced

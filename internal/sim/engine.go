@@ -1,5 +1,5 @@
 // Package sim is a deterministic discrete-event simulation kernel: a
-// virtual clock, a binary-heap event queue with stable FIFO
+// virtual clock, an indexed binary-heap event queue with stable FIFO
 // tie-breaking, and re-armable, cancellable timers. All higher-level
 // simulators in this repository (the Hadoop-analog simulator, the mini
 // MapReduce engine) are built on it.
@@ -16,14 +16,13 @@ import (
 	"math"
 )
 
-// event is one arming of a timer. Events live by value in the
+// event is the pending firing of a timer. Events live by value in the
 // engine's heap array, so scheduling allocates no event: the array's
 // slots are the free list, reused as the heap shrinks and grows.
 type event struct {
 	time  float64
 	seq   uint64 // FIFO tie-break for equal times
 	timer *Timer
-	gen   uint64 // the timer's generation when this event was armed
 }
 
 // before orders events by time, then by scheduling order. The order is
@@ -39,42 +38,33 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// stale reports that the event no longer stands for its timer's
-// current arming: the timer was cancelled, fired, or armed again since.
-func (a *event) stale() bool {
-	return !a.timer.pending || a.timer.gen != a.gen
-}
-
 // Handler is what a timer runs when it fires.
 type Handler interface{ Fire() }
 
 // Timer is a re-armable cell owned by whoever schedules through it,
 // usually embedded in the struct it belongs to; its zero value is idle.
-// Each arming bumps gen, and an event fires only if it carries the
-// timer's current generation while the timer is pending, so an event
-// left in the heap by an earlier arming (cancelled, or superseded by a
-// re-arm) can never fire into the cell.
+// A pending timer owns exactly one event in its engine's heap and
+// knows where: slot is 1 + that event's heap position, 0 when idle.
+// Cancelling removes the event and re-arming moves it, so the heap
+// holds only live events and none can outlive its arming.
 type Timer struct {
-	engine  *Engine
-	h       Handler
-	gen     uint64
-	pending bool
+	engine *Engine
+	h      Handler
+	slot   int
 }
 
-// Cancel prevents the pending firing. It is safe to call multiple
-// times, on an idle timer and after the event has fired (no-ops). The
-// event itself is dropped lazily, when it reaches the top of the heap.
+// Cancel removes the pending firing. It is safe to call multiple
+// times, on an idle timer and after the event has fired (no-ops).
 func (t *Timer) Cancel() {
-	if t == nil || !t.pending {
+	if t == nil || t.slot == 0 {
 		return
 	}
-	t.pending = false
-	t.engine.live--
+	t.engine.remove(t.slot - 1)
 }
 
 // Active reports whether the timer has a firing pending.
 func (t *Timer) Active() bool {
-	return t != nil && t.pending
+	return t != nil && t.slot != 0
 }
 
 // funcHandler adapts a callback to Handler for At and After.
@@ -87,12 +77,10 @@ func (f funcHandler) Fire() { f() }
 type Engine struct {
 	now float64
 	seq uint64
-	// events is a binary min-heap ordered by event.before. Stale
-	// events stay in it until they surface.
+	// events is a binary min-heap ordered by event.before, one
+	// event per pending timer; each event's timer.slot tracks its
+	// position.
 	events []event
-	// live counts the pending timers: the events in the heap that are
-	// not stale.
-	live int
 	// processed counts events executed, for diagnostics and runaway
 	// protection.
 	processed uint64
@@ -122,7 +110,7 @@ func (e *Engine) Now() float64 { return e.now }
 // Pending returns the number of scheduled (uncancelled) events.
 //
 //lint:ignore deadcode invariant oracle: engine tests check the live count through schedule, cancel and fire
-func (e *Engine) Pending() int { return e.live }
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Processed returns the number of events executed so far.
 //
@@ -130,8 +118,9 @@ func (e *Engine) Pending() int { return e.live }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Arm schedules tm to fire h at absolute virtual time t. Arming a
-// pending timer cancels its earlier firing first, so a timer has at
-// most one firing pending; a handler may re-arm its own timer.
+// pending timer moves its event to t in place, ordered as a new arming
+// would be, so a timer has at most one firing pending; a handler may
+// re-arm its own timer.
 // Scheduling at the current time is allowed (the event runs after the
 // current handler returns). It returns an error, and leaves tm as it
 // was, if t precedes the current time or is not finite.
@@ -145,12 +134,20 @@ func (e *Engine) Arm(tm *Timer, t float64, h Handler) error {
 	if h == nil {
 		return errors.New("sim: nil event handler")
 	}
-	tm.Cancel()
-	tm.engine, tm.h, tm.pending = e, h, true
-	tm.gen++
-	e.push(event{time: t, seq: e.seq, timer: tm, gen: tm.gen})
+	tm.h = h
+	if tm.slot != 0 && tm.engine == e {
+		i := tm.slot - 1
+		e.events[i].time, e.events[i].seq = t, e.seq
+		if !e.down(i) {
+			e.up(i)
+		}
+	} else {
+		tm.Cancel()
+		tm.engine = e
+		e.events = append(e.events, event{time: t, seq: e.seq, timer: tm})
+		e.up(len(e.events) - 1)
+	}
 	e.seq++
-	e.live++
 	return nil
 }
 
@@ -175,36 +172,30 @@ func (e *Engine) After(d float64, fn func()) (*Timer, error) {
 	return e.At(e.now+d, fn)
 }
 
-// push appends ev and sifts it up to its place.
-func (e *Engine) push(ev event) {
-	h := append(e.events, ev)
-	i := len(h) - 1
+// up sifts the event at i toward the root to its place.
+func (e *Engine) up(i int) {
+	h := e.events
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
+		h[i].timer.slot = i + 1
 		i = parent
 	}
 	h[i] = ev
-	e.events = h
+	ev.timer.slot = i + 1
 }
 
-// pop removes and returns the earliest event. The heap must not be
-// empty.
-func (e *Engine) pop() event {
+// down sifts the event at i toward the leaves to its place and reports
+// whether it moved.
+func (e *Engine) down(i int) bool {
 	h := e.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // release the timer
-	h = h[:n]
-	e.events = h
-	if n == 0 {
-		return top
-	}
-	i := 0
+	n := len(h)
+	ev := h[i]
+	i0 := i
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -213,14 +204,48 @@ func (e *Engine) pop() event {
 		if r := child + 1; r < n && h[r].before(&h[child]) {
 			child = r
 		}
-		if !h[child].before(&last) {
+		if !h[child].before(&ev) {
 			break
 		}
 		h[i] = h[child]
+		h[i].timer.slot = i + 1
+		i = child
+	}
+	h[i] = ev
+	ev.timer.slot = i + 1
+	return i > i0
+}
+
+// remove deletes the event at i and idles its timer. The hole sinks to
+// a leaf, each level taking the earlier child, and the last event fills
+// it and rises to its place: it came from the bottom and nearly always
+// belongs there, so this costs one comparison per level on the way
+// down where sifting it down from i would cost two.
+func (e *Engine) remove(i int) {
+	h := e.events
+	h[i].timer.slot = 0
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the timer
+	h = h[:n]
+	e.events = h
+	if i == n {
+		return
+	}
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		h[i] = h[child]
+		h[i].timer.slot = i + 1
 		i = child
 	}
 	h[i] = last
-	return top
+	e.up(i)
 }
 
 // Step executes the earliest pending event. It returns false when the
@@ -228,23 +253,18 @@ func (e *Engine) pop() event {
 // (e.g. "all tasks done" while periodic events remain queued) drive
 // the engine with Step instead of Run.
 func (e *Engine) Step() (bool, error) {
-	for len(e.events) > 0 {
-		ev := e.pop()
-		if ev.stale() {
-			continue
-		}
-		tm := ev.timer
-		tm.pending = false
-		e.live--
-		e.now = ev.time
-		e.processed++
-		if e.Limit > 0 && e.processed > e.Limit {
-			return false, fmt.Errorf("%w: %d", ErrEventLimit, e.Limit)
-		}
-		tm.h.Fire()
-		return true, nil
+	if len(e.events) == 0 {
+		return false, nil
 	}
-	return false, nil
+	ev := e.events[0]
+	e.remove(0)
+	e.now = ev.time
+	e.processed++
+	if e.Limit > 0 && e.processed > e.Limit {
+		return false, fmt.Errorf("%w: %d", ErrEventLimit, e.Limit)
+	}
+	ev.timer.h.Fire()
+	return true, nil
 }
 
 // Run executes events until the queue drains.
@@ -270,10 +290,6 @@ func (e *Engine) RunUntil(deadline float64) error {
 		return fmt.Errorf("%w: deadline=%g now=%g", ErrPastEvent, deadline, e.now)
 	}
 	for {
-		// Drop stale events until a live one is on top.
-		for len(e.events) > 0 && e.events[0].stale() {
-			e.pop()
-		}
 		if len(e.events) == 0 || e.events[0].time > deadline {
 			e.now = deadline
 			return nil

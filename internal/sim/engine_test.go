@@ -253,7 +253,7 @@ func TestStaleTimerCannotTouchSlotReuse(t *testing.T) {
 	e := NewEngine()
 	stale := mustAt(t, e, 1, func() { t.Error("cancelled event ran") })
 	stale.Cancel()
-	// Drop the cancelled event from the heap, emptying its slot.
+	// Cancel emptied the event's slot; move the clock past it.
 	if err := e.RunUntil(2); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestFIFOTieBreakSurvivesCancelAndReuse(t *testing.T) {
 }
 
 // Pending is a maintained counter: it follows scheduling, cancelling
-// (once per timer), firing, and the lazy removal of cancelled events.
+// (once per timer) and firing.
 func TestPendingIsMaintained(t *testing.T) {
 	e := NewEngine()
 	timers := make([]*Timer, 6)
@@ -338,7 +338,7 @@ func TestPendingIsMaintained(t *testing.T) {
 	if e.Pending() != 4 {
 		t.Fatalf("pending = %d, want 4", e.Pending())
 	}
-	if _, err := e.Step(); err != nil { // drops timer 0, fires timer 1
+	if _, err := e.Step(); err != nil { // fires timer 1
 		t.Fatal(err)
 	}
 	if e.Pending() != 3 {
@@ -503,28 +503,28 @@ func TestRearmFromInsideFire(t *testing.T) {
 	}
 }
 
-// An event left in the heap by an earlier arming never fires into the
-// cell, whether the cell was re-armed to an earlier instant, fired and
-// was armed again, or took over the stale event's emptied heap slot.
+// An earlier arming never fires into the cell, whether the cell was
+// re-armed to an earlier instant, fired and was armed again, or took
+// over the emptied heap slot of a cancelled arming.
 func TestStaleEventNeverFiresIntoRearmedCell(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{e: e}
 	var tm Timer
 	mustArm(t, e, &tm, 1, r)
 	tm.Cancel()
-	// Drop the stale event, emptying its slot, then reuse it.
+	// Cancel emptied the slot; move the clock past it, then reuse it.
 	if err := e.RunUntil(2); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.events) != 0 {
-		t.Fatalf("stale event still queued: %d", len(e.events))
+		t.Fatalf("cancelled event still queued: %d", len(e.events))
 	}
 	mustArm(t, e, &tm, 10, r) // takes over slot 0
-	mustArm(t, e, &tm, 5, r)  // the event at 10 goes stale
+	mustArm(t, e, &tm, 5, r)  // the event at 10 moves to 5
 	if _, err := e.Step(); err != nil {
 		t.Fatal(err)
 	}
-	mustArm(t, e, &tm, 12, r) // fired, re-armed past the stale event
+	mustArm(t, e, &tm, 12, r) // fired, re-armed past the earlier arming
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -586,5 +586,150 @@ func BenchmarkEngineHold(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// modelTimer is one timer of TestEngineMatchesNaiveModel with the
+// reference's view of it: pending, and if so when and in which arming.
+type modelTimer struct {
+	m       *engineModel
+	id      int
+	tm      Timer
+	pending bool
+	time    float64
+	seq     uint64
+}
+
+// engineModel is the naive reference: every pending firing is a
+// (time, seq) pair, and the next to fire is the smallest.
+type engineModel struct {
+	t      *testing.T
+	e      *Engine
+	timers []*modelTimer
+	seq    uint64 // the seq the next arming gets
+	x      uint64 // xorshift state
+	fired  []int
+}
+
+func (m *engineModel) rand(n int) int {
+	m.x ^= m.x << 13
+	m.x ^= m.x >> 7
+	m.x ^= m.x << 17
+	return int(m.x>>33) % n
+}
+
+// arm arms timer k at at through the engine and records it in the
+// reference.
+func (m *engineModel) arm(k int, at float64) {
+	mt := m.timers[k]
+	if err := m.e.Arm(&mt.tm, at, mt); err != nil {
+		m.t.Fatal(err)
+	}
+	mt.pending, mt.time, mt.seq = true, at, m.seq
+	m.seq++
+}
+
+// next returns the timer the reference says fires next, or nil.
+func (m *engineModel) next() *modelTimer {
+	var best *modelTimer
+	for _, mt := range m.timers {
+		if mt.pending && (best == nil || mt.time < best.time || (mt.time == best.time && mt.seq < best.seq)) {
+			best = mt
+		}
+	}
+	return best
+}
+
+// later returns an instant at or after now; small integers make
+// equal-time firings, and so the seq tie-break, common.
+func (m *engineModel) later() float64 { return m.e.Now() + float64(m.rand(4)) }
+
+func (mt *modelTimer) Fire() {
+	m := mt.m
+	if want := m.next(); want != mt {
+		m.t.Fatalf("timer %d fired, the reference fires %v", mt.id, want)
+	}
+	mt.pending = false
+	m.fired = append(m.fired, mt.id)
+	// Re-arm from inside Fire: this timer or another, pending or not.
+	if m.rand(3) == 0 {
+		m.arm(m.rand(len(m.timers)), m.later())
+	}
+}
+
+// check asserts Pending, the heap order and that every timer's slot
+// points at its own event: a pending timer owns exactly one event and
+// an idle one none, so no stale event can exist.
+func (m *engineModel) check(op string) {
+	m.t.Helper()
+	pending := 0
+	for _, mt := range m.timers {
+		if mt.pending {
+			pending++
+			if s := mt.tm.slot; s == 0 || s > len(m.e.events) || m.e.events[s-1].timer != &mt.tm {
+				m.t.Fatalf("after %s: pending timer %d has slot %d", op, mt.id, s)
+			}
+			if ev := m.e.events[mt.tm.slot-1]; ev.time != mt.time || ev.seq != mt.seq {
+				m.t.Fatalf("after %s: timer %d's event is (%g, %d), the reference (%g, %d)", op, mt.id, ev.time, ev.seq, mt.time, mt.seq)
+			}
+		} else if mt.tm.slot != 0 || mt.tm.Active() {
+			m.t.Fatalf("after %s: idle timer %d has slot %d", op, mt.id, mt.tm.slot)
+		}
+	}
+	if m.e.Pending() != pending || len(m.e.events) != pending {
+		m.t.Fatalf("after %s: Pending %d, heap %d, reference %d", op, m.e.Pending(), len(m.e.events), pending)
+	}
+	for i := 1; i < len(m.e.events); i++ {
+		if m.e.events[i].before(&m.e.events[(i-1)/2]) {
+			m.t.Fatalf("after %s: heap order broken at %d", op, i)
+		}
+	}
+}
+
+// TestEngineMatchesNaiveModel drives seeded random sequences of arming
+// (new, re-armed earlier or later, re-armed from inside Fire),
+// cancelling and stepping over 64 timers, and checks every firing
+// against the naive min-(time, seq) reference.
+func TestEngineMatchesNaiveModel(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		m := &engineModel{t: t, e: NewEngine(), x: seed * 0x9E3779B97F4A7C15}
+		for k := 0; k < 64; k++ {
+			m.timers = append(m.timers, &modelTimer{m: m, id: k})
+		}
+		for op := 0; op < 5000; op++ {
+			k := m.rand(len(m.timers))
+			mt := m.timers[k]
+			var name string
+			switch r := m.rand(10); {
+			case r < 3:
+				name = "arm"
+				m.arm(k, m.later())
+			case r < 5 && mt.pending:
+				name = "re-arm earlier"
+				m.arm(k, m.e.Now()+float64(m.rand(int(mt.time-m.e.Now())+1)))
+			case r < 6 && mt.pending:
+				name = "re-arm later"
+				m.arm(k, mt.time+float64(m.rand(4)))
+			case r < 7:
+				name = "cancel"
+				mt.tm.Cancel()
+				mt.pending = false
+			default:
+				name = "step"
+				want := m.next()
+				n := len(m.fired)
+				ok, err := m.e.Step()
+				if err != nil || ok != (want != nil) {
+					t.Fatalf("seed %d op %d: step ok=%v err=%v, reference has %v", seed, op, ok, err, want)
+				}
+				if want != nil && (len(m.fired) != n+1 || m.fired[n] != want.id) {
+					t.Fatalf("seed %d op %d: fired %v, want timer %d", seed, op, m.fired[n:], want.id)
+				}
+			}
+			m.check(fmt.Sprintf("seed %d op %d (%s)", seed, op, name))
+		}
+		if len(m.fired) == 0 {
+			t.Fatalf("seed %d: nothing fired", seed)
+		}
 	}
 }

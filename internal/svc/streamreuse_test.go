@@ -151,9 +151,11 @@ func TestStaleParkedConnectionsRedialUnseen(t *testing.T) {
 	if res := dp.stores[1].PutChain(ctx, scratch, data, []cluster.NodeID{0}); len(res.Failed) != 0 {
 		t.Fatalf("priming relay: %v", res.Failed)
 	}
-	if dp.stores[0].streams.idleTo(lc.DNs[0].Addr()) == 0 || lc.DNs[1].relays.idleTo(lc.DNs[0].Addr()) == 0 {
-		t.Fatal("nothing parked toward node 0 to go stale")
-	}
+	// Node 1 parks its relay in a deferred call that runs after it has
+	// acked upstream, so the park may trail PutChain's return.
+	waitFor(t, func() bool {
+		return dp.stores[0].streams.idleTo(lc.DNs[0].Addr()) != 0 && lc.DNs[1].relays.idleTo(lc.DNs[0].Addr()) != 0
+	}, "a parked connection and a parked relay toward node 0 to go stale")
 
 	dn0 := lc.DNs[0].srv
 	base, accepted := cl.resilience(), dn0.streamConns.Load()
