@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github build test test-short race-all sched-verify svc-smoke crash-smoke dfs-smoke soak bench sim-smoke fuzz-smoke
+.PHONY: ci vet lint lint-github build test test-short race-all sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke soak bench sim-smoke fuzz-smoke
 
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the frame-codec fuzz smoke, and the
@@ -82,6 +82,17 @@ crash-smoke:
 dfs-smoke:
 	for w in bulk_io small_files mixed_rw; do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 || exit 1; \
+	done
+
+# Every program under examples/ runs to completion and prints, byte
+# for byte, the stdout committed as its testdata/stdout.golden. The
+# examples are deterministic (fixed seeds), so any diff is a change in
+# what the library computes or reports.
+examples-smoke:
+	out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for d in examples/*/; do \
+		$(GO) run ./$$d > "$$out" || exit 1; \
+		diff -u $${d}testdata/stdout.golden "$$out" || exit 1; \
 	done
 
 # Just the churn-soak invariants (10k chaos events, 32-node DFS).

@@ -122,7 +122,7 @@ func TestFsckVerb(t *testing.T) {
 	}
 
 	// One repair scan heals it: exit 0 again.
-	lc.NN.RepairScan(svc.RepairConfig{})
+	lc.NN.RepairScan()
 	check(0)
 
 	// Bad flags surface as errors, not exit codes.

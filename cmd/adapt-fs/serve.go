@@ -172,7 +172,7 @@ func serveNameNode(args []string) error {
 	// master autonomous: silent DataNodes are declared dead and their
 	// blocks re-replicated availability-aware without operator action.
 	nn.StartFailureDetector(svc.DetectorConfig{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter})
-	nn.StartAutoRepair(svc.RepairConfig{Interval: *repairEvery})
+	nn.StartAutoRepair(*repairEvery)
 	var stopHTTP func(context.Context) error
 	if *httpAddr != "" {
 		bound, stop, err := nn.ListenHTTP(*httpAddr)
@@ -220,7 +220,7 @@ func serveDataNode(args []string) error {
 		return err
 	}
 	dn.ConnectNameNode(*namenode)
-	dn.StartHeartbeats(*heartbeat, true)
+	dn.StartHeartbeats(*heartbeat)
 	fmt.Printf("datanode %d: serving blocks on %s, heartbeating to %s every %s\n",
 		*id, dn.Addr(), *namenode, *heartbeat)
 
@@ -523,7 +523,7 @@ func localDemo(args []string) error {
 	if err := lc.FlushHeartbeats(ctx); err != nil {
 		return err
 	}
-	lc.NN.RepairScan(svc.RepairConfig{})
+	lc.NN.RepairScan()
 	for _, bm := range tmp.Blocks {
 		for i, dn := range lc.DNs {
 			if dn.Node().Has(bm.ID) {

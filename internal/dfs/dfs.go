@@ -231,13 +231,14 @@ func (d *DataNode) Adopt(id BlockID, data []byte) error {
 // injector attached it is a private copy that CorruptRead has seen, so
 // an injected corruption never reaches the stored bytes.
 func (d *DataNode) View(id BlockID) ([]byte, error) {
-	data, _, err := d.read(id)
+	data, _, err := d.read(id, true)
 	return data, err
 }
 
-// read is the one lookup behind View and Get; private reports that data
-// is a copy made for the fault injector.
-func (d *DataNode) read(id BlockID) (data []byte, private bool, err error) {
+// read is the one lookup behind View, Get and GetStored; private
+// reports that data is a copy made for the fault injector. needUp
+// rejects the read while the node is down.
+func (d *DataNode) read(id BlockID, needUp bool) (data []byte, private bool, err error) {
 	f := d.injector()
 	if f != nil {
 		if err := f.FailOp(d.id, OpGet, id); err != nil {
@@ -245,7 +246,7 @@ func (d *DataNode) read(id BlockID) (data []byte, private bool, err error) {
 		}
 	}
 	d.mu.RLock()
-	if !d.up {
+	if needUp && !d.up {
 		d.mu.RUnlock()
 		return nil, false, fmt.Errorf("%w: datanode %d rejected get of block %d", ErrNodeDown, d.id, id)
 	}
@@ -268,7 +269,18 @@ func (d *DataNode) Put(id BlockID, data []byte) error {
 
 // Get reads a block replica into a copy the caller owns.
 func (d *DataNode) Get(id BlockID) ([]byte, error) {
-	data, private, err := d.read(id)
+	return d.get(id, true)
+}
+
+// GetStored is Get whatever the node's up state: the bits persist on
+// disk across an interruption (§II-B), and reading them neither needs
+// nor changes liveness. The fault injector still sees the read.
+func (d *DataNode) GetStored(id BlockID) ([]byte, error) {
+	return d.get(id, false)
+}
+
+func (d *DataNode) get(id BlockID, needUp bool) ([]byte, error) {
+	data, private, err := d.read(id, needUp)
 	if err != nil || private {
 		return data, err
 	}

@@ -16,8 +16,9 @@ import (
 //     the last pass (popularity — hot files earn extra replicas so
 //     more map tasks can run data-local);
 //   - cluster volatility: the mean gamma-normalized expected task
-//     time E[T](γ)/γ across nodes (availability — a volatile cluster
-//     loses replicas faster, so every file earns one more).
+//     time E[T](γ)/γ across nodes (availability — a volatile cluster,
+//     one at or above dynRFVolatility, loses replicas faster, so every
+//     file earns one more).
 //
 // The proposal starts at MinRF and gains one step per satisfied
 // signal (volatile cluster, hot file, very hot file), clamped to
@@ -25,9 +26,9 @@ import (
 // hysteresis gate: the same proposal must repeat for Hysteresis
 // consecutive passes before the target moves, and it moves by one
 // replica per pass — so a flapping signal can never thrash the
-// repair path. Decay is per-pass, not per-wallclock-second, keeping
-// the controller a pure function of the observed operation sequence
-// (deterministic replay).
+// repair path. Read heat decays by dynRFDecay per pass, not per
+// wallclock second, keeping the controller a pure function of the
+// observed operation sequence (deterministic replay).
 type DynamicRFConfig struct {
 	// MinRF is the hard floor: no file's target ever drops below it
 	// (default 2).
@@ -37,10 +38,6 @@ type DynamicRFConfig struct {
 	// HotReads is the decayed read count at which a file counts as
 	// hot; four times it counts as very hot (default 3).
 	HotReads float64
-	// Volatility is the mean E[T](γ)/γ ratio above which the cluster
-	// counts as volatile (default 1.5; 1.0 is a failure-free
-	// cluster).
-	Volatility float64
 	// Gamma is the reference task length for E[T] (default 12, Table
 	// 4).
 	Gamma float64
@@ -48,10 +45,16 @@ type DynamicRFConfig struct {
 	// proposal must persist before the applied target moves one step
 	// (default 2).
 	Hysteresis int
-	// Decay multiplies each file's read heat once per pass (default
-	// 0.5).
-	Decay float64
 }
+
+// Dynamic replication constants.
+const (
+	// dynRFVolatility is the mean E[T](γ)/γ ratio at or above which the
+	// cluster counts as volatile (1.0 is a failure-free cluster).
+	dynRFVolatility = 1.5
+	// dynRFDecay multiplies each file's read heat once per pass.
+	dynRFDecay = 0.5
+)
 
 func (c DynamicRFConfig) withDefaults() DynamicRFConfig {
 	if c.MinRF == 0 {
@@ -63,17 +66,11 @@ func (c DynamicRFConfig) withDefaults() DynamicRFConfig {
 	if c.HotReads == 0 {
 		c.HotReads = 3
 	}
-	if c.Volatility == 0 {
-		c.Volatility = 1.5
-	}
 	if c.Gamma == 0 {
 		c.Gamma = 12
 	}
 	if c.Hysteresis == 0 {
 		c.Hysteresis = 2
-	}
-	if c.Decay == 0 {
-		c.Decay = 0.5
 	}
 	return c
 }
@@ -85,14 +82,11 @@ func (c DynamicRFConfig) validate() error {
 	if c.MaxRF < c.MinRF {
 		return fmt.Errorf("%w: dynamic RF ceiling %d below floor %d", ErrBadConfig, c.MaxRF, c.MinRF)
 	}
-	if c.HotReads <= 0 || c.Volatility <= 0 || c.Gamma <= 0 {
+	if c.HotReads <= 0 || c.Gamma <= 0 {
 		return fmt.Errorf("%w: dynamic RF thresholds must be positive", ErrBadConfig)
 	}
 	if c.Hysteresis < 1 {
 		return fmt.Errorf("%w: dynamic RF hysteresis must be at least 1, got %d", ErrBadConfig, c.Hysteresis)
-	}
-	if c.Decay <= 0 || c.Decay >= 1 {
-		return fmt.Errorf("%w: dynamic RF decay must lie in (0, 1), got %g", ErrBadConfig, c.Decay)
 	}
 	return nil
 }
@@ -149,7 +143,7 @@ func (d *dynRF) step(name string, declared int, vol float64) int {
 	st := d.state(name, declared)
 
 	prop := d.cfg.MinRF
-	if vol >= d.cfg.Volatility {
+	if vol >= dynRFVolatility {
 		prop++
 	}
 	if st.heat >= d.cfg.HotReads {
@@ -159,7 +153,7 @@ func (d *dynRF) step(name string, declared int, vol float64) int {
 		prop++
 	}
 	prop = clampRF(prop, d.cfg.MinRF, d.cfg.MaxRF)
-	st.heat *= d.cfg.Decay
+	st.heat *= dynRFDecay
 
 	if prop == st.applied {
 		st.streak = 0

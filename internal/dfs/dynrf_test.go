@@ -37,11 +37,8 @@ func TestDynamicRFConfigValidation(t *testing.T) {
 		{MinRF: -1},
 		{MinRF: 4, MaxRF: 2},
 		{HotReads: -1},
-		{Volatility: -0.5},
 		{Gamma: -12},
 		{Hysteresis: -3},
-		{Decay: 2},
-		{Decay: -0.5},
 	}
 	for _, cfg := range bad {
 		if err := nn.EnableDynamicRF(cfg); err == nil {

@@ -85,11 +85,6 @@ type Config struct {
 	// Zero means DefaultRedundancyOverlap; negative launches all K
 	// attempts as soon as nodes are free.
 	RedundancyOverlap float64
-	// PredictiveHorizon is the interruption-probability threshold of
-	// SpeculationPredictive: duplicate once the executor's chance of
-	// being interrupted before the attempt completes reaches this
-	// value. Zero means DefaultPredictiveHorizon; must lie in (0, 1].
-	PredictiveHorizon float64
 	// SpeculationBackoff is the initial retry delay, in simulated
 	// seconds, after a predictive or redundant policy wanted a
 	// duplicate but could not place one (congested fetch paths, no
@@ -118,9 +113,6 @@ type Config struct {
 	// is the paper's future-work extension: model-driven steal
 	// decisions.
 	Scheduler SchedulerPolicy
-	// MaxEvents bounds the event count as a runaway guard; zero picks
-	// a generous automatic limit.
-	MaxEvents uint64
 	// Journal, when set, records every interruption, recovery, task
 	// start/abort/completion, migration, and speculation event for
 	// post-run analysis (timelines, attempt histograms, downtime).
@@ -180,9 +172,6 @@ func (c *Config) withDefaults() Config {
 	case out.RedundancyOverlap < 0:
 		out.RedundancyOverlap = 0
 	}
-	if out.PredictiveHorizon == 0 {
-		out.PredictiveHorizon = DefaultPredictiveHorizon
-	}
 	switch {
 	case out.SpeculationBackoff == 0:
 		out.SpeculationBackoff = out.TaskGamma() / 4
@@ -234,9 +223,6 @@ func (c *Config) validate() error {
 	}
 	if math.IsNaN(c.RedundancyOverlap) || c.RedundancyOverlap < 0 {
 		return fmt.Errorf("hadoopsim: redundancy overlap must be non-negative, got %g", c.RedundancyOverlap)
-	}
-	if math.IsNaN(c.PredictiveHorizon) || c.PredictiveHorizon < 0 || c.PredictiveHorizon > 1 {
-		return fmt.Errorf("hadoopsim: predictive horizon must lie in (0, 1], got %g", c.PredictiveHorizon)
 	}
 	return nil
 }

@@ -163,7 +163,7 @@ func refPickPredictive(s *simulator, i int) (*attempt, float64) {
 			rem = 0
 		}
 		p := -math.Expm1(-lam * rem)
-		if p < s.cfg.PredictiveHorizon || p <= bestP {
+		if p < predictiveHorizon || p <= bestP {
 			continue
 		}
 		if ok, retryAt := refDuplicateReachable(s, a, i, now); !ok {

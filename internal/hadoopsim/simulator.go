@@ -237,14 +237,9 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 		return nil, err
 	}
 	eng := sim.NewEngine()
-	if cfg.MaxEvents > 0 {
-		eng.Limit = cfg.MaxEvents
-	} else {
-		// Generous automatic guard: every task may fail many times
-		// and every node may see many interruptions before the limit
-		// trips.
-		eng.Limit = uint64(200*m + 2000*n + 1_000_000)
-	}
+	// Runaway guard, generous: every task may fail many times and
+	// every node may see many interruptions before the limit trips.
+	eng.Limit = uint64(200*m + 2000*n + 1_000_000)
 
 	s := &simulator{
 		cfg:       cfg,

@@ -25,7 +25,7 @@ const (
 	// SpeculationPredictive launches a backup *before* the executor's
 	// expected interruption horizon: an idle, healthier node (lower
 	// E[T]) duplicates a running attempt whose executor is likely —
-	// probability at least PredictiveHorizon under the exponential
+	// probability at least predictiveHorizon under the exponential
 	// interruption model — to be interrupted before the attempt
 	// finishes. This is the ATLAS-style failure-aware move: don't wait
 	// for the straggle, pre-empt it.
@@ -46,9 +46,10 @@ const (
 	// quarter task length, trading a little completion time for much
 	// less duplicated work.
 	DefaultRedundancyOverlap = 0.25
-	// DefaultPredictiveHorizon duplicates once interruption-before-
-	// completion is at least an even bet.
-	DefaultPredictiveHorizon = 0.5
+	// predictiveHorizon is SpeculationPredictive's threshold: it
+	// duplicates once interruption-before-completion is at least an
+	// even bet.
+	predictiveHorizon = 0.5
 )
 
 func (p SpeculationPolicy) String() string {
@@ -274,7 +275,7 @@ func (s *simulator) pickPredictive(i int) (*attempt, float64) {
 	wake := math.Inf(1)
 	myEta := s.eta[i]
 	// p >= horizon, as a strict floor.
-	floor := math.Nextafter(s.cfg.PredictiveHorizon, math.Inf(-1))
+	floor := math.Nextafter(predictiveHorizon, math.Inf(-1))
 	best, _ := s.cand.pick(floor,
 		func(a *attempt) float64 {
 			rem := a.plannedEnd - now

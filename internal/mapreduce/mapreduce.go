@@ -105,31 +105,11 @@ type Result struct {
 	OutputRecords    int64
 }
 
-// EngineConfig tunes the engine.
+// EngineConfig tunes the engine. The timing model runs at the paper's
+// defaults: γ = hadoopsim.DefaultGamma, hadoopsim.DefaultBandwidthMbps
+// links, reactive speculation, reduce processing at γ per 64 MB, and
+// output files written with one replica.
 type EngineConfig struct {
-	// Gamma is the failure-free seconds per 64 MB map task
-	// (default 12, Table 4).
-	Gamma float64
-	// BandwidthMbps is the symmetric link speed (default 8).
-	BandwidthMbps float64
-	// Speculation selects the map-phase duplicate-execution policy
-	// (reactive, none, predictive, or redundant); zero means reactive.
-	Speculation hadoopsim.SpeculationPolicy
-	// RedundancyK, RedundancyOverlap, PredictiveHorizon, and
-	// SpeculationBackoff forward to hadoopsim.Config (policy tuning for
-	// the redundant and predictive policies).
-	RedundancyK        int
-	RedundancyOverlap  float64
-	PredictiveHorizon  float64
-	SpeculationBackoff float64
-	// SourcePenalty forwards to hadoopsim.Config.
-	SourcePenalty float64
-	// ReduceSecondsPerMB models reduce-side processing cost
-	// (default keyed to Gamma at the 64 MB reference).
-	ReduceSecondsPerMB float64
-	// OutputReplication is the replication degree of output files
-	// (default 1).
-	OutputReplication int
 	// ReducerMode selects reduce-task placement: ReducersRandom
 	// (stock, default) or ReducersAvailabilityAware (the paper's
 	// future-work reduce-phase optimization).
@@ -143,24 +123,9 @@ type EngineConfig struct {
 	SimulatedBlockBytes float64
 }
 
-func (c EngineConfig) withDefaults() EngineConfig {
-	if c.Gamma == 0 {
-		c.Gamma = hadoopsim.DefaultGamma
-	}
-	if c.BandwidthMbps == 0 {
-		c.BandwidthMbps = hadoopsim.DefaultBandwidthMbps
-	}
-	if c.ReduceSecondsPerMB == 0 {
-		c.ReduceSecondsPerMB = c.Gamma / 64
-	}
-	if c.OutputReplication == 0 {
-		c.OutputReplication = 1
-	}
-	if c.ReducerMode == 0 {
-		c.ReducerMode = ReducersRandom
-	}
-	return c
-}
+// reduceSecondsPerMB models reduce-side processing cost: γ per 64 MB,
+// the map task's rate.
+const reduceSecondsPerMB = hadoopsim.DefaultGamma / 64
 
 // Engine runs jobs against a dfs NameNode.
 type Engine struct {
@@ -180,7 +145,7 @@ func NewEngine(nn *dfs.NameNode, cfg EngineConfig) (*Engine, error) {
 	if nn == nil {
 		return nil, ErrNilNameNode
 	}
-	return &Engine{nn: nn, cfg: cfg.withDefaults()}, nil
+	return &Engine{nn: nn, cfg: cfg}, nil
 }
 
 // pair carries a mapped KV with its provenance for deterministic
@@ -262,18 +227,10 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 		simBlockBytes = e.cfg.SimulatedBlockBytes
 	}
 	simCfg := hadoopsim.Config{
-		Cluster:            cl,
-		Assignment:         asn,
-		BlockBytes:         simBlockBytes,
-		Gamma:              e.cfg.Gamma,
-		Network:            netsim.FromMegabits(e.cfg.BandwidthMbps),
-		Speculation:        e.cfg.Speculation,
-		RedundancyK:        e.cfg.RedundancyK,
-		RedundancyOverlap:  e.cfg.RedundancyOverlap,
-		PredictiveHorizon:  e.cfg.PredictiveHorizon,
-		SpeculationBackoff: e.cfg.SpeculationBackoff,
-		SourcePenalty:      e.cfg.SourcePenalty,
-		OnTaskComplete:     onComplete,
+		Cluster:        cl,
+		Assignment:     asn,
+		BlockBytes:     simBlockBytes,
+		OnTaskComplete: onComplete,
 	}
 	mapRes, err := hadoopsim.Run(simCfg, g.Split())
 	if err != nil {
@@ -311,7 +268,7 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	outCl.Replication = e.cfg.OutputReplication
+	outCl.Replication = 1
 	outCl.BlockSize = fm.BlockSize
 
 	hosts := placeReducers(cl, reducers, e.cfg.ReducerMode, g)
@@ -339,8 +296,8 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 		if e.cfg.SimulatedBlockBytes > 0 && fm.BlockSize > 0 {
 			scaledBytes *= e.cfg.SimulatedBlockBytes / float64(fm.BlockSize)
 		}
-		shuffle := scaledBytes / (e.cfg.BandwidthMbps * netsim.BytesPerMegabit)
-		process := scaledBytes / (1024 * 1024) * e.cfg.ReduceSecondsPerMB
+		shuffle := scaledBytes / (hadoopsim.DefaultBandwidthMbps * netsim.BytesPerMegabit)
+		process := scaledBytes / (1024 * 1024) * reduceSecondsPerMB
 		// The reducer's host pays its availability slowdown on the
 		// processing part (capped: an effectively-dead host would
 		// never finish; real Hadoop would re-execute elsewhere).
@@ -398,6 +355,7 @@ func (e *Engine) reducePartition(job Job, prs []pair) ([]byte, int64, error) {
 // readBlockAnyReplica reads block bytes from any replica regardless of
 // the (virtual) up/down state: the simulator has already charged the
 // access, and the bits persist on disk across interruptions (§II-B).
+// It reads them without touching liveness, which other readers see.
 func (e *Engine) readBlockAnyReplica(bm dfs.BlockMeta) ([]byte, error) {
 	var lastErr error
 	for _, r := range bm.Replicas {
@@ -405,14 +363,7 @@ func (e *Engine) readBlockAnyReplica(bm dfs.BlockMeta) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		wasUp := dn.Up()
-		if !wasUp {
-			dn.SetUp(true)
-		}
-		data, err := dn.Get(bm.ID)
-		if !wasUp {
-			dn.SetUp(false)
-		}
+		data, err := dn.GetStored(bm.ID)
 		if err == nil {
 			return data, nil
 		}

@@ -291,3 +291,67 @@ func TestPartitionerRouting(t *testing.T) {
 		t.Fatalf("routing wrong: p0=%d bytes p1=%d bytes", len(p0), len(p1))
 	}
 }
+
+// liveProbe is a fault injector that records, at every read of its
+// node, whether the node looked up, and then emulates the node
+// rejoining while that read is in flight.
+type liveProbe struct {
+	dn     *dfs.DataNode
+	seenUp []bool
+}
+
+func (p *liveProbe) FailOp(_ cluster.NodeID, op dfs.Op, _ dfs.BlockID) error {
+	if op == dfs.OpGet {
+		p.seenUp = append(p.seenUp, p.dn.Up())
+		p.dn.SetUp(true)
+	}
+	return nil
+}
+
+func (p *liveProbe) CorruptRead(_ cluster.NodeID, _ dfs.BlockID, data []byte) []byte {
+	return data
+}
+
+func TestMapReadLeavesLivenessAlone(t *testing.T) {
+	// The map phase reads a down holder's stored bytes. It must neither
+	// show that node as up to anyone else while it reads, nor undo a
+	// rejoin that lands mid-read.
+	nn, cl, eng := newEngine(t, 4, 0)
+	cl.BlockSize = 64
+	cl.Replication = 1
+	var in bytes.Buffer
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&in, "line%03d\n", i)
+	}
+	if _, err := cl.CopyFromLocal("in", in.Bytes(), false); err != nil {
+		t.Fatal(err)
+	}
+	fm, err := nn.Stat("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn, err := nn.DataNode(fm.Blocks[0].Replicas[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn.SetUp(false)
+	probe := &liveProbe{dn: dn}
+	dn.SetFaults(probe)
+
+	res, err := eng.Run(identityJob("in", "out", 1), stats.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MapOutputRecords != 32 {
+		t.Fatalf("map records = %d, want 32", res.MapOutputRecords)
+	}
+	if len(probe.seenUp) == 0 {
+		t.Fatal("the map phase never read the down holder")
+	}
+	if probe.seenUp[0] {
+		t.Fatal("the down holder looked up while the map phase read it")
+	}
+	if !dn.Up() {
+		t.Fatal("a rejoin during the map phase's read was undone")
+	}
+}

@@ -64,17 +64,6 @@ func (r Ratio) String() string {
 		100*r.Rework, 100*r.Recovery, 100*r.Migration, 100*r.Misc, 100*r.Total())
 }
 
-// Add accumulates another breakdown (e.g. merging runs).
-//
-//lint:ignore deadcode unused library code kept with its test (TestBreakdownAdd)
-func (b *Breakdown) Add(other Breakdown) {
-	b.Base += other.Base
-	b.Rework += other.Rework
-	b.Recovery += other.Recovery
-	b.Migration += other.Migration
-	b.Misc += other.Misc
-}
-
 // RunResult is the outcome of a single simulated (or emulated) map
 // phase.
 type RunResult struct {

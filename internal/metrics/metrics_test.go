@@ -24,14 +24,6 @@ func TestBreakdownZeroBase(t *testing.T) {
 	}
 }
 
-func TestBreakdownAdd(t *testing.T) {
-	a := Breakdown{Base: 10, Rework: 1}
-	a.Add(Breakdown{Base: 20, Rework: 2, Misc: 3})
-	if a.Base != 30 || a.Rework != 3 || a.Misc != 3 {
-		t.Fatalf("sum = %+v", a)
-	}
-}
-
 func TestRunResultLocality(t *testing.T) {
 	r := RunResult{LocalTasks: 87, TotalTasks: 100}
 	if got := r.Locality(); math.Abs(got-0.87) > 1e-12 {

@@ -68,11 +68,6 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // matching math/rand/v2 semantics.
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
 
-// Int64N returns a uniform int64 in [0, n).
-//
-//lint:ignore deadcode unused library code kept with its tests (TestRNGInt64N)
-func (g *RNG) Int64N(n int64) int64 { return g.r.Int64N(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 

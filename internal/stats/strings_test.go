@@ -44,14 +44,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestSummaryAddN(t *testing.T) {
-	var s Summary
-	s.AddN(5, 4)
-	if s.Count() != 4 || s.Mean() != 5 || s.Sum() != 20 {
-		t.Fatalf("AddN summary: %v", &s)
-	}
-}
-
 func TestEmpiricalVariance(t *testing.T) {
 	d, err := NewEmpirical([]float64{2, 4, 6})
 	if err != nil {
@@ -67,15 +59,5 @@ func TestShiftedVariance(t *testing.T) {
 	d := Shifted{Base: exp, Offset: 10}
 	if got := d.Variance(); got != exp.Variance() {
 		t.Fatalf("shifted variance = %g, want %g", got, exp.Variance())
-	}
-}
-
-func TestRNGInt64N(t *testing.T) {
-	g := NewRNG(3)
-	for i := 0; i < 1000; i++ {
-		v := g.Int64N(17)
-		if v < 0 || v >= 17 {
-			t.Fatalf("Int64N out of range: %d", v)
-		}
 	}
 }

@@ -37,15 +37,6 @@ func (s *Summary) Add(v float64) {
 	s.m2 += delta * (v - s.mean)
 }
 
-// AddN records the same observation n times.
-//
-//lint:ignore deadcode unused library code kept with its tests (TestSummaryAddN)
-func (s *Summary) AddN(v float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		s.Add(v)
-	}
-}
-
 // Merge folds other into s, as if every observation recorded in other
 // had been recorded in s.
 //

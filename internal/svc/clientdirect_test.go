@@ -100,12 +100,12 @@ func TestVanishedClientIsScrubbedAfterItsLease(t *testing.T) {
 		t.Fatalf("streamed %d replicas, want 8", written)
 	}
 
-	lc.NN.RepairScan(RepairConfig{})
+	lc.NN.RepairScan()
 	if left := replicasOf(lc, a); left != written {
 		t.Fatalf("a repair scan under a live lease left %d of the %d streamed replicas", left, written)
 	}
 	<-lease.Done() // the lease was the allocate call's budget
-	lc.NN.RepairScan(RepairConfig{})
+	lc.NN.RepairScan()
 	if left := replicasOf(lc, a); left != 0 {
 		t.Fatalf("%d abandoned replicas survived the repair scan", left)
 	}

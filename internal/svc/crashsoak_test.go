@@ -154,7 +154,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 
 	// Degraded writes from the churn window heal first, so the later
 	// health assertion isolates the dead-node repair.
-	lc.NN.RepairScan(RepairConfig{})
+	lc.NN.RepairScan()
 	if h := lc.NN.Engine().Health(); h.UnderReplicated != 0 || h.Unavailable != 0 {
 		t.Fatalf("pre-kill repair left %d under-replicated, %d unavailable", h.UnderReplicated, h.Unavailable)
 	}
@@ -179,7 +179,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 	if lc.NN.stores[victim].Up() {
 		t.Fatalf("victim %d not declared dead", victim)
 	}
-	lc.NN.RepairScan(RepairConfig{})
+	lc.NN.RepairScan()
 	if h := lc.NN.Engine().Health(); h.UnderReplicated != 0 || h.Unavailable != 0 {
 		t.Fatalf("autonomous repair left %d under-replicated, %d unavailable", h.UnderReplicated, h.Unavailable)
 	}

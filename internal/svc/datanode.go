@@ -199,35 +199,35 @@ func (d *DataNodeServer) FlushHeartbeat(ctx context.Context) error {
 	return nil
 }
 
-// StartHeartbeats begins a wall-clock heartbeat loop. When
-// accrueWallUptime is set, each tick also records the real elapsed
-// time as observed uptime (a deployment posture); tests that drive
-// observations in virtual time leave it off. Safe to call once.
-func (d *DataNodeServer) StartHeartbeats(interval time.Duration, accrueWallUptime bool) {
-	d.loopStop = make(chan struct{})
-	d.loopDone = make(chan struct{})
+// StartHeartbeats begins a wall-clock heartbeat loop: each tick records
+// the real elapsed time as observed uptime and sends one heartbeat.
+// Safe to call once.
+func (d *DataNodeServer) StartHeartbeats(interval time.Duration) {
+	// The goroutines hold the channels themselves: Stop clears
+	// d.loopStop once the loop is done, which may be before the first
+	// goroutine has even run.
+	stop, done := make(chan struct{}), make(chan struct{})
+	d.loopStop, d.loopDone = stop, done
 	loopCtx, loopCancel := context.WithCancel(context.Background())
 	go func() {
 		// Stop closes loopStop; cancelling the loop context unblocks a
 		// beat that is mid-flight against an unresponsive NameNode, so
 		// Stop never waits out the per-beat timeout.
-		<-d.loopStop
+		<-stop
 		loopCancel()
 	}()
 	go func() {
-		defer close(d.loopDone)
+		defer close(done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		last := time.Now()
 		for {
 			select {
-			case <-d.loopStop:
+			case <-stop:
 				return
 			case now := <-t.C:
-				if accrueWallUptime {
-					_ = d.ObserveUptime(now.Sub(last).Seconds())
-					last = now
-				}
+				_ = d.ObserveUptime(now.Sub(last).Seconds())
+				last = now
 				ctx, cancel := context.WithTimeout(loopCtx, interval)
 				_ = d.FlushHeartbeat(ctx) // transient loss is the design point: totals carry over
 				cancel()

@@ -44,9 +44,10 @@ type DetectorConfig struct {
 	// DeadAfter is the age promoting → Dead (default 10s). Must
 	// exceed SuspectAfter.
 	DeadAfter time.Duration
-	// Interval is the check cadence (default 1s).
-	Interval time.Duration
 }
+
+// detectorInterval is the failure detector's check cadence.
+const detectorInterval = time.Second
 
 func (cfg *DetectorConfig) defaults() {
 	if cfg.SuspectAfter <= 0 {
@@ -57,9 +58,6 @@ func (cfg *DetectorConfig) defaults() {
 		if cfg.DeadAfter <= cfg.SuspectAfter {
 			cfg.DeadAfter = 3 * cfg.SuspectAfter
 		}
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Second
 	}
 }
 
@@ -72,7 +70,7 @@ func (s *NameNodeServer) StartFailureDetector(cfg DetectorConfig) {
 	s.loops.Add(1)
 	go func() {
 		defer s.loops.Done()
-		t := time.NewTicker(cfg.Interval)
+		t := time.NewTicker(detectorInterval)
 		defer t.Stop()
 		for {
 			select {

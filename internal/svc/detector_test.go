@@ -154,7 +154,7 @@ func TestDeadNodeTriggersRepair(t *testing.T) {
 		t.Fatal("killing a replica holder left nothing under-replicated")
 	}
 
-	repaired := lc.NN.RepairScan(RepairConfig{})
+	repaired := lc.NN.RepairScan()
 	if repaired == 0 {
 		t.Fatal("repair scan fixed nothing")
 	}

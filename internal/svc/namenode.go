@@ -147,7 +147,6 @@ type NameNodeServer struct {
 type NameNodeConfig struct {
 	BlockSize   int64
 	Replication int
-	Gamma       float64
 	// WALDir enables the durable namespace: every mutation is
 	// journaled there before it is acknowledged, and construction
 	// recovers whatever namespace the directory already holds.
@@ -219,9 +218,6 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 	}
 	if cfg.Replication > 0 {
 		cl.Replication = cfg.Replication
-	}
-	if cfg.Gamma > 0 {
-		cl.Gamma = cfg.Gamma
 	}
 	s := &NameNodeServer{
 		nn:         nn,

@@ -361,7 +361,7 @@ func TestScrubOrphansRemovesUnreferencedReplicas(t *testing.T) {
 	}
 
 	before := storedReplicas(lc)
-	lc.NN.RepairScan(RepairConfig{})
+	lc.NN.RepairScan()
 	if after := storedReplicas(lc); after != before-1 {
 		t.Fatalf("repair scan removed %d replicas, want exactly the planted orphan", before-after)
 	}
@@ -425,7 +425,7 @@ func TestRepairScanCollectsDeleteResidue(t *testing.T) {
 		t.Fatalf("%d replicas stored before the scan: the partition left no residue to collect", n)
 	}
 
-	lc.NN.RepairScan(RepairConfig{})
+	lc.NN.RepairScan()
 	if n := storedReplicas(lc); n != 3*2 {
 		t.Fatalf("%d replicas stored after the repair scan, want the 6 of %q", n, "kept")
 	}

@@ -10,68 +10,47 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// RepairConfig tunes the autonomous re-replication scheduler. Zero
-// values take the defaults noted per field.
-type RepairConfig struct {
-	// Interval is the periodic full-scan cadence (default 2s). The
-	// failure detector also kicks an immediate scan when it declares
-	// a node dead, so the interval only bounds how long a quietly
-	// degraded file (e.g. a degraded write) waits for repair and an
-	// orphan replica waits to be collected.
-	Interval time.Duration
-	// Concurrency bounds how many files repair in parallel (default 2).
-	Concurrency int
-	// MaxAttempts bounds per-file attempts within one scan (default 3).
-	MaxAttempts int
-	// Backoff is the base delay between attempts, doubled each retry
-	// (default 50ms).
-	Backoff time.Duration
-	// ScanTimeout bounds one whole scan (default 30s).
-	ScanTimeout time.Duration
-}
-
-func (cfg *RepairConfig) defaults() {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 2
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.ScanTimeout <= 0 {
-		cfg.ScanTimeout = 30 * time.Second
-	}
-}
+// Repair scheduler tuning.
+const (
+	// repairConcurrency bounds how many files repair in parallel.
+	repairConcurrency = 2
+	// repairAttempts bounds per-file attempts within one scan.
+	repairAttempts = 3
+	// repairBackoff is the base delay between attempts, doubled each
+	// retry.
+	repairBackoff = 50 * time.Millisecond
+	// repairScanTimeout bounds one whole scan.
+	repairScanTimeout = 30 * time.Second
+)
 
 // StartAutoRepair begins the background re-replication scheduler:
-// every Interval — or immediately when the failure detector declares
-// a node dead — it sweeps the namespace and re-replicates every
-// under-replicated block through the engine's availability-aware
-// repair path (dfs.Client.MaintainReplicationContext with ADAPT
-// weights, the same 1/E[T] scoring initial placement uses), with
-// bounded concurrency and per-file retry/backoff, and collects orphan
-// replicas (see RepairScan). Call at most once; Shutdown/Crash stops
-// the loop.
-func (s *NameNodeServer) StartAutoRepair(cfg RepairConfig) {
-	cfg.defaults()
+// every interval (2s when not positive) — or immediately when the
+// failure detector declares a node dead — it sweeps the namespace and
+// re-replicates every under-replicated block through the engine's
+// availability-aware repair path (dfs.Client.MaintainReplicationContext
+// with ADAPT weights, the same 1/E[T] scoring initial placement uses),
+// with bounded concurrency and per-file retry/backoff, and collects
+// orphan replicas (see RepairScan). Because a dead node kicks a scan at once,
+// the interval only bounds how long a quietly degraded file (e.g. a
+// degraded write) waits for repair and an orphan replica waits to be
+// collected. Call at most once; Shutdown/Crash stops the loop.
+func (s *NameNodeServer) StartAutoRepair(interval time.Duration) {
+	if interval <= 0 {
+		interval = 2 * time.Second
+	}
 	s.loops.Add(1)
 	go func() {
 		defer s.loops.Done()
-		t := time.NewTicker(cfg.Interval)
+		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
 			case <-s.stopCh:
 				return
 			case <-t.C:
-				s.RepairScan(cfg)
+				s.RepairScan()
 			case <-s.repairKick:
-				s.RepairScan(cfg)
+				s.RepairScan()
 			}
 		}
 	}()
@@ -95,14 +74,13 @@ func (s *NameNodeServer) kickRepair() {
 // by a redistribute or repair in flight are left alone. Exported so
 // tests (and the headline soak) can force a scan instead of waiting on
 // the ticker. It returns the number of replicas re-created.
-func (s *NameNodeServer) RepairScan(cfg RepairConfig) int {
-	cfg.defaults()
+func (s *NameNodeServer) RepairScan() int {
 	s.nn.Resilience().RepairScans.Add(1)
 	// Parented on the lifecycle context so Shutdown/Crash cancels an
 	// in-flight scan instead of letting it run out its timeout.
-	ctx, cancel := context.WithTimeout(s.lifeCtx, cfg.ScanTimeout)
+	ctx, cancel := context.WithTimeout(s.lifeCtx, repairScanTimeout)
 	defer cancel()
-	sem := make(chan struct{}, cfg.Concurrency)
+	sem := make(chan struct{}, repairConcurrency)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	repaired := 0
@@ -118,7 +96,7 @@ func (s *NameNodeServer) RepairScan(cfg RepairConfig) int {
 		go func(name string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			n, _ := s.repairFile(ctx, name, cfg)
+			n, _ := s.repairFile(ctx, name)
 			mu.Lock()
 			repaired += n
 			mu.Unlock()
@@ -135,12 +113,12 @@ func (s *NameNodeServer) RepairScan(cfg RepairConfig) int {
 
 // repairFile runs the availability-aware repair pass on one file with
 // retry/backoff: transient failures (nodes racing down, chaos faults)
-// and still-unrepairable blocks retry up to MaxAttempts; a deleted
+// and still-unrepairable blocks retry up to repairAttempts; a deleted
 // file or a permanent error ends the attempt quietly — the next scan
 // revisits anything still degraded.
-func (s *NameNodeServer) repairFile(ctx context.Context, name string, cfg RepairConfig) (int, error) {
+func (s *NameNodeServer) repairFile(ctx context.Context, name string) (int, error) {
 	repaired := 0
-	backoff := cfg.Backoff
+	backoff := repairBackoff
 	for attempt := 1; ; attempt++ {
 		report, err := s.cl.MaintainReplicationContext(ctx, name, true)
 		repaired += report.Repaired
@@ -152,7 +130,7 @@ func (s *NameNodeServer) repairFile(ctx context.Context, name string, cfg Repair
 		case err != nil && !dfs.IsTransient(err):
 			return repaired, fmt.Errorf("svc: repair %q: %w", name, err)
 		}
-		if attempt >= cfg.MaxAttempts {
+		if attempt >= repairAttempts {
 			if err == nil {
 				return repaired, nil // blocks left for the next scan
 			}
