@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github build test test-short race-all sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke soak bench sim-smoke fuzz-smoke
+.PHONY: ci vet lint lint-github build test test-short race-all sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke experiments-smoke soak bench sim-smoke fuzz-smoke
 
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the frame-codec fuzz smoke, and the
@@ -94,6 +94,19 @@ examples-smoke:
 		$(GO) run ./$$d > "$$out" || exit 1; \
 		diff -u $${d}testdata/stdout.golden "$$out" || exit 1; \
 	done
+
+# adapt-bench's whole evaluation, twice: at the default scale with
+# charts, and at quarter scale as markdown (which also exercises a
+# clamped, deduplicated node sweep). Each run's stdout must match its
+# golden under cmd/adapt-bench/testdata byte for byte. Every experiment
+# is deterministic per seed at any worker count, so a diff is a change
+# in what the experiments compute or how they render it.
+experiments-smoke:
+	out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/adapt-bench -exp all -charts > "$$out" && \
+	diff -u cmd/adapt-bench/testdata/all-charts.golden "$$out" && \
+	$(GO) run ./cmd/adapt-bench -exp all -scale 0.25 -markdown > "$$out" && \
+	diff -u cmd/adapt-bench/testdata/all-scale025-markdown.golden "$$out"
 
 # Just the churn-soak invariants (10k chaos events, 32-node DFS).
 soak:

@@ -425,8 +425,7 @@ type (
 	ExperimentSeries      = experiments.Series
 	EmulationConfig       = experiments.EmulationConfig
 	SimulationConfig      = experiments.SimulationConfig
-	EmulationResult       = experiments.EmulationResult
-	SimulationResult      = experiments.SimulationResult
+	ExperimentResult      = experiments.Result
 	ResultTable           = experiments.Table
 	HeadlineCell          = experiments.HeadlineCell
 	ModelValidationRow    = experiments.ModelValidationRow

@@ -96,7 +96,7 @@ func BenchmarkHeadline_Adapt1ReplicaVsRandom(b *testing.B) {
 
 // emulationBench runs one Figure 3/4 sweep and reports the default-
 // point elapsed and locality for the 1-replica series.
-func emulationBench(b *testing.B, run func(adapt.EmulationConfig) (*adapt.EmulationResult, error), defaultX string, reportLocality bool) {
+func emulationBench(b *testing.B, run func(adapt.EmulationConfig) (*adapt.ExperimentResult, error), defaultX string, reportLocality bool) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res, err := run(benchEmulation(uint64(i) + 1))
@@ -147,7 +147,7 @@ func BenchmarkFigure4c_LocalityVsNodes(b *testing.B) {
 
 // simulationBench runs one Figure 5 sweep and reports migration
 // ratios at the given default point.
-func simulationBench(b *testing.B, run func(adapt.SimulationConfig) (*adapt.SimulationResult, error), defaultX string) {
+func simulationBench(b *testing.B, run func(adapt.SimulationConfig) (*adapt.ExperimentResult, error), defaultX string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		cfg := benchSimulation(uint64(i) + 1)

@@ -72,6 +72,12 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(opt.scale > 0 && opt.scale <= 1) {
+		return fmt.Errorf("-scale %g: want a value in (0,1]", opt.scale)
+	}
+	if opt.trials < 0 {
+		return fmt.Errorf("-trials %d: want 0 (the config default) or more", opt.trials)
+	}
 	opt.seed = seed
 	if opt.cpuProfile != "" {
 		stop, perr := prof.StartCPU(opt.cpuProfile)
@@ -230,7 +236,9 @@ func (o options) simulation() adapt.SimulationConfig {
 }
 
 func runExperiment(id string, opt options) ([]*adapt.ResultTable, error) {
-	switch strings.ToLower(id) {
+	var fig *adapt.ExperimentResult
+	var err error
+	switch id = strings.ToLower(id); id {
 	case "defaults":
 		return []*adapt.ResultTable{adapt.DefaultsTable()}, nil
 	case "table1":
@@ -268,17 +276,17 @@ func runExperiment(id string, opt options) ([]*adapt.ResultTable, error) {
 		}
 		return []*adapt.ResultTable{adapt.SensitivityTable(rows)}, nil
 	case "fig3a", "fig4a":
-		return emulationTables(adapt.Figure3a, opt, id)
+		fig, err = adapt.Figure3a(opt.emulation())
 	case "fig3b", "fig4b":
-		return emulationTables(adapt.Figure3b, opt, id)
+		fig, err = adapt.Figure3b(opt.emulation())
 	case "fig3c", "fig4c":
-		return emulationTables(adapt.Figure3c, opt, id)
+		fig, err = adapt.Figure3c(opt.emulation())
 	case "fig5a":
-		return simulationTables(adapt.Figure5a, opt)
+		fig, err = adapt.Figure5a(opt.simulation())
 	case "fig5b":
-		return simulationTables(adapt.Figure5b, opt)
+		fig, err = adapt.Figure5b(opt.simulation())
 	case "fig5c":
-		return simulationTables(adapt.Figure5c, opt)
+		fig, err = adapt.Figure5c(opt.simulation())
 	case "sched":
 		cfg, err := opt.scheduling()
 		if err != nil {
@@ -294,34 +302,29 @@ func runExperiment(id string, opt options) ([]*adapt.ResultTable, error) {
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
-}
-
-func emulationTables(run func(adapt.EmulationConfig) (*adapt.EmulationResult, error), opt options, id string) ([]*adapt.ResultTable, error) {
-	res, err := run(opt.emulation())
 	if err != nil {
 		return nil, err
 	}
-	if opt.charts && len(res.XVals) > 0 {
-		x := res.XVals[len(res.XVals)/2]
-		if strings.HasPrefix(id, "fig4") {
-			fmt.Println(res.LocalityChart(x))
-		} else {
-			fmt.Println(res.ElapsedChart(x))
-		}
-	}
-	if strings.HasPrefix(id, "fig4") {
-		return []*adapt.ResultTable{res.LocalityTable()}, nil
-	}
-	return []*adapt.ResultTable{res.ElapsedTable(), res.LocalityTable()}, nil
+	return figureTables(fig, id, opt.charts), nil
 }
 
-func simulationTables(run func(adapt.SimulationConfig) (*adapt.SimulationResult, error), opt options) ([]*adapt.ResultTable, error) {
-	res, err := run(opt.simulation())
-	if err != nil {
-		return nil, err
+// figureTables renders a figure's sweep: fig3x as elapsed and
+// locality tables, fig4x as the locality table alone, fig5x as the
+// overhead table. With charts it first prints the matching chart of
+// the middle sweep value.
+func figureTables(res *adapt.ExperimentResult, id string, charts bool) []*adapt.ResultTable {
+	chart := res.OverheadChart
+	tables := []*adapt.ResultTable{res.OverheadTable()}
+	switch id[:4] {
+	case "fig3":
+		chart = res.ElapsedChart
+		tables = []*adapt.ResultTable{res.ElapsedTable(), res.LocalityTable()}
+	case "fig4":
+		chart = res.LocalityChart
+		tables = []*adapt.ResultTable{res.LocalityTable()}
 	}
-	if opt.charts && len(res.XVals) > 0 {
-		fmt.Println(res.OverheadChart(res.XVals[len(res.XVals)/2]))
+	if charts && len(res.XVals) > 0 {
+		fmt.Println(chart(res.XVals[len(res.XVals)/2]))
 	}
-	return []*adapt.ResultTable{res.OverheadTable()}, nil
+	return tables
 }

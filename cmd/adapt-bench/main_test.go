@@ -60,6 +60,26 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRange: -scale outside (0,1] and a negative -trials
+// are errors that name the flag, not silent full-scale or default runs.
+func TestRunRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-scale", "2"}, "-scale"},
+		{[]string{"-scale", "-0.5"}, "-scale"},
+		{[]string{"-scale", "NaN"}, "-scale"},
+		{[]string{"-trials", "-1"}, "-trials"},
+	} {
+		args := append([]string{"-exp", "defaults"}, tc.args...)
+		if err := run(args); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
 func TestRunCPUProfileFlag(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "cpu.prof")
 	if err := run([]string{"-exp", "defaults", "-cpuprofile", out}); err != nil {

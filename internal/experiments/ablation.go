@@ -46,13 +46,12 @@ func Ablation(cfg AblationConfig) ([]AblationRow, error) {
 	emu, err := cluster.NewEmulation(cluster.EmulationConfig{
 		Nodes:            base.Nodes,
 		InterruptedRatio: base.InterruptedRatio,
-		Groups:           base.Groups,
 		Shuffle:          true,
 	}, g.Split())
 	if err != nil {
 		return nil, err
 	}
-	taskGamma := base.Gamma * base.BlockMB / 64
+	taskGamma := hadoopsim.DefaultGamma * base.BlockMB / 64
 	blocks := base.Nodes * base.BlocksPerNode
 
 	var rows []AblationRow
@@ -61,7 +60,6 @@ func Ablation(cfg AblationConfig) ([]AblationRow, error) {
 			Config: hadoopsim.Config{
 				Cluster:    emu,
 				BlockBytes: base.BlockMB * 1024 * 1024,
-				Gamma:      base.Gamma,
 				Network:    netsim.FromMegabits(base.BandwidthMbps),
 			},
 			Policy:   pol,

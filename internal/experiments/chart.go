@@ -99,9 +99,9 @@ func StackedChart(title string, bars []StackedBar) string {
 	return sb.String()
 }
 
-// ElapsedChart renders one sweep value of an emulation result as a
-// bar chart across series (the Figure 3 visual).
-func (r *EmulationResult) ElapsedChart(xLabel string) string {
+// ElapsedChart renders one sweep value as a bar chart across series
+// (the Figure 3 visual).
+func (r *Result) ElapsedChart(xLabel string) string {
 	bars := make([]Bar, 0, len(r.Series))
 	for _, s := range r.Series {
 		if c, ok := r.Cell(xLabel, s); ok {
@@ -113,7 +113,7 @@ func (r *EmulationResult) ElapsedChart(xLabel string) string {
 
 // LocalityChart renders one sweep value's locality across series (the
 // Figure 4 visual).
-func (r *EmulationResult) LocalityChart(xLabel string) string {
+func (r *Result) LocalityChart(xLabel string) string {
 	bars := make([]Bar, 0, len(r.Series))
 	for _, s := range r.Series {
 		if c, ok := r.Cell(xLabel, s); ok {
@@ -123,9 +123,9 @@ func (r *EmulationResult) LocalityChart(xLabel string) string {
 	return BarChart(fmt.Sprintf("%s @ %s = %s (data locality)", r.Name, r.XTitle, xLabel), "%", bars)
 }
 
-// OverheadChart renders one sweep value of a simulation result as
-// stacked overhead bars (the Figure 5 visual).
-func (r *SimulationResult) OverheadChart(xLabel string) string {
+// OverheadChart renders one sweep value as stacked overhead bars (the
+// Figure 5 visual).
+func (r *Result) OverheadChart(xLabel string) string {
 	bars := make([]StackedBar, 0, len(r.Series))
 	for _, s := range r.Series {
 		if c, ok := r.Cell(xLabel, s); ok {

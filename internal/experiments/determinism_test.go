@@ -4,25 +4,25 @@ import (
 	"testing"
 )
 
-// fixedResult builds an EmulationResult by hand, with more map
+// fixedResult builds a Result by hand, with more map
 // entries than rendered columns so any accidental map-order
 // dependence in the emitters would have room to show.
-func fixedResult() *EmulationResult {
+func fixedResult() *Result {
 	series := []Series{
 		{StrategyAdapt, 1}, {StrategyAdapt, 2},
 		{StrategyNaive, 1}, {StrategyNaive, 2},
 	}
-	r := &EmulationResult{
+	r := &Result{
 		Name:   "determinism probe",
 		XTitle: "Interrupted ratio",
 		XVals:  []string{"0.2", "0.4", "0.6", "0.8"},
 		Series: series,
-		Cells:  make(map[string]map[string]EmulationCell),
+		Cells:  make(map[string]map[string]Cell),
 	}
 	for i, x := range r.XVals {
-		row := make(map[string]EmulationCell, len(series))
+		row := make(map[string]Cell, len(series))
 		for k, s := range series {
-			row[s.Label()] = EmulationCell{
+			row[s.Label()] = Cell{
 				Elapsed:  100 + float64(10*i+k),
 				Locality: 0.5 + 0.01*float64(i+k),
 			}

@@ -12,9 +12,9 @@ import (
 // precision (hex floats), walking XVals and Series in order so the
 // digest is deterministic. Two results fingerprint equal iff they are
 // bit-identical.
-func fingerprintSimResult(res *SimulationResult) string {
+func fingerprintSimResult(res *Result) string {
 	h := sha256.New()
-	writeCell := func(w io.Writer, c SimulationCell) {
+	writeCell := func(w io.Writer, c Cell) {
 		fmt.Fprintf(w, "%x|%s|%x|%x|%x|%x|%x|%x\n",
 			c.X, c.Series.Label(), c.Elapsed, c.Locality,
 			c.Ratios.Rework, c.Ratios.Recovery, c.Ratios.Migration, c.Ratios.Misc)
@@ -55,11 +55,11 @@ func TestFrozenSweepDigests(t *testing.T) {
 				Series:       series,
 				Workers:      workers,
 			}
-			res := &SimulationResult{
+			res := &Result{
 				Name:   fmt.Sprintf("%d hosts", tc.hosts),
 				XTitle: "hosts",
 				Series: series,
-				Cells:  make(map[string]map[string]SimulationCell),
+				Cells:  make(map[string]map[string]Cell),
 			}
 			if err := runSimulationPoint(cfg, float64(tc.hosts), fmt.Sprint(tc.hosts), res); err != nil {
 				t.Fatalf("hosts=%d workers=%d: %v", tc.hosts, workers, err)

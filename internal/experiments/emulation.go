@@ -4,26 +4,25 @@ import (
 	"fmt"
 
 	"github.com/adaptsim/adapt/internal/cluster"
-	"github.com/adaptsim/adapt/internal/metrics"
+	"github.com/adaptsim/adapt/internal/stats"
 )
 
 // EmulationConfig mirrors the paper's emulated environment (§V-A,
 // Tables 2 and 3): an n-node cluster with a fixed ratio of
 // interrupted nodes split evenly across the Table 2 availability
 // groups, 20 blocks per node of Terasort-shaped work, and a throttled
-// symmetric network.
+// symmetric network. A task over a 64 MB block takes γ = 12 s
+// failure-free (hadoopsim.DefaultGamma), scaled with BlockMB.
 type EmulationConfig struct {
 	Nodes            int     // default 128 (Table 3)
 	BlocksPerNode    int     // default 20 (§V-A)
 	InterruptedRatio float64 // default 0.5 (Table 3)
 	BandwidthMbps    float64 // default 8 (Table 3)
 	BlockMB          float64 // default 64 (Table 3)
-	Gamma            float64 // default 12 s per 64 MB block
 	Trials           int     // default 10 runs per scenario (§V-A)
 	Seed             uint64
-	Series           []Series        // default EmulationSeries()
-	Groups           []cluster.Group // default Table2Groups()
-	// Workers bounds how many experiment cells — (series, scale,
+	Series           []Series // default EmulationSeries()
+	// Workers bounds how many experiment cells — (point, series,
 	// trial) units — run concurrently; 0 or negative means
 	// GOMAXPROCS. Results are bit-identical for every worker count:
 	// each cell's RNG seed is derived from its coordinates via
@@ -40,7 +39,6 @@ func PaperEmulationConfig() EmulationConfig {
 		InterruptedRatio: 0.5,
 		BandwidthMbps:    8,
 		BlockMB:          64,
-		Gamma:            12,
 		Trials:           10,
 		Seed:             1,
 	}
@@ -76,9 +74,6 @@ func (c EmulationConfig) withDefaults() EmulationConfig {
 	if c.BlockMB == 0 {
 		c.BlockMB = d.BlockMB
 	}
-	if c.Gamma == 0 {
-		c.Gamma = d.Gamma
-	}
 	if c.Trials == 0 {
 		c.Trials = d.Trials
 	}
@@ -91,152 +86,66 @@ func (c EmulationConfig) withDefaults() EmulationConfig {
 	return c
 }
 
-// EmulationCell is one measured point of Figures 3/4: a series at a
-// sweep value.
-type EmulationCell struct {
-	X      float64
-	XLabel string
-	Series Series
-	// Elapsed is the mean map-phase time (Figure 3) with its standard
-	// error across trials.
-	Elapsed       float64
-	ElapsedStdErr float64
-	// Locality is the mean data locality (Figure 4).
-	Locality float64
-	// Overheads carries the mean overhead ratios for deeper analysis.
-	Overheads metrics.Ratio
+func (c EmulationConfig) sweep() sweep {
+	return sweep{series: c.Series, trials: c.Trials, workers: c.Workers}
 }
 
-// EmulationResult is a complete sweep (one sub-figure of 3 and 4).
-type EmulationResult struct {
-	Name   string
-	XTitle string
-	XVals  []string
-	Series []Series
-	Cells  map[string]map[string]EmulationCell // x label -> series label -> cell
-}
-
-// Cell returns a measured point.
-func (r *EmulationResult) Cell(xLabel string, s Series) (EmulationCell, bool) {
-	row, ok := r.Cells[xLabel]
-	if !ok {
-		return EmulationCell{}, false
+func (c EmulationConfig) point(x float64, xLabel string) point {
+	return point{
+		x:       x,
+		xLabel:  xLabel,
+		seed:    c.Seed,
+		env:     c.env,
+		blocks:  c.Nodes * c.BlocksPerNode,
+		blockMB: c.BlockMB,
+		mbps:    c.BandwidthMbps,
 	}
-	c, ok := row[s.Label()]
-	return c, ok
 }
 
-// ElapsedTable renders the Figure 3 view (seconds).
-func (r *EmulationResult) ElapsedTable() *Table {
-	return r.table("Elapsed time (s) — "+r.Name, func(c EmulationCell) string {
-		return fmtSeconds(c.Elapsed)
-	})
-}
-
-// LocalityTable renders the Figure 4 view (percent local tasks).
-func (r *EmulationResult) LocalityTable() *Table {
-	return r.table("Data locality — "+r.Name, func(c EmulationCell) string {
-		return fmtPercent(c.Locality)
-	})
-}
-
-func (r *EmulationResult) table(title string, cell func(EmulationCell) string) *Table {
-	t := &Table{Title: title, Header: []string{r.XTitle}}
-	for _, s := range r.Series {
-		t.Header = append(t.Header, s.Label())
-	}
-	for _, x := range r.XVals {
-		row := []string{x}
-		for _, s := range r.Series {
-			c, ok := r.Cell(x, s)
-			if !ok {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, cell(c))
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-// runEmulationPoint executes all series at one parameter point
-// (a single-point sweep through the parallel engine).
-func runEmulationPoint(cfg EmulationConfig, x float64, xLabel string, res *EmulationResult) error {
-	cfg = cfg.withDefaults()
-	return runEmulationSweep([]emuPoint{{cfg: cfg, x: x, xLabel: xLabel}}, cfg.Workers, res)
+// env builds the emulated cluster (Table 2 groups). Deterministic in
+// c.Seed alone: it takes no trial, because all trials of a point share
+// it, as the paper's fixed testbed does.
+func (c EmulationConfig) env(int) (*cluster.Cluster, error) {
+	g := stats.NewRNG(stats.DeriveSeed(c.Seed, envStream))
+	return cluster.NewEmulation(cluster.EmulationConfig{
+		Nodes:            c.Nodes,
+		InterruptedRatio: c.InterruptedRatio,
+		Shuffle:          true,
+	}, g)
 }
 
 // Figure3a sweeps the interrupted-node ratio over {1/4, 1/2, 3/4}
 // (Figures 3a and 4a share this run).
-func Figure3a(cfg EmulationConfig) (*EmulationResult, error) {
-	cfg = cfg.withDefaults()
-	res := &EmulationResult{
-		Name:   "Fig 3(a)/4(a): varying interrupted-node ratio",
-		XTitle: "interrupted ratio",
-		Series: cfg.Series,
-		Cells:  make(map[string]map[string]EmulationCell),
-	}
-	points := make([]emuPoint, 0, 3)
-	for _, ratio := range []float64{0.25, 0.5, 0.75} {
-		point := cfg
-		point.InterruptedRatio = ratio
-		point.Seed = cfg.Seed + uint64(ratio*1000)
-		points = append(points, emuPoint{cfg: point, x: ratio, xLabel: fmt.Sprintf("%.2f", ratio)})
-	}
-	if err := runEmulationSweep(points, cfg.Workers, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+func Figure3a(cfg EmulationConfig) (*Result, error) {
+	return figure(cfg, "Fig 3(a)/4(a): varying interrupted-node ratio", "interrupted ratio",
+		[]float64{0.25, 0.5, 0.75}, func(c *EmulationConfig, ratio float64) (float64, string) {
+			c.InterruptedRatio = ratio
+			c.Seed += uint64(ratio * 1000)
+			return ratio, fmt.Sprintf("%.2f", ratio)
+		})
 }
 
 // Figure3b sweeps the network bandwidth over {4, 8, 16, 32} Mb/s
 // (Figures 3b and 4b).
-func Figure3b(cfg EmulationConfig) (*EmulationResult, error) {
-	cfg = cfg.withDefaults()
-	res := &EmulationResult{
-		Name:   "Fig 3(b)/4(b): varying network bandwidth",
-		XTitle: "bandwidth (Mb/s)",
-		Series: cfg.Series,
-		Cells:  make(map[string]map[string]EmulationCell),
-	}
-	points := make([]emuPoint, 0, 4)
-	for _, mbps := range []float64{4, 8, 16, 32} {
-		point := cfg
-		point.BandwidthMbps = mbps
-		point.Seed = cfg.Seed + uint64(mbps)
-		points = append(points, emuPoint{cfg: point, x: mbps, xLabel: fmt.Sprintf("%g", mbps)})
-	}
-	if err := runEmulationSweep(points, cfg.Workers, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+func Figure3b(cfg EmulationConfig) (*Result, error) {
+	return figure(cfg, "Fig 3(b)/4(b): varying network bandwidth", "bandwidth (Mb/s)",
+		[]float64{4, 8, 16, 32}, func(c *EmulationConfig, mbps float64) (float64, string) {
+			c.BandwidthMbps = mbps
+			c.Seed += uint64(mbps)
+			return mbps, fmt.Sprintf("%g", mbps)
+		})
 }
 
-// Figure3c sweeps the cluster size over {32, 64, 128, 256} nodes
-// (scaled proportionally for reduced configs; Figures 3c and 4c).
-func Figure3c(cfg EmulationConfig) (*EmulationResult, error) {
-	cfg = cfg.withDefaults()
-	res := &EmulationResult{
-		Name:   "Fig 3(c)/4(c): varying number of nodes",
-		XTitle: "nodes",
-		Series: cfg.Series,
-		Cells:  make(map[string]map[string]EmulationCell),
-	}
-	// Paper sweep is {32, 64, 128, 256} around the default 128; keep
-	// the same x/default ratios for scaled configs.
-	points := make([]emuPoint, 0, 4)
-	for _, factor := range []float64{0.25, 0.5, 1, 2} {
-		nodes := maxInt(8, int(float64(cfg.Nodes)*factor))
-		point := cfg
-		point.Nodes = nodes
-		point.Seed = cfg.Seed + uint64(nodes)
-		points = append(points, emuPoint{cfg: point, x: float64(nodes), xLabel: fmt.Sprintf("%d", nodes)})
-	}
-	if err := runEmulationSweep(points, cfg.Workers, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+// Figure3c sweeps the cluster size over {1/4, 1/2, 1, 2}× the
+// configured nodes (the paper's {32, 64, 128, 256} around 128;
+// Figures 3c and 4c).
+func Figure3c(cfg EmulationConfig) (*Result, error) {
+	return figure(cfg, "Fig 3(c)/4(c): varying number of nodes", "nodes",
+		[]float64{0.25, 0.5, 1, 2}, func(c *EmulationConfig, factor float64) (float64, string) {
+			c.Nodes = maxInt(8, int(float64(c.Nodes)*factor))
+			c.Seed += uint64(c.Nodes)
+			return float64(c.Nodes), fmt.Sprintf("%d", c.Nodes)
+		})
 }
 
 // HeadlineCell is the §V-B default-point comparison.
@@ -256,13 +165,9 @@ func Headline(cfg EmulationConfig) ([]HeadlineCell, error) {
 		cfg.Series = HeadlineSeries()
 	}
 	cfg = cfg.withDefaults()
-	res := &EmulationResult{
-		Name:   "headline",
-		XTitle: "point",
-		Series: cfg.Series,
-		Cells:  make(map[string]map[string]EmulationCell),
-	}
-	if err := runEmulationPoint(cfg, 0, "default", res); err != nil {
+	sw := cfg.sweep()
+	res := sw.newResult("headline", "point")
+	if err := sw.run(res, []point{cfg.point(0, "default")}); err != nil {
 		return nil, err
 	}
 	base, ok := res.Cell("default", Series{StrategyRandom, 1})

@@ -94,13 +94,28 @@ func TestFigure3bBandwidthMonotone(t *testing.T) {
 
 func TestFigure3cRuns(t *testing.T) {
 	cfg := tinyEmulation()
-	cfg.Nodes = 16
+	cfg.Nodes = 32 // large enough that no sweep factor clamps to the floor
 	res, err := Figure3c(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.XVals) != 4 {
 		t.Fatalf("x values = %v", res.XVals)
+	}
+}
+
+func TestFigure3cDedupesClampedSweep(t *testing.T) {
+	cfg := tinyEmulation()
+	cfg.Nodes = 16 // 0.25x and 0.5x both clamp to the 8-node floor
+	res, err := Figure3c(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.XVals) != 3 {
+		t.Fatalf("x values = %v, want deduped to 3", res.XVals)
+	}
+	if md := res.ElapsedTable().Markdown(); strings.Count(md, "| 8 |") != 1 {
+		t.Fatalf("8-node row printed %d times:\n%s", strings.Count(md, "| 8 |"), md)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // simResultsEqual asserts full-precision structural equality and
 // byte-identical table renders.
-func simResultsEqual(t *testing.T, serial, parallel *SimulationResult) {
+func simResultsEqual(t *testing.T, serial, parallel *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel simulation result differs structurally from sequential:\n%#v\n---\n%#v", serial, parallel)
@@ -27,7 +27,7 @@ func simResultsEqual(t *testing.T, serial, parallel *SimulationResult) {
 	}
 }
 
-func emuResultsEqual(t *testing.T, serial, parallel *EmulationResult) {
+func emuResultsEqual(t *testing.T, serial, parallel *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel emulation result differs structurally from sequential:\n%#v\n---\n%#v", serial, parallel)

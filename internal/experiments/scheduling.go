@@ -9,8 +9,6 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/hadoopsim"
 	"github.com/adaptsim/adapt/internal/metrics"
-	"github.com/adaptsim/adapt/internal/netsim"
-	"github.com/adaptsim/adapt/internal/par"
 	"github.com/adaptsim/adapt/internal/placement"
 	"github.com/adaptsim/adapt/internal/stats"
 )
@@ -59,19 +57,14 @@ func SchedulingModes() []SchedMode {
 
 // SchedulingConfig parameterizes the experiment. Zero fields take
 // demo-scale defaults sized so the full grid stays seconds-scale while
-// every Table 2 group still shows the policies apart.
+// every Table 2 group still shows the policies apart. Every cell runs
+// the Table 3 defaults: half the nodes interrupted, 64 MB blocks over
+// 8 Mb/s links, γ = 12 s, and the static arm at 3 replicas.
 type SchedulingConfig struct {
-	Nodes            int     // default 16
-	BlocksPerNode    int     // default 5
-	InterruptedRatio float64 // default 0.5 (Table 3)
-	BandwidthMbps    float64 // default 8 (Table 3)
-	BlockMB          float64 // default 64 (Table 3)
-	Gamma            float64 // default 12 s per 64 MB block
-	Trials           int     // default 5
-	Seed             uint64  // default 1
-	// StaticReplicas is the baseline replication degree (default 3,
-	// the stock HDFS setting the paper compares against).
-	StaticReplicas int
+	Nodes         int    // default 16
+	BlocksPerNode int    // default 5
+	Trials        int    // default 5
+	Seed          uint64 // default 1
 	// RedundancyK is the attempts-per-task of the redundant policy
 	// (0 = the simulator default of 2).
 	RedundancyK int
@@ -96,26 +89,11 @@ func (c SchedulingConfig) withDefaults() SchedulingConfig {
 	if c.BlocksPerNode == 0 {
 		c.BlocksPerNode = 5
 	}
-	if c.InterruptedRatio == 0 {
-		c.InterruptedRatio = 0.5
-	}
-	if c.BandwidthMbps == 0 {
-		c.BandwidthMbps = 8
-	}
-	if c.BlockMB == 0 {
-		c.BlockMB = 64
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 12
-	}
 	if c.Trials == 0 {
 		c.Trials = 5
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.StaticReplicas == 0 {
-		c.StaticReplicas = 3
 	}
 	if c.AgingRounds == 0 {
 		c.AgingRounds = 8
@@ -198,37 +176,47 @@ func schedInput(blocks int, blockSize int64) []byte {
 	return data
 }
 
+// schedStaticReplicas is the static arm's replication degree: the
+// stock HDFS setting the paper compares against.
+const schedStaticReplicas = 3
+
+// schedCell is one scheduling cell's outcome: the simulated run and
+// the replication degree its namespace ended at.
+type schedCell struct {
+	run metrics.RunResult
+	rf  int
+}
+
 // runSchedCell executes one (group-cluster, mode, trial) cell: build a
 // namespace, age it, replay its placement under the mode's policy.
-func runSchedCell(cfg SchedulingConfig, cl *cluster.Cluster, mode SchedMode, seed uint64) (metrics.RunResult, int, error) {
+func runSchedCell(cfg SchedulingConfig, cl *cluster.Cluster, mode SchedMode, seed uint64) (schedCell, error) {
 	g := stats.NewRNG(seed)
-	taskGamma := cfg.Gamma * cfg.BlockMB / 64
 	blocks := cfg.Nodes * cfg.BlocksPerNode
 
 	nn, err := dfs.NewNameNode(cl)
 	if err != nil {
-		return metrics.RunResult{}, 0, err
+		return schedCell{}, err
 	}
 	client, err := dfs.NewClient(nn, g.Split())
 	if err != nil {
-		return metrics.RunResult{}, 0, err
+		return schedCell{}, err
 	}
-	const payload = 64 // bytes per dfs block; sim timing uses BlockMB
+	const payload = 64 // bytes per dfs block; sim timing uses 64 MB blocks
 	client.BlockSize = payload
-	client.Gamma = taskGamma
-	client.Replication = cfg.StaticReplicas
+	client.Gamma = hadoopsim.DefaultGamma
+	client.Replication = schedStaticReplicas
 	if mode.DynamicRF {
 		// The controller starts every file at its floor and earns
 		// replicas from heat and volatility.
-		rfCfg := dfs.DynamicRFConfig{Gamma: taskGamma}
+		rfCfg := dfs.DynamicRFConfig{Gamma: hadoopsim.DefaultGamma}
 		if err := nn.EnableDynamicRF(rfCfg); err != nil {
-			return metrics.RunResult{}, 0, err
+			return schedCell{}, err
 		}
 		client.Replication = 2
 	}
 	const input = "sched/input"
 	if _, err := client.CopyFromLocal(input, schedInput(blocks, payload), true); err != nil {
-		return metrics.RunResult{}, 0, err
+		return schedCell{}, err
 	}
 
 	// Age the namespace: every round reads the whole input (feeding the
@@ -238,16 +226,16 @@ func runSchedCell(cfg SchedulingConfig, cl *cluster.Cluster, mode SchedMode, see
 	// so both arms run the same cell structure.
 	for r := 0; r < cfg.AgingRounds; r++ {
 		if _, err := client.ReadFile(input); err != nil {
-			return metrics.RunResult{}, 0, err
+			return schedCell{}, err
 		}
 		if _, err := client.MaintainReplication(input, true); err != nil {
-			return metrics.RunResult{}, 0, err
+			return schedCell{}, err
 		}
 	}
 
 	fm, err := nn.Stat(input)
 	if err != nil {
-		return metrics.RunResult{}, 0, err
+		return schedCell{}, err
 	}
 	asn := &placement.Assignment{Nodes: cl.Len()}
 	asn.Replicas = make([][]cluster.NodeID, len(fm.Blocks))
@@ -259,20 +247,19 @@ func runSchedCell(cfg SchedulingConfig, cl *cluster.Cluster, mode SchedMode, see
 		}
 	}
 
+	// Block size, γ and bandwidth are the simulator's defaults, the
+	// Table 3 values.
 	simCfg := hadoopsim.Config{
 		Cluster:     cl,
 		Assignment:  asn,
-		BlockBytes:  cfg.BlockMB * 1024 * 1024,
-		Gamma:       cfg.Gamma,
-		Network:     netsim.FromMegabits(cfg.BandwidthMbps),
 		Speculation: mode.Policy,
 		RedundancyK: cfg.RedundancyK,
 	}
 	res, err := hadoopsim.Run(simCfg, g.Split())
 	if err != nil {
-		return metrics.RunResult{}, 0, err
+		return schedCell{}, err
 	}
-	return res, finalRF, nil
+	return schedCell{run: res, rf: finalRF}, nil
 }
 
 // SchedulingHeadline runs the full grid: for each Table 2 group a
@@ -288,82 +275,55 @@ func SchedulingHeadline(cfg SchedulingConfig) (*SchedulingResult, error) {
 		Cells: make(map[string]map[string]SchedulingCell),
 	}
 
-	// Phase 1: one emulated cluster per interruption group.
-	envs := make([]*cluster.Cluster, len(cfg.Groups))
+	g := grid{
+		name:    "scheduling",
+		trials:  cfg.Trials,
+		workers: cfg.Workers,
+	}
 	for p, gr := range cfg.Groups {
 		res.Groups = append(res.Groups, groupLabel(gr))
-		seed := stats.DeriveSeed(cfg.Seed, envStream, uint64(p))
-		env, err := cluster.NewEmulation(cluster.EmulationConfig{
+		res.Cells[groupLabel(gr)] = make(map[string]SchedulingCell, len(cfg.Modes))
+		g.seeds = append(g.seeds, stats.DeriveSeed(cfg.Seed, uint64(p)+1))
+	}
+	g.xLabels = res.Groups
+	for _, m := range cfg.Modes {
+		g.series = append(g.series, m.Label())
+	}
+	// Each interruption group gets a dedicated single-group cluster.
+	env := func(p, _ int) (*cluster.Cluster, error) {
+		return cluster.NewEmulation(cluster.EmulationConfig{
 			Nodes:            cfg.Nodes,
-			InterruptedRatio: cfg.InterruptedRatio,
-			Groups:           []cluster.Group{gr},
+			InterruptedRatio: 0.5,
+			Groups:           []cluster.Group{cfg.Groups[p]},
 			Shuffle:          true,
-		}, stats.NewRNG(seed))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scheduling %s: %w", groupLabel(gr), err)
-		}
-		envs[p] = env
+		}, stats.NewRNG(stats.DeriveSeed(cfg.Seed, envStream, uint64(p))))
 	}
-
-	// Phase 2: cells into pre-indexed slots.
-	type cellKey struct{ point, mode, trial int }
-	type cellOut struct {
-		run metrics.RunResult
-		rf  int
+	cell := func(cl *cluster.Cluster, _, m int, seed uint64) (schedCell, error) {
+		return runSchedCell(cfg, cl, cfg.Modes[m], seed)
 	}
-	var jobs []cellKey
-	slots := make([][][]cellOut, len(cfg.Groups))
-	for p := range cfg.Groups {
-		slots[p] = make([][]cellOut, len(cfg.Modes))
-		for m := range cfg.Modes {
-			slots[p][m] = make([]cellOut, cfg.Trials)
-			for t := 0; t < cfg.Trials; t++ {
-				jobs = append(jobs, cellKey{p, m, t})
-			}
+	reduce := func(p, m int, trials []schedCell) {
+		var elapsed, wasted, attempts, cancelled, locality, rf stats.Summary
+		for _, c := range trials {
+			elapsed.Add(c.run.Elapsed)
+			wasted.Add(c.run.Breakdown.Rework + c.run.WastedSeconds)
+			attempts.Add(float64(c.run.AttemptsLaunched))
+			cancelled.Add(float64(c.run.AttemptsCancelled))
+			locality.Add(c.run.Locality())
+			rf.Add(float64(c.rf))
+		}
+		res.Cells[res.Groups[p]][g.series[m]] = SchedulingCell{
+			Group:     res.Groups[p],
+			Mode:      cfg.Modes[m],
+			Elapsed:   elapsed.Mean(),
+			Wasted:    wasted.Mean(),
+			Attempts:  attempts.Mean(),
+			Cancelled: cancelled.Mean(),
+			Locality:  locality.Mean(),
+			TargetRF:  rf.Mean(),
 		}
 	}
-	if err := par.ForEach(cfg.Workers, len(jobs), func(j int) error {
-		k := jobs[j]
-		mode := cfg.Modes[k.mode]
-		pointSeed := stats.DeriveSeed(cfg.Seed, uint64(k.point)+1)
-		seed := stats.DeriveSeed(pointSeed, stats.HashLabel(mode.Label()), uint64(k.trial))
-		run, rf, err := runSchedCell(cfg, envs[k.point], mode, seed)
-		if err != nil {
-			return fmt.Errorf("experiments: scheduling %s %s trial %d: %w",
-				res.Groups[k.point], mode.Label(), k.trial, err)
-		}
-		slots[k.point][k.mode][k.trial] = cellOut{run: run, rf: rf}
-		return nil
-	}); err != nil {
+	if err := runGrid(g, env, cell, reduce); err != nil {
 		return nil, err
-	}
-
-	// Reduce in index order.
-	for p := range cfg.Groups {
-		row := make(map[string]SchedulingCell, len(cfg.Modes))
-		for m, mode := range cfg.Modes {
-			var elapsed, wasted, attempts, cancelled, locality, rf stats.Summary
-			for t := 0; t < cfg.Trials; t++ {
-				r := slots[p][m][t].run
-				elapsed.Add(r.Elapsed)
-				wasted.Add(r.Breakdown.Rework + r.WastedSeconds)
-				attempts.Add(float64(r.AttemptsLaunched))
-				cancelled.Add(float64(r.AttemptsCancelled))
-				locality.Add(r.Locality())
-				rf.Add(float64(slots[p][m][t].rf))
-			}
-			row[mode.Label()] = SchedulingCell{
-				Group:     res.Groups[p],
-				Mode:      mode,
-				Elapsed:   elapsed.Mean(),
-				Wasted:    wasted.Mean(),
-				Attempts:  attempts.Mean(),
-				Cancelled: cancelled.Mean(),
-				Locality:  locality.Mean(),
-				TargetRF:  rf.Mean(),
-			}
-		}
-		res.Cells[res.Groups[p]] = row
 	}
 	return res, nil
 }

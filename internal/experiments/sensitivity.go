@@ -30,66 +30,59 @@ type SensitivityRow struct {
 	Improve float64       // 1 − adaptElapsed/randomElapsed
 }
 
-// Sensitivity runs the substitution-parameter sweeps.
+// Sensitivity runs the substitution-parameter sweeps: each knob
+// setting is one point of a single sweep.
 func Sensitivity(cfg SensitivityConfig) ([]SensitivityRow, error) {
 	base := cfg.Base.withDefaults()
 	base.Series = []Series{{StrategyRandom, 1}, {StrategyAdapt, 1}}
 
-	var rows []SensitivityRow
-	add := func(knob, value string, point SimulationConfig) error {
-		res := &SimulationResult{
-			Name:   "sensitivity",
-			XTitle: knob,
-			Series: point.Series,
-			Cells:  make(map[string]map[string]SimulationCell),
-		}
-		if err := runSimulationPoint(point, 0, value, res); err != nil {
-			return err
-		}
-		rnd, ok1 := res.Cell(value, Series{StrategyRandom, 1})
-		adp, ok2 := res.Cell(value, Series{StrategyAdapt, 1})
-		if !ok1 || !ok2 {
-			return fmt.Errorf("experiments: sensitivity %s=%s: missing cells", knob, value)
-		}
+	var knobs []string
+	var pts []point
+	add := func(knob, value string, c SimulationConfig) {
+		knobs = append(knobs, knob)
+		pts = append(pts, c.point(0, value))
+	}
+	// Knob 1: trace time compression (pooled mean MTBI vs the ~1300 s
+	// job).
+	for _, mtbi := range []float64{1500, 3000, 6000, 12000} {
+		c := base
+		c.MeanMTBI = mtbi
+		c.Seed = base.Seed + uint64(mtbi)
+		add("mean-mtbi", fmt.Sprintf("%gs", mtbi), c)
+	}
+	// Knob 2: the unavailable-block escape.
+	for _, pen := range []float64{1, 2, 4} {
+		c := base
+		c.SourcePenalty = pen
+		c.Seed = base.Seed + 1000 + uint64(pen)
+		add("source-penalty", fmt.Sprintf("%gx", pen), c)
+	}
+	// Knob 3: failure injection mode.
+	for _, mode := range []SimMode{SimModeParametric, SimModeReplay} {
+		c := base
+		c.Mode = mode
+		c.Seed = base.Seed + 2000 + uint64(mode)
+		add("injection", mode.String(), c)
+	}
+
+	sw := base.sweep()
+	res := sw.newResult("sensitivity", "knob")
+	if err := sw.run(res, pts); err != nil {
+		return nil, err
+	}
+	rows := make([]SensitivityRow, 0, len(pts))
+	for i, pt := range pts {
+		rnd, _ := res.Cell(pt.xLabel, Series{StrategyRandom, 1})
+		adp, _ := res.Cell(pt.xLabel, Series{StrategyAdapt, 1})
 		improve := 0.0
 		if rnd.Elapsed > 0 {
 			improve = 1 - adp.Elapsed/rnd.Elapsed
 		}
 		rows = append(rows, SensitivityRow{
-			Knob: knob, Value: value,
+			Knob: knobs[i], Value: pt.xLabel,
 			Random: rnd.Ratios, Adapt: adp.Ratios,
 			Improve: improve,
 		})
-		return nil
-	}
-
-	// Knob 1: trace time compression (pooled mean MTBI vs the ~1300 s
-	// job).
-	for _, mtbi := range []float64{1500, 3000, 6000, 12000} {
-		point := base
-		point.MeanMTBI = mtbi
-		point.Seed = base.Seed + uint64(mtbi)
-		if err := add("mean-mtbi", fmt.Sprintf("%gs", mtbi), point); err != nil {
-			return nil, err
-		}
-	}
-	// Knob 2: the unavailable-block escape.
-	for _, pen := range []float64{1, 2, 4} {
-		point := base
-		point.SourcePenalty = pen
-		point.Seed = base.Seed + 1000 + uint64(pen)
-		if err := add("source-penalty", fmt.Sprintf("%gx", pen), point); err != nil {
-			return nil, err
-		}
-	}
-	// Knob 3: failure injection mode.
-	for _, mode := range []SimMode{SimModeParametric, SimModeReplay} {
-		point := base
-		point.Mode = mode
-		point.Seed = base.Seed + 2000 + uint64(mode)
-		if err := add("injection", mode.String(), point); err != nil {
-			return nil, err
-		}
 	}
 	return rows, nil
 }

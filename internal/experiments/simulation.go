@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/adaptsim/adapt/internal/metrics"
+	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/stats"
 	"github.com/adaptsim/adapt/internal/trace"
 )
@@ -22,21 +22,19 @@ import (
 // interruptions after compression (default 3000 s against ~1300 s
 // jobs), with interruption durations scaled by the same factor so
 // duty cycles and the Table 1 heterogeneity (CoV) are preserved.
+// As in the emulation, a task over a 64 MB block takes γ = 12 s
+// failure-free (Table 4), scaled with BlockMB.
 type SimulationConfig struct {
 	Hosts         int     // default 1024 (paper: 8196; see PaperSimulationConfig)
 	TasksPerNode  int     // default 100 (Table 4)
 	BandwidthMbps float64 // default 8 (Table 4)
 	BlockMB       float64 // default 64 (Table 4)
-	Gamma         float64 // default 12 s per 64 MB block (Table 4)
 	Trials        int     // default 3
 	Seed          uint64
 	Series        []Series // default SimulationSeries()
 	// MeanMTBI is the compressed pooled mean time between
 	// interruptions (default 3000 s).
 	MeanMTBI float64
-	// Window is the generated trace horizon in (compressed) seconds
-	// (default 50000 s — comfortably longer than any run).
-	Window float64
 	// SourcePenalty forwards to the simulator: the cost multiplier
 	// for re-ingesting a block from the original data source when no
 	// replica holder is up (default 2x a peer transfer). Negative
@@ -44,7 +42,7 @@ type SimulationConfig struct {
 	// down wait for a recovery — the strict Hadoop semantics, under
 	// which sole-replica unavailability is far more punishing.
 	SourcePenalty float64
-	// Workers bounds how many experiment cells — (series, scale,
+	// Workers bounds how many experiment cells — (point, series,
 	// trial) units — run concurrently; 0 or negative means
 	// GOMAXPROCS. Results are bit-identical for every worker count:
 	// each cell's RNG seed is derived from its coordinates via
@@ -98,11 +96,9 @@ func DefaultSimulationConfig() SimulationConfig {
 		TasksPerNode:  100,
 		BandwidthMbps: 8,
 		BlockMB:       64,
-		Gamma:         12,
 		Trials:        3,
 		Seed:          1,
 		MeanMTBI:      3000,
-		Window:        50000,
 	}
 }
 
@@ -131,9 +127,6 @@ func (c SimulationConfig) withDefaults() SimulationConfig {
 	if c.BlockMB == 0 {
 		c.BlockMB = d.BlockMB
 	}
-	if c.Gamma == 0 {
-		c.Gamma = d.Gamma
-	}
 	if c.Trials == 0 {
 		c.Trials = d.Trials
 	}
@@ -146,161 +139,99 @@ func (c SimulationConfig) withDefaults() SimulationConfig {
 	if c.MeanMTBI == 0 {
 		c.MeanMTBI = d.MeanMTBI
 	}
-	if c.Window == 0 {
-		c.Window = d.Window
-	}
 	if c.Mode == 0 {
 		c.Mode = SimModeParametric
 	}
 	return c
 }
 
+// traceWindow is the generated trace horizon in compressed seconds:
+// comfortably longer than any run.
+const traceWindow = 50000
+
 // traceSet generates the compressed SETI-style trace population.
 func (c SimulationConfig) traceSet(g *stats.RNG) (*trace.Set, error) {
 	gen := trace.DefaultSETIConfig(c.Hosts)
 	gen.TimeScale = c.MeanMTBI / trace.SETIMTBIMean
-	gen.Horizon = c.Window / gen.TimeScale
+	gen.Horizon = traceWindow / gen.TimeScale
 	return trace.Generate(gen, g)
 }
 
-// SimulationCell is one measured point of Figure 5.
-type SimulationCell struct {
-	X        float64
-	XLabel   string
-	Series   Series
-	Ratios   metrics.Ratio // rework/recovery/migration/misc overhead ratios
-	Elapsed  float64
-	Locality float64
+func (c SimulationConfig) sweep() sweep {
+	return sweep{series: c.Series, trials: c.Trials, workers: c.Workers, envPerTrial: true}
 }
 
-// SimulationResult is a complete Figure 5 sweep.
-type SimulationResult struct {
-	Name   string
-	XTitle string
-	XVals  []string
-	Series []Series
-	Cells  map[string]map[string]SimulationCell
-}
-
-// Cell returns a measured point.
-func (r *SimulationResult) Cell(xLabel string, s Series) (SimulationCell, bool) {
-	row, ok := r.Cells[xLabel]
-	if !ok {
-		return SimulationCell{}, false
+func (c SimulationConfig) point(x float64, xLabel string) point {
+	return point{
+		x:             x,
+		xLabel:        xLabel,
+		seed:          c.Seed,
+		env:           c.env,
+		blocks:        c.Hosts * c.TasksPerNode,
+		blockMB:       c.BlockMB,
+		mbps:          c.BandwidthMbps,
+		sourcePenalty: c.SourcePenalty,
 	}
-	c, ok := row[s.Label()]
-	return c, ok
 }
 
-// OverheadTable renders the Figure 5 view: per series and sweep value,
-// the overhead ratio of each component.
-func (r *SimulationResult) OverheadTable() *Table {
-	t := &Table{
-		Title: "Overhead ratios — " + r.Name,
-		Note:  "overhead components normalized by aggregate failure-free execution time",
-		Header: []string{
-			r.XTitle, "series", "rework", "recovery", "migration", "misc", "total",
-		},
+// env generates the trace population and cluster for one trial.
+// Deterministic in (c.Seed, trial) alone.
+func (c SimulationConfig) env(trial int) (*cluster.Cluster, error) {
+	g := stats.NewRNG(stats.DeriveSeed(c.Seed, envStream, uint64(trial)))
+	set, err := c.traceSet(g)
+	if err != nil {
+		return nil, fmt.Errorf("traces: %w", err)
 	}
-	for _, x := range r.XVals {
-		for _, s := range r.Series {
-			c, ok := r.Cell(x, s)
-			if !ok {
-				continue
-			}
-			t.AddRow(x, s.Label(),
-				fmtPercent(c.Ratios.Rework),
-				fmtPercent(c.Ratios.Recovery),
-				fmtPercent(c.Ratios.Migration),
-				fmtPercent(c.Ratios.Misc),
-				fmtPercent(c.Ratios.Total()),
-			)
-		}
+	cl, err := cluster.NewFromTraces(set)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return t
+	if c.Mode == SimModeParametric {
+		cl = cl.WithoutTraces()
+	}
+	return cl, nil
 }
 
-// runSimulationPoint executes all series at one parameter point
-// (a single-point sweep through the parallel engine).
-func runSimulationPoint(cfg SimulationConfig, x float64, xLabel string, res *SimulationResult) error {
+// runSimulationPoint runs every series at one point into res.
+//
+//lint:ignore deadcode fingerprint probe: TestFrozenSweepDigests hashes one point of 1024 or 4096 hosts
+func runSimulationPoint(cfg SimulationConfig, x float64, xLabel string, res *Result) error {
 	cfg = cfg.withDefaults()
-	return runSimulationSweep([]simPoint{{cfg: cfg, x: x, xLabel: xLabel}}, cfg.Workers, res)
+	return cfg.sweep().run(res, []point{cfg.point(x, xLabel)})
 }
 
 // Figure5a sweeps the network bandwidth over {4, 8, 16, 32} Mb/s.
-func Figure5a(cfg SimulationConfig) (*SimulationResult, error) {
-	cfg = cfg.withDefaults()
-	res := &SimulationResult{
-		Name:   "Fig 5(a): overhead vs network bandwidth",
-		XTitle: "bandwidth (Mb/s)",
-		Series: cfg.Series,
-		Cells:  make(map[string]map[string]SimulationCell),
-	}
-	points := make([]simPoint, 0, 4)
-	for _, mbps := range []float64{4, 8, 16, 32} {
-		point := cfg
-		point.BandwidthMbps = mbps
-		point.Seed = cfg.Seed + uint64(mbps)
-		points = append(points, simPoint{cfg: point, x: mbps, xLabel: fmt.Sprintf("%g", mbps)})
-	}
-	if err := runSimulationSweep(points, cfg.Workers, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+func Figure5a(cfg SimulationConfig) (*Result, error) {
+	return figure(cfg, "Fig 5(a): overhead vs network bandwidth", "bandwidth (Mb/s)",
+		[]float64{4, 8, 16, 32}, func(c *SimulationConfig, mbps float64) (float64, string) {
+			c.BandwidthMbps = mbps
+			c.Seed += uint64(mbps)
+			return mbps, fmt.Sprintf("%g", mbps)
+		})
 }
 
 // Figure5b sweeps the block size over {32, 64, 128, 256} MB. Task
 // length and migration cost scale with the block, and the total data
 // volume is held fixed (fewer, bigger blocks), as in the paper.
-func Figure5b(cfg SimulationConfig) (*SimulationResult, error) {
-	cfg = cfg.withDefaults()
-	res := &SimulationResult{
-		Name:   "Fig 5(b): overhead vs block size",
-		XTitle: "block size (MB)",
-		Series: cfg.Series,
-		Cells:  make(map[string]map[string]SimulationCell),
-	}
-	points := make([]simPoint, 0, 4)
-	for _, blockMB := range []float64{32, 64, 128, 256} {
-		point := cfg
-		point.BlockMB = blockMB
-		// Hold the data volume constant: tasks per node shrink as
-		// blocks grow.
-		point.TasksPerNode = maxInt(1, int(float64(cfg.TasksPerNode)*64/blockMB))
-		point.Seed = cfg.Seed + uint64(blockMB)
-		points = append(points, simPoint{cfg: point, x: blockMB, xLabel: fmt.Sprintf("%g", blockMB)})
-	}
-	if err := runSimulationSweep(points, cfg.Workers, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+func Figure5b(cfg SimulationConfig) (*Result, error) {
+	return figure(cfg, "Fig 5(b): overhead vs block size", "block size (MB)",
+		[]float64{32, 64, 128, 256}, func(c *SimulationConfig, blockMB float64) (float64, string) {
+			c.BlockMB = blockMB
+			// Hold the data volume constant: tasks per node shrink as
+			// blocks grow.
+			c.TasksPerNode = maxInt(1, int(float64(c.TasksPerNode)*64/blockMB))
+			c.Seed += uint64(blockMB)
+			return blockMB, fmt.Sprintf("%g", blockMB)
+		})
 }
 
 // Figure5c sweeps the host count over {1/4, 1/2, 1, 2}× the
 // configured population (the paper's 1024 → 16384 around 8196).
-func Figure5c(cfg SimulationConfig) (*SimulationResult, error) {
-	cfg = cfg.withDefaults()
-	res := &SimulationResult{
-		Name:   "Fig 5(c): overhead vs number of nodes",
-		XTitle: "nodes",
-		Series: cfg.Series,
-		Cells:  make(map[string]map[string]SimulationCell),
-	}
-	seen := make(map[int]bool, 4)
-	points := make([]simPoint, 0, 4)
-	for _, factor := range []float64{0.25, 0.5, 1, 2} {
-		hosts := maxInt(32, int(float64(cfg.Hosts)*factor))
-		if seen[hosts] {
-			continue // clamping can collapse small sweeps
-		}
-		seen[hosts] = true
-		point := cfg
-		point.Hosts = hosts
-		point.Seed = cfg.Seed + uint64(hosts)
-		points = append(points, simPoint{cfg: point, x: float64(hosts), xLabel: fmt.Sprintf("%d", hosts)})
-	}
-	if err := runSimulationSweep(points, cfg.Workers, res); err != nil {
-		return nil, err
-	}
-	return res, nil
+func Figure5c(cfg SimulationConfig) (*Result, error) {
+	return figure(cfg, "Fig 5(c): overhead vs number of nodes", "nodes",
+		[]float64{0.25, 0.5, 1, 2}, func(c *SimulationConfig, factor float64) (float64, string) {
+			c.Hosts = maxInt(32, int(float64(c.Hosts)*factor))
+			c.Seed += uint64(c.Hosts)
+			return float64(c.Hosts), fmt.Sprintf("%d", c.Hosts)
+		})
 }
