@@ -121,8 +121,11 @@ bench:
 # placement at benchmark scale). Each exits non-zero unless every cell
 # ran and the results fingerprint equal to
 # benchmark/testdata/fingerprints.json, so a placement or scheduling
-# change that moves one simulated event fails here.
+# change that moves one simulated event fails here. One iteration of
+# the placement and simulator micro-benchmarks keeps them running.
 sim-smoke:
 	for w in sim_scale sim_emulation; do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 || exit 1; \
 	done
+	$(GO) test -run '^$$' -bench 'BenchmarkPlaceAll|BenchmarkRunScale/hosts=1024|BenchmarkRunEmulation' \
+		-benchtime 1x ./internal/placement ./internal/hadoopsim

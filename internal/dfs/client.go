@@ -261,7 +261,7 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 	newBlocks := make([]BlockMeta, len(fm.Blocks))
 	prune := make([][]cluster.NodeID, len(fm.Blocks))
 	for i, bm := range fm.Blocks {
-		holders, err := placer.PlaceBlock()
+		holders, err := placer.PlaceBlock(nil)
 		if err != nil {
 			return abort(fmt.Errorf("dfs: adapt %q block %d: %w", name, i, err))
 		}

@@ -722,7 +722,7 @@ func (nn *NameNode) allocate(ctx context.Context, name string, size, blockSize i
 		Blocks: make([]AllocatedBlock, nBlocks),
 	}
 	for i := range a.Blocks {
-		if a.Blocks[i].Holders, err = placer.PlaceBlock(); err != nil {
+		if a.Blocks[i].Holders, err = placer.PlaceBlock(nil); err != nil {
 			return nil, fmt.Errorf("dfs: create %q block %d: %w", name, i, err)
 		}
 	}

@@ -32,13 +32,13 @@ type fixedPlacer struct {
 	next int
 }
 
-func (p *fixedPlacer) PlaceBlock() ([]cluster.NodeID, error) {
+func (p *fixedPlacer) PlaceBlock(dst []cluster.NodeID) ([]cluster.NodeID, error) {
 	if p.next >= len(p.plan) {
 		return nil, fmt.Errorf("fixed placer: out of planned blocks")
 	}
-	holders := append([]cluster.NodeID(nil), p.plan[p.next]...)
+	dst = append(dst, p.plan[p.next]...)
 	p.next++
-	return holders, nil
+	return dst, nil
 }
 
 // stubFaults is a scriptable FaultInjector for unit tests.

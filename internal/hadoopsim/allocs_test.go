@@ -1,6 +1,8 @@
 package hadoopsim
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/placement"
@@ -16,6 +18,11 @@ func runAllocs(tb testing.TB, cfg Config, seed uint64) (allocs float64, events u
 		tb.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(1, func() {
+		// Two collections empty the arena pool, so every run sets up
+		// from scratch and only what its event loop allocates can
+		// differ between the short run and the long one.
+		runtime.GC()
+		runtime.GC()
 		s, err := newSimulator(cfg, stats.NewRNG(seed))
 		if err != nil {
 			tb.Fatal(err)
@@ -71,4 +78,32 @@ func TestRunAllocsIndependentOfEvents(t *testing.T) {
 				tc.name, allocs[1], allocs[0]+n)
 		}
 	}
+}
+
+// TestRunScenarioAllocs pins what a warm sim_scale-shaped cell (3072
+// hosts, ten blocks per node, ADAPT, one replica) allocates, placement
+// included: every block's holders are cut from one array, and the
+// simulator re-slices a pooled arena, so what is left is one recovery
+// distribution per node (cfg.Service) and a constant. The collector is
+// off so that the pool keeps the arena from one cell to the next; under
+// -race the pool drops a random quarter of what it is given, so no
+// cell is sure to be warm and the bound is not checked.
+func TestRunScenarioAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops arenas at random under -race")
+	}
+	const hosts = 3072
+	sc := scaleScenario(t, hosts)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(3, func() {
+		seed++
+		if _, err := RunScenario(sc, stats.NewRNG(seed)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(hosts + 64); allocs > limit {
+		t.Fatalf("a warm RunScenario allocates %.0f times, want at most %.0f", allocs, limit)
+	}
+	t.Logf("%.0f allocations for %d hosts", allocs, hosts)
 }

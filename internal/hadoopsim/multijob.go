@@ -78,6 +78,7 @@ func RunMultiJob(cfg MultiJobConfig, g *stats.RNG) (*MultiJobResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	s.startMulti()
 	res, err := s.drive()
 	if err != nil {

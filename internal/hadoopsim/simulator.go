@@ -3,6 +3,8 @@ package hadoopsim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/metrics"
@@ -209,6 +211,40 @@ type simulator struct {
 	wastedSeconds     float64
 
 	err error // first scheduling error, aborts the run
+
+	bufs arena
+}
+
+// arena holds the arrays newSimulator cuts every node's and every
+// task's slices from. A simulator keeps them, with its other arrays,
+// its engine and its free attempts, when it goes back to arenas.
+type arena struct {
+	queues    []int      // the nodes' localQueues
+	srcQueues []int32    // the nodes' srcQueues
+	cands     []*attempt // the nodes' heldParkedCands (reactive policy)
+	holders   []int      // the tasks' holders
+	counts    []int      // per node: blocks held, then blocks sourced
+}
+
+// arenas pools finished simulators. newSimulator takes one and rewrites
+// it in full, re-slicing its arrays and growing one only when a larger
+// run needs it; release returns it once the run's result is assembled.
+var arenas = sync.Pool{New: func() any { return new(simulator) }}
+
+// resize returns buf with length n, reusing its array when it is large
+// enough. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed returns buf with length n, all zero.
+func zeroed[T any](buf []T, n int) []T {
+	buf = resize(buf, n)
+	clear(buf)
+	return buf
 }
 
 // Run simulates one map phase and returns its metrics. Deterministic
@@ -226,9 +262,14 @@ func Run(cfg Config, g *stats.RNG) (metrics.RunResult, error) {
 	if err != nil {
 		return metrics.RunResult{}, err
 	}
+	defer s.release()
 	return s.run()
 }
 
+// newSimulator takes a simulator from arenas and sets it up for cfg,
+// as fresh as a new one: the struct is rewritten in full, every reused
+// array is cleared or overwritten in full, and only the free attempts
+// carry over.
 func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 	n := cfg.Cluster.Len()
 	m := cfg.Assignment.BlockCount()
@@ -236,33 +277,54 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
+	s := arenas.Get().(*simulator)
+	eng := s.eng
+	if eng == nil {
+		eng = sim.NewEngine()
+	}
 	// Runaway guard, generous: every task may fail many times and
 	// every node may see many interruptions before the limit trips.
 	eng.Limit = uint64(200*m + 2000*n + 1_000_000)
+	// Every task journals at least a start and a completion. An empty
+	// journal reserves twice that plus sixteen events per node, which
+	// a trace-driven 3072-host run stays well within; a volatile
+	// emulation run outgrows it only a few times.
+	if j := cfg.Journal; j != nil && len(j.Events) == 0 {
+		j.Events = slices.Grow(j.Events, 4*m+16*n)
+	}
 
-	s := &simulator{
+	words := (n + 63) / 64
+	*s = simulator{
 		cfg:       cfg,
 		eng:       eng,
 		net:       net,
 		g:         g,
-		nodes:     make([]nodeSim, n),
-		tasks:     make([]task, m),
-		pending:   make([]int, 0, m),
-		pendLink:  make([]int32, 0, m),
-		holdsLive: make([]uint64, n),
-		holdsCand: make([]uint64, n),
-		mustOffer: make([]uint64, (n+63)/64),
-		unarmed:   make([]uint64, (n+63)/64),
+		nodes:     zeroed(s.nodes, n),
+		tasks:     zeroed(s.tasks, m),
+		pending:   resize(s.pending, m)[:0],
+		pendLink:  resize(s.pendLink, m)[:0],
+		open:      s.open,
+		holdsLive: zeroed(s.holdsLive, n),
+		holdsCand: zeroed(s.holdsCand, n),
+		mustOffer: zeroed(s.mustOffer, words),
+		unarmed:   zeroed(s.unarmed, words),
+		closedSrc: closedHeap{s: s, nodes: s.closedSrc.nodes[:0]},
+		idle:      s.idle[:0],
+		idleSpare: s.idleSpare[:0],
+		running:   s.running[:0],
+		cand:      candHeap{items: s.cand.items[:0], walk: s.cand.walk[:0]},
 		epoch:     1,
+
+		freeAttempts: s.freeAttempts,
 
 		idleMinDupCost: math.Inf(1),
 		remaining:      m,
 		taskGamma:      cfg.TaskGamma(),
 		transfer:       net.TransferTime(cfg.BlockBytes),
-		eta:            make([]float64, n),
+		eta:            resize(s.eta, n),
+		bufs:           s.bufs,
 	}
-	s.closedSrc.s = s
+	s.open.reset()
 	s.queueAllowance = math.Inf(1)
 	if cfg.TransferQueueFactor >= 0 {
 		s.queueAllowance = cfg.TransferQueueFactor * s.transfer
@@ -290,11 +352,13 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 			// aware placement must route around.
 			a := node.Availability
 			if a.Lambda < 0 || a.Mu < 0 || math.IsNaN(a.Lambda) || math.IsNaN(a.Mu) {
+				s.release()
 				return nil, fmt.Errorf("hadoopsim: node %d: %w", i, model.ErrNegativeParam)
 			}
 			ns.lambda = node.Availability.Lambda
 			svc, err := cfg.Service(node.Availability)
 			if err != nil {
+				s.release()
 				return nil, fmt.Errorf("hadoopsim: node %d service: %w", i, err)
 			}
 			ns.service = svc
@@ -303,8 +367,9 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 	}
 
 	replicas := 0
-	held := make([]int, n)    // per node: the tasks it holds a block of
-	sourced := make([]int, n) // per node: the tasks it is the first holder of
+	counts := zeroed(s.bufs.counts, 2*n)
+	held := counts[:n]    // per node: the tasks it holds a block of
+	sourced := counts[n:] // per node: the tasks it is the first holder of
 	for _, holders := range cfg.Assignment.Replicas {
 		replicas += len(holders)
 		for _, h := range holders {
@@ -317,12 +382,15 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 	// never grows a slice. Under the reactive policy, the only one that
 	// parks candidates, a node's parked candidates start with room for
 	// one per block it holds.
-	queues := make([]int, replicas)
-	srcQueues := make([]int32, m)
+	queues := resize(s.bufs.queues, replicas)
+	srcQueues := resize(s.bufs.srcQueues, m)
 	var cands []*attempt
 	if cfg.Speculation == SpeculationReactive {
-		cands = make([]*attempt, replicas)
+		cands = resize(s.bufs.cands, replicas)
+		s.bufs.cands = cands
 	}
+	allHolders := resize(s.bufs.holders, replicas)[:0]
+	s.bufs.queues, s.bufs.srcQueues, s.bufs.holders, s.bufs.counts = queues, srcQueues, allHolders, counts
 	for i := range s.nodes {
 		s.nodes[i].localQueue = queues[:0:held[i]]
 		queues = queues[held[i]:]
@@ -333,7 +401,6 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 			cands = cands[held[i]:]
 		}
 	}
-	allHolders := make([]int, 0, replicas)
 	for b := 0; b < m; b++ {
 		t := &s.tasks[b]
 		t.id = b
@@ -346,6 +413,23 @@ func newSimulator(cfg Config, g *stats.RNG) (*simulator, error) {
 		t.holders = allHolders[first:len(allHolders):len(allHolders)]
 	}
 	return s, nil
+}
+
+// release returns s to arenas once its result is assembled, or its
+// set-up or run has failed. It first drops what s references outside
+// itself — the Config, with its cluster, assignment, journal and
+// callbacks, the nodes' traces and service distributions, the RNG and
+// the network — and the old run's attempts and tasks: the engine's
+// pending timers, the running attempts and the free attempts' tasks.
+func (s *simulator) release() {
+	s.eng.Reset()
+	clear(s.nodes)
+	clear(s.running)
+	for a := s.freeAttempts; a != nil; a = a.sibling {
+		a.task = nil
+	}
+	s.cfg, s.g, s.net, s.jobs = Config{}, nil, nil, nil
+	arenas.Put(s)
 }
 
 // submit makes tasks [first, first+n) schedulable: each joins its

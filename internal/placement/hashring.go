@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/shard"
@@ -106,16 +107,18 @@ type ringPlacer struct {
 
 // PlaceBlock implements Placer: the k replica holders of block b are
 // the first k distinct S-set members clockwise from BlockKey(file, b).
-func (p *ringPlacer) PlaceBlock() ([]cluster.NodeID, error) {
+func (p *ringPlacer) PlaceBlock(dst []cluster.NodeID) ([]cluster.NodeID, error) {
 	idx := p.next
 	p.next++
 	got := p.ring.Lookup(shard.BlockKey(p.file, idx), p.k, func(n int) bool { return p.member[n] })
 	if len(got) < p.k {
 		return nil, fmt.Errorf("%w: block %d found %d of %d holders", ErrNoCapacity, idx, len(got), p.k)
 	}
-	holders := make([]cluster.NodeID, p.k)
-	for i, n := range got {
-		holders[i] = cluster.NodeID(n)
+	dst = slices.Grow(dst, p.k)
+	for _, n := range got {
+		dst = append(dst, cluster.NodeID(n))
 	}
-	return holders, nil
+	return dst, nil
 }
+
+func (p *ringPlacer) nodes() int { return p.ring.Nodes() }

@@ -36,7 +36,6 @@ func TestHashringDeterministicPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.Nodes = 16
 		return a
 	}
 	a, b := place(1), place(999)

@@ -44,10 +44,17 @@ type Policy interface {
 
 // Placer assigns the blocks of a single file.
 type Placer interface {
-	// PlaceBlock chooses the k replica holders for the next block.
-	// The returned slice is freshly allocated.
-	PlaceBlock() ([]cluster.NodeID, error)
+	// PlaceBlock chooses the k replica holders for the next block and
+	// appends them to dst, which it returns as append does: the
+	// holders are the last k entries of the result, and a nil dst
+	// gets a fresh slice of its own. On error dst's contents are
+	// unspecified.
+	PlaceBlock(dst []cluster.NodeID) ([]cluster.NodeID, error)
 }
+
+// sized is implemented by the placers of this package: nodes is the
+// cluster size the placer draws from.
+type sized interface{ nodes() int }
 
 // Errors shared by the policies.
 var (
@@ -68,19 +75,26 @@ type Assignment struct {
 }
 
 // PlaceAll drives a policy over all m blocks and returns the full
-// assignment.
+// assignment. Every block's holders are cut from one array of m·k
+// entries, each capped at its own length so that appending to one
+// block's holders cannot write into the next block's. Nodes is set
+// when the placer is one of this package's.
 func PlaceAll(p Policy, m, k int, g *stats.RNG) (*Assignment, error) {
 	placer, err := p.NewPlacer(m, k, g)
 	if err != nil {
 		return nil, fmt.Errorf("placement: %s: %w", p.Name(), err)
 	}
 	a := &Assignment{Replicas: make([][]cluster.NodeID, m)}
+	if sp, ok := placer.(sized); ok {
+		a.Nodes = sp.nodes()
+	}
+	all := make([]cluster.NodeID, 0, m*k)
 	for b := 0; b < m; b++ {
-		holders, err := placer.PlaceBlock()
-		if err != nil {
+		first := len(all)
+		if all, err = placer.PlaceBlock(all); err != nil {
 			return nil, fmt.Errorf("placement: %s: block %d: %w", p.Name(), b, err)
 		}
-		a.Replicas[b] = holders
+		a.Replicas[b] = all[first:len(all):len(all)]
 	}
 	return a, nil
 }

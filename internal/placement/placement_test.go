@@ -61,7 +61,6 @@ func TestRandomUniformity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Nodes = c.Len()
 	if err := a.Validate(1, Threshold(m, 1, 64)); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,6 @@ func TestRandomDistinctReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Nodes = 8
 	if err := a.Validate(3, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +209,6 @@ func TestAdaptThresholdEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Nodes = 10
 	limit := Threshold(m, k, 10) // 20
 	if err := a.Validate(k, limit); err != nil {
 		t.Fatal(err)
@@ -232,7 +229,6 @@ func TestWeightedReplicasDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Nodes = 16
 	if err := a.Validate(3, Threshold(200, 3, 16)); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +349,6 @@ func TestUniformReplicasOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Nodes = 20
 	if err := a.Validate(2, Threshold(100, 2, 20)); err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +399,6 @@ func TestPlacementProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			a.Nodes = c.Len()
 			if err := a.Validate(k, Threshold(m, k, c.Len())); err != nil {
 				return false
 			}
@@ -446,6 +440,42 @@ func TestAssignmentValidateRejects(t *testing.T) {
 	overCap := &Assignment{Nodes: 2, Replicas: [][]cluster.NodeID{{0}, {0}, {0}}}
 	if err := overCap.Validate(1, 2); err == nil {
 		t.Error("cap violation accepted")
+	}
+}
+
+// TestPlaceAllSetsNodes: every policy's PlaceAll records the cluster
+// size it placed against, so Validate's range check is on for what
+// PlaceAll returns and rejects a holder outside the cluster.
+func TestPlaceAllSetsNodes(t *testing.T) {
+	const n = 12
+	c := emulationCluster(t, n)
+	adapt, err := NewAdapt(c, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := NewNaive(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := NewHashring(testRing(t, n), "f", "", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{&Random{Cluster: c}, adapt, naive, ring} {
+		a, err := PlaceAll(pol, 60, 2, stats.NewRNG(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Nodes != n {
+			t.Errorf("%s: Nodes = %d, want %d", pol.Name(), a.Nodes, n)
+		}
+		if err := a.Validate(2, 0); err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
+		}
+		a.Replicas[7][1] = n
+		if err := a.Validate(2, 0); err == nil {
+			t.Errorf("%s: holder %d outside a %d-node cluster accepted", pol.Name(), n, n)
+		}
 	}
 }
 

@@ -45,7 +45,6 @@ func TestRandomWeightsRespectThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("draw %d (m=%d k=%d n=%d): %v", draw, m, k, n, err)
 		}
-		a.Nodes = n
 		limit := Threshold(m, k, n)
 		if err := a.Validate(k, limit); err != nil {
 			t.Fatalf("draw %d (m=%d k=%d n=%d, cap %d): %v", draw, m, k, n, limit, err)
@@ -78,7 +77,6 @@ func TestHomogeneousAdaptUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Nodes = n
 	if err := a.Validate(1, Threshold(m, 1, n)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,6 @@ func TestHomogeneousAdaptUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra.Nodes = n
 	var chi2Random float64
 	for _, count := range ra.CountPerNode() {
 		d := float64(count) - expected

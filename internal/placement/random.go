@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"slices"
+
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/stats"
 )
@@ -45,22 +47,29 @@ type randomPlacer struct {
 	g      *stats.RNG
 }
 
+func (p *randomPlacer) nodes() int { return p.n }
+
+// eligible reports whether node c may take the next replica of a block
+// already held by used.
+func (p *randomPlacer) eligible(c int, used []cluster.NodeID) bool {
+	return !slices.Contains(used, cluster.NodeID(c)) && (p.limit <= 0 || p.counts[c] < p.limit)
+}
+
 // PlaceBlock implements Placer: k distinct uniform draws among nodes
 // with remaining capacity.
-func (p *randomPlacer) PlaceBlock() ([]cluster.NodeID, error) {
-	holders := make([]cluster.NodeID, 0, p.k)
-	used := make(map[int]bool, p.k)
-	for len(holders) < p.k {
-		// Count eligible nodes; if fewer than needed remain, fail.
+func (p *randomPlacer) PlaceBlock(dst []cluster.NodeID) ([]cluster.NodeID, error) {
+	dst = slices.Grow(dst, p.k)
+	first := len(dst)
+	for len(dst)-first < p.k {
+		used := dst[first:]
 		candidate := -1
-		eligible := 0
 		// Rejection sampling with a bounded number of tries keeps the
 		// common case O(1); fall back to an explicit scan when the
 		// cluster is nearly saturated.
 		const tries = 16
 		for t := 0; t < tries; t++ {
 			c := p.g.IntN(p.n)
-			if used[c] || (p.limit > 0 && p.counts[c] >= p.limit) {
+			if !p.eligible(c, used) {
 				continue
 			}
 			candidate = c
@@ -68,14 +77,14 @@ func (p *randomPlacer) PlaceBlock() ([]cluster.NodeID, error) {
 		}
 		if candidate < 0 {
 			// Explicit scan for any eligible node, chosen uniformly.
-			idx := -1
+			idx, seen := -1, 0
 			for c := 0; c < p.n; c++ {
-				if used[c] || (p.limit > 0 && p.counts[c] >= p.limit) {
+				if !p.eligible(c, used) {
 					continue
 				}
-				eligible++
+				seen++
 				// Reservoir sampling over eligible nodes.
-				if p.g.IntN(eligible) == 0 {
+				if p.g.IntN(seen) == 0 {
 					idx = c
 				}
 			}
@@ -84,9 +93,8 @@ func (p *randomPlacer) PlaceBlock() ([]cluster.NodeID, error) {
 			}
 			candidate = idx
 		}
-		used[candidate] = true
 		p.counts[candidate]++
-		holders = append(holders, cluster.NodeID(candidate))
+		dst = append(dst, cluster.NodeID(candidate))
 	}
-	return holders, nil
+	return dst, nil
 }

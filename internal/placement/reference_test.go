@@ -140,23 +140,23 @@ type refPlacer struct {
 	ref *hashTable
 }
 
-func (p *refPlacer) PlaceBlock() ([]cluster.NodeID, error) {
-	holders := make([]cluster.NodeID, 0, p.k)
+func (p *refPlacer) PlaceBlock(dst []cluster.NodeID) ([]cluster.NodeID, error) {
+	first := len(dst)
 	for r := 0; r < p.k; r++ {
 		var node int
 		var err error
 		if r > 0 && p.uniformReplicas {
-			node, err = p.placeUniform(holders)
+			node, err = p.placeUniform(dst[first:])
 		} else {
-			node, err = p.placeOne(holders)
+			node, err = p.placeOne(dst[first:])
 		}
 		if err != nil {
 			return nil, err
 		}
 		p.counts[node]++
-		holders = append(holders, cluster.NodeID(node))
+		dst = append(dst, cluster.NodeID(node))
 	}
-	return holders, nil
+	return dst, nil
 }
 
 func (p *refPlacer) placeOne(used []cluster.NodeID) (int, error) {

@@ -3,8 +3,8 @@ package placement
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/stats"
@@ -54,6 +54,11 @@ func (s span) overlap(x float64) float64 { return min(s.hi, x+1) - max(s.lo, x) 
 // spans that overlap it.
 type spanTable struct {
 	spans []span
+	// guide[g] is the first span whose hi exceeds key g<<shift. A
+	// stride of 1<<shift keys is about the mean span length, so a
+	// lookup steps past about one span from its guide entry.
+	guide []int32
+	shift uint
 	m     int // number of keys
 	end   int // first key no span covers
 	mode  CollisionMode
@@ -91,6 +96,23 @@ func (t *spanTable) build(weights []float64, skip func(node int) bool) error {
 		return ErrNoWeight
 	}
 	t.spans, t.end = spans, int(math.Ceil(spans[len(spans)-1].hi))
+	// Span ends rise with the span index, and the last one exceeds
+	// every key below end, so one pass over the spans fills the guide.
+	// Its length stays within 2·len(spans)+1, the capacity NewPlacer
+	// gives it.
+	t.shift = 0
+	if stride := t.end / len(spans); stride > 1 {
+		t.shift = uint(bits.Len(uint(stride)) - 1)
+	}
+	guide := t.guide[:0]
+	i := 0
+	for key := 0; key < t.end; key += 1 << t.shift {
+		for spans[i].hi <= float64(key) {
+			i++
+		}
+		guide = append(guide, int32(i))
+	}
+	t.guide = guide
 	return nil
 }
 
@@ -102,7 +124,10 @@ func (t *spanTable) chain(r int) []span {
 		return t.spans[len(t.spans)-1:]
 	}
 	x := float64(r)
-	i := sort.Search(len(t.spans), func(i int) bool { return t.spans[i].hi > x })
+	i := int(t.guide[r>>t.shift])
+	for t.spans[i].hi <= x {
+		i++
+	}
 	j := i + 1
 	for j < len(t.spans) && int(t.spans[j].lo) <= r {
 		j++
@@ -228,7 +253,7 @@ func (w *Weighted) NewPlacer(m, k int, g *stats.RNG) (Placer, error) {
 		k:               k,
 		limit:           limit,
 		counts:          make([]int, n),
-		table:           spanTable{spans: make([]span, 0, n), m: m, mode: mode},
+		table:           spanTable{spans: make([]span, 0, n), guide: make([]int32, 0, 2*n+1), m: m, mode: mode},
 		g:               g,
 		uniformReplicas: w.UniformReplicas,
 	}
@@ -336,21 +361,24 @@ func (p *weightedPlacer) placeUniform(used []cluster.NodeID) (int, error) {
 }
 
 // PlaceBlock implements Placer.
-func (p *weightedPlacer) PlaceBlock() ([]cluster.NodeID, error) {
-	holders := make([]cluster.NodeID, 0, p.k)
+func (p *weightedPlacer) PlaceBlock(dst []cluster.NodeID) ([]cluster.NodeID, error) {
+	dst = slices.Grow(dst, p.k)
+	first := len(dst)
 	for r := 0; r < p.k; r++ {
 		var node int
 		var err error
 		if r > 0 && p.uniformReplicas {
-			node, err = p.placeUniform(holders)
+			node, err = p.placeUniform(dst[first:])
 		} else {
-			node, err = p.placeOne(holders)
+			node, err = p.placeOne(dst[first:])
 		}
 		if err != nil {
 			return nil, err
 		}
 		p.counts[node]++
-		holders = append(holders, cluster.NodeID(node))
+		dst = append(dst, cluster.NodeID(node))
 	}
-	return holders, nil
+	return dst, nil
 }
+
+func (p *weightedPlacer) nodes() int { return len(p.weights) }

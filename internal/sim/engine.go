@@ -104,6 +104,17 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// Reset empties the engine for a new run and keeps its heap's
+// capacity: every pending timer goes idle, and the clock, the
+// scheduling sequence, the processed count and Limit return to zero.
+func (e *Engine) Reset() {
+	for i := range e.events {
+		e.events[i].timer.slot = 0
+	}
+	clear(e.events) // release the timers
+	*e = Engine{events: e.events[:0]}
+}
+
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 

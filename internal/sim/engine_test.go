@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -437,6 +438,59 @@ func TestArmKeepsPendingRight(t *testing.T) {
 	}
 	if !sameHits(r.hits, 4, 5) || e.Pending() != 0 || e.Processed() != 2 {
 		t.Fatalf("hits=%v pending=%d processed=%d", r.hits, e.Pending(), e.Processed())
+	}
+}
+
+// tagged records, in firing order, the tag of each firing.
+type tagged struct {
+	tag   int
+	fired *[]int
+}
+
+func (h tagged) Fire() { *h.fired = append(*h.fired, h.tag) }
+
+// Reset idles every pending timer and returns the engine to its
+// starting state with the heap's array kept, so a reset engine replays
+// a schedule exactly as a fresh one does, FIFO ties included.
+func TestResetKeepsCapacityAndReplays(t *testing.T) {
+	schedule := func(e *Engine, tms []Timer, fired *[]int) {
+		for i := range tms {
+			mustArm(t, e, &tms[i], float64(len(tms)-i), tagged{i, fired})
+		}
+		mustArm(t, e, &tms[0], 2, tagged{0, fired}) // ties with the one armed second to last
+	}
+	e := NewEngine()
+	e.Limit = 100
+	tms := make([]Timer, 8)
+	var fired []int
+	schedule(e, tms, &fired)
+	if _, err := e.Step(); err != nil {
+		t.Fatal(err)
+	}
+	c := cap(e.events)
+	e.Reset()
+	if e.Pending() != 0 || e.Processed() != 0 || e.Now() != 0 || e.Limit != 0 || cap(e.events) != c {
+		t.Fatalf("after Reset: pending=%d processed=%d now=%g limit=%d cap=%d, want 0 0 0 0 %d",
+			e.Pending(), e.Processed(), e.Now(), e.Limit, cap(e.events), c)
+	}
+	for i := range tms {
+		if tms[i].Active() {
+			t.Fatalf("timer %d still pending after Reset", i)
+		}
+	}
+	fired = nil
+	schedule(e, tms, &fired)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewEngine()
+	var want []int
+	schedule(fresh, make([]Timer, 8), &want)
+	if err := fresh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fired, want) || e.Processed() != fresh.Processed() {
+		t.Fatalf("reset engine fired %v (%d events), fresh %v (%d)", fired, e.Processed(), want, fresh.Processed())
 	}
 }
 
