@@ -41,14 +41,18 @@ test-short:
 race-all:
 	$(GO) test -race ./...
 
-# Coverage-guided fuzz smoke for the frame codec, which is the whole
-# wire (calls, replies and errors ride the frames block streams do):
-# the decoder fuzz target (arbitrary bytes must never crash, leak
-# pooled buffers, or yield an invalid frame) and the chunk-reassembly
-# round-trip target, each for 15s on top of the committed seed corpus.
+# Coverage-guided fuzz smoke for the decoders that read bytes they did
+# not write, each target for 10s on top of its committed seed corpus:
+# the frame codec, which is the whole wire (calls, replies and errors
+# ride the frames block streams do) — the decoder target (arbitrary
+# bytes must never crash, leak pooled buffers, or yield an invalid
+# frame) and the chunk-reassembly round trip — and the trace CSV
+# decoder (never panics; whatever it accepts survives a write and a
+# re-read unchanged).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/svc/
-	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 15s ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 10s ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s ./internal/trace/
 
 # Determinism gate for the headline scheduling experiment: the full
 # policy x replication x Table-2 grid must fingerprint identically at

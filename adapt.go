@@ -339,7 +339,8 @@ type (
 func NewNameNode(c *Cluster) (*NameNode, error) { return dfs.NewNameNode(c) }
 
 // NewDFSClient builds a client with the prototype's shell surface:
-// CopyFromLocal/Cp with an ADAPT flag, Adapt, Rebalance.
+// copyFromLocal (CopyFromLocalReportContext) and Cp with an ADAPT
+// flag, Adapt, Rebalance — each taking a context first.
 func NewDFSClient(nn *NameNode, g *RNG) (*DFSClient, error) { return dfs.NewClient(nn, g) }
 
 // ---- resilience: retry and counters ---------------------------------------------

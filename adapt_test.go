@@ -1,6 +1,7 @@
 package adapt_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestFacadeDFSAndMapReduce(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.BlockSize = 25 * 100
-	if _, err := cl.CopyFromLocal("in", data, true); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", data, true); err != nil {
 		t.Fatal(err)
 	}
 	bounds, err := adapt.SampleBoundaries(data, 2, 0, g.Split())
@@ -93,7 +94,7 @@ func TestFacadeDFSAndMapReduce(t *testing.T) {
 	}
 	parts := make([][]byte, 0, len(res.OutputFiles))
 	for _, f := range res.OutputFiles {
-		p, err := nn.ReadFile(f)
+		p, err := cl.ReadFileContext(context.Background(), f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,6 +30,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -98,8 +99,9 @@ func run(args []string) error {
 
 	fmt.Printf("cluster: %d nodes, %d interrupted (Table 2 groups)\n\n", c.Len(), c.InterruptedCount())
 
+	ctx := context.Background()
 	if *chaosMode {
-		return runChaos(c, nn, client, g, payload, chaosOpts{
+		return runChaos(ctx, c, nn, client, g, payload, chaosOpts{
 			events:  *chaosEvents,
 			putFail: *putFail,
 			getFail: *getFail,
@@ -108,7 +110,7 @@ func run(args []string) error {
 	}
 
 	fmt.Println("$ adapt-fs copyFromLocal data.bin /data (stock random placement)")
-	if _, err := client.CopyFromLocal("/data", payload, false); err != nil {
+	if _, _, err := client.CopyFromLocalReportContext(ctx, "/data", payload, false); err != nil {
 		return err
 	}
 	if err := printDistribution(nn, c, "/data"); err != nil {
@@ -116,7 +118,7 @@ func run(args []string) error {
 	}
 
 	fmt.Println("\n$ adapt-fs adapt /data (availability-aware redistribution)")
-	moved, err := client.Adapt("/data")
+	moved, err := client.Adapt(ctx, "/data")
 	if err != nil {
 		return err
 	}
@@ -126,7 +128,7 @@ func run(args []string) error {
 	}
 
 	fmt.Println("\n$ adapt-fs cp /data /data2 -adapt (copy with ADAPT placement)")
-	if _, err := client.Cp("/data", "/data2", true); err != nil {
+	if _, err := client.Cp(ctx, "/data", "/data2", true); err != nil {
 		return err
 	}
 	return printDistribution(nn, c, "/data2")
@@ -143,7 +145,7 @@ type chaosOpts struct {
 // seeded churn and operation faults while reading and repairing it,
 // then quiesce, heal, verify every byte, and report the resilience
 // counters plus injected-vs-estimated (λ, μ).
-func runChaos(c *adapt.Cluster, nn *adapt.NameNode, client *adapt.DFSClient, g *adapt.RNG, payload []byte, opts chaosOpts) error {
+func runChaos(ctx context.Context, c *adapt.Cluster, nn *adapt.NameNode, client *adapt.DFSClient, g *adapt.RNG, payload []byte, opts chaosOpts) error {
 	faults, err := adapt.NewOpFaults(g.Split())
 	if err != nil {
 		return err
@@ -155,7 +157,7 @@ func runChaos(c *adapt.Cluster, nn *adapt.NameNode, client *adapt.DFSClient, g *
 	nn.SetFaultInjector(faults)
 
 	fmt.Println("$ adapt-fs copyFromLocal data.bin /data (ADAPT placement, faults armed)")
-	if _, report, err := client.CopyFromLocalReport("/data", payload, true); err != nil {
+	if _, report, err := client.CopyFromLocalReportContext(ctx, "/data", payload, true); err != nil {
 		return err
 	} else if report.Degraded() {
 		fmt.Printf("degraded write: min replication %d/%d over %d blocks\n",
@@ -188,10 +190,10 @@ func runChaos(c *adapt.Cluster, nn *adapt.NameNode, client *adapt.DFSClient, g *
 		applied += n
 		// Keep the client busy mid-churn: reads may fail transiently,
 		// repair passes put replicas back as nodes rejoin.
-		if _, err := client.ReadFile("/data"); err != nil && !adapt.IsTransient(err) {
+		if _, err := client.ReadFileContext(ctx, "/data"); err != nil && !adapt.IsTransient(err) {
 			return err
 		}
-		if _, err := client.MaintainReplication("/data", true); err != nil && !adapt.IsTransient(err) {
+		if _, err := client.MaintainReplication(ctx, "/data", true); err != nil && !adapt.IsTransient(err) {
 			return err
 		}
 	}
@@ -202,7 +204,7 @@ func runChaos(c *adapt.Cluster, nn *adapt.NameNode, client *adapt.DFSClient, g *
 
 	// Heal back to target replication and verify nothing was lost.
 	for {
-		rep, err := client.MaintainReplication("/data", true)
+		rep, err := client.MaintainReplication(ctx, "/data", true)
 		if err != nil {
 			return err
 		}
@@ -213,10 +215,10 @@ func runChaos(c *adapt.Cluster, nn *adapt.NameNode, client *adapt.DFSClient, g *
 			break
 		}
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(ctx); err != nil {
 		return err
 	}
-	got, err := client.ReadFile("/data")
+	got, err := client.ReadFileContext(ctx, "/data")
 	if err != nil {
 		return err
 	}

@@ -16,18 +16,13 @@ var ctxScope = []string{
 }
 
 // ctxcheckAnalyzer flags context.Background() and context.TODO() in
-// the service and filesystem layers. Two idioms are allowed:
-//
-//   - lifecycle roots: context.WithCancel(context.Background()) at a
-//     component's construction, where the cancel func is the
-//     component's own stop handle. (WithTimeout(Background) is NOT
-//     exempt — a timeout without the caller's cancellation still
-//     outlives a shutdown.)
-//   - compat shims: a one-statement method Foo that only delegates to
-//     its context-threading sibling FooContext(context.Background(),
-//     ...). The shim exists precisely to own that Background call for
-//     legacy callers.
-//
+// the service and filesystem layers. One pattern is allowed: the
+// lifecycle root context.WithCancel(context.Background()) at a
+// component's construction, where the cancel func is the component's
+// own stop handle. (WithTimeout(Background) is not exempt — a timeout
+// without the caller's cancellation still outlives a shutdown — and
+// neither is a context-free twin delegating to a context-taking
+// sibling: every operation has one form, and it takes the ctx.)
 // Everywhere else the fix is to accept a ctx parameter or use the
 // owning component's lifecycle context.
 //
@@ -61,9 +56,6 @@ func checkCtxFile(p *Pass, f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
-			continue
-		}
-		if isCompatShim(info, fd) {
 			continue
 		}
 		checkDeadlineFreeRPC(p, info, fd)
@@ -303,34 +295,4 @@ func isContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// isCompatShim recognizes the sanctioned legacy-API shape: a method or
-// function whose entire body is one statement delegating to the
-// sibling named <Name>Context with context.Background() as the first
-// argument.
-func isCompatShim(info *types.Info, fd *ast.FuncDecl) bool {
-	if len(fd.Body.List) != 1 {
-		return false
-	}
-	var call *ast.CallExpr
-	switch stmt := fd.Body.List[0].(type) {
-	case *ast.ReturnStmt:
-		if len(stmt.Results) != 1 {
-			return false
-		}
-		call, _ = ast.Unparen(stmt.Results[0]).(*ast.CallExpr)
-	case *ast.ExprStmt:
-		call, _ = ast.Unparen(stmt.X).(*ast.CallExpr)
-	default:
-		return false
-	}
-	if call == nil || len(call.Args) == 0 {
-		return false
-	}
-	callee := funcObj(info, call)
-	if callee == nil || callee.Name() != fd.Name.Name+"Context" {
-		return false
-	}
-	return isBackgroundCall(info, call.Args[0]) != ""
 }

@@ -1,6 +1,6 @@
 // ctx.go is the ctxcheck fixture: fresh Background/TODO contexts
-// below the CLI layer, a dropped ctx parameter, and the two allowed
-// idioms (compat shim, WithCancel lifecycle root).
+// below the CLI layer, a dropped ctx parameter, and the one allowed
+// pattern (the WithCancel lifecycle root).
 package svc
 
 import (
@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Fetch mints a fresh Background for an RPC — flagged (two
-// statements, so not a compat shim).
+// Fetch mints a fresh Background for an RPC — flagged: threading
+// it on does not bring back the caller's deadline.
 func Fetch() error {
 	ctx := context.Background()
 	return FetchContext(ctx)
@@ -27,8 +27,8 @@ func Drop(ctx context.Context) error {
 	return FetchContext(context.TODO())
 }
 
-// Read is the sanctioned compat shim: one statement delegating to the
-// Context-suffixed sibling — clean.
+// Read is a context-free twin delegating to its Context-suffixed
+// sibling — flagged: no operation has a second, ctx-less form.
 func Read() error { return ReadContext(context.Background()) }
 
 // ReadContext threads the context — clean.

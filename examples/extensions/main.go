@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,6 +26,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	g := adapt.NewRNG(29)
 	cluster, err := adapt.NewEmulationCluster(adapt.EmulationClusterConfig{
 		Nodes:            48,
@@ -69,7 +71,7 @@ func run() error {
 	for i := 0; i < 4096; i++ {
 		words = append(words, fmt.Sprintf("word%03d ", i%50)...)
 	}
-	if _, err := client.CopyFromLocal("wc/in", words, true); err != nil {
+	if _, _, err := client.CopyFromLocalReportContext(ctx, "wc/in", words, true); err != nil {
 		return err
 	}
 	for _, mode := range []adapt.ReducerPlacement{
@@ -100,7 +102,7 @@ func run() error {
 	client2.Replication = 2
 	client2.BlockSize = 1024
 	payload := make([]byte, 480*1024)
-	if _, err := client2.CopyFromLocal("/durable", payload, true); err != nil {
+	if _, _, err := client2.CopyFromLocalReportContext(ctx, "/durable", payload, true); err != nil {
 		return err
 	}
 	dist, err := nn.BlockDistribution("/durable")
@@ -120,7 +122,7 @@ func run() error {
 	}
 	dn.SetUp(false)
 	fmt.Printf("   node %d down, held %d replicas\n", victim, dist[victim])
-	report, err := client2.MaintainReplication("/durable", true)
+	report, err := client2.MaintainReplication(ctx, "/durable", true)
 	if err != nil {
 		return err
 	}

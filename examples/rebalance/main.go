@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	g := adapt.NewRNG(19)
 
 	cluster, err := adapt.NewEmulationCluster(adapt.EmulationClusterConfig{
@@ -46,7 +48,7 @@ func run() error {
 	// Write 960 blocks with stock random placement.
 	const blocks = 48 * 20
 	payload := make([]byte, blocks*int(client.BlockSize))
-	if _, err := client.CopyFromLocal("/warehouse/events", payload, false); err != nil {
+	if _, _, err := client.CopyFromLocalReportContext(ctx, "/warehouse/events", payload, false); err != nil {
 		return err
 	}
 
@@ -58,7 +60,7 @@ func run() error {
 		before.Elapsed, 100*before.Locality())
 
 	// The `adapt` command: redistribute in place.
-	moved, err := client.Adapt("/warehouse/events")
+	moved, err := client.Adapt(ctx, "/warehouse/events")
 	if err != nil {
 		return err
 	}

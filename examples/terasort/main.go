@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,6 +24,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	g := adapt.NewRNG(7)
 
 	cluster, err := adapt.NewEmulationCluster(adapt.EmulationClusterConfig{
@@ -51,7 +53,7 @@ func run() error {
 	}
 	client.BlockSize = 100 * 100 // record-aligned blocks
 	useAdapt := true
-	if _, err := client.CopyFromLocal("tera/in", data, useAdapt); err != nil {
+	if _, _, err := client.CopyFromLocalReportContext(ctx, "tera/in", data, useAdapt); err != nil {
 		return err
 	}
 	meta, err := nn.Stat("tera/in")
@@ -93,7 +95,7 @@ func run() error {
 	// with every record present.
 	parts := make([][]byte, 0, len(res.OutputFiles))
 	for _, f := range res.OutputFiles {
-		p, err := nn.ReadFile(f)
+		p, err := client.ReadFileContext(ctx, f)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -25,6 +26,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	g := adapt.NewRNG(23)
 
 	cluster, err := adapt.NewEmulationCluster(adapt.EmulationClusterConfig{
@@ -53,7 +55,7 @@ func run() error {
 		in.WriteByte(' ')
 	}
 	client.BlockSize = 512
-	if _, err := client.CopyFromLocal("wc/in", in.Bytes(), true); err != nil {
+	if _, _, err := client.CopyFromLocalReportContext(ctx, "wc/in", in.Bytes(), true); err != nil {
 		return err
 	}
 
@@ -74,7 +76,7 @@ func run() error {
 
 	totals := map[string]int{}
 	for _, f := range res.OutputFiles {
-		part, err := nn.ReadFile(f)
+		part, err := client.ReadFileContext(ctx, f)
 		if err != nil {
 			return err
 		}

@@ -86,7 +86,7 @@ func TestChurnSoak(t *testing.T) {
 	}
 	setup := mkClient()
 	for i := 0; i < files-1; i++ {
-		if _, err := setup.CopyFromLocal(name(i), content[name(i)], i%2 == 0); err != nil {
+		if _, _, err := setup.CopyFromLocalReportContext(context.Background(), name(i), content[name(i)], i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestChurnSoak(t *testing.T) {
 		g := root.Split()
 		spawn(func() {
 			fn := name(g.IntN(files))
-			got, err := cl.ReadFile(fn)
+			got, err := cl.ReadFileContext(context.Background(), fn)
 			if err != nil {
 				if !okRead(err) {
 					t.Errorf("read %s: non-transient failure: %v", fn, err)
@@ -132,7 +132,7 @@ func TestChurnSoak(t *testing.T) {
 		g := root.Split()
 		spawn(func() {
 			fn := name(g.IntN(files))
-			if _, err := cl.MaintainReplication(fn, g.Float64() < 0.5); err != nil && !okRead(err) {
+			if _, err := cl.MaintainReplication(context.Background(), fn, g.Float64() < 0.5); err != nil && !okRead(err) {
 				t.Errorf("maintain %s: %v", fn, err)
 				stop.Store(true)
 			}
@@ -146,9 +146,9 @@ func TestChurnSoak(t *testing.T) {
 			fn := name(g.IntN(files))
 			var err error
 			if g.Float64() < 0.5 {
-				_, err = cl.Adapt(fn)
+				_, err = cl.Adapt(context.Background(), fn)
 			} else {
-				_, err = cl.RebalanceContext(context.Background(), fn)
+				_, err = cl.Rebalance(context.Background(), fn)
 			}
 			if err != nil && !okRead(err) {
 				t.Errorf("redistribute %s: %v", fn, err)
@@ -167,7 +167,7 @@ func TestChurnSoak(t *testing.T) {
 				return
 			}
 			fn := name(files - 1)
-			if _, _, err := cl.CopyFromLocalReport(fn, content[fn], true); err != nil {
+			if _, _, err := cl.CopyFromLocalReportContext(context.Background(), fn, content[fn], true); err != nil {
 				if !dfs.IsTransient(err) && !errors.Is(err, dfs.ErrFileExists) {
 					t.Errorf("create %s: %v", fn, err)
 					stop.Store(true)
@@ -193,7 +193,7 @@ func TestChurnSoak(t *testing.T) {
 		}
 		applied += n
 		if applied%1000 == 0 {
-			if err := nn.CheckConsistency(); err != nil {
+			if err := nn.CheckConsistency(context.Background()); err != nil {
 				t.Fatalf("invariant violated after %d events: %v", applied, err)
 			}
 		}
@@ -213,7 +213,7 @@ func TestChurnSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	nn.SetFaultInjector(nil)
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatalf("invariant violated after quiesce: %v", err)
 	}
 
@@ -222,7 +222,7 @@ func TestChurnSoak(t *testing.T) {
 	for i := 0; i < files; i++ {
 		fn := name(i)
 		for round := 0; ; round++ {
-			rep, err := healer.MaintainReplication(fn, true)
+			rep, err := healer.MaintainReplication(context.Background(), fn, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -246,7 +246,7 @@ func TestChurnSoak(t *testing.T) {
 					fn, bm.Index, len(bm.Replicas), replication)
 			}
 		}
-		got, err := healer.ReadFile(fn)
+		got, err := healer.ReadFileContext(context.Background(), fn)
 		if err != nil {
 			t.Fatalf("%s unreadable after churn: %v", fn, err)
 		}
@@ -254,7 +254,7 @@ func TestChurnSoak(t *testing.T) {
 			t.Fatalf("%s: data lost under churn", fn)
 		}
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ func TestRefreshBesidePlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writer.CopyFromLocal("/base", payload(1000), true); err != nil {
+	if _, _, err := writer.CopyFromLocalReportContext(context.Background(), "/base", payload(1000), true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -48,21 +49,21 @@ func TestRefreshBesidePlacement(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if _, err := repairer.MaintainReplication("/base", true); err != nil {
+			if _, err := repairer.MaintainReplication(context.Background(), "/base", true); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if _, err := writer.CopyFromLocal(fmt.Sprintf("/f%d", i), payload(300), true); err != nil {
+		if _, _, err := writer.CopyFromLocalReportContext(context.Background(), fmt.Sprintf("/f%d", i), payload(300), true); err != nil {
 			t.Error(err)
 			break
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

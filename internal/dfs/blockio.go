@@ -187,17 +187,20 @@ func (r *refusals) note(err error) {
 // into a saturated cluster.
 func (r refusals) overloaded() bool { return r.shed > 0 && r.other == 0 }
 
-// unwindBudget bounds the deletes of one failed write. They run
-// detached from the write's own context — which has usually just
-// expired or been cancelled — so they need a bound of their own, or a
-// holder that stopped answering would pin the writer.
+// unwindBudget bounds one batch of DeleteBlocks deletes. They run
+// detached from the caller's context — which has usually just expired
+// or been cancelled — so they need a bound of their own, or a holder
+// that stopped answering would pin the caller (and whatever lock it
+// holds).
 const unwindBudget = 2 * time.Second
 
 // DeleteBlocks best-effort deletes every listed replica — the unwind
-// of a write that cannot complete, detached from ctx's cancellation
-// and bounded by unwindBudget. A holder that cannot be reached in time
-// keeps an unreferenced copy, never live metadata; once no lease
-// covers it, ScrubOrphans collects it.
+// of a write that cannot complete, or of a redistribution's fresh
+// copies, and the prune of the replicas a redistribution retired —
+// detached from ctx's cancellation and bounded by unwindBudget. A
+// holder that cannot be reached in time keeps an unreferenced copy,
+// never live metadata; once no lease covers it, ScrubOrphans collects
+// it.
 func (b *BlockIO) DeleteBlocks(ctx context.Context, blocks []BlockMeta) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), unwindBudget)
 	defer cancel()

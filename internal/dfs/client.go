@@ -22,12 +22,12 @@ import (
 // backoff per Retry, and writes degrade gracefully to alternate live
 // nodes, reporting the replication actually achieved.
 //
-// Every operation takes a context, or has a Context variant that does
-// (CopyFromLocal's is CopyFromLocalReportContext), bounding its total
-// latency: backoff waits end early when the deadline passes and replica
-// RPCs inherit the deadline, so a networked caller can cap tail
-// latency. The plain forms use context.Background() and keep the
-// historical count-based retry semantics.
+// Every operation takes a context first, which bounds its total
+// latency: backoff waits end early when the deadline passes and
+// replica RPCs inherit the deadline, so a networked caller can cap
+// tail latency. A context with no deadline keeps the count-based retry
+// semantics. The client, not the NameNode, moves the bytes of what it
+// reads; the NameNode answers only metadata (Locate).
 type Client struct {
 	nn *NameNode
 	g  *stats.RNG
@@ -37,9 +37,6 @@ type Client struct {
 	// Replication used for new files (default 1, as in the paper's
 	// storage-efficiency argument; HDFS itself defaults to 3).
 	Replication int
-	// Gamma is the failure-free per-block task time the performance
-	// predictor uses to weigh nodes (paper default 12 s per 64 MB).
-	Gamma float64
 	// Retry bounds how transient failures are retried
 	// (DefaultRetryPolicy unless overridden).
 	Retry RetryPolicy
@@ -59,22 +56,14 @@ func NewClient(nn *NameNode, g *stats.RNG) (*Client, error) {
 		g:           g,
 		BlockSize:   DefaultBlockSize,
 		Replication: 1,
-		Gamma:       defaultGamma,
 		Retry:       DefaultRetryPolicy(),
 	}, nil
 }
 
-// defaultGamma is the paper's failure-free task time per 64 MB block.
+// defaultGamma is the paper's failure-free task time per 64 MB block,
+// the task length the performance predictor's 1/E[T] weights and the
+// dynamic replication controller's volatility are evaluated at.
 const defaultGamma = 12
-
-// gamma is the task length the 1/E[T] weights are evaluated at: Gamma,
-// or defaultGamma when it is unset.
-func (c *Client) gamma() float64 {
-	if c.Gamma <= 0 {
-		return defaultGamma
-	}
-	return c.Gamma
-}
 
 // policy returns the block distributor for the requested mode: stock
 // random placement, or ADAPT weights from the performance predictor.
@@ -84,25 +73,15 @@ func (c *Client) policy(useAdapt bool) (placement.Policy, error) {
 	if !useAdapt {
 		return &placement.Random{Cluster: cl}, nil
 	}
-	return placement.NewAdapt(cl, c.gamma())
+	return placement.NewAdapt(cl, defaultGamma)
 }
 
-// CopyFromLocal stores data as a new file. useAdapt selects the
-// availability-aware distributor (the prototype's extra shell flag).
-func (c *Client) CopyFromLocal(name string, data []byte, useAdapt bool) (*FileMeta, error) {
-	fm, _, err := c.CopyFromLocalReport(name, data, useAdapt)
-	return fm, err
-}
-
-// CopyFromLocalReport is CopyFromLocal plus a WriteReport describing
-// the replication achieved under failures: holders that rejected the
-// write are replaced by alternate live nodes, and blocks below target
-// replication are reported as degraded instead of failing the copy.
-func (c *Client) CopyFromLocalReport(name string, data []byte, useAdapt bool) (*FileMeta, WriteReport, error) {
-	return c.CopyFromLocalReportContext(context.Background(), name, data, useAdapt)
-}
-
-// CopyFromLocalReportContext is CopyFromLocalReport bounded by ctx.
+// CopyFromLocalReportContext stores data as a new file. useAdapt
+// selects the availability-aware distributor (the prototype's extra
+// shell flag). The WriteReport describes the replication achieved
+// under failures: holders that rejected the write are replaced by
+// alternate live nodes, and blocks below target replication are
+// reported as degraded instead of failing the copy.
 func (c *Client) CopyFromLocalReportContext(ctx context.Context, name string, data []byte, useAdapt bool) (*FileMeta, WriteReport, error) {
 	var report WriteReport
 	pol, err := c.policy(useAdapt)
@@ -129,12 +108,7 @@ func (c *Client) Allocate(ctx context.Context, name string, size int64, useAdapt
 
 // Cp copies an existing file to a new name, placing the copy's blocks
 // with the selected distributor.
-func (c *Client) Cp(src, dst string, useAdapt bool) (*FileMeta, error) {
-	return c.CpContext(context.Background(), src, dst, useAdapt)
-}
-
-// CpContext is Cp bounded by ctx.
-func (c *Client) CpContext(ctx context.Context, src, dst string, useAdapt bool) (*FileMeta, error) {
+func (c *Client) Cp(ctx context.Context, src, dst string, useAdapt bool) (*FileMeta, error) {
 	data, err := c.ReadFileContext(ctx, src)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: cp %q: %w", src, err)
@@ -150,29 +124,29 @@ func (c *Client) CpContext(ctx context.Context, src, dst string, useAdapt bool) 
 	return c.nn.createFile(ctx, dst, bytes.NewReader(data), int64(len(data)), srcMeta.BlockSize, srcMeta.Replication, pol, c.g.Split(), c.Retry, nil)
 }
 
-// ReadFile reads a whole file back, failing over across replicas
-// within each block and retrying transient whole-file failures with
-// backoff, re-fetching metadata between attempts so repairs and
-// redistributions done meanwhile are picked up.
-func (c *Client) ReadFile(name string) ([]byte, error) {
-	return c.ReadFileContext(context.Background(), name)
-}
-
-// ReadFileContext is ReadFile bounded by ctx: backoff waits are cut
-// short at the deadline and the context error is returned wrapped, so
-// callers distinguish "retries exhausted" from "deadline exceeded".
+// ReadFileContext reads a whole file back, failing over across
+// replicas within each block and retrying transient whole-file
+// failures with backoff, re-fetching metadata (Locate, which counts
+// one read per block toward the file's heat) between attempts so
+// repairs and redistributions done meanwhile are picked up. Backoff
+// waits are cut short at ctx's deadline and the context error is
+// returned wrapped, so callers distinguish "retries exhausted" from
+// "deadline exceeded".
 func (c *Client) ReadFileContext(ctx context.Context, name string) ([]byte, error) {
-	return c.nn.readFile(ctx, name, c.Retry)
+	return c.nn.io.ReadFile(ctx, name, func(context.Context) (*FileMeta, error) { return c.nn.Locate(name) }, c.Retry)
 }
 
-// ReadBlockContext reads one block with replica failover plus bounded
-// retry on transient failure, bounded by ctx. Unlike ReadFile it works
-// from the caller's BlockMeta snapshot, so it cannot see holders added
-// after the stat.
-func (c *Client) ReadBlockContext(ctx context.Context, bm BlockMeta) ([]byte, error) {
+// readBlock reads one block with replica failover plus bounded retry
+// on transient failure, counting every attempt as one read toward the
+// file's heat. Unlike ReadFileContext it works from the caller's
+// BlockMeta snapshot, so it cannot see holders added after the stat.
+func (c *Client) readBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		data, err := c.nn.ReadBlockContext(ctx, bm)
+		if d := c.nn.dynamic.Load(); d != nil {
+			d.observeRead(bm.File, 1)
+		}
+		data, err := c.nn.io.ReadBlock(ctx, bm)
 		if err == nil {
 			return data, nil
 		}
@@ -194,12 +168,7 @@ func (c *Client) ReadBlockContext(ctx context.Context, bm BlockMeta) ([]byte, er
 // existing file according to the availability-aware algorithm, moving
 // only the replicas whose holder changed (analogous to the rebalance
 // facility, §IV-B2). It returns the number of replicas moved.
-func (c *Client) Adapt(name string) (int, error) {
-	return c.AdaptContext(context.Background(), name)
-}
-
-// AdaptContext is Adapt bounded by ctx.
-func (c *Client) AdaptContext(ctx context.Context, name string) (int, error) {
+func (c *Client) Adapt(ctx context.Context, name string) (int, error) {
 	pol, err := c.policy(true)
 	if err != nil {
 		return 0, err
@@ -207,10 +176,9 @@ func (c *Client) AdaptContext(ctx context.Context, name string) (int, error) {
 	return c.redistribute(ctx, name, pol)
 }
 
-// RebalanceContext redistributes an existing file's blocks with the
-// stock uniform policy — the baseline the adapt command is analogous
-// to — bounded by ctx.
-func (c *Client) RebalanceContext(ctx context.Context, name string) (int, error) {
+// Rebalance redistributes an existing file's blocks with the stock
+// uniform policy — the baseline the adapt command is analogous to.
+func (c *Client) Rebalance(ctx context.Context, name string) (int, error) {
 	pol, err := c.policy(false)
 	if err != nil {
 		return 0, err
@@ -242,24 +210,17 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 
 	// Phase 1: write every new replica. Nothing is deleted and the
 	// block map is untouched, so any failure here aborts cleanly:
-	// the copies made so far are removed and the file is unchanged.
-	type write struct {
-		id   BlockID
-		node cluster.NodeID
-	}
-	var written []write
+	// the copies made so far are removed (DeleteBlocks: detached from
+	// ctx's cancellation, bounded by unwindBudget) and the file is
+	// unchanged.
+	var written []BlockMeta
 	abort := func(cause error) (int, error) {
-		for _, w := range written {
-			s, err := c.nn.Store(w.node)
-			if err == nil {
-				_ = s.Delete(context.WithoutCancel(ctx), w.id)
-			}
-		}
+		c.nn.io.DeleteBlocks(ctx, written)
 		return 0, cause
 	}
 	moved := 0
 	newBlocks := make([]BlockMeta, len(fm.Blocks))
-	prune := make([][]cluster.NodeID, len(fm.Blocks))
+	var prune []BlockMeta
 	for i, bm := range fm.Blocks {
 		holders, err := placer.PlaceBlock(nil)
 		if err != nil {
@@ -280,7 +241,7 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 				continue
 			}
 			if data == nil {
-				data, err = c.ReadBlockContext(ctx, bm)
+				data, err = c.readBlock(ctx, bm)
 				if err != nil {
 					return abort(fmt.Errorf("dfs: adapt %q block %d: %w", name, i, err))
 				}
@@ -295,13 +256,17 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 				}
 				return abort(fmt.Errorf("dfs: adapt %q block %d: %w", name, i, err))
 			}
-			written = append(written, write{bm.ID, h})
+			written = append(written, BlockMeta{ID: bm.ID, Replicas: []cluster.NodeID{h}})
 			moved++
 		}
+		var retired []cluster.NodeID
 		for _, r := range bm.Replicas {
 			if !newSet[r] {
-				prune[i] = append(prune[i], r)
+				retired = append(retired, r)
 			}
+		}
+		if len(retired) > 0 {
+			prune = append(prune, BlockMeta{ID: bm.ID, Replicas: retired})
 		}
 		nb := bm
 		nb.Replicas = holders
@@ -319,23 +284,15 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 	// window) — drop our copies.
 	if err := c.nn.publishBlocks(name, newBlocks); err != nil {
 		if errors.Is(err, ErrFileNotFound) {
-			_, err := abort(fmt.Errorf("%w: %q (deleted during adapt)", ErrFileNotFound, name))
-			return 0, err
+			err = fmt.Errorf("%w: %q (deleted during adapt)", ErrFileNotFound, name)
 		}
 		return abort(err)
 	}
 
-	// Phase 3: prune the replicas no longer referenced. A failure or
-	// crash here leaks surplus copies, never data.
-	for i := range prune {
-		for _, r := range prune[i] {
-			s, err := c.nn.Store(r)
-			if err != nil {
-				return moved, err
-			}
-			_ = s.Delete(context.WithoutCancel(ctx), newBlocks[i].ID)
-		}
-	}
+	// Phase 3: prune the replicas no longer referenced, through the
+	// same bounded unwind as an abort. A failure or crash here leaks
+	// surplus copies, never data.
+	c.nn.io.DeleteBlocks(ctx, prune)
 	c.nn.io.counters.RedistributedReplicas.Add(int64(moved))
 	return moved, nil
 }

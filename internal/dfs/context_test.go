@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -38,7 +39,7 @@ func contextFixture(t *testing.T, n int) (*NameNode, *Client) {
 // return promptly with a context error, not after MaxAttempts.
 func TestReadDeadlineBoundsRetries(t *testing.T) {
 	nn, cl := contextFixture(t, 4)
-	if _, err := cl.CopyFromLocal("f", []byte("payload"), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", []byte("payload"), false); err != nil {
 		t.Fatal(err)
 	}
 	fm, err := nn.Stat("f")
@@ -97,7 +98,7 @@ func TestCancelStopsWriteBackoff(t *testing.T) {
 // times, as it always has.
 func TestNoDeadlineKeepsCountSemantics(t *testing.T) {
 	nn, cl := contextFixture(t, 2)
-	if _, err := cl.CopyFromLocal("f", []byte("x"), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", []byte("x"), false); err != nil {
 		t.Fatal(err)
 	}
 	fm, err := nn.Stat("f")
@@ -114,7 +115,7 @@ func TestNoDeadlineKeepsCountSemantics(t *testing.T) {
 		BaseDelay:   time.Nanosecond,
 		Sleep:       func(time.Duration) { waits++ },
 	}
-	if _, err := cl.ReadFile("f"); err == nil {
+	if _, err := cl.ReadFileContext(context.Background(), "f"); err == nil {
 		t.Fatal("read of a fully-down file succeeded")
 	}
 	if waits != 4 {
@@ -144,5 +145,94 @@ func TestWaitHonorsVirtualSleepThenContext(t *testing.T) {
 	}
 	if slept != 30*time.Millisecond {
 		t.Fatalf("virtual sleep = %v, want 30ms (backoff still runs in virtual time)", slept)
+	}
+}
+
+// deleteLog is shared by a cluster's deadlineStores: how many deletes
+// arrived, how many of them with no deadline, and how many Puts are
+// still let through once putsLeft is armed (>= 0).
+type deleteLog struct {
+	deletes, unbounded int
+	putsLeft           int
+}
+
+// deadlineStore is an in-process store that records every Delete whose
+// context carries no deadline — over the network such a delete waits
+// for as long as the DataNode takes to answer — and refuses Puts once
+// the shared Put budget is spent.
+type deadlineStore struct {
+	localStore
+	log *deleteLog
+}
+
+func (s deadlineStore) Put(ctx context.Context, id BlockID, data []byte) error {
+	if s.log.putsLeft == 0 {
+		return ErrNodeDown
+	}
+	if s.log.putsLeft > 0 {
+		s.log.putsLeft--
+	}
+	return s.localStore.Put(ctx, id, data)
+}
+
+func (s deadlineStore) Delete(ctx context.Context, id BlockID) error {
+	s.log.deletes++
+	if _, ok := ctx.Deadline(); !ok {
+		s.log.unbounded++
+	}
+	return s.localStore.Delete(ctx, id)
+}
+
+// TestRedistributeDeletesAreBounded: the replicas an adapt retires and
+// the copies an aborted adapt unwinds are deleted under a deadline, so
+// a DataNode that accepts a delete and never answers cannot hold the
+// file's structural lock forever.
+func TestRedistributeDeletesAreBounded(t *testing.T) {
+	for _, abort := range []bool{false, true} {
+		c := testCluster(t, 16)
+		log := &deleteLog{putsLeft: -1}
+		stores := make([]BlockStore, c.Len())
+		for i := range stores {
+			stores[i] = deadlineStore{localStore{NewDataNode(cluster.NodeID(i))}, log}
+		}
+		nn, err := NewNameNodeSharded(c, stores, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := NewClient(nn, stats.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.BlockSize = 10
+		data := payload(20 * 10)
+		if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false); err != nil {
+			t.Fatal(err)
+		}
+		if abort {
+			log.putsLeft = 1 // the adapt's second new replica is refused
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		moved, err := cl.Adapt(ctx, "f")
+		cancel()
+		switch {
+		case abort && err == nil:
+			t.Fatal("adapt with a refused Put succeeded")
+		case !abort && (err != nil || moved == 0):
+			t.Fatalf("adapt moved %d replicas, err %v; want a move", moved, err)
+		}
+		if log.deletes == 0 {
+			t.Fatalf("abort=%v: adapt deleted nothing", abort)
+		}
+		if log.unbounded != 0 {
+			t.Fatalf("abort=%v: %d of %d deletes had no deadline", abort, log.unbounded, log.deletes)
+		}
+		log.putsLeft = -1
+		if err := nn.CheckConsistency(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.ReadFileContext(context.Background(), "f")
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("abort=%v: read back %d bytes, err %v", abort, len(got), err)
+		}
 	}
 }

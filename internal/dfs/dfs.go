@@ -2,10 +2,11 @@
 // prototype modifies (§IV): a NameNode holding file→block→location
 // metadata with a heartbeat collector and a performance predictor, a
 // set of DataNodes storing block contents, and client operations
-// mirroring the prototype's three interfaces — CopyFromLocal and Cp
-// with an ADAPT on/off flag, plus the new "adapt" shell command that
-// redistributes an existing file's blocks availability-aware (the
-// analogue of HDFS rebalance).
+// mirroring the prototype's three interfaces — copyFromLocal
+// (CopyFromLocalReportContext) and Cp with an ADAPT on/off flag, plus
+// the new "adapt" shell command that redistributes an existing file's
+// blocks availability-aware (the analogue of HDFS rebalance). Every
+// client operation takes a context first.
 //
 // Files are split into fixed-size blocks; each block is stored on k
 // replica DataNodes selected by a pluggable placement policy, exactly
@@ -855,32 +856,6 @@ func (nn *NameNode) Locate(name string) (*FileMeta, error) {
 	return fm, nil
 }
 
-// ReadBlockContext fetches one block's bytes from any live replica,
-// verifying the CRC32 checksum and failing over to the next replica on
-// node failure, missing bytes, or corruption, with a deadline for the
-// replica fetches.
-func (nn *NameNode) ReadBlockContext(ctx context.Context, bm BlockMeta) ([]byte, error) {
-	if d := nn.dynamic.Load(); d != nil {
-		d.observeRead(bm.File, 1)
-	}
-	return nn.io.ReadBlock(ctx, bm)
-}
-
-// ReadFile reassembles a whole file from live replicas.
-func (nn *NameNode) ReadFile(name string) ([]byte, error) {
-	return nn.ReadFileContext(context.Background(), name)
-}
-
-// ReadFileContext is ReadFile with a deadline for the block fetches: a
-// single attempt, no retry.
-func (nn *NameNode) ReadFileContext(ctx context.Context, name string) ([]byte, error) {
-	return nn.readFile(ctx, name, RetryPolicy{})
-}
-
-func (nn *NameNode) readFile(ctx context.Context, name string, retry RetryPolicy) ([]byte, error) {
-	return nn.io.ReadFile(ctx, name, func(context.Context) (*FileMeta, error) { return nn.Locate(name) }, retry)
-}
-
 // CheckConsistency verifies the NameNode's metadata invariants, the
 // ones the churn-soak test asserts must hold at every instant:
 //
@@ -894,14 +869,9 @@ func (nn *NameNode) readFile(ctx context.Context, name string, retry RetryPolicy
 //
 // It takes each file's structural lock so it cannot observe a
 // redistribute or repair mid-flight. The first violation is returned
-// as a descriptive error; nil means consistent.
-func (nn *NameNode) CheckConsistency() error {
-	return nn.CheckConsistencyContext(context.Background())
-}
-
-// CheckConsistencyContext is CheckConsistency bounded by ctx: the
-// per-replica fetches stop at the first cancellation.
-func (nn *NameNode) CheckConsistencyContext(ctx context.Context) error {
+// as a descriptive error; nil means consistent. ctx bounds the
+// per-replica checksum fetches.
+func (nn *NameNode) CheckConsistency(ctx context.Context) error {
 	for _, name := range nn.List() {
 		if err := nn.checkFile(ctx, name); err != nil {
 			return err

@@ -43,9 +43,9 @@ func payload(n int) []byte {
 }
 
 func TestCopyFromLocalAndReadBack(t *testing.T) {
-	nn, cl := testClient(t, 8, 100)
+	_, cl := testClient(t, 8, 100)
 	data := payload(950) // 10 blocks: 9 full + 1 half
-	fm, err := cl.CopyFromLocal("f", data, false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCopyFromLocalAndReadBack(t *testing.T) {
 	if fm.Blocks[9].Size != 50 {
 		t.Fatalf("last block size = %d, want 50", fm.Blocks[9].Size)
 	}
-	got, err := nn.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +68,8 @@ func TestCopyFromLocalAdaptSkewsPlacement(t *testing.T) {
 	// With ADAPT enabled, reliable nodes (second half of the
 	// emulation cluster) must hold more blocks than volatile ones.
 	nn, cl := testClient(t, 16, 10)
-	cl.Gamma = 12
 	data := payload(10 * 16 * 50) // 800 blocks
-	if _, err := cl.CopyFromLocal("f", data, true); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, true); err != nil {
 		t.Fatal(err)
 	}
 	counts, err := nn.BlockDistribution("f")
@@ -92,24 +91,24 @@ func TestCopyFromLocalAdaptSkewsPlacement(t *testing.T) {
 
 func TestCopyFromLocalDuplicate(t *testing.T) {
 	_, cl := testClient(t, 4, 100)
-	if _, err := cl.CopyFromLocal("f", payload(10), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(10), false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.CopyFromLocal("f", payload(10), false); !errors.Is(err, ErrFileExists) {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(10), false); !errors.Is(err, ErrFileExists) {
 		t.Fatalf("err = %v, want ErrFileExists", err)
 	}
 }
 
 func TestEmptyFileGetsOneBlock(t *testing.T) {
-	nn, cl := testClient(t, 4, 100)
-	fm, err := cl.CopyFromLocal("empty", nil, false)
+	_, cl := testClient(t, 4, 100)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "empty", nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fm.Blocks) != 1 || fm.Blocks[0].Size != 0 {
 		t.Fatalf("blocks = %+v", fm.Blocks)
 	}
-	data, err := nn.ReadFile("empty")
+	data, err := cl.ReadFileContext(context.Background(), "empty")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestEmptyFileGetsOneBlock(t *testing.T) {
 func TestReplicationStoresAllReplicas(t *testing.T) {
 	nn, cl := testClient(t, 8, 100)
 	cl.Replication = 3
-	fm, err := cl.CopyFromLocal("f", payload(500), false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(500), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestReadFromSurvivingReplica(t *testing.T) {
 	nn, cl := testClient(t, 4, 100)
 	cl.Replication = 2
 	data := payload(250)
-	fm, err := cl.CopyFromLocal("f", data, false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestReadFromSurvivingReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	dn.SetUp(false)
-	got, err := nn.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestReadFromSurvivingReplica(t *testing.T) {
 
 func TestReadFailsWithNoLiveReplica(t *testing.T) {
 	nn, cl := testClient(t, 4, 100)
-	fm, err := cl.CopyFromLocal("f", payload(100), false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(100), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,32 +178,32 @@ func TestReadFailsWithNoLiveReplica(t *testing.T) {
 		}
 		dn.SetUp(false)
 	}
-	if _, err := nn.ReadFile("f"); !errors.Is(err, ErrNoReplica) {
+	if _, err := cl.ReadFileContext(context.Background(), "f"); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("err = %v, want ErrNoReplica", err)
 	}
 }
 
 func TestCp(t *testing.T) {
-	nn, cl := testClient(t, 8, 100)
+	_, cl := testClient(t, 8, 100)
 	data := payload(430)
-	if _, err := cl.CopyFromLocal("src", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "src", data, false); err != nil {
 		t.Fatal(err)
 	}
-	fm, err := cl.Cp("src", "dst", true)
+	fm, err := cl.Cp(context.Background(), "src", "dst", true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fm.Name != "dst" {
 		t.Fatalf("name = %q", fm.Name)
 	}
-	got, err := nn.ReadFile("dst")
+	got, err := cl.ReadFileContext(context.Background(), "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("copy content mismatch")
 	}
-	if _, err := cl.Cp("missing", "x", false); !errors.Is(err, ErrFileNotFound) {
+	if _, err := cl.Cp(context.Background(), "missing", "x", false); !errors.Is(err, ErrFileNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -212,14 +211,14 @@ func TestCp(t *testing.T) {
 func TestAdaptRedistributes(t *testing.T) {
 	nn, cl := testClient(t, 16, 10)
 	data := payload(10 * 16 * 40) // 640 blocks
-	if _, err := cl.CopyFromLocal("f", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false); err != nil {
 		t.Fatal(err)
 	}
 	before, err := nn.BlockDistribution("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := cl.Adapt("f")
+	moved, err := cl.Adapt(context.Background(), "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,7 @@ func TestAdaptRedistributes(t *testing.T) {
 			shareReliable(before), shareReliable(after))
 	}
 	// Contents intact after the move.
-	got, err := nn.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,15 +270,15 @@ func TestAdaptRedistributes(t *testing.T) {
 }
 
 func TestRebalance(t *testing.T) {
-	nn, cl := testClient(t, 8, 10)
+	_, cl := testClient(t, 8, 10)
 	data := payload(8 * 10 * 30)
-	if _, err := cl.CopyFromLocal("f", data, true); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.RebalanceContext(context.Background(), "f"); err != nil {
+	if _, err := cl.Rebalance(context.Background(), "f"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := nn.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +289,7 @@ func TestRebalance(t *testing.T) {
 
 func TestDeleteRemovesReplicas(t *testing.T) {
 	nn, cl := testClient(t, 4, 100)
-	fm, err := cl.CopyFromLocal("f", payload(300), false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(300), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +318,7 @@ func TestDeleteRemovesReplicas(t *testing.T) {
 func TestListAndStat(t *testing.T) {
 	nn, cl := testClient(t, 4, 100)
 	for _, name := range []string{"b", "a", "c"} {
-		if _, err := cl.CopyFromLocal(name, payload(10), false); err != nil {
+		if _, _, err := cl.CopyFromLocalReportContext(context.Background(), name, payload(10), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,12 +454,12 @@ func TestClientValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.BlockSize = 0
-	if _, err := cl.CopyFromLocal("f", payload(10), false); !errors.Is(err, ErrBadBlockSize) {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(10), false); !errors.Is(err, ErrBadBlockSize) {
 		t.Fatalf("err = %v", err)
 	}
 	cl.BlockSize = 100
 	cl.Replication = 0
-	if _, err := cl.CopyFromLocal("f", payload(10), false); !errors.Is(err, ErrBadReplication) {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(10), false); !errors.Is(err, ErrBadReplication) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -38,9 +38,6 @@ type DynamicRFConfig struct {
 	// HotReads is the decayed read count at which a file counts as
 	// hot; four times it counts as very hot (default 3).
 	HotReads float64
-	// Gamma is the reference task length for E[T] (default 12, Table
-	// 4).
-	Gamma float64
 	// Hysteresis is the number of consecutive passes a changed
 	// proposal must persist before the applied target moves one step
 	// (default 2).
@@ -66,9 +63,6 @@ func (c DynamicRFConfig) withDefaults() DynamicRFConfig {
 	if c.HotReads == 0 {
 		c.HotReads = 3
 	}
-	if c.Gamma == 0 {
-		c.Gamma = 12
-	}
 	if c.Hysteresis == 0 {
 		c.Hysteresis = 2
 	}
@@ -82,8 +76,8 @@ func (c DynamicRFConfig) validate() error {
 	if c.MaxRF < c.MinRF {
 		return fmt.Errorf("%w: dynamic RF ceiling %d below floor %d", ErrBadConfig, c.MaxRF, c.MinRF)
 	}
-	if c.HotReads <= 0 || c.Gamma <= 0 {
-		return fmt.Errorf("%w: dynamic RF thresholds must be positive", ErrBadConfig)
+	if c.HotReads <= 0 {
+		return fmt.Errorf("%w: dynamic RF hot-read threshold must be positive, got %g", ErrBadConfig, c.HotReads)
 	}
 	if c.Hysteresis < 1 {
 		return fmt.Errorf("%w: dynamic RF hysteresis must be at least 1, got %d", ErrBadConfig, c.Hysteresis)
@@ -199,8 +193,8 @@ func (d *dynRF) volatility(cl *cluster.Cluster) float64 {
 	}
 	var sum float64
 	for i := 0; i < n; i++ {
-		et := cl.Node(cluster.NodeID(i)).Availability.ExpectedTaskTime(d.cfg.Gamma)
-		ratio := et / d.cfg.Gamma
+		et := cl.Node(cluster.NodeID(i)).Availability.ExpectedTaskTime(defaultGamma)
+		ratio := et / defaultGamma
 		if !(ratio <= 10) { // also catches NaN/+Inf from unstable hosts
 			ratio = 10
 		}

@@ -2,7 +2,9 @@ package dfs
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,7 +39,6 @@ func TestDynamicRFConfigValidation(t *testing.T) {
 		{MinRF: -1},
 		{MinRF: 4, MaxRF: 2},
 		{HotReads: -1},
-		{Gamma: -12},
 		{Hysteresis: -3},
 	}
 	for _, cfg := range bad {
@@ -139,6 +140,72 @@ func TestDynRFConvergesOneStepPerAgreement(t *testing.T) {
 	}
 }
 
+// TestReadHeatFollowsTheRead pins which client reads count toward a
+// file's heat: a whole-file read counts every block once (through
+// Locate), and a repair or redistribute read counts once each block it
+// reads.
+func TestReadHeatFollowsTheRead(t *testing.T) {
+	const blocks = 6
+	ctx := context.Background()
+	// gained counts the blocks that got a holder they did not have:
+	// the blocks a redistribution had to read.
+	gained := func(before, after *FileMeta) int {
+		n := 0
+		for i, bm := range after.Blocks {
+			for _, r := range bm.Replicas {
+				if !slices.Contains(before.Blocks[i].Replicas, r) {
+					n++
+					break
+				}
+			}
+		}
+		return n
+	}
+	all := func(_, _ *FileMeta) int { return blocks }
+	cases := []struct {
+		name  string
+		op    func(cl *Client) error
+		reads func(before, after *FileMeta) int
+	}{
+		{"read file", func(cl *Client) error { _, err := cl.ReadFileContext(ctx, "f"); return err }, all},
+		// Replication 1 under a floor of 2: every block is repaired.
+		{"repair", func(cl *Client) error { _, err := cl.MaintainReplication(ctx, "f", false); return err }, all},
+		{"rebalance", func(cl *Client) error { _, err := cl.Rebalance(ctx, "f"); return err }, gained},
+		{"adapt", func(cl *Client) error { _, err := cl.Adapt(ctx, "f"); return err }, gained},
+	}
+	for _, tc := range cases {
+		nn, cl := dedicatedNameNode(t, 8)
+		if _, _, err := cl.CopyFromLocalReportContext(ctx, "f", payload(blocks*100), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := nn.EnableDynamicRF(DynamicRFConfig{MinRF: 2, MaxRF: 5, Hysteresis: 1}); err != nil {
+			t.Fatal(err)
+		}
+		before, err := nn.Stat("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.op(cl); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		after, err := nn.Stat("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.reads(before, after)
+		if want == 0 {
+			t.Fatalf("%s read no block; the case pins nothing", tc.name)
+		}
+		d := nn.dynamic.Load()
+		d.mu.Lock()
+		heat := d.files["f"].heat
+		d.mu.Unlock()
+		if heat != float64(want) {
+			t.Errorf("%s: heat %v, want %d (one per block read)", tc.name, heat, want)
+		}
+	}
+}
+
 func TestDynamicRFMaintenancePrunesSurplus(t *testing.T) {
 	// A calm dedicated cluster with a cold file: the controller's
 	// target sits at the floor, so maintenance must prune a statically
@@ -147,7 +214,7 @@ func TestDynamicRFMaintenancePrunesSurplus(t *testing.T) {
 	nn, cl := dedicatedNameNode(t, 8)
 	cl.Replication = 4
 	data := payload(600) // 6 blocks x 4 replicas
-	if _, err := cl.CopyFromLocal("f", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := nn.EnableDynamicRF(DynamicRFConfig{MinRF: 2, MaxRF: 5, Hysteresis: 1}); err != nil {
@@ -156,7 +223,7 @@ func TestDynamicRFMaintenancePrunesSurplus(t *testing.T) {
 	pruned := 0
 	var last ReplicationReport
 	for pass := 0; pass < 6; pass++ {
-		rep, err := cl.MaintainReplication("f", false)
+		rep, err := cl.MaintainReplication(context.Background(), "f", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,12 +265,12 @@ func TestDynamicRFMaintenancePrunesSurplus(t *testing.T) {
 			}
 		}
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A stable system must not oscillate: further passes are no-ops.
 	for pass := 0; pass < 4; pass++ {
-		rep, err := cl.MaintainReplication("f", false)
+		rep, err := cl.MaintainReplication(context.Background(), "f", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +281,7 @@ func TestDynamicRFMaintenancePrunesSurplus(t *testing.T) {
 	// Content intact on the surviving replicas. (Read last: block
 	// reads feed the popularity signal, and a freshly-read file is
 	// legitimately hotter on the next pass.)
-	got, err := nn.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("content damaged by pruning: %v", err)
 	}
@@ -227,7 +294,7 @@ func TestDynamicRFPruneKeepsDownHoldersAndLowIDs(t *testing.T) {
 	// efficiency tie (a dedicated cluster is one big tie).
 	nn, cl := dedicatedNameNode(t, 6)
 	cl.Replication = 4
-	if _, err := cl.CopyFromLocal("f", payload(100), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(100), false); err != nil {
 		t.Fatal(err)
 	}
 	fm, err := nn.Stat("f")
@@ -243,7 +310,7 @@ func TestDynamicRFPruneKeepsDownHoldersAndLowIDs(t *testing.T) {
 	}
 	// Converge: 4 -> 3 -> 2 live replicas (one pass per step).
 	for pass := 0; pass < 4; pass++ {
-		if _, err := cl.MaintainReplication("f", false); err != nil {
+		if _, err := cl.MaintainReplication(context.Background(), "f", false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +376,7 @@ func TestDynamicRFChurnSoak(t *testing.T) {
 	cl.Replication = 3
 	cl.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond}
 	data := bytes.Repeat([]byte("dynrfsoak!"), 120) // 12 blocks
-	if _, err := cl.CopyFromLocal("f", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := nn.EnableDynamicRF(DynamicRFConfig{MinRF: 2, MaxRF: 4, Hysteresis: 2}); err != nil {
@@ -341,7 +408,7 @@ func TestDynamicRFChurnSoak(t *testing.T) {
 	}
 	// Read heat.
 	worker(func(*stats.RNG) {
-		if _, err := cl.ReadFile("f"); err != nil && !IsTransient(err) {
+		if _, err := cl.ReadFileContext(context.Background(), "f"); err != nil && !IsTransient(err) {
 			t.Errorf("read: %v", err)
 		}
 	})
@@ -353,7 +420,7 @@ func TestDynamicRFChurnSoak(t *testing.T) {
 	mcl.Replication = cl.Replication
 	mcl.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Microsecond}
 	worker(func(*stats.RNG) {
-		if _, err := mcl.MaintainReplication("f", false); err != nil && !IsTransient(err) {
+		if _, err := mcl.MaintainReplication(context.Background(), "f", false); err != nil && !IsTransient(err) {
 			t.Errorf("maintain: %v", err)
 		}
 	})
@@ -379,7 +446,7 @@ func TestDynamicRFChurnSoak(t *testing.T) {
 	var prev ReplicationReport
 	converged := 0
 	for round := 0; converged < 4; round++ {
-		rep, err := mcl.MaintainReplication("f", false)
+		rep, err := mcl.MaintainReplication(context.Background(), "f", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,10 +466,10 @@ func TestDynamicRFChurnSoak(t *testing.T) {
 	if prev.Target < 2 || prev.Target > 4 {
 		t.Fatalf("converged target %d outside [2, 4]", prev.Target)
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("data lost under churn: %v", err)
 	}

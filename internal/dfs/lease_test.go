@@ -110,10 +110,10 @@ func TestCompleteTakesSizesFromTheLease(t *testing.T) {
 		fm.Blocks[1].File != "f" || fm.Blocks[1].Index != 1 {
 		t.Fatalf("published meta took the writer's word: %+v", fm)
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestCompleteTakesSizesFromTheLease(t *testing.T) {
 // refused.
 func TestLeaseShieldsReplicasUntilItExpires(t *testing.T) {
 	nn, cl, clk := leaseFixture(t)
-	if _, err := cl.CopyFromLocal("kept", []byte("kept bytes"), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "kept", []byte("kept bytes"), false); err != nil {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte("z"), 120)
@@ -172,11 +172,11 @@ func TestLeaseShieldsReplicasUntilItExpires(t *testing.T) {
 	if n := scrub(); n != 0 {
 		t.Fatalf("scrub removed %d replicas of published files", n)
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"kept", "open"} {
-		if _, err := cl.ReadFile(name); err != nil {
+		if _, err := cl.ReadFileContext(context.Background(), name); err != nil {
 			t.Fatalf("read %q after scrubs: %v", name, err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestScrubCollectsSurplusCopyOfLiveBlock(t *testing.T) {
 	nn, cl, _ := leaseFixture(t)
 	ctx := context.Background()
 	data := bytes.Repeat([]byte("s"), 250) // 3 blocks, 2 replicas each
-	fm, err := cl.CopyFromLocal("f", data, false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +218,10 @@ func TestScrubCollectsSurplusCopyOfLiveBlock(t *testing.T) {
 	if n := storedReplicas(nn, fm.Blocks); n != 6 {
 		t.Fatalf("%d replicas stored after the scrub, want the 6 listed", n)
 	}
-	if got, err := cl.ReadFile("f"); err != nil || !bytes.Equal(got, data) {
+	if got, err := cl.ReadFileContext(context.Background(), "f"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back after scrub: %v", err)
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -234,7 +234,7 @@ func TestFailedCreateDropsItsLease(t *testing.T) {
 		mustDataNode(t, nn, cluster.NodeID(id)).SetUp(false)
 	}
 	cl.Retry = RetryPolicy{}
-	if _, err := cl.CopyFromLocal("f", []byte("nowhere to go"), false); !errors.Is(err, ErrNoLiveNodes) {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", []byte("nowhere to go"), false); !errors.Is(err, ErrNoLiveNodes) {
 		t.Fatalf("err = %v, want ErrNoLiveNodes", err)
 	}
 	if n := len(nn.leases.byFirst); n != 0 {

@@ -36,11 +36,6 @@ type ReplicationReport struct {
 //
 // Blocks whose every holder is down cannot be repaired (their bytes
 // are unreachable) and are reported as such.
-func (c *Client) MaintainReplication(name string, useAdapt bool) (ReplicationReport, error) {
-	return c.MaintainReplicationContext(context.Background(), name, useAdapt)
-}
-
-// MaintainReplicationContext is MaintainReplication bounded by ctx.
 //
 // When a dynamic replication controller is enabled (EnableDynamicRF)
 // the pass enforces the controller's per-file target instead of the
@@ -51,7 +46,7 @@ func (c *Client) MaintainReplication(name string, useAdapt bool) (ReplicationRep
 // invalidated, so metadata never points at data that is gone. Down
 // holders are never pruned: their bytes may be the only surviving
 // copies and cost nothing while unreachable.
-func (c *Client) MaintainReplicationContext(ctx context.Context, name string, useAdapt bool) (ReplicationReport, error) {
+func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt bool) (ReplicationReport, error) {
 	var report ReplicationReport
 	unlock := c.nn.lockFile(name)
 	defer unlock()
@@ -63,7 +58,7 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 	// One availability snapshot serves the whole pass: the dynamic
 	// target, the repair weights and the surplus split.
 	cl := c.nn.Cluster()
-	effs := cl.Efficiencies(c.gamma())
+	effs := cl.Efficiencies(defaultGamma)
 	target := fm.Replication
 	if d := c.nn.dynamic.Load(); d != nil {
 		target = d.step(name, fm.Replication, d.volatility(cl))
@@ -116,7 +111,7 @@ func (c *Client) MaintainReplicationContext(ctx context.Context, name string, us
 			c.nn.io.counters.UnrepairableBlocks.Add(1)
 			continue
 		}
-		data, err := c.ReadBlockContext(ctx, bm)
+		data, err := c.readBlock(ctx, bm)
 		if err != nil {
 			report.Unrepairable++
 			c.nn.io.counters.UnrepairableBlocks.Add(1)

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/cluster"
@@ -11,7 +12,7 @@ func TestMaintainReplicationRepairs(t *testing.T) {
 	nn, cl := testClient(t, 10, 100)
 	cl.Replication = 2
 	data := payload(800) // 8 blocks
-	fm, err := cl.CopyFromLocal("f", data, false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestMaintainReplicationRepairs(t *testing.T) {
 	}
 	dn.SetUp(false)
 
-	report, err := cl.MaintainReplication("f", true)
+	report, err := cl.MaintainReplication(context.Background(), "f", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestMaintainReplicationRepairs(t *testing.T) {
 	}
 
 	// Content unchanged.
-	got, err := nn.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMaintainReplicationRepairs(t *testing.T) {
 
 func TestMaintainReplicationUnrepairable(t *testing.T) {
 	nn, cl := testClient(t, 4, 100)
-	fm, err := cl.CopyFromLocal("f", payload(100), false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(100), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestMaintainReplicationUnrepairable(t *testing.T) {
 		}
 		dn.SetUp(false)
 	}
-	report, err := cl.MaintainReplication("f", false)
+	report, err := cl.MaintainReplication(context.Background(), "f", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +95,14 @@ func TestMaintainReplicationUnrepairable(t *testing.T) {
 func TestMaintainReplicationHealthyNoop(t *testing.T) {
 	nn, cl := testClient(t, 8, 100)
 	cl.Replication = 2
-	if _, err := cl.CopyFromLocal("f", payload(400), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", payload(400), false); err != nil {
 		t.Fatal(err)
 	}
 	before, err := nn.Stat("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := cl.MaintainReplication("f", true)
+	report, err := cl.MaintainReplication(context.Background(), "f", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestMaintainReplicationHealthyNoop(t *testing.T) {
 
 func TestMaintainReplicationMissingFile(t *testing.T) {
 	_, cl := testClient(t, 4, 100)
-	if _, err := cl.MaintainReplication("nope", true); err == nil {
+	if _, err := cl.MaintainReplication(context.Background(), "nope", true); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -124,7 +125,7 @@ func TestMaintainReplicationAdaptPrefersReliable(t *testing.T) {
 	nn, cl := testClient(t, 16, 10)
 	cl.Replication = 2
 	data := payload(10 * 16 * 20) // 320 blocks, 640 replicas
-	if _, err := cl.CopyFromLocal("f", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false); err != nil {
 		t.Fatal(err)
 	}
 	before, err := nn.BlockDistribution("f")
@@ -149,7 +150,7 @@ func TestMaintainReplicationAdaptPrefersReliable(t *testing.T) {
 	}
 	dn.SetUp(false)
 
-	report, err := cl.MaintainReplication("f", true)
+	report, err := cl.MaintainReplication(context.Background(), "f", true)
 	if err != nil {
 		t.Fatal(err)
 	}

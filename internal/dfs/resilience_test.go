@@ -139,7 +139,7 @@ func TestErrNodeDownSentinel(t *testing.T) {
 func TestRedistributeAbortKeepsFileIntact(t *testing.T) {
 	nn, cl := resilienceFixture(t, 4)
 	data := bytes.Repeat([]byte("abcdefghij"), 20) // 2 blocks of 100
-	if _, err := cl.CopyFromLocal("f", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false); err != nil {
 		t.Fatal(err)
 	}
 	before, err := nn.Stat("f")
@@ -192,14 +192,14 @@ func TestRedistributeAbortKeepsFileIntact(t *testing.T) {
 	if mustDataNode(t, nn, moveTarget).Has(before.Blocks[0].ID) {
 		t.Fatal("aborted redistribute leaked a partial copy")
 	}
-	got, err := cl.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil {
 		t.Fatalf("file unreadable after aborted redistribute: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("data corrupted by aborted redistribute")
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -207,7 +207,7 @@ func TestRedistributeAbortKeepsFileIntact(t *testing.T) {
 func TestRedistributePublishesBeforePruning(t *testing.T) {
 	nn, cl := resilienceFixture(t, 4)
 	data := bytes.Repeat([]byte("0123456789"), 10) // 1 block
-	fm, err := cl.CopyFromLocal("f", data, false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRedistributePublishesBeforePruning(t *testing.T) {
 	if mustDataNode(t, nn, oldHolder).Has(fm.Blocks[0].ID) {
 		t.Fatal("old replica not pruned after publish")
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if nn.Resilience().Snapshot().RedistributedReplicas != 1 {
@@ -243,7 +243,7 @@ func TestChecksumFailoverOnCorruptRead(t *testing.T) {
 	nn, cl := resilienceFixture(t, 4)
 	cl.Replication = 2
 	data := bytes.Repeat([]byte("checksums!"), 10)
-	fm, err := cl.CopyFromLocal("f", data, false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestChecksumFailoverOnCorruptRead(t *testing.T) {
 	nn.SetFaultInjector(faults)
 	defer nn.SetFaultInjector(nil)
 
-	got, err := cl.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil {
 		t.Fatalf("read with one corrupt replica should fail over: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestChecksumFailoverOnCorruptRead(t *testing.T) {
 		faults.corruptOn[r] = true
 		faults.mu.Unlock()
 	}
-	if _, err := cl.ReadBlockContext(context.Background(), fm.Blocks[0]); err == nil {
+	if _, err := cl.readBlock(context.Background(), fm.Blocks[0]); err == nil {
 		t.Fatal("read with all replicas corrupt should fail")
 	} else if !errors.Is(err, ErrNoReplica) || !IsTransient(err) {
 		t.Fatalf("want transient ErrNoReplica, got %v", err)
@@ -300,7 +300,7 @@ func TestDegradedWriteFallsBackAndReports(t *testing.T) {
 	if !report.Degraded() {
 		t.Fatal("report should flag degradation")
 	}
-	got, err := cl.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("degraded file unreadable: %v", err)
 	}
@@ -309,7 +309,7 @@ func TestDegradedWriteFallsBackAndReports(t *testing.T) {
 	// target replication degree.
 	mustDataNode(t, nn, 2).SetUp(true)
 	mustDataNode(t, nn, 3).SetUp(true)
-	rep, err := cl.MaintainReplication("f", false)
+	rep, err := cl.MaintainReplication(context.Background(), "f", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestDegradedWriteFallsBackAndReports(t *testing.T) {
 	if len(healed.Blocks[0].Replicas) != 3 {
 		t.Fatalf("replication not restored: %v", healed.Blocks[0].Replicas)
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -346,7 +346,7 @@ func TestWriteRetriesUntilNodeRejoins(t *testing.T) {
 		},
 	}
 	data := bytes.Repeat([]byte("waitforit!"), 10)
-	fm, report, err := cl.CopyFromLocalReport("f", data, false)
+	fm, report, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false)
 	if err != nil {
 		t.Fatalf("write should succeed once a node rejoins: %v", err)
 	}
@@ -364,7 +364,7 @@ func TestWriteFailsWhenNoNodeEverAccepts(t *testing.T) {
 		mustDataNode(t, nn, cluster.NodeID(i)).SetUp(false)
 	}
 	cl.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond}
-	_, err := cl.CopyFromLocal("f", bytes.Repeat([]byte("x"), 100), false)
+	_, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", bytes.Repeat([]byte("x"), 100), false)
 	if !errors.Is(err, ErrNoLiveNodes) {
 		t.Fatalf("want ErrNoLiveNodes, got %v", err)
 	}
@@ -382,13 +382,13 @@ func TestWriteFailsWhenNoNodeEverAccepts(t *testing.T) {
 func TestInjectedTransientFaultsAreRetried(t *testing.T) {
 	nn, cl := resilienceFixture(t, 4)
 	data := bytes.Repeat([]byte("transient!"), 10)
-	if _, err := cl.CopyFromLocal("f", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false); err != nil {
 		t.Fatal(err)
 	}
 	nn.SetFaultInjector(&stubFaults{failGets: 2})
 	defer nn.SetFaultInjector(nil)
 	cl.Retry = RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond}
-	got, err := cl.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil {
 		t.Fatalf("transient injected faults should be retried away: %v", err)
 	}
@@ -401,17 +401,17 @@ func TestCheckConsistencyDetectsViolations(t *testing.T) {
 	nn, cl := resilienceFixture(t, 4)
 	cl.Replication = 2
 	data := bytes.Repeat([]byte("invariant!"), 10)
-	fm, err := cl.CopyFromLocal("f", data, false)
+	fm, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatalf("fresh file should be consistent: %v", err)
 	}
 	// Simulate the bug class the checker exists for: a replica
 	// deleted while still referenced by metadata.
 	mustDataNode(t, nn, fm.Blocks[0].Replicas[0]).Delete(fm.Blocks[0].ID)
-	if err := nn.CheckConsistency(); err == nil {
+	if err := nn.CheckConsistency(context.Background()); err == nil {
 		t.Fatal("checker missed a lost replica")
 	}
 }
@@ -426,7 +426,7 @@ func TestMaintenanceUnderConcurrentChurn(t *testing.T) {
 	cl.Replication = 2
 	cl.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond}
 	data := bytes.Repeat([]byte("churnsoak!"), 120) // 12 blocks
-	if _, err := cl.CopyFromLocal("f", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "f", data, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -465,14 +465,14 @@ func TestMaintenanceUnderConcurrentChurn(t *testing.T) {
 	mcl.Replication = cl.Replication
 	mcl.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Microsecond}
 	worker(func(*stats.RNG) {
-		if _, err := mcl.MaintainReplication("f", false); err != nil && !IsTransient(err) {
+		if _, err := mcl.MaintainReplication(context.Background(), "f", false); err != nil && !IsTransient(err) {
 			t.Errorf("maintain: %v", err)
 		}
 	})
 	// Reader loop: reads either succeed with intact bytes or fail
 	// transiently.
 	worker(func(*stats.RNG) {
-		got, err := cl.ReadFile("f")
+		got, err := cl.ReadFileContext(context.Background(), "f")
 		if err != nil {
 			if !IsTransient(err) {
 				t.Errorf("read: %v", err)
@@ -501,7 +501,7 @@ func TestMaintenanceUnderConcurrentChurn(t *testing.T) {
 		}
 	}
 	for round := 0; ; round++ {
-		rep, err := mcl.MaintainReplication("f", false)
+		rep, err := mcl.MaintainReplication(context.Background(), "f", false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,10 +515,10 @@ func TestMaintenanceUnderConcurrentChurn(t *testing.T) {
 			t.Fatalf("replication did not converge: %+v", rep)
 		}
 	}
-	if err := nn.CheckConsistency(); err != nil {
+	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.ReadFile("f")
+	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("data lost under churn: %v", err)
 	}

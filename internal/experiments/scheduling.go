@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -203,19 +204,18 @@ func runSchedCell(cfg SchedulingConfig, cl *cluster.Cluster, mode SchedMode, see
 	}
 	const payload = 64 // bytes per dfs block; sim timing uses 64 MB blocks
 	client.BlockSize = payload
-	client.Gamma = hadoopsim.DefaultGamma
 	client.Replication = schedStaticReplicas
 	if mode.DynamicRF {
 		// The controller starts every file at its floor and earns
 		// replicas from heat and volatility.
-		rfCfg := dfs.DynamicRFConfig{Gamma: hadoopsim.DefaultGamma}
-		if err := nn.EnableDynamicRF(rfCfg); err != nil {
+		if err := nn.EnableDynamicRF(dfs.DynamicRFConfig{}); err != nil {
 			return schedCell{}, err
 		}
 		client.Replication = 2
 	}
 	const input = "sched/input"
-	if _, err := client.CopyFromLocal(input, schedInput(blocks, payload), true); err != nil {
+	ctx := context.Background()
+	if _, _, err := client.CopyFromLocalReportContext(ctx, input, schedInput(blocks, payload), true); err != nil {
 		return schedCell{}, err
 	}
 
@@ -225,10 +225,10 @@ func runSchedCell(cfg SchedulingConfig, cl *cluster.Cluster, mode SchedMode, see
 	// the rounds are no-ops — the file is healthy at its static target —
 	// so both arms run the same cell structure.
 	for r := 0; r < cfg.AgingRounds; r++ {
-		if _, err := client.ReadFile(input); err != nil {
+		if _, err := client.ReadFileContext(ctx, input); err != nil {
 			return schedCell{}, err
 		}
-		if _, err := client.MaintainReplication(input, true); err != nil {
+		if _, err := client.MaintainReplication(ctx, input, true); err != nil {
 			return schedCell{}, err
 		}
 	}

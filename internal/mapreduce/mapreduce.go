@@ -11,6 +11,7 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -281,7 +282,7 @@ func (e *Engine) Run(job Job, g *stats.RNG) (*Result, error) {
 			return nil, err
 		}
 		partName := fmt.Sprintf("%s/part-%05d", job.Output, p)
-		if _, err := outCl.CopyFromLocal(partName, outBytes, false); err != nil {
+		if _, _, err := outCl.CopyFromLocalReportContext(context.Background(), partName, outBytes, false); err != nil {
 			return nil, fmt.Errorf("mapreduce: %s: write %s: %w", job.Name, partName, err)
 		}
 		res.OutputFiles = append(res.OutputFiles, partName)

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -53,14 +54,14 @@ func identityJob(input, output string, reducers int) Job {
 }
 
 func TestMapOnlyJob(t *testing.T) {
-	nn, cl, eng := newEngine(t, 4, 0)
+	_, cl, eng := newEngine(t, 4, 0)
 	// 8-byte lines, block size 64 → boundaries align.
 	var in bytes.Buffer
 	for i := 0; i < 64; i++ {
 		fmt.Fprintf(&in, "line%03d\n", i)
 	}
 	cl.BlockSize = 64
-	if _, err := cl.CopyFromLocal("in", in.Bytes(), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", in.Bytes(), false); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Run(identityJob("in", "out", 2), stats.NewRNG(5))
@@ -76,7 +77,7 @@ func TestMapOnlyJob(t *testing.T) {
 	// All lines present across parts.
 	seen := map[string]bool{}
 	for _, f := range res.OutputFiles {
-		data, err := nn.ReadFile(f)
+		data, err := cl.ReadFileContext(context.Background(), f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +97,11 @@ func TestMapOnlyJob(t *testing.T) {
 }
 
 func TestReduceJobSums(t *testing.T) {
-	nn, cl, eng := newEngine(t, 4, 0)
+	_, cl, eng := newEngine(t, 4, 0)
 	// Data: "a a b a b c" style with aligned 2-byte tokens.
 	data := bytes.Repeat([]byte("a b a c "), 32) // 256 bytes
 	cl.BlockSize = 64
-	if _, err := cl.CopyFromLocal("in", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", data, false); err != nil {
 		t.Fatal(err)
 	}
 	job := Job{
@@ -123,7 +124,7 @@ func TestReduceJobSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := nn.ReadFile(res.OutputFiles[0])
+	out, err := cl.ReadFileContext(context.Background(), res.OutputFiles[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +137,13 @@ func TestReduceJobSums(t *testing.T) {
 func TestJobWithInterruptionsStillCorrect(t *testing.T) {
 	// Half the nodes are volatile; the job must still produce exactly
 	// correct output (re-execution is transparent).
-	nn, cl, eng := newEngine(t, 8, 0.5)
+	_, cl, eng := newEngine(t, 8, 0.5)
 	var in bytes.Buffer
 	for i := 0; i < 128; i++ {
 		fmt.Fprintf(&in, "rec%04d\n", i)
 	}
 	cl.BlockSize = 64 // 8-byte records, 16 blocks
-	if _, err := cl.CopyFromLocal("in", in.Bytes(), true); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", in.Bytes(), true); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Run(identityJob("in", "out", 2), stats.NewRNG(31))
@@ -154,7 +155,7 @@ func TestJobWithInterruptionsStillCorrect(t *testing.T) {
 	}
 	total := 0
 	for _, f := range res.OutputFiles {
-		data, err := nn.ReadFile(f)
+		data, err := cl.ReadFileContext(context.Background(), f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,13 +168,13 @@ func TestJobWithInterruptionsStillCorrect(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	run := func() (*Result, string) {
-		nn, cl, eng := newEngine(t, 8, 0.5)
+		_, cl, eng := newEngine(t, 8, 0.5)
 		var in bytes.Buffer
 		for i := 0; i < 64; i++ {
 			fmt.Fprintf(&in, "rec%04d\n", i)
 		}
 		cl.BlockSize = 64
-		if _, err := cl.CopyFromLocal("in", in.Bytes(), false); err != nil {
+		if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", in.Bytes(), false); err != nil {
 			t.Fatal(err)
 		}
 		res, err := eng.Run(identityJob("in", "out", 2), stats.NewRNG(77))
@@ -182,7 +183,7 @@ func TestRunDeterministic(t *testing.T) {
 		}
 		var sb strings.Builder
 		for _, f := range res.OutputFiles {
-			data, err := nn.ReadFile(f)
+			data, err := cl.ReadFileContext(context.Background(), f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +200,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	_, cl, eng := newEngine(t, 4, 0)
-	if _, err := cl.CopyFromLocal("in", []byte("x\n"), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", []byte("x\n"), false); err != nil {
 		t.Fatal(err)
 	}
 	g := stats.NewRNG(1)
@@ -225,7 +226,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestMapperErrorPropagates(t *testing.T) {
 	_, cl, eng := newEngine(t, 4, 0)
-	if _, err := cl.CopyFromLocal("in", []byte("x\n"), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", []byte("x\n"), false); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
@@ -242,7 +243,7 @@ func TestMapperErrorPropagates(t *testing.T) {
 
 func TestReducerErrorPropagates(t *testing.T) {
 	_, cl, eng := newEngine(t, 4, 0)
-	if _, err := cl.CopyFromLocal("in", []byte("x\n"), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", []byte("x\n"), false); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
@@ -266,7 +267,7 @@ func TestHashPartitionStableAndBounded(t *testing.T) {
 func TestPartitionerRouting(t *testing.T) {
 	// Custom partitioner sending everything to partition 1 of 3.
 	_, cl, eng := newEngine(t, 4, 0)
-	if _, err := cl.CopyFromLocal("in", []byte("a\nb\nc\n"), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", []byte("a\nb\nc\n"), false); err != nil {
 		t.Fatal(err)
 	}
 	job := identityJob("in", "out", 3)
@@ -278,12 +279,11 @@ func TestPartitionerRouting(t *testing.T) {
 	if res.OutputFiles[1] != "out/part-00001" {
 		t.Fatalf("files = %v", res.OutputFiles)
 	}
-	nn := eng.nn
-	p0, err := nn.ReadFile(res.OutputFiles[0])
+	p0, err := cl.ReadFileContext(context.Background(), res.OutputFiles[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := nn.ReadFile(res.OutputFiles[1])
+	p1, err := cl.ReadFileContext(context.Background(), res.OutputFiles[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestMapReadLeavesLivenessAlone(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		fmt.Fprintf(&in, "line%03d\n", i)
 	}
-	if _, err := cl.CopyFromLocal("in", in.Bytes(), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", in.Bytes(), false); err != nil {
 		t.Fatal(err)
 	}
 	fm, err := nn.Stat("in")

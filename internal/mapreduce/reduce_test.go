@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestAvailabilityAwareReducersFaster(t *testing.T) {
 			fmt.Fprintf(&in, "rec%04d\n", i)
 		}
 		cl.BlockSize = 256
-		if _, err := cl.CopyFromLocal("in", in.Bytes(), false); err != nil {
+		if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", in.Bytes(), false); err != nil {
 			t.Fatal(err)
 		}
 		eng, err := NewEngine(nn, EngineConfig{
@@ -97,7 +98,7 @@ func TestAvailabilityAwareReducersFaster(t *testing.T) {
 
 func TestReducerHostsRecorded(t *testing.T) {
 	_, cl, eng := newEngine(t, 4, 0)
-	if _, err := cl.CopyFromLocal("in", []byte("a\nb\n"), false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", []byte("a\nb\n"), false); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Run(identityJob("in", "out", 3), stats.NewRNG(1))

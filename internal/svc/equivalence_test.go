@@ -120,7 +120,7 @@ func TestProtocolEquivalenceContent(t *testing.T) {
 
 	// Cross-check the stored replicas bit for bit, not just through
 	// the read path: fsck-grade equivalence.
-	if err := refNN.CheckConsistency(); err != nil {
+	if err := refNN.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.CheckConsistency(ctx); err != nil {

@@ -458,12 +458,12 @@ func (s *NameNodeServer) delete(ctx context.Context, p nameParams) (any, error) 
 }
 
 func (s *NameNodeServer) adapt(ctx context.Context, p nameParams) (any, error) {
-	moved, err := s.cl.AdaptContext(ctx, p.Name)
+	moved, err := s.cl.Adapt(ctx, p.Name)
 	return movedResult{Moved: moved}, err
 }
 
 func (s *NameNodeServer) rebalance(ctx context.Context, p nameParams) (any, error) {
-	moved, err := s.cl.RebalanceContext(ctx, p.Name)
+	moved, err := s.cl.Rebalance(ctx, p.Name)
 	return movedResult{Moved: moved}, err
 }
 
@@ -477,7 +477,7 @@ func (s *NameNodeServer) estimates(context.Context) (any, error) {
 }
 
 func (s *NameNodeServer) consistency(ctx context.Context) (any, error) {
-	return struct{}{}, s.nn.CheckConsistencyContext(ctx)
+	return struct{}{}, s.nn.CheckConsistency(ctx)
 }
 
 func (s *NameNodeServer) fsck(context.Context) (any, error) {

@@ -27,7 +27,7 @@ const (
 // every interval (2s when not positive) — or immediately when the
 // failure detector declares a node dead — it sweeps the namespace and
 // re-replicates every under-replicated block through the engine's
-// availability-aware repair path (dfs.Client.MaintainReplicationContext
+// availability-aware repair path (dfs.Client.MaintainReplication
 // with ADAPT weights, the same 1/E[T] scoring initial placement uses),
 // with bounded concurrency and per-file retry/backoff, and collects
 // orphan replicas (see RepairScan). Because a dead node kicks a scan at once,
@@ -120,7 +120,7 @@ func (s *NameNodeServer) repairFile(ctx context.Context, name string) (int, erro
 	repaired := 0
 	backoff := repairBackoff
 	for attempt := 1; ; attempt++ {
-		report, err := s.cl.MaintainReplicationContext(ctx, name, true)
+		report, err := s.cl.MaintainReplication(ctx, name, true)
 		repaired += report.Repaired
 		switch {
 		case err == nil && report.Unrepairable == 0:

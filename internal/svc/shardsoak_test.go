@@ -274,7 +274,7 @@ func TestShardedJournalChurnReplay(t *testing.T) {
 					continue
 				}
 				name := fmt.Sprintf("@t%d/w%d-f%06d", w%4, w, op)
-				if _, err := cl.CopyFromLocal(name, durablePayload(w*100000+op, fileSize), op%2 == 0); err != nil {
+				if _, _, err := cl.CopyFromLocalReportContext(context.Background(), name, durablePayload(w*100000+op, fileSize), op%2 == 0); err != nil {
 					errs[w] = fmt.Errorf("create %q: %w", name, err)
 					return
 				}

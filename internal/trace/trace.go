@@ -206,7 +206,7 @@ type Set struct {
 
 // Validate checks every member trace and the shared horizon.
 func (s *Set) Validate() error {
-	if s.Horizon <= 0 {
+	if s.Horizon <= 0 || math.IsNaN(s.Horizon) {
 		return fmt.Errorf("%w: %g", ErrBadHorizon, s.Horizon)
 	}
 	for i := range s.Traces {

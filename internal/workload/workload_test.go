@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/cluster"
@@ -115,7 +116,7 @@ func TestTeraSortEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.BlockSize = 50 * TeraRecordLen // 8 blocks, record-aligned
-	if _, err := cl.CopyFromLocal("tera/in", data, true); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "tera/in", data, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,7 +139,7 @@ func TestTeraSortEndToEnd(t *testing.T) {
 	}
 	parts := make([][]byte, 0, len(res.OutputFiles))
 	for _, f := range res.OutputFiles {
-		data, err := nn.ReadFile(f)
+		data, err := cl.ReadFileContext(context.Background(), f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func TestWordCountEndToEnd(t *testing.T) {
 	// 8-byte aligned tokens so block boundaries never split a word.
 	data := bytes.Repeat([]byte("foo bar "), 64) // 512 bytes
 	cl.BlockSize = 64
-	if _, err := cl.CopyFromLocal("wc/in", data, false); err != nil {
+	if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "wc/in", data, false); err != nil {
 		t.Fatal(err)
 	}
 	eng, err := mapreduce.NewEngine(nn, mapreduce.EngineConfig{})
@@ -206,7 +207,7 @@ func TestWordCountEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := nn.ReadFile(res.OutputFiles[0])
+	out, err := cl.ReadFileContext(context.Background(), res.OutputFiles[0])
 	if err != nil {
 		t.Fatal(err)
 	}
