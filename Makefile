@@ -42,17 +42,20 @@ race-all:
 	$(GO) test -race ./...
 
 # Coverage-guided fuzz smoke for the decoders that read bytes they did
-# not write, each target for 10s on top of its committed seed corpus:
-# the frame codec, which is the whole wire (calls, replies and errors
-# ride the frames block streams do) — the decoder target (arbitrary
-# bytes must never crash, leak pooled buffers, or yield an invalid
-# frame) and the chunk-reassembly round trip — and the trace CSV
+# not write, 30s in all, each target for 7.5s on top of its committed
+# seed corpus: the frame codec, which is the whole wire (calls, replies
+# and errors ride the frames block streams do) — the decoder target
+# (arbitrary bytes must never crash, leak pooled buffers, or yield an
+# invalid frame) and the chunk-reassembly round trip — the trace CSV
 # decoder (never panics; whatever it accepts survives a write and a
-# re-read unchanged).
+# re-read unchanged), and the WAL segment decoder (a damaged final
+# segment replays a prefix of what was written; a damaged earlier one
+# is ErrCorrupt).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/svc/
-	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 10s ./internal/svc/
-	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 7500ms ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 7500ms ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 7500ms ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzWALSegment -fuzztime 7500ms ./internal/wal/
 
 # Determinism gate for the headline scheduling experiment: the full
 # policy x replication x Table-2 grid must fingerprint identically at

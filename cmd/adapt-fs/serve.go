@@ -135,7 +135,8 @@ func serveNameNode(args []string) error {
 		return fmt.Errorf("serve-namenode: -datanodes is required")
 	}
 	// The cluster starts with no availability knowledge: every (λ, μ)
-	// the predictor uses is learned from DataNode heartbeats.
+	// the predictor uses is learned from the DataNodes' heartbeats and
+	// the silences between them.
 	c, err := cluster.New(make([]cluster.Node, len(addrs)))
 	if err != nil {
 		return err
@@ -156,6 +157,7 @@ func serveNameNode(args []string) error {
 			Cooldown:  *brkCooldown,
 		},
 		HedgeReads: *hedgeReads,
+		Detector:   svc.DetectorConfig{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter},
 	})
 	if err != nil {
 		return err
@@ -171,7 +173,7 @@ func serveNameNode(args []string) error {
 	// The failure detector and the auto-repair scheduler make the
 	// master autonomous: silent DataNodes are declared dead and their
 	// blocks re-replicated availability-aware without operator action.
-	nn.StartFailureDetector(svc.DetectorConfig{SuspectAfter: *suspectAfter, DeadAfter: *deadAfter})
+	nn.StartFailureDetector()
 	nn.StartAutoRepair(*repairEvery)
 	var stopHTTP func(context.Context) error
 	if *httpAddr != "" {
@@ -201,7 +203,7 @@ func serveDataNode(args []string) error {
 		id        = fs.Int("id", 0, "node id within the cluster")
 		listen    = fs.String("listen", "127.0.0.1:9864", "block-service listen address")
 		namenode  = fs.String("namenode", "127.0.0.1:9870", "NameNode address for heartbeats")
-		heartbeat = fs.Duration("heartbeat", 3*time.Second, "heartbeat interval")
+		heartbeat = fs.Duration("heartbeat", time.Second, "heartbeat interval (keep it a few times shorter than the NameNode's -suspect-after)")
 
 		maxInflight = fs.Int("max-inflight", 0, "admission concurrency limit (0 = admission control disabled)")
 		queueDepth  = fs.Int("queue-depth", 0, "bounded admission wait queue (0 = 4x max-inflight)")
@@ -227,7 +229,7 @@ func serveDataNode(args []string) error {
 	ctx, cancel := signalContext()
 	defer cancel()
 	<-ctx.Done()
-	fmt.Printf("datanode %d: draining (final heartbeat flush)\n", *id)
+	fmt.Printf("datanode %d: draining\n", *id)
 	drain, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer dcancel()
 	return dn.Stop(drain)
@@ -466,15 +468,25 @@ func localDemo(args []string) error {
 	fmt.Println("read during partition: intact (failover path)")
 	nf.Heal(fmt.Sprintf("datanode-%d", victim))
 
-	// Teach the predictor via heartbeats: first two nodes flaky.
-	for id := cluster.NodeID(0); int(id) < *nodes; id++ {
-		if id < 2 {
-			_ = lc.ObserveUptime(id, 600)
-			for i := 0; i < 60; i++ {
-				_ = lc.ObserveInterruption(id, 8)
+	// Teach the predictor: interrupt the first two nodes a few times.
+	// The NameNode sees each come back as a new incarnation and counts
+	// an interruption; the beats in between are the up spans every
+	// node needs for a finite estimate.
+	for cycle := 0; cycle < 5; cycle++ {
+		if err := lc.FlushHeartbeats(ctx); err != nil {
+			return err
+		}
+		time.Sleep(20 * time.Millisecond)
+		if err := lc.FlushHeartbeats(ctx); err != nil {
+			return err
+		}
+		for _, up := range []bool{false, true} {
+			for id := cluster.NodeID(0); id < 2; id++ {
+				if err := lc.SetNodeUp(id, up); err != nil {
+					return err
+				}
 			}
-		} else {
-			_ = lc.ObserveUptime(id, 1080)
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	if err := lc.FlushHeartbeats(ctx); err != nil {

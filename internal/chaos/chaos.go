@@ -11,8 +11,9 @@
 // the outage), exactly the interruption process the paper's
 // availability model assumes. Every transition is pushed to a Target
 // (the NameNode's liveness switch) and, optionally, reported to an
-// Observer (the heartbeat estimator), closing the loop the soak tests
-// verify: the estimated (λ̂, μ̂) must converge to the injected values.
+// Observer (the heartbeat estimator) as a heartbeat collector would
+// see it, closing the loop the soak tests verify: the estimated
+// (λ̂, μ̂) must converge to the injected values.
 //
 // Everything is derived from an explicit RNG, so a seed reproduces the
 // full churn schedule event-for-event.
@@ -36,7 +37,10 @@ type Target interface {
 }
 
 // Observer receives the availability observations the NameNode's
-// heartbeat collector would make under the injected churn. A
+// heartbeat collector would make under the injected churn: each up
+// span when it ends, and each outage, as one interruption spanning its
+// whole downtime, when the node rejoins. Arrivals that only extend an
+// outage are invisible to a collector and are not reported. A
 // *cluster.HeartbeatEstimator satisfies it.
 type Observer interface {
 	ObserveUptime(id cluster.NodeID, d float64) error
@@ -89,7 +93,7 @@ type Config struct {
 	// Target receives every liveness flip. Required.
 	Target Target
 	// Observer, when non-nil, receives the heartbeat observations
-	// implied by the churn.
+	// implied by the churn: up spans and whole outages.
 	Observer Observer
 }
 
@@ -110,6 +114,7 @@ type nodeState struct {
 
 	up          bool
 	upSince     float64
+	downSince   float64
 	nextArrival float64 // +Inf when no more arrivals
 	downUntil   float64
 }
@@ -211,14 +216,12 @@ func (e *Engine) step() (Event, bool, error) {
 			if err := e.cfg.Observer.ObserveUptime(st.id, at-st.upSince); err != nil {
 				return Event{}, false, fmt.Errorf("chaos: observe uptime: %w", err)
 			}
-			if err := e.cfg.Observer.ObserveInterruption(st.id, service); err != nil {
-				return Event{}, false, fmt.Errorf("chaos: observe interruption: %w", err)
-			}
 		}
 		if err := e.cfg.Target.SetNodeUp(st.id, false); err != nil {
 			return Event{}, false, fmt.Errorf("chaos: set node %d down: %w", st.id, err)
 		}
 		st.up = false
+		st.downSince = at
 		st.downUntil = at + service
 		ev = Event{Time: at, Node: st.id, Kind: EventDown, Downtime: service}
 
@@ -227,23 +230,32 @@ func (e *Engine) step() (Event, bool, error) {
 		if arrErr != nil {
 			return Event{}, false, arrErr
 		}
-		if e.cfg.Observer != nil {
-			if err := e.cfg.Observer.ObserveInterruption(st.id, service); err != nil {
-				return Event{}, false, fmt.Errorf("chaos: observe interruption: %w", err)
-			}
-		}
 		st.downUntil += service
 		ev = Event{Time: at, Node: st.id, Kind: EventExtend, Downtime: service}
 
 	default: // recovery completes: the node rejoins
-		if err := e.cfg.Target.SetNodeUp(st.id, true); err != nil {
-			return Event{}, false, fmt.Errorf("chaos: set node %d up: %w", st.id, err)
+		if err := e.rejoin(st, at); err != nil {
+			return Event{}, false, err
 		}
-		st.up = true
-		st.upSince = at
 		ev = Event{Time: at, Node: st.id, Kind: EventUp}
 	}
 	return ev, true, nil
+}
+
+// rejoin brings a down node back up at virtual time at and reports
+// its whole outage as one interruption.
+func (e *Engine) rejoin(st *nodeState, at float64) error {
+	if err := e.cfg.Target.SetNodeUp(st.id, true); err != nil {
+		return fmt.Errorf("chaos: set node %d up: %w", st.id, err)
+	}
+	if e.cfg.Observer != nil {
+		if err := e.cfg.Observer.ObserveInterruption(st.id, at-st.downSince); err != nil {
+			return fmt.Errorf("chaos: observe interruption: %w", err)
+		}
+	}
+	st.up = true
+	st.upSince = at
+	return nil
 }
 
 // advanceArrival consumes the node's pending arrival, returning its
@@ -292,11 +304,9 @@ func (e *Engine) Quiesce() error {
 	for _, st := range e.nodes {
 		st.nextArrival = math.Inf(1)
 		if !st.up {
-			if err := e.cfg.Target.SetNodeUp(st.id, true); err != nil {
-				return fmt.Errorf("chaos: quiesce node %d: %w", st.id, err)
+			if err := e.rejoin(st, st.downUntil); err != nil {
+				return fmt.Errorf("chaos: quiesce: %w", err)
 			}
-			st.up = true
-			st.upSince = st.downUntil
 			if st.downUntil > e.now {
 				e.now = st.downUntil
 			}

@@ -189,9 +189,11 @@ func TestEngineTraceReplay(t *testing.T) {
 	if !tgt.ups[0] {
 		t.Fatal("node should end up")
 	}
+	// Two outages (5 s, 2 s) over 25 s up: λ̂ = 2/25, and μ̂ is the
+	// down fraction 7/32 over λ̂, i.e. 3.5·25/32.
 	est := hb.Estimate(0)
-	if math.Abs(est.Mu-3.5) > 1e-9 { // (5+2)/2
-		t.Fatalf("replayed mu estimate = %g, want 3.5", est.Mu)
+	if math.Abs(est.Lambda-0.08) > 1e-12 || math.Abs(est.Mu-2.734375) > 1e-9 {
+		t.Fatalf("replayed estimate = %+v, want λ 0.08, μ 2.734375", est)
 	}
 	sec, n := hb.Observed(0)
 	if n != 2 || math.Abs(sec-32) > 1e-9 { // 10 up + 5 down + 15 up + 2 down

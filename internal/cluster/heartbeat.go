@@ -9,9 +9,17 @@ import (
 
 // HeartbeatEstimator reproduces the ADAPT NameNode's lightweight
 // availability bookkeeping (§IV-B1): it does not retain heartbeat
-// history, only a two-double running estimate of (λ, μ) per node,
-// updated as interruptions are observed (heartbeat misses followed by
-// rejoins).
+// history, only per-node sums of observed uptime, observed downtime
+// and the number of outages, from which it derives (λ, μ).
+//
+// An interruption is one observed outage: a heartbeat miss followed
+// by a rejoin. A heartbeat collector cannot see interruptions that
+// arrive while a node is already down; it sees the busy periods of
+// the paper's M/G/1 interruption queue. So the estimate inverts the
+// busy period: an outage can only begin while the node is up, so
+// λ̂ = n/U, and the fraction of time spent down tends to ρ = λμ, so
+// μ̂ = (D/(U+D))/λ̂, where U is observed uptime, D observed downtime
+// and n the number of outages.
 //
 // The estimator is safe for concurrent use; the real NameNode receives
 // heartbeats from many DataNodes at once.
@@ -21,9 +29,9 @@ type HeartbeatEstimator struct {
 }
 
 type nodeStats struct {
-	observedFor   float64 // total observation seconds
-	interruptions int64
-	totalDowntime float64
+	uptime        float64 // observed up seconds
+	downtime      float64 // observed down seconds
+	interruptions int64   // observed outages
 }
 
 // NewHeartbeatEstimator returns an empty estimator.
@@ -31,20 +39,20 @@ func NewHeartbeatEstimator() *HeartbeatEstimator {
 	return &HeartbeatEstimator{nodes: make(map[NodeID]*nodeStats)}
 }
 
-// ObserveUptime records that a node was observed (heartbeating) for d
-// additional seconds. Negative durations are rejected.
+// ObserveUptime records that a node was observed up (heartbeating) for
+// d additional seconds. Negative durations are rejected.
 func (h *HeartbeatEstimator) ObserveUptime(id NodeID, d float64) error {
 	if d < 0 {
 		return fmt.Errorf("cluster: negative observation window %g", d)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.stats(id).observedFor += d
+	h.stats(id).uptime += d
 	return nil
 }
 
-// ObserveInterruption records one interruption with the given downtime
-// (the gap between the last heartbeat and the rejoin).
+// ObserveInterruption records one outage with the given downtime (the
+// gap between the last heartbeat and the rejoin).
 func (h *HeartbeatEstimator) ObserveInterruption(id NodeID, downtime float64) error {
 	if downtime < 0 {
 		return fmt.Errorf("cluster: negative downtime %g", downtime)
@@ -53,36 +61,7 @@ func (h *HeartbeatEstimator) ObserveInterruption(id NodeID, downtime float64) er
 	defer h.mu.Unlock()
 	s := h.stats(id)
 	s.interruptions++
-	s.totalDowntime += downtime
-	s.observedFor += downtime
-	return nil
-}
-
-// ObserveBatch folds one networked heartbeat's worth of observations
-// in a single step: uptime seconds of heartbeating, plus
-// interruptions rejoins whose downtimes sum to downtime seconds. It
-// is equivalent to one ObserveUptime(uptime) followed by the
-// individual ObserveInterruption calls — the estimator only keeps
-// sums, so per-interruption detail is not needed on the wire.
-func (h *HeartbeatEstimator) ObserveBatch(id NodeID, uptime float64, interruptions int64, downtime float64) error {
-	if uptime < 0 {
-		return fmt.Errorf("cluster: negative observation window %g", uptime)
-	}
-	if interruptions < 0 {
-		return fmt.Errorf("cluster: negative interruption count %d", interruptions)
-	}
-	if downtime < 0 {
-		return fmt.Errorf("cluster: negative downtime %g", downtime)
-	}
-	if downtime > 0 && interruptions == 0 {
-		return fmt.Errorf("cluster: downtime %g with zero interruptions", downtime)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.stats(id)
-	s.observedFor += uptime + downtime
-	s.interruptions += interruptions
-	s.totalDowntime += downtime
+	s.downtime += downtime
 	return nil
 }
 
@@ -97,11 +76,9 @@ func (h *HeartbeatEstimator) stats(id NodeID) *nodeStats {
 }
 
 // Observed returns the raw bookkeeping for a node: total observation
-// window (up + down seconds) and the number of interruptions recorded.
-// Chaos soak tests use it to confirm injected churn was fully
-// observed.
-//
-//lint:ignore deadcode accessor for unexported state: soaks confirm every beat and interruption was folded
+// window (up + down seconds) and the number of outages recorded. The
+// NameNode exports the count on /metrics, so an operator can see why
+// a node's λ̂ is above zero.
 func (h *HeartbeatEstimator) Observed(id NodeID) (seconds float64, interruptions int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -109,12 +86,12 @@ func (h *HeartbeatEstimator) Observed(id NodeID) (seconds float64, interruptions
 	if !ok {
 		return 0, 0
 	}
-	return s.observedFor, s.interruptions
+	return s.uptime + s.downtime, s.interruptions
 }
 
 // Estimate returns the current (λ, μ) estimate for a node. A node
-// never observed, or observed with no interruptions, estimates as
-// dedicated.
+// never observed, observed with no outages, or never observed up
+// estimates as dedicated.
 func (h *HeartbeatEstimator) Estimate(id NodeID) model.Availability {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -126,12 +103,13 @@ func (h *HeartbeatEstimator) Estimate(id NodeID) model.Availability {
 }
 
 func (s *nodeStats) estimate() model.Availability {
-	if s.interruptions == 0 || s.observedFor <= 0 {
+	if s.interruptions == 0 || s.uptime <= 0 {
 		return model.Availability{}
 	}
+	lambda := float64(s.interruptions) / s.uptime
 	return model.Availability{
-		Lambda: float64(s.interruptions) / s.observedFor,
-		Mu:     s.totalDowntime / float64(s.interruptions),
+		Lambda: lambda,
+		Mu:     s.downtime / (s.uptime + s.downtime) / lambda,
 	}
 }
 

@@ -17,7 +17,8 @@ func TestHeartbeatEstimatorBasic(t *testing.T) {
 		t.Fatal("unknown node not dedicated")
 	}
 
-	// Observe 1000 s with 5 interruptions of 4 s each.
+	// Observe 980 s up and 5 outages of 4 s each: λ̂ = 5/980, and
+	// μ̂ = (20/1000)/λ̂ = 3.92.
 	if err := h.ObserveUptime(id, 980); err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +28,11 @@ func TestHeartbeatEstimatorBasic(t *testing.T) {
 		}
 	}
 	a := h.Estimate(id)
-	if math.Abs(a.Lambda-5.0/1000.0) > 1e-12 {
-		t.Fatalf("lambda = %g, want 0.005", a.Lambda)
+	if math.Abs(a.Lambda-5.0/980.0) > 1e-12 {
+		t.Fatalf("lambda = %g, want 5/980", a.Lambda)
 	}
-	if math.Abs(a.Mu-4) > 1e-12 {
-		t.Fatalf("mu = %g, want 4", a.Mu)
+	if math.Abs(a.Mu-3.92) > 1e-12 {
+		t.Fatalf("mu = %g, want 3.92", a.Mu)
 	}
 }
 
@@ -67,12 +68,15 @@ func TestHeartbeatEstimatorSnapshotAndApply(t *testing.T) {
 	if len(snap) != 1 {
 		t.Fatalf("snapshot size = %d", len(snap))
 	}
-	if a := snap[0]; math.Abs(a.Lambda-0.01) > 1e-12 {
-		t.Fatalf("snapshot lambda = %g", a.Lambda)
+	if a := snap[0]; math.Abs(a.Lambda-1.0/96) > 1e-12 {
+		t.Fatalf("snapshot lambda = %g, want 1/96", a.Lambda)
 	}
 
 	// A node the cluster does not know is skipped without effect.
-	if err := h.ObserveBatch(99, 10, 1, 1); err != nil {
+	if err := h.ObserveUptime(99, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ObserveInterruption(99, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,11 +119,12 @@ func TestHeartbeatEstimatorConcurrent(t *testing.T) {
 	for id := NodeID(0); id < 4; id++ {
 		a := h.Estimate(id)
 		// Each of the 4 ids was touched by 2 workers: 200 uptime
-		// seconds, 200 interruptions of 0.5 s.
-		if math.Abs(a.Mu-0.5) > 1e-12 {
-			t.Fatalf("node %d mu = %g", id, a.Mu)
+		// seconds, 200 outages of 0.5 s. λ̂ = 200/200, and μ̂ is the
+		// down fraction 100/300 over λ̂.
+		if math.Abs(a.Mu-1.0/3) > 1e-12 {
+			t.Fatalf("node %d mu = %g, want 1/3", id, a.Mu)
 		}
-		wantLambda := 200.0 / 300.0
+		wantLambda := 1.0
 		if math.Abs(a.Lambda-wantLambda) > 1e-9 {
 			t.Fatalf("node %d lambda = %g, want %g", id, a.Lambda, wantLambda)
 		}
@@ -186,50 +191,11 @@ func TestHeartbeatObservedAndConcurrentSnapshots(t *testing.T) {
 			t.Fatalf("node %d observed (%g, %d), want (600, 200)", id, sec, n)
 		}
 	}
+	// 400 s up, 200 outages of 1 s: μ̂ = (200/600)/(200/400) = 2/3.
 	applied := h.Apply(c)
 	for id := NodeID(0); id < 4; id++ {
-		if mu := applied.Node(id).Availability.Mu; math.Abs(mu-1) > 1e-9 {
-			t.Fatalf("node %d applied mu = %g, want 1", id, mu)
-		}
-	}
-}
-
-// TestObserveBatchEquivalence proves one ObserveBatch equals the
-// incremental calls it summarizes, and that it rejects bad deltas.
-func TestObserveBatchEquivalence(t *testing.T) {
-	inc := NewHeartbeatEstimator()
-	if err := inc.ObserveUptime(3, 100); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []float64{4, 6} {
-		if err := inc.ObserveInterruption(3, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	batch := NewHeartbeatEstimator()
-	if err := batch.ObserveBatch(3, 100, 2, 10); err != nil {
-		t.Fatal(err)
-	}
-
-	a, b := inc.Estimate(3), batch.Estimate(3)
-	if a != b {
-		t.Fatalf("batch estimate %+v != incremental %+v", b, a)
-	}
-	secA, intA := inc.Observed(3)
-	secB, intB := batch.Observed(3)
-	if secA != secB || intA != intB {
-		t.Fatalf("observed (%g,%d) != (%g,%d)", secB, intB, secA, intA)
-	}
-
-	for _, bad := range []struct {
-		up, down float64
-		ints     int64
-	}{
-		{-1, 0, 0}, {0, -1, 1}, {0, 1, 0}, {1, 0, -1},
-	} {
-		if err := batch.ObserveBatch(3, bad.up, bad.ints, bad.down); err == nil {
-			t.Fatalf("ObserveBatch(%+v) accepted", bad)
+		if mu := applied.Node(id).Availability.Mu; math.Abs(mu-2.0/3) > 1e-9 {
+			t.Fatalf("node %d applied mu = %g, want 2/3", id, mu)
 		}
 	}
 }

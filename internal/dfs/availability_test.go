@@ -39,7 +39,7 @@ func TestRefreshBesidePlacement(t *testing.T) {
 			default:
 			}
 			id := cluster.NodeID(i % nodes)
-			if err := nn.Heartbeat().ObserveBatch(id, float64(1+i%7), 1, float64(i%3)); err != nil {
+			if err := observeCycle(nn.Heartbeat(), id, float64(1+i%7), float64(i%3)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -75,7 +75,7 @@ func TestRefreshLeavesLoadedSnapshot(t *testing.T) {
 	nn, _ := testClient(t, 4, 100)
 	before := nn.Cluster()
 	want := before.Nodes()
-	if err := nn.Heartbeat().ObserveBatch(0, 90, 1, 10); err != nil {
+	if err := observeCycle(nn.Heartbeat(), 0, 90, 10); err != nil {
 		t.Fatal(err)
 	}
 	if n := nn.RefreshAvailability(); n != 1 {
@@ -111,7 +111,7 @@ func TestConcurrentRefreshesPublishTheLatest(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				id := cluster.NodeID((w + i) % nodes)
-				if err := nn.Heartbeat().ObserveBatch(id, float64(1+i%5), 1, float64(w+1)); err != nil {
+				if err := observeCycle(nn.Heartbeat(), id, float64(1+i%5), float64(w+1)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -127,4 +127,13 @@ func TestConcurrentRefreshesPublishTheLatest(t *testing.T) {
 			t.Errorf("node %d published %+v, estimator holds %+v", i, got, want)
 		}
 	}
+}
+
+// observeCycle records one up span followed by one outage, as the
+// NameNode's heartbeat fold sees a node that ran, vanished and rejoined.
+func observeCycle(h *cluster.HeartbeatEstimator, id cluster.NodeID, up, down float64) error {
+	if err := h.ObserveUptime(id, up); err != nil {
+		return err
+	}
+	return h.ObserveInterruption(id, down)
 }

@@ -47,9 +47,18 @@ func TestFoldNeverQueuesBehindByteMovement(t *testing.T) {
 	if _, _, err := checker.CopyFromLocal(ctx, "src", payload(2*1024), false); err != nil {
 		t.Fatal(err)
 	}
-	// Give node 0 something to report, so its beat publishes a new
-	// availability snapshot.
-	if err := lc.ObserveUptime(0, 60); err != nil {
+	// Give node 0 an up span and a restart, so its beat during the
+	// check counts an interruption and publishes a new availability
+	// snapshot.
+	for i := 0; i < 2; i++ {
+		if err := lc.DNs[0].FlushHeartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lc.SetNodeUp(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.SetNodeUp(0, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +100,7 @@ func TestFoldNeverQueuesBehindByteMovement(t *testing.T) {
 	if err := <-checkDone; err != nil {
 		t.Fatal(err)
 	}
-	if sec, _ := lc.Engine().Heartbeat().Observed(0); sec < 60 {
-		t.Fatalf("node 0's beat was not folded: %g s observed, want >= 60", sec)
+	if _, n := lc.Engine().Heartbeat().Observed(0); n != 1 {
+		t.Fatalf("node 0's beat was not folded: %d interruptions observed, want 1", n)
 	}
 }

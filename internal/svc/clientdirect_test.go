@@ -305,7 +305,7 @@ func (a *armOnData) MessageDelay(from, to string) time.Duration { return 0 }
 func TestPutStartsOverWhenItsLeaseRunsOut(t *testing.T) {
 	clock := &jumpOnce{}
 	lc := pipelineCluster(t, 4, 1024, 2, &armOnData{from: "shell", clock: clock})
-	lc.Engine().SetLeaseClock(clock.now)
+	setClock(lc, clock.now)
 	cl := lc.Client("shell")
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)

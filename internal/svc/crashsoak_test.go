@@ -55,7 +55,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 		defer cancel()
 		_ = lc.Close(ctx)
 	})
-	eng, err := chaos.New(chaos.Config{Cluster: truth, Target: lc, Observer: lc}, stats.NewRNG(73))
+	eng, err := chaos.New(chaos.Config{Cluster: truth, Target: lc}, stats.NewRNG(73))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +173,8 @@ func TestCrashRecoverySoak(t *testing.T) {
 			break
 		}
 	}
-	now := time.Now()
-	backdateBeat(lc.NN, victim, now.Add(-time.Minute))
-	lc.NN.TickDetector(DetectorConfig{}, now)
+	backdateBeat(lc.NN, victim, time.Now().Add(-time.Minute))
+	lc.NN.TickDetector()
 	if lc.NN.stores[victim].Up() {
 		t.Fatalf("victim %d not declared dead", victim)
 	}

@@ -11,19 +11,15 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// heartbeatParams is the wire form of one heartbeat. Observation
-// fields are cumulative totals since the DataNode started, not
-// deltas: a lost beat loses nothing, because the next beat carries
-// everything, and the NameNode folds only the difference from the
-// last total it saw. Seq orders beats so a delayed duplicate cannot
-// rewind the estimator.
+// heartbeatParams is the wire form of one heartbeat: "I am alive,
+// incarnation Epoch, beat number Seq". It carries no observations; the
+// NameNode measures uptime and outages itself from when beats arrive.
+// Seq orders beats within an incarnation so a delayed duplicate is
+// refused.
 type heartbeatParams struct {
-	Node          cluster.NodeID `json:"node"`
-	Epoch         uint64         `json:"epoch"` // DataNode incarnation marker
-	Seq           uint64         `json:"seq"`
-	Uptime        float64        `json:"uptime"`        // cumulative observed uptime, seconds
-	Interruptions int64          `json:"interruptions"` // cumulative interruption count
-	Downtime      float64        `json:"downtime"`      // cumulative downtime, seconds
+	Node  cluster.NodeID `json:"node"`
+	Epoch uint64         `json:"epoch"` // DataNode incarnation marker
+	Seq   uint64         `json:"seq"`
 }
 
 // epochCounter disambiguates DataNode incarnations created within the
@@ -45,10 +41,11 @@ func endpointName(id cluster.NodeID) string {
 }
 
 // DataNodeServer is one networked DataNode: a dfs.DataNode behind a
-// frame server, plus the availability recorder that accumulates the
-// node's own interruption observations and ships them to the NameNode
-// as heartbeats — the paper's "slave daemons report availability
-// traces" loop.
+// frame server, plus the heartbeat sender that tells the NameNode it
+// is alive. It reports nothing about its own availability: the
+// NameNode learns (λ, μ) from the silences between the beats it
+// receives. While the dfs.DataNode is down the host is interrupted and
+// sends no beat.
 type DataNodeServer struct {
 	id     cluster.NodeID
 	dn     *dfs.DataNode
@@ -60,13 +57,9 @@ type DataNodeServer struct {
 	// next hops of the pipelines it relays.
 	relays streamPool
 
-	epoch uint64 // this incarnation's marker, fixed at construction
-
-	mu            sync.Mutex
-	seq           uint64
-	uptime        float64
-	interruptions int64
-	downtime      float64
+	mu    sync.Mutex
+	epoch uint64 // this incarnation's marker; a restart mints a new one
+	seq   uint64
 
 	loopStop chan struct{}
 	loopDone chan struct{}
@@ -148,35 +141,12 @@ func (d *DataNodeServer) methods() methodTable {
 	}
 }
 
-// ObserveUptime accrues d seconds of observed uptime. The chaos
-// engine's observer routing calls this in virtual time; a wall-clock
-// heartbeat loop calls it with real elapsed time.
-func (d *DataNodeServer) ObserveUptime(sec float64) error {
-	if sec < 0 {
-		return fmt.Errorf("svc: negative uptime %v: %w", sec, ErrBadObservation)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.uptime += sec
-	return nil
-}
-
-// ObserveInterruption accrues one interruption with the given
-// downtime in seconds.
-func (d *DataNodeServer) ObserveInterruption(downtimeSec float64) error {
-	if downtimeSec < 0 {
-		return fmt.Errorf("svc: negative downtime %v: %w", downtimeSec, ErrBadObservation)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.interruptions++
-	d.downtime += downtimeSec
-	return nil
-}
-
-// FlushHeartbeat sends one heartbeat carrying the cumulative
-// observation totals to the NameNode.
+// FlushHeartbeat sends one heartbeat to the NameNode. An interrupted
+// node (its dfs.DataNode down) sends nothing and returns nil.
 func (d *DataNodeServer) FlushHeartbeat(ctx context.Context) error {
+	if !d.dn.Up() {
+		return nil
+	}
 	d.mu.Lock()
 	nn := d.nn
 	if nn == nil {
@@ -184,14 +154,7 @@ func (d *DataNodeServer) FlushHeartbeat(ctx context.Context) error {
 		return fmt.Errorf("svc: heartbeat from %s: namenode not connected: %w", endpointName(d.id), ErrConnClosed)
 	}
 	d.seq++
-	hb := heartbeatParams{
-		Node:          d.id,
-		Epoch:         d.epoch,
-		Seq:           d.seq,
-		Uptime:        d.uptime,
-		Interruptions: d.interruptions,
-		Downtime:      d.downtime,
-	}
+	hb := heartbeatParams{Node: d.id, Epoch: d.epoch, Seq: d.seq}
 	d.mu.Unlock()
 	if err := nn.call(ctx, "nn.heartbeat", hb, nil); err != nil {
 		return fmt.Errorf("svc: heartbeat from %s: %w", endpointName(d.id), err)
@@ -199,9 +162,20 @@ func (d *DataNodeServer) FlushHeartbeat(ctx context.Context) error {
 	return nil
 }
 
-// StartHeartbeats begins a wall-clock heartbeat loop: each tick records
-// the real elapsed time as observed uptime and sends one heartbeat.
-// Safe to call once.
+// restart begins a new incarnation: a new epoch and sequence. The
+// stored blocks are kept, as an interrupted host keeps its disk. The
+// NameNode only compares an epoch with the node's previous one, so the
+// next value will do, and a chaos schedule driving restarts stays
+// deterministic.
+func (d *DataNodeServer) restart() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.epoch++
+	d.seq = 0
+}
+
+// StartHeartbeats begins a wall-clock heartbeat loop: one heartbeat
+// per tick. Safe to call once.
 func (d *DataNodeServer) StartHeartbeats(interval time.Duration) {
 	// The goroutines hold the channels themselves: Stop clears
 	// d.loopStop once the loop is done, which may be before the first
@@ -220,16 +194,13 @@ func (d *DataNodeServer) StartHeartbeats(interval time.Duration) {
 		defer close(done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
-		last := time.Now()
 		for {
 			select {
 			case <-stop:
 				return
-			case now := <-t.C:
-				_ = d.ObserveUptime(now.Sub(last).Seconds())
-				last = now
+			case <-t.C:
 				ctx, cancel := context.WithTimeout(loopCtx, interval)
-				_ = d.FlushHeartbeat(ctx) // transient loss is the design point: totals carry over
+				_ = d.FlushHeartbeat(ctx) // a lost beat only lengthens the gap the NameNode measures
 				cancel()
 			}
 		}
@@ -237,8 +208,7 @@ func (d *DataNodeServer) StartHeartbeats(interval time.Duration) {
 }
 
 // Stop gracefully shuts the DataNode down: the heartbeat loop halts,
-// a final heartbeat flushes the last observations (best-effort,
-// bounded by ctx), in-flight block RPCs and streams drain, and
+// in-flight block RPCs and streams drain (bounded by ctx), and
 // connections close — the served ones and the relays' parked ones.
 func (d *DataNodeServer) Stop(ctx context.Context) error {
 	if d.loopStop != nil {
@@ -246,20 +216,10 @@ func (d *DataNodeServer) Stop(ctx context.Context) error {
 		<-d.loopDone
 		d.loopStop = nil
 	}
-	var flushErr error
-	if d.peer() != nil {
-		flushErr = d.FlushHeartbeat(ctx)
-	}
 	err := d.srv.Shutdown(ctx)
 	d.relays.close()
 	if nn := d.peer(); nn != nil {
 		nn.close()
 	}
-	if err != nil {
-		return err
-	}
-	if flushErr != nil && ctx.Err() != nil {
-		return fmt.Errorf("svc: stop %s: %w", endpointName(d.id), ctx.Err())
-	}
-	return nil
+	return err
 }

@@ -11,8 +11,8 @@ import (
 type NodeState int
 
 // Detector states. A node is Alive while heartbeats arrive on time,
-// Suspect once a beat is overdue (transient loss — the design point
-// of cumulative-total heartbeats), and Dead once the silence exceeds
+// Suspect once a beat is overdue (possibly a transient loss), and
+// Dead once the silence exceeds
 // the dead deadline, at which point the node's store is marked down
 // and the repair scheduler is kicked. Any later heartbeat revives the
 // node straight to Alive.
@@ -35,8 +35,10 @@ func (st NodeState) String() string {
 	}
 }
 
-// DetectorConfig tunes the heartbeat failure detector. Zero values
-// take the defaults noted per field.
+// DetectorConfig tunes the heartbeat failure detector and, through
+// SuspectAfter, what the heartbeat fold counts as an interruption
+// (NameNodeConfig.Detector). Zero values take the defaults noted per
+// field.
 type DetectorConfig struct {
 	// SuspectAfter is the heartbeat age promoting Alive → Suspect
 	// (default 3s; set it a few beat intervals out).
@@ -62,11 +64,11 @@ func (cfg *DetectorConfig) defaults() {
 }
 
 // StartFailureDetector begins promoting silent DataNodes
-// Alive → Suspect → Dead on heartbeat age. Nodes that have never
-// heartbeated are not judged (the cluster may still be booting).
-// Call at most once; Shutdown/Crash stops the loop.
-func (s *NameNodeServer) StartFailureDetector(cfg DetectorConfig) {
-	cfg.defaults()
+// Alive → Suspect → Dead on heartbeat age, with the thresholds of
+// NameNodeConfig.Detector. Nodes that have never heartbeated are not
+// judged (the cluster may still be booting). Call at most once;
+// Shutdown/Crash stops the loop.
+func (s *NameNodeServer) StartFailureDetector() {
 	s.loops.Add(1)
 	go func() {
 		defer s.loops.Done()
@@ -76,18 +78,18 @@ func (s *NameNodeServer) StartFailureDetector(cfg DetectorConfig) {
 			select {
 			case <-s.stopCh:
 				return
-			case now := <-t.C:
-				s.TickDetector(cfg, now)
+			case <-t.C:
+				s.TickDetector()
 			}
 		}
 	}()
 }
 
-// TickDetector runs one detector sweep at the given instant —
-// exported so tests can drive promotions without waiting out wall
-// clocks.
-func (s *NameNodeServer) TickDetector(cfg DetectorConfig, now time.Time) {
-	cfg.defaults()
+// TickDetector runs one detector sweep at the server clock's current
+// instant — exported so tests on a virtual clock can drive promotions
+// without waiting out wall clocks.
+func (s *NameNodeServer) TickDetector() {
+	cfg, now := s.detector, s.now()
 	var died []cluster.NodeID
 	s.hbMu.Lock()
 	ids := make([]cluster.NodeID, 0, len(s.hb))

@@ -40,11 +40,10 @@ func TestFailureDetectorPromotesSilentNodes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	cfg := DetectorConfig{SuspectAfter: 3 * time.Second, DeadAfter: 10 * time.Second}
-
+	// The default detector: suspect after 3 s, dead after 10 s.
 	// Nodes that have never heartbeated are not judged: the cluster
 	// may still be booting.
-	lc.NN.TickDetector(cfg, time.Now())
+	lc.NN.TickDetector()
 	if n := len(lc.NN.DetectorStates()); n != 0 {
 		t.Fatalf("judged %d nodes before any heartbeat", n)
 	}
@@ -53,7 +52,7 @@ func TestFailureDetectorPromotesSilentNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now()
-	lc.NN.TickDetector(cfg, now)
+	lc.NN.TickDetector()
 	for id, st := range lc.NN.DetectorStates() {
 		if st != NodeAlive {
 			t.Fatalf("node %d = %v after fresh beat, want alive", id, st)
@@ -61,7 +60,7 @@ func TestFailureDetectorPromotesSilentNodes(t *testing.T) {
 	}
 
 	backdateBeat(lc.NN, 2, now.Add(-5*time.Second))
-	lc.NN.TickDetector(cfg, now)
+	lc.NN.TickDetector()
 	if st := lc.NN.DetectorStates()[2]; st != NodeSuspect {
 		t.Fatalf("node 2 = %v after 5s silence, want suspect", st)
 	}
@@ -70,7 +69,7 @@ func TestFailureDetectorPromotesSilentNodes(t *testing.T) {
 	}
 
 	backdateBeat(lc.NN, 2, now.Add(-30*time.Second))
-	lc.NN.TickDetector(cfg, now)
+	lc.NN.TickDetector()
 	if st := lc.NN.DetectorStates()[2]; st != NodeDead {
 		t.Fatalf("node 2 = %v after 30s silence, want dead", st)
 	}
@@ -81,7 +80,7 @@ func TestFailureDetectorPromotesSilentNodes(t *testing.T) {
 		t.Fatalf("nodes declared dead = %d, want 1", got)
 	}
 	// Re-ticking an already-dead node must not re-count it.
-	lc.NN.TickDetector(cfg, now)
+	lc.NN.TickDetector()
 	if got := lc.NN.Engine().Resilience().Snapshot().NodesDeclaredDead; got != 1 {
 		t.Fatalf("dead node re-counted: %d", got)
 	}
@@ -142,10 +141,8 @@ func TestDeadNodeTriggersRepair(t *testing.T) {
 		t.Fatal("no node holds a replica")
 	}
 
-	cfg := DetectorConfig{SuspectAfter: 3 * time.Second, DeadAfter: 10 * time.Second}
-	now := time.Now()
-	backdateBeat(lc.NN, victim, now.Add(-time.Minute))
-	lc.NN.TickDetector(cfg, now)
+	backdateBeat(lc.NN, victim, time.Now().Add(-time.Minute))
+	lc.NN.TickDetector()
 	if lc.NN.stores[victim].Up() {
 		t.Fatalf("victim %d still believed up", victim)
 	}
@@ -172,10 +169,11 @@ func TestDeadNodeTriggersRepair(t *testing.T) {
 	}
 }
 
-// TestHeartbeatEpochRebaseline: a restarted DataNode announces a new
-// epoch, so its reset sequence numbers and zeroed totals must fold as
-// a fresh baseline instead of being rejected forever — the bug this
-// PR fixes.
+// TestHeartbeatEpochRebaseline: a DataNode restart is the paper's
+// interruption. The new incarnation's epoch resets the sequence
+// numbers the NameNode expects, and its first beat ends exactly one
+// interruption whose downtime is the silence before it — counted for
+// the new epoch even though the silence is shorter than SuspectAfter.
 func TestHeartbeatEpochRebaseline(t *testing.T) {
 	c, err := cluster.New(make([]cluster.Node, 2))
 	if err != nil {
@@ -190,45 +188,104 @@ func TestHeartbeatEpochRebaseline(t *testing.T) {
 		defer cancel()
 		_ = lc.Close(ctx)
 	})
+	clk := newFakeClock()
+	setClock(lc, clk.now)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	// First incarnation ships some observations.
-	if err := lc.DNs[0].ObserveUptime(50); err != nil {
-		t.Fatal(err)
-	}
-	if err := lc.DNs[0].FlushHeartbeat(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := lc.DNs[0].FlushHeartbeat(ctx); err != nil {
-		t.Fatal(err)
+	beat := func() {
+		t.Helper()
+		if err := lc.DNs[0].FlushHeartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// The process "restarts": a fresh incarnation of the same node id,
-	// epoch new, seq back to 1, totals back to zero.
-	fresh := NewDataNodeServer(0, nil)
-	fresh.ConnectNameNode(lc.NN.Addr())
-	t.Cleanup(func() { fresh.peer().close() })
-	if err := fresh.ObserveUptime(5); err != nil {
+	// The first incarnation beats twice, one second apart.
+	beat()
+	clk.advance(time.Second)
+	beat()
+
+	// The host is interrupted for 2 s: it sends nothing while down,
+	// and comes back as a new incarnation with seq starting over.
+	if err := lc.SetNodeUp(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.FlushHeartbeat(ctx); err != nil {
-		t.Fatalf("restarted datanode's first beat rejected: %v", err)
+	clk.advance(2 * time.Second)
+	beat()
+	if seq := folded(lc.NN, 0); seq != 2 {
+		t.Fatalf("an interrupted node's beat was folded: seq %d, want 2", seq)
 	}
-	if err := fresh.FlushHeartbeat(ctx); err != nil {
-		t.Fatalf("restarted datanode's second beat rejected: %v", err)
+	if err := lc.SetNodeUp(0, true); err != nil {
+		t.Fatal(err)
+	}
+	beat()
+	if seq := folded(lc.NN, 0); seq != 1 {
+		t.Fatalf("the restarted node's first beat folded as seq %d, want 1", seq)
+	}
+	if sec, n := observed(lc, 0); sec != 3 || n != 1 {
+		t.Fatalf("restart observed (%g s, %d), want 1 s up + 2 s down over one interruption", sec, n)
+	}
+	clk.advance(time.Second)
+	beat()
+	if sec, n := observed(lc, 0); sec != 4 || n != 1 {
+		t.Fatalf("the new incarnation's second beat observed (%g s, %d), want (4, 1)", sec, n)
 	}
 
-	// Within an epoch the stale/backwards protections still hold.
-	if err := lc.NN.foldHeartbeat(heartbeatParams{Node: 1, Epoch: 7, Seq: 5, Uptime: 100}); err != nil {
+	// Within an epoch the stale protection still holds, and a new
+	// epoch resets it.
+	if err := lc.NN.foldHeartbeat(heartbeatParams{Node: 1, Epoch: 7, Seq: 5}); err != nil {
 		t.Fatal(err)
 	}
-	err = lc.NN.foldHeartbeat(heartbeatParams{Node: 1, Epoch: 7, Seq: 5, Uptime: 120})
+	err = lc.NN.foldHeartbeat(heartbeatParams{Node: 1, Epoch: 7, Seq: 5})
 	if !errors.Is(err, ErrStaleHeartbeat) {
 		t.Fatalf("same-epoch replay accepted: %v", err)
 	}
-	// A new epoch resets both seq and totals.
-	if err := lc.NN.foldHeartbeat(heartbeatParams{Node: 1, Epoch: 9, Seq: 1, Uptime: 10}); err != nil {
+	if err := lc.NN.foldHeartbeat(heartbeatParams{Node: 1, Epoch: 9, Seq: 1}); err != nil {
 		t.Fatalf("new-epoch beat rejected: %v", err)
+	}
+}
+
+// TestInterruptedDataNodeStaysDead: an interrupted DataNode sends no
+// heartbeat, so once the detector has declared it dead a flush cannot
+// revive the NameNode's belief while the node still refuses blocks.
+func TestInterruptedDataNodeStaysDead(t *testing.T) {
+	c, err := cluster.New(make([]cluster.Node, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := StartLocalCluster(c, stats.NewRNG(64), nil, NameNodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = lc.Close(ctx)
+	})
+	clk := newFakeClock()
+	setClock(lc, clk.now)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	if err := lc.FlushHeartbeats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.SetNodeUp(1, false); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(30 * time.Second)
+	for _, id := range []cluster.NodeID{0, 2} {
+		if err := lc.DNs[id].FlushHeartbeat(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lc.NN.TickDetector()
+	if st := lc.NN.DetectorStates()[1]; st != NodeDead || lc.NN.stores[1].Up() {
+		t.Fatalf("interrupted node 1 = %v (believed up %v), want dead", st, lc.NN.stores[1].Up())
+	}
+	if err := lc.FlushHeartbeats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := lc.NN.DetectorStates()[1]; st != NodeDead || lc.NN.stores[1].Up() {
+		t.Fatalf("a flush revived interrupted node 1: %v (believed up %v)", st, lc.NN.stores[1].Up())
 	}
 }

@@ -160,21 +160,22 @@ func TestClusterSurvivesPartitionAndAdapts(t *testing.T) {
 		t.Fatal("partition read succeeded without touching the client's failover path")
 	}
 
-	// Heal, then teach the predictor: nodes 0 and 1 report heavy
-	// interruption history, 2 and 3 report clean uptime.
+	// Heal, then teach the predictor: nodes 0 and 1 are interrupted and
+	// come back a few times, 2 and 3 only beat.
 	nf.Heal(endpointName(victim))
-	for id := cluster.NodeID(0); id < 4; id++ {
-		if id < 2 {
-			if err := lc.ObserveUptime(id, 600); err != nil {
+	for cycle := 0; cycle < 3; cycle++ {
+		for i := 0; i < 2; i++ {
+			if err := lc.FlushHeartbeats(ctx); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 60; i++ {
-				if err := lc.ObserveInterruption(id, 8); err != nil {
-					t.Fatal(err)
-				}
+		}
+		for id := cluster.NodeID(0); id < 2; id++ {
+			if err := lc.SetNodeUp(id, false); err != nil {
+				t.Fatal(err)
 			}
-		} else if err := lc.ObserveUptime(id, 1080); err != nil {
-			t.Fatal(err)
+			if err := lc.SetNodeUp(id, true); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := lc.FlushHeartbeats(ctx); err != nil {

@@ -14,9 +14,10 @@
 // repair). Replica failover, checksum verification and
 // crash-consistent redistribution are exactly the code paths the
 // in-process tests already certify. DataNodes send periodic heartbeats
-// carrying cumulative interruption observations; the NameNode folds
-// the deltas into per-node (λ, μ) estimates and refreshes the 1/E[T]
-// placement weights, closing the paper's predictor loop over the wire.
+// that say only that they are alive; the NameNode counts restarts and
+// long silences as interruptions, folds them into per-node (λ, μ)
+// estimates and refreshes the 1/E[T] placement weights, closing the
+// paper's predictor loop over the wire.
 //
 // Every RPC takes a context deadline, and both ends of the transport
 // consult a pluggable TransportFaults hook so a chaos engine
@@ -36,8 +37,8 @@ import (
 // the network.
 var (
 	// ErrStaleHeartbeat marks a heartbeat whose sequence number is not
-	// newer than the last one folded for that node: a delayed or
-	// replayed beat that must not rewind the estimator.
+	// newer than the last one folded for that node's incarnation: a
+	// delayed or replayed beat that must not count as a fresh one.
 	ErrStaleHeartbeat = errors.New("svc: stale heartbeat")
 	// ErrUnknownMethod marks an RPC the peer does not implement.
 	ErrUnknownMethod = errors.New("svc: unknown method")
@@ -50,9 +51,6 @@ var (
 	// ErrConnClosed marks calls failed because the connection died
 	// (peer gone, partition, or local close) before a response.
 	ErrConnClosed = errors.New("svc: connection closed")
-	// ErrBadObservation marks an availability observation that cannot
-	// be folded (negative durations, downtime without interruptions).
-	ErrBadObservation = errors.New("svc: bad availability observation")
 	// ErrFrameTooLarge marks a frame exceeding its type's bound —
 	// MaxControlFrame for a call or a reply, MaxChunkPayload for the
 	// rest — in either direction; a receiver that meets one tears the
@@ -80,7 +78,6 @@ var wireCodes = []errorCode{
 	{"shutting_down", ErrShuttingDown},
 	{"unknown_datanode", ErrUnknownDataNode},
 	{"conn_closed", ErrConnClosed},
-	{"bad_observation", ErrBadObservation},
 	{"bad_frame", ErrBadFrame},
 	{"frame_too_large", ErrFrameTooLarge},
 

@@ -8,7 +8,6 @@ import (
 	"net/http/pprof"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/adaptsim/adapt/internal/shard"
 )
@@ -26,11 +25,13 @@ type MetricsSnapshot struct {
 	// Resilience is the engine's counter snapshot in export order.
 	Resilience map[string]int64
 
-	// Per-node heartbeat freshness and (λ, μ) estimates, keyed by
+	// Per-node heartbeat freshness, (λ, μ) estimates, and the
+	// interruptions the NameNode observed behind them, keyed by
 	// numeric node id.
-	HeartbeatAge map[int]float64
-	Lambda       map[int]float64
-	Mu           map[int]float64
+	HeartbeatAge  map[int]float64
+	Lambda        map[int]float64
+	Mu            map[int]float64
+	Interruptions map[int]float64
 
 	// NodeState is the failure detector's belief per node (0 alive,
 	// 1 suspect, 2 dead), for nodes that have heartbeated.
@@ -69,10 +70,10 @@ type MetricsSnapshot struct {
 }
 
 // snapshotMetrics gathers the NameNode's current state for export.
-func (s *NameNodeServer) snapshotMetrics(now time.Time) MetricsSnapshot {
+func (s *NameNodeServer) snapshotMetrics() MetricsSnapshot {
 	rs := s.nn.Resilience().Snapshot()
 	m := MetricsSnapshot{
-		UptimeSeconds: now.Sub(s.start).Seconds(),
+		UptimeSeconds: s.now().Sub(s.start).Seconds(),
 		Files:         len(s.nn.List()),
 		Blocks:        s.nn.TotalBlocks(),
 		NodesTotal:    len(s.stores),
@@ -104,6 +105,7 @@ func (s *NameNodeServer) snapshotMetrics(now time.Time) MetricsSnapshot {
 		HeartbeatAge:   make(map[int]float64),
 		Lambda:         make(map[int]float64),
 		Mu:             make(map[int]float64),
+		Interruptions:  make(map[int]float64),
 		NodeState:      make(map[int]float64),
 		Durable:        s.Durable(),
 		WALSeq:         float64(s.WALSeq()),
@@ -116,12 +118,14 @@ func (s *NameNodeServer) snapshotMetrics(now time.Time) MetricsSnapshot {
 			m.NodesUp++
 		}
 	}
-	for id, age := range s.HeartbeatAges(now) {
+	for id, age := range s.HeartbeatAges() {
 		m.HeartbeatAge[int(id)] = age.Seconds()
 	}
 	for id, av := range s.Estimates() {
 		m.Lambda[int(id)] = av.Lambda
 		m.Mu[int(id)] = av.Mu
+		_, n := s.nn.Heartbeat().Observed(id)
+		m.Interruptions[int(id)] = float64(n)
 	}
 	for id, st := range s.DetectorStates() {
 		m.NodeState[int(id)] = float64(st)
@@ -194,6 +198,7 @@ func RenderMetrics(m MetricsSnapshot) string {
 	series("adapt_namenode_heartbeat_age_seconds", "Age of the freshest heartbeat per DataNode.", m.HeartbeatAge)
 	series("adapt_namenode_lambda", "Estimated interruption rate lambda per DataNode (1/s).", m.Lambda)
 	series("adapt_namenode_mu", "Estimated mean downtime mu per DataNode (s).", m.Mu)
+	series("adapt_namenode_interruptions_observed", "Interruptions (restarts and long silences) the NameNode observed per DataNode.", m.Interruptions)
 	series("adapt_namenode_datanode_state", "Failure-detector belief per DataNode (0 alive, 1 suspect, 2 dead).", m.NodeState)
 	if m.Durable {
 		gauge("adapt_namenode_wal_seq", "Last committed WAL record sequence (summed across shard journals).", m.WALSeq)
@@ -251,10 +256,10 @@ func (s *NameNodeServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/metrics":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = fmt.Fprint(w, RenderMetrics(s.snapshotMetrics(time.Now())))
+		_, _ = fmt.Fprint(w, RenderMetrics(s.snapshotMetrics()))
 	case "/healthz":
 		w.Header().Set("Content-Type", "application/json")
-		heartbeating := len(s.HeartbeatAges(time.Now()))
+		heartbeating := len(s.HeartbeatAges())
 		_, _ = fmt.Fprintf(w, `{"status":"ok","datanodes":%d,"heartbeating":%d}`+"\n", len(s.stores), heartbeating)
 	default:
 		if name, ok := strings.CutPrefix(r.URL.Path, "/debug/pprof/"); ok {

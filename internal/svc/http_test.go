@@ -91,6 +91,17 @@ func TestMetricsAndHealthzOverHTTP(t *testing.T) {
 	if err := lc.FlushHeartbeats(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// Node 0 restarts: the next beats count one interruption for it
+	// and plain uptime for the others.
+	if err := lc.SetNodeUp(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.SetNodeUp(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.FlushHeartbeats(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	addr, stop, err := lc.NN.ListenHTTP("127.0.0.1:0")
 	if err != nil {
@@ -116,6 +127,8 @@ func TestMetricsAndHealthzOverHTTP(t *testing.T) {
 		"adapt_namenode_blocks 4\n",
 		"adapt_namenode_datanodes_total 3\n",
 		"adapt_namenode_heartbeat_age_seconds{node=\"0\"}",
+		"adapt_namenode_interruptions_observed{node=\"0\"} 1\n",
+		"adapt_namenode_interruptions_observed{node=\"1\"} 0\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q\n---\n%s", want, text)

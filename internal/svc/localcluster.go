@@ -16,12 +16,11 @@ import (
 // partitions all cross actual sockets), only the machines are
 // imaginary.
 //
-// LocalCluster satisfies the chaos engine's Target and Observer
-// contracts (structurally — chaos does not know svc): SetNodeUp flips
-// the physical DataNode under the named service, and the Observe
-// methods route availability observations to that DataNode's own
-// recorder, so estimates reach the NameNode exclusively through
-// heartbeats on the wire.
+// LocalCluster satisfies the chaos engine's Target contract
+// (structurally — chaos does not know svc): SetNodeUp interrupts a
+// DataNode host and brings it back. It is not an Observer: the
+// NameNode learns every (λ, μ) it places by from the heartbeats it
+// receives, and from the silences between them.
 type LocalCluster struct {
 	NN     *NameNodeServer
 	DNs    []*DataNodeServer
@@ -86,40 +85,26 @@ func (lc *LocalCluster) DataNode(id cluster.NodeID) (*DataNodeServer, error) {
 	return lc.DNs[id], nil
 }
 
-// SetNodeUp flips the physical up state of one DataNode — the chaos
-// engine's churn hook. The NameNode is not told: it finds out the way
-// a real master does, by RPCs failing and heartbeats arriving.
+// SetNodeUp interrupts one DataNode host or brings it back — the
+// chaos engine's churn hook and the paper's §III interruption. Down,
+// the node refuses block requests and sends no heartbeats. Up again,
+// it is a new incarnation (new epoch, sequence reset) that kept its
+// blocks: the work is lost, the disk is not. The NameNode is not
+// told: it finds out the way a real master does, by RPCs failing,
+// heartbeats stopping, and a new epoch arriving.
 func (lc *LocalCluster) SetNodeUp(id cluster.NodeID, up bool) error {
 	dn, err := lc.DataNode(id)
 	if err != nil {
 		return err
 	}
+	if up && !dn.Node().Up() {
+		dn.restart()
+	}
 	dn.Node().SetUp(up)
 	return nil
 }
 
-// ObserveUptime routes an availability observation to the node's own
-// recorder — the chaos engine's observer hook. The observation
-// reaches the NameNode only when the node heartbeats.
-func (lc *LocalCluster) ObserveUptime(id cluster.NodeID, d float64) error {
-	dn, err := lc.DataNode(id)
-	if err != nil {
-		return err
-	}
-	return dn.ObserveUptime(d)
-}
-
-// ObserveInterruption routes one interruption observation to the
-// node's own recorder.
-func (lc *LocalCluster) ObserveInterruption(id cluster.NodeID, downtime float64) error {
-	dn, err := lc.DataNode(id)
-	if err != nil {
-		return err
-	}
-	return dn.ObserveInterruption(downtime)
-}
-
-// FlushHeartbeats makes every DataNode send one heartbeat now —
+// FlushHeartbeats makes every live DataNode send one heartbeat now —
 // deterministic test alternative to the wall-clock loops.
 func (lc *LocalCluster) FlushHeartbeats(ctx context.Context) error {
 	for _, dn := range lc.DNs {
@@ -143,12 +128,12 @@ func (lc *LocalCluster) CrashNameNode() {
 // RestartNameNode boots a fresh NameNode incarnation — recovering the
 // namespace from cfg.WALDir when set — on a new loopback port and
 // repoints every DataNode's heartbeat channel at it. The caller
-// supplies the same cluster shape and an RNG; heartbeat state needs
-// no persistence because DataNodes resend cumulative totals, which
-// the fresh estimator folds in full on their first beat. Nothing else
-// carries over: the dead incarnation published its learned (λ, μ) as
+// supplies the same cluster shape and an RNG. No heartbeat or
+// estimator state carries over: each DataNode's first beat sets the
+// new incarnation's baseline, so no observed silence spans the
+// restart, and the dead incarnation published its learned (λ, μ) as
 // snapshots of its own and never wrote into c, so the new one starts
-// from c and relearns from those first beats.
+// from c and relearns from what it observes itself.
 func (lc *LocalCluster) RestartNameNode(c *cluster.Cluster, g *stats.RNG, cfg NameNodeConfig) error {
 	dnAddrs := make([]string, len(lc.DNs))
 	for i, dn := range lc.DNs {
@@ -171,8 +156,8 @@ func (lc *LocalCluster) RestartNameNode(c *cluster.Cluster, g *stats.RNG, cfg Na
 	return nil
 }
 
-// Close shuts the whole cluster down gracefully, DataNodes first so
-// their final heartbeats land on a live NameNode, then the NameNode.
+// Close shuts the whole cluster down gracefully, DataNodes first, then
+// the NameNode.
 func (lc *LocalCluster) Close(ctx context.Context) error {
 	var firstErr error
 	for _, dn := range lc.DNs {

@@ -80,19 +80,15 @@ type estimatesResult struct {
 }
 
 // hbState is the NameNode's per-DataNode heartbeat bookkeeping: the
-// last sequence folded and the cumulative totals it carried, so the
-// next beat folds only the delta. epoch identifies the DataNode
-// incarnation the totals belong to: a restarted DataNode announces a
-// new epoch and the fold re-baselines instead of rejecting its reset
-// sequence numbers forever. state is the failure detector's belief.
+// incarnation and last sequence folded, and when that beat arrived on
+// the NameNode's clock. A restarted DataNode announces a new epoch,
+// and its sequence numbers start over. state is the failure
+// detector's belief.
 type hbState struct {
-	epoch         uint64
-	seq           uint64
-	uptime        float64
-	interruptions int64
-	downtime      float64
-	lastBeat      time.Time
-	state         NodeState
+	epoch    uint64
+	seq      uint64
+	lastBeat time.Time
+	state    NodeState
 }
 
 // NameNodeServer is the networked ADAPT master: file metadata, the
@@ -105,8 +101,10 @@ type hbState struct {
 // The remoteStore proxies it owns move only what it copies itself —
 // the adapt and rebalance redistributions, repair.
 //
-// Heartbeats close the predictor loop: each beat's cumulative totals
-// are diffed against the last folded state, the delta feeds
+// Heartbeats close the predictor loop: the NameNode measures the gap
+// since each DataNode's previous beat on its own clock, counts a
+// restart or a silence of at least SuspectAfter as one interruption
+// and anything shorter as uptime, feeds that to
 // cluster.HeartbeatEstimator, and RefreshAvailability publishes a new
 // immutable cluster snapshot carrying the per-node (λ, μ) that the
 // 1/E[T] placement weights read. Each operation loads one snapshot and
@@ -119,6 +117,12 @@ type NameNodeServer struct {
 	stores []*remoteStore
 	fleet  clusterResult // the nn.cluster reply, fixed at construction
 	start  time.Time
+
+	// now is the server's one clock: heartbeat arrival, the failure
+	// detector, /metrics and /healthz, and allocation leases all read
+	// it. Tests swap it for a virtual clock before any traffic.
+	now      func() time.Time
+	detector DetectorConfig // defaults applied
 
 	hbMu sync.Mutex
 	hb   map[cluster.NodeID]*hbState
@@ -182,6 +186,10 @@ type NameNodeConfig struct {
 	// HedgeReads turns hedged reads on (Hedge supplies the tuning;
 	// its zero value takes the documented defaults).
 	HedgeReads bool
+	// Detector sets the heartbeat silences the failure detector acts
+	// on; the heartbeat fold counts a silence of at least
+	// SuspectAfter as an interruption.
+	Detector DetectorConfig
 }
 
 // HedgeConfig re-exports the engine's hedged-read tuning so service
@@ -207,8 +215,6 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 	for _, tenant := range sortedQuotaKeys(cfg.TenantQuotas) {
 		nn.Quotas().Set(tenant, cfg.TenantQuotas[tenant])
 	}
-	// Leases expire by the wall-clock deadlines that cross the wire.
-	nn.SetLeaseClock(time.Now)
 	cl, err := dfs.NewClient(nn, g)
 	if err != nil {
 		return nil, err
@@ -226,10 +232,16 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 		fleet:      clusterResult{DataNodes: append([]string(nil), dnAddrs...), Breaker: cfg.Breaker, Hedge: cfg.Hedge, HedgeReads: cfg.HedgeReads},
 		brkStats:   brkStats,
 		start:      time.Now(),
+		now:        time.Now,
+		detector:   cfg.Detector,
 		hb:         make(map[cluster.NodeID]*hbState),
 		stopCh:     make(chan struct{}),
 		repairKick: make(chan struct{}, 1),
 	}
+	s.detector.defaults()
+	// Leases expire by the deadlines that cross the wire, on the
+	// server's clock.
+	nn.SetLeaseClock(func() time.Time { return s.now() })
 	if cfg.HedgeReads {
 		if err := nn.SetHedge(cfg.Hedge); err != nil {
 			return nil, err
@@ -497,50 +509,42 @@ func (s *NameNodeServer) downNodes() []cluster.NodeID {
 	return down
 }
 
-// foldHeartbeat diffs one beat's cumulative totals against the last
-// folded state and feeds the delta to the estimator, then publishes a
-// cluster snapshot with the new (λ, μ), which every operation that
-// starts afterwards reads; operations in flight keep the one they
-// loaded.
-// A beat whose sequence is not newer than the last folded one is
-// rejected as stale (delayed duplicate); a beat also flips the
-// sender's liveness belief up — it is, evidently, talking.
+// foldHeartbeat takes one beat, measures the gap g since the
+// sender's previous beat on the server's clock, and feeds the
+// estimator: the beat ends one interruption of downtime g if it
+// carries a new epoch (a restart) or g is at least SuspectAfter, and
+// otherwise g was uptime. The first beat ever seen from a node only
+// sets the baseline. It then publishes a cluster snapshot with the
+// new (λ, μ), which every operation that starts afterwards reads;
+// operations in flight keep the one they loaded.
+// A beat whose sequence is not newer than the last folded one within
+// its epoch is rejected as stale (delayed duplicate); a beat also
+// flips the sender's liveness belief up — it is, evidently, talking.
 func (s *NameNodeServer) foldHeartbeat(p heartbeatParams) error {
 	if int(p.Node) < 0 || int(p.Node) >= len(s.stores) {
 		return fmt.Errorf("%w: node %d", ErrUnknownDataNode, p.Node)
 	}
 
 	s.hbMu.Lock()
-	st, ok := s.hb[p.Node]
-	if !ok {
+	// Read under the lock, so each node's beats get arrival times in
+	// the order they are folded and no gap is negative.
+	now := s.now()
+	st, seen := s.hb[p.Node]
+	if !seen {
 		st = &hbState{epoch: p.Epoch}
 		s.hb[p.Node] = st
 	}
-	if p.Epoch != st.epoch {
-		// A restarted DataNode: fresh incarnation, fresh counters.
-		// Re-baseline at zero so its reset totals fold as a full
-		// delta instead of being rejected as stale/backwards forever.
-		// Observations the old incarnation already shipped were
-		// folded then; whatever it accumulated after its last beat
-		// died with it, which cumulative totals cannot recover.
-		*st = hbState{epoch: p.Epoch}
+	restarted := p.Epoch != st.epoch
+	if restarted {
+		st.epoch, st.seq = p.Epoch, 0
 	}
 	if p.Seq <= st.seq {
 		s.hbMu.Unlock()
 		return fmt.Errorf("%w: node %d seq %d <= %d", ErrStaleHeartbeat, p.Node, p.Seq, st.seq)
 	}
-	dUp := p.Uptime - st.uptime
-	dInt := p.Interruptions - st.interruptions
-	dDown := p.Downtime - st.downtime
-	if dUp < 0 || dInt < 0 || dDown < 0 {
-		s.hbMu.Unlock()
-		return fmt.Errorf("%w: node %d cumulative totals went backwards", ErrBadObservation, p.Node)
-	}
+	gap := now.Sub(st.lastBeat)
 	st.seq = p.Seq
-	st.uptime = p.Uptime
-	st.interruptions = p.Interruptions
-	st.downtime = p.Downtime
-	st.lastBeat = time.Now()
+	st.lastBeat = now
 	wasDead := st.state == NodeDead
 	st.state = NodeAlive
 	s.hbMu.Unlock()
@@ -551,8 +555,14 @@ func (s *NameNodeServer) foldHeartbeat(p heartbeatParams) error {
 		s.kickRepair()
 	}
 
-	if dUp > 0 || dInt > 0 {
-		if err := s.nn.Heartbeat().ObserveBatch(p.Node, dUp, dInt, dDown); err != nil {
+	if seen && (restarted || gap > 0) {
+		var err error
+		if restarted || gap >= s.detector.SuspectAfter {
+			err = s.nn.Heartbeat().ObserveInterruption(p.Node, gap.Seconds())
+		} else {
+			err = s.nn.Heartbeat().ObserveUptime(p.Node, gap.Seconds())
+		}
+		if err != nil {
 			return fmt.Errorf("svc: fold heartbeat from node %d: %w", p.Node, err)
 		}
 		s.nn.RefreshAvailability()
@@ -567,8 +577,10 @@ func (s *NameNodeServer) Estimates() map[cluster.NodeID]model.Availability {
 }
 
 // HeartbeatAges returns, per node that has ever heartbeated, the age
-// of its freshest beat. The /metrics endpoint exports these.
-func (s *NameNodeServer) HeartbeatAges(now time.Time) map[cluster.NodeID]time.Duration {
+// of its freshest beat on the server's clock. The /metrics endpoint
+// exports these.
+func (s *NameNodeServer) HeartbeatAges() map[cluster.NodeID]time.Duration {
+	now := s.now()
 	s.hbMu.Lock()
 	defer s.hbMu.Unlock()
 	out := make(map[cluster.NodeID]time.Duration, len(s.hb))

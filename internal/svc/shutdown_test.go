@@ -6,9 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/adaptsim/adapt/internal/cluster"
-	"github.com/adaptsim/adapt/internal/stats"
 )
 
 // TestShutdownDrainsInflightAndRejectsNew pins the graceful-shutdown
@@ -111,48 +108,5 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 	defer scancel()
 	if err := srv.Shutdown(sctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want DeadlineExceeded", err)
-	}
-}
-
-// TestClusterCloseFlushesFinalHeartbeats: Close stops DataNodes
-// before the NameNode, so observations recorded but never heartbeated
-// still reach the estimator via each node's final flush.
-func TestClusterCloseFlushesFinalHeartbeats(t *testing.T) {
-	nodes := make([]cluster.Node, 3)
-	c, err := cluster.New(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc, err := StartLocalCluster(c, stats.NewRNG(11), nil, NameNodeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Record observations without flushing any heartbeat.
-	if err := lc.ObserveUptime(1, 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := lc.ObserveInterruption(1, 20); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := lc.Close(ctx); err != nil {
-		t.Fatalf("Close = %v", err)
-	}
-
-	est := lc.NN.Engine().Heartbeat().Estimate(1)
-	if est.Lambda == 0 || est.Mu != 20 {
-		t.Fatalf("final heartbeat not folded: estimate = %+v", est)
-	}
-
-	// The NameNode is down now: a fresh client call must fail cleanly,
-	// not hang.
-	cl := lc.Client("late")
-	defer cl.Close()
-	short, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer scancel()
-	if _, err := cl.List(short); err == nil {
-		t.Fatal("call to a closed cluster succeeded")
 	}
 }

@@ -8,7 +8,10 @@
 // in order; a snapshot named snap-N captures the application state
 // after applying records 1..N. Records and snapshots share one frame
 // format: a 4-byte big-endian payload length, a 4-byte big-endian
-// CRC32 (IEEE) of the payload, then the payload.
+// CRC32 (IEEE) of the payload, then the payload. A payload is never
+// empty: the CRC32 of nothing is 0, so eight zero bytes — what a file
+// a crash extended without writing it reads as — would otherwise
+// decode as a record nobody wrote.
 //
 // Durability contract. Append writes the frame and fsyncs before
 // returning, so a record whose Append returned nil survives any
@@ -265,13 +268,14 @@ func appendFrame(dst, rec []byte) []byte {
 }
 
 // decodeFrame decodes one frame from the start of data, returning the
-// payload, the bytes consumed, and whether the frame was valid.
+// payload, the bytes consumed, and whether the frame was valid. An
+// empty payload is invalid: no writer produces one.
 func decodeFrame(data []byte) (payload []byte, n int, ok bool) {
 	if len(data) < frameHeader {
 		return nil, 0, false
 	}
 	size := binary.BigEndian.Uint32(data[0:4])
-	if size > MaxRecordSize || int(size) > len(data)-frameHeader {
+	if size == 0 || size > MaxRecordSize || int(size) > len(data)-frameHeader {
 		return nil, 0, false
 	}
 	payload = data[frameHeader : frameHeader+int(size)]
@@ -300,8 +304,8 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 	if l.closed || l.broken {
 		return 0, ErrClosed
 	}
-	if len(rec) > MaxRecordSize {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordSize", len(rec))
+	if len(rec) == 0 || len(rec) > MaxRecordSize {
+		return 0, fmt.Errorf("wal: record of %d bytes is empty or exceeds MaxRecordSize", len(rec))
 	}
 	frame := appendFrame(nil, rec)
 	if l.faults != nil {
@@ -346,6 +350,9 @@ func (l *Log) SaveSnapshot(state []byte, upTo uint64) error {
 	}
 	if upTo <= l.snapSeq {
 		return nil // an older snapshot already covers this
+	}
+	if len(state) == 0 {
+		return fmt.Errorf("wal: empty snapshot state")
 	}
 	if err := l.writeSnapshotFile(state, upTo); err != nil {
 		return err

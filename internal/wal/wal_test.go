@@ -100,10 +100,14 @@ func TestAppendReopenReplay(t *testing.T) {
 	if l2.Seq() != 3 {
 		t.Fatalf("recovered seq = %d, want 3", l2.Seq())
 	}
-	// Appends continue the sequence after recovery.
+	// Appends continue the sequence after recovery; an empty record,
+	// which would frame as the zeros a crash can leave, is refused.
 	seq, err := l2.Append([]byte("create /c"))
 	if err != nil || seq != 4 {
 		t.Fatalf("append after recovery: seq=%d err=%v", seq, err)
+	}
+	if _, err := l2.Append(nil); err == nil || l2.Seq() != 4 {
+		t.Fatalf("empty record: err=%v, seq=%d", err, l2.Seq())
 	}
 }
 
