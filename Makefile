@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github build test test-short race-all sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke experiments-smoke soak bench sim-smoke fuzz-smoke
+.PHONY: ci vet lint lint-github build test test-short race-all hedge-stress sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke experiments-smoke soak bench sim-smoke fuzz-smoke
 
 # Full CI gate: static checks, build, the race-enabled test suite
-# (includes every soak), the frame-codec fuzz smoke, and the
-# simulator workloads' pinned-fingerprint runs at benchmark scale.
-ci: vet lint build race-all fuzz-smoke sim-smoke
+# (includes every soak), the repeated hedged-read race check, the
+# frame-codec fuzz smoke, and the simulator workloads'
+# pinned-fingerprint runs at benchmark scale.
+ci: vet lint build race-all hedge-stress fuzz-smoke sim-smoke
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +41,14 @@ test-short:
 # The whole test suite under the race detector.
 race-all:
 	$(GO) test -race ./...
+
+# Hedged reads repeated under the race detector. A hedged read lands
+# in place in the file being assembled, which is correct only because
+# a losing in-place fetch has returned before a winning backup's bytes
+# are appended over its spare capacity; a single race-enabled run may
+# not interleave them that way, ten usually do.
+hedge-stress:
+	$(GO) test -race -count=10 -run 'Hedge' ./internal/dfs/ ./internal/svc/
 
 # Coverage-guided fuzz smoke for the decoders that read bytes they did
 # not write, 30s in all, each target for 7.5s on top of its committed

@@ -314,7 +314,8 @@ func (b *BlockIO) ReadBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
 // ladder reads each replica into dst's spare capacity and truncates
 // back on a failover or a checksum mismatch, so a verified block lands
 // where it belongs with no further copy. With hedging enabled the
-// ladder is readBlockHedged instead.
+// ladder is readBlockHedged instead, which lands the block in place
+// too unless a backup wins.
 func (b *BlockIO) appendBlock(ctx context.Context, bm BlockMeta, dst []byte) ([]byte, error) {
 	for _, r := range bm.Replicas {
 		if int(r) < 0 || int(r) >= len(b.stores) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"sync"
 	"time"
 
@@ -71,13 +70,14 @@ func (c HedgeConfig) withDefaults() HedgeConfig {
 type hedger struct {
 	cfg HedgeConfig
 
-	mu   sync.Mutex
-	ring []time.Duration
-	n    int // total latencies ever observed
+	mu      sync.Mutex
+	ring    []time.Duration
+	scratch []time.Duration // the window threshold selects in, reused
+	n       int             // total latencies ever observed
 }
 
 func newHedger(cfg HedgeConfig) *hedger {
-	return &hedger{cfg: cfg, ring: make([]time.Duration, cfg.Window)}
+	return &hedger{cfg: cfg, ring: make([]time.Duration, cfg.Window), scratch: make([]time.Duration, cfg.Window)}
 }
 
 // observe records one successful read's latency.
@@ -89,28 +89,55 @@ func (h *hedger) observe(d time.Duration) {
 }
 
 // threshold returns the current hedge delay; ok is false until
-// MinSamples latencies have been observed.
+// MinSamples latencies have been observed. It runs on every hedged
+// block read, so it allocates nothing: the quantile is selected in a
+// copy of the window kept in the tracker's reused scratch slice.
 func (h *hedger) threshold() (time.Duration, bool) {
 	h.mu.Lock()
 	if h.n < h.cfg.MinSamples {
 		h.mu.Unlock()
 		return 0, false
 	}
-	k := h.n
-	if k > len(h.ring) {
-		k = len(h.ring)
-	}
-	window := make([]time.Duration, k)
+	k := min(h.n, len(h.ring))
+	window := h.scratch[:k]
 	copy(window, h.ring[:k])
+	q := selectNth(window, int(h.cfg.Quantile*float64(k-1)))
 	h.mu.Unlock()
 
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	idx := int(h.cfg.Quantile * float64(k-1))
-	thr := time.Duration(h.cfg.Multiplier * float64(window[idx]))
-	if thr < h.cfg.MinDelay {
-		thr = h.cfg.MinDelay
+	return max(time.Duration(h.cfg.Multiplier*float64(q)), h.cfg.MinDelay), true
+}
+
+// selectNth returns the value sorting s would put at index k,
+// reordering s in place (Hoare's selection: expected linear time).
+func selectNth(s []time.Duration, k int) time.Duration {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		pivot := s[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] <= pivot <= s[i..hi], and everything between is the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return s[k]
+		}
 	}
-	return thr, true
+	return s[k]
 }
 
 // SetHedge enables hedged reads on this mover's block read path.
@@ -136,21 +163,30 @@ func (nn *NameNode) SetHedge(cfg HedgeConfig) error { return nn.io.SetHedge(cfg)
 
 // hedgeResult is one replica fetch's outcome.
 type hedgeResult struct {
-	data   []byte
-	err    error
-	node   cluster.NodeID
-	hedged bool
-	took   time.Duration
+	data    []byte
+	err     error
+	node    cluster.NodeID
+	hedged  bool
+	inPlace bool // data is dst extended: the fetch read into dst's spare capacity
+	took    time.Duration
 }
 
 // readBlockHedged is the hedged counterpart of the sequential replica
 // loop in appendBlock: the primary fetch starts immediately, a
 // backup starts on the next live replica once the threshold passes,
-// and whichever verified copy lands first wins and is appended to dst.
-// Fetch errors trigger immediate failover to the next candidate (no
-// threshold wait), so hedging strictly dominates the sequential loop on
-// latency. Each fetch reads into a buffer of its own, never into dst: a
-// cancelled loser may still be writing when the winner returns.
+// and whichever verified copy lands first wins. Fetch errors trigger
+// immediate failover to the next candidate (no threshold wait), so
+// hedging strictly dominates the sequential loop on latency.
+//
+// The block lands in place as the sequential ladder's does: one fetch
+// at a time — the first, and after a failure the next failover — reads
+// into dst's spare capacity, and when it wins its extended slice is
+// the result, with no copy. Every other fetch reads into a buffer of
+// its own. A backup that wins is appended to dst only after the fetches
+// are cancelled and the in-place one has returned, since until then it
+// may still be writing dst's spare capacity; and no path returns before
+// the in-place fetch has, so the caller never gets dst back while a
+// fetch can still write past its end.
 func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, dst []byte) ([]byte, error) {
 	live := make([]cluster.NodeID, 0, len(bm.Replicas))
 	for _, r := range bm.Replicas {
@@ -162,13 +198,22 @@ func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, 
 		return nil, fmt.Errorf("%w: block %d of %q", ErrNoReplica, bm.ID, bm.File)
 	}
 
-	// One cancellation scope for every fetch: the first winner's
-	// deferred cancel aborts the losers, whose blocked stream I/O the
-	// networked stores poison through this context. Each loser then
-	// errors out and drains into the buffered channel.
+	// One cancellation scope for every fetch: settle aborts the losers,
+	// whose blocked stream I/O the networked stores poison through this
+	// context, and waits out the in-place one. Every fetch sends exactly
+	// one result into the buffered channel, so none ever blocks there.
 	fctx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
 	results := make(chan hedgeResult, len(live))
+	inPlace := false // a fetch is reading into dst's spare capacity
+	settle := func() {
+		cancelAll()
+		for inPlace {
+			if r := <-results; r.inPlace {
+				inPlace = false
+			}
+		}
+	}
+	defer settle()
 
 	next, outstanding, hedges := 0, 0, 0
 	start := func(hedged bool) bool {
@@ -182,12 +227,17 @@ func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, 
 			hedges++
 			b.counters.HedgedReads.Add(1)
 		}
+		var into []byte // nil: a buffer of the fetch's own
+		own := !inPlace
+		if own {
+			into, inPlace = dst, true
+		}
 		go func() {
 			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
 			begin := time.Now()
-			data, err := b.stores[node].Get(fctx, bm.ID, nil)
+			data, err := b.stores[node].Get(fctx, bm.ID, into)
 			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
-			results <- hedgeResult{data: data, err: err, node: node, hedged: hedged, took: time.Since(begin)}
+			results <- hedgeResult{data: data, err: err, node: node, hedged: hedged, inPlace: own, took: time.Since(begin)}
 		}()
 		return true
 	}
@@ -208,15 +258,26 @@ func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, 
 		select {
 		case r := <-results:
 			outstanding--
+			block := r.data
+			if r.inPlace {
+				inPlace = false
+				if r.err == nil {
+					block = r.data[len(dst):]
+				}
+			}
 			if r.err == nil {
-				if crc32.ChecksumIEEE(r.data) == bm.Checksum {
+				if crc32.ChecksumIEEE(block) == bm.Checksum {
 					h.observe(r.took)
 					if r.hedged {
 						b.counters.HedgeWins.Add(1)
 					} else if hedges > 0 {
 						b.counters.HedgeLosses.Add(1)
 					}
-					return append(dst, r.data...), nil
+					if r.inPlace {
+						return r.data, nil
+					}
+					settle()
+					return append(dst, block...), nil
 				}
 				b.counters.ChecksumFailures.Add(1)
 				r.err = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r.node)

@@ -110,19 +110,30 @@ func BenchmarkClientPutGetBySize(b *testing.B) {
 }
 
 // TestPutGetCopyBudget pins what a put and a get cost in copies: a
-// 4 MiB put+get pair through svc.Client (RF 3, 1 MiB blocks, hedging
-// off) allocates at most 4.5× the file size. The floor is 4.25×: three
-// stored replicas, the writer's one block buffer, and the file the get
-// returns — each DataNode keeps the buffer it received the replica in,
-// and the get assembles the file in place. Chunk frames read into a
-// pooled buffer and copied out again, or a replica copied on its way
-// into or out of the store, would break the budget.
+// 4 MiB put+get pair through svc.Client (RF 3, 1 MiB blocks) allocates
+// at most 4.5× the file size, with hedged reads off and on. The floor
+// is 4.25×: three stored replicas, the writer's one block buffer, and
+// the file the get returns — each DataNode keeps the buffer it received
+// the replica in, and the get assembles the file in place, the hedged
+// ladder too when no hedge fires. Chunk frames read into a pooled
+// buffer and copied out again, a replica copied on its way into or out
+// of the store, or a hedged fetch read into a buffer of its own and
+// appended would break the budget.
 func TestPutGetCopyBudget(t *testing.T) {
+	for _, hedge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) { copyBudget(t, hedge) })
+	}
+}
+
+func copyBudget(t *testing.T, hedge bool) {
 	c, err := cluster.New(make([]cluster.Node, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := StartLocalCluster(c, stats.NewRNG(2), nil, NameNodeConfig{BlockSize: 1 << 20, Replication: 3})
+	// A threshold floored at a minute: reads take the hedged ladder
+	// and no hedge ever fires.
+	cfg := NameNodeConfig{BlockSize: 1 << 20, Replication: 3, HedgeReads: hedge, Hedge: HedgeConfig{MinDelay: time.Minute}}
+	lc, err := StartLocalCluster(c, stats.NewRNG(2), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,5 +172,8 @@ func TestPutGetCopyBudget(t *testing.T) {
 	t.Logf("a put+get pair allocates %.2f× the file size", ratio)
 	if ratio > 4.5 {
 		t.Fatalf("a put+get pair allocates %.2f× the file size, budget 4.5×", ratio)
+	}
+	if r := cl.resilience(); r.HedgedReads != 0 {
+		t.Fatalf("%d reads hedged under a one-minute threshold", r.HedgedReads)
 	}
 }

@@ -279,8 +279,8 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	}
 	stream := dialRaw(t, dn.Addr())
 	stream.send(frameOpenWrite, 0, 1, open)
-	stream.recv(frameSetupAck)
 	stream.send(frameChunk, 0, 1, make([]byte, 1024))
+	stream.recv(frameSetupAck)
 	stream.send(frameCall, 0, 1, ping)
 	stream.closed()
 	if _, _, ok := dn.Node().StoredSum(77); ok {
@@ -292,8 +292,8 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	block := payload(100)
 	done := dialRaw(t, dn.Addr())
 	done.send(frameOpenWrite, 0, 1, encodeOpenWrite(openWrite{Block: 78, Size: int64(len(block)), From: "tester"}))
-	done.recv(frameSetupAck)
 	done.send(frameChunk, flagLast, 1, block)
+	done.recv(frameSetupAck)
 	done.recv(frameCommitAck)
 	done.send(frameCall, 0, 2, ping)
 	done.closed()
@@ -331,8 +331,8 @@ func TestAbsurdBudgetIsClamped(t *testing.T) {
 		data := payload(1500)
 		w := dialRaw(t, dn.Addr())
 		w.send(frameOpenWrite, 0, 1, encodeOpenWrite(openWrite{Block: block, Size: int64(len(data)), DeadlineMS: ms, From: "tester"}))
-		w.recv(frameSetupAck)
 		w.send(frameChunk, flagLast, 1, data)
+		w.recv(frameSetupAck)
 		acks, err := decodeAcks(w.recv(frameCommitAck))
 		if err != nil || len(acks) != 1 || !acks[0].OK {
 			t.Fatalf("budget %d: commit acks %+v, %v", ms, acks, err)

@@ -115,10 +115,11 @@ func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 	}
 
 	// Multi-block files, read with the gray node first in every block's
-	// replica list, so a hedge fires on every block read: each racer
-	// reads into a buffer of its own and only the winner is appended to
-	// the file, so the bytes come back exact however the losers' cancels
-	// interleave (run under -race).
+	// replica list, so a hedge fires on every block read: the gray
+	// primary reads in place into the file being assembled, the backup
+	// into a buffer of its own, and the winning backup is appended only
+	// once the primary's cancelled fetch has returned, so the bytes come
+	// back exact however the cancels interleave (run under -race).
 	dp, err := cl.dataPathFor(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +159,9 @@ func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 
 	// Hedges whose racers both stream: the gray node healed and the
 	// threshold at the last winner's latency, so a backup often starts
-	// while the primary is still moving bytes, and both racers write
-	// theirs. Had they shared the file's buffer, -race would see it.
+	// while the primary is still moving bytes into the file in place,
+	// and both racers write theirs. Had the backup been appended while
+	// the primary could still write there, -race would see it.
 	faults.ClearGray(endpointName(primary))
 	if err := dp.io.SetHedge(HedgeConfig{Quantile: 0.01, Multiplier: 1, MinDelay: time.Nanosecond, Window: 1, MinSamples: 1}); err != nil {
 		t.Fatal(err)

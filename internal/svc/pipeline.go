@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 
 	"github.com/adaptsim/adapt/internal/dfs"
@@ -12,13 +13,18 @@ import (
 // DataNode side of the block streams: the handler a stream connection's
 // streams go to, one after another, each reporting whether it ended
 // cleanly enough for the connection to carry the next. A write stream is
-// relayed down the replication chain HDFS-style — this node takes a
-// connection to the next hop from its own relay pool (dialing only when
-// none is parked), forwards each chunk as it arrives, and commits
+// relayed down the replication chain HDFS-style, one chain round trip a
+// block: the writer's open frame arrives with the block's first chunk
+// behind it, and this node checks that chunk into its replica before it
+// takes a connection to the next hop from its own relay pool (dialing
+// only when none is parked) and sends its own open frame and the chunk
+// there in one flush. Its setup ack goes upstream once the downstream
+// one is back; later chunks are forwarded as they arrive. Commit is
 // deepest-first: downstream commit acks are collected before the local
-// put, and only then is the combined ack sent upstream, so a torn stream
-// can never leave a committed prefix the writer did not hear about from
-// every deeper node first.
+// put, and only then is the combined ack sent upstream — together with
+// the setup ack when the first chunk was the whole block — so a torn
+// stream can never leave a committed prefix the writer did not hear
+// about from every deeper node first.
 //
 // A block byte crosses this node's user space once each way. A write
 // allocates the replica at the announced size, reads every chunk into
@@ -99,7 +105,10 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	// A write stream is a put: it competes for the admission budget
 	// under that class, and a shed stream answers with a setup ack
 	// marking every chain node overloaded (wire taxonomy intact), which
-	// the writer's pipelinePut early-aborts on — fail fast, no bytes.
+	// the writer's pipelinePut early-aborts on — fail fast, nothing past
+	// the first chunk. That chunk is already on its way, so it is read
+	// and dropped first: a connection closed with it unread could reset
+	// before the writer reads the ack.
 	release, aerr := d.srv.admit.Load().acquire(ctx, classPut)
 	if aerr != nil {
 		shed := make([]ackEntry, 0, 1+len(ow.Chain))
@@ -107,26 +116,46 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		for _, ce := range ow.Chain {
 			shed = append(shed, failedAck(ce.Node, aerr))
 		}
-		if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(shed)) == nil {
-			_ = bw.Flush()
+		if cf, err := readFrame2(br, nil); err == nil {
+			cf.release()
+			if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(shed)) == nil {
+				_ = bw.Flush()
+			}
 		}
 		return false
 	}
 	defer release()
 
-	// Set up the downstream hop before admitting the stream, so the
-	// writer's setup ack already reflects which chain nodes are in.
+	// Receive the block straight into the replica: each chunk is read
+	// into its place in buf (CRC-checked there), relayed downstream from
+	// there with the header it arrived with, and buf itself becomes the
+	// stored replica on commit. Nothing else writes buf, before or after.
+	buf := make([]byte, ow.Size)
+	cf, ok := readChunk(br, sid, buf)
+	if !ok {
+		return false // torn or corrupt: nothing relayed, nothing committed
+	}
+
+	// The first chunk, checked, goes downstream with this hop's open
+	// frame, so the setup ack sent upstream below already says which
+	// chain nodes are in and the deeper ones hold that chunk.
 	var down *dataConn
 	var downAcks []ackEntry
 	downClean := false
 	if len(ow.Chain) > 0 {
 		next := ow.Chain[0]
-		dc, sf, derr := d.relays.openStream(ctx, next.Addr, name, endpointName(next.Node), d.faults, frameOpenWrite, sid, func() []byte {
+		dc, sf, derr := d.relays.openStream(ctx, next.Addr, name, endpointName(next.Node), d.faults, func(w io.Writer) error {
 			// The forwarded budget is recomputed from this hop's derived
 			// context, not copied from the open frame: whatever this node
 			// already spent is gone, so an N-deep chain shares one budget
 			// instead of re-arming it per hop.
-			return encodeOpenWrite(openWrite{Block: ow.Block, Size: ow.Size, DeadlineMS: budgetOf(ctx), From: name, Chain: ow.Chain[1:]})
+			if err := writeFrame2(w, frameOpenWrite, 0, sid, encodeOpenWrite(openWrite{Block: ow.Block, Size: ow.Size, DeadlineMS: budgetOf(ctx), From: name, Chain: ow.Chain[1:]})); err != nil {
+				return err
+			}
+			if err := d.relayFault(next); err != nil {
+				return err
+			}
+			return forwardFrame(w, &cf)
 		})
 		if derr == nil {
 			if sf.Type == frameSetupAck {
@@ -152,33 +181,19 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 			}
 		}()
 	}
+	// A one-chunk block's setup ack waits in bw for its commit ack.
 	setup := append([]ackEntry{{Node: d.id, OK: true}}, downAcks...)
-	if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(setup)) != nil || bw.Flush() != nil {
+	if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(setup)) != nil || (!cf.last() && bw.Flush() != nil) {
 		return false
 	}
 
-	// Receive the block straight into the replica: each chunk is read
-	// into its place in buf (CRC-checked there), relayed downstream from
-	// there with the header it arrived with, and buf itself becomes the
-	// stored replica on commit. Nothing else writes buf, before or after.
-	buf := make([]byte, ow.Size)
-	received := 0
-	for {
-		cf, rerr := readFrame2(br, buf[received:])
-		if rerr != nil {
+	received := len(cf.Payload)
+	for !cf.last() {
+		if cf, ok = readChunk(br, sid, buf[received:]); !ok {
 			return false // torn stream: no commit, writer cleans up
 		}
-		// A chunk that does not fit what is left of buf was pooled
-		// instead: it overflows the announced size.
-		if cf.Type != frameChunk || cf.Stream != sid || cf.pooled {
-			cf.release()
-			return false
-		}
 		if down != nil {
-			relayErr := error(nil)
-			if d.faults != nil {
-				relayErr = d.faults.FailMessage(name, endpointName(ow.Chain[0].Node))
-			}
+			relayErr := d.relayFault(ow.Chain[0])
 			if relayErr == nil {
 				relayErr = forwardFrame(down.bw, &cf)
 			}
@@ -194,9 +209,6 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 			}
 		}
 		received += len(cf.Payload)
-		if cf.last() {
-			break
-		}
 	}
 	if received != len(buf) {
 		return false // short stream: never commit a partial block
@@ -231,6 +243,30 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	}
 	commit := append([]ackEntry{self}, downAcks...)
 	return writeFrame2(bw, frameCommitAck, 0, sid, encodeAcks(commit)) == nil && bw.Flush() == nil
+}
+
+// readChunk reads the next chunk of stream sid into dst's first bytes.
+// ok is false for anything else: a torn stream, a failed CRC, another
+// frame, or a chunk that overflows dst (readFrame2 pooled it instead).
+func readChunk(br *bufio.Reader, sid uint64, dst []byte) (frame2, bool) {
+	cf, err := readFrame2(br, dst)
+	if err != nil {
+		return frame2{}, false
+	}
+	if cf.Type != frameChunk || cf.Stream != sid || cf.pooled {
+		cf.release()
+		return frame2{}, false
+	}
+	return cf, true
+}
+
+// relayFault consults the fault hook for one chunk this node relays to
+// next.
+func (d *DataNodeServer) relayFault(next chainEntry) error {
+	if d.faults == nil {
+		return nil
+	}
+	return d.faults.FailMessage(endpointName(d.id), endpointName(next.Node))
 }
 
 func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool) {

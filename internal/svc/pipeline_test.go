@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -106,18 +107,26 @@ func TestPipelineMultiChunkBlocks(t *testing.T) {
 	// The relay: a multi-chunk block written through DataNode 0 to a
 	// recording next hop arrives there byte for byte as it was sent —
 	// every header, CRC included, forwarded as received — and is stored
-	// on the relay too. A chunk corrupted on its way to DataNode 0 is
-	// refused there: nothing is relayed, stored or acknowledged.
+	// on the relay too. The first chunk travels with the open frame:
+	// the writer sends both before it reads anything, and the recording
+	// hop answers its setup only once it holds that chunk, so a relay
+	// that waited for a setup ack before forwarding it would stall here.
+	// A chunk corrupted on its way to DataNode 0 is refused there:
+	// nothing is relayed, stored or acknowledged.
 	relay := lc.DNs[0]
 	block := data[:DefaultChunkSize+777]
 	frames := chunkFrames(t, 51, block, 0)
+	first := headerSize + DefaultChunkSize // chunk 0's frame
 	hop := recordingHop(t, 9)
 	p := dialRaw(t, relay.Addr())
 	p.send(frameOpenWrite, 0, 51, encodeOpenWrite(openWrite{Block: 1 << 40, Size: int64(len(block)), From: "tester", Chain: []chainEntry{{Node: 9, Addr: hop.addr}}}))
+	if _, err := p.nc.Write(frames[:first]); err != nil {
+		t.Fatal(err)
+	}
 	if acks, err := decodeAcks(p.recv(frameSetupAck)); err != nil || len(acks) != 2 || !acks[0].OK || !acks[1].OK {
 		t.Fatalf("setup acks %+v, %v", acks, err)
 	}
-	if _, err := p.nc.Write(frames); err != nil {
+	if _, err := p.nc.Write(frames[first:]); err != nil {
 		t.Fatal(err)
 	}
 	if acks, err := decodeAcks(p.recv(frameCommitAck)); err != nil || len(acks) != 2 || !acks[0].OK || !acks[1].OK {
@@ -138,16 +147,18 @@ func TestPipelineMultiChunkBlocks(t *testing.T) {
 	hop = recordingHop(t, 9)
 	p = dialRaw(t, relay.Addr())
 	p.send(frameOpenWrite, 0, 52, encodeOpenWrite(openWrite{Block: 1<<40 + 1, Size: int64(len(block)), From: "tester", Chain: []chainEntry{{Node: 9, Addr: hop.addr}}}))
-	p.recv(frameSetupAck)
-	if _, err := p.nc.Write(torn); err != nil {
+	if _, err := p.nc.Write(torn[:first]); err != nil {
 		t.Fatal(err)
 	}
-	// The relay hangs up; unread chunk bytes may turn its close into a
-	// reset.
+	// The relay hangs up without a setup ack; unread bytes may turn its
+	// close into a reset.
 	if f, err := readFrame2(p.br, nil); !peerClosed(err) {
 		f.release()
 		t.Fatalf("after a corrupted chunk the relay answered %+v, %v; want it to hang up", f, err)
 	}
+	// It checks the chunk before it opens the next hop, so the hop
+	// never hears of the stream.
+	_ = hop.ln.Close()
 	if relayed := <-hop.got; len(relayed) != 0 {
 		t.Fatalf("the relay forwarded %d bytes of a stream whose first chunk it refused", len(relayed))
 	}
@@ -179,10 +190,12 @@ func chunkFrames(t *testing.T, sid uint64, block []byte, corrupt int) []byte {
 }
 
 // hopRecorder is a fake last pipeline hop: it admits one write stream
-// as node, records the raw bytes of the chunk frames it receives, and
-// commits once the last one is in. got delivers the recording when the
-// stream ends, cleanly or not.
+// as node once the open frame and the first chunk are in, records the
+// raw bytes of the chunk frames it receives, and commits once the last
+// one is in. got delivers the recording when the stream ends, cleanly
+// or not, or when ln is closed before any stream came.
 type hopRecorder struct {
+	ln   net.Listener
 	addr string
 	got  chan []byte
 }
@@ -194,7 +207,7 @@ func recordingHop(t *testing.T, node cluster.NodeID) hopRecorder {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ln.Close() })
-	h := hopRecorder{addr: ln.Addr().String(), got: make(chan []byte, 1)}
+	h := hopRecorder{ln: ln, addr: ln.Addr().String(), got: make(chan []byte, 1)}
 	go func() {
 		var raw bytes.Buffer
 		defer func() { h.got <- raw.Bytes() }()
@@ -210,20 +223,28 @@ func recordingHop(t *testing.T, node cluster.NodeID) hopRecorder {
 			return
 		}
 		open.release()
-		if writeFrame2(nc, frameSetupAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: node, OK: true}})) != nil {
-			return
-		}
-		for {
+		// record copies one chunk frame off the wire as it arrived.
+		record := func() (last bool, err error) {
 			var hdr [headerSize]byte
 			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return
+				return false, err
 			}
 			raw.Write(hdr[:])
 			if _, err := io.CopyN(&raw, br, int64(binary.BigEndian.Uint32(hdr[12:16]))); err != nil {
-				return
+				return false, err
 			}
-			if binary.BigEndian.Uint16(hdr[2:4])&flagLast != 0 {
-				break
+			return binary.BigEndian.Uint16(hdr[2:4])&flagLast != 0, nil
+		}
+		last, err := record()
+		if err != nil {
+			return
+		}
+		if writeFrame2(nc, frameSetupAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: node, OK: true}})) != nil {
+			return
+		}
+		for !last {
+			if last, err = record(); err != nil {
+				return
 			}
 		}
 		_ = writeFrame2(nc, frameCommitAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: node, OK: true}}))
@@ -454,4 +475,67 @@ func TestStreamGetCancelledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestShedWriteReadsFirstChunkThenAnswers: a write stream's first chunk
+// arrives with its open frame, so a DataNode with no admission capacity
+// left has that chunk on the wire when it sheds the stream. It reads
+// the chunk off and drops it, then answers with a setup ack that marks
+// it and every chain node overloaded; the writer reads that typed
+// answer, never a reset, and every pooled buffer comes back.
+func TestShedWriteReadsFirstChunkThenAnswers(t *testing.T) {
+	lc := pipelineCluster(t, 2, 1024, 2, nil)
+	start := frameBufs.balance()
+	dn := lc.DNs[0]
+	drain := saturate(t, dn)
+	defer drain()
+	chain := []chainEntry{{Node: 0, Addr: dn.Addr()}, {Node: 1, Addr: lc.DNs[1].Addr()}}
+	overloaded := func(what string, acks []ackEntry) {
+		t.Helper()
+		if len(acks) != len(chain) {
+			t.Fatalf("%s: %d setup entries, want one per chain node", what, len(acks))
+		}
+		for i, e := range acks {
+			if e.Node != chain[i].Node || !errors.Is(e.err(), dfs.ErrOverload) {
+				t.Fatalf("%s: entry %d = %+v, want node %d overloaded", what, i, e, chain[i].Node)
+			}
+		}
+	}
+
+	// On the wire: the open frame and a full first chunk of a larger
+	// block, sent before anything is read back.
+	block := payload(2 * DefaultChunkSize)
+	raw := dialRaw(t, dn.Addr())
+	raw.send(frameOpenWrite, 0, 7, encodeOpenWrite(openWrite{Block: 70, Size: int64(len(block)), From: "tester", Chain: chain[1:]}))
+	raw.send(frameChunk, 0, 7, block[:DefaultChunkSize])
+	acks, err := decodeAcks(raw.recv(frameSetupAck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	overloaded("raw", acks)
+	raw.closed()
+
+	// Through the writer, one- and multi-chunk blocks alike: the shed
+	// is the outcome, not a broken stream.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var p streamPool
+	defer p.close()
+	for i := 0; i < 20; i++ {
+		data := block[:100]
+		if i%2 == 1 {
+			data = block
+		}
+		acks, err := p.pipelinePut(ctx, "writer", nil, chain, dfs.BlockID(71+i), data)
+		if err != nil {
+			t.Fatalf("put %d against a shedding node: %v, want its overload acks", i, err)
+		}
+		overloaded(fmt.Sprintf("put %d", i), acks)
+	}
+	for _, n := range lc.DNs {
+		if blocks := n.Node().StoredBlocks(); len(blocks) != 0 {
+			t.Fatalf("a shed stream stored blocks %v", blocks)
+		}
+	}
+	requirePoolBalance(t, start)
 }

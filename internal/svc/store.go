@@ -150,8 +150,9 @@ func (s *remoteStore) SetUp(up bool) {
 // nothing about the node, so neither the breaker nor the liveness
 // belief moves), or the transport failed (the store is marked down and
 // the error wraps dfs.ErrNodeDown). what names the exchange in the
-// abandoned-call error.
-func (s *remoteStore) observe(ctx context.Context, what string, exchange func() error) error {
+// abandoned-call error, and is called only to build that error: the
+// exchange that succeeds formats nothing.
+func (s *remoteStore) observe(ctx context.Context, what func() string, exchange func() error) error {
 	probe, admitted := s.brk.admit()
 	if !admitted {
 		return fmt.Errorf("%w: datanode %d circuit open, fast-failing", dfs.ErrNodeDown, s.id)
@@ -168,7 +169,7 @@ func (s *remoteStore) observe(ctx context.Context, what string, exchange func() 
 	}
 	if errors.Is(ctx.Err(), context.Canceled) {
 		s.brk.forget(probe)
-		return fmt.Errorf("svc: %s datanode %d abandoned: %w", what, s.id, err)
+		return fmt.Errorf("svc: %s datanode %d abandoned: %w", what(), s.id, err)
 	}
 	s.brk.record(probe, false)
 	s.SetUp(false)
@@ -177,7 +178,7 @@ func (s *remoteStore) observe(ctx context.Context, what string, exchange func() 
 
 // call performs one control RPC against the DataNode.
 func (s *remoteStore) call(ctx context.Context, method string, params, result any) error {
-	return s.observe(ctx, method+" to", func() error {
+	return s.observe(ctx, func() string { return method + " to" }, func() error {
 		return s.peer.call(ctx, method, params, result)
 	})
 }
@@ -267,7 +268,7 @@ func (s *remoteStore) peerEvidence(n cluster.NodeID, ok bool) {
 // (dfs.BlockStore).
 func (s *remoteStore) Get(ctx context.Context, id dfs.BlockID, dst []byte) ([]byte, error) {
 	var data []byte
-	err := s.observe(ctx, fmt.Sprintf("get block %d from", id), func() (err error) {
+	err := s.observe(ctx, func() string { return fmt.Sprintf("get block %d from", id) }, func() (err error) {
 		data, err = s.streams.streamGet(ctx, s.peer.local, s.peer.faults, s.peer.addr, s.peer.peer, id, dst)
 		return err
 	})

@@ -25,11 +25,15 @@ import (
 // buffers per hop. Every other ending closes it. Multiplexing is for
 // call connections (conn.go), where frames are small.
 //
+// A write costs one round trip through the chain a block: pipelinePut
+// sends the open frame and the block's first chunk in one flush, and
+// reads the setup ack only then (pipeline.go has the relay's half).
+//
 // A read lands where its bytes are going: streamGet reads each chunk
 // straight into the caller's destination (the file being assembled, for
-// dfs.BlockIO's read ladder), so a block crosses the reader's user space
-// once; the connection's small read buffer holds only headers and the
-// frames that have nowhere else to go.
+// dfs.BlockIO's read ladders, hedged or not), so a block crosses the
+// reader's user space once; the connection's small read buffer holds
+// only headers and the frames that have nowhere else to go.
 
 // streamIDs mints stream ids. Streams on a connection never overlap, so
 // the id is diagnostic: it ties the frames of a stream together in
@@ -84,9 +88,9 @@ func (c *dataConn) close() {
 	_ = c.nc.Close()
 }
 
-// exchange sends one frame and reads the reply to it.
-func (c *dataConn) exchange(typ uint8, sid uint64, payload []byte) (frame2, error) {
-	if err := writeFrame2(c.bw, typ, 0, sid, payload); err != nil {
+// exchange sends what send writes in one flush and reads the reply.
+func (c *dataConn) exchange(send func(w io.Writer) error) (frame2, error) {
+	if err := send(c.bw); err != nil {
 		return frame2{}, err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -208,9 +212,10 @@ func (p *streamPool) acquireConn(ctx context.Context, addr, local, peer string, 
 	return dc, reused, nil
 }
 
-// openStream starts one stream: a connection from acquireConn, the open
-// frame typ — its payload built by open at send time, so the budget it
-// carries is current — and the first reply. A parked connection whose
+// openStream starts one stream: a connection from acquireConn, the
+// frames send writes — the open frame, built at send time so the budget
+// it carries is current, and for a write the block's first chunk —
+// flushed together, and the first reply. A parked connection whose
 // peer closed it while it sat idle (a DataNode that restarted or dropped
 // its connections) fails with EOF or a reset before any reply: nothing
 // was served on it, so the stream closes the owner's other connections
@@ -218,13 +223,13 @@ func (p *streamPool) acquireConn(ctx context.Context, addr, local, peer string, 
 // passed. That failure says nothing about the peer and never reaches the
 // caller, its breaker or its liveness belief. A timeout is not retried:
 // a stalled peer is evidence.
-func (p *streamPool) openStream(ctx context.Context, addr, local, peer string, faults TransportFaults, typ uint8, sid uint64, open func() []byte) (*dataConn, frame2, error) {
+func (p *streamPool) openStream(ctx context.Context, addr, local, peer string, faults TransportFaults, send func(w io.Writer) error) (*dataConn, frame2, error) {
 	for redialed := false; ; redialed = true {
 		dc, reused, err := p.acquireConn(ctx, addr, local, peer, faults)
 		if err != nil {
 			return nil, frame2{}, err
 		}
-		f, err := dc.exchange(typ, sid, open())
+		f, err := dc.exchange(send)
 		if err == nil {
 			return dc, f, nil
 		}
@@ -247,16 +252,42 @@ func peerClosed(err error) bool {
 // pipelinePut streams one block through the replication chain
 // (chain[0] is this owner's peer; the rest ride in the open frame for
 // the relays) and returns the commit-phase ack entries, one per chain
-// node, in chain order. A nil error means the commit acks arrived —
-// individual nodes may still report failure in their entries. A non-nil
-// error means the stream broke and the commit outcome of every chain
-// node is unknown: the caller must treat all of them as unacked and
-// clean up best-effort.
+// node, in chain order. The block costs one round trip through the
+// chain: the open frame and the first chunk leave in one flush, each
+// relay checks that chunk and sends it on with its own open, and the
+// setup acks come back as the deepest node has the chunk. Any further
+// chunks follow the setup ack, and for a block of one chunk the setup
+// and commit acks arrive together. A nil error means the commit acks
+// arrived — individual nodes may still report failure in their
+// entries. A non-nil error means the stream broke and the commit
+// outcome of every chain node is unknown: the caller must treat all of
+// them as unacked and clean up best-effort.
 func (p *streamPool) pipelinePut(ctx context.Context, local string, faults TransportFaults, chain []chainEntry, id dfs.BlockID, data []byte) ([]ackEntry, error) {
 	addr, peer := chain[0].Addr, endpointName(chain[0].Node)
 	sid := streamIDs.Add(1)
-	dc, sf, err := p.openStream(ctx, addr, local, peer, faults, frameOpenWrite, sid, func() []byte {
-		return encodeOpenWrite(openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: local, Chain: chain[1:]})
+	// sendChunk writes the chunk at off and returns the offset past it.
+	// A partition formed mid-stream severs the remaining chunks, exactly
+	// as it severs queued calls.
+	sendChunk := func(w io.Writer, off int) (int, error) {
+		if faults != nil {
+			if err := faults.FailMessage(local, peer); err != nil {
+				return off, err
+			}
+		}
+		n := min(len(data)-off, DefaultChunkSize)
+		var flags uint16
+		if off+n == len(data) {
+			flags = flagLast
+		}
+		return off + n, writeFrame2(w, frameChunk, flags, sid, data[off:off+n])
+	}
+	off := 0
+	dc, sf, err := p.openStream(ctx, addr, local, peer, faults, func(w io.Writer) (err error) {
+		if err := writeFrame2(w, frameOpenWrite, 0, sid, encodeOpenWrite(openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: local, Chain: chain[1:]})); err != nil {
+			return err
+		}
+		off, err = sendChunk(w, 0)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("svc: pipeline put block %d: setup: %w", id, err)
@@ -273,38 +304,18 @@ func (p *streamPool) pipelinePut(ctx context.Context, local string, faults Trans
 		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
 	if !anyOK(setup) {
-		// Early abort: nobody admitted the stream, so there is nothing
-		// to send — the setup entries are the final outcome, and the
-		// stream ends here, uncleanly.
+		// Early abort: nobody admitted the stream, so nothing past the
+		// first chunk is sent — the setup entries are the final
+		// outcome, and the stream ends here, uncleanly.
 		return setup, nil
 	}
 
-	for off := 0; ; {
-		n := len(data) - off
-		if n > DefaultChunkSize {
-			n = DefaultChunkSize
-		}
-		last := off+n == len(data)
-		var flags uint16
-		if last {
-			flags = flagLast
-		}
-		// A partition formed mid-stream severs the remaining chunks,
-		// exactly as it severs queued calls.
-		if faults != nil {
-			if ferr := faults.FailMessage(local, peer); ferr != nil {
-				return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, ferr)
-			}
-		}
-		if err := writeFrame2(dc.bw, frameChunk, flags, sid, data[off:off+n]); err != nil {
+	for off < len(data) {
+		if off, err = sendChunk(dc.bw, off); err != nil {
 			return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 		}
-		off += n
-		if last {
-			break
-		}
 	}
-	if err := dc.bw.Flush(); err != nil {
+	if err := dc.bw.Flush(); err != nil { // a no-op when the first chunk was the block
 		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
 
@@ -334,8 +345,8 @@ func (p *streamPool) pipelinePut(ctx context.Context, local string, faults Trans
 // IsTransient).
 func (p *streamPool) streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID, dst []byte) ([]byte, error) {
 	sid := streamIDs.Add(1)
-	dc, hf, err := p.openStream(ctx, addr, local, peer, faults, frameOpenRead, sid, func() []byte {
-		return encodeOpenRead(openRead{Block: id, DeadlineMS: budgetOf(ctx), From: local})
+	dc, hf, err := p.openStream(ctx, addr, local, peer, faults, func(w io.Writer) error {
+		return writeFrame2(w, frameOpenRead, 0, sid, encodeOpenRead(openRead{Block: id, DeadlineMS: budgetOf(ctx), From: local}))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)

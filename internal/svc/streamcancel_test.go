@@ -83,6 +83,11 @@ func TestServeWriteTornMidChunkReleasesBuffers(t *testing.T) {
 	if err := writeFrame2(bw, frameOpenWrite, 0, 1, encodeOpenWrite(ow)); err != nil {
 		t.Fatal(err)
 	}
+	// Half the block, not flagged last, rides with the open frame — the
+	// writer dies once the setup ack is in.
+	if err := writeFrame2(bw, frameChunk, 0, 1, make([]byte, 1024)); err != nil {
+		t.Fatal(err)
+	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +100,6 @@ func TestServeWriteTornMidChunkReleasesBuffers(t *testing.T) {
 		t.Fatalf("setup reply type = %d, want setup ack", sf.Type)
 	}
 	sf.release()
-	// Half the block, not flagged last — then the writer dies.
-	if err := writeFrame2(bw, frameChunk, 0, 1, make([]byte, 1024)); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := nc.Close(); err != nil {
 		t.Fatal(err)
 	}
