@@ -66,10 +66,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 7500ms ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzWALSegment -fuzztime 7500ms ./internal/wal/
 
-# Determinism gate for the headline scheduling experiment: the full
-# policy x replication x Table-2 grid must fingerprint identically at
-# workers=1 and workers=4, and predictive/dynamic must beat the static
-# reactive baseline under the hottest interruption group.
+# Determinism gate for the scheduling experiment: the full
+# speculation-policy x Table-2-group grid must fingerprint identically
+# at workers=1 and workers=4.
 sched-verify:
 	$(GO) run ./cmd/adapt-bench -exp sched-verify
 

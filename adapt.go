@@ -440,7 +440,6 @@ type (
 	SchedulingConfig      = experiments.SchedulingConfig
 	SchedulingResult      = experiments.SchedulingResult
 	SchedulingCell        = experiments.SchedulingCell
-	SchedMode             = experiments.SchedMode
 )
 
 // Strategy identifiers.
@@ -478,5 +477,4 @@ var (
 	AblationTable           = experiments.AblationTable
 	SchedulingHeadline      = experiments.SchedulingHeadline
 	SchedulingTable         = experiments.SchedulingTable
-	SchedulingModes         = experiments.SchedulingModes
 )

@@ -61,8 +61,8 @@ func NewClient(nn *NameNode, g *stats.RNG) (*Client, error) {
 }
 
 // defaultGamma is the paper's failure-free task time per 64 MB block,
-// the task length the performance predictor's 1/E[T] weights and the
-// dynamic replication controller's volatility are evaluated at.
+// the task length the performance predictor's 1/E[T] weights are
+// evaluated at.
 const defaultGamma = 12
 
 // policy returns the block distributor for the requested mode: stock
@@ -126,26 +126,22 @@ func (c *Client) Cp(ctx context.Context, src, dst string, useAdapt bool) (*FileM
 
 // ReadFileContext reads a whole file back, failing over across
 // replicas within each block and retrying transient whole-file
-// failures with backoff, re-fetching metadata (Locate, which counts
-// one read per block toward the file's heat) between attempts so
-// repairs and redistributions done meanwhile are picked up. Backoff
-// waits are cut short at ctx's deadline and the context error is
-// returned wrapped, so callers distinguish "retries exhausted" from
-// "deadline exceeded".
+// failures with backoff, re-fetching metadata (Locate) between
+// attempts so repairs and redistributions done meanwhile are picked
+// up. Backoff waits are cut short at ctx's deadline and the context
+// error is returned wrapped, so callers distinguish "retries
+// exhausted" from "deadline exceeded".
 func (c *Client) ReadFileContext(ctx context.Context, name string) ([]byte, error) {
 	return c.nn.io.ReadFile(ctx, name, func(context.Context) (*FileMeta, error) { return c.nn.Locate(name) }, c.Retry)
 }
 
 // readBlock reads one block with replica failover plus bounded retry
-// on transient failure, counting every attempt as one read toward the
-// file's heat. Unlike ReadFileContext it works from the caller's
-// BlockMeta snapshot, so it cannot see holders added after the stat.
+// on transient failure. Unlike ReadFileContext it works from the
+// caller's BlockMeta snapshot, so it cannot see holders added after
+// the stat.
 func (c *Client) readBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		if d := c.nn.dynamic.Load(); d != nil {
-			d.observeRead(bm.File, 1)
-		}
 		data, err := c.nn.io.ReadBlock(ctx, bm)
 		if err == nil {
 			return data, nil

@@ -100,9 +100,9 @@ var (
 	// client never receives an ack the log cannot back. Permanent: the
 	// journal handle breaks on the first durability failure.
 	ErrJournal = errors.New("dfs: namespace journal write failed")
-	// ErrBadConfig marks an invalid dynamic-replication configuration;
-	// always a caller bug.
-	ErrBadConfig = errors.New("dfs: bad dynamic replication config")
+	// ErrBadConfig marks an invalid hedged-read configuration passed to
+	// SetHedge; always a caller bug.
+	ErrBadConfig = errors.New("dfs: bad hedge config")
 	// ErrLeaseExpired marks a Complete naming block ids the NameNode has
 	// no live allocation for: the lease ran out, or the NameNode
 	// restarted and forgot it. Transient — the writer starts the create
@@ -381,10 +381,6 @@ type NameNode struct {
 	heartbeat *cluster.HeartbeatEstimator
 	quotas    *shard.Quotas
 	leases    leaseTable
-
-	// dynamic, when non-nil, is the availability/popularity replication
-	// controller; loaded lock-free on the block read path.
-	dynamic atomic.Pointer[dynRF]
 }
 
 // NewNameNode builds a single-shard NameNode and one in-process
@@ -605,9 +601,6 @@ func (nn *NameNode) DeleteContext(ctx context.Context, name string) error {
 	delete(sh.files, name)
 	sh.mu.Unlock()
 	nn.quotas.Release(shard.TenantOf(name), 1, fm.Size)
-	if d := nn.dynamic.Load(); d != nil {
-		d.forget(name)
-	}
 	for _, bm := range fm.Blocks {
 		for _, r := range bm.Replicas {
 			_ = nn.io.stores[r].Delete(ctx, bm.ID)
@@ -831,16 +824,12 @@ func (nn *NameNode) publishBlocks(name string, newBlocks []BlockMeta) error {
 }
 
 // Locate is Stat for a reader about to fetch the blocks itself: it
-// feeds the read-heat tracker (once per block, as the block reads it
-// announces always did) and orders each block's replicas with the ones
-// this NameNode believes up first.
+// orders each block's replicas with the ones this NameNode believes up
+// first.
 func (nn *NameNode) Locate(name string) (*FileMeta, error) {
 	fm, err := nn.Stat(name)
 	if err != nil {
 		return nil, err
-	}
-	if d := nn.dynamic.Load(); d != nil {
-		d.observeRead(name, len(fm.Blocks))
 	}
 	for _, bm := range fm.Blocks {
 		// Stable partition in place; replica lists are a few entries.

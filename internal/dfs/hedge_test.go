@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,8 +115,11 @@ func TestSetHedgeValidation(t *testing.T) {
 		{MinSamples: -3},  // negative sample floor
 	}
 	for _, cfg := range bad {
-		if err := nn.SetHedge(cfg); !errors.Is(err, ErrBadConfig) {
+		err := nn.SetHedge(cfg)
+		if !errors.Is(err, ErrBadConfig) {
 			t.Errorf("SetHedge(%+v) = %v, want ErrBadConfig", cfg, err)
+		} else if msg := err.Error(); !strings.Contains(msg, "hedge config") || strings.Contains(msg, "replication") {
+			t.Errorf("SetHedge(%+v) error %q names the wrong subsystem", cfg, msg)
 		}
 	}
 	if err := nn.SetHedge(HedgeConfig{}); err != nil {

@@ -11,23 +11,20 @@ import (
 
 // ReplicationReport summarizes a MaintainReplication pass.
 type ReplicationReport struct {
-	// Healthy counts blocks already at their target live replication.
+	// Healthy counts blocks whose live replicas already meet the file's
+	// Replication.
 	Healthy int
 	// Repaired counts replicas added.
 	Repaired int
 	// Unrepairable counts blocks with no live replica to copy from;
 	// they recover only when a holder rejoins.
 	Unrepairable int
-	// Pruned counts surplus replicas retired because the file's
-	// dynamic replication target dropped below its live replica count.
+	// Pruned counts surplus replicas retired because a block held more
+	// live replicas than the file's Replication.
 	Pruned int
-	// Target is the replication degree this pass enforced: the file's
-	// static Replication, or the dynamic controller's current target
-	// when one is enabled.
-	Target int
 }
 
-// MaintainReplication restores each block of the file to its target
+// MaintainReplication restores each block of the file to its declared
 // replication degree counting only replicas on live DataNodes — the
 // HDFS NameNode's under-replication repair, which the paper's
 // replication comparisons presume. New replicas are placed with the
@@ -37,15 +34,14 @@ type ReplicationReport struct {
 // Blocks whose every holder is down cannot be repaired (their bytes
 // are unreachable) and are reported as such.
 //
-// When a dynamic replication controller is enabled (EnableDynamicRF)
-// the pass enforces the controller's per-file target instead of the
-// static Replication field: under-replicated blocks are repaired up to
-// it, and blocks holding more live replicas than it are pruned down —
-// the lowest-efficiency live holders are retired, their metadata
-// entries removed (write-ahead journaled) before the bytes are
-// invalidated, so metadata never points at data that is gone. Down
-// holders are never pruned: their bytes may be the only surviving
-// copies and cost nothing while unreachable.
+// Blocks holding more live replicas than the declared degree (a
+// holder rejoined after its block was repaired elsewhere) are pruned
+// down, as the HDFS NameNode retires excess replicas: the
+// lowest-efficiency live holders are retired, their metadata entries
+// removed (write-ahead journaled) before the bytes are invalidated, so
+// metadata never points at data that is gone. Down holders are never
+// pruned: their bytes may be the only surviving copies and cost
+// nothing while unreachable.
 func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt bool) (ReplicationReport, error) {
 	var report ReplicationReport
 	unlock := c.nn.lockFile(name)
@@ -55,15 +51,10 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 		return report, err
 	}
 
-	// One availability snapshot serves the whole pass: the dynamic
-	// target, the repair weights and the surplus split.
-	cl := c.nn.Cluster()
-	effs := cl.Efficiencies(defaultGamma)
-	target := fm.Replication
-	if d := c.nn.dynamic.Load(); d != nil {
-		target = d.step(name, fm.Replication, d.volatility(cl))
-	}
-	report.Target = target
+	// One availability snapshot serves the whole pass: the repair
+	// weights and the surplus split.
+	effs := c.nn.Cluster().Efficiencies(defaultGamma)
+	rf := fm.Replication
 
 	// Candidate target nodes: live DataNodes, weighted by the policy.
 	weights := repairWeights(effs, useAdapt)
@@ -91,8 +82,8 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 				live++
 			}
 		}
-		if live > target {
-			keep, dropped := c.splitSurplus(effs, bm.Replicas, live-target)
+		if live > rf {
+			keep, dropped := c.splitSurplus(effs, bm.Replicas, live-rf)
 			nb := bm
 			nb.Replicas = keep
 			newBlocks[i] = nb
@@ -102,7 +93,7 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 			report.Pruned += len(dropped)
 			continue
 		}
-		if live >= target {
+		if live >= rf {
 			report.Healthy++
 			continue
 		}
@@ -118,7 +109,7 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 			continue
 		}
 		holders := append([]cluster.NodeID(nil), bm.Replicas...)
-		for live < target {
+		for live < rf {
 			target, ok := pickWeighted(weights, holderSet, c.nn, g.Float64())
 			if !ok {
 				break // no live node left to host another replica

@@ -15,7 +15,6 @@ func smallSchedConfig() SchedulingConfig {
 		Nodes:         8,
 		BlocksPerNode: 3,
 		Trials:        2,
-		AgingRounds:   4,
 		Groups:        []cluster.Group{{MTBI: 10, Service: 8}},
 	}
 }
@@ -46,41 +45,23 @@ func TestSchedulingHeadlineGridComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) != 1 || len(res.Modes) != 6 {
-		t.Fatalf("grid shape: %d groups, %d modes", len(res.Groups), len(res.Modes))
+	if len(res.Groups) != 1 || len(res.Policies) != 3 {
+		t.Fatalf("grid shape: %d groups, %d policies", len(res.Groups), len(res.Policies))
 	}
 	for _, g := range res.Groups {
-		for _, m := range res.Modes {
-			cell, ok := res.Cell(g, m)
+		for _, p := range res.Policies {
+			cell, ok := res.Cell(g, p)
 			if !ok {
-				t.Fatalf("missing cell %s / %s", g, m.Label())
+				t.Fatalf("missing cell %s / %s", g, p)
 			}
 			if cell.Elapsed <= 0 {
-				t.Fatalf("cell %s / %s has non-positive elapsed %g", g, m.Label(), cell.Elapsed)
-			}
-			if cell.TargetRF <= 0 {
-				t.Fatalf("cell %s / %s has no replication degree", g, m.Label())
-			}
-			if m.DynamicRF {
-				if cell.TargetRF < 2 {
-					t.Fatalf("dynamic cell %s / %s converged below the floor: RF %g",
-						g, m.Label(), cell.TargetRF)
-				}
-			} else if cell.TargetRF != 3 {
-				t.Fatalf("static cell %s / %s at RF %g, want the 3-replica baseline",
-					g, m.Label(), cell.TargetRF)
+				t.Fatalf("cell %s / %s has non-positive elapsed %g", g, p, cell.Elapsed)
 			}
 		}
 	}
-	// The redundant arms must show first-finisher cancellations.
-	for _, m := range res.Modes {
-		if m.Policy != hadoopsim.SpeculationRedundant {
-			continue
-		}
-		cell, _ := res.Cell(res.Groups[0], m)
-		if cell.Cancelled == 0 {
-			t.Fatalf("redundant mode %s cancelled no attempts", m.Label())
-		}
+	// The redundant arm must show first-finisher cancellations.
+	if cell, _ := res.Cell(res.Groups[0], hadoopsim.SpeculationRedundant); cell.Cancelled == 0 {
+		t.Fatal("redundant policy cancelled no attempts")
 	}
 }
 
@@ -90,15 +71,13 @@ func TestSchedulingTableRendersEveryCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := SchedulingTable(res).String()
-	for _, m := range res.Modes {
-		if !strings.Contains(out, m.Policy.String()) {
-			t.Fatalf("table lacks policy %s:\n%s", m.Policy, out)
+	for _, p := range res.Policies {
+		if !strings.Contains(out, p.String()) {
+			t.Fatalf("table lacks policy %s:\n%s", p, out)
 		}
 	}
-	for _, want := range []string{"dynamic", "static", "MTBI"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table lacks %q:\n%s", want, out)
-		}
+	if !strings.Contains(out, "MTBI") {
+		t.Fatalf("table lacks the group label:\n%s", out)
 	}
 	// Byte-stable re-render (no map-order leakage).
 	for i := 0; i < 5; i++ {
@@ -109,27 +88,27 @@ func TestSchedulingTableRendersEveryCell(t *testing.T) {
 }
 
 func TestSchedulingModeFilterEquivalence(t *testing.T) {
-	// A single-mode run must reproduce the same cell the full grid
-	// produced: per-cell seeds derive from the mode label, not from the
-	// grid position.
+	// A single-policy run must reproduce the same cell the full grid
+	// produced: per-cell seeds derive from the policy's label, not from
+	// the grid position.
 	full, err := SchedulingHeadline(smallSchedConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := smallSchedConfig()
-	one.Modes = []SchedMode{{Policy: hadoopsim.SpeculationPredictive, DynamicRF: true}}
+	one.Policies = []hadoopsim.SpeculationPolicy{hadoopsim.SpeculationPredictive}
 	solo, err := SchedulingHeadline(one)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := full.Groups[0]
-	want, ok := full.Cell(g, one.Modes[0])
+	want, ok := full.Cell(g, one.Policies[0])
 	if !ok {
-		t.Fatal("mode missing from full grid")
+		t.Fatal("policy missing from full grid")
 	}
-	got, ok := solo.Cell(g, one.Modes[0])
+	got, ok := solo.Cell(g, one.Policies[0])
 	if !ok {
-		t.Fatal("mode missing from filtered run")
+		t.Fatal("policy missing from filtered run")
 	}
 	if want != got {
 		t.Fatalf("filtered cell differs from full-grid cell:\n%+v\n%+v", got, want)

@@ -63,12 +63,8 @@ type ResilienceCounters struct {
 	// consumed by cancelled losing attempts — observable speculation
 	// waste.
 	WastedComputeNanos atomic.Int64
-	// RFRaises and RFLowers count dynamic-replication target moves
-	// applied by the availability/popularity controller.
-	RFRaises atomic.Int64
-	RFLowers atomic.Int64
-	// PrunedReplicas counts surplus replicas retired when a file's
-	// dynamic replication target dropped below its live replica count.
+	// PrunedReplicas counts surplus replicas retired because a block
+	// held more live replicas than its file's replication.
 	PrunedReplicas atomic.Int64
 	// HedgedReads counts backup block fetches launched because the
 	// primary outlived the hedge threshold.
@@ -100,8 +96,6 @@ type ResilienceSnapshot struct {
 	SpeculativeAttempts   int64
 	CancelledAttempts     int64
 	WastedCompute         time.Duration
-	RFRaises              int64
-	RFLowers              int64
 	PrunedReplicas        int64
 	HedgedReads           int64
 	HedgeWins             int64
@@ -131,8 +125,6 @@ func (c *ResilienceCounters) Snapshot() ResilienceSnapshot {
 		SpeculativeAttempts:   c.SpeculativeAttempts.Load(),
 		CancelledAttempts:     c.CancelledAttempts.Load(),
 		WastedCompute:         time.Duration(c.WastedComputeNanos.Load()),
-		RFRaises:              c.RFRaises.Load(),
-		RFLowers:              c.RFLowers.Load(),
 		PrunedReplicas:        c.PrunedReplicas.Load(),
 		HedgedReads:           c.HedgedReads.Load(),
 		HedgeWins:             c.HedgeWins.Load(),
@@ -143,13 +135,13 @@ func (c *ResilienceCounters) Snapshot() ResilienceSnapshot {
 func (s ResilienceSnapshot) String() string {
 	return fmt.Sprintf(
 		"reads: retries=%d failovers=%d checksum=%d | writes: failovers=%d retries=%d degraded=%d | "+
-			"repair: replicas=%d unrepairable=%d moved=%d scans=%d | down-errors=%d dead=%d | injected: faults=%d corruptions=%d latency=%s | "+
-			"speculation: attempts=%d cancelled=%d wasted=%s | dynamic-rf: raises=%d lowers=%d pruned=%d | "+
+			"repair: replicas=%d unrepairable=%d moved=%d pruned=%d scans=%d | down-errors=%d dead=%d | injected: faults=%d corruptions=%d latency=%s | "+
+			"speculation: attempts=%d cancelled=%d wasted=%s | "+
 			"hedge: launched=%d wins=%d losses=%d",
 		s.ReadRetries, s.ReadFailovers, s.ChecksumFailures,
 		s.WriteFailovers, s.WriteRetries, s.DegradedWrites,
-		s.RepairedReplicas, s.UnrepairableBlocks, s.RedistributedReplicas, s.RepairScans,
+		s.RepairedReplicas, s.UnrepairableBlocks, s.RedistributedReplicas, s.PrunedReplicas, s.RepairScans,
 		s.NodeDownErrors, s.NodesDeclaredDead, s.InjectedFaults, s.InjectedCorruptions, s.InjectedLatency,
-		s.SpeculativeAttempts, s.CancelledAttempts, s.WastedCompute, s.RFRaises, s.RFLowers, s.PrunedReplicas,
+		s.SpeculativeAttempts, s.CancelledAttempts, s.WastedCompute,
 		s.HedgedReads, s.HedgeWins, s.HedgeLosses)
 }

@@ -95,8 +95,6 @@ func (s *NameNodeServer) snapshotMetrics() MetricsSnapshot {
 			"speculative_attempts":   rs.SpeculativeAttempts,
 			"cancelled_attempts":     rs.CancelledAttempts,
 			"wasted_compute_nanos":   rs.WastedCompute.Nanoseconds(),
-			"rf_raises":              rs.RFRaises,
-			"rf_lowers":              rs.RFLowers,
 			"pruned_replicas":        rs.PrunedReplicas,
 			"hedged_reads":           rs.HedgedReads,
 			"hedge_wins":             rs.HedgeWins,
