@@ -19,7 +19,7 @@ import (
 // return, or discarding it explicitly with `_ = f.Close()` — the
 // blank assignment documents that best-effort cleanup is intended
 // (the teardown-after-failure pattern). Close methods that return
-// nothing (connection teardown like svc.Conn.Close) never trigger.
+// nothing (teardown like svc.Client.Close) never trigger.
 func closecheckAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "closecheck",

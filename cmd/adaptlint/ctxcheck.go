@@ -87,21 +87,19 @@ func checkCtxFile(p *Pass, f *ast.File) {
 }
 
 // wireFuncNames lists the svc/dfs functions and methods where a call
-// leaves the process: the one dial, the call connection built on it,
-// the stream connections an owner acquires (parked or dialed) and opens
-// streams on, the pipeline/read stream clients, the RPC chokepoints
-// (Conn.Call and the redialing call wrappers), and the pipeline-put
-// store interface. Client methods (receiver type Client) are matched
-// by receiver instead of by name.
+// leaves the process: the one dial, the connections an owner acquires
+// (parked or dialed) and opens exchanges on, the pipeline/read stream
+// clients, the RPC chokepoints (the pool's call and the owners' call
+// wrappers over it), and the pipeline-put store interface. Client
+// methods (receiver type Client) are matched by receiver instead of by
+// name.
 var wireFuncNames = map[string]bool{
 	"dial":        true,
-	"dialConn":    true,
 	"acquireConn": true,
 	"openStream":  true,
 	"pipelinePut": true,
 	"streamGet":   true,
 	"call":        true,
-	"Call":        true,
 	"PutChain":    true,
 }
 

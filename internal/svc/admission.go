@@ -139,7 +139,7 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	return &admission{
 		max:        cfg.MaxInflight,
 		queueCap:   cfg.Queue,
-		brownoutAt: cfg.MaxInflight * cfg.BrownoutPct / 100,
+		brownoutAt: (cfg.MaxInflight*cfg.BrownoutPct + 99) / 100, // utilisation ≥ pct, rounded up
 	}
 }
 

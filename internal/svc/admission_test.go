@@ -126,6 +126,32 @@ func TestAdmissionBrownoutShedsBackgroundFirst(t *testing.T) {
 	}
 }
 
+// TestAdmissionBrownoutRoundsUp: brownout sheds background traffic at
+// utilisation ≥ BrownoutPct, so a budget too small to hit the
+// percentage exactly browns out at the next whole request, never below
+// it: an idle one-slot server admits background traffic, and sheds it
+// only while its slot is taken; a three-slot one at 50% sheds from two
+// in flight.
+func TestAdmissionBrownoutRoundsUp(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct{ max, pct, at int }{{1, 75, 1}, {3, 50, 2}, {5, 75, 4}} {
+		a := newAdmission(AdmissionConfig{MaxInflight: tc.max, BrownoutPct: tc.pct})
+		for i := 0; i < tc.at; i++ {
+			release, err := a.acquire(ctx, classBackground)
+			if err != nil {
+				t.Fatalf("%d slots at %d%%: background at %d/%d inflight = %v, want admitted", tc.max, tc.pct, i, tc.max, err)
+			}
+			release()
+			if _, err := a.acquire(ctx, classPut); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := a.acquire(ctx, classBackground); !errors.Is(err, dfs.ErrOverload) {
+			t.Fatalf("%d slots at %d%%: background at %d/%d inflight = %v, want ErrOverload", tc.max, tc.pct, tc.at, tc.max, err)
+		}
+	}
+}
+
 func TestAdmissionControlClassNeverShed(t *testing.T) {
 	a := newAdmission(AdmissionConfig{MaxInflight: 1, Queue: 1})
 	ctx := context.Background()

@@ -16,11 +16,11 @@ import (
 )
 
 // Client is the shell-style client for a networked cluster. Metadata
-// operations are typed wrappers over the nn.* RPCs on one multiplexed
-// redialing connection; file bytes never take that road. A put asks
-// the NameNode where (nn.allocate), streams each block down a v2
-// pipeline to the DataNodes itself, and reports the outcome
-// (nn.complete); a get asks where (nn.locate) and reads each block
+// operations are typed wrappers over the nn.* RPCs, each one exchange
+// on a connection parked to the NameNode; file bytes never take that
+// road. A put asks the NameNode where (nn.allocate), streams each
+// block down a v2 pipeline to the DataNodes itself, and reports the
+// outcome (nn.complete); a get asks where (nn.locate) and reads each block
 // from a DataNode itself — the NameNode decides, the client moves
 // bytes, as HDFS and the paper's prototype (§IV) do. The write loop and
 // the read ladder are dfs.BlockIO's, the same code the NameNode runs
@@ -29,9 +29,8 @@ import (
 // rehydrated, so errors.Is against the dfs sentinels and
 // dfs.IsTransient behave exactly as in-process.
 type Client struct {
-	peer   *peerConn
-	name   string
-	faults TransportFaults
+	nn    string     // the NameNode's address
+	conns streamPool // to the NameNode; the DataNode proxies have their own
 
 	mu   sync.Mutex // guards data
 	data *dataPath  // built on the first put or get
@@ -50,14 +49,18 @@ type dataPath struct {
 // faults may be nil. Connections — to the NameNode and, for puts and
 // gets, to the DataNodes it names — are established lazily.
 func Dial(addr, name string, faults TransportFaults) *Client {
-	return &Client{peer: newPeerConn(addr, name, "namenode", faults), name: name, faults: faults}
+	return &Client{nn: addr, conns: streamPool{local: name, faults: faults}}
 }
 
-// Close tears down the connections — to the NameNode, and the call and
-// parked stream connections to the DataNodes; the client may be reused
-// (calls and streams redial).
+// call performs one nn.* RPC.
+func (c *Client) call(ctx context.Context, method string, params, result any) error {
+	return c.conns.call(ctx, c.nn, "namenode", method, params, result)
+}
+
+// Close tears down the parked connections — to the NameNode and to the
+// DataNodes; the client may be reused (calls and streams redial).
 func (c *Client) Close() {
-	c.peer.close()
+	c.conns.close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.data != nil {
@@ -79,10 +82,10 @@ func (c *Client) dataPathFor(ctx context.Context) (*dataPath, error) {
 		return c.data, nil
 	}
 	var info clusterResult
-	if err := c.peer.call(ctx, "nn.cluster", nil, &info); err != nil {
+	if err := c.call(ctx, "nn.cluster", nil, &info); err != nil {
 		return nil, err
 	}
-	stores, ifaces, brkStats := newStoreFleet(info.DataNodes, c.name, c.faults, info.Breaker, stats.NewRNG(stats.HashLabel(c.name)))
+	stores, ifaces, brkStats := newStoreFleet(info.DataNodes, c.conns.local, c.conns.faults, info.Breaker, stats.NewRNG(stats.HashLabel(c.conns.local)))
 	dp := &dataPath{stores: stores, io: dfs.NewBlockIO(ifaces), brkStats: brkStats}
 	if info.HedgeReads {
 		if err := dp.io.SetHedge(info.Hedge); err != nil {
@@ -192,7 +195,7 @@ func (c *Client) store(ctx context.Context, dp *dataPath, alloc *dfs.Allocation,
 // ctx's deadline.
 func (c *Client) allocate(ctx context.Context, dp *dataPath, name string, size int64, useAdapt bool) (*dfs.Allocation, error) {
 	var res allocateResult
-	if err := c.peer.call(ctx, "nn.allocate", allocateParams{Name: name, Size: size, Adapt: useAdapt}, &res); err != nil {
+	if err := c.call(ctx, "nn.allocate", allocateParams{Name: name, Size: size, Adapt: useAdapt}, &res); err != nil {
 		return nil, err
 	}
 	if res.Alloc == nil {
@@ -206,7 +209,7 @@ func (c *Client) allocate(ctx context.Context, dp *dataPath, name string, size i
 // reported holders.
 func (c *Client) complete(ctx context.Context, name string, blocks []dfs.BlockMeta, report dfs.WriteReport) (*dfs.FileMeta, error) {
 	var fm dfs.FileMeta
-	if err := c.peer.call(ctx, "nn.complete", completeParams{Name: name, Blocks: blocks, Report: report}, &fm); err != nil {
+	if err := c.call(ctx, "nn.complete", completeParams{Name: name, Blocks: blocks, Report: report}, &fm); err != nil {
 		return nil, err
 	}
 	return &fm, nil
@@ -222,7 +225,7 @@ func (c *Client) ReadFile(ctx context.Context, name string) ([]byte, error) {
 	}
 	return dp.io.ReadFile(ctx, name, func(ctx context.Context) (*dfs.FileMeta, error) {
 		var res locateResult
-		if err := c.peer.call(ctx, "nn.locate", nameParams{Name: name}, &res); err != nil {
+		if err := c.call(ctx, "nn.locate", nameParams{Name: name}, &res); err != nil {
 			return nil, err
 		}
 		if res.Meta == nil {
@@ -236,7 +239,7 @@ func (c *Client) ReadFile(ctx context.Context, name string) ([]byte, error) {
 // Stat returns a file's metadata.
 func (c *Client) Stat(ctx context.Context, name string) (*dfs.FileMeta, error) {
 	var fm dfs.FileMeta
-	if err := c.peer.call(ctx, "nn.stat", nameParams{Name: name}, &fm); err != nil {
+	if err := c.call(ctx, "nn.stat", nameParams{Name: name}, &fm); err != nil {
 		return nil, err
 	}
 	return &fm, nil
@@ -245,7 +248,7 @@ func (c *Client) Stat(ctx context.Context, name string) (*dfs.FileMeta, error) {
 // List returns all file names.
 func (c *Client) List(ctx context.Context) ([]string, error) {
 	var res listResult
-	if err := c.peer.call(ctx, "nn.list", nil, &res); err != nil {
+	if err := c.call(ctx, "nn.list", nil, &res); err != nil {
 		return nil, err
 	}
 	return res.Files, nil
@@ -253,7 +256,7 @@ func (c *Client) List(ctx context.Context) ([]string, error) {
 
 // Delete removes a file.
 func (c *Client) Delete(ctx context.Context, name string) error {
-	return c.peer.call(ctx, "nn.delete", nameParams{Name: name}, nil)
+	return c.call(ctx, "nn.delete", nameParams{Name: name}, nil)
 }
 
 // Adapt reshapes an existing file's placement with the
@@ -261,7 +264,7 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 // returning how many replicas moved.
 func (c *Client) Adapt(ctx context.Context, name string) (int, error) {
 	var res movedResult
-	if err := c.peer.call(ctx, "nn.adapt", nameParams{Name: name}, &res); err != nil {
+	if err := c.call(ctx, "nn.adapt", nameParams{Name: name}, &res); err != nil {
 		return 0, err
 	}
 	return res.Moved, nil
@@ -271,7 +274,7 @@ func (c *Client) Adapt(ctx context.Context, name string) (int, error) {
 // random distributor (the HDFS-rebalance analogue).
 func (c *Client) Rebalance(ctx context.Context, name string) (int, error) {
 	var res movedResult
-	if err := c.peer.call(ctx, "nn.rebalance", nameParams{Name: name}, &res); err != nil {
+	if err := c.call(ctx, "nn.rebalance", nameParams{Name: name}, &res); err != nil {
 		return 0, err
 	}
 	return res.Moved, nil
@@ -280,7 +283,7 @@ func (c *Client) Rebalance(ctx context.Context, name string) (int, error) {
 // BlockDistribution returns the per-node replica counts for a file.
 func (c *Client) BlockDistribution(ctx context.Context, name string) ([]int, error) {
 	var res distResult
-	if err := c.peer.call(ctx, "nn.dist", nameParams{Name: name}, &res); err != nil {
+	if err := c.call(ctx, "nn.dist", nameParams{Name: name}, &res); err != nil {
 		return nil, err
 	}
 	return res.Counts, nil
@@ -290,7 +293,7 @@ func (c *Client) BlockDistribution(ctx context.Context, name string) ([]int, err
 // as folded from heartbeats.
 func (c *Client) Estimates(ctx context.Context) (map[cluster.NodeID]model.Availability, error) {
 	var res estimatesResult
-	if err := c.peer.call(ctx, "nn.estimates", nil, &res); err != nil {
+	if err := c.call(ctx, "nn.estimates", nil, &res); err != nil {
 		return nil, err
 	}
 	return res.Estimates, nil
@@ -299,7 +302,7 @@ func (c *Client) Estimates(ctx context.Context) (map[cluster.NodeID]model.Availa
 // CheckConsistency asks the NameNode to verify every live replica's
 // bits against block checksums.
 func (c *Client) CheckConsistency(ctx context.Context) error {
-	return c.peer.call(ctx, "nn.consistency", nil, nil)
+	return c.call(ctx, "nn.consistency", nil, nil)
 }
 
 // Fsck returns the NameNode's replication-health survey: per-block
@@ -307,6 +310,6 @@ func (c *Client) CheckConsistency(ctx context.Context) error {
 // current liveness belief.
 func (c *Client) Fsck(ctx context.Context) (dfs.HealthReport, error) {
 	var rep dfs.HealthReport
-	err := c.peer.call(ctx, "nn.fsck", nil, &rep)
+	err := c.call(ctx, "nn.fsck", nil, &rep)
 	return rep, err
 }

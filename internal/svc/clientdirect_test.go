@@ -606,7 +606,7 @@ func TestAllocateRefusesAbsurdSizes(t *testing.T) {
 	defer cancel()
 	for _, size := range []int64{math.MaxInt64, 1 << 55} {
 		var res allocateResult
-		err := cl.peer.call(ctx, "nn.allocate", allocateParams{Name: "absurd", Size: size}, &res)
+		err := cl.call(ctx, "nn.allocate", allocateParams{Name: "absurd", Size: size}, &res)
 		if !errors.Is(err, dfs.ErrFileTooLarge) || dfs.IsTransient(err) {
 			t.Errorf("nn.allocate of %d bytes: err = %v, want permanent ErrFileTooLarge", size, err)
 		}
@@ -617,5 +617,58 @@ func TestAllocateRefusesAbsurdSizes(t *testing.T) {
 	}
 	if fm, err := cl.Stat(ctx, "sane"); err != nil || fm.Blocks[0].ID != 0 {
 		t.Fatalf("the refused allocations burned block ids: first id %d, err %v", fm.Blocks[0].ID, err)
+	}
+}
+
+// TestCompleteLostAfterPublishKeepsTheFile: the NameNode publishes a
+// file and drops the connection before its nn.complete reply leaves.
+// The client's redial sends the call again, and the NameNode refuses the
+// repeat — the lease went with the publish — so the put returns an
+// error. Nothing is deleted on that refusal: every replica stays, and
+// the file reads back byte for byte.
+func TestCompleteLostAfterPublishKeepsTheFile(t *testing.T) {
+	lc := pipelineCluster(t, 3, 1024, 2, nil)
+	srv := lc.NN.srv
+	var dropped atomic.Bool
+	// Nothing has connected to the NameNode yet, and a connection's
+	// serving goroutine starts only after acceptLoop takes this lock.
+	srv.mu.Lock()
+	complete := srv.methods["nn.complete"]
+	srv.methods["nn.complete"] = rpcMethod{class: complete.class, serve: func(ctx context.Context, params []byte) (any, error) {
+		res, err := complete.serve(ctx, params)
+		if err == nil && dropped.CompareAndSwap(false, true) {
+			srv.closeServed() // published, and the reply has nowhere to go
+		}
+		return res, err
+	}}
+	srv.mu.Unlock()
+
+	cl := lc.Client("shell")
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	data := payload(5000)
+	_, _, err := cl.CopyFromLocal(ctx, "f", data, true)
+	if !dropped.Load() {
+		t.Fatal("nn.complete never published the file")
+	}
+	// The repeat gets ErrLeaseExpired, on which the client starts over,
+	// and its fresh allocation finds the file published.
+	if !errors.Is(err, dfs.ErrFileExists) {
+		t.Fatalf("put whose nn.complete reply was lost = %v, want the retry's ErrFileExists", err)
+	}
+	fm, serr := cl.Stat(ctx, "f")
+	if serr != nil {
+		t.Fatalf("stat after the lost reply (put said %v): %v", err, serr)
+	}
+	for _, bm := range fm.Blocks {
+		for _, n := range bm.Replicas {
+			if _, _, ok := lc.DNs[n].Node().StoredSum(bm.ID); !ok {
+				t.Fatalf("block %d's replica on node %d was deleted after the put failed with %v", bm.ID, n, err)
+			}
+		}
+	}
+	if got, err := cl.ReadFile(ctx, "f"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back after the lost reply: %v", err)
 	}
 }

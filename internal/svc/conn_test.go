@@ -22,7 +22,7 @@ import (
 )
 
 // rawPeer speaks frames by hand over one connection, for the things a
-// well-behaved Conn or stream never sends.
+// well-behaved call or stream never sends.
 type rawPeer struct {
 	t  *testing.T
 	nc net.Conn
@@ -71,10 +71,12 @@ func (p *rawPeer) closed() {
 	}
 }
 
-// TestCallsMultiplexOutOfOrder: 64 calls in flight on one connection,
-// every one of them blocked in its handler, do not hold up a 65th, and
+// TestCallsMultiplexOutOfOrder: 64 calls through one pool, every one of
+// them blocked in its handler, do not hold up a 65th — a connection
+// carries one exchange at a time, so each call takes its own — and
 // their replies find their callers in whatever order the handlers
-// finish.
+// finish. Afterwards the pool keeps maxIdleStreams connections parked,
+// the server serves exactly those, and every pooled buffer is back.
 func TestCallsMultiplexOutOfOrder(t *testing.T) {
 	const n = 64
 	start := frameBufs.balance()
@@ -98,23 +100,21 @@ func TestCallsMultiplexOutOfOrder(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	conn, err := dialConn(ctx, srv.Addr(), "tester", "test", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := &streamPool{local: "tester"}
+	addr := srv.Addr()
 
 	finished := make(chan int, n) // one send per call
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			var got waitParams
-			if err := conn.Call(ctx, "wait", waitParams{N: i}, &got); err != nil || got.N != i {
+			if err := p.call(ctx, addr, "test", "wait", waitParams{N: i}, &got); err != nil || got.N != i {
 				t.Errorf("call %d: got %+v, %v", i, got, err)
 			}
 			finished <- i
 		}(i)
 	}
 	entered.Wait()
-	if err := conn.Call(ctx, "beat", nil, nil); err != nil {
+	if err := p.call(ctx, addr, "test", "beat", nil, nil); err != nil {
 		t.Fatalf("heartbeat behind %d blocked calls: %v", n, err)
 	}
 	// Let the handlers go last to first: each reply must reach its own
@@ -125,87 +125,25 @@ func TestCallsMultiplexOutOfOrder(t *testing.T) {
 			t.Fatalf("released call %d, call %d returned", i, got)
 		}
 	}
-	conn.Close()
+	if got := p.idleTo(addr); got != maxIdleStreams {
+		t.Fatalf("%d connections parked after %d calls, want %d", got, n+1, maxIdleStreams)
+	}
+	waitServed(t, srv, maxIdleStreams)
+	p.close()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
 	requirePoolBalance(t, start)
 }
 
-// TestStrayReplyIsDropped: a reply for a call id nobody made, and one
-// for a call its caller gave up on, are dropped — buffer back in the
-// pool, connection alive, the next call answered.
-func TestStrayReplyIsDropped(t *testing.T) {
-	start := frameBufs.balance()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	got := make(chan uint64)    // call ids as the server reads them
-	answer := make(chan uint64) // call ids the server is told to answer
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		go func() {
-			for id := range answer {
-				if writeFrame2(nc, frameReply, 0, id, []byte(`{}`)) != nil {
-					return
-				}
-			}
-		}()
-		br := bufio.NewReader(nc)
-		for {
-			f, err := readFrame2(br, nil)
-			if err != nil {
-				return
-			}
-			f.release()
-			got <- f.Stream
-		}
-	}()
-	defer close(answer)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	conn, err := dialConn(ctx, ln.Addr().String(), "tester", "test", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	abandoned, abandon := context.WithCancel(ctx)
-	gaveUp := make(chan error, 1)
-	go func() { gaveUp <- conn.Call(abandoned, "slow", nil, nil) }()
-	slowID := <-got
-	abandon()
-	if err := <-gaveUp; !errors.Is(err, context.Canceled) {
-		t.Fatalf("abandoned call = %v, want context.Canceled", err)
-	}
-	answer <- slowID      // nobody is waiting any more
-	answer <- slowID + 99 // nobody ever was
-
-	done := make(chan error, 1)
-	go func() { done <- conn.Call(ctx, "next", nil, nil) }()
-	answer <- <-got
-	if err := <-done; err != nil {
-		t.Fatalf("call after two stray replies: %v", err)
-	}
-	if conn.Dead() {
-		t.Fatal("stray replies killed the connection")
-	}
-	requirePoolBalance(t, start)
-}
-
-// TestWrongFrameKindClosesConnection: a frame that does not belong to
-// the connection's mode ends the connection with ErrBadFrame and every
-// pooled buffer returned — a frame that cannot open a connection, one of
-// no known type, a stream open in the middle of a call loop, a call in
-// the middle of a stream, a call or an unknown type where a finished
-// stream's successor must open — and the servers keep serving.
+// TestWrongFrameKindClosesConnection: a frame that cannot begin an
+// exchange ends the connection with ErrBadFrame and every pooled buffer
+// returned — a chunk or a reply where an exchange must begin, one of no
+// known type, a stream open to an endpoint that serves none after a
+// call, a call in the middle of a stream, an unknown type after a
+// finished stream — and the servers keep serving. A finished stream's
+// connection carries a call next, and a call's caller closes a
+// connection whose answer is of the wrong kind or for another call.
 func TestWrongFrameKindClosesConnection(t *testing.T) {
 	lc := testCluster(t, 2, nil)
 	start := frameBufs.balance()
@@ -238,15 +176,10 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 		"reply opens nothing":                    {srv, func(p *rawPeer) { p.send(frameReply, 0, 1, []byte(`{}`)) }},
 		"stream to an endpoint that serves none": {srv, func(p *rawPeer) { p.send(frameOpenWrite, 0, 1, open) }},
 		"unknown type":                           {srv, unknown},
-		"stream open in a call loop": {srv, func(p *rawPeer) {
+		"stream open after a call, to an endpoint that serves none": {srv, func(p *rawPeer) {
 			p.send(frameCall, 0, 1, encodeCall(callHeader{From: "tester", Method: "ping"}, nil))
 			p.recv(frameReply)
 			p.send(frameOpenWrite, 0, 2, open)
-		}},
-		"call after finished streams": {streams, func(p *rawPeer) {
-			readEmpty(p, 1)
-			readEmpty(p, 2)
-			p.send(frameCall, 0, 3, ping)
 		}},
 		"unknown type after a finished stream": {streams, func(p *rawPeer) {
 			readEmpty(p, 1)
@@ -288,16 +221,77 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	}
 
 	// A write stream that finished cleanly leaves the connection open
-	// for another stream, and for nothing else.
+	// for the next exchange: a call, another stream, and then a frame
+	// that begins nothing ends it.
 	block := payload(100)
 	done := dialRaw(t, dn.Addr())
 	done.send(frameOpenWrite, 0, 1, encodeOpenWrite(openWrite{Block: 78, Size: int64(len(block)), From: "tester"}))
 	done.send(frameChunk, flagLast, 1, block)
 	done.recv(frameSetupAck)
 	done.recv(frameCommitAck)
-	done.send(frameCall, 0, 2, ping)
+	done.send(frameCall, 0, 2, encodeCall(callHeader{From: "tester", Method: "dn.stored"}, []byte(`{"block":78}`)))
+	if got := string(done.recv(frameReply)); !strings.Contains(got, `"ok":true`) {
+		t.Fatalf("dn.stored after a finished stream replied %s", got)
+	}
+	done.send(frameOpenRead, 0, 3, encodeOpenRead(openRead{Block: 78, From: "tester"}))
+	if size, err := decodeReadHdr(done.recv(frameReadHdr)); err != nil || size != int64(len(block)) {
+		t.Fatalf("read after a call: header %d, %v", size, err)
+	}
+	if got := done.recv(frameChunk); string(got) != string(block) {
+		t.Fatalf("read after a call: %d bytes back, want the %d written", len(got), len(block))
+	}
+	done.send(frameChunk, flagLast, 4, block)
 	done.closed()
 	dn.Node().Delete(78)
+
+	// The caller's side: an answer of the wrong kind, or one whose id is
+	// not the call's, fails the call with ErrBadFrame and closes the
+	// connection instead of parking it.
+	for name, answer := range map[string]func(id uint64) (uint8, uint64){
+		"a reply whose id does not match the call closes the connection": func(id uint64) (uint8, uint64) { return frameReply, id + 1 },
+		"a frame that answers no call closes the connection":             func(id uint64) (uint8, uint64) { return frameReadHdr, id },
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hungUp := make(chan error, 1)
+		go func() {
+			nc, err := ln.Accept()
+			if err != nil {
+				hungUp <- err
+				return
+			}
+			defer nc.Close()
+			br := bufio.NewReader(nc)
+			f, err := readFrame2(br, nil)
+			if err != nil {
+				hungUp <- err
+				return
+			}
+			f.release()
+			typ, id := answer(f.Stream)
+			if err := writeFrame2(nc, typ, 0, id, encodeReadHdr(0)); err != nil {
+				hungUp <- err
+				return
+			}
+			_, err = readFrame2(br, nil)
+			hungUp <- err
+		}()
+		p := &streamPool{local: "tester"}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := p.call(ctx, ln.Addr().String(), "test", "ping", nil, nil); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: call = %v, want ErrBadFrame", name, err)
+		}
+		if n := p.idleTo(ln.Addr().String()); n != 0 {
+			t.Errorf("%s: %d connections parked", name, n)
+		}
+		if err := <-hungUp; !errors.Is(err, io.EOF) {
+			t.Errorf("%s: the caller's side read %v, want EOF", name, err)
+		}
+		cancel()
+		_ = ln.Close()
+	}
 
 	requirePoolBalance(t, start)
 	cl := lc.Client("shell")
@@ -389,7 +383,14 @@ func TestMethodTablesMatchCallSites(t *testing.T) {
 			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "call" {
 				return true
 			}
-			if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			// An owner's call takes the method first, a pool's call
+			// (ctx, addr, peer, method, params, result) after the
+			// address and the peer.
+			arg := call.Args[1]
+			if len(call.Args) == 6 {
+				arg = call.Args[3]
+			}
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				method, err := strconv.Unquote(lit.Value)
 				if err != nil {
 					t.Fatal(err)

@@ -47,19 +47,19 @@ func endpointName(id cluster.NodeID) string {
 // receives. While the dfs.DataNode is down the host is interrupted and
 // sends no beat.
 type DataNodeServer struct {
-	id     cluster.NodeID
-	dn     *dfs.DataNode
-	srv    *Server
-	faults TransportFaults
-	nn     *peerConn
+	id  cluster.NodeID
+	dn  *dfs.DataNode
+	srv *Server
 
-	// relays are the stream connections this node parks toward the
-	// next hops of the pipelines it relays.
-	relays streamPool
+	// conns are the connections this node parks, by address: its
+	// heartbeat channel to the NameNode and its relays to the next hops
+	// of the pipelines it relays.
+	conns streamPool
 
-	mu    sync.Mutex
-	epoch uint64 // this incarnation's marker; a restart mints a new one
-	seq   uint64
+	mu     sync.Mutex
+	nnAddr string // the NameNode's address; "" before ConnectNameNode
+	epoch  uint64 // this incarnation's marker; a restart mints a new one
+	seq    uint64
 
 	loopStop chan struct{}
 	loopDone chan struct{}
@@ -70,10 +70,10 @@ type DataNodeServer struct {
 // binds after its DataNodes, so the address arrives late).
 func NewDataNodeServer(id cluster.NodeID, faults TransportFaults) *DataNodeServer {
 	d := &DataNodeServer{
-		id:     id,
-		dn:     dfs.NewDataNode(id),
-		faults: faults,
-		epoch:  newEpoch(),
+		id:    id,
+		dn:    dfs.NewDataNode(id),
+		conns: streamPool{local: endpointName(id), faults: faults},
+		epoch: newEpoch(),
 	}
 	d.srv = NewServer(endpointName(id), faults, d.methods())
 	d.srv.SetDataHandler(d.serveData)
@@ -82,26 +82,18 @@ func NewDataNodeServer(id cluster.NodeID, faults TransportFaults) *DataNodeServe
 
 // ConnectNameNode points the heartbeat channel at the NameNode. The
 // connection itself is established lazily on the first beat. Calling
-// it again (a restarted NameNode at a new address) closes the old
-// channel and redials the new one; an in-flight heartbeat on the old
-// channel just fails transiently, which loses nothing.
+// it again (a restarted NameNode at a new address) closes the
+// connections parked to the old address, and the next beat dials the
+// new one; an in-flight heartbeat to the old address just fails
+// transiently, which loses nothing.
 func (d *DataNodeServer) ConnectNameNode(nnAddr string) {
-	next := newPeerConn(nnAddr, endpointName(d.id), "namenode", d.faults)
 	d.mu.Lock()
-	old := d.nn
-	d.nn = next
+	old := d.nnAddr
+	d.nnAddr = nnAddr
 	d.mu.Unlock()
-	if old != nil {
-		old.close()
+	if old != "" {
+		d.conns.drop(old)
 	}
-}
-
-// peer returns the current NameNode channel (nil before the first
-// ConnectNameNode).
-func (d *DataNodeServer) peer() *peerConn {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.nn
 }
 
 // SetAdmission installs admission control on the block service: calls
@@ -148,15 +140,15 @@ func (d *DataNodeServer) FlushHeartbeat(ctx context.Context) error {
 		return nil
 	}
 	d.mu.Lock()
-	nn := d.nn
-	if nn == nil {
+	nn := d.nnAddr
+	if nn == "" {
 		d.mu.Unlock()
 		return fmt.Errorf("svc: heartbeat from %s: namenode not connected: %w", endpointName(d.id), ErrConnClosed)
 	}
 	d.seq++
 	hb := heartbeatParams{Node: d.id, Epoch: d.epoch, Seq: d.seq}
 	d.mu.Unlock()
-	if err := nn.call(ctx, "nn.heartbeat", hb, nil); err != nil {
+	if err := d.conns.call(ctx, nn, "namenode", "nn.heartbeat", hb, nil); err != nil {
 		return fmt.Errorf("svc: heartbeat from %s: %w", endpointName(d.id), err)
 	}
 	return nil
@@ -209,7 +201,7 @@ func (d *DataNodeServer) StartHeartbeats(interval time.Duration) {
 
 // Stop gracefully shuts the DataNode down: the heartbeat loop halts,
 // in-flight block RPCs and streams drain (bounded by ctx), and
-// connections close — the served ones and the relays' parked ones.
+// connections close — the served ones and the ones this node parked.
 func (d *DataNodeServer) Stop(ctx context.Context) error {
 	if d.loopStop != nil {
 		close(d.loopStop)
@@ -217,9 +209,6 @@ func (d *DataNodeServer) Stop(ctx context.Context) error {
 		d.loopStop = nil
 	}
 	err := d.srv.Shutdown(ctx)
-	d.relays.close()
-	if nn := d.peer(); nn != nil {
-		nn.close()
-	}
+	d.conns.close()
 	return err
 }

@@ -2,8 +2,9 @@
 // real sockets): a NameNode service holding metadata, the heartbeat
 // collector, and the performance predictor; DataNode services storing
 // block replicas; and a shell-style client — all of it over one frame
-// format on TCP (wire.go): small decisions as multiplexed calls, block
-// bytes as streams of chunks, stdlib only.
+// format on TCP (wire.go) and one kind of connection, which carries
+// successive exchanges, a call or a stream, one at a time: small
+// decisions as calls, block bytes as streams of chunks, stdlib only.
 //
 // The services are thin transports over the existing internal/dfs
 // engine, split the way HDFS and the paper's prototype split it: the
@@ -48,8 +49,8 @@ var (
 	// ErrUnknownDataNode marks a heartbeat or block RPC naming a node
 	// id outside the cluster.
 	ErrUnknownDataNode = errors.New("svc: unknown datanode")
-	// ErrConnClosed marks calls failed because the connection died
-	// (peer gone, partition, or local close) before a response.
+	// ErrConnClosed marks a call with no connection to go on: a
+	// heartbeat sent before its DataNode knows the NameNode's address.
 	ErrConnClosed = errors.New("svc: connection closed")
 	// ErrFrameTooLarge marks a frame exceeding its type's bound —
 	// MaxControlFrame for a call or a reply, MaxChunkPayload for the

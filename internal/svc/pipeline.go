@@ -10,9 +10,9 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// DataNode side of the block streams: the handler a stream connection's
-// streams go to, one after another, each reporting whether it ended
-// cleanly enough for the connection to carry the next. A write stream is
+// DataNode side of the block streams: the handler a connection's
+// streams go to, each reporting whether it ended cleanly enough for the
+// connection to carry the next exchange. A write stream is
 // relayed down the replication chain HDFS-style, one chain round trip a
 // block: the writer's open frame arrives with the block's first chunk
 // behind it, and this node checks that chunk into its replica before it
@@ -94,8 +94,8 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	name := endpointName(d.id)
 	// Serving-side fault check, as for incoming calls: a partition
 	// severs streams already under way, not just new ones.
-	if d.faults != nil {
-		if d.faults.FailMessage(ow.From, name) != nil {
+	if d.srv.faults != nil {
+		if d.srv.faults.FailMessage(ow.From, name) != nil {
 			return false
 		}
 	}
@@ -144,7 +144,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	downClean := false
 	if len(ow.Chain) > 0 {
 		next := ow.Chain[0]
-		dc, sf, derr := d.relays.openStream(ctx, next.Addr, name, endpointName(next.Node), d.faults, func(w io.Writer) error {
+		dc, sf, derr := d.conns.openStream(ctx, next.Addr, endpointName(next.Node), func(w io.Writer) error {
 			// The forwarded budget is recomputed from this hop's derived
 			// context, not copied from the open frame: whatever this node
 			// already spent is gone, so an N-deep chain shares one budget
@@ -177,7 +177,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		}
 		defer func() {
 			if down != nil {
-				d.relays.park(next.Addr, down, downClean)
+				d.conns.park(next.Addr, down, downClean)
 			}
 		}()
 	}
@@ -263,10 +263,10 @@ func readChunk(br *bufio.Reader, sid uint64, dst []byte) (frame2, bool) {
 // relayFault consults the fault hook for one chunk this node relays to
 // next.
 func (d *DataNodeServer) relayFault(next chainEntry) error {
-	if d.faults == nil {
+	if d.conns.faults == nil {
 		return nil
 	}
-	return d.faults.FailMessage(endpointName(d.id), endpointName(next.Node))
+	return d.conns.faults.FailMessage(d.conns.local, endpointName(next.Node))
 }
 
 func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool) {
@@ -277,8 +277,8 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 		return false
 	}
 	name := endpointName(d.id)
-	if d.faults != nil {
-		if d.faults.FailMessage(or.From, name) != nil {
+	if d.srv.faults != nil {
+		if d.srv.faults.FailMessage(or.From, name) != nil {
 			return false
 		}
 	}
@@ -321,8 +321,8 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 			flags = flagLast
 		}
 		// A mid-stream partition severs the remaining chunks.
-		if d.faults != nil {
-			if d.faults.FailMessage(or.From, name) != nil {
+		if d.srv.faults != nil {
+			if d.srv.faults.FailMessage(or.From, name) != nil {
 				return false
 			}
 		}

@@ -519,14 +519,14 @@ func TestShedWriteReadsFirstChunkThenAnswers(t *testing.T) {
 	// is the outcome, not a broken stream.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	var p streamPool
+	p := &streamPool{local: "writer"}
 	defer p.close()
 	for i := 0; i < 20; i++ {
 		data := block[:100]
 		if i%2 == 1 {
 			data = block
 		}
-		acks, err := p.pipelinePut(ctx, "writer", nil, chain, dfs.BlockID(71+i), data)
+		acks, err := p.pipelinePut(ctx, chain, dfs.BlockID(71+i), data)
 		if err != nil {
 			t.Fatalf("put %d against a shedding node: %v, want its overload acks", i, err)
 		}

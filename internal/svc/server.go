@@ -17,17 +17,18 @@ import (
 // frameOpenWrite or frameOpenRead that began the stream, which the
 // handler releases. It reports whether the stream ended cleanly — its
 // last frame sent and flushed, its deadline watcher stopped before it
-// fired — so that the connection may carry the next one.
+// fired — so that the connection may carry the next exchange.
 type DataHandler func(ctx context.Context, nc net.Conn, r *bufio.Reader, w *bufio.Writer, open frame2) (clean bool)
 
-// Server accepts connections and lets each one's first frame say what
-// it is: a call connection, whose every call runs on a fresh goroutine
-// so one slow handler never blocks a heartbeat on the same connection,
-// or a stream connection, which carries block streams one after
-// another. Shutdown drains in-flight calls and streams before
-// returning: new calls are rejected with ErrShuttingDown, running
-// handlers complete and flush their replies; a stream connection idle
-// between streams is not in flight and is simply closed.
+// Server accepts connections and serves each on one goroutine, which
+// reads a frame at every exchange boundary: a call is admitted, handled
+// inline and answered, a stream open goes to the data handler, and the
+// connection then waits for its next exchange. A connection carries one
+// exchange at a time, so a slow handler holds up only its own caller.
+// Shutdown drains in-flight calls and streams before returning: new
+// calls are rejected with ErrShuttingDown, running handlers complete
+// and flush their replies; a connection idle between exchanges is not
+// in flight and is simply closed.
 type Server struct {
 	name    string // endpoint name, for the fault hook
 	faults  TransportFaults
@@ -41,9 +42,9 @@ type Server struct {
 
 	ln net.Listener
 
-	// streamConns counts the connections whose first frame opened a
-	// stream, so tests can see connections being reused.
-	streamConns atomic.Int64
+	// accepted counts the connections accepted, so tests can see
+	// connections being reused.
+	accepted atomic.Int64
 
 	// baseCtx parents every handler invocation; baseCancel fires on
 	// Crash (immediately) and Shutdown (after the drain window), so a
@@ -72,7 +73,8 @@ func NewServer(name string, faults TransportFaults, methods methodTable) *Server
 }
 
 // SetDataHandler installs the block stream handler. Call before
-// Listen; endpoints without one close stream connections on arrival.
+// Listen; endpoints without one close a connection on its first stream
+// open.
 func (s *Server) SetDataHandler(h DataHandler) { s.data = h }
 
 // SetAdmission installs admission control (see AdmissionConfig); a
@@ -127,6 +129,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		s.conns[nc] = true
 		s.mu.Unlock()
+		s.accepted.Add(1)
 		go s.serveConn(nc)
 	}
 }
@@ -141,149 +144,111 @@ func (s *Server) serveConn(nc net.Conn) {
 	_ = s.serve(nc) // why a connection ended is the peer's to find out
 }
 
-// serve runs one connection to its end and reports why it ended. The
-// first frame routes it: a call opens the call loop, a stream open the
-// stream loop if the endpoint has a stream handler, anything else is
-// not a way to start.
+// serve runs one connection to its end and reports why it ended. Each
+// exchange begins with the frame read at its boundary: a call is served
+// and answered, a stream open goes to the data handler if the endpoint
+// has one, and anything else is not a way to begin. After an exchange
+// that ended cleanly the connection waits, with no deadline, for its
+// next; any other ending closes it.
 func (s *Server) serve(nc net.Conn) error {
-	// Sized for a stream connection (streamReadBuf), since the first
-	// frame is read before the kind is known; a call connection's frames
-	// are metadata and fit it as well.
 	br := bufio.NewReaderSize(nc, streamReadBuf)
-	f, err := readFrame2(br, nil)
-	if err != nil {
-		return err
-	}
-	switch {
-	case f.Type == frameCall:
-		return s.serveCalls(nc, br, f)
-	case isStreamOpen(f) && s.data != nil:
-		s.streamConns.Add(1)
-		return s.serveStreams(nc, br, f)
-	default:
-		f.release()
-		return fmt.Errorf("%w: frame type %d cannot open a connection to %s", ErrBadFrame, f.Type, s.name)
-	}
-}
-
-func isStreamOpen(f frame2) bool { return f.Type == frameOpenWrite || f.Type == frameOpenRead }
-
-// serveStreams is the stream loop: f opens the connection's first
-// stream, and after each stream that ends cleanly the connection waits,
-// with no deadline, for the next frame, which must open another. Any
-// other ending closes the connection.
-func (s *Server) serveStreams(nc net.Conn, br *bufio.Reader, f frame2) error {
 	bw := bufio.NewWriterSize(nc, 32<<10)
 	for {
-		if !isStreamOpen(f) {
-			f.release()
-			return fmt.Errorf("%w: frame type %d after a finished stream", ErrBadFrame, f.Type)
-		}
-		// Each stream counts as one in-flight unit: Shutdown drains it
-		// like a pending call instead of cutting a half-written block.
-		s.mu.Lock()
-		if s.down {
-			s.mu.Unlock()
-			f.release()
-			return fmt.Errorf("svc: %s refusing a stream: %w", s.name, ErrShuttingDown)
-		}
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		clean := s.data(s.baseCtx, nc, br, bw, f)
-		s.inflight.Done()
-		if !clean {
-			return nil
-		}
-		if err := nc.SetDeadline(time.Time{}); err != nil {
+		f, err := readFrame2(br, nil)
+		if err != nil {
 			return err
 		}
-		var err error
-		if f, err = readFrame2(br, nil); err != nil {
+		next := true
+		switch {
+		case f.Type == frameCall:
+			err = s.serveCall(bw, f)
+		case (f.Type == frameOpenWrite || f.Type == frameOpenRead) && s.data != nil:
+			next, err = s.serveStream(nc, br, bw, f)
+		default:
+			f.release()
+			err = fmt.Errorf("%w: frame type %d cannot begin an exchange with %s", ErrBadFrame, f.Type, s.name)
+		}
+		if err != nil || !next {
 			return err
 		}
 	}
 }
 
-// serveCalls is the call loop: f is the connection's first call, and
-// every further frame must be one too.
-func (s *Server) serveCalls(nc net.Conn, br *bufio.Reader, f frame2) error {
-	w := newFrameWriter(nc)
-	for {
-		if err := s.dispatch(w, f); err != nil {
-			f.release()
-			return err
-		}
-		var err error
-		if f, err = readFrame2(br, nil); err != nil {
-			return err
-		}
+// enter counts one exchange in flight unless the server is draining.
+// It takes the lock Shutdown takes before waiting, so an exchange is
+// either refused or fully drained — never lost in between.
+func (s *Server) enter() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.down {
+		return false
 	}
+	s.inflight.Add(1)
+	return true
 }
 
-// dispatch starts one call's handler, which takes f over; an error
-// leaves f with the caller and ends the connection.
-func (s *Server) dispatch(w *frameWriter, f frame2) error {
-	if f.Type != frameCall {
-		return fmt.Errorf("%w: frame type %d on a call connection", ErrBadFrame, f.Type)
+// serveStream runs the stream f opens and reports whether it ended
+// cleanly, its deadline cleared for the connection's next exchange.
+// Each stream counts as one in-flight unit: Shutdown drains it like a
+// call instead of cutting a half-written block.
+func (s *Server) serveStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool, err error) {
+	if !s.enter() {
+		f.release()
+		return false, fmt.Errorf("svc: %s refusing a stream: %w", s.name, ErrShuttingDown)
 	}
+	clean = s.data(s.baseCtx, nc, br, bw, f)
+	s.inflight.Done()
+	if !clean {
+		return false, nil
+	}
+	return true, nc.SetDeadline(time.Time{})
+}
+
+// serveCall runs the call f carries to its reply. An error — a call
+// frame that is no call, a partition, a reply that cannot be sent — ends
+// the connection.
+func (s *Server) serveCall(bw *bufio.Writer, f frame2) error {
+	defer f.release() // params alias f's payload; the handler's decoders copy
 	h, params, err := decodeCall(f.Payload)
 	if err != nil {
 		return err
 	}
 	// The serving side consults the fault hook too: a partition severs
-	// calls already in flight from the far side, not just new dials.
+	// calls already under way from the far side, not just new dials.
 	if s.faults != nil {
 		if err := s.faults.FailMessage(h.From, s.name); err != nil {
 			return err
 		}
 	}
-	// Admission and wg.Add happen under the same lock Shutdown takes
-	// before waiting, so a call is either rejected or fully drained —
-	// never lost in between.
-	s.mu.Lock()
-	down := s.down
-	if !down {
-		s.inflight.Add(1)
+	if !s.enter() {
+		return s.reply(bw, f.Stream, nil, fmt.Errorf("svc: %s rejecting %s: %w", s.name, h.Method, ErrShuttingDown))
 	}
-	s.mu.Unlock()
-	if down {
-		s.reply(w, f.Stream, nil, fmt.Errorf("svc: %s rejecting %s: %w", s.name, h.Method, ErrShuttingDown))
-		f.release()
-		return nil
-	}
-	go s.handle(w, f, h, params)
-	return nil
+	defer s.inflight.Done() // after the reply is flushed
+	result, err := s.handle(h, params)
+	return s.reply(bw, f.Stream, result, err)
 }
 
-// handle runs one call to its reply. params alias f's pooled payload,
-// which is released once the handler — whose decoders copy — is done.
-func (s *Server) handle(w *frameWriter, f frame2, h callHeader, params []byte) {
-	defer s.inflight.Done()
-	defer f.release()
+// handle runs one call's handler under the caller's deadline budget,
+// once admission lets it in; a queued wait is bounded by that budget.
+func (s *Server) handle(h callHeader, params []byte) (any, error) {
 	ctx, cancel := budgetCtx(s.baseCtx, h.DeadlineMS)
 	defer cancel()
-	// Admission happens inside the call's goroutine so a queued wait
-	// never blocks the connection's read loop, and the wait is bounded
-	// by the call's own deadline budget.
-	release, aerr := s.admit.Load().acquire(ctx, s.methods.classOf(h.Method))
-	if aerr != nil {
-		s.reply(w, f.Stream, nil, fmt.Errorf("svc: %s shedding %s: %w", s.name, h.Method, aerr))
-		return
+	release, err := s.admit.Load().acquire(ctx, s.methods.classOf(h.Method))
+	if err != nil {
+		return nil, fmt.Errorf("svc: %s shedding %s: %w", s.name, h.Method, err)
 	}
 	defer release()
 	m, ok := s.methods[h.Method]
 	if !ok {
-		s.reply(w, f.Stream, nil, fmt.Errorf("%w: %q", ErrUnknownMethod, h.Method))
-		return
+		return nil, fmt.Errorf("%w: %q", ErrUnknownMethod, h.Method)
 	}
-	result, err := m.serve(ctx, params)
-	s.reply(w, f.Stream, result, err)
+	return m.serve(ctx, params)
 }
 
 // reply answers call id with one frame: the result as a reply, or err
 // — the handler's, or that of a result that will not encode or fit —
 // as an error frame.
-func (s *Server) reply(w *frameWriter, id uint64, result any, err error) {
+func (s *Server) reply(bw *bufio.Writer, id uint64, result any, err error) error {
 	typ, payload := frameReply, []byte(nil)
 	if err == nil {
 		if payload, err = json.Marshal(result); err != nil {
@@ -295,9 +260,10 @@ func (s *Server) reply(w *frameWriter, id uint64, result any, err error) {
 	if err != nil {
 		typ, payload = frameError, encodeErrorFrame(err)
 	}
-	if w.send(time.Time{}, typ, id, payload) != nil {
-		_ = w.nc.Close() // framing is gone; the read loop sees the error and cleans up
+	if err := writeFrame2(bw, typ, 0, id, payload); err != nil {
+		return err
 	}
+	return bw.Flush()
 }
 
 // Crash force-closes the server without drain: the listener and every
@@ -309,7 +275,7 @@ func (s *Server) Crash() {
 	s.down = true
 	ln := s.ln
 	for nc := range s.conns {
-		_ = nc.Close() // reader goroutines see the error and unregister
+		_ = nc.Close() // serving goroutines see the error and unregister
 	}
 	s.mu.Unlock()
 	if ln != nil {

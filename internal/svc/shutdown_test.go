@@ -10,9 +10,9 @@ import (
 
 // TestShutdownDrainsInflightAndRejectsNew pins the graceful-shutdown
 // contract at the server layer: a request in flight when Shutdown
-// begins completes and gets its response; a request arriving after
-// rejects with ErrShuttingDown; Shutdown returns only once the
-// handler has drained.
+// begins completes and gets its response; a request arriving after, on
+// a connection that sat idle since before the drain began, rejects with
+// ErrShuttingDown; Shutdown returns only once the handler has drained.
 func TestShutdownDrainsInflightAndRejectsNew(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -29,18 +29,22 @@ func TestShutdownDrainsInflightAndRejectsNew(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	conn, err := dialConn(ctx, srv.Addr(), "tester", "test", nil)
-	if err != nil {
+	addr := srv.Addr()
+	// idle parks a connection now, for a call during the drain; the slow
+	// call goes through a pool of its own.
+	idle, busy := &streamPool{local: "tester"}, &streamPool{local: "tester"}
+	defer idle.close()
+	defer busy.close()
+	if err := idle.call(ctx, addr, "test", "fast", nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var slowErr error
 	go func() {
 		defer wg.Done()
-		slowErr = conn.Call(ctx, "slow", nil, nil)
+		slowErr = busy.call(ctx, addr, "test", "slow", nil, nil)
 	}()
 	<-entered
 
@@ -52,7 +56,7 @@ func TestShutdownDrainsInflightAndRejectsNew(t *testing.T) {
 	}()
 
 	// Wait until the server has flipped to draining, then verify new
-	// requests on the existing connection are rejected.
+	// requests on the connection parked before it are rejected.
 	for {
 		srv.mu.Lock()
 		down := srv.down
@@ -62,7 +66,7 @@ func TestShutdownDrainsInflightAndRejectsNew(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := conn.Call(ctx, "fast", nil, nil); !errors.Is(err, ErrShuttingDown) {
+	if err := idle.call(ctx, addr, "test", "fast", nil, nil); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("call during drain = %v, want ErrShuttingDown", err)
 	}
 
@@ -96,12 +100,9 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	conn, err := dialConn(ctx, srv.Addr(), "tester", "test", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	go func() { _ = conn.Call(ctx, "wedge", nil, nil) }()
+	p := &streamPool{local: "tester"}
+	defer p.close()
+	go func() { _ = p.call(ctx, srv.Addr(), "test", "wedge", nil, nil) }()
 	time.Sleep(20 * time.Millisecond) // let the request reach the handler
 
 	sctx, scancel := context.WithTimeout(context.Background(), 100*time.Millisecond)

@@ -45,16 +45,17 @@ type blocksResult struct {
 // crashed one.
 type remoteStore struct {
 	id   cluster.NodeID
-	peer *peerConn
+	addr string // the node's address
+	peer string // the node's endpoint name, for the fault hook
 
-	// streams are the proxy's parked stream connections to its node:
-	// every stream of this proxy goes to the one address, so the
-	// fleet's pool is its proxies' pools together.
-	streams streamPool
+	// conns are the proxy's parked connections to its node, carrying its
+	// calls and its streams alike: every exchange of this proxy goes to
+	// the one address, so the fleet's pool is its proxies' pools
+	// together.
+	conns streamPool
 
-	// The binary data plane (wire.go): resolve maps chain node ids to
-	// data addresses for pipeline writes. Deletes, inventory and
-	// liveness are calls on the proxy's call connection.
+	// resolve maps chain node ids to data addresses for pipeline
+	// writes.
 	resolve func(cluster.NodeID) (string, bool)
 
 	// brk, when non-nil, is this node's client-side circuit breaker:
@@ -76,14 +77,6 @@ type remoteStore struct {
 	up bool
 }
 
-func newRemoteStore(id cluster.NodeID, addr, local, peerName string, faults TransportFaults) *remoteStore {
-	return &remoteStore{
-		id:   id,
-		peer: newPeerConn(addr, local, peerName, faults),
-		up:   true,
-	}
-}
-
 // newStoreFleet builds the proxies for the DataNodes at addrs (indexed
 // by NodeID), dialing as endpoint local, and the same fleet as the
 // dfs.BlockStore slice a dfs.BlockIO or dfs.NameNode takes. With brk
@@ -103,8 +96,14 @@ func newStoreFleet(addrs []string, local string, faults TransportFaults, brk Bre
 	ifaces := make([]dfs.BlockStore, len(addrs))
 	for i := range stores {
 		id := cluster.NodeID(i)
-		stores[i] = newRemoteStore(id, addrs[i], local, endpointName(id), faults)
-		stores[i].resolve = resolve
+		stores[i] = &remoteStore{
+			id:      id,
+			addr:    addrs[i],
+			peer:    endpointName(id),
+			conns:   streamPool{local: local, faults: faults},
+			resolve: resolve,
+			up:      true,
+		}
 		ifaces[i] = stores[i]
 	}
 	if brk.Threshold <= 0 {
@@ -179,7 +178,7 @@ func (s *remoteStore) observe(ctx context.Context, what func() string, exchange 
 // call performs one control RPC against the DataNode.
 func (s *remoteStore) call(ctx context.Context, method string, params, result any) error {
 	return s.observe(ctx, func() string { return method + " to" }, func() error {
-		return s.peer.call(ctx, method, params, result)
+		return s.conns.call(ctx, s.addr, s.peer, method, params, result)
 	})
 }
 
@@ -192,7 +191,7 @@ func (s *remoteStore) Put(ctx context.Context, id dfs.BlockID, data []byte) erro
 func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte, rest []cluster.NodeID) dfs.PipelineResult {
 	res := dfs.PipelineResult{Failed: make(map[cluster.NodeID]error, 1+len(rest))}
 	chain := make([]chainEntry, 0, 1+len(rest))
-	chain = append(chain, chainEntry{Node: s.id, Addr: s.peer.addr})
+	chain = append(chain, chainEntry{Node: s.id, Addr: s.addr})
 	for _, n := range rest {
 		addr, ok := "", false
 		if s.resolve != nil {
@@ -214,7 +213,7 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 		}
 		return res
 	}
-	acks, err := s.streams.pipelinePut(ctx, s.peer.local, s.peer.faults, chain, id, data)
+	acks, err := s.conns.pipelinePut(ctx, chain, id, data)
 	s.brk.record(probe, err == nil)
 	if err != nil {
 		// The stream broke: no commit acks, so whether any chain node
@@ -269,7 +268,7 @@ func (s *remoteStore) peerEvidence(n cluster.NodeID, ok bool) {
 func (s *remoteStore) Get(ctx context.Context, id dfs.BlockID, dst []byte) ([]byte, error) {
 	var data []byte
 	err := s.observe(ctx, func() string { return fmt.Sprintf("get block %d from", id) }, func() (err error) {
-		data, err = s.streams.streamGet(ctx, s.peer.local, s.peer.faults, s.peer.addr, s.peer.peer, id, dst)
+		data, err = s.conns.streamGet(ctx, s.addr, s.peer, id, dst)
 		return err
 	})
 	if err != nil {
@@ -300,9 +299,5 @@ func (s *remoteStore) StoredBlocks(ctx context.Context) ([]dfs.BlockID, bool) {
 	return res.Blocks, true
 }
 
-// close tears down the proxy's call connection and its parked stream
-// connections.
-func (s *remoteStore) close() {
-	s.peer.close()
-	s.streams.close()
-}
+// close tears down the proxy's parked connections.
+func (s *remoteStore) close() { s.conns.close() }

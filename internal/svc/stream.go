@@ -3,6 +3,7 @@ package svc
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,14 +17,18 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// Client side of the block streams (see wire.go): pipeline writes and
-// chunked reads on stream connections. A stream connection carries
-// successive streams, one at a time. Its owner — a client's or the
-// NameNode's DataNode fleet, a DataNode's relays — parks it after a
-// stream that ended cleanly and takes it again for its next stream to
-// the same address, so a small put does not pay a TCP dial and fresh
-// buffers per hop. Every other ending closes it. Multiplexing is for
-// call connections (conn.go), where frames are small.
+// Client side of the wire (see wire.go): calls, pipeline writes and
+// chunked reads, each one exchange on a connection. A connection
+// carries successive exchanges, a call or a stream, one at a time. Its
+// owner — a client's NameNode channel, each DataNode proxy of a client
+// or of the NameNode, a DataNode's NameNode channel and relays — parks
+// it after an exchange that ended cleanly and takes it again for its
+// next exchange with the same address, so a small put does not pay a
+// TCP dial and fresh buffers per hop. Every other ending closes it.
+// Exchanges that overlap take a connection each.
+//
+// A call is the smallest exchange: its call frame out, one reply or
+// error frame with its id back.
 //
 // A write costs one round trip through the chain a block: pipelinePut
 // sends the open frame and the block's first chunk in one flush, and
@@ -35,48 +40,81 @@ import (
 // reader's user space once; the connection's small read buffer holds
 // only headers and the frames that have nowhere else to go.
 
-// streamIDs mints stream ids. Streams on a connection never overlap, so
-// the id is diagnostic: it ties the frames of a stream together in
-// traces and guards against crossed frames.
+// faultGate consults the sender's side of the fault hook before a
+// message leaves: a partition fails it, injected latency is slept
+// (bounded by ctx). A nil hook passes everything.
+func faultGate(ctx context.Context, faults TransportFaults, local, peer string) error {
+	if faults == nil {
+		return nil
+	}
+	if err := faults.FailMessage(local, peer); err != nil {
+		return err
+	}
+	if d := faults.MessageDelay(local, peer); d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// dial opens a TCP connection to addr. Its one caller, acquireConn, has
+// consulted the fault hook first.
+func dial(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("svc: dial %s: %w", addr, err)
+	}
+	return nc, nil
+}
+
+// streamIDs mints the ids of calls and streams. Exchanges on a
+// connection never overlap, so the id is diagnostic: it ties the frames
+// of an exchange together in traces and guards against crossed frames.
 var streamIDs atomic.Uint64
 
-// maxIdleStreams caps the connections an owner parks per DataNode
-// address. An owner's streams to one address overlap only as far as the
-// owner's own concurrency does: a client moves one block at a time (a
-// hedged read goes to another replica), a relay as many as there are
-// writers whose chains cross that hop at once. A few connections keep
+// maxIdleStreams caps the connections an owner parks per address. An
+// owner's exchanges with one address overlap only as far as the owner's
+// own concurrency does: a client moves one block at a time (a hedged
+// read goes to another replica) and makes one call at a time, a relay
+// carries as many streams as there are writers whose chains cross that
+// hop at once. A few connections keep
 // that dial-free; a burst wider than the cap closes its surplus as it
 // ends rather than pinning it. The cap is also what bounds idleness,
 // since nothing else retires a parked connection (no timer, no knob):
 // each holds an 8 KiB reader and a 32 KiB writer at both ends plus the
-// DataNode's serving goroutine, so at most 4 × 80 KiB per owner and
+// server's serving goroutine, so at most 4 × 80 KiB per owner and
 // address.
 const maxIdleStreams = 4
 
-// streamReadBuf sizes the read buffer of a stream connection, at both
-// ends. Chunk payloads are read straight into the buffer they belong in
+// streamReadBuf sizes the read buffer of a connection, at both ends. Chunk payloads are read straight into the buffer they belong in
 // (readFrame2's destination), so this one only holds headers and small
 // frames: a larger one would drag up to its size of payload through an
 // extra user-space copy behind every header it reads.
 const streamReadBuf = 8 << 10
 
-// dataConn is one v2 stream connection: buffered both ways so a 20-byte
+// dataConn is one connection: buffered both ways so a 20-byte
 // header and its payload leave in one syscall, the buffers living as
 // long as the connection.
 type dataConn struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-	stop func() bool // detaches the current stream's context watcher
+	stop func() bool // detaches the current exchange's context watcher
 }
 
-// connPast is the deadline used to abort a stream's blocked I/O when
+// connPast is the deadline used to abort an exchange's blocked I/O when
 // its context is cancelled: any instant in the past works.
 var connPast = time.Unix(1, 0)
 
-// arm binds the connection to one stream: the stream's deadline becomes
-// the connection deadline (none clears it), and cancellation aborts
-// blocked reads and writes mid-stream.
+// arm binds the connection to one exchange: its deadline becomes the
+// connection deadline (none clears it), and cancellation aborts blocked
+// reads and writes mid-exchange.
 func (c *dataConn) arm(ctx context.Context) {
 	dl, _ := ctx.Deadline() // the zero time when ctx has none
 	_ = c.nc.SetDeadline(dl)
@@ -99,9 +137,13 @@ func (c *dataConn) exchange(send func(w io.Writer) error) (frame2, error) {
 	return readFrame2(c.br, nil)
 }
 
-// streamPool is one owner's parked stream connections, by address. The
-// zero value is an owner with nothing parked.
+// streamPool is one owner's way to its peers: the owner's endpoint name
+// and fault hook, and its parked connections, by address. It starts
+// with nothing parked.
 type streamPool struct {
+	local  string          // the owner's endpoint name, sent in every call and open frame
+	faults TransportFaults // consulted before each exchange; nil passes everything
+
 	mu   sync.Mutex
 	idle map[string][]*dataConn
 }
@@ -120,10 +162,10 @@ func (p *streamPool) take(addr string) *dataConn {
 	return dc
 }
 
-// park ends a stream on dc. A clean end — the stream's last frame read,
-// its context watcher stopped before it fired, nothing unread, the
-// deadline cleared — parks the connection for the owner's next stream
-// to addr, up to maxIdleStreams; anything else closes it.
+// park ends an exchange on dc. A clean end — the exchange's last frame
+// read, its context watcher stopped before it fired, nothing unread, the
+// deadline cleared — parks the connection for the owner's next exchange
+// with addr, up to maxIdleStreams; anything else closes it.
 func (p *streamPool) park(addr string, dc *dataConn, clean bool) {
 	if !dc.stop() || !clean || dc.br.Buffered() > 0 || dc.nc.SetDeadline(time.Time{}) != nil {
 		_ = dc.nc.Close()
@@ -154,7 +196,7 @@ func (p *streamPool) drop(addr string) {
 }
 
 // close closes every parked connection. The owner calls it once its
-// own streams are over; the pool stays usable.
+// own exchanges are over; the pool stays usable.
 func (p *streamPool) close() {
 	p.mu.Lock()
 	idle := p.idle
@@ -167,11 +209,13 @@ func (p *streamPool) close() {
 	}
 }
 
-// acquireConn takes a connection to addr for one stream — a parked one
-// when the owner has any, a fresh dial otherwise — and arms it on ctx.
-// reused reports a parked connection. The sender side of the fault hook
-// runs first, once per stream, wherever the connection comes from (see
-// dial), and it and any dial run under a setup budget: a quarter of
+// acquireConn takes a connection to addr for one exchange with peer — a
+// parked one when the owner has any, a fresh dial otherwise — and arms
+// it on ctx. reused reports a parked connection. The sender side of the
+// fault hook runs first, once per exchange, wherever the connection
+// comes from, so a partitioned endpoint cannot even dial, and injected
+// latency is paid once per exchange; a redial, whose gate has passed,
+// skips it. The gate and any dial run under a setup budget: a quarter of
 // ctx's remaining deadline. Setup is where a gray peer (alive
 // heartbeats, crawling service) stalls, and without the sub-budget one
 // gray hop silently eats the caller's whole deadline: the op times out,
@@ -181,7 +225,7 @@ func (p *streamPool) close() {
 // pipeline relays — lets the setup ack naming the actual stalled node
 // reach the writer in time. Deadline-free contexts set up without a
 // sub-budget.
-func (p *streamPool) acquireConn(ctx context.Context, addr, local, peer string, faults TransportFaults) (dc *dataConn, reused bool, err error) {
+func (p *streamPool) acquireConn(ctx context.Context, addr, peer string, redial bool) (dc *dataConn, reused bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, fmt.Errorf("svc: dial %s: %w", addr, err)
 	}
@@ -196,13 +240,15 @@ func (p *streamPool) acquireConn(ctx context.Context, addr, local, peer string, 
 		setup, cancel = context.WithTimeout(ctx, rem/4)
 		defer cancel()
 	}
-	if err := faultGate(setup, faults, local, peer); err != nil {
-		return nil, false, fmt.Errorf("svc: dial %s: %w", addr, err)
+	if !redial {
+		if err := faultGate(setup, p.faults, p.local, peer); err != nil {
+			return nil, false, fmt.Errorf("svc: dial %s: %w", addr, err)
+		}
 	}
 	dc = p.take(addr)
 	reused = dc != nil
 	if !reused {
-		nc, err := dial(setup, addr, local, peer, nil) // the gate has run
+		nc, err := dial(setup, addr)
 		if err != nil {
 			return nil, false, err
 		}
@@ -212,20 +258,22 @@ func (p *streamPool) acquireConn(ctx context.Context, addr, local, peer string, 
 	return dc, reused, nil
 }
 
-// openStream starts one stream: a connection from acquireConn, the
-// frames send writes — the open frame, built at send time so the budget
-// it carries is current, and for a write the block's first chunk —
-// flushed together, and the first reply. A parked connection whose
-// peer closed it while it sat idle (a DataNode that restarted or dropped
-// its connections) fails with EOF or a reset before any reply: nothing
-// was served on it, so the stream closes the owner's other connections
-// parked to addr alongside it and redials once, the fault gate already
-// passed. That failure says nothing about the peer and never reaches the
-// caller, its breaker or its liveness belief. A timeout is not retried:
-// a stalled peer is evidence.
-func (p *streamPool) openStream(ctx context.Context, addr, local, peer string, faults TransportFaults, send func(w io.Writer) error) (*dataConn, frame2, error) {
+// openStream starts one exchange: a connection from acquireConn, the
+// frames send writes — the call or open frame, built at send time so
+// the budget it carries is current, and for a write the block's first
+// chunk — flushed together, and the first reply. A parked connection
+// whose peer closed it while it sat idle (a server that restarted or
+// dropped its connections) fails with EOF or a reset before any reply:
+// nothing was answered on it, so the exchange closes the owner's other
+// connections parked to addr alongside it and redials once, the fault
+// gate already passed. That failure says nothing about the peer and
+// never reaches the caller, its breaker or its liveness belief. A
+// timeout is not retried: a stalled peer is evidence. The redial sends
+// the frames again, so a call may reach its handler twice (DESIGN §10
+// lists what each method does with a repeat).
+func (p *streamPool) openStream(ctx context.Context, addr, peer string, send func(w io.Writer) error) (*dataConn, frame2, error) {
 	for redialed := false; ; redialed = true {
-		dc, reused, err := p.acquireConn(ctx, addr, local, peer, faults)
+		dc, reused, err := p.acquireConn(ctx, addr, peer, redialed)
 		if err != nil {
 			return nil, frame2{}, err
 		}
@@ -238,8 +286,50 @@ func (p *streamPool) openStream(ctx context.Context, addr, local, peer string, f
 			return nil, frame2{}, err
 		}
 		p.drop(addr)
-		faults = nil
 	}
+}
+
+// call performs one RPC with peer at addr as one exchange: params are
+// marshalled, the deadline budget from ctx rides in the call header, and
+// the one reply, whose id must be the call's, is unmarshalled into
+// result (ignored when result is nil). The connection is then parked or
+// closed exactly as after a stream; a call cancelled or timed out
+// mid-exchange closes it. Errors from the peer are rehydrated as
+// RemoteError.
+func (p *streamPool) call(ctx context.Context, addr, peer, method string, params, result any) error {
+	var raw []byte
+	if params != nil {
+		b, err := json.Marshal(params)
+		if err != nil {
+			return fmt.Errorf("svc: call %s: encode params: %w", method, err)
+		}
+		raw = b
+	}
+	id := streamIDs.Add(1)
+	dc, f, err := p.openStream(ctx, addr, peer, func(w io.Writer) error {
+		return writeFrame2(w, frameCall, 0, id, encodeCall(callHeader{DeadlineMS: budgetOf(ctx), From: p.local, Method: method}, raw))
+	})
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+		return fmt.Errorf("svc: call %s: %w", method, err)
+	}
+	defer f.release()
+	answered := f.Stream == id && (f.Type == frameReply || f.Type == frameError)
+	p.park(addr, dc, answered)
+	if !answered {
+		return fmt.Errorf("%w: call %s: frame type %d, id %d answers call %d", ErrBadFrame, method, f.Type, f.Stream, id)
+	}
+	if f.Type == frameError {
+		return fmt.Errorf("svc: call %s: %w", method, decodeErrorFrame(f.Payload))
+	}
+	if result != nil {
+		if err := json.Unmarshal(f.Payload, result); err != nil {
+			return fmt.Errorf("%w: call %s result: %v", ErrBadFrame, method, err)
+		}
+	}
+	return nil
 }
 
 // peerClosed reports whether err is the peer having closed the
@@ -262,15 +352,14 @@ func peerClosed(err error) bool {
 // entries. A non-nil error means the stream broke and the commit
 // outcome of every chain node is unknown: the caller must treat all of
 // them as unacked and clean up best-effort.
-func (p *streamPool) pipelinePut(ctx context.Context, local string, faults TransportFaults, chain []chainEntry, id dfs.BlockID, data []byte) ([]ackEntry, error) {
+func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs.BlockID, data []byte) ([]ackEntry, error) {
 	addr, peer := chain[0].Addr, endpointName(chain[0].Node)
 	sid := streamIDs.Add(1)
 	// sendChunk writes the chunk at off and returns the offset past it.
-	// A partition formed mid-stream severs the remaining chunks, exactly
-	// as it severs queued calls.
+	// A partition formed mid-stream severs the remaining chunks.
 	sendChunk := func(w io.Writer, off int) (int, error) {
-		if faults != nil {
-			if err := faults.FailMessage(local, peer); err != nil {
+		if p.faults != nil {
+			if err := p.faults.FailMessage(p.local, peer); err != nil {
 				return off, err
 			}
 		}
@@ -282,8 +371,8 @@ func (p *streamPool) pipelinePut(ctx context.Context, local string, faults Trans
 		return off + n, writeFrame2(w, frameChunk, flags, sid, data[off:off+n])
 	}
 	off := 0
-	dc, sf, err := p.openStream(ctx, addr, local, peer, faults, func(w io.Writer) (err error) {
-		if err := writeFrame2(w, frameOpenWrite, 0, sid, encodeOpenWrite(openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: local, Chain: chain[1:]})); err != nil {
+	dc, sf, err := p.openStream(ctx, addr, peer, func(w io.Writer) (err error) {
+		if err := writeFrame2(w, frameOpenWrite, 0, sid, encodeOpenWrite(openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: p.local, Chain: chain[1:]})); err != nil {
 			return err
 		}
 		off, err = sendChunk(w, 0)
@@ -343,10 +432,10 @@ func (p *streamPool) pipelinePut(ctx context.Context, local string, faults Trans
 // block crosses user space once. A server-side failure arrives as an
 // error frame whose taxonomy survives rehydration (errors.Is,
 // IsTransient).
-func (p *streamPool) streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID, dst []byte) ([]byte, error) {
+func (p *streamPool) streamGet(ctx context.Context, addr, peer string, id dfs.BlockID, dst []byte) ([]byte, error) {
 	sid := streamIDs.Add(1)
-	dc, hf, err := p.openStream(ctx, addr, local, peer, faults, func(w io.Writer) error {
-		return writeFrame2(w, frameOpenRead, 0, sid, encodeOpenRead(openRead{Block: id, DeadlineMS: budgetOf(ctx), From: local}))
+	dc, hf, err := p.openStream(ctx, addr, peer, func(w io.Writer) error {
+		return writeFrame2(w, frameOpenRead, 0, sid, encodeOpenRead(openRead{Block: id, DeadlineMS: budgetOf(ctx), From: p.local}))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -22,9 +23,9 @@ import (
 // the stream parks is closed on return. It is the one-off read the
 // stream tests drive against hand-rolled and live servers.
 func streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID) ([]byte, error) {
-	var p streamPool
+	p := &streamPool{local: local, faults: faults}
 	defer p.close()
-	return p.streamGet(ctx, local, faults, addr, peer, id, nil)
+	return p.streamGet(ctx, addr, peer, id, nil)
 }
 
 // reuseCluster boots an n-node loopback cluster with 4 KiB blocks and
@@ -87,8 +88,8 @@ func waitServed(t *testing.T, s *Server, want int) {
 
 // TestStreamConnectionsAreReused: a hundred put+get pairs from one
 // client, each put relayed across all three DataNodes, open at most
-// maxIdleStreams+1 stream connections into any DataNode — not one per
-// hop per block — and every byte reads back.
+// maxIdleStreams+1 connections into any DataNode — not one per hop per
+// block — and every byte reads back.
 func TestStreamConnectionsAreReused(t *testing.T) {
 	lc := reuseCluster(t, 3, BreakerConfig{})
 	cl := lc.Client("shell")
@@ -111,8 +112,8 @@ func TestStreamConnectionsAreReused(t *testing.T) {
 		}
 	}
 	for _, dn := range lc.DNs {
-		if n := dn.srv.streamConns.Load(); n > maxIdleStreams+1 {
-			t.Errorf("%s accepted %d stream connections for 100 put+get pairs, want <= %d", dn.srv.name, n, maxIdleStreams+1)
+		if n := dn.srv.accepted.Load(); n > maxIdleStreams+1 {
+			t.Errorf("%s accepted %d connections for 100 put+get pairs, want <= %d", dn.srv.name, n, maxIdleStreams+1)
 		}
 	}
 }
@@ -120,9 +121,10 @@ func TestStreamConnectionsAreReused(t *testing.T) {
 // TestStaleParkedConnectionsRedialUnseen: a DataNode drops every
 // connection it serves while its listener stays up, so the client's
 // parked connections to it and the other DataNodes' parked relays are
-// all dead. The next read from it, a relay into it and a whole put and
-// get succeed at the first attempt: no retry, no failover, no breaker
-// failure (one would open a threshold-1 breaker), every proxy up.
+// all dead. The next call to it, read from it, relay into it and a
+// whole put and get succeed at the first attempt: no retry, no
+// failover, no breaker failure (one would open a threshold-1 breaker),
+// every proxy up.
 func TestStaleParkedConnectionsRedialUnseen(t *testing.T) {
 	lc := reuseCluster(t, 3, BreakerConfig{Threshold: 1, Cooldown: time.Minute})
 	cl := lc.Client("shell")
@@ -154,22 +156,29 @@ func TestStaleParkedConnectionsRedialUnseen(t *testing.T) {
 	// Node 1 parks its relay in a deferred call that runs after it has
 	// acked upstream, so the park may trail PutChain's return.
 	waitFor(t, func() bool {
-		return dp.stores[0].streams.idleTo(lc.DNs[0].Addr()) != 0 && lc.DNs[1].relays.idleTo(lc.DNs[0].Addr()) != 0
+		return dp.stores[0].conns.idleTo(lc.DNs[0].Addr()) != 0 && lc.DNs[1].conns.idleTo(lc.DNs[0].Addr()) != 0
 	}, "a parked connection and a parked relay toward node 0 to go stale")
 
 	dn0 := lc.DNs[0].srv
-	base, accepted := cl.resilience(), dn0.streamConns.Load()
+	base, accepted := cl.resilience(), dn0.accepted.Load()
 	dn0.closeServed()
 	waitServed(t, dn0, 0)
 
+	wantSize, wantSum := int64(len(data)), fm.Blocks[0].Checksum
+	if size, sum, ok := dp.stores[0].StoredSum(ctx, block); !ok || size != wantSize || sum != wantSum {
+		t.Fatalf("dn.stored on a stale parked connection: size %d, sum %08x, ok %v", size, sum, ok)
+	}
+	// The call's redial is what is parked now: make it stale too.
+	dn0.closeServed()
+	waitServed(t, dn0, 0)
 	if got, err := dp.stores[0].Get(ctx, block, nil); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read on a stale parked connection: %v", err)
 	}
 	if res := dp.stores[1].PutChain(ctx, scratch+1, data, []cluster.NodeID{0}); len(res.Failed) != 0 || len(res.Acked) != 2 {
 		t.Fatalf("relay on a stale parked connection: acked %v, failed %v", res.Acked, res.Failed)
 	}
-	if dn0.streamConns.Load()-accepted < 2 {
-		t.Fatalf("node 0 accepted %d fresh connections, want the read's and the relay's redial", dn0.streamConns.Load()-accepted)
+	if dn0.accepted.Load()-accepted < 3 {
+		t.Fatalf("node 0 accepted %d fresh connections, want the call's, the read's and the relay's redial", dn0.accepted.Load()-accepted)
 	}
 	dn0.closeServed()
 	if _, _, err := cl.CopyFromLocal(ctx, "after", data, true); err != nil {
@@ -223,7 +232,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 	addr, peer := dn.Addr(), endpointName(0)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	var p streamPool
+	p := &streamPool{local: "tester"}
 	defer p.close()
 	start, served := frameBufs.balance(), dn.srv.served()
 
@@ -266,7 +275,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 		_, _ = nc.Read(make([]byte, 1)) // held open until the loser hangs up
 		_ = nc.Close()
 	}()
-	if _, err := p.streamGet(loser, "reader", nil, ln.Addr().String(), "stall-dn", 7, nil); err == nil {
+	if _, err := p.streamGet(loser, ln.Addr().String(), "stall-dn", 7, nil); err == nil {
 		t.Fatal("a cancelled read succeeded")
 	}
 	if n := p.idleTo(ln.Addr().String()); n != 0 {
@@ -280,12 +289,12 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := &partitionAt{NetFaults: faults, endpoint: peer, at: 3}
+	p.faults = &partitionAt{NetFaults: faults, endpoint: peer, at: 3}
 	big := payload(3 * DefaultChunkSize)
-	if _, err := p.pipelinePut(ctx, "writer", cut, []chainEntry{{Node: 0, Addr: addr}}, 90, big); err == nil {
+	if _, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 90, big); err == nil {
 		t.Fatal("a put partitioned mid-stream succeeded")
 	}
-	faults.Heal(peer)
+	p.faults = nil
 	if _, _, ok := dn.Node().StoredSum(90); ok {
 		t.Fatal("a partitioned stream committed its block")
 	}
@@ -309,7 +318,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 	for adm.QueueDepth() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	acks, err := p.pipelinePut(ctx, "writer", nil, []chainEntry{{Node: 0, Addr: addr}}, 91, payload(100))
+	acks, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 91, payload(100))
 	qcancel()
 	hold()
 	<-queued
@@ -320,13 +329,13 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 	check("shed setup ack")
 
 	// An error frame: the block is not there.
-	if _, err := p.streamGet(ctx, "reader", nil, addr, peer, 92, nil); !errors.Is(err, dfs.ErrBlockNotFound) {
+	if _, err := p.streamGet(ctx, addr, peer, 92, nil); !errors.Is(err, dfs.ErrBlockNotFound) {
 		t.Fatalf("read of a missing block: %v, want ErrBlockNotFound", err)
 	}
 	check("block_not_found error frame")
 
 	// A clean stream parks its connection.
-	if _, err := p.pipelinePut(ctx, "writer", nil, []chainEntry{{Node: 0, Addr: addr}}, 93, payload(100)); err != nil {
+	if _, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 93, payload(100)); err != nil {
 		t.Fatal(err)
 	}
 	if n := p.idleTo(addr); n != 1 {
@@ -401,5 +410,45 @@ func TestStreamOwnersLeaveNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines after close, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCallsAndStreamsShareOneConnection: a DataNode proxy's block
+// streams and its dn.* calls ride one parked connection, one exchange
+// after another — a write, a call, a read, two more calls — so the node
+// accepts one connection for all five.
+func TestCallsAndStreamsShareOneConnection(t *testing.T) {
+	dn := NewDataNodeServer(0, nil)
+	if err := dn.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer func() { _ = dn.Stop(ctx) }()
+	stores, _, _ := newStoreFleet([]string{dn.Addr()}, "tester", nil, BreakerConfig{}, nil)
+	st := stores[0]
+	defer st.close()
+
+	data := payload(3000)
+	if res := st.PutChain(ctx, 5, data, nil); len(res.Failed) != 0 {
+		t.Fatalf("put: %v", res.Failed)
+	}
+	if size, sum, ok := st.StoredSum(ctx, 5); !ok || size != int64(len(data)) || sum != crc32.ChecksumIEEE(data) {
+		t.Fatalf("dn.stored: size %d, sum %08x, ok %v", size, sum, ok)
+	}
+	if got, err := st.Get(ctx, 5, nil); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get: %v", err)
+	}
+	if blocks, ok := st.StoredBlocks(ctx); !ok || len(blocks) != 1 || blocks[0] != 5 {
+		t.Fatalf("dn.blocks: %v, ok %v", blocks, ok)
+	}
+	if err := st.Delete(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	if n := dn.srv.accepted.Load(); n != 1 {
+		t.Fatalf("the node accepted %d connections for a proxy's streams and calls, want 1", n)
+	}
+	if n := st.conns.idleTo(dn.Addr()); n != 1 {
+		t.Fatalf("%d connections parked, want 1", n)
 	}
 }

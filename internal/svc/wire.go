@@ -15,21 +15,20 @@ import (
 )
 
 // The wire protocol. Every connection between two endpoints of this
-// module carries one kind of frame, and a connection's first frame says
-// what the connection is: a frameCall starts a multiplexed call
-// connection (conn.go, Server.serveCalls) that lives as long as the
-// peer pair does; a frameOpenWrite or frameOpenRead starts a stream
-// connection (stream.go, pipeline.go, Server.serveStreams), which
-// carries block streams one at a time: after a stream's last frame the
-// next frame must open another, and a stream that ends any other way
-// ends the connection.
+// module carries one kind of frame, and every connection is of one
+// kind: it carries successive exchanges, a call or a stream, one at a
+// time (stream.go, pipeline.go, Server.serve). The frame at an exchange
+// boundary says which: a frameCall is a call, answered by one frameReply
+// or frameError with its id; a frameOpenWrite or frameOpenRead opens a
+// block stream. After an exchange that ends cleanly the connection
+// waits for the next; one that ends any other way ends the connection.
 //
 // Frame layout (big-endian), 20-byte header:
 //
 //	offset 0      version byte (0x02)
 //	offset 1      frame type
 //	offset 2-3    flags (bit 0: last chunk of the stream)
-//	offset 4-11   stream id (a call's id on a call connection)
+//	offset 4-11   stream id (a call's id for a call)
 //	offset 12-15  payload length
 //	offset 16-19  CRC32C over header[0:16] + payload
 //

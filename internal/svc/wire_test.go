@@ -511,16 +511,13 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	lc := testCluster(t, 1, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	conn, err := dialConn(ctx, lc.NN.Addr(), "tester", "namenode", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	p := &streamPool{local: "tester"}
+	defer p.close()
 	var refused *RemoteError
-	if err := conn.Call(ctx, "nn.stat", "not an object", nil); !errors.As(err, &refused) || !strings.Contains(refused.Msg, ErrBadFrame.Error()) {
+	if err := p.call(ctx, lc.NN.Addr(), "namenode", "nn.stat", "not an object", nil); !errors.As(err, &refused) || !strings.Contains(refused.Msg, ErrBadFrame.Error()) {
 		t.Fatalf("garbage params: err = %v, want the server's ErrBadFrame", err)
 	}
-	if err := conn.Call(ctx, "nn.list", nil, &listResult{}); err != nil {
+	if err := p.call(ctx, lc.NN.Addr(), "namenode", "nn.list", nil, &listResult{}); err != nil {
 		t.Fatalf("call after garbage params: %v", err)
 	}
 }
@@ -532,12 +529,9 @@ func TestBadParamsCrossTheWireAsErrBadFrame(t *testing.T) {
 	lc := testCluster(t, 1, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	conn, err := dialConn(ctx, lc.NN.Addr(), "tester", "namenode", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	err = conn.Call(ctx, "nn.locate", []int{1, 2, 3}, nil)
+	p := &streamPool{local: "tester"}
+	defer p.close()
+	err := p.call(ctx, lc.NN.Addr(), "namenode", "nn.locate", []int{1, 2, 3}, nil)
 	if !errors.Is(err, ErrBadFrame) || dfs.IsTransient(err) {
 		t.Fatalf("malformed params: err = %v (transient %v), want a permanent ErrBadFrame", err, dfs.IsTransient(err))
 	}

@@ -153,3 +153,49 @@ func FuzzWALSegment(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadMark lays arbitrary bytes down as a mark file and as a SHARDS
+// manifest, the two one-number files a root holds beside its logs, and
+// reads them back. Neither read panics, and each either refuses the
+// bytes as ErrCorrupt or accepts a value its own writer records and
+// reads back unchanged; a manifest it accepts names at least two
+// shards.
+func FuzzLoadMark(f *testing.F) {
+	f.Add([]byte("4096\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := writeDir(t, map[string][]byte{"MARK": data, manifestName: data})
+
+		v, err := LoadMark(dir, "MARK")
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("mark %q: err = %v, want ErrCorrupt", data, err)
+			}
+		} else {
+			if err := SaveMark(dir, "MARK", v); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := LoadMark(dir, "MARK"); err != nil || got != v {
+				t.Fatalf("mark %q read as %d, saved again it reads %d, %v", data, v, got, err)
+			}
+		}
+
+		count, ok, err := readManifest(dir)
+		switch {
+		case err != nil:
+			if ok || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("manifest %q: ok %v, err = %v, want ErrCorrupt", data, ok, err)
+			}
+		case !ok:
+			t.Fatalf("manifest %q exists and read as absent", data)
+		case count < 2:
+			t.Fatalf("manifest %q accepted as %d shards", data, count)
+		default:
+			if err := writeManifest(dir, count); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := readManifest(dir); err != nil || !ok || got != count {
+				t.Fatalf("manifest %q read as %d, written again it reads %d, %v, %v", data, count, got, ok, err)
+			}
+		}
+	})
+}
