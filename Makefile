@@ -42,13 +42,16 @@ test-short:
 race-all:
 	$(GO) test -race ./...
 
-# Hedged reads repeated under the race detector. A hedged read lands
-# in place in the file being assembled, which is correct only because
-# a losing in-place fetch has returned before a winning backup's bytes
-# are appended over its spare capacity; a single race-enabled run may
-# not interleave them that way, ten usually do.
+# Hedged reads and pinned replica reads repeated under the race
+# detector. A hedged read lands in place in the file being assembled,
+# which is correct only because a losing in-place fetch has returned
+# before a winning backup's bytes are appended over its spare capacity;
+# a served replica stays intact only because its reader's pin keeps the
+# buffer out of the replica pool until the stream ends, while the block
+# is deleted and re-put into recycled memory beside it. A single
+# race-enabled run may not interleave them that way, ten usually do.
 hedge-stress:
-	$(GO) test -race -count=10 -run 'Hedge' ./internal/dfs/ ./internal/svc/
+	$(GO) test -race -count=10 -run 'Hedge|Pinned' ./internal/dfs/ ./internal/svc/
 
 # Coverage-guided fuzz smoke for the decoders that read bytes they did
 # not write, 30s in all, each target for 6s on top of its committed

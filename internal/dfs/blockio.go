@@ -106,8 +106,10 @@ func (b *BlockIO) WriteBlocks(ctx context.Context, a *Allocation, r io.Reader, r
 	g := stats.NewRNG(a.Seed)
 	blocks := make([]BlockMeta, 0, len(a.Blocks))
 	// Every consumer of chunk (local puts, pipeline streaming) copies
-	// or sends before returning, so the next block may reuse buf.
-	buf := make([]byte, min(a.BlockSize, a.Size))
+	// or sends before returning, so the next block may reuse buf, and
+	// the next file may once this one is written.
+	buf := NewReplicaBuf(int(min(a.BlockSize, a.Size)))
+	defer RecycleReplicaBuf(buf)
 	for i, ab := range a.Blocks {
 		lo, hi := a.blockSpan(i)
 		var chunk []byte

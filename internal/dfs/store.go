@@ -87,10 +87,11 @@ func (s localStore) Get(ctx context.Context, id BlockID, dst []byte) ([]byte, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	data, err := s.dn.View(id)
+	data, release, err := s.dn.View(id)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	return append(dst, data...), nil
 }
 

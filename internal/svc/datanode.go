@@ -200,8 +200,10 @@ func (d *DataNodeServer) StartHeartbeats(interval time.Duration) {
 }
 
 // Stop gracefully shuts the DataNode down: the heartbeat loop halts,
-// in-flight block RPCs and streams drain (bounded by ctx), and
-// connections close — the served ones and the ones this node parked.
+// in-flight block RPCs and streams drain (bounded by ctx), connections
+// close — the served ones and the ones this node parked — and the
+// memory-only store is emptied into the replica pool, as the exit of
+// the process would free it.
 func (d *DataNodeServer) Stop(ctx context.Context) error {
 	if d.loopStop != nil {
 		close(d.loopStop)
@@ -210,5 +212,6 @@ func (d *DataNodeServer) Stop(ctx context.Context) error {
 	}
 	err := d.srv.Shutdown(ctx)
 	d.conns.close()
+	d.dn.Clear()
 	return err
 }

@@ -27,12 +27,15 @@ import (
 // about from every deeper node first.
 //
 // A block byte crosses this node's user space once each way. A write
-// allocates the replica at the announced size, reads every chunk into
-// its place there, forwards it downstream from there with the header
-// and CRC it arrived with, and on commit hands that very buffer to the
-// store (dfs.DataNode.Adopt). A read streams the stored replica itself
-// (dfs.DataNode.View): replicas are immutable, replaced or deleted but
-// never written, so no copy is needed to serve one.
+// draws the replica at the announced size from the replica pool
+// (dfs.NewReplicaBuf), reads every chunk into its place there, forwards
+// it downstream from there with the header and CRC it arrived with, and
+// on commit hands that very buffer to the store (dfs.DataNode.Adopt); a
+// stream that ends without a commit hands it back to the pool. A read
+// streams the stored replica itself (dfs.DataNode.View) under a pin:
+// replicas are never written in place, and a deleted or replaced one's
+// buffer is recycled only once its last reader releases it, so no copy
+// is needed to serve one.
 
 // serveData serves the stream that open begins.
 func (d *DataNodeServer) serveData(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, open frame2) bool {
@@ -129,8 +132,16 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	// Receive the block straight into the replica: each chunk is read
 	// into its place in buf (CRC-checked there), relayed downstream from
 	// there with the header it arrived with, and buf itself becomes the
-	// stored replica on commit. Nothing else writes buf, before or after.
-	buf := make([]byte, ow.Size)
+	// stored replica on commit. Nothing else writes buf, before or after;
+	// every exit without a commit recycles it, as nothing here holds it
+	// once this function returns.
+	buf := dfs.NewReplicaBuf(int(ow.Size))
+	adopted := false
+	defer func() {
+		if !adopted {
+			dfs.RecycleReplicaBuf(buf)
+		}
+	}()
 	cf, ok := readChunk(br, sid, buf)
 	if !ok {
 		return false // torn or corrupt: nothing relayed, nothing committed
@@ -239,6 +250,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	} else if perr := d.dn.Adopt(ow.Block, buf); perr != nil {
 		self = failedAck(d.id, perr)
 	} else {
+		adopted = true
 		self = ackEntry{Node: d.id, OK: true}
 	}
 	commit := append([]ackEntry{self}, downAcks...)
@@ -297,16 +309,17 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 	}
 	defer release()
 
-	// The stored replica itself is streamed: replicas are immutable, so
-	// a delete or re-put of the block while this stream runs replaces
-	// the map entry and leaves these bytes as they are.
-	data, gerr := d.dn.View(or.Block)
+	// The stored replica itself is streamed, pinned until the stream
+	// ends: a delete or re-put of the block while it runs replaces the
+	// map entry, and these bytes are recycled only after the release.
+	data, unpin, gerr := d.dn.View(or.Block)
 	if gerr != nil {
 		if writeFrame2(bw, frameError, flagLast, sid, encodeErrorFrame(gerr)) == nil {
 			_ = bw.Flush()
 		}
 		return false
 	}
+	defer unpin()
 	if writeFrame2(bw, frameReadHdr, 0, sid, encodeReadHdr(int64(len(data)))) != nil {
 		return false
 	}

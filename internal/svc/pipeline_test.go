@@ -135,7 +135,7 @@ func TestPipelineMultiChunkBlocks(t *testing.T) {
 	if relayed := <-hop.got; !bytes.Equal(relayed, frames) {
 		t.Fatalf("the relay forwarded %d bytes that differ from the %d it received", len(relayed), len(frames))
 	}
-	if stored, err := relay.Node().View(1 << 40); err != nil || !bytes.Equal(stored, block) {
+	if stored, err := relay.Node().Get(1 << 40); err != nil || !bytes.Equal(stored, block) {
 		t.Fatalf("relay stored %d bytes, %v", len(stored), err)
 	}
 
