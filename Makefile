@@ -54,7 +54,7 @@ hedge-stress:
 	$(GO) test -race -count=10 -run 'Hedge|Pinned' ./internal/dfs/ ./internal/svc/
 
 # Coverage-guided fuzz smoke for the decoders that read bytes they did
-# not write, 30s in all, each target for 6s on top of its committed
+# not write, 30s in all, each target for 5s on top of its committed
 # seed corpus: the frame codec, which is the whole wire (calls, replies
 # and errors ride the frames block streams do) — the decoder target
 # (arbitrary bytes must never crash, leak pooled buffers, or yield an
@@ -62,14 +62,17 @@ hedge-stress:
 # decoder (never panics; whatever it accepts survives a write and a
 # re-read unchanged), the WAL segment decoder (a damaged final
 # segment replays a prefix of what was written; a damaged earlier one
-# is ErrCorrupt), and the WAL root's mark and SHARDS manifest reads
-# (ErrCorrupt, or a value that survives its writer unchanged).
+# is ErrCorrupt), the WAL root's mark and SHARDS manifest reads
+# (ErrCorrupt, or a value that survives its writer unchanged), and the
+# snapshot and record payloads a durable NameNode replays (an error, or
+# a namespace a checkpoint and a re-open reproduce).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 6s ./internal/svc/
-	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 6s ./internal/svc/
-	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 6s ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzWALSegment -fuzztime 6s ./internal/wal/
-	$(GO) test -run '^$$' -fuzz FuzzLoadMark -fuzztime 6s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 5s ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzReplayNamespace -fuzztime 5s ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzWALSegment -fuzztime 5s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzLoadMark -fuzztime 5s ./internal/wal/
 
 # Determinism gate for the scheduling experiment: the full
 # speculation-policy x Table-2-group grid must fingerprint identically

@@ -363,11 +363,10 @@ type ResilienceCounters = metrics.ResilienceCounters
 // cluster's (λ, μ) parameters or replayed traces, plus operation-level
 // faults, to exercise the resilience machinery end to end.
 type (
-	ChaosConfig   = chaos.Config
-	ChaosEngine   = chaos.Engine
-	ChaosTarget   = chaos.Target
-	ChaosObserver = chaos.Observer
-	OpFaults      = chaos.OpFaults
+	ChaosConfig = chaos.Config
+	ChaosEngine = chaos.Engine
+	ChaosTarget = chaos.Target
+	OpFaults    = chaos.OpFaults
 )
 
 // NewChaosEngine builds a seeded churn engine over a cluster; equal

@@ -11,9 +11,8 @@
 // With -chaos it instead runs a fault-injection demo: seeded churn
 // (derived from each node's Table 2 availability) plus transient
 // operation faults and read corruption batter the DFS while a client
-// keeps reading and repairing; afterwards it prints the resilience
-// counters and the heartbeat-estimated (λ, μ) against the injected
-// values:
+// keeps reading and repairing; afterwards it verifies the file byte
+// for byte and prints the resilience counters:
 //
 //	adapt-fs -chaos -nodes 32 -chaos-events 2000 -replicas 3
 //
@@ -144,7 +143,9 @@ type chaosOpts struct {
 // runChaos is the -chaos demo: write a file, batter the DFS with
 // seeded churn and operation faults while reading and repairing it,
 // then quiesce, heal, verify every byte, and report the resilience
-// counters plus injected-vs-estimated (λ, μ).
+// counters. The in-process NameNode observes no heartbeats, so it
+// learns no availability here; local-demo shows that on the real
+// path.
 func runChaos(ctx context.Context, c *adapt.Cluster, nn *adapt.NameNode, client *adapt.DFSClient, g *adapt.RNG, payload []byte, opts chaosOpts) error {
 	faults, err := adapt.NewOpFaults(g.Split())
 	if err != nil {
@@ -166,11 +167,7 @@ func runChaos(ctx context.Context, c *adapt.Cluster, nn *adapt.NameNode, client 
 		fmt.Printf("wrote %d blocks at full replication %d\n", report.Blocks, report.TargetReplication)
 	}
 
-	engine, err := adapt.NewChaosEngine(adapt.ChaosConfig{
-		Cluster:  c,
-		Target:   nn,
-		Observer: nn.Heartbeat(),
-	}, g.Split())
+	engine, err := adapt.NewChaosEngine(adapt.ChaosConfig{Cluster: c, Target: nn}, g.Split())
 	if err != nil {
 		return err
 	}
@@ -228,48 +225,6 @@ func runChaos(ctx context.Context, c *adapt.Cluster, nn *adapt.NameNode, client 
 	fmt.Printf("survived %d events over %.0f virtual seconds; payload verified intact\n",
 		applied, engine.Now())
 	fmt.Printf("resilience: %s\n", nn.Resilience().Snapshot())
-
-	// Compare injected vs estimated per group. c keeps the injected
-	// values: RefreshAvailability below publishes the estimates as a
-	// new snapshot and never writes into c.
-	type agg struct {
-		n             int
-		lambda, mu    float64
-		estLam, estMu float64
-	}
-	groups := map[int]*agg{}
-	hb := nn.Heartbeat()
-	for i, n := range c.Nodes() {
-		if n.Group < 0 {
-			continue
-		}
-		a := groups[n.Group]
-		if a == nil {
-			a = &agg{}
-			groups[n.Group] = a
-		}
-		est := hb.Estimate(adapt.NodeID(i))
-		a.n++
-		a.lambda += n.Availability.Lambda
-		a.mu += n.Availability.Mu
-		a.estLam += est.Lambda
-		a.estMu += est.Mu
-	}
-	fmt.Printf("%-10s %12s %12s %12s %12s\n", "group", "λ injected", "λ estimated", "μ injected", "μ estimated")
-	for gid := 0; gid <= 3; gid++ {
-		a := groups[gid]
-		if a == nil {
-			continue
-		}
-		k := float64(a.n)
-		fmt.Printf("%-10d %12.4f %12.4f %12.2f %12.2f\n",
-			gid+1, a.lambda/k, a.estLam/k, a.mu/k, a.estMu/k)
-	}
-
-	// Close the loop: fold the learned availability back into the
-	// placement weights, as the paper's NameNode would.
-	updated := nn.RefreshAvailability()
-	fmt.Printf("\nheartbeat estimates folded into placement weights (%d nodes updated)\n", updated)
 	return nil
 }
 

@@ -143,6 +143,10 @@ func TestServiceHelpAndUnknown(t *testing.T) {
 		{"bogus", nil, "unknown subcommand"},
 		// The JSON block transport is gone, and its selector with it.
 		{"serve-namenode", []string{"-data-path", "json"}, "flag provided but not defined: -data-path"},
+		// Refused before the DataNode listens, not a ticker panic in
+		// the heartbeat loop of a node already serving.
+		{"serve-datanode", []string{"-listen", "127.0.0.1:0", "-heartbeat", "0"}, "-heartbeat must be positive"},
+		{"serve-datanode", []string{"-listen", "127.0.0.1:0", "-heartbeat", "-1s"}, "-heartbeat must be positive"},
 	} {
 		if err := runService(tc.cmd, tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s %v: err = %v, want %q", tc.cmd, tc.args, err, tc.want)

@@ -212,6 +212,9 @@ func serveDataNode(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *heartbeat <= 0 {
+		return fmt.Errorf("serve-datanode: -heartbeat must be positive, got %s", *heartbeat)
+	}
 	dn := svc.NewDataNodeServer(cluster.NodeID(*id), nil)
 	dn.SetAdmission(svc.AdmissionConfig{
 		MaxInflight: *maxInflight,

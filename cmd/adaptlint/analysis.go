@@ -109,16 +109,6 @@ func newProgram(root string, modPath string, fset *token.FileSet, pkgs []*Pkg) *
 	return prog
 }
 
-// InvalidatePackage drops the cached summaries of one package (by
-// import path) and every whole-program result derived from them. The
-// next analyzer demand recomputes. Exposed for cache-invalidation
-// tests; a fresh runLint never needs it.
-//
-//lint:ignore deadcode cache-invalidation seam: the core tests drop and recompute one package's summaries
-func (prog *Program) InvalidatePackage(importPath string) {
-	prog.Sums.invalidate(importPath)
-}
-
 func (prog *Program) collectDirectives(p *Pkg) {
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {

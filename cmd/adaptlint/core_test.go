@@ -179,3 +179,13 @@ func TestAcquireClosure(t *testing.T) {
 		t.Errorf("acquiresOf(Pure) = %v, want empty", got)
 	}
 }
+
+// InvalidatePackage drops the cached summaries of one package (by
+// import path) and every whole-program result derived from them (the
+// taint closure, the lock closures). The next analyzer demand
+// recomputes.
+func (prog *Program) InvalidatePackage(importPath string) {
+	delete(prog.Sums.byPkg, importPath)
+	prog.Sums.taint = nil
+	prog.Sums.acqClosure = nil
+}

@@ -77,15 +77,6 @@ func newSummaries(prog *Program) *summaries {
 	return &summaries{prog: prog, byPkg: make(map[string]map[*types.Func]*funcFacts)}
 }
 
-// invalidate drops the cached facts for one package and every derived
-// whole-program result (taint closure, lock closures), forcing
-// recomputation on next use.
-func (s *summaries) invalidate(importPath string) {
-	delete(s.byPkg, importPath)
-	s.taint = nil
-	s.acqClosure = nil
-}
-
 // factsFor returns the summary map for pkg, computing it on first use.
 func (s *summaries) factsFor(p *Pkg) map[*types.Func]*funcFacts {
 	if m, ok := s.byPkg[p.ImportPath]; ok {

@@ -10,10 +10,9 @@
 // Exp(μ) service each and queue FCFS (arrivals during downtime extend
 // the outage), exactly the interruption process the paper's
 // availability model assumes. Every transition is pushed to a Target
-// (the NameNode's liveness switch) and, optionally, reported to an
-// Observer (the heartbeat estimator) as a heartbeat collector would
-// see it, closing the loop the soak tests verify: the estimated
-// (λ̂, μ̂) must converge to the injected values.
+// (the NameNode's liveness switch). The engine reports nothing to the
+// availability estimator: a NameNode learns (λ, μ) from what it
+// observes itself (its heartbeats), never from the injected truth.
 //
 // Everything is derived from an explicit RNG, so a seed reproduces the
 // full churn schedule event-for-event.
@@ -34,17 +33,6 @@ import (
 // *dfs.NameNode satisfies it via SetNodeUp.
 type Target interface {
 	SetNodeUp(id cluster.NodeID, up bool) error
-}
-
-// Observer receives the availability observations the NameNode's
-// heartbeat collector would make under the injected churn: each up
-// span when it ends, and each outage, as one interruption spanning its
-// whole downtime, when the node rejoins. Arrivals that only extend an
-// outage are invisible to a collector and are not reported. A
-// *cluster.HeartbeatEstimator satisfies it.
-type Observer interface {
-	ObserveUptime(id cluster.NodeID, d float64) error
-	ObserveInterruption(id cluster.NodeID, downtime float64) error
 }
 
 // EventKind tags one engine transition.
@@ -92,9 +80,6 @@ type Config struct {
 	Cluster *cluster.Cluster
 	// Target receives every liveness flip. Required.
 	Target Target
-	// Observer, when non-nil, receives the heartbeat observations
-	// implied by the churn: up spans and whole outages.
-	Observer Observer
 }
 
 // Errors.
@@ -113,8 +98,6 @@ type nodeState struct {
 	next   int // next replay event index
 
 	up          bool
-	upSince     float64
-	downSince   float64
 	nextArrival float64 // +Inf when no more arrivals
 	downUntil   float64
 }
@@ -212,16 +195,10 @@ func (e *Engine) step() (Event, bool, error) {
 		if arrErr != nil {
 			return Event{}, false, arrErr
 		}
-		if e.cfg.Observer != nil {
-			if err := e.cfg.Observer.ObserveUptime(st.id, at-st.upSince); err != nil {
-				return Event{}, false, fmt.Errorf("chaos: observe uptime: %w", err)
-			}
-		}
 		if err := e.cfg.Target.SetNodeUp(st.id, false); err != nil {
 			return Event{}, false, fmt.Errorf("chaos: set node %d down: %w", st.id, err)
 		}
 		st.up = false
-		st.downSince = at
 		st.downUntil = at + service
 		ev = Event{Time: at, Node: st.id, Kind: EventDown, Downtime: service}
 
@@ -234,7 +211,7 @@ func (e *Engine) step() (Event, bool, error) {
 		ev = Event{Time: at, Node: st.id, Kind: EventExtend, Downtime: service}
 
 	default: // recovery completes: the node rejoins
-		if err := e.rejoin(st, at); err != nil {
+		if err := e.rejoin(st); err != nil {
 			return Event{}, false, err
 		}
 		ev = Event{Time: at, Node: st.id, Kind: EventUp}
@@ -242,19 +219,12 @@ func (e *Engine) step() (Event, bool, error) {
 	return ev, true, nil
 }
 
-// rejoin brings a down node back up at virtual time at and reports
-// its whole outage as one interruption.
-func (e *Engine) rejoin(st *nodeState, at float64) error {
+// rejoin brings a down node back up.
+func (e *Engine) rejoin(st *nodeState) error {
 	if err := e.cfg.Target.SetNodeUp(st.id, true); err != nil {
 		return fmt.Errorf("chaos: set node %d up: %w", st.id, err)
 	}
-	if e.cfg.Observer != nil {
-		if err := e.cfg.Observer.ObserveInterruption(st.id, at-st.downSince); err != nil {
-			return fmt.Errorf("chaos: observe interruption: %w", err)
-		}
-	}
 	st.up = true
-	st.upSince = at
 	return nil
 }
 
@@ -304,7 +274,7 @@ func (e *Engine) Quiesce() error {
 	for _, st := range e.nodes {
 		st.nextArrival = math.Inf(1)
 		if !st.up {
-			if err := e.rejoin(st, st.downUntil); err != nil {
+			if err := e.rejoin(st); err != nil {
 				return fmt.Errorf("chaos: quiesce: %w", err)
 			}
 			if st.downUntil > e.now {

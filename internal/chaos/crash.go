@@ -31,7 +31,7 @@ type CrashFaults struct {
 // then crashes the next one leaving `tornBytes` of its frame on disk
 // (clamped to the frame length).
 //
-//lint:ignore deadcode fault injection: the WAL and journal tests crash an append mid-frame
+//lint:ignore deadcode fault injection: svc's TestJournalFailureVetoesMutation crashes a WAL append mid-frame
 func CrashAfter(appends, tornBytes int) *CrashFaults {
 	return &CrashFaults{remaining: appends, torn: tornBytes}
 }
@@ -53,13 +53,4 @@ func (c *CrashFaults) BeforeAppend(frame []byte) (int, error) {
 		torn = len(frame)
 	}
 	return torn, ErrCrashed
-}
-
-// Crashed reports whether the simulated crash has fired.
-//
-//lint:ignore deadcode fault injection: the crash tests confirm the injected crash fired
-func (c *CrashFaults) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
 }

@@ -79,3 +79,10 @@ func TestCrashAfterDeterminism(t *testing.T) {
 		t.Fatalf("torn bytes = %d, want 4", n1)
 	}
 }
+
+// Crashed reports whether the simulated crash has fired.
+func (c *CrashFaults) Crashed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.crashed
+}

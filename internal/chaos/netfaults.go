@@ -62,7 +62,7 @@ func NewNetFaults(g *stats.RNG) (*NetFaults, error) {
 
 // SetDropProb sets the per-message drop probability.
 //
-//lint:ignore deadcode fault injection: the pipeline chaos soak drops messages at random
+//lint:ignore deadcode fault injection: svc's TestPipelineChaosSoak drops messages at random
 func (f *NetFaults) SetDropProb(p float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -73,7 +73,7 @@ func (f *NetFaults) SetDropProb(p float64) {
 // with real sleeping capped at maxDelay (0 caps at nothing, so only
 // pass 0 with a nil distribution).
 //
-//lint:ignore deadcode fault injection: the pipeline chaos soak adds per-message latency
+//lint:ignore deadcode fault injection: svc's TestPipelineChaosSoak adds per-message latency
 func (f *NetFaults) SetLatency(d stats.Distribution, maxDelay time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -103,7 +103,7 @@ func (f *NetFaults) Heal(endpoint string) {
 // slower, the failure mode that kills throughput without tripping
 // liveness checks. Clear with ClearGray.
 //
-//lint:ignore deadcode fault injection: the hedge and overload soaks slow one DataNode
+//lint:ignore deadcode fault injection: svc's hedge and overload soaks slow one DataNode
 func (f *NetFaults) SetGray(endpoint string, d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -116,7 +116,7 @@ func (f *NetFaults) SetGray(endpoint string, d time.Duration) {
 
 // ClearGray restores the endpoint to normal service latency.
 //
-//lint:ignore deadcode fault injection: the hedge and overload soaks heal the gray DataNode
+//lint:ignore deadcode fault injection: svc's hedge and overload soaks heal the gray DataNode
 func (f *NetFaults) ClearGray(endpoint string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

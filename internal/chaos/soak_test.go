@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,9 +26,7 @@ import (
 //   - reads either return exactly the written bytes or fail with a
 //     transient, retryable error;
 //   - once churn stops, MaintainReplication converges back to the
-//     target replication degree and every file reads back intact;
-//   - the heartbeat-estimated (λ, μ) of every churned node lands
-//     within 15% of the injected availability parameters.
+//     target replication degree and every file reads back intact.
 func TestChurnSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn soak skipped with -short")
@@ -71,7 +68,7 @@ func TestChurnSoak(t *testing.T) {
 	faults.Counters = nn.Resilience()
 	nn.SetFaultInjector(faults)
 
-	engine, err := chaos.New(chaos.Config{Cluster: c, Target: nn, Observer: nn.Heartbeat()}, root.Split())
+	engine, err := chaos.New(chaos.Config{Cluster: c, Target: nn}, root.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,30 +253,6 @@ func TestChurnSoak(t *testing.T) {
 	}
 	if err := nn.CheckConsistency(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-
-	// Invariant: the estimator learned the injected churn — (λ̂, μ̂)
-	// within 15% per churned node, closing the loop back into the
-	// placement weights via RefreshAvailability.
-	hb := nn.Heartbeat()
-	for i := 0; i < nodes; i++ {
-		id := cluster.NodeID(i)
-		want := c.Node(id).Availability
-		if want.Dedicated() {
-			continue
-		}
-		got := hb.Estimate(id)
-		if rel := math.Abs(got.Lambda-want.Lambda) / want.Lambda; rel > 0.15 {
-			t.Errorf("node %d: lambda estimate %g vs injected %g (%.0f%% off)",
-				i, got.Lambda, want.Lambda, 100*rel)
-		}
-		if rel := math.Abs(got.Mu-want.Mu) / want.Mu; rel > 0.15 {
-			t.Errorf("node %d: mu estimate %g vs injected %g (%.0f%% off)",
-				i, got.Mu, want.Mu, 100*rel)
-		}
-	}
-	if updated := nn.RefreshAvailability(); updated < nodes/2 {
-		t.Fatalf("RefreshAvailability updated %d nodes, want >= %d", updated, nodes/2)
 	}
 
 	snap := nn.Resilience().Snapshot()

@@ -251,7 +251,7 @@ func (d *DataNode) drop(r *replica) {
 // readers are done and the node is cleared, anything else is a leaked
 // pin.
 //
-//lint:ignore deadcode pool-balance check: pin tests require every pin released and every replica handed back
+//lint:ignore deadcode pool-balance check: svc's pin tests require every pin released after a stream ends
 func (d *DataNode) Pins() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -182,7 +182,7 @@ func (nn *NameNode) recomputeUsage() {
 // replay is bit-deterministic. The hash is independent of the shard
 // count: the shard images are merged and sorted by name.
 //
-//lint:ignore deadcode fingerprint probe: recovery and scheduling tests compare namespaces across runs
+//lint:ignore deadcode fingerprint probe: svc's recovery tests compare the namespace before and after a restart
 func (nn *NameNode) Fingerprint() string {
 	var files []*FileMeta
 	for i := range nn.shards {
@@ -195,7 +195,7 @@ func (nn *NameNode) Fingerprint() string {
 // determinism check: a shard recovered twice from the same WAL must
 // fingerprint identically both times.
 //
-//lint:ignore deadcode fingerprint probe: the shard soak compares each live shard with its replay
+//lint:ignore deadcode fingerprint probe: svc's TestShardedJournalChurnReplay compares each live shard with its replay
 func (nn *NameNode) FingerprintShard(i int) string {
 	return FingerprintFiles(nn.FilesImageShard(i))
 }
@@ -203,7 +203,7 @@ func (nn *NameNode) FingerprintShard(i int) string {
 // FingerprintFiles hashes a namespace image (see Fingerprint). The
 // slice is sorted by name in place if needed.
 //
-//lint:ignore deadcode fingerprint probe: the recovery tests hash what a WAL replays to
+//lint:ignore deadcode fingerprint probe: svc's recovery and shard soaks hash what a WAL replays to
 func FingerprintFiles(files []*FileMeta) string {
 	sorted := sort.SliceIsSorted(files, func(i, j int) bool { return files[i].Name < files[j].Name })
 	if !sorted {

@@ -70,3 +70,9 @@ func TestFrozenSweepDigests(t *testing.T) {
 		}
 	}
 }
+
+// runSimulationPoint runs every series at one point into res.
+func runSimulationPoint(cfg SimulationConfig, x float64, xLabel string, res *Result) error {
+	cfg = cfg.withDefaults()
+	return cfg.sweep().run(res, []point{cfg.point(x, xLabel)})
+}

@@ -192,14 +192,6 @@ func (c SimulationConfig) env(trial int) (*cluster.Cluster, error) {
 	return cl, nil
 }
 
-// runSimulationPoint runs every series at one point into res.
-//
-//lint:ignore deadcode fingerprint probe: TestFrozenSweepDigests hashes one point of 1024 or 4096 hosts
-func runSimulationPoint(cfg SimulationConfig, x float64, xLabel string, res *Result) error {
-	cfg = cfg.withDefaults()
-	return cfg.sweep().run(res, []point{cfg.point(x, xLabel)})
-}
-
 // Figure5a sweeps the network bandwidth over {4, 8, 16, 32} Mb/s.
 func Figure5a(cfg SimulationConfig) (*Result, error) {
 	return figure(cfg, "Fig 5(a): overhead vs network bandwidth", "bandwidth (Mb/s)",

@@ -57,106 +57,13 @@ type Event struct {
 }
 
 // Journal records simulation events when attached via
-// Config.Journal. It is a plain slice recorder — analysis helpers
-// live on the type.
+// Config.Journal. It is a plain slice recorder; Timeline renders it.
 type Journal struct {
 	Events []Event
 }
 
 func (j *Journal) record(t float64, kind EventKind, node, task int) {
 	j.Events = append(j.Events, Event{Time: t, Kind: kind, Node: node, Task: task})
-}
-
-// Count returns the number of events of a kind.
-//
-//lint:ignore deadcode invariant oracle: journal tests check completions against the task count
-func (j *Journal) Count(kind EventKind) int {
-	n := 0
-	for _, e := range j.Events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// AttemptsPerTask returns a histogram: index = attempts per completed
-// task (1 = first try), value = task count.
-//
-//lint:ignore deadcode invariant oracle: the attempts histogram must cover every completed task
-func (j *Journal) AttemptsPerTask() map[int]int {
-	starts := map[int]int{}
-	for _, e := range j.Events {
-		if e.Kind == EventTaskStart && e.Task >= 0 {
-			starts[e.Task]++
-		}
-	}
-	hist := map[int]int{}
-	for _, n := range starts {
-		hist[n]++
-	}
-	return hist
-}
-
-// AttemptAccounting summarizes per-attempt scheduling effort from the
-// journal: how many attempts were launched, how many of those were
-// speculative duplicates, how many lost a first-finisher race and
-// were cancelled, and how many died with their node's interruption.
-type AttemptAccounting struct {
-	// Launched counts every attempt start (first tries, re-executions
-	// after aborts, and duplicates).
-	Launched int
-	// Speculative counts duplicate launches (reactive, predictive, or
-	// redundant policy extras).
-	Speculative int
-	// Cancelled counts losing sibling attempts cancelled when another
-	// attempt of the same task finished first.
-	Cancelled int
-	// Aborted counts attempts killed by their executor's interruption.
-	Aborted int
-}
-
-// Attempts tallies the journal's per-attempt accounting.
-//
-//lint:ignore deadcode invariant oracle: speculation tests compare launches and cancels with the result's counters
-func (j *Journal) Attempts() AttemptAccounting {
-	return AttemptAccounting{
-		Launched:    j.Count(EventTaskStart),
-		Speculative: j.Count(EventSpeculate),
-		Cancelled:   j.Count(EventTaskCancel),
-		Aborted:     j.Count(EventTaskAbort),
-	}
-}
-
-// NodeDowntime returns per-node total downtime observed in the
-// journal (interruption→recovery pairing; an open outage at the end
-// of the run is closed at the last event time).
-//
-//lint:ignore deadcode invariant oracle: an interrupted run must journal positive downtime per node
-func (j *Journal) NodeDowntime() map[int]float64 {
-	downSince := map[int]float64{}
-	out := map[int]float64{}
-	var last float64
-	for _, e := range j.Events {
-		if e.Time > last {
-			last = e.Time
-		}
-		switch e.Kind {
-		case EventInterruption:
-			if _, open := downSince[e.Node]; !open {
-				downSince[e.Node] = e.Time
-			}
-		case EventRecovery:
-			if since, open := downSince[e.Node]; open {
-				out[e.Node] += e.Time - since
-				delete(downSince, e.Node)
-			}
-		}
-	}
-	for node, since := range downSince {
-		out[node] += last - since
-	}
-	return out
 }
 
 // Timeline renders a bucketed progress summary: completions,

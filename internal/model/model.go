@@ -102,26 +102,11 @@ func (a Availability) String() string {
 	return fmt.Sprintf("availability(MTBI=%gs, mu=%gs)", a.MTBI(), a.Mu)
 }
 
-// ExpectedRework returns E[X] (paper eq. 2): the mean amount of work
-// lost per failed attempt of a task of length gamma. For a dedicated
-// host it returns 0 (there are no failed attempts). As λ→0 the limit
-// is γ/2: an interruption that does occur is uniform over the attempt.
-//
-//lint:ignore deadcode paper eq. (2): the model tests check that eqs. (2)-(4) compose to eq. (5)
-func (a Availability) ExpectedRework(gamma float64) float64 {
-	if gamma <= 0 || a.Lambda == 0 {
-		return 0
-	}
-	gl := gamma * a.Lambda
-	// 1/λ + γ/(1−e^{γλ}) = 1/λ − γ/expm1(γλ), computed stably.
-	return 1/a.Lambda - gamma/math.Expm1(gl)
-}
-
 // ExpectedDowntime returns E[Y] (paper eq. 3): the mean downtime a
 // task endures per interruption under M/G/1 FCFS recovery,
 // μ/(1 − λμ). It returns +Inf when the process is unstable.
 //
-//lint:ignore deadcode paper eq. (3): the model tests check that eqs. (2)-(4) compose to eq. (5)
+//lint:ignore deadcode paper eq. (3): package adapt's ExampleAvailability prints it
 func (a Availability) ExpectedDowntime() float64 {
 	u := a.Utilization()
 	if u >= 1 {
@@ -134,7 +119,7 @@ func (a Availability) ExpectedDowntime() float64 {
 // failed attempts before a task of length gamma completes,
 // e^{γλ} − 1.
 //
-//lint:ignore deadcode paper eq. (4): the model tests check that eqs. (2)-(4) compose to eq. (5)
+//lint:ignore deadcode paper eq. (4): package adapt's ExampleAvailability prints it
 func (a Availability) ExpectedAttempts(gamma float64) float64 {
 	if gamma <= 0 || a.Lambda == 0 {
 		return 0
@@ -181,16 +166,4 @@ func (a Availability) SlowdownFactor(gamma float64) float64 {
 		return 1
 	}
 	return a.ExpectedTaskTime(gamma) / gamma
-}
-
-// ProbCompleteWithoutInterruption returns e^{−γλ}, the probability a
-// single attempt of length gamma finishes before the next
-// interruption.
-//
-//lint:ignore deadcode paper eq. (4): the per-attempt success probability whose geometric count eq. (4) is
-func (a Availability) ProbCompleteWithoutInterruption(gamma float64) float64 {
-	if gamma <= 0 || a.Lambda == 0 {
-		return 1
-	}
-	return math.Exp(-gamma * a.Lambda)
 }

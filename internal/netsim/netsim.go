@@ -55,10 +55,6 @@ type Network struct {
 	cfg      Config
 	upFree   []float64 // uplink busy-until per node
 	downFree []float64 // downlink busy-until per node
-
-	totalBytes     float64
-	totalTransfers int64
-	totalBusy      float64 // sum of transfer durations
 }
 
 // Errors.
@@ -110,9 +106,6 @@ func (nw *Network) Transfer(now float64, src, dst int, size float64) (start, end
 	end = start + nw.TransferTime(size)
 	nw.upFree[src] = end
 	nw.downFree[dst] = end
-	nw.totalBytes += size
-	nw.totalTransfers++
-	nw.totalBusy += end - start
 	return start, end, nil
 }
 
@@ -123,20 +116,6 @@ func (nw *Network) EarliestStart(now float64, src, dst int) (float64, error) {
 		return 0, fmt.Errorf("%w: src=%d dst=%d n=%d", ErrBadNode, src, dst, nw.Len())
 	}
 	return math.Max(now, math.Max(nw.upFree[src], nw.downFree[dst])), nil
-}
-
-// Stats summarizes traffic carried so far.
-type Stats struct {
-	Bytes     float64
-	Transfers int64
-	BusyTime  float64 // total seconds of transfer activity
-}
-
-// Stats returns the accumulated traffic statistics.
-//
-//lint:ignore deadcode unused library code kept with its test (TestStatsAccumulate)
-func (nw *Network) Stats() Stats {
-	return Stats{Bytes: nw.totalBytes, Transfers: nw.totalTransfers, BusyTime: nw.totalBusy}
 }
 
 // UplinkFree returns the instant node i's uplink finishes the

@@ -127,25 +127,6 @@ func TestEarliestStart(t *testing.T) {
 	}
 }
 
-func TestStatsAccumulate(t *testing.T) {
-	nw, err := New(FromMegabits(8), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, _, err := nw.Transfer(0, 0, 1, 1e6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := nw.Stats()
-	if st.Transfers != 3 || st.Bytes != 3e6 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if math.Abs(st.BusyTime-3) > 1e-9 {
-		t.Fatalf("busy = %g, want 3", st.BusyTime)
-	}
-}
-
 // Property: transfers never start before requested, never end before
 // they start, and NIC cursors are monotone.
 func TestTransferMonotoneProperty(t *testing.T) {

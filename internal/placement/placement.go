@@ -24,7 +24,6 @@ package placement
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/stats"
@@ -105,7 +104,7 @@ func (a *Assignment) BlockCount() int { return len(a.Replicas) }
 // CountPerNode returns how many block replicas each node holds. The
 // slice length is the max node id + 1 unless Nodes is set.
 //
-//lint:ignore deadcode invariant oracle: placement properties check per-node counts against the m(k+1)/n cap
+//lint:ignore deadcode invariant oracle: hadoopsim's invariant tests and package adapt's ExampleNewAdaptPolicy count replicas per node
 func (a *Assignment) CountPerNode() []int {
 	n := a.Nodes
 	for _, hs := range a.Replicas {
@@ -126,7 +125,7 @@ func (a *Assignment) CountPerNode() []int {
 
 // PrimaryCountPerNode counts only first replicas per node.
 //
-//lint:ignore deadcode unused library code kept with its test (TestPrimaryCountPerNode)
+//lint:ignore deadcode unused library code: ROADMAP item 18's decision recorder sums planned finish over primary blocks
 func (a *Assignment) PrimaryCountPerNode() []int {
 	n := a.Nodes
 	for _, hs := range a.Replicas {
@@ -141,46 +140,6 @@ func (a *Assignment) PrimaryCountPerNode() []int {
 		}
 	}
 	return counts
-}
-
-// Validate checks structural invariants: every block has exactly k
-// distinct holders with valid ids, and no node exceeds limit (if
-// limit > 0).
-//
-//lint:ignore deadcode invariant oracle: every placement property test validates what a policy placed
-func (a *Assignment) Validate(k, limit int) error {
-	counts := make(map[cluster.NodeID]int)
-	for b, hs := range a.Replicas {
-		if len(hs) != k {
-			return fmt.Errorf("placement: block %d has %d replicas, want %d", b, len(hs), k)
-		}
-		seen := make(map[cluster.NodeID]bool, k)
-		for _, h := range hs {
-			if h < 0 || (a.Nodes > 0 && int(h) >= a.Nodes) {
-				return fmt.Errorf("placement: block %d placed on invalid node %d", b, h)
-			}
-			if seen[h] {
-				return fmt.Errorf("placement: block %d has duplicate holder %d", b, h)
-			}
-			seen[h] = true
-			counts[h]++
-		}
-	}
-	if limit > 0 {
-		// Check nodes in id order so the reported violation (and the
-		// error text) is deterministic, not map-iteration-dependent.
-		ids := make([]cluster.NodeID, 0, len(counts))
-		for id := range counts {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if counts[id] > limit {
-				return fmt.Errorf("placement: node %d holds %d blocks, cap %d", id, counts[id], limit)
-			}
-		}
-	}
-	return nil
 }
 
 // Threshold returns the paper's per-node block cap m(k+1)/n (§IV-C),

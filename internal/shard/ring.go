@@ -131,7 +131,7 @@ func (r *Ring) Nodes() int { return len(r.counts) }
 
 // TokenCount returns node i's token count (0 when excluded).
 //
-//lint:ignore deadcode accessor for unexported state: ring tests check token counts follow the weights
+//lint:ignore deadcode accessor for unexported state: placement's TestBuildAvailabilityRingWeightsFollowEfficiency checks token counts follow the weights
 func (r *Ring) TokenCount(i int) int {
 	if i < 0 || i >= len(r.counts) {
 		return 0

@@ -118,14 +118,9 @@ func (e *Engine) Reset() {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled (uncancelled) events.
-//
-//lint:ignore deadcode invariant oracle: engine tests check the live count through schedule, cancel and fire
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Processed returns the number of events executed so far.
 //
-//lint:ignore deadcode invariant oracle: engine tests check every scheduled event fired exactly once
+//lint:ignore deadcode invariant oracle: hadoopsim's allocation tests count the events a run fired
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Arm schedules tm to fire h at absolute virtual time t. Arming a
@@ -287,26 +282,6 @@ func (e *Engine) Run() error {
 		}
 		if !ok {
 			return nil
-		}
-	}
-}
-
-// RunUntil executes events with time <= deadline, advancing the clock
-// to exactly deadline when the queue drains or the next event lies
-// beyond it.
-//
-//lint:ignore deadcode unused library code kept with its tests (TestRunUntil, TestStaleTimerCannotTouchSlotReuse)
-func (e *Engine) RunUntil(deadline float64) error {
-	if deadline < e.now {
-		return fmt.Errorf("%w: deadline=%g now=%g", ErrPastEvent, deadline, e.now)
-	}
-	for {
-		if len(e.events) == 0 || e.events[0].time > deadline {
-			e.now = deadline
-			return nil
-		}
-		if _, err := e.Step(); err != nil {
-			return err
 		}
 	}
 }

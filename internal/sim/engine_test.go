@@ -125,33 +125,6 @@ func TestTimerCancel(t *testing.T) {
 	nilTimer.Cancel()
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var hits []float64
-	for _, at := range []float64{1, 2, 3, 4, 5} {
-		at := at
-		mustAt(t, e, at, func() { hits = append(hits, at) })
-	}
-	if err := e.RunUntil(3); err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 3 {
-		t.Fatalf("hits = %v", hits)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("now = %g, want 3", e.Now())
-	}
-	if err := e.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 5 || e.Now() != 10 {
-		t.Fatalf("hits = %v now = %g", hits, e.Now())
-	}
-	if err := e.RunUntil(5); !errors.Is(err, ErrPastEvent) {
-		t.Fatalf("past deadline: %v", err)
-	}
-}
-
 func TestEventLimit(t *testing.T) {
 	e := NewEngine()
 	e.Limit = 10
@@ -254,8 +227,8 @@ func TestStaleTimerCannotTouchSlotReuse(t *testing.T) {
 	e := NewEngine()
 	stale := mustAt(t, e, 1, func() { t.Error("cancelled event ran") })
 	stale.Cancel()
-	// Cancel emptied the event's slot; move the clock past it.
-	if err := e.RunUntil(2); err != nil {
+	// Cancel emptied the event's slot; nothing is left to run.
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.events) != 0 {
@@ -566,8 +539,8 @@ func TestStaleEventNeverFiresIntoRearmedCell(t *testing.T) {
 	var tm Timer
 	mustArm(t, e, &tm, 1, r)
 	tm.Cancel()
-	// Cancel emptied the slot; move the clock past it, then reuse it.
-	if err := e.RunUntil(2); err != nil {
+	// Cancel emptied the slot; run the empty queue, then reuse it.
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(e.events) != 0 {

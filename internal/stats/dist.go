@@ -26,7 +26,7 @@ type Distribution interface {
 // CoV returns the coefficient of variation (stddev/mean) of d, or NaN
 // when the mean is zero or either moment is undefined.
 //
-//lint:ignore deadcode unused library code kept with its tests (TestCoVHelper, TestLogNormalFromMeanCoV); its Mean and Variance calls back the moment tests
+//lint:ignore deadcode unused library code: ROADMAP item 14 deletes it with its tests; its Mean and Variance calls back the moment tests
 func CoV(d Distribution) float64 {
 	m := d.Mean()
 	v := d.Variance()
@@ -70,7 +70,7 @@ var _ Distribution = Exponential{}
 // NewExponential returns an exponential distribution with the given
 // rate. It returns an error if rate <= 0.
 //
-//lint:ignore deadcode unused library code kept with its tests (TestExponentialMoments, TestExponentialInvalid)
+//lint:ignore deadcode unused library code: chaos's TestNetFaultsDelayCapped draws latency from it; ROADMAP item 14 replaces it
 func NewExponential(rate float64) (Exponential, error) {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return Exponential{}, fmt.Errorf("exponential rate must be positive and finite, got %g", rate)
@@ -110,7 +110,7 @@ var _ Distribution = Uniform{}
 // NewUniform returns a uniform distribution on [lo, hi). It returns an
 // error if hi < lo.
 //
-//lint:ignore deadcode unused library code kept with its tests (TestUniformMoments, TestUniformInvalid)
+//lint:ignore deadcode unused library code: svc's TestPipelineChaosSoak draws latency from it; ROADMAP item 14 replaces it
 func NewUniform(lo, hi float64) (Uniform, error) {
 	if hi < lo || math.IsNaN(lo) || math.IsNaN(hi) {
 		return Uniform{}, fmt.Errorf("uniform bounds must satisfy lo <= hi, got [%g, %g)", lo, hi)
@@ -198,7 +198,7 @@ var _ Distribution = Weibull{}
 // NewWeibull returns a Weibull distribution. It returns an error
 // unless both parameters are positive.
 //
-//lint:ignore deadcode unused library code kept with its tests (TestWeibullMoments, TestWeibullInvalid)
+//lint:ignore deadcode unused library code: ROADMAP item 14 deletes it with its tests
 func NewWeibull(shape, scale float64) (Weibull, error) {
 	if shape <= 0 || scale <= 0 || math.IsNaN(shape) || math.IsNaN(scale) {
 		return Weibull{}, fmt.Errorf("weibull requires positive shape and scale, got k=%g lambda=%g", shape, scale)
@@ -240,7 +240,7 @@ var _ Distribution = Pareto{}
 // NewPareto returns a Pareto distribution. It returns an error unless
 // both parameters are positive.
 //
-//lint:ignore deadcode unused library code kept with its tests (TestParetoMoments, TestParetoSamplesAboveXm)
+//lint:ignore deadcode unused library code: ROADMAP item 14 deletes it with its tests
 func NewPareto(xm, alpha float64) (Pareto, error) {
 	if xm <= 0 || alpha <= 0 || math.IsNaN(xm) || math.IsNaN(alpha) {
 		return Pareto{}, fmt.Errorf("pareto requires positive xm and alpha, got xm=%g alpha=%g", xm, alpha)
@@ -292,7 +292,7 @@ var ErrNoObservations = errors.New("empirical distribution requires at least one
 // NewEmpirical returns a distribution that resamples from values. The
 // slice is copied.
 //
-//lint:ignore deadcode unused library code kept with its tests (TestEmpirical, TestEmpiricalVariance)
+//lint:ignore deadcode unused library code: ROADMAP item 14 deletes it with its tests
 func NewEmpirical(values []float64) (*Empirical, error) {
 	if len(values) == 0 {
 		return nil, ErrNoObservations
@@ -319,12 +319,12 @@ func (d *Empirical) Variance() float64 { return d.vari }
 
 // Len returns the number of underlying observations.
 //
-//lint:ignore deadcode unused library code kept with its tests (TestEmpirical)
+//lint:ignore deadcode unused library code: ROADMAP item 14 deletes it with its tests
 func (d *Empirical) Len() int { return len(d.values) }
 
 // Quantile returns the q-th empirical quantile (0 <= q <= 1).
 //
-//lint:ignore deadcode unused library code kept with its tests (TestEmpirical)
+//lint:ignore deadcode unused library code: ROADMAP item 14 deletes it with its tests
 func (d *Empirical) Quantile(q float64) float64 {
 	sorted := make([]float64, len(d.values))
 	copy(sorted, d.values)

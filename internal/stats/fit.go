@@ -131,7 +131,7 @@ func FitLogNormal(sample []float64) (LogNormal, error) {
 // FitExponential estimates the exponential rate from a positive
 // sample (MLE: 1/mean).
 //
-//lint:ignore deadcode unused library code kept with its tests (TestFitExponentialRecovers, TestFitExponentialValidation)
+//lint:ignore deadcode unused library code: ROADMAP item 14 deletes it with its tests
 func FitExponential(sample []float64) (Exponential, error) {
 	if len(sample) == 0 {
 		return Exponential{}, errors.New("stats: exponential fit needs observations")

@@ -37,34 +37,6 @@ func (s *Summary) Add(v float64) {
 	s.m2 += delta * (v - s.mean)
 }
 
-// Merge folds other into s, as if every observation recorded in other
-// had been recorded in s.
-//
-//lint:ignore deadcode unused library code kept with its tests (TestSummaryMergeEquivalence, TestSummaryMergeEmpty)
-func (s *Summary) Merge(other Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = other
-		return
-	}
-	n := s.n + other.n
-	delta := other.mean - s.mean
-	mean := s.mean + delta*float64(other.n)/float64(n)
-	m2 := s.m2 + other.m2 + delta*delta*float64(s.n)*float64(other.n)/float64(n)
-	s.n = n
-	s.sum += other.sum
-	s.mean = mean
-	s.m2 = m2
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-}
-
 // Count returns the number of observations.
 func (s *Summary) Count() int64 { return s.n }
 

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummaryBasics(t *testing.T) {
@@ -47,62 +46,6 @@ func TestSummarySingle(t *testing.T) {
 	}
 	if !math.IsNaN(s.Variance()) {
 		t.Fatal("variance with n=1 should be NaN")
-	}
-}
-
-func TestSummaryMergeEquivalence(t *testing.T) {
-	err := quick.Check(func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) {
-					out = append(out, math.Mod(x, 1e6))
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var sa, sb, all Summary
-		for _, v := range a {
-			sa.Add(v)
-			all.Add(v)
-		}
-		for _, v := range b {
-			sb.Add(v)
-			all.Add(v)
-		}
-		sa.Merge(sb)
-		if sa.Count() != all.Count() {
-			return false
-		}
-		if all.Count() == 0 {
-			return true
-		}
-		if math.Abs(sa.Mean()-all.Mean()) > 1e-6*(1+math.Abs(all.Mean())) {
-			return false
-		}
-		if all.Count() >= 2 &&
-			math.Abs(sa.Variance()-all.Variance()) > 1e-4*(1+math.Abs(all.Variance())) {
-			return false
-		}
-		return sa.Min() == all.Min() && sa.Max() == all.Max()
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummaryMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Add(3)
-	a.Merge(b) // merging empty is a no-op
-	if a.Count() != 2 || a.Mean() != 2 {
-		t.Fatal("merge with empty changed summary")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.Count() != 2 || b.Mean() != 2 {
-		t.Fatal("merge into empty failed")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
-	"github.com/adaptsim/adapt/internal/metrics"
 	"github.com/adaptsim/adapt/internal/model"
 	"github.com/adaptsim/adapt/internal/stats"
 )
@@ -105,36 +104,6 @@ func (dp *dataPath) adopt(down []cluster.NodeID) {
 	for _, st := range dp.stores {
 		st.SetUp(!slices.Contains(down, st.id))
 	}
-}
-
-// resilience snapshots the counters of this client's own block I/O:
-// the failovers, retries, hedges and checksum catches of its puts and
-// gets (all zero before the first one). The NameNode's counters see
-// the write-side ones again through nn.complete; the read-side ones
-// are only here.
-//
-//lint:ignore deadcode accessor for unexported state: data-path tests read the client's own failovers and hedges
-func (c *Client) resilience() metrics.ResilienceSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.data == nil {
-		return metrics.ResilienceSnapshot{}
-	}
-	return c.data.io.Resilience().Snapshot()
-}
-
-// breakerStats returns the transition stats shared by this client's
-// per-DataNode breakers: nil before the first put or get, and when the
-// cluster runs without breakers.
-//
-//lint:ignore deadcode accessor for unexported state: breaker tests read the client's own transitions
-func (c *Client) breakerStats() *BreakerStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.data == nil {
-		return nil
-	}
-	return c.data.brkStats
 }
 
 // CopyFromLocal stores data as a new file, with the ADAPT distributor

@@ -167,7 +167,7 @@ func (d *DataNodeServer) restart() {
 }
 
 // StartHeartbeats begins a wall-clock heartbeat loop: one heartbeat
-// per tick. Safe to call once.
+// per tick. The interval must be positive. Safe to call once.
 func (d *DataNodeServer) StartHeartbeats(interval time.Duration) {
 	// The goroutines hold the channels themselves: Stop clears
 	// d.loopStop once the loop is done, which may be before the first

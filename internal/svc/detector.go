@@ -1,6 +1,8 @@
 package svc
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 	"time"
 
@@ -43,24 +45,34 @@ type DetectorConfig struct {
 	// SuspectAfter is the heartbeat age promoting Alive → Suspect
 	// (default 3s; set it a few beat intervals out).
 	SuspectAfter time.Duration
-	// DeadAfter is the age promoting → Dead (default 10s). Must
-	// exceed SuspectAfter.
+	// DeadAfter is the age promoting → Dead (default 10s, or three
+	// times SuspectAfter once SuspectAfter reaches 10s). A non-zero
+	// DeadAfter must exceed SuspectAfter.
 	DeadAfter time.Duration
 }
 
 // detectorInterval is the failure detector's check cadence.
 const detectorInterval = time.Second
 
-func (cfg *DetectorConfig) defaults() {
+// errBadDetector marks a DetectorConfig NewNameNodeServer refuses.
+var errBadDetector = errors.New("svc: bad detector config")
+
+// defaults fills the zero thresholds and rejects a DeadAfter at or
+// below SuspectAfter.
+func (cfg *DetectorConfig) defaults() error {
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 3 * time.Second
 	}
-	if cfg.DeadAfter <= cfg.SuspectAfter {
+	if cfg.DeadAfter == 0 {
 		cfg.DeadAfter = 10 * time.Second
 		if cfg.DeadAfter <= cfg.SuspectAfter {
 			cfg.DeadAfter = 3 * cfg.SuspectAfter
 		}
 	}
+	if cfg.DeadAfter <= cfg.SuspectAfter {
+		return fmt.Errorf("%w: dead-after %s must exceed suspect-after %s", errBadDetector, cfg.DeadAfter, cfg.SuspectAfter)
+	}
+	return nil
 }
 
 // StartFailureDetector begins promoting silent DataNodes

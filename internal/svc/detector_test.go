@@ -289,3 +289,34 @@ func TestInterruptedDataNodeStaysDead(t *testing.T) {
 		t.Fatalf("a flush revived interrupted node 1: %v (believed up %v)", st, lc.NN.stores[1].Up())
 	}
 }
+
+// TestDetectorRejectsDeadAfterAtOrBelowSuspect: a DeadAfter that a
+// silent node would reach no later than SuspectAfter is a
+// misconfiguration NewNameNodeServer reports, not one it replaces with
+// the default; zero still takes the default.
+func TestDetectorRejectsDeadAfterAtOrBelowSuspect(t *testing.T) {
+	c, err := cluster.New(make([]cluster.Node, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, det := range []DetectorConfig{
+		{DeadAfter: 2 * time.Second}, // below the default 3 s suspect
+		{SuspectAfter: 5 * time.Second, DeadAfter: 5 * time.Second},
+		{DeadAfter: -time.Second},
+	} {
+		_, err := NewNameNodeServer(c, []string{"127.0.0.1:1"}, stats.NewRNG(1), nil, NameNodeConfig{Detector: det})
+		if !errors.Is(err, errBadDetector) {
+			t.Errorf("%+v: err = %v, want a dead-after error", det, err)
+		}
+	}
+	for _, tc := range []struct{ in, want DetectorConfig }{
+		{DetectorConfig{}, DetectorConfig{SuspectAfter: 3 * time.Second, DeadAfter: 10 * time.Second}},
+		{DetectorConfig{SuspectAfter: 20 * time.Second}, DetectorConfig{SuspectAfter: 20 * time.Second, DeadAfter: 60 * time.Second}},
+		{DetectorConfig{DeadAfter: 4 * time.Second}, DetectorConfig{SuspectAfter: 3 * time.Second, DeadAfter: 4 * time.Second}},
+	} {
+		got := tc.in
+		if err := got.defaults(); err != nil || got != tc.want {
+			t.Errorf("defaults(%+v) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
+}

@@ -92,33 +92,6 @@ func openJournal(dir string) (*walJournal, []*dfs.FileMeta, error) {
 	return &walJournal{log: log}, files, nil
 }
 
-// RecoverShards rebuilds every shard's image from a sharded WAL root
-// (shards == 1 reads the flat single-log layout), one sorted file list
-// per shard, without taking ownership of any log — the read-only
-// recovery the bit-determinism tests replay twice. Each shard recovers
-// independently, but this helper fails fast on the first error so
-// callers never mistake a partial recovery for a full one.
-//
-//lint:ignore deadcode recovery probe: the crash and shard soaks replay a WAL root twice and compare
-func RecoverShards(root string, shards int) ([][]*dfs.FileMeta, error) {
-	dirs, err := wal.ShardDirs(root, shards)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]*dfs.FileMeta, len(dirs))
-	for i, dir := range dirs {
-		j, files, err := openJournal(dir)
-		if err != nil {
-			return nil, fmt.Errorf("svc: recover shard %d: %w", i, err)
-		}
-		if err := j.log.Close(); err != nil {
-			return nil, fmt.Errorf("svc: recover shard %d: close wal %s: %w", i, dir, err)
-		}
-		out[i] = files
-	}
-	return out, nil
-}
-
 // replayNamespace folds snapshot + records into a sorted file list.
 func replayNamespace(log *wal.Log) ([]*dfs.FileMeta, error) {
 	table := make(map[string]*dfs.FileMeta)
@@ -131,6 +104,9 @@ func replayNamespace(log *wal.Log) ([]*dfs.FileMeta, error) {
 			return nil, fmt.Errorf("svc: decode wal snapshot at seq %d: %w", seq, err)
 		}
 		for _, fm := range s.Files {
+			if fm == nil {
+				return nil, fmt.Errorf("svc: wal snapshot at seq %d holds a null file: %w", seq, wal.ErrCorrupt)
+			}
 			table[fm.Name] = fm
 		}
 	}
@@ -141,8 +117,8 @@ func replayNamespace(log *wal.Log) ([]*dfs.FileMeta, error) {
 		}
 		switch r.Kind {
 		case "create":
-			if r.File == nil {
-				return fmt.Errorf("svc: wal record %d: create without file: %w", seq, wal.ErrCorrupt)
+			if r.File == nil || r.File.Name != r.Name {
+				return fmt.Errorf("svc: wal record %d: create without the file it names: %w", seq, wal.ErrCorrupt)
 			}
 			table[r.Name] = r.File
 		case "delete":
@@ -244,24 +220,6 @@ func (s *NameNodeServer) maybeSnapshot() {
 	}
 }
 
-// Checkpoint forces a namespace snapshot of every shard into its WAL
-// now (testing and operational tooling; the cadence path calls
-// snapshotLocked).
-//
-//lint:ignore deadcode recovery probe: the snapshot-cadence test forces a checkpoint before it crashes
-func (s *NameNodeServer) Checkpoint() error {
-	d := &s.durable
-	for i := range d.journals {
-		d.snapMus[i].Lock()
-		err := s.snapshotLocked(i)
-		d.snapMus[i].Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // snapshotLocked captures and saves one shard's checkpoint. The
 // sequence is read *before* the image: records committed during the
 // capture are both inside the image and replayed on top, which upsert
@@ -302,36 +260,5 @@ func (s *NameNodeServer) WALSnapshotSeq() uint64 {
 	return total
 }
 
-// WALShardSeqs reports each shard journal's (committed, snapshotted)
-// sequence pair, in shard order — the per-shard view behind the
-// WALSeq/WALSnapshotSeq aggregates. Nil without a WAL.
-//
-//lint:ignore deadcode recovery probe: the sharded crash soak checks every shard journaled and checkpointed
-func (s *NameNodeServer) WALShardSeqs() [][2]uint64 {
-	if len(s.durable.journals) == 0 {
-		return nil
-	}
-	out := make([][2]uint64, len(s.durable.journals))
-	for i, j := range s.durable.journals {
-		out[i] = [2]uint64{j.log.Seq(), j.log.SnapshotSeq()}
-	}
-	return out
-}
-
 // Durable reports whether this NameNode journals its namespace.
 func (s *NameNodeServer) Durable() bool { return len(s.durable.journals) > 0 }
-
-// NamespaceFingerprint hashes the live namespace (see
-// dfs.FingerprintFiles) — the recovery tests' bit-determinism probe.
-//
-//lint:ignore deadcode fingerprint probe: recovery tests compare the namespace before and after a restart
-func (s *NameNodeServer) NamespaceFingerprint() string { return s.nn.Fingerprint() }
-
-// ShardFingerprint hashes one shard's live file table — the per-shard
-// bit-determinism probe the sharded recovery tests compare against a
-// double replay of that shard's log.
-//
-//lint:ignore deadcode fingerprint probe: the shard soak compares each live shard with its replay
-func (s *NameNodeServer) ShardFingerprint(i int) string {
-	return s.nn.FingerprintShard(i)
-}

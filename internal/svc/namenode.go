@@ -203,6 +203,10 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 	if len(dnAddrs) != c.Len() {
 		return nil, fmt.Errorf("svc: %d datanode addrs for %d nodes: %w", len(dnAddrs), c.Len(), dfs.ErrUnknownNode)
 	}
+	detector := cfg.Detector
+	if err := detector.defaults(); err != nil {
+		return nil, err
+	}
 	stores, ifaces, brkStats := newStoreFleet(dnAddrs, "namenode", faults, cfg.Breaker, g)
 	shards := cfg.Shards
 	if shards == 0 {
@@ -233,12 +237,11 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 		brkStats:   brkStats,
 		start:      time.Now(),
 		now:        time.Now,
-		detector:   cfg.Detector,
+		detector:   detector,
 		hb:         make(map[cluster.NodeID]*hbState),
 		stopCh:     make(chan struct{}),
 		repairKick: make(chan struct{}, 1),
 	}
-	s.detector.defaults()
 	// Leases expire by the deadlines that cross the wire, on the
 	// server's clock.
 	nn.SetLeaseClock(func() time.Time { return s.now() })

@@ -180,12 +180,6 @@ func (p *bufPool) put(b []byte) {
 	p.pool.Put(&b)
 }
 
-// balance returns outstanding gets (gets - puts); zero means every
-// acquired buffer was released.
-//
-//lint:ignore deadcode pool-balance check: wire and stream tests require every pooled buffer back
-func (p *bufPool) balance() int64 { return p.gets.Load() - p.puts.Load() }
-
 // frameBufs is the shared wire-buffer pool: the payloads of frames
 // that were not read into a caller's destination draw from it.
 var frameBufs bufPool

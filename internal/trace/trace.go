@@ -123,7 +123,7 @@ func (t *Trace) EstimateAvailability() model.Availability {
 // unavailable, merging overlapping events (an event arriving during
 // another's recovery extends the outage FCFS).
 //
-//lint:ignore deadcode unused library code kept with its tests (TestDowntimeFraction, TestDowntimeFractionFCFSOverlap)
+//lint:ignore deadcode unused library code: ROADMAP item 25 makes its FCFS merge the one outage walk
 func (t *Trace) DowntimeFraction() float64 {
 	if t.Horizon <= 0 {
 		return 0
@@ -157,7 +157,7 @@ func (t *Trace) DowntimeFraction() float64 {
 // at zero. This implements the paper's trace-replay setup where a
 // job-sized window is sampled from a long failure trace.
 //
-//lint:ignore deadcode unused library code kept with its tests (TestWindow, TestWindowProperty)
+//lint:ignore deadcode unused library code: ROADMAP item 22 splits traces into train and test windows with it
 func (t *Trace) Window(from, length float64) Trace {
 	out := Trace{Host: t.Host, Horizon: length}
 	to := from + length
@@ -179,7 +179,7 @@ func (t *Trace) Window(from, length float64) Trace {
 // DownAt reports whether the host is inside an outage at time x,
 // applying FCFS extension of overlapping events.
 //
-//lint:ignore deadcode invariant oracle: the simulator's trace replay is checked against it
+//lint:ignore deadcode invariant oracle: hadoopsim's TestTraceReplayMatchesDownAt checks the simulator's replay against it
 func (t *Trace) DownAt(x float64) bool {
 	var until float64
 	for _, e := range t.Events {

@@ -287,7 +287,7 @@ func decodeFrame(data []byte) (payload []byte, n int, ok bool) {
 
 // SetFaults installs an append-fault injector (nil disables).
 //
-//lint:ignore deadcode fault injection: crash tests tear an append mid-frame
+//lint:ignore deadcode fault injection: chaos's TestCrashFaultsTearWAL and svc's TestJournalFailureVetoesMutation tear an append mid-frame
 func (l *Log) SetFaults(f AppendFaults) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
