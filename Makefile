@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github build test test-short race-all hedge-stress sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke experiments-smoke soak bench sim-smoke fuzz-smoke
+.PHONY: ci vet lint lint-github build test test-short race-all hedge-stress sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke experiments-smoke soak bench sim-smoke fuzz-smoke bench-pairs
 
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the repeated hedged-read race check, the
@@ -106,6 +106,16 @@ dfs-smoke:
 	for w in bulk_io small_files mixed_rw; do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 || exit 1; \
 	done
+
+# This checkout against commit BASE on workload W: N alternating pairs
+# of benchmark runs at BENCHMARK.json's run length on seeds 1..N, each
+# side's medians and quartiles, the pairs won per end-to-end metric,
+# and the verdict of the claim rule (scripts/bench-pairs.sh; needs
+# jq). BASE is checked out in a temporary git worktree.
+N ?= 10
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pairs BASE=<ref> W=<workload> [N=10]" >&2; exit 2; }
+	bash scripts/bench-pairs.sh $(BASE) $(W) $(N)
 
 # Every program under examples/ runs to completion and prints, byte
 # for byte, the stdout committed as its testdata/stdout.golden. The

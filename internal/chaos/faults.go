@@ -40,7 +40,8 @@ type OpFaults struct {
 	GetFailProb float64
 	// CorruptProb is the per-read probability of flipping one random
 	// bit in the returned bytes (the stored replica stays intact);
-	// the dfs layer must catch it via the block CRC32.
+	// the reader must catch it via the CRC32C sums: the chunk sums the
+	// DataNode serves the copy under, or the block's.
 	CorruptProb float64
 	// Latency, when non-nil, draws injected per-operation latency in
 	// seconds. It is accounted in Counters; real sleeping is bounded

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync/atomic"
 	"time"
@@ -17,7 +16,7 @@ import (
 // BlockIO is the byte-moving half of the file system: given block ids
 // and holders somebody else decided, it writes replicas (pipeline fast
 // path, direct retries, divert to alternates) and reads them back
-// (replica failover or hedging, CRC32 verification). It knows nothing
+// (replica failover or hedging, CRC32C verification). It knows nothing
 // of names, quotas or journals, so whoever holds the bytes owns one:
 // the NameNode for what it moves itself (cp, adapt, rebalance, repair,
 // in-process clients), and every networked client for its own puts and
@@ -120,7 +119,7 @@ func (b *BlockIO) WriteBlocks(ctx context.Context, a *Allocation, r io.Reader, r
 				return nil, fmt.Errorf("dfs: create %q block %d: source ended early: %w", a.Name, i, err)
 			}
 		}
-		placed, err := b.writeBlockReplicas(ctx, ab.ID, chunk, ab.Holders, a.Replication, g, retry, report)
+		placed, sum, err := b.writeBlockReplicas(ctx, ab.ID, chunk, ab.Holders, a.Replication, g, retry, report)
 		if err != nil {
 			b.DeleteBlocks(ctx, blocks)
 			return nil, fmt.Errorf("dfs: create %q block %d: %w", a.Name, i, err)
@@ -139,7 +138,7 @@ func (b *BlockIO) WriteBlocks(ctx context.Context, a *Allocation, r io.Reader, r
 		}
 		blocks = append(blocks, BlockMeta{
 			ID: ab.ID, File: a.Name, Index: i, Size: hi - lo,
-			Replicas: placed, Checksum: crc32.ChecksumIEEE(chunk),
+			Replicas: placed, Checksum: sum,
 		})
 	}
 	return blocks, nil
@@ -215,12 +214,15 @@ func (b *BlockIO) DeleteBlocks(ctx context.Context, blocks []BlockMeta) {
 
 // writeBlockReplicas stores one block on up to k nodes: first the
 // placed holders, then alternate live nodes for any that refuse. It
-// returns the holders that acknowledged. With zero acknowledgements it
-// waits out the retry policy's backoff (nodes may rejoin) before
-// giving up with ErrNoLiveNodes — unless the nodes are there and shed
-// the write, which is ErrOverload at once.
-func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []byte, want []cluster.NodeID, k int, g *stats.RNG, retry RetryPolicy, report *WriteReport) ([]cluster.NodeID, error) {
+// returns the holders that acknowledged and the block's CRC32C, as the
+// first store that took the block reported it; an in-process store
+// after the first stores its copy under that sum. With zero
+// acknowledgements it waits out the retry policy's backoff (nodes may
+// rejoin) before giving up with ErrNoLiveNodes — unless the nodes are
+// there and shed the write, which is ErrOverload at once.
+func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []byte, want []cluster.NodeID, k int, g *stats.RNG, retry RetryPolicy, report *WriteReport) ([]cluster.NodeID, uint32, error) {
 	var placed []cluster.NodeID
+	var sum uint32
 	for attempt := 1; ; attempt++ {
 		tried := make(map[cluster.NodeID]bool, k)
 		var refused refusals
@@ -229,12 +231,24 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 				return
 			}
 			tried[h] = true
-			if err := b.stores[h].Put(ctx, id, chunk); err != nil {
+			var s uint32
+			var err error
+			if ls, ok := b.stores[h].(localStore); ok && len(placed) > 0 {
+				// In process the first replica's sum is the block's, so
+				// the later copies are not summed again.
+				err = ls.putSummed(ctx, id, chunk, sum)
+			} else {
+				s, err = b.stores[h].Put(ctx, id, chunk)
+			}
+			if err != nil {
 				if errors.Is(err, ErrNodeDown) {
 					b.counters.NodeDownErrors.Add(1)
 				}
 				refused.note(err)
 				return
+			}
+			if len(placed) == 0 {
+				sum = s
 			}
 			placed = append(placed, h)
 			if failover {
@@ -267,6 +281,9 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 					for _, h := range res.Acked {
 						tried[h] = true
 					}
+					if len(placed) == 0 {
+						sum = res.Sum
+					}
 					placed = append(placed, res.Acked...)
 				}
 			}
@@ -287,16 +304,16 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 			}
 		}
 		if len(placed) > 0 {
-			return placed, nil
+			return placed, sum, nil
 		}
 		if refused.overloaded() {
-			return nil, fmt.Errorf("%w: block %d shed by every datanode that answered", ErrOverload, id)
+			return nil, 0, fmt.Errorf("%w: block %d shed by every datanode that answered", ErrOverload, id)
 		}
 		if attempt >= retry.attempts() {
-			return nil, fmt.Errorf("%w: block %d (%d attempts)", ErrNoLiveNodes, id, attempt)
+			return nil, 0, fmt.Errorf("%w: block %d (%d attempts)", ErrNoLiveNodes, id, attempt)
 		}
 		if err := retry.wait(ctx, attempt); err != nil {
-			return nil, fmt.Errorf("dfs: write of block %d interrupted: %w", id, err)
+			return nil, 0, fmt.Errorf("dfs: write of block %d interrupted: %w", id, err)
 		}
 		b.counters.WriteRetries.Add(1)
 		if report != nil {
@@ -306,7 +323,7 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 }
 
 // ReadBlock fetches one block's bytes from any live replica, verifying
-// the CRC32 checksum and failing over to the next replica on node
+// the CRC32C checksum and failing over to the next replica on node
 // failure, missing bytes, or corruption.
 func (b *BlockIO) ReadBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
 	return b.appendBlock(ctx, bm, nil)
@@ -339,24 +356,30 @@ func (b *BlockIO) appendBlock(ctx context.Context, bm BlockMeta, dst []byte) ([]
 			b.counters.ReadFailovers.Add(1)
 		}
 		attempted++
-		out, err := dn.Get(ctx, bm.ID, dst)
+		got, err := dn.Get(ctx, bm.ID, dst)
+		if err == nil && got.Sum != bm.Checksum {
+			err = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r)
+		}
 		if err != nil {
-			if errors.Is(err, ErrNodeDown) {
-				b.counters.NodeDownErrors.Add(1)
-			}
+			b.noteReadFailure(err)
 			refused.note(err)
 			lastErr = err
 			continue
 		}
-		if crc32.ChecksumIEEE(out[len(dst):]) != bm.Checksum {
-			b.counters.ChecksumFailures.Add(1)
-			lastErr = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r)
-			refused.note(lastErr)
-			continue
-		}
-		return out, nil
+		return got.Data, nil
 	}
 	return nil, noReplica(bm, refused, lastErr)
+}
+
+// noteReadFailure counts a replica read that failed: a down node, or
+// bytes that failed a checksum, on the wire or against the block's.
+func (b *BlockIO) noteReadFailure(err error) {
+	switch {
+	case errors.Is(err, ErrNodeDown):
+		b.counters.NodeDownErrors.Add(1)
+	case errors.Is(err, ErrChecksum):
+		b.counters.ChecksumFailures.Add(1)
+	}
 }
 
 // noReplica is the error of a block no replica served: ErrOverload when

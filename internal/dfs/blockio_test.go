@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"testing"
 
@@ -21,16 +20,16 @@ type refusingStore struct {
 	refuse error
 }
 
-func (s *refusingStore) Put(ctx context.Context, id BlockID, data []byte) error {
+func (s *refusingStore) Put(ctx context.Context, id BlockID, data []byte) (uint32, error) {
 	if s.refuse != nil {
-		return fmt.Errorf("store %d: %w", s.dn.id, s.refuse)
+		return 0, fmt.Errorf("store %d: %w", s.dn.id, s.refuse)
 	}
 	return s.localStore.Put(ctx, id, data)
 }
 
-func (s *refusingStore) Get(ctx context.Context, id BlockID, dst []byte) ([]byte, error) {
+func (s *refusingStore) Get(ctx context.Context, id BlockID, dst []byte) (GetResult, error) {
 	if s.refuse != nil {
-		return nil, fmt.Errorf("store %d: %w", s.dn.id, s.refuse)
+		return GetResult{}, fmt.Errorf("store %d: %w", s.dn.id, s.refuse)
 	}
 	return s.localStore.Get(ctx, id, dst)
 }
@@ -56,7 +55,7 @@ func TestShedBlocksAreOverloadNotOutage(t *testing.T) {
 	if _, err := io.WriteBlocks(ctx, alloc(1), bytes.NewReader(data), RetryPolicy{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	stored := BlockMeta{ID: 1, File: "f", Size: int64(len(data)), Replicas: []cluster.NodeID{0, 1}, Checksum: crc32.ChecksumIEEE(data)}
+	stored := BlockMeta{ID: 1, File: "f", Size: int64(len(data)), Replicas: []cluster.NodeID{0, 1}, Checksum: Checksum(data)}
 	retry := DefaultRetryPolicy()
 
 	cases := []struct {
@@ -118,7 +117,7 @@ func TestReadFileRefusesInconsistentSizes(t *testing.T) {
 	if err := dn.Put(1, data); err != nil {
 		t.Fatal(err)
 	}
-	block := BlockMeta{ID: 1, File: "f", Size: int64(len(data)), Replicas: []cluster.NodeID{0}, Checksum: crc32.ChecksumIEEE(data)}
+	block := BlockMeta{ID: 1, File: "f", Size: int64(len(data)), Replicas: []cluster.NodeID{0}, Checksum: Checksum(data)}
 	withSize := func(size int64) BlockMeta { b := block; b.Size = size; return b }
 	for _, tc := range []struct {
 		name string

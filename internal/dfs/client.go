@@ -246,7 +246,7 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 			if err != nil {
 				return abort(err)
 			}
-			if err := s.Put(ctx, bm.ID, data); err != nil {
+			if _, err := s.Put(ctx, bm.ID, data); err != nil {
 				if errors.Is(err, ErrNodeDown) {
 					c.nn.io.counters.NodeDownErrors.Add(1)
 				}

@@ -165,9 +165,9 @@ type deadlineStore struct {
 	log *deleteLog
 }
 
-func (s deadlineStore) Put(ctx context.Context, id BlockID, data []byte) error {
+func (s deadlineStore) Put(ctx context.Context, id BlockID, data []byte) (uint32, error) {
 	if s.log.putsLeft == 0 {
-		return ErrNodeDown
+		return 0, ErrNodeDown
 	}
 	if s.log.putsLeft > 0 {
 		s.log.putsLeft--

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"sync"
@@ -50,9 +49,10 @@ type BlockMeta struct {
 	Index    int   // position within the file
 	Size     int64 // bytes (last block may be short)
 	Replicas []cluster.NodeID
-	// Checksum is the CRC32 (IEEE) of the block bytes, computed at
-	// write time and verified on every read so corrupted replicas are
-	// rejected and reads fail over to intact copies.
+	// Checksum is the CRC32C of the block bytes. The writer folds it
+	// from the chunk sums it streams the block with, and every read
+	// compares the sum its store reports against it, so corrupted
+	// replicas are rejected and reads fail over to intact copies.
 	Checksum uint32
 }
 
@@ -78,7 +78,7 @@ var (
 	// ErrNodeDown marks operations rejected because the DataNode is
 	// not serving requests; match it with errors.Is.
 	ErrNodeDown = errors.New("dfs: datanode down")
-	// ErrChecksum marks block bytes that failed CRC32 verification.
+	// ErrChecksum marks block bytes that failed CRC32C verification.
 	ErrChecksum = errors.New("dfs: block checksum mismatch")
 	// ErrNoLiveNodes marks a write no live DataNode would accept.
 	ErrNoLiveNodes = errors.New("dfs: no live datanode accepted the block")
@@ -152,8 +152,8 @@ type FaultInjector interface {
 	// before touching storage (a transient RPC-level fault).
 	FailOp(node cluster.NodeID, op Op, block BlockID) error
 	// CorruptRead may mutate and return the (already copied) bytes a
-	// read is about to return, emulating wire/memory bit flips. The
-	// stored bytes are unaffected.
+	// read is about to return, emulating wire/memory bit flips; what it
+	// returns must be as long as data. The stored bytes are unaffected.
 	CorruptRead(node cluster.NodeID, block BlockID, data []byte) []byte
 }
 
@@ -175,11 +175,15 @@ type DataNode struct {
 	dropped atomic.Int64
 }
 
-// replica is one stored block's bytes and the pins that keep them from
-// being recycled.
+// replica is one stored block's bytes, the sums of the chunks they
+// were written in, and the pins that keep the bytes from being
+// recycled. The sums of a block of up to len(inline) chunks live in
+// inline, so they cost no allocation of their own.
 type replica struct {
-	data []byte
-	pins atomic.Int32
+	data   []byte
+	sums   []ChunkSum
+	inline [4]ChunkSum
+	pins   atomic.Int32
 }
 
 // NewDataNode creates an empty, up DataNode.
@@ -262,16 +266,26 @@ func (d *DataNode) Pins() int64 {
 	return n
 }
 
-// Adopt stores data as a block replica without copying it: the store
-// owns data from here on, and the caller must not write it again. On an
-// error the caller keeps data. Writes require a live node.
-func (d *DataNode) Adopt(id BlockID, data []byte) error {
+// Adopt stores data as a block replica without copying it, with sums,
+// the sums of the chunks it arrived in, which must cover data exactly:
+// the store owns data from here on, and the caller must not write it
+// again. sums is copied. On an error the caller keeps data. Writes
+// require a live node.
+func (d *DataNode) Adopt(id BlockID, data []byte, sums []ChunkSum) error {
+	covered := 0
+	for _, cs := range sums {
+		covered += int(cs.Len)
+	}
+	if len(sums) == 0 || covered != len(data) {
+		return fmt.Errorf("%w: block %d: %d chunk sums cover %d of %d bytes", ErrInconsistent, id, len(sums), covered, len(data))
+	}
 	if f := d.injector(); f != nil {
 		if err := f.FailOp(d.id, OpPut, id); err != nil {
 			return err
 		}
 	}
 	r := &replica{data: data}
+	r.sums = append(r.inline[:0], sums...)
 	d.mu.Lock()
 	if !d.up {
 		d.mu.Unlock()
@@ -289,42 +303,44 @@ func (d *DataNode) Adopt(id BlockID, data []byte) error {
 
 // View reads a block replica without copying it: the returned slice is
 // the stored replica, pinned until the caller calls release, exactly
-// once, after its last read of it. The caller must not write the
-// slice. With a fault injector attached it is a private copy that
-// CorruptRead has seen, so an injected corruption never reaches the
-// stored bytes.
-func (d *DataNode) View(id BlockID) (data []byte, release func(), err error) {
-	data, r, err := d.read(id, true)
+// once, after its last read of it, and sums are the sums of the chunks
+// it was written in. The caller must write neither. With a fault
+// injector attached data is a private copy that CorruptRead has seen,
+// so an injected corruption never reaches the stored bytes, and sums
+// are still the stored ones: a reader that checks the copy against
+// them catches the corruption.
+func (d *DataNode) View(id BlockID) (data []byte, sums []ChunkSum, release func(), err error) {
+	data, r, pinned, err := d.read(id, true)
 	switch {
 	case err != nil:
-		return nil, nil, err
-	case r == nil:
-		return data, func() {}, nil
+		return nil, nil, nil, err
+	case !pinned:
+		return data, r.sums, func() {}, nil
 	}
-	return data, func() { d.unpin(r) }, nil
+	return data, r.sums, func() { d.unpin(r) }, nil
 }
 
 // read is the one lookup behind View, Get and GetStored. It returns the
-// pinned replica whose bytes data is, or a nil replica when data is a
-// copy made for the fault injector. needUp rejects the read while the
-// node is down.
-func (d *DataNode) read(id BlockID, needUp bool) ([]byte, *replica, error) {
+// replica and the bytes to read: the replica's own, pinned, or a copy
+// made for the fault injector, when pinned is false. needUp rejects the
+// read while the node is down.
+func (d *DataNode) read(id BlockID, needUp bool) (data []byte, r *replica, pinned bool, err error) {
 	f := d.injector()
 	if f != nil {
 		if err := f.FailOp(d.id, OpGet, id); err != nil {
-			return nil, nil, err
+			return nil, nil, false, err
 		}
 	}
-	r, err := d.lookup(id, needUp)
+	r, err = d.lookup(id, needUp)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	if f == nil {
-		return r.data, r, nil
+		return r.data, r, true, nil
 	}
-	data := bytes.Clone(r.data)
+	data = bytes.Clone(r.data)
 	d.unpin(r)
-	return f.CorruptRead(d.id, id, data), nil, nil
+	return f.CorruptRead(d.id, id, data), r, false, nil
 }
 
 // lookup pins a stored replica. needUp rejects the lookup while the
@@ -346,9 +362,32 @@ func (d *DataNode) lookup(id BlockID, needUp bool) (*replica, error) {
 // Put stores a copy of data as a block replica; the caller keeps data.
 // Writes require a live node.
 func (d *DataNode) Put(id BlockID, data []byte) error {
+	_, err := d.put(id, data)
+	return err
+}
+
+// put is Put reporting the CRC32C of what it stored. The copy is summed
+// on the ChunkSize grid, and those are the replica's chunk sums.
+func (d *DataNode) put(id BlockID, data []byte) (uint32, error) {
 	buf := NewReplicaBuf(len(data))
 	copy(buf, data)
-	if err := d.Adopt(id, buf); err != nil {
+	var inline [4]ChunkSum
+	sums := appendChunkSums(inline[:0], buf)
+	if err := d.Adopt(id, buf, sums); err != nil {
+		RecycleReplicaBuf(buf)
+		return 0, err
+	}
+	return foldChunkSums(sums), nil
+}
+
+// putSummed is put for bytes whose CRC32C the caller already has from
+// another replica of the block: the copy is kept as one chunk under
+// that sum, and its bytes are not summed again.
+func (d *DataNode) putSummed(id BlockID, data []byte, sum uint32) error {
+	buf := NewReplicaBuf(len(data))
+	copy(buf, data)
+	sums := [1]ChunkSum{{Len: uint32(len(buf)), Sum: sum}}
+	if err := d.Adopt(id, buf, sums[:]); err != nil {
 		RecycleReplicaBuf(buf)
 		return err
 	}
@@ -368,27 +407,29 @@ func (d *DataNode) GetStored(id BlockID) ([]byte, error) {
 }
 
 func (d *DataNode) get(id BlockID, needUp bool) ([]byte, error) {
-	data, r, err := d.read(id, needUp)
-	if err != nil || r == nil {
+	data, r, pinned, err := d.read(id, needUp)
+	if err != nil || !pinned {
 		return data, err
 	}
 	defer d.unpin(r)
 	return bytes.Clone(data), nil
 }
 
-// StoredSum returns the size and CRC32 (IEEE) of the bytes the node
+// StoredSum returns the size and CRC32C of the bytes the node
 // holds for a block regardless of its up state and without fault
 // injection — the "bits on disk" view used by consistency
-// verification, summed where the bytes are so none of them travel. The
-// sum is computed under a pin, not the lock, so puts and deletes on the
-// node do not wait for it.
+// verification, summed where the bytes are so none of them travel. It
+// sums the bytes themselves, not the chunk sums kept beside them, so a
+// replica that rotted after it was written shows. The sum is computed
+// under a pin, not the lock, so puts and deletes on the node do not
+// wait for it.
 func (d *DataNode) StoredSum(id BlockID) (size int64, sum uint32, ok bool) {
 	r, err := d.lookup(id, false)
 	if err != nil {
 		return 0, 0, false
 	}
 	defer d.unpin(r)
-	return int64(len(r.data)), crc32.ChecksumIEEE(r.data), true
+	return int64(len(r.data)), Checksum(r.data), true
 }
 
 // Delete removes a block replica (no-op if absent). Deletes are
@@ -960,12 +1001,14 @@ func (nn *NameNode) Locate(name string) (*FileMeta, error) {
 //     persistent storage survive downtime, and structural operations
 //     publish new locations before pruning old replicas, so metadata
 //     may never point at data that is gone);
-//   - the stored bytes match the block's size and CRC32.
+//   - the stored bytes match the block's size and CRC32C.
 //
 // It takes each file's structural lock so it cannot observe a
 // redistribute or repair mid-flight. The first violation is returned
-// as a descriptive error; nil means consistent. ctx bounds the
-// per-replica checksum fetches.
+// as a descriptive error wrapping ErrInconsistent; nil means
+// consistent. A holder that could not be asked (unreachable, shedding)
+// ends the check with its transient error instead: no verdict. ctx
+// bounds the per-replica checksum fetches.
 func (nn *NameNode) CheckConsistency(ctx context.Context) error {
 	for _, name := range nn.List() {
 		if err := nn.checkFile(ctx, name); err != nil {
@@ -998,9 +1041,14 @@ func (nn *NameNode) checkFile(ctx context.Context, name string) error {
 				return fmt.Errorf("%w: %q block %d: duplicate holder %d", ErrInconsistent, name, bm.Index, r)
 			}
 			seen[r] = true
-			size, sum, ok := nn.io.stores[r].StoredSum(ctx, bm.ID)
-			if !ok {
+			size, sum, err := nn.io.stores[r].StoredSum(ctx, bm.ID)
+			switch {
+			case errors.Is(err, ErrBlockNotFound):
 				return fmt.Errorf("%w: %q block %d: holder %d lost block %d", ErrInconsistent, name, bm.Index, r, bm.ID)
+			case err != nil:
+				// The holder could not be asked: that says nothing about
+				// its replica, and the caller may ask again.
+				return fmt.Errorf("dfs: check %q block %d on holder %d: %w", name, bm.Index, r, err)
 			}
 			if size != bm.Size {
 				return fmt.Errorf("%w: %q block %d: holder %d has %d bytes, want %d", ErrInconsistent, name, bm.Index, r, size, bm.Size)

@@ -410,7 +410,7 @@ func TestDataNodePutCopies(t *testing.T) {
 	size, sum, _ := dn.StoredSum(1)
 	dn.SetFaults(&stubFaults{corruptOn: map[cluster.NodeID]bool{0: true}})
 	view := func(id BlockID) ([]byte, error) {
-		data, release, err := dn.View(id)
+		data, _, release, err := dn.View(id)
 		if err == nil {
 			release()
 		}
@@ -445,7 +445,7 @@ func TestPinnedReplicaOutlivesDeleteAndReput(t *testing.T) {
 	if err := dn.Put(1, old); err != nil {
 		t.Fatal(err)
 	}
-	served, release, err := dn.View(1)
+	served, _, release, err := dn.View(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestPinnedReplicaOutlivesDeleteAndReput(t *testing.T) {
 	if !bytes.Equal(served, old) {
 		t.Fatal("a pinned slice changed under a delete and re-put of its block")
 	}
-	now, unpin, err := dn.View(1)
+	now, _, unpin, err := dn.View(1)
 	if err != nil || !bytes.Equal(now, next) {
 		t.Fatalf("re-put block reads %d bytes, %v", len(now), err)
 	}
@@ -487,10 +487,10 @@ func TestPinnedReplicaOutlivesDeleteAndReput(t *testing.T) {
 	for try := 0; try < 100 && !reused; try++ {
 		buf := NewReplicaBuf(size)
 		copy(buf, old)
-		if err := dn.Adopt(2, buf); err != nil {
+		if err := dn.Adopt(2, buf, []ChunkSum{{Len: size, Sum: Checksum(buf)}}); err != nil {
 			t.Fatal(err)
 		}
-		_, release, err := dn.View(2)
+		_, _, release, err := dn.View(2)
 		if err != nil {
 			t.Fatal(err)
 		}

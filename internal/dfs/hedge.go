@@ -2,9 +2,7 @@ package dfs
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
@@ -163,11 +161,11 @@ func (nn *NameNode) SetHedge(cfg HedgeConfig) error { return nn.io.SetHedge(cfg)
 
 // hedgeResult is one replica fetch's outcome.
 type hedgeResult struct {
-	data    []byte
+	GetResult
 	err     error
 	node    cluster.NodeID
 	hedged  bool
-	inPlace bool // data is dst extended: the fetch read into dst's spare capacity
+	inPlace bool // Data is dst extended: the fetch read into dst's spare capacity
 	took    time.Duration
 }
 
@@ -235,9 +233,9 @@ func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, 
 		go func() {
 			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
 			begin := time.Now()
-			data, err := b.stores[node].Get(fctx, bm.ID, into)
+			got, err := b.stores[node].Get(fctx, bm.ID, into)
 			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
-			results <- hedgeResult{data: data, err: err, node: node, hedged: hedged, inPlace: own, took: time.Since(begin)}
+			results <- hedgeResult{GetResult: got, err: err, node: node, hedged: hedged, inPlace: own, took: time.Since(begin)}
 		}()
 		return true
 	}
@@ -258,15 +256,15 @@ func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, 
 		select {
 		case r := <-results:
 			outstanding--
-			block := r.data
+			block := r.Data
 			if r.inPlace {
 				inPlace = false
 				if r.err == nil {
-					block = r.data[len(dst):]
+					block = r.Data[len(dst):]
 				}
 			}
 			if r.err == nil {
-				if crc32.ChecksumIEEE(block) == bm.Checksum {
+				if r.Sum == bm.Checksum {
 					h.observe(r.took)
 					if r.hedged {
 						b.counters.HedgeWins.Add(1)
@@ -274,16 +272,14 @@ func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, 
 						b.counters.HedgeLosses.Add(1)
 					}
 					if r.inPlace {
-						return r.data, nil
+						return r.Data, nil
 					}
 					settle()
 					return append(dst, block...), nil
 				}
-				b.counters.ChecksumFailures.Add(1)
 				r.err = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r.node)
-			} else if errors.Is(r.err, ErrNodeDown) {
-				b.counters.NodeDownErrors.Add(1)
 			}
+			b.noteReadFailure(r.err)
 			lastErr = r.err
 			refused.note(r.err)
 			// Failover: a failed fetch immediately tries the next

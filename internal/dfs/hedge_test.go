@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"slices"
 	"strings"
@@ -170,7 +169,7 @@ type stallingStore struct {
 	returned atomic.Bool
 }
 
-func (s *stallingStore) Get(ctx context.Context, id BlockID, dst []byte) ([]byte, error) {
+func (s *stallingStore) Get(ctx context.Context, id BlockID, dst []byte) (GetResult, error) {
 	spare := dst[len(dst):cap(dst)]
 	scribble := func(b byte) {
 		for i := range spare {
@@ -182,7 +181,7 @@ func (s *stallingStore) Get(ctx context.Context, id BlockID, dst []byte) ([]byte
 	time.Sleep(20 * time.Millisecond)
 	scribble(0x55)
 	s.returned.Store(true)
-	return nil, ctx.Err()
+	return GetResult{}, ctx.Err()
 }
 
 // TestHedgedReadWaitsOutInPlacePrimary: the first fetch of a hedged
@@ -215,7 +214,7 @@ func TestHedgedReadWaitsOutInPlacePrimary(t *testing.T) {
 				t.Fatal(err)
 			}
 			io.hedge.Load().observe(time.Millisecond)
-			bm := BlockMeta{ID: 1, File: "f", Size: int64(len(block)), Replicas: tc.replicas, Checksum: crc32.ChecksumIEEE(block)}
+			bm := BlockMeta{ID: 1, File: "f", Size: int64(len(block)), Replicas: tc.replicas, Checksum: Checksum(block)}
 			dst := append(make([]byte, 0, len(prefix)+len(block)), prefix...)
 
 			ctx, cancel := context.WithTimeout(context.Background(), tc.timeout)

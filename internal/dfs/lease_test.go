@@ -205,7 +205,7 @@ func TestScrubCollectsSurplusCopyOfLiveBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(ctx, bm.ID, data[:bm.Size]); err != nil {
+	if _, err := s.Put(ctx, bm.ID, data[:bm.Size]); err != nil {
 		t.Fatal(err)
 	}
 

@@ -118,7 +118,7 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 			if err != nil {
 				return report, err
 			}
-			if err := s.Put(ctx, bm.ID, data); err != nil {
+			if _, err := s.Put(ctx, bm.ID, data); err != nil {
 				if !IsTransient(err) {
 					return report, fmt.Errorf("dfs: repair %q block %d: %w", name, bm.Index, err)
 				}

@@ -28,7 +28,8 @@ type ResilienceCounters struct {
 	// replication because too few live nodes accepted replicas.
 	DegradedWrites atomic.Int64
 	// ChecksumFailures counts block reads rejected because the bytes
-	// did not match the block's CRC32.
+	// did not match their CRC32C: a chunk's on the wire, or the
+	// block's.
 	ChecksumFailures atomic.Int64
 	// NodeDownErrors counts operations rejected by a down DataNode.
 	NodeDownErrors atomic.Int64

@@ -125,7 +125,7 @@ func (d *DataNodeServer) methods() methodTable {
 		})},
 		"dn.stored": {classBackground, typed(func(_ context.Context, p getParams) (any, error) {
 			size, sum, ok := d.dn.StoredSum(p.Block)
-			return storedResult{Size: size, CRC32: sum, OK: ok}, nil
+			return storedResult{Size: size, Sum: sum, OK: ok}, nil
 		})},
 		"dn.blocks": {classBackground, bare(func(context.Context) (any, error) {
 			return blocksResult{Blocks: d.dn.StoredBlocks()}, nil

@@ -11,6 +11,9 @@ import (
 // Probes only the tests call: they read unexported state, force a
 // checkpoint, or replay a WAL root the way a restart would.
 
+// DefaultChunkSize is the chunk a writer streams a block in.
+const DefaultChunkSize = dfs.ChunkSize
+
 // resilience snapshots the counters of this client's own block I/O:
 // the failovers, retries, hedges and checksum catches of its puts and
 // gets (all zero before the first one). The NameNode's counters see

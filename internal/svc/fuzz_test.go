@@ -23,7 +23,9 @@ import (
 // payload decoder. The reader runs twice: pooling every payload, and
 // with a destination of dstLen bytes, which a chunk that fits must land
 // in — never past len(dst) — and one that does not must not be cut to
-// fit: it is pooled whole, exactly as the first read returned it.
+// fit: it is pooled whole, exactly as the first read returned it. An
+// accepted frame's sum is its payload's CRC32C, the sum a DataNode
+// keeps for a chunk and a reader folds into a block's.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{frameVersion}, uint16(1))
@@ -72,6 +74,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			switch {
 			case fr.Type != pooled.Type || fr.Flags != pooled.Flags || fr.Stream != pooled.Stream || !bytes.Equal(fr.Payload, pooled.Payload):
 				t.Fatalf("destination changed the frame: %+v, want %+v", fr, pooled)
+			case fr.sum != dfs.Checksum(fr.Payload) || pooled.sum != fr.sum:
+				t.Fatalf("an accepted frame's sum %#x (%#x pooled) is not its payload's CRC32C %#x", fr.sum, pooled.sum, dfs.Checksum(fr.Payload))
 			case fits && (fr.pooled || len(fr.Payload) > 0 && &fr.Payload[0] != &dst[0]):
 				t.Fatalf("a %d-byte chunk that fits a %d-byte destination was not read into it", len(fr.Payload), len(dst))
 			case !fits && !fr.pooled:

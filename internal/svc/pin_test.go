@@ -69,8 +69,8 @@ func TestPinnedReadsNeverMix(t *testing.T) {
 				case err != nil:
 					t.Errorf("reader %d: %v", r, err)
 					return
-				case !bytes.Equal(got, versions[0]) && !bytes.Equal(got, versions[1]):
-					t.Errorf("reader %d read %d bytes that are neither version whole", r, len(got))
+				case !bytes.Equal(got.Data, versions[0]) && !bytes.Equal(got.Data, versions[1]):
+					t.Errorf("reader %d read %d bytes that are neither version whole", r, len(got.Data))
 					return
 				default:
 					reads.Add(1)

@@ -26,16 +26,19 @@ import (
 // stream can never leave a committed prefix the writer did not hear
 // about from every deeper node first.
 //
-// A block byte crosses this node's user space once each way. A write
-// draws the replica at the announced size from the replica pool
-// (dfs.NewReplicaBuf), reads every chunk into its place there, forwards
-// it downstream from there with the header and CRC it arrived with, and
-// on commit hands that very buffer to the store (dfs.DataNode.Adopt); a
-// stream that ends without a commit hands it back to the pool. A read
-// streams the stored replica itself (dfs.DataNode.View) under a pin:
-// replicas are never written in place, and a deleted or replaced one's
-// buffer is recycled only once its last reader releases it, so no copy
-// is needed to serve one.
+// A block byte crosses this node's user space once each way, and is
+// summed once, on the way in. A write draws the replica at the
+// announced size from the replica pool (dfs.NewReplicaBuf), reads every
+// chunk into its place there — the frame check yielding the chunk's
+// CRC32C — forwards it downstream from there with the header and CRC it
+// arrived with, and on commit hands that very buffer to the store with
+// the chunks' sums (dfs.DataNode.Adopt); a stream that ends without a
+// commit hands it back to the pool. A read streams the stored replica
+// itself (dfs.DataNode.View) under a pin, on the chunk boundaries it
+// was written in, each chunk framed with its stored sum and not summed
+// again: replicas are never written in place, and a deleted or replaced
+// one's buffer is recycled only once its last reader releases it, so no
+// copy is needed to serve one.
 
 // serveData serves the stream that open begins.
 func (d *DataNodeServer) serveData(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, open frame2) bool {
@@ -130,11 +133,12 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	defer release()
 
 	// Receive the block straight into the replica: each chunk is read
-	// into its place in buf (CRC-checked there), relayed downstream from
-	// there with the header it arrived with, and buf itself becomes the
-	// stored replica on commit. Nothing else writes buf, before or after;
-	// every exit without a commit recycles it, as nothing here holds it
-	// once this function returns.
+	// into its place in buf (CRC-checked there, its sum kept in sums),
+	// relayed downstream from there with the header it arrived with, and
+	// buf itself becomes the stored replica on commit. Nothing else
+	// writes buf, before or after; every exit without a commit recycles
+	// it, as nothing here holds it once this function returns. The sums
+	// of a block of a few chunks stay in inline, which Adopt copies.
 	buf := dfs.NewReplicaBuf(int(ow.Size))
 	adopted := false
 	defer func() {
@@ -146,6 +150,8 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	if !ok {
 		return false // torn or corrupt: nothing relayed, nothing committed
 	}
+	var inline [4]dfs.ChunkSum
+	sums := append(inline[:0], dfs.ChunkSum{Len: uint32(len(cf.Payload)), Sum: cf.sum})
 
 	// The first chunk, checked, goes downstream with this hop's open
 	// frame, so the setup ack sent upstream below already says which
@@ -203,6 +209,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		if cf, ok = readChunk(br, sid, buf[received:]); !ok {
 			return false // torn stream: no commit, writer cleans up
 		}
+		sums = append(sums, dfs.ChunkSum{Len: uint32(len(cf.Payload)), Sum: cf.sum})
 		if down != nil {
 			relayErr := d.relayFault(ow.Chain[0])
 			if relayErr == nil {
@@ -247,7 +254,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	var self ackEntry
 	if cerr := ctx.Err(); cerr != nil {
 		self = failedAck(d.id, cerr)
-	} else if perr := d.dn.Adopt(ow.Block, buf); perr != nil {
+	} else if perr := d.dn.Adopt(ow.Block, buf, sums); perr != nil {
 		self = failedAck(d.id, perr)
 	} else {
 		adopted = true
@@ -312,7 +319,10 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 	// The stored replica itself is streamed, pinned until the stream
 	// ends: a delete or re-put of the block while it runs replaces the
 	// map entry, and these bytes are recycled only after the release.
-	data, unpin, gerr := d.dn.View(or.Block)
+	// Each chunk goes out under the sum stored with it, so bytes that
+	// changed since they were checked in — rot, or a fault injector's
+	// copy — fail the reader's frame check.
+	data, sums, unpin, gerr := d.dn.View(or.Block)
 	if gerr != nil {
 		if writeFrame2(bw, frameError, flagLast, sid, encodeErrorFrame(gerr)) == nil {
 			_ = bw.Flush()
@@ -323,14 +333,10 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 	if writeFrame2(bw, frameReadHdr, 0, sid, encodeReadHdr(int64(len(data)))) != nil {
 		return false
 	}
-	for off := 0; ; {
-		n := len(data) - off
-		if n > DefaultChunkSize {
-			n = DefaultChunkSize
-		}
-		last := off+n == len(data)
+	off := 0
+	for i, cs := range sums {
 		var flags uint16
-		if last {
+		if i == len(sums)-1 {
 			flags = flagLast
 		}
 		// A mid-stream partition severs the remaining chunks.
@@ -339,13 +345,11 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 				return false
 			}
 		}
-		if writeFrame2(bw, frameChunk, flags, sid, data[off:off+n]) != nil {
+		n := int(cs.Len)
+		if writeSummed(bw, frameChunk, flags, sid, data[off:off+n], cs.Sum) != nil {
 			return false
 		}
 		off += n
-		if last {
-			break
-		}
 	}
 	return bw.Flush() == nil
 }

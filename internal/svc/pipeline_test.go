@@ -526,7 +526,7 @@ func TestShedWriteReadsFirstChunkThenAnswers(t *testing.T) {
 		if i%2 == 1 {
 			data = block
 		}
-		acks, err := p.pipelinePut(ctx, chain, dfs.BlockID(71+i), data)
+		acks, _, err := p.pipelinePut(ctx, chain, dfs.BlockID(71+i), data)
 		if err != nil {
 			t.Fatalf("put %d against a shedding node: %v, want its overload acks", i, err)
 		}

@@ -13,15 +13,16 @@ import (
 
 // DataNode control RPC params/results. Block bytes move only over v2
 // streams (wire.go); dn.stored answers the verification read with the
-// size and checksum the DataNode computed over its own copy.
+// size and CRC32C the DataNode computed over its own copy, or OK false
+// for a block it does not hold.
 type getParams struct {
 	Block dfs.BlockID `json:"block"`
 }
 
 type storedResult struct {
-	Size  int64  `json:"size"`
-	CRC32 uint32 `json:"crc32"`
-	OK    bool   `json:"ok"`
+	Size int64  `json:"size"`
+	Sum  uint32 `json:"sum"`
+	OK   bool   `json:"ok"`
 }
 
 type blocksResult struct {
@@ -144,11 +145,13 @@ func (s *remoteStore) SetUp(up bool) {
 
 // observe runs one exchange with the DataNode under the breaker and
 // classifies how it ended: the peer answered (its own error passes
-// through with its taxonomy — the wire works, whatever it said), the
-// caller cancelled (a lost hedge race or an abandoned operation proves
-// nothing about the node, so neither the breaker nor the liveness
-// belief moves), or the transport failed (the store is marked down and
-// the error wraps dfs.ErrNodeDown). what names the exchange in the
+// through with its taxonomy — the wire works, whatever it said — and so
+// does a replica's chunk that failed its checksum, which says the
+// replica is bad, not the node), the caller cancelled (a lost hedge
+// race or an abandoned operation proves nothing about the node, so
+// neither the breaker nor the liveness belief moves), or the transport
+// failed (the store is marked down and the error wraps
+// dfs.ErrNodeDown). what names the exchange in the
 // abandoned-call error, and is called only to build that error: the
 // exchange that succeeds formats nothing.
 func (s *remoteStore) observe(ctx context.Context, what func() string, exchange func() error) error {
@@ -162,7 +165,7 @@ func (s *remoteStore) observe(ctx context.Context, what func() string, exchange 
 		return nil
 	}
 	var re *RemoteError
-	if errors.As(err, &re) {
+	if errors.As(err, &re) || errors.Is(err, dfs.ErrChecksum) {
 		s.brk.record(probe, true)
 		return err
 	}
@@ -182,8 +185,9 @@ func (s *remoteStore) call(ctx context.Context, method string, params, result an
 	})
 }
 
-func (s *remoteStore) Put(ctx context.Context, id dfs.BlockID, data []byte) error {
-	return s.PutChain(ctx, id, data, nil).Failed[s.id]
+func (s *remoteStore) Put(ctx context.Context, id dfs.BlockID, data []byte) (uint32, error) {
+	res := s.PutChain(ctx, id, data, nil)
+	return res.Sum, res.Failed[s.id]
 }
 
 // PutChain streams the block to this node and onward through rest over
@@ -213,7 +217,7 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 		}
 		return res
 	}
-	acks, err := s.conns.pipelinePut(ctx, chain, id, data)
+	acks, sum, err := s.conns.pipelinePut(ctx, chain, id, data)
 	s.brk.record(probe, err == nil)
 	if err != nil {
 		// The stream broke: no commit acks, so whether any chain node
@@ -230,6 +234,7 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 		}
 		return res
 	}
+	res.Sum = sum
 	acked := make(map[cluster.NodeID]bool, len(acks))
 	for _, e := range acks {
 		if e.OK {
@@ -265,28 +270,32 @@ func (s *remoteStore) peerEvidence(n cluster.NodeID, ok bool) {
 
 // Get streams the block from the node into dst's spare capacity
 // (dfs.BlockStore).
-func (s *remoteStore) Get(ctx context.Context, id dfs.BlockID, dst []byte) ([]byte, error) {
-	var data []byte
+func (s *remoteStore) Get(ctx context.Context, id dfs.BlockID, dst []byte) (dfs.GetResult, error) {
+	var got dfs.GetResult
 	err := s.observe(ctx, func() string { return fmt.Sprintf("get block %d from", id) }, func() (err error) {
-		data, err = s.conns.streamGet(ctx, s.addr, s.peer, id, dst)
+		got, err = s.conns.streamGet(ctx, s.addr, s.peer, id, dst)
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
+	return got, err
 }
 
 func (s *remoteStore) Delete(ctx context.Context, id dfs.BlockID) error {
 	return s.call(ctx, "dn.delete", getParams{Block: id}, nil)
 }
 
-func (s *remoteStore) StoredSum(ctx context.Context, id dfs.BlockID) (int64, uint32, bool) {
+// StoredSum asks the node for its own sum of a block (dfs.BlockStore).
+// A node that could not be asked — unreachable (dfs.ErrNodeDown) or
+// shedding the call as background work (dfs.ErrOverload) — answers
+// with that error, which says nothing about the block.
+func (s *remoteStore) StoredSum(ctx context.Context, id dfs.BlockID) (int64, uint32, error) {
 	var res storedResult
 	if err := s.call(ctx, "dn.stored", getParams{Block: id}, &res); err != nil {
-		return 0, 0, false
+		return 0, 0, err
 	}
-	return res.Size, res.CRC32, res.OK
+	if !res.OK {
+		return 0, 0, fmt.Errorf("%w: block %d on datanode %d", dfs.ErrBlockNotFound, id, s.id)
+	}
+	return res.Size, res.Sum, nil
 }
 
 // StoredBlocks fetches the node's block inventory; ok is false when

@@ -342,33 +342,45 @@ func peerClosed(err error) bool {
 // pipelinePut streams one block through the replication chain
 // (chain[0] is this owner's peer; the rest ride in the open frame for
 // the relays) and returns the commit-phase ack entries, one per chain
-// node, in chain order. The block costs one round trip through the
-// chain: the open frame and the first chunk leave in one flush, each
-// relay checks that chunk and sends it on with its own open, and the
-// setup acks come back as the deepest node has the chunk. Any further
+// node, in chain order, and the block's CRC32C: each chunk is summed
+// once, the sum framing the chunk and folding into the block's. The
+// block costs one round trip through the chain: the open frame and the
+// first chunk leave in one flush, each relay checks that chunk and
+// sends it on with its own open, and the setup acks come back as the
+// deepest node has the chunk. Any further
 // chunks follow the setup ack, and for a block of one chunk the setup
 // and commit acks arrive together. A nil error means the commit acks
 // arrived — individual nodes may still report failure in their
 // entries. A non-nil error means the stream broke and the commit
 // outcome of every chain node is unknown: the caller must treat all of
 // them as unacked and clean up best-effort.
-func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs.BlockID, data []byte) ([]ackEntry, error) {
+func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs.BlockID, data []byte) ([]ackEntry, uint32, error) {
 	addr, peer := chain[0].Addr, endpointName(chain[0].Node)
 	sid := streamIDs.Add(1)
-	// sendChunk writes the chunk at off and returns the offset past it.
-	// A partition formed mid-stream severs the remaining chunks.
+	// sendChunk writes the chunk at off and returns the offset past it,
+	// folding the chunk's sum into the block's. A redial sends chunk 0
+	// again, and the block sum starts over with it. A partition formed
+	// mid-stream severs the remaining chunks.
+	var sum uint32
 	sendChunk := func(w io.Writer, off int) (int, error) {
 		if p.faults != nil {
 			if err := p.faults.FailMessage(p.local, peer); err != nil {
 				return off, err
 			}
 		}
-		n := min(len(data)-off, DefaultChunkSize)
+		n := min(len(data)-off, dfs.ChunkSize)
 		var flags uint16
 		if off+n == len(data) {
 			flags = flagLast
 		}
-		return off + n, writeFrame2(w, frameChunk, flags, sid, data[off:off+n])
+		chunk := data[off : off+n]
+		cs := dfs.Checksum(chunk)
+		if off == 0 {
+			sum = cs
+		} else {
+			sum = dfs.CombineChecksum(sum, cs, int64(n))
+		}
+		return off + n, writeSummed(w, frameChunk, flags, sid, chunk, cs)
 	}
 	off := 0
 	dc, sf, err := p.openStream(ctx, addr, peer, func(w io.Writer) (err error) {
@@ -379,110 +391,117 @@ func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs
 		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("svc: pipeline put block %d: setup: %w", id, err)
+		return nil, 0, fmt.Errorf("svc: pipeline put block %d: setup: %w", id, err)
 	}
 	clean := false
 	defer func() { p.park(addr, dc, clean) }()
 	if sf.Type != frameSetupAck || sf.Stream != sid {
 		sf.release()
-		return nil, fmt.Errorf("%w: pipeline put block %d: unexpected setup frame type %d", ErrBadFrame, id, sf.Type)
+		return nil, 0, fmt.Errorf("%w: pipeline put block %d: unexpected setup frame type %d", ErrBadFrame, id, sf.Type)
 	}
 	setup, err := decodeAcks(sf.Payload)
 	sf.release()
 	if err != nil {
-		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
+		return nil, 0, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
 	if !anyOK(setup) {
 		// Early abort: nobody admitted the stream, so nothing past the
 		// first chunk is sent — the setup entries are the final
 		// outcome, and the stream ends here, uncleanly.
-		return setup, nil
+		return setup, sum, nil
 	}
 
 	for off < len(data) {
 		if off, err = sendChunk(dc.bw, off); err != nil {
-			return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
+			return nil, 0, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 		}
 	}
 	if err := dc.bw.Flush(); err != nil { // a no-op when the first chunk was the block
-		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
+		return nil, 0, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
 
 	cf, err := readFrame2(dc.br, nil)
 	if err != nil {
-		return nil, fmt.Errorf("svc: pipeline put block %d: commit: %w", id, err)
+		return nil, 0, fmt.Errorf("svc: pipeline put block %d: commit: %w", id, err)
 	}
 	if cf.Type != frameCommitAck || cf.Stream != sid {
 		cf.release()
-		return nil, fmt.Errorf("%w: pipeline put block %d: unexpected commit frame type %d", ErrBadFrame, id, cf.Type)
+		return nil, 0, fmt.Errorf("%w: pipeline put block %d: unexpected commit frame type %d", ErrBadFrame, id, cf.Type)
 	}
 	acks, err := decodeAcks(cf.Payload)
 	cf.release()
 	if err != nil {
-		return nil, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
+		return nil, 0, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
 	clean = true
-	return acks, nil
+	return acks, sum, nil
 }
 
 // streamGet reads one block over a v2 stream and appends it to dst,
-// returning the extended slice: open, a header
+// returning the extended slice and the block's CRC32C: open, a header
 // announcing the total size, then chunks, each read straight into its
 // place in dst's spare capacity — grown once when it is short — so the
-// block crosses user space once. A server-side failure arrives as an
-// error frame whose taxonomy survives rehydration (errors.Is,
-// IsTransient).
-func (p *streamPool) streamGet(ctx context.Context, addr, peer string, id dfs.BlockID, dst []byte) ([]byte, error) {
+// block crosses user space once, and checked there, the check yielding
+// the chunk's sum to fold into the block's. A chunk that fails its
+// check is dfs.ErrChecksum. A server-side failure arrives as an error
+// frame whose taxonomy survives rehydration (errors.Is, IsTransient).
+func (p *streamPool) streamGet(ctx context.Context, addr, peer string, id dfs.BlockID, dst []byte) (dfs.GetResult, error) {
 	sid := streamIDs.Add(1)
 	dc, hf, err := p.openStream(ctx, addr, peer, func(w io.Writer) error {
 		return writeFrame2(w, frameOpenRead, 0, sid, encodeOpenRead(openRead{Block: id, DeadlineMS: budgetOf(ctx), From: p.local}))
 	})
 	if err != nil {
-		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
+		return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, err)
 	}
 	clean := false
 	defer func() { p.park(addr, dc, clean) }()
 	if hf.Type == frameError {
 		rerr := decodeErrorFrame(hf.Payload)
 		hf.release()
-		return nil, fmt.Errorf("svc: stream get block %d: %w", id, rerr)
+		return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, rerr)
 	}
 	if hf.Type != frameReadHdr || hf.Stream != sid {
 		hf.release()
-		return nil, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, hf.Type)
+		return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, hf.Type)
 	}
 	size, err := decodeReadHdr(hf.Payload)
 	hf.release()
 	if err != nil {
-		return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
+		return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, err)
 	}
 	if size > MaxBlockBytes {
-		return nil, fmt.Errorf("%w: stream get block %d announces %d bytes", ErrFrameTooLarge, id, size)
+		return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d announces %d bytes", ErrFrameTooLarge, id, size)
 	}
 
 	out := slices.Grow(dst, int(size))
 	block := out[len(dst) : len(dst)+int(size)]
 	got := 0
+	var sum uint32
 	for {
 		cf, err := readFrame2(dc.br, block[got:])
+		if errors.Is(err, errChunkCRC) {
+			// The replica's bytes are bad, not the node's wire.
+			return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d from %s: %v", dfs.ErrChecksum, id, peer, err)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("svc: stream get block %d: %w", id, err)
+			return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, err)
 		}
 		if cf.Type == frameError {
 			rerr := decodeErrorFrame(cf.Payload)
 			cf.release()
-			return nil, fmt.Errorf("svc: stream get block %d: %w", id, rerr)
+			return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, rerr)
 		}
 		if cf.Type != frameChunk || cf.Stream != sid {
 			cf.release()
-			return nil, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, cf.Type)
+			return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, cf.Type)
 		}
 		// A chunk that fits was read into block; one that does not was
 		// pooled instead, and overflows the announced size.
 		n, last := len(cf.Payload), cf.last()
+		sum = dfs.CombineChecksum(sum, cf.sum, int64(n))
 		cf.release()
 		if n > len(block)-got {
-			return nil, fmt.Errorf("%w: stream get block %d overflows announced size %d", ErrBadFrame, id, size)
+			return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d overflows announced size %d", ErrBadFrame, id, size)
 		}
 		got += n
 		if last {
@@ -490,8 +509,8 @@ func (p *streamPool) streamGet(ctx context.Context, addr, peer string, id dfs.Bl
 		}
 	}
 	if got != len(block) {
-		return nil, fmt.Errorf("%w: stream get block %d: got %d of %d bytes", ErrBadFrame, id, got, size)
+		return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d: got %d of %d bytes", ErrBadFrame, id, got, size)
 	}
 	clean = true
-	return out[:len(dst)+got], nil
+	return dfs.GetResult{Data: out[:len(dst)+got], Sum: sum}, nil
 }

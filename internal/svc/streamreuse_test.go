@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -25,7 +24,8 @@ import (
 func streamGet(ctx context.Context, local string, faults TransportFaults, addr, peer string, id dfs.BlockID) ([]byte, error) {
 	p := &streamPool{local: local, faults: faults}
 	defer p.close()
-	return p.streamGet(ctx, addr, peer, id, nil)
+	got, err := p.streamGet(ctx, addr, peer, id, nil)
+	return got.Data, err
 }
 
 // reuseCluster boots an n-node loopback cluster with 4 KiB blocks and
@@ -165,13 +165,13 @@ func TestStaleParkedConnectionsRedialUnseen(t *testing.T) {
 	waitServed(t, dn0, 0)
 
 	wantSize, wantSum := int64(len(data)), fm.Blocks[0].Checksum
-	if size, sum, ok := dp.stores[0].StoredSum(ctx, block); !ok || size != wantSize || sum != wantSum {
-		t.Fatalf("dn.stored on a stale parked connection: size %d, sum %08x, ok %v", size, sum, ok)
+	if size, sum, err := dp.stores[0].StoredSum(ctx, block); err != nil || size != wantSize || sum != wantSum {
+		t.Fatalf("dn.stored on a stale parked connection: size %d, sum %08x, %v", size, sum, err)
 	}
 	// The call's redial is what is parked now: make it stale too.
 	dn0.closeServed()
 	waitServed(t, dn0, 0)
-	if got, err := dp.stores[0].Get(ctx, block, nil); err != nil || !bytes.Equal(got, data) {
+	if got, err := dp.stores[0].Get(ctx, block, nil); err != nil || !bytes.Equal(got.Data, data) {
 		t.Fatalf("read on a stale parked connection: %v", err)
 	}
 	if res := dp.stores[1].PutChain(ctx, scratch+1, data, []cluster.NodeID{0}); len(res.Failed) != 0 || len(res.Acked) != 2 {
@@ -291,7 +291,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 	}
 	p.faults = &partitionAt{NetFaults: faults, endpoint: peer, at: 3}
 	big := payload(3 * DefaultChunkSize)
-	if _, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 90, big); err == nil {
+	if _, _, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 90, big); err == nil {
 		t.Fatal("a put partitioned mid-stream succeeded")
 	}
 	p.faults = nil
@@ -318,7 +318,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 	for adm.QueueDepth() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	acks, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 91, payload(100))
+	acks, _, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 91, payload(100))
 	qcancel()
 	hold()
 	<-queued
@@ -335,7 +335,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 	check("block_not_found error frame")
 
 	// A clean stream parks its connection.
-	if _, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 93, payload(100)); err != nil {
+	if _, _, err := p.pipelinePut(ctx, []chainEntry{{Node: 0, Addr: addr}}, 93, payload(100)); err != nil {
 		t.Fatal(err)
 	}
 	if n := p.idleTo(addr); n != 1 {
@@ -433,10 +433,10 @@ func TestCallsAndStreamsShareOneConnection(t *testing.T) {
 	if res := st.PutChain(ctx, 5, data, nil); len(res.Failed) != 0 {
 		t.Fatalf("put: %v", res.Failed)
 	}
-	if size, sum, ok := st.StoredSum(ctx, 5); !ok || size != int64(len(data)) || sum != crc32.ChecksumIEEE(data) {
-		t.Fatalf("dn.stored: size %d, sum %08x, ok %v", size, sum, ok)
+	if size, sum, err := st.StoredSum(ctx, 5); err != nil || size != int64(len(data)) || sum != dfs.Checksum(data) {
+		t.Fatalf("dn.stored: size %d, sum %08x, %v", size, sum, err)
 	}
-	if got, err := st.Get(ctx, 5, nil); err != nil || !bytes.Equal(got, data) {
+	if got, err := st.Get(ctx, 5, nil); err != nil || !bytes.Equal(got.Data, data) {
 		t.Fatalf("get: %v", err)
 	}
 	if blocks, ok := st.StoredBlocks(ctx); !ok || len(blocks) != 1 || blocks[0] != 5 {

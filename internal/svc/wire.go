@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -25,18 +24,34 @@ import (
 //
 // Frame layout (big-endian), 20-byte header:
 //
-//	offset 0      version byte (0x02)
+//	offset 0      version byte (0x03)
 //	offset 1      frame type
 //	offset 2-3    flags (bit 0: last chunk of the stream)
 //	offset 4-11   stream id (a call's id for a call)
 //	offset 12-15  payload length
-//	offset 16-19  CRC32C over header[0:16] + payload
+//	offset 16-19  CRC32C over payload + header[0:16]
 //
 // The CRC covers the header prefix too, so a flipped type, flag, or
-// length is caught, not just payload corruption. It is computed once,
-// by the frame's writer: a relay forwards a chunk with the header —
-// CRC included — it arrived with, after checking it, so every hop
-// verifies every frame and the check runs end to end from the writer.
+// length is caught, not just payload corruption. The payload comes
+// first so that the CRC extends the payload's own CRC32C — the sum
+// dfs keeps per chunk and folds into a block's (dfs.CombineChecksum) —
+// by 16 bytes: a writer that knows a chunk's sum frames it without
+// touching its bytes again, and a receiver's one pass over the payload
+// both checks the frame and yields the chunk's sum.
+//
+// Each block byte is summed once per endpoint. The writing client sums
+// each chunk as it sends it and folds those sums into the block's; a
+// relay forwards a chunk with the header — CRC included — it arrived
+// with, after checking it; each DataNode keeps the sums of the chunks
+// it received beside the replica and serves the replica on those
+// boundaries under those sums; and the reader's check of each frame
+// yields the sums it folds into the block sum it compares with the
+// metadata. So every hop verifies every frame, the check runs end to
+// end from the writer, and a replica that rotted in store fails its
+// frame check at the reader. There, on a read stream, a chunk whose CRC
+// fails is dfs.ErrChecksum: the reader fails over to another replica
+// exactly as for a block-sum mismatch. Everywhere else it is
+// ErrBadFrame, as is header garbage.
 //
 // Block bytes cross user space once per hop. readFrame2 reads a chunk
 // straight into the destination its caller hands it — the replica
@@ -65,7 +80,7 @@ import (
 // binary layout for each would be twenty more decoders to keep fuzzed
 // with no measurement asking for it.
 const (
-	frameVersion = 0x02
+	frameVersion = 0x03
 	headerSize   = 20
 
 	// MaxChunkPayload bounds the payload of every frame but a call and
@@ -84,11 +99,6 @@ const (
 	// a name and 12 a block id, a listing of 250,000 files or an
 	// inventory of a million blocks.
 	MaxControlFrame = 16 << 20
-
-	// DefaultChunkSize is the streaming granularity for block data:
-	// large enough to amortize syscalls, small enough that pooled
-	// buffers stay cache-friendly and partitions abort streams fast.
-	DefaultChunkSize = 256 << 10
 
 	// MaxBlockBytes bounds one block on a stream: twice the 64 MB HDFS
 	// default block.
@@ -134,10 +144,6 @@ type TransportFaults interface {
 	MessageDelay(from, to string) time.Duration
 }
 
-// crcTable is the Castagnoli polynomial (CRC32C), hardware-accelerated
-// on amd64/arm64 — the HDFS data-transfer checksum choice.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // bufPool recycles wire buffers so the hot path makes no per-frame
 // allocations. Gets and puts are counted so tests can prove every
 // acquired buffer is released on every code path, including errors —
@@ -163,8 +169,9 @@ func (p *bufPool) get(n int) []byte {
 		if cap(b) >= n {
 			return b[:n]
 		}
-		// Too small for this caller: retire it silently (it was
-		// counted at its own get) and allocate fresh.
+		// Too small for this caller: put it back for a smaller one,
+		// uncounted (it was counted at its own get and put), and
+		// allocate fresh.
 		p.pool.Put(v)
 	}
 	return make([]byte, n)
@@ -194,6 +201,7 @@ type frame2 struct {
 	Payload []byte
 
 	crc    uint32 // the checksum the frame carries, computed by its writer
+	sum    uint32 // the CRC32C of Payload, which crc extends
 	pooled bool   // Payload came from frameBufs
 }
 
@@ -220,20 +228,27 @@ func (f *frame2) header() (hdr [headerSize]byte) {
 	return hdr
 }
 
-// checksum is the CRC32C over a header prefix and a payload.
-func checksum(prefix, payload []byte) uint32 {
-	return crc32.Update(crc32.Update(0, crcTable, prefix), crcTable, payload)
+// frameCRC is a frame's checksum: the CRC32C of its payload, given as
+// sum, extended over the header prefix.
+func frameCRC(sum uint32, prefix []byte) uint32 {
+	return dfs.ExtendChecksum(sum, prefix)
 }
 
 // writeFrame2 writes one frame. The payload is written as-is
 // (zero-copy); callers keep ownership and serialize access to w.
 func writeFrame2(w io.Writer, typ uint8, flags uint16, stream uint64, payload []byte) error {
+	return writeSummed(w, typ, flags, stream, payload, dfs.Checksum(payload))
+}
+
+// writeSummed is writeFrame2 for a payload whose CRC32C, sum, the
+// caller already knows: the payload is not read again.
+func writeSummed(w io.Writer, typ uint8, flags uint16, stream uint64, payload []byte, sum uint32) error {
 	if len(payload) > maxPayload(typ) {
 		return fmt.Errorf("%w: type %d payload %d bytes", ErrFrameTooLarge, typ, len(payload))
 	}
 	f := frame2{Type: typ, Flags: flags, Stream: stream, Payload: payload}
 	hdr := f.header()
-	f.crc = checksum(hdr[:16], payload)
+	f.crc = frameCRC(sum, hdr[:16])
 	return forwardFrame(w, &f)
 }
 
@@ -254,14 +269,20 @@ func forwardFrame(w io.Writer, f *frame2) error {
 	return nil
 }
 
+// errChunkCRC is a chunk frame whose CRC failed: its bytes, or its
+// header, changed after its writer summed them.
+var errChunkCRC = fmt.Errorf("%w: chunk CRC mismatch", ErrBadFrame)
+
 // readFrame2 reads one frame, the only function that takes a header
 // off a socket. A payload length beyond the type's bound is refused
 // before any buffer is taken for it. A chunk whose payload fits dst is
 // read straight into dst's first bytes — never past len(dst) — and its
 // Payload aliases them; every other frame's payload is pooled and owned
 // by the caller (release it once). Either way the CRC is checked where
-// the bytes landed. On any error every acquired buffer has already
-// been returned, and dst may hold a torn prefix of the refused chunk.
+// the bytes landed, and the frame's sum is its payload's CRC32C. A frame
+// that fails the check is ErrBadFrame, and a chunk errChunkCRC too. On
+// any error every acquired buffer has already been returned, and dst
+// may hold a torn prefix of the refused chunk.
 func readFrame2(r io.Reader, dst []byte) (frame2, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -293,8 +314,12 @@ func readFrame2(r io.Reader, dst []byte) (frame2, error) {
 		f.release()
 		return frame2{}, fmt.Errorf("svc: read frame payload: %w", err)
 	}
-	if checksum(hdr[:16], f.Payload) != f.crc {
+	f.sum = dfs.Checksum(f.Payload)
+	if frameCRC(f.sum, hdr[:16]) != f.crc {
 		f.release()
+		if typ == frameChunk {
+			return frame2{}, errChunkCRC
+		}
 		return frame2{}, fmt.Errorf("%w: frame CRC mismatch", ErrBadFrame)
 	}
 	return f, nil
