@@ -57,8 +57,8 @@ hedge-stress:
 # not write, 30s in all, each target for 5s on top of its committed
 # seed corpus: the frame codec, which is the whole wire (calls, replies
 # and errors ride the frames block streams do) — the decoder target
-# (arbitrary bytes must never crash, leak pooled buffers, or yield an
-# invalid frame) and the chunk-reassembly round trip — the trace CSV
+# (arbitrary bytes must never crash, write past the destination, or
+# yield an invalid frame) and the chunk-reassembly round trip — the trace CSV
 # decoder (never panics; whatever it accepts survives a write and a
 # re-read unchanged), the WAL segment decoder (a damaged final
 # segment replays a prefix of what was written; a damaged earlier one

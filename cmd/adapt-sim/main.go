@@ -47,7 +47,6 @@ func run(args []string) (err error) {
 		workers       = fs.Int("workers", 0, "concurrent trial runners (0 = GOMAXPROCS); results are identical for any value")
 		seed          = fs.Uint64("seed", 1, "random seed")
 		meanMTBI      = fs.Float64("trace-mtbi", 3000, "trace mode: compressed pooled mean MTBI (s)")
-		noSpec        = fs.Bool("no-speculation", false, "disable speculative execution (same as -speculation none; -speculation wins when both are given)")
 		speculation   = fs.String("speculation", "", "speculation policy: reactive | none | predictive | redundant (default reactive)")
 		redundancy    = fs.Int("redundancy", 0, "redundant policy: attempts per task (default 2)")
 		scheduler     = fs.String("scheduler", "locality-first", "scheduler: locality-first | availability-aware")
@@ -144,8 +143,6 @@ func run(args []string) (err error) {
 			return err
 		}
 		specPolicy = p
-	} else if *noSpec {
-		specPolicy = adapt.SpeculationNone
 	}
 	sc := adapt.Scenario{
 		Config: adapt.SimConfig{

@@ -70,7 +70,7 @@ func TestRunTraceMode(t *testing.T) {
 func TestRunNaiveStrategy(t *testing.T) {
 	err := run([]string{
 		"-nodes", "16", "-blocks-per-node", "5",
-		"-strategy", "naive", "-trials", "1", "-no-speculation",
+		"-strategy", "naive", "-trials", "1", "-speculation", "none",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,20 +98,5 @@ func TestRunCPUProfileFlag(t *testing.T) {
 	}
 	if st, err := os.Stat(out); err != nil || st.Size() == 0 {
 		t.Fatalf("profile not written: %v", err)
-	}
-}
-
-// -no-speculation is -speculation none; an explicit -speculation wins.
-func TestNoSpeculationFlag(t *testing.T) {
-	base := []string{"-nodes", "16", "-blocks-per-node", "5", "-trials", "1"}
-	off := captureRun(t, append([]string{"-no-speculation"}, base...))
-	none := captureRun(t, append([]string{"-speculation", "none"}, base...))
-	if off != none {
-		t.Fatalf("-no-speculation differs from -speculation none:\n%s\n%s", off, none)
-	}
-	both := captureRun(t, append([]string{"-no-speculation", "-speculation", "reactive"}, base...))
-	reactive := captureRun(t, base)
-	if both != reactive {
-		t.Fatalf("-speculation did not win over -no-speculation:\n%s\n%s", both, reactive)
 	}
 }

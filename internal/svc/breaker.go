@@ -20,13 +20,14 @@ import (
 //	            fast-fails (and Up() reports false, so the replica
 //	            ordering routes around the node) until the cooldown
 //	            expires.
-//	HalfOpen  — cooldown over; exactly Probes calls are admitted as
-//	            probes. The first success closes the breaker, a
-//	            failed probe re-opens it for another cooldown.
+//	HalfOpen  — cooldown over; one call at a time is admitted as a
+//	            probe. Its success closes the breaker, a failed
+//	            probe re-opens it for another cooldown.
 //
-// The cooldown is jittered by a seeded stats.RNG, so soaks replay
-// probe schedules deterministically under a fixed seed and a fleet of
-// breakers opened by the same partition does not probe in lockstep.
+// The cooldown is widened by up to breakerJitter of itself, drawn from
+// a seeded stats.RNG, so soaks replay probe schedules deterministically
+// under a fixed seed and a fleet of breakers opened by the same
+// partition does not probe in lockstep.
 
 // BreakerConfig tunes the per-node breakers. The zero value disables
 // them (every call admitted), preserving historical behavior.
@@ -37,22 +38,15 @@ type BreakerConfig struct {
 	// Cooldown is the base open duration before half-open probing.
 	// Default 500ms.
 	Cooldown time.Duration
-	// Jitter widens each cooldown by a uniform draw in
-	// [0, Jitter*Cooldown) from the seeded RNG. Default 0.2.
-	Jitter float64
-	// Probes is how many concurrent calls HalfOpen admits. Default 1.
-	Probes int
 }
+
+// breakerJitter widens each cooldown by a uniform draw in
+// [0, breakerJitter*Cooldown) from the seeded RNG.
+const breakerJitter = 0.2
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = 500 * time.Millisecond
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.2
-	}
-	if c.Probes <= 0 {
-		c.Probes = 1
 	}
 	return c
 }
@@ -90,7 +84,7 @@ type breaker struct {
 	state     breakerState
 	fails     int       // consecutive transport failures while closed
 	openUntil time.Time // end of the current cooldown
-	probes    int       // in-flight probes while half-open
+	probing   bool      // a probe is in flight while half-open
 }
 
 // newBreaker builds one breaker, or nil when cfg disables them. g must
@@ -109,7 +103,7 @@ func newBreaker(cfg BreakerConfig, g *stats.RNG, st *BreakerStats) *breaker {
 // cooldown draws the next jittered open window.
 func (b *breaker) cooldown() time.Duration {
 	d := b.cfg.Cooldown
-	return d + time.Duration(b.g.Float64()*b.cfg.Jitter*float64(d))
+	return d + time.Duration(b.g.Float64()*breakerJitter*float64(d))
 }
 
 // admit decides whether a call may touch the wire. probe marks calls
@@ -130,14 +124,14 @@ func (b *breaker) admit() (probe, ok bool) {
 			return false, false
 		}
 		b.state = BreakerHalfOpen
-		b.probes = 0
+		b.probing = false
 		fallthrough
 	default: // BreakerHalfOpen
-		if b.probes >= b.cfg.Probes {
+		if b.probing {
 			b.stats.FastFails.Add(1)
 			return false, false
 		}
-		b.probes++
+		b.probing = true
 		return true, true
 	}
 }
@@ -152,7 +146,7 @@ func (b *breaker) record(probe, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
-		b.probes--
+		b.probing = false
 	}
 	if ok {
 		if b.state == BreakerHalfOpen {
@@ -187,7 +181,7 @@ func (b *breaker) forget(probe bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probes--
+	b.probing = false
 }
 
 // blocked reports whether the breaker is open with cooldown remaining

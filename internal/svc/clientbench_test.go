@@ -117,7 +117,7 @@ func BenchmarkClientPutGetBySize(b *testing.B) {
 // replica pool, which the previous pair's delete refilled, and the get
 // assembles the file in place, the hedged ladder too when no hedge
 // fires. A replica or block buffer allocated fresh instead of drawn,
-// chunk frames read into a pooled buffer and copied out again, a
+// chunk frames read into a slice of their own and copied out again, a
 // replica copied on its way into or out of the store, or a hedged fetch
 // read into a buffer of its own and appended would break the budget.
 // Under -race the pool drops a random quarter of what it is given, so

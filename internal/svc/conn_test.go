@@ -11,7 +11,6 @@ import (
 	"math"
 	"net"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,26 +46,23 @@ func (p *rawPeer) send(typ uint8, flags uint16, id uint64, payload []byte) {
 	}
 }
 
-// recv reads one frame of the wanted type and returns its payload,
-// copied out of the pool.
+// recv reads one frame of the wanted type and returns its payload.
 func (p *rawPeer) recv(want uint8) []byte {
 	p.t.Helper()
 	f, err := readFrame2(p.br, nil)
 	if err != nil {
 		p.t.Fatalf("waiting for frame type %d: %v", want, err)
 	}
-	defer f.release()
 	if f.Type != want {
 		p.t.Fatalf("frame type %d (payload %q), want %d", f.Type, f.Payload, want)
 	}
-	return slices.Clone(f.Payload)
+	return f.Payload
 }
 
 // closed asserts the peer hung up without another frame.
 func (p *rawPeer) closed() {
 	p.t.Helper()
 	if f, err := readFrame2(p.br, nil); !errors.Is(err, io.EOF) {
-		f.release()
 		p.t.Fatalf("connection still open: read %+v, err %v; want EOF", f, err)
 	}
 }
@@ -76,10 +72,9 @@ func (p *rawPeer) closed() {
 // carries one exchange at a time, so each call takes its own — and
 // their replies find their callers in whatever order the handlers
 // finish. Afterwards the pool keeps maxIdleStreams connections parked,
-// the server serves exactly those, and every pooled buffer is back.
+// and the server serves exactly those.
 func TestCallsMultiplexOutOfOrder(t *testing.T) {
 	const n = 64
-	start := frameBufs.balance()
 	gates := make([]chan struct{}, n)
 	for i := range gates {
 		gates[i] = make(chan struct{})
@@ -133,12 +128,10 @@ func TestCallsMultiplexOutOfOrder(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	requirePoolBalance(t, start)
 }
 
 // TestWrongFrameKindClosesConnection: a frame that cannot begin an
-// exchange ends the connection with ErrBadFrame and every pooled buffer
-// returned — a chunk or a reply where an exchange must begin, one of no
+// exchange ends the connection with ErrBadFrame — a chunk or a reply where an exchange must begin, one of no
 // known type, a stream open to an endpoint that serves none after a
 // call, a call in the middle of a stream, an unknown type after a
 // finished stream — and the servers keep serving. A finished stream's
@@ -146,7 +139,6 @@ func TestCallsMultiplexOutOfOrder(t *testing.T) {
 // connection whose answer is of the wrong kind or for another call.
 func TestWrongFrameKindClosesConnection(t *testing.T) {
 	lc := testCluster(t, 2, nil)
-	start := frameBufs.balance()
 	ping := encodeCall(callHeader{From: "tester", Method: "nn.list"}, nil)
 	open := encodeOpenWrite(openWrite{Block: 77, Size: 2048, From: "tester"})
 	unknown := func(p *rawPeer) {
@@ -161,7 +153,6 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	// streams answers every read stream with an empty block, cleanly.
 	streams := NewServer("streams", nil, nil)
 	streams.SetDataHandler(func(_ context.Context, _ net.Conn, _ *bufio.Reader, w *bufio.Writer, open frame2) bool {
-		defer open.release()
 		return writeFrame2(w, frameReadHdr, 0, open.Stream, encodeReadHdr(0)) == nil && w.Flush() == nil
 	})
 	readEmpty := func(p *rawPeer, id uint64) {
@@ -269,7 +260,6 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 				hungUp <- err
 				return
 			}
-			f.release()
 			typ, id := answer(f.Stream)
 			if err := writeFrame2(nc, typ, 0, id, encodeReadHdr(0)); err != nil {
 				hungUp <- err
@@ -293,7 +283,6 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 		_ = ln.Close()
 	}
 
-	requirePoolBalance(t, start)
 	cl := lc.Client("shell")
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -309,7 +298,6 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 // under a sane deadline, not expired at birth.
 func TestAbsurdBudgetIsClamped(t *testing.T) {
 	lc := testCluster(t, 1, nil)
-	start := frameBufs.balance()
 	dn, err := lc.DataNode(0)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +332,6 @@ func TestAbsurdBudgetIsClamped(t *testing.T) {
 			_ = p.nc.Close()
 		}
 	}
-	requirePoolBalance(t, start)
 	cl := lc.Client("shell")
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -40,10 +40,6 @@ func (c *Client) breakerStats() *BreakerStats {
 	return c.data.brkStats
 }
 
-// balance returns outstanding gets (gets - puts); zero means every
-// acquired buffer was released.
-func (p *bufPool) balance() int64 { return p.gets.Load() - p.puts.Load() }
-
 // RecoverShards rebuilds every shard's image from a sharded WAL root
 // (shards == 1 reads the flat single-log layout), one sorted file list
 // per shard, without taking ownership of any log — the read-only

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/dfs"
@@ -10,20 +11,18 @@ import (
 // Fuzz targets for the wire codec (wire.go), the whole of it: calls,
 // replies and errors ride the same frames block streams do. The
 // decoders face bytes straight off a socket, so the contract under
-// arbitrary input
-// is: never panic, never allocate unboundedly, and never leak a pooled
-// buffer — readFrame2 owns its payload until it hands it to the
-// caller, and every rejection path must have returned it already.
+// arbitrary input is: never panic, never allocate unboundedly, and
+// never write where the caller did not ask.
 //
 // Seed corpus lives in testdata/fuzz/<Target>/ alongside the f.Add
 // seeds below; `make fuzz-smoke` gives each target a short randomized
 // budget in CI.
 
 // FuzzDecodeFrame feeds arbitrary bytes to the frame reader and every
-// payload decoder. The reader runs twice: pooling every payload, and
-// with a destination of dstLen bytes, which a chunk that fits must land
-// in — never past len(dst) — and one that does not must not be cut to
-// fit: it is pooled whole, exactly as the first read returned it. An
+// payload decoder. The reader runs twice: with no destination, and with
+// one of dstLen bytes, which a chunk that fits must land in — never past
+// len(dst) — while every other accepted frame's payload must lie outside
+// dst's backing array, whole, exactly as the first read returned it. An
 // accepted frame's sum is its payload's CRC32C, the sum a DataNode
 // keeps for a chunk and a reader folds into a block's.
 func FuzzDecodeFrame(f *testing.F) {
@@ -54,10 +53,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, dstLen uint16) {
-		start := frameBufs.balance()
-		pooled, perr := readFrame2(bytes.NewReader(data), nil)
-		if perr == nil && (pooled.Type == 0 || pooled.Type > frameReply) {
-			t.Fatalf("accepted frame with invalid type %d", pooled.Type)
+		plain, perr := readFrame2(bytes.NewReader(data), nil)
+		if perr == nil && (plain.Type == 0 || plain.Type > frameReply) {
+			t.Fatalf("accepted frame with invalid type %d", plain.Type)
 		}
 
 		// The destination sits in a larger backing array whose tail is a
@@ -72,17 +70,17 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err == nil {
 			fits := fr.Type == frameChunk && len(fr.Payload) <= len(dst)
 			switch {
-			case fr.Type != pooled.Type || fr.Flags != pooled.Flags || fr.Stream != pooled.Stream || !bytes.Equal(fr.Payload, pooled.Payload):
-				t.Fatalf("destination changed the frame: %+v, want %+v", fr, pooled)
-			case fr.sum != dfs.Checksum(fr.Payload) || pooled.sum != fr.sum:
-				t.Fatalf("an accepted frame's sum %#x (%#x pooled) is not its payload's CRC32C %#x", fr.sum, pooled.sum, dfs.Checksum(fr.Payload))
-			case fits && (fr.pooled || len(fr.Payload) > 0 && &fr.Payload[0] != &dst[0]):
+			case fr.Type != plain.Type || fr.Flags != plain.Flags || fr.Stream != plain.Stream || !bytes.Equal(fr.Payload, plain.Payload):
+				t.Fatalf("destination changed the frame: %+v, want %+v", fr, plain)
+			case len(fr.Payload) != int(binary.BigEndian.Uint32(data[12:16])):
+				t.Fatalf("a frame announcing %d bytes was accepted with %d", binary.BigEndian.Uint32(data[12:16]), len(fr.Payload))
+			case fr.sum != dfs.Checksum(fr.Payload) || plain.sum != fr.sum:
+				t.Fatalf("an accepted frame's sum %#x (%#x without a destination) is not its payload's CRC32C %#x", fr.sum, plain.sum, dfs.Checksum(fr.Payload))
+			case fits && len(fr.Payload) > 0 && &fr.Payload[0] != &dst[0]:
 				t.Fatalf("a %d-byte chunk that fits a %d-byte destination was not read into it", len(fr.Payload), len(dst))
-			case !fits && !fr.pooled:
-				t.Fatalf("a type %d frame of %d bytes was not pooled beside a %d-byte destination", fr.Type, len(fr.Payload), len(dst))
+			case !fits && shares(fr.Payload, backing):
+				t.Fatalf("a type %d frame of %d bytes shares the backing array of a %d-byte destination", fr.Type, len(fr.Payload), len(dst))
 			}
-			fr.release()
-			pooled.release()
 		}
 		for i, b := range backing[dstLen:] {
 			if b != guard {
@@ -102,10 +100,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		_ = decodeErrorFrame(data)
 		_, _ = decodeReadHdr(data)
-		if got := frameBufs.balance(); got != start {
-			t.Fatalf("pool balance drifted %d -> %d", start, got)
-		}
 	})
+}
+
+// shares reports whether p overlaps backing: it flips p's bytes, looks
+// for a change in backing, and flips them back.
+func shares(p, backing []byte) bool {
+	before := bytes.Clone(backing)
+	for i := range p {
+		p[i] ^= 0xFF
+	}
+	changed := !bytes.Equal(backing, before)
+	for i := range p {
+		p[i] ^= 0xFF
+	}
+	return changed
 }
 
 // FuzzChunkReassembly streams an arbitrary payload through the chunked
@@ -118,7 +127,6 @@ func FuzzChunkReassembly(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xA5}, 4096), uint32(1024))
 
 	f.Fuzz(func(t *testing.T, data []byte, chunkSize uint32) {
-		start := frameBufs.balance()
 		size := int(chunkSize % MaxChunkPayload)
 		if size == 0 {
 			size = 1
@@ -153,13 +161,14 @@ func FuzzChunkReassembly(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decode after %d bytes: %v", n, err)
 			}
-			if fr.Type != frameChunk || fr.Stream != sid || fr.pooled {
-				t.Fatalf("frame %d/%d mismatch or pooled: %+v", fr.Type, fr.Stream, fr)
+			if fr.Type != frameChunk || fr.Stream != sid {
+				t.Fatalf("frame %d/%d mismatch: %+v", fr.Type, fr.Stream, fr)
+			}
+			if len(fr.Payload) > 0 && (n+len(fr.Payload) > len(got) || &fr.Payload[0] != &got[n]) {
+				t.Fatalf("a %d-byte chunk at offset %d was not read into its place", len(fr.Payload), n)
 			}
 			n += len(fr.Payload)
-			last := fr.last()
-			fr.release()
-			if last {
+			if fr.last() {
 				break
 			}
 		}
@@ -168,9 +177,6 @@ func FuzzChunkReassembly(f *testing.F) {
 		}
 		if wire.Len() != 0 {
 			t.Fatalf("%d trailing bytes after last chunk", wire.Len())
-		}
-		if got := frameBufs.balance(); got != start {
-			t.Fatalf("pool balance drifted %d -> %d", start, got)
 		}
 	})
 }

@@ -45,10 +45,10 @@ func hedgeCluster(t *testing.T, hedge HedgeConfig) (*LocalCluster, *chaos.NetFau
 // TestHedgedReadWinsAgainstGrayReplica grays the primary replica of a
 // block and requires the hedge to rescue every read: the backup fetch
 // fires after the threshold, wins, returns byte-identical data fast,
-// and the cancelled loser neither leaks pooled buffers nor poisons the
-// primary's liveness (proved by the reads continuing to hedge — a
-// down-marked primary would drop out of the live list and the reads
-// would stop needing hedges at all).
+// and the cancelled loser does not poison the primary's liveness
+// (proved by the reads continuing to hedge — a down-marked primary
+// would drop out of the live list and the reads would stop needing
+// hedges at all).
 func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 	lc, faults := hedgeCluster(t, HedgeConfig{
 		Quantile:   0.5,
@@ -57,7 +57,6 @@ func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 		Window:     32,
 		MinSamples: 4,
 	})
-	start := frameBufs.balance()
 	cl := lc.Client("hedge")
 	defer cl.Close()
 	ctx := context.Background()
@@ -181,8 +180,6 @@ func TestHedgedReadWinsAgainstGrayReplica(t *testing.T) {
 	if hedged := cl.resilience().HedgedReads - before.HedgedReads; hedged == 0 {
 		t.Fatal("no read hedged at a threshold of the last winner's latency")
 	}
-	// The losers' pooled stream buffers must all come back.
-	requirePoolBalance(t, start)
 }
 
 // TestHedgeQuietOnFastCluster: with a healthy cluster and a threshold

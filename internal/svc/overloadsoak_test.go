@@ -96,7 +96,6 @@ func loadCluster(cfg loadConfig) (*LocalCluster, *chaos.NetFaults, error) {
 			// off stays walled off instead of burning a probe timeout
 			// per cooldown mid-cell.
 			Cooldown: 2 * cfg.duration,
-			Probes:   1,
 		},
 		HedgeReads: true,
 		Hedge: HedgeConfig{

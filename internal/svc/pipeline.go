@@ -93,7 +93,6 @@ func anyOK(acks []ackEntry) bool {
 func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool) {
 	sid := f.Stream
 	ow, err := decodeOpenWrite(f.Payload)
-	f.release()
 	if err != nil || ow.Size > MaxBlockBytes {
 		return false
 	}
@@ -122,8 +121,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		for _, ce := range ow.Chain {
 			shed = append(shed, failedAck(ce.Node, aerr))
 		}
-		if cf, err := readFrame2(br, nil); err == nil {
-			cf.release()
+		if _, err := readFrame2(br, nil); err == nil {
 			if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(shed)) == nil {
 				_ = bw.Flush()
 			}
@@ -180,7 +178,6 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 			} else {
 				derr = fmt.Errorf("%w: setup reply type %d", ErrBadFrame, sf.Type)
 			}
-			sf.release()
 			// A deeper chain that shed the stream has said its final word
 			// in its setup entries, and that stream is over.
 			if derr != nil || !anyOK(downAcks) {
@@ -239,12 +236,10 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		case rerr != nil:
 			downAcks = nodeDownAcks(ow.Chain, rerr)
 		case cf.Type != frameCommitAck:
-			cf.release()
 			downAcks = nodeDownAcks(ow.Chain, fmt.Errorf("%w: commit reply type %d", ErrBadFrame, cf.Type))
 		default:
 			var derr error
 			downAcks, derr = decodeAcks(cf.Payload)
-			cf.release()
 			if derr != nil {
 				downAcks = nodeDownAcks(ow.Chain, derr)
 			}
@@ -266,14 +261,13 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 
 // readChunk reads the next chunk of stream sid into dst's first bytes.
 // ok is false for anything else: a torn stream, a failed CRC, another
-// frame, or a chunk that overflows dst (readFrame2 pooled it instead).
+// frame, or a chunk that overflows dst (readFrame2 read it elsewhere).
 func readChunk(br *bufio.Reader, sid uint64, dst []byte) (frame2, bool) {
 	cf, err := readFrame2(br, dst)
 	if err != nil {
 		return frame2{}, false
 	}
-	if cf.Type != frameChunk || cf.Stream != sid || cf.pooled {
-		cf.release()
+	if cf.Type != frameChunk || cf.Stream != sid || len(cf.Payload) > len(dst) {
 		return frame2{}, false
 	}
 	return cf, true
@@ -291,7 +285,6 @@ func (d *DataNodeServer) relayFault(next chainEntry) error {
 func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool) {
 	sid := f.Stream
 	or, err := decodeOpenRead(f.Payload)
-	f.release()
 	if err != nil {
 		return false
 	}

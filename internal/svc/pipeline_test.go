@@ -153,7 +153,6 @@ func TestPipelineMultiChunkBlocks(t *testing.T) {
 	// The relay hangs up without a setup ack; unread bytes may turn its
 	// close into a reset.
 	if f, err := readFrame2(p.br, nil); !peerClosed(err) {
-		f.release()
 		t.Fatalf("after a corrupted chunk the relay answered %+v, %v; want it to hang up", f, err)
 	}
 	// It checks the chunk before it opens the next hop, so the hop
@@ -222,7 +221,6 @@ func recordingHop(t *testing.T, node cluster.NodeID) hopRecorder {
 		if err != nil {
 			return
 		}
-		open.release()
 		// record copies one chunk frame off the wire as it arrived.
 		record := func() (last bool, err error) {
 			var hdr [headerSize]byte
@@ -250,6 +248,70 @@ func recordingHop(t *testing.T, node cluster.NodeID) hopRecorder {
 		_ = writeFrame2(nc, frameCommitAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: node, OK: true}}))
 	}()
 	return h
+}
+
+// TestPipelineAckJudgesOnlyChainNodes: a relay passes its downstream
+// acks on unchecked, so a commit ack can name any node, and one node
+// twice. The writer judges only the chain's nodes, each by the first
+// entry naming it: a node-down entry for a node outside the chain moves
+// no breaker, even at a threshold of one failure, and a second entry
+// for a chain node that already acked is no evidence against it.
+func TestPipelineAckJudgesOnlyChainNodes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	down := func(n cluster.NodeID) ackEntry {
+		return failedAck(n, fmt.Errorf("%w: datanode %d unreachable in pipeline", dfs.ErrNodeDown, n))
+	}
+	// The fake head of a chain 0 → 1 takes the block, relays nothing,
+	// and answers for both hops and for node 2, which is no hop.
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		open, err := readFrame2(br, nil)
+		if err != nil {
+			return
+		}
+		for {
+			cf, err := readFrame2(br, nil)
+			if err != nil {
+				return
+			}
+			if cf.last() {
+				break
+			}
+		}
+		bw := bufio.NewWriter(nc)
+		_ = writeFrame2(bw, frameSetupAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: 0, OK: true}, {Node: 1, OK: true}}))
+		_ = writeFrame2(bw, frameCommitAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: 0, OK: true}, {Node: 1, OK: true}, down(1), down(2)}))
+		_ = bw.Flush()
+		_, _ = br.ReadByte() // held open until the writer is done
+	}()
+
+	// Nodes 1 and 2 are never dialed: the head answers for them.
+	stores, _, _ := newStoreFleet([]string{ln.Addr().String(), "127.0.0.1:1", "127.0.0.1:1"}, "writer", nil, BreakerConfig{Threshold: 1}, stats.NewRNG(1))
+	defer func() {
+		for _, st := range stores {
+			st.close()
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res := stores[0].PutChain(ctx, 5, payload(1024), []cluster.NodeID{1})
+	for n, st := range stores {
+		if got := st.brk.State(); got != BreakerClosed {
+			t.Errorf("node %d's breaker is %v after a pipeline every chain node acked, want closed", n, got)
+		}
+	}
+	if len(res.Acked) != 2 || res.Acked[0] != 0 || res.Acked[1] != 1 || len(res.Failed) != 0 {
+		t.Errorf("acked %v, failed %v; want [0 1] and none", res.Acked, res.Failed)
+	}
 }
 
 // TestPipelineFailsOverDeadChainNode: a chain node whose storage is
@@ -482,10 +544,9 @@ func TestStreamGetCancelledContext(t *testing.T) {
 // left has that chunk on the wire when it sheds the stream. It reads
 // the chunk off and drops it, then answers with a setup ack that marks
 // it and every chain node overloaded; the writer reads that typed
-// answer, never a reset, and every pooled buffer comes back.
+// answer, never a reset.
 func TestShedWriteReadsFirstChunkThenAnswers(t *testing.T) {
 	lc := pipelineCluster(t, 2, 1024, 2, nil)
-	start := frameBufs.balance()
 	dn := lc.DNs[0]
 	drain := saturate(t, dn)
 	defer drain()
@@ -537,5 +598,4 @@ func TestShedWriteReadsFirstChunkThenAnswers(t *testing.T) {
 			t.Fatalf("a shed stream stored blocks %v", blocks)
 		}
 	}
-	requirePoolBalance(t, start)
 }

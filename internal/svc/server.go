@@ -165,7 +165,6 @@ func (s *Server) serve(nc net.Conn) error {
 		case (f.Type == frameOpenWrite || f.Type == frameOpenRead) && s.data != nil:
 			next, err = s.serveStream(nc, br, bw, f)
 		default:
-			f.release()
 			err = fmt.Errorf("%w: frame type %d cannot begin an exchange with %s", ErrBadFrame, f.Type, s.name)
 		}
 		if err != nil || !next {
@@ -193,7 +192,6 @@ func (s *Server) enter() bool {
 // call instead of cutting a half-written block.
 func (s *Server) serveStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool, err error) {
 	if !s.enter() {
-		f.release()
 		return false, fmt.Errorf("svc: %s refusing a stream: %w", s.name, ErrShuttingDown)
 	}
 	clean = s.data(s.baseCtx, nc, br, bw, f)
@@ -208,7 +206,6 @@ func (s *Server) serveStream(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f 
 // frame that is no call, a partition, a reply that cannot be sent — ends
 // the connection.
 func (s *Server) serveCall(bw *bufio.Writer, f frame2) error {
-	defer f.release() // params alias f's payload; the handler's decoders copy
 	h, params, err := decodeCall(f.Payload)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/adaptsim/adapt/internal/cluster"
@@ -235,26 +236,26 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 		return res
 	}
 	res.Sum = sum
-	acked := make(map[cluster.NodeID]bool, len(acks))
-	for _, e := range acks {
-		if e.OK {
-			acked[e.Node] = true
-			s.peerEvidence(e.Node, true)
-		} else if rerr := e.err(); rerr != nil {
-			res.Failed[e.Node] = fmt.Errorf("svc: pipeline put block %d on datanode %d: %w", id, e.Node, rerr)
+	// A relay passes its downstream acks on unchecked, so an ack may
+	// name any node, and a node more than once. Only the chain's own
+	// nodes are judged, each by the first entry naming it. Acked is in
+	// chain order, so the engine's replica lists match what fan-out
+	// over the same holders would have produced.
+	for _, ce := range chain {
+		j := slices.IndexFunc(acks, func(e ackEntry) bool { return e.Node == ce.Node })
+		switch {
+		case j < 0:
+			res.Failed[ce.Node] = fmt.Errorf("%w: datanode %d missing from pipeline ack", dfs.ErrNodeDown, ce.Node)
+		case acks[j].OK:
+			res.Acked = append(res.Acked, ce.Node)
+			s.peerEvidence(ce.Node, true)
+		default:
+			rerr := acks[j].err()
+			res.Failed[ce.Node] = fmt.Errorf("svc: pipeline put block %d on datanode %d: %w", id, ce.Node, rerr)
 			// A node-down ack is transport evidence about that node; an
 			// application error (overload shed, full disk) means its
 			// wire works fine.
-			s.peerEvidence(e.Node, !errors.Is(rerr, dfs.ErrNodeDown))
-		}
-	}
-	// Acked in chain order, so the engine's replica lists match what
-	// fan-out over the same holders would have produced.
-	for _, ce := range chain {
-		if acked[ce.Node] {
-			res.Acked = append(res.Acked, ce.Node)
-		} else if _, reported := res.Failed[ce.Node]; !reported {
-			res.Failed[ce.Node] = fmt.Errorf("%w: datanode %d missing from pipeline ack", dfs.ErrNodeDown, ce.Node)
+			s.peerEvidence(ce.Node, !errors.Is(rerr, dfs.ErrNodeDown))
 		}
 	}
 	return res

@@ -37,8 +37,9 @@ import (
 // A read lands where its bytes are going: streamGet reads each chunk
 // straight into the caller's destination (the file being assembled, for
 // dfs.BlockIO's read ladders, hedged or not), so a block crosses the
-// reader's user space once; the connection's small read buffer holds
-// only headers and the frames that have nowhere else to go.
+// reader's user space once. Every other frame — a header, an ack, an
+// error, a reply — is a control message, read into a slice of its own
+// that the caller keeps like any other value.
 
 // faultGate consults the sender's side of the fault hook before a
 // message leaves: a partition fails it, injected latency is slept
@@ -315,7 +316,6 @@ func (p *streamPool) call(ctx context.Context, addr, peer, method string, params
 		}
 		return fmt.Errorf("svc: call %s: %w", method, err)
 	}
-	defer f.release()
 	answered := f.Stream == id && (f.Type == frameReply || f.Type == frameError)
 	p.park(addr, dc, answered)
 	if !answered {
@@ -396,11 +396,9 @@ func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs
 	clean := false
 	defer func() { p.park(addr, dc, clean) }()
 	if sf.Type != frameSetupAck || sf.Stream != sid {
-		sf.release()
 		return nil, 0, fmt.Errorf("%w: pipeline put block %d: unexpected setup frame type %d", ErrBadFrame, id, sf.Type)
 	}
 	setup, err := decodeAcks(sf.Payload)
-	sf.release()
 	if err != nil {
 		return nil, 0, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
@@ -425,11 +423,9 @@ func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs
 		return nil, 0, fmt.Errorf("svc: pipeline put block %d: commit: %w", id, err)
 	}
 	if cf.Type != frameCommitAck || cf.Stream != sid {
-		cf.release()
 		return nil, 0, fmt.Errorf("%w: pipeline put block %d: unexpected commit frame type %d", ErrBadFrame, id, cf.Type)
 	}
 	acks, err := decodeAcks(cf.Payload)
-	cf.release()
 	if err != nil {
 		return nil, 0, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
 	}
@@ -457,15 +453,12 @@ func (p *streamPool) streamGet(ctx context.Context, addr, peer string, id dfs.Bl
 	defer func() { p.park(addr, dc, clean) }()
 	if hf.Type == frameError {
 		rerr := decodeErrorFrame(hf.Payload)
-		hf.release()
 		return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, rerr)
 	}
 	if hf.Type != frameReadHdr || hf.Stream != sid {
-		hf.release()
 		return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, hf.Type)
 	}
 	size, err := decodeReadHdr(hf.Payload)
-	hf.release()
 	if err != nil {
 		return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, err)
 	}
@@ -488,23 +481,21 @@ func (p *streamPool) streamGet(ctx context.Context, addr, peer string, id dfs.Bl
 		}
 		if cf.Type == frameError {
 			rerr := decodeErrorFrame(cf.Payload)
-			cf.release()
 			return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, rerr)
 		}
 		if cf.Type != frameChunk || cf.Stream != sid {
-			cf.release()
 			return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, cf.Type)
 		}
 		// A chunk that fits was read into block; one that does not was
-		// pooled instead, and overflows the announced size.
-		n, last := len(cf.Payload), cf.last()
+		// read into a slice of its own instead, and overflows the
+		// announced size.
+		n := len(cf.Payload)
 		sum = dfs.CombineChecksum(sum, cf.sum, int64(n))
-		cf.release()
 		if n > len(block)-got {
 			return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d overflows announced size %d", ErrBadFrame, id, size)
 		}
 		got += n
-		if last {
+		if cf.last() {
 			break
 		}
 	}

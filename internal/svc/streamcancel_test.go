@@ -10,14 +10,13 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// TestStreamGetAbandonedMidChunkReleasesBuffers pins the reader-side
-// pool contract: when a read stream's deadline fires between chunks —
-// a pooled chunk already consumed, more announced but never sent —
-// every pooled buffer the client acquired must be back in the pool.
-// The server is a stall: it answers the open with a header promising
-// three chunks, delivers one, and goes silent.
-func TestStreamGetAbandonedMidChunkReleasesBuffers(t *testing.T) {
-	start := frameBufs.balance()
+// TestStreamGetAbandonedMidChunkFailsByDeadline: when a read stream's
+// deadline fires between chunks — one chunk already consumed, more
+// announced but never sent — the get returns an error once the deadline
+// passes instead of waiting on the silent peer. The server is a stall:
+// it answers the open with a header promising three chunks, delivers
+// one, and goes silent.
+func TestStreamGetAbandonedMidChunkFailsByDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +36,6 @@ func TestStreamGetAbandonedMidChunkReleasesBuffers(t *testing.T) {
 			return
 		}
 		sid := f.Stream
-		f.release()
 		bw := bufio.NewWriterSize(nc, 32<<10)
 		if writeFrame2(bw, frameReadHdr, 0, sid, encodeReadHdr(3*DefaultChunkSize)) != nil {
 			return
@@ -51,26 +49,30 @@ func TestStreamGetAbandonedMidChunkReleasesBuffers(t *testing.T) {
 		<-stall // hold the conn open, never sending chunk 2
 	}()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	const deadline = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
+	began := time.Now()
 	if _, err := streamGet(ctx, "reader", nil, ln.Addr().String(), "stall-dn", dfs.BlockID(7)); err == nil {
 		t.Fatal("streamGet succeeded against a stalled stream, want deadline error")
 	}
-	requirePoolBalance(t, start)
+	// The slack covers a loaded scheduler, not a wait on the peer: the
+	// stall never sends again.
+	if took := time.Since(began); took > deadline+2*time.Second {
+		t.Fatalf("the abandoned get returned %v after it began, past its %v deadline", took, deadline)
+	}
 }
 
-// TestServeWriteTornMidChunkReleasesBuffers pins the server-side pool
-// contract: a writer that opens a pipeline stream, sends part of the
-// block, and vanishes must not leak a pooled buffer on the datanode,
-// and must leave nothing committed.
-func TestServeWriteTornMidChunkReleasesBuffers(t *testing.T) {
+// TestServeWriteTornMidChunkCommitsNothing: a writer that opens a
+// pipeline stream, sends part of the block, and vanishes leaves nothing
+// committed on the datanode and no pin held once the stream has torn.
+func TestServeWriteTornMidChunkCommitsNothing(t *testing.T) {
 	lc := testCluster(t, 2, nil)
-	start := frameBufs.balance()
-
 	dn, err := lc.DataNode(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	served, pins := dn.srv.served(), dn.Node().Pins()
 	nc, err := net.Dial("tcp", dn.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +98,19 @@ func TestServeWriteTornMidChunkReleasesBuffers(t *testing.T) {
 		t.Fatalf("setup ack: %v", err)
 	}
 	if sf.Type != frameSetupAck {
-		sf.release()
 		t.Fatalf("setup reply type = %d, want setup ack", sf.Type)
 	}
-	sf.release()
 	if err := nc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Every frame the datanode pooled must drain back to the pool once
-	// the stream tears.
-	requirePoolBalance(t, start)
+	// Once the datanode has dropped the torn connection, the half-written
+	// block is nowhere in its store.
+	waitServed(t, dn.srv, served)
+	if dn.Node().Has(99) {
+		t.Fatal("a torn write committed block 99")
+	}
+	if n := dn.Node().Pins(); n != pins {
+		t.Fatalf("pins = %d after the torn write, want %d", n, pins)
+	}
 }

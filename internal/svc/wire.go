@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/adaptsim/adapt/internal/cluster"
@@ -55,8 +53,9 @@ import (
 //
 // Block bytes cross user space once per hop. readFrame2 reads a chunk
 // straight into the destination its caller hands it — the replica
-// buffer on a DataNode, the file being assembled at a reader — and
-// pools only the frames that have nowhere else to go.
+// buffer on a DataNode, the file being assembled at a reader. Every
+// other frame is a control message of tens of bytes, read into a slice
+// of its own that the receiver keeps like any other value.
 //
 //	type           sent by          payload                                bound
 //	openWrite   1  writer -> DN     block, size, budget, from, chain       MaxChunkPayload
@@ -144,78 +143,20 @@ type TransportFaults interface {
 	MessageDelay(from, to string) time.Duration
 }
 
-// bufPool recycles wire buffers so the hot path makes no per-frame
-// allocations. Gets and puts are counted so tests can prove every
-// acquired buffer is released on every code path, including errors —
-// the discipline that keeps a streaming server from bloating under
-// churn. put always counts the release even when the buffer is too
-// large to retain.
-type bufPool struct {
-	pool sync.Pool
-	gets atomic.Int64
-	puts atomic.Int64
-}
-
-// maxPooledBuf caps the buffers the pool retains; anything larger is
-// released to the GC after being counted.
-const maxPooledBuf = 8 << 20
-
-// get returns a length-n buffer, recycled when one with enough
-// capacity is pooled.
-func (p *bufPool) get(n int) []byte {
-	p.gets.Add(1)
-	if v := p.pool.Get(); v != nil {
-		b := *(v.(*[]byte))
-		if cap(b) >= n {
-			return b[:n]
-		}
-		// Too small for this caller: put it back for a smaller one,
-		// uncounted (it was counted at its own get and put), and
-		// allocate fresh.
-		p.pool.Put(v)
-	}
-	return make([]byte, n)
-}
-
-// put releases a buffer back to the pool.
-func (p *bufPool) put(b []byte) {
-	p.puts.Add(1)
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
-	}
-	b = b[:0]
-	p.pool.Put(&b)
-}
-
-// frameBufs is the shared wire-buffer pool: the payloads of frames
-// that were not read into a caller's destination draw from it.
-var frameBufs bufPool
-
-// frame2 is one decoded frame. A pooled payload is owned by the
-// receiver, who must release it exactly once; a payload read into the
-// caller's destination aliases it, and release leaves it alone.
+// frame2 is one decoded frame. A chunk read into the caller's
+// destination aliases it; any other payload is the receiver's own.
 type frame2 struct {
 	Type    uint8
 	Flags   uint16
 	Stream  uint64
 	Payload []byte
 
-	crc    uint32 // the checksum the frame carries, computed by its writer
-	sum    uint32 // the CRC32C of Payload, which crc extends
-	pooled bool   // Payload came from frameBufs
+	crc uint32 // the checksum the frame carries, computed by its writer
+	sum uint32 // the CRC32C of Payload, which crc extends
 }
 
 // last reports whether the frame closes its stream.
 func (f *frame2) last() bool { return f.Flags&flagLast != 0 }
-
-// release returns the frame's pooled payload; safe on a zero frame and
-// a no-op on a payload that lives in the caller's destination.
-func (f *frame2) release() {
-	if f.pooled {
-		frameBufs.put(f.Payload)
-	}
-	f.Payload, f.pooled = nil, false
-}
 
 // header encodes the frame's header with the checksum it carries.
 func (f *frame2) header() (hdr [headerSize]byte) {
@@ -275,14 +216,13 @@ var errChunkCRC = fmt.Errorf("%w: chunk CRC mismatch", ErrBadFrame)
 
 // readFrame2 reads one frame, the only function that takes a header
 // off a socket. A payload length beyond the type's bound is refused
-// before any buffer is taken for it. A chunk whose payload fits dst is
+// before anything is allocated for it. A chunk whose payload fits dst is
 // read straight into dst's first bytes — never past len(dst) — and its
-// Payload aliases them; every other frame's payload is pooled and owned
-// by the caller (release it once). Either way the CRC is checked where
-// the bytes landed, and the frame's sum is its payload's CRC32C. A frame
-// that fails the check is ErrBadFrame, and a chunk errChunkCRC too. On
-// any error every acquired buffer has already been returned, and dst
-// may hold a torn prefix of the refused chunk.
+// Payload aliases them; every other frame's payload is a fresh slice the
+// caller owns. Either way the CRC is checked where the bytes landed, and
+// the frame's sum is its payload's CRC32C. A frame that fails the check
+// is ErrBadFrame, and a chunk errChunkCRC too. On any error dst may hold
+// a torn prefix of the refused chunk.
 func readFrame2(r io.Reader, dst []byte) (frame2, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -308,15 +248,13 @@ func readFrame2(r io.Reader, dst []byte) (frame2, error) {
 	if typ == frameChunk && int(n) <= len(dst) {
 		f.Payload = dst[:n:n]
 	} else {
-		f.Payload, f.pooled = frameBufs.get(int(n)), true
+		f.Payload = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
-		f.release()
 		return frame2{}, fmt.Errorf("svc: read frame payload: %w", err)
 	}
 	f.sum = dfs.Checksum(f.Payload)
 	if frameCRC(f.sum, hdr[:16]) != f.crc {
-		f.release()
 		if typ == frameChunk {
 			return frame2{}, errChunkCRC
 		}

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,26 +19,7 @@ import (
 	"github.com/adaptsim/adapt/internal/dfs"
 )
 
-// requirePoolBalance asserts that the shared frame-buffer pool returns
-// to the balance recorded before the test body ran. Background
-// goroutines from neighbouring tests may still be draining frames, so
-// the check polls briefly instead of failing on the first read.
-func requirePoolBalance(t *testing.T, start int64) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if frameBufs.balance() == start {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool balance = %d, want %d: a wire buffer leaked", frameBufs.balance(), start)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestFrame2RoundTrip(t *testing.T) {
-	start := frameBufs.balance()
 	payloads := [][]byte{nil, {0x42}, bytes.Repeat([]byte{0xAB}, 1000), payload(DefaultChunkSize)}
 	for typ := frameOpenWrite; typ <= frameReply; typ++ {
 		for _, flags := range []uint16{0, flagLast} {
@@ -60,12 +42,9 @@ func TestFrame2RoundTrip(t *testing.T) {
 				if f.last() != (flags&flagLast != 0) {
 					t.Fatalf("last() = %v for flags %d", f.last(), flags)
 				}
-				f.release()
-				f.release() // double release must be a no-op
 			}
 		}
 	}
-	requirePoolBalance(t, start)
 }
 
 func TestWriteFrame2RejectsOversizePayload(t *testing.T) {
@@ -87,10 +66,8 @@ func encodeFrame2(t *testing.T, typ uint8, flags uint16, stream uint64, p []byte
 }
 
 // TestReadFrame2Rejects is the corruption contract: every malformed
-// frame is refused with the right sentinel, and no pooled buffer leaks
-// on any rejection path.
+// frame is refused with the right sentinel.
 func TestReadFrame2Rejects(t *testing.T) {
-	start := frameBufs.balance()
 	valid := encodeFrame2(t, frameChunk, flagLast, 7, []byte("block bytes"))
 
 	corrupt := func(off int, b byte) []byte {
@@ -123,9 +100,8 @@ func TestReadFrame2Rejects(t *testing.T) {
 		{"empty input", nil, nil},
 	}
 	for _, tc := range cases {
-		f, err := readFrame2(bytes.NewReader(tc.raw), nil)
+		_, err := readFrame2(bytes.NewReader(tc.raw), nil)
 		if err == nil {
-			f.release()
 			t.Errorf("%s: accepted", tc.name)
 			continue
 		}
@@ -133,36 +109,6 @@ func TestReadFrame2Rejects(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	requirePoolBalance(t, start)
-}
-
-// TestWireBufferPoolBalances is the leak contract for the shared pool:
-// frame payloads must be returned on success and on every error path,
-// and oversized buffers must still be counted when the pool declines to
-// retain them.
-func TestWireBufferPoolBalances(t *testing.T) {
-	start := frameBufs.balance()
-
-	raw := encodeFrame2(t, frameChunk, flagLast, 9, []byte("abc"))
-	f, err := readFrame2(bytes.NewReader(raw), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.release()
-	bad := bytes.Clone(raw)
-	bad[headerSize] ^= 0xFF
-	if _, err := readFrame2(bytes.NewReader(bad), nil); err == nil {
-		t.Fatal("corrupt v2 frame accepted")
-	}
-	if _, err := readFrame2(bytes.NewReader(raw[:headerSize+1]), nil); err == nil {
-		t.Fatal("truncated v2 payload accepted")
-	}
-
-	// A buffer above the retention cap must still balance get/put.
-	big := frameBufs.get(maxPooledBuf + 1)
-	frameBufs.put(big)
-
-	requirePoolBalance(t, start)
 }
 
 func TestOpenWriteCodec(t *testing.T) {
@@ -370,7 +316,6 @@ func TestAppendStringTruncates(t *testing.T) {
 // TestFrameRoundTrip: a call — header, then params verbatim — its
 // reply and its error each survive a frame.
 func TestFrameRoundTrip(t *testing.T) {
-	start := frameBufs.balance()
 	var buf bytes.Buffer
 	in := callHeader{DeadlineMS: 1500, From: "shell", Method: "nn.locate"}
 	params := []byte(`{"name":"f"}`)
@@ -398,25 +343,21 @@ func TestFrameRoundTrip(t *testing.T) {
 	if string(gotParams) != string(params) {
 		t.Fatalf("params %q != %q", gotParams, params)
 	}
-	f.release()
 
 	if f, err = readFrame2(&buf, nil); err != nil || f.Type != frameReply || string(f.Payload) != `{"meta":null}` {
 		t.Fatalf("reply: %+v, %v", f, err)
 	}
-	f.release()
 	if f, err = readFrame2(&buf, nil); err != nil || f.Type != frameError {
 		t.Fatalf("error frame: %+v, %v", f, err)
 	}
 	if err := decodeErrorFrame(f.Payload); !errors.Is(err, dfs.ErrFileNotFound) {
 		t.Fatalf("decoded error = %v, want ErrFileNotFound", err)
 	}
-	f.release()
 
 	// No params is a valid call (nn.list): the header is the payload.
 	if _, rest, err := decodeCall(encodeCall(in, nil)); err != nil || len(rest) != 0 {
 		t.Fatalf("param-less call: rest %q, %v", rest, err)
 	}
-	requirePoolBalance(t, start)
 }
 
 // frameHeader renders a header announcing n payload bytes that never
@@ -427,9 +368,24 @@ func frameHeader(typ uint8, n uint32) []byte {
 	return hdr[:]
 }
 
+// refusalHeap bounds the heap growth that refusing an oversize header
+// may cost: far below the smallest size such a header announces, so a
+// decoder that allocated the announced payload before checking the
+// bound would exceed it.
+const refusalHeap = 1 << 20
+
+// heapGrowth returns how many bytes the heap allocated while fn ran.
+func heapGrowth(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestReadFrameRejectsOversize: a header announcing more than its
 // type's bound — one byte over, or the 100 MiB a base64 block once
-// needed — is refused before any pooled buffer is taken for it, on the
+// needed — is refused before anything is allocated for it, on the
 // decoder and on a live NameNode port; the largest file the NameNode
 // will allocate still fits a reply.
 func TestReadFrameRejectsOversize(t *testing.T) {
@@ -441,12 +397,14 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 		{frameCall, 100 << 20}, {frameReply, 100 << 20},
 		{frameChunk, MaxChunkPayload + 1}, {frameError, MaxChunkPayload + 1},
 	} {
-		taken, start := frameBufs.gets.Load(), frameBufs.balance()
-		if _, err := readFrame2(bytes.NewReader(frameHeader(tc.typ, tc.n)), nil); !errors.Is(err, ErrFrameTooLarge) {
+		hdr := frameHeader(tc.typ, tc.n)
+		var err error
+		grew := heapGrowth(func() { _, err = readFrame2(bytes.NewReader(hdr), nil) })
+		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("type %d, %d bytes: err = %v, want ErrFrameTooLarge", tc.typ, tc.n, err)
 		}
-		if got := frameBufs.gets.Load(); got != taken || frameBufs.balance() != start {
-			t.Fatalf("type %d, %d bytes: pool gets %d -> %d, balance %d -> %d; want untouched", tc.typ, tc.n, taken, got, start, frameBufs.balance())
+		if grew > refusalHeap {
+			t.Fatalf("type %d, %d bytes: refusing the header allocated %d bytes, want under %d", tc.typ, tc.n, grew, refusalHeap)
 		}
 	}
 
@@ -469,7 +427,6 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	if err != nil || !bytes.Equal(f.Payload, reply) {
 		t.Fatalf("%d-byte reply did not survive the wire: %v", len(reply), err)
 	}
-	f.release()
 	if err := writeFrame2(io.Discard, frameReply, 0, 1, make([]byte, MaxControlFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("one byte over the bound: err = %v, want ErrFrameTooLarge", err)
 	}
@@ -480,17 +437,43 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	taken := frameBufs.gets.Load()
-	if _, err := nc.Write(frameHeader(frameCall, 100<<20)); err != nil {
-		t.Fatal(err)
+	hdr := frameHeader(frameCall, 100<<20)
+	var werr, rerr error
+	grew := heapGrowth(func() {
+		if _, werr = nc.Write(hdr); werr != nil {
+			return
+		}
+		_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var one [1]byte
+		_, rerr = nc.Read(one[:])
+	})
+	if werr != nil {
+		t.Fatal(werr)
 	}
-	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var one [1]byte
-	if _, err := nc.Read(one[:]); !errors.Is(err, io.EOF) {
-		t.Fatalf("namenode kept a connection announcing a 100 MiB call: read err = %v, want EOF", err)
+	if !errors.Is(rerr, io.EOF) {
+		t.Fatalf("namenode kept a connection announcing a 100 MiB call: read err = %v, want EOF", rerr)
 	}
-	if got := frameBufs.gets.Load(); got != taken {
-		t.Fatalf("pool gets %d -> %d: a buffer was taken for the refused call", taken, got)
+	if grew > refusalHeap {
+		t.Fatalf("refusing a 100 MiB call allocated %d bytes, want under %d", grew, refusalHeap)
+	}
+}
+
+// BenchmarkReadControlFrame reads one reply frame of 75 bytes, the
+// mean control payload of the small_files workload, off an in-memory
+// reader: what every frame but a chunk costs to receive.
+func BenchmarkReadControlFrame(b *testing.B) {
+	var wire bytes.Buffer
+	if err := writeFrame2(&wire, frameReply, 0, 7, bytes.Repeat([]byte{'x'}, 75)); err != nil {
+		b.Fatal(err)
+	}
+	raw := wire.Bytes()
+	var r bytes.Reader
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Reset(raw)
+		if _, err := readFrame2(&r, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
