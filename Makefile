@@ -5,8 +5,11 @@ GO ?= go
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the repeated hedged-read race check, the
 # frame-codec fuzz smoke, and the simulator workloads'
-# pinned-fingerprint runs at benchmark scale.
-ci: vet lint build race-all hedge-stress fuzz-smoke sim-smoke
+# pinned-fingerprint runs at benchmark scale. LINT names the adaptlint
+# target: CI passes LINT=lint-github for inline annotations, so the
+# suite runs once either way.
+LINT ?= lint
+ci: vet $(LINT) build race-all hedge-stress fuzz-smoke sim-smoke
 
 vet:
 	$(GO) vet ./...
@@ -43,10 +46,13 @@ race-all:
 	$(GO) test -race ./...
 
 # Hedged reads and pinned replica reads repeated under the race
-# detector. A hedged read lands in place in the file being assembled,
-# which is correct only because a losing in-place fetch has returned
-# before a winning backup's bytes are appended over its spare capacity;
-# a served replica stays intact only because its reader's pin keeps the
+# detector. A block read fetches one replica at a time on the reader's
+# goroutine, in place in the file being assembled; a hedge's one backup
+# runs on its timer's goroutine into a buffer of its own. The file
+# comes back exact only because a winning backup is appended after the
+# in-place fetch has returned, when nothing can still write past the
+# file's end, and a fetch that fails waits for the backup rather than
+# starting a third; a served replica stays intact only because its reader's pin keeps the
 # buffer out of the replica pool until the stream ends, while the block
 # is deleted and re-put into recycled memory beside it. A single
 # race-enabled run may not interleave them that way, ten usually do.

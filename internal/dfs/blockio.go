@@ -213,7 +213,8 @@ func (b *BlockIO) DeleteBlocks(ctx context.Context, blocks []BlockMeta) {
 }
 
 // writeBlockReplicas stores one block on up to k nodes: first the
-// placed holders, then alternate live nodes for any that refuse. It
+// placed holders, then alternate live nodes for any that refuse, asking
+// none once ctx is done. It
 // returns the holders that acknowledged and the block's CRC32C, as the
 // first store that took the block reported it; an in-process store
 // after the first stores its copy under that sum. With zero
@@ -227,7 +228,7 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 		tried := make(map[cluster.NodeID]bool, k)
 		var refused refusals
 		try := func(h cluster.NodeID, failover bool) {
-			if tried[h] || len(placed) >= k {
+			if tried[h] || len(placed) >= k || ctx.Err() != nil {
 				return
 			}
 			tried[h] = true
@@ -268,7 +269,7 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 		// breaker-opened) holder would stall or sever the stream for
 		// every healthy node behind it, and the direct attempts below
 		// still give it its fast-failing probe.
-		if len(want) > 0 {
+		if len(want) > 0 && ctx.Err() == nil {
 			chain := want[:0:0]
 			for _, h := range want {
 				if b.stores[h].Up() {
@@ -309,9 +310,10 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 		if refused.overloaded() {
 			return nil, 0, fmt.Errorf("%w: block %d shed by every datanode that answered", ErrOverload, id)
 		}
-		if attempt >= retry.attempts() {
+		if attempt >= retry.attempts() && ctx.Err() == nil {
 			return nil, 0, fmt.Errorf("%w: block %d (%d attempts)", ErrNoLiveNodes, id, attempt)
 		}
+		// A done ctx ends the wait at once, with its error.
 		if err := retry.wait(ctx, attempt); err != nil {
 			return nil, 0, fmt.Errorf("dfs: write of block %d interrupted: %w", id, err)
 		}
@@ -329,46 +331,71 @@ func (b *BlockIO) ReadBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
 	return b.appendBlock(ctx, bm, nil)
 }
 
-// appendBlock is ReadBlock appending the block to dst. The sequential
-// ladder reads each replica into dst's spare capacity and truncates
-// back on a failover or a checksum mismatch, so a verified block lands
-// where it belongs with no further copy. With hedging enabled the
-// ladder is readBlockHedged instead, which lands the block in place
-// too unless a backup wins.
+// appendBlock is ReadBlock appending the block to dst. It is the one
+// replica ladder: each step fetches one live replica on the caller's
+// goroutine into dst's spare capacity and verifies it, so a verified
+// block lands where it belongs with no further copy, and a failure
+// leaves dst as it was for the next step. Liveness is checked at each
+// step, and the ladder stops once ctx is done. With hedging on a step
+// may also start the block's one backup (fetchHedged); the replica
+// that backup fetched is not fetched again.
 func (b *BlockIO) appendBlock(ctx context.Context, bm BlockMeta, dst []byte) ([]byte, error) {
 	for _, r := range bm.Replicas {
 		if int(r) < 0 || int(r) >= len(b.stores) {
 			return nil, fmt.Errorf("%w: block %d names node %d", ErrUnknownNode, bm.ID, r)
 		}
 	}
-	if h := b.hedge.Load(); h != nil {
-		return b.readBlockHedged(ctx, h, bm, dst)
-	}
+	h := b.hedge.Load()
 	var lastErr error
 	var refused refusals
+	fail := func(err error) {
+		b.noteReadFailure(err)
+		refused.note(err)
+		lastErr = err
+	}
+	backedUp := -1 // the index of the replica the backup fetched, once one has
 	attempted := 0
-	for _, r := range bm.Replicas {
-		dn := b.stores[r]
-		if !dn.Up() {
+	for i, r := range bm.Replicas {
+		if err := ctx.Err(); err != nil {
+			lastErr = err
+			break
+		}
+		if i == backedUp || !b.stores[r].Up() {
 			continue
 		}
 		if attempted > 0 {
 			b.counters.ReadFailovers.Add(1)
 		}
 		attempted++
-		got, err := dn.Get(ctx, bm.ID, dst)
-		if err == nil && got.Sum != bm.Checksum {
-			err = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r)
-		}
-		if err != nil {
-			b.noteReadFailure(err)
-			refused.note(err)
-			lastErr = err
+		if h == nil {
+			data, err := b.fetch(ctx, bm, r, dst)
+			if err == nil {
+				return data, nil
+			}
+			fail(err)
 			continue
 		}
-		return got.Data, nil
+		data, bk, err := b.fetchHedged(ctx, h, bm, i, dst, backedUp < 0)
+		if err == nil {
+			return data, nil
+		}
+		fail(err)
+		if bk != nil {
+			backedUp = bk.index
+			fail(bk.err)
+		}
 	}
 	return nil, noReplica(bm, refused, lastErr)
+}
+
+// fetch reads replica r of bm, appending it to into, and verifies it
+// against the block's checksum.
+func (b *BlockIO) fetch(ctx context.Context, bm BlockMeta, r cluster.NodeID, into []byte) ([]byte, error) {
+	got, err := b.stores[r].Get(ctx, bm.ID, into)
+	if err == nil && got.Sum != bm.Checksum {
+		err = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r)
+	}
+	return got.Data, err
 }
 
 // noteReadFailure counts a replica read that failed: a down node, or

@@ -506,8 +506,16 @@ func (d *DataNode) UsedBytes() int64 {
 type nsShard struct {
 	mu        sync.Mutex
 	files     map[string]*FileMeta
-	fileLocks map[string]*sync.Mutex
+	fileLocks map[string]*fileLock
 	journal   Journal // write-ahead hook; nil = volatile shard
+}
+
+// fileLock is one file's structural lock. It stays in its shard's
+// table only while somebody holds or waits for it: holders counts them,
+// under the shard's mu, and the last to unlock removes the entry.
+type fileLock struct {
+	mu      sync.Mutex
+	holders int
 }
 
 // NameNode is the metadata service: the sharded file table, block
@@ -569,7 +577,7 @@ func NewNameNodeSharded(c *cluster.Cluster, stores []BlockStore, shards int) (*N
 	for i := range nn.shards {
 		nn.shards[i] = &nsShard{
 			files:     make(map[string]*FileMeta),
-			fileLocks: make(map[string]*sync.Mutex),
+			fileLocks: make(map[string]*fileLock),
 		}
 	}
 	return nn, nil
@@ -617,18 +625,27 @@ func (nn *NameNode) SetFaultInjector(f FaultInjector) {
 // delete) on one file and returns the unlock function. Reads and
 // writes of other files proceed concurrently. The lock table lives in
 // the file's shard, so structural traffic on different shards never
-// meets on a shared table lock.
+// meets on a shared table lock, and holds an entry only while the lock
+// is held or awaited, so names once locked cost nothing afterwards.
 func (nn *NameNode) lockFile(name string) func() {
 	sh := nn.shardOf(name)
 	sh.mu.Lock()
 	l, ok := sh.fileLocks[name]
 	if !ok {
-		l = &sync.Mutex{}
+		l = &fileLock{}
 		sh.fileLocks[name] = l
 	}
+	l.holders++
 	sh.mu.Unlock()
-	l.Lock()
-	return l.Unlock
+	l.mu.Lock()
+	return func() {
+		l.mu.Unlock()
+		sh.mu.Lock()
+		if l.holders--; l.holders == 0 {
+			delete(sh.fileLocks, name)
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Cluster returns the current availability snapshot. It is immutable:

@@ -5,19 +5,21 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"github.com/adaptsim/adapt/internal/cluster"
 )
 
-// Hedged reads: when a block fetch takes longer than a quantile-
-// tracked latency threshold, a backup fetch is launched on the next
-// replica in the block's availability-ordered list (the 1/E[T]
-// ordering placement wrote), and the first finisher wins. Losers are
-// cancelled through their context, which aborts blocked stream I/O on
-// the networked stores. This is redundant assignment with
-// first-finisher-wins (Behrouzi-Far & Soljanin) applied to the DFS
-// read path — it converts a gray node's 10-100x service latency into
-// one threshold delay instead of one deadline.
+// Hedged reads: when one step of a block read's replica ladder
+// (appendBlock) outlasts a quantile-tracked latency threshold, one
+// backup fetch starts on the next live replica in the block's
+// availability-ordered list (the 1/E[T] ordering placement wrote), and
+// the first verified copy wins, cancelling the other through their
+// shared context, which aborts blocked stream I/O on the networked
+// stores. This is redundant assignment with first-finisher-wins
+// (Behrouzi-Far & Soljanin) applied to the DFS read path — it converts
+// a gray node's 10-100x service latency into one threshold delay
+// instead of one deadline. The hedge is one timer per step, stopped if
+// the step's own fetch returns first; a block read starts at most one
+// backup, and a fetch that fails while it is in flight waits for it
+// rather than starting a third.
 //
 // The threshold adapts: it is Multiplier x the tracked Quantile of
 // recent read latencies, floored at MinDelay. On a hazard-free fast
@@ -159,141 +161,85 @@ func (b *BlockIO) SetHedge(cfg HedgeConfig) error {
 // SetHedge enables hedged reads on the NameNode's own block mover.
 func (nn *NameNode) SetHedge(cfg HedgeConfig) error { return nn.io.SetHedge(cfg) }
 
-// hedgeResult is one replica fetch's outcome.
-type hedgeResult struct {
-	GetResult
-	err     error
-	node    cluster.NodeID
-	hedged  bool
-	inPlace bool // Data is dst extended: the fetch read into dst's spare capacity
-	took    time.Duration
+// backup is the outcome of a hedged step's one backup fetch: the next
+// live replica after the step's, read into a buffer of its own on the
+// hedge timer's goroutine. done is released once the fetch returns.
+type backup struct {
+	index int // the replica's index in the block's list
+	done  sync.WaitGroup
+	data  []byte
+	err   error
+	took  time.Duration
 }
 
-// readBlockHedged is the hedged counterpart of the sequential replica
-// loop in appendBlock: the primary fetch starts immediately, a
-// backup starts on the next live replica once the threshold passes,
-// and whichever verified copy lands first wins. Fetch errors trigger
-// immediate failover to the next candidate (no threshold wait), so
-// hedging strictly dominates the sequential loop on latency.
-//
-// The block lands in place as the sequential ladder's does: one fetch
-// at a time — the first, and after a failure the next failover — reads
-// into dst's spare capacity, and when it wins its extended slice is
-// the result, with no copy. Every other fetch reads into a buffer of
-// its own. A backup that wins is appended to dst only after the fetches
-// are cancelled and the in-place one has returned, since until then it
-// may still be writing dst's spare capacity; and no path returns before
-// the in-place fetch has, so the caller never gets dst back while a
-// fetch can still write past its end.
-func (b *BlockIO) readBlockHedged(ctx context.Context, h *hedger, bm BlockMeta, dst []byte) ([]byte, error) {
-	live := make([]cluster.NodeID, 0, len(bm.Replicas))
-	for _, r := range bm.Replicas {
-		if b.stores[r].Up() {
-			live = append(live, r)
-		}
-	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("%w: block %d of %q", ErrNoReplica, bm.ID, bm.File)
-	}
-
-	// One cancellation scope for every fetch: settle aborts the losers,
-	// whose blocked stream I/O the networked stores poison through this
-	// context, and waits out the in-place one. Every fetch sends exactly
-	// one result into the buffered channel, so none ever blocks there.
-	fctx, cancelAll := context.WithCancel(ctx)
-	results := make(chan hedgeResult, len(live))
-	inPlace := false // a fetch is reading into dst's spare capacity
-	settle := func() {
-		cancelAll()
-		for inPlace {
-			if r := <-results; r.inPlace {
-				inPlace = false
-			}
-		}
-	}
-	defer settle()
-
-	next, outstanding, hedges := 0, 0, 0
-	start := func(hedged bool) bool {
-		if next >= len(live) {
-			return false
-		}
-		node := live[next]
-		next++
-		outstanding++
-		if hedged {
-			hedges++
-			b.counters.HedgedReads.Add(1)
-		}
-		var into []byte // nil: a buffer of the fetch's own
-		own := !inPlace
-		if own {
-			into, inPlace = dst, true
-		}
-		go func() {
-			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
-			begin := time.Now()
-			got, err := b.stores[node].Get(fctx, bm.ID, into)
-			//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
-			results <- hedgeResult{GetResult: got, err: err, node: node, hedged: hedged, inPlace: own, took: time.Since(begin)}
-		}()
-		return true
-	}
-	start(false)
-
-	// The hedge timer arms only when a threshold exists (enough
-	// samples) and a backup candidate exists.
-	var hedgeC <-chan time.Time
-	if thr, ok := h.threshold(); ok && len(live) > 1 {
-		tm := time.NewTimer(thr)
-		defer tm.Stop()
-		hedgeC = tm.C
-	}
-
-	var lastErr error
-	var refused refusals
-	for {
-		select {
-		case r := <-results:
-			outstanding--
-			block := r.Data
-			if r.inPlace {
-				inPlace = false
-				if r.err == nil {
-					block = r.Data[len(dst):]
+// fetchHedged is one step of the replica ladder with hedging on: it
+// fetches replica i in place on the caller's goroutine. When mayHedge,
+// the threshold is known and another live replica follows, it arms one
+// timer, and only if that fires before the fetch returns does the
+// backup start, sharing the step's cancel scope, so whichever copy
+// verifies first cancels the other. A winning backup is appended to dst
+// only once the in-place fetch has returned, since until then that may
+// still be writing dst's spare capacity; a failed fetch waits for the
+// backup rather than starting a third. The winner's latency feeds the
+// window. When both fetches fail, bk is the backup, holding its error.
+func (b *BlockIO) fetchHedged(ctx context.Context, h *hedger, bm BlockMeta, i int, dst []byte, mayHedge bool) (data []byte, bk *backup, err error) {
+	fctx := ctx
+	var timer *time.Timer
+	if thr, ok := h.threshold(); ok && mayHedge {
+		if j := b.nextLive(bm, i); j >= 0 {
+			k := &backup{index: j}
+			sctx, cancel := context.WithCancel(ctx)
+			defer cancel()
+			k.done.Add(1)
+			timer = time.AfterFunc(thr, func() {
+				defer k.done.Done()
+				b.counters.HedgedReads.Add(1)
+				//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
+				begin := time.Now()
+				k.data, k.err = b.fetch(sctx, bm, bm.Replicas[j], nil)
+				//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
+				k.took = time.Since(begin)
+				if k.err == nil {
+					cancel()
 				}
-			}
-			if r.err == nil {
-				if r.Sum == bm.Checksum {
-					h.observe(r.took)
-					if r.hedged {
-						b.counters.HedgeWins.Add(1)
-					} else if hedges > 0 {
-						b.counters.HedgeLosses.Add(1)
-					}
-					if r.inPlace {
-						return r.Data, nil
-					}
-					settle()
-					return append(dst, block...), nil
-				}
-				r.err = fmt.Errorf("%w: block %d replica on node %d", ErrChecksum, bm.ID, r.node)
-			}
-			b.noteReadFailure(r.err)
-			lastErr = r.err
-			refused.note(r.err)
-			// Failover: a failed fetch immediately tries the next
-			// candidate, independent of the hedge threshold.
-			if start(false) {
-				b.counters.ReadFailovers.Add(1)
-			} else if outstanding == 0 {
-				return nil, noReplica(bm, refused, lastErr)
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			start(true)
-		case <-ctx.Done():
-			return nil, fmt.Errorf("%w: block %d of %q (last error: %v)", ErrNoReplica, bm.ID, bm.File, ctx.Err())
+			})
+			fctx, bk = sctx, k
 		}
 	}
+	//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
+	begin := time.Now()
+	data, err = b.fetch(fctx, bm, bm.Replicas[i], dst)
+	//lint:ignore determinism hedge latency tracking times real socket reads; simulated paths never enable hedging
+	took := time.Since(begin)
+	if timer != nil && timer.Stop() {
+		bk = nil // the backup never started
+	}
+	if err == nil {
+		h.observe(took)
+		if bk != nil {
+			b.counters.HedgeLosses.Add(1)
+		}
+		return data, nil, nil
+	}
+	if bk == nil {
+		return nil, nil, err
+	}
+	bk.done.Wait()
+	if bk.err != nil {
+		return nil, bk, err
+	}
+	h.observe(bk.took)
+	b.counters.HedgeWins.Add(1)
+	return append(dst, bk.data...), nil, nil
+}
+
+// nextLive returns the index of the first live replica of bm after
+// index i, or -1 when none is.
+func (b *BlockIO) nextLive(bm BlockMeta, i int) int {
+	for j := i + 1; j < len(bm.Replicas); j++ {
+		if b.stores[bm.Replicas[j]].Up() {
+			return j
+		}
+	}
+	return -1
 }

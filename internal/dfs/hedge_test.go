@@ -241,3 +241,109 @@ func TestHedgedReadWaitsOutInPlacePrimary(t *testing.T) {
 		})
 	}
 }
+
+// scriptedStore is an in-memory replica whose Get runs get first, and
+// fails with get's error when it returns one.
+type scriptedStore struct {
+	localStore
+	get func(ctx context.Context) error
+}
+
+func (s *scriptedStore) Get(ctx context.Context, id BlockID, dst []byte) (GetResult, error) {
+	if err := s.get(ctx); err != nil {
+		return GetResult{}, err
+	}
+	return s.localStore.Get(ctx, id, dst)
+}
+
+// TestHedgedFailureWaitsForBackup: a step whose fetch fails while the
+// block's backup is in flight waits for that backup instead of starting
+// a third fetch, and the backup's copy is the block.
+func TestHedgedFailureWaitsForBackup(t *testing.T) {
+	block := bytes.Repeat([]byte("backup bytes "), 100)
+	backupStarted := make(chan struct{})
+	var thirdCalls atomic.Int32
+	stores := []BlockStore{
+		&scriptedStore{localStore{NewDataNode(0)}, func(context.Context) error {
+			<-backupStarted
+			return ErrNodeDown
+		}},
+		&scriptedStore{localStore{NewDataNode(1)}, func(context.Context) error {
+			close(backupStarted)
+			time.Sleep(20 * time.Millisecond)
+			return nil
+		}},
+		&scriptedStore{localStore{NewDataNode(2)}, func(context.Context) error {
+			thirdCalls.Add(1)
+			return nil
+		}},
+	}
+	for _, s := range stores {
+		if err := s.(*scriptedStore).dn.Put(1, block); err != nil {
+			t.Fatal(err)
+		}
+	}
+	io := NewBlockIO(stores)
+	if err := io.SetHedge(HedgeConfig{MinDelay: 5 * time.Millisecond, Window: 1, MinSamples: 1}); err != nil {
+		t.Fatal(err)
+	}
+	io.hedge.Load().observe(time.Millisecond)
+	bm := BlockMeta{ID: 1, File: "f", Size: int64(len(block)), Replicas: []cluster.NodeID{0, 1, 2}, Checksum: Checksum(block)}
+	got, err := io.ReadBlock(context.Background(), bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, block) {
+		t.Fatal("the backup's bytes came back damaged")
+	}
+	if n := thirdCalls.Load(); n != 0 {
+		t.Fatalf("the third replica was fetched %d times while the backup was in flight", n)
+	}
+	if r := io.Resilience().Snapshot(); r.HedgedReads != 1 || r.HedgeWins != 1 || r.ReadFailovers != 0 {
+		t.Fatalf("resilience %+v, want one hedged read, its win, no failover", r)
+	}
+}
+
+// TestReadLadderAllocs: with hedging off a block read is the fetch
+// alone — appending into spare capacity it allocates only what the
+// store's read does — and a hedge that never fires adds one timer and
+// one cancel scope per block, not a goroutine and a channel.
+func TestReadLadderAllocs(t *testing.T) {
+	block := make([]byte, 4096)
+	stores := make([]BlockStore, 3)
+	for i := range stores {
+		dn := NewDataNode(cluster.NodeID(i))
+		if err := dn.Put(1, block); err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = localStore{dn}
+	}
+	io := NewBlockIO(stores)
+	bm := BlockMeta{ID: 1, File: "f", Size: int64(len(block)), Replicas: []cluster.NodeID{0, 1, 2}, Checksum: Checksum(block)}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	dst := make([]byte, 0, 2*len(block))
+	read := func() {
+		if _, err := io.appendBlock(ctx, bm, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bare := testing.AllocsPerRun(100, func() {
+		if _, err := stores[0].Get(ctx, bm.ID, dst); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if off := testing.AllocsPerRun(100, read); off > bare {
+		t.Fatalf("a read with hedging off allocates %v times, the store's fetch alone %v", off, bare)
+	}
+	if err := io.SetHedge(HedgeConfig{MinDelay: time.Minute, MinSamples: 1}); err != nil {
+		t.Fatal(err)
+	}
+	read() // the window's first sample: the threshold is known from here on
+	if on := testing.AllocsPerRun(100, read); on > bare+5 {
+		t.Fatalf("a read under a never-firing hedge allocates %v times, want at most %v", on, bare+5)
+	}
+	if r := io.Resilience().Snapshot(); r.HedgedReads != 0 {
+		t.Fatalf("%d reads hedged under a one-minute threshold", r.HedgedReads)
+	}
+}

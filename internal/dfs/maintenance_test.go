@@ -3,7 +3,10 @@ package dfs
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/cluster"
@@ -318,5 +321,64 @@ func TestMaintainReplicationAdaptPrefersReliable(t *testing.T) {
 	if reliableGain <= volatileGain {
 		t.Fatalf("repairs favored volatile nodes: reliable +%d, volatile +%d",
 			reliableGain, volatileGain)
+	}
+}
+
+// TestFileLockTableDrains: a file's structural lock occupies its
+// shard's table only while it is held or awaited. Files created,
+// repaired and deleted, a consistency check and a repair pass over the
+// deleted names leave the table empty, and lockers of one name still
+// exclude each other.
+func TestFileLockTableDrains(t *testing.T) {
+	nn, cl := testClient(t, 6, 100)
+	cl.Replication = 2
+	ctx := context.Background()
+	const files = 20
+	for i := 0; i < files; i++ {
+		name := fmt.Sprintf("f%d", i)
+		if _, _, err := cl.CopyFromLocalReportContext(ctx, name, payload(250), false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.MaintainReplication(ctx, name, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := nn.DeleteContext(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nn.CheckConsistency(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < files; i++ {
+		if _, err := cl.MaintainReplication(ctx, fmt.Sprintf("f%d", i), true); !errors.Is(err, ErrFileNotFound) {
+			t.Fatalf("repair of deleted f%d: err = %v, want ErrFileNotFound", i, err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	inside := 0
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				unlock := nn.lockFile("shared")
+				if inside++; inside != 1 {
+					t.Errorf("%d holders of one file lock", inside)
+				}
+				inside--
+				unlock()
+			}
+		}()
+	}
+	wg.Wait()
+
+	for i, sh := range nn.shards {
+		sh.mu.Lock()
+		left := len(sh.fileLocks)
+		sh.mu.Unlock()
+		if left != 0 {
+			t.Errorf("shard %d keeps %d file locks nobody holds", i, left)
+		}
 	}
 }

@@ -356,7 +356,10 @@ func (e *Engine) reducePartition(job Job, prs []pair) ([]byte, int64, error) {
 // readBlockAnyReplica reads block bytes from any replica regardless of
 // the (virtual) up/down state: the simulator has already charged the
 // access, and the bits persist on disk across interruptions (§II-B).
-// It reads them without touching liveness, which other readers see.
+// It reads them without touching liveness, which other readers see,
+// and maps only bytes that match the block's checksum: a replica read
+// corrupt fails over to the next, and with none left the error wraps
+// dfs.ErrChecksum.
 func (e *Engine) readBlockAnyReplica(bm dfs.BlockMeta) ([]byte, error) {
 	var lastErr error
 	for _, r := range bm.Replicas {
@@ -365,6 +368,9 @@ func (e *Engine) readBlockAnyReplica(bm dfs.BlockMeta) ([]byte, error) {
 			return nil, err
 		}
 		data, err := dn.GetStored(bm.ID)
+		if err == nil && dfs.Checksum(data) != bm.Checksum {
+			err = fmt.Errorf("%w: block %d replica on node %d", dfs.ErrChecksum, bm.ID, r)
+		}
 		if err == nil {
 			return data, nil
 		}

@@ -355,3 +355,77 @@ func TestMapReadLeavesLivenessAlone(t *testing.T) {
 		t.Fatal("a rejoin during the map phase's read was undone")
 	}
 }
+
+// corruptingReads flips the first byte of every read its DataNode
+// serves; the stored bytes stay intact.
+type corruptingReads struct{}
+
+func (corruptingReads) FailOp(cluster.NodeID, dfs.Op, dfs.BlockID) error { return nil }
+
+func (corruptingReads) CorruptRead(_ cluster.NodeID, _ dfs.BlockID, data []byte) []byte {
+	if len(data) > 0 {
+		data[0] ^= 0xff
+	}
+	return data
+}
+
+// TestMapSkipsCorruptReplica: the map phase maps only verified bytes.
+// With the first holder of the input's first block corrupting every
+// read, a second replica still yields the exact word counts, and a sole
+// replica fails the job with ErrChecksum instead of counting garbage.
+func TestMapSkipsCorruptReplica(t *testing.T) {
+	for _, rf := range []int{2, 1} {
+		t.Run(fmt.Sprintf("rf=%d", rf), func(t *testing.T) {
+			nn, cl, eng := newEngine(t, 4, 0)
+			cl.BlockSize = 64
+			cl.Replication = rf
+			if _, _, err := cl.CopyFromLocalReportContext(context.Background(), "in", bytes.Repeat([]byte("a b a c "), 32), false); err != nil {
+				t.Fatal(err)
+			}
+			fm, err := nn.Stat("in")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dn, err := nn.DataNode(fm.Blocks[0].Replicas[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dn.SetFaults(corruptingReads{})
+
+			job := Job{
+				Name:   "wordcount",
+				Input:  "in",
+				Output: "out",
+				Mapper: MapperFunc(func(block []byte, emit func(string, []byte)) error {
+					for _, f := range strings.Fields(string(block)) {
+						emit(f, []byte("1"))
+					}
+					return nil
+				}),
+				Reducer: ReducerFunc(func(key string, values [][]byte, emit func(string, []byte)) error {
+					emit(key, []byte(strconv.Itoa(len(values))))
+					return nil
+				}),
+				Reducers: 1,
+			}
+			res, err := eng.Run(job, stats.NewRNG(9))
+			if rf == 1 {
+				if !errors.Is(err, dfs.ErrChecksum) {
+					t.Fatalf("sole replica corrupt: err = %v, want ErrChecksum", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			dn.SetFaults(nil)
+			out, err := cl.ReadFileContext(context.Background(), res.OutputFiles[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "a\t64\nb\t32\nc\t32\n"; string(out) != want {
+				t.Fatalf("output = %q, want %q", out, want)
+			}
+		})
+	}
+}

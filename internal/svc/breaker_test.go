@@ -1,11 +1,16 @@
 package svc
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/adaptsim/adapt/internal/cluster"
+	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/stats"
 )
 
@@ -220,5 +225,58 @@ func TestBreakerNilSafety(t *testing.T) {
 	}
 	if b.State() != BreakerClosed {
 		t.Fatal("nil breaker state not closed")
+	}
+}
+
+// TestExpiredContextBlamesNoDataNode: an operation whose deadline has
+// already passed sends nothing, so it is no evidence against any
+// DataNode. Neither a write, a read nor a pipeline put with such a
+// context may open a breaker or mark a store down, however many nodes
+// the block could go to or come from.
+func TestExpiredContextBlamesNoDataNode(t *testing.T) {
+	c, err := cluster.New(make([]cluster.Node, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := StartLocalCluster(c, stats.NewRNG(5), nil, NameNodeConfig{
+		BlockSize:   4096,
+		Replication: 3,
+		Breaker:     BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer func() { _ = lc.Close(ctx) }()
+	cl := lc.Client("shell")
+	defer cl.Close()
+
+	data := payload(4096)
+	fm, _, err := cl.CopyFromLocal(ctx, "read", data, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, a := mustAllocate(t, ctx, cl, "write", len(data))
+	expired, cancelExpired := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancelExpired()
+
+	if _, err := dp.io.WriteBlocks(expired, a, bytes.NewReader(data), clientRetry, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("write with an expired deadline: err = %v, want DeadlineExceeded", err)
+	}
+	if _, err := dp.io.ReadBlock(expired, fm.Blocks[0]); !errors.Is(err, dfs.ErrNoReplica) {
+		t.Fatalf("read with an expired deadline: err = %v, want ErrNoReplica", err)
+	}
+	if res := dp.stores[0].PutChain(expired, a.Blocks[0].ID, data, []cluster.NodeID{1, 2}); len(res.Acked) != 0 || len(res.Failed) != 3 {
+		t.Fatalf("pipeline put with an expired deadline: %+v, want every chain node failed", res)
+	}
+	down := 0
+	for _, s := range dp.stores {
+		if !s.Up() {
+			down++
+		}
+	}
+	if opens := dp.brkStats.Opens.Load(); opens != 0 || down != 0 {
+		t.Fatalf("an expired deadline opened %d breakers and marked %d of %d stores down, want none", opens, down, len(dp.stores))
 	}
 }

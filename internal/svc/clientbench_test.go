@@ -13,32 +13,42 @@ import (
 	"github.com/adaptsim/adapt/internal/stats"
 )
 
-// benchPutGet times one svc.Client putting a file and getting it back,
-// b.N times over a fresh loopback cluster of six DataNodes with 1 MiB
-// blocks and the ADAPT distributor — the path an adapt-fs user takes.
-// Each direction is timed on its own: the reported MiB/s and p50 are
-// per direction, ns/op and B/s are the put+get pair. Files are deleted
-// engine-direct outside the timer, so memory stays at one file.
-func benchPutGet(b *testing.B, fileBytes, replication int) {
+// benchClient boots the loopback cluster the client benchmarks share —
+// six DataNodes of a shuffled half-interrupted emulation, 1 MiB blocks,
+// the ADAPT distributor — and one client of it, and returns file bytes
+// of the given size.
+func benchClient(b *testing.B, cfg NameNodeConfig, fileBytes int) (context.Context, *LocalCluster, *Client, []byte) {
 	c, err := cluster.NewEmulation(cluster.EmulationConfig{Nodes: 6, InterruptedRatio: 0.5, Shuffle: true}, stats.NewRNG(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	lc, err := StartLocalCluster(c, stats.NewRNG(2), nil, NameNodeConfig{BlockSize: 1 << 20, Replication: replication})
+	cfg.BlockSize = 1 << 20
+	lc, err := StartLocalCluster(c, stats.NewRNG(2), nil, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	defer func() { _ = lc.Close(ctx) }()
 	cl := lc.Client("shell")
-	defer cl.Close()
-
+	b.Cleanup(func() {
+		cl.Close()
+		_ = lc.Close(ctx)
+		cancel()
+	})
 	data := make([]byte, fileBytes)
 	g := stats.NewRNG(3)
 	for i := range data {
 		data[i] = byte(g.Uint64())
 	}
+	return ctx, lc, cl, data
+}
+
+// benchPutGet times one svc.Client putting a file and getting it back,
+// b.N times — the path an adapt-fs user takes. Each direction is timed
+// on its own: the reported MiB/s and p50 are per direction, ns/op and
+// B/s are the put+get pair. Files are deleted engine-direct outside the
+// timer, so memory stays at one file.
+func benchPutGet(b *testing.B, fileBytes, replication int) {
+	ctx, lc, cl, data := benchClient(b, NameNodeConfig{Replication: replication}, fileBytes)
 	// One untimed pair dials every connection the client keeps.
 	if _, _, err := cl.CopyFromLocal(ctx, "warm", data, true); err != nil {
 		b.Fatal(err)
@@ -105,6 +115,51 @@ func BenchmarkClientPutGetBySize(b *testing.B) {
 	}{{"4KiB", 4 << 10}, {"1MiB", 1 << 20}, {"4MiB", 4 << 20}} {
 		for _, rf := range []int{1, 3} {
 			b.Run(fmt.Sprintf("%s/rf%d", size.name, rf), func(b *testing.B) { benchPutGet(b, size.bytes, rf) })
+		}
+	}
+}
+
+// BenchmarkClientGet times gets alone (RF 3, one file read b.N times)
+// per file size, with hedged reads off and on under a threshold floored
+// at a minute: once the latency window holds MinSamples reads, every
+// block read arms the hedge, and none fires, so the hedge=true cells
+// show what hedging costs a read that never needs it.
+func BenchmarkClientGet(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"4KiB", 4 << 10}, {"4MiB", 4 << 20}} {
+		for _, hedge := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/hedge=%v", size.name, hedge), func(b *testing.B) {
+				cfg := NameNodeConfig{Replication: 3, HedgeReads: hedge, Hedge: HedgeConfig{MinDelay: time.Minute}}
+				ctx, _, cl, data := benchClient(b, cfg, size.bytes)
+				if _, _, err := cl.CopyFromLocal(ctx, "f", data, true); err != nil {
+					b.Fatal(err)
+				}
+				// Untimed reads dial every connection and fill the
+				// latency window past its default MinSamples of 16.
+				for i := 0; i < 20; i++ {
+					if _, err := cl.ReadFile(ctx, "f"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(size.bytes))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					got, err := cl.ReadFile(ctx, "f")
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(got) != len(data) {
+						b.Fatalf("read %d bytes, want %d", len(got), len(data))
+					}
+				}
+				b.StopTimer()
+				if r := cl.resilience(); r.HedgedReads != 0 {
+					b.Fatalf("%d reads hedged under a one-minute threshold", r.HedgedReads)
+				}
+			})
 		}
 	}
 }

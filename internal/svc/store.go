@@ -148,9 +148,11 @@ func (s *remoteStore) SetUp(up bool) {
 // classifies how it ended: the peer answered (its own error passes
 // through with its taxonomy — the wire works, whatever it said — and so
 // does a replica's chunk that failed its checksum, which says the
-// replica is bad, not the node), the caller cancelled (a lost hedge
-// race or an abandoned operation proves nothing about the node, so
-// neither the breaker nor the liveness belief moves), or the transport
+// replica is bad, not the node), the caller cancelled or the exchange
+// never started because its context was already done (a lost hedge
+// race, an abandoned operation or an expired deadline proves nothing
+// about the node, so neither the breaker nor the liveness belief
+// moves), or the transport
 // failed (the store is marked down and the error wraps
 // dfs.ErrNodeDown). what names the exchange in the
 // abandoned-call error, and is called only to build that error: the
@@ -170,7 +172,7 @@ func (s *remoteStore) observe(ctx context.Context, what func() string, exchange 
 		s.brk.record(probe, true)
 		return err
 	}
-	if errors.Is(ctx.Err(), context.Canceled) {
+	if errors.Is(ctx.Err(), context.Canceled) || errors.Is(err, errNotStarted) {
 		s.brk.forget(probe)
 		return fmt.Errorf("svc: %s datanode %d abandoned: %w", what(), s.id, err)
 	}
@@ -210,32 +212,24 @@ func (s *remoteStore) PutChain(ctx context.Context, id dfs.BlockID, data []byte,
 		}
 		chain = append(chain, chainEntry{Node: n, Addr: addr})
 	}
-	probe, admitted := s.brk.admit()
-	if !admitted {
-		cause := fmt.Errorf("%w: datanode %d circuit open, fast-failing", dfs.ErrNodeDown, s.id)
-		for _, ce := range chain {
-			res.Failed[ce.Node] = cause
-		}
-		return res
-	}
-	acks, sum, err := s.conns.pipelinePut(ctx, chain, id, data)
-	s.brk.record(probe, err == nil)
+	var acks []ackEntry
+	err := s.observe(ctx, func() string { return fmt.Sprintf("pipeline put block %d to", id) }, func() (err error) {
+		acks, res.Sum, err = s.conns.pipelinePut(ctx, chain, id, data)
+		return err
+	})
 	if err != nil {
-		// The stream broke: no commit acks, so whether any chain node
-		// committed is unknown. Mark everything down-failed. A deep
-		// replica that committed with its ack lost is either published
-		// by the engine's same-block retry or left unlisted, and the
-		// NameNode's repair scan collects it — never the request path,
-		// where a delete toward the node that stalled the pipeline would
-		// stall just as long.
-		s.SetUp(false)
-		cause := fmt.Errorf("%w: datanode %d pipeline unreachable: %v", dfs.ErrNodeDown, s.id, err)
+		// The stream broke, or never started: no commit acks, so whether
+		// any chain node committed is unknown, and every one is failed. A
+		// deep replica that committed with its ack lost is either
+		// published by the engine's same-block retry or left unlisted,
+		// and the NameNode's repair scan collects it — never the request
+		// path, where a delete toward the node that stalled the pipeline
+		// would stall just as long.
 		for _, ce := range chain {
-			res.Failed[ce.Node] = cause
+			res.Failed[ce.Node] = err
 		}
 		return res
 	}
-	res.Sum = sum
 	// A relay passes its downstream acks on unchecked, so an ack may
 	// name any node, and a node more than once. Only the chain's own
 	// nodes are judged, each by the first entry naming it. Acked is in

@@ -210,6 +210,11 @@ func (p *streamPool) close() {
 	}
 }
 
+// errNotStarted marks an exchange refused before anything was sent or
+// dialed because its context was already done: it says nothing about
+// the peer.
+var errNotStarted = errors.New("svc: exchange not started")
+
 // acquireConn takes a connection to addr for one exchange with peer — a
 // parked one when the owner has any, a fresh dial otherwise — and arms
 // it on ctx. reused reports a parked connection. The sender side of the
@@ -225,17 +230,18 @@ func (p *streamPool) close() {
 // to a slice of the budget, leaves the rest for alternates, and — for
 // pipeline relays — lets the setup ack naming the actual stalled node
 // reach the writer in time. Deadline-free contexts set up without a
-// sub-budget.
+// sub-budget. A context already done is refused with errNotStarted
+// before the gate or a dial.
 func (p *streamPool) acquireConn(ctx context.Context, addr, peer string, redial bool) (dc *dataConn, reused bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, false, fmt.Errorf("svc: dial %s: %w", addr, err)
+		return nil, false, fmt.Errorf("%w: dial %s: %w", errNotStarted, addr, err)
 	}
 	setup := ctx
 	if dl, ok := ctx.Deadline(); ok {
 		//lint:ignore determinism carving a setup slice out of a wall-clock deadline needs the wall clock; deadline-free contexts skip it
 		rem := time.Until(dl)
 		if rem <= 0 {
-			return nil, false, fmt.Errorf("svc: dial %s: %w", addr, context.DeadlineExceeded)
+			return nil, false, fmt.Errorf("%w: dial %s: %w", errNotStarted, addr, context.DeadlineExceeded)
 		}
 		var cancel context.CancelFunc
 		setup, cancel = context.WithTimeout(ctx, rem/4)
