@@ -60,11 +60,14 @@ hedge-stress:
 	$(GO) test -race -count=10 -run 'Hedge|Pinned' ./internal/dfs/ ./internal/svc/
 
 # Coverage-guided fuzz smoke for the decoders that read bytes they did
-# not write, 30s in all, each target for 5s on top of its committed
+# not write, 35s in all, each target for 5s on top of its committed
 # seed corpus: the frame codec, which is the whole wire (calls, replies
 # and errors ride the frames block streams do) — the decoder target
 # (arbitrary bytes must never crash, write past the destination, or
-# yield an invalid frame) and the chunk-reassembly round trip — the trace CSV
+# yield an invalid frame) and the chunk-reassembly round trip — the
+# params of every nn.* and dn.* method, through a live cluster's call
+# dispatch (never a panic, always one reply or error frame, nn.list and
+# dn.blocks still answered) — the trace CSV
 # decoder (never panics; whatever it accepts survives a write and a
 # re-read unchanged), the WAL segment decoder (a damaged final
 # segment replays a prefix of what was written; a damaged earlier one
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/svc/
 	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 5s ./internal/svc/
 	$(GO) test -run '^$$' -fuzz FuzzReplayNamespace -fuzztime 5s ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzMethodParams -fuzztime 5s ./internal/svc/
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzWALSegment -fuzztime 5s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzLoadMark -fuzztime 5s ./internal/wal/

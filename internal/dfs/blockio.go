@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,14 +15,16 @@ import (
 )
 
 // BlockIO is the byte-moving half of the file system: given block ids
-// and holders somebody else decided, it writes replicas (pipeline fast
-// path, direct retries, divert to alternates) and reads them back
-// (replica failover or hedging, CRC32C verification). It knows nothing
-// of names, quotas or journals, so whoever holds the bytes owns one:
-// the NameNode for what it moves itself (cp, adapt, rebalance, repair,
-// in-process clients), and every networked client for its own puts and
-// gets — HDFS's split, where the NameNode decides and the client moves
-// bytes.
+// and holders somebody else decided, it writes replicas and reads them
+// back (replica failover or hedging, CRC32C verification). Every
+// replica written — a create's, an adapt's or rebalance's, a repair's —
+// goes through one write step: putPlaced (pipeline fast path, then
+// direct retries) and putOne (one direct put, which diverts and repairs
+// use). It knows nothing of names, quotas or journals, so whoever holds
+// the bytes owns one: the NameNode for what it moves itself (cp, adapt,
+// rebalance, repair, in-process clients), and every networked client
+// for its own puts and gets — HDFS's split, where the NameNode decides
+// and the client moves bytes.
 type BlockIO struct {
 	stores   []BlockStore
 	counters *metrics.ResilienceCounters
@@ -212,102 +215,36 @@ func (b *BlockIO) DeleteBlocks(ctx context.Context, blocks []BlockMeta) {
 	}
 }
 
-// writeBlockReplicas stores one block on up to k nodes: first the
-// placed holders, then alternate live nodes for any that refuse, asking
-// none once ctx is done. It
-// returns the holders that acknowledged and the block's CRC32C, as the
-// first store that took the block reported it; an in-process store
-// after the first stores its copy under that sum. With zero
-// acknowledgements it waits out the retry policy's backoff (nodes may
-// rejoin) before giving up with ErrNoLiveNodes — unless the nodes are
-// there and shed the write, which is ErrOverload at once.
+// writeBlockReplicas stores one block on up to k nodes and returns the
+// holders that took it with the block's CRC32C. Each attempt is one
+// putPlaced over the placed holders, then a putOne for each alternate
+// live node a divert needs; none is asked once ctx is done. With zero
+// holders it waits out the retry policy's backoff (nodes may rejoin)
+// before giving up with ErrNoLiveNodes — unless the nodes are there and
+// shed the write, which is ErrOverload at once.
 func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []byte, want []cluster.NodeID, k int, g *stats.RNG, retry RetryPolicy, report *WriteReport) ([]cluster.NodeID, uint32, error) {
-	var placed []cluster.NodeID
-	var sum uint32
 	for attempt := 1; ; attempt++ {
-		tried := make(map[cluster.NodeID]bool, k)
-		var refused refusals
-		try := func(h cluster.NodeID, failover bool) {
-			if tried[h] || len(placed) >= k || ctx.Err() != nil {
-				return
-			}
-			tried[h] = true
-			var s uint32
-			var err error
-			if ls, ok := b.stores[h].(localStore); ok && len(placed) > 0 {
-				// In process the first replica's sum is the block's, so
-				// the later copies are not summed again.
-				err = ls.putSummed(ctx, id, chunk, sum)
-			} else {
-				s, err = b.stores[h].Put(ctx, id, chunk)
-			}
-			if err != nil {
-				if errors.Is(err, ErrNodeDown) {
-					b.counters.NodeDownErrors.Add(1)
-				}
-				refused.note(err)
-				return
-			}
-			if len(placed) == 0 {
-				sum = s
-			}
-			placed = append(placed, h)
-			if failover {
-				b.counters.WriteFailovers.Add(1)
-				if report != nil {
-					report.Failovers++
-				}
-			}
-		}
-		// Pipeline fast path: when the first placed holder can stream a
-		// replication chain, one connection covers every placed holder.
-		// Only acked nodes count as tried — a severed chain fails every
-		// deeper hop collaterally, and those nodes deserve the direct
-		// attempt the loop below gives them, so a mid-chain partition
-		// degrades the write no further than fan-out would. The chain
-		// carries only nodes currently believed up: a down-believed (or
-		// breaker-opened) holder would stall or sever the stream for
-		// every healthy node behind it, and the direct attempts below
-		// still give it its fast-failing probe.
-		if len(want) > 0 && ctx.Err() == nil {
-			chain := want[:0:0]
-			for _, h := range want {
-				if b.stores[h].Up() {
-					chain = append(chain, h)
-				}
-			}
-			if len(chain) > 0 {
-				if pp, ok := b.stores[chain[0]].(PipelinePutter); ok {
-					res := pp.PutChain(ctx, id, chunk, chain[1:])
-					for _, h := range res.Acked {
-						tried[h] = true
-					}
-					if len(placed) == 0 {
-						sum = res.Sum
-					}
-					placed = append(placed, res.Acked...)
-				}
-			}
-		}
-		for _, h := range want {
-			try(h, false)
-		}
+		p := blockPut{id: id, data: chunk}
+		b.putPlaced(ctx, &p, want, k)
 		// Divert missing replicas to alternate live nodes, visited in
 		// a random rotation so degraded writes spread load.
-		if len(placed) < k {
+		if len(p.placed) < k {
 			n := len(b.stores)
 			start := g.IntN(n)
-			for off := 0; off < n && len(placed) < k; off++ {
+			for off := 0; off < n && len(p.placed) < k; off++ {
 				h := cluster.NodeID((start + off) % n)
-				if b.stores[h].Up() {
-					try(h, true)
+				if !slices.Contains(want, h) && b.stores[h].Up() && b.putOne(ctx, &p, h) {
+					b.counters.WriteFailovers.Add(1)
+					if report != nil {
+						report.Failovers++
+					}
 				}
 			}
 		}
-		if len(placed) > 0 {
-			return placed, sum, nil
+		if len(p.placed) > 0 {
+			return p.placed, p.sum, nil
 		}
-		if refused.overloaded() {
+		if p.refused.overloaded() {
 			return nil, 0, fmt.Errorf("%w: block %d shed by every datanode that answered", ErrOverload, id)
 		}
 		if attempt >= retry.attempts() && ctx.Err() == nil {
@@ -322,6 +259,82 @@ func (b *BlockIO) writeBlockReplicas(ctx context.Context, id BlockID, chunk []by
 			report.Retries++
 		}
 	}
+}
+
+// blockPut is one block on its way to its holders: what putPlaced and
+// putOne store, and what they learn doing so.
+type blockPut struct {
+	id   BlockID
+	data []byte
+	// sum is the block's CRC32C once summed is set: reported by the
+	// first store that took the block, or given by a caller whose read
+	// has just verified the bytes against it. An in-process store keeps
+	// it rather than summing the bytes again.
+	sum    uint32
+	summed bool
+	// placed lists the nodes holding the block: any the caller starts
+	// it with, then each that took it, in the order it did.
+	placed  []cluster.NodeID
+	refused refusals
+	err     error // the last refusal, or ctx's error once it is done
+}
+
+// putPlaced stores the block on targets, up to k replicas. When the
+// first live target can stream a replication chain, one pipeline covers
+// every live target; the chain carries only nodes currently believed
+// up, since a down-believed (or breaker-opened) one would stall or
+// sever the stream for every healthy node behind it. Then each target
+// the pipeline did not ack gets one direct putOne, in target order: a
+// severed chain fails every deeper hop collaterally, so a mid-chain
+// partition degrades the write no further than fan-out would, and a
+// down-believed target still gets its fast-failing probe.
+func (b *BlockIO) putPlaced(ctx context.Context, p *blockPut, targets []cluster.NodeID, k int) {
+	up := func(h cluster.NodeID) bool { return b.stores[h].Up() }
+	if head := slices.IndexFunc(targets, up); head >= 0 && ctx.Err() == nil {
+		if pp, ok := b.stores[targets[head]].(PipelinePutter); ok {
+			rest := slices.DeleteFunc(slices.Clone(targets[head+1:]), func(h cluster.NodeID) bool { return !up(h) })
+			res := pp.PutChain(ctx, p.id, p.data, rest)
+			if len(res.Acked) > 0 && !p.summed {
+				p.sum, p.summed = res.Sum, true
+			}
+			p.placed = append(p.placed, res.Acked...)
+		}
+	}
+	for i, h := range targets {
+		if len(p.placed) >= k {
+			return
+		}
+		if !slices.Contains(p.placed, h) && !slices.Contains(targets[:i], h) {
+			b.putOne(ctx, p, h)
+		}
+	}
+}
+
+// putOne stores the block on node h with one direct put, unless ctx is
+// done, and reports whether h took it. A refusal is counted
+// (NodeDownErrors for a down node) and noted in p.
+func (b *BlockIO) putOne(ctx context.Context, p *blockPut, h cluster.NodeID) bool {
+	if err := ctx.Err(); err != nil {
+		p.err = err
+		return false
+	}
+	var sum uint32
+	var err error
+	if ls, ok := b.stores[h].(localStore); ok && p.summed {
+		err = ls.putSummed(ctx, p.id, p.data, p.sum)
+	} else if sum, err = b.stores[h].Put(ctx, p.id, p.data); err == nil && !p.summed {
+		p.sum, p.summed = sum, true
+	}
+	if err != nil {
+		if errors.Is(err, ErrNodeDown) {
+			b.counters.NodeDownErrors.Add(1)
+		}
+		p.refused.note(err)
+		p.err = err
+		return false
+	}
+	p.placed = append(p.placed, h)
+	return true
 }
 
 // ReadBlock fetches one block's bytes from any live replica, verifying

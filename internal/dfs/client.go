@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/placement"
@@ -138,23 +139,19 @@ func (c *Client) ReadFileContext(ctx context.Context, name string) ([]byte, erro
 // readBlock reads one block with replica failover plus bounded retry
 // on transient failure. Unlike ReadFileContext it works from the
 // caller's BlockMeta snapshot, so it cannot see holders added after
-// the stat.
+// the stat. A block the replicas shed (ErrOverload) is returned at
+// once, as ReadFile does: the caller owns that backoff.
 func (c *Client) readBlock(ctx context.Context, bm BlockMeta) ([]byte, error) {
-	var lastErr error
 	for attempt := 1; ; attempt++ {
 		data, err := c.nn.io.ReadBlock(ctx, bm)
 		if err == nil {
 			return data, nil
 		}
-		if !IsTransient(err) {
+		if !IsTransient(err) || errors.Is(err, ErrOverload) || attempt >= c.Retry.attempts() {
 			return nil, err
 		}
-		lastErr = err
-		if attempt >= c.Retry.attempts() {
-			return nil, lastErr
-		}
 		if werr := c.Retry.wait(ctx, attempt); werr != nil {
-			return nil, fmt.Errorf("dfs: read of block %d interrupted: %w (last error: %v)", bm.ID, werr, lastErr)
+			return nil, fmt.Errorf("dfs: read of block %d interrupted: %w (last error: %v)", bm.ID, werr, err)
 		}
 		c.nn.io.counters.ReadRetries.Add(1)
 	}
@@ -222,42 +219,30 @@ func (c *Client) redistribute(ctx context.Context, name string, pol placement.Po
 		if err != nil {
 			return abort(fmt.Errorf("dfs: adapt %q block %d: %w", name, i, err))
 		}
-		oldSet := make(map[cluster.NodeID]bool, len(bm.Replicas))
-		for _, r := range bm.Replicas {
-			oldSet[r] = true
-		}
-		newSet := make(map[cluster.NodeID]bool, len(holders))
+		var fresh []cluster.NodeID
 		for _, h := range holders {
-			newSet[h] = true
+			if !slices.Contains(bm.Replicas, h) && !slices.Contains(fresh, h) {
+				fresh = append(fresh, h)
+			}
 		}
-
-		var data []byte
-		for _, h := range holders {
-			if oldSet[h] {
-				continue
-			}
-			if data == nil {
-				data, err = c.readBlock(ctx, bm)
-				if err != nil {
-					return abort(fmt.Errorf("dfs: adapt %q block %d: %w", name, i, err))
-				}
-			}
-			s, err := c.nn.Store(h)
+		if len(fresh) > 0 {
+			// The read verified the bytes against bm.Checksum, so the
+			// write step is given the sum instead of taking it again.
+			data, err := c.readBlock(ctx, bm)
 			if err != nil {
-				return abort(err)
-			}
-			if _, err := s.Put(ctx, bm.ID, data); err != nil {
-				if errors.Is(err, ErrNodeDown) {
-					c.nn.io.counters.NodeDownErrors.Add(1)
-				}
 				return abort(fmt.Errorf("dfs: adapt %q block %d: %w", name, i, err))
 			}
-			written = append(written, BlockMeta{ID: bm.ID, Replicas: []cluster.NodeID{h}})
-			moved++
+			p := blockPut{id: bm.ID, data: data, sum: bm.Checksum, summed: true}
+			c.nn.io.putPlaced(ctx, &p, fresh, len(fresh))
+			written = append(written, BlockMeta{ID: bm.ID, Replicas: p.placed})
+			if len(p.placed) < len(fresh) {
+				return abort(fmt.Errorf("dfs: adapt %q block %d: %w", name, i, p.err))
+			}
+			moved += len(fresh)
 		}
 		var retired []cluster.NodeID
 		for _, r := range bm.Replicas {
-			if !newSet[r] {
+			if !slices.Contains(holders, r) {
 				retired = append(retired, r)
 			}
 		}

@@ -62,13 +62,9 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 	g := c.g.Split()
 	newBlocks := make([]BlockMeta, len(fm.Blocks))
 	copy(newBlocks, fm.Blocks)
-	// cuts collects replicas removed from the published metadata whose
-	// bytes are invalidated only after the new locations are live.
-	type cut struct {
-		node  cluster.NodeID
-		block BlockID
-	}
-	var cuts []cut
+	// prune collects replicas removed from the published metadata,
+	// whose bytes are invalidated only after the new locations are live.
+	var prune []BlockMeta
 	for i, bm := range fm.Blocks {
 		live := 0
 		holderSet := make(map[cluster.NodeID]bool, len(bm.Replicas))
@@ -87,9 +83,7 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 			nb := bm
 			nb.Replicas = keep
 			newBlocks[i] = nb
-			for _, r := range dropped {
-				cuts = append(cuts, cut{node: r, block: bm.ID})
-			}
+			prune = append(prune, BlockMeta{ID: bm.ID, Replicas: dropped})
 			report.Pruned += len(dropped)
 			continue
 		}
@@ -108,36 +102,30 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 			c.nn.io.counters.UnrepairableBlocks.Add(1)
 			continue
 		}
-		holders := append([]cluster.NodeID(nil), bm.Replicas...)
+		// The read verified the bytes against bm.Checksum, so each
+		// target is given the sum instead of taking it again.
+		p := blockPut{id: bm.ID, data: data, sum: bm.Checksum, summed: true,
+			placed: append([]cluster.NodeID(nil), bm.Replicas...)}
 		for live < rf {
 			target, ok := pickWeighted(weights, holderSet, c.nn, g.Float64())
 			if !ok {
 				break // no live node left to host another replica
 			}
-			s, err := c.nn.Store(target)
-			if err != nil {
-				return report, err
-			}
-			if _, err := s.Put(ctx, bm.ID, data); err != nil {
-				if !IsTransient(err) {
-					return report, fmt.Errorf("dfs: repair %q block %d: %w", name, bm.Index, err)
+			holderSet[target] = true
+			if !c.nn.io.putOne(ctx, &p, target) {
+				if !IsTransient(p.err) {
+					return report, fmt.Errorf("dfs: repair %q block %d: %w", name, bm.Index, p.err)
 				}
-				// Node raced down (or a chaos fault fired); exclude
-				// the target and keep repairing on others.
-				if errors.Is(err, ErrNodeDown) {
-					c.nn.io.counters.NodeDownErrors.Add(1)
-				}
-				holderSet[target] = true
+				// Node raced down (or a chaos fault fired); the target
+				// stays excluded and repair goes on with the others.
 				continue
 			}
-			holderSet[target] = true
-			holders = append(holders, target)
 			live++
 			report.Repaired++
 			c.nn.io.counters.RepairedReplicas.Add(1)
 		}
 		nb := bm
-		nb.Replicas = holders
+		nb.Replicas = p.placed
 		newBlocks[i] = nb
 	}
 
@@ -152,15 +140,15 @@ func (c *Client) MaintainReplication(ctx context.Context, name string, useAdapt 
 		return report, err
 	}
 	// Invalidate pruned bytes only after the trimmed metadata is
-	// published, so metadata never points at data that is gone; the
+	// published, so metadata never points at data that is gone. The
 	// deletes are best-effort lazy invalidation (a failure leaks a
-	// surplus copy, never live metadata). The file's structural lock is
-	// still held, so no concurrent consistency check can observe the
-	// window between publish and delete anyway.
-	for _, ct := range cuts {
-		_ = c.nn.io.stores[ct.node].Delete(ctx, ct.block)
-		c.nn.io.counters.PrunedReplicas.Add(1)
-	}
+	// surplus copy, never live metadata) through DeleteBlocks, detached
+	// from ctx's cancellation and bounded by unwindBudget, as
+	// redistribute's prune is. The file's structural lock is still
+	// held, so no concurrent consistency check can observe the window
+	// between publish and delete anyway.
+	c.nn.io.DeleteBlocks(ctx, prune)
+	c.nn.io.counters.PrunedReplicas.Add(int64(report.Pruned))
 	return report, nil
 }
 
