@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-github build test test-short race-all hedge-stress sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke experiments-smoke soak bench sim-smoke fuzz-smoke bench-pairs
+.PHONY: ci vet lint lint-github build test test-short race-all hedge-stress sched-verify svc-smoke crash-smoke dfs-smoke examples-smoke experiments-smoke soak bench sim-smoke fuzz-smoke bench-pairs bench-pairs-check
 
 # Full CI gate: static checks, build, the race-enabled test suite
 # (includes every soak), the repeated hedged-read race check, the
@@ -126,6 +126,14 @@ N ?= 10
 bench-pairs:
 	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pairs BASE=<ref> W=<workload> [N=10]" >&2; exit 2; }
 	bash scripts/bench-pairs.sh $(BASE) $(W) $(N)
+
+# Every verdict branch of bench-pairs.sh (gain; worse, also over a wide
+# base spread; unresolved under ten pairs and over a wide spread; no
+# claim inside the spread and when the change fails more operations),
+# each against a throwaway git repo whose benchmark/run.sh prints
+# scripted results. Needs jq.
+bench-pairs-check:
+	bash scripts/bench-pairs-check.sh
 
 # Every program under examples/ runs to completion and prints, byte
 # for byte, the stdout committed as its testdata/stdout.golden. The

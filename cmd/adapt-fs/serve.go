@@ -32,7 +32,7 @@ import (
 const serviceHelp = `adapt-fs service subcommands:
 
   serve-namenode  -listen ADDR -datanodes A,B,...  [-http ADDR] [-replicas N] [-block-size N] [-seed N]
-                  [-wal-dir DIR] [-snapshot-every N] [-shards P]
+                  [-wal-dir DIR] [-shards P]
                   [-suspect-after DUR] [-dead-after DUR] [-repair-interval DUR]
                   [-max-inflight N] [-queue-depth N] [-brownout-pct N]
                   [-breaker-threshold N] [-breaker-cooldown DUR] [-hedge-reads]
@@ -54,8 +54,9 @@ With -wal-dir the NameNode journals every namespace mutation before
 acknowledging it and recovers the namespace on restart from the same
 directory; kill -9 loses nothing acknowledged. With -shards P the
 namespace is hash-partitioned into P independently locked and
-journaled shards (the WAL directory remembers P; restart with the
-same value). -tenant T rewrites NAME to the "@T/NAME" form that
+journaled shards. The WAL directory records P: a restart may leave
+-shards out (or pass 0) to take the recorded count, and any other
+count is refused. -tenant T rewrites NAME to the "@T/NAME" form that
 tenant quotas are accounted against.
 
 With -max-inflight N the server admits at most N concurrent requests;
@@ -114,8 +115,7 @@ func serveNameNode(args []string) error {
 		seed      = fs.Uint64("seed", 1, "placement random seed")
 
 		walDir       = fs.String("wal-dir", "", "durable namespace directory (empty = volatile); restart with the same directory to recover")
-		snapEvery    = fs.Int("snapshot-every", 0, "checkpoint cadence in WAL records (0 = default)")
-		shards       = fs.Int("shards", 0, "namespace shard count (0 = 1; the WAL directory remembers its count)")
+		shards       = fs.Int("shards", 0, "namespace shard count (0 = the count the WAL directory records, 1 for a new one)")
 		suspectAfter = fs.Duration("suspect-after", 0, "heartbeat silence declaring a DataNode suspect (0 = default)")
 		deadAfter    = fs.Duration("dead-after", 0, "heartbeat silence declaring a DataNode dead (0 = default)")
 		repairEvery  = fs.Duration("repair-interval", 0, "auto-repair scan cadence (0 = default)")
@@ -142,11 +142,10 @@ func serveNameNode(args []string) error {
 		return err
 	}
 	nn, err := svc.NewNameNodeServer(c, addrs, stats.NewRNG(*seed), nil, svc.NameNodeConfig{
-		BlockSize:     *blockSize,
-		Replication:   *replicas,
-		WALDir:        *walDir,
-		SnapshotEvery: *snapEvery,
-		Shards:        *shards,
+		BlockSize:   *blockSize,
+		Replication: *replicas,
+		WALDir:      *walDir,
+		Shards:      *shards,
 		Admission: svc.AdmissionConfig{
 			MaxInflight: *maxInflight,
 			Queue:       *queueDepth,

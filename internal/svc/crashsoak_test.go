@@ -30,7 +30,7 @@ import (
 func TestCrashRecoverySoak(t *testing.T) {
 	dir := t.TempDir()
 	const nodes = 5
-	cfg := NameNodeConfig{BlockSize: 512, Replication: 2, WALDir: dir, SnapshotEvery: 8}
+	cfg := NameNodeConfig{BlockSize: 512, Replication: 2, WALDir: dir, snapshotEvery: 8}
 
 	// Ground truth drives the churn generator; the served cluster is
 	// availability-stripped, so liveness and (λ, μ) knowledge reach

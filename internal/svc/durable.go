@@ -17,11 +17,11 @@ import (
 // suffix and reconstructs the exact file table and placement map —
 // the HDFS edits-log/fsimage pair, scaled to this reproduction.
 //
-// With P namespace shards there are P independent logs (see
-// wal.ShardDirs): shard i journals exactly the files that hash to it,
-// fsyncs without contending with the other shards, checkpoints on its
-// own cadence, and recovers independently. P == 1 keeps the legacy
-// flat single-log layout byte-for-byte.
+// With P namespace shards there are P independent logs, one per shard
+// directory of the WAL root (wal.ShardDirs; one layout for every P):
+// shard i journals exactly the files that hash to it, fsyncs without
+// contending with the other shards, checkpoints every 256 of its own
+// records, and recovers independently.
 //
 // Records carry the *complete* per-file state after the mutation
 // (full metadata on create, the full block map on relocate), not
@@ -202,7 +202,7 @@ func (r *idReservation) close() {
 }
 
 // maybeSnapshot checkpoints every shard whose replay suffix has grown
-// past the configured cadence. Safe (and cheap) to call after any
+// past the cadence. Safe (and cheap) to call after any
 // mutation; concurrent callers skip a shard being checkpointed rather
 // than queue behind it. Shards checkpoint independently — a busy
 // shard's cadence never forces an idle shard to re-image.

@@ -12,6 +12,7 @@ import (
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/stats"
+	"github.com/adaptsim/adapt/internal/wal"
 )
 
 // bootDurable starts a loopback cluster whose NameNode journals into
@@ -228,12 +229,12 @@ func TestJournalFailureVetoesMutation(t *testing.T) {
 }
 
 // TestSnapshotCadenceTruncatesLog: once the replay suffix passes
-// SnapshotEvery, the next acknowledged mutation checkpoints the
+// snapshotEvery, the next acknowledged mutation checkpoints the
 // namespace and truncates the log — and recovery through a
 // snapshot+suffix (and through a pure snapshot) stays exact.
 func TestSnapshotCadenceTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
-	cfg := NameNodeConfig{BlockSize: 256, Replication: 2, WALDir: dir, SnapshotEvery: 4}
+	cfg := NameNodeConfig{BlockSize: 256, Replication: 2, WALDir: dir, snapshotEvery: 4}
 	lc := bootDurable(t, 3, 57, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -275,5 +276,43 @@ func TestSnapshotCadenceTruncatesLog(t *testing.T) {
 	}
 	if got := lc.NN.NamespaceFingerprint(); got != preFP {
 		t.Fatalf("pure-snapshot recovery diverged")
+	}
+}
+
+// TestRestartReadsShardCountFromWALDir: the WAL directory records its
+// shard count, so a restart with Shards 0 comes back with the count it
+// was created with and the same namespace, and one naming another
+// count is refused before anything listens.
+func TestRestartReadsShardCountFromWALDir(t *testing.T) {
+	dir := t.TempDir()
+	cfg := NameNodeConfig{BlockSize: 256, Replication: 2, WALDir: dir, Shards: 4}
+	lc := bootDurable(t, 3, 61, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := lc.Client("shell")
+	defer cl.Close()
+	for i := 0; i < 8; i++ {
+		if _, _, err := cl.CopyFromLocal(ctx, fmt.Sprintf("f%d", i), durablePayload(i, 300), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	preFP := lc.NN.NamespaceFingerprint()
+
+	lc.CrashNameNode()
+	cfg.Shards = 0
+	if err := lc.RestartNameNode(restartCluster(t, 3), stats.NewRNG(62), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := lc.NN.Engine().ShardCount(); got != 4 {
+		t.Fatalf("restart with Shards 0: %d shards, want the recorded 4", got)
+	}
+	if got := lc.NN.NamespaceFingerprint(); got != preFP {
+		t.Fatal("restart with Shards 0 recovered a different namespace")
+	}
+
+	lc.CrashNameNode()
+	cfg.Shards = 8
+	if err := lc.RestartNameNode(restartCluster(t, 3), stats.NewRNG(63), cfg); !errors.Is(err, wal.ErrShardMismatch) {
+		t.Fatalf("restart of a 4-shard directory with Shards 8: err = %v, want wal.ErrShardMismatch", err)
 	}
 }

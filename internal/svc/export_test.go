@@ -40,9 +40,8 @@ func (c *Client) breakerStats() *BreakerStats {
 	return c.data.brkStats
 }
 
-// RecoverShards rebuilds every shard's image from a sharded WAL root
-// (shards == 1 reads the flat single-log layout), one sorted file list
-// per shard, without taking ownership of any log — the read-only
+// RecoverShards rebuilds every shard's image from a WAL root (shards
+// 0 takes the count the root records), one sorted file list per shard, without taking ownership of any log — the read-only
 // recovery the bit-determinism tests replay twice. Each shard recovers
 // independently, but this helper fails fast on the first error so
 // callers never mistake a partial recovery for a full one.

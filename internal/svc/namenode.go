@@ -155,16 +155,11 @@ type NameNodeConfig struct {
 	// journaled there before it is acknowledged, and construction
 	// recovers whatever namespace the directory already holds.
 	WALDir string
-	// SnapshotEvery is the checkpoint cadence in WAL records
-	// (default 256): once a shard's replay suffix exceeds it, the
-	// next mutation or repair scan triggers a snapshot + log
-	// truncation for that shard.
-	SnapshotEvery int
-	// Shards is the namespace shard count (default 1). Each shard has
-	// its own metadata lock and — under WALDir — its own journal
-	// directory and snapshot cadence, so metadata throughput scales
-	// with shards. A WAL directory remembers its shard count;
-	// reopening with a different one fails (resharding unsupported).
+	// Shards is the namespace shard count. Each shard has its own
+	// metadata lock and — under WALDir — its own journal directory, so
+	// metadata throughput scales with shards. A WAL directory records
+	// its count: 0 takes it (1 for a new directory or a volatile
+	// namespace), and another count is refused (no resharding).
 	Shards int
 	// TenantQuotas seeds per-tenant admission limits (files, bytes,
 	// replication-factor ceiling), keyed by tenant name ("@tenant/…"
@@ -190,6 +185,11 @@ type NameNodeConfig struct {
 	// on; the heartbeat fold counts a silence of at least
 	// SuspectAfter as an interruption.
 	Detector DetectorConfig
+	// snapshotEvery is the checkpoint cadence in WAL records, 256 when
+	// 0: once a shard's replay suffix reaches it, the next mutation or
+	// repair scan snapshots that shard and truncates its log. Only
+	// tests set it, to reach a checkpoint in a few writes.
+	snapshotEvery int
 }
 
 // HedgeConfig re-exports the engine's hedged-read tuning so service
@@ -208,9 +208,15 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 		return nil, err
 	}
 	stores, ifaces, brkStats := newStoreFleet(dnAddrs, "namenode", faults, cfg.Breaker, g)
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
+	shards, dirs := cfg.Shards, []string(nil)
+	if cfg.WALDir != "" {
+		var err error
+		if dirs, err = wal.ShardDirs(cfg.WALDir, shards); err != nil {
+			return nil, err
+		}
+		shards = len(dirs)
+	} else if shards == 0 {
+		shards = 1 // a volatile namespace has no directory to ask
 	}
 	nn, err := dfs.NewNameNodeSharded(c, ifaces, shards)
 	if err != nil {
@@ -252,10 +258,6 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 	}
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 	if cfg.WALDir != "" {
-		dirs, err := wal.ShardDirs(cfg.WALDir, shards)
-		if err != nil {
-			return nil, err
-		}
 		journals := make([]*walJournal, len(dirs))
 		hooks := make([]dfs.Journal, len(dirs))
 		closeAll := func() {
@@ -296,8 +298,8 @@ func NewNameNodeServer(c *cluster.Cluster, dnAddrs []string, g *stats.RNG, fault
 		s.durable.journals = journals
 		s.durable.snapMus = make([]sync.Mutex, len(journals))
 		s.durable.snapshotEvery = 256
-		if cfg.SnapshotEvery > 0 {
-			s.durable.snapshotEvery = uint64(cfg.SnapshotEvery)
+		if cfg.snapshotEvery > 0 {
+			s.durable.snapshotEvery = uint64(cfg.snapshotEvery)
 		}
 	}
 	s.srv = NewServer("namenode", faults, s.methods())

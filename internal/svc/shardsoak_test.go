@@ -37,7 +37,7 @@ func TestShardedCrashRecoverySoak(t *testing.T) {
 		BlockSize:     512,
 		Replication:   2,
 		WALDir:        dir,
-		SnapshotEvery: 8,
+		snapshotEvery: 8,
 		Shards:        shards,
 		TenantQuotas: map[string]shard.Quota{
 			"acme": {MaxFiles: 1000},

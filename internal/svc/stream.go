@@ -230,11 +230,19 @@ var errNotStarted = errors.New("svc: exchange not started")
 // to a slice of the budget, leaves the rest for alternates, and — for
 // pipeline relays — lets the setup ack naming the actual stalled node
 // reach the writer in time. Deadline-free contexts set up without a
-// sub-budget. A context already done is refused with errNotStarted
-// before the gate or a dial.
+// sub-budget, and so does an exchange with neither a gate nor a dial (a
+// parked connection, no fault hook): nothing in it can stall. A context
+// already done is refused with errNotStarted before the gate or a dial.
 func (p *streamPool) acquireConn(ctx context.Context, addr, peer string, redial bool) (dc *dataConn, reused bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, fmt.Errorf("%w: dial %s: %w", errNotStarted, addr, err)
+	}
+	gated := !redial && p.faults != nil
+	if !gated {
+		if dc = p.take(addr); dc != nil {
+			dc.arm(ctx)
+			return dc, true, nil
+		}
 	}
 	setup := ctx
 	if dl, ok := ctx.Deadline(); ok {
@@ -247,12 +255,12 @@ func (p *streamPool) acquireConn(ctx context.Context, addr, peer string, redial 
 		setup, cancel = context.WithTimeout(ctx, rem/4)
 		defer cancel()
 	}
-	if !redial {
+	if gated {
 		if err := faultGate(setup, p.faults, p.local, peer); err != nil {
 			return nil, false, fmt.Errorf("svc: dial %s: %w", addr, err)
 		}
+		dc = p.take(addr)
 	}
-	dc = p.take(addr)
 	reused = dc != nil
 	if !reused {
 		nc, err := dial(setup, addr)

@@ -449,3 +449,82 @@ func TestCallsAndStreamsShareOneConnection(t *testing.T) {
 		t.Fatalf("%d connections parked, want 1", n)
 	}
 }
+
+// parkedPool returns a pool with one loopback TCP connection parked
+// under addr; the test's cleanup closes both ends.
+func parkedPool(t *testing.T, faults TransportFaults, addr string) *streamPool {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
+	p := &streamPool{local: "client", faults: faults}
+	dc := &dataConn{nc: a, br: bufio.NewReaderSize(a, streamReadBuf), bw: bufio.NewWriterSize(a, 32<<10)}
+	dc.arm(context.Background())
+	p.park(addr, dc, true)
+	if len(p.idle[addr]) != 1 {
+		t.Fatal("the connection was not parked")
+	}
+	return p
+}
+
+// TestParkedAcquireDerivesNoSetupBudget: taking a parked connection
+// with no fault hook installed neither gates nor dials, so it derives
+// no setup context: the only allocation left is arming the connection
+// on the exchange's context.
+func TestParkedAcquireDerivesNoSetupBudget(t *testing.T) {
+	const addr = "127.0.0.1:9"
+	p := parkedPool(t, nil, addr)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	allocs := testing.AllocsPerRun(100, func() {
+		dc, reused, err := p.acquireConn(ctx, addr, "dn", false)
+		if err != nil || !reused {
+			t.Fatalf("acquire: reused %v, %v", reused, err)
+		}
+		p.park(addr, dc, true)
+	})
+	if allocs > 3 {
+		t.Fatalf("parked acquire allocates %.0f times, want at most 3 (arming alone)", allocs)
+	}
+}
+
+// stallGate holds every message for an hour.
+type stallGate struct{}
+
+func (stallGate) FailMessage(from, to string) error          { return nil }
+func (stallGate) MessageDelay(from, to string) time.Duration { return time.Hour }
+
+// TestStalledGateFailsAtItsSetupBudget: a fault gate that stalls past
+// a quarter of the exchange's deadline fails the exchange at that
+// quarter, leaving the caller's own context live with the rest of its
+// budget for an alternate.
+func TestStalledGateFailsAtItsSetupBudget(t *testing.T) {
+	const addr = "127.0.0.1:9"
+	p := parkedPool(t, stallGate{}, addr)
+	const budget = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	_, _, err := p.acquireConn(ctx, addr, "dn", false)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stalled gate: err = %v, want DeadlineExceeded", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("the stalled gate spent the caller's whole budget (%v)", elapsed)
+	}
+	if elapsed < budget/4-50*time.Millisecond || elapsed > budget/2 {
+		t.Fatalf("stalled gate failed after %v, want about a quarter of %v", elapsed, budget)
+	}
+}

@@ -7,27 +7,31 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"github.com/adaptsim/adapt/internal/shard"
 )
 
-// Sharded layout. A NameNode running with P > 1 namespace shards
-// gives each shard its own independent Log so shards fsync, snapshot,
-// and recover without coordinating. On disk that is
+// Root layout. A NameNode with P namespace shards gives each shard its
+// own independent Log so shards fsync, snapshot, and recover without
+// coordinating. On disk that is, for every P ≥ 1,
 //
 //	<root>/SHARDS            — manifest: the decimal shard count
 //	<root>/shard-000/        — shard 0's segments and snapshots
 //	<root>/shard-001/        — shard 1's …
 //
-// P == 1 keeps the legacy flat layout (segments directly under root,
-// no manifest), so existing single-shard WAL directories open
-// unchanged.
+// with only one-number marks (SaveMark) beside them. The manifest pins
+// the shard count for the life of the directory: the shard a file's
+// records live in is a function of hash(name) % P, so reopening with a
+// different P would scatter replay. Resharding is a migration, not a
+// reopen, and ShardDirs refuses it.
 //
-// The manifest pins the shard count for the life of the directory:
-// the shard a file's records live in is a function of hash(name) % P,
-// so reopening with a different P would scatter replay. Resharding is
-// a migration, not a reopen, and ShardDirs refuses it.
+// A root from before the manifest holds a one-shard log flat, its
+// seg-*/snap-* files directly under root. ShardDirs moves them into
+// shard-000/ and writes the manifest last; a new root's manifest comes
+// before its shard directories. So a root without a manifest but with
+// log files under it or a shard-000/ is a migration to finish.
 
-// manifestName is the shard-count manifest file inside a sharded WAL
-// root.
+// manifestName is the shard-count manifest file inside a WAL root.
 const manifestName = "SHARDS"
 
 // ErrShardMismatch marks an attempt to open a WAL root with a shard
@@ -35,58 +39,71 @@ const manifestName = "SHARDS"
 var ErrShardMismatch = errors.New("wal: shard count mismatch (resharding unsupported)")
 
 // ShardDirs resolves (creating if needed) the per-shard log
-// directories under root for a NameNode with the given shard count,
-// returning one directory per shard in shard order. It validates the
-// layout:
-//
-//   - shards == 1 returns {root} (legacy flat layout). If root carries
-//     a SHARDS manifest from a previous multi-shard run, it refuses.
-//   - shards > 1 creates root/shard-NNN directories and a SHARDS
-//     manifest recording the count. If a manifest already exists with
-//     a different count, or root already holds a flat single-shard
-//     log, it refuses — resharding an existing namespace is not
-//     supported.
+// directories under root, one per shard in shard order, and fsyncs
+// root so their entries are durable. shards 0 takes the count root
+// records (1 for a new root); any other count must match it. A flat
+// one-shard log is migrated at 0 or 1 and refused, untouched, at more.
 func ShardDirs(root string, shards int) ([]string, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("wal: shard count %d out of range", shards)
+	if shards < 0 || shards > shard.MaxShards {
+		return nil, fmt.Errorf("wal: %w: %d", shard.ErrBadShardCount, shards)
 	}
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create root: %w", err)
 	}
-	recorded, hasManifest, err := readManifest(root)
-	if err != nil {
+	count, ok, err := readManifest(root)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if shards == 1 {
-		if hasManifest {
-			return nil, fmt.Errorf("%w: directory %s was created with %d shards, opened with 1", ErrShardMismatch, root, recorded)
-		}
-		return []string{root}, nil
-	}
-	if hasManifest {
-		if recorded != shards {
-			return nil, fmt.Errorf("%w: directory %s was created with %d shards, opened with %d", ErrShardMismatch, root, recorded, shards)
-		}
-	} else {
-		flat, err := hasFlatLog(root)
-		if err != nil {
+	case !ok:
+		if count, err = initRoot(root, shards); err != nil {
 			return nil, err
 		}
-		if flat {
-			return nil, fmt.Errorf("%w: directory %s holds a single-shard log, opened with %d shards", ErrShardMismatch, root, shards)
-		}
-		if err := writeManifest(root, shards); err != nil {
-			return nil, err
-		}
+	case shards != 0 && shards != count:
+		return nil, fmt.Errorf("%w: directory %s was created with %d shards, opened with %d", ErrShardMismatch, root, count, shards)
 	}
-	dirs := make([]string, shards)
+	dirs := make([]string, count)
 	for i := range dirs {
 		dirs[i] = filepath.Join(root, fmt.Sprintf("shard-%03d", i))
 		if err := os.MkdirAll(dirs[i], 0o755); err != nil {
 			return nil, fmt.Errorf("wal: create shard dir: %w", err)
 		}
 	}
-	return dirs, nil
+	return dirs, syncDir(root)
+}
+
+// initRoot records the shard count of a root without a manifest:
+// max(shards, 1) for a new root, and 1 for a one-shard log, which it
+// migrates first, its renames fsynced before the manifest is written.
+func initRoot(root string, shards int) (int, error) {
+	snaps, segs, err := listDir(root)
+	if err != nil {
+		return 0, err
+	}
+	shard0 := filepath.Join(root, "shard-000")
+	if _, err := os.Stat(shard0); err != nil && len(snaps)+len(segs) == 0 {
+		return max(shards, 1), writeManifest(root, max(shards, 1))
+	}
+	if shards > 1 {
+		return 0, fmt.Errorf("%w: directory %s holds a single-shard log, opened with %d shards", ErrShardMismatch, root, shards)
+	}
+	if err := os.MkdirAll(shard0, 0o755); err != nil {
+		return 0, fmt.Errorf("wal: create shard dir: %w", err)
+	}
+	for _, f := range append(snaps, segs...) {
+		if err := os.Rename(filepath.Join(root, f.name), filepath.Join(shard0, f.name)); err != nil {
+			return 0, fmt.Errorf("wal: migrate flat log: %w", err)
+		}
+	}
+	if err := removeSnapshotTemps(root); err != nil {
+		return 0, err
+	}
+	if err := syncDir(shard0); err != nil {
+		return 0, err
+	}
+	if err := syncDir(root); err != nil {
+		return 0, err
+	}
+	return 1, writeManifest(root, 1)
 }
 
 // readManifest returns the shard count recorded in root's manifest,
@@ -100,7 +117,7 @@ func readManifest(root string) (count int, ok bool, err error) {
 		return 0, false, fmt.Errorf("wal: read shard manifest: %w", err)
 	}
 	count, err = strconv.Atoi(strings.TrimSpace(string(data)))
-	if err != nil || count < 2 {
+	if err != nil || count < 1 || count > shard.MaxShards {
 		return 0, false, fmt.Errorf("%w: shard manifest %q unreadable", ErrCorrupt, strings.TrimSpace(string(data)))
 	}
 	return count, true, nil
@@ -123,7 +140,7 @@ func writeFileDurably(root, name, content string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.WriteString(content); err == nil {
+	if _, err = f.WriteString(content); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -165,23 +182,4 @@ func LoadMark(root, name string) (uint64, error) {
 		return 0, fmt.Errorf("%w: mark %s holds %q", ErrCorrupt, name, strings.TrimSpace(string(data)))
 	}
 	return v, nil
-}
-
-// hasFlatLog reports whether root already contains flat single-shard
-// log files (segments or snapshots directly under root).
-func hasFlatLog(root string) (bool, error) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return false, fmt.Errorf("wal: scan root: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".log") {
-			return true, nil
-		}
-		if strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap") {
-			return true, nil
-		}
-	}
-	return false, nil
 }

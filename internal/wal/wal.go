@@ -94,6 +94,9 @@ func Open(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
+	if err := removeSnapshotTemps(dir); err != nil {
+		return nil, err
+	}
 	snaps, segs, err := listDir(dir)
 	if err != nil {
 		return nil, err
@@ -379,7 +382,8 @@ func (l *Log) SaveSnapshot(state []byte, upTo uint64) error {
 }
 
 // writeSnapshotFile is the atomic snapshot commit: temp file, fsync,
-// rename, directory fsync.
+// rename, directory fsync. A failure before the rename removes the
+// temp file, so a snapshot that keeps failing leaves nothing behind.
 func (l *Log) writeSnapshotFile(state []byte, upTo uint64) error {
 	final := filepath.Join(l.dir, snapName(upTo))
 	tmp := final + ".tmp"
@@ -387,21 +391,38 @@ func (l *Log) writeSnapshotFile(state []byte, upTo uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: create snapshot: %w", err)
 	}
-	if _, err := f.Write(appendFrame(nil, state)); err != nil {
-		_ = f.Close()
+	if _, err = f.Write(appendFrame(nil, state)); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
 		return fmt.Errorf("wal: write snapshot: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("wal: commit snapshot: %w", err)
-	}
 	return syncDir(l.dir)
+}
+
+// removeSnapshotTemps deletes the snapshot temp files (snap-N.snap.tmp)
+// in dir. A crash between a snapshot's create and its rename leaves
+// one, and nothing ever reads it.
+func removeSnapshotTemps(dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("wal: read dir %s: %w", dir, err)
+	}
+	for _, e := range ents {
+		if _, ok := parseSeqName(e.Name(), "snap-", ".snap.tmp"); ok {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return fmt.Errorf("wal: remove stale snapshot: %w", err)
+			}
+		}
+	}
+	return nil
 }
 
 // prune removes snapshots older than the current one and segments

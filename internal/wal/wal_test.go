@@ -366,6 +366,65 @@ func TestSnapshotTruncatesAndPrunes(t *testing.T) {
 	}
 }
 
+// TestFailedSnapshotLeavesNoTempFile: a snapshot whose rename fails
+// (its final name is a non-empty directory) removes its temp file, and
+// the log keeps working and can snapshot again.
+func TestFailedSnapshotLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, "a", "b")
+	blocker := filepath.Join(dir, snapName(2))
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.SaveSnapshot([]byte("state@2"), 2); err == nil {
+		t.Fatal("snapshot renamed over a non-empty directory")
+	}
+	if _, err := os.Stat(blocker + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed snapshot left its temp file: %v", err)
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, "c")
+	if err := l.SaveSnapshot([]byte("state@3"), 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRemovesStaleSnapshotTemp: a temp file a crash left between a
+// snapshot's create and its rename is deleted by the next Open, and
+// the log replays as if it was never there.
+func TestOpenRemovesStaleSnapshotTemp(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, "a", "b")
+	l.Crash()
+	stale := filepath.Join(dir, snapName(2)+".tmp")
+	if err := os.WriteFile(stale, appendFrame(nil, []byte("torn")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale snapshot temp survived Open: %v", err)
+	}
+	if got := collect(t, l); !equal(got, []string{"1:a", "2:b"}) || l.SnapshotSeq() != 0 {
+		t.Fatalf("replay = %v, snapshot seq %d; want [1:a 2:b], 0", got, l.SnapshotSeq())
+	}
+}
+
 type crashAfter struct {
 	n         int // appends to allow before crashing
 	tornBytes int // bytes of the fatal frame to leave on disk

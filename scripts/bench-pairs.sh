@@ -11,7 +11,7 @@
 #               base's by more than the distance between the base's
 #               quartiles, and it failed no larger share of operations;
 #   worse       its median is worse than the base's by more than the
-#               metric's bound;
+#               metric's bound, however widely the base spreads;
 #   unresolved  fewer than ten pairs, or the base's quartiles lie
 #               further apart than the bound times its median (unless
 #               every change run beats every base run);
@@ -111,9 +111,9 @@ END {
 		# Every change run beats every base run.
 		apart = higher ? cs[1] > bs[k] : cs[k] < bs[1]
 		if (k < 10) verdict = "unresolved: fewer than 10 pairs"
+		else if (-gain > bound * bm) verdict = "worse beyond the " bound " bound"
 		else if (bq3 - bq1 > bound * bm && !apart) verdict = "unresolved: the base spreads wider than the bound"
 		else if (wins * 10 >= k * 9 && gain > bq3 - bq1 && fc <= fb) verdict = "gain"
-		else if (-gain > bound * bm) verdict = "worse beyond the " bound " bound"
 		else if (wins * 10 >= k * 9 && gain > bq3 - bq1) verdict = "no claim: the change fails more operations"
 		else verdict = "no claim: inside the spread"
 		printf "%-14s %-34s %-34s %-7s %s (%+.1f%%)\n", name,
