@@ -25,7 +25,11 @@ import (
 // With a sharded namespace each shard carries its own Journal — a
 // shard's journal only ever sees mutations of paths that hash to it,
 // so shards replay independently and their fsyncs never serialize
-// against each other.
+// against each other. Nor does a reply wait on another shard's fsync
+// afterwards: the durable layer's checkpoint cadence reads every shard
+// log's counters after each mutation without the lock an append holds
+// across its fsync, since taking it made every reply wait out any
+// other shard's fsync in flight.
 //
 // All three methods are invoked with the owning shard's metadata lock
 // held; implementations must not call back into the NameNode.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/wal"
@@ -21,7 +22,13 @@ import (
 // directory of the WAL root (wal.ShardDirs; one layout for every P):
 // shard i journals exactly the files that hash to it, fsyncs without
 // contending with the other shards, checkpoints every 256 of its own
-// records, and recovers independently.
+// records, and recovers independently. Nothing on a mutation's path
+// waits for another shard's fsync: the cadence check after every
+// acknowledged mutation reads each shard log's counters, and it reads
+// them without the log's lock. Append holds that lock across its
+// fsync, so taking it there made one client's reply wait out another
+// client's fsync on a different shard (EXPERIMENTS.md measures that
+// convoy).
 //
 // Records carry the *complete* per-file state after the mutation
 // (full metadata on create, the full block map on relocate), not
@@ -163,6 +170,9 @@ type durableState struct {
 	snapshotEvery uint64
 	snapMus       []sync.Mutex // one checkpoint at a time, per shard
 	ids           idReservation
+	// checkpointFailures counts cadence checkpoints that failed: each
+	// leaves its shard's log growing until one succeeds.
+	checkpointFailures atomic.Uint64
 }
 
 // blockIDMark names the mark in the WAL root that records how far block
@@ -202,10 +212,13 @@ func (r *idReservation) close() {
 }
 
 // maybeSnapshot checkpoints every shard whose replay suffix has grown
-// past the cadence. Safe (and cheap) to call after any
-// mutation; concurrent callers skip a shard being checkpointed rather
-// than queue behind it. Shards checkpoint independently — a busy
-// shard's cadence never forces an idle shard to re-image.
+// past the cadence. Safe (and cheap) to call after any mutation: a
+// shard's suffix length is read without its log's lock, so it never
+// waits for another shard's fsync in flight. Concurrent callers skip a
+// shard being checkpointed rather than queue behind it. Shards
+// checkpoint independently — a busy shard's cadence never forces an
+// idle shard to re-image. A failed checkpoint fails no mutation; it is
+// counted, and the next mutation past the cadence tries again.
 func (s *NameNodeServer) maybeSnapshot() {
 	d := &s.durable
 	for i, j := range d.journals {
@@ -215,7 +228,9 @@ func (s *NameNodeServer) maybeSnapshot() {
 		if !d.snapMus[i].TryLock() {
 			continue // this shard's checkpoint is already running
 		}
-		_ = s.snapshotLocked(i)
+		if err := s.snapshotLocked(i); err != nil {
+			d.checkpointFailures.Add(1)
+		}
 		d.snapMus[i].Unlock()
 	}
 }

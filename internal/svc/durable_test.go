@@ -5,12 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/adaptsim/adapt/internal/chaos"
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
+	"github.com/adaptsim/adapt/internal/shard"
 	"github.com/adaptsim/adapt/internal/stats"
 	"github.com/adaptsim/adapt/internal/wal"
 )
@@ -314,5 +319,125 @@ func TestRestartReadsShardCountFromWALDir(t *testing.T) {
 	cfg.Shards = 8
 	if err := lc.RestartNameNode(restartCluster(t, 3), stats.NewRNG(63), cfg); !errors.Is(err, wal.ErrShardMismatch) {
 		t.Fatalf("restart of a 4-shard directory with Shards 8: err = %v, want wal.ErrShardMismatch", err)
+	}
+}
+
+// stallAppend parks every WAL append inside BeforeAppend, where the
+// log's lock is held just as it is across an fsync, until release is
+// closed; entered is closed when the first append arrives.
+type stallAppend struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (s *stallAppend) BeforeAppend(frame []byte) (int, error) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
+	return len(frame), nil
+}
+
+// TestStalledShardAppendDoesNotStallOtherShards: while one shard's
+// append is stalled under its log's lock, as it is while its fsync
+// runs, a put to a name on another shard completes. The checkpoint
+// cadence that runs after every acknowledged mutation reads every
+// shard's log, so it must not wait for that lock.
+func TestStalledShardAppendDoesNotStallOtherShards(t *testing.T) {
+	const shards = 4
+	cfg := NameNodeConfig{BlockSize: 256, Replication: 2, WALDir: t.TempDir(), Shards: shards}
+	lc := bootDurable(t, 3, 65, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	smap, err := shard.NewMap(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nameA, nameB := "stalled", ""
+	for i := 0; nameB == ""; i++ {
+		if n := fmt.Sprintf("free%d", i); smap.Of(n) != smap.Of(nameA) {
+			nameB = n
+		}
+	}
+
+	stall := &stallAppend{entered: make(chan struct{}), release: make(chan struct{})}
+	release := sync.OnceFunc(func() { close(stall.release) })
+	defer release()
+	lc.NN.durable.journals[smap.Of(nameA)].log.SetFaults(stall)
+	clA := lc.Client("a")
+	defer clA.Close()
+	doneA := make(chan error, 1)
+	go func() {
+		_, _, err := clA.CopyFromLocal(ctx, nameA, durablePayload(1, 300), false)
+		doneA <- err
+	}()
+	select {
+	case <-stall.entered:
+	case err := <-doneA:
+		t.Fatalf("put to the stalled shard returned before its append: %v", err)
+	}
+
+	clB := lc.Client("b")
+	defer clB.Close()
+	doneB := make(chan error, 1)
+	go func() {
+		_, _, err := clB.CopyFromLocal(ctx, nameB, durablePayload(2, 300), false)
+		doneB <- err
+	}()
+	select {
+	case err := <-doneB:
+		if err != nil {
+			t.Fatalf("put to shard %d: %v", smap.Of(nameB), err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("put to shard %d did not complete within 2s while shard %d's append was stalled", smap.Of(nameB), smap.Of(nameA))
+	}
+	release()
+	if err := <-doneA; err != nil {
+		t.Fatalf("put to the stalled shard after release: %v", err)
+	}
+}
+
+// TestFailedCheckpointIsCounted: a cadence checkpoint that fails
+// fails no mutation; it is counted in
+// adapt_namenode_wal_checkpoint_failures_total, and the next mutation
+// past the cadence checkpoints again.
+func TestFailedCheckpointIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	cfg := NameNodeConfig{BlockSize: 256, Replication: 2, WALDir: dir, snapshotEvery: 4}
+	lc := bootDurable(t, 3, 67, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	// The cadence fires at record 4; its snapshot's name is taken by a
+	// non-empty directory, so the rename fails.
+	blocker := filepath.Join(dir, "shard-000", fmt.Sprintf("snap-%020d.snap", 4))
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cl := lc.Client("shell")
+	defer cl.Close()
+	put := func(i int) {
+		t.Helper()
+		if _, _, err := cl.CopyFromLocal(ctx, fmt.Sprintf("c%d", i), durablePayload(i, 300), false); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	for i := 1; i <= 4; i++ {
+		put(i)
+	}
+	const series = "adapt_namenode_wal_checkpoint_failures_total"
+	if got := RenderMetrics(lc.NN.snapshotMetrics()); !strings.Contains(got, series+" 1\n") {
+		t.Fatalf("after the failed checkpoint, /metrics lacks %q 1:\n%s", series, got)
+	}
+	if got := lc.NN.WALSnapshotSeq(); got != 0 {
+		t.Fatalf("snapshot seq = %d after the failed checkpoint, want 0", got)
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	put(5)
+	if got := lc.NN.WALSnapshotSeq(); got != 5 {
+		t.Fatalf("snapshot seq = %d, want 5: the next mutation past the cadence checkpoints", got)
+	}
+	if got := lc.NN.durable.checkpointFailures.Load(); got != 1 {
+		t.Fatalf("checkpoint failures = %d, want 1", got)
 	}
 }

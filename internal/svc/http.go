@@ -37,10 +37,12 @@ type MetricsSnapshot struct {
 	// 1 suspect, 2 dead), for nodes that have heartbeated.
 	NodeState map[int]float64
 
-	// WAL durability gauges; meaningful only when Durable.
-	Durable        bool
-	WALSeq         float64
-	WALSnapshotSeq float64
+	// WAL durability gauges and the failed-checkpoint counter;
+	// meaningful only when Durable.
+	Durable               bool
+	WALSeq                float64
+	WALSnapshotSeq        float64
+	WALCheckpointFailures float64
 
 	// Shards is the namespace shard count; Tenants the per-tenant
 	// quota/usage rollup in tenant order.
@@ -100,16 +102,17 @@ func (s *NameNodeServer) snapshotMetrics() MetricsSnapshot {
 			"hedge_wins":             rs.HedgeWins,
 			"hedge_losses":           rs.HedgeLosses,
 		},
-		HeartbeatAge:   make(map[int]float64),
-		Lambda:         make(map[int]float64),
-		Mu:             make(map[int]float64),
-		Interruptions:  make(map[int]float64),
-		NodeState:      make(map[int]float64),
-		Durable:        s.Durable(),
-		WALSeq:         float64(s.WALSeq()),
-		WALSnapshotSeq: float64(s.WALSnapshotSeq()),
-		Shards:         s.nn.ShardCount(),
-		Tenants:        s.nn.Quotas().Snapshot(),
+		HeartbeatAge:          make(map[int]float64),
+		Lambda:                make(map[int]float64),
+		Mu:                    make(map[int]float64),
+		Interruptions:         make(map[int]float64),
+		NodeState:             make(map[int]float64),
+		Durable:               s.Durable(),
+		WALSeq:                float64(s.WALSeq()),
+		WALSnapshotSeq:        float64(s.WALSnapshotSeq()),
+		WALCheckpointFailures: float64(s.durable.checkpointFailures.Load()),
+		Shards:                s.nn.ShardCount(),
+		Tenants:               s.nn.Quotas().Snapshot(),
 	}
 	for _, st := range s.stores {
 		if st.Up() {
@@ -162,6 +165,9 @@ func RenderMetrics(m MetricsSnapshot) string {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
+	counter := func(name, help string, v float64) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
+	}
 	gauge("adapt_namenode_uptime_seconds", "Seconds since the NameNode service started.", m.UptimeSeconds)
 	gauge("adapt_namenode_files", "Files in the namespace.", float64(m.Files))
 	gauge("adapt_namenode_blocks", "Blocks in the namespace.", float64(m.Blocks))
@@ -201,6 +207,7 @@ func RenderMetrics(m MetricsSnapshot) string {
 	if m.Durable {
 		gauge("adapt_namenode_wal_seq", "Last committed WAL record sequence (summed across shard journals).", m.WALSeq)
 		gauge("adapt_namenode_wal_snapshot_seq", "WAL sequence covered by namespace snapshots (summed across shard journals).", m.WALSnapshotSeq)
+		counter("adapt_namenode_wal_checkpoint_failures_total", "Cadence checkpoints that failed (each leaves its shard's log growing until one succeeds).", m.WALCheckpointFailures)
 	}
 	if m.Shards > 0 {
 		gauge("adapt_namenode_shards", "Namespace shard count.", float64(m.Shards))
@@ -222,9 +229,6 @@ func RenderMetrics(m MetricsSnapshot) string {
 			func(tu shard.TenantUsage) float64 { return float64(tu.Quota.MaxBytes) })
 	}
 	if m.Admission {
-		counter := func(name, help string, v float64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-		}
 		gauge("adapt_namenode_admission_inflight", "RPCs currently holding admission slots.", m.AdmitInflight)
 		gauge("adapt_namenode_admission_queue_depth", "RPCs waiting in the bounded admission queue.", m.AdmitQueue)
 		counter("adapt_namenode_admission_admitted_total", "RPCs admitted past admission control.", m.AdmitAdmitted)
@@ -235,9 +239,6 @@ func RenderMetrics(m MetricsSnapshot) string {
 		counter("adapt_namenode_admission_shed_expired_total", "Queued RPCs shed when their deadline budget expired.", m.ShedExpired)
 	}
 	if m.Breakers {
-		counter := func(name, help string, v float64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
-		}
 		series("adapt_namenode_breaker_state", "Circuit-breaker state per DataNode proxy (0 closed, 1 open, 2 half-open).", m.BreakerState)
 		counter("adapt_namenode_breaker_opens_total", "Circuit-breaker transitions to open.", m.BreakerOpens)
 		counter("adapt_namenode_breaker_closes_total", "Circuit-breaker recoveries to closed.", m.BreakerCloses)

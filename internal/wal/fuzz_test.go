@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -60,7 +61,11 @@ func readDir(f *testing.F, dir string) map[string][]byte {
 //
 //   - As the final segment: Open must succeed and the replay must be a
 //     prefix of the written records, in order, and nothing else, with
-//     Seq at its end.
+//     Seq at its end. This holds for two baselines of the same four
+//     records: the segment Close leaves (exactly its frames) and the
+//     one Crash leaves (its preallocated zero fill behind them, as
+//     after SIGKILL). The crashed one keeps at least its own length,
+//     so the fill stays behind whatever the fuzzer lays over it.
 //   - As a non-final segment (records 1-4, followed by a segment a
 //     snapshot at 2 rotated to): any change must fail Open with
 //     ErrCorrupt, since those records were acknowledged.
@@ -81,6 +86,22 @@ func FuzzWALSegment(f *testing.F) {
 	}
 	tail := readDir(f, tailDir)
 	seg := tail[segName(0)]
+
+	// The same four records abandoned by Crash: the zero fill stays.
+	crashDir := f.TempDir()
+	if l, err = Open(crashDir); err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range fuzzRecords {
+		if _, err := l.Append([]byte(r)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	l.Crash()
+	crashed := readDir(f, crashDir)[segName(0)]
+	if len(crashed) != segmentStretch || !bytes.HasPrefix(crashed, seg) {
+		f.Fatalf("crashed segment: %d bytes, want the closed segment's bytes and zeros to %d", len(crashed), segmentStretch)
+	}
 
 	// The same four records in a non-final segment: a snapshot at 2
 	// rotates to seg-4 without pruning seg-0, and two more records
@@ -113,36 +134,17 @@ func FuzzWALSegment(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		damaged := damage(seg, data)
-
-		files := map[string][]byte{segName(0): damaged}
-		l, err := Open(writeDir(t, files))
-		if err != nil {
-			t.Fatalf("open with a damaged final segment: %v", err)
+		openFinal(t, damaged)
+		mask := data
+		if len(mask) < len(crashed) {
+			mask = append(mask[:len(mask):len(mask)], make([]byte, len(crashed)-len(mask))...)
 		}
-		defer l.Close()
-		var got []string
-		if err := l.Replay(func(seq uint64, rec []byte) error {
-			got = append(got, strconv.FormatUint(seq, 10)+":"+string(rec))
-			return nil
-		}); err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		if len(got) > len(fuzzRecords) {
-			t.Fatalf("replayed %d records, only %d were written: %q", len(got), len(fuzzRecords), got)
-		}
-		for i, g := range got {
-			if want := strconv.Itoa(i+1) + ":" + fuzzRecords[i]; g != want {
-				t.Fatalf("replayed record %d = %q, want %q (replay %q)", i, g, want, got)
-			}
-		}
-		if l.Seq() != uint64(len(got)) {
-			t.Fatalf("seq %d after replaying %d records", l.Seq(), len(got))
-		}
+		openFinal(t, damage(crashed, mask))
 
 		if string(damaged) == string(seg) {
 			return
 		}
-		files = map[string][]byte{segName(0): damaged}
+		files := map[string][]byte{segName(0): damaged}
 		for name, b := range chain {
 			if name != segName(0) {
 				files[name] = b
@@ -152,6 +154,35 @@ func FuzzWALSegment(f *testing.F) {
 			t.Fatalf("open with a damaged non-final segment = %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// openFinal opens a log whose only segment is seg and requires its
+// replay to be a prefix of fuzzRecords, in order, with Seq at its end.
+func openFinal(t *testing.T, seg []byte) {
+	t.Helper()
+	l, err := Open(writeDir(t, map[string][]byte{segName(0): seg}))
+	if err != nil {
+		t.Fatalf("open with a damaged final segment: %v", err)
+	}
+	defer l.Close()
+	var got []string
+	if err := l.Replay(func(seq uint64, rec []byte) error {
+		got = append(got, strconv.FormatUint(seq, 10)+":"+string(rec))
+		return nil
+	}); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(got) > len(fuzzRecords) {
+		t.Fatalf("replayed %d records, only %d were written: %q", len(got), len(fuzzRecords), got)
+	}
+	for i, g := range got {
+		if want := strconv.Itoa(i+1) + ":" + fuzzRecords[i]; g != want {
+			t.Fatalf("replayed record %d = %q, want %q (replay %q)", i, g, want, got)
+		}
+	}
+	if l.Seq() != uint64(len(got)) {
+		t.Fatalf("seq %d after replaying %d records", l.Seq(), len(got))
+	}
 }
 
 // FuzzLoadMark lays arbitrary bytes down as a mark file and as a SHARDS

@@ -1,6 +1,6 @@
 // Package wal is the write-ahead log backing the durable NameNode:
-// an append-only, CRC32-framed, fsync-on-commit record log with
-// periodic snapshots and log truncation.
+// a CRC32-framed, fsync-on-commit record log written into
+// preallocated segments, with periodic snapshots and log truncation.
 //
 // Layout. A log directory holds segment files `seg-<NNN>.log` and
 // snapshot files `snap-<NNN>.snap`, where NNN is a zero-padded
@@ -9,9 +9,18 @@
 // after applying records 1..N. Records and snapshots share one frame
 // format: a 4-byte big-endian payload length, a 4-byte big-endian
 // CRC32 (IEEE) of the payload, then the payload. A payload is never
-// empty: the CRC32 of nothing is 0, so eight zero bytes — what a file
-// a crash extended without writing it reads as — would otherwise
-// decode as a record nobody wrote.
+// empty: the CRC32 of nothing is 0, so eight zero bytes would
+// otherwise decode as a record nobody wrote.
+//
+// Preallocation. The segment being appended to is zero-filled ahead
+// of its last record, one stretch of segmentStretch bytes at a time,
+// and each frame is written in place at the end of the valid frames.
+// An append therefore never changes the file's size, and its fsync
+// commits only data, not an inode-size update as well. A frame that
+// would cross the end of the fill first extends it by another
+// stretch. A segment that stops being appended to (rotation, Close)
+// is cut back to its valid frames and synced before anything else
+// happens, so every segment but the newest is exactly its records.
 //
 // Durability contract. Append writes the frame and fsyncs before
 // returning, so a record whose Append returned nil survives any
@@ -19,16 +28,20 @@
 // renames it into place, and fsyncs the directory, then rotates to a
 // fresh segment and prunes files the snapshot covers — a crash at any
 // point leaves either the old or the new snapshot durable, never a
-// torn one.
+// torn one. Seq, SnapshotSeq and RecordsSinceSnapshot read counters
+// published after the fsync, without the log's lock, so they never
+// wait for an append in flight.
 //
 // Torn tails. A crash mid-Append can leave a partial frame at the end
-// of the newest segment. Because appends are sequential and fsync'd,
-// a torn frame can only be the last thing written; Open truncates the
-// tail at the first invalid frame of the final segment and replays
-// everything before it. The dropped record was never acknowledged. An
-// invalid frame in any non-final segment is real corruption and Open
-// fails with ErrCorrupt rather than silently dropping acknowledged
-// records.
+// of the newest segment's valid frames, and a crash at any time
+// leaves the newest segment's zero fill behind them. Because appends
+// are sequential and fsync'd, a torn frame can only be the last thing
+// written, and the zero fill reads as an invalid (empty) frame; Open
+// cuts the final segment at its first invalid frame, replays
+// everything before it, and preallocates again. The dropped record
+// was never acknowledged. An invalid frame in any non-final segment
+// is real corruption and Open fails with ErrCorrupt rather than
+// silently dropping acknowledged records.
 package wal
 
 import (
@@ -42,6 +55,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Sentinel errors. Callers match with errors.Is.
@@ -63,6 +77,14 @@ const MaxRecordSize = 64 << 20
 
 const frameHeader = 8 // 4-byte length + 4-byte CRC32
 
+// segmentStretch is how far the active segment is zero-filled ahead
+// of its valid frames, and how much more it grows by when a frame
+// would cross the end of the fill.
+const segmentStretch = 256 << 10
+
+// zeros is the fill written into a segment's preallocated stretch.
+var zeros [segmentStretch]byte
+
 // AppendFaults lets a fault injector (chaos.CrashFaults) interpose on
 // the physical append. BeforeAppend sees the encoded frame and
 // returns how many bytes of it to actually write; a non-nil error
@@ -77,11 +99,16 @@ type AppendFaults interface {
 // methods are safe for concurrent use. It keeps no record or snapshot
 // bytes in memory: Replay and Snapshot read them back from the files.
 type Log struct {
-	mu      sync.Mutex
-	dir     string
-	f       *os.File // active segment, positioned at its end
-	seq     uint64   // sequence of the last appended record
-	snapSeq uint64   // sequence covered by the newest snapshot (0 = none)
+	mu  sync.Mutex
+	dir string
+	f   *os.File // active segment
+	off int64    // end of the active segment's valid frames
+	end int64    // size of the active segment; off..end is zero fill
+	// seq is the sequence of the last appended record and snapSeq the
+	// sequence covered by the newest snapshot (0 = none). Both change
+	// only under mu, and are read without it.
+	seq     atomic.Uint64
+	snapSeq atomic.Uint64
 	faults  AppendFaults
 	broken  bool // a durability write failed or Crash was called
 	closed  bool
@@ -101,17 +128,19 @@ func Open(dir string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, snapSeq: newestSnapshot(dir, snaps)}
-	seq, validLen, err := walkChain(dir, segs, l.snapSeq, nil)
+	snapSeq := newestSnapshot(dir, snaps)
+	seq, validLen, err := walkChain(dir, segs, snapSeq, nil)
 	if err != nil {
 		return nil, err
 	}
-	l.seq = seq
+	l := &Log{dir: dir}
+	l.seq.Store(seq)
+	l.snapSeq.Store(snapSeq)
 	if len(segs) == 0 {
 		// No segment: start a fresh one at the current seq.
-		l.f, err = createSegment(dir, l.seq)
+		err = l.openSegment(segName(seq), 0, true)
 	} else {
-		l.f, err = openTail(dir, segs[len(segs)-1].name, validLen)
+		err = l.openSegment(segs[len(segs)-1].name, int64(validLen), false)
 	}
 	if err != nil {
 		return nil, err
@@ -232,33 +261,78 @@ func walkChain(dir string, segs []seqFile, snapSeq uint64, fn func(seq uint64, r
 	return seq, validLen, nil
 }
 
-// openTail opens the final segment for appending, truncating a torn
-// tail first so the next append starts a clean record boundary.
-func openTail(dir, name string, validLen int) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", name, err)
+// openSegment makes name (created when create is set) the active
+// segment, with its valid frames ending at validLen. Whatever lies
+// past them, a torn frame or the zero fill a crash left, is cut off
+// so the next append starts a clean record boundary; then a fresh
+// stretch of zeros is written behind them and the file synced, and a
+// created file's directory entry too.
+func (l *Log) openSegment(name string, validLen int64, create bool) error {
+	flag := os.O_RDWR // not O_APPEND: frames go in place, and WriteAt refuses an O_APPEND file
+	if create {
+		flag |= os.O_CREATE
 	}
-	fail := func(what string, err error) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(l.dir, name), flag, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: open segment %s: %w", name, err)
+	}
+	err = f.Truncate(validLen)
+	if err == nil {
+		err = zeroFill(f, validLen, validLen+segmentStretch)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil && create {
+		err = syncDir(l.dir)
+	}
+	if err != nil {
 		_ = f.Close()
-		return nil, fmt.Errorf("wal: %s %s: %w", what, name, err)
+		return fmt.Errorf("wal: preallocate segment %s: %w", name, err)
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		return fail("stat", err)
-	}
-	if fi.Size() > int64(validLen) {
-		if err := f.Truncate(int64(validLen)); err != nil {
-			return fail("truncate torn tail of", err)
+	l.f, l.off, l.end = f, validLen, validLen+segmentStretch
+	return nil
+}
+
+// zeroFill writes zeros over f's bytes from..to.
+func zeroFill(f *os.File, from, to int64) error {
+	for from < to {
+		n := min(to-from, int64(len(zeros)))
+		if _, err := f.WriteAt(zeros[:n], from); err != nil {
+			return err
 		}
-		if err := f.Sync(); err != nil {
-			return fail("sync", err)
-		}
+		from += n
 	}
-	if _, err := f.Seek(int64(validLen), 0); err != nil {
-		return fail("seek", err)
+	return nil
+}
+
+// reserve makes the active segment's zero fill reach at least need
+// bytes, extending it a stretch at a time. The caller's fsync makes
+// the new size durable; until then a crash leaves the old fill.
+func (l *Log) reserve(need int64) error {
+	end := l.end
+	for end < need {
+		end += segmentStretch
 	}
-	return f, nil
+	if err := zeroFill(l.f, l.end, end); err != nil {
+		return err
+	}
+	l.end = end
+	return nil
+}
+
+// closeSegment cuts the active segment back to its valid frames,
+// syncs it and closes it: a segment nobody appends to any more holds
+// exactly its records.
+func (l *Log) closeSegment() error {
+	err := l.f.Truncate(l.off)
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // appendFrame encodes one record frame onto dst.
@@ -311,20 +385,24 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: record of %d bytes is empty or exceeds MaxRecordSize", len(rec))
 	}
 	frame := appendFrame(nil, rec)
+	if err := l.reserve(l.off + int64(len(frame))); err != nil {
+		l.broken = true
+		return 0, fmt.Errorf("wal: append preallocate: %w", err)
+	}
 	if l.faults != nil {
 		if n, err := l.faults.BeforeAppend(frame); err != nil {
 			if n > len(frame) {
 				n = len(frame)
 			}
 			if n > 0 {
-				_, _ = l.f.Write(frame[:n]) // the torn write the crash leaves behind
+				_, _ = l.f.WriteAt(frame[:n], l.off) // the torn write the crash leaves behind
 			}
 			l.broken = true
 			_ = l.f.Close()
 			return 0, fmt.Errorf("wal: append fault: %w", err)
 		}
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	if _, err := l.f.WriteAt(frame, l.off); err != nil {
 		l.broken = true
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
@@ -332,8 +410,8 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 		l.broken = true
 		return 0, fmt.Errorf("wal: append sync: %w", err)
 	}
-	l.seq++
-	return l.seq, nil
+	l.off += int64(len(frame))
+	return l.seq.Add(1), nil
 }
 
 // SaveSnapshot durably stores application state that reflects records
@@ -348,10 +426,11 @@ func (l *Log) SaveSnapshot(state []byte, upTo uint64) error {
 	if l.closed || l.broken {
 		return ErrClosed
 	}
-	if upTo > l.seq {
-		return fmt.Errorf("wal: snapshot seq %d ahead of log seq %d", upTo, l.seq)
+	seq := l.seq.Load()
+	if upTo > seq {
+		return fmt.Errorf("wal: snapshot seq %d ahead of log seq %d", upTo, seq)
 	}
-	if upTo <= l.snapSeq {
+	if upTo <= l.snapSeq.Load() {
 		return nil // an older snapshot already covers this
 	}
 	if len(state) == 0 {
@@ -362,21 +441,15 @@ func (l *Log) SaveSnapshot(state []byte, upTo uint64) error {
 	}
 	// Rotate: the next record (seq+1) opens a fresh segment, so the
 	// prune below can retire everything the snapshot covers.
-	if err := l.f.Sync(); err != nil {
+	if err := l.closeSegment(); err != nil {
 		l.broken = true
-		return fmt.Errorf("wal: rotate sync: %w", err)
+		return fmt.Errorf("wal: rotate: %w", err)
 	}
-	if err := l.f.Close(); err != nil {
-		l.broken = true
-		return fmt.Errorf("wal: rotate close: %w", err)
-	}
-	f, err := createSegment(l.dir, l.seq)
-	if err != nil {
+	if err := l.openSegment(segName(seq), 0, true); err != nil {
 		l.broken = true
 		return err
 	}
-	l.f = f
-	l.snapSeq = upTo
+	l.snapSeq.Store(upTo)
 	l.prune()
 	return nil
 }
@@ -434,28 +507,17 @@ func (l *Log) prune() {
 	if err != nil {
 		return
 	}
+	snapSeq := l.snapSeq.Load()
 	for _, s := range snaps {
-		if s.seq < l.snapSeq {
+		if s.seq < snapSeq {
 			_ = os.Remove(filepath.Join(l.dir, s.name))
 		}
 	}
 	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1].seq <= l.snapSeq {
+		if segs[i+1].seq <= snapSeq {
 			_ = os.Remove(filepath.Join(l.dir, segs[i].name))
 		}
 	}
-}
-
-func createSegment(dir string, seq uint64) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, segName(seq)), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: create segment: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	return f, nil
 }
 
 func syncDir(dir string) error {
@@ -479,11 +541,12 @@ func syncDir(dir string) error {
 func (l *Log) Snapshot() ([]byte, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.snapSeq == 0 {
+	snapSeq := l.snapSeq.Load()
+	if snapSeq == 0 {
 		return nil, 0
 	}
-	payload, _ := readSnapshot(l.dir, l.snapSeq)
-	return payload, l.snapSeq
+	payload, _ := readSnapshot(l.dir, snapSeq)
+	return payload, snapSeq
 }
 
 // Replay reads back every record newer than the snapshot and invokes
@@ -499,7 +562,7 @@ func (l *Log) Replay(fn func(seq uint64, rec []byte) error) error {
 	l.mu.Lock()
 	_, segs, err := listDir(l.dir)
 	if err == nil {
-		_, _, err = walkChain(l.dir, segs, l.snapSeq, func(seq uint64, rec []byte) error {
+		_, _, err = walkChain(l.dir, segs, l.snapSeq.Load(), func(seq uint64, rec []byte) error {
 			recs = append(recs, record{seq, rec})
 			return nil
 		})
@@ -516,30 +579,25 @@ func (l *Log) Replay(fn func(seq uint64, rec []byte) error) error {
 	return nil
 }
 
-// Seq returns the sequence number of the last committed record.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
+// Seq returns the sequence number of the last committed record. It
+// never waits for an append in flight.
+func (l *Log) Seq() uint64 { return l.seq.Load() }
 
-// SnapshotSeq returns the sequence the newest snapshot covers.
-func (l *Log) SnapshotSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapSeq
-}
+// SnapshotSeq returns the sequence the newest snapshot covers. It
+// never waits for an append in flight.
+func (l *Log) SnapshotSeq() uint64 { return l.snapSeq.Load() }
 
 // RecordsSinceSnapshot reports how many committed records the newest
-// snapshot does not cover — the replay cost of a crash right now.
+// snapshot does not cover — the replay cost of a crash right now. It
+// never waits for an append in flight; snapSeq is read first, so a
+// snapshot that lands between the two reads cannot push it past seq.
 func (l *Log) RecordsSinceSnapshot() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq - l.snapSeq
+	snapSeq := l.snapSeq.Load()
+	return l.seq.Load() - snapSeq
 }
 
-// Close cleanly shuts the log: final fsync, file closed, further
-// appends rejected.
+// Close cleanly shuts the log: the active segment is cut back to its
+// valid frames and synced, the file closed, further appends rejected.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -550,19 +608,16 @@ func (l *Log) Close() error {
 	if l.broken {
 		return nil // the breaking path already closed the file
 	}
-	if err := l.f.Sync(); err != nil {
-		_ = l.f.Close()
-		return fmt.Errorf("wal: close sync: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
+	if err := l.closeSegment(); err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
 	return nil
 }
 
 // Crash abandons the log the way SIGKILL would: the file handle is
-// closed without a final sync and every later Append fails with
-// ErrClosed. Already-committed records are durable (Append fsyncs);
+// closed without a final sync or cutting the zero fill off, and every
+// later Append fails with ErrClosed. Already-committed records are
+// durable (Append fsyncs);
 // in-flight handlers racing a simulated restart cannot write into the
 // directory the new incarnation now owns.
 func (l *Log) Crash() {

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 )
 
 func collect(t *testing.T, l *Log) []string {
@@ -537,5 +539,246 @@ func TestBinaryRecordsSurvive(t *testing.T) {
 	}
 	if !bytes.Equal(got, rec) {
 		t.Fatal("binary record mangled by round trip")
+	}
+}
+
+// blockAppend parks every Append inside BeforeAppend, where the log's
+// lock is held, until release is closed; entered is closed when the
+// first Append arrives.
+type blockAppend struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func newBlockAppend() *blockAppend {
+	return &blockAppend{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *blockAppend) BeforeAppend(frame []byte) (int, error) {
+	b.once.Do(func() { close(b.entered) })
+	<-b.release
+	return len(frame), nil
+}
+
+// TestCountersDoNotWaitForAppend: an Append stalled while it holds
+// the log's lock (as one waiting out a slow fsync does) does not hold
+// up Seq, SnapshotSeq or RecordsSinceSnapshot, which the durable
+// NameNode reads on every shard after every mutation.
+func TestCountersDoNotWaitForAppend(t *testing.T) {
+	l, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, "a", "b")
+	if err := l.SaveSnapshot([]byte("state@1"), 1); err != nil {
+		t.Fatal(err)
+	}
+	b := newBlockAppend()
+	release := sync.OnceFunc(func() { close(b.release) })
+	defer release()
+	l.SetFaults(b)
+	done := make(chan error, 1)
+	go func() {
+		_, err := l.Append([]byte("c"))
+		done <- err
+	}()
+	<-b.entered
+
+	got := make(chan [3]uint64, 1)
+	go func() { got <- [3]uint64{l.Seq(), l.SnapshotSeq(), l.RecordsSinceSnapshot()} }()
+	select {
+	case g := <-got:
+		if g != [3]uint64{2, 1, 1} {
+			t.Fatalf("seq, snapshot seq, records since snapshot = %v during the append, want [2 1 1]", g)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the log's counters waited for an append in flight")
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if l.Seq() != 3 || l.RecordsSinceSnapshot() != 2 {
+		t.Fatalf("after the append: seq %d, records since snapshot %d; want 3, 2", l.Seq(), l.RecordsSinceSnapshot())
+	}
+}
+
+// frameLen is the on-disk size of the frames of recs.
+func frameLen(recs ...string) int64 {
+	var n int64
+	for _, r := range recs {
+		n += int64(frameHeader + len(r))
+	}
+	return n
+}
+
+// fileSize is the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestCrashLeavesZeroFill: a log abandoned without Close keeps its
+// segment's preallocated zero fill behind the valid frames, the way a
+// SIGKILL leaves it. Open replays exactly the acknowledged records,
+// the next Append continues the sequence, and that record survives a
+// second crash.
+func TestCrashLeavesZeroFill(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []string{"one", "two", "three"}
+	appendN(t, l, recs...)
+	l.Crash()
+	path := segPath(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := frameLen(recs...)
+	if int64(len(data)) != segmentStretch || !bytes.Equal(data[valid:], zeros[valid:]) {
+		t.Fatalf("crashed segment: %d bytes, want %d with zeros after the %d valid ones", len(data), segmentStretch, valid)
+	}
+
+	l, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, l); !equal(got, []string{"1:one", "2:two", "3:three"}) {
+		t.Fatalf("replay after crash = %v", got)
+	}
+	if seq, err := l.Append([]byte("four")); err != nil || seq != 4 {
+		t.Fatalf("append after crash: seq=%d err=%v, want 4", seq, err)
+	}
+	l.Crash()
+	l, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := collect(t, l); !equal(got, []string{"1:one", "2:two", "3:three", "4:four"}) || l.Seq() != 4 {
+		t.Fatalf("replay after second crash = %v, seq %d", got, l.Seq())
+	}
+}
+
+// TestTornFrameInPreallocatedStretch: a frame torn by an append fault
+// lies inside the zero fill, not at the end of the file, and Open
+// still drops it and appends over it.
+func TestTornFrameInPreallocatedStretch(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.SetFaults(&crashAfter{n: 2, tornBytes: frameHeader + 3})
+	appendN(t, l, "ok-1", "ok-2")
+	if _, err := l.Append([]byte("never-acked")); err == nil {
+		t.Fatal("expected injected crash")
+	}
+	path := segPath(t, dir)
+	if size := fileSize(t, path); size != segmentStretch {
+		t.Fatalf("segment after the torn append: %d bytes, want the %d-byte stretch", size, segmentStretch)
+	}
+	l, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, l); !equal(got, []string{"1:ok-1", "2:ok-2"}) {
+		t.Fatalf("replay = %v, want the two acknowledged records", got)
+	}
+	appendN(t, l, "ok-3")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if size := fileSize(t, path); size != frameLen("ok-1", "ok-2", "ok-3") {
+		t.Fatalf("closed segment: %d bytes, want exactly its three frames", size)
+	}
+}
+
+// TestRotationCutsSegmentToValidLength: after SaveSnapshot rotates,
+// the segment left behind holds exactly its frames, no zero fill.
+func TestRotationCutsSegmentToValidLength(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := []string{"aaaa", "bbbb", "cccc", "dddd"}
+	appendN(t, l, recs...)
+	// A snapshot behind the last record keeps seg-0 in the chain.
+	if err := l.SaveSnapshot([]byte("state@2"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if size := fileSize(t, filepath.Join(dir, segName(0))); size != frameLen(recs...) {
+		t.Fatalf("rotated-out segment: %d bytes, want its valid %d", size, frameLen(recs...))
+	}
+	if size := fileSize(t, filepath.Join(dir, segName(4))); size != segmentStretch {
+		t.Fatalf("new segment: %d bytes, want the %d-byte stretch", size, segmentStretch)
+	}
+}
+
+// TestZeroTailInNonFinalSegmentIsCorrupt: zeros are a torn tail only
+// in the final segment; a non-final segment never keeps its fill, so
+// zeros after its frames are corruption.
+func TestZeroTailInNonFinalSegmentIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, "aaaa", "bbbb", "cccc", "dddd")
+	if err := l.SaveSnapshot([]byte("state@2"), 2); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, "eeee")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segName(0)), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRecordLargerThanStretch: a frame that would cross the end of
+// the zero fill extends it first, and it and the records around it
+// round-trip through a crash.
+func TestRecordLargerThanStretch(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte("0123456789abcdef"), segmentStretch/16+7)
+	appendN(t, l, "before", string(big), "after")
+	if size := fileSize(t, segPath(t, dir)); size <= frameLen("before", string(big), "after") || size%segmentStretch != 0 {
+		t.Fatalf("segment after a %d-byte record: %d bytes, want whole stretches past its frames", len(big), size)
+	}
+	l.Crash()
+	l, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	want := []string{"1:before", "2:" + string(big), "3:after"}
+	if got := collect(t, l); !equal(got, want) {
+		t.Fatalf("replay after crash: %d records, want the 3 written intact", len(got))
 	}
 }
