@@ -60,14 +60,17 @@ hedge-stress:
 	$(GO) test -race -count=10 -run 'Hedge|Pinned' ./internal/dfs/ ./internal/svc/
 
 # Coverage-guided fuzz smoke for the decoders that read bytes they did
-# not write, 35s in all, each target for 5s on top of its committed
+# not write, 40s in all, each target for 5s on top of its committed
 # seed corpus: the frame codec, which is the whole wire (calls, replies
 # and errors ride the frames block streams do) — the decoder target
 # (arbitrary bytes must never crash, write past the destination, or
 # yield an invalid frame) and the chunk-reassembly round trip — the
-# params of every nn.* and dn.* method, through a live cluster's call
-# dispatch (never a panic, always one reply or error frame, nn.list and
-# dn.blocks still answered) — the trace CSV
+# binary codec of every RPC params and result value (never a panic,
+# never more allocation than a small multiple of the input, whatever
+# decodes re-encodes to the same bytes) — the params of every nn.* and
+# dn.* method, through a live cluster's call dispatch (never a panic,
+# always one reply or error frame, nn.list and dn.blocks still
+# answered with results that decode) — the trace CSV
 # decoder (never panics; whatever it accepts survives a write and a
 # re-read unchanged), the WAL segment decoder (a damaged final
 # segment replays a prefix of what was written; a damaged earlier one
@@ -78,6 +81,7 @@ hedge-stress:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 5s ./internal/svc/
 	$(GO) test -run '^$$' -fuzz FuzzChunkReassembly -fuzztime 5s ./internal/svc/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeValues -fuzztime 5s ./internal/svc/
 	$(GO) test -run '^$$' -fuzz FuzzReplayNamespace -fuzztime 5s ./internal/svc/
 	$(GO) test -run '^$$' -fuzz FuzzMethodParams -fuzztime 5s ./internal/svc/
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 5s ./internal/trace/

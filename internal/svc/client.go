@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -52,7 +51,7 @@ func Dial(addr, name string, faults TransportFaults) *Client {
 }
 
 // call performs one nn.* RPC.
-func (c *Client) call(ctx context.Context, method string, params, result any) error {
+func (c *Client) call(ctx context.Context, method string, params wireValue, result valueReader) error {
 	return c.conns.call(ctx, c.nn, "namenode", method, params, result)
 }
 
@@ -167,18 +166,15 @@ func (c *Client) allocate(ctx context.Context, dp *dataPath, name string, size i
 	if err := c.call(ctx, "nn.allocate", allocateParams{Name: name, Size: size, Adapt: useAdapt}, &res); err != nil {
 		return nil, err
 	}
-	if res.Alloc == nil {
-		return nil, fmt.Errorf("%w: nn.allocate returned no allocation", ErrBadFrame)
-	}
 	dp.adopt(res.Down)
-	return res.Alloc, nil
+	return &res.Alloc, nil
 }
 
 // complete is nn.complete: publish the file whose blocks landed on the
 // reported holders.
 func (c *Client) complete(ctx context.Context, name string, blocks []dfs.BlockMeta, report dfs.WriteReport) (*dfs.FileMeta, error) {
 	var fm dfs.FileMeta
-	if err := c.call(ctx, "nn.complete", completeParams{Name: name, Blocks: blocks, Report: report}, &fm); err != nil {
+	if err := c.call(ctx, "nn.complete", completeParams{Name: name, Blocks: blocks, Report: report}, (*fileMeta)(&fm)); err != nil {
 		return nil, err
 	}
 	return &fm, nil
@@ -197,18 +193,15 @@ func (c *Client) ReadFile(ctx context.Context, name string) ([]byte, error) {
 		if err := c.call(ctx, "nn.locate", nameParams{Name: name}, &res); err != nil {
 			return nil, err
 		}
-		if res.Meta == nil {
-			return nil, fmt.Errorf("%w: nn.locate returned no metadata", ErrBadFrame)
-		}
 		dp.adopt(res.Down)
-		return res.Meta, nil
+		return &res.Meta, nil
 	}, clientRetry)
 }
 
 // Stat returns a file's metadata.
 func (c *Client) Stat(ctx context.Context, name string) (*dfs.FileMeta, error) {
 	var fm dfs.FileMeta
-	if err := c.call(ctx, "nn.stat", nameParams{Name: name}, &fm); err != nil {
+	if err := c.call(ctx, "nn.stat", nameParams{Name: name}, (*fileMeta)(&fm)); err != nil {
 		return nil, err
 	}
 	return &fm, nil
@@ -278,7 +271,7 @@ func (c *Client) CheckConsistency(ctx context.Context) error {
 // live-replica counts against each file's target, by the NameNode's
 // current liveness belief.
 func (c *Client) Fsck(ctx context.Context) (dfs.HealthReport, error) {
-	var rep dfs.HealthReport
+	var rep healthReport
 	err := c.call(ctx, "nn.fsck", nil, &rep)
-	return rep, err
+	return dfs.HealthReport(rep), err
 }

@@ -634,7 +634,7 @@ func TestCompleteLostAfterPublishKeepsTheFile(t *testing.T) {
 	// serving goroutine starts only after acceptLoop takes this lock.
 	srv.mu.Lock()
 	complete := srv.methods["nn.complete"]
-	srv.methods["nn.complete"] = rpcMethod{class: complete.class, serve: func(ctx context.Context, params []byte) (any, error) {
+	srv.methods["nn.complete"] = rpcMethod{class: complete.class, serve: func(ctx context.Context, params []byte) (wireValue, error) {
 		res, err := complete.serve(ctx, params)
 		if err == nil && dropped.CompareAndSwap(false, true) {
 			srv.closeServed() // published, and the reply has nowhere to go

@@ -81,14 +81,13 @@ func TestCallsMultiplexOutOfOrder(t *testing.T) {
 	}
 	var entered sync.WaitGroup
 	entered.Add(n)
-	type waitParams struct{ N int }
 	srv := NewServer("test", nil, methodTable{
-		"wait": {serve: typed(func(_ context.Context, p waitParams) (any, error) {
+		"wait": {serve: typed(func(_ context.Context, p movedResult) (wireValue, error) {
 			entered.Done()
-			<-gates[p.N]
+			<-gates[p.Moved]
 			return p, nil
 		})},
-		"beat": {class: classControl, serve: bare(func(context.Context) (any, error) { return struct{}{}, nil })},
+		"beat": {class: classControl, serve: bare(func(context.Context) (wireValue, error) { return empty{}, nil })},
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -101,8 +100,8 @@ func TestCallsMultiplexOutOfOrder(t *testing.T) {
 	finished := make(chan int, n) // one send per call
 	for i := 0; i < n; i++ {
 		go func(i int) {
-			var got waitParams
-			if err := p.call(ctx, addr, "test", "wait", waitParams{N: i}, &got); err != nil || got.N != i {
+			var got movedResult
+			if err := p.call(ctx, addr, "test", "wait", movedResult{Moved: i}, &got); err != nil || got.Moved != i {
 				t.Errorf("call %d: got %+v, %v", i, got, err)
 			}
 			finished <- i
@@ -149,7 +148,7 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	}
 
 	// serve reports why it hung up; drive it over a pipe to hear it.
-	srv := NewServer("test", nil, methodTable{"ping": {serve: bare(func(context.Context) (any, error) { return struct{}{}, nil })}})
+	srv := NewServer("test", nil, methodTable{"ping": {serve: bare(func(context.Context) (wireValue, error) { return empty{}, nil })}})
 	// streams answers every read stream with an empty block, cleanly.
 	streams := NewServer("streams", nil, nil)
 	streams.SetDataHandler(func(_ context.Context, _ net.Conn, _ *bufio.Reader, w *bufio.Writer, open frame2) bool {
@@ -220,9 +219,10 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	done.send(frameChunk, flagLast, 1, block)
 	done.recv(frameSetupAck)
 	done.recv(frameCommitAck)
-	done.send(frameCall, 0, 2, encodeCall(callHeader{From: "tester", Method: "dn.stored"}, []byte(`{"block":78}`)))
-	if got := string(done.recv(frameReply)); !strings.Contains(got, `"ok":true`) {
-		t.Fatalf("dn.stored after a finished stream replied %s", got)
+	done.send(frameCall, 0, 2, encodeCall(callHeader{From: "tester", Method: "dn.stored"}, getParams{Block: 78}.appendWire(nil)))
+	var stored storedResult
+	if !decodeValue(done.recv(frameReply), &stored) || !stored.OK {
+		t.Fatalf("dn.stored after a finished stream replied %+v", stored)
 	}
 	done.send(frameOpenRead, 0, 3, encodeOpenRead(openRead{Block: 78, From: "tester"}))
 	if size, err := decodeReadHdr(done.recv(frameReadHdr)); err != nil || size != int64(len(block)) {
@@ -305,8 +305,8 @@ func TestAbsurdBudgetIsClamped(t *testing.T) {
 	for i, ms := range []int64{1 << 62, math.MaxInt64} {
 		call := dialRaw(t, lc.NN.Addr())
 		call.send(frameCall, 0, 1, encodeCall(callHeader{DeadlineMS: ms, From: "tester", Method: "nn.list"}, nil))
-		if got := string(call.recv(frameReply)); !strings.Contains(got, "files") {
-			t.Fatalf("budget %d: nn.list replied %q", ms, got)
+		if got := call.recv(frameReply); !decodeValue(got, &listResult{}) {
+			t.Fatalf("budget %d: nn.list replied %x", ms, got)
 		}
 
 		block := dfs.BlockID(500 + i)

@@ -17,9 +17,9 @@ import (
 // Seq orders beats within an incarnation so a delayed duplicate is
 // refused.
 type heartbeatParams struct {
-	Node  cluster.NodeID `json:"node"`
-	Epoch uint64         `json:"epoch"` // DataNode incarnation marker
-	Seq   uint64         `json:"seq"`
+	Node  cluster.NodeID
+	Epoch uint64 // DataNode incarnation marker
+	Seq   uint64
 }
 
 // epochCounter disambiguates DataNode incarnations created within the
@@ -119,15 +119,15 @@ func (d *DataNodeServer) Node() *dfs.DataNode { return d.dn }
 // this way: they move on streams (pipeline.go).
 func (d *DataNodeServer) methods() methodTable {
 	return methodTable{
-		"dn.delete": {classBackground, typed(func(_ context.Context, p getParams) (any, error) {
+		"dn.delete": {classBackground, typed(func(_ context.Context, p getParams) (wireValue, error) {
 			d.dn.Delete(p.Block)
-			return struct{}{}, nil
+			return empty{}, nil
 		})},
-		"dn.stored": {classBackground, typed(func(_ context.Context, p getParams) (any, error) {
+		"dn.stored": {classBackground, typed(func(_ context.Context, p getParams) (wireValue, error) {
 			size, sum, ok := d.dn.StoredSum(p.Block)
 			return storedResult{Size: size, Sum: sum, OK: ok}, nil
 		})},
-		"dn.blocks": {classBackground, bare(func(context.Context) (any, error) {
+		"dn.blocks": {classBackground, bare(func(context.Context) (wireValue, error) {
 			return blocksResult{Blocks: d.dn.StoredBlocks()}, nil
 		})},
 	}

@@ -322,6 +322,56 @@ func TestRestartReadsShardCountFromWALDir(t *testing.T) {
 	}
 }
 
+// TestNonUTF8NameRefusedAtTheWire: the WAL journals names as JSON,
+// which would keep "/a\xff" and "/a\xfe" both as "/a\uFFFD", so a
+// restart would bring them back under one other name, perhaps in
+// another shard. A name that is not UTF-8 is refused as a malformed
+// call instead, and the namespace a restart recovers is exactly the
+// names that were accepted.
+func TestNonUTF8NameRefusedAtTheWire(t *testing.T) {
+	dir := t.TempDir()
+	cfg := NameNodeConfig{BlockSize: 256, Replication: 2, WALDir: dir, Shards: 4}
+	lc := bootDurable(t, 3, 71, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := lc.Client("shell")
+	defer cl.Close()
+	for _, name := range []string{"/a\xff", "/a\xfe"} {
+		if _, _, err := cl.CopyFromLocal(ctx, name, durablePayload(0, 300), false); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("create %q: err = %v, want ErrBadFrame", name, err)
+		}
+	}
+	want := map[string][]byte{"/a\uFFFD": durablePayload(1, 300), "/ok": durablePayload(2, 300)}
+	for name, data := range want {
+		if _, _, err := cl.CopyFromLocal(ctx, name, data, false); err != nil {
+			t.Fatalf("create %q: %v", name, err)
+		}
+	}
+
+	lc.CrashNameNode()
+	if err := lc.RestartNameNode(restartCluster(t, 3), stats.NewRNG(72), cfg); err != nil {
+		t.Fatal(err)
+	}
+	cl2 := lc.Client("shell2")
+	defer cl2.Close()
+	names, err := cl2.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != len(want) {
+		t.Fatalf("recovered names %q, want the %d accepted", names, len(want))
+	}
+	for name, data := range want {
+		got, err := cl2.ReadFile(ctx, name)
+		if err != nil {
+			t.Fatalf("read %q after restart: %v", name, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%q: recovered bytes differ", name)
+		}
+	}
+}
+
 // stallAppend parks every WAL append inside BeforeAppend, where the
 // log's lock is held just as it is across an fsync, until release is
 // closed; entered is closed when the first append arrives.

@@ -2,12 +2,11 @@ package svc
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 )
 
 // rpcHandler serves one RPC from its undecoded params.
-type rpcHandler func(ctx context.Context, params []byte) (any, error)
+type rpcHandler func(ctx context.Context, params []byte) (wireValue, error)
 
 // rpcMethod declares one RPC of a server: its admission class and its
 // handler.
@@ -29,18 +28,24 @@ func (t methodTable) classOf(method string) rpcClass {
 	return classBackground
 }
 
-// typed adapts a handler that takes its params decoded.
-func typed[P any](fn func(ctx context.Context, p P) (any, error)) rpcHandler {
-	return func(ctx context.Context, params []byte) (any, error) {
+// typed adapts a handler that takes its params decoded. P's pointer
+// must read P's layout and the handler returns a wireValue, so a method
+// whose params or result have no codec does not compile.
+func typed[P any, PR interface {
+	*P
+	valueReader
+}](fn func(ctx context.Context, p P) (wireValue, error)) rpcHandler {
+	return func(ctx context.Context, params []byte) (wireValue, error) {
 		var p P
-		if err := json.Unmarshal(params, &p); err != nil {
-			return nil, fmt.Errorf("%w: params: %v", ErrBadFrame, err)
+		if !decodeValue(params, PR(&p)) {
+			return nil, fmt.Errorf("%w: params: malformed %T", ErrBadFrame, p)
 		}
 		return fn(ctx, p)
 	}
 }
 
-// bare adapts a handler of a method that takes no params.
-func bare(fn func(ctx context.Context) (any, error)) rpcHandler {
-	return func(ctx context.Context, _ []byte) (any, error) { return fn(ctx) }
+// bare adapts a handler of a method that takes no params: any params
+// bytes are refused, as typed refuses trailing ones.
+func bare(fn func(ctx context.Context) (wireValue, error)) rpcHandler {
+	return typed(func(ctx context.Context, _ empty) (wireValue, error) { return fn(ctx) })
 }

@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/adaptsim/adapt/internal/cluster"
+	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/stats"
 )
 
@@ -18,9 +18,9 @@ import (
 // dispatch (serveCall), which decodes them with typed[P]. Whatever the
 // bytes, a method must not panic and must answer with one reply or
 // error frame on the call's stream, and afterwards the endpoints must
-// still answer a well-formed nn.list and dn.blocks. The cluster lives
-// for the whole run, so one input's effects (a delete, an adapt, a
-// lease) are the next input's state.
+// still answer an nn.list and a dn.blocks whose results decode. The
+// cluster lives for the whole run, so one input's effects (a delete, an
+// adapt, a lease) are the next input's state.
 func FuzzMethodParams(f *testing.F) {
 	c, err := cluster.NewEmulation(cluster.EmulationConfig{Nodes: 4, InterruptedRatio: 0.5}, stats.NewRNG(1))
 	if err != nil {
@@ -58,8 +58,18 @@ func FuzzMethodParams(f *testing.F) {
 		endpoints = append(endpoints, endpoint{srv, methods})
 	}
 
+	// The params' binary layouts, and the JSON that once carried them,
+	// which is now garbage to every method.
+	for _, seed := range []wireValue{
+		empty{},
+		nameParams{Name: "/f"}, allocateParams{Name: "/g", Size: 100, Adapt: true}, allocateParams{Name: "/f", Size: -1},
+		completeParams{Name: "/g", Blocks: []dfs.BlockMeta{{ID: 1, Replicas: []cluster.NodeID{0, 9}}}},
+		heartbeatParams{Node: 1, Epoch: 2, Seq: 3}, heartbeatParams{Node: -1}, getParams{Block: 1}, getParams{Block: -5},
+	} {
+		f.Add(seed.appendWire(nil))
+	}
 	for _, seed := range []string{
-		``, `null`, `{}`, `[]`, `"x"`, `0`,
+		`null`, `{}`, `[]`, `"x"`, `0`,
 		`{"name":"/f"}`, `{"name":"/g","size":100,"adapt":true}`, `{"name":"/f","size":-1}`,
 		`{"name":"/g","blocks":[{"id":1,"replicas":[0,9]}],"report":{}}`,
 		`{"node":1,"epoch":2,"seq":3}`, `{"node":-1}`, `{"block":1}`, `{"block":-5}`,
@@ -72,14 +82,12 @@ func FuzzMethodParams(f *testing.F) {
 				dispatch(t, ep.srv, method, params)
 			}
 		}
-		var files listResult
-		if err := json.Unmarshal(dispatch(t, lc.NN.srv, "nn.list", nil).wantReply(t), &files); err != nil {
-			t.Fatalf("nn.list: %v", err)
+		if res := dispatch(t, lc.NN.srv, "nn.list", nil).wantReply(t); !decodeValue(res, &listResult{}) {
+			t.Fatalf("nn.list replied %x", res)
 		}
 		for _, dn := range lc.DNs {
-			var blocks blocksResult
-			if err := json.Unmarshal(dispatch(t, dn.srv, "dn.blocks", nil).wantReply(t), &blocks); err != nil {
-				t.Fatalf("dn.blocks: %v", err)
+			if res := dispatch(t, dn.srv, "dn.blocks", nil).wantReply(t); !decodeValue(res, &blocksResult{}) {
+				t.Fatalf("dn.blocks replied %x", res)
 			}
 		}
 	})

@@ -15,22 +15,23 @@ import (
 	"github.com/adaptsim/adapt/internal/wal"
 )
 
-// Op RPC params/results (the shell surface of §IV-A over the wire).
-// None of them carries file or block bytes: a put is nn.allocate, the
+// Op RPC params/results (the shell surface of §IV-A over the wire),
+// each with its binary codec in values.go. None of them carries file or
+// block bytes: a put is nn.allocate, the
 // client's own v2 pipelines, nn.complete; a get is nn.locate and the
 // client's own v2 reads.
 type allocateParams struct {
-	Name  string `json:"name"`
-	Size  int64  `json:"size"`
-	Adapt bool   `json:"adapt"`
+	Name  string
+	Size  int64
+	Adapt bool
 }
 
 // allocateResult is the NameNode's decision for one put plus its
 // current liveness belief, which the client's proxies adopt before
 // they move a byte.
 type allocateResult struct {
-	Alloc *dfs.Allocation  `json:"alloc"`
-	Down  []cluster.NodeID `json:"down,omitempty"`
+	Alloc dfs.Allocation
+	Down  []cluster.NodeID
 }
 
 // completeParams reports what the client's pipelines achieved. Report
@@ -38,14 +39,14 @@ type allocateResult struct {
 // keep counting the failovers, retries and degraded blocks of writes
 // it no longer performs itself.
 type completeParams struct {
-	Name   string          `json:"name"`
-	Blocks []dfs.BlockMeta `json:"blocks"`
-	Report dfs.WriteReport `json:"report"`
+	Name   string
+	Blocks []dfs.BlockMeta
+	Report dfs.WriteReport
 }
 
 type locateResult struct {
-	Meta *dfs.FileMeta    `json:"meta"`
-	Down []cluster.NodeID `json:"down,omitempty"`
+	Meta dfs.FileMeta
+	Down []cluster.NodeID
 }
 
 // clusterResult is what a client needs to build its own DataNode
@@ -53,30 +54,30 @@ type locateResult struct {
 // this NameNode was configured with, so the data path behaves the
 // same whichever side of the wire runs it.
 type clusterResult struct {
-	DataNodes  []string      `json:"datanodes"`
-	Breaker    BreakerConfig `json:"breaker"`
-	Hedge      HedgeConfig   `json:"hedge"`
-	HedgeReads bool          `json:"hedge_reads"`
+	DataNodes  []string
+	Breaker    BreakerConfig
+	Hedge      HedgeConfig
+	HedgeReads bool
 }
 
 type nameParams struct {
-	Name string `json:"name"`
+	Name string
 }
 
 type listResult struct {
-	Files []string `json:"files"`
+	Files []string
 }
 
 type movedResult struct {
-	Moved int `json:"moved"`
+	Moved int
 }
 
 type distResult struct {
-	Counts []int `json:"counts"`
+	Counts []int
 }
 
 type estimatesResult struct {
-	Estimates map[cluster.NodeID]model.Availability `json:"estimates"`
+	Estimates map[cluster.NodeID]model.Availability
 }
 
 // hbState is the NameNode's per-DataNode heartbeat bookkeeping: the
@@ -419,7 +420,7 @@ func (s *NameNodeServer) methods() methodTable {
 // mutation marks a handler whose success mutates the namespace: the
 // snapshot cadence piggybacks on those.
 func (s *NameNodeServer) mutation(serve rpcHandler) rpcHandler {
-	return func(ctx context.Context, params []byte) (any, error) {
+	return func(ctx context.Context, params []byte) (wireValue, error) {
 		res, err := serve(ctx, params)
 		if err == nil {
 			s.maybeSnapshot()
@@ -428,21 +429,21 @@ func (s *NameNodeServer) mutation(serve rpcHandler) rpcHandler {
 	}
 }
 
-func (s *NameNodeServer) heartbeat(_ context.Context, p heartbeatParams) (any, error) {
-	return struct{}{}, s.foldHeartbeat(p)
+func (s *NameNodeServer) heartbeat(_ context.Context, p heartbeatParams) (wireValue, error) {
+	return empty{}, s.foldHeartbeat(p)
 }
 
-func (s *NameNodeServer) cluster(context.Context) (any, error) { return s.fleet, nil }
+func (s *NameNodeServer) cluster(context.Context) (wireValue, error) { return s.fleet, nil }
 
-func (s *NameNodeServer) allocate(ctx context.Context, p allocateParams) (any, error) {
+func (s *NameNodeServer) allocate(ctx context.Context, p allocateParams) (wireValue, error) {
 	alloc, err := s.cl.Allocate(ctx, p.Name, p.Size, p.Adapt)
 	if err != nil {
 		return nil, err
 	}
-	return allocateResult{Alloc: alloc, Down: s.downNodes()}, nil
+	return allocateResult{Alloc: *alloc, Down: s.downNodes()}, nil
 }
 
-func (s *NameNodeServer) complete(_ context.Context, p completeParams) (any, error) {
+func (s *NameNodeServer) complete(_ context.Context, p completeParams) (wireValue, error) {
 	fm, err := s.nn.Complete(p.Name, p.Blocks)
 	if err != nil {
 		return nil, err
@@ -451,54 +452,59 @@ func (s *NameNodeServer) complete(_ context.Context, p completeParams) (any, err
 	rc.WriteFailovers.Add(int64(p.Report.Failovers))
 	rc.WriteRetries.Add(int64(p.Report.Retries))
 	rc.DegradedWrites.Add(int64(p.Report.DegradedBlocks))
-	return fm, nil
+	return (*fileMeta)(fm), nil
 }
 
-func (s *NameNodeServer) locate(_ context.Context, p nameParams) (any, error) {
+func (s *NameNodeServer) locate(_ context.Context, p nameParams) (wireValue, error) {
 	fm, err := s.nn.Locate(p.Name)
 	if err != nil {
 		return nil, err
 	}
-	return locateResult{Meta: fm, Down: s.downNodes()}, nil
+	return locateResult{Meta: *fm, Down: s.downNodes()}, nil
 }
 
-func (s *NameNodeServer) stat(_ context.Context, p nameParams) (any, error) {
-	return s.nn.Stat(p.Name)
+func (s *NameNodeServer) stat(_ context.Context, p nameParams) (wireValue, error) {
+	fm, err := s.nn.Stat(p.Name)
+	if err != nil {
+		return nil, err
+	}
+	return (*fileMeta)(fm), nil
 }
 
-func (s *NameNodeServer) list(context.Context) (any, error) {
+func (s *NameNodeServer) list(context.Context) (wireValue, error) {
 	return listResult{Files: s.nn.List()}, nil
 }
 
-func (s *NameNodeServer) delete(ctx context.Context, p nameParams) (any, error) {
-	return struct{}{}, s.nn.DeleteContext(ctx, p.Name)
+func (s *NameNodeServer) delete(ctx context.Context, p nameParams) (wireValue, error) {
+	return empty{}, s.nn.DeleteContext(ctx, p.Name)
 }
 
-func (s *NameNodeServer) adapt(ctx context.Context, p nameParams) (any, error) {
+func (s *NameNodeServer) adapt(ctx context.Context, p nameParams) (wireValue, error) {
 	moved, err := s.cl.Adapt(ctx, p.Name)
 	return movedResult{Moved: moved}, err
 }
 
-func (s *NameNodeServer) rebalance(ctx context.Context, p nameParams) (any, error) {
+func (s *NameNodeServer) rebalance(ctx context.Context, p nameParams) (wireValue, error) {
 	moved, err := s.cl.Rebalance(ctx, p.Name)
 	return movedResult{Moved: moved}, err
 }
 
-func (s *NameNodeServer) dist(_ context.Context, p nameParams) (any, error) {
+func (s *NameNodeServer) dist(_ context.Context, p nameParams) (wireValue, error) {
 	counts, err := s.nn.BlockDistribution(p.Name)
 	return distResult{Counts: counts}, err
 }
 
-func (s *NameNodeServer) estimates(context.Context) (any, error) {
+func (s *NameNodeServer) estimates(context.Context) (wireValue, error) {
 	return estimatesResult{Estimates: s.Estimates()}, nil
 }
 
-func (s *NameNodeServer) consistency(ctx context.Context) (any, error) {
-	return struct{}{}, s.nn.CheckConsistency(ctx)
+func (s *NameNodeServer) consistency(ctx context.Context) (wireValue, error) {
+	return empty{}, s.nn.CheckConsistency(ctx)
 }
 
-func (s *NameNodeServer) fsck(context.Context) (any, error) {
-	return s.nn.Health(), nil
+func (s *NameNodeServer) fsck(context.Context) (wireValue, error) {
+	report := healthReport(s.nn.Health())
+	return &report, nil
 }
 
 // downNodes lists the DataNodes this NameNode currently believes are

@@ -3,7 +3,6 @@ package svc
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -227,7 +226,7 @@ func (s *Server) serveCall(bw *bufio.Writer, f frame2) error {
 
 // handle runs one call's handler under the caller's deadline budget,
 // once admission lets it in; a queued wait is bounded by that budget.
-func (s *Server) handle(h callHeader, params []byte) (any, error) {
+func (s *Server) handle(h callHeader, params []byte) (wireValue, error) {
 	ctx, cancel := budgetCtx(s.baseCtx, h.DeadlineMS)
 	defer cancel()
 	release, err := s.admit.Load().acquire(ctx, s.methods.classOf(h.Method))
@@ -242,15 +241,13 @@ func (s *Server) handle(h callHeader, params []byte) (any, error) {
 	return m.serve(ctx, params)
 }
 
-// reply answers call id with one frame: the result as a reply, or err
-// — the handler's, or that of a result that will not encode or fit —
-// as an error frame.
-func (s *Server) reply(bw *bufio.Writer, id uint64, result any, err error) error {
+// reply answers call id with one frame: the result's layout as a
+// reply, or err — the handler's, or that of a result too large for a
+// frame — as an error frame.
+func (s *Server) reply(bw *bufio.Writer, id uint64, result wireValue, err error) error {
 	typ, payload := frameReply, []byte(nil)
 	if err == nil {
-		if payload, err = json.Marshal(result); err != nil {
-			err = fmt.Errorf("svc: encode result: %w", err)
-		} else if len(payload) > MaxControlFrame {
+		if payload = result.appendWire(make([]byte, 0, 256)); len(payload) > MaxControlFrame {
 			err = fmt.Errorf("%w: %d-byte result", ErrFrameTooLarge, len(payload))
 		}
 	}

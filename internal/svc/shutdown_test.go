@@ -17,12 +17,12 @@ func TestShutdownDrainsInflightAndRejectsNew(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	srv := NewServer("test", nil, methodTable{
-		"slow": {serve: bare(func(context.Context) (any, error) {
+		"slow": {serve: bare(func(context.Context) (wireValue, error) {
 			close(entered)
 			<-release
-			return struct{}{}, nil
+			return empty{}, nil
 		})},
-		"fast": {serve: bare(func(context.Context) (any, error) { return struct{}{}, nil })},
+		"fast": {serve: bare(func(context.Context) (wireValue, error) { return empty{}, nil })},
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -91,9 +91,9 @@ func TestShutdownDrainsInflightAndRejectsNew(t *testing.T) {
 func TestShutdownDeadlineExpires(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	srv := NewServer("test", nil, methodTable{"wedge": {serve: bare(func(context.Context) (any, error) {
+	srv := NewServer("test", nil, methodTable{"wedge": {serve: bare(func(context.Context) (wireValue, error) {
 		<-block
-		return struct{}{}, nil
+		return empty{}, nil
 	})}})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

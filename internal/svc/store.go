@@ -17,17 +17,17 @@ import (
 // size and CRC32C the DataNode computed over its own copy, or OK false
 // for a block it does not hold.
 type getParams struct {
-	Block dfs.BlockID `json:"block"`
+	Block dfs.BlockID
 }
 
 type storedResult struct {
-	Size int64  `json:"size"`
-	Sum  uint32 `json:"sum"`
-	OK   bool   `json:"ok"`
+	Size int64
+	Sum  uint32
+	OK   bool
 }
 
 type blocksResult struct {
-	Blocks []dfs.BlockID `json:"blocks"`
+	Blocks []dfs.BlockID
 }
 
 // remoteStore is the RPC proxy for one DataNode's block storage: it
@@ -182,7 +182,7 @@ func (s *remoteStore) observe(ctx context.Context, what func() string, exchange 
 }
 
 // call performs one control RPC against the DataNode.
-func (s *remoteStore) call(ctx context.Context, method string, params, result any) error {
+func (s *remoteStore) call(ctx context.Context, method string, params wireValue, result valueReader) error {
 	return s.observe(ctx, func() string { return method + " to" }, func() error {
 		return s.conns.call(ctx, s.addr, s.peer, method, params, result)
 	})
@@ -297,7 +297,7 @@ func (s *remoteStore) StoredSum(ctx context.Context, id dfs.BlockID) (int64, uin
 // the node is unreachable.
 func (s *remoteStore) StoredBlocks(ctx context.Context) ([]dfs.BlockID, bool) {
 	var res blocksResult
-	if err := s.call(ctx, "dn.blocks", struct{}{}, &res); err != nil {
+	if err := s.call(ctx, "dn.blocks", nil, &res); err != nil {
 		return nil, false
 	}
 	return res.Blocks, true

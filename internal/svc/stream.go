@@ -3,7 +3,6 @@ package svc
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -304,25 +303,21 @@ func (p *streamPool) openStream(ctx context.Context, addr, peer string, send fun
 	}
 }
 
-// call performs one RPC with peer at addr as one exchange: params are
-// marshalled, the deadline budget from ctx rides in the call header, and
-// the one reply, whose id must be the call's, is unmarshalled into
-// result (ignored when result is nil). The connection is then parked or
-// closed exactly as after a stream; a call cancelled or timed out
-// mid-exchange closes it. Errors from the peer are rehydrated as
-// RemoteError.
-func (p *streamPool) call(ctx context.Context, addr, peer, method string, params, result any) error {
-	var raw []byte
-	if params != nil {
-		b, err := json.Marshal(params)
-		if err != nil {
-			return fmt.Errorf("svc: call %s: encode params: %w", method, err)
-		}
-		raw = b
-	}
+// call performs one RPC with peer at addr as one exchange: the call
+// header, with the deadline budget from ctx, and then params' layout
+// (none when params is nil) go out in one frame, and the one reply,
+// whose id must be the call's, is read into result (ignored when result
+// is nil). The connection is then parked or closed exactly as after a
+// stream; a call cancelled or timed out mid-exchange closes it. Errors
+// from the peer are rehydrated as RemoteError.
+func (p *streamPool) call(ctx context.Context, addr, peer, method string, params wireValue, result valueReader) error {
 	id := streamIDs.Add(1)
 	dc, f, err := p.openStream(ctx, addr, peer, func(w io.Writer) error {
-		return writeFrame2(w, frameCall, 0, id, encodeCall(callHeader{DeadlineMS: budgetOf(ctx), From: p.local, Method: method}, raw))
+		b := appendCallHeader(make([]byte, 0, 128), callHeader{DeadlineMS: budgetOf(ctx), From: p.local, Method: method})
+		if params != nil {
+			b = params.appendWire(b)
+		}
+		return writeFrame2(w, frameCall, 0, id, b)
 	})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
@@ -338,10 +333,8 @@ func (p *streamPool) call(ctx context.Context, addr, peer, method string, params
 	if f.Type == frameError {
 		return fmt.Errorf("svc: call %s: %w", method, decodeErrorFrame(f.Payload))
 	}
-	if result != nil {
-		if err := json.Unmarshal(f.Payload, result); err != nil {
-			return fmt.Errorf("%w: call %s result: %v", ErrBadFrame, method, err)
-		}
+	if result != nil && !decodeValue(f.Payload, result) {
+		return fmt.Errorf("%w: call %s result: malformed %T", ErrBadFrame, method, result)
 	}
 	return nil
 }

@@ -22,7 +22,7 @@ import (
 //
 // Frame layout (big-endian), 20-byte header:
 //
-//	offset 0      version byte (0x03)
+//	offset 0      version byte (0x04)
 //	offset 1      frame type
 //	offset 2-3    flags (bit 0: last chunk of the stream)
 //	offset 4-11   stream id (a call's id for a call)
@@ -69,17 +69,15 @@ import (
 //	reply       9  server -> client the result                             MaxControlFrame
 //
 // A failed call is answered with the same error frame a failed read is.
-// Everything the transport itself reads — ids, budgets, endpoint names,
-// methods, chains, acks, errors — is the length-prefixed binary below,
-// bounds-checked and fuzzed. A call's params and a reply's result are
-// the JSON encoding of the method's own struct, opaque to the
-// transport: the twenty methods' values (FileMeta, HealthReport,
-// ReplicationReport, the estimate map) are nested and change with the
-// engine, a control round trip is a tenth of a put's cycle, and a
-// binary layout for each would be twenty more decoders to keep fuzzed
-// with no measurement asking for it.
+// Everything on the wire is the length-prefixed binary below,
+// bounds-checked and fuzzed: what the transport itself reads — ids,
+// budgets, endpoint names, methods, chains, acks, errors — and a call's
+// params and a reply's result, each the layout of the method's own
+// value (values.go). The version byte changes with any of these
+// layouts, so a peer built with other ones is refused at the header
+// instead of having its payloads misread.
 const (
-	frameVersion = 0x03
+	frameVersion = 0x04
 	headerSize   = 20
 
 	// MaxChunkPayload bounds the payload of every frame but a call and
@@ -91,12 +89,12 @@ const (
 	// carries file or block bytes, so the bound is sized for metadata.
 	// The largest legitimate ones are a many-block FileMeta (nn.stat
 	// and nn.locate replies, the nn.complete call), nn.list and
-	// dn.blocks. One BlockMeta encodes to about 110 bytes plus the file
-	// name it repeats, so 16 MiB holds a 65,536-block file
-	// (dfs.MaxFileBlocks, which nn.allocate enforces) with 140-byte
-	// names — 4 TiB at the default 64 MB block — and, at about 60 bytes
-	// a name and 12 a block id, a listing of 250,000 files or an
-	// inventory of a million blocks.
+	// dn.blocks. One BlockMeta of three replicas encodes to 60 bytes
+	// plus the file name it repeats, so 16 MiB holds a 65,536-block
+	// file (dfs.MaxFileBlocks, which nn.allocate enforces) with names
+	// of 140 bytes — 4 TiB at the default 64 MB block — and, at 4 bytes
+	// plus a name of about 60 and 8 a block id, a listing of 250,000
+	// files or an inventory of a million blocks.
 	MaxControlFrame = 16 << 20
 
 	// MaxBlockBytes bounds one block on a stream: twice the 64 MB HDFS
@@ -328,14 +326,11 @@ type callHeader struct {
 	Method     string
 }
 
-// encodeCall builds a call frame's payload: the header, then params
-// verbatim.
-func encodeCall(h callHeader, params []byte) []byte {
-	b := make([]byte, 0, 12+len(h.From)+len(h.Method)+len(params))
+// appendCallHeader appends what a call frame says before its params.
+func appendCallHeader(b []byte, h callHeader) []byte {
 	b = appendUint64(b, uint64(h.DeadlineMS))
 	b = appendString(b, h.From)
-	b = appendString(b, h.Method)
-	return append(b, params...)
+	return appendString(b, h.Method)
 }
 
 // decodeCall splits a call frame's payload into its header and the

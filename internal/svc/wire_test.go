@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -313,6 +312,12 @@ func TestAppendStringTruncates(t *testing.T) {
 	}
 }
 
+// encodeCall builds a call frame's payload: the header, then params
+// verbatim, for tests that frame calls by hand.
+func encodeCall(h callHeader, params []byte) []byte {
+	return append(appendCallHeader(nil, h), params...)
+}
+
 // TestFrameRoundTrip: a call — header, then params verbatim — its
 // reply and its error each survive a frame.
 func TestFrameRoundTrip(t *testing.T) {
@@ -415,10 +420,7 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 			Replicas: []cluster.NodeID{100, 200, 300}, Checksum: math.MaxUint32,
 		})
 	}
-	reply, err := json.Marshal(fm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reply := (*fileMeta)(&fm).appendWire(nil)
 	var wire bytes.Buffer
 	if err := writeFrame2(&wire, frameReply, 0, 1, reply); err != nil {
 		t.Fatalf("a %d-block FileMeta (%d bytes) does not fit a reply: %v", len(fm.Blocks), len(reply), err)
@@ -497,7 +499,7 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	p := &streamPool{local: "tester"}
 	defer p.close()
 	var refused *RemoteError
-	if err := p.call(ctx, lc.NN.Addr(), "namenode", "nn.stat", "not an object", nil); !errors.As(err, &refused) || !strings.Contains(refused.Msg, ErrBadFrame.Error()) {
+	if err := p.call(ctx, lc.NN.Addr(), "namenode", "nn.stat", rawValue("not an object"), nil); !errors.As(err, &refused) || !strings.Contains(refused.Msg, ErrBadFrame.Error()) {
 		t.Fatalf("garbage params: err = %v, want the server's ErrBadFrame", err)
 	}
 	if err := p.call(ctx, lc.NN.Addr(), "namenode", "nn.list", nil, &listResult{}); err != nil {
@@ -514,7 +516,7 @@ func TestBadParamsCrossTheWireAsErrBadFrame(t *testing.T) {
 	defer cancel()
 	p := &streamPool{local: "tester"}
 	defer p.close()
-	err := p.call(ctx, lc.NN.Addr(), "namenode", "nn.locate", []int{1, 2, 3}, nil)
+	err := p.call(ctx, lc.NN.Addr(), "namenode", "nn.locate", rawValue{1, 2, 3}, nil)
 	if !errors.Is(err, ErrBadFrame) || dfs.IsTransient(err) {
 		t.Fatalf("malformed params: err = %v (transient %v), want a permanent ErrBadFrame", err, dfs.IsTransient(err))
 	}

@@ -82,8 +82,12 @@ const frameHeader = 8 // 4-byte length + 4-byte CRC32
 // would cross the end of the fill.
 const segmentStretch = 256 << 10
 
-// zeros is the fill written into a segment's preallocated stretch.
-var zeros [segmentStretch]byte
+// zeros is one write of the fill in a segment's preallocated stretch.
+// The fill goes out a page per write: the page cache may size a folio
+// by the write that creates it, so one stretch-sized write can make a
+// folio that every later append dirties, and every fsync writes back,
+// whole.
+var zeros [4 << 10]byte
 
 // AppendFaults lets a fault injector (chaos.CrashFaults) interpose on
 // the physical append. BeforeAppend sees the encoded frame and
@@ -386,7 +390,7 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 	}
 	frame := appendFrame(nil, rec)
 	if err := l.reserve(l.off + int64(len(frame))); err != nil {
-		l.broken = true
+		l.breakHandle()
 		return 0, fmt.Errorf("wal: append preallocate: %w", err)
 	}
 	if l.faults != nil {
@@ -397,17 +401,16 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 			if n > 0 {
 				_, _ = l.f.WriteAt(frame[:n], l.off) // the torn write the crash leaves behind
 			}
-			l.broken = true
-			_ = l.f.Close()
+			l.breakHandle()
 			return 0, fmt.Errorf("wal: append fault: %w", err)
 		}
 	}
 	if _, err := l.f.WriteAt(frame, l.off); err != nil {
-		l.broken = true
+		l.breakHandle()
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
-		l.broken = true
+		l.breakHandle()
 		return 0, fmt.Errorf("wal: append sync: %w", err)
 	}
 	l.off += int64(len(frame))
@@ -626,6 +629,14 @@ func (l *Log) Crash() {
 	if l.closed || l.broken {
 		return
 	}
+	l.breakHandle()
+}
+
+// breakHandle breaks the log for good and closes the active segment:
+// a handle that cannot promise durability neither appends again nor
+// holds its descriptor. Rotation's failures need only the flag, since
+// closeSegment and openSegment close what they opened.
+func (l *Log) breakHandle() {
 	l.broken = true
 	_ = l.f.Close()
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -643,7 +645,7 @@ func TestCrashLeavesZeroFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := frameLen(recs...)
-	if int64(len(data)) != segmentStretch || !bytes.Equal(data[valid:], zeros[valid:]) {
+	if int64(len(data)) != segmentStretch || !bytes.Equal(data[valid:], make([]byte, segmentStretch-valid)) {
 		t.Fatalf("crashed segment: %d bytes, want %d with zeros after the %d valid ones", len(data), segmentStretch, valid)
 	}
 
@@ -781,4 +783,81 @@ func TestRecordLargerThanStretch(t *testing.T) {
 	if got := collect(t, l); !equal(got, want) {
 		t.Fatalf("replay after crash: %d records, want the 3 written intact", len(got))
 	}
+}
+
+// TestBrokenLogClosesItsFile: an append whose write fails breaks the
+// log and closes the active segment then, so Close on the broken log
+// leaks no descriptor.
+func TestBrokenLogClosesItsFile(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, "acked")
+	rw := l.f
+	ro, err := os.Open(rw.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.f = ro // WriteAt on a read-only handle fails
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("refused")); err == nil {
+		t.Fatal("an append on a read-only segment succeeded")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close of a broken log: %v", err)
+	}
+	if err := ro.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("the broken log's segment was still open after Close (closing it now: %v)", err)
+	}
+}
+
+// TestAppendWritesBackOnlyItsPages: a durable append costs the storage
+// layer about the pages its frame touched, not the stretch of zero
+// fill around them. The count is the process's write_bytes, which the
+// kernel charges by the dirtied folio, so a fill written in one
+// stretch-sized write charges the whole stretch to every append.
+func TestAppendWritesBackOnlyItsPages(t *testing.T) {
+	if _, err := writeBytes(); err != nil {
+		t.Skipf("no per-process write accounting: %v", err)
+	}
+	l, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := bytes.Repeat([]byte("r"), 180)
+	const appends = 200
+	before, _ := writeBytes()
+	for i := 0; i < appends; i++ {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := writeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := (after - before) / appends
+	t.Logf("%d bytes written back per %d-byte append", per, len(rec))
+	if per > 16<<10 {
+		t.Fatalf("%d bytes written back per %d-byte append, want at most %d", per, len(rec), 16<<10)
+	}
+}
+
+// writeBytes reads the process's write_bytes from /proc/self/io.
+func writeBytes() (int64, error) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, "write_bytes: "); ok {
+			return strconv.ParseInt(v, 10, 64)
+		}
+	}
+	return 0, errors.New("no write_bytes line in /proc/self/io")
 }
