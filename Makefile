@@ -65,9 +65,11 @@ hedge-stress:
 # and errors ride the frames block streams do) — the decoder target
 # (arbitrary bytes must never crash, write past the destination, or
 # yield an invalid frame) and the chunk-reassembly round trip — the
-# binary codec of every RPC params and result value (never a panic,
-# never more allocation than a small multiple of the input, whatever
-# decodes re-encodes to the same bytes) — the params of every nn.* and
+# binary codec of every payload value, each RPC's params and result
+# and the transport's own call header, stream opens, acks, error and
+# read header (never a panic, never more allocation than a small
+# multiple of the input, whatever decodes re-encodes to the same
+# bytes) — the params of every nn.* and
 # dn.* method, through a live cluster's call dispatch (never a panic,
 # always one reply or error frame, nn.list and dn.blocks still
 # answered with results that decode) — the trace CSV

@@ -3,6 +3,7 @@ package dfs
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +45,15 @@ type leaseTable struct {
 	mu      sync.Mutex
 	now     func() time.Time // the clock expiries are judged by
 	byFirst map[BlockID]*lease
+
+	// firsts holds byFirst's keys in ascending order — ids are minted in
+	// order under mu — and, until the next sweep, the keys of leases
+	// dropped since the last one. A sweep forgets expired leases and
+	// compacts firsts; a grant runs one once firsts has doubled since
+	// the last (swept is its length then), so a grant costs amortized
+	// O(1) and leased a binary search.
+	firsts []BlockID
+	swept  int
 
 	// ceiling is the durable id reservation: every id below it may have
 	// been handed out. reserve, when non-nil, makes a higher one durable;
@@ -102,10 +112,8 @@ func (t *leaseTable) live(l *lease) bool {
 func (t *leaseTable) grant(ctx context.Context, a *Allocation, next *atomic.Int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for first, old := range t.byFirst {
-		if !t.live(old) {
-			delete(t.byFirst, first)
-		}
+	if len(t.firsts) >= 2*t.swept+64 {
+		t.sweep()
 	}
 	n := int64(len(a.Blocks))
 	if end := next.Load() + n; t.reserve != nil && end > t.ceiling {
@@ -125,7 +133,22 @@ func (t *leaseTable) grant(ctx context.Context, a *Allocation, next *atomic.Int6
 		l.expiry = t.now().Add(leaseTTL)
 	}
 	t.byFirst[first] = l
+	t.firsts = append(t.firsts, first)
 	return nil
+}
+
+// sweep forgets every expired lease and compacts firsts to the keys
+// still leased.
+func (t *leaseTable) sweep() {
+	kept := t.firsts[:0]
+	for _, first := range t.firsts {
+		if l, ok := t.byFirst[first]; ok && t.live(l) {
+			kept = append(kept, first)
+		} else {
+			delete(t.byFirst, first)
+		}
+	}
+	t.firsts, t.swept = kept, len(kept)
 }
 
 // pin finds the live lease the reported blocks belong to and makes it
@@ -162,14 +185,19 @@ func (t *leaseTable) drop(a *Allocation) {
 	delete(t.byFirst, a.Blocks[0].ID)
 }
 
-// leased reports whether a live lease covers block id.
+// leased reports whether a live lease covers block id. Leases cover
+// disjoint id ranges, so only the one with the greatest first id not
+// above id can.
 func (t *leaseTable) leased(id BlockID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for first, l := range t.byFirst {
-		if id >= first && id < first+BlockID(len(l.alloc.Blocks)) && t.live(l) {
-			return true
-		}
+	i, found := slices.BinarySearch(t.firsts, id)
+	if !found {
+		i--
 	}
-	return false
+	if i < 0 {
+		return false
+	}
+	l, ok := t.byFirst[t.firsts[i]]
+	return ok && id < t.firsts[i]+BlockID(len(l.alloc.Blocks)) && t.live(l)
 }

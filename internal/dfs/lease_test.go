@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -116,6 +117,54 @@ func TestCompleteTakesSizesFromTheLease(t *testing.T) {
 	got, err := cl.ReadFileContext(context.Background(), "f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back: %v", err)
+	}
+}
+
+// TestGrantReadsTheClockAmortizedOnce: leases left open do not make each
+// allocation read the clock once per lease outstanding. 10 000 grants,
+// none completed, read it a small constant times 10 000 (sweeping the
+// whole table on every grant read it about N²/2 times); leased still
+// answers for every lease, and once they expire a later sweep forgets
+// them.
+func TestGrantReadsTheClockAmortizedOnce(t *testing.T) {
+	nn, cl, _ := leaseFixture(t)
+	var reads int
+	now := time.Unix(1000, 0)
+	nn.SetLeaseClock(func() time.Time { reads++; return now })
+	const n = 10000
+	ctx := context.Background()
+	grant := func(name string) BlockID {
+		a, err := cl.Allocate(ctx, name, 50, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Blocks[0].ID
+	}
+	first := make([]BlockID, n)
+	for i := range first {
+		first[i] = grant(fmt.Sprintf("open%d", i))
+	}
+	if reads > 4*n {
+		t.Fatalf("%d grants read the lease clock %d times, want at most %d", n, reads, 4*n)
+	}
+	for _, i := range []int{0, 1, n / 2, n - 1} {
+		if !nn.leases.leased(first[i]) {
+			t.Fatalf("lease %d of %d (block %d) not seen", i, n, first[i])
+		}
+	}
+	if next := first[n-1] + 1; nn.leases.leased(next) {
+		t.Fatalf("block %d, never leased, reads as leased", next)
+	}
+
+	now = now.Add(leaseTTL + time.Second)
+	if nn.leases.leased(first[0]) || nn.leases.leased(first[n-1]) {
+		t.Fatal("an expired lease still shields its block")
+	}
+	for i := 0; i < n+64; i++ {
+		grant(fmt.Sprintf("fresh%d", i))
+	}
+	if left := len(nn.leases.byFirst); left > n+64 {
+		t.Fatalf("%d leases held after %d expired and %d were granted, want the expired ones forgotten", left, n, n+64)
 	}
 }
 

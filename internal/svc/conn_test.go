@@ -139,7 +139,7 @@ func TestCallsMultiplexOutOfOrder(t *testing.T) {
 func TestWrongFrameKindClosesConnection(t *testing.T) {
 	lc := testCluster(t, 2, nil)
 	ping := encodeCall(callHeader{From: "tester", Method: "nn.list"}, nil)
-	open := encodeOpenWrite(openWrite{Block: 77, Size: 2048, From: "tester"})
+	open := openWrite{Block: 77, Size: 2048, From: "tester"}.appendWire(nil)
 	unknown := func(p *rawPeer) {
 		hdr := (&frame2{Type: frameReply + 1, Stream: 1}).header()
 		if _, err := p.nc.Write(hdr[:]); err != nil {
@@ -152,10 +152,10 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	// streams answers every read stream with an empty block, cleanly.
 	streams := NewServer("streams", nil, nil)
 	streams.SetDataHandler(func(_ context.Context, _ net.Conn, _ *bufio.Reader, w *bufio.Writer, open frame2) bool {
-		return writeFrame2(w, frameReadHdr, 0, open.Stream, encodeReadHdr(0)) == nil && w.Flush() == nil
+		return writeFrame2(w, frameReadHdr, 0, open.Stream, readHdr{}.appendWire(nil)) == nil && w.Flush() == nil
 	})
 	readEmpty := func(p *rawPeer, id uint64) {
-		p.send(frameOpenRead, 0, id, encodeOpenRead(openRead{Block: 1, From: "tester"}))
+		p.send(frameOpenRead, 0, id, openRead{Block: 1, From: "tester"}.appendWire(nil))
 		p.recv(frameReadHdr)
 	}
 	for name, tc := range map[string]struct {
@@ -193,7 +193,7 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	nn := dialRaw(t, lc.NN.Addr())
 	nn.send(frameCall, 0, 1, ping)
 	nn.recv(frameReply)
-	nn.send(frameOpenRead, 0, 2, encodeOpenRead(openRead{Block: 77, From: "tester"}))
+	nn.send(frameOpenRead, 0, 2, openRead{Block: 77, From: "tester"}.appendWire(nil))
 	nn.closed()
 
 	dn, err := lc.DataNode(0)
@@ -215,7 +215,7 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	// that begins nothing ends it.
 	block := payload(100)
 	done := dialRaw(t, dn.Addr())
-	done.send(frameOpenWrite, 0, 1, encodeOpenWrite(openWrite{Block: 78, Size: int64(len(block)), From: "tester"}))
+	done.send(frameOpenWrite, 0, 1, openWrite{Block: 78, Size: int64(len(block)), From: "tester"}.appendWire(nil))
 	done.send(frameChunk, flagLast, 1, block)
 	done.recv(frameSetupAck)
 	done.recv(frameCommitAck)
@@ -224,7 +224,7 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 	if !decodeValue(done.recv(frameReply), &stored) || !stored.OK {
 		t.Fatalf("dn.stored after a finished stream replied %+v", stored)
 	}
-	done.send(frameOpenRead, 0, 3, encodeOpenRead(openRead{Block: 78, From: "tester"}))
+	done.send(frameOpenRead, 0, 3, openRead{Block: 78, From: "tester"}.appendWire(nil))
 	if size, err := decodeReadHdr(done.recv(frameReadHdr)); err != nil || size != int64(len(block)) {
 		t.Fatalf("read after a call: header %d, %v", size, err)
 	}
@@ -261,7 +261,7 @@ func TestWrongFrameKindClosesConnection(t *testing.T) {
 				return
 			}
 			typ, id := answer(f.Stream)
-			if err := writeFrame2(nc, typ, 0, id, encodeReadHdr(0)); err != nil {
+			if err := writeFrame2(nc, typ, 0, id, readHdr{}.appendWire(nil)); err != nil {
 				hungUp <- err
 				return
 			}
@@ -312,7 +312,7 @@ func TestAbsurdBudgetIsClamped(t *testing.T) {
 		block := dfs.BlockID(500 + i)
 		data := payload(1500)
 		w := dialRaw(t, dn.Addr())
-		w.send(frameOpenWrite, 0, 1, encodeOpenWrite(openWrite{Block: block, Size: int64(len(data)), DeadlineMS: ms, From: "tester"}))
+		w.send(frameOpenWrite, 0, 1, openWrite{Block: block, Size: int64(len(data)), DeadlineMS: ms, From: "tester"}.appendWire(nil))
 		w.send(frameChunk, flagLast, 1, data)
 		w.recv(frameSetupAck)
 		acks, err := decodeAcks(w.recv(frameCommitAck))
@@ -321,7 +321,7 @@ func TestAbsurdBudgetIsClamped(t *testing.T) {
 		}
 
 		r := dialRaw(t, dn.Addr())
-		r.send(frameOpenRead, 0, 1, encodeOpenRead(openRead{Block: block, DeadlineMS: ms, From: "tester"}))
+		r.send(frameOpenRead, 0, 1, openRead{Block: block, DeadlineMS: ms, From: "tester"}.appendWire(nil))
 		if size, err := decodeReadHdr(r.recv(frameReadHdr)); err != nil || size != int64(len(data)) {
 			t.Fatalf("budget %d: read header %d, %v", ms, size, err)
 		}

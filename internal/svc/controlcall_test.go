@@ -14,10 +14,9 @@ import (
 // nn.locate — through the client's NameNode channel: the call frame's
 // encoding, the server's decode, dispatch and reply, and the result's
 // decode. Every allocation is published by an nn.complete, the
-// allocate round's with the timer stopped after each 64 (the NameNode
-// sweeps its lease table on every allocate, so leases left open would
-// time the sweep), and nn.stat and nn.locate ask after a one-block
-// 4 KiB file.
+// allocate round's with the timer stopped after each 64, so the lease
+// table stays the size a steady workload keeps, and nn.stat and
+// nn.locate ask after a one-block 4 KiB file.
 func BenchmarkControlCall(b *testing.B) {
 	ctx, _, cl, data := benchClient(b, NameNodeConfig{}, 4<<10)
 	if _, _, err := cl.CopyFromLocal(ctx, "/f", data, true); err != nil {

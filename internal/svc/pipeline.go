@@ -92,8 +92,8 @@ func anyOK(acks []ackEntry) bool {
 
 func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool) {
 	sid := f.Stream
-	ow, err := decodeOpenWrite(f.Payload)
-	if err != nil || ow.Size > MaxBlockBytes {
+	var ow openWrite
+	if !decodeValue(f.Payload, &ow) || ow.Size > MaxBlockBytes {
 		return false
 	}
 	name := endpointName(d.id)
@@ -116,13 +116,13 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	// before the writer reads the ack.
 	release, aerr := d.srv.admit.Load().acquire(ctx, classPut)
 	if aerr != nil {
-		shed := make([]ackEntry, 0, 1+len(ow.Chain))
+		shed := make(ackList, 0, 1+len(ow.Chain))
 		shed = append(shed, failedAck(d.id, aerr))
 		for _, ce := range ow.Chain {
 			shed = append(shed, failedAck(ce.Node, aerr))
 		}
 		if _, err := readFrame2(br, nil); err == nil {
-			if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(shed)) == nil {
+			if writeFrame2(bw, frameSetupAck, 0, sid, shed.appendWire(payloadBuf())) == nil {
 				_ = bw.Flush()
 			}
 		}
@@ -155,7 +155,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 	// frame, so the setup ack sent upstream below already says which
 	// chain nodes are in and the deeper ones hold that chunk.
 	var down *dataConn
-	var downAcks []ackEntry
+	var downAcks ackList
 	downClean := false
 	if len(ow.Chain) > 0 {
 		next := ow.Chain[0]
@@ -164,7 +164,7 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 			// context, not copied from the open frame: whatever this node
 			// already spent is gone, so an N-deep chain shares one budget
 			// instead of re-arming it per hop.
-			if err := writeFrame2(w, frameOpenWrite, 0, sid, encodeOpenWrite(openWrite{Block: ow.Block, Size: ow.Size, DeadlineMS: budgetOf(ctx), From: name, Chain: ow.Chain[1:]})); err != nil {
+			if err := writeFrame2(w, frameOpenWrite, 0, sid, openWrite{Block: ow.Block, Size: ow.Size, DeadlineMS: budgetOf(ctx), From: name, Chain: ow.Chain[1:]}.appendWire(payloadBuf())); err != nil {
 				return err
 			}
 			if err := d.relayFault(next); err != nil {
@@ -173,10 +173,11 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 			return forwardFrame(w, &cf)
 		})
 		if derr == nil {
-			if sf.Type == frameSetupAck {
-				downAcks, derr = decodeAcks(sf.Payload)
-			} else {
+			switch {
+			case sf.Type != frameSetupAck:
 				derr = fmt.Errorf("%w: setup reply type %d", ErrBadFrame, sf.Type)
+			case !decodeValue(sf.Payload, &downAcks):
+				derr = fmt.Errorf("%w: malformed setup ack", ErrBadFrame)
 			}
 			// A deeper chain that shed the stream has said its final word
 			// in its setup entries, and that stream is over.
@@ -196,8 +197,8 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		}()
 	}
 	// A one-chunk block's setup ack waits in bw for its commit ack.
-	setup := append([]ackEntry{{Node: d.id, OK: true}}, downAcks...)
-	if writeFrame2(bw, frameSetupAck, 0, sid, encodeAcks(setup)) != nil || (!cf.last() && bw.Flush() != nil) {
+	setup := append(ackList{{Node: d.id, OK: true}}, downAcks...)
+	if writeFrame2(bw, frameSetupAck, 0, sid, setup.appendWire(payloadBuf())) != nil || (!cf.last() && bw.Flush() != nil) {
 		return false
 	}
 
@@ -238,12 +239,10 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		case cf.Type != frameCommitAck:
 			downAcks = nodeDownAcks(ow.Chain, fmt.Errorf("%w: commit reply type %d", ErrBadFrame, cf.Type))
 		default:
-			var derr error
-			downAcks, derr = decodeAcks(cf.Payload)
-			if derr != nil {
-				downAcks = nodeDownAcks(ow.Chain, derr)
+			downClean = decodeValue(cf.Payload, &downAcks)
+			if !downClean {
+				downAcks = nodeDownAcks(ow.Chain, fmt.Errorf("%w: malformed commit ack", ErrBadFrame))
 			}
-			downClean = derr == nil
 		}
 	}
 	var self ackEntry
@@ -255,8 +254,8 @@ func (d *DataNodeServer) serveWrite(ctx context.Context, nc net.Conn, br *bufio.
 		adopted = true
 		self = ackEntry{Node: d.id, OK: true}
 	}
-	commit := append([]ackEntry{self}, downAcks...)
-	return writeFrame2(bw, frameCommitAck, 0, sid, encodeAcks(commit)) == nil && bw.Flush() == nil
+	commit := append(ackList{self}, downAcks...)
+	return writeFrame2(bw, frameCommitAck, 0, sid, commit.appendWire(payloadBuf())) == nil && bw.Flush() == nil
 }
 
 // readChunk reads the next chunk of stream sid into dst's first bytes.
@@ -284,8 +283,8 @@ func (d *DataNodeServer) relayFault(next chainEntry) error {
 
 func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.Reader, bw *bufio.Writer, f frame2) (clean bool) {
 	sid := f.Stream
-	or, err := decodeOpenRead(f.Payload)
-	if err != nil {
+	var or openRead
+	if !decodeValue(f.Payload, &or) {
 		return false
 	}
 	name := endpointName(d.id)
@@ -302,7 +301,7 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 	// error frame ends the stream and its connection.
 	release, aerr := d.srv.admit.Load().acquire(ctx, classGet)
 	if aerr != nil {
-		if writeFrame2(bw, frameError, flagLast, sid, encodeErrorFrame(aerr)) == nil {
+		if writeFrame2(bw, frameError, flagLast, sid, failedAck(0, aerr).failure.appendWire(payloadBuf())) == nil {
 			_ = bw.Flush()
 		}
 		return false
@@ -317,13 +316,13 @@ func (d *DataNodeServer) serveRead(ctx context.Context, nc net.Conn, br *bufio.R
 	// copy — fail the reader's frame check.
 	data, sums, unpin, gerr := d.dn.View(or.Block)
 	if gerr != nil {
-		if writeFrame2(bw, frameError, flagLast, sid, encodeErrorFrame(gerr)) == nil {
+		if writeFrame2(bw, frameError, flagLast, sid, failedAck(0, gerr).failure.appendWire(payloadBuf())) == nil {
 			_ = bw.Flush()
 		}
 		return false
 	}
 	defer unpin()
-	if writeFrame2(bw, frameReadHdr, 0, sid, encodeReadHdr(int64(len(data)))) != nil {
+	if writeFrame2(bw, frameReadHdr, 0, sid, readHdr{Size: int64(len(data))}.appendWire(payloadBuf())) != nil {
 		return false
 	}
 	off := 0

@@ -119,7 +119,7 @@ func TestPipelineMultiChunkBlocks(t *testing.T) {
 	first := headerSize + DefaultChunkSize // chunk 0's frame
 	hop := recordingHop(t, 9)
 	p := dialRaw(t, relay.Addr())
-	p.send(frameOpenWrite, 0, 51, encodeOpenWrite(openWrite{Block: 1 << 40, Size: int64(len(block)), From: "tester", Chain: []chainEntry{{Node: 9, Addr: hop.addr}}}))
+	p.send(frameOpenWrite, 0, 51, openWrite{Block: 1 << 40, Size: int64(len(block)), From: "tester", Chain: []chainEntry{{Node: 9, Addr: hop.addr}}}.appendWire(nil))
 	if _, err := p.nc.Write(frames[:first]); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPipelineMultiChunkBlocks(t *testing.T) {
 	}
 	hop = recordingHop(t, 9)
 	p = dialRaw(t, relay.Addr())
-	p.send(frameOpenWrite, 0, 52, encodeOpenWrite(openWrite{Block: 1<<40 + 1, Size: int64(len(block)), From: "tester", Chain: []chainEntry{{Node: 9, Addr: hop.addr}}}))
+	p.send(frameOpenWrite, 0, 52, openWrite{Block: 1<<40 + 1, Size: int64(len(block)), From: "tester", Chain: []chainEntry{{Node: 9, Addr: hop.addr}}}.appendWire(nil))
 	if _, err := p.nc.Write(torn[:first]); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func recordingHop(t *testing.T, node cluster.NodeID) hopRecorder {
 		if err != nil {
 			return
 		}
-		if writeFrame2(nc, frameSetupAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: node, OK: true}})) != nil {
+		if writeFrame2(nc, frameSetupAck, 0, open.Stream, ackList([]ackEntry{{Node: node, OK: true}}).appendWire(nil)) != nil {
 			return
 		}
 		for !last {
@@ -245,7 +245,7 @@ func recordingHop(t *testing.T, node cluster.NodeID) hopRecorder {
 				return
 			}
 		}
-		_ = writeFrame2(nc, frameCommitAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: node, OK: true}}))
+		_ = writeFrame2(nc, frameCommitAck, 0, open.Stream, ackList([]ackEntry{{Node: node, OK: true}}).appendWire(nil))
 	}()
 	return h
 }
@@ -288,8 +288,8 @@ func TestPipelineAckJudgesOnlyChainNodes(t *testing.T) {
 			}
 		}
 		bw := bufio.NewWriter(nc)
-		_ = writeFrame2(bw, frameSetupAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: 0, OK: true}, {Node: 1, OK: true}}))
-		_ = writeFrame2(bw, frameCommitAck, 0, open.Stream, encodeAcks([]ackEntry{{Node: 0, OK: true}, {Node: 1, OK: true}, down(1), down(2)}))
+		_ = writeFrame2(bw, frameSetupAck, 0, open.Stream, ackList([]ackEntry{{Node: 0, OK: true}, {Node: 1, OK: true}}).appendWire(nil))
+		_ = writeFrame2(bw, frameCommitAck, 0, open.Stream, ackList([]ackEntry{{Node: 0, OK: true}, {Node: 1, OK: true}, down(1), down(2)}).appendWire(nil))
 		_ = bw.Flush()
 		_, _ = br.ReadByte() // held open until the writer is done
 	}()
@@ -567,7 +567,7 @@ func TestShedWriteReadsFirstChunkThenAnswers(t *testing.T) {
 	// block, sent before anything is read back.
 	block := payload(2 * DefaultChunkSize)
 	raw := dialRaw(t, dn.Addr())
-	raw.send(frameOpenWrite, 0, 7, encodeOpenWrite(openWrite{Block: 70, Size: int64(len(block)), From: "tester", Chain: chain[1:]}))
+	raw.send(frameOpenWrite, 0, 7, openWrite{Block: 70, Size: int64(len(block)), From: "tester", Chain: chain[1:]}.appendWire(nil))
 	raw.send(frameChunk, 0, 7, block[:DefaultChunkSize])
 	acks, err := decodeAcks(raw.recv(frameSetupAck))
 	if err != nil {

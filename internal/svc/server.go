@@ -252,7 +252,7 @@ func (s *Server) reply(bw *bufio.Writer, id uint64, result wireValue, err error)
 		}
 	}
 	if err != nil {
-		typ, payload = frameError, encodeErrorFrame(err)
+		typ, payload = frameError, failedAck(0, err).failure.appendWire(payloadBuf())
 	}
 	if err := writeFrame2(bw, typ, 0, id, payload); err != nil {
 		return err

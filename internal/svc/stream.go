@@ -313,7 +313,7 @@ func (p *streamPool) openStream(ctx context.Context, addr, peer string, send fun
 func (p *streamPool) call(ctx context.Context, addr, peer, method string, params wireValue, result valueReader) error {
 	id := streamIDs.Add(1)
 	dc, f, err := p.openStream(ctx, addr, peer, func(w io.Writer) error {
-		b := appendCallHeader(make([]byte, 0, 128), callHeader{DeadlineMS: budgetOf(ctx), From: p.local, Method: method})
+		b := callHeader{DeadlineMS: budgetOf(ctx), From: p.local, Method: method}.appendWire(payloadBuf())
 		if params != nil {
 			b = params.appendWire(b)
 		}
@@ -391,7 +391,7 @@ func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs
 	}
 	off := 0
 	dc, sf, err := p.openStream(ctx, addr, peer, func(w io.Writer) (err error) {
-		if err := writeFrame2(w, frameOpenWrite, 0, sid, encodeOpenWrite(openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: p.local, Chain: chain[1:]})); err != nil {
+		if err := writeFrame2(w, frameOpenWrite, 0, sid, openWrite{Block: id, Size: int64(len(data)), DeadlineMS: budgetOf(ctx), From: p.local, Chain: chain[1:]}.appendWire(payloadBuf())); err != nil {
 			return err
 		}
 		off, err = sendChunk(w, 0)
@@ -405,9 +405,9 @@ func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs
 	if sf.Type != frameSetupAck || sf.Stream != sid {
 		return nil, 0, fmt.Errorf("%w: pipeline put block %d: unexpected setup frame type %d", ErrBadFrame, id, sf.Type)
 	}
-	setup, err := decodeAcks(sf.Payload)
-	if err != nil {
-		return nil, 0, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
+	var setup ackList
+	if !decodeValue(sf.Payload, &setup) {
+		return nil, 0, fmt.Errorf("%w: pipeline put block %d: malformed setup ack", ErrBadFrame, id)
 	}
 	if !anyOK(setup) {
 		// Early abort: nobody admitted the stream, so nothing past the
@@ -432,9 +432,9 @@ func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs
 	if cf.Type != frameCommitAck || cf.Stream != sid {
 		return nil, 0, fmt.Errorf("%w: pipeline put block %d: unexpected commit frame type %d", ErrBadFrame, id, cf.Type)
 	}
-	acks, err := decodeAcks(cf.Payload)
-	if err != nil {
-		return nil, 0, fmt.Errorf("svc: pipeline put block %d: %w", id, err)
+	var acks ackList
+	if !decodeValue(cf.Payload, &acks) {
+		return nil, 0, fmt.Errorf("%w: pipeline put block %d: malformed commit ack", ErrBadFrame, id)
 	}
 	clean = true
 	return acks, sum, nil
@@ -451,7 +451,7 @@ func (p *streamPool) pipelinePut(ctx context.Context, chain []chainEntry, id dfs
 func (p *streamPool) streamGet(ctx context.Context, addr, peer string, id dfs.BlockID, dst []byte) (dfs.GetResult, error) {
 	sid := streamIDs.Add(1)
 	dc, hf, err := p.openStream(ctx, addr, peer, func(w io.Writer) error {
-		return writeFrame2(w, frameOpenRead, 0, sid, encodeOpenRead(openRead{Block: id, DeadlineMS: budgetOf(ctx), From: p.local}))
+		return writeFrame2(w, frameOpenRead, 0, sid, openRead{Block: id, DeadlineMS: budgetOf(ctx), From: p.local}.appendWire(payloadBuf()))
 	})
 	if err != nil {
 		return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, err)
@@ -465,10 +465,11 @@ func (p *streamPool) streamGet(ctx context.Context, addr, peer string, id dfs.Bl
 	if hf.Type != frameReadHdr || hf.Stream != sid {
 		return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d: unexpected frame type %d", ErrBadFrame, id, hf.Type)
 	}
-	size, err := decodeReadHdr(hf.Payload)
-	if err != nil {
-		return dfs.GetResult{}, fmt.Errorf("svc: stream get block %d: %w", id, err)
+	var hdr readHdr
+	if !decodeValue(hf.Payload, &hdr) {
+		return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d: malformed read header", ErrBadFrame, id)
 	}
+	size := hdr.Size
 	if size > MaxBlockBytes {
 		return dfs.GetResult{}, fmt.Errorf("%w: stream get block %d announces %d bytes", ErrFrameTooLarge, id, size)
 	}

@@ -37,7 +37,7 @@ func TestStreamGetAbandonedMidChunkFailsByDeadline(t *testing.T) {
 		}
 		sid := f.Stream
 		bw := bufio.NewWriterSize(nc, 32<<10)
-		if writeFrame2(bw, frameReadHdr, 0, sid, encodeReadHdr(3*DefaultChunkSize)) != nil {
+		if writeFrame2(bw, frameReadHdr, 0, sid, readHdr{Size: 3 * DefaultChunkSize}.appendWire(nil)) != nil {
 			return
 		}
 		if writeFrame2(bw, frameChunk, 0, sid, make([]byte, DefaultChunkSize)) != nil {
@@ -82,7 +82,7 @@ func TestServeWriteTornMidChunkCommitsNothing(t *testing.T) {
 	bw := bufio.NewWriterSize(nc, 32<<10)
 	br := bufio.NewReader(nc)
 	ow := openWrite{Block: 99, Size: 2048, DeadlineMS: 5000, From: "torn-writer"}
-	if err := writeFrame2(bw, frameOpenWrite, 0, 1, encodeOpenWrite(ow)); err != nil {
+	if err := writeFrame2(bw, frameOpenWrite, 0, 1, ow.appendWire(nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Half the block, not flagged last, rides with the open frame — the

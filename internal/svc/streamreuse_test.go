@@ -262,7 +262,7 @@ func TestFailedStreamsParkNothing(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = writeFrame2(nc, frameReadHdr, 0, f.Stream, encodeReadHdr(3*DefaultChunkSize))
+		_ = writeFrame2(nc, frameReadHdr, 0, f.Stream, readHdr{Size: 3 * DefaultChunkSize}.appendWire(nil))
 		_ = writeFrame2(nc, frameChunk, 0, f.Stream, make([]byte, DefaultChunkSize))
 		stalled <- nc
 	}()

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 	"time"
@@ -12,14 +13,15 @@ import (
 	"github.com/adaptsim/adapt/internal/shard"
 )
 
-// RPC values in the wire's binary layout. Every params and result value
-// of the nn.* and dn.* methods is a wireValue, which appends its own
-// layout to a payload, and its pointer a valueReader, which reads it
-// back. typed and streamPool.call take nothing else, so a method whose
-// values have no codec does not compile.
+// Values in the wire's binary layout. Every payload but a chunk's is a
+// wireValue, which appends its own layout to a payload, and its pointer
+// a valueReader, which reads it back: the transport's own (wire.go) and
+// the params and result of every nn.* and dn.* method. typed and
+// streamPool.call take nothing else, so a method whose values have no
+// codec does not compile.
 //
-// The layout extends the transport's: big-endian, every Go int and
-// int64 as 8 bytes, a bool as one byte 0 or 1, a float64 as its IEEE
+// The layout is big-endian: every Go int and int64 as 8 bytes (node
+// and block ids too), a bool as one byte 0 or 1, a float64 as its IEEE
 // 754 bits, a time.Duration as int64 nanoseconds, a string as a uint32
 // length and its UTF-8 bytes (file names have no bound of their own),
 // a list as a uint32 count and its elements, and a map as the list of
@@ -40,15 +42,41 @@ type valueReader interface {
 	readWire(r *binReader)
 }
 
+// binReader walks a payload with sticky bounds checking.
+type binReader struct {
+	b   []byte
+	off int
+	bad bool
+}
+
+// zeros is what a read past the payload's end decodes.
+var zeros [8]byte
+
+// take returns the next n bytes; a reader that has run out returns
+// zeros and stays bad.
+func (r *binReader) take(n int) []byte {
+	if r.bad || n > len(r.b)-r.off {
+		r.bad = true
+		return zeros[:]
+	}
+	r.off += n
+	return r.b[r.off-n : r.off]
+}
+
 // decodeValue reads p into v and reports whether p held exactly one
-// well-formed value.
+// well-formed value: no read past its end and no byte after it. It
+// stays small enough to inline, so that a call
+// with a value of known type reads it without moving it to the heap.
 func decodeValue(p []byte, v valueReader) bool {
 	r := binReader{b: p}
 	v.readWire(&r)
-	return r.done()
+	return !r.bad && r.off == len(p)
 }
 
 // ---- primitives ----
+
+func appendUint32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
+func appendUint64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
 func appendInt(b []byte, v int64) []byte { return appendUint64(b, uint64(v)) }
 
@@ -75,6 +103,9 @@ func appendList[T any](b []byte, xs []T, each func([]byte, T) []byte) []byte {
 	return b
 }
 
+func (r *binReader) byte() byte                     { return r.take(1)[0] }
+func (r *binReader) u32() uint32                    { return binary.BigEndian.Uint32(r.take(4)) }
+func (r *binReader) u64() uint64                    { return binary.BigEndian.Uint64(r.take(8)) }
 func (r *binReader) int() int                       { return int(r.u64()) }
 func (r *binReader) i64() int64                     { return int64(r.u64()) }
 func (r *binReader) f64() float64                   { return math.Float64frombits(r.u64()) }

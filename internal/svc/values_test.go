@@ -28,8 +28,9 @@ type codec interface {
 }
 
 // valueSamples is one value of every params and result type of the
-// nn.* and dn.* methods, each field — and each field of every nested
-// value, list element and map entry — non-zero.
+// nn.* and dn.* methods, and of every transport payload, each field —
+// and each field of every nested value, list element and map entry —
+// non-zero.
 func valueSamples() []codec {
 	meta := dfs.FileMeta{Name: "/logs/a", Size: 300, BlockSize: 256, Replication: 2, Blocks: []dfs.BlockMeta{
 		{ID: 7, File: "/logs/a", Index: 1, Size: 256, Replicas: []cluster.NodeID{3, 1}, Checksum: 0xdeadbeef},
@@ -61,6 +62,15 @@ func valueSamples() []codec {
 		&getParams{Block: 1<<40 + 3},
 		&storedResult{Size: 4096, Sum: 0xcafe, OK: true},
 		&blocksResult{Blocks: []dfs.BlockID{3, 1 << 50}},
+		// The transport's own payloads.
+		&callHeader{DeadlineMS: 1500, From: "shell", Method: "nn.locate"},
+		&openWrite{Block: 1 << 40, Size: 4096, DeadlineMS: 750, From: "dn1",
+			Chain: []chainEntry{{Node: 2, Addr: "127.0.0.1:9002"}, {Node: -1, Addr: "[::1]:9005"}}},
+		&openRead{Block: 9, DeadlineMS: 20, From: "shell"},
+		&readHdr{Size: 1 << 20},
+		&ackList{{Node: 3, OK: true, failure: failure{Transient: true, Code: "node_down", Msg: "dfs: node 3 down"}},
+			{Node: 1 << 40, OK: true, failure: failure{Transient: true, Code: "c", Msg: "ü"}}},
+		&failure{Transient: true, Code: "file_not_found", Msg: "dfs: file not found: \"/f\""},
 	}
 }
 
@@ -152,6 +162,14 @@ func TestValueDecodersRefuseNonCanonical(t *testing.T) {
 		"a count past the bytes left":  {append(appendUint32(nil, 3), make([]byte, 23)...), &blocksResult{}},
 		"a length past the bytes left": {append(appendUint32(nil, 5), "four"...), &nameParams{}},
 		"a name that is not UTF-8":     {appendText(nil, "/a\xff"), &nameParams{}},
+		"a status byte 2":              {append(appendNode(appendUint32(nil, 1), 4), 2, 0, 0, 0, 0, 0, 0, 0, 0, 0), &ackList{}},
+		"a transient byte 2":           {append([]byte{2}, make([]byte, 8)...), &failure{}},
+		"a chain past maxChainLen":     {openWrite{Block: 1, Chain: make([]chainEntry, maxChainLen+1)}.appendWire(nil), &openWrite{}},
+		"an ack list past a chain's":   {make(ackList, maxChainLen+2).appendWire(nil), &ackList{}},
+		"a negative block size":        {openWrite{Block: 1, Size: -1}.appendWire(nil), &openWrite{}},
+		"a negative read size":         {readHdr{Size: -1}.appendWire(nil), &readHdr{}},
+		"an endpoint not UTF-8":        {callHeader{From: "dn\xff", Method: "nn.list"}.appendWire(nil), &callHeader{}},
+		"an address not UTF-8":         {openWrite{Chain: []chainEntry{{Node: 1, Addr: "\xc3"}}}.appendWire(nil), &openWrite{}},
 	} {
 		if decodeValue(tc.p, tc.v) {
 			t.Errorf("%s: %x decoded to %+v", name, tc.p, tc.v)

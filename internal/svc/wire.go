@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
@@ -22,7 +24,7 @@ import (
 //
 // Frame layout (big-endian), 20-byte header:
 //
-//	offset 0      version byte (0x04)
+//	offset 0      version byte (0x05)
 //	offset 1      frame type
 //	offset 2-3    flags (bit 0: last chunk of the stream)
 //	offset 4-11   stream id (a call's id for a call)
@@ -69,15 +71,15 @@ import (
 //	reply       9  server -> client the result                             MaxControlFrame
 //
 // A failed call is answered with the same error frame a failed read is.
-// Everything on the wire is the length-prefixed binary below,
-// bounds-checked and fuzzed: what the transport itself reads — ids,
-// budgets, endpoint names, methods, chains, acks, errors — and a call's
-// params and a reply's result, each the layout of the method's own
-// value (values.go). The version byte changes with any of these
-// layouts, so a peer built with other ones is refused at the header
-// instead of having its payloads misread.
+// Every payload but a chunk's is one value in one binary layout
+// (values.go), bounds-checked and fuzzed: what the transport itself
+// reads — the call header, the stream opens, the ack lists, the error,
+// the read header, all below — and a call's params and a reply's
+// result, each the method's own value. The version byte changes with
+// any of these layouts, so a peer built with other ones is refused at
+// the header instead of having its payloads misread.
 const (
-	frameVersion = 0x04
+	frameVersion = 0x05
 	headerSize   = 20
 
 	// MaxChunkPayload bounds the payload of every frame but a call and
@@ -261,61 +263,17 @@ func readFrame2(r io.Reader, dst []byte) (frame2, error) {
 	return f, nil
 }
 
-// ---- payload encoding ----
+// ---- transport payloads ----
 //
-// Transport payloads use a hand-rolled big-endian binary layout:
-// fixed-width integers, uint16-length-prefixed strings. Decoders are
-// defensive (every read bounds-checked) because the fuzz targets feed
-// them arbitrary bytes.
+// Every payload but a chunk's is a wireValue in values.go's layout: the
+// transport's own below, a call's params and a reply's result. Each is
+// decoded by decodeValue's rules, so a payload that is not exactly one
+// well-formed value — short, with trailing bytes, a bool byte above 1,
+// a string not UTF-8 — is ErrBadFrame, wherever it arrives.
 
-func appendUint16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func appendUint32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func appendUint64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-func appendString(b []byte, s string) []byte {
-	if len(s) > 0xffff {
-		s = s[:0xffff]
-	}
-	b = appendUint16(b, uint16(len(s)))
-	return append(b, s...)
-}
-
-// binReader walks a payload with sticky bounds checking.
-type binReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-// zeros is what a read past the payload's end decodes.
-var zeros [8]byte
-
-// take returns the next n bytes; a reader that has run out returns
-// zeros and stays bad.
-func (r *binReader) take(n int) []byte {
-	if r.bad || n > len(r.b)-r.off {
-		r.bad = true
-		return zeros[:]
-	}
-	r.off += n
-	return r.b[r.off-n : r.off]
-}
-
-func (r *binReader) byte() byte  { return r.take(1)[0] }
-func (r *binReader) u16() uint16 { return binary.BigEndian.Uint16(r.take(2)) }
-func (r *binReader) u32() uint32 { return binary.BigEndian.Uint32(r.take(4)) }
-func (r *binReader) u64() uint64 { return binary.BigEndian.Uint64(r.take(8)) }
-
-func (r *binReader) str() string {
-	if b := r.take(int(r.u16())); !r.bad {
-		return string(b)
-	}
-	return ""
-}
-
-// done reports a clean parse: no bounds violation and no trailing
-// bytes.
-func (r *binReader) done() bool { return !r.bad && r.off == len(r.b) }
+// payloadBuf is the buffer a control payload is appended to: room for
+// a transport payload without growing, unless it carries error text.
+func payloadBuf() []byte { return make([]byte, 0, 128) }
 
 // callHeader is what a call frame says before the method's params: the
 // caller's deadline budget, its endpoint name for the fault hook, and
@@ -326,22 +284,19 @@ type callHeader struct {
 	Method     string
 }
 
-// appendCallHeader appends what a call frame says before its params.
-func appendCallHeader(b []byte, h callHeader) []byte {
-	b = appendUint64(b, uint64(h.DeadlineMS))
-	b = appendString(b, h.From)
-	return appendString(b, h.Method)
+func (h callHeader) appendWire(b []byte) []byte {
+	return appendText(appendText(appendInt(b, h.DeadlineMS), h.From), h.Method)
+}
+func (h *callHeader) readWire(r *binReader) {
+	h.DeadlineMS, h.From, h.Method = r.i64(), r.text(), r.text()
 }
 
 // decodeCall splits a call frame's payload into its header and the
-// params, which alias p.
+// params, which alias p: the one payload that is a value and then more.
 func decodeCall(p []byte) (callHeader, []byte, error) {
 	r := binReader{b: p}
 	var h callHeader
-	h.DeadlineMS = int64(r.u64())
-	h.From = r.str()
-	h.Method = r.str()
-	if r.bad {
+	if h.readWire(&r); r.bad {
 		return callHeader{}, nil, fmt.Errorf("%w: malformed call header", ErrBadFrame)
 	}
 	return h, p[r.off:], nil
@@ -370,43 +325,18 @@ type openWrite struct {
 // frames from forcing huge allocations.
 const maxChainLen = 256
 
-func encodeOpenWrite(ow openWrite) []byte {
-	b := make([]byte, 0, 32+len(ow.From)+len(ow.Chain)*24)
-	b = appendUint64(b, uint64(ow.Block))
-	b = appendUint64(b, uint64(ow.Size))
-	b = appendUint64(b, uint64(ow.DeadlineMS))
-	b = appendString(b, ow.From)
-	b = appendUint16(b, uint16(len(ow.Chain)))
-	for _, ce := range ow.Chain {
-		b = appendUint32(b, uint32(ce.Node))
-		b = appendString(b, ce.Addr)
-	}
-	return b
+func (ow openWrite) appendWire(b []byte) []byte {
+	b = appendText(appendInt(appendInt(appendBlockID(b, ow.Block), ow.Size), ow.DeadlineMS), ow.From)
+	return appendList(b, ow.Chain, func(b []byte, ce chainEntry) []byte { return appendText(appendNode(b, ce.Node), ce.Addr) })
 }
 
-func decodeOpenWrite(p []byte) (openWrite, error) {
-	r := binReader{b: p}
-	var ow openWrite
-	ow.Block = dfs.BlockID(r.u64())
-	ow.Size = int64(r.u64())
-	ow.DeadlineMS = int64(r.u64())
-	ow.From = r.str()
-	n := int(r.u16())
-	if n > maxChainLen {
-		return openWrite{}, fmt.Errorf("%w: pipeline chain of %d", ErrBadFrame, n)
+// readWire refuses a negative size and a chain longer than maxChainLen.
+func (ow *openWrite) readWire(r *binReader) {
+	ow.Block, ow.Size, ow.DeadlineMS, ow.From = r.blockID(), r.i64(), r.i64(), r.text()
+	ow.Chain = readList(r, 8+4, func(r *binReader) chainEntry { return chainEntry{Node: r.node(), Addr: r.text()} })
+	if ow.Size < 0 || len(ow.Chain) > maxChainLen {
+		r.bad = true
 	}
-	for i := 0; i < n && !r.bad; i++ {
-		ce := chainEntry{Node: cluster.NodeID(r.u32())}
-		ce.Addr = r.str()
-		ow.Chain = append(ow.Chain, ce)
-	}
-	if !r.done() {
-		return openWrite{}, fmt.Errorf("%w: malformed open-write payload", ErrBadFrame)
-	}
-	if ow.Size < 0 {
-		return openWrite{}, fmt.Errorf("%w: negative block size in open-write", ErrBadFrame)
-	}
-	return ow, nil
 }
 
 // openRead is the streaming read setup.
@@ -416,149 +346,118 @@ type openRead struct {
 	From       string
 }
 
-func encodeOpenRead(or openRead) []byte {
-	b := make([]byte, 0, 20+len(or.From))
-	b = appendUint64(b, uint64(or.Block))
-	b = appendUint64(b, uint64(or.DeadlineMS))
-	b = appendString(b, or.From)
-	return b
+func (or openRead) appendWire(b []byte) []byte {
+	return appendText(appendInt(appendBlockID(b, or.Block), or.DeadlineMS), or.From)
+}
+func (or *openRead) readWire(r *binReader) {
+	or.Block, or.DeadlineMS, or.From = r.blockID(), r.i64(), r.text()
 }
 
-func decodeOpenRead(p []byte) (openRead, error) {
-	r := binReader{b: p}
-	var or openRead
-	or.Block = dfs.BlockID(r.u64())
-	or.DeadlineMS = int64(r.u64())
-	or.From = r.str()
-	if !r.done() {
-		return openRead{}, fmt.Errorf("%w: malformed open-read payload", ErrBadFrame)
+// readHdr opens a read stream's reply: the total byte count of the
+// chunks that follow. A negative one is malformed.
+type readHdr struct{ Size int64 }
+
+func (h readHdr) appendWire(b []byte) []byte { return appendInt(b, h.Size) }
+func (h *readHdr) readWire(r *binReader) {
+	if h.Size = r.i64(); h.Size < 0 {
+		r.bad = true
 	}
-	return or, nil
 }
 
-// ackEntry is one node's status inside a setup or commit ack, and —
-// without the node — the whole of an error frame. OK means the node
-// accepted (setup) or committed (commit); otherwise Code and Msg carry
-// the error taxonomy across the wire, and Transient the peer-side
-// dfs.IsTransient classification.
-type ackEntry struct {
-	Node      cluster.NodeID
-	OK        bool
+// failure is an error as it crosses the wire: Code and Msg carry the
+// error taxonomy, and Transient the peer-side dfs.IsTransient
+// classification. It is the whole of an error frame, and the rest of
+// the ackEntry of a node that did not accept or commit.
+type failure struct {
 	Transient bool
 	Code      string
 	Msg       string
 }
 
-// failedAck builds the entry for a node that failed with err: the first
-// matching wire code, the printable message, and the transient
-// classification. It is the one place an error is given its wire form.
-func failedAck(node cluster.NodeID, err error) ackEntry {
-	return ackEntry{
-		Node:      node,
-		Code:      codeFor(err),
-		Msg:       err.Error(),
-		Transient: dfs.IsTransient(err),
+func (f failure) appendWire(b []byte) []byte {
+	return appendText(appendText(appendBool(b, f.Transient), f.Code), f.Msg)
+}
+func (f *failure) readWire(r *binReader) { f.Transient, f.Code, f.Msg = r.flag(), r.text(), r.text() }
+
+// err rehydrates f as a RemoteError, so errors.Is against the dfs/svc
+// sentinels and dfs.IsTransient behave as they do in process.
+func (f failure) err() error {
+	return &RemoteError{
+		Code:     f.Code,
+		Msg:      f.Msg,
+		IsRetry:  f.Transient,
+		sentinel: sentinelFor(f.Code),
 	}
 }
 
-// err rehydrates a non-OK entry as a RemoteError, so errors.Is against
-// the dfs/svc sentinels and dfs.IsTransient behave as they do in
-// process. nil for OK entries.
+// decodeErrorFrame rehydrates an error frame's payload; a malformed one
+// is ErrBadFrame.
+func decodeErrorFrame(p []byte) error {
+	var f failure
+	if !decodeValue(p, &f) {
+		return fmt.Errorf("%w: malformed error payload", ErrBadFrame)
+	}
+	return f.err()
+}
+
+// ackEntry is one node's status inside a setup or commit ack. OK means
+// the node accepted (setup) or committed (commit); otherwise its
+// failure says why.
+type ackEntry struct {
+	Node cluster.NodeID
+	OK   bool
+	failure
+}
+
+// maxErrorText bounds the message of a failure, in bytes.
+const maxErrorText = 0xffff
+
+// failedAck builds the entry for a node that failed with err: the first
+// matching wire code, the printable message, and the transient
+// classification. It is the one place an error is given its wire form
+// (an error frame is failedAck(0, err).failure): the message's invalid
+// UTF-8 is replaced, since the layout carries only UTF-8, and a message
+// over maxErrorText bytes is cut on a rune boundary.
+func failedAck(node cluster.NodeID, err error) ackEntry {
+	//lint:ignore errtaxonomy the text is made fit to carry, not matched: the code classifies it
+	msg := strings.ToValidUTF8(err.Error(), string(utf8.RuneError))
+	if len(msg) > maxErrorText {
+		cut := maxErrorText
+		for !utf8.RuneStart(msg[cut]) {
+			cut--
+		}
+		msg = msg[:cut]
+	}
+	return ackEntry{Node: node, failure: failure{Transient: dfs.IsTransient(err), Code: codeFor(err), Msg: msg}}
+}
+
+// err is the entry's failure rehydrated, or nil for an OK entry.
 func (a ackEntry) err() error {
 	if a.OK {
 		return nil
 	}
-	return &RemoteError{
-		Code:     a.Code,
-		Msg:      a.Msg,
-		IsRetry:  a.Transient,
-		sentinel: sentinelFor(a.Code),
-	}
+	return a.failure.err()
 }
 
-// appendStatus encodes everything of the entry but the node: a flags
-// byte (bit 0 OK, bit 1 transient), the code, the message.
-func (a ackEntry) appendStatus(b []byte) []byte {
-	var flags byte
-	if a.OK {
-		flags |= 1
-	}
-	if a.Transient {
-		flags |= 2
-	}
-	b = append(b, flags)
-	b = appendString(b, a.Code)
-	return appendString(b, a.Msg)
-}
+// ackList is a setup or commit ack: an entry for the node that sends
+// it and for each node of its chain that answered, so at most
+// maxChainLen+1.
+type ackList []ackEntry
 
-// status decodes what appendStatus wrote.
-func (r *binReader) status() ackEntry {
-	flags := r.byte()
-	return ackEntry{OK: flags&1 != 0, Transient: flags&2 != 0, Code: r.str(), Msg: r.str()}
+func (l ackList) appendWire(b []byte) []byte {
+	return appendList(b, l, func(b []byte, e ackEntry) []byte {
+		return e.failure.appendWire(appendBool(appendNode(b, e.Node), e.OK))
+	})
 }
-
-func encodeAcks(entries []ackEntry) []byte {
-	n := 2
-	for _, e := range entries {
-		n += 9 + len(e.Code) + len(e.Msg)
+func (l *ackList) readWire(r *binReader) {
+	*l = readList(r, 8+1+1+4+4, func(r *binReader) ackEntry {
+		e := ackEntry{Node: r.node(), OK: r.flag()}
+		e.failure.readWire(r)
+		return e
+	})
+	if len(*l) > maxChainLen+1 {
+		r.bad = true
 	}
-	b := make([]byte, 0, n)
-	b = appendUint16(b, uint16(len(entries)))
-	for _, e := range entries {
-		b = appendUint32(b, uint32(e.Node))
-		b = e.appendStatus(b)
-	}
-	return b
-}
-
-func decodeAcks(p []byte) ([]ackEntry, error) {
-	r := binReader{b: p}
-	n := int(r.u16())
-	if n > maxChainLen {
-		return nil, fmt.Errorf("%w: ack list of %d", ErrBadFrame, n)
-	}
-	entries := make([]ackEntry, 0, n)
-	for i := 0; i < n && !r.bad; i++ {
-		node := cluster.NodeID(r.u32())
-		e := r.status()
-		e.Node = node
-		entries = append(entries, e)
-	}
-	if !r.done() {
-		return nil, fmt.Errorf("%w: malformed ack payload", ErrBadFrame)
-	}
-	return entries, nil
-}
-
-// encodeErrorFrame carries a failed read's or a failed call's taxonomy
-// to the caller.
-func encodeErrorFrame(err error) []byte {
-	return failedAck(0, err).appendStatus(make([]byte, 0, 8+len(err.Error())))
-}
-
-// decodeErrorFrame rehydrates an error frame's payload.
-func decodeErrorFrame(p []byte) error {
-	r := binReader{b: p}
-	e := r.status()
-	if !r.done() {
-		return fmt.Errorf("%w: malformed error payload", ErrBadFrame)
-	}
-	e.OK = false
-	return e.err()
-}
-
-// encodeReadHdr announces a read stream's total byte count.
-func encodeReadHdr(size int64) []byte {
-	return appendUint64(nil, uint64(size))
-}
-
-func decodeReadHdr(p []byte) (int64, error) {
-	r := binReader{b: p}
-	size := int64(r.u64())
-	if !r.done() || size < 0 {
-		return 0, fmt.Errorf("%w: malformed read header", ErrBadFrame)
-	}
-	return size, nil
 }
 
 // ---- deadline budgets ----

@@ -9,10 +9,12 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
@@ -110,6 +112,29 @@ func TestReadFrame2Rejects(t *testing.T) {
 	}
 }
 
+// decodeAcks reads a setup or commit ack's payload, for tests that
+// speak the stream protocol by hand.
+func decodeAcks(p []byte) (ackList, error) {
+	var acks ackList
+	if !decodeValue(p, &acks) {
+		return nil, ErrBadFrame
+	}
+	return acks, nil
+}
+
+// decodeReadHdr reads a read header's payload.
+func decodeReadHdr(p []byte) (int64, error) {
+	var h readHdr
+	if !decodeValue(p, &h) {
+		return 0, ErrBadFrame
+	}
+	return h.Size, nil
+}
+
+// TestOpenWriteCodec: an open-write round trips with a chain and
+// without one (the tail hop of a pipeline). TestValuesRoundTrip covers
+// its prefixes and a trailing byte, TestValueDecodersRefuseNonCanonical
+// a negative size and a chain past maxChainLen.
 func TestOpenWriteCodec(t *testing.T) {
 	in := openWrite{
 		Block:      42,
@@ -121,73 +146,30 @@ func TestOpenWriteCodec(t *testing.T) {
 			{Node: 7, Addr: "127.0.0.1:9002"},
 		},
 	}
-	p := encodeOpenWrite(in)
-	out, err := decodeOpenWrite(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Block != in.Block || out.Size != in.Size || out.DeadlineMS != in.DeadlineMS || out.From != in.From {
-		t.Fatalf("roundtrip mismatch: %+v != %+v", out, in)
-	}
-	if len(out.Chain) != 2 || out.Chain[0] != in.Chain[0] || out.Chain[1] != in.Chain[1] {
-		t.Fatalf("chain mismatch: %+v", out.Chain)
-	}
-
-	// Empty chain round-trips too (the tail hop of a pipeline).
-	tail, err := decodeOpenWrite(encodeOpenWrite(openWrite{Block: 1, From: "dn2"}))
-	if err != nil || len(tail.Chain) != 0 {
-		t.Fatalf("tail hop: %+v, %v", tail, err)
-	}
-
-	for i := 1; i < len(p); i++ {
-		if _, err := decodeOpenWrite(p[:i]); err == nil {
-			t.Fatalf("truncation at %d accepted", i)
+	for _, ow := range []openWrite{in, {Block: 1, From: "dn2"}} {
+		var out openWrite
+		if !decodeValue(ow.appendWire(nil), &out) || !reflect.DeepEqual(out, ow) {
+			t.Fatalf("round trip: %+v, want %+v", out, ow)
 		}
-	}
-	if _, err := decodeOpenWrite(append(bytes.Clone(p), 0)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("trailing byte: %v", err)
-	}
-
-	neg := encodeOpenWrite(openWrite{Block: 1, Size: -1})
-	if _, err := decodeOpenWrite(neg); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("negative size: %v", err)
-	}
-
-	huge := appendUint64(nil, 1)
-	huge = appendUint64(huge, 0)
-	huge = appendUint64(huge, 0)
-	huge = appendString(huge, "x")
-	huge = appendUint16(huge, maxChainLen+1)
-	if _, err := decodeOpenWrite(huge); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("oversized chain: %v", err)
 	}
 }
 
 func TestOpenReadCodec(t *testing.T) {
 	in := openRead{Block: 99, DeadlineMS: 250, From: "shell"}
-	out, err := decodeOpenRead(encodeOpenRead(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("roundtrip mismatch: %+v != %+v", out, in)
-	}
-	p := encodeOpenRead(in)
-	for i := 1; i < len(p); i++ {
-		if _, err := decodeOpenRead(p[:i]); err == nil {
-			t.Fatalf("truncation at %d accepted", i)
-		}
+	var out openRead
+	if !decodeValue(in.appendWire(nil), &out) || out != in {
+		t.Fatalf("round trip: %+v, want %+v", out, in)
 	}
 }
 
 func TestReadHdrCodec(t *testing.T) {
 	for _, size := range []int64{0, 1, 1 << 30} {
-		got, err := decodeReadHdr(encodeReadHdr(size))
+		got, err := decodeReadHdr(readHdr{Size: size}.appendWire(nil))
 		if err != nil || got != size {
 			t.Fatalf("size %d: got %d, %v", size, got, err)
 		}
 	}
-	if _, err := decodeReadHdr(encodeReadHdr(-1)); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeReadHdr(readHdr{Size: -1}.appendWire(nil)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("negative size: %v", err)
 	}
 	if _, err := decodeReadHdr([]byte{1, 2, 3}); !errors.Is(err, ErrBadFrame) {
@@ -195,36 +177,27 @@ func TestReadHdrCodec(t *testing.T) {
 	}
 }
 
+// TestAckCodec: an ack list round trips entry for entry, an empty one
+// too, and one longer than a chain of maxChainLen answers with is
+// ErrBadFrame.
 func TestAckCodec(t *testing.T) {
-	in := []ackEntry{
+	in := ackList{
 		{Node: 0, OK: true},
-		{Node: 5, Transient: true, Code: "node_down", Msg: "dfs: node 5 down"},
-		{Node: 9, Code: "checksum", Msg: "dfs: block 3 corrupt"},
+		{Node: 5, failure: failure{Transient: true, Code: "node_down", Msg: "dfs: node 5 down"}},
+		{Node: 9, failure: failure{Code: "checksum", Msg: "dfs: block 3 corrupt"}},
 	}
-	out, err := decodeAcks(encodeAcks(in))
-	if err != nil {
-		t.Fatal(err)
+	out, err := decodeAcks(in.appendWire(nil))
+	if err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("round trip: %+v, %v, want %+v", out, err, in)
 	}
-	if len(out) != len(in) {
-		t.Fatalf("len = %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("entry %d: %+v != %+v", i, out[i], in[i])
-		}
-	}
-	empty, err := decodeAcks(encodeAcks(nil))
-	if err != nil || len(empty) != 0 {
+	if empty, err := decodeAcks(ackList(nil).appendWire(nil)); err != nil || len(empty) != 0 {
 		t.Fatalf("empty acks: %v, %v", empty, err)
 	}
-
-	p := encodeAcks(in)
-	for i := 1; i < len(p); i++ {
-		if _, err := decodeAcks(p[:i]); err == nil {
-			t.Fatalf("truncation at %d accepted", i)
-		}
+	full := make(ackList, maxChainLen+1)
+	if _, err := decodeAcks(full.appendWire(nil)); err != nil {
+		t.Fatalf("a head and a chain of %d: %v", maxChainLen, err)
 	}
-	if _, err := decodeAcks(appendUint16(nil, maxChainLen+1)); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeAcks(append(full, ackEntry{}).appendWire(nil)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized ack list: %v", err)
 	}
 }
@@ -243,7 +216,7 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 		src := fmt.Errorf("v2 taxonomy probe: %w", ec.sentinel)
 
 		// Path 1: pipeline ack entry.
-		acks, err := decodeAcks(encodeAcks([]ackEntry{failedAck(3, src)}))
+		acks, err := decodeAcks(ackList{failedAck(3, src)}.appendWire(nil))
 		if err != nil {
 			t.Fatalf("%s: %v", ec.code, err)
 		}
@@ -265,7 +238,7 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 		}
 
 		// Path 2: read error frame.
-		got = decodeErrorFrame(encodeErrorFrame(src))
+		got = decodeErrorFrame(failedAck(0, src).failure.appendWire(nil))
 		if !errors.Is(got, ec.sentinel) {
 			t.Errorf("%s: error frame does not match sentinel", ec.code)
 		}
@@ -279,7 +252,7 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 }
 
 func TestV2UnknownCodeStillCarriesMessage(t *testing.T) {
-	e := ackEntry{Node: 1, Code: "martian", Msg: "boom", Transient: true}
+	e := ackEntry{Node: 1, failure: failure{Transient: true, Code: "martian", Msg: "boom"}}
 	got := e.err()
 	if got == nil || got.Error() != "boom" {
 		t.Fatalf("err() = %v, want message boom", got)
@@ -300,22 +273,55 @@ func TestV2UnknownCodeStillCarriesMessage(t *testing.T) {
 	}
 }
 
-// TestAppendStringTruncates: endpoint names and error messages longer
-// than the uint16 length prefix are clipped, never wrapped around.
-func TestAppendStringTruncates(t *testing.T) {
-	long := strings.Repeat("m", 0x10001)
-	b := appendString(nil, long)
-	r := binReader{b: b}
-	got := r.str()
-	if !r.done() || len(got) != 0xffff {
-		t.Fatalf("len = %d, done = %v", len(got), r.done())
+// TestErrorTextCrossesTheWireAsBoundedUTF8: a handler error whose text
+// is not UTF-8, or runs past maxErrorText bytes with a rune across the
+// cut, reaches the caller as a RemoteError that keeps its sentinel and
+// its transient classification, with a message of valid UTF-8 and at
+// most maxErrorText bytes: the invalid bytes replaced, the long text cut
+// before the rune.
+func TestErrorTextCrossesTheWireAsBoundedUTF8(t *testing.T) {
+	// The euro sign's three bytes start at byte 65534: a cut at
+	// maxErrorText would split it.
+	pad := maxErrorText - 1 - len(dfs.ErrNodeDown.Error()+": ")
+	long := fmt.Errorf("%w: %s\u20ac and more", dfs.ErrNodeDown, strings.Repeat("x", pad))
+	cases := []struct {
+		err      error
+		sentinel error
+		want     string
+	}{
+		{fmt.Errorf("%w: open /wal/\xff\xfe: no such file", dfs.ErrFileNotFound), dfs.ErrFileNotFound,
+			dfs.ErrFileNotFound.Error() + ": open /wal/\ufffd: no such file"},
+		{long, dfs.ErrNodeDown, long.Error()[:maxErrorText-1]},
+	}
+	methods := methodTable{}
+	for i, tc := range cases {
+		methods[fmt.Sprint(i)] = rpcMethod{serve: bare(func(context.Context) (wireValue, error) { return nil, tc.err })}
+	}
+	srv := NewServer("test", nil, methods)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Shutdown(context.Background()) }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	p := &streamPool{local: "tester"}
+	defer p.close()
+	for i, tc := range cases {
+		err := p.call(ctx, srv.Addr(), "test", fmt.Sprint(i), nil, nil)
+		var re *RemoteError
+		if !errors.As(err, &re) || !errors.Is(err, tc.sentinel) || dfs.IsTransient(err) != dfs.IsTransient(tc.err) {
+			t.Fatalf("case %d: err = %v, want a RemoteError matching %v, transient %v", i, err, tc.sentinel, dfs.IsTransient(tc.err))
+		}
+		if !utf8.ValidString(re.Msg) || len(re.Msg) > maxErrorText || re.Msg != tc.want {
+			t.Fatalf("case %d: a %d-byte message (valid UTF-8: %v), want the %d bytes %.60q...", i, len(re.Msg), utf8.ValidString(re.Msg), len(tc.want), tc.want)
+		}
 	}
 }
 
 // encodeCall builds a call frame's payload: the header, then params
 // verbatim, for tests that frame calls by hand.
 func encodeCall(h callHeader, params []byte) []byte {
-	return append(appendCallHeader(nil, h), params...)
+	return append(h.appendWire(nil), params...)
 }
 
 // TestFrameRoundTrip: a call — header, then params verbatim — its
@@ -330,7 +336,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame2(&buf, frameReply, 0, 7, []byte(`{"meta":null}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame2(&buf, frameError, 0, 7, encodeErrorFrame(dfs.ErrFileNotFound)); err != nil {
+	if err := writeFrame2(&buf, frameError, 0, 7, failedAck(0, dfs.ErrFileNotFound).failure.appendWire(nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -487,7 +493,7 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	if _, err := readFrame2(strings.NewReader("not a frame, not a frame at all"), nil); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("garbage bytes: err = %v, want ErrBadFrame", err)
 	}
-	for _, p := range [][]byte{nil, {0, 0, 0}, appendString(appendUint64(nil, 5), "shell")} {
+	for _, p := range [][]byte{nil, {0, 0, 0}, appendText(appendUint64(nil, 5), "shell")} {
 		if _, _, err := decodeCall(p); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("call payload %x: err = %v, want ErrBadFrame", p, err)
 		}
@@ -551,7 +557,7 @@ func TestErrorsCrossTheWire(t *testing.T) {
 		}{src, dfs.IsTransient(src)})
 	}
 	for _, tc := range cases {
-		got := decodeErrorFrame(encodeErrorFrame(tc.err))
+		got := decodeErrorFrame(failedAck(0, tc.err).failure.appendWire(nil))
 		// The decoded error must match the deepest registered sentinel.
 		target := tc.err
 		for errors.Unwrap(target) != nil {
@@ -570,7 +576,7 @@ func TestErrorsCrossTheWire(t *testing.T) {
 }
 
 func TestUnknownWireCodeStillCarriesMessage(t *testing.T) {
-	got := decodeErrorFrame(ackEntry{Code: "martian", Msg: "boom", Transient: true}.appendStatus(nil))
+	got := decodeErrorFrame(failure{Transient: true, Code: "martian", Msg: "boom"}.appendWire(nil))
 	if got == nil || got.Error() != "boom" {
 		t.Fatalf("decodeErrorFrame = %v, want message boom", got)
 	}
@@ -584,9 +590,9 @@ func TestUnknownWireCodeStillCarriesMessage(t *testing.T) {
 	if errors.Unwrap(re) != nil {
 		t.Fatal("unknown code must not unwrap to a sentinel")
 	}
-	// An error frame is an error whatever its OK bit claims.
-	if err := decodeErrorFrame(ackEntry{OK: true, Msg: "boom"}.appendStatus(nil)); err == nil {
-		t.Fatal("an error frame with the OK bit set decoded to nil")
+	// An error frame is an error, even one with no code or message.
+	if err := decodeErrorFrame(failure{}.appendWire(nil)); err == nil {
+		t.Fatal("an empty error frame decoded to nil")
 	}
 }
 
