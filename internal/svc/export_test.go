@@ -40,6 +40,22 @@ func (c *Client) breakerStats() *BreakerStats {
 	return c.data.brkStats
 }
 
+// walledOff reports whether the client's own breakers are open on each
+// of DataNodes 0..n-1.
+func (c *Client) walledOff(n int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.data == nil {
+		return n == 0
+	}
+	for _, st := range c.data.stores[:n] {
+		if st.brk.State() != BreakerOpen {
+			return false
+		}
+	}
+	return true
+}
+
 // RecoverShards rebuilds every shard's image from a WAL root (shards
 // 0 takes the count the root records), one sorted file list per shard, without taking ownership of any log — the read-only
 // recovery the bit-determinism tests replay twice. Each shard recovers

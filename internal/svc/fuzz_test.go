@@ -3,6 +3,10 @@ package svc
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/adaptsim/adapt/internal/dfs"
@@ -102,6 +106,71 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
+// TestDecodeFrameCorpusDecodes: FuzzDecodeFrame's committed inputs are
+// of the current wire, so they seed near-valid frames instead of
+// stopping at the version byte. Every valid_* input is a frame
+// readFrame2 accepts, and its payload — and every *_payload input — is
+// exactly the value its name says (a chunk's payload is bytes, not a
+// value).
+func TestDecodeFrameCorpusDecodes(t *testing.T) {
+	as := func(v valueReader) func([]byte) bool { return func(p []byte) bool { return decodeValue(p, v) } }
+	call := func(p []byte) bool {
+		_, params, err := decodeCall(p)
+		return err == nil && decodeValue(params, &nameParams{})
+	}
+	chunk := func([]byte) bool { return true }
+	decodes := map[string]func([]byte) bool{
+		"valid_call": call, "call_payload": call,
+		"valid_call_error": as(&failure{}), "error_payload": as(&failure{}),
+		"open_write_payload": as(&openWrite{}),
+		"valid_chunk":        chunk, "valid_chunk_short_dst": chunk,
+		"valid_reply":     as(&listResult{}),
+		"valid_setup_ack": as(&ackList{}),
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeFrame")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, e := range entries {
+		name := e.Name()
+		framed := strings.HasPrefix(name, "valid_")
+		if !framed && !strings.HasSuffix(name, "_payload") {
+			continue
+		}
+		check, ok := decodes[name]
+		if !ok {
+			t.Fatalf("%s: no value named for it here", name)
+		}
+		seen++
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		quoted, ok := strings.CutPrefix(lines[1], "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if lines[0] != "go test fuzz v1" || !ok || err != nil {
+			t.Fatalf("%s: not a corpus file whose first argument is []byte: %v", name, err)
+		}
+		p := []byte(data)
+		if framed {
+			fr, err := readFrame2(bytes.NewReader(p), nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			p = fr.Payload
+		}
+		if !check(p) {
+			t.Fatalf("%s: payload %x does not decode", name, p)
+		}
+	}
+	if seen != len(decodes) {
+		t.Fatalf("%d of the %d inputs named here are in %s", seen, len(decodes), dir)
+	}
+}
+
 // shares reports whether p overlaps backing: it flips p's bytes, looks
 // for a change in backing, and flips them back.
 func shares(p, backing []byte) bool {
@@ -119,17 +188,19 @@ func shares(p, backing []byte) bool {
 // FuzzChunkReassembly streams an arbitrary payload through the chunked
 // frame encoding at an arbitrary chunk size and asserts the
 // reassembled bytes are identical — the invariant the pipeline relay
-// and the streaming read both stand on.
+// and the streaming read both stand on. The input is capped at
+// maxInput bytes, so at most maxInput frames: the engine minimizes
+// each new input by trying to remove every span of its bytes, and on
+// the multi-KiB inputs it grows that took most of the target's time.
 func FuzzChunkReassembly(f *testing.F) {
 	f.Add([]byte(""), uint32(1))
 	f.Add([]byte("hello, world"), uint32(5))
-	f.Add(bytes.Repeat([]byte{0xA5}, 4096), uint32(1024))
+	f.Add(bytes.Repeat([]byte{0xA5}, 256), uint32(64))
 
+	const maxInput = 256
 	f.Fuzz(func(t *testing.T, data []byte, chunkSize uint32) {
-		size := int(chunkSize % MaxChunkPayload)
-		if size == 0 {
-			size = 1
-		}
+		data = data[:min(len(data), maxInput)]
+		size := max(int(chunkSize%MaxChunkPayload), 1)
 		var wire bytes.Buffer
 		sid := uint64(len(data)) + 1
 		for off := 0; ; {

@@ -18,7 +18,10 @@ import (
 // a valueReader, which reads it back: the transport's own (wire.go) and
 // the params and result of every nn.* and dn.* method. typed and
 // streamPool.call take nothing else, so a method whose values have no
-// codec does not compile.
+// codec does not compile. The NameNode's journal is written in the same
+// layout and read by the same decodeValue: a record is a kind byte and
+// a fileMeta, nameParams or relocation, a checkpoint a namespaceImage
+// (durable.go).
 //
 // The layout is big-endian: every Go int and int64 as 8 bytes (node
 // and block ids too), a bool as one byte 0 or 1, a float64 as its IEEE
@@ -125,8 +128,9 @@ func (r *binReader) flag() bool {
 }
 
 // text reads a uint32-length string. One that is not UTF-8 is
-// malformed: names are journaled as JSON, which would keep such a name
-// under another, so the namespace takes only names it can journal.
+// malformed: names leave the program as JSON too, in adapt-fs fsck's
+// HealthReport, which would print such a name as another, so the
+// namespace takes only names every surface carries whole.
 func (r *binReader) text() string {
 	if b := r.take(int(r.u32())); !r.bad && utf8.Valid(b) {
 		return string(b)
@@ -147,15 +151,18 @@ func (r *binReader) count(size int) int {
 }
 
 // readList reads a list of elements at least size bytes long each; an
-// empty one is nil.
-func readList[T any](r *binReader, size int, each func(*binReader) T) []T {
+// empty one is nil. each reads one element from r, which it binds (a
+// method value such as r.node, or a closure over r): handed r as an
+// argument through a func value, r would leak to the heap, and so
+// would every reader a decodeValue declares.
+func readList[T any](r *binReader, size int, each func() T) []T {
 	n := r.count(size)
 	if n == 0 {
 		return nil
 	}
 	xs := make([]T, n)
 	for i := range xs {
-		xs[i] = each(r)
+		xs[i] = each()
 	}
 	return xs
 }
@@ -176,7 +183,7 @@ const blockMetaSize = 8 + 4 + 8 + 8 + 4 + 4
 
 func (r *binReader) blockMeta() dfs.BlockMeta {
 	return dfs.BlockMeta{ID: r.blockID(), File: r.text(), Index: r.int(), Size: r.i64(),
-		Replicas: readList(r, 8, (*binReader).node), Checksum: r.u32()}
+		Replicas: readList(r, 8, r.node), Checksum: r.u32()}
 }
 
 func appendFileMeta(b []byte, fm *dfs.FileMeta) []byte {
@@ -189,9 +196,12 @@ func appendFileMeta(b []byte, fm *dfs.FileMeta) []byte {
 
 func (r *binReader) fileMeta() dfs.FileMeta {
 	fm := dfs.FileMeta{Name: r.text(), Size: r.i64(), BlockSize: r.i64(), Replication: r.int()}
-	fm.Blocks = readList(r, blockMetaSize, (*binReader).blockMeta)
+	fm.Blocks = readList(r, blockMetaSize, r.blockMeta)
 	return fm
 }
+
+// fileMetaSize is the least a FileMeta encodes to.
+const fileMetaSize = 4 + 8 + 8 + 8 + 4
 
 func appendAllocation(b []byte, a *dfs.Allocation) []byte {
 	b = appendText(b, a.Name)
@@ -206,8 +216,8 @@ func appendAllocation(b []byte, a *dfs.Allocation) []byte {
 
 func (r *binReader) allocation() dfs.Allocation {
 	return dfs.Allocation{Name: r.text(), Size: r.i64(), BlockSize: r.i64(), Replication: r.int(),
-		Blocks: readList(r, 8+4, func(r *binReader) dfs.AllocatedBlock {
-			return dfs.AllocatedBlock{ID: r.blockID(), Holders: readList(r, 8, (*binReader).node)}
+		Blocks: readList(r, 8+4, func() dfs.AllocatedBlock {
+			return dfs.AllocatedBlock{ID: r.blockID(), Holders: readList(r, 8, r.node)}
 		}),
 		Seed: r.u64()}
 }
@@ -225,10 +235,10 @@ func (r *binReader) writeReport() dfs.WriteReport {
 }
 
 func appendNodes(b []byte, ns []cluster.NodeID) []byte { return appendList(b, ns, appendNode) }
-func (r *binReader) nodes() []cluster.NodeID           { return readList(r, 8, (*binReader).node) }
+func (r *binReader) nodes() []cluster.NodeID           { return readList(r, 8, r.node) }
 
 func appendTexts(b []byte, ss []string) []byte { return appendList(b, ss, appendText) }
-func (r *binReader) texts() []string           { return readList(r, 4, (*binReader).text) }
+func (r *binReader) texts() []string           { return readList(r, 4, r.text) }
 
 // ---- the RPCs' values ----
 
@@ -256,7 +266,7 @@ func (p completeParams) appendWire(b []byte) []byte {
 }
 func (p *completeParams) readWire(r *binReader) {
 	p.Name = r.text()
-	p.Blocks = readList(r, blockMetaSize, (*binReader).blockMeta)
+	p.Blocks = readList(r, blockMetaSize, r.blockMeta)
 	p.Report = r.writeReport()
 }
 
@@ -303,7 +313,7 @@ func (v *movedResult) readWire(r *binReader)     { v.Moved = r.int() }
 func (v distResult) appendWire(b []byte) []byte {
 	return appendList(b, v.Counts, func(b []byte, n int) []byte { return appendInt(b, int64(n)) })
 }
-func (v *distResult) readWire(r *binReader) { v.Counts = readList(r, 8, (*binReader).int) }
+func (v *distResult) readWire(r *binReader) { v.Counts = readList(r, 8, r.int) }
 
 // estimatesResult's map goes out in ascending node order, and a decoder
 // refuses any other.
@@ -357,11 +367,11 @@ func (v *healthReport) appendWire(b []byte) []byte {
 }
 func (v *healthReport) readWire(r *binReader) {
 	*v = healthReport{Files: r.int(), Blocks: r.int(), UnderReplicated: r.int(), Unavailable: r.int(),
-		Details: readList(r, 4+3*8, func(r *binReader) dfs.FileHealth {
+		Details: readList(r, 4+3*8, func() dfs.FileHealth {
 			return dfs.FileHealth{Name: r.text(), Blocks: r.int(), UnderReplicated: r.int(), Unavailable: r.int()}
 		}),
 		Shards: r.int(),
-		Tenants: readList(r, 4+5*8, func(r *binReader) shard.TenantUsage {
+		Tenants: readList(r, 4+5*8, func() shard.TenantUsage {
 			return shard.TenantUsage{Tenant: r.text(),
 				Quota: shard.Quota{MaxFiles: r.i64(), MaxBytes: r.i64(), MaxRF: r.int()},
 				Usage: shard.Usage{Files: r.i64(), Bytes: r.i64()}}
@@ -377,4 +387,27 @@ func (v storedResult) appendWire(b []byte) []byte {
 func (v *storedResult) readWire(r *binReader) { v.Size, v.Sum, v.OK = r.i64(), r.u32(), r.flag() }
 
 func (v blocksResult) appendWire(b []byte) []byte { return appendList(b, v.Blocks, appendBlockID) }
-func (v *blocksResult) readWire(r *binReader)     { v.Blocks = readList(r, 8, (*binReader).blockID) }
+func (v *blocksResult) readWire(r *binReader)     { v.Blocks = readList(r, 8, r.blockID) }
+
+// relocation is a file's new block map, the value of a journal record
+// that changes one.
+type relocation struct {
+	Name   string
+	Blocks []dfs.BlockMeta
+}
+
+func (v relocation) appendWire(b []byte) []byte {
+	return appendList(appendText(b, v.Name), v.Blocks, appendBlockMeta)
+}
+func (v *relocation) readWire(r *binReader) {
+	v.Name, v.Blocks = r.text(), readList(r, blockMetaSize, r.blockMeta)
+}
+
+// namespaceImage is one shard's files, sorted by name: the value of a
+// journal checkpoint.
+type namespaceImage []*dfs.FileMeta
+
+func (v namespaceImage) appendWire(b []byte) []byte { return appendList(b, v, appendFileMeta) }
+func (v *namespaceImage) readWire(r *binReader) {
+	*v = readList(r, fileMetaSize, func() *dfs.FileMeta { fm := r.fileMeta(); return &fm })
+}

@@ -71,6 +71,11 @@ func valueSamples() []codec {
 		&ackList{{Node: 3, OK: true, failure: failure{Transient: true, Code: "node_down", Msg: "dfs: node 3 down"}},
 			{Node: 1 << 40, OK: true, failure: failure{Transient: true, Code: "c", Msg: "ü"}}},
 		&failure{Transient: true, Code: "file_not_found", Msg: "dfs: file not found: \"/f\""},
+		// The journal's own: a record's relocation (its creates and
+		// deletes are the fileMeta and nameParams above) and a
+		// checkpoint.
+		&relocation{Name: "/logs/a", Blocks: meta.Blocks},
+		&namespaceImage{&meta, {Name: "/logs/b", Size: 1, BlockSize: 2, Replication: 3, Blocks: meta.Blocks[1:]}},
 	}
 }
 
@@ -181,6 +186,43 @@ func TestValueDecodersRefuseNonCanonical(t *testing.T) {
 	var files listResult
 	if !decodeValue(appendUint32(nil, 0), &files) || files.Files != nil {
 		t.Fatalf("an empty list decoded to %#v, want nil", files.Files)
+	}
+}
+
+// TestDecodeAllocs: a decode allocates the strings and lists of the
+// value it reads and nothing else, no reader of its own on the heap:
+// for an nn.locate result, and for a journal create record as a
+// replay folds it.
+func TestDecodeAllocs(t *testing.T) {
+	var loc *locateResult
+	for _, v := range valueSamples() {
+		if l, ok := v.(*locateResult); ok {
+			loc = l
+		}
+	}
+	meta, enc := loc.Meta, loc.appendWire(nil)
+	// The name, the block list and the down list, and each block's file
+	// name and replica list.
+	want := float64(3 + 2*len(meta.Blocks))
+	if got := testing.AllocsPerRun(100, func() {
+		var v locateResult
+		if !decodeValue(enc, &v) {
+			panic("a locateResult's own encoding does not decode")
+		}
+	}); got > want {
+		t.Errorf("decoding a locateResult allocates %.0f times, want at most %.0f", got, want)
+	}
+	rec := journalRecord(recordCreate, (*fileMeta)(&meta))
+	table := map[string]*dfs.FileMeta{meta.Name: nil}
+	// The FileMeta the table keeps, its name and its block list, and
+	// each block's file name and replica list.
+	want = float64(3 + 2*len(meta.Blocks))
+	if got := testing.AllocsPerRun(100, func() {
+		if !foldRecord(table, rec) {
+			panic("a create record does not fold")
+		}
+	}); got > want {
+		t.Errorf("folding a create record allocates %.0f times, want at most %.0f", got, want)
 	}
 }
 

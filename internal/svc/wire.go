@@ -333,7 +333,7 @@ func (ow openWrite) appendWire(b []byte) []byte {
 // readWire refuses a negative size and a chain longer than maxChainLen.
 func (ow *openWrite) readWire(r *binReader) {
 	ow.Block, ow.Size, ow.DeadlineMS, ow.From = r.blockID(), r.i64(), r.i64(), r.text()
-	ow.Chain = readList(r, 8+4, func(r *binReader) chainEntry { return chainEntry{Node: r.node(), Addr: r.text()} })
+	ow.Chain = readList(r, 8+4, func() chainEntry { return chainEntry{Node: r.node(), Addr: r.text()} })
 	if ow.Size < 0 || len(ow.Chain) > maxChainLen {
 		r.bad = true
 	}
@@ -450,7 +450,7 @@ func (l ackList) appendWire(b []byte) []byte {
 	})
 }
 func (l *ackList) readWire(r *binReader) {
-	*l = readList(r, 8+1+1+4+4, func(r *binReader) ackEntry {
+	*l = readList(r, 8+1+1+4+4, func() ackEntry {
 		e := ackEntry{Node: r.node(), OK: r.flag()}
 		e.failure.readWire(r)
 		return e
