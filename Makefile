@@ -74,9 +74,9 @@ hedge-stress:
 # always one reply or error frame, nn.list and dn.blocks still
 # answered with results that decode) — the trace CSV
 # decoder (never panics; whatever it accepts survives a write and a
-# re-read unchanged), the WAL segment decoder (a damaged final
-# segment replays a prefix of what was written; a damaged earlier one
-# is ErrCorrupt), the WAL root's mark and SHARDS manifest reads
+# re-read unchanged), the WAL segment walk over bytes (a damaged final
+# segment walks to a prefix of what was written; a damaged earlier one
+# is ErrCorrupt), the WAL root's mark and SHARDS manifest parsers
 # (ErrCorrupt, or a value that survives its writer unchanged), and the
 # snapshot and record payloads a durable NameNode folds on a restart,
 # as bytes with no directory (ErrCorrupt, or a namespace a checkpoint
@@ -87,14 +87,9 @@ hedge-stress:
 # seeds. The floor is 1 000 execs in 5 s on a 2-vCPU box (go1.24, two
 # fuzz workers). Minimizing a new input is capped at 10 runs of the
 # target: left at its default (up to a minute of runs per input, none
-# of them counted) it took most of a 5 s budget. FUZZ_UNFLOORED
-# targets print their count but are not held to the floor:
-# FuzzWALSegment fsyncs three log directories per exec, so its count
-# measures the disk (1 300-2 400 on the 2-vCPU box, 200-700 without
-# the minimizing cap) and would gate CI on the runner's fsync speed.
-# It takes the floor once its segments are walked in memory.
+# of them counted) it took most of a 5 s budget. Every target is held
+# to the floor: none writes or fsyncs a file per exec.
 FUZZ_FLOOR = 1000
-FUZZ_UNFLOORED = FuzzWALSegment
 FUZZ_TARGETS = svc:FuzzDecodeFrame svc:FuzzChunkReassembly svc:FuzzDecodeValues \
 	svc:FuzzReplayNamespace svc:FuzzMethodParams trace:FuzzReadCSV \
 	wal:FuzzWALSegment wal:FuzzLoadMark
@@ -105,7 +100,6 @@ fuzz-smoke:
 		execs=$$(printf '%s\n' "$$out" | sed -n 's/.*execs: \([0-9]*\).*/\1/p' | tail -n 1); \
 		echo "$$name: $${execs:-0} execs in 5s"; \
 		if [ $$rc -ne 0 ]; then printf '%s\n' "$$out"; exit 1; fi; \
-		case " $(FUZZ_UNFLOORED) " in *" $$name "*) continue;; esac; \
 		if [ "$${execs:-0}" -lt $(FUZZ_FLOOR) ]; then echo "$$name: fewer than $(FUZZ_FLOOR) execs"; exit 1; fi; \
 	done
 

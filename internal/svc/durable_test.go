@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/adaptsim/adapt/internal/chaos"
 	"github.com/adaptsim/adapt/internal/cluster"
 	"github.com/adaptsim/adapt/internal/dfs"
 	"github.com/adaptsim/adapt/internal/shard"
@@ -183,6 +182,14 @@ func TestCrashRecoveryKeepsAckedWrites(t *testing.T) {
 	}
 }
 
+// failAppends fails every WAL append before any byte of its frame is
+// written.
+type failAppends struct{}
+
+func (failAppends) BeforeAppend([]byte) (int, error) {
+	return 0, errors.New("injected journal failure")
+}
+
 // TestJournalFailureVetoesMutation: when the WAL cannot commit, the
 // mutation must not be acknowledged or applied — and a restart from
 // the directory shows exactly the pre-failure namespace.
@@ -201,9 +208,9 @@ func TestJournalFailureVetoesMutation(t *testing.T) {
 	}
 	preFP := lc.NN.NamespaceFingerprint()
 
-	// The journal device "fails": the next append tears and the log
-	// breaks, exactly as chaos would do it mid-write.
-	lc.NN.durable.journals[0].log.SetFaults(chaos.CrashAfter(0, 0))
+	// The journal device fails: the next append writes nothing and the
+	// log breaks, so every later one fails too.
+	lc.NN.durable.journals[0].log.SetFaults(failAppends{})
 
 	_, _, err := cl.CopyFromLocal(ctx, "lost", durablePayload(4, 800), false)
 	if !errors.Is(err, dfs.ErrJournal) {
@@ -323,12 +330,11 @@ func TestRestartReadsShardCountFromWALDir(t *testing.T) {
 	}
 }
 
-// TestNonUTF8NameRefusedAtTheWire: the WAL journals names as JSON,
-// which would keep "/a\xff" and "/a\xfe" both as "/a\uFFFD", so a
-// restart would bring them back under one other name, perhaps in
-// another shard. A name that is not UTF-8 is refused as a malformed
-// call instead, and the namespace a restart recovers is exactly the
-// names that were accepted.
+// TestNonUTF8NameRefusedAtTheWire: adapt-fs fsck prints names as
+// JSON, in its HealthReport, which would show "/a\xff" and "/a\xfe"
+// both as "/a\uFFFD", one other name. A name that is not UTF-8 is
+// refused as a malformed call instead, and the namespace a restart
+// recovers is exactly the names that were accepted.
 func TestNonUTF8NameRefusedAtTheWire(t *testing.T) {
 	dir := t.TempDir()
 	cfg := NameNodeConfig{BlockSize: 256, Replication: 2, WALDir: dir, Shards: 4}

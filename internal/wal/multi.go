@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -25,11 +26,11 @@ import (
 // different P would scatter replay. Resharding is a migration, not a
 // reopen, and ShardDirs refuses it.
 //
-// A root from before the manifest holds a one-shard log flat, its
-// seg-*/snap-* files directly under root. ShardDirs moves them into
-// shard-000/ and writes the manifest last; a new root's manifest comes
-// before its shard directories. So a root without a manifest but with
-// log files under it or a shard-000/ is a migration to finish.
+// A new root's manifest comes before its shard directories, so a root
+// with log files or a shard-000/ but no manifest was written before
+// every root had one: a one-shard log flat under root, in a journal
+// encoding the NameNode no longer reads. ShardDirs refuses it,
+// untouched.
 
 // manifestName is the shard-count manifest file inside a WAL root.
 const manifestName = "SHARDS"
@@ -41,8 +42,8 @@ var ErrShardMismatch = errors.New("wal: shard count mismatch (resharding unsuppo
 // ShardDirs resolves (creating if needed) the per-shard log
 // directories under root, one per shard in shard order, and fsyncs
 // root so their entries are durable. shards 0 takes the count root
-// records (1 for a new root); any other count must match it. A flat
-// one-shard log is migrated at 0 or 1 and refused, untouched, at more.
+// records (1 for a new root); any other count must match it. A root
+// holding a log but no manifest is ErrCorrupt at any count.
 func ShardDirs(root string, shards int) ([]string, error) {
 	if shards < 0 || shards > shard.MaxShards {
 		return nil, fmt.Errorf("wal: %w: %d", shard.ErrBadShardCount, shards)
@@ -71,89 +72,62 @@ func ShardDirs(root string, shards int) ([]string, error) {
 	return dirs, syncDir(root)
 }
 
-// initRoot records the shard count of a root without a manifest:
-// max(shards, 1) for a new root, and 1 for a one-shard log, which it
-// migrates first, its renames fsynced before the manifest is written.
+// initRoot records the shard count of a root without a manifest,
+// max(shards, 1), unless root already holds a log: that root predates
+// the manifest and is refused with every file left where it was.
 func initRoot(root string, shards int) (int, error) {
 	snaps, segs, err := listDir(root)
 	if err != nil {
 		return 0, err
 	}
-	shard0 := filepath.Join(root, "shard-000")
-	if _, err := os.Stat(shard0); err != nil && len(snaps)+len(segs) == 0 {
-		return max(shards, 1), writeManifest(root, max(shards, 1))
+	if _, err := os.Stat(filepath.Join(root, "shard-000")); err == nil || len(snaps)+len(segs) > 0 {
+		return 0, fmt.Errorf("%w: directory %s holds a log but no %s manifest, a layout this build does not read; start from an empty directory", ErrCorrupt, root, manifestName)
 	}
-	if shards > 1 {
-		return 0, fmt.Errorf("%w: directory %s holds a single-shard log, opened with %d shards", ErrShardMismatch, root, shards)
+	return max(shards, 1), writeManifest(root, max(shards, 1))
+}
+
+// A number file (the manifest, a mark) holds one decimal number and a
+// newline: formatNumber writes it and parseNumber reads it back.
+func formatNumber(v uint64) []byte { return append(strconv.AppendUint(nil, v, 10), '\n') }
+
+// parseNumber decodes the bytes of the number file name. Anything but a
+// decimal in lo..hi, surrounding white space aside, is ErrCorrupt.
+func parseNumber(name string, data []byte, lo, hi uint64) (uint64, error) {
+	s := strings.TrimSpace(string(data))
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil || v < lo || v > hi {
+		return 0, fmt.Errorf("%w: %s holds %q", ErrCorrupt, name, s)
 	}
-	if err := os.MkdirAll(shard0, 0o755); err != nil {
-		return 0, fmt.Errorf("wal: create shard dir: %w", err)
+	return v, nil
+}
+
+// readNumber reads the number file root/name, which must hold a value
+// in lo..hi; ok is false when there is no such file.
+func readNumber(root, name string, lo, hi uint64) (v uint64, ok bool, err error) {
+	data, err := os.ReadFile(filepath.Join(root, name))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, false, nil
 	}
-	for _, f := range append(snaps, segs...) {
-		if err := os.Rename(filepath.Join(root, f.name), filepath.Join(shard0, f.name)); err != nil {
-			return 0, fmt.Errorf("wal: migrate flat log: %w", err)
-		}
+	if err != nil {
+		return 0, false, fmt.Errorf("wal: read %s: %w", name, err)
 	}
-	if err := removeSnapshotTemps(root); err != nil {
-		return 0, err
-	}
-	if err := syncDir(shard0); err != nil {
-		return 0, err
-	}
-	if err := syncDir(root); err != nil {
-		return 0, err
-	}
-	return 1, writeManifest(root, 1)
+	v, err = parseNumber(name, data, lo, hi)
+	return v, err == nil, err
 }
 
 // readManifest returns the shard count recorded in root's manifest,
 // if one exists.
 func readManifest(root string) (count int, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(root, manifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, fmt.Errorf("wal: read shard manifest: %w", err)
-	}
-	count, err = strconv.Atoi(strings.TrimSpace(string(data)))
-	if err != nil || count < 1 || count > shard.MaxShards {
-		return 0, false, fmt.Errorf("%w: shard manifest %q unreadable", ErrCorrupt, strings.TrimSpace(string(data)))
-	}
-	return count, true, nil
+	v, ok, err := readNumber(root, manifestName, 1, shard.MaxShards)
+	return int(v), ok, err
 }
 
 // writeManifest durably records the shard count.
 func writeManifest(root string, shards int) error {
-	if err := writeFileDurably(root, manifestName, strconv.Itoa(shards)+"\n"); err != nil {
+	if err := writeFileDurably(root, manifestName, formatNumber(uint64(shards))); err != nil {
 		return fmt.Errorf("wal: write shard manifest: %w", err)
 	}
 	return nil
-}
-
-// writeFileDurably replaces root/name with content: temp file, fsync,
-// rename, fsync directory — the same discipline snapshots use, so a
-// crash leaves either the old file or the complete new one.
-func writeFileDurably(root, name, content string) error {
-	tmp := filepath.Join(root, name+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err = f.WriteString(content); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(root, name))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(root)
 }
 
 // SaveMark durably records one number under root/name — a high-water
@@ -161,7 +135,7 @@ func writeFileDurably(root, name, content string) error {
 // stream (the NameNode's block-id ceiling). It is on disk when SaveMark
 // returns.
 func SaveMark(root, name string, v uint64) error {
-	if err := writeFileDurably(root, name, strconv.FormatUint(v, 10)+"\n"); err != nil {
+	if err := writeFileDurably(root, name, formatNumber(v)); err != nil {
 		return fmt.Errorf("wal: save mark %s: %w", name, err)
 	}
 	return nil
@@ -170,16 +144,6 @@ func SaveMark(root, name string, v uint64) error {
 // LoadMark reads the number SaveMark last recorded under root/name; a
 // root that never saved one reads as 0.
 func LoadMark(root, name string) (uint64, error) {
-	data, err := os.ReadFile(filepath.Join(root, name))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("wal: load mark %s: %w", name, err)
-	}
-	v, err := strconv.ParseUint(strings.TrimSpace(string(data)), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: mark %s holds %q", ErrCorrupt, name, strings.TrimSpace(string(data)))
-	}
-	return v, nil
+	v, _, err := readNumber(root, name, 0, math.MaxUint64)
+	return v, err
 }

@@ -120,163 +120,66 @@ func TestShardDirsRefusesReshard(t *testing.T) {
 	}
 }
 
-// flatRoot lays a single-shard log out the way it was written before
-// every root had a manifest: segments, a snapshot and a temp file a
-// crash mid-snapshot left, directly under root, and a BLOCKIDS mark
-// beside them. Replay from it yields flatState and then flatRecords.
-func flatRoot(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	l, err := Open(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, "r1", "r2", "r3")
-	// A snapshot at 2 behind seq 3 keeps seg-0 (it holds record 3) and
-	// rotates to a second segment.
-	if err := l.SaveSnapshot([]byte(flatState), 2); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, "r4", "r5")
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveMark(root, "BLOCKIDS", 4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, snapName(3)+".tmp"), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snaps, segs, err := listDir(root)
-	if err != nil || len(snaps) != 1 || len(segs) != 2 {
-		t.Fatalf("flat root: %d snapshots, %d segments, %v; want 1 and 2", len(snaps), len(segs), err)
-	}
-	return root
-}
-
-const flatState = "state@2"
-
-var flatRecords = []string{"3:r3", "4:r4", "5:r5"}
-
-// checkMigrated requires dirs to be root's one shard-000 holding the
-// whole flat log, and root to hold only the manifest, that directory
-// and the mark, unchanged.
-func checkMigrated(t *testing.T, root string, dirs []string) {
-	t.Helper()
-	if len(dirs) != 1 || dirs[0] != filepath.Join(root, "shard-000") {
-		t.Fatalf("migrated dirs = %v, want [%s/shard-000]", dirs, root)
-	}
-	if got, want := rootLayout(t, root), []string{"BLOCKIDS", manifestName, "shard-000/"}; !equal(got, want) {
-		t.Fatalf("migrated root holds %v, want %v", got, want)
-	}
-	if n, ok, err := readManifest(root); err != nil || !ok || n != 1 {
-		t.Fatalf("migrated manifest = %d, %v, %v; want 1", n, ok, err)
-	}
-	if v, err := LoadMark(root, "BLOCKIDS"); err != nil || v != 4096 {
-		t.Fatalf("mark after migration = %d, %v; want 4096", v, err)
-	}
-	l, err := Open(dirs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	if state, seq := l.Snapshot(); string(state) != flatState || seq != 2 {
-		t.Fatalf("migrated snapshot = %q at %d, want %q at 2", state, seq, flatState)
-	}
-	if got := collect(t, l); !equal(got, flatRecords) {
-		t.Fatalf("migrated replay = %v, want %v", got, flatRecords)
-	}
-	if l.Seq() != 5 {
-		t.Fatalf("migrated seq = %d, want 5", l.Seq())
-	}
-}
-
-// TestShardDirsMigratesFlatLog: a flat single-shard root opened at one
-// shard, or at 0, becomes a one-shard root that replays every record
-// and keeps its mark; opening it again changes nothing.
-func TestShardDirsMigratesFlatLog(t *testing.T) {
-	for _, p := range []int{1, 0} {
-		root := flatRoot(t)
-		dirs, err := ShardDirs(root, p)
+// TestShardDirsRefusesPreManifestRoot: a root with no manifest that
+// holds a flat log, a shard-000/, or both (a layout from before every
+// root had a manifest) is ErrCorrupt at every count, and no file or
+// directory under it changes.
+func TestShardDirsRefusesPreManifestRoot(t *testing.T) {
+	writeLog := func(dir string) {
+		l, err := Open(dir)
 		if err != nil {
-			t.Fatalf("P %d: %v", p, err)
+			t.Fatal(err)
 		}
-		checkMigrated(t, root, dirs)
-		if again, err := ShardDirs(root, p); err != nil || !equal(again, dirs) {
-			t.Fatalf("P %d: reopen = %v, %v; want %v", p, again, err, dirs)
+		appendN(t, l, "r1", "r2", "r3")
+		if err := l.SaveSnapshot([]byte("state@2"), 2); err != nil {
+			t.Fatal(err)
 		}
-		checkMigrated(t, root, dirs)
+		appendN(t, l, "r4")
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-}
-
-// TestShardDirsMigrationResumes: a migration cut short after any
-// prefix of its renames, or after all of them but before the manifest,
-// finishes on the next open, and such a root is still one shard.
-func TestShardDirsMigrationResumes(t *testing.T) {
-	snaps, segs, err := listDir(flatRoot(t))
-	if err != nil {
-		t.Fatal(err)
+	layouts := map[string]func(root string){
+		"flat":      writeLog,
+		"shard-000": func(root string) { writeLog(filepath.Join(root, "shard-000")) },
+		"both": func(root string) {
+			writeLog(root)
+			writeLog(filepath.Join(root, "shard-000"))
+		},
 	}
-	var flat []string
-	for _, f := range append(snaps, segs...) {
-		flat = append(flat, f.name)
-	}
-	for k := 0; k <= len(flat); k++ {
-		for _, p := range []int{1, 0, 4} {
-			root := flatRoot(t)
-			shard0 := filepath.Join(root, "shard-000")
-			if err := os.Mkdir(shard0, 0o755); err != nil {
-				t.Fatal(err)
+	for name, lay := range layouts {
+		root := t.TempDir()
+		lay(root)
+		if err := SaveMark(root, "BLOCKIDS", 4096); err != nil {
+			t.Fatal(err)
+		}
+		before := readTree(t, root)
+		for _, p := range []int{0, 1, 4} {
+			if _, err := ShardDirs(root, p); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s root, P %d: err = %v, want ErrCorrupt", name, p, err)
 			}
-			for _, name := range flat[:k] {
-				if err := os.Rename(filepath.Join(root, name), filepath.Join(shard0, name)); err != nil {
-					t.Fatal(err)
-				}
+			if after := readTree(t, root); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("%s root, P %d: refused open changed the root:\nbefore %v\nafter  %v", name, p, before, after)
 			}
-			dirs, err := ShardDirs(root, p)
-			if p == 4 {
-				if !errors.Is(err, ErrShardMismatch) {
-					t.Fatalf("%d of %d renamed, P 4: err = %v, want ErrShardMismatch", k, len(flat), err)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%d of %d renamed, P %d: %v", k, len(flat), p, err)
-			}
-			checkMigrated(t, root, dirs)
 		}
 	}
 }
 
-// TestShardDirsRefusesShardingFlatLog: more than one shard over a flat
-// log is refused and leaves every byte of the root where it was; one
-// shard then migrates it.
-func TestShardDirsRefusesShardingFlatLog(t *testing.T) {
-	root := flatRoot(t)
-	before := readTree(t, root)
-	if _, err := ShardDirs(root, 4); !errors.Is(err, ErrShardMismatch) {
-		t.Fatalf("flat->4 err = %v, want ErrShardMismatch", err)
-	}
-	if after := readTree(t, root); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("refused open changed the root:\nbefore %v\nafter  %v", before, after)
-	}
-	dirs, err := ShardDirs(root, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMigrated(t, root, dirs)
-}
-
-// readTree reads every file under root, keyed by its path below root.
+// readTree reads every file under root, keyed by its path below root,
+// and lists every directory below it, keyed "path/".
 func readTree(t *testing.T, root string) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil || path == root {
 			return err
 		}
-		b, err := os.ReadFile(path)
 		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			out[rel+"/"] = ""
+			return nil
+		}
+		b, err := os.ReadFile(path)
 		out[rel] = string(b)
 		return err
 	})
@@ -284,6 +187,35 @@ func readTree(t *testing.T, root string) map[string]string {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestShardDirsReadsManifestInRange: a manifest is read by the one
+// number-file parser, a decimal in 1..shard.MaxShards with white space
+// around it; anything else, a sign included, is ErrCorrupt and is not
+// overwritten.
+func TestShardDirsReadsManifestInRange(t *testing.T) {
+	for content, want := range map[string]int{
+		" 4 \n": 4, "256\n": shard.MaxShards,
+		"0\n": 0, "257\n": 0, "+4\n": 0, "-1\n": 0, "4 shards\n": 0, "": 0,
+	} {
+		root := t.TempDir()
+		if err := os.WriteFile(filepath.Join(root, manifestName), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dirs, err := ShardDirs(root, 0)
+		if want == 0 {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("manifest %q: err = %v, want ErrCorrupt", content, err)
+			}
+			if b, _ := os.ReadFile(filepath.Join(root, manifestName)); string(b) != content {
+				t.Fatalf("manifest %q rewritten as %q", content, b)
+			}
+			continue
+		}
+		if err != nil || len(dirs) != want {
+			t.Fatalf("manifest %q: %d dirs, %v; want %d", content, len(dirs), err, want)
+		}
+	}
 }
 
 func TestShardDirsRejectsBadCount(t *testing.T) {
@@ -300,13 +232,18 @@ func TestShardDirsRejectsBadCount(t *testing.T) {
 
 // TestMarkSurvivesReopenBesideTheLog: a mark is durable on return,
 // reads back as the last value saved, is 0 where none was, refuses
-// garbage as corruption, and does not disturb the log it sits beside.
+// garbage as corruption, and disturbs neither the manifest it sits
+// beside nor the log in shard-000/.
 func TestMarkSurvivesReopenBesideTheLog(t *testing.T) {
 	root := t.TempDir()
 	if v, err := LoadMark(root, "MARK"); err != nil || v != 0 {
 		t.Fatalf("mark never saved: %d, %v; want 0", v, err)
 	}
-	log, err := Open(root)
+	dirs, err := ShardDirs(root, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := Open(dirs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +259,15 @@ func TestMarkSurvivesReopenBesideTheLog(t *testing.T) {
 		}
 	}
 	log.Crash()
-	if log, err = Open(root); err != nil || log.Seq() != 1 {
+	if log, err = Open(dirs[0]); err != nil || log.Seq() != 1 {
 		t.Fatalf("log beside a mark reopened at seq %d: %v", log.Seq(), err)
 	}
 	_ = log.Close()
-	if dirs, err := ShardDirs(root, 1); err != nil || len(dirs) != 1 {
-		t.Fatalf("flat root with a mark: %v", err)
+	if again, err := ShardDirs(root, 1); err != nil || !equal(again, dirs) {
+		t.Fatalf("root with a mark beside its manifest reopened as %v, %v; want %v", again, err, dirs)
+	}
+	if got, want := rootLayout(t, root), []string{"MARK", manifestName, "shard-000/"}; !equal(got, want) {
+		t.Fatalf("root holds %v, want %v", got, want)
 	}
 	if err := os.WriteFile(filepath.Join(root, "MARK"), []byte("not a number\n"), 0o644); err != nil {
 		t.Fatal(err)

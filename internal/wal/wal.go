@@ -89,8 +89,8 @@ const segmentStretch = 256 << 10
 // whole.
 var zeros [4 << 10]byte
 
-// AppendFaults lets a fault injector (chaos.CrashFaults) interpose on
-// the physical append. BeforeAppend sees the encoded frame and
+// AppendFaults lets a test's fault injector interpose on the
+// physical append. BeforeAppend sees the encoded frame and
 // returns how many bytes of it to actually write; a non-nil error
 // fails the append after writing that prefix and permanently breaks
 // the log handle, simulating a crash mid-write with a torn record on
@@ -133,7 +133,7 @@ func Open(dir string) (*Log, error) {
 		return nil, err
 	}
 	snapSeq := newestSnapshot(dir, snaps)
-	seq, validLen, err := walkChain(dir, segs, snapSeq, nil)
+	seq, validLen, err := walkChain(readFrom(dir), segs, snapSeq, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -214,15 +214,22 @@ func readSnapshot(dir string, seq uint64) ([]byte, bool) {
 	return payload, ok && n == len(data)
 }
 
-// walkChain is the one segment-chain walk behind Open and Replay. It
-// skips segments the snapshot at snapSeq fully covers (prune leftovers
-// from a crash between snapshot rename and file removal), requires
-// every later segment to continue where the previous one ended, and
-// hands fn (when non-nil) each record newer than snapSeq. An invalid
+// readFrom reads files of dir by name: the segment source walkChain
+// takes on disk.
+func readFrom(dir string) func(name string) ([]byte, error) {
+	return func(name string) ([]byte, error) { return os.ReadFile(filepath.Join(dir, name)) }
+}
+
+// walkChain is the one segment-chain walk behind Open and Replay, over
+// the bytes read returns for each segment's name. It skips segments
+// the snapshot at snapSeq fully covers (prune leftovers from a crash
+// between snapshot rename and file removal), requires every later
+// segment to continue where the previous one ended, and hands fn (when
+// non-nil) each record newer than snapSeq. An invalid
 // frame ends a final segment (a torn tail) and is ErrCorrupt in any
 // other. It returns the sequence of the last record walked and the
 // length of the final segment's valid prefix.
-func walkChain(dir string, segs []seqFile, snapSeq uint64, fn func(seq uint64, rec []byte) error) (seq uint64, validLen int, err error) {
+func walkChain(read func(name string) ([]byte, error), segs []seqFile, snapSeq uint64, fn func(seq uint64, rec []byte) error) (seq uint64, validLen int, err error) {
 	seq = snapSeq
 	scanning := false
 	for i, sg := range segs {
@@ -239,7 +246,7 @@ func walkChain(dir string, segs []seqFile, snapSeq uint64, fn func(seq uint64, r
 		} else if sg.seq != seq {
 			return 0, 0, fmt.Errorf("%w: segment %s does not continue from seq %d", ErrCorrupt, sg.name, seq)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, sg.name))
+		data, err := read(sg.name)
 		if err != nil {
 			return 0, 0, fmt.Errorf("wal: read %s: %w", sg.name, err)
 		}
@@ -368,7 +375,7 @@ func decodeFrame(data []byte) (payload []byte, n int, ok bool) {
 
 // SetFaults installs an append-fault injector (nil disables).
 //
-//lint:ignore deadcode fault injection: chaos's TestCrashFaultsTearWAL and svc's TestJournalFailureVetoesMutation tear an append mid-frame
+//lint:ignore deadcode fault injection: svc's TestJournalFailureVetoesMutation fails every append and TestStalledShardAppendDoesNotStallOtherShards stalls one
 func (l *Log) SetFaults(f AppendFaults) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -439,8 +446,8 @@ func (l *Log) SaveSnapshot(state []byte, upTo uint64) error {
 	if len(state) == 0 {
 		return fmt.Errorf("wal: empty snapshot state")
 	}
-	if err := l.writeSnapshotFile(state, upTo); err != nil {
-		return err
+	if err := writeFileDurably(l.dir, snapName(upTo), appendFrame(nil, state)); err != nil {
+		return fmt.Errorf("wal: write snapshot: %w", err)
 	}
 	// Rotate: the next record (seq+1) opens a fresh segment, so the
 	// prune below can retire everything the snapshot covers.
@@ -455,32 +462,6 @@ func (l *Log) SaveSnapshot(state []byte, upTo uint64) error {
 	l.snapSeq.Store(upTo)
 	l.prune()
 	return nil
-}
-
-// writeSnapshotFile is the atomic snapshot commit: temp file, fsync,
-// rename, directory fsync. A failure before the rename removes the
-// temp file, so a snapshot that keeps failing leaves nothing behind.
-func (l *Log) writeSnapshotFile(state []byte, upTo uint64) error {
-	final := filepath.Join(l.dir, snapName(upTo))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create snapshot: %w", err)
-	}
-	if _, err = f.Write(appendFrame(nil, state)); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	return syncDir(l.dir)
 }
 
 // removeSnapshotTemps deletes the snapshot temp files (snap-N.snap.tmp)
@@ -521,6 +502,34 @@ func (l *Log) prune() {
 			_ = os.Remove(filepath.Join(l.dir, segs[i].name))
 		}
 	}
+}
+
+// writeFileDurably replaces dir/name with data: temp file (name.tmp),
+// fsync, rename, directory fsync, so a crash leaves either the old file
+// or the complete new one. It writes every whole file of a root:
+// snapshots, the manifest and marks. A failure before the rename
+// removes the temp file, so a write that keeps failing leaves nothing
+// behind.
+func writeFileDurably(dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
 }
 
 func syncDir(dir string) error {
@@ -565,7 +574,7 @@ func (l *Log) Replay(fn func(seq uint64, rec []byte) error) error {
 	l.mu.Lock()
 	_, segs, err := listDir(l.dir)
 	if err == nil {
-		_, _, err = walkChain(l.dir, segs, l.snapSeq.Load(), func(seq uint64, rec []byte) error {
+		_, _, err = walkChain(readFrom(l.dir), segs, l.snapSeq.Load(), func(seq uint64, rec []byte) error {
 			recs = append(recs, record{seq, rec})
 			return nil
 		})

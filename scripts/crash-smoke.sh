@@ -8,10 +8,11 @@
 # replicated (exit 0). This is the shell-level twin of the
 # TestCrashRecoverySoak unit test — same binary an operator runs.
 #
-# The cycle runs twice: once against the flat single-shard WAL layout
-# and once with -shards 4 (per-shard journal directories, the write
-# tenant-prefixed so quota accounting is on the recovered path), the
-# twin of TestShardedCrashRecoverySoak. A final probe restarts the
+# The cycle runs twice, each WAL root a SHARDS manifest beside one
+# journal directory per shard: once with -shards 1 (one directory,
+# shard-000) and once with -shards 4 (the write tenant-prefixed so
+# quota accounting is on the recovered path), the twin of
+# TestShardedCrashRecoverySoak. A final probe restarts the
 # sharded WAL with the wrong -shards value and requires the NameNode
 # to refuse: resharding an existing directory must never silently
 # rehash the namespace.
@@ -101,7 +102,12 @@ crash_cycle() { # crash_cycle WAL_DIR SHARDS TENANT_FLAGS...
   stop_namenode
 }
 
-crash_cycle "$WORK/wal-flat" 1
+crash_cycle "$WORK/wal-one" 1
+if [ ! -f "$WORK/wal-one/SHARDS" ] || [ ! -d "$WORK/wal-one/shard-000" ]; then
+  say "one-shard WAL layout missing SHARDS manifest or shard-000 directory"
+  exit 1
+fi
+say "one-shard WAL layout verified (SHARDS manifest + shard-000 directory)"
 
 crash_cycle "$WORK/wal-sharded" 4 -tenant acme
 if [ ! -f "$WORK/wal-sharded/SHARDS" ] || [ ! -d "$WORK/wal-sharded/shard-003" ]; then
